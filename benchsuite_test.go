@@ -99,3 +99,46 @@ func TestBenchReportSuite(t *testing.T) {
 		t.Errorf("self-compare regressed: %v", regs)
 	}
 }
+
+// TestBenchReportReproducesCommittedTrajectory: the suite runs in
+// virtual time, so at the committed budget it must reproduce the
+// committed BENCH_mc.json row for row, byte for byte — the
+// whole-pipeline half of the golden-artifact oracle. The one exception
+// is swarm-shared-visited: which of its two workers claims a state
+// first is the goroutine scheduler's choice, so its state counts and
+// rates move by a state or two between runs; it must still execute the
+// same ops and pass the comparison gate.
+func TestBenchReportReproducesCommittedTrajectory(t *testing.T) {
+	committed, err := bench.Load("BENCH_mc.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := mcfs.RunBenchReport(committed.Budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(report.Scenarios) != len(committed.Scenarios) {
+		t.Fatalf("%d scenarios, committed %d", len(report.Scenarios), len(committed.Scenarios))
+	}
+	for i, want := range committed.Scenarios {
+		got := report.Scenarios[i]
+		if want.Name == "swarm-shared-visited" {
+			if got.Name != want.Name || got.Ops != want.Ops {
+				t.Errorf("%s: name %q ops %d, committed ops %d", want.Name, got.Name, got.Ops, want.Ops)
+			}
+			continue
+		}
+		g, _ := json.MarshalIndent(got, "", "  ")
+		w, _ := json.MarshalIndent(want, "", "  ")
+		if !bytes.Equal(g, w) {
+			t.Errorf("%s differs from BENCH_mc.json:\ngot  %s\nwant %s", want.Name, g, w)
+		}
+	}
+	deltas, err := bench.Compare(committed, report, bench.DefaultTolerance)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if regs := bench.Regressions(deltas); len(regs) != 0 {
+		t.Errorf("regressions against BENCH_mc.json: %v", regs)
+	}
+}

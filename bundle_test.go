@@ -12,6 +12,19 @@ import (
 // bundleFromBugRun explores the seeded write-hole pair with the flight
 // recorder on and dumps the resulting bug as a repro bundle.
 func bundleFromBugRun(t *testing.T) (string, mcfs.Result) {
+	return bundleFromRun(t, mcfs.Options{
+		Targets: []mcfs.TargetSpec{
+			{Kind: "verifs1"},
+			{Kind: "verifs2", Bugs: []string{mcfs.BugWriteHoleNoZero}},
+		},
+		MaxDepth: 3,
+		MaxOps:   5000,
+	})
+}
+
+// bundleFromRun explores opts (which must find a bug) with the flight
+// recorder on and dumps the bug as a repro bundle.
+func bundleFromRun(t *testing.T, opts mcfs.Options) (string, mcfs.Result) {
 	t.Helper()
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, "run.jsonl")
@@ -19,15 +32,7 @@ func bundleFromBugRun(t *testing.T) (string, mcfs.Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := mcfs.Options{
-		Targets: []mcfs.TargetSpec{
-			{Kind: "verifs1"},
-			{Kind: "verifs2", Bugs: []string{mcfs.BugWriteHoleNoZero}},
-		},
-		MaxDepth: 3,
-		MaxOps:   5000,
-		Journal:  jw,
-	}
+	opts.Journal = jw
 	s, err := mcfs.NewSession(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -166,5 +171,63 @@ func TestWriteBundleWithoutBug(t *testing.T) {
 func TestReadBundleMissingDir(t *testing.T) {
 	if _, err := mcfs.ReadBundle(filepath.Join(t.TempDir(), "nope")); err == nil {
 		t.Fatal("reading a missing bundle succeeded")
+	}
+}
+
+// TestMajorityVoteBugReplaysAndShrinks: trail replay steps through the
+// engine's own step, so a bug only majority voting names (kind
+// majority-vote, where the pairwise checks would say abstract-state)
+// reproduces through every replay path — VerifyTrail, bundle replay,
+// journal replay, and the ddmin shrink. The hand-written replay loop had
+// forgotten the MajorityVote switch.
+func TestMajorityVoteBugReplaysAndShrinks(t *testing.T) {
+	opts := mcfs.Options{
+		Targets: []mcfs.TargetSpec{
+			{Kind: "ext4"},
+			{Kind: "verifs1"},
+			{Kind: "verifs2", Bugs: []string{mcfs.BugWriteHoleNoZero}},
+		},
+		MaxDepth:     3,
+		MaxOps:       5000,
+		MajorityVote: true,
+	}
+	bundleDir, res := bundleFromRun(t, opts)
+	if kind := res.Bug.Discrepancy.Kind; kind != "majority-vote" {
+		t.Fatalf("run found a %q bug, want majority-vote", kind)
+	}
+
+	s, err := mcfs.NewSession(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, same, err := s.VerifyTrail(res.Bug.Trail, res.Bug.Discrepancy)
+	s.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !same {
+		t.Errorf("VerifyTrail observed %v, want the run's majority-vote discrepancy", got)
+	}
+
+	out, err := mcfs.ReplayBundle(bundleDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Reproduced || out.Discrepancy.Kind != "majority-vote" {
+		t.Errorf("bundle replay: reproduced=%v discrepancy=%v", out.Reproduced, out.Discrepancy)
+	}
+	min, stats, err := mcfs.ShrinkBundle(bundleDir)
+	if err != nil {
+		t.Fatalf("shrink: %v", err)
+	}
+	if len(min) == 0 || len(min) > len(res.Bug.Trail) || !stats.Minimal {
+		t.Errorf("shrunk %d ops to %d (%+v)", len(res.Bug.Trail), len(min), stats)
+	}
+	out, err = mcfs.ReplayBundle(bundleDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.MinReproduced == nil || !*out.MinReproduced {
+		t.Error("minimized trail does not reproduce the majority-vote bug")
 	}
 }

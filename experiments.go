@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"mcfs/internal/mc"
-	"mcfs/internal/mc/visited"
 	"mcfs/internal/memmodel"
 	"mcfs/internal/obs"
 	"mcfs/internal/obs/journal"
@@ -318,31 +317,18 @@ func measureBasePerOp(cfg Figure3Config) (time.Duration, int64, error) {
 		}
 	}()
 	// A reduced backend or an armed budget means one swarm-wide governed
-	// table (sharing implied), mirroring the facade's SwarmRun wiring.
-	var sharedTbl *mc.SharedVisited
-	kind := visited.Kind(cfg.Visited)
-	if kind == "" {
-		kind = visited.KindExact
+	// set (sharing implied), as in the facade's SwarmRun. Only the first
+	// worker carries the hub, so its degradation hooks report there.
+	sharedSet, err := newGovernedSet(cfg.Visited, cfg.BitstateBytes, cfg.MemBudget,
+		governorHooks(func() []*obs.Hub { return []*obs.Hub{hub} }, cfg.Stream, 0))
+	if err != nil {
+		return 0, 0, err
 	}
-	if kind != visited.KindExact || cfg.MemBudget > 0 {
-		tbl, err := visited.NewTable(kind, cfg.BitstateBytes)
-		if err != nil {
-			return 0, 0, err
-		}
-		sharedTbl = mc.NewSharedVisitedTable(tbl)
-		if cfg.MemBudget > 0 {
-			bb := cfg.BitstateBytes
-			if bb <= 0 {
-				bb = cfg.MemBudget / 4
-			}
-			sharedTbl.Govern(visited.GovernorConfig{BitstateBytes: bb})
-		}
-	}
-	sr, err := mc.SwarmRun(mc.SwarmOptions{Workers: workers, ShareVisited: share, Shared: sharedTbl,
+	sr, err := mc.SwarmRun(mc.SwarmOptions{Workers: workers, ShareVisited: share, Shared: sharedSet,
 		Journal: jw, Stream: cfg.Stream},
 		func(seed int64) (mc.Config, error) {
 			o := calOptions(seed)
-			o.swarmShared = sharedTbl != nil
+			o.shared = sharedSet
 			if seed == 1 {
 				// The hub and profiler rebase onto one session's virtual
 				// clock, so only the first worker carries them.

@@ -25,14 +25,12 @@ package mc
 
 import (
 	"fmt"
-	"time"
 
 	"mcfs/internal/abstraction"
 	"mcfs/internal/checker"
 	"mcfs/internal/errno"
 	"mcfs/internal/fault"
 	"mcfs/internal/obs/journal"
-	"mcfs/internal/obs/perf"
 	"mcfs/internal/obs/stream"
 	"mcfs/internal/workload"
 )
@@ -181,23 +179,21 @@ func crashPoints(w, m int) []int {
 // success and dropped on failure, but an arm must never outlive the
 // window it was set for (a leftover arm would silently capture in the
 // next window).
-func crashWindow(cfg *Config, p *CrashPlane, op workload.Op, points []int) (int, error) {
-	mt := cfg.Perf.Start(perf.PhaseRemount)
-	if err := p.PreOp(); err != nil {
-		mt.End()
+func (e *engine) crashWindow(p *CrashPlane, op workload.Op, points []int) (int, error) {
+	e.probe.idle()
+	err := p.PreOp()
+	e.probe.remounted()
+	if err != nil {
 		return 0, fmt.Errorf("pre-op: %w", err)
 	}
-	mt.End()
 	p.Injector.StartWindow()
 	if len(points) > 0 {
 		p.Injector.ArmCrashes(points)
 	}
-	et := cfg.Perf.Start(perf.PhaseExecute)
-	workload.Execute(cfg.Kernel, p.Mount, op)
-	et.End()
-	mt = cfg.Perf.Start(perf.PhaseRemount)
-	err := p.PostOp()
-	mt.End()
+	workload.Execute(e.cfg.Kernel, p.Mount, op)
+	e.probe.ran()
+	err = p.PostOp()
+	e.probe.remounted()
 	p.Injector.EndWindow()
 	if err != nil {
 		p.Injector.Disarm()
@@ -207,89 +203,25 @@ func crashWindow(cfg *Config, p *CrashPlane, op workload.Op, points []int) (int,
 	return p.Injector.WindowWrites(), nil
 }
 
-// crashOracle power-cycles the plane on the captured image and judges
-// the recovered state: recovery must succeed, fsck must be clean, and —
-// for strict planes — the recovered metadata state must equal the
-// pre-op (b0) or post-op (b1) state. Returns nil when recovery is
-// consistent. pf (nil-safe) attributes the oracle's time: recovery
-// mounts to remount, integrity checking to fsck, state hashing to hash.
-func crashOracle(pf *perf.Profiler, p *CrashPlane, op workload.Op, k, w int, img []byte, b0, b1 abstraction.State) *checker.Discrepancy {
-	where := fmt.Sprintf("%s: crash after write %d/%d of %s", p.Name, k+1, w, op)
-	mt := pf.Start(perf.PhaseRemount)
-	err := p.PowerCycle(img)
-	mt.End()
-	if err != nil {
-		return &checker.Discrepancy{
-			Kind: KindCrashConsistency,
-			Op:   op.String(),
-			Details: []string{
-				where,
-				fmt.Sprintf("recovery failed: %v", err),
-			},
-		}
-	}
-	if p.Fsck != nil {
-		ft := pf.Start(perf.PhaseFsck)
-		probs := p.Fsck()
-		ft.End()
-		if len(probs) > 0 {
-			return &checker.Discrepancy{
-				Kind:    KindCrashConsistency,
-				Op:      op.String(),
-				Details: append([]string{where, "fsck after recovery:"}, probs...),
-			}
-		}
-	}
-	if p.Strict {
-		ht := pf.Start(perf.PhaseHash)
-		r, er := p.MetaHash()
-		ht.End()
-		if er != errno.OK {
-			return &checker.Discrepancy{
-				Kind: KindCrashConsistency,
-				Op:   op.String(),
-				Details: []string{
-					where,
-					fmt.Sprintf("hashing recovered state: %v", er),
-				},
-			}
-		}
-		if r != b0 && r != b1 {
-			return &checker.Discrepancy{
-				Kind: KindCrashConsistency,
-				Op:   op.String(),
-				Details: []string{
-					where,
-					"recovered state matches neither the pre-op nor the post-op state",
-					fmt.Sprintf("recovered %x", r[:8]),
-					fmt.Sprintf("pre-op    %x", b0[:8]),
-					fmt.Sprintf("post-op   %x", b1[:8]),
-				},
-			}
-		}
-	}
-	return nil
-}
-
-// crashProbe crash-tests op's write window on every plane, from the
-// current concrete state. Each (state, op, plane) triple is probed once
-// per run. The probe always leaves the target back in its pre-probe
-// state, so the engine's normal step proceeds unchanged.
-func (e *engine) crashProbe(depth int, op workload.Op) error {
+// crash crash-tests op's write window on every plane, from the current
+// concrete state. Each (state, op, plane) triple is probed once per
+// run. The probe always leaves the target back in its pre-probe state,
+// so the engine's normal step proceeds unchanged.
+func (s *search) crash(e *engine, depth int, op workload.Op) error {
 	for i := range e.cfg.Crash.Planes {
 		if !e.budgetLeft() {
 			return nil
 		}
 		p := &e.cfg.Crash.Planes[i]
 		key := fmt.Sprintf("%x|%s|%s", e.curHash[:], op, p.Name)
-		if e.crashSeen[key] {
+		if s.crashSeen[key] {
 			continue
 		}
-		e.crashSeen[key] = true
+		s.crashSeen[key] = true
 		if err := e.probePlane(depth, op, p); err != nil {
 			return fmt.Errorf("mc: crash probe %s: %w", p.Name, err)
 		}
-		if e.bug != nil {
+		if e.res.Bug != nil {
 			return nil
 		}
 	}
@@ -308,9 +240,9 @@ func (e *engine) crashProbe(depth int, op workload.Op) error {
 // power-cycle delta-loads the next captured image directly over the
 // previous recovered state, with no rollback to pre in between (the
 // touch log plus the window's write set bound the divergence) — and the
-// probe rolls back to pre once, at the end. Compared to the original
-// per-point flow — re-execute the window once per point, reload the
-// full image twice per point — a probe of K points costs 1 execution
+// probe rolls back to pre once, at the end. Compared to the per-point
+// reference flow (reprobe: re-execute the window once per point, reload
+// the full image twice per point) a probe of K points costs 1 execution
 // instead of 1+K, K warm recovery mounts, and one delta rollback.
 //
 // Post-recovery verdicts are memoized per probe by a masked digest of
@@ -318,9 +250,9 @@ func (e *engine) crashProbe(depth int, op workload.Op) error {
 // that recover to state-equivalent media (common when consecutive
 // writes land in masked journal space) are judged once.
 func (e *engine) probePlane(depth int, op workload.Op, p *CrashPlane) error {
-	ct := e.cfg.Perf.Start(perf.PhaseCheckpoint)
+	e.probe.idle()
 	pre, err := p.Snapshot()
-	ct.End()
+	e.probe.checkpointed()
 	if err != nil {
 		return err
 	}
@@ -328,30 +260,24 @@ func (e *engine) probePlane(depth int, op workload.Op, p *CrashPlane) error {
 	// from pre. RestoreDelta resets it whenever media is rolled back.
 	p.Injector.StartTouchLog()
 	defer p.Injector.StopTouchLog()
-	ht := e.cfg.Perf.Start(perf.PhaseHash)
 	b0, er := p.MetaHash()
-	ht.End()
+	e.probe.hashed()
 	if er != errno.OK {
 		return fmt.Errorf("hashing pre-op state: %w", er)
 	}
 	// The one armed execution: measures the window's write count AND
 	// captures a crash image at every write index in the armed prefix.
-	armAll := make([]int, maxArmedPoints)
-	for i := range armAll {
-		armAll[i] = i
-	}
-	w, err := crashWindow(&e.cfg, p, op, armAll)
+	w, err := e.crashWindow(p, op, crashPoints(maxArmedPoints, maxArmedPoints))
 	if err != nil {
 		return err
 	}
 	e.countCrashExec()
-	ht = e.cfg.Perf.Start(perf.PhaseHash)
 	b1, er := p.MetaHash()
-	ht.End()
+	e.probe.hashed()
 	if er != errno.OK {
 		return fmt.Errorf("hashing post-op state: %w", er)
 	}
-	e.crashStats.Probes++
+	e.res.Crash.Probes++
 	imgs := p.Injector.TakeCrashImages()
 	// The window's write set, read BEFORE anything resets the log: every
 	// captured image diverges from pre only inside it, so it is the
@@ -368,10 +294,6 @@ func (e *engine) probePlane(depth int, op workload.Op, p *CrashPlane) error {
 		Points:     points,
 		Writes:     w,
 		OK:         true,
-	}
-	if e.cfg.Journal.Enabled() {
-		opRec := journal.EncodeOp(op)
-		rec.Op = &opRec
 	}
 
 	memo := make(map[[32]byte]crashVerdict)
@@ -391,7 +313,7 @@ func (e *engine) probePlane(depth int, op workload.Op, p *CrashPlane) error {
 			if err := e.restorePlaneDelta(p, pre, capRegions); err != nil {
 				return fmt.Errorf("rolling back for capture of write %d: %w", k, err)
 			}
-			if _, err := crashWindow(&e.cfg, p, op, []int{k}); err != nil {
+			if _, err := e.crashWindow(p, op, []int{k}); err != nil {
 				return err
 			}
 			e.countCrashExec()
@@ -400,48 +322,21 @@ func (e *engine) probePlane(depth int, op workload.Op, p *CrashPlane) error {
 				continue
 			}
 		}
-		e.crashStats.PointsExplored++
-		if e.eobs != nil {
-			e.eobs.crashPoints.Inc()
-		}
-		// Poll phase totals around the judgment so the verdict event can
-		// attribute its cost to the dominant recovery phase.
-		var phasesBefore []time.Duration
-		if e.es != nil {
-			phasesBefore = e.cfg.Perf.PhaseTotals()
-		}
+		e.res.Crash.PointsExplored++
+		e.probe.crashPoint()
 		d, verdict := e.judgeCrashPoint(p, op, k, w, img, capRegions, capOK, b0, b1, memo)
-		e.heatmap.Record(op.String(), k, w, verdict)
-		if e.es != nil {
-			e.emit(stream.Event{
-				Kind:    stream.KindCrashVerdict,
-				Op:      op.String(),
-				Target:  p.Name,
-				Depth:   depth,
-				Write:   k,
-				Writes:  w,
-				Verdict: verdict,
-				Phase:   perf.DominantDelta(phasesBefore, e.cfg.Perf.PhaseTotals()),
-			})
-		}
+		e.res.CrashHeatmap.Record(op.String(), k, w, verdict)
+		e.probe.crashVerdict(depth, op, p.Name, k, w, verdict)
 		if d != nil {
 			if err := e.restorePlaneDelta(p, pre, capRegions); err != nil {
 				return fmt.Errorf("rolling back crash probe: %w", err)
 			}
 			rec.OK = false
-			e.cfg.Journal.Crash(depth, rec)
-			e.report(d, op)
-			e.bug.Crash = &journal.CrashSpec{
-				Target:     p.Target,
-				TargetName: p.Name,
-				Write:      k,
-			}
+			e.probe.crashProbed(depth, op, rec)
+			e.report(d, op, &journal.CrashSpec{Target: p.Target, TargetName: p.Name, Write: k})
 			return nil
 		}
-		e.crashStats.Recovered++
-		if e.eobs != nil {
-			e.eobs.crashRecoveries.Inc()
-		}
+		e.res.Crash.Recovered++
 	}
 	// One rollback for the whole probe: media currently holds the last
 	// recovered crash state (or the post-op state when no point fired).
@@ -451,15 +346,16 @@ func (e *engine) probePlane(depth int, op workload.Op, p *CrashPlane) error {
 	if n := p.Injector.Armed(); n != 0 {
 		return fmt.Errorf("crash probe leaked %d armed crash point(s)", n)
 	}
-	e.cfg.Journal.Crash(depth, rec)
+	e.probe.crashProbed(depth, op, rec)
 	return nil
 }
 
-// crashVerdict memoizes the state-dependent half of one crash point's
+// crashVerdict is the state-dependent half of one crash point's
 // judgment: the fsck report and (for strict planes) the recovered
-// abstract state. Keyed by the masked digest of the recovered media's
-// divergence from the pre-op image, it is valid for any crash point of
-// the same probe that recovers to state-equivalent media.
+// abstract state. The probe memoizes it under the masked digest of the
+// recovered media's divergence from the pre-op image — valid for any
+// crash point of the same probe that recovers to state-equivalent
+// media.
 type crashVerdict struct {
 	fsckProbs []string
 	state     abstraction.State
@@ -467,41 +363,49 @@ type crashVerdict struct {
 	hasState  bool
 }
 
-// discrepancy renders the memoized verdict against one concrete crash
-// point (nil when the recovery is consistent).
-func (v crashVerdict) discrepancy(where string, op workload.Op, p *CrashPlane, b0, b1 abstraction.State) *checker.Discrepancy {
-	if len(v.fsckProbs) > 0 {
-		return &checker.Discrepancy{
-			Kind:    KindCrashConsistency,
-			Op:      op.String(),
-			Details: append([]string{where, "fsck after recovery:"}, v.fsckProbs...),
-		}
+// inspect runs the plane's post-recovery checks on the mounted,
+// recovered target.
+func (e *engine) inspect(p *CrashPlane) (v crashVerdict) {
+	if p.Fsck != nil {
+		v.fsckProbs = p.Fsck()
+		e.probe.fscked()
 	}
-	if !v.hasState {
+	if p.Strict {
+		v.state, v.stateErr = p.MetaHash()
+		e.probe.hashed()
+		v.hasState = true
+	}
+	return v
+}
+
+// crashBug renders one crash-consistency discrepancy of op.
+func crashBug(op workload.Op, details ...string) *checker.Discrepancy {
+	return &checker.Discrepancy{Kind: KindCrashConsistency, Op: op.String(), Details: details}
+}
+
+// crashSite names one crash point in discrepancy details.
+func crashSite(p *CrashPlane, op workload.Op, k, w int) string {
+	return fmt.Sprintf("%s: crash after write %d/%d of %s", p.Name, k+1, w, op)
+}
+
+// discrepancy judges the verdict against one concrete crash point:
+// fsck must be clean and — for strict planes — the recovered metadata
+// state must equal the pre-op (b0) or post-op (b1) state. Nil when the
+// recovery is consistent.
+func (v crashVerdict) discrepancy(where string, op workload.Op, b0, b1 abstraction.State) *checker.Discrepancy {
+	switch {
+	case len(v.fsckProbs) > 0:
+		return crashBug(op, append([]string{where, "fsck after recovery:"}, v.fsckProbs...)...)
+	case !v.hasState:
 		return nil
-	}
-	if v.stateErr != errno.OK {
-		return &checker.Discrepancy{
-			Kind: KindCrashConsistency,
-			Op:   op.String(),
-			Details: []string{
-				where,
-				fmt.Sprintf("hashing recovered state: %v", v.stateErr),
-			},
-		}
-	}
-	if v.state != b0 && v.state != b1 {
-		return &checker.Discrepancy{
-			Kind: KindCrashConsistency,
-			Op:   op.String(),
-			Details: []string{
-				where,
-				"recovered state matches neither the pre-op nor the post-op state",
-				fmt.Sprintf("recovered %x", v.state[:8]),
-				fmt.Sprintf("pre-op    %x", b0[:8]),
-				fmt.Sprintf("post-op   %x", b1[:8]),
-			},
-		}
+	case v.stateErr != errno.OK:
+		return crashBug(op, where, fmt.Sprintf("hashing recovered state: %v", v.stateErr))
+	case v.state != b0 && v.state != b1:
+		return crashBug(op, where,
+			"recovered state matches neither the pre-op nor the post-op state",
+			fmt.Sprintf("recovered %x", v.state[:8]),
+			fmt.Sprintf("pre-op    %x", b0[:8]),
+			fmt.Sprintf("post-op   %x", b1[:8]))
 	}
 	return nil
 }
@@ -539,24 +443,17 @@ func (e *engine) judgeCrashPoint(p *CrashPlane, op workload.Op, k, w int, img []
 	capRegions []fault.Region, capOK bool, b0, b1 abstraction.State,
 	memo map[[32]byte]crashVerdict) (*checker.Discrepancy, string) {
 
-	where := fmt.Sprintf("%s: crash after write %d/%d of %s", p.Name, k+1, w, op)
-	mt := e.cfg.Perf.Start(perf.PhaseRemount)
+	where := crashSite(p, op, k, w)
+	e.probe.idle()
 	var err error
 	if capOK && p.PowerCycleDelta != nil {
 		err = p.PowerCycleDelta(img, capRegions)
 	} else {
 		err = p.PowerCycle(img)
 	}
-	mt.End()
+	e.probe.remounted()
 	if err != nil {
-		return &checker.Discrepancy{
-			Kind: KindCrashConsistency,
-			Op:   op.String(),
-			Details: []string{
-				where,
-				fmt.Sprintf("recovery failed: %v", err),
-			},
-		}, stream.VerdictBug
+		return crashBug(op, where, fmt.Sprintf("recovery failed: %v", err)), stream.VerdictBug
 	}
 	// Fast path: masked digest of everything that diverged from pre —
 	// the crash image's writes plus recovery's own (journal replay).
@@ -565,35 +462,20 @@ func (e *engine) judgeCrashPoint(p *CrashPlane, op workload.Op, k, w int, img []
 	var dig [32]byte
 	haveDig := false
 	if p.MediaDigest != nil && (p.Strict || p.Fsck != nil) {
-		ot := e.cfg.Perf.Start(perf.PhaseOracle)
 		if recovered, ok := p.Injector.Touched(); ok {
 			regions := fault.CoalesceRegions(append(append([]fault.Region(nil), capRegions...), recovered...))
 			dig, haveDig = p.MediaDigest(regions)
 		}
-		ot.End()
+		e.probe.digested()
+	}
+	v, hit := memo[dig]
+	if !haveDig || !hit {
+		v = e.inspect(p)
 		if haveDig {
-			if v, hit := memo[dig]; hit {
-				d := v.discrepancy(where, op, p, b0, b1)
-				return d, v.label(d, b0)
-			}
+			memo[dig] = v
 		}
 	}
-	var v crashVerdict
-	if p.Fsck != nil {
-		ft := e.cfg.Perf.Start(perf.PhaseFsck)
-		v.fsckProbs = p.Fsck()
-		ft.End()
-	}
-	if p.Strict {
-		ht := e.cfg.Perf.Start(perf.PhaseHash)
-		v.state, v.stateErr = p.MetaHash()
-		ht.End()
-		v.hasState = true
-	}
-	if haveDig {
-		memo[dig] = v
-	}
-	d := v.discrepancy(where, op, p, b0, b1)
+	d := v.discrepancy(where, op, b0, b1)
 	return d, v.label(d, b0)
 }
 
@@ -601,121 +483,89 @@ func (e *engine) judgeCrashPoint(p *CrashPlane, op workload.Op, k, w int, img []
 // crash probes dominate a crash-exploration run's cost and must respect
 // MaxOps like every other execution.
 func (e *engine) countCrashExec() {
-	e.executed++
-	if e.eobs != nil {
-		e.eobs.ops.Inc()
-	}
-	e.cfg.Perf.Observe(e.executed, e.unique, e.revisits,
-		e.crashStats.PointsExplored, len(e.trail))
-	e.maybeBeat()
+	e.res.Ops++
+	e.probe.executed(&e.res, len(e.trail), nil)
 }
 
-// restorePlaneDelta rolls the plane's device image back to img,
-// attributing the rollback to the restore phase. Planes with a delta
-// session reload only the diverged regions (the injector's touch log
-// plus extra — regions the caller knows diverged outside the log's
-// view); others reload the full image.
+// restorePlaneDelta rolls the plane's device image back to img. Planes
+// with a delta session reload only the diverged regions (the injector's
+// touch log plus extra — regions the caller knows diverged outside the
+// log's view); others reload the full image.
 func (e *engine) restorePlaneDelta(p *CrashPlane, img []byte, extra []fault.Region) error {
-	rt := e.cfg.Perf.Start(perf.PhaseRestore)
+	e.probe.idle()
 	var err error
 	if p.RestoreDelta != nil {
 		err = p.RestoreDelta(img, extra)
 	} else {
 		err = p.Restore(img)
 	}
-	rt.End()
+	e.probe.restored()
 	return err
 }
 
-// replayCrashSpec re-runs the crash test for one (op, plane, write)
-// triple at the targets' CURRENT state: measure the window, roll back,
-// crash at spec.Write, power-cycle, judge. Returns the discrepancy (nil
-// when recovery is consistent) — the crash-bug analogue of the final
-// check in Replay.
-func replayCrashSpec(cfg Config, op workload.Op, spec *journal.CrashSpec) (*checker.Discrepancy, error) {
-	p := crashPlaneFor(cfg, spec.Target)
-	if p == nil {
-		return nil, fmt.Errorf("mc: crash replay: no crash plane for target %d (session built without crash exploration?)", spec.Target)
-	}
+// reprobe is the crash oracle's reference flow, kept independent of
+// probePlane's recovery session (no armed prefix, no delta loads, no
+// verdict memo) so replay and ddmin cross-check what the session found:
+// measure op's write window on p at the targets' CURRENT state, then
+// for every point still inside it re-execute with that one point armed,
+// power-cycle on the full captured image and judge, rolling back after
+// each run. Returns the first discrepancy and its write index.
+func (e *engine) reprobe(p *CrashPlane, op workload.Op, points []int) (*checker.Discrepancy, int, error) {
 	pre, err := p.Snapshot()
 	if err != nil {
-		return nil, fmt.Errorf("mc: crash replay: %w", err)
+		return nil, 0, err
 	}
 	b0, er := p.MetaHash()
 	if er != errno.OK {
-		return nil, fmt.Errorf("mc: crash replay: hashing pre-op state: %w", er)
+		return nil, 0, fmt.Errorf("hashing pre-op state: %w", er)
 	}
-	w, err := crashWindow(&cfg, p, op, nil)
+	w, err := e.crashWindow(p, op, nil)
 	if err != nil {
-		return nil, fmt.Errorf("mc: crash replay: %w", err)
+		return nil, 0, err
 	}
 	b1, er := p.MetaHash()
 	if er != errno.OK {
-		return nil, fmt.Errorf("mc: crash replay: hashing post-op state: %w", er)
+		return nil, 0, fmt.Errorf("hashing post-op state: %w", er)
 	}
 	if err := p.Restore(pre); err != nil {
-		return nil, fmt.Errorf("mc: crash replay: %w", err)
+		return nil, 0, fmt.Errorf("rolling back measurement run: %w", err)
 	}
-	if spec.Write >= w {
-		return nil, nil // window shrank below the recorded crash point
-	}
-	if _, err := crashWindow(&cfg, p, op, []int{spec.Write}); err != nil {
-		return nil, fmt.Errorf("mc: crash replay: %w", err)
-	}
-	img := p.Injector.TakeCrashImage()
-	if img == nil {
+	for _, k := range points {
+		if k >= w {
+			continue // the window shrank below the recorded crash point
+		}
+		if _, err := e.crashWindow(p, op, []int{k}); err != nil {
+			return nil, 0, err
+		}
+		var d *checker.Discrepancy
+		if img := p.Injector.TakeCrashImage(); img != nil {
+			e.probe.idle()
+			err := p.PowerCycle(img)
+			e.probe.remounted()
+			if err != nil {
+				d = crashBug(op, crashSite(p, op, k, w), fmt.Sprintf("recovery failed: %v", err))
+			} else {
+				d = e.inspect(p).discrepancy(crashSite(p, op, k, w), op, b0, b1)
+			}
+		}
 		if err := p.Restore(pre); err != nil {
-			return nil, fmt.Errorf("mc: crash replay: %w", err)
+			return nil, 0, fmt.Errorf("rolling back crash run: %w", err)
 		}
-		return nil, nil
-	}
-	d := crashOracle(cfg.Perf, p, op, spec.Write, w, img, b0, b1)
-	if err := p.Restore(pre); err != nil {
-		return nil, fmt.Errorf("mc: crash replay: %w", err)
-	}
-	return d, nil
-}
-
-func crashPlaneFor(cfg Config, target int) *CrashPlane {
-	if cfg.Crash == nil {
-		return nil
-	}
-	for i := range cfg.Crash.Planes {
-		if cfg.Crash.Planes[i].Target == target {
-			return &cfg.Crash.Planes[i]
+		if d != nil {
+			return d, k, nil
 		}
 	}
-	return nil
+	return nil, 0, nil
 }
 
-// ReplayCrash replays a crash-bug trail: the prefix executes normally on
-// every target (exactly as Replay does), then the FINAL operation is
-// crash-tested on the spec'd target at the spec'd write index. Returns
-// the first discrepancy observed — a prefix discrepancy counts (the
-// trail diverged before the crash point), otherwise the crash oracle's
-// verdict.
-func ReplayCrash(cfg Config, trail []workload.Op, spec *journal.CrashSpec) (*checker.Discrepancy, error) {
-	if len(trail) == 0 {
-		return nil, fmt.Errorf("mc: crash replay: empty trail")
+// crashPlaneFor finds the crash plane of a recorded target index.
+func crashPlaneFor(cfg *Config, target int) (*CrashPlane, error) {
+	if cfg.Crash != nil {
+		for i := range cfg.Crash.Planes {
+			if cfg.Crash.Planes[i].Target == target {
+				return &cfg.Crash.Planes[i], nil
+			}
+		}
 	}
-	if spec == nil {
-		return nil, fmt.Errorf("mc: crash replay: nil crash spec")
-	}
-	prefix, final := trail[:len(trail)-1], trail[len(trail)-1]
-	if d, err := Replay(cfg, prefix); err != nil || d != nil {
-		return d, err
-	}
-	return replayCrashSpec(cfg, final, spec)
-}
-
-// VerifyCrashTrail replays a crash-bug trail (ReplayCrash) and reports
-// whether it reproduces the wanted discrepancy: any discrepancy when
-// want is nil, otherwise one of the same kind.
-func VerifyCrashTrail(cfg Config, trail []workload.Op, spec *journal.CrashSpec, want *checker.Discrepancy) (*checker.Discrepancy, bool, error) {
-	got, err := ReplayCrash(cfg, trail, spec)
-	if err != nil {
-		return nil, false, err
-	}
-	same := got != nil && (want == nil || got.Kind == want.Kind)
-	return got, same, nil
+	return nil, fmt.Errorf("mc: crash replay: no crash plane for target %d (session built without crash exploration?)", target)
 }

@@ -50,8 +50,8 @@ func TestCrashPointsTable(t *testing.T) {
 // executes against an empty kernel (no mount), so the window sees zero
 // writes and every armed point stays pending until the cleanup runs.
 
-func windowFixture(postErr error) (*Config, *CrashPlane) {
-	cfg := &Config{Kernel: kernel.New(simclock.New())}
+func windowFixture(postErr error) (*engine, *CrashPlane) {
+	e := &engine{cfg: Config{Kernel: kernel.New(simclock.New())}}
 	p := &CrashPlane{
 		Name:     "test#0",
 		Mount:    "/mnt0",
@@ -59,13 +59,13 @@ func windowFixture(postErr error) (*Config, *CrashPlane) {
 		PreOp:    func() error { return nil },
 		PostOp:   func() error { return postErr },
 	}
-	return cfg, p
+	return e, p
 }
 
 func TestCrashWindowDisarmsOnSuccess(t *testing.T) {
-	cfg, p := windowFixture(nil)
+	e, p := windowFixture(nil)
 	op := workload.Op{Kind: workload.OpMkdir, Path: "/d0"}
-	if _, err := crashWindow(cfg, p, op, []int{3, 7}); err != nil {
+	if _, err := e.crashWindow(p, op, []int{3, 7}); err != nil {
 		t.Fatalf("crashWindow: %v", err)
 	}
 	if n := p.Injector.Armed(); n != 0 {
@@ -74,9 +74,9 @@ func TestCrashWindowDisarmsOnSuccess(t *testing.T) {
 }
 
 func TestCrashWindowDisarmsOnPostOpError(t *testing.T) {
-	cfg, p := windowFixture(errors.New("remount exploded"))
+	e, p := windowFixture(errors.New("remount exploded"))
 	op := workload.Op{Kind: workload.OpMkdir, Path: "/d0"}
-	_, err := crashWindow(cfg, p, op, []int{3, 7})
+	_, err := e.crashWindow(p, op, []int{3, 7})
 	if err == nil || !strings.Contains(err.Error(), "post-op") {
 		t.Fatalf("crashWindow error = %v, want post-op failure", err)
 	}
@@ -89,9 +89,9 @@ func TestCrashWindowDisarmsOnPostOpError(t *testing.T) {
 }
 
 func TestCrashWindowMeasurementArmsNothing(t *testing.T) {
-	cfg, p := windowFixture(nil)
+	e, p := windowFixture(nil)
 	op := workload.Op{Kind: workload.OpMkdir, Path: "/d0"}
-	if _, err := crashWindow(cfg, p, op, nil); err != nil {
+	if _, err := e.crashWindow(p, op, nil); err != nil {
 		t.Fatalf("crashWindow: %v", err)
 	}
 	if n := p.Injector.Armed(); n != 0 {

@@ -17,17 +17,25 @@
 // trail from a fresh state to confirm it. SwarmRun (swarm.go) runs
 // several diversified engines as a coordinated parallel swarm: a shared
 // cancellation token stops every worker at the first bug, and an
-// optional shared visited table prunes states peers already expanded.
+// optional shared visited set prunes states peers already expanded.
+//
+// Every path through the package is the same machine: engine.step is
+// the only code that executes and judges an operation, engine.dfs the
+// only checkpoint/visit/descend/restore loop. What varies sits behind
+// two narrow values — the source, which answers "which op next" and
+// "descend?" from a search order and a visited.Set (Run) or from a
+// journal (ReplayJournal), and the probe (probe.go), which feeds every
+// instrumentation plane from what the loop reports.
 package mc
 
 import (
-	"bytes"
 	"fmt"
 	"runtime/debug"
-	"sort"
 	"time"
 
+	"mcfs/internal/abstraction"
 	"mcfs/internal/checker"
+	"mcfs/internal/errno"
 	"mcfs/internal/kernel"
 	"mcfs/internal/mc/visited"
 	"mcfs/internal/memmodel"
@@ -38,9 +46,6 @@ import (
 	"mcfs/internal/simclock"
 	"mcfs/internal/tracker"
 	"mcfs/internal/workload"
-
-	"mcfs/internal/abstraction"
-	"mcfs/internal/errno"
 )
 
 // Config parameterizes one exploration.
@@ -94,12 +99,16 @@ type Config struct {
 	// Canceled set. The engine fires the token itself when it finds a
 	// bug, so coordinated peers stop without waiting for Run to return.
 	Cancel *Cancel
-	// SharedVisited, when set, replaces the engine-local visited table
-	// with a table shared across swarm workers: states any worker has
-	// expanded are pruned swarm-wide, and UniqueStates counts only the
-	// states this worker was the first to discover. Result.Resume is nil
-	// in this mode — export the shared table instead (SwarmRun does).
-	SharedVisited *SharedVisited
+	// Visited, when set, is the visited-state set to explore against:
+	// one shared across swarm workers (states any worker has expanded are
+	// pruned swarm-wide, and UniqueStates counts only the states this
+	// worker was the first to discover), or one the caller built on a
+	// reduced-fidelity backend or under a memory governor. Its footprint
+	// is billed to Mem through the set's ledger, and its owner exports
+	// the resume knowledge (ExportResume; Result.Resume stays nil). When
+	// nil, Run explores against a private exact set: a solo run is a
+	// one-worker set.
+	Visited *visited.Set
 	// Journal, when set, is the flight recorder: every operation the
 	// engine explores (with per-target errnos, the abstract state hash
 	// reached, and the visited-table decision), every backtrack, and any
@@ -137,7 +146,7 @@ type BugReport struct {
 	TrailSpans []obs.Span
 	// Crash, when set, marks a crash-consistency bug: the trail's final
 	// operation must be crash-tested at the spec'd target and write
-	// index (ReplayCrash) instead of executed normally.
+	// index (Replay with the spec) instead of executed normally.
 	Crash *journal.CrashSpec
 }
 
@@ -227,17 +236,15 @@ type Coverage struct {
 	ByOpErrno map[string]map[string]int64
 }
 
-func newCoverage() Coverage {
+// NewCoverage returns an empty Coverage, ready to count a run or to
+// Merge other runs' coverage into (aggregating swarm workers).
+func NewCoverage() Coverage {
 	return Coverage{
 		ByOp:      make(map[string]int64),
 		ByErrno:   make(map[string]int64),
 		ByOpErrno: make(map[string]map[string]int64),
 	}
 }
-
-// NewCoverage returns an empty Coverage, ready to Merge other runs'
-// coverage into (aggregating swarm workers).
-func NewCoverage() Coverage { return newCoverage() }
 
 // Pair returns how often op produced errno.
 func (c Coverage) Pair(op, errName string) int64 {
@@ -298,341 +305,223 @@ func (r *ResumeState) UniqueStates() int64 {
 	return int64(len(r.States))
 }
 
-// sortByState orders the paired States/Depths slices by state bytes.
-// Resume sets are filled from visited-table maps; without this sort the
-// serialized bytes of a resume file would differ between identical runs
-// (map iteration order), breaking byte-for-byte reproducibility of run
-// artifacts.
-func (r *ResumeState) sortByState() {
-	sort.Sort(resumeByState{r})
-}
-
-type resumeByState struct{ r *ResumeState }
-
-func (s resumeByState) Len() int { return len(s.r.States) }
-func (s resumeByState) Less(i, j int) bool {
-	return bytes.Compare(s.r.States[i][:], s.r.States[j][:]) < 0
-}
-func (s resumeByState) Swap(i, j int) {
-	s.r.States[i], s.r.States[j] = s.r.States[j], s.r.States[i]
-	if len(s.r.Depths) == len(s.r.States) {
-		s.r.Depths[i], s.r.Depths[j] = s.r.Depths[j], s.r.Depths[i]
+// SeedInto preloads set with the resume knowledge. Seeded states are
+// prior knowledge, not discoveries: they are pruned like any visited
+// state but never counted as novel. Seeding the same state twice keeps
+// the shallowest depth. Safe on a nil receiver.
+func (r *ResumeState) SeedInto(set *visited.Set) {
+	if r == nil {
+		return
 	}
+	for i, st := range r.States {
+		depth := 0
+		if i < len(r.Depths) {
+			depth = r.Depths[i]
+		}
+		set.Seed(st, depth)
+	}
+}
+
+// ExportResume snapshots set (in state order) so a later run or swarm
+// can continue where this one left off. A reduced-fidelity backend has
+// discarded the full state keys and returns visited.ErrNoExport instead
+// of a silently partial set.
+func ExportResume(set *visited.Set) (*ResumeState, error) {
+	entries, err := set.Export()
+	if err != nil {
+		return nil, err
+	}
+	r := &ResumeState{
+		States: make([]abstraction.State, len(entries)),
+		Depths: make([]int, len(entries)),
+	}
+	for i, en := range entries {
+		r.States[i], r.Depths[i] = en.State, en.Depth
+	}
+	return r, nil
+}
+
+// source answers the explore loop's nondeterministic questions: from a
+// seeded search order and a visited set (search), or from a journal's
+// records (script, replay.go). An error aborts the loop like an engine
+// failure.
+type source interface {
+	// next answers "which op is explored i-th from a state at this
+	// depth" (ok false: the level is done) and whether the loop must
+	// judge its outcome. Only a script waives that: for an op recorded
+	// clean, matching the recorded errnos and state hash stands in for
+	// the checker.
+	next(depth, i int) (op workload.Op, judge, ok bool, err error)
+	// crash crash-tests op's write window before it is stepped — on the
+	// planes that have not seen (state, op), or at the recorded points.
+	// A probe that finds an inconsistent recovery reports the bug, which
+	// skips the step.
+	crash(e *engine, depth int, op workload.Op) error
+	// visit answers "descend?" for the state h a step reached at depth
+	// with results; depth 0 (nil results) is the initial state.
+	visit(depth int, results []checker.OpResult, h abstraction.State) (novel, expand bool, err error)
+}
+
+// search is the exploring source: a seed- and depth-diversified op
+// order, pruned through the visited set.
+type search struct {
+	ops  []workload.Op
+	seed int64
+	// order caches each depth's permutation of ops — a function of
+	// (seed, depth) alone, so every frame at a depth walks the same one.
+	order [][]int
+	// set records each abstract state with the shallowest depth it was
+	// expanded at. Depth-bounded DFS must re-expand a state reached
+	// shallower than before, or successors reachable only within the
+	// remaining budget are silently missed (Spin handles bounded DFS
+	// the same way).
+	set *visited.Set
+	// crashSeen dedups crash probes: one per (state, op, plane).
+	crashSeen map[string]bool
+}
+
+func (s *search) next(depth, i int) (workload.Op, bool, bool, error) {
+	if i >= len(s.ops) {
+		return workload.Op{}, false, false, nil
+	}
+	for len(s.order) <= depth {
+		s.order = append(s.order, shuffled(len(s.ops), s.seed, len(s.order)))
+	}
+	return s.ops[s.order[depth][i]], true, true, nil
+}
+
+func (s *search) visit(depth int, _ []checker.OpResult, h abstraction.State) (novel, expand bool, err error) {
+	novel, expand = s.set.Visit(h, depth)
+	return novel, expand, nil
+}
+
+// shuffled returns the indices 0..n-1 in a seed- and depth-diversified
+// order (seed 0: the deterministic baseline order).
+func shuffled(n int, seed int64, depth int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	if seed == 0 {
+		return idx
+	}
+	r := uint64(seed)*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03 + uint64(depth)*0xBF58476D1CE4E5B9
+	for i := len(idx) - 1; i > 0; i-- {
+		r ^= r >> 12
+		r ^= r << 25
+		r ^= r >> 27
+		j := int((r * 0x2545F4914F6CDD1D >> 33) % uint64(i+1))
+		idx[i], idx[j] = idx[j], idx[i]
+	}
+	return idx
 }
 
 type engine struct {
-	cfg Config
-	ops []workload.Op
-	// visited maps each abstract state to the shallowest depth it has
-	// been expanded at. Depth-bounded DFS must re-expand a state reached
-	// at a shallower depth than before, or successors reachable only
-	// within the remaining budget are silently missed (Spin handles
-	// bounded DFS the same way).
-	visited map[abstraction.State]int
+	cfg   Config
+	src   source
+	probe *probe // nil when no instrumentation plane is attached
+
+	// set is the visited set a search explores against (nil under a
+	// script). A private one Run built (owned) bills its entries through
+	// Mem.InsertVisited, the Figure-3 resize model; a caller's bills
+	// through its own AttachMem ledger.
+	set   *visited.Set
+	owned bool
+
 	trail   []workload.Op
 	nextKey uint64
+	// results is the per-target outcome of the most recent step.
+	results []checker.OpResult
 
-	executed  int64
-	unique    int64
-	revisits  int64
-	bug       *BugReport
-	coverage  Coverage
-	exhausted bool // op/state budget hit
-	canceled  bool // cancellation token fired
-	oomed     bool // memory model refused a store, no relief possible
-	rng       uint64
+	// res is the Result under construction: the loop counts straight
+	// into it (CrashHeatmap is non-nil exactly when Config.Crash is set
+	// — the heatmap needs no bus).
+	res   Result
+	oomed bool // memory model refused a store, no relief possible
 
 	// retained is the concrete-state bytes stored for visited-state
-	// matching in shared exact mode — released in one step when the
-	// governor downgrades the table (reduced backends retain no
-	// concrete states; that release is the degradation's memory win).
+	// matching against a caller's exact set — released in one step when
+	// the governor downgrades it (reduced backends retain no concrete
+	// states; that release is the degradation's memory win).
 	retained int64
-
-	eobs *engineObs // nil when Config.Obs is unset
-
-	es *engineStream // nil when Config.Stream is unset
-
-	// heatmap aggregates crash-point verdicts; non-nil exactly when
-	// Config.Crash is set (the heatmap needs no bus).
-	heatmap *stream.Heatmap
-
-	// lastErrnos is the per-target errno scratch of the most recent
-	// step, populated only when a journal recorder is attached.
-	lastErrnos []string
 
 	// curHash is the abstract hash of the CURRENT concrete state (the
 	// state every dfs iteration explores from); crash probes key their
-	// dedup on it. Maintained only when crash exploration is on.
+	// dedup on it.
 	curHash abstraction.State
-	// crashSeen dedups crash probes: one probe per (state, op, plane).
-	crashSeen map[string]bool
-	// crashStats accumulates this run's crash-exploration counters.
-	crashStats CrashStats
 }
 
-// engineObs holds the engine's pre-resolved observability handles, so
-// the hot path pays map lookups once, at Run start.
-type engineObs struct {
-	hub             *obs.Hub
-	ops             *obs.Counter
-	hits            *obs.Counter
-	misses          *obs.Counter
-	depth           *obs.Gauge
-	panics          *obs.Counter
-	crashPoints     *obs.Counter
-	crashRecoveries *obs.Counter
-
-	// lastStep is the span collection of the most recent operation;
-	// trailTraces mirrors engine.trail with each trail op's collection,
-	// so a bug report can carry its full cross-layer trace even after
-	// the tracer ring has recycled those spans.
-	lastStep    []obs.Span
-	trailTraces [][]obs.Span
-}
-
-// engineStream holds the engine's pre-resolved stream handles: the bus,
-// this engine's worker id, and the session clock the events are stamped
-// from. Virtual timestamps keep the stream bit-deterministic and the
-// walltime analyzer clean.
-type engineStream struct {
-	bus    *stream.Bus
-	worker int
-	now    func() time.Duration
-}
-
-// emit publishes one event stamped with this engine's identity and
-// virtual time. One branch when streaming is off.
-func (e *engine) emit(ev stream.Event) {
-	if e.es == nil {
-		return
+func newEngine(cfg Config) *engine {
+	e := &engine{cfg: cfg, res: Result{Coverage: NewCoverage()}}
+	e.probe = newProbe(&e.cfg)
+	if cfg.Crash != nil {
+		e.res.CrashHeatmap = stream.NewHeatmap()
 	}
-	ev.At = e.es.now()
-	ev.Worker = e.es.worker
-	e.es.bus.Publish(ev)
-}
-
-// maybeBeat publishes a worker heartbeat every stream.HeartbeatEvery
-// executed operations. Riding the op counter (not a wall timer) keeps
-// heartbeats deterministic in virtual time — and makes a hung target
-// read as stale, since a stuck probe stops the counter.
-func (e *engine) maybeBeat() {
-	if e.es == nil || e.executed%stream.HeartbeatEvery != 0 {
-		return
-	}
-	e.emit(stream.Event{
-		Kind:        stream.KindWorkerHeartbeat,
-		Ops:         e.executed,
-		Unique:      e.unique,
-		Revisits:    e.revisits,
-		CrashPoints: e.crashStats.PointsExplored,
-		Depth:       len(e.trail),
-	})
-}
-
-// beginOp opens the per-operation collection window and LayerMC span.
-func (e *engine) beginOp(op workload.Op, depth int) obs.SpanHandle {
-	if e.eobs == nil {
-		return obs.SpanHandle{}
-	}
-	e.eobs.depth.Set(int64(depth))
-	e.eobs.hub.StartCollecting()
-	return e.eobs.hub.StartSpan(obs.LayerMC, "op:"+op.String())
-}
-
-// endOp closes the operation span and stows its collected spans.
-func (e *engine) endOp(sp obs.SpanHandle) {
-	if e.eobs == nil {
-		return
-	}
-	sp.End()
-	e.eobs.lastStep = e.eobs.hub.StopCollecting()
-}
-
-// attachTrailTrace copies the current trail's span collections into the
-// bug report (called once, right after the step that found the bug).
-func (e *engine) attachTrailTrace() {
-	if e.eobs == nil || e.bug == nil || e.bug.TrailSpans != nil {
-		return
-	}
-	var spans []obs.Span
-	for _, t := range e.eobs.trailTraces {
-		spans = append(spans, t...)
-	}
-	spans = append(spans, e.eobs.lastStep...)
-	e.bug.TrailSpans = spans
+	return e
 }
 
 // Run explores the configured state space and returns the result.
 func Run(cfg Config) Result {
-	clock := cfg.Kernel.Clock()
-	start := clock.Now()
-	e := &engine{
-		cfg:      cfg,
-		ops:      cfg.Pool.Enumerate(),
-		visited:  make(map[abstraction.State]int),
-		coverage: newCoverage(),
-		rng:      uint64(cfg.Seed)*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03,
-	}
-	if cfg.Obs != nil {
-		e.eobs = &engineObs{
-			hub:             cfg.Obs,
-			ops:             cfg.Obs.Counter(obs.MetricOps),
-			hits:            cfg.Obs.Counter(obs.MetricVisitedHits),
-			misses:          cfg.Obs.Counter(obs.MetricVisitedMisses),
-			depth:           cfg.Obs.Gauge(obs.MetricDepth),
-			panics:          cfg.Obs.Counter(obs.MetricPanics),
-			crashPoints:     cfg.Obs.Counter(obs.MetricCrashPoints),
-			crashRecoveries: cfg.Obs.Counter(obs.MetricCrashRecoveries),
-		}
-	}
-	if cfg.Stream != nil {
-		e.es = &engineStream{bus: cfg.Stream, worker: cfg.StreamWorker, now: clock.Now}
-		e.emit(stream.Event{
-			Kind:   stream.KindWorkerStart,
-			Detail: fmt.Sprintf("seed=%d", cfg.Seed),
-		})
-	}
-	if cfg.Crash != nil {
-		e.crashSeen = make(map[string]bool)
-		e.heatmap = stream.NewHeatmap()
-	}
-	if cfg.SharedVisited != nil {
-		// Shared-table mode: resumed knowledge seeds the swarm-wide
-		// table (idempotent — peers may seed the same states).
-		cfg.SharedVisited.Seed(cfg.Resume)
-	} else if cfg.Resume != nil {
-		for i, st := range cfg.Resume.States {
-			depth := 0
-			if i < len(cfg.Resume.Depths) {
-				depth = cfg.Resume.Depths[i]
-			}
-			e.visited[st] = depth
-		}
-	}
-	res := Result{}
-	if cfg.EqualizeFreeSpace {
-		if er := cfg.Checker.EqualizeFreeSpace(); er != errno.OK {
-			res.Err = fmt.Errorf("mc: equalizing free space: %w", er)
-			return res
-		}
-	}
-	// Hash and record the initial state. A resumed run (or a swarm peer
-	// racing us to the shared table) may already know it: count it as a
-	// unique discovery — and charge its visit cost — only when it is
-	// genuinely new.
-	h, er := cfg.Checker.StateHash()
-	if er != errno.OK {
-		res.Err = fmt.Errorf("mc: hashing initial state: %w", er)
-		return res
-	}
-	e.curHash = h
-	novel := true
-	if cfg.SharedVisited != nil {
-		novel, _ = cfg.SharedVisited.Visit(h, 0)
+	e := newEngine(cfg)
+	e.set, e.owned = cfg.Visited, cfg.Visited == nil
+	if e.owned {
+		e.set = visited.NewSet(nil)
 	} else {
-		_, seen := e.visited[h]
-		novel = !seen
-		e.visited[h] = 0
+		e.set.AttachMem(cfg.Mem)
 	}
-	if novel {
-		e.unique++
-		if e.eobs != nil {
-			e.eobs.misses.Inc()
-		}
-		e.visitCost()
-	}
-	if cfg.Journal.Enabled() {
-		names := make([]string, 0, len(cfg.Checker.Targets()))
-		for _, t := range cfg.Checker.Targets() {
-			names = append(names, t.Name)
-		}
-		cfg.Journal.Meta(journal.Meta{
-			Version:   journal.Version,
-			Seed:      cfg.Seed,
-			MaxDepth:  cfg.MaxDepth,
-			MaxOps:    cfg.MaxOps,
-			MaxStates: cfg.MaxStates,
-			Targets:   names,
-			Equalize:  cfg.EqualizeFreeSpace,
-			Majority:  cfg.MajorityVote,
-			InitState: fmt.Sprintf("%x", h[:]),
-		})
-	}
+	// Idempotent: swarm peers seed a shared set with the same states.
+	cfg.Resume.SeedInto(e.set)
+	e.src = &search{ops: cfg.Pool.Enumerate(), seed: cfg.Seed, set: e.set, crashSeen: make(map[string]bool)}
+	return e.run()
+}
 
+// run drives the loop from the targets' current state to a finalized
+// Result. Every exit after the start event — engine failures included —
+// passes through the same finalization, so the stream always sees the
+// worker drain and the journal always ends with a verdict.
+func (e *engine) run() Result {
+	clock := e.cfg.Kernel.Clock()
+	start := clock.Now()
+	e.probe.runBegin(e.cfg.Seed)
 	err := e.explore()
 	if err == nil && e.oomed {
 		// The memory model refused a store and no governor could
-		// relieve it. Finalize as a structured failure — counters,
-		// journal done record, drain event, and resume knowledge all
-		// survive — instead of silently truncating the run.
-		err = &OOMError{Ops: e.executed, UniqueStates: e.unique}
+		// relieve it: a structured failure, not a silently truncated run.
+		err = &OOMError{Ops: e.res.Ops, UniqueStates: e.res.UniqueStates}
 	}
-
-	res.Ops = e.executed
-	res.UniqueStates = e.unique
-	res.Revisits = e.revisits
-	res.Bug = e.bug
+	res := &e.res
 	res.Err = err
-	res.Canceled = e.canceled
-	if cfg.SharedVisited != nil {
-		res.Fidelity = cfg.SharedVisited.Fidelity()
-		res.OmissionProb = cfg.SharedVisited.Omission()
+	// Virtual elapsed time can legitimately be zero (a tiny pool whose
+	// operations are all served from caches before the clock advances):
+	// the rate is then zero, not +Inf.
+	if res.Elapsed = clock.Now() - start; res.Elapsed > 0 {
+		res.Rate = simclock.Rate(res.Ops, res.Elapsed)
 	}
-	res.finalize(clock.Now() - start)
-	res.Coverage = e.coverage
-	if cfg.Crash != nil {
-		res.Crash = e.crashStats
-		for i := range cfg.Crash.Planes {
-			st := cfg.Crash.Planes[i].Injector.Stats()
+	if e.cfg.Crash != nil {
+		for i := range e.cfg.Crash.Planes {
+			st := e.cfg.Crash.Planes[i].Injector.Stats()
 			res.Crash.ErrorsInjected += st.ErrorsInjected
 			res.Crash.TornInjected += st.TornInjected
 			res.Crash.CorruptInjected += st.CorruptInjected
 		}
-		res.CrashHeatmap = e.heatmap
 	}
 	status := "done"
 	switch {
-	case e.bug != nil:
+	case res.Bug != nil:
 		status = "bug"
 	case err != nil:
 		status = "failed"
-	case e.canceled:
+	case res.Canceled:
 		status = "canceled"
 	}
-	e.emit(stream.Event{
-		Kind:        stream.KindWorkerDrain,
-		Ops:         e.executed,
-		Unique:      e.unique,
-		Revisits:    e.revisits,
-		CrashPoints: e.crashStats.PointsExplored,
-		Depth:       len(e.trail),
-		Detail:      status,
-	})
-	if cfg.Journal.Enabled() {
-		done := journal.DoneRecord{
-			Ops:          e.executed,
-			UniqueStates: e.unique,
-			Revisits:     e.revisits,
-			Canceled:     e.canceled,
-		}
-		if err != nil {
-			done.Err = err.Error()
-		}
-		cfg.Journal.Done(done)
+	e.probe.done(status, res, len(e.trail))
+	if e.set != nil {
+		res.Fidelity, res.OmissionProb = e.set.Fidelity(), e.set.Omission()
 	}
-	if cfg.SharedVisited == nil {
-		resume := &ResumeState{
-			States: make([]abstraction.State, 0, len(e.visited)),
-			Depths: make([]int, 0, len(e.visited)),
-		}
-		for st, depth := range e.visited {
-			resume.States = append(resume.States, st)
-			resume.Depths = append(resume.Depths, depth)
-		}
-		resume.sortByState()
-		res.Resume = resume
+	if e.owned {
+		res.Resume, res.ResumeErr = ExportResume(e.set)
 	}
-	return res
+	return *res
 }
 
 // PanicError is a target (or tracker/checker) panic converted into an
@@ -655,81 +544,65 @@ func (p *PanicError) Error() string {
 		p.Value, len(p.Trail), p.Stack)
 }
 
-// explore runs the DFS with panic isolation: a panic anywhere under the
-// engine (targets, trackers, checker) becomes a PanicError carrying the
-// partial trail, fires the cancellation token so swarm peers stop, and
-// counts under obs.MetricPanics.
+// explore records the initial state and runs the DFS, with panic
+// isolation: a panic anywhere under the engine (targets, trackers,
+// checker) becomes a PanicError carrying the partial trail, fires the
+// cancellation token so swarm peers stop, and counts under
+// obs.MetricPanics.
 func (e *engine) explore() (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			trail := make([]workload.Op, len(e.trail))
-			copy(trail, e.trail)
+			trail := append([]workload.Op(nil), e.trail...)
 			err = &PanicError{Value: r, Stack: string(debug.Stack()), Trail: trail}
-			if e.eobs != nil {
-				e.eobs.panics.Inc()
-			}
-			e.emit(stream.Event{
-				Kind:   stream.KindWorkerPanic,
-				Depth:  len(trail),
-				Detail: fmt.Sprintf("%v", r),
-			})
+			e.probe.panicked(r, len(trail))
 			e.cfg.Cancel.Cancel("target panicked")
 		}
 	}()
+	if err := e.equalize(); err != nil {
+		return err
+	}
+	// A resumed run (or a swarm peer racing us to a shared set) may
+	// already know the initial state: count it as a unique discovery —
+	// and charge its visit cost — only when it is genuinely new.
+	h, er := e.cfg.Checker.StateHash()
+	if er != errno.OK {
+		return fmt.Errorf("mc: hashing initial state: %w", er)
+	}
+	e.curHash = h
+	novel, _, err := e.src.visit(0, nil, h)
+	if err != nil {
+		return err
+	}
+	if novel {
+		e.res.UniqueStates++
+		e.visitCost()
+	}
+	e.probe.root(&e.cfg, h, novel)
 	return e.dfs(0)
 }
 
-// finalize derives the run's aggregate fields from its raw counters.
-// This is the single place Result.Rate is computed: virtual elapsed
-// time can legitimately be zero (a tiny pool whose operations are all
-// served from caches before the clock advances), so guard the division
-// instead of reporting +Inf.
-func (r *Result) finalize(elapsed time.Duration) {
-	r.Elapsed = elapsed
-	if elapsed <= 0 {
-		r.Rate = 0
-		return
+// equalize applies the §3.4 free-space workaround when configured.
+func (e *engine) equalize() error {
+	if e.cfg.EqualizeFreeSpace {
+		if er := e.cfg.Checker.EqualizeFreeSpace(); er != errno.OK {
+			return fmt.Errorf("mc: equalizing free space: %w", er)
+		}
 	}
-	r.Rate = simclock.Rate(r.Ops, elapsed)
-}
-
-// shuffled returns the op indices in a seed- and depth-diversified order.
-func (e *engine) shuffled(depth int) []int {
-	idx := make([]int, len(e.ops))
-	for i := range idx {
-		idx[i] = i
-	}
-	if e.cfg.Seed == 0 {
-		return idx // deterministic baseline order
-	}
-	r := e.rng + uint64(depth)*0xBF58476D1CE4E5B9
-	for i := len(idx) - 1; i > 0; i-- {
-		r ^= r >> 12
-		r ^= r << 25
-		r ^= r >> 27
-		j := int((r * 0x2545F4914F6CDD1D >> 33) % uint64(i+1))
-		idx[i], idx[j] = idx[j], idx[i]
-	}
-	return idx
+	return nil
 }
 
 func (e *engine) budgetLeft() bool {
-	if e.bug != nil || e.oomed {
+	if e.res.Bug != nil || e.oomed {
 		return false
 	}
 	if e.cfg.Cancel.Canceled() {
-		e.canceled = true
+		e.res.Canceled = true
 		return false
 	}
-	if e.cfg.MaxOps > 0 && e.executed >= e.cfg.MaxOps {
-		e.exhausted = true
+	if e.cfg.MaxOps > 0 && e.res.Ops >= e.cfg.MaxOps {
 		return false
 	}
-	if e.cfg.MaxStates > 0 && e.unique >= e.cfg.MaxStates {
-		e.exhausted = true
-		return false
-	}
-	return true
+	return e.cfg.MaxStates <= 0 || e.res.UniqueStates < e.cfg.MaxStates
 }
 
 func (e *engine) stateBytes() int64 {
@@ -744,7 +617,7 @@ func (e *engine) storeStateCost() {
 	if e.cfg.Mem != nil {
 		if err := e.cfg.Mem.Store(e.stateBytes()); err != nil {
 			// Out of memory+swap on a checkpoint store. The governor can
-			// relieve it by degrading the visited table; otherwise the
+			// relieve it by degrading the visited set; otherwise the
 			// run finalizes as a structured OOM failure (the charge
 			// stands — backtrack's Release pairs with it either way).
 			if !e.relieveMem() {
@@ -754,16 +627,13 @@ func (e *engine) storeStateCost() {
 	}
 }
 
-// relieveMem asks the shared table's governor for emergency relief
-// after a refused store: one fidelity downgrade, plus the release of
-// every concrete state retained for exact matching. Reports whether
-// anything was freed (the caller's next store should succeed).
+// relieveMem asks the set's governor (none on an owned set) for
+// emergency relief after a refused store: one fidelity downgrade, plus
+// the release of every concrete state retained for exact matching.
+// Reports whether anything was freed (the caller's next store should
+// succeed).
 func (e *engine) relieveMem() bool {
-	sv := e.cfg.SharedVisited
-	if sv == nil {
-		return false
-	}
-	if !sv.Governor().Relieve(e.cfg.Mem) {
+	if !e.set.Governor().Relieve(e.cfg.Mem) {
 		return false
 	}
 	e.releaseRetained()
@@ -790,16 +660,15 @@ func (e *engine) fetchStateCost() {
 // visitCost charges the memory footprint of recording a newly visited
 // state: a hash-table entry plus the concrete state retained for
 // backtracking (Spin's c_track'd buffers live for the whole run, which is
-// why the paper's long runs eventually spill to swap). With a shared
-// swarm table the per-entry growth is charged by SharedVisited.Visit to
-// every attached model instead (one table in one address space), so only
-// the concrete-state retention is charged here.
+// why the paper's long runs eventually spill to swap). A caller's set
+// charges its per-entry growth to every attached model itself (one
+// table in one address space), so only the concrete-state retention is
+// charged here.
 func (e *engine) visitCost() {
 	if e.cfg.Mem == nil {
 		return
 	}
-	sv := e.cfg.SharedVisited
-	if sv == nil {
+	if e.owned {
 		e.cfg.Mem.InsertVisited()
 		if err := e.cfg.Mem.Store(e.stateBytes()); err != nil {
 			e.oomed = true
@@ -808,8 +677,8 @@ func (e *engine) visitCost() {
 	}
 	// Give the governor a look before committing more memory; it may
 	// evict or downgrade preemptively at the watermarks.
-	sv.Governor().Maybe(e.cfg.Mem)
-	if sv.Fidelity() != visited.FidelityExact {
+	e.set.Governor().Maybe(e.cfg.Mem)
+	if e.set.Fidelity() != visited.FidelityExact {
 		// Reduced fidelity retains no concrete states — the table keeps
 		// fingerprints or bits only. Releasing the exact-era pool here
 		// (once, lazily) is the downgrade's memory payoff.
@@ -827,282 +696,192 @@ func (e *engine) visitCost() {
 	e.retained += n
 }
 
-// discardCheckpoints releases the checkpoint images held under key by
-// the given trackers. Error paths must call it: an abandoned key's
-// images are never restored (restore consumes them), so without an
-// explicit discard they stay in the snapshot pools forever.
-func (e *engine) discardCheckpoints(key uint64, trackers []tracker.Tracker) {
-	for _, t := range trackers {
+// restore brings every target back to the state saved under key,
+// consuming the images.
+func (e *engine) restore(key uint64) error {
+	for _, t := range e.cfg.Trackers {
+		if err := t.Restore(key); err != nil {
+			return fmt.Errorf("mc: restore %s: %w", t.Name(), err)
+		}
+	}
+	return nil
+}
+
+// discardCheckpoints releases whatever images the trackers still hold
+// under key (a tracker holding none ignores the call). Every error path
+// must call it: an abandoned key's images are never restored (restore
+// consumes them), so without an explicit discard they stay in the
+// snapshot pools forever.
+func (e *engine) discardCheckpoints(key uint64) {
+	for _, t := range e.cfg.Trackers {
 		t.Discard(key)
 	}
 }
 
-// dfs explores all operation choices from the current concrete state.
+// dfs explores every operation choice from the current concrete state:
+// checkpoint, step (after any crash probe), hash and visit the state
+// reached, descend if it is worth expanding, restore.
 func (e *engine) dfs(depth int) error {
 	if depth >= e.cfg.MaxDepth {
 		return nil
 	}
-	for _, opIdx := range e.shuffled(depth) {
-		if !e.budgetLeft() {
-			return nil
+	for i := 0; e.budgetLeft(); i++ {
+		op, judge, ok, err := e.src.next(depth, i)
+		if err != nil || !ok {
+			return err
 		}
-		op := e.ops[opIdx]
-
-		// The per-operation span covers the checkpoints and the step,
-		// so a trail operation's trace shows its tracker and kernel
-		// work as children.
-		sp := e.beginOp(op, depth)
-
-		// Save the current state of every target so we can backtrack.
-		// On a partial failure the trackers that did checkpoint hold
-		// images under key that no restore will ever consume — release
-		// them before bailing out.
+		// Save every target's state so the op can be backtracked.
+		e.probe.begin(op, depth)
 		key := e.nextKey
 		e.nextKey++
-		var err error
-		ct := e.cfg.Perf.Start(perf.PhaseCheckpoint)
-		for i, t := range e.cfg.Trackers {
+		for _, t := range e.cfg.Trackers {
 			if err = t.Checkpoint(key); err != nil {
-				e.discardCheckpoints(key, e.cfg.Trackers[:i])
 				err = fmt.Errorf("mc: checkpoint %s: %w", t.Name(), err)
 				break
 			}
 		}
-		ct.End()
+		e.probe.checkpointed()
 		if err == nil {
 			e.storeStateCost()
-			// Crash exploration probes the op's write window (and leaves
-			// the concrete state untouched) before the op is stepped
-			// normally; a probe that finds an inconsistent recovery
-			// reports the bug and skips the normal step.
+			// The crash probe leaves the concrete state untouched.
 			if e.cfg.Crash != nil {
-				if err = e.crashProbe(depth, op); err != nil {
-					e.discardCheckpoints(key, e.cfg.Trackers)
-				}
+				err = e.src.crash(e, depth, op)
 			}
-			if err == nil && e.bug == nil {
-				if err = e.step(op); err != nil {
-					e.discardCheckpoints(key, e.cfg.Trackers)
-				}
+			if err == nil && e.res.Bug == nil {
+				err = e.step(op, judge)
 			}
 		}
-		e.endOp(sp)
+		e.probe.end()
+		if err == nil {
+			if e.res.Bug != nil {
+				e.probe.bug(depth, op, e.res.Bug)
+			} else {
+				err = e.settle(depth, op)
+			}
+		}
+		if err == nil {
+			// Backtrack.
+			e.fetchStateCost()
+			e.probe.idle()
+			err = e.restore(key)
+			e.probe.restored()
+		}
 		if err != nil {
+			e.discardCheckpoints(key)
 			return err
 		}
-		if e.bug != nil {
-			e.attachTrailTrace()
-			if e.cfg.Journal.Enabled() {
-				jt := e.cfg.Perf.Start(perf.PhaseJournal)
-				// The bug op gets no state hash (the discrepancy halts
-				// hashing); the bug record that follows carries the
-				// trail and forces the journal to stable storage. A
-				// crash bug's op was never stepped normally — its probe
-				// already journaled a crash record instead.
-				if e.bug.Crash == nil {
-					e.cfg.Journal.Op(depth, journal.EncodeOp(op), e.lastErrnos, "", false, false)
-				}
-				e.cfg.Journal.Bug(journal.BugRecord{
-					Kind:        e.bug.Discrepancy.Kind,
-					Op:          e.bug.Discrepancy.Op,
-					Details:     e.bug.Discrepancy.Details,
-					Trail:       journal.EncodeTrail(e.bug.Trail),
-					OpsExecuted: e.bug.OpsExecuted,
-					Crash:       e.bug.Crash,
-				})
-				jt.End()
-			}
-		}
-
-		if e.bug == nil {
-			ht := e.cfg.Perf.Start(perf.PhaseHash)
-			h, er := e.cfg.Checker.StateHash()
-			ht.End()
-			if er != errno.OK {
-				e.discardCheckpoints(key, e.cfg.Trackers)
-				return fmt.Errorf("mc: hashing state: %w", er)
-			}
-			childDepth := depth + 1
-			// Visited-state matching: prune if this state was already
-			// expanded at this depth or shallower — by this engine, or
-			// by any swarm peer when the table is shared.
-			var novel, expand bool
-			if e.cfg.SharedVisited != nil {
-				novel, expand = e.cfg.SharedVisited.Visit(h, childDepth)
-			} else {
-				prevDepth, seen := e.visited[h]
-				novel = !seen
-				expand = !seen || prevDepth > childDepth
-				if expand {
-					e.visited[h] = childDepth
-				}
-			}
-			if e.cfg.Journal.Enabled() {
-				jt := e.cfg.Perf.Start(perf.PhaseJournal)
-				e.cfg.Journal.Op(depth, journal.EncodeOp(op), e.lastErrnos,
-					fmt.Sprintf("%x", h[:]), novel, expand)
-				jt.End()
-			}
-			if e.es != nil { // guard: the hex render below is not free
-				e.emit(stream.Event{
-					Kind:  stream.KindStep,
-					Op:    op.String(),
-					Depth: depth,
-					State: fmt.Sprintf("%x", h[:]),
-					Novel: novel,
-				})
-			}
-			if !expand {
-				e.revisits++
-				if e.eobs != nil {
-					e.eobs.hits.Inc()
-				}
-			} else {
-				if novel {
-					e.unique++
-					if e.eobs != nil {
-						e.eobs.misses.Inc()
-					}
-					e.visitCost()
-				}
-				e.trail = append(e.trail, op)
-				if e.eobs != nil {
-					e.eobs.trailTraces = append(e.eobs.trailTraces, e.eobs.lastStep)
-				}
-				parentHash := e.curHash
-				e.curHash = h
-				if err := e.dfs(childDepth); err != nil {
-					e.discardCheckpoints(key, e.cfg.Trackers)
-					return err
-				}
-				e.curHash = parentHash
-				e.trail = e.trail[:len(e.trail)-1]
-				if e.eobs != nil {
-					e.eobs.trailTraces = e.eobs.trailTraces[:len(e.eobs.trailTraces)-1]
-				}
-			}
-		}
-
-		// Backtrack: restore every target to the saved state. Restore
-		// consumes the image; on failure, discard what the remaining
-		// trackers (and the failed one, best-effort) still hold.
-		e.fetchStateCost()
-		rt := e.cfg.Perf.Start(perf.PhaseRestore)
-		for i, t := range e.cfg.Trackers {
-			if err := t.Restore(key); err != nil {
-				rt.End()
-				e.discardCheckpoints(key, e.cfg.Trackers[i:])
-				return fmt.Errorf("mc: restore %s: %w", t.Name(), err)
-			}
-		}
-		rt.End()
 		if e.cfg.Mem != nil {
 			e.cfg.Mem.Release(e.stateBytes())
 		}
-		if e.cfg.Journal.Enabled() {
-			jt := e.cfg.Perf.Start(perf.PhaseJournal)
-			e.cfg.Journal.Backtrack(depth)
-			jt.End()
-		}
-		e.emit(stream.Event{Kind: stream.KindBacktrack, Depth: depth})
-		if e.bug != nil || e.exhausted || e.canceled || e.oomed {
-			return nil
-		}
+		e.probe.backtracked(depth)
 	}
 	return nil
 }
 
-// step executes one operation on every target and runs the integrity
-// checks, recording a bug report on discrepancy.
-func (e *engine) step(op workload.Op) error {
+// settle hashes the state op reached from depth, takes the visited-state
+// decision, and explores below it when it is worth expanding: prune if
+// the state was already expanded at this depth or shallower — by this
+// engine, or by any swarm peer when the set is shared.
+func (e *engine) settle(depth int, op workload.Op) error {
+	h, er := e.cfg.Checker.StateHash()
+	e.probe.hashed()
+	if er != errno.OK {
+		return fmt.Errorf("mc: hashing state: %w", er)
+	}
+	novel, expand, err := e.src.visit(depth+1, e.results, h)
+	if err != nil {
+		return err
+	}
+	e.probe.visited(depth, op, h, novel, expand)
+	if !expand {
+		e.res.Revisits++
+		return nil
+	}
+	if novel {
+		e.res.UniqueStates++
+		e.visitCost()
+	}
+	e.trail = append(e.trail, op)
+	parent := e.curHash
+	e.curHash = h
+	if err := e.dfs(depth + 1); err != nil {
+		return err
+	}
+	e.curHash = parent
+	e.trail = e.trail[:len(e.trail)-1]
+	return nil
+}
+
+// step executes one operation on every target and — unless the source
+// waived it — runs the integrity checks, recording a bug report on
+// discrepancy: exploration, trail replay, and journal replay all
+// execute and judge through here.
+func (e *engine) step(op workload.Op, judge bool) error {
 	targets := e.cfg.Checker.Targets()
-	mt := e.cfg.Perf.Start(perf.PhaseRemount)
+	e.probe.idle()
 	for _, t := range e.cfg.Trackers {
 		if err := t.PreOp(); err != nil {
-			mt.End()
+			e.probe.remounted()
 			return fmt.Errorf("mc: pre-op %s: %w", t.Name(), err)
 		}
 	}
-	mt.End()
-	et := e.cfg.Perf.Start(perf.PhaseExecute)
+	e.probe.remounted()
 	results := make([]checker.OpResult, len(targets))
 	for i, tgt := range targets {
 		results[i] = workload.Execute(e.cfg.Kernel, tgt.MountPoint, op)
 	}
-	et.End()
-	mt = e.cfg.Perf.Start(perf.PhaseRemount)
+	e.probe.ran()
 	for _, t := range e.cfg.Trackers {
 		if err := t.PostOp(); err != nil {
-			mt.End()
+			e.probe.remounted()
 			return fmt.Errorf("mc: post-op %s: %w", t.Name(), err)
 		}
 	}
-	mt.End()
-	e.executed++
-	if e.eobs != nil {
-		e.eobs.ops.Inc()
-	}
-	e.cfg.Perf.Observe(e.executed, e.unique, e.revisits,
-		e.crashStats.PointsExplored, len(e.trail))
-	e.maybeBeat()
+	e.probe.remounted()
+	e.res.Ops++
+	e.results = results
+	e.probe.executed(&e.res, len(e.trail), results)
 	opName := op.Kind.String()
-	e.coverage.ByOp[opName]++
-	pairs := e.coverage.ByOpErrno[opName]
+	e.res.Coverage.ByOp[opName]++
+	pairs := e.res.Coverage.ByOpErrno[opName]
 	if pairs == nil {
 		pairs = make(map[string]int64)
-		e.coverage.ByOpErrno[opName] = pairs
+		e.res.Coverage.ByOpErrno[opName] = pairs
 	}
 	for _, r := range results {
-		e.coverage.ByErrno[r.Err.String()]++
+		e.res.Coverage.ByErrno[r.Err.String()]++
 		pairs[r.Err.String()]++
 	}
-	if e.cfg.Journal.Enabled() {
-		// Scratch reuse is safe: journal records marshal synchronously
-		// inside Append, before the next step can overwrite the slice.
-		e.lastErrnos = e.lastErrnos[:0]
-		for _, r := range results {
-			e.lastErrnos = append(e.lastErrnos, r.Err.String())
-		}
-	}
-
-	vt := e.cfg.Perf.Start(perf.PhaseVerify)
-	defer vt.End()
-	var d *checker.Discrepancy
-	if e.cfg.MajorityVote {
-		d = e.cfg.Checker.CheckResultsMajority(op.String(), results)
-	} else {
-		d = e.cfg.Checker.CheckResults(op.String(), results)
-	}
-	if d != nil {
-		e.report(d, op)
+	if !judge {
 		return nil
 	}
-	var er errno.Errno
+
+	// Majority voting (§7) swaps both checks at this one site.
+	checkResults, checkStates := e.cfg.Checker.CheckResults, e.cfg.Checker.CheckAndHash
 	if e.cfg.MajorityVote {
-		d, _, er = e.cfg.Checker.CheckAndHashMajority(op.String())
-	} else {
-		d, _, er = e.cfg.Checker.CheckAndHash(op.String())
+		checkResults, checkStates = e.cfg.Checker.CheckResultsMajority, e.cfg.Checker.CheckAndHashMajority
 	}
-	if er != errno.OK {
-		return fmt.Errorf("mc: state check: %w", er)
+	d := checkResults(op.String(), results)
+	if d == nil {
+		var er errno.Errno
+		if d, _, er = checkStates(op.String()); er != errno.OK {
+			e.probe.judged()
+			return fmt.Errorf("mc: state check: %w", er)
+		}
 	}
+	e.probe.judged()
 	if d != nil {
-		e.report(d, op)
+		e.report(d, op, nil)
 	}
 	return nil
 }
 
-func (e *engine) report(d *checker.Discrepancy, op workload.Op) {
+// report records the discrepancy op exposed (crash: at which crash
+// point, for a crash-consistency bug) with the trail that led to it.
+func (e *engine) report(d *checker.Discrepancy, op workload.Op, crash *journal.CrashSpec) {
 	trail := make([]workload.Op, len(e.trail), len(e.trail)+1)
 	copy(trail, e.trail)
-	trail = append(trail, op)
-	e.bug = &BugReport{Discrepancy: d, Trail: trail, OpsExecuted: e.executed}
-	e.emit(stream.Event{
-		Kind:   stream.KindBug,
-		Op:     op.String(),
-		Depth:  len(trail),
-		Detail: d.Kind,
-	})
+	e.res.Bug = &BugReport{Discrepancy: d, Trail: append(trail, op), OpsExecuted: e.res.Ops, Crash: crash}
 	// Fire the shared token right away so coordinated swarm peers stop
 	// within one operation instead of waiting for this run to unwind.
 	e.cfg.Cancel.Cancel("bug found")
@@ -1110,58 +889,58 @@ func (e *engine) report(d *checker.Discrepancy, op workload.Op) {
 
 // Replay executes a recorded trail from the targets' current (fresh)
 // state, checking after every operation, and returns the first
-// discrepancy (nil if the trail no longer reproduces). Replay mirrors
-// the engine's step environment — free-space equalization and the
-// per-operation tracker hooks (remounts for kernel file systems) run
-// exactly as they did during exploration — so a trail that exposed a
-// bug through those mechanics still does on replay.
-func Replay(cfg Config, trail []workload.Op) (*checker.Discrepancy, error) {
-	if cfg.EqualizeFreeSpace {
-		if er := cfg.Checker.EqualizeFreeSpace(); er != errno.OK {
-			return nil, fmt.Errorf("mc: replay equalizing free space: %w", er)
-		}
+// discrepancy (nil if the trail no longer reproduces). It steps through
+// the engine's own step — free-space equalization, the per-operation
+// tracker hooks (remounts for kernel file systems) and the configured
+// checks (majority voting included) run exactly as they did during
+// exploration — but takes no checkpoints: a linear trail has nothing to
+// backtrack to. A non-nil crash marks a crash-bug trail, whose FINAL
+// operation is not executed but crash-tested on the spec'd target at
+// the spec'd write index (reprobe); a prefix discrepancy still counts.
+func Replay(cfg Config, trail []workload.Op, crash *journal.CrashSpec) (*checker.Discrepancy, error) {
+	e := newEngine(cfg)
+	if err := e.equalize(); err != nil {
+		return nil, err
 	}
-	targets := cfg.Checker.Targets()
+	var final []workload.Op
+	if crash != nil {
+		if len(trail) == 0 {
+			return nil, fmt.Errorf("mc: crash replay: empty trail")
+		}
+		trail, final = trail[:len(trail)-1], trail[len(trail)-1:]
+	}
 	for _, op := range trail {
-		for _, t := range cfg.Trackers {
-			if err := t.PreOp(); err != nil {
-				return nil, fmt.Errorf("mc: replay pre-op %s: %w", t.Name(), err)
-			}
+		if err := e.step(op, true); err != nil {
+			return nil, err
 		}
-		results := make([]checker.OpResult, len(targets))
-		for i, tgt := range targets {
-			results[i] = workload.Execute(cfg.Kernel, tgt.MountPoint, op)
-		}
-		for _, t := range cfg.Trackers {
-			if err := t.PostOp(); err != nil {
-				return nil, fmt.Errorf("mc: replay post-op %s: %w", t.Name(), err)
-			}
-		}
-		if d := cfg.Checker.CheckResults(op.String(), results); d != nil {
-			return d, nil
-		}
-		d, _, er := cfg.Checker.CheckAndHash(op.String())
-		if er != errno.OK {
-			return nil, fmt.Errorf("mc: replay state check: %w", er)
-		}
-		if d != nil {
-			return d, nil
+		if e.res.Bug != nil {
+			return e.res.Bug.Discrepancy, nil
 		}
 	}
-	return nil, nil
+	if final == nil {
+		return nil, nil
+	}
+	p, err := crashPlaneFor(&e.cfg, crash.Target)
+	if err != nil {
+		return nil, err
+	}
+	d, _, err := e.reprobe(p, final[0], []int{crash.Write})
+	if err != nil {
+		return nil, fmt.Errorf("mc: crash replay: %w", err)
+	}
+	return d, nil
 }
 
-// VerifyTrail replays trail against cfg's fresh targets and reports
-// whether it reproduces the wanted discrepancy: any discrepancy when
-// want is nil, otherwise one of the same kind. The engine's check
+// VerifyTrail replays trail (Replay) against cfg's fresh targets and
+// reports whether it reproduces the wanted discrepancy: any discrepancy
+// when want is nil, otherwise one of the same kind. The engine's check
 // granularity guarantees reproduction is judged against the first
 // discrepancy the replay hits, exactly as the original run did.
-func VerifyTrail(cfg Config, trail []workload.Op, want *checker.Discrepancy) (*checker.Discrepancy, bool, error) {
-	got, err := Replay(cfg, trail)
+func VerifyTrail(cfg Config, trail []workload.Op, crash *journal.CrashSpec, want *checker.Discrepancy) (*checker.Discrepancy, bool, error) {
+	got, err := Replay(cfg, trail, crash)
 	if err != nil {
 		return nil, false, err
 	}
 	same := got != nil && (want == nil || got.Kind == want.Kind)
 	return got, same, nil
 }
-

@@ -6,11 +6,11 @@
 //   - Cancel, a context-style cancellation token polled by every engine
 //     between operations, so all workers stop promptly when any worker
 //     finds a bug, fails, or the caller aborts.
-//   - SharedVisited, a sharded visited-state table with striped mutexes
-//     keyed on abstract state hashes. Workers that share one prune
-//     subtrees their peers already expanded instead of re-exploring the
-//     overlap — the coordination discipline pFSCK applies to parallel
-//     file-system checking.
+//   - One visited.Set (a sharded visited-state table with striped
+//     mutexes keyed on abstract state hashes) installed into every
+//     worker's Config. Workers that share it prune subtrees their peers
+//     already expanded instead of re-exploring the overlap — the
+//     coordination discipline pFSCK applies to parallel fsck.
 //   - A bounded worker pool: Parallelism caps how many of the n seeded
 //     workers run concurrently, so a swarm can be wider than the core
 //     count without oversubscribing the machine.
@@ -28,9 +28,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mcfs/internal/abstraction"
 	"mcfs/internal/mc/visited"
-	"mcfs/internal/memmodel"
 	"mcfs/internal/obs"
 	"mcfs/internal/obs/journal"
 	"mcfs/internal/obs/perf"
@@ -77,122 +75,6 @@ func (c *Cancel) Reason() string {
 	return c.reason
 }
 
-// SharedVisited is the visited-state table shared by swarm workers (or
-// owned by one governed engine): a visited.Set — a swappable backend
-// table (exact, compact, or bitstate) behind the memory-accounting
-// ledger — plus an optional governor that degrades the backend under
-// memory pressure. The exact backend keeps the historical semantics:
-// a sharded state→depth map with the depth-bounded re-expansion rule.
-type SharedVisited struct {
-	set *visited.Set
-}
-
-// NewSharedVisited returns an empty shared table on the exact backend.
-func NewSharedVisited() *SharedVisited {
-	return &SharedVisited{set: visited.NewSet(visited.NewExact())}
-}
-
-// NewSharedVisitedTable returns a shared table over an explicit
-// backend (a reduced-fidelity run from the start).
-func NewSharedVisitedTable(t visited.Table) *SharedVisited {
-	return &SharedVisited{set: visited.NewSet(t)}
-}
-
-// Visit records that a worker reached st at depth and decides what the
-// worker should do: expand reports whether to descend (the state is new,
-// or previously expanded only at strictly deeper depths — bounded DFS
-// must re-expand those or successors within the remaining budget are
-// missed), and novel reports whether no worker had ever seen st (the
-// caller counts it as a unique discovery exactly once swarm-wide).
-func (v *SharedVisited) Visit(st abstraction.State, depth int) (novel, expand bool) {
-	return v.set.Visit(st, depth)
-}
-
-// AttachMem subscribes a memory model to the table's growth: the
-// current footprint is charged immediately and every later entry adds
-// the backend's per-entry bytes. Workers sharing one table live in one
-// address space, so each worker's model carries the full table —
-// shared-table growth shrinks the RAM left for concrete states in every
-// session's MemoryStats. Across a governor migration the ledger rebills
-// each model by the footprint delta, so accounting stays exact.
-func (v *SharedVisited) AttachMem(m *memmodel.Model) {
-	if v == nil || m == nil {
-		return
-	}
-	v.set.AttachMem(m)
-}
-
-// Seed preloads the table from an earlier run's ResumeState. Seeded
-// states are prior knowledge, not discoveries: they are pruned like any
-// visited state but never counted in NovelCount. Seeding the same state
-// twice keeps the shallowest depth.
-func (v *SharedVisited) Seed(r *ResumeState) {
-	if r == nil {
-		return
-	}
-	for i, st := range r.States {
-		depth := 0
-		if i < len(r.Depths) {
-			depth = r.Depths[i]
-		}
-		v.set.Seed(st, depth)
-	}
-}
-
-// Len reports the number of states in the table (seeds + discoveries).
-func (v *SharedVisited) Len() int { return int(v.set.Len()) }
-
-// Bytes reports the table's modeled memory footprint.
-func (v *SharedVisited) Bytes() int64 { return v.set.Bytes() }
-
-// NovelCount reports how many states workers discovered (excluding
-// seeded prior knowledge) — the swarm's global unique-state count.
-func (v *SharedVisited) NovelCount() int64 { return v.set.NovelCount() }
-
-// Fidelity reports the table's current matching precision.
-func (v *SharedVisited) Fidelity() visited.Fidelity { return v.set.Fidelity() }
-
-// Omission reports the table's estimated omission probability (zero at
-// exact fidelity).
-func (v *SharedVisited) Omission() float64 { return v.set.Omission() }
-
-// Govern attaches a memory governor to the table and returns it. The
-// caller arms each watched model's budget (memmodel.SetBudget); the
-// engine ticks the governor on its visit path.
-func (v *SharedVisited) Govern(cfg visited.GovernorConfig) *visited.Governor {
-	return visited.NewGovernor(v.set, cfg)
-}
-
-// Governor returns the attached governor — nil (safe to call) when
-// ungoverned or on a nil table.
-func (v *SharedVisited) Governor() *visited.Governor {
-	if v == nil {
-		return nil
-	}
-	return v.set.Governor()
-}
-
-// Export snapshots the table as a ResumeState so a later run (or swarm)
-// can continue where this one left off. A reduced-fidelity backend has
-// discarded the full state keys and returns visited.ErrNoExport instead
-// of a silently partial set.
-func (v *SharedVisited) Export() (*ResumeState, error) {
-	entries, err := v.set.Export()
-	if err != nil {
-		return nil, err
-	}
-	r := &ResumeState{
-		States: make([]abstraction.State, 0, len(entries)),
-		Depths: make([]int, 0, len(entries)),
-	}
-	for _, en := range entries {
-		r.States = append(r.States, en.State)
-		r.Depths = append(r.Depths, en.Depth)
-	}
-	r.sortByState()
-	return r, nil
-}
-
 // SwarmOptions configures a coordinated swarm run.
 type SwarmOptions struct {
 	// Workers is the number of diversified workers (seeds 1..Workers).
@@ -201,16 +83,16 @@ type SwarmOptions struct {
 	// min(Workers, GOMAXPROCS); Workers may exceed it — excess workers
 	// queue for a slot.
 	Parallelism int
-	// ShareVisited gives all workers one SharedVisited table so they
-	// prune states their peers already expanded.
+	// ShareVisited gives all workers one visited set so they prune
+	// states their peers already expanded.
 	ShareVisited bool
-	// Shared, when set, is the pre-built shared table the swarm uses —
-	// the caller's chance to pick a reduced-fidelity backend or attach
-	// a governed table (ShareVisited is implied). When nil and
-	// ShareVisited is set, the coordinator builds a fresh exact table.
-	Shared *SharedVisited
+	// Shared, when set, is the pre-built set the swarm shares — the
+	// caller's chance to pick a reduced-fidelity backend or attach a
+	// governor (ShareVisited is implied). When nil and ShareVisited is
+	// set, the coordinator builds a fresh exact set.
+	Shared *visited.Set
 	// Resume seeds the swarm with an earlier run's visited knowledge:
-	// the shared table when ShareVisited is set, otherwise each worker's
+	// the shared set when ShareVisited is set, otherwise each worker's
 	// own table (unless its factory Config already carries a Resume).
 	Resume *ResumeState
 	// Cancel, when set, lets the caller abort the whole swarm; when nil
@@ -245,7 +127,7 @@ type SwarmResult struct {
 	// GlobalUniqueStates is the number of distinct states discovered
 	// across all workers (excluding resumed prior knowledge), and
 	// DuplicateStates = UniqueStates - GlobalUniqueStates is the wasted
-	// duplicate work a shared table eliminates.
+	// duplicate work a shared set eliminates.
 	GlobalUniqueStates int64
 	DuplicateStates    int64
 	// Bug is the first discrepancy any worker reported (first-bug-wins);
@@ -256,13 +138,13 @@ type SwarmResult struct {
 	Coverage Coverage
 	// Resume is the swarm's merged visited knowledge (shared-table
 	// export, or the per-worker union), ready to seed a later run; nil
-	// with ResumeErr set when the shared table's backend refuses export
+	// with ResumeErr set when the shared set's backend refuses export
 	// (visited.ErrNoExport at reduced fidelity).
 	Resume    *ResumeState
 	ResumeErr error
-	// Fidelity and OmissionProb describe the shared table's final
+	// Fidelity and OmissionProb describe the shared set's final
 	// matching precision and estimated omission probability (exact / 0
-	// without a shared table or when no governor degraded it).
+	// without a shared set or when no governor degraded it).
 	Fidelity     visited.Fidelity
 	OmissionProb float64
 	// Crash merges the per-worker crash-exploration statistics; zero
@@ -321,10 +203,10 @@ func SwarmRun(opts SwarmOptions, factory func(seed int64) (Config, error)) (Swar
 	}
 	shared := opts.Shared
 	if shared == nil && opts.ShareVisited {
-		shared = NewSharedVisited()
+		shared = visited.NewSet(nil)
 	}
 	if shared != nil {
-		shared.Seed(opts.Resume)
+		opts.Resume.SeedInto(shared)
 	}
 
 	var (
@@ -351,13 +233,7 @@ func SwarmRun(opts SwarmOptions, factory func(seed int64) (Config, error)) (Swar
 				// the worker on the health view anyway — /workers should
 				// list every swarm slot, including ones a fast first bug
 				// canceled before they started.
-				if opts.Stream != nil {
-					opts.Stream.Publish(stream.Event{
-						Kind:   stream.KindWorkerDrain,
-						Worker: w + 1,
-						Detail: "canceled",
-					})
-				}
+				opts.Stream.Publish(stream.Event{Kind: stream.KindWorkerDrain, Worker: w + 1, Detail: "canceled"})
 				return
 			}
 			cfg, err := factory(int64(w + 1))
@@ -373,8 +249,7 @@ func SwarmRun(opts SwarmOptions, factory func(seed int64) (Config, error)) (Swar
 			}
 			cfg.Cancel = cancel
 			if shared != nil {
-				cfg.SharedVisited = shared
-				shared.AttachMem(cfg.Mem)
+				cfg.Visited = shared
 			} else if cfg.Resume == nil {
 				cfg.Resume = opts.Resume
 			}
@@ -413,9 +288,7 @@ func SwarmRun(opts SwarmOptions, factory func(seed int64) (Config, error)) (Swar
 	wg.Wait()
 
 	sr := mergeSwarm(opts, results, shared)
-	if opts.Stream != nil {
-		sr.WorkerHealth = opts.Stream.Workers()
-	}
+	sr.WorkerHealth = opts.Stream.Workers()
 	sr.BugWorker = bugWorker
 	if bugWorker >= 0 {
 		sr.Bug = results[bugWorker].Bug
@@ -435,10 +308,7 @@ func SwarmRun(opts SwarmOptions, factory func(seed int64) (Config, error)) (Swar
 			sr.Perf = sr.Perf.Merge(p.Snapshot())
 		}
 	}
-	if factoryErr != nil {
-		return sr, factoryErr
-	}
-	return sr, nil
+	return sr, factoryErr
 }
 
 // runWorker runs one swarm worker with a panic backstop. The engine
@@ -452,26 +322,11 @@ func SwarmRun(opts SwarmOptions, factory func(seed int64) (Config, error)) (Swar
 func runWorker(cfg Config) (res Result) {
 	defer func() {
 		if r := recover(); r != nil {
-			perr := &PanicError{Value: r, Stack: string(debug.Stack())}
-			if cfg.Obs != nil {
-				cfg.Obs.Counter(obs.MetricPanics).Inc()
-			}
-			// A panic outside explore() never reaches Run's drain emit, so
-			// report the worker's death on the stream here. The kernel may
-			// itself be the panic's casualty — fall back to timestamp zero.
-			if cfg.Stream != nil {
-				ev := stream.Event{
-					Kind:   stream.KindWorkerPanic,
-					Worker: cfg.StreamWorker,
-					Detail: fmt.Sprintf("%v", r),
-				}
-				if cfg.Kernel != nil {
-					ev.At = cfg.Kernel.Clock().Now()
-				}
-				cfg.Stream.Publish(ev)
-			}
+			// A panic outside explore() never reaches Run's finalization,
+			// so report the worker's death on its planes here.
+			newProbe(&cfg).panicked(r, 0)
 			cfg.Cancel.Cancel("worker panicked")
-			res.Err = perr
+			res.Err = &PanicError{Value: r, Stack: string(debug.Stack())}
 		}
 	}()
 	return Run(cfg)
@@ -479,15 +334,13 @@ func runWorker(cfg Config) (res Result) {
 
 // mergeSwarm folds the per-worker results into the swarm-level sums,
 // merged coverage, merged resume knowledge, and duplicate-state count.
-func mergeSwarm(opts SwarmOptions, results []Result, shared *SharedVisited) SwarmResult {
-	sr := SwarmResult{Workers: results, BugWorker: -1, ErrWorker: -1, Coverage: newCoverage()}
+func mergeSwarm(opts SwarmOptions, results []Result, shared *visited.Set) SwarmResult {
+	sr := SwarmResult{Workers: results, BugWorker: -1, ErrWorker: -1, Coverage: NewCoverage()}
 	for _, r := range results {
 		sr.Ops += r.Ops
 		sr.UniqueStates += r.UniqueStates
 		sr.Revisits += r.Revisits
-		if r.Coverage.ByOp != nil {
-			sr.Coverage.Merge(r.Coverage)
-		}
+		sr.Coverage.Merge(r.Coverage)
 		if r.Elapsed > sr.Elapsed {
 			sr.Elapsed = r.Elapsed
 		}
@@ -500,60 +353,21 @@ func mergeSwarm(opts SwarmOptions, results []Result, shared *SharedVisited) Swar
 		}
 	}
 	if shared != nil {
-		sr.Resume, sr.ResumeErr = shared.Export()
 		sr.GlobalUniqueStates = shared.NovelCount()
-		sr.Fidelity = shared.Fidelity()
-		sr.OmissionProb = shared.Omission()
 	} else {
-		seeded := make(map[abstraction.State]bool)
-		if opts.Resume != nil {
-			for _, st := range opts.Resume.States {
-				seeded[st] = true
-			}
-		}
-		union := make(map[abstraction.State]int)
+		// Independent workers: their union, built as one set — the
+		// swarm's seed first, so whatever the workers add to it is what
+		// they discovered.
+		shared = visited.NewSet(nil)
+		opts.Resume.SeedInto(shared)
+		known := shared.Len()
 		for _, r := range results {
-			if r.Resume == nil {
-				continue
-			}
-			for i, st := range r.Resume.States {
-				depth := 0
-				if i < len(r.Resume.Depths) {
-					depth = r.Resume.Depths[i]
-				}
-				if prev, seen := union[st]; !seen || prev > depth {
-					union[st] = depth
-				}
-			}
+			r.Resume.SeedInto(shared)
 		}
-		merged := &ResumeState{
-			States: make([]abstraction.State, 0, len(union)),
-			Depths: make([]int, 0, len(union)),
-		}
-		for st, depth := range union {
-			merged.States = append(merged.States, st)
-			merged.Depths = append(merged.Depths, depth)
-			if !seeded[st] {
-				sr.GlobalUniqueStates++
-			}
-		}
-		merged.sortByState()
-		sr.Resume = merged
+		sr.GlobalUniqueStates = shared.Len() - known
 	}
+	sr.Resume, sr.ResumeErr = ExportResume(shared)
+	sr.Fidelity, sr.OmissionProb = shared.Fidelity(), shared.Omission()
 	sr.DuplicateStates = sr.UniqueStates - sr.GlobalUniqueStates
 	return sr
-}
-
-// Swarm runs n diversified engines concurrently and returns the raw
-// per-worker results in seed order — the original fire-and-forget swarm
-// API, now backed by the coordinated SwarmRun: the first bug or failure
-// cancels the remaining workers, and a factory error drains every
-// started worker before returning instead of leaking goroutines that
-// kept exploring (and writing results) after the function returned.
-func Swarm(n int, factory func(seed int64) (Config, error)) ([]Result, error) {
-	sr, err := SwarmRun(SwarmOptions{Workers: n}, factory)
-	if err != nil {
-		return nil, err
-	}
-	return sr.Workers, nil
 }

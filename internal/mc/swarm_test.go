@@ -15,6 +15,7 @@ import (
 	"mcfs"
 	"mcfs/internal/abstraction"
 	"mcfs/internal/mc"
+	"mcfs/internal/mc/visited"
 	"mcfs/internal/memmodel"
 	"mcfs/internal/obs"
 	"mcfs/internal/simclock"
@@ -58,10 +59,10 @@ func TestCancelTokenConcurrent(t *testing.T) {
 	}
 }
 
-// --- SharedVisited ---------------------------------------------------------
+// --- Shared visited set ----------------------------------------------------
 
 func TestSharedVisitedSemantics(t *testing.T) {
-	sv := mc.NewSharedVisited()
+	sv := visited.NewSet(nil)
 	var h abstraction.State
 	h[0] = 0xaa
 
@@ -93,8 +94,8 @@ func TestSharedVisitedSeedDoesNotCountAsNovel(t *testing.T) {
 	if run.Err != nil {
 		t.Fatal(run.Err)
 	}
-	sv := mc.NewSharedVisited()
-	sv.Seed(run.Resume)
+	sv := visited.NewSet(nil)
+	run.Resume.SeedInto(sv)
 	if sv.Len() == 0 {
 		t.Fatal("seeding recorded no states")
 	}
@@ -102,14 +103,14 @@ func TestSharedVisitedSeedDoesNotCountAsNovel(t *testing.T) {
 		t.Errorf("NovelCount = %d after seeding, want 0 (seeds are not discoveries)", sv.NovelCount())
 	}
 	// Seeding twice is idempotent.
-	sv.Seed(run.Resume)
-	if got := sv.Len(); got != int(run.Resume.UniqueStates()) {
+	run.Resume.SeedInto(sv)
+	if got := sv.Len(); got != run.Resume.UniqueStates() {
 		t.Errorf("Len = %d after double seed, want %d", got, run.Resume.UniqueStates())
 	}
 }
 
 func TestSharedVisitedConcurrent(t *testing.T) {
-	sv := mc.NewSharedVisited()
+	sv := visited.NewSet(nil)
 	var wg sync.WaitGroup
 	var novelTotal int64
 	var mu sync.Mutex
@@ -486,12 +487,12 @@ func benchmarkSwarm(b *testing.B, share bool) {
 }
 
 func BenchmarkSwarmIndependent(b *testing.B) { benchmarkSwarm(b, false) }
-func BenchmarkSwarmShared(b *testing.B)     { benchmarkSwarm(b, true) }
+func BenchmarkSwarmShared(b *testing.B)      { benchmarkSwarm(b, true) }
 
 // --- Shared visited-table memory accounting --------------------------------
 
 func TestSharedVisitedChargesAttachedModels(t *testing.T) {
-	sv := mc.NewSharedVisited()
+	sv := visited.NewSet(nil)
 	clk := simclock.New()
 	cfg := memmodel.DefaultConfig()
 	m1 := memmodel.New(cfg, clk)
@@ -669,7 +670,6 @@ func TestSwarmWorkerPanicIsolated(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
-
 
 // TestPanicProducesPartialTrail pins the PanicError contract at the
 // engine level with a deterministic crash site: a single-op pool whose

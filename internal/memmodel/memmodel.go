@@ -84,7 +84,7 @@ type Model struct {
 	peakBytes   int64 // high-water mark of the total footprint
 
 	// sharedVisited is the footprint charged by a shared swarm visited
-	// table (SharedVisited.AttachMem). Atomic: any worker's discovery
+	// table (visited.Set.AttachMem). Atomic: any worker's discovery
 	// grows every attached model, concurrently with that model's owner.
 	sharedVisited atomic.Int64
 

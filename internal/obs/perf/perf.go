@@ -179,6 +179,19 @@ func (t Timer) End() {
 	t.hist.Observe(t.p.Now() - t.start)
 }
 
+// Record adds one sample of d to phase — for a caller that marks time
+// itself and learns which phase an interval belonged to only once it is
+// over (the engine's event probe). No-op on a nil profiler or an
+// unknown phase.
+func (p *Profiler) Record(phase string, d time.Duration) {
+	if p == nil {
+		return
+	}
+	if h := p.phases[phase]; h != nil {
+		h.Observe(d)
+	}
+}
+
 // PhaseTotals returns each phase's cumulative attributed time in
 // Phases() order — a cheap (one atomic load per phase, no allocation
 // beyond the slice) poll for per-crash-point phase attribution. Nil on

@@ -45,8 +45,8 @@ import (
 	"mcfs/internal/abstraction"
 	"mcfs/internal/blockdev"
 	"mcfs/internal/checker"
-	"mcfs/internal/fault"
 	"mcfs/internal/errno"
+	"mcfs/internal/fault"
 	"mcfs/internal/fs/extfs"
 	"mcfs/internal/fs/jffs2sim"
 	"mcfs/internal/fs/verifs1"
@@ -305,10 +305,10 @@ type Options struct {
 	// derived automatically.
 	MemBudget int64
 
-	// swarmShared marks the session a swarm worker whose shared table
-	// (and governor) the swarm coordinator provides; the session arms
-	// its memory budget but builds no table of its own.
-	swarmShared bool
+	// shared is the swarm coordinator's visited set, handed to a swarm
+	// worker's session: the session arms its memory budget and explores
+	// against this set instead of building one of its own.
+	shared *visited.Set
 }
 
 // Session is an assembled model-checking run: a simulated kernel with
@@ -322,7 +322,7 @@ type Session struct {
 	cfg      mc.Config
 	mem      *memmodel.Model
 	obsHub   *obs.Hub
-	shared   *mc.SharedVisited // session-owned visited table (nil = engine-local exact map)
+	set      *visited.Set // the session's own governed/reduced visited set (nil: the engine's private exact set, or a swarm's)
 
 	crash       bool // crash exploration requested
 	fsckWorkers int
@@ -411,31 +411,17 @@ func NewSession(opts Options) (*Session, error) {
 	if opts.MemBudget > 0 {
 		s.mem.SetBudget(opts.MemBudget, 0, 0)
 	}
-	kind := visited.Kind(opts.Visited)
-	if kind == "" {
-		kind = visited.KindExact
-	}
-	// A non-default backend or an armed budget needs a session-owned
-	// shared table; swarm workers instead receive the swarm-wide table
-	// from the coordinator (swarmShared).
-	if (kind != visited.KindExact || opts.MemBudget > 0) && !opts.swarmShared {
-		tbl, err := visited.NewTable(kind, opts.BitstateBytes)
+	set := opts.shared
+	if set == nil {
+		var err error
+		hubs := []*obs.Hub{opts.Obs}
+		set, err = newGovernedSet(opts.Visited, opts.BitstateBytes, opts.MemBudget,
+			governorHooks(func() []*obs.Hub { return hubs }, opts.Stream, opts.StreamWorker))
 		if err != nil {
 			s.Close()
 			return nil, err
 		}
-		s.shared = mc.NewSharedVisitedTable(tbl)
-		s.shared.AttachMem(s.mem)
-		if opts.MemBudget > 0 {
-			bb := opts.BitstateBytes
-			if bb <= 0 {
-				bb = opts.MemBudget / 4
-			}
-			s.shared.Govern(visited.GovernorConfig{
-				BitstateBytes: bb,
-				Hooks:         governorHooks([]*obs.Hub{opts.Obs}, opts.Stream, opts.StreamWorker),
-			})
-		}
+		s.set = set
 	}
 	s.cfg = mc.Config{
 		Kernel:            k,
@@ -455,7 +441,7 @@ func NewSession(opts Options) (*Session, error) {
 		Perf:              opts.Perf,
 		Stream:            opts.Stream,
 		StreamWorker:      opts.StreamWorker,
-		SharedVisited:     s.shared,
+		Visited:           set,
 	}
 	if opts.CrashExploration {
 		if len(s.crashPlanes) == 0 {
@@ -817,38 +803,67 @@ func (s *Session) trackerFor(point string, ts TargetSpec, vmGroup **tracker.VMGr
 // once per session; build a fresh session for a fresh run.
 func (s *Session) Run() Result {
 	res := mc.Run(s.cfg)
-	if s.shared != nil {
-		// The session-owned table is the authoritative visited set;
+	if s.set != nil {
+		// The session's own set is the authoritative visited knowledge;
 		// export it for resume (reduced-fidelity backends refuse with a
 		// typed error the result carries instead of a snapshot).
-		res.Resume, res.ResumeErr = s.shared.Export()
+		res.Resume, res.ResumeErr = mc.ExportResume(s.set)
 	}
 	return res
+}
+
+// newGovernedSet builds the visited set a reduced-fidelity backend or
+// an armed memory budget calls for: the kind's table, and under a
+// budget a governor that degrades it (the bitstate array a downgrade
+// ends in defaults to a quarter of the budget), reporting through
+// hooks. With the exact kind and no budget there is nothing to build —
+// nil: the engine explores against its private exact set, or a swarm
+// against a plain shared one.
+func newGovernedSet(kind string, bitstateBytes, budget int64, hooks visited.Hooks) (*visited.Set, error) {
+	if (kind == "" || kind == VisitedExact) && budget <= 0 {
+		return nil, nil
+	}
+	tbl, err := visited.NewTable(visited.Kind(kind), bitstateBytes)
+	if err != nil {
+		return nil, err
+	}
+	set := visited.NewSet(tbl)
+	if budget > 0 {
+		if bitstateBytes <= 0 {
+			bitstateBytes = budget / 4
+		}
+		visited.NewGovernor(set, visited.GovernorConfig{BitstateBytes: bitstateBytes, Hooks: hooks})
+	}
+	return set, nil
 }
 
 // governorHooks wires a governor's degradation events into the
 // observability plane: fidelity/omission gauges on every hub, the
 // eviction and downgrade counters on the first non-nil hub only (Merge
 // sums counters across hubs, so billing them everywhere would
-// double-count), and a fidelity-degraded event on the stream bus.
-func governorHooks(hubs []*obs.Hub, bus *Stream, worker int) visited.Hooks {
-	var first *obs.Hub
-	for _, h := range hubs {
-		if h != nil {
-			first = h
-			break
+// double-count), and a fidelity-degraded event on the stream bus. hubs
+// is asked at event time — a swarm's worker hubs exist only once its
+// factory has built them.
+func governorHooks(hubs func() []*obs.Hub, bus *Stream, worker int) visited.Hooks {
+	first := func(hs []*obs.Hub) *obs.Hub {
+		for _, h := range hs {
+			if h != nil {
+				return h
+			}
 		}
+		return nil
 	}
 	return visited.Hooks{
 		OnEvict: func(n, depth int) {
-			first.Counter(obs.MetricVisitedEvictions).Add(int64(n))
+			first(hubs()).Counter(obs.MetricVisitedEvictions).Add(int64(n))
 		},
 		OnDowngrade: func(from, to Fidelity, omission float64) {
-			for _, h := range hubs {
+			hs := hubs()
+			for _, h := range hs {
 				h.Gauge(obs.MetricVisitedFidelity).Set(int64(to))
 				h.Gauge(obs.MetricVisitedOmissionPPM).Set(int64(omission * 1e6))
 			}
-			first.Counter(obs.MetricFidelityDowngrades).Inc()
+			first(hs).Counter(obs.MetricFidelityDowngrades).Inc()
 			bus.Publish(stream.Event{
 				Kind:   stream.KindFidelityDegraded,
 				Worker: worker,
@@ -861,23 +876,23 @@ func governorHooks(hubs []*obs.Hub, bus *Stream, worker int) visited.Hooks {
 // Replay re-executes a trail from the session's current state, returning
 // the first discrepancy (nil when the trail no longer reproduces).
 func (s *Session) Replay(trail []Op) (*Discrepancy, error) {
-	return mc.Replay(s.cfg, trail)
+	return mc.Replay(s.cfg, trail, nil)
 }
 
 // VerifyTrail replays trail and reports whether it reproduces the
 // wanted discrepancy (any discrepancy when want is nil, otherwise one
 // of the same kind).
 func (s *Session) VerifyTrail(trail []Op, want *Discrepancy) (*Discrepancy, bool, error) {
-	return mc.VerifyTrail(s.cfg, trail, want)
+	return mc.VerifyTrail(s.cfg, trail, nil, want)
 }
 
-// VerifyCrashTrail replays a crash-bug trail — the prefix executes
-// normally, then the final operation is crash-tested on the spec'd
-// target at the spec'd write index — and reports whether it reproduces
-// the wanted discrepancy. The session must have been built with
+// VerifyCrashTrail is VerifyTrail for a trail that may be a crash-bug
+// repro: with a non-nil spec the prefix executes normally, then the
+// final operation is crash-tested on the spec'd target at the spec'd
+// write index. The session must then have been built with
 // CrashExploration (the crash planes carry the fault injectors).
 func (s *Session) VerifyCrashTrail(trail []Op, spec *CrashSpec, want *Discrepancy) (*Discrepancy, bool, error) {
-	return mc.VerifyCrashTrail(s.cfg, trail, spec, want)
+	return mc.VerifyTrail(s.cfg, trail, spec, want)
 }
 
 // ReplayJournal re-executes a flight-recorder journal against this
@@ -986,59 +1001,21 @@ func SwarmRun(swarm SwarmOptions, factory func(seed int64) (Options, error)) (Sw
 			s.Close()
 		}
 	}()
-	kind := visited.Kind(swarm.Visited)
-	if kind == "" {
-		kind = visited.KindExact
-	}
-	var shared *mc.SharedVisited
-	if kind != visited.KindExact || swarm.MemBudget > 0 {
-		tbl, err := visited.NewTable(kind, swarm.BitstateBytes)
-		if err != nil {
-			return SwarmResult{BugWorker: -1, ErrWorker: -1}, err
-		}
-		shared = mc.NewSharedVisitedTable(tbl)
-		if swarm.MemBudget > 0 {
-			bb := swarm.BitstateBytes
-			if bb <= 0 {
-				bb = swarm.MemBudget / 4
+	// One swarm-wide set when a reduced backend or a budget asks for it;
+	// its degradation hooks fan out over whichever worker hubs exist by
+	// then.
+	shared, err := newGovernedSet(swarm.Visited, swarm.BitstateBytes, swarm.MemBudget,
+		governorHooks(func() []*obs.Hub {
+			mu.Lock()
+			defer mu.Unlock()
+			hubs := make([]*obs.Hub, len(sessions))
+			for i, s := range sessions {
+				hubs[i] = s.obsHub
 			}
-			// The degradation hooks fan the event out over whichever
-			// worker hubs exist by then — gauges on all (every progress
-			// lane flags the downgrade), counters on one (obs.Merge sums
-			// counters across worker hubs).
-			shared.Govern(visited.GovernorConfig{
-				BitstateBytes: bb,
-				Hooks: visited.Hooks{
-					OnEvict: func(n, _ int) {
-						mu.Lock()
-						defer mu.Unlock()
-						for _, s := range sessions {
-							if s.obsHub != nil {
-								s.obsHub.Counter(obs.MetricVisitedEvictions).Add(int64(n))
-								return
-							}
-						}
-					},
-					OnDowngrade: func(from, to Fidelity, omission float64) {
-						mu.Lock()
-						counted := false
-						for _, s := range sessions {
-							s.obsHub.Gauge(obs.MetricVisitedFidelity).Set(int64(to))
-							s.obsHub.Gauge(obs.MetricVisitedOmissionPPM).Set(int64(omission * 1e6))
-							if s.obsHub != nil && !counted {
-								s.obsHub.Counter(obs.MetricFidelityDowngrades).Inc()
-								counted = true
-							}
-						}
-						mu.Unlock()
-						swarm.Stream.Publish(stream.Event{
-							Kind:   stream.KindFidelityDegraded,
-							Detail: fmt.Sprintf("%s->%s p≈%.3g", from, to, omission),
-						})
-					},
-				},
-			})
-		}
+			return hubs
+		}, swarm.Stream, 0))
+	if err != nil {
+		return SwarmResult{BugWorker: -1, ErrWorker: -1}, err
 	}
 	return mc.SwarmRun(mc.SwarmOptions{
 		Workers:      swarm.Workers,
@@ -1056,9 +1033,9 @@ func SwarmRun(swarm SwarmOptions, factory func(seed int64) (Options, error)) (Sw
 		}
 		opts.Seed = seed
 		if shared != nil {
-			// The swarm owns the one shared table; workers arm their own
-			// memory budgets but must not build per-session tables.
-			opts.swarmShared = true
+			// The swarm owns the one shared set; workers arm their own
+			// memory budgets against it.
+			opts.shared = shared
 			if opts.MemBudget == 0 {
 				opts.MemBudget = swarm.MemBudget
 			}
@@ -1072,19 +1049,6 @@ func SwarmRun(swarm SwarmOptions, factory func(seed int64) (Options, error)) (Sw
 		mu.Unlock()
 		return s.cfg, nil
 	})
-}
-
-// Swarm runs n diversified exploration sessions in parallel and returns
-// the per-worker results in worker order — the original swarm API, now
-// backed by the coordinated SwarmRun (first bug cancels the remaining
-// workers; factory errors drain started workers instead of leaking
-// them).
-func Swarm(n int, factory func(seed int64) (Options, error)) ([]Result, error) {
-	sr, err := SwarmRun(SwarmOptions{Workers: n}, factory)
-	if err != nil {
-		return nil, err
-	}
-	return sr.Workers, nil
 }
 
 // Verify re-checks that all targets currently agree, returning the

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"mcfs"
+	"mcfs/internal/obs"
 	"mcfs/internal/obs/perf"
+	"mcfs/internal/obs/stream"
 	"mcfs/internal/vfs"
 )
 
@@ -268,6 +270,39 @@ func TestFigure3CrashCalibration(t *testing.T) {
 	}
 	if !sawCrashPoints {
 		t.Error("no telemetry sample recorded crash points")
+	}
+}
+
+// TestFigure3SwarmCalibrationReportsDegradation: a budgeted calibration
+// swarm builds its governed set through the same constructor as every
+// other caller, so a downgrade reaches the hub and the stream (the
+// calibration's own copy of that block had forgotten the hooks).
+func TestFigure3SwarmCalibrationReportsDegradation(t *testing.T) {
+	hub := obs.New(obs.Options{})
+	bus := mcfs.NewStream()
+	sub := bus.Subscribe(1 << 14)
+	defer sub.Close()
+	if _, err := mcfs.RunFigure3(mcfs.Figure3Config{
+		Days:               1,
+		Crash:              true, // the ext pair: 256 KiB images starve a 1 MiB budget
+		CalibrationWorkers: 2,
+		MemBudget:          1 << 20,
+		Obs:                hub,
+		Stream:             bus,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n := hub.Snapshot().Counters[obs.MetricFidelityDowngrades]; n == 0 {
+		t.Error("hub counted no fidelity downgrade")
+	}
+	degraded := 0
+	for _, ev := range sub.Drain() {
+		if ev.Kind == stream.KindFidelityDegraded {
+			degraded++
+		}
+	}
+	if degraded == 0 {
+		t.Error("no fidelity-degraded event on the calibration stream")
 	}
 }
 

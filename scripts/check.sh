@@ -15,8 +15,9 @@
 #                                                    independent pairs)
 #   6. replay-determinism smoke: a seeded-bug run   (flight recorder end
 #      writes a repro bundle, mcfs replay must       to end: journal ->
-#      reproduce it, mcfs shrink must minimize it    bundle -> replay ->
-#                                                    shrink)
+#      reproduce it, mcfs shrink must minimize it;   bundle -> replay ->
+#      then the same for a three-target -majority    shrink; run and
+#      run, whose bug only the shared step names     replay are one step)
 #   7. go test -race ./internal/fault/...           (fault plane and the
 #         ./internal/fs/extfs/...                    parallel fsck under
 #                                                    the race detector)
@@ -43,6 +44,9 @@
 #      -mem-budget must complete (exit 0) at          degrades fidelity
 #      reduced visited fidelity instead of dying      instead of dying
 #      out of memory                                  mid-run)
+#  12. event-seam guard: no instrumentation guard    (the explore loop talks
+#      or phase timer in internal/mc outside          to one probe; planes
+#      probe.go and tests                             cannot leak back in)
 #
 # Usage: scripts/check.sh   (from the repo root or anywhere inside it)
 set -eu
@@ -80,6 +84,20 @@ rc=0
 	echo "FAIL: bundle shrink failed"; exit 1; }
 "$work/mcfs" replay "$bundle" >/dev/null || {
 	echo "FAIL: minimized bundle did not reproduce"; exit 1; }
+# Majority voting names this bug "majority-vote" where the pairwise
+# checks say "abstract-state": it reproduces only if replay and shrink
+# judge through the same step as the run.
+majbundle="$work/majbundle"
+rc=0
+"$work/mcfs" -fs ext4 -fs verifs1 -fs verifs2 -bug write-hole-no-zero -majority \
+	-depth 3 -max-ops 5000 -bundle "$majbundle" >/dev/null || rc=$?
+[ "$rc" -eq 3 ] || { echo "FAIL: seeded -majority run exited $rc, want 3 (bug found)"; exit 1; }
+"$work/mcfs" replay "$majbundle" >/dev/null || {
+	echo "FAIL: majority-vote bundle did not reproduce"; exit 1; }
+"$work/mcfs" shrink "$majbundle" >/dev/null || {
+	echo "FAIL: majority-vote bundle shrink failed"; exit 1; }
+"$work/mcfs" replay "$majbundle" >/dev/null || {
+	echo "FAIL: minimized majority-vote bundle did not reproduce"; exit 1; }
 
 echo "==> go test -race ./internal/fault/... ./internal/fs/extfs/..."
 go test -race ./internal/fault/... ./internal/fs/extfs/...
@@ -149,5 +167,10 @@ grep -q 'visited fidelity: *\(compact\|bitstate\)' "$budgetout" || { cat "$budge
 	echo "FAIL: budgeted run did not report degraded visited fidelity"; exit 1; }
 if grep -qi 'out of memory' "$budgetout"; then cat "$budgetout"
 	echo "FAIL: budgeted run still hit the OOM path"; exit 1; fi
+
+echo "==> event-seam guard (instrumentation lives in internal/mc/probe.go only)"
+if grep -n 'eobs != nil\|\.es != nil\|Journal\.Enabled()\|Perf\.Start(' internal/mc/*.go |
+	grep -v '^internal/mc/probe\.go:\|_test\.go:'; then
+	echo "FAIL: instrumentation guard or phase timer outside the probe (see above)"; exit 1; fi
 
 echo "OK: all checks passed"
