@@ -4,11 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"mcfs/internal/bench"
-	"mcfs/internal/mc"
 	"mcfs/internal/mc/visited"
 	"mcfs/internal/memmodel"
 	"mcfs/internal/obs/journal"
@@ -36,10 +34,10 @@ func RunBenchReport(budget int64) (bench.Report, error) {
 		name string
 		run  func(int64) (bench.Scenario, error)
 	}{
-		{"explore-ext2-ext4", benchExploreExtPair},
-		{"explore-ext4-jffs2", benchExploreJFFS2},
+		{"explore-ext2-ext4", benchExplore(Options{Targets: []TargetSpec{{Kind: "ext2"}, {Kind: "ext4"}}, MaxDepth: 4})},
+		{"explore-ext4-jffs2", benchExplore(Options{Targets: []TargetSpec{{Kind: "ext4"}, {Kind: "jffs2"}}, MaxDepth: 4})},
 		{"swarm-shared-visited", benchSwarmShared},
-		{"crash-ext2-ext4", benchCrashExplore},
+		{"crash-ext2-ext4", benchExplore(Options{Targets: []TargetSpec{{Kind: "ext2"}, {Kind: "ext4"}}, MaxDepth: 2, CrashExploration: true})},
 		{"journal-replay", benchJournalReplay},
 		{"states-per-mb-exact", benchStatesPerMBExact},
 		{"states-per-mb-bitstate", benchStatesPerMBBitstate},
@@ -56,7 +54,7 @@ func RunBenchReport(budget int64) (bench.Report, error) {
 
 // benchRun executes one profiled session and folds it into a scenario
 // row.
-func benchRun(opts Options, budget int64) (bench.Scenario, *Session, Result, error) {
+func benchRun(opts Options, budget int64) (bench.Scenario, Result, error) {
 	prof := perf.New(nil)
 	opts.Perf = prof
 	opts.MaxOps = budget
@@ -66,20 +64,19 @@ func benchRun(opts Options, budget int64) (bench.Scenario, *Session, Result, err
 	}
 	s, err := NewSession(opts)
 	if err != nil {
-		return bench.Scenario{}, nil, Result{}, err
+		return bench.Scenario{}, Result{}, err
 	}
+	defer s.Close()
 	res := s.Run()
 	if res.Err != nil {
-		s.Close()
-		return bench.Scenario{}, nil, res, res.Err
+		return bench.Scenario{}, res, res.Err
 	}
 	if res.Bug != nil {
-		s.Close()
-		return bench.Scenario{}, nil, res, fmt.Errorf("unexpected bug: %v", res.Bug.Discrepancy)
+		return bench.Scenario{}, res, fmt.Errorf("unexpected bug: %v", res.Bug.Discrepancy)
 	}
 	row := scenarioRow(res.Ops, res.UniqueStates, res.Elapsed, prof.Snapshot())
 	row.PeakMemBytes = s.MemoryStats().PeakBytes
-	return row, s, res, nil
+	return row, res, nil
 }
 
 // scenarioRow derives a scenario's rates and phase attribution.
@@ -103,41 +100,12 @@ func scenarioRow(ops, unique int64, elapsed time.Duration, snap perf.Snapshot) b
 	return row
 }
 
-func benchExploreExtPair(budget int64) (bench.Scenario, error) {
-	row, s, _, err := benchRun(Options{
-		Targets:  []TargetSpec{{Kind: "ext2"}, {Kind: "ext4"}},
-		MaxDepth: 4,
-	}, budget)
-	if err != nil {
+// benchExplore is the scenario that is nothing but a run spec.
+func benchExplore(opts Options) func(int64) (bench.Scenario, error) {
+	return func(budget int64) (bench.Scenario, error) {
+		row, _, err := benchRun(opts, budget)
 		return row, err
 	}
-	s.Close()
-	return row, nil
-}
-
-func benchExploreJFFS2(budget int64) (bench.Scenario, error) {
-	row, s, _, err := benchRun(Options{
-		Targets:  []TargetSpec{{Kind: "ext4"}, {Kind: "jffs2"}},
-		MaxDepth: 4,
-	}, budget)
-	if err != nil {
-		return row, err
-	}
-	s.Close()
-	return row, nil
-}
-
-func benchCrashExplore(budget int64) (bench.Scenario, error) {
-	row, s, _, err := benchRun(Options{
-		Targets:          []TargetSpec{{Kind: "ext2"}, {Kind: "ext4"}},
-		MaxDepth:         2,
-		CrashExploration: true,
-	}, budget)
-	if err != nil {
-		return row, err
-	}
-	s.Close()
-	return row, nil
 }
 
 // benchSwarmShared measures a two-worker shared-visited swarm. The
@@ -145,35 +113,23 @@ func benchCrashExplore(budget int64) (bench.Scenario, error) {
 // swarm's wall-clock in virtual terms — and the phase shares come from
 // the merged per-worker profile.
 func benchSwarmShared(budget int64) (bench.Scenario, error) {
-	const workers = 2
-	var mu sync.Mutex
-	var sessions []*Session
-	defer func() {
-		mu.Lock()
-		defer mu.Unlock()
+	memCfg := memmodel.DefaultConfig()
+	var peak int64
+	sr, err := runSwarm(Options{
+		Targets:      []TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
+		MaxDepth:     3,
+		MaxOps:       budget,
+		Memory:       &memCfg,
+		Workers:      2,
+		ShareVisited: true,
+	}, func(_ int, o *Options) error {
+		o.Perf = perf.New(nil)
+		return nil
+	}, func(sessions []*Session) {
 		for _, s := range sessions {
-			s.Close()
+			peak = max(peak, s.MemoryStats().PeakBytes)
 		}
-	}()
-	sr, err := mc.SwarmRun(mc.SwarmOptions{Workers: workers, ShareVisited: true},
-		func(seed int64) (mc.Config, error) {
-			memCfg := memmodel.DefaultConfig()
-			s, err := NewSession(Options{
-				Targets:  []TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
-				MaxDepth: 3,
-				MaxOps:   budget,
-				Seed:     seed,
-				Memory:   &memCfg,
-				Perf:     perf.New(nil),
-			})
-			if err != nil {
-				return mc.Config{}, err
-			}
-			mu.Lock()
-			sessions = append(sessions, s)
-			mu.Unlock()
-			return *s.Config(), nil
-		})
+	})
 	if err != nil {
 		return bench.Scenario{}, err
 	}
@@ -183,20 +139,8 @@ func benchSwarmShared(budget int64) (bench.Scenario, error) {
 	if sr.Bug != nil {
 		return bench.Scenario{}, fmt.Errorf("unexpected bug: %v", sr.Bug.Discrepancy)
 	}
-	var maxElapsed time.Duration
-	for _, r := range sr.Workers {
-		if r.Elapsed > maxElapsed {
-			maxElapsed = r.Elapsed
-		}
-	}
-	row := scenarioRow(sr.Ops, sr.GlobalUniqueStates, maxElapsed, sr.Perf)
-	mu.Lock()
-	defer mu.Unlock()
-	for _, s := range sessions {
-		if peak := s.MemoryStats().PeakBytes; peak > row.PeakMemBytes {
-			row.PeakMemBytes = peak
-		}
-	}
+	row := scenarioRow(sr.Ops, sr.GlobalUniqueStates, sr.Elapsed, sr.Perf)
+	row.PeakMemBytes = peak
 	return row, nil
 }
 
@@ -213,11 +157,10 @@ func benchJournalReplay(budget int64) (bench.Scenario, error) {
 	jw := journal.NewWriter(&buf, journal.Options{})
 	recOpts := opts
 	recOpts.Journal = jw
-	row, s, _, err := benchRun(recOpts, budget)
+	row, _, err := benchRun(recOpts, budget)
 	if err != nil {
 		return row, err
 	}
-	s.Close()
 	if err := jw.Close(); err != nil {
 		return row, err
 	}
@@ -265,7 +208,7 @@ func statesPerMB(unique int64) float64 {
 }
 
 func benchStatesPerMBExact(int64) (bench.Scenario, error) {
-	row, s, res, err := benchRun(Options{
+	row, res, err := benchRun(Options{
 		Targets:   []TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
 		MaxDepth:  6,
 		MaxStates: benchStatesPerMBTableBytes / visited.ExactEntryBytes,
@@ -273,13 +216,12 @@ func benchStatesPerMBExact(int64) (bench.Scenario, error) {
 	if err != nil {
 		return row, err
 	}
-	s.Close()
 	row.StatesPerMB = statesPerMB(res.UniqueStates)
 	return row, nil
 }
 
 func benchStatesPerMBBitstate(int64) (bench.Scenario, error) {
-	row, s, res, err := benchRun(Options{
+	row, res, err := benchRun(Options{
 		Targets:       []TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
 		MaxDepth:      6,
 		Visited:       VisitedBitstate,
@@ -288,7 +230,6 @@ func benchStatesPerMBBitstate(int64) (bench.Scenario, error) {
 	if err != nil {
 		return row, err
 	}
-	s.Close()
 	row.StatesPerMB = statesPerMB(res.UniqueStates)
 	row.Fidelity = res.Fidelity.String()
 	row.OmissionProb = res.OmissionProb

@@ -8,7 +8,7 @@
 //
 // Layout (one directory per bug):
 //
-//	config.json    — the run's BundleConfig (targets, depth, seed, ...)
+//	config.json    — the run's Options (targets, depth, seed, ...; attachments omitted)
 //	bug.json       — discrepancy kind/op/details + the full trail
 //	journal.jsonl  — the run's flight-recorder journal (when available)
 //	metrics.json   — obs.Snapshot of the run's instruments (optional)
@@ -38,49 +38,13 @@ const (
 	BundleMinTrailFile = "trail.min.json"
 )
 
-// BundleConfig is the serializable subset of Options a replay needs:
-// enough to rebuild equivalent fresh targets. Custom pools are not
-// carried — trail replay executes recorded operations directly and
-// never consults the pool.
-type BundleConfig struct {
-	Targets                  []TargetSpec `json:"targets"`
-	MaxDepth                 int          `json:"max_depth,omitempty"`
-	MaxOps                   int64        `json:"max_ops,omitempty"`
-	MaxStates                int64        `json:"max_states,omitempty"`
-	Seed                     int64        `json:"seed,omitempty"`
-	MajorityVote             bool         `json:"majority_vote,omitempty"`
-	DisableEqualizeFreeSpace bool         `json:"disable_equalize_free_space,omitempty"`
-	CrashExploration         bool         `json:"crash_exploration,omitempty"`
-	CrashPointsPerOp         int          `json:"crash_points_per_op,omitempty"`
-	Visited                  string       `json:"visited,omitempty"`
-	BitstateBytes            int64        `json:"bitstate_bytes,omitempty"`
-	MemBudget                int64        `json:"mem_budget,omitempty"`
-}
-
-// Options reconstructs session options for replaying the bundle.
-func (c BundleConfig) Options() Options {
-	return Options{
-		Targets:                  c.Targets,
-		MaxDepth:                 c.MaxDepth,
-		MaxOps:                   c.MaxOps,
-		MaxStates:                c.MaxStates,
-		Seed:                     c.Seed,
-		MajorityVote:             c.MajorityVote,
-		DisableEqualizeFreeSpace: c.DisableEqualizeFreeSpace,
-		CrashExploration:         c.CrashExploration,
-		CrashPointsPerOp:         c.CrashPointsPerOp,
-		Visited:                  c.Visited,
-		BitstateBytes:            c.BitstateBytes,
-		MemBudget:                c.MemBudget,
-	}
-}
-
 // Bundle is a loaded bug-repro bundle.
 type Bundle struct {
 	// Dir is the directory the bundle was read from.
 	Dir string
-	// Config rebuilds the run's targets.
-	Config BundleConfig
+	// Config is the run spec: NewSession(Config) rebuilds equivalent
+	// fresh targets.
+	Config Options
 	// Bug is the recorded discrepancy and trail.
 	Bug journal.BugRecord
 	// Trail is Bug.Trail decoded to executable operations.
@@ -99,21 +63,7 @@ func WriteBundle(dir string, opts Options, res Result, journalSrc string, metric
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("mcfs: bundle: %w", err)
 	}
-	cfg := BundleConfig{
-		Targets:                  opts.Targets,
-		MaxDepth:                 opts.MaxDepth,
-		MaxOps:                   opts.MaxOps,
-		MaxStates:                opts.MaxStates,
-		Seed:                     opts.Seed,
-		MajorityVote:             opts.MajorityVote,
-		DisableEqualizeFreeSpace: opts.DisableEqualizeFreeSpace,
-		CrashExploration:         opts.CrashExploration,
-		CrashPointsPerOp:         opts.CrashPointsPerOp,
-		Visited:                  opts.Visited,
-		BitstateBytes:            opts.BitstateBytes,
-		MemBudget:                opts.MemBudget,
-	}
-	if err := writeJSON(filepath.Join(dir, BundleConfigFile), cfg); err != nil {
+	if err := writeJSON(filepath.Join(dir, BundleConfigFile), opts); err != nil {
 		return err
 	}
 	if res.Bug != nil {
@@ -202,7 +152,7 @@ func (b *Bundle) want() *Discrepancy {
 
 // session builds a fresh session from the bundle's config.
 func (b *Bundle) session() (*Session, error) {
-	s, err := NewSession(b.Config.Options())
+	s, err := NewSession(b.Config)
 	if err != nil {
 		return nil, fmt.Errorf("mcfs: bundle: rebuilding targets: %w", err)
 	}
@@ -213,24 +163,21 @@ func (b *Bundle) session() (*Session, error) {
 // present) against fresh targets and reports whether the recorded
 // discrepancy reproduces.
 func (b *Bundle) Replay() (*ReplayOutcome, error) {
-	out := &ReplayOutcome{}
-	s, err := b.session()
-	if err != nil {
-		return nil, err
-	}
-	d, same, err := s.VerifyCrashTrail(b.Trail, b.Bug.Crash, b.want())
-	s.Close()
-	if err != nil {
-		return nil, err
-	}
-	out.Discrepancy, out.Reproduced = d, same
-	if b.MinTrail != nil {
+	verify := func(trail []Op) (*Discrepancy, bool, error) {
 		s, err := b.session()
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		d, same, err := s.VerifyCrashTrail(b.MinTrail, b.Bug.Crash, b.want())
-		s.Close()
+		defer s.Close()
+		return s.VerifyCrashTrail(trail, b.Bug.Crash, b.want())
+	}
+	out := &ReplayOutcome{}
+	var err error
+	if out.Discrepancy, out.Reproduced, err = verify(b.Trail); err != nil {
+		return nil, err
+	}
+	if b.MinTrail != nil {
+		d, same, err := verify(b.MinTrail)
 		if err != nil {
 			return nil, err
 		}

@@ -49,7 +49,6 @@ func bundleFromRun(t *testing.T, opts mcfs.Options) (string, mcfs.Result) {
 		t.Fatal("seeded bug not found")
 	}
 	bundleDir := filepath.Join(dir, "bundle")
-	opts.Journal = nil
 	if err := mcfs.WriteBundle(bundleDir, opts, res, jpath, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +99,7 @@ func TestBundleEndToEnd(t *testing.T) {
 	if len(recs) == 0 {
 		t.Fatal("bundle journal empty")
 	}
-	s, err := mcfs.NewSession(b.Config.Options())
+	s, err := mcfs.NewSession(b.Config)
 	if err != nil {
 		t.Fatal(err)
 	}

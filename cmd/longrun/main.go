@@ -27,66 +27,84 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 
 	"mcfs"
+	"mcfs/cmd/internal/runflag"
 	"mcfs/internal/obs"
 	"mcfs/internal/obs/journal"
 	"mcfs/internal/obs/perf"
 	"mcfs/internal/obs/stream"
 )
 
-func main() {
-	days := flag.Float64("days", 14, "virtual days to simulate")
-	samplesPerDay := flag.Int("samples-per-day", 4, "output samples per day")
-	calWorkers := flag.Int("calibration-workers", 1, "calibrate per-op cost with a swarm of N diversified workers")
-	shareVisited := flag.Bool("share-visited", false, "calibration swarm workers share one visited-state table")
-	visitedMode := flag.String("visited", "", "calibration visited-table backend: exact (default), compact, or bitstate")
-	memBudgetStr := flag.String("mem-budget", "", "calibration memory budget with K/M/G suffix (arms the degradation governor)")
-	bitstateStr := flag.String("bitstate-bytes", "", "bitstate Bloom array size with K/M/G suffix")
-	crash := flag.Bool("crash", false, "calibrate with crash-consistency checking (ext pair) and report the crash hot path")
-	progress := flag.Bool("progress", false, "stream every simulated point to stderr as it is computed")
-	metricsAddr := flag.String("metrics-addr", "", "serve JSON metrics at this address (/metrics); \":0\" picks a port")
-	journalPath := flag.String("journal", "", "flight-record the calibration exploration to this JSONL file")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:])) }
 
-	memBudget, err := parseSize(*memBudgetStr)
+// cli is the parsed command line: the calibration's run spec plus the
+// simulation and reporting switches.
+type cli struct {
+	cal           mcfs.Options
+	days          float64
+	samplesPerDay int
+	progress      bool
+	metricsAddr   string
+	journalPath   string
+}
+
+// bindFlags defines every longrun flag on fs; run-spec flags write
+// straight into the calibration spec.
+func bindFlags(fs *flag.FlagSet) *cli {
+	c := &cli{}
+	runflag.Bind(fs, &c.cal)
+	fs.IntVar(&c.cal.Workers, "calibration-workers", 1, "calibrate per-op cost with a swarm of N diversified workers")
+	fs.Float64Var(&c.days, "days", 14, "virtual days to simulate")
+	fs.IntVar(&c.samplesPerDay, "samples-per-day", 4, "output samples per day")
+	fs.BoolVar(&c.progress, "progress", false, "stream every simulated point to stderr as it is computed")
+	fs.StringVar(&c.metricsAddr, "metrics-addr", "", "serve JSON metrics at this address (/metrics); \":0\" picks a port")
+	fs.StringVar(&c.journalPath, "journal", "", "flight-record the calibration exploration to this JSONL file")
+	return c
+}
+
+// run's return value is the process exit code, so deferred cleanup (the
+// journal's buffered tail above all) still executes on a failure.
+func run(args []string) int {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	c := bindFlags(fs)
+	fs.Parse(args) // ExitOnError: does not return on a bad flag
+	fail := func(code int, err error) int {
+		fmt.Fprintf(os.Stderr, "longrun: %v\n", err)
+		return code
+	}
+	var err error
+	switch {
+	case int(c.days*24) < 1:
+		err = errors.New("-days must cover at least one simulated hour")
+	case c.samplesPerDay < 1:
+		err = errors.New("-samples-per-day must be at least 1")
+	default:
+		err = runflag.CheckDependents(fs)
+	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "longrun: -mem-budget: %v\n", err)
-		os.Exit(2)
+		return fail(2, err)
 	}
-	bitstateBytes, err := parseSize(*bitstateStr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "longrun: -bitstate-bytes: %v\n", err)
-		os.Exit(2)
+
+	cfg := mcfs.Figure3Config{Days: c.days, Calibration: c.cal}
+	cal := &cfg.Calibration
+	if cal.CrashExploration {
+		cal.Perf = perf.New(nil)
 	}
-	cfg := mcfs.Figure3Config{
-		Days:               *days,
-		CalibrationWorkers: *calWorkers,
-		ShareVisited:       *shareVisited,
-		Visited:            *visitedMode,
-		BitstateBytes:      bitstateBytes,
-		MemBudget:          memBudget,
-		Crash:              *crash,
-	}
-	var prof *perf.Profiler
-	if *crash {
-		prof = perf.New(nil)
-		cfg.Perf = prof
-	}
-	if *journalPath != "" {
-		jw, err := journal.Create(*journalPath, journal.Options{})
+	prof := cal.Perf
+	if c.journalPath != "" {
+		jw, err := journal.Create(c.journalPath, journal.Options{})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "longrun: %v\n", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 		defer jw.Close()
-		cfg.Journal = jw
+		cal.Journal = jw
 	}
-	if *progress {
+	if c.progress {
 		cfg.Progress = func(p mcfs.Figure3Point) {
 			line := fmt.Sprintf("progress: day %5.2f  %8.1f ops/s  %6.1f GB swap",
 				p.Day, p.OpsPerSec, p.SwapGB)
@@ -99,13 +117,13 @@ func main() {
 			fmt.Fprintln(os.Stderr, line)
 		}
 	}
-	if *metricsAddr != "" {
+	if c.metricsAddr != "" {
 		hub := obs.New(obs.Options{})
-		cfg.Obs = hub
+		cal.Obs = hub
 		bus := stream.New(stream.Options{})
 		bus.SetObs(hub)
-		cfg.Stream = bus
-		srv, err := obs.ServeMetrics(*metricsAddr, func() any {
+		cal.Stream = bus
+		srv, err := obs.ServeMetrics(c.metricsAddr, func() any {
 			doc := struct {
 				obs.Snapshot
 				Perf *perf.Snapshot `json:"perf,omitempty"`
@@ -118,8 +136,7 @@ func main() {
 			obs.Route{Pattern: "/events", Handler: stream.EventsHandler(bus)},
 			obs.Route{Pattern: "/workers", Handler: stream.WorkersHandler(bus)})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "longrun: %v\n", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "metrics: http://%s/metrics (live: /events, /workers)\n", srv.Addr)
@@ -127,15 +144,11 @@ func main() {
 
 	points, err := mcfs.RunFigure3(cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "longrun: %v\n", err)
-		os.Exit(1)
+		return fail(1, err)
 	}
 	fmt.Println("=== Figure 3: two-week VeriFS1 run ===")
 	fmt.Printf("%8s %12s %10s\n", "day", "ops/s", "swap (GB)")
-	stride := 24 / *samplesPerDay
-	if stride < 1 {
-		stride = 1
-	}
+	stride := max(24/c.samplesPerDay, 1)
 	for i, p := range points {
 		if i%stride != 0 && i != len(points)-1 {
 			continue
@@ -145,48 +158,20 @@ func main() {
 
 	// Phase summary, for quick comparison with the paper's narrative.
 	fmt.Println()
-	var minRate, maxRate float64
-	minDay := 0.0
-	maxRate = points[0].OpsPerSec
-	minRate = points[0].OpsPerSec
+	first, last := points[0], points[len(points)-1]
+	lowest := first
 	for _, p := range points {
-		if p.OpsPerSec > maxRate {
-			maxRate = p.OpsPerSec
-		}
-		if p.OpsPerSec < minRate {
-			minRate = p.OpsPerSec
-			minDay = p.Day
+		if p.OpsPerSec < lowest.OpsPerSec {
+			lowest = p
 		}
 	}
-	last := points[len(points)-1]
 	fmt.Printf("initial rate %.0f ops/s, minimum %.0f ops/s at day %.1f, final %.0f ops/s, final swap %.1f GB\n",
-		points[0].OpsPerSec, minRate, minDay, last.OpsPerSec, last.SwapGB)
+		first.OpsPerSec, lowest.OpsPerSec, lowest.Day, last.OpsPerSec, last.SwapGB)
 	if snap := prof.Snapshot(); snap.Enabled() {
 		fmt.Println("\ncalibration phase profile:")
 		snap.WriteTable(os.Stdout)
 	}
-}
-
-// parseSize parses a byte count with an optional K/M/G suffix ("64M").
-// Empty means zero (use the default).
-func parseSize(s string) (int64, error) {
-	if s == "" {
-		return 0, nil
-	}
-	mult := int64(1)
-	switch s[len(s)-1] {
-	case 'k', 'K':
-		mult, s = 1<<10, s[:len(s)-1]
-	case 'm', 'M':
-		mult, s = 1<<20, s[:len(s)-1]
-	case 'g', 'G':
-		mult, s = 1<<30, s[:len(s)-1]
-	}
-	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("bad size %q (want e.g. 65536, 64K, 8M, 1G)", s)
-	}
-	return n * mult, nil
+	return 0
 }
 
 // crashPointsPerSec derives the calibration run's overall crash-point

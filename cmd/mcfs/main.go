@@ -91,12 +91,12 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"mcfs"
+	"mcfs/cmd/internal/runflag"
 	"mcfs/internal/obs"
 	"mcfs/internal/obs/journal"
 	"mcfs/internal/obs/perf"
@@ -128,288 +128,221 @@ func main() {
 			os.Exit(runShrink(os.Args[2:]))
 		}
 	}
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
+}
+
+// cli is the parsed command line: the run spec, what shapes its targets,
+// and the host-side switches deciding what is attached to the run and
+// reported after it.
+type cli struct {
+	spec          mcfs.Options
+	fsKinds, bugs stringList
+	backing       string
+	noRemount     bool
+
+	progress, top time.Duration
+	stallOps      int64
+	metricsAddr   string
+	journalPath   string
+	bundleDir     string
+	eventsPath    string
+	heatmapPath   string
+	traceDump     bool
+	phaseProfile  bool
+	coverage      bool
+}
+
+// bindFlags defines every mcfs flag on fs; run-spec flags write straight
+// into the spec.
+func bindFlags(fs *flag.FlagSet) *cli {
+	c := &cli{}
+	fs.Var(&c.fsKinds, "fs", "file system under test (repeat; at least two)")
+	fs.Var(&c.bugs, "bug", "seed a named bug into the last -fs target (repeatable)")
+	fs.StringVar(&c.backing, "backing", "ram", "device backing for kernel FSes: ram, ssd, hdd")
+	fs.BoolVar(&c.noRemount, "no-remount", false, "disable per-operation remounts for kernel FSes")
+	runflag.Bind(fs, &c.spec)
+	fs.IntVar(&c.spec.MaxDepth, "depth", 3, "maximum operation-sequence depth")
+	fs.Int64Var(&c.spec.MaxOps, "max-ops", 100000, "operation budget (0 = unlimited)")
+	fs.Int64Var(&c.spec.MaxStates, "max-states", 0, "unique-state budget (0 = unlimited)")
+	fs.Int64Var(&c.spec.Seed, "seed", 0, "search-order seed (0 = deterministic enumeration)")
+	fs.BoolVar(&c.spec.MajorityVote, "majority", false, "with 3+ targets, identify the deviating minority (majority voting)")
+	fs.IntVar(&c.spec.CrashPointsPerOp, "crash-points", 0, "max crash points sampled per operation (0 = default)")
+	fs.IntVar(&c.spec.FsckWorkers, "fsck-workers", 0, "worker pool size for the parallel post-recovery fsck (0 = GOMAXPROCS)")
+	fs.IntVar(&c.spec.Workers, "swarm", 0, "run N diversified workers in parallel (0 = single engine)")
+	fs.IntVar(&c.spec.Parallelism, "parallelism", 0, "max swarm workers running at once (0 = min(N, GOMAXPROCS))")
+	fs.DurationVar(&c.progress, "progress", 0, "print a status line per engine at this wall-clock interval (0 = off)")
+	fs.Int64Var(&c.stallOps, "stall-ops", 0, "warn when this many ops pass without a novel state (needs -progress)")
+	fs.StringVar(&c.metricsAddr, "metrics-addr", "", "serve JSON metrics at this address (/metrics, /debug/pprof/); \":0\" picks a port")
+	fs.BoolVar(&c.traceDump, "trace-dump", false, "dump the cross-layer span trace of a reported bug trail (plus the perf phase profile)")
+	fs.BoolVar(&c.phaseProfile, "phase-profile", false, "print the engine phase-time breakdown table at end of run")
+	fs.BoolVar(&c.coverage, "coverage", false, "print the per-(operation, errno) outcome matrix")
+	fs.StringVar(&c.journalPath, "journal", "", "record the flight-recorder journal to this JSONL file")
+	fs.StringVar(&c.bundleDir, "bundle", "", "write a bug-repro bundle to this directory when a discrepancy is found")
+	fs.StringVar(&c.eventsPath, "events", "", "record the live exploration event stream to this NDJSON file")
+	fs.DurationVar(&c.top, "top", 0, "refresh a live per-worker status view at this wall-clock interval (0 = off)")
+	fs.StringVar(&c.heatmapPath, "crash-heatmap", "", "write the aggregated crash-verdict heatmap (rows = ops, cols = write index) to this JSON file; needs -crash")
+	return c
 }
 
 // run is the default (checking) mode; its return value is the process
 // exit code, so deferred cleanup (journal close, temp files, metrics
 // server) still executes.
-func run() int {
-	var fsKinds, bugs stringList
-	flag.Var(&fsKinds, "fs", "file system under test (repeat; at least two)")
-	flag.Var(&bugs, "bug", "seed a named bug into the last -fs target (repeatable)")
-	depth := flag.Int("depth", 3, "maximum operation-sequence depth")
-	maxOps := flag.Int64("max-ops", 100000, "operation budget (0 = unlimited)")
-	maxStates := flag.Int64("max-states", 0, "unique-state budget (0 = unlimited)")
-	seed := flag.Int64("seed", 0, "search-order seed (0 = deterministic enumeration)")
-	backing := flag.String("backing", "ram", "device backing for kernel FSes: ram, ssd, hdd")
-	noRemount := flag.Bool("no-remount", false, "disable per-operation remounts for kernel FSes")
-	crash := flag.Bool("crash", false, "crash-test each operation's write window (ext2/ext4/jffs2 targets)")
-	crashPoints := flag.Int("crash-points", 0, "max crash points sampled per operation (0 = default)")
-	fsckWorkers := flag.Int("fsck-workers", 0, "worker pool size for the parallel post-recovery fsck (0 = GOMAXPROCS)")
-	swarm := flag.Int("swarm", 0, "run N diversified workers in parallel (0 = single engine)")
-	shareVisited := flag.Bool("share-visited", false, "swarm workers share one visited-state table (prune peer-explored states)")
-	parallelism := flag.Int("parallelism", 0, "max swarm workers running at once (0 = min(N, GOMAXPROCS))")
-	visitedMode := flag.String("visited", "", "visited-table backend: exact (default), compact, or bitstate")
-	memBudgetStr := flag.String("mem-budget", "", "memory budget with K/M/G suffix (e.g. 64M); arms the degradation governor")
-	bitstateStr := flag.String("bitstate-bytes", "", "bitstate Bloom array size with K/M/G suffix (default: budget/4 or 8M)")
-	majority := flag.Bool("majority", false, "with 3+ targets, identify the deviating minority (majority voting)")
-	progress := flag.Duration("progress", 0, "print a status line per engine at this wall-clock interval (0 = off)")
-	stallOps := flag.Int64("stall-ops", 0, "warn when this many ops pass without a novel state (needs -progress)")
-	metricsAddr := flag.String("metrics-addr", "", "serve JSON metrics at this address (/metrics, /debug/pprof/); \":0\" picks a port")
-	traceDump := flag.Bool("trace-dump", false, "dump the cross-layer span trace of a reported bug trail (plus the perf phase profile)")
-	phaseProfile := flag.Bool("phase-profile", false, "print the engine phase-time breakdown table at end of run")
-	coverage := flag.Bool("coverage", false, "print the per-(operation, errno) outcome matrix")
-	journalPath := flag.String("journal", "", "record the flight-recorder journal to this JSONL file")
-	bundleDir := flag.String("bundle", "", "write a bug-repro bundle to this directory when a discrepancy is found")
-	eventsPath := flag.String("events", "", "record the live exploration event stream to this NDJSON file")
-	top := flag.Duration("top", 0, "refresh a live per-worker status view at this wall-clock interval (0 = off)")
-	heatmapPath := flag.String("crash-heatmap", "", "write the aggregated crash-verdict heatmap (rows = ops, cols = write index) to this JSON file; needs -crash")
-	flag.Parse()
-
-	if len(fsKinds) < 2 {
+func run(args []string) int {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	c := bindFlags(fs)
+	fs.Parse(args) // ExitOnError: does not return on a bad flag
+	fail := func(code int, err error) int {
+		fmt.Fprintf(os.Stderr, "mcfs: %v\n", err)
+		return code
+	}
+	if len(c.fsKinds) < 2 {
 		fmt.Fprintln(os.Stderr, "mcfs: need at least two -fs targets")
-		flag.Usage()
+		fs.Usage()
 		return 2
 	}
-	memBudget, err := parseSize(*memBudgetStr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mcfs: -mem-budget: %v\n", err)
-		return 2
+	if err := runflag.CheckDependents(fs); err != nil {
+		return fail(2, err)
 	}
-	bitstateBytes, err := parseSize(*bitstateStr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mcfs: -bitstate-bytes: %v\n", err)
-		return 2
+	spec, swarm := c.spec, c.spec.Workers > 0
+	spec.Targets = make([]mcfs.TargetSpec, len(c.fsKinds))
+	for i, kind := range c.fsKinds {
+		spec.Targets[i] = mcfs.TargetSpec{
+			Kind:                kind,
+			Backing:             mcfs.Backing(c.backing),
+			DisablePerOpRemount: c.noRemount,
+		}
 	}
+	spec.Targets[len(spec.Targets)-1].Bugs = c.bugs
 
 	// Observability stays fully off (nil hub, zero overhead) unless a
 	// flag needs it. Phase profiling likewise: a nil profiler costs one
 	// branch per phase boundary. The event stream follows the same rule:
 	// a nil bus costs one branch per emit site.
-	obsOn := *progress > 0 || *metricsAddr != "" || *traceDump || *bundleDir != "" || *top > 0
-	perfOn := *phaseProfile || *metricsAddr != "" || *traceDump
-	streamOn := *eventsPath != "" || *top > 0 || *metricsAddr != ""
-
-	var bus *stream.Bus
-	if streamOn {
-		bus = stream.New(stream.Options{})
+	obsOn := c.progress > 0 || c.metricsAddr != "" || c.traceDump || c.bundleDir != "" || c.top > 0
+	perfOn := c.phaseProfile || c.metricsAddr != "" || c.traceDump
+	if c.eventsPath != "" || c.top > 0 || c.metricsAddr != "" {
+		spec.Stream = stream.New(stream.Options{})
 	}
+	bus := spec.Stream
 
 	// The flight recorder journals to -journal; a -bundle without an
 	// explicit journal records to a scratch file so the bundle still
 	// ships one.
-	jpath := *journalPath
-	if jpath == "" && *bundleDir != "" {
+	jpath := c.journalPath
+	if jpath == "" && c.bundleDir != "" {
 		f, err := os.CreateTemp("", "mcfs-journal-*.jsonl")
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mcfs: %v\n", err)
-			return 1
+			return fail(1, err)
 		}
 		f.Close()
 		jpath = f.Name()
 		defer os.Remove(jpath)
 	}
-	var jw *journal.Writer
 	if jpath != "" {
-		var err error
-		if jw, err = journal.Create(jpath, journal.Options{}); err != nil {
-			fmt.Fprintf(os.Stderr, "mcfs: %v\n", err)
-			return 1
+		jw, err := journal.Create(jpath, journal.Options{})
+		if err != nil {
+			return fail(1, err)
 		}
 		defer jw.Close()
+		spec.Journal = jw
 	}
 
-	buildOptions := func(hub *obs.Hub, prof *perf.Profiler) mcfs.Options {
-		targets := make([]mcfs.TargetSpec, len(fsKinds))
-		for i, kind := range fsKinds {
-			targets[i] = mcfs.TargetSpec{
-				Kind:                kind,
-				Backing:             mcfs.Backing(*backing),
-				DisablePerOpRemount: *noRemount,
-			}
-		}
-		targets[len(targets)-1].Bugs = bugs
-		return mcfs.Options{
-			Targets:          targets,
-			MaxDepth:         *depth,
-			MaxOps:           *maxOps,
-			MaxStates:        *maxStates,
-			Seed:             *seed,
-			MajorityVote:     *majority,
-			CrashExploration: *crash,
-			CrashPointsPerOp: *crashPoints,
-			FsckWorkers:      *fsckWorkers,
-			Obs:              hub,
-			Perf:             prof,
-			Visited:          *visitedMode,
-			BitstateBytes:    bitstateBytes,
-			MemBudget:        memBudget,
-		}
-	}
-
-	// One hub and profiler per engine: the single-run case gets one
-	// "main" lane, a swarm gets one lane per worker so the progress
-	// report shows every worker's depth/states/rate separately.
-	nEngines := *swarm
-	if nEngines <= 0 {
-		nEngines = 1
-	}
-	var hubs []*obs.Hub
+	// One hub and profiler per engine (nil entries when off): the
+	// single-run case gets one "main" lane, a swarm gets one lane per
+	// worker so the progress report shows every worker's
+	// depth/states/rate separately.
+	hubs := make([]*obs.Hub, max(spec.Workers, 1))
+	perfs := make([]*perf.Profiler, len(hubs))
 	var lanes []obs.Lane
-	if obsOn {
-		hubs = make([]*obs.Hub, nEngines)
-		for i := range hubs {
+	for i := range hubs {
+		if obsOn {
 			hubs[i] = obs.New(obs.Options{})
 			name := "main"
-			if *swarm > 0 {
+			if swarm {
 				name = fmt.Sprintf("w%d", i+1)
 			}
 			lanes = append(lanes, obs.Lane{Name: name, Hub: hubs[i]})
 		}
-	}
-	if bus != nil && obsOn {
-		// Surface ring-overflow drops as obs.stream.dropped on the first
-		// hub (merged snapshots sum it in with everything else).
-		bus.SetObs(hubs[0])
-	}
-	var perfs []*perf.Profiler
-	if perfOn {
-		perfs = make([]*perf.Profiler, nEngines)
-		for i := range perfs {
+		if perfOn {
 			perfs[i] = perf.New(nil) // sessions rebase onto their virtual clocks
 		}
 	}
+	// Surface ring-overflow drops as obs.stream.dropped on the first hub
+	// (merged snapshots sum it in with everything else).
+	bus.SetObs(hubs[0])
+	// attach gives engine number worker (1-based) its hub and profiler.
+	attach := func(worker int, o *mcfs.Options) error {
+		o.Obs, o.Perf = hubs[worker-1], perfs[worker-1]
+		return nil
+	}
+	// mergedHubs merges every engine's instruments.
+	mergedHubs := func() obs.Snapshot {
+		snaps := make([]obs.Snapshot, len(hubs))
+		for i, h := range hubs {
+			snaps[i] = h.Snapshot()
+		}
+		return obs.Merge(snaps...)
+	}
 	// mergedPerf folds the per-engine phase profiles into one snapshot
 	// (telemetry samples survive only in the single-engine case).
-	mergedPerf := func() *perf.Snapshot {
-		if !perfOn {
-			return nil
-		}
+	mergedPerf := func() (merged perf.Snapshot) {
 		if len(perfs) == 1 {
-			s := perfs[0].Snapshot()
-			return &s
+			return perfs[0].Snapshot()
 		}
-		var merged perf.Snapshot
 		for _, p := range perfs {
 			merged = merged.Merge(p.Snapshot())
 		}
-		return &merged
+		return merged
 	}
 
-	if *metricsAddr != "" {
-		srv, err := obs.ServeMetrics(*metricsAddr, func() any {
-			snaps := make([]obs.Snapshot, len(hubs))
-			for i, h := range hubs {
-				snaps[i] = h.Snapshot()
-			}
-			return metricsDoc{Snapshot: obs.Merge(snaps...), Perf: mergedPerf()}
+	if c.metricsAddr != "" {
+		srv, err := obs.ServeMetrics(c.metricsAddr, func() any {
+			p := mergedPerf()
+			return metricsDoc{Snapshot: mergedHubs(), Perf: &p}
 		},
 			obs.Route{Pattern: "/events", Handler: stream.EventsHandler(bus)},
 			obs.Route{Pattern: "/workers", Handler: stream.WorkersHandler(bus)},
 		)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mcfs: %v\n", err)
-			return 1
+			return fail(1, err)
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "metrics: http://%s/metrics (live: /events, /workers)\n", srv.Addr)
 	}
-
-	if *eventsPath != "" {
-		stopSink, err := startEventSink(bus, *eventsPath)
+	if c.eventsPath != "" {
+		stopSink, err := startEventSink(bus, c.eventsPath)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mcfs: %v\n", err)
-			return 1
+			return fail(1, err)
 		}
 		defer stopSink()
 	}
-	if *top > 0 {
-		stopTop := startTopView(bus, hubs, *swarm > 0, *top)
-		defer stopTop()
+	if c.top > 0 {
+		defer startTopView(bus, hubs, swarm, c.top)()
 	}
 
-	// writeHeatmap dumps the aggregated crash-verdict heatmap artifact
-	// and renders its text grid (no-op without -crash-heatmap; a nil
-	// heatmap — run without -crash — yields an empty artifact).
-	writeHeatmap := func(hm *stream.Heatmap) {
-		if *heatmapPath == "" {
-			return
-		}
-		snap := hm.Snapshot()
-		data, err := json.MarshalIndent(snap, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*heatmapPath, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mcfs: crash heatmap: %v\n", err)
-			return
-		}
-		fmt.Println()
-		snap.WriteTable(os.Stdout)
-		fmt.Fprintf(os.Stderr, "crash heatmap written to %s\n", *heatmapPath)
-	}
-
-	reporter := obs.NewReporter(os.Stderr, *progress, lanes)
-	if *swarm > 0 {
+	reporter := obs.NewReporter(os.Stderr, c.progress, lanes)
+	if swarm {
 		reporter.SetAggregate("swarm")
 	}
-	reporter.SetStallThreshold(*stallOps)
+	reporter.SetStallThreshold(c.stallOps)
 	reporter.Start()
 	defer reporter.Stop()
 
-	// metricsSnap merges every engine's instruments for the bundle.
-	metricsSnap := func() *obs.Snapshot {
-		if !obsOn {
-			return nil
-		}
-		snaps := make([]obs.Snapshot, len(hubs))
-		for i, h := range hubs {
-			snaps[i] = h.Snapshot()
-		}
-		merged := obs.Merge(snaps...)
-		return &merged
-	}
-
-	// writeBundle closes the journal (flushing it) and dumps the
-	// bug-repro bundle for res, whose run used opts.
-	writeBundle := func(opts mcfs.Options, res mcfs.Result) {
-		if err := jw.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "mcfs: journal: %v\n", err)
-		}
-		opts.Obs, opts.Journal, opts.Perf, opts.Stream = nil, nil, nil, nil
-		if err := mcfs.WriteBundle(*bundleDir, opts, res, jpath, metricsSnap()); err != nil {
-			fmt.Fprintf(os.Stderr, "mcfs: %v\n", err)
-			return
-		}
-		fmt.Fprintf(os.Stderr, "repro bundle written to %s\n", *bundleDir)
-	}
-
-	if *swarm > 0 {
-		sr, err := mcfs.SwarmRun(mcfs.SwarmOptions{
-			Workers:       *swarm,
-			Parallelism:   *parallelism,
-			ShareVisited:  *shareVisited,
-			Visited:       *visitedMode,
-			BitstateBytes: bitstateBytes,
-			MemBudget:     memBudget,
-			Journal:       jw,
-			Stream:        bus,
-		}, func(seed int64) (mcfs.Options, error) {
-			var hub *obs.Hub
-			if obsOn {
-				hub = hubs[seed-1]
-			}
-			var prof *perf.Profiler
-			if perfOn {
-				prof = perfs[seed-1]
-			}
-			return buildOptions(hub, prof), nil
-		})
+	// A run leaves one result that decides the exit code and feeds the
+	// bundle — the session's, or in a swarm the bug (else failed)
+	// worker's — plus the (merged) views the tail below renders.
+	var (
+		final    mcfs.Result
+		coverage mcfs.Coverage
+		crash    mcfs.CrashStats
+		phases   perf.Snapshot
+		heatmap  *stream.Heatmap
+	)
+	if swarm {
+		sr, err := mcfs.SwarmRun(spec, attach)
 		reporter.Stop()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mcfs: %v\n", err)
-			return 1
+			return fail(1, err)
 		}
 		for i, res := range sr.Workers {
 			fmt.Printf("--- worker %d ---\n", i+1)
@@ -417,7 +350,7 @@ func run() int {
 				fmt.Printf("stopped early after %d ops (peer found a bug or failed)\n", res.Ops)
 				continue
 			}
-			printResult(res, *traceDump)
+			printResult(res, c.traceDump)
 		}
 		fmt.Printf("--- swarm (merged) ---\n")
 		fmt.Printf("operations executed:  %d\n", sr.Ops)
@@ -434,97 +367,81 @@ func run() int {
 				sr.BugWorker+1, sr.Bug.OpsExecuted, sr.Bug.Discrepancy)
 			fmt.Printf("trail:\n%s", trailOf(sr.Bug))
 		}
-		if *coverage {
-			printCoverage(sr.Coverage, sr.Crash)
+		// The bug (else failed) worker's spec — its seed included — is what
+		// a replay must rebuild; SwarmRun assigned it seed worker+1.
+		w := sr.BugWorker
+		if w < 0 {
+			w = sr.ErrWorker
 		}
-		printPerf(sr.Perf, *phaseProfile, *traceDump)
-		writeHeatmap(sr.CrashHeatmap)
-		if sr.Bug != nil {
-			if *bundleDir != "" {
-				// The bug worker's options (its seed included) are what a
-				// replay must rebuild; SwarmRun assigned it seed worker+1.
-				opts := buildOptions(nil, nil)
-				opts.Seed = int64(sr.BugWorker + 1)
-				writeBundle(opts, sr.Workers[sr.BugWorker])
-			}
-			return 3
+		if w >= 0 {
+			final, spec.Seed = sr.Workers[w], int64(w+1)
 		}
-		if sr.Err != nil {
-			if *bundleDir != "" && sr.ErrWorker >= 0 {
-				// A run that died (out of memory, say) still leaves its
-				// evidence: config, journal, metrics — just no bug.json.
-				opts := buildOptions(nil, nil)
-				opts.Seed = int64(sr.ErrWorker + 1)
-				writeBundle(opts, sr.Workers[sr.ErrWorker])
-			}
-			return 1
+		coverage, crash, phases, heatmap = sr.Coverage, sr.Crash, sr.Perf, sr.CrashHeatmap
+	} else {
+		_ = attach(1, &spec) // cannot fail
+		session, err := mcfs.NewSession(spec)
+		if err != nil {
+			return fail(1, err)
 		}
+		defer session.Close()
+		final = session.Run()
+		reporter.Stop()
+		printResult(final, c.traceDump)
+		fmt.Printf("syscalls executed: %d\n", session.Kernel().SyscallCount())
+		coverage, crash, phases, heatmap = final.Coverage, final.Crash, mergedPerf(), final.CrashHeatmap
+	}
+
+	if c.coverage {
+		printCoverage(coverage, crash)
+	}
+	printPerf(phases, c.phaseProfile, c.traceDump)
+	if c.heatmapPath != "" {
+		if err := writeHeatmap(heatmap, c.heatmapPath); err != nil {
+			fmt.Fprintf(os.Stderr, "mcfs: crash heatmap: %v\n", err)
+		}
+	}
+	if final.Bug == nil && final.Err == nil {
 		return 0
 	}
-
-	var hub *obs.Hub
-	if obsOn {
-		hub = hubs[0]
-	}
-	var prof *perf.Profiler
-	if perfOn {
-		prof = perfs[0]
-	}
-	opts := buildOptions(hub, prof)
-	opts.Journal = jw
-	opts.Stream = bus
-	session, err := mcfs.NewSession(opts)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mcfs: %v\n", err)
-		return 1
-	}
-	defer session.Close()
-	res := session.Run()
-	reporter.Stop()
-	printResult(res, *traceDump)
-	fmt.Printf("syscalls executed: %d\n", session.Kernel().SyscallCount())
-	if *coverage {
-		printCoverage(res.Coverage, res.Crash)
-	}
-	if p := mergedPerf(); p != nil {
-		printPerf(*p, *phaseProfile, *traceDump)
-	}
-	writeHeatmap(res.CrashHeatmap)
-	if res.Bug != nil {
-		if *bundleDir != "" {
-			writeBundle(opts, res)
+	if c.bundleDir != "" {
+		// A run that died (out of memory, say) still leaves its evidence:
+		// config, journal, metrics — just no bug.json. Closing the journal
+		// flushes it for the copy.
+		if err := spec.Journal.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "mcfs: journal: %v\n", err)
 		}
+		var metrics *obs.Snapshot
+		if obsOn {
+			m := mergedHubs()
+			metrics = &m
+		}
+		if err := mcfs.WriteBundle(c.bundleDir, spec, final, jpath, metrics); err != nil {
+			fmt.Fprintf(os.Stderr, "mcfs: %v\n", err)
+		} else {
+			fmt.Fprintf(os.Stderr, "repro bundle written to %s\n", c.bundleDir)
+		}
+	}
+	if final.Bug != nil {
 		return 3
 	}
-	if res.Err != nil {
-		if *bundleDir != "" {
-			writeBundle(opts, res)
-		}
-		return 1
-	}
-	return 0
+	return 1
 }
 
-// parseSize parses a byte count with an optional K/M/G suffix ("64M").
-// Empty means zero (use the default).
-func parseSize(s string) (int64, error) {
-	if s == "" {
-		return 0, nil
+// writeHeatmap dumps the aggregated crash-verdict heatmap artifact to
+// path and renders its text grid.
+func writeHeatmap(hm *stream.Heatmap, path string) error {
+	snap := hm.Snapshot()
+	data, err := json.MarshalIndent(snap, "", "  ")
+	if err != nil {
+		return err
 	}
-	mult := int64(1)
-	switch s[len(s)-1] {
-	case 'k', 'K':
-		mult, s = 1<<10, s[:len(s)-1]
-	case 'm', 'M':
-		mult, s = 1<<20, s[:len(s)-1]
-	case 'g', 'G':
-		mult, s = 1<<30, s[:len(s)-1]
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return err
 	}
-	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("bad size %q (want e.g. 65536, 64K, 8M, 1G)", s)
-	}
-	return n * mult, nil
+	fmt.Println()
+	snap.WriteTable(os.Stdout)
+	fmt.Fprintf(os.Stderr, "crash heatmap written to %s\n", path)
+	return nil
 }
 
 // runReplay implements "mcfs replay <bundle-dir>": re-execute the
@@ -573,7 +490,7 @@ func runReplay(args []string) int {
 		return 1
 	}
 	if len(recs) > 0 {
-		s, err := mcfs.NewSession(b.Config.Options())
+		s, err := mcfs.NewSession(b.Config)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mcfs replay: %v\n", err)
 			return 1

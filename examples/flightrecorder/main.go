@@ -64,7 +64,6 @@ func main() {
 		res.Bug.Discrepancy.Kind, res.Bug.OpsExecuted, len(res.Bug.Trail))
 
 	// 2. Dump the bug-repro bundle: config + bug + trail + journal.
-	opts.Journal = nil
 	if err := mcfs.WriteBundle(bundleDir, opts, res, jpath, nil); err != nil {
 		log.Fatal(err)
 	}
@@ -86,7 +85,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	s2, err := mcfs.NewSession(b.Config.Options())
+	s2, err := mcfs.NewSession(b.Config)
 	if err != nil {
 		log.Fatal(err)
 	}

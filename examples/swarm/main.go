@@ -48,22 +48,19 @@ func main() {
 	reporter.SetAggregate("swarm")
 	reporter.SetStallThreshold(10000)
 
-	factory := func(seed int64) (mcfs.Options, error) {
-		return mcfs.Options{
-			Targets: []mcfs.TargetSpec{
-				{Kind: "verifs1"},
-				{Kind: "verifs2", Bugs: []string{mcfs.BugSizeUpdateOnOverflow}},
-			},
-			MaxDepth: 3,
-			MaxOps:   1500, // deliberately small per-worker budget
-			Obs:      hubs[seed-1],
-		}, nil
-	}
-
-	sr, err := mcfs.SwarmRun(mcfs.SwarmOptions{
+	sr, err := mcfs.SwarmRun(mcfs.Options{
+		Targets: []mcfs.TargetSpec{
+			{Kind: "verifs1"},
+			{Kind: "verifs2", Bugs: []string{mcfs.BugSizeUpdateOnOverflow}},
+		},
+		MaxDepth:     3,
+		MaxOps:       1500, // deliberately small per-worker budget
 		Workers:      workers,
 		ShareVisited: true,
-	}, factory)
+	}, func(worker int, o *mcfs.Options) error {
+		o.Obs = hubs[worker-1]
+		return nil
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

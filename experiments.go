@@ -2,14 +2,9 @@ package mcfs
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
-	"mcfs/internal/mc"
 	"mcfs/internal/memmodel"
-	"mcfs/internal/obs"
-	"mcfs/internal/obs/journal"
-	"mcfs/internal/obs/perf"
 )
 
 // This file regenerates the paper's evaluation (§6): Figure 2's
@@ -221,78 +216,36 @@ type Figure3Config struct {
 	// Progress, when non-nil, receives every simulated point as it is
 	// computed, letting callers stream the multi-day series live.
 	Progress func(Figure3Point)
-	// Obs, when non-nil, is threaded into the calibration exploration and
-	// tracks the simulated series as gauges ("figure3.day" in hours,
-	// "figure3.ops_per_sec", "figure3.swap_gb").
-	Obs *obs.Hub
-	// CalibrationWorkers, when > 1, calibrates BasePerOp with a
-	// coordinated swarm of diversified workers instead of one run,
-	// averaging the per-operation cost over every worker's exploration.
-	CalibrationWorkers int
-	// ShareVisited makes the calibration swarm share one visited table
-	// (workers skip states their peers already expanded).
-	ShareVisited bool
-	// Journal, when non-nil, flight-records the calibration exploration
-	// (every worker, in swarm mode) so even the long-run pipeline leaves
-	// a replayable artifact.
-	Journal *journal.Writer
-	// Crash calibrates with crash-consistency checking enabled. Crash
-	// probing needs a crash plane (snapshotable media), which the
-	// FUSE-backed VeriFS pair does not expose, so the crash calibration
-	// runs the ext2-vs-ext4 pair instead — the configuration whose fsck
-	// and power-cycle costs the profiler is there to surface.
-	Crash bool
-	// Perf, when non-nil, is threaded into the calibration exploration
-	// (the first worker, in swarm mode) so long runs can report phase
-	// shares and crash-point rates alongside the simulated series.
-	Perf *perf.Profiler
-	// Stream, when non-nil, receives the calibration exploration's live
-	// event feed (every worker, in swarm mode) so long runs can serve
-	// /events and /workers next to /metrics.
-	Stream *Stream
-	// Visited selects the calibration run's visited-table backend
-	// ("exact", "compact", "bitstate" — see Options.Visited); the
-	// multi-day simulation itself is analytic and unaffected.
-	Visited string
-	// BitstateBytes sizes the bitstate Bloom array (see
-	// Options.BitstateBytes).
-	BitstateBytes int64
-	// MemBudget arms the calibration run's memory governor (see
-	// Options.MemBudget).
-	MemBudget int64
+	// Calibration is the run spec of the short real exploration that
+	// measures BasePerOp; the multi-day simulation itself is analytic.
+	// Targets, MaxDepth and MaxOps are the calibration's own — the VeriFS
+	// pair, or with CrashExploration the ext2-vs-ext4 pair (crash probing
+	// needs a crash plane, which the FUSE-backed VeriFS pair does not
+	// expose) — and every other field applies as in NewSession, or with
+	// Workers > 1 as in SwarmRun: the per-operation cost then averages
+	// over a coordinated swarm, whose first worker carries Obs and Perf.
+	// Obs additionally tracks the simulated series as gauges
+	// ("figure3.day" in hours, "figure3.ops_per_sec", "figure3.swap_gb").
+	Calibration Options
 }
 
 // measureBasePerOp runs a short real exploration to extract the base
-// per-operation cost and concrete-state size for Figure 3 — the VeriFS
-// pair normally, the crash-plane-capable ext pair in crash mode. With
-// workers > 1 the measurement is a coordinated swarm and the per-op
+// per-operation cost and concrete-state size for Figure 3. With
+// cal.Workers > 1 the measurement is a coordinated swarm and the per-op
 // cost averages over every worker's (virtual) exploration time.
-func measureBasePerOp(cfg Figure3Config) (time.Duration, int64, error) {
-	hub, jw := cfg.Obs, cfg.Journal
-	workers, share := cfg.CalibrationWorkers, cfg.ShareVisited
-	calOptions := func(seed int64) Options {
-		o := Options{
-			Targets:       []TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
-			MaxDepth:      4,
-			MaxOps:        400,
-			Seed:          seed,
-			Visited:       cfg.Visited,
-			BitstateBytes: cfg.BitstateBytes,
-			MemBudget:     cfg.MemBudget,
-		}
-		if cfg.Crash {
-			o.Targets = []TargetSpec{{Kind: "ext2"}, {Kind: "ext4"}}
-			o.CrashExploration = true
-		}
-		return o
+func measureBasePerOp(cal Options) (time.Duration, int64, error) {
+	cal.Targets = []TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}}
+	if cal.CrashExploration {
+		cal.Targets = []TargetSpec{{Kind: "ext2"}, {Kind: "ext4"}}
 	}
-	if workers <= 1 {
-		o := calOptions(0)
-		o.Obs = hub
-		o.Journal = jw
-		o.Perf = cfg.Perf
-		o.Stream = cfg.Stream
-		s, err := NewSession(o)
+	cal.MaxDepth, cal.MaxOps = 4, 400
+	var (
+		ops        int64
+		elapsed    time.Duration
+		stateBytes int64
+	)
+	if cal.Workers <= 1 {
+		s, err := NewSession(cal)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -301,65 +254,35 @@ func measureBasePerOp(cfg Figure3Config) (time.Duration, int64, error) {
 		if res.Err != nil {
 			return 0, 0, res.Err
 		}
-		if res.Ops == 0 {
-			return 0, 0, fmt.Errorf("mcfs: figure 3 measurement executed no ops")
-		}
-		return res.Elapsed / time.Duration(res.Ops), sessionStateBytes(s), nil
-	}
-
-	var mu sync.Mutex
-	var sessions []*Session
-	defer func() {
-		mu.Lock()
-		defer mu.Unlock()
-		for _, s := range sessions {
-			s.Close()
-		}
-	}()
-	// A reduced backend or an armed budget means one swarm-wide governed
-	// set (sharing implied), as in the facade's SwarmRun. Only the first
-	// worker carries the hub, so its degradation hooks report there.
-	sharedSet, err := newGovernedSet(cfg.Visited, cfg.BitstateBytes, cfg.MemBudget,
-		governorHooks(func() []*obs.Hub { return []*obs.Hub{hub} }, cfg.Stream, 0))
-	if err != nil {
-		return 0, 0, err
-	}
-	sr, err := mc.SwarmRun(mc.SwarmOptions{Workers: workers, ShareVisited: share, Shared: sharedSet,
-		Journal: jw, Stream: cfg.Stream},
-		func(seed int64) (mc.Config, error) {
-			o := calOptions(seed)
-			o.shared = sharedSet
-			if seed == 1 {
+		ops, elapsed, stateBytes = res.Ops, res.Elapsed, sessionStateBytes(s)
+	} else {
+		sr, err := runSwarm(cal, func(worker int, o *Options) error {
+			if worker == 1 {
 				// The hub and profiler rebase onto one session's virtual
 				// clock, so only the first worker carries them.
-				o.Obs = hub
-				o.Perf = cfg.Perf
+				o.Obs, o.Perf = cal.Obs, cal.Perf
 			}
-			s, err := NewSession(o)
-			if err != nil {
-				return mc.Config{}, err
+			return nil
+		}, func(sessions []*Session) {
+			if len(sessions) > 0 {
+				stateBytes = sessionStateBytes(sessions[0])
 			}
-			mu.Lock()
-			sessions = append(sessions, s)
-			mu.Unlock()
-			return *s.Config(), nil
 		})
-	if err != nil {
-		return 0, 0, err
+		if err != nil {
+			return 0, 0, err
+		}
+		if sr.Err != nil {
+			return 0, 0, sr.Err
+		}
+		ops = sr.Ops
+		for _, r := range sr.Workers {
+			elapsed += r.Elapsed
+		}
 	}
-	if sr.Err != nil {
-		return 0, 0, sr.Err
+	if ops == 0 {
+		return 0, 0, fmt.Errorf("mcfs: figure 3 measurement executed no ops")
 	}
-	if sr.Ops == 0 {
-		return 0, 0, fmt.Errorf("mcfs: figure 3 swarm measurement executed no ops")
-	}
-	var elapsed time.Duration
-	for _, r := range sr.Workers {
-		elapsed += r.Elapsed
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	return elapsed / time.Duration(sr.Ops), sessionStateBytes(sessions[0]), nil
+	return elapsed / time.Duration(ops), stateBytes, nil
 }
 
 // sessionStateBytes sums the per-target concrete-state sizes, falling
@@ -387,7 +310,7 @@ func RunFigure3(cfg Figure3Config) ([]Figure3Point, error) {
 		cfg.Days = 14
 	}
 	if cfg.BasePerOp == 0 || cfg.StateBytes == 0 {
-		perOp, stateBytes, err := measureBasePerOp(cfg)
+		perOp, stateBytes, err := measureBasePerOp(cfg.Calibration)
 		if err != nil {
 			return nil, err
 		}
@@ -535,9 +458,9 @@ func RunFigure3(cfg Figure3Config) ([]Figure3Point, error) {
 			SwapGB:    swap / (1 << 30),
 		}
 		points = append(points, pt)
-		cfg.Obs.Gauge("figure3.day").Set(int64(h + 1))
-		cfg.Obs.Gauge("figure3.ops_per_sec").Set(int64(pt.OpsPerSec))
-		cfg.Obs.Gauge("figure3.swap_gb").Set(int64(pt.SwapGB))
+		cfg.Calibration.Obs.Gauge("figure3.day").Set(int64(h + 1))
+		cfg.Calibration.Obs.Gauge("figure3.ops_per_sec").Set(int64(pt.OpsPerSec))
+		cfg.Calibration.Obs.Gauge("figure3.swap_gb").Set(int64(pt.SwapGB))
 		if cfg.Progress != nil {
 			cfg.Progress(pt)
 		}
@@ -598,16 +521,15 @@ func RunSwarmComparison(workers int, budget int64) (SwarmComparison, error) {
 	if budget <= 0 {
 		budget = 800
 	}
-	factory := func(seed int64) (Options, error) {
-		return Options{
-			Targets:  []TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
-			MaxDepth: 3,
-			MaxOps:   budget,
-		}, nil
-	}
 	cmp := SwarmComparison{Workers: workers, Budget: budget}
 	for _, share := range []bool{false, true} {
-		sr, err := SwarmRun(SwarmOptions{Workers: workers, ShareVisited: share}, factory)
+		sr, err := SwarmRun(Options{
+			Targets:      []TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
+			MaxDepth:     3,
+			MaxOps:       budget,
+			Workers:      workers,
+			ShareVisited: share,
+		}, nil)
 		if err != nil {
 			return cmp, err
 		}

@@ -249,17 +249,15 @@ func TestDeterministicWithSameSeed(t *testing.T) {
 func TestSwarmFindsBug(t *testing.T) {
 	// Swarm verification (§2): several diversified workers explore
 	// independent instances in parallel; at least one finds the bug.
-	sr, err := mcfs.SwarmRun(mcfs.SwarmOptions{Workers: 4}, func(seed int64) (mcfs.Options, error) {
-		return mcfs.Options{
-			Targets: []mcfs.TargetSpec{
-				{Kind: "verifs1"},
-				{Kind: "verifs2", Bugs: []string{mcfs.BugWriteHoleNoZero}},
-			},
-			MaxDepth: 3,
-			MaxOps:   2000,
-			Seed:     seed,
-		}, nil
-	})
+	sr, err := mcfs.SwarmRun(mcfs.Options{
+		Targets: []mcfs.TargetSpec{
+			{Kind: "verifs1"},
+			{Kind: "verifs2", Bugs: []string{mcfs.BugWriteHoleNoZero}},
+		},
+		MaxDepth: 3,
+		MaxOps:   2000,
+		Workers:  4,
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,8 +111,9 @@ func TestReplayOfSwarmSliceIsIdentity(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	jw := journal.NewWriter(&buf, journal.Options{})
-	sr, err := mcfs.SwarmRun(mcfs.SwarmOptions{Workers: 2, ShareVisited: true, Journal: jw},
-		func(int64) (mcfs.Options, error) { return opts, nil })
+	swarm := opts
+	swarm.Workers, swarm.ShareVisited, swarm.Journal = 2, true, jw
+	sr, err := mcfs.SwarmRun(swarm, nil)
 	if err != nil || sr.Err != nil {
 		t.Fatal(err, sr.Err)
 	}

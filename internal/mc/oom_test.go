@@ -156,25 +156,18 @@ func TestMemBudgetDegradesInsteadOfOOM(t *testing.T) {
 // the shared table's degraded fidelity and omission estimate, and the
 // fidelity-degraded event reaches the swarm's stream.
 func TestSwarmBudgetAcceptance(t *testing.T) {
-	factory := func(memCfg *memmodel.Config) func(seed int64) (mcfs.Options, error) {
-		return func(seed int64) (mcfs.Options, error) {
-			opts := mcfs.Options{
-				Targets:  []mcfs.TargetSpec{{Kind: "ext2"}, {Kind: "ext4"}},
-				MaxDepth: 3,
-				MaxOps:   1500,
-				Seed:     seed,
-			}
-			if memCfg != nil {
-				cfg := *memCfg
-				opts.Memory = &cfg
-			}
-			return opts, nil
-		}
+	spec := mcfs.Options{
+		Targets:  []mcfs.TargetSpec{{Kind: "ext2"}, {Kind: "ext4"}},
+		MaxDepth: 3,
+		MaxOps:   1500,
+		Workers:  2,
 	}
 
 	// Without a budget the starved swarm dies on the memory model.
 	memCfg := tinyMemConfig()
-	sr, err := mcfs.SwarmRun(mcfs.SwarmOptions{Workers: 2}, factory(&memCfg))
+	starved := spec
+	starved.Memory = &memCfg
+	sr, err := mcfs.SwarmRun(starved, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,11 +179,8 @@ func TestSwarmBudgetAcceptance(t *testing.T) {
 	bus := mcfs.NewStream()
 	sub := bus.Subscribe(1 << 14)
 	defer sub.Close()
-	sr, err = mcfs.SwarmRun(mcfs.SwarmOptions{
-		Workers:   2,
-		MemBudget: 1 << 20,
-		Stream:    bus,
-	}, factory(nil))
+	spec.MemBudget, spec.Stream = 1<<20, bus
+	sr, err = mcfs.SwarmRun(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

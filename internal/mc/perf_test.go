@@ -119,20 +119,20 @@ func TestCrashExplorePhaseProfile(t *testing.T) {
 // profiles and drops per-worker telemetry series.
 func TestSwarmMergesPerf(t *testing.T) {
 	var mu sync.Mutex
-	profilers := make(map[int64]*perf.Profiler)
-	sr, err := mcfs.SwarmRun(mcfs.SwarmOptions{Workers: 2, ShareVisited: true},
-		func(seed int64) (mcfs.Options, error) {
-			p := perf.New(nil)
-			mu.Lock()
-			profilers[seed] = p
-			mu.Unlock()
-			return mcfs.Options{
-				Targets:  []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
-				MaxDepth: 2,
-				MaxOps:   200,
-				Perf:     p,
-			}, nil
-		})
+	profilers := make(map[int]*perf.Profiler)
+	sr, err := mcfs.SwarmRun(mcfs.Options{
+		Targets:      []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
+		MaxDepth:     2,
+		MaxOps:       200,
+		Workers:      2,
+		ShareVisited: true,
+	}, func(worker int, o *mcfs.Options) error {
+		o.Perf = perf.New(nil)
+		mu.Lock()
+		profilers[worker] = o.Perf
+		mu.Unlock()
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -248,13 +248,9 @@ func TestSwarmJournaling(t *testing.T) {
 		t.Fatal(err)
 	}
 	const workers = 4
-	sr, err := mcfs.SwarmRun(mcfs.SwarmOptions{
-		Workers:      workers,
-		ShareVisited: true,
-		Journal:      jw,
-	}, func(seed int64) (mcfs.Options, error) {
-		return holeBugOptions(), nil
-	})
+	spec := holeBugOptions()
+	spec.Workers, spec.ShareVisited, spec.Journal = workers, true, jw
+	sr, err := mcfs.SwarmRun(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -174,19 +174,17 @@ func TestSwarmStreamMergesHealthAndHeatmap(t *testing.T) {
 	bus := mcfs.NewStream()
 	sub := bus.Subscribe(1 << 16)
 	defer sub.Close()
-	sr, err := mcfs.SwarmRun(mcfs.SwarmOptions{Workers: workers, Stream: bus},
-		func(seed int64) (mcfs.Options, error) {
-			return mcfs.Options{
-				Targets: []mcfs.TargetSpec{
-					{Kind: "ext2"},
-					{Kind: "ext4", Bugs: []string{mcfs.BugJournalCommitFirst}},
-				},
-				MaxDepth:         1,
-				MaxOps:           8000,
-				CrashExploration: true,
-				Seed:             seed,
-			}, nil
-		})
+	sr, err := mcfs.SwarmRun(mcfs.Options{
+		Targets: []mcfs.TargetSpec{
+			{Kind: "ext2"},
+			{Kind: "ext4", Bugs: []string{mcfs.BugJournalCommitFirst}},
+		},
+		MaxDepth:         1,
+		MaxOps:           8000,
+		CrashExploration: true,
+		Workers:          workers,
+		Stream:           bus,
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -149,16 +149,15 @@ func TestSharedVisitedConcurrent(t *testing.T) {
 // instead of burning their full 100000 operations.
 func TestSwarmFirstBugCancelsPeers(t *testing.T) {
 	const budget = 100000
-	sr, err := mcfs.SwarmRun(mcfs.SwarmOptions{Workers: 4}, func(seed int64) (mcfs.Options, error) {
-		return mcfs.Options{
-			Targets: []mcfs.TargetSpec{
-				{Kind: "verifs1"},
-				{Kind: "verifs2", Bugs: []string{mcfs.BugWriteHoleNoZero}},
-			},
-			MaxDepth: 3,
-			MaxOps:   budget,
-		}, nil
-	})
+	sr, err := mcfs.SwarmRun(mcfs.Options{
+		Targets: []mcfs.TargetSpec{
+			{Kind: "verifs1"},
+			{Kind: "verifs2", Bugs: []string{mcfs.BugWriteHoleNoZero}},
+		},
+		MaxDepth: 3,
+		MaxOps:   budget,
+		Workers:  4,
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,13 +199,13 @@ func TestSwarmFirstBugCancelsPeers(t *testing.T) {
 func TestSwarmCallerCancel(t *testing.T) {
 	cancel := mcfs.NewCancel()
 	cancel.Cancel("caller abort")
-	sr, err := mcfs.SwarmRun(mcfs.SwarmOptions{Workers: 2, Cancel: cancel}, func(seed int64) (mcfs.Options, error) {
-		return mcfs.Options{
-			Targets:  []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
-			MaxDepth: 3,
-			MaxOps:   100000,
-		}, nil
-	})
+	sr, err := mcfs.SwarmRun(mcfs.Options{
+		Targets:  []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
+		MaxDepth: 3,
+		MaxOps:   100000,
+		Workers:  2,
+		Cancel:   cancel,
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,15 +224,16 @@ func TestSwarmCallerCancel(t *testing.T) {
 func TestSwarmFactoryErrorDrainsWorkers(t *testing.T) {
 	before := runtime.NumGoroutine()
 	boom := errors.New("factory boom")
-	_, err := mcfs.SwarmRun(mcfs.SwarmOptions{Workers: 4}, func(seed int64) (mcfs.Options, error) {
-		if seed == 3 {
-			return mcfs.Options{}, boom
+	_, err := mcfs.SwarmRun(mcfs.Options{
+		Targets:  []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
+		MaxDepth: 3,
+		MaxOps:   100000,
+		Workers:  4,
+	}, func(worker int, _ *mcfs.Options) error {
+		if worker == 3 {
+			return boom
 		}
-		return mcfs.Options{
-			Targets:  []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
-			MaxDepth: 3,
-			MaxOps:   100000,
-		}, nil
+		return nil
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the factory error", err)
@@ -259,14 +259,13 @@ func TestSwarmFactoryErrorDrainsWorkers(t *testing.T) {
 // must cut cross-worker duplicate states.
 func TestSharedVisitedReducesDuplicates(t *testing.T) {
 	run := func(share bool) mcfs.SwarmResult {
-		sr, err := mcfs.SwarmRun(mcfs.SwarmOptions{Workers: 3, ShareVisited: share},
-			func(seed int64) (mcfs.Options, error) {
-				return mcfs.Options{
-					Targets:  []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
-					MaxDepth: 3,
-					MaxOps:   400,
-				}, nil
-			})
+		sr, err := mcfs.SwarmRun(mcfs.Options{
+			Targets:      []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
+			MaxDepth:     3,
+			MaxOps:       400,
+			Workers:      3,
+			ShareVisited: share,
+		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -465,14 +464,13 @@ func exploreClean(t *testing.T, depth int, maxOps int64, seed int64, resume *mcf
 func benchmarkSwarm(b *testing.B, share bool) {
 	var dup, distinct int64
 	for i := 0; i < b.N; i++ {
-		sr, err := mcfs.SwarmRun(mcfs.SwarmOptions{Workers: 4, ShareVisited: share},
-			func(seed int64) (mcfs.Options, error) {
-				return mcfs.Options{
-					Targets:  []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
-					MaxDepth: 3,
-					MaxOps:   500,
-				}, nil
-			})
+		sr, err := mcfs.SwarmRun(mcfs.Options{
+			Targets:      []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
+			MaxDepth:     3,
+			MaxOps:       500,
+			Workers:      4,
+			ShareVisited: share,
+		}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -88,7 +88,7 @@ type (
 	// SwarmResult is the merged outcome of a coordinated swarm run.
 	SwarmResult = mc.SwarmResult
 	// Cancel is the cancellation token swarm workers share; callers can
-	// pass their own (SwarmOptions.Cancel) to abort a running swarm.
+	// pass their own (Options.Cancel) to abort a running swarm.
 	Cancel = mc.Cancel
 	// Journal is the flight-recorder writer sessions and swarms append
 	// exploration records to (journal.Create / journal.NewWriter).
@@ -125,7 +125,7 @@ const (
 	FidelityBitstate = visited.FidelityBitstate
 )
 
-// Visited-table backend names for Options.Visited / SwarmOptions.Visited.
+// Visited-table backend names for Options.Visited.
 const (
 	VisitedExact    = string(visited.KindExact)
 	VisitedCompact  = string(visited.KindCompact)
@@ -136,7 +136,7 @@ const (
 func NewCancel() *Cancel { return mc.NewCancel() }
 
 // NewStream returns a live exploration event bus ready for
-// Options.Stream or SwarmOptions.Stream. Subscribers are lossy ring
+// Options.Stream. Subscribers are lossy ring
 // buffers: a slow consumer drops its own events, never blocking the
 // engine.
 func NewStream() *Stream { return stream.New(stream.Options{}) }
@@ -217,50 +217,31 @@ type TargetSpec struct {
 	DiskOnlyTracking bool
 }
 
-// Options configures a Session.
+// Options is the run spec: the one description of an exploration that a
+// session, a swarm, a bundle's config.json and both CLIs' flags share.
+// The tagged fields are the serialisable settings — written verbatim as a
+// bundle's config.json, so a bundle describes the run that produced it —
+// and the `json:"-"` fields are attachments: live objects (hubs,
+// writers, tokens) and host-only knobs that a replay rebuilds or does
+// without.
 type Options struct {
 	// Targets lists the file systems to check against each other.
-	Targets []TargetSpec
-	// Pool overrides the operation/parameter pool. When nil, the pool
-	// defaults to workload.DefaultPool, restricted to VeriFS1's
-	// operation set if any target is verifs1.
-	Pool *Pool
+	Targets []TargetSpec `json:"targets"`
 	// MaxDepth bounds operation-sequence length (default 3).
-	MaxDepth int
+	MaxDepth int `json:"max_depth,omitempty"`
 	// MaxOps bounds total executed operations (0 = unlimited).
-	MaxOps int64
+	MaxOps int64 `json:"max_ops,omitempty"`
 	// MaxStates bounds unique visited states (0 = unlimited).
-	MaxStates int64
+	MaxStates int64 `json:"max_states,omitempty"`
 	// Seed diversifies search order (0 = deterministic enumeration).
-	Seed int64
-	// Memory enables the RAM/swap model with the given configuration.
-	Memory *memmodel.Config
-	// DisableEqualizeFreeSpace skips the §3.4 capacity equalization.
-	DisableEqualizeFreeSpace bool
+	// SwarmRun assigns each worker its own: worker w explores with seed w.
+	Seed int64 `json:"seed,omitempty"`
 	// MajorityVote enables majority voting with three or more targets
 	// (the paper's §7 future work): instead of halting at the first
 	// pairwise mismatch, the checker identifies the deviating minority.
-	MajorityVote bool
-	// Resume seeds the visited-state table from a previous run's
-	// Result.Resume, continuing an interrupted exploration (§7).
-	Resume *ResumeState
-	// Obs attaches an observability hub: the kernel, checker, trackers,
-	// devices, and FUSE transport all record metrics and spans into it,
-	// and the engine exports live progress through it. Nil disables all
-	// instrumentation at zero cost.
-	Obs *obs.Hub
-	// Journal attaches a flight recorder: every explored operation,
-	// visited-table decision, backtrack, and bug is appended as a
-	// replayable journal record (worker id 0 for a single session). Nil
-	// disables journaling at one branch per operation.
-	Journal *journal.Writer
-	// Perf attaches a phase profiler: the engine attributes virtual time
-	// to its named phases (checkpoint, execute, verify, restore, hash,
-	// fsck, remount, journal) and samples state-space telemetry every N
-	// executed operations. The session rebases the profiler onto its
-	// virtual clock. Nil disables phase profiling at one branch per
-	// phase boundary.
-	Perf *perf.Profiler
+	MajorityVote bool `json:"majority_vote,omitempty"`
+	// DisableEqualizeFreeSpace skips the §3.4 capacity equalization.
+	DisableEqualizeFreeSpace bool `json:"disable_equalize_free_space,omitempty"`
 	// CrashExploration enables crash-consistency checking: before each
 	// explored operation is committed, its write window is crash-tested
 	// on every crash-testable target — simulate power loss at sampled
@@ -268,33 +249,22 @@ type Options struct {
 	// recovered state against the prefix-consistency oracle. Requires at
 	// least one ext2/ext4/jffs2 target with per-op remounts and full
 	// state tracking.
-	CrashExploration bool
+	CrashExploration bool `json:"crash_exploration,omitempty"`
 	// CrashPointsPerOp caps sampled crash points per probed operation
 	// (mc.DefaultCrashPointsPerOp when 0).
-	CrashPointsPerOp int
-	// Stream attaches a live exploration event bus: the engine publishes
-	// steps, backtracks, crash verdicts, worker heartbeats, and bugs to
-	// it, stamped with the session's virtual clock. Nil disables
-	// streaming at one branch per emit site.
-	Stream *Stream
-	// StreamWorker identifies this session on the stream (0 for a single
-	// session; SwarmRun assigns 1..Workers itself).
-	StreamWorker int
-	// FsckWorkers bounds the worker pool of the parallel post-recovery
-	// fsck on ext targets (0 = GOMAXPROCS, capped internally). Any value
-	// produces identical problem reports; this knob only trades CPU for
-	// latency.
-	FsckWorkers int
+	CrashPointsPerOp int `json:"crash_points_per_op,omitempty"`
 	// Visited selects the visited-table backend: "exact" (default,
 	// full-fidelity), "compact" (64-bit hash compaction), or "bitstate"
 	// (fixed-RAM Bloom filter). Reduced backends trade a bounded
 	// omission probability (Result.OmissionProb) for orders of
-	// magnitude more states per MB, and cannot export a ResumeState.
-	Visited string
+	// magnitude more states per MB, and cannot export a ResumeState. In
+	// a swarm the backend is swarm-wide: a non-default one implies
+	// ShareVisited.
+	Visited string `json:"visited,omitempty"`
 	// BitstateBytes sizes the bitstate Bloom array
 	// (visited.DefaultBitstateBytes when 0; with a MemBudget, a quarter
 	// of the budget).
-	BitstateBytes int64
+	BitstateBytes int64 `json:"bitstate_bytes,omitempty"`
 	// MemBudget arms the memory governor: the session's modeled
 	// footprint is watched against this byte budget, and instead of
 	// dying on memmodel.ErrOutOfMemory the visited table degrades —
@@ -302,8 +272,71 @@ type Options struct {
 	// backend migrates exact→compact→bitstate at the hard watermark.
 	// Result.Fidelity and Result.OmissionProb report the degradation
 	// honestly. When Memory is nil, a budget-sized memory model is
-	// derived automatically.
-	MemBudget int64
+	// derived automatically. In a swarm every worker arms a governor
+	// watching the one shared table (ShareVisited is implied): the first
+	// to cross a watermark degrades the table for everyone.
+	MemBudget int64 `json:"mem_budget,omitempty"`
+	// Workers is the width of a SwarmRun: that many diversified workers
+	// (seeds 1..Workers). A single session ignores it.
+	Workers int `json:"workers,omitempty"`
+	// Parallelism caps concurrently running swarm workers (0 =
+	// min(Workers, GOMAXPROCS)); Workers may exceed it — excess workers
+	// queue.
+	Parallelism int `json:"parallelism,omitempty"`
+	// ShareVisited gives every swarm worker one shared visited-state
+	// table, pruning states a peer already expanded instead of
+	// re-exploring the overlap.
+	ShareVisited bool `json:"share_visited,omitempty"`
+
+	// Pool overrides the operation/parameter pool. When nil, the pool
+	// defaults to workload.DefaultPool, restricted to VeriFS1's
+	// operation set if any target is verifs1. Not carried by bundles:
+	// trail replay executes recorded operations directly and never
+	// consults the pool.
+	Pool *Pool `json:"-"`
+	// Memory enables the RAM/swap model with the given configuration.
+	Memory *memmodel.Config `json:"-"`
+	// Resume seeds the visited-state table from a previous run's
+	// Result.Resume, continuing an interrupted exploration (§7).
+	Resume *ResumeState `json:"-"`
+	// Cancel lets the caller abort a SwarmRun; nil means an internal
+	// token (still fired by the first bug or failure).
+	Cancel *Cancel `json:"-"`
+	// Obs attaches an observability hub: the kernel, checker, trackers,
+	// devices, and FUSE transport all record metrics and spans into it,
+	// and the engine exports live progress through it. Nil disables all
+	// instrumentation at zero cost. A hub rebases onto one session's
+	// virtual clock, so SwarmRun hands it to no worker: attach one per
+	// worker from the hook.
+	Obs *obs.Hub `json:"-"`
+	// Journal attaches a flight recorder: every explored operation,
+	// visited-table decision, backtrack, and bug is appended as a
+	// replayable journal record (worker id 0 for a single session, ids
+	// 1..Workers interleaved on the one writer for a swarm). Nil
+	// disables journaling at one branch per operation.
+	Journal *journal.Writer `json:"-"`
+	// Perf attaches a phase profiler: the engine attributes virtual time
+	// to its named phases (checkpoint, execute, verify, restore, hash,
+	// fsck, remount, journal) and samples state-space telemetry every N
+	// executed operations. The session rebases the profiler onto its
+	// virtual clock, so like Obs it is per worker in a swarm. Nil
+	// disables phase profiling at one branch per phase boundary.
+	Perf *perf.Profiler `json:"-"`
+	// Stream attaches a live exploration event bus: the engine publishes
+	// steps, backtracks, crash verdicts, worker heartbeats, and bugs to
+	// it, stamped with the session's virtual clock; a swarm's workers
+	// interleave on it and SwarmResult.WorkerHealth snapshots its
+	// liveness view at the end. Nil disables streaming at one branch per
+	// emit site.
+	Stream *Stream `json:"-"`
+	// StreamWorker identifies this session on the stream (0 for a single
+	// session; SwarmRun assigns 1..Workers itself).
+	StreamWorker int `json:"-"`
+	// FsckWorkers bounds the worker pool of the parallel post-recovery
+	// fsck on ext targets (0 = GOMAXPROCS, capped internally). Any value
+	// produces identical problem reports; this knob only trades CPU for
+	// latency.
+	FsckWorkers int `json:"-"`
 
 	// shared is the swarm coordinator's visited set, handed to a swarm
 	// worker's session: the session arms its memory budget and explores
@@ -352,6 +385,10 @@ func NewSession(opts Options) (*Session, error) {
 	for i, ts := range opts.Targets {
 		point := fmt.Sprintf("/mnt%d", i)
 		name := fmt.Sprintf("%s#%d", ts.Kind, i)
+		if _, ok := backingProfiles[ts.Backing]; !ok {
+			s.Close()
+			return nil, fmt.Errorf("mcfs: unknown backing %q (want ram, ssd, or hdd)", ts.Backing)
+		}
 		if err := s.mountTarget(point, ts, i); err != nil {
 			s.Close()
 			return nil, err
@@ -456,15 +493,17 @@ func NewSession(opts Options) (*Session, error) {
 	return s, nil
 }
 
+// backingProfiles maps every accepted TargetSpec.Backing to its device
+// latency profile; NewSession rejects anything else.
+var backingProfiles = map[Backing]blockdev.Profile{
+	"":         blockdev.RAMProfile,
+	BackingRAM: blockdev.RAMProfile,
+	BackingSSD: blockdev.SSDProfile,
+	BackingHDD: blockdev.HDDProfile,
+}
+
 func (s *Session) deviceFor(name string, ts TargetSpec, size int64) *blockdev.Disk {
-	profile := blockdev.RAMProfile
-	switch ts.Backing {
-	case BackingSSD:
-		profile = blockdev.SSDProfile
-	case BackingHDD:
-		profile = blockdev.HDDProfile
-	}
-	d := blockdev.NewDisk(name, size, 4096, profile, s.clock)
+	d := blockdev.NewDisk(name, size, 4096, backingProfiles[ts.Backing], s.clock)
 	d.SetObs(s.obsHub)
 	return d
 }
@@ -842,8 +881,8 @@ func newGovernedSet(kind string, bitstateBytes, budget int64, hooks visited.Hook
 // eviction and downgrade counters on the first non-nil hub only (Merge
 // sums counters across hubs, so billing them everywhere would
 // double-count), and a fidelity-degraded event on the stream bus. hubs
-// is asked at event time — a swarm's worker hubs exist only once its
-// factory has built them.
+// is asked at event time — a swarm's worker hubs exist only once their
+// sessions have been built.
 func governorHooks(hubs func() []*obs.Hub, bus *Stream, worker int) visited.Hooks {
 	first := func(hs []*obs.Hub) *obs.Hub {
 		for _, h := range hs {
@@ -945,66 +984,29 @@ func (s *Session) Close() {
 // the paper's evaluation VM (64 GB RAM, 128 GB swap on SSD).
 func DefaultMemoryConfig() memmodel.Config { return memmodel.DefaultConfig() }
 
-// SwarmOptions configures a coordinated swarm of exploration sessions.
-type SwarmOptions struct {
-	// Workers is the number of diversified workers (seeds 1..Workers).
-	Workers int
-	// Parallelism caps concurrently running workers (0 = min(Workers,
-	// GOMAXPROCS)); Workers may exceed it — excess workers queue.
-	Parallelism int
-	// ShareVisited gives every worker one shared visited-state table,
-	// pruning states a peer already expanded instead of re-exploring
-	// the overlap.
-	ShareVisited bool
-	// Resume seeds the swarm with an earlier run's visited knowledge.
-	Resume *ResumeState
-	// Cancel lets the caller abort the swarm; nil means an internal
-	// token (still fired by the first bug or failure).
-	Cancel *Cancel
-	// Journal gives every worker a flight-recorder handle on this
-	// shared writer (worker ids 1..Workers); records interleave and
-	// carry the worker id for post-hoc de-multiplexing.
-	Journal *journal.Writer
-	// Stream gives every worker this one live event bus (worker ids
-	// 1..Workers): all workers' steps, crash verdicts, and heartbeats
-	// interleave on it, and SwarmResult.WorkerHealth snapshots its
-	// liveness view at the end.
-	Stream *Stream
-	// Visited selects the swarm-wide visited-table backend ("exact",
-	// "compact", or "bitstate" — see Options.Visited). A non-default
-	// backend implies ShareVisited.
-	Visited string
-	// BitstateBytes sizes the bitstate Bloom array (see
-	// Options.BitstateBytes).
-	BitstateBytes int64
-	// MemBudget arms a memory governor per worker, all watching the
-	// swarm's one shared table (see Options.MemBudget): the first worker
-	// to cross a watermark degrades the table for everyone, and
-	// SwarmResult.Fidelity/OmissionProb report the outcome. Implies
-	// ShareVisited.
-	MemBudget int64
+// SwarmRun runs base as a coordinated swarm (Spin's swarm verification,
+// §2, with pFSCK-style coordination): base.Workers diversified sessions,
+// a shared cancellation token stopping every worker at the first bug or
+// failure, and optionally one shared visited table. Every worker gets
+// fully independent file system instances and its own virtual clock;
+// worker w (1..Workers) runs base with Seed w and without base's Obs and
+// Perf, which perWorker, when non-nil, replaces: it is called with each
+// worker's spec before its session is built, to attach that worker's
+// hub, profiler or memory model.
+func SwarmRun(base Options, perWorker func(worker int, o *Options) error) (SwarmResult, error) {
+	return runSwarm(base, perWorker, nil)
 }
 
-// SwarmRun runs a coordinated swarm (Spin's swarm verification, §2,
-// with pFSCK-style coordination): Workers diversified sessions built by
-// factory, a shared cancellation token stopping every worker at the
-// first bug or failure, and optionally one shared visited table. The
-// factory returns the Options for each worker seed; every worker gets
-// fully independent file system instances and its own virtual clock.
-func SwarmRun(swarm SwarmOptions, factory func(seed int64) (Options, error)) (SwarmResult, error) {
+// runSwarm is SwarmRun plus inspect, which (when non-nil) sees the
+// workers' sessions after the run and before they are closed. It is the
+// one owner of a swarm's session list.
+func runSwarm(base Options, perWorker func(int, *Options) error, inspect func([]*Session)) (SwarmResult, error) {
 	var mu sync.Mutex
 	var sessions []*Session
-	defer func() {
-		mu.Lock()
-		defer mu.Unlock()
-		for _, s := range sessions {
-			s.Close()
-		}
-	}()
 	// One swarm-wide set when a reduced backend or a budget asks for it;
 	// its degradation hooks fan out over whichever worker hubs exist by
 	// then.
-	shared, err := newGovernedSet(swarm.Visited, swarm.BitstateBytes, swarm.MemBudget,
+	shared, err := newGovernedSet(base.Visited, base.BitstateBytes, base.MemBudget,
 		governorHooks(func() []*obs.Hub {
 			mu.Lock()
 			defer mu.Unlock()
@@ -1013,34 +1015,32 @@ func SwarmRun(swarm SwarmOptions, factory func(seed int64) (Options, error)) (Sw
 				hubs[i] = s.obsHub
 			}
 			return hubs
-		}, swarm.Stream, 0))
+		}, base.Stream, 0))
 	if err != nil {
 		return SwarmResult{BugWorker: -1, ErrWorker: -1}, err
 	}
-	return mc.SwarmRun(mc.SwarmOptions{
-		Workers:      swarm.Workers,
-		Parallelism:  swarm.Parallelism,
-		ShareVisited: swarm.ShareVisited,
+	sr, err := mc.SwarmRun(mc.SwarmOptions{
+		Workers:      base.Workers,
+		Parallelism:  base.Parallelism,
+		ShareVisited: base.ShareVisited,
 		Shared:       shared,
-		Resume:       swarm.Resume,
-		Cancel:       swarm.Cancel,
-		Journal:      swarm.Journal,
-		Stream:       swarm.Stream,
+		Resume:       base.Resume,
+		Cancel:       base.Cancel,
+		Journal:      base.Journal,
+		Stream:       base.Stream,
 	}, func(seed int64) (mc.Config, error) {
-		opts, err := factory(seed)
-		if err != nil {
-			return mc.Config{}, err
-		}
-		opts.Seed = seed
-		if shared != nil {
-			// The swarm owns the one shared set; workers arm their own
-			// memory budgets against it.
-			opts.shared = shared
-			if opts.MemBudget == 0 {
-				opts.MemBudget = swarm.MemBudget
+		o := base
+		// The coordinator hands each worker its recorder on the journal;
+		// the swarm owns the one shared set, and workers arm their own
+		// memory budgets against it.
+		o.Seed, o.StreamWorker, o.shared = seed, int(seed), shared
+		o.Journal, o.Obs, o.Perf = nil, nil, nil
+		if perWorker != nil {
+			if err := perWorker(int(seed), &o); err != nil {
+				return mc.Config{}, err
 			}
 		}
-		s, err := NewSession(opts)
+		s, err := NewSession(o)
 		if err != nil {
 			return mc.Config{}, err
 		}
@@ -1049,6 +1049,14 @@ func SwarmRun(swarm SwarmOptions, factory func(seed int64) (Options, error)) (Sw
 		mu.Unlock()
 		return s.cfg, nil
 	})
+	// Every worker has returned; the list is quiescent.
+	if inspect != nil {
+		inspect(sessions)
+	}
+	for _, s := range sessions {
+		s.Close()
+	}
+	return sr, err
 }
 
 // Verify re-checks that all targets currently agree, returning the

@@ -241,9 +241,8 @@ func TestFigure3Shape(t *testing.T) {
 func TestFigure3CrashCalibration(t *testing.T) {
 	prof := perf.New(nil)
 	points, err := mcfs.RunFigure3(mcfs.Figure3Config{
-		Days:  1,
-		Crash: true,
-		Perf:  prof,
+		Days:        1,
+		Calibration: mcfs.Options{CrashExploration: true, Perf: prof},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -283,12 +282,14 @@ func TestFigure3SwarmCalibrationReportsDegradation(t *testing.T) {
 	sub := bus.Subscribe(1 << 14)
 	defer sub.Close()
 	if _, err := mcfs.RunFigure3(mcfs.Figure3Config{
-		Days:               1,
-		Crash:              true, // the ext pair: 256 KiB images starve a 1 MiB budget
-		CalibrationWorkers: 2,
-		MemBudget:          1 << 20,
-		Obs:                hub,
-		Stream:             bus,
+		Days: 1,
+		Calibration: mcfs.Options{
+			CrashExploration: true, // the ext pair: 256 KiB images starve a 1 MiB budget
+			Workers:          2,
+			MemBudget:        1 << 20,
+			Obs:              hub,
+			Stream:           bus,
+		},
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,9 @@
 #      writes a repro bundle, mcfs replay must       to end: journal ->
 #      reproduce it, mcfs shrink must minimize it;   bundle -> replay ->
 #      then the same for a three-target -majority    shrink; run and
-#      run, whose bug only the shared step names     replay are one step)
+#      run, whose bug only the shared step names,    replay are one step;
+#      and a -swarm -share-visited run whose bundle  a swarm bundle names
+#      must carry the bug worker's seed and replay   the worker to rebuild)
 #   7. go test -race ./internal/fault/...           (fault plane and the
 #         ./internal/fs/extfs/...                    parallel fsck under
 #                                                    the race detector)
@@ -98,6 +100,21 @@ rc=0
 	echo "FAIL: majority-vote bundle shrink failed"; exit 1; }
 "$work/mcfs" replay "$majbundle" >/dev/null || {
 	echo "FAIL: minimized majority-vote bundle did not reproduce"; exit 1; }
+
+# A swarm's bundle must describe the worker that found the bug: its
+# config.json carries that worker's seed (SwarmRun assigns seed = worker
+# number), which is what lets replay rebuild the same search.
+swarmbundle="$work/swarmbundle"
+swarmout="$work/swarm.out"
+rc=0
+"$work/mcfs" -fs verifs1 -fs verifs2 -bug write-hole-no-zero -swarm 3 -share-visited \
+	-depth 3 -max-ops 5000 -bundle "$swarmbundle" >"$swarmout" || rc=$?
+[ "$rc" -eq 3 ] || { echo "FAIL: seeded swarm run exited $rc, want 3 (bug found)"; exit 1; }
+bugworker=$(sed -n 's/^DISCREPANCY (worker \([0-9]*\)).*/\1/p' "$swarmout")
+grep -q "\"seed\": $bugworker,\{0,1\}\$" "$swarmbundle/config.json" || { cat "$swarmbundle/config.json"
+	echo "FAIL: swarm bundle config.json does not carry bug worker $bugworker's seed"; exit 1; }
+"$work/mcfs" replay "$swarmbundle" >/dev/null || {
+	echo "FAIL: swarm bundle did not reproduce deterministically"; exit 1; }
 
 echo "==> go test -race ./internal/fault/... ./internal/fs/extfs/..."
 go test -race ./internal/fault/... ./internal/fs/extfs/...
