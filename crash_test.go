@@ -3,6 +3,7 @@ package mcfs_test
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"mcfs"
 )
@@ -183,5 +184,39 @@ func TestCrashBundleRoundTrip(t *testing.T) {
 	}
 	if out2.MinReproduced == nil || !*out2.MinReproduced {
 		t.Error("minimized crash trail did not reproduce")
+	}
+}
+
+// TestCrashExplorationExt4VsJFFS2 pins the one crash-exploration pairing
+// that mixes a block device with flash: the ext4 plane is strict (fsck +
+// pre/post-state oracle), the jffs2 plane only has to recover to a
+// mountable log. The counts are the run's whole crash-side behaviour —
+// a refactor of the planes must not move them.
+func TestCrashExplorationExt4VsJFFS2(t *testing.T) {
+	s, err := mcfs.NewSession(mcfs.Options{
+		Targets:          []mcfs.TargetSpec{{Kind: "ext4"}, {Kind: "jffs2"}},
+		MaxDepth:         2,
+		MaxOps:           1500,
+		CrashExploration: true,
+	})
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	defer s.Close()
+	res := s.Run()
+	if res.Err != nil {
+		t.Fatalf("Run: %v", res.Err)
+	}
+	if res.Bug != nil {
+		t.Fatalf("clean ext4/jffs2 pair flagged: %v", res.Bug)
+	}
+	want := mcfs.CrashStats{Probes: 728, PointsExplored: 2852, Recovered: 2852}
+	if res.Crash != want {
+		t.Errorf("crash stats = %+v, want %+v", res.Crash, want)
+	}
+	// Every device call charges the virtual clock, so an unmoved elapsed
+	// time says the planes issued the same calls in the same order.
+	if res.Ops != 1092 || res.Elapsed != 7381365200*time.Nanosecond {
+		t.Errorf("ops = %d, virtual elapsed = %v; want 1092 ops in 7.3813652s", res.Ops, res.Elapsed)
 	}
 }

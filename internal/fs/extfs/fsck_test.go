@@ -2,6 +2,7 @@ package extfs
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"mcfs/internal/blockdev"
@@ -114,7 +115,9 @@ func TestFsckParallelCleanImage(t *testing.T) {
 	}
 }
 
-func TestFsckParallelSharedBlockImage(t *testing.T) {
+// sharedBlockVolume: b's first block aliases a's.
+func sharedBlockVolume(t *testing.T) blockdev.Device {
+	t.Helper()
 	f, dev, _ := newVolume(t, MkfsOptions{})
 	a := mustCreate(t, f, f.Root(), "a")
 	b := mustCreate(t, f, f.Root(), "b")
@@ -130,7 +133,11 @@ func TestFsckParallelSharedBlockImage(t *testing.T) {
 	if err := f.Unmount(); err != nil {
 		t.Fatal(err)
 	}
-	probs, err := FsckWith(dev, FsckOptions{Workers: 8})
+	return dev
+}
+
+func TestFsckParallelSharedBlockImage(t *testing.T) {
+	probs, err := Fsck(sharedBlockVolume(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +146,9 @@ func TestFsckParallelSharedBlockImage(t *testing.T) {
 	}
 }
 
-func TestFsckParallelOrphanImage(t *testing.T) {
+// orphanVolume: victim's inode stays allocated with no entry naming it.
+func orphanVolume(t *testing.T) blockdev.Device {
+	t.Helper()
 	f, dev, _ := newVolume(t, MkfsOptions{})
 	mustCreate(t, f, f.Root(), "victim")
 	if e := f.removeDirEntry(f.getInode(RootIno), "victim"); e != errno.OK {
@@ -148,7 +157,11 @@ func TestFsckParallelOrphanImage(t *testing.T) {
 	if err := f.Unmount(); err != nil {
 		t.Fatal(err)
 	}
-	probs, err := FsckWith(dev, FsckOptions{Workers: 8})
+	return dev
+}
+
+func TestFsckParallelOrphanImage(t *testing.T) {
+	probs, err := Fsck(orphanVolume(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,10 +193,12 @@ func TestFsckHardLinkedBlocksNotShared(t *testing.T) {
 	}
 }
 
-func TestFsckFaultedIndirectReadSurfacesError(t *testing.T) {
-	// A read fault on an inode's indirect block must abort fsck with an
-	// error — the old collectBlocks swallowed it and returned a partial
-	// block list, letting corrupt images pass as clean.
+var errMediaFault = errors.New("media read fault")
+
+// faultedIndirectVolume: a clean volume whose one indirect block fails
+// every read until the returned injector's rules are cleared.
+func faultedIndirectVolume(t *testing.T) (blockdev.Device, *fault.Injector) {
+	t.Helper()
 	f, dev, _ := newVolume(t, MkfsOptions{})
 	ino := mustCreate(t, f, f.Root(), "big")
 	if _, e := f.Write(ino, 0, make([]byte, (NumDirect+2)*BlockSize)); e != errno.OK {
@@ -196,17 +211,23 @@ func TestFsckFaultedIndirectReadSurfacesError(t *testing.T) {
 	if err := f.Unmount(); err != nil {
 		t.Fatal(err)
 	}
-	disk := dev.(*blockdev.Disk)
 	inj := fault.New()
-	disk.SetInjector(inj)
-	mediaFault := errors.New("media read fault")
+	dev.(*blockdev.Disk).SetInjector(inj)
 	inj.AddRule(fault.Rule{
 		Kind: fault.KindReadError,
 		Off:  int64(indir) * BlockSize,
 		Len:  BlockSize,
-		Err:  mediaFault,
+		Err:  errMediaFault,
 	})
-	if _, err := Fsck(dev); !errors.Is(err, mediaFault) {
+	return dev, inj
+}
+
+func TestFsckFaultedIndirectReadSurfacesError(t *testing.T) {
+	// A read fault on an inode's indirect block must abort fsck with an
+	// error — the old collectBlocks swallowed it and returned a partial
+	// block list, letting corrupt images pass as clean.
+	dev, inj := faultedIndirectVolume(t)
+	if _, err := Fsck(dev); !errors.Is(err, errMediaFault) {
 		t.Errorf("Fsck with faulted indirect read = %v, want the media fault surfaced", err)
 	}
 	inj.ClearRules()
@@ -219,9 +240,10 @@ func TestFsckFaultedIndirectReadSurfacesError(t *testing.T) {
 	}
 }
 
-func TestFsckOutOfRangeBlockPointer(t *testing.T) {
-	// A wild block pointer (beyond the volume) must be reported, not
-	// dereferenced or judged against the bitmap (which would panic).
+// wildPointerVolume: one inode with a direct and an indirect pointer
+// beyond the volume.
+func wildPointerVolume(t *testing.T) blockdev.Device {
+	t.Helper()
 	f, dev, _ := newVolume(t, MkfsOptions{})
 	ino := mustCreate(t, f, f.Root(), "wild")
 	ci := f.getInode(uint32(ino))
@@ -231,7 +253,13 @@ func TestFsckOutOfRangeBlockPointer(t *testing.T) {
 	if err := f.Unmount(); err != nil {
 		t.Fatal(err)
 	}
-	probs, err := Fsck(dev)
+	return dev
+}
+
+func TestFsckOutOfRangeBlockPointer(t *testing.T) {
+	// A wild block pointer (beyond the volume) must be reported, not
+	// dereferenced or judged against the bitmap (which would panic).
+	probs, err := Fsck(wildPointerVolume(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,5 +293,139 @@ func TestStateCompareMask(t *testing.T) {
 	}
 	if len(mask) != 2 {
 		t.Errorf("journalless volume mask = %v, want 2 regions", mask)
+	}
+}
+
+// scrambledVolume corrupts a three-level tree on disk, after a clean
+// unmount, so that one check reports from every stage of the walk: an
+// unmarked directory block and a zeroed inode at the root level, a
+// dangling entry two levels down, an unmarked file block in the block
+// accounting pass, and an orphan in the inode scan.
+func scrambledVolume(t *testing.T) blockdev.Device {
+	t.Helper()
+	f, dev, _ := newVolume(t, MkfsOptions{})
+	sub := mustMkdir(t, f, f.Root(), "sub")
+	deep := mustMkdir(t, f, sub, "deep")
+	a := mustCreate(t, f, f.Root(), "a")
+	b := mustCreate(t, f, sub, "b")
+	c := mustCreate(t, f, deep, "c")
+	big := mustCreate(t, f, deep, "big")
+	mustCreate(t, f, f.Root(), "lost")
+	if _, e := f.Write(b, 0, []byte("bbb")); e != errno.OK {
+		t.Fatal(e)
+	}
+	if _, e := f.Write(big, 0, make([]byte, (NumDirect+2)*BlockSize)); e != errno.OK {
+		t.Fatal(e)
+	}
+	if e := f.removeDirEntry(f.getInode(RootIno), "lost"); e != errno.OK {
+		t.Fatal(e)
+	}
+	subBlock := f.getInode(uint32(sub)).direct[0]
+	bBlock := f.getInode(uint32(b)).direct[0]
+	if err := f.Unmount(); err != nil {
+		t.Fatal(err)
+	}
+	l := computeLayout(f.sb.blocksTotal, f.sb.inodesTotal, f.sb.journalLen)
+	edit := func(blk uint32, fn func(buf []byte)) {
+		buf := make([]byte, BlockSize)
+		if err := dev.ReadAt(buf, int64(blk)*BlockSize); err != nil {
+			t.Fatal(err)
+		}
+		fn(buf)
+		if err := dev.WriteAt(buf, int64(blk)*BlockSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	edit(l.blockBitmap, func(bm []byte) {
+		bitmapClear(bm, subBlock)
+		bitmapClear(bm, bBlock)
+	})
+	edit(l.inodeBitmap, func(bm []byte) { bitmapClear(bm, uint32(c)) })
+	edit(l.inodeTable+(uint32(a)-1)/InodesPerBlock, func(tbl []byte) {
+		off := ((uint32(a) - 1) % InodesPerBlock) * InodeSize
+		clear(tbl[off : off+InodeSize])
+	})
+	return dev
+}
+
+// readLog records the block number of every device read.
+type readLog struct {
+	blockdev.Device
+	blocks []int64
+}
+
+func (r *readLog) ReadAt(p []byte, off int64) error {
+	r.blocks = append(r.blocks, off/BlockSize)
+	return r.Device.ReadAt(p, off)
+}
+
+// TestFsckMatchesRecordedOracle holds Fsck to what the worker-pool
+// implementation it replaced reported for the corrupt fixtures — the
+// same problems in the same order, the same error — and to the device
+// reads it issued: one per block, in the same sequence, because the
+// virtual clock and the fault plane's read rules see every one.
+func TestFsckMatchesRecordedOracle(t *testing.T) {
+	seq := func(lo, hi int64) []int64 {
+		var s []int64
+		for b := lo; b <= hi; b++ {
+			s = append(s, b)
+		}
+		return s
+	}
+	faulted, _ := faultedIndirectVolume(t)
+	for _, tc := range []struct {
+		name    string
+		dev     blockdev.Device
+		want    []string
+		wantErr string
+		reads   []int64
+	}{
+		{name: "messy", dev: messyVolume(t), reads: seq(0, 14), want: []string{
+			"block-shared: block 15 referenced 2 times",
+			"bad-nlink: inode 7 nlink 9 but 1 references",
+			"orphan-inode: inode 9 allocated but unreachable",
+		}},
+		{name: "shared-block", dev: sharedBlockVolume(t), reads: seq(0, 12), want: []string{
+			"block-shared: block 13 referenced 2 times",
+		}},
+		{name: "orphan", dev: orphanVolume(t), reads: seq(0, 12), want: []string{
+			"orphan-inode: inode 4 allocated but unreachable",
+		}},
+		{name: "wild-pointer", dev: wildPointerVolume(t), reads: seq(0, 12), want: []string{
+			"block-out-of-range: inode 4 references block 4294901760 beyond volume (256 blocks)",
+			"block-out-of-range: inode 4 references block 4294906129 beyond volume (256 blocks)",
+		}},
+		{name: "scrambled", dev: scrambledVolume(t), reads: append(seq(0, 14), 28), want: []string{
+			`zeroed-inode: dir 2 entry "a" points to zeroed inode 6`,
+			"block-not-marked: dir inode 4 uses block 13 not marked in bitmap",
+			`dangling-entry: dir 5 entry "c" points to free inode 8`,
+			"block-not-marked: inode 7 uses block 15 not marked in bitmap",
+			"orphan-inode: inode 6 allocated but unreachable",
+			"orphan-inode: inode 10 allocated but unreachable",
+		}},
+		{name: "faulted-indirect", dev: faulted, reads: append(seq(0, 12), 25),
+			wantErr: "extfs: fsck: reading indirect block 25 of inode 4: media read fault"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			log := &readLog{Device: tc.dev}
+			probs, err := Fsck(log)
+			gotErr := ""
+			if err != nil {
+				gotErr = err.Error()
+			}
+			if gotErr != tc.wantErr {
+				t.Fatalf("Fsck error = %q, want %q", gotErr, tc.wantErr)
+			}
+			got := make([]string, len(probs))
+			for i, p := range probs {
+				got[i] = p.String()
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("problems:\n%q\nwant:\n%q", got, tc.want)
+			}
+			if !slices.Equal(log.blocks, tc.reads) {
+				t.Errorf("device reads (blocks) = %v, want %v", log.blocks, tc.reads)
+			}
+		})
 	}
 }
