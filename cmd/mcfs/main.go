@@ -17,9 +17,11 @@
 //	mcfs shrink <bundle-dir>
 //
 // Supported -fs kinds: ext2, ext4, xfs, jffs2, verifs1, verifs2.
-// Seedable -bug names (applied to the LAST -fs target):
-// truncate-no-zero, no-cache-invalidate, write-hole-no-zero,
-// size-update-on-overflow, journal-commit-first (ext4).
+// Seedable -bug names (applied to the LAST -fs target): truncate-no-zero
+// (verifs1), write-hole-no-zero and size-update-on-overflow (verifs2),
+// no-cache-invalidate (either VeriFS), journal-commit-first (ext4). A
+// target kind that does not implement the named bug is an error, not a
+// clean run.
 //
 // Crash exploration: -crash crash-tests every explored operation's write
 // window on each crash-testable target (ext2/ext4/jffs2 with per-op
@@ -27,9 +29,9 @@
 // write indices, the target is remounted through its recovery path, and
 // the recovered state is checked against a prefix-consistency oracle
 // (for ext4: fsck is clean and metadata equals the pre-op or post-op
-// state). Crash bugs carry the trail plus the exact (target, write)
-// crash point and flow through -bundle / replay / shrink like any other
-// discrepancy.
+// state; ext2 and jffs2 must recover to a mountable volume). Crash bugs
+// carry the trail plus the exact (target, write) crash point and flow
+// through -bundle / replay / shrink like any other discrepancy.
 //
 // Observability: -progress prints a Spin-style status line per engine at
 // the given wall-clock interval (one lane per swarm worker, plus a merged
@@ -167,7 +169,6 @@ func bindFlags(fs *flag.FlagSet) *cli {
 	fs.Int64Var(&c.spec.Seed, "seed", 0, "search-order seed (0 = deterministic enumeration)")
 	fs.BoolVar(&c.spec.MajorityVote, "majority", false, "with 3+ targets, identify the deviating minority (majority voting)")
 	fs.IntVar(&c.spec.CrashPointsPerOp, "crash-points", 0, "max crash points sampled per operation (0 = default)")
-	fs.IntVar(&c.spec.FsckWorkers, "fsck-workers", 0, "worker pool size for the parallel post-recovery fsck (0 = GOMAXPROCS)")
 	fs.IntVar(&c.spec.Workers, "swarm", 0, "run N diversified workers in parallel (0 = single engine)")
 	fs.IntVar(&c.spec.Parallelism, "parallelism", 0, "max swarm workers running at once (0 = min(N, GOMAXPROCS))")
 	fs.DurationVar(&c.progress, "progress", 0, "print a status line per engine at this wall-clock interval (0 = off)")
@@ -192,7 +193,8 @@ func run(args []string) int {
 	c := bindFlags(fs)
 	fs.Parse(args) // ExitOnError: does not return on a bad flag
 	fail := func(code int, err error) int {
-		fmt.Fprintf(os.Stderr, "mcfs: %v\n", err)
+		// Library errors already say "mcfs: "; print the prefix once.
+		fmt.Fprintf(os.Stderr, "mcfs: %s\n", strings.TrimPrefix(err.Error(), "mcfs: "))
 		return code
 	}
 	if len(c.fsKinds) < 2 {

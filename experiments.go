@@ -474,80 +474,6 @@ func RunFigure3(cfg Figure3Config) ([]Figure3Point, error) {
 // the RAM hit rate rebounds (the paper's day 13-14 uptick).
 const defaultSaturationStates = 800_000_000
 
-// SwarmComparison quantifies what the shared visited table buys a
-// swarm: the same worker pool (identical seeds, targets, depth, and
-// per-worker budget) run twice, once with independent per-worker
-// visited tables and once sharing one table. Duplicates counts states
-// discovered by more than one worker — redundant exploration the
-// shared table eliminates.
-type SwarmComparison struct {
-	// Workers is the pool width; Budget the per-worker op budget.
-	Workers int
-	Budget  int64
-	// Independent and Shared summarize the two runs.
-	Independent SwarmModeStats
-	Shared      SwarmModeStats
-}
-
-// SwarmModeStats summarizes one swarm mode of the comparison.
-type SwarmModeStats struct {
-	// Ops sums executed operations across workers.
-	Ops int64
-	// UniqueStates sums per-worker unique discoveries; GlobalUnique is
-	// the number of distinct states across the whole swarm.
-	UniqueStates int64
-	GlobalUnique int64
-	// Duplicates = UniqueStates - GlobalUnique: states more than one
-	// worker paid to discover.
-	Duplicates int64
-}
-
-func swarmModeStats(sr SwarmResult) SwarmModeStats {
-	return SwarmModeStats{
-		Ops:          sr.Ops,
-		UniqueStates: sr.UniqueStates,
-		GlobalUnique: sr.GlobalUniqueStates,
-		Duplicates:   sr.DuplicateStates,
-	}
-}
-
-// RunSwarmComparison runs the shared-table vs. independent comparison
-// on a clean VeriFS1/VeriFS2 pair (no seeded bug, so no early
-// cancellation skews the totals).
-func RunSwarmComparison(workers int, budget int64) (SwarmComparison, error) {
-	if workers <= 0 {
-		workers = 4
-	}
-	if budget <= 0 {
-		budget = 800
-	}
-	cmp := SwarmComparison{Workers: workers, Budget: budget}
-	for _, share := range []bool{false, true} {
-		sr, err := SwarmRun(Options{
-			Targets:      []TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
-			MaxDepth:     3,
-			MaxOps:       budget,
-			Workers:      workers,
-			ShareVisited: share,
-		}, nil)
-		if err != nil {
-			return cmp, err
-		}
-		if sr.Err != nil {
-			return cmp, sr.Err
-		}
-		if sr.Bug != nil {
-			return cmp, fmt.Errorf("mcfs: swarm comparison found an unexpected bug: %v", sr.Bug.Discrepancy)
-		}
-		if share {
-			cmp.Shared = swarmModeStats(sr)
-		} else {
-			cmp.Independent = swarmModeStats(sr)
-		}
-	}
-	return cmp, nil
-}
-
 // SoakResult is the outcome of the E9 soak projection (§5: "over 159
 // million syscalls without any errors").
 type SoakResult struct {

@@ -137,11 +137,7 @@ type Disk struct {
 	cached  []bool // page-cache residency per cachePage
 	lastEnd int64  // end offset of the previous medium request
 
-	// inj is the schedulable fault plane (nil = no faults). failRule is
-	// the SetFailWrites compatibility shim's rule id on inj, -1 when the
-	// shim is off.
-	inj      *fault.Injector
-	failRule int
+	inj *fault.Injector // schedulable fault plane (nil = no faults)
 
 	reads, writes int64 // medium request counters
 
@@ -178,29 +174,36 @@ func NewDisk(name string, size int64, blkSize int, p Profile, clock *simclock.Cl
 		blkSize = 4096
 	}
 	return &Disk{
-		name:     name,
-		data:     make([]byte, size),
-		blkSize:  blkSize,
-		profile:  p,
-		clock:    clock,
-		cached:   make([]bool, (size+cachePage-1)/cachePage),
-		failRule: -1,
+		name:    name,
+		data:    make([]byte, size),
+		blkSize: blkSize,
+		profile: p,
+		clock:   clock,
+		cached:  make([]bool, (size+cachePage-1)/cachePage),
 	}
 }
 
 // ErrOutOfRange is returned for accesses beyond the device capacity.
 var ErrOutOfRange = fmt.Errorf("blockdev: access out of range")
 
-// ErrWriteFault is returned for writes while write fault injection is on.
-var ErrWriteFault = fmt.Errorf("blockdev: injected write fault")
-
-// ImageLoader is implemented by devices that can have a raw image
-// installed directly — the media literally holding these bytes, with no
-// I/O charged and no fault-plane consultation. Power-loss simulation
-// installs crash images through it; caches come back cold, exactly as
-// after a real power cut.
-type ImageLoader interface {
+// Media is what state capture needs of a crash-testable medium, and all
+// of it: read the image out, put one back, and look at raw bytes. Disk
+// and MTDBlock implement it. LoadImage and LoadImageDelta install a raw
+// image directly — the media literally holding these bytes, with no I/O
+// charged and no fault-plane consultation; power-loss simulation
+// installs crash images through them, and caches come back cold, exactly
+// as after a real power cut.
+type Media interface {
+	// Snapshot returns a copy of the full image.
+	Snapshot() ([]byte, error)
+	// LoadImage makes img the media's contents.
 	LoadImage(img []byte) error
+	// LoadImageDelta installs img over the listed regions only. Callers
+	// own the correctness of regions: they must cover every byte where
+	// the media differs from img (the injector's touch log).
+	LoadImageDelta(img []byte, regions []fault.Region) error
+	// ReadAt fills p from the media starting at off.
+	ReadAt(p []byte, off int64) error
 }
 
 func (d *Disk) checkRange(n int, off int64) error {
@@ -377,12 +380,10 @@ func (d *Disk) Restore(img []byte) error {
 func (d *Disk) Name() string { return d.name }
 
 // SetInjector attaches a fault-injection plane to the device (nil
-// detaches). An active SetFailWrites shim rule stays on the injector it
-// was installed on; install the injector before toggling the shim.
+// detaches).
 func (d *Disk) SetInjector(inj *fault.Injector) {
 	d.mu.Lock()
 	d.inj = inj
-	d.failRule = -1
 	d.mu.Unlock()
 }
 
@@ -393,32 +394,9 @@ func (d *Disk) Injector() *fault.Injector {
 	return d.inj
 }
 
-// SetFailWrites toggles all-writes-fail fault injection. It is a
-// compatibility shim over the schedulable fault plane: enabling it
-// installs an always-on fail-all rule (creating an injector if the
-// device has none), disabling removes the rule.
-func (d *Disk) SetFailWrites(fail bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if fail == (d.failRule >= 0) {
-		return
-	}
-	if fail {
-		if d.inj == nil {
-			d.inj = fault.New()
-		}
-		d.failRule = d.inj.AddRule(fault.Rule{
-			Kind: fault.KindError, AtWrite: -1, Err: ErrWriteFault, AlwaysOn: true,
-		})
-		return
-	}
-	d.inj.RemoveRule(d.failRule)
-	d.failRule = -1
-}
-
-// LoadImage implements ImageLoader: img becomes the device's contents
-// with no I/O charge and no fault-plane consultation, and the page
-// cache comes back cold — the state a power cut leaves behind.
+// LoadImage implements Media: img becomes the device's contents with no
+// I/O charge and no fault-plane consultation, and the page cache comes
+// back cold — the state a power cut leaves behind.
 func (d *Disk) LoadImage(img []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -433,35 +411,47 @@ func (d *Disk) LoadImage(img []byte) error {
 	return nil
 }
 
-// LoadImageDelta installs img over the listed regions only: the media
-// outside the regions is untouched, the pages under them come back cold.
-// Like LoadImage it charges nothing and bypasses the fault plane — it is
-// the power-cut installer for a crash image whose divergence from the
-// current media is known (the injector's touch log). Callers own the
-// correctness of regions: they must cover every byte where the device
-// differs from img.
+// LoadImageDelta implements Media: the media outside the regions is
+// untouched, the pages under them come back cold. Like LoadImage it
+// charges nothing and bypasses the fault plane — it is the power-cut
+// installer for a crash image whose divergence from the current media is
+// known.
 func (d *Disk) LoadImageDelta(img []byte, regions []fault.Region) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if len(img) != len(d.data) {
-		return fmt.Errorf("blockdev: load image size %d != device size %d (%s)", len(img), len(d.data), d.name)
+	if err := loadDelta(d.data, img, regions, d.name); err != nil {
+		return err
 	}
 	for _, r := range regions {
 		if r.Len <= 0 {
 			continue
 		}
-		end := r.Off + r.Len
-		if r.Off < 0 || end > int64(len(d.data)) {
-			return fmt.Errorf("%w: delta region off=%d len=%d size=%d dev=%s",
-				ErrOutOfRange, r.Off, r.Len, len(d.data), d.name)
-		}
-		copy(d.data[r.Off:end], img[r.Off:end])
 		first, last := pageRange(r.Off, int(r.Len))
 		for pg := first; pg < last; pg++ {
 			d.cached[pg] = false
 		}
 	}
 	d.lastEnd = 0
+	return nil
+}
+
+// loadDelta copies img over data inside each region. Nothing is copied
+// unless img is data's size and every region lies inside it.
+func loadDelta(data, img []byte, regions []fault.Region, name string) error {
+	if len(img) != len(data) {
+		return fmt.Errorf("blockdev: load image size %d != device size %d (%s)", len(img), len(data), name)
+	}
+	for _, r := range regions {
+		if r.Len > 0 && (r.Off < 0 || r.Off+r.Len > int64(len(data))) {
+			return fmt.Errorf("%w: delta region off=%d len=%d size=%d dev=%s",
+				ErrOutOfRange, r.Off, r.Len, len(data), name)
+		}
+	}
+	for _, r := range regions {
+		if r.Len > 0 {
+			copy(data[r.Off:r.Off+r.Len], img[r.Off:r.Off+r.Len])
+		}
+	}
 	return nil
 }
 

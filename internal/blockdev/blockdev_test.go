@@ -3,6 +3,7 @@ package blockdev
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -90,12 +91,15 @@ func TestSnapshotIsCopy(t *testing.T) {
 }
 
 func TestWriteFaultInjection(t *testing.T) {
+	boom := errors.New("write fault")
 	d := NewRAM("ram0", 4096, simclock.New())
-	d.SetFailWrites(true)
-	if err := d.WriteAt([]byte{1}, 0); !errors.Is(err, ErrWriteFault) {
-		t.Errorf("err = %v, want ErrWriteFault", err)
+	inj := fault.New()
+	d.SetInjector(inj)
+	id := inj.AddRule(fault.Rule{Kind: fault.KindError, AtWrite: -1, Err: boom, AlwaysOn: true})
+	if err := d.WriteAt([]byte{1}, 0); !errors.Is(err, boom) {
+		t.Errorf("err = %v, want the injected fault", err)
 	}
-	d.SetFailWrites(false)
+	inj.RemoveRule(id)
 	if err := d.WriteAt([]byte{1}, 0); err != nil {
 		t.Errorf("write after clearing fault: %v", err)
 	}
@@ -237,6 +241,61 @@ func TestLoadImageDeltaMatchesFullLoad(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Error("delta load diverged from full image load")
+	}
+}
+
+func TestMTDLoadImageDeltaMatchesFullLoad(t *testing.T) {
+	// The flash sibling of the law above: programs and erases both reach
+	// the touch log, so after any mix of them LoadImageDelta over
+	// Touched() leaves the flash byte-identical to a full LoadImage.
+	const size, erase = 64 * 1024, 8 * 1024
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 20; round++ {
+		m := NewMTD("mtd0", size, erase, simclock.New())
+		bridge := NewMTDBlock(m)
+		seed := make([]byte, size)
+		rng.Read(seed)
+		if err := m.LoadImage(seed); err != nil {
+			t.Fatal(err)
+		}
+		inj := fault.New()
+		m.SetInjector(inj)
+		inj.StartTouchLog()
+		for i := 0; i < 30; i++ {
+			if rng.Intn(3) == 0 {
+				if err := m.Erase(rng.Intn(size / erase)); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			// Programming can only clear bits: AND random bytes into
+			// what the flash holds.
+			off, n := rng.Int63n(size-256), 1+rng.Intn(256)
+			p := make([]byte, n)
+			if err := m.ReadAt(p, off); err != nil {
+				t.Fatal(err)
+			}
+			for j := range p {
+				p[j] &= byte(rng.Intn(256))
+			}
+			if err := m.Program(p, off); err != nil {
+				t.Fatal(err)
+			}
+		}
+		regions, ok := inj.Touched()
+		if !ok {
+			t.Fatal("touch log lost")
+		}
+		if err := bridge.LoadImageDelta(seed, regions); err != nil {
+			t.Fatal(err)
+		}
+		got, err := bridge.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, seed) {
+			t.Fatalf("round %d: delta load diverged from the full image", round)
+		}
 	}
 }
 

@@ -191,9 +191,9 @@ func (m *MTD) Injector() *fault.Injector {
 	return m.inj
 }
 
-// LoadImage implements ImageLoader: img becomes the flash contents with
-// no I/O charge, no erase-count change, and no fault-plane consultation
-// — the state a power cut leaves behind.
+// LoadImage makes img the flash contents with no I/O charge, no
+// erase-count change, and no fault-plane consultation — the state a
+// power cut leaves behind.
 func (m *MTD) LoadImage(img []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -202,6 +202,15 @@ func (m *MTD) LoadImage(img []byte) error {
 	}
 	copy(m.data, img)
 	return nil
+}
+
+// LoadImageDelta is LoadImage over the listed regions only. Programs and
+// erases both reach the injector's touch log, so the log bounds every
+// byte where the flash can differ from an earlier image.
+func (m *MTD) LoadImageDelta(img []byte, regions []fault.Region) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return loadDelta(m.data, img, regions, m.name)
 }
 
 // MTDBlock bridges an MTD device to the Device interface, the stand-in
@@ -286,8 +295,13 @@ func (b *MTDBlock) Restore(img []byte) error {
 	return nil
 }
 
-// LoadImage implements ImageLoader by delegating to the MTD device.
+// LoadImage and LoadImageDelta implement Media by delegating to the MTD
+// device.
 func (b *MTDBlock) LoadImage(img []byte) error { return b.mtd.LoadImage(img) }
+
+func (b *MTDBlock) LoadImageDelta(img []byte, regions []fault.Region) error {
+	return b.mtd.LoadImageDelta(img, regions)
+}
 
 // Name implements Device.
 func (b *MTDBlock) Name() string { return b.mtd.Name() + "block" }

@@ -102,8 +102,8 @@ type Rule struct {
 	// BitOffset is the payload bit KindCorrupt flips (clamped to the
 	// write's length).
 	BitOffset int64
-	// AlwaysOn makes the rule match outside fault windows too — the
-	// SetFailWrites compatibility shim is one of these.
+	// AlwaysOn makes the rule match outside fault windows too (a device
+	// that fails every write).
 	AlwaysOn bool
 	// Once deactivates the rule after its first injection.
 	Once bool
@@ -486,8 +486,8 @@ func (in *Injector) OnRead(off int64, n int) error {
 
 // OnControl is the hook for non-write device mutations (image restore):
 // only always-on error rules apply — a device that fails all writes must
-// fail restores too (the SetFailWrites contract) — and nothing is
-// counted against the window. Nil-safe.
+// fail restores too — and nothing is counted against the window.
+// Nil-safe.
 func (in *Injector) OnControl() error {
 	if in == nil {
 		return nil

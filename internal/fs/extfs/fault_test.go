@@ -1,10 +1,12 @@
 package extfs
 
 import (
+	"errors"
 	"testing"
 
 	"mcfs/internal/blockdev"
 	"mcfs/internal/errno"
+	"mcfs/internal/fault"
 	"mcfs/internal/simclock"
 	"mcfs/internal/vfs"
 )
@@ -12,6 +14,15 @@ import (
 // Failure-injection tests: extfs must degrade to EIO (never panic or
 // corrupt silently) when the device rejects writes, and must follow the
 // POSIX ENOSPC contract as space runs out.
+
+// failWrites makes every write (and restore) on dev fail until the
+// returned function is called.
+func failWrites(dev *blockdev.Disk) (clear func()) {
+	inj := fault.New()
+	dev.SetInjector(inj)
+	inj.AddRule(fault.Rule{Kind: fault.KindError, AtWrite: -1, Err: errors.New("injected write fault"), AlwaysOn: true})
+	return inj.ClearRules
+}
 
 func TestWriteFaultSurfacesEIO(t *testing.T) {
 	clk := simclock.New()
@@ -24,7 +35,7 @@ func TestWriteFaultSurfacesEIO(t *testing.T) {
 		t.Fatal(err)
 	}
 	ino := mustCreate(t, f, f.Root(), "file")
-	dev.SetFailWrites(true)
+	clearFault := failWrites(dev)
 	if _, e := f.Write(ino, 0, []byte("data")); e != errno.EIO {
 		t.Errorf("write with failing device = %v, want EIO", e)
 	}
@@ -33,7 +44,7 @@ func TestWriteFaultSurfacesEIO(t *testing.T) {
 	if e := f.Sync(); e != errno.EIO {
 		t.Errorf("sync with failing device = %v, want EIO", e)
 	}
-	dev.SetFailWrites(false)
+	clearFault()
 	if e := f.Sync(); e != errno.OK {
 		t.Errorf("sync after fault cleared = %v", e)
 	}
@@ -52,11 +63,11 @@ func TestMkdirFaultDuringDirBlockWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev.SetFailWrites(true)
+	clearFault := failWrites(dev)
 	if _, e := f.Mkdir(f.Root(), "dir", 0755, 0, 0); e != errno.EIO {
 		t.Errorf("mkdir with failing device = %v, want EIO", e)
 	}
-	dev.SetFailWrites(false)
+	clearFault()
 	// The namespace must not contain a half-created directory.
 	if _, e := f.Lookup(f.Root(), "dir"); e != errno.ENOENT {
 		t.Errorf("half-created dir visible: %v", e)

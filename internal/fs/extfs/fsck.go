@@ -1,11 +1,9 @@
 package extfs
 
 import (
+	"encoding/binary"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"mcfs/internal/blockdev"
 	"mcfs/internal/vfs"
@@ -21,23 +19,8 @@ type Problem struct {
 
 func (p Problem) String() string { return p.Code + ": " + p.Detail }
 
-// FsckOptions configures FsckWith.
-type FsckOptions struct {
-	// Workers is how many goroutines the CPU-bound verification passes
-	// fan out over; <= 0 picks GOMAXPROCS capped at maxFsckWorkers. The
-	// problem list and the device I/O sequence are identical for every
-	// worker count: all reads happen in serial prefetch stages, so the
-	// virtual clock sees the same charges whether one worker runs or
-	// eight.
-	Workers int
-}
-
-// maxFsckWorkers caps the verification fan-out; past this the passes are
-// memory-bound and more goroutines only add scheduling overhead.
-const maxFsckWorkers = 8
-
 // Fsck validates the on-disk state of an unmounted volume and returns the
-// inconsistencies found, using the default worker count. It reproduces
+// inconsistencies found. It reproduces
 // the checks that exposed the paper's §3.2 failure mode: after MCFS
 // restored a disk image underneath live kernel caches, "directory entries
 // with corrupted or zeroed inodes" appeared — exactly the dangling-entry
@@ -59,27 +42,23 @@ const maxFsckWorkers = 8
 // A device read error aborts the check and is returned as the error —
 // never as a clean verdict: a faulted read must not make a corrupt image
 // look consistent.
+//
+// Every block is read from the device at most once, in a fixed order:
+// superblock, bitmaps, the whole inode table, then each directory's
+// indirect and data blocks breadth-first, then each file's indirect
+// block in discovery order. The virtual clock and the fault plane's read
+// rules see exactly that sequence. The check runs in one goroutine: on
+// the 256 KiB volumes MCFS formats, a worker pool over the in-memory
+// passes measured slower than this loop at every width.
 func Fsck(dev blockdev.Device) ([]Problem, error) {
-	return FsckWith(dev, FsckOptions{})
-}
-
-// FsckWith is Fsck with explicit options. The check runs in phases,
-// pFSCK-style: each phase prefetches the blocks it needs serially (one
-// device read per block, in a deterministic order), then fans the pure
-// in-memory verification work — directory-entry checks, block-reference
-// accounting, the linear inode scan — across the worker pool, merging
-// each unit's findings back in discovery order.
-func FsckWith(dev blockdev.Device, opts FsckOptions) ([]Problem, error) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	f := &fsckRun{
+		dev:    dev,
+		blocks: make(map[uint32][]byte),
+		refs:   make(map[uint32]uint32),
+		seen:   map[uint32]bool{RootIno: true},
+		dirs:   []uint32{RootIno},
 	}
-	if workers > maxFsckWorkers {
-		workers = maxFsckWorkers
-	}
-
-	f := &fsckRun{cache: newBlockCache(dev), workers: workers}
-	sbBuf, err := f.cache.load(0)
+	sbBuf, err := f.load(0)
 	if err != nil {
 		return nil, err
 	}
@@ -102,113 +81,54 @@ func FsckWith(dev blockdev.Device, opts FsckOptions) ([]Problem, error) {
 		}}, nil
 	}
 
-	if f.blockBitmap, err = f.cache.load(f.l.blockBitmap); err != nil {
+	if f.blockBitmap, err = f.load(f.l.blockBitmap); err != nil {
 		return nil, err
 	}
-	if f.inodeBitmap, err = f.cache.load(f.l.inodeBitmap); err != nil {
+	if f.inodeBitmap, err = f.load(f.l.inodeBitmap); err != nil {
 		return nil, err
 	}
-	// Prefetch the whole inode table once. The serial fsck re-read (and
-	// re-allocated) the same table block for every inode it looked at;
-	// here every later inode decode is a cache slice.
+	// Read the whole inode table once; every later inode decode is a
+	// slice of it.
 	for b := uint32(0); b < f.l.inodeBlocks; b++ {
-		if _, err := f.cache.load(f.l.inodeTable + b); err != nil {
+		if _, err := f.load(f.l.inodeTable + b); err != nil {
 			return nil, err
 		}
 	}
 
-	var problems []Problem
-	rootNd, _ := f.inode(RootIno)
-	if !vfs.Mode(rootNd.mode).IsDir() {
-		problems = append(problems, Problem{
-			Code:   "bad-root",
-			Detail: fmt.Sprintf("root inode is not a directory (mode %#x)", rootNd.mode),
-		})
-		return problems, nil
+	if root := f.inode(RootIno); !vfs.Mode(root.mode).IsDir() {
+		f.report("bad-root", "root inode is not a directory (mode %#x)", root.mode)
+		return f.problems, nil
 	}
 
-	// Pass 1: the directory tree, breadth-first. Each level loads its
-	// directories' blocks serially, then checks every directory's entries
-	// in parallel; findings merge back in discovery order, which also
-	// builds the next level's frontier.
-	refs := make(map[uint32]uint32)   // inode -> referencing entry count
+	// Pass 1: the directory tree, breadth-first. dirs grows as checkDir
+	// discovers subdirectories; files collects the non-directories in
+	// discovery order, each once however many entries name it.
 	blockRefs := make(map[uint32]int) // block -> owning-inode reference count
-	visited := map[uint32]bool{RootIno: true}
-	fileSeen := make(map[uint32]bool)
-	var files []uint32 // discovery-ordered file inodes, deduplicated
-	frontier := []uint32{RootIno}
-	for len(frontier) > 0 {
-		tasks := make([]dirTask, len(frontier))
-		for i, ino := range frontier {
-			nd, _ := f.inode(ino)
-			bl, probs, err := f.loadInodeBlocks(ino, "dir inode", &nd)
-			if err != nil {
-				return nil, err
-			}
-			for _, blk := range bl.data {
-				if _, err := f.cache.load(blk); err != nil {
-					return nil, err
-				}
-			}
-			tasks[i] = dirTask{ino: ino, blocks: bl, probs: probs}
-		}
-		parallelFor(f.workers, len(tasks), func(i int) {
-			f.checkDir(&tasks[i])
-		})
-		var next []uint32
-		for i := range tasks {
-			t := &tasks[i]
-			problems = append(problems, t.probs...)
-			for _, blk := range t.blocks.refs {
-				blockRefs[blk]++
-			}
-			for _, ino := range t.refIncs {
-				refs[ino]++
-			}
-			for _, ino := range t.childDirs {
-				if !visited[ino] {
-					visited[ino] = true
-					next = append(next, ino)
-				}
-			}
-			for _, ino := range t.childFiles {
-				if !fileSeen[ino] {
-					fileSeen[ino] = true
-					files = append(files, ino)
-				}
-			}
-		}
-		frontier = next
-	}
-
-	// Pass 2: block accounting for every reachable file — indirect blocks
-	// prefetched serially, then the pointer checks fan out per file. Each
-	// file's blocks are counted once no matter how many directory entries
-	// (hard links) name it.
-	fileTasks := make([]fileTask, len(files))
-	for i, ino := range files {
-		nd, _ := f.inode(ino)
-		bl, probs, err := f.loadInodeBlocks(ino, "inode", &nd)
+	for i := 0; i < len(f.dirs); i++ {
+		bl, err := f.blocksOf(f.dirs[i], "dir inode")
 		if err != nil {
 			return nil, err
 		}
-		fileTasks[i] = fileTask{ino: ino, blocks: bl, probs: probs}
-	}
-	parallelFor(f.workers, len(fileTasks), func(i int) {
-		t := &fileTasks[i]
-		for _, blk := range t.blocks.refs {
-			if !bitmapGet(f.blockBitmap, blk) {
-				t.probs = append(t.probs, Problem{
-					Code:   "block-not-marked",
-					Detail: fmt.Sprintf("inode %d uses block %d not marked in bitmap", t.ino, blk),
-				})
-			}
+		if err := f.checkDir(f.dirs[i], bl); err != nil {
+			return nil, err
 		}
-	})
-	for i := range fileTasks {
-		t := &fileTasks[i]
-		problems = append(problems, t.probs...)
-		for _, blk := range t.blocks.refs {
+		for _, blk := range bl.refs {
+			blockRefs[blk]++
+		}
+	}
+
+	// Pass 2: block accounting for every reachable file. Each file's
+	// blocks are counted once no matter how many directory entries (hard
+	// links) name it.
+	for _, ino := range f.files {
+		bl, err := f.blocksOf(ino, "inode")
+		if err != nil {
+			return nil, err
+		}
+		for _, blk := range bl.refs {
+			if !bitmapGet(f.blockBitmap, blk) {
+				f.report("block-not-marked", "inode %d uses block %d not marked in bitmap", ino, blk)
+			}
 			blockRefs[blk]++
 		}
 	}
@@ -224,79 +144,72 @@ func FsckWith(dev blockdev.Device, opts FsckOptions) ([]Problem, error) {
 	}
 	sort.Slice(sharedBlocks, func(i, j int) bool { return sharedBlocks[i] < sharedBlocks[j] })
 	for _, blk := range sharedBlocks {
-		problems = append(problems, Problem{
-			Code:   "block-shared",
-			Detail: fmt.Sprintf("block %d referenced %d times", blk, blockRefs[blk]),
-		})
+		f.report("block-shared", "block %d referenced %d times", blk, blockRefs[blk])
 	}
 
-	// Pass 3: the linear inode scan — link counts and orphans — split
-	// into contiguous inode ranges, one result slot per range, findings
-	// concatenated in range order. Directories are checked loosely (their
-	// nlink also counts subdirectory ".." references). refs is read-only
-	// from here on, so the workers share it without locks.
-	nscan := 0
-	if f.sb.inodesTotal >= FirstFreeIno {
-		nscan = int(f.sb.inodesTotal) - FirstFreeIno + 1
-	}
-	chunks := f.workers * 4
-	if chunks > nscan {
-		chunks = nscan
-	}
-	scanProbs := make([][]Problem, chunks)
-	parallelFor(f.workers, chunks, func(c int) {
-		lo := FirstFreeIno + uint32(c*nscan/chunks)
-		hi := FirstFreeIno + uint32((c+1)*nscan/chunks)
-		for ino := lo; ino < hi; ino++ {
-			if !bitmapGet(f.inodeBitmap, ino) {
-				continue
-			}
-			nd, _ := f.inode(ino)
-			n, reachable := refs[ino]
-			if !reachable {
-				scanProbs[c] = append(scanProbs[c], Problem{
-					Code:   "orphan-inode",
-					Detail: fmt.Sprintf("inode %d allocated but unreachable", ino),
-				})
-				continue
-			}
-			if !vfs.Mode(nd.mode).IsDir() && nd.nlink != n {
-				scanProbs[c] = append(scanProbs[c], Problem{
-					Code:   "bad-nlink",
-					Detail: fmt.Sprintf("inode %d nlink %d but %d references", ino, nd.nlink, n),
-				})
-			}
+	// Pass 3: the linear inode scan — link counts and orphans.
+	// Directories are checked loosely (their nlink also counts
+	// subdirectory ".." references).
+	for ino := uint32(FirstFreeIno); ino <= f.sb.inodesTotal; ino++ {
+		if !bitmapGet(f.inodeBitmap, ino) {
+			continue
 		}
-	})
-	for _, probs := range scanProbs {
-		problems = append(problems, probs...)
+		nd := f.inode(ino)
+		n, reachable := f.refs[ino]
+		if !reachable {
+			f.report("orphan-inode", "inode %d allocated but unreachable", ino)
+		} else if !vfs.Mode(nd.mode).IsDir() && nd.nlink != n {
+			f.report("bad-nlink", "inode %d nlink %d but %d references", ino, nd.nlink, n)
+		}
 	}
-	return problems, nil
+	return f.problems, nil
 }
 
-// fsckRun is one FsckWith invocation's shared read-only state. After the
-// serial prefetch stages fill the cache, everything here is immutable,
-// so the worker pool reads it without locks.
+// fsckRun is one Fsck invocation's state.
 type fsckRun struct {
-	cache       *blockCache
-	sb          *superblock
-	l           layout
+	dev    blockdev.Device
+	blocks map[uint32][]byte // every block read so far: the single-read view of the device
+	sb     *superblock
+	l      layout
+
 	blockBitmap []byte
 	inodeBitmap []byte
-	workers     int
+
+	problems []Problem
+	refs     map[uint32]uint32 // inode -> referencing entry count
+	seen     map[uint32]bool   // directories and files already queued
+	dirs     []uint32          // the breadth-first directory queue
+	files    []uint32          // discovery-ordered file inodes
 }
 
-// inode decodes an inode record from the prefetched table. ok is false
-// only if the table block is not cached — impossible for inode numbers
-// within the superblock's range, which callers validate first.
-func (f *fsckRun) inode(ino uint32) (onDiskInode, bool) {
-	blk := f.l.inodeTable + (ino-1)/InodesPerBlock
-	buf := f.cache.cached(blk)
+func (f *fsckRun) report(code, format string, args ...any) {
+	f.problems = append(f.problems, Problem{Code: code, Detail: fmt.Sprintf(format, args...)})
+}
+
+// load returns blk's contents, reading it from the device on first use.
+func (f *fsckRun) load(blk uint32) ([]byte, error) {
+	if buf, ok := f.blocks[blk]; ok {
+		return buf, nil
+	}
+	buf := make([]byte, BlockSize)
+	if err := f.dev.ReadAt(buf, int64(blk)*BlockSize); err != nil {
+		return nil, err
+	}
+	f.blocks[blk] = buf
+	return buf, nil
+}
+
+// inode decodes an inode record from the loaded table: the zero inode
+// when ino lies outside it, which only a superblock declaring fewer
+// inodes than the root's number can cause — callers validate every other
+// number against the superblock first.
+func (f *fsckRun) inode(ino uint32) onDiskInode {
+	buf := f.blocks[f.l.inodeTable+(ino-1)/InodesPerBlock]
 	if buf == nil {
-		return onDiskInode{}, false
+		return onDiskInode{}
 	}
 	off := ((ino - 1) % InodesPerBlock) * InodeSize
-	return decodeInode(buf[off : off+InodeSize]), true
+	return decodeInode(buf[off : off+InodeSize])
 }
 
 // inodeBlocks is the block set one inode maps: refs is every block the
@@ -307,98 +220,63 @@ type inodeBlocks struct {
 	data []uint32
 }
 
-// loadInodeBlocks gathers an inode's blocks, reading the indirect block
-// through the cache (serial stages only). A pointer outside the volume is
-// reported as a problem and excluded — judging it against the bitmap
-// would be meaningless — and a device error reading the indirect block
-// propagates instead of truncating the list: a faulted read must surface
-// as an fsck failure, not a clean partial check. what names the inode's
-// role in problem details ("dir inode" / "inode").
-func (f *fsckRun) loadInodeBlocks(ino uint32, what string, nd *onDiskInode) (inodeBlocks, []Problem, error) {
+// blocksOf gathers ino's blocks, reading its indirect block. A pointer
+// outside the volume is reported as a problem and excluded — judging it
+// against the bitmap would be meaningless — and a device error reading
+// the indirect block propagates instead of truncating the list: a
+// faulted read must surface as an fsck failure, not a clean partial
+// check. what names the inode's role in problem details ("dir inode" /
+// "inode").
+func (f *fsckRun) blocksOf(ino uint32, what string) (inodeBlocks, error) {
 	var bl inodeBlocks
-	var probs []Problem
-	badPtr := func(blk uint32) {
-		probs = append(probs, Problem{
-			Code:   "block-out-of-range",
-			Detail: fmt.Sprintf("%s %d references block %d beyond volume (%d blocks)", what, ino, blk, f.sb.blocksTotal),
-		})
-	}
-	for _, d := range nd.direct {
-		if d == 0 {
-			continue
+	nd := f.inode(ino)
+	add := func(blk uint32, data bool) bool {
+		if blk >= f.sb.blocksTotal {
+			f.report("block-out-of-range", "%s %d references block %d beyond volume (%d blocks)", what, ino, blk, f.sb.blocksTotal)
+			return false
 		}
-		if d >= f.sb.blocksTotal {
-			badPtr(d)
-			continue
-		}
-		bl.refs = append(bl.refs, d)
-		bl.data = append(bl.data, d)
-	}
-	if nd.indir != 0 {
-		if nd.indir >= f.sb.blocksTotal {
-			badPtr(nd.indir)
-			return bl, probs, nil
-		}
-		bl.refs = append(bl.refs, nd.indir)
-		buf, err := f.cache.load(nd.indir)
-		if err != nil {
-			return bl, probs, fmt.Errorf("extfs: fsck: reading indirect block %d of %s %d: %w", nd.indir, what, ino, err)
-		}
-		for i := 0; i < PtrsPerBlock; i++ {
-			blk := uint32(buf[i*4]) | uint32(buf[i*4+1])<<8 | uint32(buf[i*4+2])<<16 | uint32(buf[i*4+3])<<24
-			if blk == 0 {
-				continue
-			}
-			if blk >= f.sb.blocksTotal {
-				badPtr(blk)
-				continue
-			}
-			bl.refs = append(bl.refs, blk)
+		bl.refs = append(bl.refs, blk)
+		if data {
 			bl.data = append(bl.data, blk)
 		}
+		return true
 	}
-	return bl, probs, nil
-}
-
-// dirTask is one directory's unit of parallel checking: blocks and probs
-// are filled by the serial load stage, the rest by checkDir on a worker.
-type dirTask struct {
-	ino    uint32
-	blocks inodeBlocks
-	probs  []Problem
-
-	refIncs    []uint32 // inodes referenced by this dir's entries, one per entry
-	childDirs  []uint32 // referenced dirs, entry order
-	childFiles []uint32 // referenced non-dirs, entry order
-}
-
-// fileTask is one file's unit of parallel block accounting.
-type fileTask struct {
-	ino    uint32
-	blocks inodeBlocks
-	probs  []Problem
-}
-
-// checkDir runs every in-memory check for one directory: bitmap marks
-// for its blocks, then the paper's §3.2 entry checks. It touches only
-// the prefetched cache and shared read-only state, so any number of
-// checkDir calls run concurrently.
-func (f *fsckRun) checkDir(t *dirTask) {
-	report := func(code, format string, args ...any) {
-		t.probs = append(t.probs, Problem{Code: code, Detail: fmt.Sprintf(format, args...)})
+	for _, d := range nd.direct {
+		if d != 0 {
+			add(d, true)
+		}
 	}
-	for _, blk := range t.blocks.refs {
+	if nd.indir != 0 && add(nd.indir, false) {
+		buf, err := f.load(nd.indir)
+		if err != nil {
+			return bl, fmt.Errorf("extfs: fsck: reading indirect block %d of %s %d: %w", nd.indir, what, ino, err)
+		}
+		for i := 0; i < PtrsPerBlock; i++ {
+			if blk := binary.LittleEndian.Uint32(buf[i*4:]); blk != 0 {
+				add(blk, true)
+			}
+		}
+	}
+	return bl, nil
+}
+
+// checkDir runs every check for one directory: bitmap marks for its
+// blocks, then the paper's §3.2 entry checks, queueing the children it
+// finds.
+func (f *fsckRun) checkDir(dir uint32, bl inodeBlocks) error {
+	for _, blk := range bl.data {
+		if _, err := f.load(blk); err != nil {
+			return err
+		}
+	}
+	for _, blk := range bl.refs {
 		if !bitmapGet(f.blockBitmap, blk) {
-			report("block-not-marked", "dir inode %d uses block %d not marked in bitmap", t.ino, blk)
+			f.report("block-not-marked", "dir inode %d uses block %d not marked in bitmap", dir, blk)
 		}
 	}
 	var haveDot, haveDotDot bool
-	for _, blk := range t.blocks.data {
-		buf := f.cache.cached(blk)
-		if buf == nil {
-			continue
-		}
-		for _, de := range parseDirBlock(buf) {
+	for _, blk := range bl.data {
+		for _, de := range parseDirBlock(f.blocks[blk]) {
 			switch de.name {
 			case ".":
 				haveDot = true
@@ -408,91 +286,32 @@ func (f *fsckRun) checkDir(t *dirTask) {
 				continue
 			}
 			if de.ino == 0 || de.ino > f.sb.inodesTotal {
-				report("dangling-entry", "dir %d entry %q points to invalid inode %d", t.ino, de.name, de.ino)
+				f.report("dangling-entry", "dir %d entry %q points to invalid inode %d", dir, de.name, de.ino)
 				continue
 			}
 			if !bitmapGet(f.inodeBitmap, de.ino) {
-				report("dangling-entry", "dir %d entry %q points to free inode %d", t.ino, de.name, de.ino)
+				f.report("dangling-entry", "dir %d entry %q points to free inode %d", dir, de.name, de.ino)
 				continue
 			}
-			child, _ := f.inode(de.ino)
+			child := f.inode(de.ino)
 			if child.mode == 0 && child.nlink == 0 {
-				report("zeroed-inode", "dir %d entry %q points to zeroed inode %d", t.ino, de.name, de.ino)
+				f.report("zeroed-inode", "dir %d entry %q points to zeroed inode %d", dir, de.name, de.ino)
 				continue
 			}
-			t.refIncs = append(t.refIncs, de.ino)
+			f.refs[de.ino]++
+			if f.seen[de.ino] {
+				continue
+			}
+			f.seen[de.ino] = true
 			if vfs.Mode(child.mode).IsDir() {
-				t.childDirs = append(t.childDirs, de.ino)
+				f.dirs = append(f.dirs, de.ino)
 			} else {
-				t.childFiles = append(t.childFiles, de.ino)
+				f.files = append(f.files, de.ino)
 			}
 		}
 	}
 	if !haveDot || !haveDotDot {
-		report("missing-dot", "dir inode %d lacks . or ..", t.ino)
+		f.report("missing-dot", "dir inode %d lacks . or ..", dir)
 	}
-}
-
-// blockCache is fsck's single-read view of the device: load reads a
-// block at most once, during the serial prefetch stages, and cached
-// hands the parallel passes read-only slices. Keeping every device read
-// in serial stages is what makes the worker count invisible to the
-// virtual clock.
-type blockCache struct {
-	dev    blockdev.Device
-	blocks map[uint32][]byte
-}
-
-func newBlockCache(dev blockdev.Device) *blockCache {
-	return &blockCache{dev: dev, blocks: make(map[uint32][]byte)}
-}
-
-// load returns blk's contents, reading it from the device on first use.
-// Serial stages only — the map is unguarded by design.
-func (c *blockCache) load(blk uint32) ([]byte, error) {
-	if buf, ok := c.blocks[blk]; ok {
-		return buf, nil
-	}
-	buf := make([]byte, BlockSize)
-	if err := c.dev.ReadAt(buf, int64(blk)*BlockSize); err != nil {
-		return nil, err
-	}
-	c.blocks[blk] = buf
-	return buf, nil
-}
-
-// cached returns blk's contents if a prefetch stage loaded them, nil
-// otherwise. Safe for concurrent readers: the map is never mutated while
-// a parallel pass runs.
-func (c *blockCache) cached(blk uint32) []byte { return c.blocks[blk] }
-
-// parallelFor runs fn(0..n-1) across up to workers goroutines, handing
-// out indices through an atomic counter. fn must confine its writes to
-// its own index's result slot; completion of the call is the barrier.
-func parallelFor(workers, n int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
+	return nil
 }

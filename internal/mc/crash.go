@@ -24,12 +24,16 @@
 package mc
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 
 	"mcfs/internal/abstraction"
+	"mcfs/internal/blockdev"
 	"mcfs/internal/checker"
 	"mcfs/internal/errno"
 	"mcfs/internal/fault"
+	"mcfs/internal/kernel"
 	"mcfs/internal/obs/journal"
 	"mcfs/internal/obs/stream"
 	"mcfs/internal/workload"
@@ -51,61 +55,122 @@ const maxArmedPoints = 64
 // every write of any window up to maxArmedPoints writes.
 const DefaultCrashPointsPerOp = maxArmedPoints
 
-// CrashPlane is one target's crash-testing surface. It is deliberately
-// self-contained — closures over the session's kernel, device, and
-// injector — so the engine stays ignorant of device and mount plumbing.
+// CrashPlane is one target's crash-testing surface, as data: where the
+// target is mounted and how to mount it again, the media under it, and
+// the fault plane on that media. What the oracle does to a plane —
+// bracket a window with remounts, roll the media back, cut the power,
+// hash the metadata, digest the media — is written once, below, over
+// these fields.
 type CrashPlane struct {
 	// Target is the target's index in the checker's target list; Name
 	// its human name (e.g. "ext4#1"); Mount its mount point.
 	Target int
 	Name   string
 	Mount  string
-	// Injector is the fault plane installed on the target's device.
+	// Spec mounts the target again after a failed recovery left Mount
+	// empty.
+	Spec kernel.FilesystemSpec
+	// Injector is the fault plane installed on Media.
 	Injector *fault.Injector
-	// PreOp/PostOp bracket one probed execution exactly as the target's
-	// tracker brackets a normal step (remounts for kernel file systems).
-	// PreOp runs before the fault window opens — its flushes belong to
-	// the previous state — and PostOp runs inside it, so sync-path
-	// writes (journal commits) are crash-testable.
-	PreOp  func() error
-	PostOp func() error
-	// Snapshot captures the device image; Restore brings it back even
-	// when the target is left unmounted by a failed recovery.
-	Snapshot func() ([]byte, error)
-	Restore  func(img []byte) error
-	// PowerCycle simulates power loss with img as the surviving media
-	// image: drop all volatile state, load img, and remount through the
-	// target's recovery path (journal replay, log scan). An error means
-	// recovery itself failed.
-	PowerCycle func(img []byte) error
-	// RestoreDelta and PowerCycleDelta, when set, are delta-session
-	// variants of Restore and PowerCycle: instead of reloading the full
-	// image they reload only the regions the injector's touch log says
-	// have diverged from it, plus extra — regions the caller knows
-	// diverged outside the log's view (a crash image loaded since the
-	// log's last reset). Both must fall back to the full-image path on
-	// their own when the touch log is unusable. RestoreDelta additionally
-	// resets the touch log once the media matches img again, so the log
-	// describes divergence from img from then on.
-	RestoreDelta    func(img []byte, extra []fault.Region) error
-	PowerCycleDelta func(img []byte, extra []fault.Region) error
-	// MediaDigest, when set, hashes the device media over the given
-	// regions, masking byte ranges that may differ between equivalent
+	// Media is the target's backing medium: the block device, or the MTD
+	// behind its mtdblock bridge.
+	Media blockdev.Media
+	// Mask lists the media byte ranges that may differ between equivalent
 	// states (superblock dirty flags, mount counters, replayed journal
-	// space). ok == false means the digest could not be computed (a read
-	// failed) and the caller must fall back to the full oracle. Two
-	// recovered images with equal digests over their divergence regions
-	// are state-equivalent: Fsck and MetaHash never read masked bytes.
-	MediaDigest func(regions []fault.Region) ([32]byte, bool)
-	// MetaHash abstracts the target's current state for the oracle,
-	// ignoring file content (data writes are legitimately non-atomic).
-	MetaHash func() (abstraction.State, errno.Errno)
-	// Fsck, when set, reports post-recovery integrity problems.
-	Fsck func() []string
+	// space). Fsck and the metadata hash never read masked bytes, so two
+	// recovered images that agree outside Mask are state-equivalent.
+	Mask []fault.Region
 	// Strict requires the recovered state to equal the pre-op or
 	// post-op state exactly (journaled targets). Non-strict planes only
 	// require recovery to succeed and pass Fsck.
 	Strict bool
+	// Fsck, when set, reports post-recovery integrity problems. It is the
+	// one thing a plane cannot say as data: the checker belongs to the
+	// file system, which this package does not import.
+	Fsck func() []string
+}
+
+// load puts img on the plane's media. With delta set and a usable touch
+// log it reloads only the regions known to diverge from img — the log
+// plus extra, regions the caller knows diverged outside the log's view
+// (a crash image loaded since the log's last reset) — and otherwise the
+// full image.
+func (p *CrashPlane) load(img []byte, delta bool, extra []fault.Region) error {
+	if delta {
+		if regions, ok := p.Injector.Touched(); ok {
+			return p.Media.LoadImageDelta(img, fault.CoalesceRegions(append(regions, extra...)))
+		}
+	}
+	return p.Media.LoadImage(img)
+}
+
+// digest hashes the media bytes of the given regions, zeroing the bytes
+// under Mask so state-equivalent images digest identically. Region
+// offsets and lengths are folded into the hash: a digest identifies both
+// where the media diverged and what it holds there. ok == false means a
+// read failed and the caller must fall back to the full oracle.
+func (p *CrashPlane) digest(regions []fault.Region) (d [32]byte, ok bool) {
+	h := sha256.New()
+	var hdr [16]byte
+	var buf []byte
+	for _, r := range regions {
+		binary.LittleEndian.PutUint64(hdr[0:8], uint64(r.Off))
+		binary.LittleEndian.PutUint64(hdr[8:16], uint64(r.Len))
+		h.Write(hdr[:])
+		if int64(cap(buf)) < r.Len {
+			buf = make([]byte, r.Len)
+		}
+		b := buf[:r.Len]
+		if err := p.Media.ReadAt(b, r.Off); err != nil {
+			return d, false
+		}
+		for _, m := range p.Mask {
+			lo, hi := max(m.Off, r.Off), min(m.Off+m.Len, r.Off+r.Len)
+			for i := lo; i < hi; i++ {
+				b[i-r.Off] = 0
+			}
+		}
+		h.Write(b)
+	}
+	h.Sum(d[:0])
+	return d, true
+}
+
+// metaHash abstracts the plane's current state for the oracle, ignoring
+// file content: data writes are legitimately non-atomic under metadata
+// journaling.
+func (e *engine) metaHash(p *CrashPlane) (abstraction.State, errno.Errno) {
+	opts := e.cfg.Checker.AbstractionOptions()
+	opts.IgnoreContent = true
+	return abstraction.Hash(e.cfg.Kernel, p.Mount, opts)
+}
+
+// rollback brings the plane back to img, mounted fresh — also from the
+// unmounted state a failed recovery leaves behind. The unmount flushes
+// through the injector, so load consults the touch log only after it;
+// once the media matches img again the log is reset, and describes
+// divergence from img from then on.
+func (e *engine) rollback(p *CrashPlane, img []byte, delta bool, extra []fault.Region) error {
+	k := e.cfg.Kernel
+	if m, _, er := k.MountAt(p.Mount); er == errno.OK && m.Point() == p.Mount {
+		if err := k.Unmount(p.Mount); err != nil {
+			return err
+		}
+	}
+	if err := p.load(img, delta, extra); err != nil {
+		return err
+	}
+	p.Injector.ResetTouchLog()
+	return k.Mount(p.Mount, p.Spec, kernel.MountOptions{})
+}
+
+// powerCycle simulates power loss with img as the surviving media image:
+// drop all volatile state, load img, and remount through the target's
+// recovery path (journal replay, log scan). An error means recovery
+// itself failed. The touch log is not reset: img diverges from the
+// probe's base snapshot, and the log (plus extra) must keep saying so.
+func (e *engine) powerCycle(p *CrashPlane, img []byte, delta bool, extra []fault.Region) error {
+	return e.cfg.Kernel.CrashRemount(p.Mount, func() error { return p.load(img, delta, extra) })
 }
 
 // CrashConfig enables crash exploration on the engine.
@@ -178,10 +243,14 @@ func crashPoints(w, m int) []int {
 // armed points: captured images are kept for the caller to drain on
 // success and dropped on failure, but an arm must never outlive the
 // window it was set for (a leftover arm would silently capture in the
-// next window).
+// next window). The window is bracketed by remounts exactly as the
+// target's tracker brackets a normal step: the first runs before the
+// window opens — its flushes belong to the previous state — and the
+// second inside it, so sync-path writes (journal commits) are
+// crash-testable.
 func (e *engine) crashWindow(p *CrashPlane, op workload.Op, points []int) (int, error) {
 	e.probe.idle()
-	err := p.PreOp()
+	err := e.cfg.Kernel.Remount(p.Mount)
 	e.probe.remounted()
 	if err != nil {
 		return 0, fmt.Errorf("pre-op: %w", err)
@@ -192,7 +261,7 @@ func (e *engine) crashWindow(p *CrashPlane, op workload.Op, points []int) (int, 
 	}
 	workload.Execute(e.cfg.Kernel, p.Mount, op)
 	e.probe.ran()
-	err = p.PostOp()
+	err = e.cfg.Kernel.Remount(p.Mount)
 	e.probe.remounted()
 	p.Injector.EndWindow()
 	if err != nil {
@@ -251,16 +320,16 @@ func (s *search) crash(e *engine, depth int, op workload.Op) error {
 // writes land in masked journal space) are judged once.
 func (e *engine) probePlane(depth int, op workload.Op, p *CrashPlane) error {
 	e.probe.idle()
-	pre, err := p.Snapshot()
+	pre, err := p.Media.Snapshot()
 	e.probe.checkpointed()
 	if err != nil {
 		return err
 	}
 	// From here until the probe ends, the touch log tracks divergence
-	// from pre. RestoreDelta resets it whenever media is rolled back.
+	// from pre; rollback resets it whenever media is rolled back.
 	p.Injector.StartTouchLog()
 	defer p.Injector.StopTouchLog()
-	b0, er := p.MetaHash()
+	b0, er := e.metaHash(p)
 	e.probe.hashed()
 	if er != errno.OK {
 		return fmt.Errorf("hashing pre-op state: %w", er)
@@ -272,7 +341,7 @@ func (e *engine) probePlane(depth int, op workload.Op, p *CrashPlane) error {
 		return err
 	}
 	e.countCrashExec()
-	b1, er := p.MetaHash()
+	b1, er := e.metaHash(p)
 	e.probe.hashed()
 	if er != errno.OK {
 		return fmt.Errorf("hashing post-op state: %w", er)
@@ -281,11 +350,10 @@ func (e *engine) probePlane(depth int, op workload.Op, p *CrashPlane) error {
 	imgs := p.Injector.TakeCrashImages()
 	// The window's write set, read BEFORE anything resets the log: every
 	// captured image diverges from pre only inside it, so it is the
-	// `extra` for delta operations against images other than pre.
-	capRegions, capOK := p.Injector.Touched()
-	if !capOK {
-		capRegions = nil
-	}
+	// `extra` for delta loads against images other than pre. A log that
+	// lost a write (delta == false) bounds nothing: the whole probe then
+	// stays on full images.
+	capRegions, delta := p.Injector.Touched()
 
 	points := crashPoints(w, e.cfg.Crash.PointsPerOp)
 	rec := journal.CrashRecord{
@@ -310,7 +378,7 @@ func (e *engine) probePlane(depth int, op workload.Op, p *CrashPlane) error {
 			}
 			// Beyond the armed prefix (window longer than maxArmedPoints):
 			// capture this point with a dedicated execution from pre.
-			if err := e.restorePlaneDelta(p, pre, capRegions); err != nil {
+			if err := e.restorePlane(p, pre, delta, capRegions); err != nil {
 				return fmt.Errorf("rolling back for capture of write %d: %w", k, err)
 			}
 			if _, err := e.crashWindow(p, op, []int{k}); err != nil {
@@ -324,11 +392,11 @@ func (e *engine) probePlane(depth int, op workload.Op, p *CrashPlane) error {
 		}
 		e.res.Crash.PointsExplored++
 		e.probe.crashPoint()
-		d, verdict := e.judgeCrashPoint(p, op, k, w, img, capRegions, capOK, b0, b1, memo)
+		d, verdict := e.judgeCrashPoint(p, op, k, w, img, delta, capRegions, b0, b1, memo)
 		e.res.CrashHeatmap.Record(op.String(), k, w, verdict)
 		e.probe.crashVerdict(depth, op, p.Name, k, w, verdict)
 		if d != nil {
-			if err := e.restorePlaneDelta(p, pre, capRegions); err != nil {
+			if err := e.restorePlane(p, pre, delta, capRegions); err != nil {
 				return fmt.Errorf("rolling back crash probe: %w", err)
 			}
 			rec.OK = false
@@ -340,7 +408,7 @@ func (e *engine) probePlane(depth int, op workload.Op, p *CrashPlane) error {
 	}
 	// One rollback for the whole probe: media currently holds the last
 	// recovered crash state (or the post-op state when no point fired).
-	if err := e.restorePlaneDelta(p, pre, capRegions); err != nil {
+	if err := e.restorePlane(p, pre, delta, capRegions); err != nil {
 		return fmt.Errorf("rolling back crash probe: %w", err)
 	}
 	if n := p.Injector.Armed(); n != 0 {
@@ -371,7 +439,7 @@ func (e *engine) inspect(p *CrashPlane) (v crashVerdict) {
 		e.probe.fscked()
 	}
 	if p.Strict {
-		v.state, v.stateErr = p.MetaHash()
+		v.state, v.stateErr = e.metaHash(p)
 		e.probe.hashed()
 		v.hasState = true
 	}
@@ -428,8 +496,8 @@ func (v crashVerdict) label(d *checker.Discrepancy, b0 abstraction.State) string
 }
 
 // judgeCrashPoint power-cycles the plane on one captured crash image
-// (delta-loading only the capture run's write set when the session
-// supports it) and judges the recovered state, returning the verdict
+// (delta-loading only the capture run's write set while the touch log
+// holds) and judges the recovered state, returning the verdict
 // label (Verdict* constants) alongside any discrepancy. Before running
 // the expensive checks it digests the recovered media's divergence from
 // the pre-op image — capRegions plus whatever recovery itself wrote —
@@ -440,17 +508,12 @@ func (v crashVerdict) label(d *checker.Discrepancy, b0 abstraction.State) string
 // returns with media == img-after-recovery. The caller rolls back once
 // after the last point.
 func (e *engine) judgeCrashPoint(p *CrashPlane, op workload.Op, k, w int, img []byte,
-	capRegions []fault.Region, capOK bool, b0, b1 abstraction.State,
+	delta bool, capRegions []fault.Region, b0, b1 abstraction.State,
 	memo map[[32]byte]crashVerdict) (*checker.Discrepancy, string) {
 
 	where := crashSite(p, op, k, w)
 	e.probe.idle()
-	var err error
-	if capOK && p.PowerCycleDelta != nil {
-		err = p.PowerCycleDelta(img, capRegions)
-	} else {
-		err = p.PowerCycle(img)
-	}
+	err := e.powerCycle(p, img, delta, capRegions)
 	e.probe.remounted()
 	if err != nil {
 		return crashBug(op, where, fmt.Sprintf("recovery failed: %v", err)), stream.VerdictBug
@@ -461,10 +524,10 @@ func (e *engine) judgeCrashPoint(p *CrashPlane, op workload.Op, k, w int, img []
 	// memoize, so skip the digest reads.
 	var dig [32]byte
 	haveDig := false
-	if p.MediaDigest != nil && (p.Strict || p.Fsck != nil) {
+	if p.Strict || p.Fsck != nil {
 		if recovered, ok := p.Injector.Touched(); ok {
 			regions := fault.CoalesceRegions(append(append([]fault.Region(nil), capRegions...), recovered...))
-			dig, haveDig = p.MediaDigest(regions)
+			dig, haveDig = p.digest(regions)
 		}
 		e.probe.digested()
 	}
@@ -487,18 +550,10 @@ func (e *engine) countCrashExec() {
 	e.probe.executed(&e.res, len(e.trail), nil)
 }
 
-// restorePlaneDelta rolls the plane's device image back to img. Planes
-// with a delta session reload only the diverged regions (the injector's
-// touch log plus extra — regions the caller knows diverged outside the
-// log's view); others reload the full image.
-func (e *engine) restorePlaneDelta(p *CrashPlane, img []byte, extra []fault.Region) error {
+// restorePlane is rollback as a timed phase of the recovery session.
+func (e *engine) restorePlane(p *CrashPlane, img []byte, delta bool, extra []fault.Region) error {
 	e.probe.idle()
-	var err error
-	if p.RestoreDelta != nil {
-		err = p.RestoreDelta(img, extra)
-	} else {
-		err = p.Restore(img)
-	}
+	err := e.rollback(p, img, delta, extra)
 	e.probe.restored()
 	return err
 }
@@ -511,11 +566,11 @@ func (e *engine) restorePlaneDelta(p *CrashPlane, img []byte, extra []fault.Regi
 // power-cycle on the full captured image and judge, rolling back after
 // each run. Returns the first discrepancy and its write index.
 func (e *engine) reprobe(p *CrashPlane, op workload.Op, points []int) (*checker.Discrepancy, int, error) {
-	pre, err := p.Snapshot()
+	pre, err := p.Media.Snapshot()
 	if err != nil {
 		return nil, 0, err
 	}
-	b0, er := p.MetaHash()
+	b0, er := e.metaHash(p)
 	if er != errno.OK {
 		return nil, 0, fmt.Errorf("hashing pre-op state: %w", er)
 	}
@@ -523,11 +578,11 @@ func (e *engine) reprobe(p *CrashPlane, op workload.Op, points []int) (*checker.
 	if err != nil {
 		return nil, 0, err
 	}
-	b1, er := p.MetaHash()
+	b1, er := e.metaHash(p)
 	if er != errno.OK {
 		return nil, 0, fmt.Errorf("hashing post-op state: %w", er)
 	}
-	if err := p.Restore(pre); err != nil {
+	if err := e.rollback(p, pre, false, nil); err != nil {
 		return nil, 0, fmt.Errorf("rolling back measurement run: %w", err)
 	}
 	for _, k := range points {
@@ -540,7 +595,7 @@ func (e *engine) reprobe(p *CrashPlane, op workload.Op, points []int) (*checker.
 		var d *checker.Discrepancy
 		if img := p.Injector.TakeCrashImage(); img != nil {
 			e.probe.idle()
-			err := p.PowerCycle(img)
+			err := e.powerCycle(p, img, false, nil)
 			e.probe.remounted()
 			if err != nil {
 				d = crashBug(op, crashSite(p, op, k, w), fmt.Sprintf("recovery failed: %v", err))
@@ -548,7 +603,7 @@ func (e *engine) reprobe(p *CrashPlane, op workload.Op, points []int) (*checker.
 				d = e.inspect(p).discrepancy(crashSite(p, op, k, w), op, b0, b1)
 			}
 		}
-		if err := p.Restore(pre); err != nil {
+		if err := e.rollback(p, pre, false, nil); err != nil {
 			return nil, 0, fmt.Errorf("rolling back crash run: %w", err)
 		}
 		if d != nil {

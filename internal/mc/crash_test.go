@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"mcfs/internal/fault"
+	"mcfs/internal/fs/verifs1"
 	"mcfs/internal/kernel"
 	"mcfs/internal/simclock"
+	"mcfs/internal/vfs"
 	"mcfs/internal/workload"
 )
 
@@ -46,24 +48,35 @@ func TestCrashPointsTable(t *testing.T) {
 }
 
 // crashWindow must leave zero armed crash points on EVERY exit path —
-// a leftover arm silently captures in the next window. The op here
-// executes against an empty kernel (no mount), so the window sees zero
+// a leftover arm silently captures in the next window. The target here
+// is a RAM file system with no device under it, so the window sees zero
 // writes and every armed point stays pending until the cleanup runs.
-
-func windowFixture(postErr error) (*engine, *CrashPlane) {
-	e := &engine{cfg: Config{Kernel: kernel.New(simclock.New())}}
-	p := &CrashPlane{
-		Name:     "test#0",
-		Mount:    "/mnt0",
-		Injector: fault.New(),
-		PreOp:    func() error { return nil },
-		PostOp:   func() error { return postErr },
+// postErr, when set, fails the window's second (post-op) remount: the
+// mount's Unmounter succeeds once, for the pre-op remount, and then
+// returns it.
+func windowFixture(t *testing.T, postErr error) (*engine, *CrashPlane) {
+	t.Helper()
+	clock := simclock.New()
+	k := kernel.New(clock)
+	unmounts := 0
+	spec := kernel.FilesystemSpec{
+		Type:    "verifs1",
+		Mounter: func() (vfs.FS, error) { return verifs1.New(clock), nil },
+		Unmounter: func(vfs.FS) error {
+			if unmounts++; unmounts > 1 {
+				return postErr
+			}
+			return nil
+		},
 	}
-	return e, p
+	if err := k.Mount("/mnt0", spec, kernel.MountOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	return &engine{cfg: Config{Kernel: k}}, &CrashPlane{Name: "test#0", Mount: "/mnt0", Spec: spec, Injector: fault.New()}
 }
 
 func TestCrashWindowDisarmsOnSuccess(t *testing.T) {
-	e, p := windowFixture(nil)
+	e, p := windowFixture(t, nil)
 	op := workload.Op{Kind: workload.OpMkdir, Path: "/d0"}
 	if _, err := e.crashWindow(p, op, []int{3, 7}); err != nil {
 		t.Fatalf("crashWindow: %v", err)
@@ -74,7 +87,7 @@ func TestCrashWindowDisarmsOnSuccess(t *testing.T) {
 }
 
 func TestCrashWindowDisarmsOnPostOpError(t *testing.T) {
-	e, p := windowFixture(errors.New("remount exploded"))
+	e, p := windowFixture(t, errors.New("remount exploded"))
 	op := workload.Op{Kind: workload.OpMkdir, Path: "/d0"}
 	_, err := e.crashWindow(p, op, []int{3, 7})
 	if err == nil || !strings.Contains(err.Error(), "post-op") {
@@ -89,7 +102,7 @@ func TestCrashWindowDisarmsOnPostOpError(t *testing.T) {
 }
 
 func TestCrashWindowMeasurementArmsNothing(t *testing.T) {
-	e, p := windowFixture(nil)
+	e, p := windowFixture(t, nil)
 	op := workload.Op{Kind: workload.OpMkdir, Path: "/d0"}
 	if _, err := e.crashWindow(p, op, nil); err != nil {
 		t.Fatalf("crashWindow: %v", err)

@@ -26,9 +26,8 @@ func perfMux(t *testing.T) *http.ServeMux {
 
 	var clock time.Duration
 	prof := perf.New(func() time.Duration { return clock })
-	timer := prof.Start(perf.PhaseExecute)
 	clock += 3 * time.Millisecond
-	timer.End()
+	prof.Record(perf.PhaseExecute, 3*time.Millisecond)
 	prof.Observe(1, 1, 0, 0, 1)
 
 	return obs.MetricsMux(func() any {

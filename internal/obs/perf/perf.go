@@ -29,9 +29,9 @@ import (
 	"mcfs/internal/obs"
 )
 
-// Engine phase names. The engine brackets each phase of an explored
-// operation with Start/End; the profiler accumulates a latency
-// histogram per phase.
+// Engine phase names. The engine's probe marks each phase boundary of
+// an explored operation and Records the interval that just ended; the
+// profiler accumulates a latency histogram per phase.
 const (
 	// PhaseCheckpoint is tracker state capture before an operation.
 	PhaseCheckpoint = "checkpoint"
@@ -85,7 +85,7 @@ const maxSamples = 512
 type Profiler struct {
 	now atomic.Pointer[func() time.Duration]
 
-	// phases is built complete at New and never mutated, so timer
+	// phases is built complete at New and never mutated, so phase
 	// lookups are lock-free; the histograms themselves are atomic.
 	phases map[string]*obs.Histogram
 
@@ -95,7 +95,7 @@ type Profiler struct {
 	samples []Sample
 }
 
-// New returns a profiler whose timers read time from now (MCFS wires
+// New returns a profiler that reads time from now (MCFS wires
 // the session's virtual clock). A nil now pins the clock at zero:
 // phase counts and telemetry ops still accumulate, durations do not.
 // Wall time is deliberately not a fallback — perf attributions feed
@@ -149,39 +149,9 @@ func (p *Profiler) SetSampleEvery(n int64) {
 	p.mu.Unlock()
 }
 
-// Timer is one started phase measurement; End records the elapsed
-// virtual time into the phase's histogram. The zero Timer (as returned
-// by a nil profiler or an unknown phase) is a valid no-op.
-type Timer struct {
-	p     *Profiler
-	hist  *obs.Histogram
-	start time.Duration
-}
-
-// Start opens a phase timer. The zero Timer is returned on a nil
-// profiler, so hot-path call sites need no guard.
-func (p *Profiler) Start(phase string) Timer {
-	if p == nil {
-		return Timer{}
-	}
-	h := p.phases[phase]
-	if h == nil {
-		return Timer{}
-	}
-	return Timer{p: p, hist: h, start: p.Now()}
-}
-
-// End closes the timer, recording one sample. No-op on the zero Timer.
-func (t Timer) End() {
-	if t.hist == nil {
-		return
-	}
-	t.hist.Observe(t.p.Now() - t.start)
-}
-
-// Record adds one sample of d to phase — for a caller that marks time
-// itself and learns which phase an interval belonged to only once it is
-// over (the engine's event probe). No-op on a nil profiler or an
+// Record adds one sample of d to phase. The caller marks time itself
+// (Now) and says which phase an interval belonged to once it is over —
+// the engine's event probe does. No-op on a nil profiler or an
 // unknown phase.
 func (p *Profiler) Record(phase string, d time.Duration) {
 	if p == nil {

@@ -22,8 +22,7 @@ func TestNilProfilerIsNoOp(t *testing.T) {
 	if got := p.Now(); got != 0 {
 		t.Fatalf("nil Now() = %v, want 0", got)
 	}
-	timer := p.Start(PhaseExecute)
-	timer.End() // must not panic
+	p.Record(PhaseExecute, time.Millisecond) // must not panic
 	p.Observe(100, 50, 10, 0, 3)
 	snap := p.Snapshot()
 	if snap.Enabled() {
@@ -32,8 +31,6 @@ func TestNilProfilerIsNoOp(t *testing.T) {
 	if len(snap.Samples) != 0 {
 		t.Fatalf("nil profiler recorded samples: %d", len(snap.Samples))
 	}
-	var zero Timer
-	zero.End() // zero Timer must also be a no-op
 }
 
 func TestPhaseAttribution(t *testing.T) {
@@ -41,13 +38,11 @@ func TestPhaseAttribution(t *testing.T) {
 	p := New(clk.Now)
 
 	for i := 0; i < 3; i++ {
-		timer := p.Start(PhaseExecute)
 		clk.Advance(2 * time.Millisecond)
-		timer.End()
+		p.Record(PhaseExecute, 2*time.Millisecond)
 	}
-	timer := p.Start(PhaseHash)
 	clk.Advance(6 * time.Millisecond)
-	timer.End()
+	p.Record(PhaseHash, 6*time.Millisecond)
 
 	snap := p.Snapshot()
 	if !snap.Enabled() {
@@ -78,8 +73,7 @@ func TestPhaseAttribution(t *testing.T) {
 
 func TestUnknownPhaseIsNoOp(t *testing.T) {
 	p := New(nil)
-	timer := p.Start("no-such-phase")
-	timer.End()
+	p.Record("no-such-phase", time.Millisecond)
 	if p.Snapshot().Enabled() {
 		t.Fatal("unknown phase must not record")
 	}
@@ -181,17 +175,14 @@ func TestMergeCombinesPhasesDropsSamples(t *testing.T) {
 	a.SetSampleEvery(1)
 	b.SetSampleEvery(1)
 
-	ta := a.Start(PhaseCheckpoint)
 	clkA.Advance(time.Millisecond)
-	ta.End()
+	a.Record(PhaseCheckpoint, time.Millisecond)
 	a.Observe(1, 1, 0, 0, 1)
 
-	tb := b.Start(PhaseCheckpoint)
 	clkB.Advance(3 * time.Millisecond)
-	tb.End()
-	tb = b.Start(PhaseFsck)
+	b.Record(PhaseCheckpoint, 3*time.Millisecond)
 	clkB.Advance(time.Millisecond)
-	tb.End()
+	b.Record(PhaseFsck, time.Millisecond)
 	b.Observe(1, 1, 0, 0, 1)
 
 	merged := a.Snapshot().Merge(b.Snapshot())
@@ -211,9 +202,8 @@ func TestWriteTable(t *testing.T) {
 	clk := &fakeClock{}
 	p := New(clk.Now)
 	p.SetSampleEvery(10)
-	timer := p.Start(PhaseExecute)
 	clk.Advance(5 * time.Millisecond)
-	timer.End()
+	p.Record(PhaseExecute, 5*time.Millisecond)
 	p.Observe(1, 1, 0, 0, 1)
 	clk.Advance(time.Second)
 	p.Observe(11, 6, 5, 0, 2)
@@ -240,9 +230,8 @@ func TestWriteTable(t *testing.T) {
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	clk := &fakeClock{}
 	p := New(clk.Now)
-	timer := p.Start(PhaseVerify)
 	clk.Advance(time.Millisecond)
-	timer.End()
+	p.Record(PhaseVerify, time.Millisecond)
 	p.SetSampleEvery(1)
 	p.Observe(1, 1, 0, 2, 1)
 
@@ -295,8 +284,7 @@ func TestConcurrentUse(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 1000; i++ {
-			timer := p.Start(PhaseExecute)
-			timer.End()
+			p.Record(PhaseExecute, time.Millisecond)
 			p.Observe(int64(i+1), int64(i), 0, 0, 1)
 		}
 	}()

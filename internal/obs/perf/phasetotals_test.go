@@ -13,12 +13,10 @@ func TestPhaseTotalsFollowsCanonicalOrder(t *testing.T) {
 
 	clk := &fakeClock{}
 	p = New(clk.Now)
-	timer := p.Start(PhaseFsck)
 	clk.Advance(4 * time.Millisecond)
-	timer.End()
-	timer = p.Start(PhaseExecute)
+	p.Record(PhaseFsck, 4*time.Millisecond)
 	clk.Advance(time.Millisecond)
-	timer.End()
+	p.Record(PhaseExecute, time.Millisecond)
 
 	totals := p.PhaseTotals()
 	names := Phases()
@@ -42,12 +40,10 @@ func TestDominantDelta(t *testing.T) {
 	p := New(clk.Now)
 
 	before := p.PhaseTotals()
-	timer := p.Start(PhaseFsck)
 	clk.Advance(5 * time.Millisecond)
-	timer.End()
-	timer = p.Start(PhaseRemount)
+	p.Record(PhaseFsck, 5*time.Millisecond)
 	clk.Advance(2 * time.Millisecond)
-	timer.End()
+	p.Record(PhaseRemount, 2*time.Millisecond)
 
 	if got := DominantDelta(before, p.PhaseTotals()); got != PhaseFsck {
 		t.Errorf("DominantDelta = %q, want %q", got, PhaseFsck)

@@ -37,12 +37,10 @@
 package mcfs
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 
-	"mcfs/internal/abstraction"
 	"mcfs/internal/blockdev"
 	"mcfs/internal/checker"
 	"mcfs/internal/errno"
@@ -201,10 +199,13 @@ type TargetSpec struct {
 	// Backing selects RAM/SSD/HDD for device-backed kinds; default RAM.
 	Backing Backing
 	// DeviceSize overrides the default device size (256 KiB for ext,
-	// 16 MiB for xfs, 256 KiB MTD for jffs2).
+	// 16 MiB for xfs, 256 KiB MTD for jffs2). Negative sizes, and jffs2
+	// sizes that are not a multiple of the 8 KiB erase block, are
+	// rejected by NewSession.
 	DeviceSize int64
 	// Bugs seeds the named defects (VeriFS kinds, plus
-	// BugJournalCommitFirst on ext4).
+	// BugJournalCommitFirst on ext4). NewSession rejects a bug the kind
+	// does not implement.
 	Bugs []string
 	// DisablePerOpRemount turns off the default unmount/remount around
 	// every operation for kernel file systems (the §6 ablation).
@@ -332,11 +333,6 @@ type Options struct {
 	// StreamWorker identifies this session on the stream (0 for a single
 	// session; SwarmRun assigns 1..Workers itself).
 	StreamWorker int `json:"-"`
-	// FsckWorkers bounds the worker pool of the parallel post-recovery
-	// fsck on ext targets (0 = GOMAXPROCS, capped internally). Any value
-	// produces identical problem reports; this knob only trades CPU for
-	// latency.
-	FsckWorkers int `json:"-"`
 
 	// shared is the swarm coordinator's visited set, handed to a swarm
 	// worker's session: the session arms its memory budget and explores
@@ -356,10 +352,6 @@ type Session struct {
 	mem      *memmodel.Model
 	obsHub   *obs.Hub
 	set      *visited.Set // the session's own governed/reduced visited set (nil: the engine's private exact set, or a swarm's)
-
-	crash       bool // crash exploration requested
-	fsckWorkers int
-	crashPlanes []mc.CrashPlane
 }
 
 // NewSession builds a session: devices are created and formatted, file
@@ -371,8 +363,7 @@ func NewSession(opts Options) (*Session, error) {
 	}
 	clock := simclock.New()
 	k := kernel.New(clock)
-	s := &Session{clock: clock, kern: k, obsHub: opts.Obs, crash: opts.CrashExploration,
-		fsckWorkers: opts.FsckWorkers}
+	s := &Session{clock: clock, kern: k, obsHub: opts.Obs}
 	// Rebase the hub and profiler onto this session's virtual clock so
 	// every span, latency, and phase observation is in deterministic
 	// virtual time.
@@ -381,19 +372,19 @@ func NewSession(opts Options) (*Session, error) {
 	k.SetObs(opts.Obs)
 
 	var targets []checker.Target
+	var planes []mc.CrashPlane
 	anyVeriFS1 := false
 	for i, ts := range opts.Targets {
-		point := fmt.Sprintf("/mnt%d", i)
-		name := fmt.Sprintf("%s#%d", ts.Kind, i)
-		if _, ok := backingProfiles[ts.Backing]; !ok {
-			s.Close()
-			return nil, fmt.Errorf("mcfs: unknown backing %q (want ram, ssd, or hdd)", ts.Backing)
-		}
-		if err := s.mountTarget(point, ts, i); err != nil {
+		tgt := checker.Target{Name: fmt.Sprintf("%s#%d", ts.Kind, i), MountPoint: fmt.Sprintf("/mnt%d", i)}
+		plane, err := s.mountTarget(tgt, ts, i, opts.CrashExploration && crashEligible(ts))
+		if err != nil {
 			s.Close()
 			return nil, err
 		}
-		targets = append(targets, checker.Target{Name: name, MountPoint: point})
+		if plane != nil {
+			planes = append(planes, *plane)
+		}
+		targets = append(targets, tgt)
 		if ts.Kind == "verifs1" {
 			anyVeriFS1 = true
 		}
@@ -481,12 +472,12 @@ func NewSession(opts Options) (*Session, error) {
 		Visited:           set,
 	}
 	if opts.CrashExploration {
-		if len(s.crashPlanes) == 0 {
+		if len(planes) == 0 {
 			s.Close()
 			return nil, fmt.Errorf("mcfs: crash exploration needs at least one crash-testable target: ext2, ext4, or jffs2 with per-op remounts and full state tracking")
 		}
 		s.cfg.Crash = &mc.CrashConfig{
-			Planes:      s.crashPlanes,
+			Planes:      planes,
 			PointsPerOp: opts.CrashPointsPerOp,
 		}
 	}
@@ -502,10 +493,52 @@ var backingProfiles = map[Backing]blockdev.Profile{
 	BackingHDD: blockdev.HDDProfile,
 }
 
-func (s *Session) deviceFor(name string, ts TargetSpec, size int64) *blockdev.Disk {
-	d := blockdev.NewDisk(name, size, 4096, backingProfiles[ts.Backing], s.clock)
+func (s *Session) deviceFor(idx int, ts TargetSpec, size int64) *blockdev.Disk {
+	d := blockdev.NewDisk(fmt.Sprintf("ram%d", idx), size, 4096, backingProfiles[ts.Backing], s.clock)
 	d.SetObs(s.obsHub)
 	return d
+}
+
+// mtdEraseSize is the erase-block size of the flash behind jffs2 targets.
+const mtdEraseSize = 8 * 1024
+
+// targetKinds is what NewSession accepts per TargetSpec.Kind: the seeded
+// bugs the kind implements, its default device size (the paper's 256 KB
+// ext devices, XFS's 16 MiB minimum, §6) and the unit a device size must
+// be a multiple of (0: the kind has no device).
+var targetKinds = map[string]struct {
+	bugs       []string
+	size, unit int64
+}{
+	"ext2":    {nil, 256 * 1024, 1},
+	"ext4":    {[]string{BugJournalCommitFirst}, 256 * 1024, 1},
+	"xfs":     {nil, xfssim.MinVolumeSize, 1},
+	"jffs2":   {nil, 256 * 1024, mtdEraseSize},
+	"verifs1": {[]string{BugTruncateNoZero, BugNoCacheInvalidate}, 0, 0},
+	"verifs2": {[]string{BugWriteHoleNoZero, BugSizeUpdateOnOverflow, BugNoCacheInvalidate}, 0, 0},
+}
+
+// checkTarget rejects a spec no target can be built from. Specs arrive
+// from flags and from a bundle's config.json, so a bad one is an error,
+// never a panic in a device constructor — and never a run that silently
+// ignores the bug it was asked to seed.
+func checkTarget(ts TargetSpec) error {
+	kind, ok := targetKinds[ts.Kind]
+	if !ok {
+		return fmt.Errorf("mcfs: unknown target kind %q", ts.Kind)
+	}
+	if _, ok := backingProfiles[ts.Backing]; !ok {
+		return fmt.Errorf("mcfs: unknown backing %q (want ram, ssd, or hdd)", ts.Backing)
+	}
+	for _, b := range ts.Bugs {
+		if !slices.Contains(kind.bugs, b) {
+			return fmt.Errorf("mcfs: %s does not support bug %q", ts.Kind, b)
+		}
+	}
+	if ts.DeviceSize < 0 || kind.unit > 0 && ts.DeviceSize%kind.unit != 0 {
+		return fmt.Errorf("mcfs: %s device size %d: want a positive multiple of %d bytes", ts.Kind, ts.DeviceSize, kind.unit)
+	}
+	return nil
 }
 
 // crashEligible reports whether ts can host a crash plane: the probe's
@@ -515,162 +548,35 @@ func crashEligible(ts TargetSpec) bool {
 	return !ts.DisablePerOpRemount && !ts.DiskOnlyTracking
 }
 
-// crashMedia is the delta-session surface of one crash plane's backing
-// device: partial image reloads, raw media reads for state digests, and
-// the mask of byte ranges two state-equivalent images may differ in.
-// Targets whose media cannot delta-reload (the MTD behind the mtdblock
-// bridge) run their crash planes without one, on full-image paths.
-type crashMedia struct {
-	loadDelta func(img []byte, regions []fault.Region) error
-	readAt    func(p []byte, off int64) error
-	mask      []fault.Region
-}
-
-// addCrashPlane installs one crash-testing surface for the target at
-// idx: snapshot/load access the target's media (the block device, or the
-// MTD behind the mtdblock bridge), and strict/fsck encode how much the
-// target guarantees after a power cut — ext4's journal promises the
-// pre-op or post-op state exactly, ext2 and jffs2 only promise a
-// mountable, recoverable volume. A non-nil media enables the crash
-// oracle's recovery session: rollbacks and power cuts reload only the
-// regions the injector's touch log reports diverged, and recovered
-// states are digested over those regions for verdict memoization.
-func (s *Session) addCrashPlane(idx int, point string, ts TargetSpec, inj *fault.Injector,
-	spec kernel.FilesystemSpec, snapshot func() ([]byte, error), load func([]byte) error,
-	media *crashMedia, strict bool, fsck func() []string) {
-
-	k := s.kern
-	// loadBack puts img on the media: a delta reload over the regions
-	// known to diverge (the touch log plus extra) when the log is usable,
-	// the full image otherwise.
-	loadBack := func(img []byte, extra []fault.Region) error {
-		regions, ok := inj.Touched()
-		if media == nil || !ok {
-			return load(img)
-		}
-		regions = append(regions, extra...)
-		return media.loadDelta(img, fault.CoalesceRegions(regions))
+// mountTarget checks the spec, builds its device, formats it and mounts
+// the file system at tgt's mount point. With crash set, kinds that can be
+// crash-tested also get a fault injector on their media and return their
+// crash plane. How much a plane promises after a power cut is the kind's:
+// ext4's journal guarantees the pre-op or post-op state exactly (Strict,
+// backed by fsck), ext2 and jffs2 only a mountable, recoverable volume.
+func (s *Session) mountTarget(tgt checker.Target, ts TargetSpec, idx int, crash bool) (*mc.CrashPlane, error) {
+	if err := checkTarget(ts); err != nil {
+		return nil, err
 	}
-	plane := mc.CrashPlane{
-		Target:   idx,
-		Name:     fmt.Sprintf("%s#%d", ts.Kind, idx),
-		Mount:    point,
-		Injector: inj,
-		PreOp:    func() error { return k.Remount(point) },
-		PostOp:   func() error { return k.Remount(point) },
-		Snapshot: snapshot,
-		Restore: func(img []byte) error {
-			// A failed recovery leaves the point unmounted; roll the media
-			// back regardless and mount fresh.
-			if m, _, e := k.MountAt(point); e == errno.OK && m.Point() == point {
-				if err := k.Unmount(point); err != nil {
-					return err
-				}
-			}
-			if err := load(img); err != nil {
-				return err
-			}
-			return k.Mount(point, spec, kernel.MountOptions{})
-		},
-		PowerCycle: func(img []byte) error {
-			return k.CrashRemount(point, func() error { return load(img) })
-		},
-		MetaHash: func() (abstraction.State, errno.Errno) {
-			// Ignore file content: data writes are legitimately
-			// non-atomic under metadata journaling.
-			opts := s.check.AbstractionOptions()
-			opts.IgnoreContent = true
-			return abstraction.Hash(k, point, opts)
-		},
-		Fsck:   fsck,
-		Strict: strict,
-	}
-	if media != nil {
-		plane.RestoreDelta = func(img []byte, extra []fault.Region) error {
-			// The unmount flushes through the injector, so the touch log
-			// must be consulted after it — loadBack does.
-			if m, _, e := k.MountAt(point); e == errno.OK && m.Point() == point {
-				if err := k.Unmount(point); err != nil {
-					return err
-				}
-			}
-			if err := loadBack(img, extra); err != nil {
-				return err
-			}
-			// Media now matches img: from here the log describes
-			// divergence from it.
-			inj.ResetTouchLog()
-			return k.Mount(point, spec, kernel.MountOptions{})
-		}
-		plane.PowerCycleDelta = func(img []byte, extra []fault.Region) error {
-			// No reset: the loaded image diverges from the session's base
-			// snapshot, and the log (plus extra) must keep saying so.
-			return k.CrashRemount(point, func() error { return loadBack(img, extra) })
-		}
-		plane.MediaDigest = func(regions []fault.Region) ([32]byte, bool) {
-			return digestMedia(media, regions)
-		}
-	}
-	s.crashPlanes = append(s.crashPlanes, plane)
-}
-
-// digestMedia hashes the media bytes of the given regions, zeroing the
-// bytes under the media's compare mask so state-equivalent images
-// (differing only in superblock dirty flags, mount counters, or
-// replayed journal space) digest identically. Region offsets and
-// lengths are folded into the hash: a digest identifies both where the
-// media diverged and what it holds there.
-func digestMedia(media *crashMedia, regions []fault.Region) ([32]byte, bool) {
-	h := sha256.New()
-	var hdr [16]byte
-	var buf []byte
-	for _, r := range regions {
-		binary.LittleEndian.PutUint64(hdr[0:8], uint64(r.Off))
-		binary.LittleEndian.PutUint64(hdr[8:16], uint64(r.Len))
-		h.Write(hdr[:])
-		if int64(cap(buf)) < r.Len {
-			buf = make([]byte, r.Len)
-		}
-		b := buf[:r.Len]
-		if err := media.readAt(b, r.Off); err != nil {
-			return [32]byte{}, false
-		}
-		for _, m := range media.mask {
-			lo, hi := max(m.Off, r.Off), min(m.Off+m.Len, r.Off+r.Len)
-			for i := lo; i < hi; i++ {
-				b[i-r.Off] = 0
-			}
-		}
-		h.Write(b)
-	}
-	var d [32]byte
-	h.Sum(d[:0])
-	return d, true
-}
-
-func (s *Session) mountTarget(point string, ts TargetSpec, idx int) error {
 	clock := s.clock
 	k := s.kern
+	point := tgt.MountPoint
+	size := ts.DeviceSize
+	if size == 0 {
+		size = targetKinds[ts.Kind].size
+	}
 	switch ts.Kind {
 	case "ext2", "ext4":
-		size := ts.DeviceSize
-		if size == 0 {
-			size = 256 * 1024 // the paper's 256 KB ext devices
-		}
 		// One mount cache per device: every remount of the same validated
 		// geometry — per-op brackets, backtracking restores, crash-probe
 		// power cycles — pays warm-mount CPU instead of full validation.
-		mopts := extfs.MountOpts{Cache: extfs.NewMountCache()}
-		for _, b := range ts.Bugs {
-			if b == BugJournalCommitFirst && ts.Kind == "ext4" {
-				mopts.JournalCommitFirst = true
-				continue
-			}
-			return fmt.Errorf("mcfs: %s does not support bug %q", ts.Kind, b)
+		mopts := extfs.MountOpts{
+			Cache:              extfs.NewMountCache(),
+			JournalCommitFirst: slices.Contains(ts.Bugs, BugJournalCommitFirst),
 		}
-		dev := s.deviceFor(fmt.Sprintf("ram%d", idx), ts, size)
+		dev := s.deviceFor(idx, ts, size)
 		if err := extfs.Mkfs(dev, extfs.MkfsOptions{Journal: ts.Kind == "ext4"}); err != nil {
-			return err
+			return nil, err
 		}
 		spec := kernel.FilesystemSpec{
 			Type:      ts.Kind,
@@ -678,61 +584,49 @@ func (s *Session) mountTarget(point string, ts TargetSpec, idx int) error {
 			Mounter:   func() (vfs.FS, error) { return extfs.MountWith(dev, clock, mopts) },
 			Unmounter: func(f vfs.FS) error { return f.(*extfs.FS).Unmount() },
 		}
-		if err := k.Mount(point, spec, kernel.MountOptions{}); err != nil {
-			return err
+		if err := k.Mount(point, spec, kernel.MountOptions{}); err != nil || !crash {
+			return nil, err
 		}
-		if s.crash && crashEligible(ts) {
-			inj := fault.New()
-			dev.SetInjector(inj)
-			var fsck func() []string
-			if ts.Kind == "ext4" {
-				workers := s.fsckWorkers
-				fsck = func() []string {
-					probs, err := extfs.FsckWith(dev, extfs.FsckOptions{Workers: workers})
-					if err != nil {
-						return []string{fmt.Sprintf("fsck error: %v", err)}
-					}
-					out := make([]string, len(probs))
-					for i, p := range probs {
-						out[i] = p.String()
-					}
-					return out
+		inj := fault.New()
+		dev.SetInjector(inj)
+		mask, err := extfs.StateCompareMask(dev)
+		if err != nil {
+			return nil, fmt.Errorf("mcfs: computing %s compare mask: %w", ts.Kind, err)
+		}
+		plane := &mc.CrashPlane{Target: idx, Name: tgt.Name, Mount: point, Spec: spec,
+			Injector: inj, Media: dev, Mask: mask, Strict: ts.Kind == "ext4"}
+		if plane.Strict {
+			plane.Fsck = func() []string {
+				probs, err := extfs.Fsck(dev)
+				if err != nil {
+					return []string{fmt.Sprintf("fsck error: %v", err)}
 				}
+				out := make([]string, len(probs))
+				for i, p := range probs {
+					out[i] = p.String()
+				}
+				return out
 			}
-			mask, err := extfs.StateCompareMask(dev)
-			if err != nil {
-				return fmt.Errorf("mcfs: computing %s compare mask: %w", ts.Kind, err)
-			}
-			media := &crashMedia{loadDelta: dev.LoadImageDelta, readAt: dev.ReadAt, mask: mask}
-			s.addCrashPlane(idx, point, ts, inj, spec, dev.Snapshot, dev.LoadImage, media, ts.Kind == "ext4", fsck)
 		}
-		return nil
+		return plane, nil
 	case "xfs":
-		size := ts.DeviceSize
-		if size == 0 {
-			size = xfssim.MinVolumeSize // 16 MiB minimum (§6)
-		}
-		dev := s.deviceFor(fmt.Sprintf("ram%d", idx), ts, size)
+		dev := s.deviceFor(idx, ts, size)
 		if err := xfssim.Mkfs(dev, xfssim.MkfsOptions{}); err != nil {
-			return err
+			return nil, err
 		}
-		return k.Mount(point, kernel.FilesystemSpec{
+		return nil, k.Mount(point, kernel.FilesystemSpec{
 			Type:      "xfs",
 			Dev:       dev,
 			Mounter:   func() (vfs.FS, error) { return xfssim.Mount(dev, clock) },
 			Unmounter: func(f vfs.FS) error { return f.(*xfssim.FS).Unmount() },
 		}, kernel.MountOptions{})
 	case "jffs2":
-		size := ts.DeviceSize
-		if size == 0 {
-			size = 256 * 1024
-		}
 		// JFFS2 mounts on an MTD device (mtdram); MCFS reaches the flash
 		// through the mtdblock bridge for state tracking (§4).
-		mtd := blockdev.NewMTD(fmt.Sprintf("mtd%d", idx), size, 8*1024, clock)
+		mtd := blockdev.NewMTD(fmt.Sprintf("mtd%d", idx), size, mtdEraseSize, clock)
 		mtd.SetObs(s.obsHub)
 		if err := jffs2sim.Mkfs(mtd); err != nil {
-			return err
+			return nil, err
 		}
 		bridge := blockdev.NewMTDBlock(mtd)
 		spec := kernel.FilesystemSpec{
@@ -741,78 +635,41 @@ func (s *Session) mountTarget(point string, ts TargetSpec, idx int) error {
 			Mounter:   func() (vfs.FS, error) { return jffs2sim.Mount(mtd, clock) },
 			Unmounter: func(f vfs.FS) error { return f.(*jffs2sim.FS).Unmount() },
 		}
-		if err := k.Mount(point, spec, kernel.MountOptions{}); err != nil {
-			return err
+		if err := k.Mount(point, spec, kernel.MountOptions{}); err != nil || !crash {
+			return nil, err
 		}
-		if s.crash && crashEligible(ts) {
-			inj := fault.New()
-			mtd.SetInjector(inj)
-			// The MTD cannot delta-reload; jffs2 crash planes stay on the
-			// full-image paths (nil media).
-			s.addCrashPlane(idx, point, ts, inj, spec, bridge.Snapshot, mtd.LoadImage, nil, false, nil)
-		}
-		return nil
-	case "verifs1", "verifs2":
-		backing, err := buildVeriFS(ts, clock)
-		if err != nil {
-			return err
+		inj := fault.New()
+		mtd.SetInjector(inj)
+		return &mc.CrashPlane{Target: idx, Name: tgt.Name, Mount: point, Spec: spec, Injector: inj, Media: bridge}, nil
+	default: // verifs1, verifs2: checkTarget admits no other kind
+		var backing vfs.FS
+		if ts.Kind == "verifs1" {
+			var o []verifs1.Option
+			if slices.Contains(ts.Bugs, BugTruncateNoZero) {
+				o = append(o, verifs1.WithTruncateBug())
+			}
+			backing = verifs1.New(clock, o...)
+		} else {
+			var o []verifs2.Option
+			if slices.Contains(ts.Bugs, BugWriteHoleNoZero) {
+				o = append(o, verifs2.WithHoleBug())
+			}
+			if slices.Contains(ts.Bugs, BugSizeUpdateOnOverflow) {
+				o = append(o, verifs2.WithSizeBug())
+			}
+			backing = verifs2.New(clock, o...)
 		}
 		srv := fuse.NewServer(backing, clock, fuse.ServerOptions{
-			SkipInvalidateOnRestore: hasBug(ts.Bugs, BugNoCacheInvalidate),
+			SkipInvalidateOnRestore: slices.Contains(ts.Bugs, BugNoCacheInvalidate),
 		})
 		s.servers = append(s.servers, srv)
 		client := fuse.NewClient(srv, clock)
 		client.SetObs(s.obsHub)
-		return k.Mount(point, kernel.FilesystemSpec{
+		return nil, k.Mount(point, kernel.FilesystemSpec{
 			Type:    ts.Kind,
 			Mounter: func() (vfs.FS, error) { return client, nil },
 		}, kernel.MountOptions{})
-	default:
-		return fmt.Errorf("mcfs: unknown target kind %q", ts.Kind)
 	}
-}
-
-func hasBug(bugs []string, name string) bool {
-	for _, b := range bugs {
-		if b == name {
-			return true
-		}
-	}
-	return false
-}
-
-func buildVeriFS(ts TargetSpec, clock *simclock.Clock) (vfs.FS, error) {
-	switch ts.Kind {
-	case "verifs1":
-		var opts []verifs1.Option
-		for _, b := range ts.Bugs {
-			switch b {
-			case BugTruncateNoZero:
-				opts = append(opts, verifs1.WithTruncateBug())
-			case BugNoCacheInvalidate:
-				// Handled at the FUSE server layer.
-			default:
-				return nil, fmt.Errorf("mcfs: verifs1 does not support bug %q", b)
-			}
-		}
-		return verifs1.New(clock, opts...), nil
-	case "verifs2":
-		var opts []verifs2.Option
-		for _, b := range ts.Bugs {
-			switch b {
-			case BugWriteHoleNoZero:
-				opts = append(opts, verifs2.WithHoleBug())
-			case BugSizeUpdateOnOverflow:
-				opts = append(opts, verifs2.WithSizeBug())
-			case BugNoCacheInvalidate:
-				// Handled at the FUSE server layer.
-			default:
-				return nil, fmt.Errorf("mcfs: verifs2 does not support bug %q", b)
-			}
-		}
-		return verifs2.New(clock, opts...), nil
-	}
-	return nil, fmt.Errorf("mcfs: not a VeriFS kind: %q", ts.Kind)
 }
 
 func (s *Session) trackerFor(point string, ts TargetSpec, vmGroup **tracker.VMGroup) (tracker.Tracker, error) {

@@ -20,15 +20,17 @@
 #      run, whose bug only the shared step names,    replay are one step;
 #      and a -swarm -share-visited run whose bundle  a swarm bundle names
 #      must carry the bug worker's seed and replay   the worker to rebuild)
-#   7. go test -race ./internal/fault/...           (fault plane and the
-#         ./internal/fs/extfs/...                    parallel fsck under
-#                                                    the race detector)
+#   7. go test -race ./internal/fault/...           (fault plane and
+#         ./internal/fs/extfs/...                    extfs under the race
+#                                                    detector)
 #   8. crash-exploration smoke: the seeded ext4     (fault injection end
 #      journal-ordering bug is found only under      to end: crash points
 #      -crash, its bundle replays and shrinks, the   -> oracle -> verdict
 #      -crash-heatmap artifact pinpoints it with a   heatmap -> bundle ->
 #      "bug" cell, and the same run without -crash   replay -> shrink)
-#      stays clean
+#      stays clean; and the one pairing that mixes
+#      a block device with flash (ext4 vs jffs2)
+#      stays clean at its pinned crash-point count
 #   9. mcfslint ./...                                (domain static
 #      plus: -list and -json must name the            analysis: checkpoint
 #      full nine-analyzer suite, so a registry        leaks, map-order
@@ -141,6 +143,12 @@ rc=0
 "$work/mcfs" -fs ext2 -fs ext4 -bug journal-commit-first \
 	-depth 1 -max-ops 5000 >/dev/null || rc=$?
 [ "$rc" -eq 0 ] || { echo "FAIL: without -crash the seeded crash bug must stay invisible (exited $rc)"; exit 1; }
+# The jffs2 plane shares every load path with the ext planes; its run is
+# deterministic, so the point count is exact.
+"$work/mcfs" -fs ext4 -fs jffs2 -crash -depth 2 -max-ops 1500 >"$work/flashcrash.txt" || {
+	echo "FAIL: clean ext4-vs-jffs2 crash run did not exit 0"; exit 1; }
+grep -q '2852 points explored' "$work/flashcrash.txt" || {
+	echo "FAIL: ext4-vs-jffs2 crash run moved off 2852 crash points:"; cat "$work/flashcrash.txt"; exit 1; }
 
 echo "==> mcfslint ./... (domain static analysis)"
 go build -o "$work/mcfslint" ./cmd/mcfslint

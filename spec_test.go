@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -17,7 +18,7 @@ import (
 // serialised setting.
 var specAttachments = map[string]bool{
 	"Pool": true, "Memory": true, "Resume": true, "Cancel": true, "Obs": true,
-	"Journal": true, "Perf": true, "Stream": true, "StreamWorker": true, "FsckWorkers": true,
+	"Journal": true, "Perf": true, "Stream": true, "StreamWorker": true,
 }
 
 // fillNonZero sets v, and everything settable under it, to a non-zero
@@ -169,5 +170,58 @@ func TestUnknownBackingIsRejected(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), `unknown backing "sdd"`) {
 		t.Fatalf("err = %v, want unknown backing", err)
+	}
+}
+
+// TestBugSupportPerKind: every kind accepts exactly the seeded bugs it
+// implements and rejects every other name — a run must never report
+// clean because the bug it was asked to seed was silently dropped.
+func TestBugSupportPerKind(t *testing.T) {
+	supported := map[string][]string{
+		"ext2":    nil,
+		"ext4":    {mcfs.BugJournalCommitFirst},
+		"xfs":     nil,
+		"jffs2":   nil,
+		"verifs1": {mcfs.BugTruncateNoZero, mcfs.BugNoCacheInvalidate},
+		"verifs2": {mcfs.BugWriteHoleNoZero, mcfs.BugSizeUpdateOnOverflow, mcfs.BugNoCacheInvalidate},
+	}
+	bugs := []string{mcfs.BugTruncateNoZero, mcfs.BugNoCacheInvalidate, mcfs.BugWriteHoleNoZero,
+		mcfs.BugSizeUpdateOnOverflow, mcfs.BugJournalCommitFirst, "nonsense"}
+	for kind, ok := range supported {
+		for _, bug := range bugs {
+			s, err := mcfs.NewSession(mcfs.Options{Targets: []mcfs.TargetSpec{{Kind: kind, Bugs: []string{bug}}}})
+			if err == nil {
+				s.Close()
+			}
+			switch want := slices.Contains(ok, bug); {
+			case want && err != nil:
+				t.Errorf("%s rejects its own bug %q: %v", kind, bug, err)
+			case !want && err == nil:
+				t.Errorf("%s silently accepts bug %q", kind, bug)
+			case !want && !strings.Contains(err.Error(), "does not support bug"):
+				t.Errorf("%s with bug %q: err = %v, want a does-not-support-bug error", kind, bug, err)
+			}
+		}
+	}
+}
+
+// TestDeviceSizeIsValidated: DeviceSize arrives from a bundle's
+// config.json, so any value must produce a session or an error — never a
+// panic in a device constructor.
+func TestDeviceSizeIsValidated(t *testing.T) {
+	sizes := []int64{-4096, -1, 1, 1000, 4096, 8192, 20000, 64 * 1024, 100000, 256 * 1024, 16 << 20}
+	for _, kind := range []string{"ext2", "ext4", "xfs", "jffs2", "verifs1", "verifs2"} {
+		for _, size := range sizes {
+			s, err := mcfs.NewSession(mcfs.Options{Targets: []mcfs.TargetSpec{{Kind: kind, DeviceSize: size}}})
+			if err == nil {
+				s.Close()
+			}
+			if size < 0 && err == nil {
+				t.Errorf("%s accepts device size %d", kind, size)
+			}
+			if kind == "jffs2" && size%8192 != 0 && (err == nil || !strings.Contains(err.Error(), "device size")) {
+				t.Errorf("jffs2 with device size %d: err = %v, want a device-size error", size, err)
+			}
+		}
 	}
 }
