@@ -28,7 +28,10 @@
 //
 // Snapshot and Restore stand in for Spin mmapping the backing store into
 // its address space: Snapshot reads the full image (through the cache),
-// Restore writes it through to the medium.
+// Restore writes it through to the medium. OpenFrame and RewindFrame are
+// the same two events as the virtual clock, the counters and the fault
+// plane see them — the paper's whole-image copy is what is charged — but
+// what is copied is only the pages written in between (undo.go).
 package blockdev
 
 import (
@@ -59,6 +62,20 @@ type Device interface {
 	// Restore overwrites the device contents with a previously taken
 	// snapshot, charging the cost of writing the whole device.
 	Restore(img []byte) error
+	// OpenFrame checkpoints the device contents under key, charging what
+	// Snapshot charges. Nothing is copied until something is written: the
+	// device saves the pre-image of each page the first time it changes
+	// while the frame is the newest one open.
+	OpenFrame(key uint64) error
+	// RewindFrame brings back the contents checkpointed under key,
+	// charging what Restore of that image charges, and closes key's frame
+	// and every frame opened after it. ErrNoFrame if key holds none.
+	RewindFrame(key uint64) error
+	// CloseFrame forgets the checkpoint under key, leaving the contents
+	// alone; unknown keys are ignored.
+	CloseFrame(key uint64)
+	// HasFrame reports whether key holds an open frame.
+	HasFrame(key uint64) bool
 	// Name identifies the device in logs, e.g. "ram0" or "sda".
 	Name() string
 }
@@ -140,6 +157,8 @@ type Disk struct {
 	inj *fault.Injector // schedulable fault plane (nil = no faults)
 
 	reads, writes int64 // medium request counters
+
+	undo undoLog // open checkpoint frames and the pre-images they need
 
 	// Observability handles (nil unless SetObs was called): medium
 	// requests are mirrored to per-device counters, and the big
@@ -290,6 +309,7 @@ func (d *Disk) WriteAt(p []byte, off int64) error {
 	if dec.Persist >= 0 && dec.Persist < n {
 		n = dec.Persist // torn write: only the prefix reaches the medium
 	}
+	d.undo.save(d.data, off, len(p))
 	copy(d.data[off:], p[:n])
 	if dec.FlipBit >= 0 && dec.FlipBit < int64(len(p))*8 {
 		d.data[off+dec.FlipBit/8] ^= 1 << uint(dec.FlipBit%8)
@@ -336,6 +356,14 @@ func (d *Disk) Snapshot() ([]byte, error) {
 	defer d.obsHub.StartSpan(obs.LayerBlockdev, "snapshot:"+d.name).End()
 	img := make([]byte, len(d.data))
 	copy(img, d.data)
+	d.imageRead()
+	return img, nil
+}
+
+// imageRead books the read of the whole image through the page cache:
+// one medium request for the cold pages, which become resident, plus RAM
+// time for every byte.
+func (d *Disk) imageRead() {
 	coldPages := 0
 	for pg := range d.cached {
 		if !d.cached[pg] {
@@ -349,7 +377,6 @@ func (d *Disk) Snapshot() ([]byte, error) {
 		d.charge(d.profile.Seek + time.Duration(coldPages*cachePage/1024)*d.profile.PerKiB)
 	}
 	d.charge(time.Duration(len(d.data)/1024) * d.profile.CachedPerKiB)
-	return img, nil
 }
 
 // Restore implements Device: the image is written through to the medium
@@ -364,16 +391,74 @@ func (d *Disk) Restore(img []byte) error {
 		return err
 	}
 	defer d.obsHub.StartSpan(obs.LayerBlockdev, "restore:"+d.name).End()
+	d.undo.save(d.data, 0, len(d.data))
 	copy(d.data, img)
+	d.imageWritten()
+	return nil
+}
+
+// imageWritten books one sequential write-through of the whole image,
+// which leaves every page resident.
+func (d *Disk) imageWritten() {
 	for pg := range d.cached {
 		d.cached[pg] = true
 	}
 	d.writes++
 	d.ctrWrites.Inc()
-	kib := (len(img) + 1023) / 1024
+	kib := (len(d.data) + 1023) / 1024
 	d.charge(d.profile.Seek + time.Duration(kib)*d.profile.PerKiB)
-	d.lastEnd = int64(len(img))
+	d.lastEnd = int64(len(d.data))
+}
+
+// OpenFrame implements Device: Snapshot without the copy.
+func (d *Disk) OpenFrame(key uint64) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	defer d.obsHub.StartSpan(obs.LayerBlockdev, "snapshot:"+d.name).End()
+	d.undo.open(key, len(d.data))
+	d.imageRead()
 	return nil
+}
+
+// RewindFrame implements Device: Restore of the image OpenFrame(key)
+// would have copied, moving only the pages written since.
+func (d *Disk) RewindFrame(key uint64) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	i := d.undo.find(key)
+	if i < 0 {
+		return fmt.Errorf("%w: key=%d dev=%s", ErrNoFrame, key, d.name)
+	}
+	if err := d.inj.OnControl(); err != nil {
+		return err
+	}
+	defer d.obsHub.StartSpan(obs.LayerBlockdev, "restore:"+d.name).End()
+	d.undo.rewind(i, d.data)
+	d.imageWritten()
+	return nil
+}
+
+// CloseFrame implements Device.
+func (d *Disk) CloseFrame(key uint64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.undo.close(key)
+}
+
+// HasFrame implements Device.
+func (d *Disk) HasFrame(key uint64) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.undo.find(key) >= 0
+}
+
+// UndoStats reports how many checkpoint frames are open and how many
+// bytes of pre-images the device holds for them; both are zero once
+// every frame has been rewound or closed.
+func (d *Disk) UndoStats() (frames, arenaBytes int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.undo.stats()
 }
 
 // Name implements Device.
@@ -403,6 +488,7 @@ func (d *Disk) LoadImage(img []byte) error {
 	if len(img) != len(d.data) {
 		return fmt.Errorf("blockdev: load image size %d != device size %d (%s)", len(img), len(d.data), d.name)
 	}
+	d.undo.save(d.data, 0, len(d.data))
 	copy(d.data, img)
 	for pg := range d.cached {
 		d.cached[pg] = false
@@ -419,7 +505,7 @@ func (d *Disk) LoadImage(img []byte) error {
 func (d *Disk) LoadImageDelta(img []byte, regions []fault.Region) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := loadDelta(d.data, img, regions, d.name); err != nil {
+	if err := loadDelta(d.data, img, regions, &d.undo, d.name); err != nil {
 		return err
 	}
 	for _, r := range regions {
@@ -435,9 +521,10 @@ func (d *Disk) LoadImageDelta(img []byte, regions []fault.Region) error {
 	return nil
 }
 
-// loadDelta copies img over data inside each region. Nothing is copied
-// unless img is data's size and every region lies inside it.
-func loadDelta(data, img []byte, regions []fault.Region, name string) error {
+// loadDelta copies img over data inside each region, saving pre-images
+// to undo first. Nothing is copied unless img is data's size and every
+// region lies inside it.
+func loadDelta(data, img []byte, regions []fault.Region, undo *undoLog, name string) error {
 	if len(img) != len(data) {
 		return fmt.Errorf("blockdev: load image size %d != device size %d (%s)", len(img), len(data), name)
 	}
@@ -449,6 +536,7 @@ func loadDelta(data, img []byte, regions []fault.Region, name string) error {
 	}
 	for _, r := range regions {
 		if r.Len > 0 {
+			undo.save(data, r.Off, int(r.Len))
 			copy(data[r.Off:r.Off+r.Len], img[r.Off:r.Off+r.Len])
 		}
 	}

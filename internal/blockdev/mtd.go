@@ -30,6 +30,8 @@ type MTD struct {
 
 	inj *fault.Injector // schedulable fault plane (nil = no faults)
 
+	undo undoLog // open checkpoint frames and the pre-images they need
+
 	// Observability counters (nil unless SetObs was called).
 	ctrReads, ctrWrites, ctrErases *obs.Counter
 }
@@ -87,13 +89,21 @@ func (m *MTD) ReadAt(p []byte, off int64) error {
 	if off < 0 || off+int64(len(p)) > int64(len(m.data)) {
 		return fmt.Errorf("%w: off=%d len=%d size=%d dev=%s", ErrOutOfRange, off, len(p), len(m.data), m.name)
 	}
-	if err := m.inj.OnRead(off, len(p)); err != nil {
-		m.ctrReads.Inc()
+	if err := m.read(off, len(p)); err != nil {
 		return err
 	}
 	copy(p, m.data[off:])
+	return nil
+}
+
+// read books one read request of n bytes at off: the fault plane may
+// fail it, and a served one is counted and charged.
+func (m *MTD) read(off int64, n int) error {
 	m.ctrReads.Inc()
-	m.charge(time.Duration((len(p)+1023)/1024) * time.Microsecond)
+	if err := m.inj.OnRead(off, n); err != nil {
+		return err
+	}
+	m.charge(time.Duration((n+1023)/1024) * time.Microsecond)
 	return nil
 }
 
@@ -119,18 +129,31 @@ func (m *MTD) Program(p []byte, off int64) error {
 	if dec.Persist >= 0 && dec.Persist < n {
 		n = dec.Persist // torn program: only the prefix reaches the flash
 	}
+	m.undo.save(m.data, off, len(p))
 	copy(m.data[off:], p[:n])
-	if dec.FlipBit >= 0 && dec.FlipBit < int64(len(p))*8 {
+	m.programmed(off, len(p), dec)
+	return nil
+}
+
+// programmed finishes a program of n bytes at off whose payload is in
+// place: corruption the fault plane ordered, the counter, the charge,
+// and the crash capture.
+func (m *MTD) programmed(off int64, n int, dec fault.Decision) {
+	if dec.FlipBit >= 0 && dec.FlipBit < int64(n)*8 {
 		m.data[off+dec.FlipBit/8] ^= 1 << uint(dec.FlipBit%8)
 	}
 	m.ctrWrites.Inc()
-	m.charge(time.Duration((len(p)+1023)/1024) * m.programCost)
+	m.charge(time.Duration((n+1023)/1024) * m.programCost)
+	m.capture(dec)
+}
+
+// capture hands the fault plane the media image when dec asks for one.
+func (m *MTD) capture(dec fault.Decision) {
 	if dec.Capture {
 		img := make([]byte, len(m.data))
 		copy(img, m.data)
 		m.inj.SetCrashImage(img)
 	}
-	return nil
 }
 
 // Erase resets erase block idx to all 0xFF.
@@ -147,18 +170,26 @@ func (m *MTD) Erase(idx int) error {
 	if dec.Err != nil {
 		return dec.Err
 	}
-	for i := 0; i < m.eraseSize; i++ {
-		m.data[start+i] = 0xFF
+	m.undo.save(m.data, int64(start), m.eraseSize)
+	m.wipe(start, start+m.eraseSize)
+	m.erased(idx, dec)
+	return nil
+}
+
+// wipe sets data[lo:hi] to the erased state.
+func (m *MTD) wipe(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		m.data[i] = 0xFF
 	}
+}
+
+// erased finishes the erase of block idx: wear counter, obs counter,
+// charge, and the crash capture.
+func (m *MTD) erased(idx int, dec fault.Decision) {
 	m.eraseCount[idx]++
 	m.ctrErases.Inc()
 	m.charge(m.eraseCost)
-	if dec.Capture {
-		img := make([]byte, len(m.data))
-		copy(img, m.data)
-		m.inj.SetCrashImage(img)
-	}
-	return nil
+	m.capture(dec)
 }
 
 // EraseCounts returns a copy of the per-block erase counters.
@@ -200,6 +231,7 @@ func (m *MTD) LoadImage(img []byte) error {
 	if len(img) != len(m.data) {
 		return fmt.Errorf("blockdev: load image size %d != device size %d (%s)", len(img), len(m.data), m.name)
 	}
+	m.undo.save(m.data, 0, len(m.data))
 	copy(m.data, img)
 	return nil
 }
@@ -210,7 +242,7 @@ func (m *MTD) LoadImage(img []byte) error {
 func (m *MTD) LoadImageDelta(img []byte, regions []fault.Region) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return loadDelta(m.data, img, regions, m.name)
+	return loadDelta(m.data, img, regions, &m.undo, m.name)
 }
 
 // MTDBlock bridges an MTD device to the Device interface, the stand-in
@@ -293,6 +325,79 @@ func (b *MTDBlock) Restore(img []byte) error {
 		}
 	}
 	return nil
+}
+
+// OpenFrame implements Device: Snapshot — one read of the whole flash —
+// without the copy.
+func (b *MTDBlock) OpenFrame(key uint64) error {
+	m := b.mtd
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err := m.read(0, len(m.data)); err != nil {
+		return err
+	}
+	m.undo.open(key, len(m.data))
+	return nil
+}
+
+// RewindFrame implements Device. Restore erases and reprograms every
+// block; so does this, as far as the fault plane, the wear and obs
+// counters and the clock can tell — only the bytes stay put, because the
+// rewind has already put every block's image in place. A program the
+// fault plane tears or corrupts does move bytes, the same way it would
+// under Restore.
+func (b *MTDBlock) RewindFrame(key uint64) error {
+	m := b.mtd
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	i := m.undo.find(key)
+	if i < 0 {
+		return fmt.Errorf("%w: key=%d dev=%s", ErrNoFrame, key, m.name)
+	}
+	m.undo.rewind(i, m.data)
+	es := m.eraseSize
+	for idx := range m.eraseCount {
+		start := idx * es
+		dec := m.inj.OnWrite(int64(start), es)
+		if dec.Err != nil {
+			return dec.Err
+		}
+		m.erased(idx, dec)
+		dec = m.inj.OnWrite(int64(start), es)
+		if dec.Err != nil {
+			return dec.Err
+		}
+		torn := dec.Persist >= 0 && dec.Persist < es
+		if torn || dec.FlipBit >= 0 {
+			m.undo.save(m.data, int64(start), es)
+		}
+		if torn {
+			m.wipe(start+dec.Persist, start+es) // erased, never reprogrammed
+		}
+		m.programmed(int64(start), es, dec)
+	}
+	return nil
+}
+
+// CloseFrame and HasFrame implement Device.
+func (b *MTDBlock) CloseFrame(key uint64) {
+	b.mtd.mu.Lock()
+	defer b.mtd.mu.Unlock()
+	b.mtd.undo.close(key)
+}
+
+func (b *MTDBlock) HasFrame(key uint64) bool {
+	b.mtd.mu.Lock()
+	defer b.mtd.mu.Unlock()
+	return b.mtd.undo.find(key) >= 0
+}
+
+// UndoStats reports the flash's open checkpoint frames and the bytes of
+// pre-images held for them (see Disk.UndoStats).
+func (b *MTDBlock) UndoStats() (frames, arenaBytes int) {
+	b.mtd.mu.Lock()
+	defer b.mtd.mu.Unlock()
+	return b.mtd.undo.stats()
 }
 
 // LoadImage and LoadImageDelta implement Media by delegating to the MTD

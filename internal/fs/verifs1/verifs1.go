@@ -8,7 +8,8 @@
 // amount of data stored. Its purpose is to demonstrate the checkpoint/
 // restore API: CheckpointState copies the full file system state into a
 // snapshot pool under a 64-bit key; RestoreState brings it back and
-// discards the snapshot.
+// discards the snapshot — so it moves the snapshot's inodes and buffers
+// into the live file system rather than copying them a second time.
 //
 // Buffers are handed out filled with a garbage pattern, simulating
 // malloc(3) returning recycled memory; every correct code path must
@@ -76,6 +77,11 @@ type FS struct {
 	clock     *simclock.Clock
 	maxInodes int
 	inodes    []inode
+	// hwm is one past the highest inode slot used since the state was
+	// last restored: every slot from hwm on is the zero inode, so
+	// checkpoints and state sizing stop there instead of walking the
+	// whole fixed array.
+	hwm int
 
 	truncateNoZero bool
 
@@ -89,7 +95,7 @@ type FS struct {
 }
 
 type snapshot struct {
-	inodes []inode
+	inodes []inode // the live array up to its high-water mark
 }
 
 var _ vfs.FS = (*FS)(nil)
@@ -116,6 +122,7 @@ func New(clock *simclock.Clock, opts ...Option) *FS {
 		atime: now, mtime: now, ctime: now,
 		parent: 1,
 	}
+	f.hwm = 2
 	return f
 }
 
@@ -153,6 +160,7 @@ func (f *FS) allocInode() (vfs.Ino, *inode) {
 	for i := 1; i < len(f.inodes); i++ {
 		if !f.inodes[i].used {
 			f.inodes[i] = inode{used: true}
+			f.hwm = max(f.hwm, i+1)
 			return vfs.Ino(i), &f.inodes[i]
 		}
 	}
@@ -522,22 +530,29 @@ func (f *FS) Sync() errno.Errno { return errno.OK }
 
 // CheckpointState implements vfs.Checkpointer: it locks the file system
 // (trivially, since the kernel serializes operations), deep-copies the
-// inode array into the snapshot pool under key, and returns.
+// inode array — as far as it has ever been used — into the snapshot pool
+// under key, and returns.
 func (f *FS) CheckpointState(key uint64) errno.Errno {
-	f.snapshots[key] = &snapshot{inodes: cloneInodes(f.inodes)}
+	f.snapshots[key] = &snapshot{inodes: cloneInodes(f.inodes[:f.hwm])}
 	return errno.OK
 }
 
 // RestoreState implements vfs.Checkpointer: it replaces the live inode
 // array with the snapshot stored under key, discards the snapshot, and
 // notifies the kernel to invalidate its caches (via the registered
-// onRestore hook).
+// onRestore hook). The snapshot is consumed, so its inodes — data buffers
+// and directory lists with them — are moved into the live array, not
+// cloned; slots used since the checkpoint go back to zero.
 func (f *FS) RestoreState(key uint64) errno.Errno {
 	snap, ok := f.snapshots[key]
 	if !ok {
 		return errno.ENOENT
 	}
-	f.inodes = cloneInodes(snap.inodes)
+	n := copy(f.inodes, snap.inodes)
+	if n < f.hwm {
+		clear(f.inodes[n:f.hwm])
+	}
+	f.hwm = n
 	delete(f.snapshots, key)
 	if f.onRestore != nil {
 		f.onRestore()
@@ -562,7 +577,7 @@ func (f *FS) SnapshotCount() int { return len(f.snapshots) }
 // data buffers); the memory model uses it to size concrete states.
 func (f *FS) StateBytes() int64 {
 	total := int64(len(f.inodes)) * 96 // rough per-inode struct footprint
-	for i := range f.inodes {
+	for i := range f.inodes[:f.hwm] {
 		if f.inodes[i].used {
 			total += int64(len(f.inodes[i].data))
 			for _, de := range f.inodes[i].entries {

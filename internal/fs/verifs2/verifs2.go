@@ -852,16 +852,15 @@ func (f *FS) CheckpointState(key uint64) errno.Errno {
 	return errno.OK
 }
 
-// RestoreState implements vfs.Checkpointer.
+// RestoreState implements vfs.Checkpointer. The snapshot is consumed, so
+// the live file system adopts its inodes — block lists, xattrs and
+// directory maps with them — instead of cloning them a second time.
 func (f *FS) RestoreState(key uint64) errno.Errno {
 	snap, ok := f.snapshots[key]
 	if !ok {
 		return errno.ENOENT
 	}
-	f.inodes = make(map[vfs.Ino]*inode, len(snap.inodes))
-	for ino, nd := range snap.inodes {
-		f.inodes[ino] = nd.clone()
-	}
+	f.inodes = snap.inodes
 	f.nextIno = snap.nextIno
 	f.usedBlocks = snap.usedBlocks
 	delete(f.snapshots, key)

@@ -360,6 +360,10 @@ func NewClient(server *Server, clock *simclock.Clock) *Client {
 	return &Client{server: server, clock: clock, root: server.backing.Root()}
 }
 
+// Server exposes the server this client talks to (tests only: from a
+// mount to the file system behind it).
+func (c *Client) Server() *Server { return c.server }
+
 // BindCacheInvalidator implements kernel.InvalidatorBinder; the kernel
 // calls it at mount time.
 func (c *Client) BindCacheInvalidator(ci kernel.CacheInvalidator) { c.inval = ci }

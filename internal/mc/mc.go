@@ -430,8 +430,10 @@ type engine struct {
 
 	trail   []workload.Op
 	nextKey uint64
-	// results is the per-target outcome of the most recent step.
+	// results is the per-target outcome of the most recent step, errnos
+	// their errno names (one buffer, rewritten by every step).
 	results []checker.OpResult
+	errnos  []string
 
 	// res is the Result under construction: the loop counts straight
 	// into it (CrashHeatmap is non-nil exactly when Config.Crash is set
@@ -613,18 +615,23 @@ func (e *engine) stateBytes() int64 {
 	return total
 }
 
-func (e *engine) storeStateCost() {
-	if e.cfg.Mem != nil {
-		if err := e.cfg.Mem.Store(e.stateBytes()); err != nil {
-			// Out of memory+swap on a checkpoint store. The governor can
-			// relieve it by degrading the visited set; otherwise the
-			// run finalizes as a structured OOM failure (the charge
-			// stands — backtrack's Release pairs with it either way).
-			if !e.relieveMem() {
-				e.oomed = true
-			}
+// storeStateCost charges the memory model for the checkpoint just taken
+// and returns its size, which the backtrack's Release pairs with.
+func (e *engine) storeStateCost() int64 {
+	if e.cfg.Mem == nil {
+		return 0
+	}
+	n := e.stateBytes()
+	if err := e.cfg.Mem.Store(n); err != nil {
+		// Out of memory+swap on a checkpoint store. The governor can
+		// relieve it by degrading the visited set; otherwise the
+		// run finalizes as a structured OOM failure (the charge
+		// stands — backtrack's Release pairs with it either way).
+		if !e.relieveMem() {
+			e.oomed = true
 		}
 	}
+	return n
 }
 
 // relieveMem asks the set's governor (none on an owned set) for
@@ -651,6 +658,9 @@ func (e *engine) releaseRetained() {
 	}
 }
 
+// fetchStateCost charges bringing a checkpoint back for the restore. It
+// is sized by the live, post-op state, as it always has been — not by the
+// checkpoint's own size — so it is measured here rather than reused.
 func (e *engine) fetchStateCost() {
 	if e.cfg.Mem != nil {
 		e.cfg.Mem.Fetch(e.stateBytes(), 0)
@@ -741,8 +751,9 @@ func (e *engine) dfs(depth int) error {
 			}
 		}
 		e.probe.checkpointed()
+		var stored int64
 		if err == nil {
-			e.storeStateCost()
+			stored = e.storeStateCost()
 			// The crash probe leaves the concrete state untouched.
 			if e.cfg.Crash != nil {
 				err = e.src.crash(e, depth, op)
@@ -771,7 +782,8 @@ func (e *engine) dfs(depth int) error {
 			return err
 		}
 		if e.cfg.Mem != nil {
-			e.cfg.Mem.Release(e.stateBytes())
+			// The restore brought back the state storeStateCost sized.
+			e.cfg.Mem.Release(stored)
 		}
 		e.probe.backtracked(depth)
 	}
@@ -840,7 +852,11 @@ func (e *engine) step(op workload.Op, judge bool) error {
 	e.probe.remounted()
 	e.res.Ops++
 	e.results = results
-	e.probe.executed(&e.res, len(e.trail), results)
+	e.errnos = e.errnos[:0]
+	for _, r := range results {
+		e.errnos = append(e.errnos, r.Err.String())
+	}
+	e.probe.executed(&e.res, len(e.trail), e.errnos)
 	opName := op.Kind.String()
 	e.res.Coverage.ByOp[opName]++
 	pairs := e.res.Coverage.ByOpErrno[opName]
@@ -848,9 +864,9 @@ func (e *engine) step(op workload.Op, judge bool) error {
 		pairs = make(map[string]int64)
 		e.res.Coverage.ByOpErrno[opName] = pairs
 	}
-	for _, r := range results {
-		e.res.Coverage.ByErrno[r.Err.String()]++
-		pairs[r.Err.String()]++
+	for _, name := range e.errnos {
+		e.res.Coverage.ByErrno[name]++
+		pairs[name]++
 	}
 	if !judge {
 		return nil
@@ -861,10 +877,11 @@ func (e *engine) step(op workload.Op, judge bool) error {
 	if e.cfg.MajorityVote {
 		checkResults, checkStates = e.cfg.Checker.CheckResultsMajority, e.cfg.Checker.CheckAndHashMajority
 	}
-	d := checkResults(op.String(), results)
+	opText := op.String()
+	d := checkResults(opText, results)
 	if d == nil {
 		var er errno.Errno
-		if d, _, er = checkStates(op.String()); er != errno.OK {
+		if d, _, er = checkStates(opText); er != errno.OK {
 			e.probe.judged()
 			return fmt.Errorf("mc: state check: %w", er)
 		}

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"mcfs/internal/abstraction"
-	"mcfs/internal/checker"
 	"mcfs/internal/obs"
 	"mcfs/internal/obs/journal"
 	"mcfs/internal/obs/perf"
@@ -51,9 +50,10 @@ type probe struct {
 	pointPhases []time.Duration
 
 	jr *journal.Recorder
-	// errnos is the per-target errno scratch of the most recent step.
-	// Reuse is safe: journal records marshal synchronously inside
-	// Append, before the next step can overwrite the slice.
+	// errnos is the engine's per-target errno names of the most recent
+	// step — its buffer, not a copy. Sharing is safe: journal records
+	// marshal synchronously inside Append, before the next step can
+	// overwrite the slice.
 	errnos []string
 }
 
@@ -184,7 +184,7 @@ func (p *probe) end() {
 // armed window). Heartbeats ride the op counter, not a wall timer: they
 // stay deterministic in virtual time, and a hung target reads as stale
 // because a stuck probe stops the counter.
-func (p *probe) executed(res *Result, depth int, results []checker.OpResult) {
+func (p *probe) executed(res *Result, depth int, errnos []string) {
 	if p == nil {
 		return
 	}
@@ -193,12 +193,7 @@ func (p *probe) executed(res *Result, depth int, results []checker.OpResult) {
 	if res.Ops%stream.HeartbeatEvery == 0 {
 		p.emit(statusEvent(stream.KindWorkerHeartbeat, res, depth, ""))
 	}
-	if p.jr != nil {
-		p.errnos = p.errnos[:0]
-		for _, r := range results {
-			p.errnos = append(p.errnos, r.Err.String())
-		}
-	}
+	p.errnos = errnos
 }
 
 // visited reports the visited-state decision for the state op reached.

@@ -300,7 +300,9 @@ func TestSharedVisitedReducesDuplicates(t *testing.T) {
 
 // leakTracker wraps a Tracker and counts live checkpoint images: each
 // successful Checkpoint retains one, each Restore/Discard releases it.
-// failAt > 0 makes the Nth Checkpoint call fail without retaining.
+// failAt > 0 makes the Nth Checkpoint call fail without retaining. It
+// sees the Tracker interface only; assertNoCheckpointState
+// (lockstep_test.go) asks the media and file systems underneath.
 type leakTracker struct {
 	tracker.Tracker
 	mu     sync.Mutex
@@ -383,6 +385,7 @@ func TestCheckpointFailureRetainsNoImages(t *testing.T) {
 	if got := b.retained(); got != 0 {
 		t.Errorf("tracker B retains %d checkpoint images after the failed run, want 0", got)
 	}
+	assertNoCheckpointState(t, s)
 }
 
 // TestCleanRunRetainsNoImages: the Discard plumbing must also leave
@@ -408,6 +411,7 @@ func TestCleanRunRetainsNoImages(t *testing.T) {
 	if a.retained() != 0 || b.retained() != 0 {
 		t.Errorf("clean run retains images: A=%d B=%d, want 0/0", a.retained(), b.retained())
 	}
+	assertNoCheckpointState(t, s)
 }
 
 // --- Resume accounting fix -------------------------------------------------

@@ -42,9 +42,9 @@ type lawTarget struct {
 
 const lawMount = "/mnt"
 
-func lawTargets() map[string]func(t *testing.T) *lawTarget {
-	dev := func(mkfs func(*blockdev.Disk) error, typ string, size int64, mount func(*blockdev.Disk, *simclock.Clock) (vfs.FS, error), unmount func(vfs.FS) error) func(*testing.T) *lawTarget {
-		return func(t *testing.T) *lawTarget {
+func lawTargets() map[string]func(t testing.TB) *lawTarget {
+	dev := func(mkfs func(*blockdev.Disk) error, typ string, size int64, mount func(*blockdev.Disk, *simclock.Clock) (vfs.FS, error), unmount func(vfs.FS) error) func(testing.TB) *lawTarget {
+		return func(t testing.TB) *lawTarget {
 			clk := simclock.New()
 			k := kernel.New(clk)
 			d := blockdev.NewRAM("ram0", size, clk)
@@ -63,15 +63,15 @@ func lawTargets() map[string]func(t *testing.T) *lawTarget {
 			return &lawTarget{k: k, tr: NewRemount(k, lawMount, true), media: d}
 		}
 	}
-	ext := func(journal bool, typ string) func(*testing.T) *lawTarget {
+	ext := func(journal bool, typ string) func(testing.TB) *lawTarget {
 		return dev(
 			func(d *blockdev.Disk) error { return extfs.Mkfs(d, extfs.MkfsOptions{Journal: journal}) },
 			typ, 256*1024,
 			func(d *blockdev.Disk, clk *simclock.Clock) (vfs.FS, error) { return extfs.Mount(d, clk) },
 			func(f vfs.FS) error { return f.(*extfs.FS).Unmount() })
 	}
-	veri := func(typ string, mk func(*simclock.Clock) vfs.FS) func(*testing.T) *lawTarget {
-		return func(t *testing.T) *lawTarget {
+	veri := func(typ string, mk func(*simclock.Clock) vfs.FS) func(testing.TB) *lawTarget {
+		return func(t testing.TB) *lawTarget {
 			clk := simclock.New()
 			k := kernel.New(clk)
 			backing := mk(clk)
@@ -86,7 +86,7 @@ func lawTargets() map[string]func(t *testing.T) *lawTarget {
 			return &lawTarget{k: k, tr: NewCheckpoint(k, lawMount), backing: backing}
 		}
 	}
-	return map[string]func(t *testing.T) *lawTarget{
+	return map[string]func(t testing.TB) *lawTarget{
 		"checkpoint-api/verifs1": veri("verifs1", func(c *simclock.Clock) vfs.FS { return verifs1.New(c) }),
 		"checkpoint-api/verifs2": veri("verifs2", func(c *simclock.Clock) vfs.FS { return verifs2.New(c) }),
 		"remount/ext2":           ext(false, "ext2"),
@@ -96,7 +96,7 @@ func lawTargets() map[string]func(t *testing.T) *lawTarget {
 			"xfs", xfssim.MinVolumeSize,
 			func(d *blockdev.Disk, clk *simclock.Clock) (vfs.FS, error) { return xfssim.Mount(d, clk) },
 			func(f vfs.FS) error { return f.(*xfssim.FS).Unmount() }),
-		"remount/jffs2": func(t *testing.T) *lawTarget {
+		"remount/jffs2": func(t testing.TB) *lawTarget {
 			clk := simclock.New()
 			k := kernel.New(clk)
 			mtd := blockdev.NewMTD("mtd0", 256*1024, 8*1024, clk)

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"time"
 
+	"mcfs/internal/blockdev"
 	"mcfs/internal/errno"
 	"mcfs/internal/kernel"
 	"mcfs/internal/obs"
@@ -37,12 +38,23 @@ import (
 // test. Restore consumes the checkpoint (mirroring VeriFS's
 // ioctl_RESTORE semantics); the explorer re-checkpoints when it needs to
 // return to the same state again.
+//
+// Checkpoints nest. The explorer takes them along one DFS path — every
+// key younger than k is restored or discarded before k is — and the
+// device-backed trackers rely on it: restoring a key closes every
+// checkpoint taken after it, whose keys then restore nothing. Discard
+// works on any open key, in any order. What a checkpoint and a restore
+// CHARGE the virtual clock is the paper's whole-image copy each way; what
+// they COPY is the pages written while the checkpoint was open (the
+// devices' undo frames, blockdev/undo.go) or, for VeriFS, one clone of
+// the live inodes that the restore adopts instead of cloning again.
 type Tracker interface {
 	// Name identifies the strategy in logs.
 	Name() string
 	// Checkpoint saves the file system's full state under key.
 	Checkpoint(key uint64) error
-	// Restore brings back the state saved under key and discards it.
+	// Restore brings back the state saved under key, discarding it and
+	// every checkpoint taken since.
 	Restore(key uint64) error
 	// Discard drops the checkpoint under key without restoring.
 	Discard(key uint64)
@@ -113,14 +125,17 @@ func (t obsTimer) end() {
 
 // --- Remount tracker -------------------------------------------------------
 
-// RemountTracker tracks a device-backed file system by snapshotting the
-// device image, restoring state via unmount / device-restore / remount.
+// RemountTracker tracks a device-backed file system by checkpointing the
+// device image, restoring state via unmount / device-rewind / remount.
 type RemountTracker struct {
 	k           *kernel.Kernel
 	point       string
 	perOpRemnts bool
-	snapshots   map[uint64][]byte
-	obs         obsInstruments
+	// dev is the mount's device, which holds the checkpoints; kept from
+	// the first Checkpoint on because Restore and Discard must reach it
+	// while the file system is unmounted.
+	dev blockdev.Device
+	obs obsInstruments
 }
 
 // SetObs implements ObsSetter.
@@ -147,12 +162,7 @@ func (t *RemountTracker) chargeStateCPU() {
 // perOpRemounts enables the paper's default unmount/remount around every
 // operation.
 func NewRemount(k *kernel.Kernel, point string, perOpRemounts bool) *RemountTracker {
-	return &RemountTracker{
-		k:           k,
-		point:       point,
-		perOpRemnts: perOpRemounts,
-		snapshots:   make(map[uint64][]byte),
-	}
+	return &RemountTracker{k: k, point: point, perOpRemnts: perOpRemounts}
 }
 
 // Name implements Tracker.
@@ -168,7 +178,7 @@ func (t *RemountTracker) mount() (*kernel.Mount, error) {
 
 // Checkpoint implements Tracker: flush everything to the device (sync
 // suffices — data is write-through and sync writes back all dirty
-// metadata), then snapshot the image.
+// metadata), then checkpoint the image.
 func (t *RemountTracker) Checkpoint(key uint64) error {
 	defer t.obs.beginCheckpoint().end()
 	m, err := t.mount()
@@ -182,43 +192,47 @@ func (t *RemountTracker) Checkpoint(key uint64) error {
 	if e := t.k.SyncFS(t.point); e != errno.OK {
 		return e
 	}
-	img, err := dev.Snapshot()
-	if err != nil {
+	if err := dev.OpenFrame(key); err != nil {
 		return err
 	}
 	t.chargeStateCPU()
-	t.snapshots[key] = img
+	t.dev = dev
 	return nil
 }
 
 // Restore implements Tracker: unmount (dropping all in-memory state),
-// restore the device image, and mount fresh — the only way to guarantee
+// rewind the device image, and mount fresh — the only way to guarantee
 // no stale state remains in kernel memory (§3.2).
 func (t *RemountTracker) Restore(key uint64) error {
 	defer t.obs.beginRestore().end()
-	img, ok := t.snapshots[key]
-	if !ok {
+	if t.dev == nil || !t.dev.HasFrame(key) {
 		return fmt.Errorf("tracker: no snapshot under key %d", key)
 	}
 	m, err := t.mount()
 	if err != nil {
 		return err
 	}
-	dev := m.Dev()
 	spec, opts := mountSpecOf(m)
 	if err := t.k.Unmount(t.point); err != nil {
 		return err
 	}
-	if err := dev.Restore(img); err != nil {
+	if err := t.dev.RewindFrame(key); err != nil {
 		return err
 	}
-	t.chargeStateCPU()
-	delete(t.snapshots, key)
+	// The model checker's own cost of handling the restored state vector
+	// (chargeStateCPU) has never been charged on this side: the call that
+	// stood here ran after the unmount, when StateBytes finds no mount and
+	// answers 0. Charging it would move every remount-tracked rate, so it
+	// stays uncharged until the cost model is reconciled (EXPERIMENTS.md).
 	return t.k.Mount(t.point, spec, opts)
 }
 
 // Discard implements Tracker.
-func (t *RemountTracker) Discard(key uint64) { delete(t.snapshots, key) }
+func (t *RemountTracker) Discard(key uint64) {
+	if t.dev != nil {
+		t.dev.CloseFrame(key)
+	}
+}
 
 // PreOp implements Tracker: remount before the operation when enabled.
 func (t *RemountTracker) PreOp() error {
@@ -261,10 +275,10 @@ func mountSpecOf(m *kernel.Mount) (kernel.FilesystemSpec, kernel.MountOptions) {
 // volume. It exists to demonstrate that failure (experiment E8); do not
 // use it for real checking.
 type DiskOnlyTracker struct {
-	k         *kernel.Kernel
-	point     string
-	snapshots map[uint64][]byte
-	obs       obsInstruments
+	k     *kernel.Kernel
+	point string
+	dev   blockdev.Device // holds the checkpoints; set by the first Checkpoint
+	obs   obsInstruments
 }
 
 // SetObs implements ObsSetter.
@@ -272,13 +286,13 @@ func (t *DiskOnlyTracker) SetObs(h *obs.Hub) { t.obs.attach(h, t.Name()) }
 
 // NewDiskOnly builds the broken disk-only tracker.
 func NewDiskOnly(k *kernel.Kernel, point string) *DiskOnlyTracker {
-	return &DiskOnlyTracker{k: k, point: point, snapshots: make(map[uint64][]byte)}
+	return &DiskOnlyTracker{k: k, point: point}
 }
 
 // Name implements Tracker.
 func (t *DiskOnlyTracker) Name() string { return "disk-only" }
 
-// Checkpoint implements Tracker: fsync, then snapshot the device.
+// Checkpoint implements Tracker: fsync, then checkpoint the device.
 func (t *DiskOnlyTracker) Checkpoint(key uint64) error {
 	defer t.obs.beginCheckpoint().end()
 	m, _, e := t.k.MountAt(t.point)
@@ -288,33 +302,33 @@ func (t *DiskOnlyTracker) Checkpoint(key uint64) error {
 	if e := t.k.SyncFS(t.point); e != errno.OK {
 		return e
 	}
-	img, err := m.Dev().Snapshot()
-	if err != nil {
+	if err := m.Dev().OpenFrame(key); err != nil {
 		return err
 	}
-	t.snapshots[key] = img
+	t.dev = m.Dev()
 	return nil
 }
 
-// Restore implements Tracker: restore the device image underneath the
+// Restore implements Tracker: rewind the device image underneath the
 // live mount. The mounted file system's cached metadata is now stale —
 // the §3.2 corruption in action.
 func (t *DiskOnlyTracker) Restore(key uint64) error {
 	defer t.obs.beginRestore().end()
-	img, ok := t.snapshots[key]
-	if !ok {
+	if t.dev == nil || !t.dev.HasFrame(key) {
 		return fmt.Errorf("tracker: no snapshot under key %d", key)
 	}
-	m, _, e := t.k.MountAt(t.point)
-	if e != errno.OK {
+	if _, _, e := t.k.MountAt(t.point); e != errno.OK {
 		return fmt.Errorf("tracker: %s not mounted", t.point)
 	}
-	delete(t.snapshots, key)
-	return m.Dev().Restore(img)
+	return t.dev.RewindFrame(key)
 }
 
 // Discard implements Tracker.
-func (t *DiskOnlyTracker) Discard(key uint64) { delete(t.snapshots, key) }
+func (t *DiskOnlyTracker) Discard(key uint64) {
+	if t.dev != nil {
+		t.dev.CloseFrame(key)
+	}
+}
 
 // PreOp implements Tracker.
 func (t *DiskOnlyTracker) PreOp() error { return nil }

@@ -7,12 +7,18 @@
 #   3. go vet ./...                                 (static checks)
 #   4. go test -race internal/mc + internal/obs     (swarm + hub + event
 #         (includes internal/obs/stream)             stream under the
-#                                                    race detector)
+#         + internal/tracker + internal/blockdev     race detector; the
+#                                                    trackers and the
+#                                                    media's undo frames
+#                                                    under their locks)
 #   5. bench smoke: every benchmark runs once       (catches bit-rotted
 #                                                    benchmarks; includes
 #                                                    the nil-obs and
 #                                                    swarm shared-vs-
-#                                                    independent pairs)
+#                                                    independent pairs and
+#                                                    the per-tracker
+#                                                    checkpoint+restore
+#                                                    cycle)
 #   6. replay-determinism smoke: a seeded-bug run   (flight recorder end
 #      writes a repro bundle, mcfs replay must       to end: journal ->
 #      reproduce it, mcfs shrink must minimize it;   bundle -> replay ->
@@ -66,11 +72,11 @@ go test ./...
 echo "==> go vet ./..."
 go vet ./...
 
-echo "==> go test -race ./internal/mc/... ./internal/obs/... (incl. internal/obs/stream)"
-go test -race ./internal/mc/... ./internal/obs/...
+echo "==> go test -race ./internal/mc/... ./internal/obs/... (incl. internal/obs/stream) ./internal/tracker/... ./internal/blockdev/..."
+go test -race ./internal/mc/... ./internal/obs/... ./internal/tracker/... ./internal/blockdev/...
 
 echo "==> bench smoke (one iteration per benchmark)"
-go test -bench . -benchtime 1x -run '^$' ./internal/mc/...
+go test -bench . -benchtime 1x -run '^$' ./internal/mc/... ./internal/tracker/...
 
 echo "==> replay-determinism smoke (run -> bundle -> replay -> shrink)"
 # go run remaps the child's exit code, so build the real binary.
