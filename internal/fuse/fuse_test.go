@@ -17,8 +17,7 @@ func mountVeriFS2(t *testing.T, opts ServerOptions) (*kernel.Kernel, *Server) {
 	clk := simclock.New()
 	k := kernel.New(clk)
 	backing := verifs2.New(clk)
-	srv := NewServer(backing, clk, opts)
-	t.Cleanup(srv.Shutdown)
+	srv := NewServer(backing, opts)
 	spec := kernel.FilesystemSpec{
 		Type:    "verifs2",
 		Mounter: func() (vfs.FS, error) { return NewClient(srv, clk), nil },
@@ -58,8 +57,7 @@ func TestBasicOpsOverFUSE(t *testing.T) {
 func TestFUSEChargesMessageCost(t *testing.T) {
 	clk := simclock.New()
 	backing := verifs2.New(clk)
-	srv := NewServer(backing, clk, ServerOptions{})
-	defer srv.Shutdown()
+	srv := NewServer(backing, ServerOptions{})
 	c := NewClient(srv, clk)
 	before := clk.Now()
 	if _, e := c.Getattr(c.Root()); e != errno.OK {
@@ -70,12 +68,22 @@ func TestFUSEChargesMessageCost(t *testing.T) {
 	}
 }
 
+// TestRoundTripAllocatesNothing: the transport is a function call, so
+// with no hub attached a round trip costs its virtual charge and nothing
+// on the heap.
+func TestRoundTripAllocatesNothing(t *testing.T) {
+	clk := simclock.New()
+	c := NewClient(NewServer(verifs2.New(clk), ServerOptions{}), clk)
+	if n := testing.AllocsPerRun(100, func() { c.Getattr(c.Root()) }); n != 0 {
+		t.Errorf("Getattr round trip: %v allocs, want 0", n)
+	}
+}
+
 func TestVeriFS1OverFUSELacksRename(t *testing.T) {
 	clk := simclock.New()
 	k := kernel.New(clk)
 	backing := verifs1.New(clk)
-	srv := NewServer(backing, clk, ServerOptions{})
-	defer srv.Shutdown()
+	srv := NewServer(backing, ServerOptions{})
 	if err := k.Mount("/mnt", kernel.FilesystemSpec{
 		Type:    "verifs1",
 		Mounter: func() (vfs.FS, error) { return NewClient(srv, clk), nil },
@@ -88,6 +96,39 @@ func TestVeriFS1OverFUSELacksRename(t *testing.T) {
 	// for an unimplemented method.
 	if e := k.Rename("/mnt/f", "/mnt/g"); e != errno.ENOSYS {
 		t.Errorf("rename = %v, want ENOSYS", e)
+	}
+}
+
+// TestMissingOptionalInterfaceErrnos pins what the server answers for an
+// operation its file system does not implement, per operation family.
+func TestMissingOptionalInterfaceErrnos(t *testing.T) {
+	clk := simclock.New()
+	// Embedding the interface hides all VeriFS2 implements beyond vfs.FS.
+	c := NewClient(NewServer(struct{ vfs.FS }{verifs2.New(clk)}, ServerOptions{}), clk)
+	root := c.Root()
+	_, symlink := c.Symlink("t", root, "l", 0, 0)
+	_, readlink := c.Readlink(root)
+	_, getxattr := c.GetXattr(root, "user.k")
+	_, listxattr := c.ListXattr(root)
+	for _, tc := range []struct {
+		op        string
+		got, want errno.Errno
+	}{
+		{"rename", c.Rename(root, "a", root, "b"), errno.ENOSYS},
+		{"link", c.Link(root, root, "b"), errno.ENOSYS},
+		{"symlink", symlink, errno.ENOSYS},
+		{"readlink", readlink, errno.EINVAL},
+		{"setxattr", c.SetXattr(root, "user.k", nil), errno.ENOTSUP},
+		{"getxattr", getxattr, errno.ENOTSUP},
+		{"listxattr", listxattr, errno.ENOTSUP},
+		{"removexattr", c.RemoveXattr(root, "user.k"), errno.ENOTSUP},
+		{"checkpoint", c.CheckpointState(1), errno.ENOTSUP},
+		{"restore", c.RestoreState(1), errno.ENOTSUP},
+		{"discard", c.DiscardState(1), errno.ENOTSUP},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s = %v, want %v", tc.op, tc.got, tc.want)
+		}
 	}
 }
 
@@ -164,8 +205,7 @@ func TestCheckpointRestoreRoundTripOverIoctl(t *testing.T) {
 
 func TestServerReportsDeviceFiles(t *testing.T) {
 	clk := simclock.New()
-	srv := NewServer(verifs2.New(clk), clk, ServerOptions{})
-	defer srv.Shutdown()
+	srv := NewServer(verifs2.New(clk), ServerOptions{})
 	devs := srv.OpenDeviceFiles()
 	if len(devs) != 1 || devs[0] != DeviceFile {
 		t.Errorf("OpenDeviceFiles = %v", devs)

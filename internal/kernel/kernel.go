@@ -55,14 +55,11 @@ type FilesystemSpec struct {
 }
 
 // CacheInvalidator lets a file system (via the FUSE notify API) evict
-// kernel cache entries it knows are stale — the paper's
-// fuse_lowlevel_notify_inval_entry / _inval_inode.
+// kernel cache entries it knows are stale. The paper's VeriFS calls
+// fuse_lowlevel_notify_inval_entry / _inval_inode per entry; a restore
+// stales everything at once, so the one form here is the whole mount.
 type CacheInvalidator interface {
-	// InvalEntry evicts the dentry (parent, name), positive or negative.
-	InvalEntry(parent vfs.Ino, name string)
-	// InvalInode evicts the cached attributes of ino.
-	InvalInode(ino vfs.Ino)
-	// InvalAll evicts everything for the mount.
+	// InvalAll evicts every cached dentry and attribute of the mount.
 	InvalAll()
 }
 
@@ -116,15 +113,6 @@ func (m *Mount) Options() MountOptions { return MountOptions{Sync: m.sync} }
 
 // mountInvalidator implements CacheInvalidator for one mount.
 type mountInvalidator struct{ m *Mount }
-
-func (mi mountInvalidator) InvalEntry(parent vfs.Ino, name string) {
-	delete(mi.m.dcache, dkey{parent, name})
-	delete(mi.m.negcache, dkey{parent, name})
-}
-
-func (mi mountInvalidator) InvalInode(ino vfs.Ino) {
-	delete(mi.m.acache, ino)
-}
 
 func (mi mountInvalidator) InvalAll() {
 	mi.m.dcache = make(map[dkey]vfs.Ino)

@@ -14,12 +14,17 @@ import (
 
 	"mcfs"
 	"mcfs/internal/abstraction"
+	"mcfs/internal/errno"
+	"mcfs/internal/fs/verifs2"
+	"mcfs/internal/fuse"
+	"mcfs/internal/kernel"
 	"mcfs/internal/mc"
 	"mcfs/internal/mc/visited"
 	"mcfs/internal/memmodel"
 	"mcfs/internal/obs"
 	"mcfs/internal/simclock"
 	"mcfs/internal/tracker"
+	"mcfs/internal/vfs"
 )
 
 // --- Cancel token ----------------------------------------------------------
@@ -600,113 +605,149 @@ func (p *panicTracker) PreOp() error {
 	return p.Tracker.PreOp()
 }
 
+// panicOnWrite is a VeriFS2 that panics on its Nth Write: the file system
+// under test blowing up inside its own code, behind the FUSE transport.
+type panicOnWrite struct {
+	*verifs2.FS
+	writes, panicAt int
+}
+
+func (p *panicOnWrite) Write(ino vfs.Ino, off int64, data []byte) (int, errno.Errno) {
+	if p.writes++; p.writes >= p.panicAt {
+		panic(fmt.Sprintf("panicOnWrite: injected panic (write %d)", p.writes))
+	}
+	return p.FS.Write(ino, off, data)
+}
+
+// panicInjectors are the two places a target can blow up: in the tracker
+// driving it, or inside the file system itself — which, for VeriFS, is
+// the far side of a FUSE round trip.
+var panicInjectors = []struct {
+	name string
+	// depth1Ops and depth1At put the panic one level below a committed
+	// create in a one-file pool (TestPanicProducesPartialTrail): the
+	// tracker's second PreOp when create is the only op, VeriFS2's first
+	// Write — which no write_file reaches before the file exists.
+	depth1Ops []mcfs.OpKind
+	depth1At  int
+	inject    func(t *testing.T, cfg *mc.Config, at int)
+}{
+	{"tracker", []mcfs.OpKind{mcfs.OpCreateFile}, 2, func(_ *testing.T, cfg *mc.Config, at int) {
+		cfg.Trackers = append([]tracker.Tracker(nil), cfg.Trackers...)
+		cfg.Trackers[0] = &panicTracker{Tracker: cfg.Trackers[0], panicAt: at}
+	}},
+	{"verifs-over-fuse", []mcfs.OpKind{mcfs.OpCreateFile, mcfs.OpWriteFile}, 1, func(t *testing.T, cfg *mc.Config, at int) {
+		k, point := cfg.Kernel, cfg.Checker.Targets()[1].MountPoint
+		if err := k.Unmount(point); err != nil {
+			t.Fatal(err)
+		}
+		srv := fuse.NewServer(&panicOnWrite{FS: verifs2.New(k.Clock()), panicAt: at}, fuse.ServerOptions{})
+		if err := k.Mount(point, kernel.FilesystemSpec{
+			Type:    "verifs2",
+			Mounter: func() (vfs.FS, error) { return fuse.NewClient(srv, k.Clock()), nil },
+		}, kernel.MountOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}},
+}
+
 // TestSwarmWorkerPanicIsolated: a panicking target must not kill the
 // swarm process. The panicking worker ends with a failed Result carrying
 // a *mc.PanicError (panic value + partial trail), its peers are canceled
 // promptly, and no goroutine leaks.
 func TestSwarmWorkerPanicIsolated(t *testing.T) {
-	before := runtime.NumGoroutine()
-	var mu sync.Mutex
-	var sessions []*mcfs.Session
-	defer func() {
-		mu.Lock()
-		defer mu.Unlock()
-		for _, s := range sessions {
-			s.Close()
-		}
-	}()
-
-	sr, err := mc.SwarmRun(mc.SwarmOptions{Workers: 2}, func(seed int64) (mc.Config, error) {
-		s, err := mcfs.NewSession(mcfs.Options{
-			Targets:  []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
-			MaxDepth: 3,
-			MaxOps:   500000, // peers run long unless canceled
-			Seed:     seed,
+	for _, inj := range panicInjectors {
+		t.Run(inj.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			sr, err := mc.SwarmRun(mc.SwarmOptions{Workers: 2}, func(seed int64) (mc.Config, error) {
+				s, err := mcfs.NewSession(mcfs.Options{
+					Targets:  []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
+					MaxDepth: 3,
+					MaxOps:   500000, // peers run long unless canceled
+					Seed:     seed,
+				})
+				if err != nil {
+					return mc.Config{}, err
+				}
+				cfg := *s.Config()
+				if seed == 1 {
+					inj.inject(t, &cfg, 5)
+				}
+				return cfg, nil
+			})
+			if err != nil {
+				t.Fatalf("SwarmRun: %v", err)
+			}
+			if sr.Err == nil {
+				t.Fatal("swarm reports no error despite a panicking worker")
+			}
+			var pe *mc.PanicError
+			if !errors.As(sr.Err, &pe) {
+				t.Fatalf("swarm error = %T %v, want *mc.PanicError", sr.Err, sr.Err)
+			}
+			if pe.Stack == "" {
+				t.Error("PanicError carries no stack")
+			}
+			if sr.ErrWorker != 0 {
+				t.Errorf("ErrWorker = %d, want 0 (seed 1)", sr.ErrWorker)
+			}
+			if peer := sr.Workers[1]; !peer.Canceled {
+				t.Errorf("peer ran %d ops to completion, want it canceled", peer.Ops)
+			}
+			// No worker goroutines may outlive SwarmRun, and the sessions
+			// (never closed) hold none of their own.
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				runtime.GC()
+				if n := runtime.NumGoroutine(); n <= before+1 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("goroutines leaked: %d before, %d after panicking worker", before, runtime.NumGoroutine())
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
 		})
-		if err != nil {
-			return mc.Config{}, err
-		}
-		mu.Lock()
-		sessions = append(sessions, s)
-		mu.Unlock()
-		cfg := *s.Config()
-		if seed == 1 {
-			cfg.Trackers = append([]tracker.Tracker(nil), cfg.Trackers...)
-			cfg.Trackers[0] = &panicTracker{Tracker: cfg.Trackers[0], panicAt: 5}
-		}
-		return cfg, nil
-	})
-	if err != nil {
-		t.Fatalf("SwarmRun: %v", err)
-	}
-	if sr.Err == nil {
-		t.Fatal("swarm reports no error despite a panicking worker")
-	}
-	var pe *mc.PanicError
-	if !errors.As(sr.Err, &pe) {
-		t.Fatalf("swarm error = %T %v, want *mc.PanicError", sr.Err, sr.Err)
-	}
-	if pe.Stack == "" {
-		t.Error("PanicError carries no stack")
-	}
-	if sr.ErrWorker != 0 {
-		t.Errorf("ErrWorker = %d, want 0 (seed 1)", sr.ErrWorker)
-	}
-	// No worker goroutines may outlive SwarmRun. Close the sessions
-	// first — their FUSE servers hold goroutines of their own.
-	mu.Lock()
-	for _, s := range sessions {
-		s.Close()
-	}
-	sessions = nil
-	mu.Unlock()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		if n := runtime.NumGoroutine(); n <= before+1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d before, %d after panicking worker", before, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 
 // TestPanicProducesPartialTrail pins the PanicError contract at the
-// engine level with a deterministic crash site: a single-op pool whose
-// DFS descends immediately (create at depth 0, EEXIST-prune at depth 1),
-// with the tracker panicking on its second PreOp — depth 1, one op on
-// the trail. The partial trail and the mc.panics metric must both
-// survive the recover.
+// engine level with a deterministic crash site: a one-file pool whose
+// DFS descends on the create (EEXIST-prunes it one level down) and
+// panics there — depth 1, one op on the trail. The partial trail and the
+// mc.panics metric must both survive the recover.
 func TestPanicProducesPartialTrail(t *testing.T) {
-	hub := obs.New(obs.Options{})
-	s, err := mcfs.NewSession(mcfs.Options{
-		Targets: []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
-		Pool: &mcfs.Pool{
-			Files: []string{"/f0"},
-			Ops:   []mcfs.OpKind{mcfs.OpCreateFile},
-		},
-		MaxDepth: 3,
-		Obs:      hub,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	cfg := *s.Config()
-	cfg.Trackers = append([]tracker.Tracker(nil), cfg.Trackers...)
-	cfg.Trackers[0] = &panicTracker{Tracker: cfg.Trackers[0], panicAt: 2}
+	for _, inj := range panicInjectors {
+		t.Run(inj.name, func(t *testing.T) {
+			hub := obs.New(obs.Options{})
+			s, err := mcfs.NewSession(mcfs.Options{
+				Targets: []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
+				Pool: &mcfs.Pool{
+					Files:        []string{"/f0"},
+					WriteOffsets: []int64{0},
+					WriteSizes:   []int64{1},
+					Ops:          inj.depth1Ops,
+				},
+				MaxDepth: 3,
+				Obs:      hub,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := *s.Config()
+			inj.inject(t, &cfg, inj.depth1At)
 
-	res := mc.Run(cfg)
-	var pe *mc.PanicError
-	if !errors.As(res.Err, &pe) {
-		t.Fatalf("Run error = %T %v, want *mc.PanicError", res.Err, res.Err)
-	}
-	if len(pe.Trail) != 1 {
-		t.Errorf("partial trail = %v, want the one committed create", pe.Trail)
-	}
-	if got := hub.Snapshot().Counters[obs.MetricPanics]; got != 1 {
-		t.Errorf("mc.panics = %d, want 1", got)
+			res := mc.Run(cfg)
+			var pe *mc.PanicError
+			if !errors.As(res.Err, &pe) {
+				t.Fatalf("Run error = %T %v, want *mc.PanicError", res.Err, res.Err)
+			}
+			if len(pe.Trail) != 1 || pe.Trail[0].Kind != mcfs.OpCreateFile {
+				t.Errorf("partial trail = %v, want the one committed create", pe.Trail)
+			}
+			if got := hub.Snapshot().Counters[obs.MetricPanics]; got != 1 {
+				t.Errorf("mc.panics = %d, want 1", got)
+			}
+		})
 	}
 }

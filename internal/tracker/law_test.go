@@ -75,8 +75,7 @@ func lawTargets() map[string]func(t testing.TB) *lawTarget {
 			clk := simclock.New()
 			k := kernel.New(clk)
 			backing := mk(clk)
-			srv := fuse.NewServer(backing, clk, fuse.ServerOptions{})
-			t.Cleanup(srv.Shutdown)
+			srv := fuse.NewServer(backing, fuse.ServerOptions{})
 			if err := k.Mount(lawMount, kernel.FilesystemSpec{
 				Type:    typ,
 				Mounter: func() (vfs.FS, error) { return fuse.NewClient(srv, clk), nil },

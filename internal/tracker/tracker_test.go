@@ -38,8 +38,7 @@ func veriKernel(t *testing.T) *kernel.Kernel {
 	t.Helper()
 	clk := simclock.New()
 	k := kernel.New(clk)
-	srv := fuse.NewServer(verifs2.New(clk), clk, fuse.ServerOptions{})
-	t.Cleanup(srv.Shutdown)
+	srv := fuse.NewServer(verifs2.New(clk), fuse.ServerOptions{})
 	if err := k.Mount("/mnt", kernel.FilesystemSpec{
 		Type:    "verifs2",
 		Mounter: func() (vfs.FS, error) { return fuse.NewClient(srv, clk), nil },
@@ -193,8 +192,7 @@ func TestCRIURefusesFUSEServer(t *testing.T) {
 	// Experiment E7 (§5): CRIU refuses processes holding device files;
 	// FUSE servers hold /dev/fuse.
 	clk := simclock.New()
-	srv := fuse.NewServer(verifs2.New(clk), clk, fuse.ServerOptions{})
-	defer srv.Shutdown()
+	srv := fuse.NewServer(verifs2.New(clk), fuse.ServerOptions{})
 	tr := NewProcessSnapshot(srv, clk)
 	err := tr.Checkpoint(1)
 	var devErr *ErrDeviceFilesOpen

@@ -347,7 +347,6 @@ type Session struct {
 	kern     *kernel.Kernel
 	check    *checker.Checker
 	trackers []tracker.Tracker
-	servers  []*fuse.Server
 	cfg      mc.Config
 	mem      *memmodel.Model
 	obsHub   *obs.Hub
@@ -378,7 +377,6 @@ func NewSession(opts Options) (*Session, error) {
 		tgt := checker.Target{Name: fmt.Sprintf("%s#%d", ts.Kind, i), MountPoint: fmt.Sprintf("/mnt%d", i)}
 		plane, err := s.mountTarget(tgt, ts, i, opts.CrashExploration && crashEligible(ts))
 		if err != nil {
-			s.Close()
 			return nil, err
 		}
 		if plane != nil {
@@ -397,7 +395,6 @@ func NewSession(opts Options) (*Session, error) {
 		point := fmt.Sprintf("/mnt%d", i)
 		tr, err := s.trackerFor(point, ts, &vmGroup)
 		if err != nil {
-			s.Close()
 			return nil, err
 		}
 		if os, ok := tr.(tracker.ObsSetter); ok {
@@ -446,7 +443,6 @@ func NewSession(opts Options) (*Session, error) {
 		set, err = newGovernedSet(opts.Visited, opts.BitstateBytes, opts.MemBudget,
 			governorHooks(func() []*obs.Hub { return hubs }, opts.Stream, opts.StreamWorker))
 		if err != nil {
-			s.Close()
 			return nil, err
 		}
 		s.set = set
@@ -473,7 +469,6 @@ func NewSession(opts Options) (*Session, error) {
 	}
 	if opts.CrashExploration {
 		if len(planes) == 0 {
-			s.Close()
 			return nil, fmt.Errorf("mcfs: crash exploration needs at least one crash-testable target: ext2, ext4, or jffs2 with per-op remounts and full state tracking")
 		}
 		s.cfg.Crash = &mc.CrashConfig{
@@ -659,11 +654,9 @@ func (s *Session) mountTarget(tgt checker.Target, ts TargetSpec, idx int, crash 
 			}
 			backing = verifs2.New(clock, o...)
 		}
-		srv := fuse.NewServer(backing, clock, fuse.ServerOptions{
+		client := fuse.NewClient(fuse.NewServer(backing, fuse.ServerOptions{
 			SkipInvalidateOnRestore: slices.Contains(ts.Bugs, BugNoCacheInvalidate),
-		})
-		s.servers = append(s.servers, srv)
-		client := fuse.NewClient(srv, clock)
+		}), clock)
 		client.SetObs(s.obsHub)
 		return nil, k.Mount(point, kernel.FilesystemSpec{
 			Type:    ts.Kind,
@@ -829,13 +822,10 @@ func (s *Session) MemoryStats() memmodel.Stats {
 	return s.mem.Stats()
 }
 
-// Close shuts down the session's user-space file system servers.
-func (s *Session) Close() {
-	for _, srv := range s.servers {
-		srv.Shutdown()
-	}
-	s.servers = nil
-}
+// Close releases nothing: a session holds no goroutine, file or other
+// resource the garbage collector does not reclaim. It stays for the
+// callers that pair it with NewSession.
+func (s *Session) Close() {}
 
 // DefaultMemoryConfig returns the memory-model configuration matching
 // the paper's evaluation VM (64 GB RAM, 128 GB swap on SSD).
@@ -909,9 +899,6 @@ func runSwarm(base Options, perWorker func(int, *Options) error, inspect func([]
 	// Every worker has returned; the list is quiescent.
 	if inspect != nil {
 		inspect(sessions)
-	}
-	for _, s := range sessions {
-		s.Close()
 	}
 	return sr, err
 }

@@ -1,6 +1,7 @@
 package mcfs_test
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -124,6 +125,30 @@ func TestSessionRunIsBudgeted(t *testing.T) {
 	}
 	if res.UniqueStates > 25 {
 		t.Errorf("unique states %d exceed MaxStates budget", res.UniqueStates)
+	}
+}
+
+// TestSessionHoldsNoGoroutines: a session is plain data — building and
+// running one over the FUSE-mounted targets, without ever calling Close,
+// leaves the goroutine count where it was.
+func TestSessionHoldsNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s, err := mcfs.NewSession(mcfs.Options{
+		Targets:  []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
+		MaxDepth: 2,
+		MaxOps:   200,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Errorf("NewSession: %d goroutines, %d before it", got, before)
+	}
+	if res := s.Run(); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Errorf("Run without Close: %d goroutines, %d before it", got, before)
 	}
 }
 

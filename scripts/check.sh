@@ -18,7 +18,8 @@
 #                                                    independent pairs and
 #                                                    the per-tracker
 #                                                    checkpoint+restore
-#                                                    cycle)
+#                                                    cycle and the FUSE
+#                                                    round trip)
 #   6. replay-determinism smoke: a seeded-bug run   (flight recorder end
 #      writes a repro bundle, mcfs replay must       to end: journal ->
 #      reproduce it, mcfs shrink must minimize it;   bundle -> replay ->
@@ -57,6 +58,12 @@
 #  12. event-seam guard: no instrumentation guard    (the explore loop talks
 #      or phase timer in internal/mc outside          to one probe; planes
 #      probe.go and tests                             cannot leak back in)
+#  13. op-path guard: no go statement and no         (an explored op is one
+#      channel in the non-test files of the           call stack under the
+#      packages an explored op crosses                engine's recover; a
+#                                                    transport goroutine
+#                                                    cannot come back
+#                                                    unseen)
 #
 # Usage: scripts/check.sh   (from the repo root or anywhere inside it)
 set -eu
@@ -76,7 +83,7 @@ echo "==> go test -race ./internal/mc/... ./internal/obs/... (incl. internal/obs
 go test -race ./internal/mc/... ./internal/obs/... ./internal/tracker/... ./internal/blockdev/...
 
 echo "==> bench smoke (one iteration per benchmark)"
-go test -bench . -benchtime 1x -run '^$' ./internal/mc/... ./internal/tracker/...
+go test -bench . -benchtime 1x -run '^$' ./internal/mc/... ./internal/tracker/... ./internal/fuse/...
 
 echo "==> replay-determinism smoke (run -> bundle -> replay -> shrink)"
 # go run remaps the child's exit code, so build the real binary.
@@ -203,5 +210,12 @@ echo "==> event-seam guard (instrumentation lives in internal/mc/probe.go only)"
 if grep -n 'eobs != nil\|\.es != nil\|Journal\.Enabled()\|Perf\.Start(' internal/mc/*.go |
 	grep -v '^internal/mc/probe\.go:\|_test\.go:'; then
 	echo "FAIL: instrumentation guard or phase timer outside the probe (see above)"; exit 1; fi
+
+echo "==> op-path guard (no goroutine or channel between the engine and the media)"
+if grep -rnE --include='*.go' '^[[:space:]]*go[[:space:]]|make\(chan' \
+	internal/workload internal/kernel internal/fuse internal/fs internal/blockdev \
+	internal/fault internal/tracker internal/checker internal/abstraction |
+	grep -v '_test\.go:'; then
+	echo "FAIL: go statement or channel in a package an explored op crosses (see above)"; exit 1; fi
 
 echo "OK: all checks passed"
