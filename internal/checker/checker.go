@@ -226,37 +226,6 @@ func bytesEqual(a, b []byte) bool {
 	return true
 }
 
-// CheckStates asserts abstract-state equality across all targets after an
-// operation, returning a Discrepancy with a per-file diff on mismatch.
-func (c *Checker) CheckStates(op string) (*Discrepancy, errno.Errno) {
-	if len(c.targets) < 2 {
-		return nil, errno.OK
-	}
-	baseRecords, e := abstraction.Snapshot(c.k, c.targets[0].MountPoint, c.opts)
-	if e != errno.OK {
-		return nil, e
-	}
-	baseHash := abstraction.HashRecords(baseRecords, c.opts)
-	for i := 1; i < len(c.targets); i++ {
-		records, e := abstraction.Snapshot(c.k, c.targets[i].MountPoint, c.opts)
-		if e != errno.OK {
-			return nil, e
-		}
-		if abstraction.HashRecords(records, c.opts) == baseHash {
-			continue
-		}
-		details := abstraction.Diff(baseRecords, records, c.opts)
-		if len(details) == 0 {
-			details = []string{"states hash differently but record diff is empty (hash ordering?)"}
-		}
-		for j := range details {
-			details[j] = fmt.Sprintf("%s vs %s: %s", c.targets[0].Name, c.targets[i].Name, details[j])
-		}
-		return &Discrepancy{Kind: "abstract-state", Op: op, Details: details}, errno.OK
-	}
-	return nil, errno.OK
-}
-
 // CheckAndHashMajority is CheckAndHash with majority voting (§7 future
 // work): with three or more targets, the per-target abstract hashes are
 // grouped and targets outside the majority group are named. The combined
@@ -356,8 +325,9 @@ func (c *Checker) CheckAndHash(op string) (*Discrepancy, abstraction.State, errn
 }
 
 // StateHash returns the combined abstract state across all targets (the
-// MD5 of the per-target abstract hashes, in target order); the explorer
-// keys its visited table on this.
+// MD5 of the per-target abstract hashes, in target order) — the same
+// hash CheckAndHash returns, without the check. The explorer needs it
+// only for its initial state, which no operation's check has walked.
 func (c *Checker) StateHash() (abstraction.State, errno.Errno) {
 	hasher := md5.New()
 	for _, t := range c.targets {

@@ -91,12 +91,17 @@ func TestCheckStatesEqual(t *testing.T) {
 		}
 		apply(t, k, mnt+"/dir/file", "identical content")
 	}
-	d, e := c.CheckStates("write_file")
+	d, h, e := c.CheckAndHash("write_file")
 	if e != errno.OK {
 		t.Fatal(e)
 	}
 	if d != nil {
 		t.Errorf("identical states flagged: %v", d)
+	}
+	// The engine keys its initial state with StateHash and every later
+	// one with the hash this walk returns: the two must be one function.
+	if want, e := c.StateHash(); e != errno.OK || h != want {
+		t.Errorf("CheckAndHash hash = %x, StateHash = %x (%v)", h, want, e)
 	}
 }
 
@@ -104,7 +109,7 @@ func TestCheckStatesDivergence(t *testing.T) {
 	k, c := twoVeriFS(t)
 	apply(t, k, "/a/file", "AAA")
 	apply(t, k, "/b/file", "BBB")
-	d, e := c.CheckStates("write_file")
+	d, _, e := c.CheckAndHash("write_file")
 	if e != errno.OK {
 		t.Fatal(e)
 	}
@@ -183,7 +188,7 @@ func TestEqualizeFreeSpace(t *testing.T) {
 		t.Errorf("free space still differs by %d bytes (%d vs %d)", diff, sA.FreeBytes(), sB.FreeBytes())
 	}
 	// The dummy file must not affect abstract-state equality.
-	d, e := c.CheckStates("equalize")
+	d, _, e := c.CheckAndHash("equalize")
 	if e != errno.OK {
 		t.Fatal(e)
 	}
@@ -202,7 +207,7 @@ func TestSingleTargetNoStateCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := New(k, []Target{{Name: "verifs1", MountPoint: "/a"}})
-	d, e := c.CheckStates("noop")
+	d, _, e := c.CheckAndHash("noop")
 	if e != errno.OK || d != nil {
 		t.Errorf("single-target check = (%v, %v)", d, e)
 	}
@@ -301,12 +306,15 @@ func TestMajorityStateCheckClean(t *testing.T) {
 	for _, mnt := range []string{"/a", "/b", "/c"} {
 		apply(t, k, mnt+"/f", "common")
 	}
-	d, _, e := c.CheckAndHashMajority("write_file")
+	d, h, e := c.CheckAndHashMajority("write_file")
 	if e != errno.OK {
 		t.Fatal(e)
 	}
 	if d != nil {
 		t.Errorf("clean trio flagged: %v", d)
+	}
+	if want, e := c.StateHash(); e != errno.OK || h != want {
+		t.Errorf("CheckAndHashMajority hash = %x, StateHash = %x (%v)", h, want, e)
 	}
 }
 

@@ -5,8 +5,9 @@
 // operation sequences. Each step nondeterministically picks one
 // fully-parameterized operation from the workload pool (one entry of the
 // Promela do..od loop), executes it on every file system under test,
-// runs the integrity checks, and computes the combined abstract state
-// (Algorithm 1). A state whose abstract hash was seen before is pruned —
+// and abstracts each once (Algorithm 1): that one walk feeds both the
+// integrity checks and the combined abstract state that keys the
+// visited table. A state whose abstract hash was seen before is pruned —
 // Spin's visited-state matching with c_track'd abstract states (§3.3) —
 // otherwise the search descends. Backtracking restores concrete states
 // through the configured trackers (remount for kernel file systems,
@@ -347,11 +348,8 @@ func ExportResume(set *visited.Set) (*ResumeState, error) {
 // failure.
 type source interface {
 	// next answers "which op is explored i-th from a state at this
-	// depth" (ok false: the level is done) and whether the loop must
-	// judge its outcome. Only a script waives that: for an op recorded
-	// clean, matching the recorded errnos and state hash stands in for
-	// the checker.
-	next(depth, i int) (op workload.Op, judge, ok bool, err error)
+	// depth" (ok false: the level is done).
+	next(depth, i int) (op workload.Op, ok bool, err error)
 	// crash crash-tests op's write window before it is stepped — on the
 	// planes that have not seen (state, op), or at the recorded points.
 	// A probe that finds an inconsistent recovery reports the bug, which
@@ -380,14 +378,14 @@ type search struct {
 	crashSeen map[string]bool
 }
 
-func (s *search) next(depth, i int) (workload.Op, bool, bool, error) {
+func (s *search) next(depth, i int) (workload.Op, bool, error) {
 	if i >= len(s.ops) {
-		return workload.Op{}, false, false, nil
+		return workload.Op{}, false, nil
 	}
 	for len(s.order) <= depth {
 		s.order = append(s.order, shuffled(len(s.ops), s.seed, len(s.order)))
 	}
-	return s.ops[s.order[depth][i]], true, true, nil
+	return s.ops[s.order[depth][i]], true, nil
 }
 
 func (s *search) visit(depth int, _ []checker.OpResult, h abstraction.State) (novel, expand bool, err error) {
@@ -729,14 +727,14 @@ func (e *engine) discardCheckpoints(key uint64) {
 }
 
 // dfs explores every operation choice from the current concrete state:
-// checkpoint, step (after any crash probe), hash and visit the state
-// reached, descend if it is worth expanding, restore.
+// checkpoint, step (after any crash probe), visit the state the step
+// reached and hashed, descend if it is worth expanding, restore.
 func (e *engine) dfs(depth int) error {
 	if depth >= e.cfg.MaxDepth {
 		return nil
 	}
 	for i := 0; e.budgetLeft(); i++ {
-		op, judge, ok, err := e.src.next(depth, i)
+		op, ok, err := e.src.next(depth, i)
 		if err != nil || !ok {
 			return err
 		}
@@ -752,6 +750,7 @@ func (e *engine) dfs(depth int) error {
 		}
 		e.probe.checkpointed()
 		var stored int64
+		var h abstraction.State
 		if err == nil {
 			stored = e.storeStateCost()
 			// The crash probe leaves the concrete state untouched.
@@ -759,7 +758,7 @@ func (e *engine) dfs(depth int) error {
 				err = e.src.crash(e, depth, op)
 			}
 			if err == nil && e.res.Bug == nil {
-				err = e.step(op, judge)
+				h, err = e.step(op)
 			}
 		}
 		e.probe.end()
@@ -767,7 +766,7 @@ func (e *engine) dfs(depth int) error {
 			if e.res.Bug != nil {
 				e.probe.bug(depth, op, e.res.Bug)
 			} else {
-				err = e.settle(depth, op)
+				err = e.settle(depth, op, h)
 			}
 		}
 		if err == nil {
@@ -790,16 +789,11 @@ func (e *engine) dfs(depth int) error {
 	return nil
 }
 
-// settle hashes the state op reached from depth, takes the visited-state
-// decision, and explores below it when it is worth expanding: prune if
-// the state was already expanded at this depth or shallower — by this
-// engine, or by any swarm peer when the set is shared.
-func (e *engine) settle(depth int, op workload.Op) error {
-	h, er := e.cfg.Checker.StateHash()
-	e.probe.hashed()
-	if er != errno.OK {
-		return fmt.Errorf("mc: hashing state: %w", er)
-	}
+// settle takes the visited-state decision for h, the state op's step
+// reached from depth, and explores below it when it is worth expanding:
+// prune if the state was already expanded at this depth or shallower —
+// by this engine, or by any swarm peer when the set is shared.
+func (e *engine) settle(depth int, op workload.Op, h abstraction.State) error {
 	novel, expand, err := e.src.visit(depth+1, e.results, h)
 	if err != nil {
 		return err
@@ -824,17 +818,19 @@ func (e *engine) settle(depth int, op workload.Op) error {
 	return nil
 }
 
-// step executes one operation on every target and — unless the source
-// waived it — runs the integrity checks, recording a bug report on
-// discrepancy: exploration, trail replay, and journal replay all
-// execute and judge through here.
-func (e *engine) step(op workload.Op, judge bool) error {
+// step executes one operation on every target and runs the integrity
+// checks, recording a bug report on discrepancy: exploration, trail
+// replay, and journal replay all execute and judge through here. The
+// state check's one abstraction walk per target (Algorithm 1) also
+// yields the combined hash of the state reached, which step returns
+// for settle to visit (a step that recorded a bug is never settled).
+func (e *engine) step(op workload.Op) (abstraction.State, error) {
 	targets := e.cfg.Checker.Targets()
 	e.probe.idle()
 	for _, t := range e.cfg.Trackers {
 		if err := t.PreOp(); err != nil {
 			e.probe.remounted()
-			return fmt.Errorf("mc: pre-op %s: %w", t.Name(), err)
+			return abstraction.State{}, fmt.Errorf("mc: pre-op %s: %w", t.Name(), err)
 		}
 	}
 	e.probe.remounted()
@@ -846,7 +842,7 @@ func (e *engine) step(op workload.Op, judge bool) error {
 	for _, t := range e.cfg.Trackers {
 		if err := t.PostOp(); err != nil {
 			e.probe.remounted()
-			return fmt.Errorf("mc: post-op %s: %w", t.Name(), err)
+			return abstraction.State{}, fmt.Errorf("mc: post-op %s: %w", t.Name(), err)
 		}
 	}
 	e.probe.remounted()
@@ -868,9 +864,6 @@ func (e *engine) step(op workload.Op, judge bool) error {
 		e.res.Coverage.ByErrno[name]++
 		pairs[name]++
 	}
-	if !judge {
-		return nil
-	}
 
 	// Majority voting (§7) swaps both checks at this one site.
 	checkResults, checkStates := e.cfg.Checker.CheckResults, e.cfg.Checker.CheckAndHash
@@ -879,18 +872,19 @@ func (e *engine) step(op workload.Op, judge bool) error {
 	}
 	opText := op.String()
 	d := checkResults(opText, results)
+	var h abstraction.State
 	if d == nil {
 		var er errno.Errno
-		if d, _, er = checkStates(opText); er != errno.OK {
+		if d, h, er = checkStates(opText); er != errno.OK {
 			e.probe.judged()
-			return fmt.Errorf("mc: state check: %w", er)
+			return h, fmt.Errorf("mc: state check: %w", er)
 		}
 	}
 	e.probe.judged()
 	if d != nil {
 		e.report(d, op, nil)
 	}
-	return nil
+	return h, nil
 }
 
 // report records the discrepancy op exposed (crash: at which crash
@@ -927,7 +921,7 @@ func Replay(cfg Config, trail []workload.Op, crash *journal.CrashSpec) (*checker
 		trail, final = trail[:len(trail)-1], trail[len(trail)-1:]
 	}
 	for _, op := range trail {
-		if err := e.step(op, true); err != nil {
+		if _, err := e.step(op); err != nil {
 			return nil, err
 		}
 		if e.res.Bug != nil {

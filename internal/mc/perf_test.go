@@ -39,23 +39,28 @@ func TestExplorePhaseProfile(t *testing.T) {
 	if !snap.Enabled() {
 		t.Fatal("profiler recorded no phases")
 	}
-	// Every normal exploration exercises these phases; fsck only appears
-	// under crash exploration.
+	// Every normal exploration exercises these phases; fsck and hash (the
+	// crash oracle's metadata hashes) only appear under crash exploration.
 	for _, phase := range []string{
 		perf.PhaseCheckpoint, perf.PhaseExecute, perf.PhaseVerify,
-		perf.PhaseRestore, perf.PhaseHash,
+		perf.PhaseRestore,
 	} {
 		h, ok := snap.Phases[phase]
 		if !ok || h.Count == 0 {
 			t.Errorf("phase %q not recorded", phase)
 		}
 	}
-	if _, ok := snap.Phases[perf.PhaseFsck]; ok {
-		t.Error("fsck phase recorded without crash exploration")
+	for _, phase := range []string{perf.PhaseFsck, perf.PhaseHash} {
+		if _, ok := snap.Phases[phase]; ok {
+			t.Errorf("%s phase recorded without crash exploration", phase)
+		}
 	}
-	// The execute phase ran once per executed op.
-	if n := snap.Phases[perf.PhaseExecute].Count; n != res.Ops {
-		t.Errorf("execute phase count = %d, want %d (one per op)", n, res.Ops)
+	// The execute phase ran once per executed op, and so did verify: its
+	// one abstraction walk is the only one an op gets.
+	for _, phase := range []string{perf.PhaseExecute, perf.PhaseVerify} {
+		if n := snap.Phases[phase].Count; n != res.Ops {
+			t.Errorf("%s phase count = %d, want %d (one per op)", phase, n, res.Ops)
+		}
 	}
 	if total := snap.Total(); total <= 0 {
 		t.Errorf("Total() = %v, want > 0 (virtual clock must advance)", total)
@@ -71,7 +76,7 @@ func TestExplorePhaseProfile(t *testing.T) {
 }
 
 // TestCrashExplorePhaseProfile checks that crash exploration attributes
-// fsck time and counts crash points in the telemetry.
+// fsck and oracle-hash time and counts crash points in the telemetry.
 func TestCrashExplorePhaseProfile(t *testing.T) {
 	p := perf.New(nil)
 	p.SetSampleEvery(8)
@@ -102,6 +107,9 @@ func TestCrashExplorePhaseProfile(t *testing.T) {
 	}
 	if _, ok := snap.Phases[perf.PhaseRemount]; !ok {
 		t.Error("remount phase not recorded under crash exploration")
+	}
+	if h := snap.Phases[perf.PhaseHash]; h.Count == 0 {
+		t.Error("hash phase not recorded under crash exploration (the oracle hashes metadata)")
 	}
 	var sawCrashPoints bool
 	for _, smp := range snap.Samples {

@@ -106,33 +106,24 @@ func (s *script) peek() *journal.Record {
 
 // next hands out the op of the next record at this depth: an op record,
 // or the crash records probing the op first (which the loop's crash
-// step then consumes). Only the op the journal recorded without a state
-// hash (the bug op: the discrepancy halted hashing) is judged again.
-func (s *script) next(depth, _ int) (op workload.Op, judge, ok bool, err error) {
+// step then consumes).
+func (s *script) next(depth, _ int) (op workload.Op, ok bool, err error) {
 	r := s.peek()
 	if r == nil || r.Depth != depth {
-		return op, false, false, nil
+		return op, false, nil
 	}
 	enc := r.Op
 	if r.T == journal.TypeCrash && r.Crash != nil {
 		enc = r.Crash.Op
 	}
 	if enc == nil {
-		return op, false, false, fmt.Errorf("mc: journal record %d: %s record without op", r.Seq, r.T)
+		return op, false, fmt.Errorf("mc: journal record %d: %s record without op", r.Seq, r.T)
 	}
 	if op, err = enc.Decode(); err != nil {
-		return op, false, false, fmt.Errorf("mc: journal record %d: %w", r.Seq, err)
+		return op, false, fmt.Errorf("mc: journal record %d: %w", r.Seq, err)
 	}
 	s.op = op
-	// The op's own record follows any crash records (a crash bug leaves
-	// none: the op was never stepped).
-	for j := s.i; j < len(s.recs); j++ {
-		if own := &s.recs[j]; own.T != journal.TypeCrash {
-			judge = own.T == journal.TypeOp && own.State == ""
-			break
-		}
-	}
-	return op, judge, true, nil
+	return op, true, nil
 }
 
 // crash re-runs the crash probes journaled ahead of op's step: each
@@ -216,8 +207,9 @@ func (s *script) checkErrnos(r *journal.Record, results []checker.OpResult) erro
 }
 
 // verdict closes a replay the loop ran to its end: the bug op's errnos
-// (its record is still unconsumed — the discrepancy kept the loop from
-// visiting it), the journal's shape, and the bug itself.
+// and recorded state (its record is still unconsumed — the discrepancy
+// kept the loop from visiting it), the journal's shape, and the bug
+// itself.
 func (s *script) verdict(e *engine) error {
 	bug := e.res.Bug
 	if bug != nil {
@@ -226,6 +218,9 @@ func (s *script) verdict(e *engine) error {
 			s.i++
 			if err := s.checkErrnos(r, e.results); err != nil {
 				return err
+			}
+			if r.State != "" {
+				return s.diverged(r, "op %s exposed an %q discrepancy, journal recorded clean state %s", s.op, bug.Discrepancy.Kind, r.State)
 			}
 		}
 	}

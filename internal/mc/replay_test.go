@@ -6,6 +6,7 @@ package mc_test
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mcfs"
@@ -155,6 +156,56 @@ func TestJournalReplayCleanRun(t *testing.T) {
 	}
 	if int64(rep.Steps) != res.Ops {
 		t.Errorf("replayed %d steps, run executed %d ops", rep.Steps, res.Ops)
+	}
+}
+
+// TestJournalReplayNamesUnrecordedDiscrepancy replays a clean journal on
+// targets that have since grown a bug: replay judges every op through
+// the run's own step, so the divergence is the discrepancy itself, at
+// the op that exposes it, not a bare state-hash mismatch.
+func TestJournalReplayNamesUnrecordedDiscrepancy(t *testing.T) {
+	clean := holeBugOptions()
+	clean.Targets = []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}}
+	path := filepath.Join(t.TempDir(), "clean.jsonl")
+	if res := runJournaled(t, clean, path); res.Bug != nil {
+		t.Fatalf("false positive: %v", res.Bug)
+	}
+	recs, err := journal.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := mcfs.NewSession(holeBugOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rep, err := s.ReplayJournal(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Diverged {
+		t.Fatal("replay on buggy targets did not diverge from the clean journal")
+	}
+	if rep.Bug == nil || rep.Bug.Kind != "abstract-state" || !strings.Contains(rep.Reason, `"abstract-state" discrepancy`) {
+		t.Errorf("divergence does not name the discrepancy: bug %v, reason %q", rep.Bug, rep.Reason)
+	}
+	if rep.BugReproduced {
+		t.Error("replay claims to reproduce a bug the journal never recorded")
+	}
+	var at *journal.Record
+	for i := range recs {
+		if recs[i].Seq == rep.DivergedAt {
+			at = &recs[i]
+		}
+	}
+	if at == nil || at.T != journal.TypeOp || at.Op == nil {
+		t.Fatalf("diverged at seq %d, which is no op record: %+v", rep.DivergedAt, at)
+	}
+	// The hole bug needs a write past EOF: the first one the search order
+	// reaches is the record the replay must stop at.
+	if op, err := at.Op.Decode(); err != nil || op.Kind != workload.OpWriteFile || op.Path != "/f0" || op.Off != 1000 {
+		t.Errorf("diverged at %v (%v), want the write_file(/f0, off=1000, ...) record", op, err)
 	}
 }
 

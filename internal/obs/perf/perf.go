@@ -38,13 +38,15 @@ const (
 	// PhaseExecute is running the operation on every target (including
 	// crash-probe re-executions).
 	PhaseExecute = "execute"
-	// PhaseVerify is the checker's result comparison and state checks.
+	// PhaseVerify is the checker's result comparison and state check —
+	// the one post-operation abstraction walk, which also yields the
+	// visited-table key.
 	PhaseVerify = "verify"
 	// PhaseRestore is tracker state restore on backtrack (and crash-
 	// probe rollback).
 	PhaseRestore = "restore"
-	// PhaseHash is abstract state hashing (visited-table keys and the
-	// crash oracle's metadata hashes).
+	// PhaseHash is the crash oracle's metadata hashes only; a run without
+	// crash exploration records none.
 	PhaseHash = "hash"
 	// PhaseFsck is post-recovery file-system checking in the crash
 	// oracle.

@@ -907,7 +907,7 @@ func runSwarm(base Options, perWorker func(int, *Options) error, inspect func([]
 // discrepancy if they do not. Useful after driving targets manually via
 // Kernel().
 func (s *Session) Verify() (*Discrepancy, error) {
-	d, e := s.check.CheckStates("verify")
+	d, _, e := s.check.CheckAndHash("verify")
 	if e != errno.OK {
 		return nil, fmt.Errorf("mcfs: verify: %w", e)
 	}

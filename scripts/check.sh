@@ -64,6 +64,10 @@
 #                                                    transport goroutine
 #                                                    cannot come back
 #                                                    unseen)
+#  14. one-walk guard: Checker.StateHash is called   (the step that judges
+#      once in internal/mc, for the initial state;    a state is the only
+#      every later hash comes from the step's own     code that hashes it)
+#      state check
 #
 # Usage: scripts/check.sh   (from the repo root or anywhere inside it)
 set -eu
@@ -217,5 +221,10 @@ if grep -rnE --include='*.go' '^[[:space:]]*go[[:space:]]|make\(chan' \
 	internal/fault internal/tracker internal/checker internal/abstraction |
 	grep -v '_test\.go:'; then
 	echo "FAIL: go statement or channel in a package an explored op crosses (see above)"; exit 1; fi
+
+echo "==> one-walk guard (only explore() hashes a state outside the step's check)"
+walks=$(grep -n 'StateHash(' internal/mc/*.go | grep -v '_test\.go:' | sed 's/:[0-9]*:[[:space:]]*/: /')
+[ "$walks" = 'internal/mc/mc.go: h, er := e.cfg.Checker.StateHash()' ] || { echo "$walks"
+	echo "FAIL: internal/mc must call StateHash exactly once, for the initial state in explore()"; exit 1; }
 
 echo "OK: all checks passed"
