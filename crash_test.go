@@ -216,7 +216,7 @@ func TestCrashExplorationExt4VsJFFS2(t *testing.T) {
 	}
 	// Every device call charges the virtual clock, so an unmoved elapsed
 	// time says the planes issued the same calls in the same order.
-	if res.Ops != 1092 || res.Elapsed != 7381365200*time.Nanosecond {
-		t.Errorf("ops = %d, virtual elapsed = %v; want 1092 ops in 7.3813652s", res.Ops, res.Elapsed)
+	if res.Ops != 1092 || res.Elapsed != 7354551300*time.Nanosecond {
+		t.Errorf("ops = %d, virtual elapsed = %v; want 1092 ops in 7.3545513s", res.Ops, res.Elapsed)
 	}
 }
