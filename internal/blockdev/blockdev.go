@@ -206,21 +206,31 @@ func NewDisk(name string, size int64, blkSize int, p Profile, clock *simclock.Cl
 var ErrOutOfRange = fmt.Errorf("blockdev: access out of range")
 
 // Media is what state capture needs of a crash-testable medium, and all
-// of it: read the image out, put one back, and look at raw bytes. Disk
-// and MTDBlock implement it. LoadImage and LoadImageDelta install a raw
-// image directly — the media literally holding these bytes, with no I/O
-// charged and no fault-plane consultation; power-loss simulation
-// installs crash images through them, and caches come back cold, exactly
-// as after a real power cut.
+// of it: checkpoint the image and read raw bytes, both charged as the
+// device charges them, and three ways to make the media literally hold
+// other bytes — no I/O charged, no fault plane consulted — which is how
+// power-loss simulation installs a crash image: the pre-op state (a full
+// image, or the open frame) plus a prefix of the fault plane's write log.
+// Disk and MTDBlock implement it.
 type Media interface {
 	// Snapshot returns a copy of the full image.
 	Snapshot() ([]byte, error)
-	// LoadImage makes img the media's contents.
+	// OpenFrame and CloseFrame are Device's.
+	OpenFrame(key uint64) error
+	CloseFrame(key uint64)
+	// LoadImage makes img the media's contents; caches come back cold,
+	// exactly as after a real power cut.
 	LoadImage(img []byte) error
-	// LoadImageDelta installs img over the listed regions only. Callers
-	// own the correctness of regions: they must cover every byte where
-	// the media differs from img (the injector's touch log).
-	LoadImageDelta(img []byte, regions []fault.Region) error
+	// RevertFrame takes every page a region overlaps back to its bytes at
+	// the time key's frame opened; the frame stays open and frames opened
+	// after it are closed. Those pages come back cold. Callers own the
+	// correctness of regions: they must cover every byte where the media
+	// differs from the frame (the injector's touch log). ErrNoFrame if key
+	// holds none.
+	RevertFrame(key uint64, regions []fault.Region) error
+	// Patch lands the writes' bytes, in order. Caches are left alone: the
+	// pages a crash image differs in are the ones RevertFrame just cooled.
+	Patch(writes []fault.Write) error
 	// ReadAt fills p from the media starting at off.
 	ReadAt(p []byte, off int64) error
 }
@@ -325,11 +335,7 @@ func (d *Disk) WriteAt(p []byte, off int64) error {
 	kib := (len(p) + 1023) / 1024
 	d.charge(d.seekCost(off) + time.Duration(kib)*d.profile.PerKiB)
 	d.lastEnd = off + int64(len(p))
-	if dec.Capture {
-		img := make([]byte, len(d.data))
-		copy(img, d.data)
-		d.inj.SetCrashImage(img)
-	}
+	copy(dec.Log, d.data[off:])
 	return nil
 }
 
@@ -497,17 +503,20 @@ func (d *Disk) LoadImage(img []byte) error {
 	return nil
 }
 
-// LoadImageDelta implements Media: the media outside the regions is
-// untouched, the pages under them come back cold. Like LoadImage it
-// charges nothing and bypasses the fault plane — it is the power-cut
-// installer for a crash image whose divergence from the current media is
-// known.
-func (d *Disk) LoadImageDelta(img []byte, regions []fault.Region) error {
+// RevertFrame implements Media.
+func (d *Disk) RevertFrame(key uint64, regions []fault.Region) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := loadDelta(d.data, img, regions, &d.undo, d.name); err != nil {
+	if err := d.undo.revert(key, d.data, regions, d.name); err != nil {
 		return err
 	}
+	d.cool(regions)
+	return nil
+}
+
+// cool drops the pages under regions from the page cache and forgets
+// the head position: what a power cut does to them.
+func (d *Disk) cool(regions []fault.Region) {
 	for _, r := range regions {
 		if r.Len <= 0 {
 			continue
@@ -518,28 +527,35 @@ func (d *Disk) LoadImageDelta(img []byte, regions []fault.Region) error {
 		}
 	}
 	d.lastEnd = 0
-	return nil
 }
 
-// loadDelta copies img over data inside each region, saving pre-images
-// to undo first. Nothing is copied unless img is data's size and every
-// region lies inside it.
-func loadDelta(data, img []byte, regions []fault.Region, undo *undoLog, name string) error {
-	if len(img) != len(data) {
-		return fmt.Errorf("blockdev: load image size %d != device size %d (%s)", len(img), len(data), name)
+// Patch implements Media.
+func (d *Disk) Patch(writes []fault.Write) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.undo.patch(d.data, writes, d.name)
+}
+
+// LoadImageDelta is LoadImage over the listed regions only: the media
+// outside them is untouched, the pages under them come back cold. The
+// engine installs crash images with RevertFrame and Patch; this is the
+// image-copy form of the same power cut.
+func (d *Disk) LoadImageDelta(img []byte, regions []fault.Region) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if len(img) != len(d.data) {
+		return fmt.Errorf("blockdev: load image size %d != device size %d (%s)", len(img), len(d.data), d.name)
 	}
-	for _, r := range regions {
-		if r.Len > 0 && (r.Off < 0 || r.Off+r.Len > int64(len(data))) {
-			return fmt.Errorf("%w: delta region off=%d len=%d size=%d dev=%s",
-				ErrOutOfRange, r.Off, r.Len, len(data), name)
-		}
+	if err := checkRegions(regions, len(d.data), d.name); err != nil {
+		return err
 	}
 	for _, r := range regions {
 		if r.Len > 0 {
-			undo.save(data, r.Off, int(r.Len))
-			copy(data[r.Off:r.Off+r.Len], img[r.Off:r.Off+r.Len])
+			d.undo.save(d.data, r.Off, int(r.Len))
+			copy(d.data[r.Off:r.Off+r.Len], img[r.Off:r.Off+r.Len])
 		}
 	}
+	d.cool(regions)
 	return nil
 }
 

@@ -244,10 +244,11 @@ func TestLoadImageDeltaMatchesFullLoad(t *testing.T) {
 	}
 }
 
-func TestMTDLoadImageDeltaMatchesFullLoad(t *testing.T) {
+func TestMTDRevertFrameMatchesFullLoad(t *testing.T) {
 	// The flash sibling of the law above: programs and erases both reach
-	// the touch log, so after any mix of them LoadImageDelta over
-	// Touched() leaves the flash byte-identical to a full LoadImage.
+	// the touch log, so after any mix of them RevertFrame over Touched()
+	// leaves the flash byte-identical to a full LoadImage of the image the
+	// frame opened on.
 	const size, erase = 64 * 1024, 8 * 1024
 	rng := rand.New(rand.NewSource(1))
 	for round := 0; round < 20; round++ {
@@ -260,6 +261,9 @@ func TestMTDLoadImageDeltaMatchesFullLoad(t *testing.T) {
 		}
 		inj := fault.New()
 		m.SetInjector(inj)
+		if err := bridge.OpenFrame(1); err != nil {
+			t.Fatal(err)
+		}
 		inj.StartTouchLog()
 		for i := 0; i < 30; i++ {
 			if rng.Intn(3) == 0 {
@@ -286,7 +290,7 @@ func TestMTDLoadImageDeltaMatchesFullLoad(t *testing.T) {
 		if !ok {
 			t.Fatal("touch log lost")
 		}
-		if err := bridge.LoadImageDelta(seed, regions); err != nil {
+		if err := bridge.RevertFrame(1, regions); err != nil {
 			t.Fatal(err)
 		}
 		got, err := bridge.Snapshot()
@@ -294,7 +298,11 @@ func TestMTDLoadImageDeltaMatchesFullLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, seed) {
-			t.Fatalf("round %d: delta load diverged from the full image", round)
+			t.Fatalf("round %d: reverting the touched regions diverged from the full image", round)
+		}
+		bridge.CloseFrame(1)
+		if frames, arena := bridge.UndoStats(); frames != 0 || arena != 0 {
+			t.Fatalf("round %d: %d frames, %d arena bytes after the revert and close; want 0, 0", round, frames, arena)
 		}
 	}
 }

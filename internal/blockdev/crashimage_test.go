@@ -19,10 +19,11 @@ type crashMedium struct {
 		Device
 		Media
 	}
-	clk   *simclock.Clock
-	inj   *fault.Injector
-	raw   func() []byte
-	write func(r *rand.Rand) error
+	clk     *simclock.Clock
+	inj     *fault.Injector
+	raw     func() []byte
+	write   func(r *rand.Rand) error
+	account func() string // every counter and cache bit the medium keeps
 }
 
 func crashDisk() crashMedium {
@@ -31,7 +32,10 @@ func crashDisk() crashMedium {
 	d := fm.dev.(*Disk)
 	inj := fault.New()
 	d.SetInjector(inj)
-	return crashMedium{d, clk, inj, func() []byte { return append([]byte(nil), d.data...) }, fm.scribble}
+	return crashMedium{d, clk, inj, func() []byte { return append([]byte(nil), d.data...) }, fm.scribble, func() string {
+		rd, wr := d.Counters()
+		return fmt.Sprintf("reads=%d writes=%d lastEnd=%d cached=%v", rd, wr, d.lastEnd, d.cached)
+	}}
 }
 
 func crashMTD() crashMedium {
@@ -40,17 +44,29 @@ func crashMTD() crashMedium {
 	b := fm.dev.(*MTDBlock)
 	inj := fault.New()
 	b.mtd.SetInjector(inj)
-	return crashMedium{b, clk, inj, func() []byte { return append([]byte(nil), b.mtd.data...) }, fm.scribble}
+	return crashMedium{b, clk, inj, func() []byte { return append([]byte(nil), b.mtd.data...) }, fm.scribble, func() string {
+		return fmt.Sprintf("erases=%v", b.mtd.EraseCounts())
+	}}
 }
 
-// crashImages returns what the fault plane holds for each crash point of
-// the window that just ran: image k, or nil where point k never fired.
-func (m crashMedium) crashImages(t *testing.T, n int) [][]byte {
+// crashImages materialises what the fault plane holds for each crash
+// point of the window that just ran — base plus the write log's prefix
+// up to the point's mark — or nil where point k never fired. base is the
+// raw media at the touch log's last start or reset.
+func (m crashMedium) crashImages(t *testing.T, base []byte, n int) [][]byte {
 	t.Helper()
-	held := m.inj.TakeCrashImages()
 	imgs := make([][]byte, n)
 	for k := range imgs {
-		imgs[k] = held[k]
+		writes, fired, err := m.inj.CrashImage(k)
+		if err != nil {
+			t.Fatalf("crash point %d: %v", k, err)
+		}
+		if fired {
+			imgs[k] = append([]byte(nil), base...)
+			for _, w := range writes {
+				copy(imgs[k][w.Off:], w.Data)
+			}
+		}
 	}
 	return imgs
 }
@@ -109,10 +125,10 @@ func TestCrashImageIsTheMediaRightAfterTheWrite(t *testing.T) {
 						}
 					}
 				}
-				check := func(when string, n int) {
+				check := func(when string, base []byte, n int) {
 					t.Helper()
 					after := m.window(t, r, n)
-					for k, img := range m.crashImages(t, n) {
+					for k, img := range m.crashImages(t, base, n) {
 						if !bytes.Equal(img, after[k]) {
 							t.Errorf("%s: crash image %d of %d is not the media right after write %d", when, k, n, k)
 						}
@@ -121,9 +137,12 @@ func TestCrashImageIsTheMediaRightAfterTheWrite(t *testing.T) {
 
 				scribble(6) // history the probe never saw
 				pre := m.raw()
+				if err := m.dev.OpenFrame(1); err != nil {
+					t.Fatal(err)
+				}
 				m.inj.StartTouchLog()
 				scribble(2) // the pre-window remount's flushes
-				check("first window", 5+r.Intn(12))
+				check("first window", pre, 5+r.Intn(12))
 
 				// Roll back to the pre-probe image the way the oracle does, over
 				// the touch log, and probe again from there.
@@ -131,7 +150,7 @@ func TestCrashImageIsTheMediaRightAfterTheWrite(t *testing.T) {
 				if !ok {
 					t.Fatal("touch log lost")
 				}
-				if err := m.dev.LoadImageDelta(pre, regions); err != nil {
+				if err := m.dev.RevertFrame(1, regions); err != nil {
 					t.Fatal(err)
 				}
 				m.inj.ResetTouchLog()
@@ -139,8 +158,125 @@ func TestCrashImageIsTheMediaRightAfterTheWrite(t *testing.T) {
 					t.Fatal("the rollback did not bring the pre-probe image back")
 				}
 				scribble(3) // the post-rollback mount's writes
-				check("window after a rollback", 5+r.Intn(12))
+				check("window after a rollback", pre, 5+r.Intn(12))
 			})
 		}
+	}
+}
+
+// TestInstallIsChargedAsTheImageLoad: installing crash image k as "the
+// frame inside the diverged regions, plus the log's prefix" leaves the
+// bytes, and every cache effect the virtual clock can see, that loading
+// a full copy of image k over those regions leaves — for the delta form
+// (the touch log's regions) and the full form (the whole device), point
+// after point with recovery-like writes in between, the way a probe
+// judges them. Two identical media run the two forms side by side.
+func TestInstallIsChargedAsTheImageLoad(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mk   func() crashMedium
+		full bool
+	}{
+		{"disk/delta", crashDisk, false}, {"disk/full", crashDisk, true},
+		{"mtd/delta", crashMTD, false}, {"mtd/full", crashMTD, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			img, frm := tc.mk(), tc.mk()
+			both := func(seed int64, n int) {
+				t.Helper()
+				for _, m := range []crashMedium{img, frm} {
+					r := rand.New(rand.NewSource(seed))
+					for i := 0; i < n; i++ {
+						if err := m.write(r); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+			same := func(when string) {
+				t.Helper()
+				if !bytes.Equal(img.raw(), frm.raw()) {
+					t.Fatalf("%s: the two forms hold different bytes", when)
+				}
+				if a, b := img.clk.Now(), frm.clk.Now(); a != b {
+					t.Errorf("%s: image form at virtual %v, frame form at %v", when, a, b)
+				}
+				if a, b := img.account(), frm.account(); a != b {
+					t.Errorf("%s: counters differ:\n image form %s\n frame form %s", when, a, b)
+				}
+			}
+			both(1, 6)
+			for _, m := range []crashMedium{img, frm} {
+				if d, ok := m.dev.(*Disk); ok {
+					d.DropCaches()
+				}
+			}
+			pre, err := img.dev.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := frm.dev.OpenFrame(1); err != nil {
+				t.Fatal(err)
+			}
+			img.inj.StartTouchLog()
+			frm.inj.StartTouchLog()
+			both(2, 2)
+			const n = 9
+			after := img.window(t, rand.New(rand.NewSource(3)), n)
+			frm.window(t, rand.New(rand.NewSource(3)), n)
+			same("after the window")
+
+			whole := []fault.Region{{Off: 0, Len: img.dev.Size()}}
+			scratch := make([]byte, img.dev.Size())
+			for k := 0; k < n; k += 2 {
+				regions, ok := frm.inj.Touched()
+				if !ok {
+					t.Fatal("touch log lost")
+				}
+				writes, fired, err := frm.inj.CrashImage(k)
+				if !fired || err != nil {
+					t.Fatalf("crash point %d: fired %v, err %v", k, fired, err)
+				}
+				if tc.full {
+					regions = whole
+				}
+				switch d, ok := img.dev.(*Disk); {
+				case tc.full || !ok: // flash has no cache: every load is the full one
+					err = img.dev.LoadImage(after[k])
+				default:
+					err = d.LoadImageDelta(after[k], regions)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := frm.dev.RevertFrame(1, regions); err != nil {
+					t.Fatal(err)
+				}
+				if err := frm.dev.Patch(writes); err != nil {
+					t.Fatal(err)
+				}
+				same(fmt.Sprintf("after installing image %d", k))
+				for _, m := range []crashMedium{img, frm} {
+					if err := m.dev.ReadAt(scratch, 0); err != nil {
+						t.Fatal(err)
+					}
+				}
+				same(fmt.Sprintf("after reading the device back under image %d", k))
+				both(int64(10+k), 2) // recovery's own writes
+			}
+
+			// The rollback: no prefix, and nothing of the probe left behind.
+			regions, _ := frm.inj.Touched()
+			if err := frm.dev.RevertFrame(1, regions); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(frm.raw(), pre) {
+				t.Error("reverting the touched regions did not bring the pre-probe image back")
+			}
+			frm.dev.CloseFrame(1)
+			if frames, arena := frm.dev.(interface{ UndoStats() (int, int) }).UndoStats(); frames != 0 || arena != 0 {
+				t.Errorf("after the probe: %d frames, %d arena bytes; want 0, 0", frames, arena)
+			}
+		})
 	}
 }

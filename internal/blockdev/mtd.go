@@ -137,23 +137,14 @@ func (m *MTD) Program(p []byte, off int64) error {
 
 // programmed finishes a program of n bytes at off whose payload is in
 // place: corruption the fault plane ordered, the counter, the charge,
-// and the crash capture.
+// and the touch log's copy of what landed.
 func (m *MTD) programmed(off int64, n int, dec fault.Decision) {
 	if dec.FlipBit >= 0 && dec.FlipBit < int64(n)*8 {
 		m.data[off+dec.FlipBit/8] ^= 1 << uint(dec.FlipBit%8)
 	}
 	m.ctrWrites.Inc()
 	m.charge(time.Duration((n+1023)/1024) * m.programCost)
-	m.capture(dec)
-}
-
-// capture hands the fault plane the media image when dec asks for one.
-func (m *MTD) capture(dec fault.Decision) {
-	if dec.Capture {
-		img := make([]byte, len(m.data))
-		copy(img, m.data)
-		m.inj.SetCrashImage(img)
-	}
+	copy(dec.Log, m.data[off:])
 }
 
 // Erase resets erase block idx to all 0xFF.
@@ -184,12 +175,12 @@ func (m *MTD) wipe(lo, hi int) {
 }
 
 // erased finishes the erase of block idx: wear counter, obs counter,
-// charge, and the crash capture.
+// charge, and the touch log's copy of the block.
 func (m *MTD) erased(idx int, dec fault.Decision) {
 	m.eraseCount[idx]++
 	m.ctrErases.Inc()
 	m.charge(m.eraseCost)
-	m.capture(dec)
+	copy(dec.Log, m.data[idx*m.eraseSize:])
 }
 
 // EraseCounts returns a copy of the per-block erase counters.
@@ -234,15 +225,6 @@ func (m *MTD) LoadImage(img []byte) error {
 	m.undo.save(m.data, 0, len(m.data))
 	copy(m.data, img)
 	return nil
-}
-
-// LoadImageDelta is LoadImage over the listed regions only. Programs and
-// erases both reach the injector's touch log, so the log bounds every
-// byte where the flash can differ from an earlier image.
-func (m *MTD) LoadImageDelta(img []byte, regions []fault.Region) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return loadDelta(m.data, img, regions, &m.undo, m.name)
 }
 
 // MTDBlock bridges an MTD device to the Device interface, the stand-in
@@ -400,12 +382,24 @@ func (b *MTDBlock) UndoStats() (frames, arenaBytes int) {
 	return b.mtd.undo.stats()
 }
 
-// LoadImage and LoadImageDelta implement Media by delegating to the MTD
-// device.
+// LoadImage implements Media by delegating to the MTD device.
 func (b *MTDBlock) LoadImage(img []byte) error { return b.mtd.LoadImage(img) }
 
-func (b *MTDBlock) LoadImageDelta(img []byte, regions []fault.Region) error {
-	return b.mtd.LoadImageDelta(img, regions)
+// RevertFrame and Patch implement Media. Programs and erases both reach
+// the injector's touch log, so the log bounds every byte where the flash
+// can differ from a frame; flash has no cache to cool.
+func (b *MTDBlock) RevertFrame(key uint64, regions []fault.Region) error {
+	m := b.mtd
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.undo.revert(key, m.data, regions, m.name)
+}
+
+func (b *MTDBlock) Patch(writes []fault.Write) error {
+	m := b.mtd
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.undo.patch(m.data, writes, m.name)
 }
 
 // Name implements Device.

@@ -1,6 +1,10 @@
 package blockdev
 
-import "fmt"
+import (
+	"fmt"
+
+	"mcfs/internal/fault"
+)
 
 // undoPage is the granularity pre-images are saved at.
 const undoPage = cachePage
@@ -20,7 +24,9 @@ var ErrNoFrame = fmt.Errorf("blockdev: no undo frame under that key")
 // and a restore costs the write set, not the image. Frames nest: a rewind
 // closes its frame and every younger one. A frame closed without a
 // rewind leaves its pre-images to the next older frame, which still needs
-// them. The last frame to close drops the arena.
+// them. The last frame to close drops the arena. A frame can also be
+// reverted in part (revert): the pages under some regions go back to its
+// bytes and are forgotten, the frame stays open.
 //
 // The owning device's lock guards the log.
 type undoLog struct {
@@ -96,6 +102,78 @@ func (u *undoLog) rewind(i int, data []byte) {
 	}
 	u.pages, u.arena = u.pages[:mark], u.arena[:mark*undoPage]
 	u.truncate(i)
+}
+
+// pageUnder reports whether a region overlaps page p.
+func pageUnder(regions []fault.Region, p int64) bool {
+	for _, r := range regions {
+		if first, last := pageRange(r.Off, int(r.Len)); r.Len > 0 && first <= p && p < last {
+			return true
+		}
+	}
+	return false
+}
+
+// checkRegions names the first region that leaves a medium of size bytes.
+func checkRegions(regions []fault.Region, size int, name string) error {
+	for _, r := range regions {
+		if r.Len > 0 && (r.Off < 0 || r.Off+r.Len > int64(size)) {
+			return fmt.Errorf("%w: region off=%d len=%d size=%d dev=%s", ErrOutOfRange, r.Off, r.Len, size, name)
+		}
+	}
+	return nil
+}
+
+// revert is RevertFrame on either medium, short of the cache: a rewind
+// confined to the pages regions overlap, with key's frame left open.
+// Those pages go back to their bytes at the time the frame opened and
+// their pre-images are forgotten, as if the frame had never seen them
+// written; the other saved pages stay as they are, on the medium and in
+// the log. Frames younger than key's are closed. Nothing moves unless key
+// holds a frame and every region lies inside the medium.
+func (u *undoLog) revert(key uint64, data []byte, regions []fault.Region, name string) error {
+	i := u.find(key)
+	if i < 0 {
+		return fmt.Errorf("%w: key=%d dev=%s", ErrNoFrame, key, name)
+	}
+	if err := checkRegions(regions, len(data), name); err != nil {
+		return err
+	}
+	mark := u.frames[i].mark
+	for r := len(u.pages) - 1; r >= mark; r-- {
+		if p := int64(u.pages[r]); pageUnder(regions, p) {
+			copy(data[p*undoPage:], u.arena[r*undoPage:(r+1)*undoPage])
+		}
+	}
+	keep := mark
+	for r := mark; r < len(u.pages); r++ {
+		if p := u.pages[r]; pageUnder(regions, int64(p)) {
+			u.saved[p] = 0 // no frame's epoch: the next write saves the page again
+			continue
+		}
+		u.pages[keep] = u.pages[r]
+		copy(u.arena[keep*undoPage:(keep+1)*undoPage], u.arena[r*undoPage:])
+		keep++
+	}
+	u.pages, u.arena = u.pages[:keep], u.arena[:keep*undoPage]
+	u.frames = u.frames[:i+1]
+	return nil
+}
+
+// patch is Patch on either medium: the writes' bytes land on data in
+// order, pre-images saved first. Nothing lands unless every write lies
+// inside the medium.
+func (u *undoLog) patch(data []byte, writes []fault.Write, name string) error {
+	for _, w := range writes {
+		if w.Off < 0 || w.Off+int64(len(w.Data)) > int64(len(data)) {
+			return fmt.Errorf("%w: patch off=%d len=%d size=%d dev=%s", ErrOutOfRange, w.Off, len(w.Data), len(data), name)
+		}
+	}
+	for _, w := range writes {
+		u.save(data, w.Off, len(w.Data))
+		copy(data[w.Off:], w.Data)
+	}
+	return nil
 }
 
 // close drops key's frame without rewinding (a no-op for an unknown key).

@@ -56,8 +56,8 @@ func framedMTD(size int64, eraseSize int, clk *simclock.Clock) framedMedium {
 
 // TestUndoFramesMatchFullImages is the model-based check of undo.go: a
 // seeded walk of every byte-changing path (the write path, Restore,
-// LoadImage, LoadImageDelta) interleaved with frame opens, rewinds and
-// closes in any order, against a reference that keeps a full copy of the
+// LoadImage, Patch) interleaved with frame opens, rewinds, partial
+// reverts and closes in any order, against a reference that keeps a full copy of the
 // image per open frame. After every step the medium holds the
 // reference's bytes; at the end nothing is left allocated.
 func TestUndoFramesMatchFullImages(t *testing.T) {
@@ -100,7 +100,7 @@ func TestUndoFramesMatchFullImages(t *testing.T) {
 						t.Fatal(err)
 					}
 					var what string
-					switch op := r.Intn(12); {
+					switch op := r.Intn(13); {
 					case op < 4:
 						what = "write"
 						err = fm.scribble(r)
@@ -114,22 +114,41 @@ func TestUndoFramesMatchFullImages(t *testing.T) {
 						want = randImg()
 						err = dev.LoadImage(want)
 					case op == 6:
-						what = "LoadImageDelta"
-						img := randImg()
+						what = "Patch"
+						var writes []fault.Write
+						for n := r.Intn(4); n > 0; n-- {
+							off := r.Intn(size)
+							w := fault.Write{Off: int64(off), Data: make([]byte, 1+r.Intn(min(size-off, 2*undoPage)))}
+							r.Read(w.Data)
+							writes = append(writes, w)
+							copy(want[off:], w.Data)
+						}
+						err = dev.Patch(writes)
+					case op == 7 && len(open) > 0:
+						// Every page a region overlaps goes back to the frame's
+						// image, whole; the frame stays, younger ones close.
+						i := r.Intn(len(open))
+						what = fmt.Sprintf("RevertFrame(%d of %d)", i, len(open))
 						var regions []fault.Region
 						for n := r.Intn(4); n > 0; n-- {
 							off := r.Intn(size)
 							reg := fault.Region{Off: int64(off), Len: int64(1 + r.Intn(min(size-off, 2*undoPage)))}
 							regions = append(regions, reg)
-							copy(want[reg.Off:reg.Off+reg.Len], img[reg.Off:])
+							first, last := pageRange(reg.Off, int(reg.Len))
+							lo, hi := first*undoPage, min(last*undoPage, int64(size))
+							copy(want[lo:hi], open[i].img[lo:hi])
 						}
-						err = dev.LoadImageDelta(img, regions)
-					case op < 9:
+						err = dev.RevertFrame(open[i].key, regions)
+						if !dev.HasFrame(open[i].key) {
+							t.Fatalf("step %d: the reverted frame closed", step)
+						}
+						open = open[:i+1]
+					case op < 10:
 						what = "OpenFrame"
 						open = append(open, refFrame{nextKey, want})
 						err = dev.OpenFrame(nextKey)
 						nextKey++
-					case op == 9 && len(open) > 0:
+					case op == 10 && len(open) > 0:
 						i := r.Intn(len(open))
 						what = fmt.Sprintf("RewindFrame(%d of %d)", i, len(open))
 						want = open[i].img
@@ -140,7 +159,7 @@ func TestUndoFramesMatchFullImages(t *testing.T) {
 							}
 						}
 						open = open[:i]
-					case op == 10 && len(open) > 0:
+					case op == 11 && len(open) > 0:
 						i := r.Intn(len(open))
 						what = fmt.Sprintf("CloseFrame(%d of %d)", i, len(open))
 						dev.CloseFrame(open[i].key)

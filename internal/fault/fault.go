@@ -9,9 +9,11 @@
 //     error injection),
 //   - persist only a prefix of it (a torn multi-sector write),
 //   - flip one bit of the payload (silent media corruption), or
-//   - capture a crash point: the device snapshots exactly the bytes that
-//     reached "media" so far, i.e. the image a power cut at that instant
-//     would leave behind.
+//   - mark a crash point: while the touch log is on, the injector keeps
+//     the bytes of every write as it landed, so the image a power cut
+//     right after write k would leave behind is the media at the log's
+//     base plus the log's prefix up to that write — a crash point is a
+//     position in the log, never a copy of the device.
 //
 // Determinism is the design constraint throughout: rules match on
 // window-relative write indices and byte ranges (never wall-clock or
@@ -25,6 +27,7 @@
 package fault
 
 import (
+	"errors"
 	"sort"
 	"sync"
 )
@@ -55,6 +58,14 @@ type Region struct {
 	Off, Len int64
 }
 
+// Write is one persisted write as it landed: Data is what the media held
+// at [Off, Off+len(Data)) right after it — the payload after any tear or
+// bit flip; for an MTD erase, its block of 0xFF.
+type Write struct {
+	Off  int64
+	Data []byte
+}
+
 // CoalesceRegions sorts regions by offset and merges overlapping or
 // adjacent ones, returning a minimal equivalent list. The input is not
 // modified.
@@ -68,6 +79,11 @@ func CoalesceRegions(regions []Region) []Region {
 			rs = append(rs, r)
 		}
 	}
+	return coalesce(rs)
+}
+
+// coalesce is CoalesceRegions in place, over regions of positive length.
+func coalesce(rs []Region) []Region {
 	sort.Slice(rs, func(i, j int) bool { return rs[i].Off < rs[j].Off })
 	out := rs[:0]
 	for _, r := range rs {
@@ -135,14 +151,14 @@ type Decision struct {
 	Persist int
 	// FlipBit is the payload bit to invert before the copy, -1 for none.
 	FlipBit int64
-	// Capture asks the device to snapshot its full media image after
-	// applying this write and hand it over via SetCrashImage — the crash
-	// point. Execution continues normally afterwards; the capture is
-	// non-invasive.
-	Capture bool
+	// Log, when non-nil, is where the device copies the bytes the media
+	// holds at the write's range once the write has landed — tear and bit
+	// flip applied — before it releases its own lock: the touch log's
+	// record of this write.
+	Log []byte
 }
 
-// Stats counts injected faults and captured crash points.
+// Stats counts injected faults and marked crash points.
 type Stats struct {
 	ErrorsInjected     int64
 	ReadErrorsInjected int64
@@ -162,23 +178,25 @@ type Injector struct {
 	windowActive bool
 	windowWrites int
 
-	// armed is the set of window write indices crash captures are armed
-	// at; images holds the captured media images by write index.
-	// captureIdx carries the firing index from OnWrite to the device's
-	// SetCrashImage call (the device holds its own lock across the two,
-	// so at most one capture is in flight per injector).
-	armed      map[int]bool
-	images     map[int][]byte
-	captureIdx int
+	// armed is the set of window write indices crash points are armed at;
+	// marks[k] is the length of the touch log right after armed window
+	// write k landed in it — crash image k is the log's base plus that
+	// prefix.
+	armed map[int]bool
+	marks map[int]int // guarded by mu
 
-	// Touch log: when touching, every persisted write's byte range is
-	// recorded, so callers can reload or compare only the media regions
-	// that actually changed. touchLost marks a media mutation the log
-	// could not see (a full device Restore through OnControl) — the log
-	// is then unusable until ResetTouchLog.
+	// Touch log: when touching, every persisted write is recorded with the
+	// bytes it left on media, so media == base + replay(log), base being
+	// the image at the last StartTouchLog/ResetTouchLog. Callers reload or
+	// compare only the regions the log names, and rebuild crash images
+	// from its prefixes. touchLost marks a media mutation the log could
+	// not see (a full device Restore through OnControl) — the log is then
+	// unusable until ResetTouchLog. The entries' Data are carved from
+	// chunk, so a window costs a few allocations, not one per write.
 	touching  bool
 	touchLost bool
-	touched   []Region
+	log       []Write // guarded by mu
+	chunk     []byte  // guarded by mu
 
 	stats Stats
 }
@@ -237,16 +255,19 @@ func (in *Injector) WindowWrites() int {
 	return in.windowWrites
 }
 
-// ArmCrash arms a crash point at window write k: after that write's
-// payload reaches media, the device snapshots its image and hands it
-// over (SetCrashImage). Arming replaces any previous arms and clears
-// previously captured images.
+// ErrTouchLogLost is CrashImage's answer for a crash point whose base
+// nobody can vouch for: it was marked with the touch log off, or the log
+// has since missed a media mutation.
+var ErrTouchLogLost = errors.New("fault: crash point has no usable touch log under it (log off, or lost to an unlogged restore)")
+
+// ArmCrash arms a crash point at window write k: once that write has
+// landed, its position in the touch log is marked (CrashImage). Arming
+// replaces any previous arms and drops previous marks.
 func (in *Injector) ArmCrash(k int) { in.ArmCrashes([]int{k}) }
 
 // ArmCrashes arms a crash point at every listed window write index: one
-// window execution captures one media image per index that is reached.
-// Arming replaces any previous arms and clears previously captured
-// images.
+// window execution marks one log position per index that is reached.
+// Arming replaces any previous arms and drops previous marks.
 func (in *Injector) ArmCrashes(ks []int) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -254,22 +275,22 @@ func (in *Injector) ArmCrashes(ks []int) {
 	for _, k := range ks {
 		in.armed[k] = true
 	}
-	in.images = nil
+	in.marks = nil
 }
 
-// Disarm cancels every armed crash point and drops all captured images.
+// Disarm cancels every armed crash point and drops all marks.
 func (in *Injector) Disarm() {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.armed = nil
-	in.images = nil
+	in.marks = nil
 }
 
 // DisarmPending cancels armed-but-unfired crash points while KEEPING
-// captured images: the cleanup for a window that ended short of some
-// armed index. Without it a leftover arm silently captures in the NEXT
-// window — the crash oracle asserts Armed() == 0 between probes to
-// catch exactly that leak.
+// the marks of those that fired: the cleanup for a window that ended
+// short of some armed index. Without it a leftover arm silently fires in
+// the NEXT window — the crash oracle asserts Armed() == 0 between probes
+// to catch exactly that leak.
 func (in *Injector) DisarmPending() {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -284,52 +305,35 @@ func (in *Injector) Armed() int {
 	return len(in.armed)
 }
 
-// SetCrashImage is called by the device in response to Decision.Capture
-// with its full media image. The injector takes ownership of img.
-func (in *Injector) SetCrashImage(img []byte) {
+// CrashImage looks crash point k up by its window write index. fired is
+// false when no armed write k happened since the last arming. Otherwise
+// writes is the image a power cut right after that write leaves behind,
+// as the touch log's prefix to replay, oldest first, over the log's base
+// (the media at the last StartTouchLog/ResetTouchLog) — or the error is
+// ErrTouchLogLost, when the base is unknown. The marks go with the log:
+// whatever clears one clears the other.
+func (in *Injector) CrashImage(k int) (writes []Write, fired bool, err error) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	if in.images == nil {
-		in.images = make(map[int][]byte)
+	n, fired := in.marks[k]
+	if !fired {
+		return nil, false, nil
 	}
-	in.images[in.captureIdx] = img
-	delete(in.armed, in.captureIdx)
-	in.stats.CrashCaptures++
-}
-
-// TakeCrashImage returns the single captured crash image (nil if no
-// armed write happened) and clears all capture state. With multiple
-// images captured it returns the lowest-index one; use TakeCrashImages
-// for multi-point windows.
-func (in *Injector) TakeCrashImage() []byte {
-	for _, img := range in.TakeCrashImages() {
-		return img
+	if !in.touching || in.touchLost {
+		return nil, true, ErrTouchLogLost
 	}
-	return nil
+	return in.log[:n:n], true, nil
 }
 
-// TakeCrashImages returns every captured crash image keyed by its window
-// write index (nil when none fired) and clears all capture state,
-// including remaining arms.
-func (in *Injector) TakeCrashImages() map[int][]byte {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	imgs := in.images
-	in.images = nil
-	in.armed = nil
-	return imgs
-}
-
-// StartTouchLog begins recording the byte range of every persisted
-// write, replacing any previous log. The log answers "which media
-// regions may differ from a snapshot taken now" — the basis for delta
-// image reloads and delta state comparison in crash exploration.
+// StartTouchLog begins recording every persisted write, replacing any
+// previous log. The log answers "which media regions may differ from a
+// snapshot taken now, and what do they hold" — the basis for delta
+// reloads, delta state comparison and crash images in crash exploration.
 func (in *Injector) StartTouchLog() {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.touching = true
-	in.touchLost = false
-	in.touched = in.touched[:0]
+	in.dropLog()
 }
 
 // StopTouchLog stops recording and drops the log.
@@ -337,8 +341,7 @@ func (in *Injector) StopTouchLog() {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.touching = false
-	in.touchLost = false
-	in.touched = nil
+	in.dropLog()
 }
 
 // ResetTouchLog clears the log (and any lost-update mark) while leaving
@@ -348,9 +351,16 @@ func (in *Injector) ResetTouchLog() {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if in.touching {
-		in.touchLost = false
-		in.touched = in.touched[:0]
+		in.dropLog()
 	}
+}
+
+// dropLog forgets the log, the crash marks into it and its lost mark.
+// The bytes are let go, not reused: CrashImage results stay valid.
+// Caller holds in.mu.
+func (in *Injector) dropLog() {
+	in.touchLost = false
+	in.log, in.chunk, in.marks = nil, nil, nil
 }
 
 // Touched returns the coalesced regions written since the last
@@ -363,7 +373,29 @@ func (in *Injector) Touched() ([]Region, bool) {
 	if !in.touching || in.touchLost {
 		return nil, false
 	}
-	return CoalesceRegions(in.touched), true
+	rs := make([]Region, len(in.log))
+	for i, w := range in.log {
+		rs[i] = Region{Off: w.Off, Len: int64(len(w.Data))}
+	}
+	return coalesce(rs), true
+}
+
+// logChunk is the smallest chunk the touch log carves its entries from.
+const logChunk = 4 << 10
+
+// record appends a write of n bytes at off to the touch log and returns
+// the entry's Data for the device to fill. Each new chunk doubles the
+// last, so a window's log is a handful of allocations whatever its
+// length. Caller holds in.mu.
+func (in *Injector) record(off int64, n int) []byte {
+	if len(in.chunk)+n > cap(in.chunk) {
+		in.chunk = make([]byte, 0, max(n, logChunk, 2*cap(in.chunk)))
+	}
+	lo := len(in.chunk)
+	in.chunk = in.chunk[:lo+n]
+	data := in.chunk[lo : lo+n : lo+n]
+	in.log = append(in.log, Write{Off: off, Data: data})
+	return data
 }
 
 // Stats returns a snapshot of the injection counters.
@@ -443,15 +475,19 @@ func (in *Injector) OnWrite(off int64, n int) Decision {
 			delete(in.rules, id)
 		}
 	}
-	if idx >= 0 && in.armed[idx] {
-		dec.Capture = true
-		in.captureIdx = idx
+	if in.touching && !in.touchLost && n > 0 {
+		// The write persists (no error fired above): the device records the
+		// bytes its full range holds afterwards. A torn write's unwritten
+		// tail is logged as the old bytes it still holds.
+		dec.Log = in.record(off, n)
 	}
-	if in.touching && n > 0 {
-		// The write persists (no error fired above): its full range may
-		// differ on media now. Torn writes are logged conservatively at
-		// full length — a superset is always safe for delta reloads.
-		in.touched = append(in.touched, Region{Off: off, Len: int64(n)})
+	if idx >= 0 && in.armed[idx] {
+		delete(in.armed, idx)
+		if in.marks == nil {
+			in.marks = make(map[int]int)
+		}
+		in.marks[idx] = len(in.log)
+		in.stats.CrashCaptures++
 	}
 	return dec
 }
@@ -495,9 +531,11 @@ func (in *Injector) OnControl() error {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if in.touching {
-		// A full image restore rewrites media the touch log never saw;
-		// mark the log lost so delta paths fall back to full images.
+		// A full image restore rewrites media the touch log never saw: the
+		// log is lost — nothing it says bounds the media any more, so let
+		// its bytes go — and the marks stay, to answer ErrTouchLogLost.
 		in.touchLost = true
+		in.log, in.chunk = nil, nil
 	}
 	for _, id := range in.ruleOrder() {
 		r := in.rules[id]

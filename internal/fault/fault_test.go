@@ -9,7 +9,7 @@ import (
 func TestNilInjectorIsNoFault(t *testing.T) {
 	var in *Injector
 	dec := in.OnWrite(0, 512)
-	if dec.Err != nil || dec.Persist != -1 || dec.FlipBit != -1 || dec.Capture {
+	if dec.Err != nil || dec.Persist != -1 || dec.FlipBit != -1 || dec.Log != nil {
 		t.Errorf("nil injector decision = %+v, want no-fault", dec)
 	}
 	if err := in.OnControl(); err != nil {
@@ -161,30 +161,65 @@ func TestErrorRuleDominatesTorn(t *testing.T) {
 	}
 }
 
+// land plays the device's part of one logged write: the bytes the media
+// holds at the write's range afterwards go into the decision's Log.
+func land(dec Decision, fill byte) {
+	for i := range dec.Log {
+		dec.Log[i] = fill
+	}
+}
+
+// image renders crash image k over an all-zero base of size bytes; nil
+// when point k did not fire.
+func image(t *testing.T, in *Injector, k, size int) []byte {
+	t.Helper()
+	writes, fired, err := in.CrashImage(k)
+	if err != nil {
+		t.Fatalf("CrashImage(%d): %v", k, err)
+	}
+	if !fired {
+		return nil
+	}
+	img := make([]byte, size)
+	for _, w := range writes {
+		copy(img[w.Off:], w.Data)
+	}
+	return img
+}
+
 func TestCrashArmCaptureTake(t *testing.T) {
 	in := New()
+	in.StartTouchLog()
 	in.StartWindow()
 	in.ArmCrash(1)
 
-	if dec := in.OnWrite(0, 512); dec.Capture {
-		t.Error("write 0 asked to capture, armed at 1")
+	land(in.OnWrite(0, 512), 1)
+	if _, fired, _ := in.CrashImage(0); fired {
+		t.Error("write 0 marked a crash point, armed at 1")
 	}
-	dec := in.OnWrite(512, 512)
-	if !dec.Capture {
-		t.Fatal("write 1 did not ask to capture")
+	land(in.OnWrite(512, 512), 2)
+	if _, fired, _ := in.CrashImage(1); !fired {
+		t.Fatal("write 1 did not mark its crash point")
 	}
-	img := []byte{1, 2, 3}
-	in.SetCrashImage(img)
-	// After capture the arm is consumed: later writes don't capture.
-	if dec := in.OnWrite(1024, 512); dec.Capture {
-		t.Error("write 2 asked to capture after the image was taken")
+	if got := in.Armed(); got != 0 {
+		t.Errorf("Armed = %d after the armed write, want 0 (the arm is consumed)", got)
 	}
-	got := in.TakeCrashImage()
-	if len(got) != 3 || got[0] != 1 {
-		t.Errorf("TakeCrashImage = %v, want the set image", got)
+	// The image is fixed at the mark: later writes are not part of it.
+	land(in.OnWrite(1024, 512), 3)
+	if _, fired, _ := in.CrashImage(2); fired {
+		t.Error("write 2 marked a crash point after the arm was consumed")
 	}
-	if in.TakeCrashImage() != nil {
-		t.Error("second TakeCrashImage returned a stale image")
+	got := image(t, in, 1, 2048)
+	if got[0] != 1 || got[512] != 2 || got[1024] != 0 {
+		t.Errorf("crash image 1 = [%d %d %d] at the three writes, want [1 2 0]", got[0], got[512], got[1024])
+	}
+	// Looking an image up does not consume it; dropping the log does.
+	if image(t, in, 1, 2048) == nil {
+		t.Error("second CrashImage lost the point")
+	}
+	in.StopTouchLog()
+	if _, fired, _ := in.CrashImage(1); fired {
+		t.Error("CrashImage returned a stale point after the log was dropped")
 	}
 	if got := in.Stats().CrashCaptures; got != 1 {
 		t.Errorf("CrashCaptures = %d, want 1", got)
@@ -193,30 +228,32 @@ func TestCrashArmCaptureTake(t *testing.T) {
 
 func TestCrashPointPastWindowNeverCaptures(t *testing.T) {
 	in := New()
+	in.StartTouchLog()
 	in.StartWindow()
 	in.ArmCrash(5)
 	for i := 0; i < 3; i++ {
-		if dec := in.OnWrite(int64(i)*512, 512); dec.Capture {
-			t.Fatalf("write %d captured, armed at 5", i)
-		}
+		land(in.OnWrite(int64(i)*512, 512), 1)
 	}
 	in.EndWindow()
-	if img := in.TakeCrashImage(); img != nil {
-		t.Errorf("image captured for an unreached point: %v", img)
+	for k := 0; k <= 5; k++ {
+		if _, fired, _ := in.CrashImage(k); fired {
+			t.Errorf("crash point %d marked, armed at an unreached 5", k)
+		}
 	}
 }
 
 func TestDisarmClearsPendingCapture(t *testing.T) {
 	in := New()
+	in.StartTouchLog()
 	in.StartWindow()
 	in.ArmCrash(0)
-	if dec := in.OnWrite(0, 512); !dec.Capture {
-		t.Fatal("armed write did not capture")
+	land(in.OnWrite(0, 512), 9)
+	if _, fired, _ := in.CrashImage(0); !fired {
+		t.Fatal("armed write did not mark its crash point")
 	}
-	in.SetCrashImage([]byte{9})
 	in.Disarm()
-	if img := in.TakeCrashImage(); img != nil {
-		t.Errorf("Disarm left an image behind: %v", img)
+	if _, fired, _ := in.CrashImage(0); fired {
+		t.Error("Disarm left a crash point behind")
 	}
 }
 
@@ -235,31 +272,32 @@ func TestStartWindowResetsWriteCount(t *testing.T) {
 
 func TestArmCrashesMultiCapture(t *testing.T) {
 	in := New()
+	in.StartTouchLog()
 	in.StartWindow()
 	in.ArmCrashes([]int{0, 2})
 
-	if dec := in.OnWrite(0, 512); !dec.Capture {
-		t.Fatal("write 0 did not ask to capture")
-	}
-	in.SetCrashImage([]byte{0})
-	if dec := in.OnWrite(512, 512); dec.Capture {
-		t.Error("write 1 asked to capture, armed at 0 and 2")
-	}
-	if dec := in.OnWrite(1024, 512); !dec.Capture {
-		t.Fatal("write 2 did not ask to capture")
-	}
-	in.SetCrashImage([]byte{2})
+	land(in.OnWrite(0, 512), 10)
+	land(in.OnWrite(512, 512), 11)
+	land(in.OnWrite(1024, 512), 12)
 	in.EndWindow()
 
 	if got := in.Armed(); got != 0 {
 		t.Errorf("Armed = %d after both fired, want 0", got)
 	}
-	imgs := in.TakeCrashImages()
-	if len(imgs) != 2 || imgs[0][0] != 0 || imgs[2][0] != 2 {
-		t.Errorf("TakeCrashImages = %v, want images keyed 0 and 2", imgs)
+	if _, fired, _ := in.CrashImage(1); fired {
+		t.Error("write 1 marked a crash point, armed at 0 and 2")
 	}
-	if in.TakeCrashImages() != nil {
-		t.Error("second TakeCrashImages returned stale images")
+	// Two points, one log: each is looked up by its own index, and the
+	// lower one does not see the later writes.
+	img0, img2 := image(t, in, 0, 2048), image(t, in, 2, 2048)
+	if img0 == nil || img2 == nil {
+		t.Fatalf("crash images 0 and 2 = %v, %v; want both", img0 != nil, img2 != nil)
+	}
+	if img0[0] != 10 || img0[512] != 0 || img0[1024] != 0 {
+		t.Errorf("crash image 0 holds [%d %d %d], want [10 0 0]", img0[0], img0[512], img0[1024])
+	}
+	if img2[0] != 10 || img2[512] != 11 || img2[1024] != 12 {
+		t.Errorf("crash image 2 holds [%d %d %d], want [10 11 12]", img2[0], img2[512], img2[1024])
 	}
 	if got := in.Stats().CrashCaptures; got != 2 {
 		t.Errorf("CrashCaptures = %d, want 2", got)
@@ -268,14 +306,12 @@ func TestArmCrashesMultiCapture(t *testing.T) {
 
 func TestDisarmPendingKeepsImages(t *testing.T) {
 	// A window that ends short of some armed index: DisarmPending must
-	// clear the leak (Armed() == 0) without dropping what did capture.
+	// clear the leak (Armed() == 0) without dropping what did fire.
 	in := New()
+	in.StartTouchLog()
 	in.StartWindow()
 	in.ArmCrashes([]int{0, 7})
-	if dec := in.OnWrite(0, 512); !dec.Capture {
-		t.Fatal("write 0 did not capture")
-	}
-	in.SetCrashImage([]byte{42})
+	land(in.OnWrite(0, 512), 42)
 	in.EndWindow()
 
 	if got := in.Armed(); got != 1 {
@@ -285,26 +321,60 @@ func TestDisarmPendingKeepsImages(t *testing.T) {
 	if got := in.Armed(); got != 0 {
 		t.Errorf("Armed = %d after DisarmPending, want 0", got)
 	}
-	imgs := in.TakeCrashImages()
-	if len(imgs) != 1 || imgs[0][0] != 42 {
-		t.Errorf("TakeCrashImages = %v, want the fired image kept", imgs)
+	if img := image(t, in, 0, 512); img == nil || img[0] != 42 {
+		t.Errorf("crash image 0 = %v, want the fired point kept", img)
+	}
+	if _, fired, _ := in.CrashImage(7); fired {
+		t.Error("the unreached point 7 reads as fired")
 	}
 }
 
 func TestArmCrashesReplacesPriorState(t *testing.T) {
 	in := New()
+	in.StartTouchLog()
 	in.StartWindow()
 	in.ArmCrash(0)
-	in.OnWrite(0, 512)
-	in.SetCrashImage([]byte{1})
-	// Re-arming for the next run must drop the stale image and old arms.
+	land(in.OnWrite(0, 512), 1)
+	// Re-arming for the next run must drop the stale point and old arms.
 	in.ArmCrashes([]int{3})
 	if got := in.Armed(); got != 1 {
 		t.Errorf("Armed = %d after re-arm, want 1", got)
 	}
-	if imgs := in.TakeCrashImages(); imgs != nil {
-		t.Errorf("re-arm kept a stale image: %v", imgs)
+	if _, fired, _ := in.CrashImage(0); fired {
+		t.Error("re-arm kept a stale crash point")
 	}
+}
+
+// TestCrashImageWithoutABase: a crash point is a log position, and a
+// position means something only over a known base. Marked with the log
+// off, or under a log that has since missed a media mutation, the point
+// did fire but has no image to give.
+func TestCrashImageWithoutABase(t *testing.T) {
+	t.Run("log off", func(t *testing.T) {
+		in := New()
+		in.StartWindow()
+		in.ArmCrash(0)
+		in.OnWrite(0, 512)
+		if _, fired, err := in.CrashImage(0); !fired || !errors.Is(err, ErrTouchLogLost) {
+			t.Errorf("CrashImage = fired %v, err %v; want fired, ErrTouchLogLost", fired, err)
+		}
+	})
+	t.Run("log lost", func(t *testing.T) {
+		in := New()
+		in.StartTouchLog()
+		in.StartWindow()
+		in.ArmCrash(0)
+		land(in.OnWrite(0, 512), 1)
+		in.OnControl() // a full restore the log never saw
+		if writes, fired, err := in.CrashImage(0); !fired || !errors.Is(err, ErrTouchLogLost) || writes != nil {
+			t.Errorf("CrashImage = %d writes, fired %v, err %v; want none, fired, ErrTouchLogLost", len(writes), fired, err)
+		}
+		// The reset that follows the next known image drops the point too.
+		in.ResetTouchLog()
+		if _, fired, _ := in.CrashImage(0); fired {
+			t.Error("ResetTouchLog kept a crash point of the lost log")
+		}
+	})
 }
 
 func TestCoalesceRegions(t *testing.T) {

@@ -192,3 +192,29 @@ func BenchmarkExploreExact(b *testing.B) {
 func BenchmarkExploreBitstate(b *testing.B) {
 	benchExploreVisited(b, mcfs.VisitedBitstate)
 }
+
+// BenchmarkCrashProbe measures the crash oracle's recovery session: one
+// iteration is the ext2-vs-ext4 depth-1 crash exploration, every window
+// of it probed on both planes. Reported per probe, so the number reads
+// as "one write window, all of its crash points".
+func BenchmarkCrashProbe(b *testing.B) {
+	b.ReportAllocs()
+	var probes int64
+	for i := 0; i < b.N; i++ {
+		s, err := mcfs.NewSession(mcfs.Options{
+			Targets:          []mcfs.TargetSpec{{Kind: "ext2"}, {Kind: "ext4"}},
+			MaxDepth:         1,
+			CrashExploration: true,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		res := s.Run()
+		s.Close()
+		if res.Err != nil || res.Bug != nil {
+			b.Fatalf("crash run: err=%v bug=%v", res.Err, res.Bug)
+		}
+		probes += res.Crash.Probes
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(probes), "ns/probe")
+}

@@ -11,15 +11,16 @@
 //
 // The probe is systematic, not random: the operation is executed ONCE
 // under an open fault window with a crash point armed at every write
-// index up to maxArmedPoints — the injector snapshots the media at each
-// armed write as it happens — which measures the write count W and
-// captures every crash image in the same pass. The sampled indices (all
-// of them when W is small, an even spread including 0 and W-1
-// otherwise) are then judged from the captured images without ever
-// re-executing the window. Determinism is inherited from the fault
-// plane: the same operation sequence produces the same write sequence,
-// so a crash bug pins to (trail, target, write index) and flows through
-// the journal/replay/minimize/bundle pipeline like any other
+// index up to maxArmedPoints — the injector logs every write's bytes as
+// it lands and marks the log's length at each armed write — which
+// measures the write count W and fixes every crash image in the same
+// pass: image k is the pre-op media plus the log's prefix up to mark k.
+// The sampled indices (all of them when W is small, an even spread
+// including 0 and W-1 otherwise) are then judged from those prefixes
+// without ever re-executing the window. Determinism is inherited from
+// the fault plane: the same operation sequence produces the same write
+// sequence, so a crash bug pins to (trail, target, write index) and flows
+// through the journal/replay/minimize/bundle pipeline like any other
 // discrepancy.
 package mc
 
@@ -27,6 +28,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"hash"
 
 	"mcfs/internal/abstraction"
 	"mcfs/internal/blockdev"
@@ -43,14 +45,19 @@ import (
 const KindCrashConsistency = "crash-consistency"
 
 // maxArmedPoints bounds how many crash points one probe execution arms:
-// a media image is captured at each of the window's first maxArmedPoints
+// the write log is marked at each of the window's first maxArmedPoints
 // writes. Sampled points beyond the armed prefix (windows longer than 64
-// writes) fall back to a dedicated capture execution per point.
+// writes) fall back to a dedicated execution per point.
 const maxArmedPoints = 64
+
+// probeFrame is the undo frame a crash probe checkpoints the media
+// under. Trackers count their keys up from zero; this one is out of
+// their reach.
+const probeFrame = ^uint64(0)
 
 // DefaultCrashPointsPerOp is how many crash points are sampled per
 // (state, operation, target) when the write window is larger. With
-// single-execution multi-point capture and warm recovery mounts the
+// one execution marking every point and warm recovery mounts the
 // marginal point is cheap, so the default is effectively exhaustive:
 // every write of any window up to maxArmedPoints writes.
 const DefaultCrashPointsPerOp = maxArmedPoints
@@ -90,18 +97,28 @@ type CrashPlane struct {
 	Fsck func() []string
 }
 
-// load puts img on the plane's media. With delta set and a usable touch
-// log it reloads only the regions known to diverge from img — the log
-// plus extra, regions the caller knows diverged outside the log's view
-// (a crash image loaded since the log's last reset) — and otherwise the
-// full image.
-func (p *CrashPlane) load(img []byte, delta bool, extra []fault.Region) error {
-	if delta {
-		if regions, ok := p.Injector.Touched(); ok {
-			return p.Media.LoadImageDelta(img, fault.CoalesceRegions(append(regions, extra...)))
-		}
+// install makes the media hold the probe's pre-op state plus writes, a
+// prefix of the touch log (none: the pre-op state itself). The media
+// diverges from the probe frame only inside the touch log plus extra —
+// regions the caller knows diverged outside the log's view (a crash image
+// installed since the log's last reset) — so only those go back to the
+// frame before the writes land on it.
+func (p *CrashPlane) install(extra []fault.Region, writes []fault.Write) error {
+	regions, ok := p.Injector.Touched()
+	if !ok {
+		return fault.ErrTouchLogLost
 	}
-	return p.Media.LoadImage(img)
+	if err := p.Media.RevertFrame(probeFrame, fault.CoalesceRegions(append(regions, extra...))); err != nil {
+		return err
+	}
+	return p.Media.Patch(writes)
+}
+
+// crashDigester is the scratch the masked media digest is computed in,
+// kept on the engine so a crash point allocates none of it.
+type crashDigester struct {
+	h   hash.Hash
+	buf []byte
 }
 
 // digest hashes the media bytes of the given regions, zeroing the bytes
@@ -109,18 +126,20 @@ func (p *CrashPlane) load(img []byte, delta bool, extra []fault.Region) error {
 // offsets and lengths are folded into the hash: a digest identifies both
 // where the media diverged and what it holds there. ok == false means a
 // read failed and the caller must fall back to the full oracle.
-func (p *CrashPlane) digest(regions []fault.Region) (d [32]byte, ok bool) {
-	h := sha256.New()
+func (c *crashDigester) digest(p *CrashPlane, regions []fault.Region) (d [32]byte, ok bool) {
+	if c.h == nil {
+		c.h = sha256.New()
+	}
+	c.h.Reset()
 	var hdr [16]byte
-	var buf []byte
 	for _, r := range regions {
 		binary.LittleEndian.PutUint64(hdr[0:8], uint64(r.Off))
 		binary.LittleEndian.PutUint64(hdr[8:16], uint64(r.Len))
-		h.Write(hdr[:])
-		if int64(cap(buf)) < r.Len {
-			buf = make([]byte, r.Len)
+		c.h.Write(hdr[:])
+		if int64(cap(c.buf)) < r.Len {
+			c.buf = make([]byte, r.Len)
 		}
-		b := buf[:r.Len]
+		b := c.buf[:r.Len]
 		if err := p.Media.ReadAt(b, r.Off); err != nil {
 			return d, false
 		}
@@ -130,9 +149,9 @@ func (p *CrashPlane) digest(regions []fault.Region) (d [32]byte, ok bool) {
 				b[i-r.Off] = 0
 			}
 		}
-		h.Write(b)
+		c.h.Write(b)
 	}
-	h.Sum(d[:0])
+	c.h.Sum(d[:0])
 	return d, true
 }
 
@@ -145,32 +164,35 @@ func (e *engine) metaHash(p *CrashPlane) (abstraction.State, errno.Errno) {
 	return abstraction.Hash(e.cfg.Kernel, p.Mount, opts)
 }
 
-// rollback brings the plane back to img, mounted fresh — also from the
-// unmounted state a failed recovery leaves behind. The unmount flushes
-// through the injector, so load consults the touch log only after it;
-// once the media matches img again the log is reset, and describes
-// divergence from img from then on.
-func (e *engine) rollback(p *CrashPlane, img []byte, delta bool, extra []fault.Region) error {
+// rollback brings the plane back to the image load installs, mounted
+// fresh — also from the unmounted state a failed recovery leaves behind.
+// The unmount flushes through the injector, so load runs (and consults
+// the touch log) only after it; once the media holds that image again the
+// log is reset, and describes divergence from it from then on.
+func (e *engine) rollback(p *CrashPlane, load func() error) error {
 	k := e.cfg.Kernel
 	if m, _, er := k.MountAt(p.Mount); er == errno.OK && m.Point() == p.Mount {
 		if err := k.Unmount(p.Mount); err != nil {
 			return err
 		}
 	}
-	if err := p.load(img, delta, extra); err != nil {
+	if err := load(); err != nil {
 		return err
 	}
 	p.Injector.ResetTouchLog()
 	return k.Mount(p.Mount, p.Spec, kernel.MountOptions{})
 }
 
-// powerCycle simulates power loss with img as the surviving media image:
-// drop all volatile state, load img, and remount through the target's
-// recovery path (journal replay, log scan). An error means recovery
-// itself failed. The touch log is not reset: img diverges from the
-// probe's base snapshot, and the log (plus extra) must keep saying so.
-func (e *engine) powerCycle(p *CrashPlane, img []byte, delta bool, extra []fault.Region) error {
-	return e.cfg.Kernel.CrashRemount(p.Mount, func() error { return p.load(img, delta, extra) })
+// powerCycle simulates power loss with the image load installs as the
+// surviving media: drop all volatile state, load, and remount through the
+// target's recovery path (journal replay, log scan). An error means
+// recovery itself failed. The touch log is not reset: the image diverges
+// from the probe's base, and the log must keep saying so.
+func (e *engine) powerCycle(p *CrashPlane, load func() error) error {
+	e.probe.idle()
+	err := e.cfg.Kernel.CrashRemount(p.Mount, load)
+	e.probe.remounted()
+	return err
 }
 
 // CrashConfig enables crash exploration on the engine.
@@ -240,10 +262,10 @@ func crashPoints(w, m int) []int {
 // measurement run, nothing armed). It returns the window's write count.
 // The operation's errno is irrelevant here — failing operations have
 // write windows too. On EVERY exit path the injector is left with zero
-// armed points: captured images are kept for the caller to drain on
-// success and dropped on failure, but an arm must never outlive the
-// window it was set for (a leftover arm would silently capture in the
-// next window). The window is bracketed by remounts exactly as the
+// armed points: the marks of the points that fired are kept for the
+// caller on success and dropped on failure, but an arm must never
+// outlive the window it was set for (a leftover arm would silently fire
+// in the next window). The window is bracketed by remounts exactly as the
 // target's tracker brackets a normal step: the first runs before the
 // window opens — its flushes belong to the previous state — and the
 // second inside it, so sync-path writes (journal commits) are
@@ -272,6 +294,13 @@ func (e *engine) crashWindow(p *CrashPlane, op workload.Op, points []int) (int, 
 	return p.Injector.WindowWrites(), nil
 }
 
+// crashKey names one probe: a state, an operation and a target.
+type crashKey struct {
+	state  abstraction.State
+	op     workload.Op
+	target int
+}
+
 // crash crash-tests op's write window on every plane, from the current
 // concrete state. Each (state, op, plane) triple is probed once per
 // run. The probe always leaves the target back in its pre-probe state,
@@ -282,7 +311,7 @@ func (s *search) crash(e *engine, depth int, op workload.Op) error {
 			return nil
 		}
 		p := &e.cfg.Crash.Planes[i]
-		key := fmt.Sprintf("%x|%s|%s", e.curHash[:], op, p.Name)
+		key := crashKey{e.curHash, op, p.Target}
 		if s.crashSeen[key] {
 			continue
 		}
@@ -300,19 +329,21 @@ func (s *search) crash(e *engine, depth int, op workload.Op) error {
 // probePlane crash-tests op's write window on one plane out of a SINGLE
 // armed execution.
 //
-// This is the crash oracle's recovery session: the full device image is
-// read exactly once (the snapshot), one execution of the window both
-// measures its write count and captures a media image at every armed
-// write as it happens, and the injector's touch log scopes every
-// subsequent power-cycle and the final rollback to the bytes that
-// actually diverged. The crash points are judged back to back — each
-// power-cycle delta-loads the next captured image directly over the
-// previous recovered state, with no rollback to pre in between (the
-// touch log plus the window's write set bound the divergence) — and the
-// probe rolls back to pre once, at the end. Compared to the per-point
-// reference flow (reprobe: re-execute the window once per point, reload
-// the full image twice per point) a probe of K points costs 1 execution
-// instead of 1+K, K warm recovery mounts, and one delta rollback.
+// This is the crash oracle's recovery session: the device image is
+// checkpointed exactly once (an undo frame: charged as the full read it
+// stands for, paid as the pages the probe goes on to write), one
+// execution of the window both measures its write count and marks the
+// injector's write log at every armed write as it happens, and the same
+// log scopes every subsequent power cycle and the final rollback to the
+// bytes that actually diverged. The crash points are judged back to back
+// — each power cycle takes the diverged pages back to the frame and lands
+// the next point's log prefix on them, directly over the previous
+// recovered state, with no rollback in between (the touch log plus the
+// window's write set bound the divergence) — and the probe rolls back
+// once, at the end. Compared to the per-point reference flow (reprobe:
+// re-execute the window once per point, reload the full image twice per
+// point) a probe of K points costs 1 execution instead of 1+K, K warm
+// recovery mounts, one delta rollback, and no copy of the image at all.
 //
 // Post-recovery verdicts are memoized per probe by a masked digest of
 // the media regions that diverged from the pre-op image: crash points
@@ -320,13 +351,15 @@ func (s *search) crash(e *engine, depth int, op workload.Op) error {
 // writes land in masked journal space) are judged once.
 func (e *engine) probePlane(depth int, op workload.Op, p *CrashPlane) error {
 	e.probe.idle()
-	pre, err := p.Media.Snapshot()
+	err := p.Media.OpenFrame(probeFrame)
 	e.probe.checkpointed()
 	if err != nil {
 		return err
 	}
-	// From here until the probe ends, the touch log tracks divergence
-	// from pre; rollback resets it whenever media is rolled back.
+	defer p.Media.CloseFrame(probeFrame)
+	// From here until the probe ends, the touch log holds the media's
+	// divergence from the frame; rollback resets it whenever media is
+	// rolled back.
 	p.Injector.StartTouchLog()
 	defer p.Injector.StopTouchLog()
 	b0, er := e.metaHash(p)
@@ -335,7 +368,7 @@ func (e *engine) probePlane(depth int, op workload.Op, p *CrashPlane) error {
 		return fmt.Errorf("hashing pre-op state: %w", er)
 	}
 	// The one armed execution: measures the window's write count AND
-	// captures a crash image at every write index in the armed prefix.
+	// marks the log at every write index in the armed prefix.
 	w, err := e.crashWindow(p, op, crashPoints(maxArmedPoints, maxArmedPoints))
 	if err != nil {
 		return err
@@ -347,13 +380,14 @@ func (e *engine) probePlane(depth int, op workload.Op, p *CrashPlane) error {
 		return fmt.Errorf("hashing post-op state: %w", er)
 	}
 	e.res.Crash.Probes++
-	imgs := p.Injector.TakeCrashImages()
 	// The window's write set, read BEFORE anything resets the log: every
-	// captured image diverges from pre only inside it, so it is the
-	// `extra` for delta loads against images other than pre. A log that
-	// lost a write (delta == false) bounds nothing: the whole probe then
-	// stays on full images.
-	capRegions, delta := p.Injector.Touched()
+	// crash image diverges from the frame only inside it, so it is the
+	// `extra` of every install once the log has been reset. A log that
+	// lost a write bounds nothing, and vouches for no image either.
+	capRegions, ok := p.Injector.Touched()
+	if !ok {
+		return fmt.Errorf("write window of %s: %w", op, fault.ErrTouchLogLost)
+	}
 
 	points := crashPoints(w, e.cfg.Crash.PointsPerOp)
 	rec := journal.CrashRecord{
@@ -364,39 +398,40 @@ func (e *engine) probePlane(depth int, op workload.Op, p *CrashPlane) error {
 		OK:         true,
 	}
 
+	opName := op.String()
 	memo := make(map[[32]byte]crashVerdict)
 	for _, k := range points {
 		if !e.budgetLeft() {
 			break
 		}
-		img := imgs[k]
-		if img == nil {
-			if k < maxArmedPoints {
-				// The armed write never happened (a fault rule erred the
-				// op short of write k): nothing to test.
-				continue
-			}
+		img, fired, err := p.Injector.CrashImage(k)
+		if !fired && k >= maxArmedPoints {
 			// Beyond the armed prefix (window longer than maxArmedPoints):
-			// capture this point with a dedicated execution from pre.
-			if err := e.restorePlane(p, pre, delta, capRegions); err != nil {
-				return fmt.Errorf("rolling back for capture of write %d: %w", k, err)
+			// mark this point with a dedicated execution from the frame.
+			if err := e.restorePlane(p, capRegions); err != nil {
+				return fmt.Errorf("rolling back to mark write %d: %w", k, err)
 			}
 			if _, err := e.crashWindow(p, op, []int{k}); err != nil {
 				return err
 			}
 			e.countCrashExec()
-			img = p.Injector.TakeCrashImage()
-			if img == nil {
-				continue
-			}
+			img, fired, err = p.Injector.CrashImage(k)
+		}
+		if err != nil {
+			return fmt.Errorf("crash point %d of %s: %w", k, op, err)
+		}
+		if !fired {
+			// The armed write never happened (a fault rule erred the op
+			// short of write k): nothing to test.
+			continue
 		}
 		e.res.Crash.PointsExplored++
 		e.probe.crashPoint()
-		d, verdict := e.judgeCrashPoint(p, op, k, w, img, delta, capRegions, b0, b1, memo)
-		e.res.CrashHeatmap.Record(op.String(), k, w, verdict)
+		d, verdict := e.judgeCrashPoint(p, op, k, w, img, capRegions, b0, b1, memo)
+		e.res.CrashHeatmap.Record(opName, k, w, verdict)
 		e.probe.crashVerdict(depth, op, p.Name, k, w, verdict)
 		if d != nil {
-			if err := e.restorePlane(p, pre, delta, capRegions); err != nil {
+			if err := e.restorePlane(p, capRegions); err != nil {
 				return fmt.Errorf("rolling back crash probe: %w", err)
 			}
 			rec.OK = false
@@ -408,7 +443,7 @@ func (e *engine) probePlane(depth int, op workload.Op, p *CrashPlane) error {
 	}
 	// One rollback for the whole probe: media currently holds the last
 	// recovered crash state (or the post-op state when no point fired).
-	if err := e.restorePlane(p, pre, delta, capRegions); err != nil {
+	if err := e.restorePlane(p, capRegions); err != nil {
 		return fmt.Errorf("rolling back crash probe: %w", err)
 	}
 	if n := p.Injector.Armed(); n != 0 {
@@ -446,30 +481,33 @@ func (e *engine) inspect(p *CrashPlane) (v crashVerdict) {
 	return v
 }
 
-// crashBug renders one crash-consistency discrepancy of op.
-func crashBug(op workload.Op, details ...string) *checker.Discrepancy {
-	return &checker.Discrepancy{Kind: KindCrashConsistency, Op: op.String(), Details: details}
+// crashSite is one crash point: write k of the w in op's window on p.
+type crashSite struct {
+	p    *CrashPlane
+	op   workload.Op
+	k, w int
 }
 
-// crashSite names one crash point in discrepancy details.
-func crashSite(p *CrashPlane, op workload.Op, k, w int) string {
-	return fmt.Sprintf("%s: crash after write %d/%d of %s", p.Name, k+1, w, op)
+// bug renders one crash-consistency discrepancy at the site.
+func (s crashSite) bug(details ...string) *checker.Discrepancy {
+	where := fmt.Sprintf("%s: crash after write %d/%d of %s", s.p.Name, s.k+1, s.w, s.op)
+	return &checker.Discrepancy{Kind: KindCrashConsistency, Op: s.op.String(), Details: append([]string{where}, details...)}
 }
 
 // discrepancy judges the verdict against one concrete crash point:
 // fsck must be clean and — for strict planes — the recovered metadata
 // state must equal the pre-op (b0) or post-op (b1) state. Nil when the
 // recovery is consistent.
-func (v crashVerdict) discrepancy(where string, op workload.Op, b0, b1 abstraction.State) *checker.Discrepancy {
+func (v crashVerdict) discrepancy(at crashSite, b0, b1 abstraction.State) *checker.Discrepancy {
 	switch {
 	case len(v.fsckProbs) > 0:
-		return crashBug(op, append([]string{where, "fsck after recovery:"}, v.fsckProbs...)...)
+		return at.bug(append([]string{"fsck after recovery:"}, v.fsckProbs...)...)
 	case !v.hasState:
 		return nil
 	case v.stateErr != errno.OK:
-		return crashBug(op, where, fmt.Sprintf("hashing recovered state: %v", v.stateErr))
+		return at.bug(fmt.Sprintf("hashing recovered state: %v", v.stateErr))
 	case v.state != b0 && v.state != b1:
-		return crashBug(op, where,
+		return at.bug(
 			"recovered state matches neither the pre-op nor the post-op state",
 			fmt.Sprintf("recovered %x", v.state[:8]),
 			fmt.Sprintf("pre-op    %x", b0[:8]),
@@ -495,31 +533,27 @@ func (v crashVerdict) label(d *checker.Discrepancy, b0 abstraction.State) string
 	}
 }
 
-// judgeCrashPoint power-cycles the plane on one captured crash image
-// (delta-loading only the capture run's write set while the touch log
-// holds) and judges the recovered state, returning the verdict
-// label (Verdict* constants) alongside any discrepancy. Before running
-// the expensive checks it digests the recovered media's divergence from
-// the pre-op image — capRegions plus whatever recovery itself wrote —
-// and reuses the memoized verdict of any earlier point in this probe
-// that recovered to masked-identical media. Callable from ANY media
-// state whose divergence from img is bounded by capRegions plus the
-// touch log (the post-op state, or a previous point's recovered state);
-// returns with media == img-after-recovery. The caller rolls back once
-// after the last point.
-func (e *engine) judgeCrashPoint(p *CrashPlane, op workload.Op, k, w int, img []byte,
-	delta bool, capRegions []fault.Region, b0, b1 abstraction.State,
+// judgeCrashPoint power-cycles the plane on one crash image — the probe
+// frame plus img, the write log's prefix up to the point — and judges
+// the recovered state, returning the verdict label (Verdict* constants)
+// alongside any discrepancy. Before running the expensive checks it
+// digests the recovered media's divergence from the pre-op image —
+// capRegions plus whatever recovery itself wrote — and reuses the
+// memoized verdict of any earlier point in this probe that recovered to
+// masked-identical media. Callable from ANY media state whose divergence
+// from the frame is bounded by capRegions plus the touch log (the post-op
+// state, or a previous point's recovered state); returns with media ==
+// image-after-recovery. The caller rolls back once after the last point.
+func (e *engine) judgeCrashPoint(p *CrashPlane, op workload.Op, k, w int, img []fault.Write,
+	capRegions []fault.Region, b0, b1 abstraction.State,
 	memo map[[32]byte]crashVerdict) (*checker.Discrepancy, string) {
 
-	where := crashSite(p, op, k, w)
-	e.probe.idle()
-	err := e.powerCycle(p, img, delta, capRegions)
-	e.probe.remounted()
-	if err != nil {
-		return crashBug(op, where, fmt.Sprintf("recovery failed: %v", err)), stream.VerdictBug
+	at := crashSite{p, op, k, w}
+	if err := e.powerCycle(p, func() error { return p.install(capRegions, img) }); err != nil {
+		return at.bug(fmt.Sprintf("recovery failed: %v", err)), stream.VerdictBug
 	}
-	// Fast path: masked digest of everything that diverged from pre —
-	// the crash image's writes plus recovery's own (journal replay).
+	// Fast path: masked digest of everything that diverged from the frame
+	// — the crash image's writes plus recovery's own (journal replay).
 	// Planes with no post-recovery checks at all have nothing to
 	// memoize, so skip the digest reads.
 	var dig [32]byte
@@ -527,7 +561,7 @@ func (e *engine) judgeCrashPoint(p *CrashPlane, op workload.Op, k, w int, img []
 	if p.Strict || p.Fsck != nil {
 		if recovered, ok := p.Injector.Touched(); ok {
 			regions := fault.CoalesceRegions(append(append([]fault.Region(nil), capRegions...), recovered...))
-			dig, haveDig = p.digest(regions)
+			dig, haveDig = e.crashDigest.digest(p, regions)
 		}
 		e.probe.digested()
 	}
@@ -538,7 +572,7 @@ func (e *engine) judgeCrashPoint(p *CrashPlane, op workload.Op, k, w int, img []
 			memo[dig] = v
 		}
 	}
-	d := v.discrepancy(where, op, b0, b1)
+	d := v.discrepancy(at, b0, b1)
 	return d, v.label(d, b0)
 }
 
@@ -550,26 +584,32 @@ func (e *engine) countCrashExec() {
 	e.probe.executed(&e.res, len(e.trail), nil)
 }
 
-// restorePlane is rollback as a timed phase of the recovery session.
-func (e *engine) restorePlane(p *CrashPlane, img []byte, delta bool, extra []fault.Region) error {
+// restorePlane rolls the plane back to the probe frame, as a timed phase
+// of the recovery session.
+func (e *engine) restorePlane(p *CrashPlane, extra []fault.Region) error {
 	e.probe.idle()
-	err := e.rollback(p, img, delta, extra)
+	err := e.rollback(p, func() error { return p.install(extra, nil) })
 	e.probe.restored()
 	return err
 }
 
 // reprobe is the crash oracle's reference flow, kept independent of
-// probePlane's recovery session (no armed prefix, no delta loads, no
-// verdict memo) so replay and ddmin cross-check what the session found:
-// measure op's write window on p at the targets' CURRENT state, then
-// for every point still inside it re-execute with that one point armed,
-// power-cycle on the full captured image and judge, rolling back after
-// each run. Returns the first discrepancy and its write index.
+// probePlane's recovery session (no armed prefix, no frame, no delta
+// loads, no verdict memo) so replay and ddmin cross-check what the
+// session found: measure op's write window on p at the targets' CURRENT
+// state, then for every point still inside it re-execute with that one
+// point armed, power-cycle on the full pre-op image plus the point's log
+// prefix and judge, rolling back to the full image after each run.
+// Returns the first discrepancy and its write index.
 func (e *engine) reprobe(p *CrashPlane, op workload.Op, points []int) (*checker.Discrepancy, int, error) {
 	pre, err := p.Media.Snapshot()
 	if err != nil {
 		return nil, 0, err
 	}
+	loadPre := func() error { return p.Media.LoadImage(pre) }
+	// The log's base is pre: here, and again after every rollback.
+	p.Injector.StartTouchLog()
+	defer p.Injector.StopTouchLog()
 	b0, er := e.metaHash(p)
 	if er != errno.OK {
 		return nil, 0, fmt.Errorf("hashing pre-op state: %w", er)
@@ -582,7 +622,7 @@ func (e *engine) reprobe(p *CrashPlane, op workload.Op, points []int) (*checker.
 	if er != errno.OK {
 		return nil, 0, fmt.Errorf("hashing post-op state: %w", er)
 	}
-	if err := e.rollback(p, pre, false, nil); err != nil {
+	if err := e.rollback(p, loadPre); err != nil {
 		return nil, 0, fmt.Errorf("rolling back measurement run: %w", err)
 	}
 	for _, k := range points {
@@ -592,18 +632,26 @@ func (e *engine) reprobe(p *CrashPlane, op workload.Op, points []int) (*checker.
 		if _, err := e.crashWindow(p, op, []int{k}); err != nil {
 			return nil, 0, err
 		}
+		img, fired, err := p.Injector.CrashImage(k)
+		if err != nil {
+			return nil, 0, fmt.Errorf("crash point %d of %s: %w", k, op, err)
+		}
 		var d *checker.Discrepancy
-		if img := p.Injector.TakeCrashImage(); img != nil {
-			e.probe.idle()
-			err := e.powerCycle(p, img, false, nil)
-			e.probe.remounted()
+		if fired {
+			at := crashSite{p, op, k, w}
+			err := e.powerCycle(p, func() error {
+				if err := loadPre(); err != nil {
+					return err
+				}
+				return p.Media.Patch(img)
+			})
 			if err != nil {
-				d = crashBug(op, crashSite(p, op, k, w), fmt.Sprintf("recovery failed: %v", err))
+				d = at.bug(fmt.Sprintf("recovery failed: %v", err))
 			} else {
-				d = e.inspect(p).discrepancy(crashSite(p, op, k, w), op, b0, b1)
+				d = e.inspect(p).discrepancy(at, b0, b1)
 			}
 		}
-		if err := e.rollback(p, pre, false, nil); err != nil {
+		if err := e.rollback(p, loadPre); err != nil {
 			return nil, 0, fmt.Errorf("rolling back crash run: %w", err)
 		}
 		if d != nil {

@@ -96,8 +96,10 @@ func TestCrashWindowDisarmsOnPostOpError(t *testing.T) {
 	if n := p.Injector.Armed(); n != 0 {
 		t.Errorf("post-op error path leaked %d armed crash point(s)", n)
 	}
-	if img := p.Injector.TakeCrashImage(); img != nil {
-		t.Error("post-op error path kept a captured image")
+	for _, k := range []int{3, 7} {
+		if _, fired, _ := p.Injector.CrashImage(k); fired {
+			t.Errorf("post-op error path kept crash point %d's mark", k)
+		}
 	}
 }
 

@@ -1,20 +1,29 @@
-// Lockstep guard for the checkpoint rework: the write-set checkpoints
-// (undo frames on the media, adopt-on-restore in VeriFS) run beside the
-// thing they replaced — a full copy of the state at every Checkpoint,
-// compared after the matching Restore — over real explorations, crash
-// probes included. Test-only: production has no such mode.
+// Lockstep guards for the state-capture reworks. The write-set
+// checkpoints (undo frames on the media, adopt-on-restore in VeriFS) run
+// beside the thing they replaced — a full copy of the state at every
+// Checkpoint, compared after the matching Restore — over real
+// explorations, crash probes included; and the crash oracle's recovery
+// session (one armed execution, crash images as the probe frame plus a
+// prefix of the write log) runs beside full images rebuilt at every power
+// cut, and then beside its reference flow (one execution per point).
+// Test-only: production has no such mode.
 package mc_test
 
 import (
 	"bytes"
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"mcfs"
 	"mcfs/internal/abstraction"
+	"mcfs/internal/blockdev"
 	"mcfs/internal/errno"
+	"mcfs/internal/fault"
 	"mcfs/internal/fuse"
+	"mcfs/internal/obs/journal"
 	"mcfs/internal/tracker"
+	"mcfs/internal/workload"
 )
 
 // lockstepTracker takes a full copy of its target's state beside every
@@ -101,10 +110,21 @@ func lockstep(t *testing.T, s *mcfs.Session) []*lockstepTracker {
 
 // assertNoCheckpointState is the leak check on the far side of the
 // Tracker interface: after a run, however it ended, no medium holds an
-// open undo frame or a byte of pre-images and no VeriFS holds a snapshot.
+// open undo frame or a byte of pre-images, no VeriFS holds a snapshot,
+// and no crash plane's fault plane holds an armed point or a write log.
 func assertNoCheckpointState(t *testing.T, s *mcfs.Session) {
 	t.Helper()
 	cfg := s.Config()
+	if cfg.Crash != nil {
+		for _, p := range cfg.Crash.Planes {
+			if n := p.Injector.Armed(); n != 0 {
+				t.Errorf("%s: %d crash points still armed after the run", p.Name, n)
+			}
+			if _, on := p.Injector.Touched(); on {
+				t.Errorf("%s: the touch log is still recording after the run", p.Name)
+			}
+		}
+	}
 	for _, tgt := range cfg.Checker.Targets() {
 		m, _, e := cfg.Kernel.MountAt(tgt.MountPoint)
 		if e != errno.OK {
@@ -175,9 +195,11 @@ func TestLockstepFullCopyAgreesWithWriteSetCheckpoints(t *testing.T) {
 }
 
 // TestRunLeavesNoCheckpointState drives every way a run can end — space
-// exhausted, bug found (normally and by a crash probe, under nested
-// frames), budget exhausted mid-depth, and a checkpoint error unwinding
-// through Discard — and checks the file systems and media themselves.
+// exhausted (crash probes' own frames and write logs included), bug found
+// (normally and by a crash probe, under nested frames), budget exhausted
+// mid-depth and mid-probe, and a checkpoint error unwinding through
+// Discard — and checks the file systems, media and fault planes
+// themselves.
 // (The VeriFS clean and error runs are swarm_test.go's two leak tests.)
 func TestRunLeavesNoCheckpointState(t *testing.T) {
 	verifs := func(bugs ...string) []mcfs.TargetSpec {
@@ -195,7 +217,10 @@ func TestRunLeavesNoCheckpointState(t *testing.T) {
 		{name: "clean/ext", opts: mcfs.Options{Targets: ext(), MaxDepth: 2}},
 		{name: "clean/ext4-jffs2", opts: mcfs.Options{Targets: []mcfs.TargetSpec{{Kind: "ext4"}, {Kind: "jffs2"}}, MaxDepth: 2}},
 		{name: "bug/verifs", opts: mcfs.Options{Targets: verifs(mcfs.BugWriteHoleNoZero), MaxDepth: 3, MaxOps: 5000}, wantBug: true},
+		{name: "clean/ext-crash", opts: mcfs.Options{Targets: ext(), MaxDepth: 1, CrashExploration: true}},
+		{name: "clean/ext4-jffs2-crash", opts: mcfs.Options{Targets: []mcfs.TargetSpec{{Kind: "ext4"}, {Kind: "jffs2"}}, MaxDepth: 1, CrashExploration: true}},
 		{name: "bug/ext-crash", opts: mcfs.Options{Targets: ext(mcfs.BugJournalCommitFirst), MaxDepth: 2, MaxOps: 8000, CrashExploration: true}, wantBug: true},
+		{name: "budget/ext-crash", opts: mcfs.Options{Targets: ext(), MaxDepth: 2, MaxOps: 137, CrashExploration: true}},
 		{name: "budget/verifs", opts: mcfs.Options{Targets: verifs(), MaxDepth: 4, MaxOps: 137}},
 		{name: "budget/ext", opts: mcfs.Options{Targets: ext(), MaxDepth: 3, MaxOps: 137}},
 		{name: "error/ext", opts: mcfs.Options{Targets: ext(), MaxDepth: 3, MaxOps: 10000}, failAt: 7},
@@ -221,6 +246,163 @@ func TestRunLeavesNoCheckpointState(t *testing.T) {
 				t.Errorf("trackers retain checkpoints: A=%d B=%d, want 0/0", a.retained(), b.retained())
 			}
 			assertNoCheckpointState(t, s)
+		})
+	}
+}
+
+// installCheck wraps a crash plane's media and, at every image either
+// crash flow installs, rebuilds that image the expensive way — a full
+// copy of the pre-op image with the write-log prefix applied — and reads
+// the media back against it. Both flows finish an install with Patch: the
+// session over its probe frame (a rollback patches nothing), the
+// reference over a full LoadImage.
+type installCheck struct {
+	blockdev.Media
+	t         *testing.T
+	name      string
+	pre       []byte // the media at the last OpenFrame or LoadImage
+	want, got []byte
+	cuts      int // installs that patched something: power cuts
+}
+
+func (c *installCheck) read(into []byte) {
+	if err := c.Media.ReadAt(into, 0); err != nil {
+		c.t.Fatalf("%s: reading the media back: %v", c.name, err)
+	}
+}
+
+func (c *installCheck) OpenFrame(key uint64) error {
+	err := c.Media.OpenFrame(key)
+	c.read(c.pre)
+	return err
+}
+
+func (c *installCheck) LoadImage(img []byte) error {
+	copy(c.pre, img)
+	return c.Media.LoadImage(img)
+}
+
+func (c *installCheck) Patch(writes []fault.Write) error {
+	if err := c.Media.Patch(writes); err != nil {
+		return err
+	}
+	copy(c.want, c.pre)
+	for _, w := range writes {
+		copy(c.want[w.Off:], w.Data)
+	}
+	if c.read(c.got); !bytes.Equal(c.got, c.want) {
+		n := 0
+		for i := range c.got {
+			if c.got[i] != c.want[i] {
+				n++
+			}
+		}
+		c.t.Fatalf("%s: install %d (%d log writes) left %d bytes that are not the pre-op image plus the log prefix", c.name, c.cuts, len(writes), n)
+	}
+	if len(writes) > 0 {
+		c.cuts++
+	}
+	return nil
+}
+
+// checkInstalls puts an installCheck on every crash plane of s.
+func checkInstalls(t *testing.T, s *mcfs.Session) []*installCheck {
+	t.Helper()
+	var out []*installCheck
+	planes := s.Config().Crash.Planes
+	for i := range planes {
+		img, err := planes[i].Media.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := &installCheck{Media: planes[i].Media, t: t, name: planes[i].Name,
+			pre: img, want: make([]byte, len(img)), got: make([]byte, len(img))}
+		planes[i].Media = c
+		out = append(out, c)
+	}
+	return out
+}
+
+// TestLockstepCrashImagesAgainstFullImages runs the crash oracle beside
+// the full-image form it replaced. For every probed window of a space,
+// crash point by crash point, what the recovery session leaves on the
+// media before the recovery mount — the probe frame inside the diverged
+// regions plus the write log's prefix, out of ONE armed execution — is
+// byte for byte a full copy of the pre-op image with that prefix applied,
+// and every rollback leaves the pre-op image itself. The journal's replay
+// then re-probes every recorded window through the reference flow (an
+// execution per point, full images) under the same check: it reaches the
+// same verdicts and cuts the power exactly as often. (The two flows'
+// images cannot be compared byte for byte: each window execution stamps
+// mount counts and virtual-clock times into what it writes, and the
+// reference flow executes later and mounts more often.)
+func TestLockstepCrashImagesAgainstFullImages(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts mcfs.Options
+	}{
+		{"ext2-ext4-d2", mcfs.Options{
+			Targets:  []mcfs.TargetSpec{{Kind: "ext2"}, {Kind: "ext4"}},
+			MaxDepth: 2, CrashExploration: true}},
+		{"ext4-jffs2-d1", mcfs.Options{
+			Targets:  []mcfs.TargetSpec{{Kind: "ext4"}, {Kind: "jffs2"}},
+			MaxDepth: 1, CrashExploration: true}},
+		// Windows longer than the armed prefix: the sampled points past
+		// write 64 each take a rollback and an execution of their own.
+		{"ext2-ext4-long-windows", mcfs.Options{
+			Targets:  []mcfs.TargetSpec{{Kind: "ext2"}, {Kind: "ext4"}},
+			MaxDepth: 2, CrashExploration: true,
+			Pool: &mcfs.Pool{Files: []string{"/f0"}, WriteOffsets: []int64{0}, WriteSizes: []int64{96 << 10},
+				Ops: []workload.OpKind{workload.OpCreateFile, workload.OpWriteFile}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "run.jsonl")
+			jw, err := journal.Create(path, journal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := tc.opts
+			opts.Journal = jw
+			s, err := mcfs.NewSession(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			session := checkInstalls(t, s)
+			res := s.Run()
+			if err := jw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if res.Err != nil || res.Bug != nil {
+				t.Fatalf("session run: err=%v bug=%v", res.Err, res.Bug)
+			}
+			var cuts int64
+			for _, c := range session {
+				cuts += int64(c.cuts)
+			}
+			if cuts == 0 || cuts != res.Crash.PointsExplored {
+				t.Errorf("%d power cuts checked, the run explored %d crash points", cuts, res.Crash.PointsExplored)
+			}
+
+			recs, err := journal.Load(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s2, err := mcfs.NewSession(tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Close()
+			reference := checkInstalls(t, s2)
+			rep, err := s2.ReplayJournal(recs)
+			if err != nil || rep.Diverged {
+				t.Fatalf("reference replay: err=%v diverged=%v (%s)", err, rep.Diverged, rep.Reason)
+			}
+			for i, c := range session {
+				if ref := reference[i]; ref.cuts != c.cuts {
+					t.Errorf("%s: the session cut the power %d times, the reference flow %d times", c.name, c.cuts, ref.cuts)
+				}
+			}
 		})
 	}
 }

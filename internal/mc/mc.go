@@ -118,8 +118,9 @@ type Config struct {
 	Journal *journal.Recorder
 	// Crash, when set, enables crash-consistency exploration: before
 	// each operation is stepped normally, its write window is probed on
-	// every crash plane — the op runs under an armed crash point, power
-	// loss is simulated with the captured media image, and the recovered
+	// every crash plane — the op runs under armed crash points, power
+	// loss is simulated with the media as it stood right after each (the
+	// pre-op state plus a prefix of the write log), and the recovered
 	// state is checked against the prefix-consistency oracle (crash.go).
 	Crash *CrashConfig
 	// Stream, when set, receives live exploration events (steps,
@@ -375,7 +376,7 @@ type search struct {
 	// the same way).
 	set *visited.Set
 	// crashSeen dedups crash probes: one per (state, op, plane).
-	crashSeen map[string]bool
+	crashSeen map[crashKey]bool
 }
 
 func (s *search) next(depth, i int) (workload.Op, bool, error) {
@@ -449,6 +450,9 @@ type engine struct {
 	// state every dfs iteration explores from); crash probes key their
 	// dedup on it.
 	curHash abstraction.State
+
+	// crashDigest is the crash oracle's digest scratch (crash.go).
+	crashDigest crashDigester
 }
 
 func newEngine(cfg Config) *engine {
@@ -471,7 +475,7 @@ func Run(cfg Config) Result {
 	}
 	// Idempotent: swarm peers seed a shared set with the same states.
 	cfg.Resume.SeedInto(e.set)
-	e.src = &search{ops: cfg.Pool.Enumerate(), seed: cfg.Seed, set: e.set, crashSeen: make(map[string]bool)}
+	e.src = &search{ops: cfg.Pool.Enumerate(), seed: cfg.Seed, set: e.set, crashSeen: make(map[crashKey]bool)}
 	return e.run()
 }
 

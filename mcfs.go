@@ -838,8 +838,8 @@ func DefaultMemoryConfig() memmodel.Config { return memmodel.DefaultConfig() }
 // fully independent file system instances and its own virtual clock;
 // worker w (1..Workers) runs base with Seed w and without base's Obs and
 // Perf, which perWorker, when non-nil, replaces: it is called with each
-// worker's spec before its session is built, to attach that worker's
-// hub, profiler or memory model.
+// worker's spec, in worker order, before any worker runs, to attach that
+// worker's hub, profiler or memory model.
 func SwarmRun(base Options, perWorker func(worker int, o *Options) error) (SwarmResult, error) {
 	return runSwarm(base, perWorker, nil)
 }
@@ -848,24 +848,33 @@ func SwarmRun(base Options, perWorker func(worker int, o *Options) error) (Swarm
 // workers' sessions after the run and before they are closed. It is the
 // one owner of a swarm's session list.
 func runSwarm(base Options, perWorker func(int, *Options) error, inspect func([]*Session)) (SwarmResult, error) {
-	var mu sync.Mutex
-	var sessions []*Session
-	// One swarm-wide set when a reduced backend or a budget asks for it;
-	// its degradation hooks fan out over whichever worker hubs exist by
-	// then.
-	shared, err := newGovernedSet(base.Visited, base.BitstateBytes, base.MemBudget,
-		governorHooks(func() []*obs.Hub {
-			mu.Lock()
-			defer mu.Unlock()
-			hubs := make([]*obs.Hub, len(sessions))
-			for i, s := range sessions {
-				hubs[i] = s.obsHub
+	// Every worker's spec — its hub above all — is settled before any
+	// worker runs: the fastest worker can degrade the shared set while the
+	// others are still formatting their devices, and that event must find
+	// every hub.
+	specs := make([]Options, max(base.Workers, 0))
+	hubs := make([]*obs.Hub, len(specs))
+	for w := range specs {
+		o := base
+		// The coordinator hands each worker its recorder on the journal.
+		o.Seed, o.StreamWorker = int64(w+1), w+1
+		o.Journal, o.Obs, o.Perf = nil, nil, nil
+		if perWorker != nil {
+			if err := perWorker(w+1, &o); err != nil {
+				return SwarmResult{BugWorker: -1, ErrWorker: -1}, fmt.Errorf("mcfs: swarm worker %d: %w", w+1, err)
 			}
-			return hubs
-		}, base.Stream, 0))
+		}
+		specs[w], hubs[w] = o, o.Obs
+	}
+	// One swarm-wide set when a reduced backend or a budget asks for it;
+	// its degradation hooks fan out over the worker hubs.
+	shared, err := newGovernedSet(base.Visited, base.BitstateBytes, base.MemBudget,
+		governorHooks(func() []*obs.Hub { return hubs }, base.Stream, 0))
 	if err != nil {
 		return SwarmResult{BugWorker: -1, ErrWorker: -1}, err
 	}
+	var mu sync.Mutex
+	var sessions []*Session
 	sr, err := mc.SwarmRun(mc.SwarmOptions{
 		Workers:      base.Workers,
 		Parallelism:  base.Parallelism,
@@ -876,17 +885,10 @@ func runSwarm(base Options, perWorker func(int, *Options) error, inspect func([]
 		Journal:      base.Journal,
 		Stream:       base.Stream,
 	}, func(seed int64) (mc.Config, error) {
-		o := base
-		// The coordinator hands each worker its recorder on the journal;
-		// the swarm owns the one shared set, and workers arm their own
+		// The swarm owns the one shared set, and workers arm their own
 		// memory budgets against it.
-		o.Seed, o.StreamWorker, o.shared = seed, int(seed), shared
-		o.Journal, o.Obs, o.Perf = nil, nil, nil
-		if perWorker != nil {
-			if err := perWorker(int(seed), &o); err != nil {
-				return mc.Config{}, err
-			}
-		}
+		o := specs[seed-1]
+		o.shared = shared
 		s, err := NewSession(o)
 		if err != nil {
 			return mc.Config{}, err

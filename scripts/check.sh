@@ -68,6 +68,11 @@
 #      once in internal/mc, for the initial state;    a state is the only
 #      every later hash comes from the step's own     code that hashes it)
 #      state check
+#  15. image-copy guard: in non-test                 (a crash point is a
+#      internal/blockdev only Snapshot allocates      position in the write
+#      a whole image, and the whole-image capture     log; no write, program
+#      API (SetCrashImage/TakeCrashImage) stays       or erase path copies
+#      deleted                                        the device)
 #
 # Usage: scripts/check.sh   (from the repo root or anywhere inside it)
 set -eu
@@ -226,5 +231,16 @@ echo "==> one-walk guard (only explore() hashes a state outside the step's check
 walks=$(grep -n 'StateHash(' internal/mc/*.go | grep -v '_test\.go:' | sed 's/:[0-9]*:[[:space:]]*/: /')
 [ "$walks" = 'internal/mc/mc.go: h, er := e.cfg.Checker.StateHash()' ] || { echo "$walks"
 	echo "FAIL: internal/mc must call StateHash exactly once, for the initial state in explore()"; exit 1; }
+
+echo "==> image-copy guard (write path never copies the image)"
+for f in internal/blockdev/*.go; do
+	case "$f" in *_test.go) continue ;; esac
+	awk -v f="$f" '/^func /{fn=$0}
+		/make\(\[\]byte, len\((d|m)\.data\)\)/ && fn !~ /\) Snapshot\(\)/ {print f":"FNR": "$0; bad=1}
+		END{exit bad}' "$f" || {
+		echo "FAIL: a whole-image allocation outside Snapshot in internal/blockdev (see above)"; exit 1; }
+done
+if grep -rn 'SetCrashImage\|TakeCrashImage' internal cmd ./*.go; then
+	echo "FAIL: the whole-image crash capture API is back (see above)"; exit 1; fi
 
 echo "OK: all checks passed"
