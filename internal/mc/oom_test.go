@@ -6,6 +6,8 @@ package mc_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -212,5 +214,70 @@ func TestSwarmBudgetAcceptance(t *testing.T) {
 	}
 	if degraded == 0 {
 		t.Error("no fidelity-degraded event on the swarm stream")
+	}
+}
+
+// TestDegradationSchedule pins what the governor does, in order, to the
+// starved ext pair of TestMemBudgetDegradesInsteadOfOOM — under the
+// 1 MiB budget of check.sh's smoke, which every store jumps straight
+// past, and under one wide enough for the soft watermark to be seen —
+// and what the run then reports. The schedule is read from a governor
+// built here the way the facade builds its own (the bitstate array a
+// quarter of the budget) with recording hooks; that run must report
+// exactly what the facade's does.
+func TestDegradationSchedule(t *testing.T) {
+	for _, tc := range []struct {
+		budget   int64
+		report   string
+		schedule []string
+	}{
+		{1 << 20, "ops 624, states 97, elapsed 1.3037681s, bitstate, p 2.67e-12",
+			[]string{"exact->compact", "compact->bitstate"}},
+		{16 << 20, "ops 2000, states 209, elapsed 3.1824557s, compact, p 9.08e-16",
+			[]string{"evict 22 at depth 3", "evict 3 at depth 2", "evict 1 at depth 3", "exact->compact"}},
+	} {
+		session := func() *mcfs.Session {
+			s, err := mcfs.NewSession(mcfs.Options{
+				Targets:   []mcfs.TargetSpec{{Kind: "ext2"}, {Kind: "ext4"}},
+				MaxDepth:  3,
+				MaxOps:    2000,
+				MemBudget: tc.budget,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		report := func(r mcfs.Result) string {
+			return fmt.Sprintf("ops %d, states %d, elapsed %v, %v, p %.3g",
+				r.Ops, r.UniqueStates, r.Elapsed, r.Fidelity, r.OmissionProb)
+		}
+
+		facade := session()
+		defer facade.Close()
+		if got := report(facade.Run()); got != tc.report {
+			t.Errorf("budget %d: run reports\n  %s, want\n  %s", tc.budget, got, tc.report)
+		}
+
+		hooked := session()
+		defer hooked.Close()
+		var schedule []string
+		set := visited.NewSet(nil)
+		visited.NewGovernor(set, visited.GovernorConfig{BitstateBytes: tc.budget / 4, Hooks: visited.Hooks{
+			OnEvict: func(n, depth int) {
+				schedule = append(schedule, fmt.Sprintf("evict %d at depth %d", n, depth))
+			},
+			OnDowngrade: func(from, to visited.Fidelity, _ float64) {
+				schedule = append(schedule, fmt.Sprintf("%v->%v", from, to))
+			},
+		}})
+		cfg := *hooked.Config()
+		cfg.Visited = set
+		if got := report(mc.Run(cfg)); got != tc.report {
+			t.Errorf("budget %d: hooked run reports\n  %s, the facade's run\n  %s", tc.budget, got, tc.report)
+		}
+		if !slices.Equal(schedule, tc.schedule) {
+			t.Errorf("budget %d: degradation schedule\n  %q, want\n  %q", tc.budget, schedule, tc.schedule)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -448,6 +449,44 @@ func TestResumeRoundTripUniqueStates(t *testing.T) {
 	if second.Resume != nil && second.Resume.UniqueStates() != first.Resume.UniqueStates() {
 		t.Errorf("resume round-trip changed the state set: %d -> %d",
 			first.Resume.UniqueStates(), second.Resume.UniqueStates())
+	}
+}
+
+// TestSwarmUnionEqualsSolo is the swarm-union law: a bounded space run
+// to exhaustion holds the same states whoever explores it, so the state
+// set a shared-set swarm exports equals the solo run's — which worker
+// won which state is the scheduler's choice, what was found is not.
+func TestSwarmUnionEqualsSolo(t *testing.T) {
+	const exhaust = 1 << 30
+	solo := exploreClean(t, 3, exhaust, 1, nil)
+	if solo.Err != nil || solo.Bug != nil {
+		t.Fatalf("solo run: err %v, bug %v", solo.Err, solo.Bug)
+	}
+	if solo.UniqueStates == 0 || solo.Resume.UniqueStates() != solo.UniqueStates {
+		t.Fatalf("solo exported %d states for %d discoveries", solo.Resume.UniqueStates(), solo.UniqueStates)
+	}
+	for _, workers := range []int{2, 4} {
+		sr, err := mcfs.SwarmRun(mcfs.Options{
+			Targets:      []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
+			MaxDepth:     3,
+			MaxOps:       exhaust,
+			Workers:      workers,
+			ShareVisited: true,
+		}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sr.Err != nil || sr.Bug != nil || sr.ResumeErr != nil {
+			t.Fatalf("%d workers: err %v, bug %v, resume err %v", workers, sr.Err, sr.Bug, sr.ResumeErr)
+		}
+		if !slices.Equal(sr.Resume.States, solo.Resume.States) {
+			t.Errorf("%d workers exported %d states, the solo run %d: not the same set",
+				workers, sr.Resume.UniqueStates(), solo.Resume.UniqueStates())
+		}
+		if sr.GlobalUniqueStates != solo.UniqueStates {
+			t.Errorf("%d workers discovered %d states, the solo run %d",
+				workers, sr.GlobalUniqueStates, solo.UniqueStates)
+		}
 	}
 }
 
