@@ -104,8 +104,8 @@ type Config struct {
 	// one shared across swarm workers (states any worker has expanded are
 	// pruned swarm-wide, and UniqueStates counts only the states this
 	// worker was the first to discover), or one the caller built on a
-	// reduced-fidelity backend or under a memory governor. Its footprint
-	// is billed to Mem through the set's ledger, and its owner exports
+	// reduced-fidelity backend or under a memory governor. Mem watches
+	// it for its footprint, and its owner exports
 	// the resume knowledge (ExportResume; Result.Resume stays nil). When
 	// nil, Run explores against a private exact set: a solo run is a
 	// one-worker set.
@@ -422,8 +422,8 @@ type engine struct {
 
 	// set is the visited set a search explores against (nil under a
 	// script). A private one Run built (owned) bills its entries through
-	// Mem.InsertVisited, the Figure-3 resize model; a caller's bills
-	// through its own AttachMem ledger.
+	// Mem's slot table, the Figure-3 resize model; a caller's is the set
+	// Mem watches.
 	set   *visited.Set
 	owned bool
 
@@ -471,7 +471,7 @@ func Run(cfg Config) Result {
 	if e.owned {
 		e.set = visited.NewSet(nil)
 	} else {
-		e.set.AttachMem(cfg.Mem)
+		cfg.Mem.Watch(e.set)
 	}
 	// Idempotent: swarm peers seed a shared set with the same states.
 	cfg.Resume.SeedInto(e.set)
@@ -673,9 +673,8 @@ func (e *engine) fetchStateCost() {
 // state: a hash-table entry plus the concrete state retained for
 // backtracking (Spin's c_track'd buffers live for the whole run, which is
 // why the paper's long runs eventually spill to swap). A caller's set
-// charges its per-entry growth to every attached model itself (one
-// table in one address space), so only the concrete-state retention is
-// charged here.
+// is watched by Mem, which reads the table's size for itself, so only
+// the concrete-state retention is charged here.
 func (e *engine) visitCost() {
 	if e.cfg.Mem == nil {
 		return

@@ -143,12 +143,11 @@ func TestMemBudgetDegradesInsteadOfOOM(t *testing.T) {
 		t.Errorf("ResumeErr = %v, want visited.ErrNoExport", res.ResumeErr)
 	}
 
-	// The model recorded the degradation for observability.
-	stats := s.MemoryStats()
-	if stats.FidelityDowngrades == 0 {
-		t.Error("Stats.FidelityDowngrades = 0 after degradation")
+	// The governor and the model recorded the degradation.
+	if n := s.Config().Visited.Governor().Downgrades(); n == 0 {
+		t.Error("Governor.Downgrades = 0 after degradation")
 	}
-	if stats.SoftWatermarkHits == 0 {
+	if s.MemoryStats().SoftWatermarkHits == 0 {
 		t.Error("Stats.SoftWatermarkHits = 0 after pressure")
 	}
 }

@@ -6,11 +6,11 @@
 //   - Cancel, a context-style cancellation token polled by every engine
 //     between operations, so all workers stop promptly when any worker
 //     finds a bug, fails, or the caller aborts.
-//   - One visited.Set (a sharded visited-state table with striped
-//     mutexes keyed on abstract state hashes) installed into every
-//     worker's Config. Workers that share it prune subtrees their peers
-//     already expanded instead of re-exploring the overlap — the
-//     coordination discipline pFSCK applies to parallel fsck.
+//   - One visited.Set (one visited-state table behind one mutex, keyed
+//     on abstract state hashes) installed into every worker's Config.
+//     Workers that share it prune subtrees their peers already
+//     expanded instead of re-exploring the overlap — the coordination
+//     discipline pFSCK applies to parallel fsck.
 //   - A bounded worker pool: Parallelism caps how many of the n seeded
 //     workers run concurrently, so a swarm can be wider than the core
 //     count without oversubscribing the machine.
@@ -240,7 +240,7 @@ func SwarmRun(opts SwarmOptions, factory func(seed int64) (Config, error)) (Swar
 			if err != nil {
 				mu.Lock()
 				if factoryErr == nil {
-					factoryErr = fmt.Errorf("mc: swarm worker %d: %w", w, err)
+					factoryErr = fmt.Errorf("mc: swarm worker %d: %w", w+1, err)
 				}
 				mu.Unlock()
 				cancel.Cancel(fmt.Sprintf("worker %d factory failed", w+1))

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -255,6 +256,23 @@ func TestSwarmFactoryErrorDrainsWorkers(t *testing.T) {
 			t.Fatalf("goroutines leaked: %d before, %d after factory error", before, runtime.NumGoroutine())
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestSwarmFactoryErrorNamesTheWorker: workers are numbered from 1
+// wherever a user meets them — the cancel reason, the journal, the
+// stream, the facade's own errors — so a failing factory is reported
+// under the same number.
+func TestSwarmFactoryErrorNamesTheWorker(t *testing.T) {
+	boom := errors.New("factory boom")
+	cancel := mc.NewCancel()
+	_, err := mc.SwarmRun(mc.SwarmOptions{Workers: 1, Cancel: cancel},
+		func(int64) (mc.Config, error) { return mc.Config{}, boom })
+	if !errors.Is(err, boom) || !strings.HasPrefix(err.Error(), "mc: swarm worker 1: ") {
+		t.Errorf("err = %v, want the factory error of worker 1", err)
+	}
+	if got, want := cancel.Reason(), "worker 1 factory failed"; got != want {
+		t.Errorf("cancel reason = %q, want %q", got, want)
 	}
 }
 
@@ -545,17 +563,17 @@ func TestSharedVisitedChargesAttachedModels(t *testing.T) {
 
 	var h1, h2 abstraction.State
 	h1[0], h2[0] = 0x01, 0x02
-	sv.Visit(h1, 1) // discovered before attach: charged retroactively
+	sv.Visit(h1, 1) // discovered before the model watches: counted all the same
 
-	sv.AttachMem(m1)
+	m1.Watch(sv)
 	if got := m1.Stats().SharedVisitedBytes; got != memmodel.SharedVisitedEntryBytes {
-		t.Errorf("attach did not charge the existing entry: %d bytes", got)
+		t.Errorf("the watching model does not see the existing entry: %d bytes", got)
 	}
 
-	// A second model attaches, then a peer discovers a new state: both
-	// models are charged — one table, every worker's RAM.
+	// A second model watches, then a peer discovers a new state: both
+	// models see it — one table, every worker's RAM.
 	m2 := memmodel.New(cfg, clk)
-	sv.AttachMem(m2)
+	m2.Watch(sv)
 	sv.Visit(h2, 1)
 	for i, m := range []*memmodel.Model{m1, m2} {
 		if got := m.Stats().SharedVisitedBytes; got != 2*memmodel.SharedVisitedEntryBytes {

@@ -2,7 +2,6 @@ package visited
 
 import (
 	"math"
-	"sync/atomic"
 
 	"mcfs/internal/abstraction"
 )
@@ -22,10 +21,10 @@ const minBitstateBytes = 512
 // migration from exact or compact replays fingerprints and preserves
 // membership.
 type Bitstate struct {
-	bits  []uint64 // atomic word access
+	bits  []uint64
 	mBits uint64
 	k     int
-	n     atomic.Int64 // distinct inserts observed (novel count)
+	n     int64 // distinct inserts observed (novel count)
 }
 
 // NewBitstate builds a Bloom table over the given byte budget
@@ -49,42 +48,25 @@ func NewBitstate(bytes int64, k int) *Bitstate {
 	}
 }
 
-// positions yields the k bit indices for a fingerprint via double
-// hashing: two independent streams from the splitmix64 finalizer, the
-// stride forced odd so every probe is distinct.
-func (t *Bitstate) positions(fp uint64, f func(word int, mask uint64) bool) bool {
+// visitFP sets the k bits for one fingerprint — double hashing: two
+// independent streams from the splitmix64 finalizer, the stride forced
+// odd so every probe is distinct; novel reports whether any bit was
+// previously clear.
+func (t *Bitstate) visitFP(fp uint64) (novel bool) {
 	h1 := splitmix64(fp)
 	h2 := splitmix64(h1) | 1
 	for i := 0; i < t.k; i++ {
 		pos := (h1 + uint64(i)*h2) % t.mBits
-		if !f(int(pos/64), uint64(1)<<(pos%64)) {
-			return false
+		word, mask := pos/64, uint64(1)<<(pos%64)
+		if t.bits[word]&mask == 0 {
+			t.bits[word] |= mask
+			novel = true
 		}
 	}
-	return true
-}
-
-// visitFP tests-and-sets the k bits for one fingerprint; novel reports
-// whether any bit was previously clear.
-func (t *Bitstate) visitFP(fp uint64) (novel bool) {
-	// Fast path: all k bits already set means the state (or a collision)
-	// was seen — one atomic load per bit, no stores.
-	allSet := t.positions(fp, func(word int, mask uint64) bool {
-		return atomic.LoadUint64(&t.bits[word])&mask != 0
-	})
-	if allSet {
-		return false
+	if novel {
+		t.n++
 	}
-	t.positions(fp, func(word int, mask uint64) bool {
-		for {
-			old := atomic.LoadUint64(&t.bits[word])
-			if old&mask != 0 || atomic.CompareAndSwapUint64(&t.bits[word], old, old|mask) {
-				return true
-			}
-		}
-	})
-	t.n.Add(1)
-	return true
+	return novel
 }
 
 // Visit implements Table. With no depths, expand == novel: a matched
@@ -94,20 +76,12 @@ func (t *Bitstate) Visit(st abstraction.State, depth int) (novel, expand bool) {
 	return novel, novel
 }
 
-// Seed implements Table.
-func (t *Bitstate) Seed(st abstraction.State, depth int) (novel bool) {
-	return t.visitFP(fingerprint(st))
-}
-
 // Len implements Table: distinct inserts observed (collisions fold).
-func (t *Bitstate) Len() int64 { return t.n.Load() }
+func (t *Bitstate) Len() int64 { return t.n }
 
 // Bytes implements Table: the array is the whole footprint, fixed at
 // construction.
 func (t *Bitstate) Bytes() int64 { return int64(len(t.bits)) * 8 }
-
-// EntryBytes implements Table: inserts are free, the array is prepaid.
-func (t *Bitstate) EntryBytes() int64 { return 0 }
 
 // Fidelity implements Table.
 func (t *Bitstate) Fidelity() Fidelity { return FidelityBitstate }
@@ -115,7 +89,7 @@ func (t *Bitstate) Fidelity() Fidelity { return FidelityBitstate }
 // Omission implements Table: the Bloom false-positive rate for the
 // current fill, p = (1-e^(-kn/m))^k.
 func (t *Bitstate) Omission() float64 {
-	n := float64(t.n.Load())
+	n := float64(t.n)
 	if n == 0 {
 		return 0
 	}
@@ -126,10 +100,4 @@ func (t *Bitstate) Omission() float64 {
 // Export implements Table: bit positions cannot be inverted to states.
 func (t *Bitstate) Export() ([]Entry, error) {
 	return nil, ErrNoExport{Mode: FidelityBitstate}
-}
-
-// seedFP replays one fingerprint during migration without counting it
-// as a fresh insert beyond the novel-bit bookkeeping.
-func (t *Bitstate) seedFP(fp uint64) {
-	t.visitFP(fp)
 }

@@ -2,16 +2,9 @@ package visited
 
 import (
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"mcfs/internal/abstraction"
 )
-
-type compactShard struct {
-	mu sync.Mutex
-	m  map[uint64]int32 // guarded by mu; fingerprint -> shallowest depth expanded at
-}
 
 // Compact is Wolper/Leroy hash compaction: each state is reduced to a
 // 64-bit fingerprint, a third of the exact entry's footprint. Two
@@ -20,76 +13,22 @@ type compactShard struct {
 // re-expansion rule but admits omissions at the birthday rate n²/2⁶⁵.
 // The full keys are gone, so Export refuses.
 type Compact struct {
-	shards [tableShards]compactShard
-	count  atomic.Int64
+	m depths[uint64]
 }
 
 // NewCompact returns an empty hash-compaction table.
-func NewCompact() *Compact {
-	t := &Compact{}
-	for i := range t.shards {
-		t.shards[i].m = make(map[uint64]int32)
-	}
-	return t
-}
-
-func (t *Compact) shard(fp uint64) *compactShard {
-	return &t.shards[int(fp)&(tableShards-1)]
-}
-
-// visitFP is the fingerprint-level insert shared by Visit and the
-// exact→compact migration.
-func (t *Compact) visitFP(fp uint64, depth int) (novel, expand bool) {
-	d := int32(depth)
-	sh := t.shard(fp)
-	sh.mu.Lock()
-	prev, seen := sh.m[fp]
-	switch {
-	case !seen:
-		sh.m[fp] = d
-		novel, expand = true, true
-	case prev > d:
-		sh.m[fp] = d
-		expand = true
-	}
-	sh.mu.Unlock()
-	if novel {
-		t.count.Add(1)
-	}
-	return novel, expand
-}
+func NewCompact() *Compact { return &Compact{m: depths[uint64]{}} }
 
 // Visit implements Table.
 func (t *Compact) Visit(st abstraction.State, depth int) (novel, expand bool) {
-	return t.visitFP(fingerprint(st), depth)
-}
-
-// Seed implements Table.
-func (t *Compact) Seed(st abstraction.State, depth int) (novel bool) {
-	fp := fingerprint(st)
-	d := int32(depth)
-	sh := t.shard(fp)
-	sh.mu.Lock()
-	prev, seen := sh.m[fp]
-	if !seen || prev > d {
-		sh.m[fp] = d
-	}
-	sh.mu.Unlock()
-	if !seen {
-		t.count.Add(1)
-		return true
-	}
-	return false
+	return t.m.visit(fingerprint(st), depth)
 }
 
 // Len implements Table.
-func (t *Compact) Len() int64 { return t.count.Load() }
+func (t *Compact) Len() int64 { return int64(len(t.m)) }
 
 // Bytes implements Table.
-func (t *Compact) Bytes() int64 { return t.count.Load() * CompactEntryBytes }
-
-// EntryBytes implements Table.
-func (t *Compact) EntryBytes() int64 { return CompactEntryBytes }
+func (t *Compact) Bytes() int64 { return t.Len() * CompactEntryBytes }
 
 // Fidelity implements Table.
 func (t *Compact) Fidelity() Fidelity { return FidelityCompact }
@@ -97,7 +36,7 @@ func (t *Compact) Fidelity() Fidelity { return FidelityCompact }
 // Omission implements Table: the birthday bound on a 64-bit
 // fingerprint — P(some pair of n states collided) ≈ n²/2⁶⁵.
 func (t *Compact) Omission() float64 {
-	n := float64(t.count.Load())
+	n := float64(len(t.m))
 	p := n * n / math.Exp2(65)
 	if p > 1 {
 		return 1
@@ -108,17 +47,4 @@ func (t *Compact) Omission() float64 {
 // Export implements Table: the full keys were discarded at insert.
 func (t *Compact) Export() ([]Entry, error) {
 	return nil, ErrNoExport{Mode: FidelityCompact}
-}
-
-// rngFP iterates every fingerprint for the compact→bitstate migration
-// (the Set holds its write lock, so the table is quiescent).
-func (t *Compact) rngFP(f func(fp uint64, depth int32)) {
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for fp, depth := range sh.m {
-			f(fp, depth)
-		}
-		sh.mu.Unlock()
-	}
 }

@@ -3,86 +3,48 @@ package visited
 import (
 	"bytes"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"mcfs/internal/abstraction"
 )
 
-type exactShard struct {
-	mu sync.Mutex
-	m  map[abstraction.State]int // guarded by mu; state -> shallowest depth expanded at
+// depths is the one map shape behind Exact and Compact: a key — the
+// abstract state, or its fingerprint — to the shallowest depth the
+// state was expanded at.
+type depths[K comparable] map[K]int32
+
+// visit applies the depth-bounded re-expansion rule: descend when the
+// key is new, or when every earlier expansion was strictly deeper. The
+// shallowest depth is what stays recorded.
+func (m depths[K]) visit(k K, depth int) (novel, expand bool) {
+	prev, seen := m[k]
+	if seen && prev <= int32(depth) {
+		return false, false
+	}
+	m[k] = int32(depth)
+	return !seen, true
 }
 
-// Exact is the full-fidelity table: the sharded state→depth map the
-// engine and swarm always used, now behind the Table interface. It is
-// the only backend that can export a ResumeState and the only one the
+// Exact is the full-fidelity table: abstract state → depth. It is the
+// only backend that can export a ResumeState and the only one the
 // governor can evict from (an evicted exact entry is merely re-expanded
 // if reached again — duplicate work, never lost coverage).
 type Exact struct {
-	shards [tableShards]exactShard
-	count  atomic.Int64
+	m depths[abstraction.State]
 }
 
 // NewExact returns an empty exact table.
-func NewExact() *Exact {
-	t := &Exact{}
-	for i := range t.shards {
-		t.shards[i].m = make(map[abstraction.State]int)
-	}
-	return t
-}
+func NewExact() *Exact { return &Exact{m: depths[abstraction.State]{}} }
 
-func (t *Exact) shard(st abstraction.State) *exactShard {
-	return &t.shards[int(st[0])&(tableShards-1)]
-}
-
-// Visit implements Table: the depth-bounded re-expansion rule (descend
-// when new, or when every earlier expansion was strictly deeper).
+// Visit implements Table.
 func (t *Exact) Visit(st abstraction.State, depth int) (novel, expand bool) {
-	sh := t.shard(st)
-	sh.mu.Lock()
-	prev, seen := sh.m[st]
-	switch {
-	case !seen:
-		sh.m[st] = depth
-		novel, expand = true, true
-	case prev > depth:
-		sh.m[st] = depth
-		expand = true
-	}
-	sh.mu.Unlock()
-	if novel {
-		t.count.Add(1)
-	}
-	return novel, expand
-}
-
-// Seed implements Table: preload prior knowledge, keeping the
-// shallowest depth on duplicates.
-func (t *Exact) Seed(st abstraction.State, depth int) (novel bool) {
-	sh := t.shard(st)
-	sh.mu.Lock()
-	prev, seen := sh.m[st]
-	if !seen || prev > depth {
-		sh.m[st] = depth
-	}
-	sh.mu.Unlock()
-	if !seen {
-		t.count.Add(1)
-		return true
-	}
-	return false
+	return t.m.visit(st, depth)
 }
 
 // Len implements Table.
-func (t *Exact) Len() int64 { return t.count.Load() }
+func (t *Exact) Len() int64 { return int64(len(t.m)) }
 
 // Bytes implements Table.
-func (t *Exact) Bytes() int64 { return t.count.Load() * ExactEntryBytes }
-
-// EntryBytes implements Table.
-func (t *Exact) EntryBytes() int64 { return ExactEntryBytes }
+func (t *Exact) Bytes() int64 { return t.Len() * ExactEntryBytes }
 
 // Fidelity implements Table.
 func (t *Exact) Fidelity() Fidelity { return FidelityExact }
@@ -92,14 +54,9 @@ func (t *Exact) Omission() float64 { return 0 }
 
 // Export implements Table: a byte-ordered snapshot of every entry.
 func (t *Exact) Export() ([]Entry, error) {
-	var out []Entry
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for st, depth := range sh.m {
-			out = append(out, Entry{State: st, Depth: depth})
-		}
-		sh.mu.Unlock()
+	out := make([]Entry, 0, len(t.m))
+	for st, depth := range t.m {
+		out = append(out, Entry{State: st, Depth: int(depth)})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		return bytes.Compare(out[i].State[:], out[j].State[:]) < 0
@@ -107,33 +64,14 @@ func (t *Exact) Export() ([]Entry, error) {
 	return out, nil
 }
 
-// rng iterates every entry. Migration calls it with the table already
-// quiescent (the Set holds its write lock), so per-shard locking is
-// belt and braces.
-func (t *Exact) rng(f func(st abstraction.State, depth int)) {
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for st, depth := range sh.m {
-			f(st, depth)
-		}
-		sh.mu.Unlock()
-	}
-}
-
 // MaxDepth reports the deepest recorded expansion depth (-1 when
 // empty).
 func (t *Exact) MaxDepth() int {
 	max := -1
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for _, depth := range sh.m {
-			if depth > max {
-				max = depth
-			}
+	for _, depth := range t.m {
+		if int(depth) > max {
+			max = int(depth)
 		}
-		sh.mu.Unlock()
 	}
 	return max
 }
@@ -151,19 +89,11 @@ func (t *Exact) EvictDeepest(floor int) (evicted int, depth int) {
 	if deepest <= floor {
 		return 0, -1
 	}
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for st, d := range sh.m {
-			if d == deepest {
-				delete(sh.m, st)
-				evicted++
-			}
+	for st, d := range t.m {
+		if int(d) == deepest {
+			delete(t.m, st)
+			evicted++
 		}
-		sh.mu.Unlock()
-	}
-	if evicted > 0 {
-		t.count.Add(int64(-evicted))
 	}
 	return evicted, deepest
 }

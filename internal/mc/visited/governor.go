@@ -2,13 +2,14 @@ package visited
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"mcfs/internal/memmodel"
 )
 
-// Hooks are the governor's observability callbacks, invoked under the
-// governor's mutex from whichever worker triggered the action.
+// Hooks are the governor's observability callbacks, fixed when it is
+// built. They are invoked from whichever worker triggered the action,
+// under the governor's mutex and after the set's lock is released, so
+// an observer sees the actions in the order they happened.
 type Hooks struct {
 	// OnEvict fires after a depth-layer eviction: n entries at depth
 	// went.
@@ -43,19 +44,22 @@ type GovernorConfig struct {
 // A nil *Governor is valid and does nothing — the engine calls Maybe
 // unconditionally on its hot path.
 type Governor struct {
-	set  *Set
-	mu   sync.Mutex
-	cfg  GovernorConfig // guarded by mu
-	done atomic.Bool    // reached bitstate; no further relief possible
+	set *Set
+	cfg GovernorConfig
 
-	evictRounds int // guarded by mu
-	evictions   atomic.Int64
-	downgrades  atomic.Int64
+	// mu makes a pressure reading, the one action it leads to and that
+	// action's hook one step. It is taken before the set's lock, never
+	// under it.
+	mu          sync.Mutex
+	spent       bool  // guarded by mu; reached bitstate, no further relief possible
+	evictRounds int   // guarded by mu
+	evictions   int64 // guarded by mu; entries evicted
+	downgrades  int64 // guarded by mu
 }
 
-// NewGovernor builds a governor over the set. Call memmodel.SetBudget
-// on each watched model to define the watermarks; Maybe is a no-op for
-// models without a budget.
+// NewGovernor builds a governor over the set and attaches it. Call
+// memmodel.SetBudget on each watched model to define the watermarks;
+// Maybe is a no-op for models without a budget.
 func NewGovernor(s *Set, cfg GovernorConfig) *Governor {
 	if cfg.BitstateBytes <= 0 {
 		cfg.BitstateBytes = DefaultBitstateBytes
@@ -67,19 +71,10 @@ func NewGovernor(s *Set, cfg GovernorConfig) *Governor {
 		cfg.MaxEvictRounds = 8
 	}
 	g := &Governor{set: s, cfg: cfg}
-	s.Govern(g)
+	s.mu.Lock()
+	s.gov = g
+	s.mu.Unlock()
 	return g
-}
-
-// SetHooks installs the observability callbacks (replacing any set at
-// construction). Safe on a nil governor.
-func (g *Governor) SetHooks(h Hooks) {
-	if g == nil {
-		return
-	}
-	g.mu.Lock()
-	g.cfg.Hooks = h
-	g.mu.Unlock()
 }
 
 // Evictions reports entries evicted so far. Safe on a nil governor.
@@ -87,7 +82,9 @@ func (g *Governor) Evictions() int64 {
 	if g == nil {
 		return 0
 	}
-	return g.evictions.Load()
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.evictions
 }
 
 // Downgrades reports fidelity migrations so far. Safe on a nil
@@ -96,42 +93,40 @@ func (g *Governor) Downgrades() int64 {
 	if g == nil {
 		return 0
 	}
-	return g.downgrades.Load()
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.downgrades
 }
 
 // Maybe checks m's pressure and takes at most one degradation action.
-// Called by the engine on every novel visit; must be cheap when idle.
-// m must be the calling worker's own model (Pressure reads
-// owner-goroutine fields). Safe on a nil governor.
+// Called by the engine on every novel visit. m must be the calling
+// worker's own model (Pressure reads owner-goroutine fields). Safe on a
+// nil governor.
 func (g *Governor) Maybe(m *memmodel.Model) {
 	if g == nil {
 		return
 	}
-	if g.done.Load() {
-		return
-	}
-	p := m.Pressure()
-	if p == memmodel.PressureNone {
-		return
-	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	switch {
-	case p == memmodel.PressureSoft:
+	if g.spent {
+		return
+	}
+	switch m.Pressure() {
+	case memmodel.PressureSoft:
 		// Soft: cheap relief only. Evict the exact table's deepest
 		// layer while rounds remain; reduced backends have nothing
 		// evictable.
-		if g.set.Fidelity() != FidelityExact || g.evictRounds >= g.cfg.MaxEvictRounds {
+		if g.evictRounds >= g.cfg.MaxEvictRounds {
 			return
 		}
 		g.evictRounds++
 		if n, depth := g.set.evictDeepest(g.cfg.EvictFloor); n > 0 {
-			g.evictions.Add(int64(n))
+			g.evictions += int64(n)
 			if g.cfg.Hooks.OnEvict != nil {
 				g.cfg.Hooks.OnEvict(n, depth)
 			}
 		}
-	case p == memmodel.PressureHard:
+	case memmodel.PressureHard:
 		g.migrateLocked()
 	}
 }
@@ -144,26 +139,20 @@ func (g *Governor) Relieve(m *memmodel.Model) bool {
 	if g == nil {
 		return false
 	}
-	if g.done.Load() {
-		return false
-	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.migrateLocked()
+	return !g.spent && g.migrateLocked()
 }
 
 // migrateLocked downgrades one level under g.mu, firing hooks and
 // noting terminal bitstate.
 func (g *Governor) migrateLocked() bool {
 	from, to, omission := g.set.migrate(g.cfg.BitstateBytes)
+	g.spent = to == from || to == FidelityBitstate
 	if to == from {
-		g.done.Store(true)
 		return false
 	}
-	g.downgrades.Add(1)
-	if to == FidelityBitstate {
-		g.done.Store(true)
-	}
+	g.downgrades++
 	if g.cfg.Hooks.OnDowngrade != nil {
 		g.cfg.Hooks.OnDowngrade(from, to, omission)
 	}

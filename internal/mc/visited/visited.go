@@ -4,8 +4,8 @@
 // paper's "reduction of memory use" axis):
 //
 //   - exact: the full table — 16-byte abstract state keys with the
-//     shallowest expansion depth, sharded under striped mutexes. No
-//     omissions; supports export for resume and depth-aware eviction.
+//     shallowest expansion depth. No omissions; supports export for
+//     resume and depth-aware eviction.
 //   - compact: Wolper/Leroy hash compaction — a 64-bit fingerprint per
 //     state instead of the full key. Two distinct states colliding on a
 //     fingerprint silently merge; the omission probability follows the
@@ -20,6 +20,11 @@
 // (bitstate derives its k bit positions from the fingerprint alone), so
 // a live exact→compact→bitstate migration preserves membership: a state
 // the exact table knew is never reported novel after a downgrade.
+//
+// A table is plain data. Set puts one behind one mutex, and that is the
+// only synchronisation a run or a swarm's workers need: a visit is a
+// map operation, one per explored op, about a hundredth of what the op
+// costs.
 package visited
 
 import (
@@ -76,25 +81,18 @@ func (e ErrNoExport) Error() string {
 	return fmt.Sprintf("visited: %s table cannot export a resume state (full state keys discarded)", e.Mode)
 }
 
-// Table is one visited-state backend. Implementations are safe for
-// concurrent use by swarm workers.
+// Table is one visited-state backend. Implementations are not
+// synchronised: a Set serialises every access to its table.
 type Table interface {
 	// Visit records that a worker reached st at depth and decides what
 	// the worker should do: novel reports whether no worker had ever
 	// seen st, expand whether to descend (novel, or — where depths are
 	// kept — previously expanded only strictly deeper).
 	Visit(st abstraction.State, depth int) (novel, expand bool)
-	// Seed preloads st at depth as prior knowledge (pruned like any
-	// visited state, not counted as a discovery). Reports whether the
-	// table had not seen st.
-	Seed(st abstraction.State, depth int) (novel bool)
 	// Len is the number of entries (bitstate: distinct inserts observed).
 	Len() int64
 	// Bytes is the table's modeled memory footprint.
 	Bytes() int64
-	// EntryBytes is the footprint charged per novel entry (0 for
-	// fixed-size backends).
-	EntryBytes() int64
 	// Fidelity identifies the backend's matching precision.
 	Fidelity() Fidelity
 	// Omission estimates the probability that at least the average
@@ -141,10 +139,6 @@ const ExactEntryBytes = memmodel.SharedVisitedEntryBytes
 // entry: an 8-byte fingerprint, a 4-byte depth, and reduced bucket
 // overhead.
 const CompactEntryBytes = 16
-
-// tableShards stripes the map-backed tables. Abstract states are MD5
-// hashes, so any byte spreads uniformly.
-const tableShards = 64
 
 // fingerprint folds a 16-byte abstract state to the 64-bit key every
 // backend agrees on. Both halves participate so compaction keeps the

@@ -3,8 +3,8 @@ package memmodel
 import "testing"
 
 // budgetModel builds a model whose footprint is exactly what the test
-// stores or bills: one slot of zero bytes, so the watermark arithmetic
-// has no table term.
+// stores: one slot of zero bytes, so the watermark arithmetic has no
+// table term.
 func budgetModel() *Model {
 	return New(Config{InitialSlots: 1, SlotBytes: 0}, nil)
 }
@@ -99,29 +99,14 @@ func TestFootprintTerms(t *testing.T) {
 	if err := m.Store(1000); err != nil {
 		t.Fatal(err)
 	}
-	m.AddSharedVisited(500)
+	set := table{bytes: 500}
+	m.Watch(&set)
 	if got := m.Footprint(); got != 240+1000+500 {
 		t.Fatalf("footprint = %d, want %d", got, 240+1000+500)
 	}
-	m.AddSharedVisited(-500)
+	set.grow(-500)
 	if got := m.Footprint(); got != 1240 {
-		t.Fatalf("footprint after shared release = %d, want 1240", got)
-	}
-}
-
-// TestDegradationStats checks the visited-degradation counters flow
-// through Stats.
-func TestDegradationStats(t *testing.T) {
-	m := budgetModel()
-	m.NoteVisitedEvictions(7)
-	m.NoteVisitedEvictions(3)
-	m.NoteFidelityDowngrade()
-	s := m.Stats()
-	if s.VisitedEvictions != 10 {
-		t.Errorf("VisitedEvictions = %d, want 10", s.VisitedEvictions)
-	}
-	if s.FidelityDowngrades != 1 {
-		t.Errorf("FidelityDowngrades = %d, want 1", s.FidelityDowngrades)
+		t.Fatalf("footprint after the watched set shrank = %d, want 1240", got)
 	}
 }
 
@@ -132,7 +117,5 @@ func TestNilModelBudget(t *testing.T) {
 	if m.Budget() != 0 || m.Footprint() != 0 || m.Pressure() != PressureNone {
 		t.Fatal("nil model must report zero budget, footprint, pressure")
 	}
-	m.NoteVisitedEvictions(1)
-	m.NoteFidelityDowngrade()
-	m.AddSharedVisited(1)
+	m.Watch(&table{})
 }

@@ -23,7 +23,6 @@
 package memmodel
 
 import (
-	"sync/atomic"
 	"time"
 
 	"mcfs/internal/simclock"
@@ -83,10 +82,10 @@ type Model struct {
 	resizes     int   // number of table resizes so far
 	peakBytes   int64 // high-water mark of the total footprint
 
-	// sharedVisited is the footprint charged by a shared swarm visited
-	// table (visited.Set.AttachMem). Atomic: any worker's discovery
-	// grows every attached model, concurrently with that model's owner.
-	sharedVisited atomic.Int64
+	// visited is the set whose table lives in this RAM (Watch). Its size
+	// is read when a footprint is computed, never billed, so it is the
+	// set's own locking that orders the read with a peer's visit.
+	visited interface{ Bytes() int64 }
 
 	// budget and the watermark fractions define the governor's pressure
 	// levels; zero budget means ungoverned (Pressure always None).
@@ -97,12 +96,6 @@ type Model struct {
 	hardFrac  float64
 	aboveSoft bool
 	softHits  int64
-
-	// visitedEvictions and fidelityDowngrades are governor bookkeeping.
-	// Atomic: the governor acts on behalf of one worker but notes the
-	// action on every attached model.
-	visitedEvictions   atomic.Int64
-	fidelityDowngrades atomic.Int64
 
 	rng uint64
 }
@@ -157,19 +150,38 @@ func (m *Model) rand() float64 {
 // tableBytes is the visited table's current footprint.
 func (m *Model) tableBytes() int64 { return m.slots * m.cfg.SlotBytes }
 
+// Watch tells the model which visited set shares its RAM: from here on
+// the set's current size counts in the footprint and is RAM concrete
+// states cannot have. A swarm's workers each watch the one set they
+// share — one table, every worker's RAM. Safe on a nil model.
+func (m *Model) Watch(set interface{ Bytes() int64 }) {
+	if m == nil {
+		return
+	}
+	m.visited = set
+}
+
+// visitedBytes is the watched set's size right now.
+func (m *Model) visitedBytes() int64 {
+	if m.visited == nil {
+		return 0
+	}
+	return m.visited.Bytes()
+}
+
 // notePeak updates the footprint high-water mark. Called from the
 // owner's mutating paths only (Store, InsertVisited), so the peak —
 // like the rest of the occupancy fields — needs no synchronization.
 func (m *Model) notePeak() {
-	if fp := m.storedBytes + m.tableBytes() + m.sharedVisited.Load(); fp > m.peakBytes {
+	if fp := m.Footprint(); fp > m.peakBytes {
 		m.peakBytes = fp
 	}
 }
 
 // ramAvailable is the RAM left for concrete states after the local
-// visited table and any shared swarm table.
+// visited table and the watched set.
 func (m *Model) ramAvailable() int64 {
-	avail := m.cfg.RAMBytes - m.tableBytes() - m.sharedVisited.Load()
+	avail := m.cfg.RAMBytes - m.tableBytes() - m.visitedBytes()
 	if avail < 0 {
 		return 0
 	}
@@ -205,13 +217,13 @@ func (m *Model) Budget() int64 {
 }
 
 // Footprint is the current total occupancy: stored concrete states,
-// the local visited table, and any shared swarm table. Owner-goroutine,
-// like the occupancy counters it reads.
+// the local visited table, and the watched set. Owner-goroutine, like
+// the occupancy counters it reads.
 func (m *Model) Footprint() int64 {
 	if m == nil {
 		return 0
 	}
-	return m.storedBytes + m.tableBytes() + m.sharedVisited.Load()
+	return m.storedBytes + m.tableBytes() + m.visitedBytes()
 }
 
 // Pressure classifies the footprint against the budget watermarks and
@@ -238,34 +250,6 @@ func (m *Model) Pressure() Pressure {
 		return PressureSoft
 	}
 	return PressureNone
-}
-
-// NoteVisitedEvictions records n visited-table entries evicted under
-// pressure. Safe from any goroutine and on a nil model.
-func (m *Model) NoteVisitedEvictions(n int64) {
-	if m == nil {
-		return
-	}
-	m.visitedEvictions.Add(n)
-}
-
-// NoteFidelityDowngrade records one visited-table fidelity migration.
-// Safe from any goroutine and on a nil model.
-func (m *Model) NoteFidelityDowngrade() {
-	if m == nil {
-		return
-	}
-	m.fidelityDowngrades.Add(1)
-}
-
-// AddSharedVisited charges n bytes of shared visited-table growth.
-// Safe to call from any goroutine — a swarm peer's discovery grows the
-// one table every attached model accounts for.
-func (m *Model) AddSharedVisited(n int64) {
-	if m == nil {
-		return
-	}
-	m.sharedVisited.Add(n)
 }
 
 // Store records a new concrete state of n bytes. Overflowing the RAM
@@ -354,20 +338,14 @@ type Stats struct {
 	Entries     int64
 	Slots       int64
 	Resizes     int
-	// SharedVisitedBytes is the footprint of a shared swarm visited
-	// table this model is attached to (zero outside shared-table swarm
-	// runs). It is charged against the RAM budget like the local table.
+	// SharedVisitedBytes is the current size of the visited set this
+	// model watches (zero when it watches none). It takes RAM from the
+	// concrete states like the local table.
 	SharedVisitedBytes int64
 	// PeakBytes is the high-water mark of the total footprint (stored
-	// states + visited table + shared table), including transient resize
+	// states + visited table + watched set), including transient resize
 	// pressure — the number benchmark trajectories track.
 	PeakBytes int64
-	// VisitedEvictions counts visited-table entries evicted under
-	// memory pressure, and FidelityDowngrades counts visited-table
-	// backend migrations (exact→compact→bitstate) — both zero outside
-	// governed runs.
-	VisitedEvictions   int64
-	FidelityDowngrades int64
 	// SoftWatermarkHits counts upward crossings of the soft budget
 	// watermark (zero without a budget).
 	SoftWatermarkHits int64
@@ -381,10 +359,8 @@ func (m *Model) Stats() Stats {
 		Entries:            m.entries,
 		Slots:              m.slots,
 		Resizes:            m.resizes,
-		SharedVisitedBytes: m.sharedVisited.Load(),
+		SharedVisitedBytes: m.visitedBytes(),
 		PeakBytes:          m.peakBytes,
-		VisitedEvictions:   m.visitedEvictions.Load(),
-		FidelityDowngrades: m.fidelityDowngrades.Load(),
 		SoftWatermarkHits:  m.softHits,
 	}
 }

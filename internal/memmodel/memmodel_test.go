@@ -1,6 +1,7 @@
 package memmodel
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -164,9 +165,30 @@ func TestDefaultConfigMatchesPaperVM(t *testing.T) {
 	}
 }
 
+// table stands in for the watched visited set: a size a peer's
+// goroutine grows while the model's owner reads it.
+type table struct {
+	mu    sync.Mutex
+	bytes int64 // guarded by mu
+}
+
+func (t *table) Bytes() int64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.bytes
+}
+
+func (t *table) grow(n int64) {
+	t.mu.Lock()
+	t.bytes += n
+	t.mu.Unlock()
+}
+
 func TestSharedVisitedAccounting(t *testing.T) {
 	clk := simclock.New()
 	m := New(smallConfig(), clk)
+	var set table
+	m.Watch(&set)
 	// Fill RAM to just under the budget left after the local table.
 	if err := m.Store(1<<20 - m.tableBytes() - 1024); err != nil {
 		t.Fatal(err)
@@ -174,8 +196,8 @@ func TestSharedVisitedAccounting(t *testing.T) {
 	if m.Stats().SwapBytes != 0 {
 		t.Fatal("store spilled before shared pressure was applied")
 	}
-	// A shared swarm table claiming RAM squeezes the stored states out.
-	m.AddSharedVisited(100 * SharedVisitedEntryBytes)
+	// A watched table claiming RAM squeezes the stored states out.
+	set.grow(100 * SharedVisitedEntryBytes)
 	if err := m.Store(1024); err != nil {
 		t.Fatal(err)
 	}
@@ -189,11 +211,11 @@ func TestSharedVisitedAccounting(t *testing.T) {
 
 	// Nil receiver and concurrent growth must both be safe.
 	var nilModel *Model
-	nilModel.AddSharedVisited(64)
+	nilModel.Watch(&set)
 	done := make(chan struct{})
 	go func() {
 		for i := 0; i < 1000; i++ {
-			m.AddSharedVisited(SharedVisitedEntryBytes)
+			set.grow(SharedVisitedEntryBytes)
 		}
 		close(done)
 	}()

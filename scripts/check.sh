@@ -8,9 +8,11 @@
 #   4. go test -race internal/mc + internal/obs     (swarm + hub + event
 #         (includes internal/obs/stream)             stream under the
 #         + internal/tracker + internal/blockdev     race detector; the
-#                                                    trackers and the
+#         + internal/memmodel                        trackers and the
 #                                                    media's undo frames
-#                                                    under their locks)
+#                                                    under their locks; a
+#                                                    model reading a set
+#                                                    its peers write)
 #   5. bench smoke: every benchmark runs once       (catches bit-rotted
 #                                                    benchmarks; includes
 #                                                    the nil-obs and
@@ -73,6 +75,12 @@
 #      a whole image, and the whole-image capture     log; no write, program
 #      API (SetCrashImage/TakeCrashImage) stays       or erase path copies
 #      deleted                                        the device)
+#  16. one-lock guard: non-test internal/mc/visited  (the visited set is
+#      and internal/memmodel import no sync/atomic    one map behind one
+#      and name at most two sync types between        mutex, and a memory
+#      them, and the ledger API (AttachMem,           model reads its size
+#      AddSharedVisited) stays deleted                instead of being
+#                                                    billed for it)
 #
 # Usage: scripts/check.sh   (from the repo root or anywhere inside it)
 set -eu
@@ -88,8 +96,8 @@ go test ./...
 echo "==> go vet ./..."
 go vet ./...
 
-echo "==> go test -race ./internal/mc/... ./internal/obs/... (incl. internal/obs/stream) ./internal/tracker/... ./internal/blockdev/..."
-go test -race ./internal/mc/... ./internal/obs/... ./internal/tracker/... ./internal/blockdev/...
+echo "==> go test -race ./internal/mc/... ./internal/memmodel/... ./internal/obs/... (incl. internal/obs/stream) ./internal/tracker/... ./internal/blockdev/..."
+go test -race ./internal/mc/... ./internal/memmodel/... ./internal/obs/... ./internal/tracker/... ./internal/blockdev/...
 
 echo "==> bench smoke (one iteration per benchmark)"
 go test -bench . -benchtime 1x -run '^$' ./internal/mc/... ./internal/tracker/... ./internal/fuse/...
@@ -242,5 +250,17 @@ for f in internal/blockdev/*.go; do
 done
 if grep -rn 'SetCrashImage\|TakeCrashImage' internal cmd ./*.go; then
 	echo "FAIL: the whole-image crash capture API is back (see above)"; exit 1; fi
+
+echo "==> one-lock guard (the visited set has one lock)"
+onelock=$(ls internal/mc/visited/*.go internal/memmodel/*.go | grep -v '_test\.go$')
+# shellcheck disable=SC2086
+if grep -n '"sync/atomic"' $onelock; then
+	echo "FAIL: sync/atomic in the visited set or the memory model (see above)"; exit 1; fi
+# shellcheck disable=SC2086
+locks=$(cat $onelock | grep -c 'sync\.' || true)
+[ "$locks" -le 2 ] || { grep -n 'sync\.' $onelock
+	echo "FAIL: $locks sync types in the visited set and the memory model, want at most 2 (the set's mutex, the governor's)"; exit 1; }
+if grep -rn 'AddSharedVisited\|AttachMem' internal cmd ./*.go; then
+	echo "FAIL: the visited-set memory ledger is back (see above)"; exit 1; fi
 
 echo "OK: all checks passed"
