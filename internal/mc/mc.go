@@ -70,8 +70,8 @@ type Config struct {
 	MaxStates int64
 	// Seed diversifies the operation ordering (swarm verification).
 	Seed int64
-	// Mem, when set, charges state-store memory costs (swap, hash-table
-	// resizes) to the virtual clock.
+	// Mem, when set, charges state-store memory costs (swap) to the
+	// virtual clock.
 	Mem *memmodel.Model
 	// EqualizeFreeSpace applies the §3.4 capacity workaround before
 	// exploring.
@@ -104,11 +104,11 @@ type Config struct {
 	// one shared across swarm workers (states any worker has expanded are
 	// pruned swarm-wide, and UniqueStates counts only the states this
 	// worker was the first to discover), or one the caller built on a
-	// reduced-fidelity backend or under a memory governor. Mem watches
-	// it for its footprint, and its owner exports
-	// the resume knowledge (ExportResume; Result.Resume stays nil). When
-	// nil, Run explores against a private exact set: a solo run is a
-	// one-worker set.
+	// reduced-fidelity backend or under a memory governor. Its owner
+	// exports the resume knowledge (ExportResume; Result.Resume stays
+	// nil). When nil, Run explores against a private exact set: a solo
+	// run is a one-worker set. Either way Mem watches the set for its
+	// footprint.
 	Visited *visited.Set
 	// Journal, when set, is the flight recorder: every operation the
 	// engine explores (with per-target errnos, the abstract state hash
@@ -421,9 +421,7 @@ type engine struct {
 	probe *probe // nil when no instrumentation plane is attached
 
 	// set is the visited set a search explores against (nil under a
-	// script). A private one Run built (owned) bills its entries through
-	// Mem's slot table, the Figure-3 resize model; a caller's is the set
-	// Mem watches.
+	// script), watched by Mem. owned: Run built it, so Run exports it.
 	set   *visited.Set
 	owned bool
 
@@ -441,7 +439,7 @@ type engine struct {
 	oomed bool // memory model refused a store, no relief possible
 
 	// retained is the concrete-state bytes stored for visited-state
-	// matching against a caller's exact set — released in one step when
+	// matching against an exact set — released in one step when
 	// the governor downgrades it (reduced backends retain no concrete
 	// states; that release is the degradation's memory win).
 	retained int64
@@ -470,9 +468,8 @@ func Run(cfg Config) Result {
 	e.set, e.owned = cfg.Visited, cfg.Visited == nil
 	if e.owned {
 		e.set = visited.NewSet(nil)
-	} else {
-		cfg.Mem.Watch(e.set)
 	}
+	cfg.Mem.Watch(e.set)
 	// Idempotent: swarm peers seed a shared set with the same states.
 	cfg.Resume.SeedInto(e.set)
 	e.src = &search{ops: cfg.Pool.Enumerate(), seed: cfg.Seed, set: e.set, crashSeen: make(map[crashKey]bool)}
@@ -636,7 +633,7 @@ func (e *engine) storeStateCost() int64 {
 	return n
 }
 
-// relieveMem asks the set's governor (none on an owned set) for
+// relieveMem asks the set's governor (none on a set Run built) for
 // emergency relief after a refused store: one fidelity downgrade, plus
 // the release of every concrete state retained for exact matching.
 // Reports whether anything was freed (the caller's next store should
@@ -670,20 +667,12 @@ func (e *engine) fetchStateCost() {
 }
 
 // visitCost charges the memory footprint of recording a newly visited
-// state: a hash-table entry plus the concrete state retained for
-// backtracking (Spin's c_track'd buffers live for the whole run, which is
-// why the paper's long runs eventually spill to swap). A caller's set
-// is watched by Mem, which reads the table's size for itself, so only
-// the concrete-state retention is charged here.
+// state: the concrete state retained for backtracking (Spin's c_track'd
+// buffers live for the whole run, which is why the paper's long runs
+// eventually spill to swap). The table entry is not charged here: Mem
+// watches the set and reads the table's size for itself.
 func (e *engine) visitCost() {
 	if e.cfg.Mem == nil {
-		return
-	}
-	if e.owned {
-		e.cfg.Mem.InsertVisited()
-		if err := e.cfg.Mem.Store(e.stateBytes()); err != nil {
-			e.oomed = true
-		}
 		return
 	}
 	// Give the governor a look before committing more memory; it may

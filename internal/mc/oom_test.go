@@ -25,7 +25,6 @@ func tinyMemConfig() memmodel.Config {
 	cfg := memmodel.DefaultConfig()
 	cfg.RAMBytes = 1 << 20
 	cfg.SwapBytes = 1 << 20
-	cfg.InitialSlots = 1 << 10
 	return cfg
 }
 
@@ -230,7 +229,7 @@ func TestDegradationSchedule(t *testing.T) {
 		report   string
 		schedule []string
 	}{
-		{1 << 20, "ops 624, states 97, elapsed 1.3037681s, bitstate, p 2.67e-12",
+		{1 << 20, "ops 624, states 97, elapsed 1.2931681s, bitstate, p 2.67e-12",
 			[]string{"exact->compact", "compact->bitstate"}},
 		{16 << 20, "ops 2000, states 209, elapsed 3.1824557s, compact, p 9.08e-16",
 			[]string{"evict 22 at depth 3", "evict 3 at depth 2", "evict 1 at depth 3", "exact->compact"}},

@@ -632,11 +632,6 @@ func TestSwarmSharedTableChargedToSessionModels(t *testing.T) {
 			t.Errorf("session %d: SharedVisitedBytes = %d, want %d (= %d states x %d bytes)",
 				i, st.SharedVisitedBytes, want, sr.GlobalUniqueStates, memmodel.SharedVisitedEntryBytes)
 		}
-		// Shared mode must not ALSO grow the local visited table — that
-		// would double-charge RAM for the same entries.
-		if st.Entries != 0 {
-			t.Errorf("session %d: local visited table grew to %d entries in shared mode", i, st.Entries)
-		}
 	}
 }
 

@@ -8,9 +8,8 @@ import (
 	"mcfs/internal/memmodel"
 )
 
-// watched returns a memory model that accounts for set and has no table
-// term of its own, so its footprint is the bytes it stored plus the
-// set's.
+// watched returns a memory model that accounts for set: its footprint
+// is the bytes it stored plus the set's.
 func watched(set *Set) *memmodel.Model {
 	mem := newTestMem()
 	mem.Watch(set)

@@ -6,11 +6,11 @@ import (
 	"mcfs/internal/memmodel"
 )
 
-// newTestMem builds a model with no table term of its own: zero slot
-// bytes, so SetBudget watermarks act on exactly the bytes of the set it
+// newTestMem builds a model that stores nothing unless the test does,
+// so SetBudget watermarks act on exactly the bytes of the set it
 // watches.
 func newTestMem() *memmodel.Model {
-	return memmodel.New(memmodel.Config{InitialSlots: 1, SlotBytes: 0}, nil)
+	return memmodel.New(memmodel.Config{}, nil)
 }
 
 // TestGovernorPressureSchedule drives a deterministic pressure

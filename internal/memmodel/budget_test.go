@@ -3,10 +3,9 @@ package memmodel
 import "testing"
 
 // budgetModel builds a model whose footprint is exactly what the test
-// stores: one slot of zero bytes, so the watermark arithmetic has no
-// table term.
+// stores: it watches no set.
 func budgetModel() *Model {
-	return New(Config{InitialSlots: 1, SlotBytes: 0}, nil)
+	return New(Config{}, nil)
 }
 
 func TestPressureWatermarks(t *testing.T) {
@@ -89,18 +88,19 @@ func TestSoftWatermarkHits(t *testing.T) {
 	}
 }
 
-// TestFootprintTerms checks Footprint sums all three occupancy terms —
-// the quantity the governor's watermarks act on.
+// TestFootprintTerms checks Footprint sums both occupancy terms — the
+// quantity the governor's watermarks act on.
 func TestFootprintTerms(t *testing.T) {
-	m := New(Config{RAMBytes: 1 << 30, InitialSlots: 10, SlotBytes: 24}, nil)
+	m := New(Config{RAMBytes: 1 << 30}, nil)
+	set := table{bytes: 240}
+	m.Watch(&set)
 	if got := m.Footprint(); got != 240 {
 		t.Fatalf("empty footprint = %d, want table-only 240", got)
 	}
 	if err := m.Store(1000); err != nil {
 		t.Fatal(err)
 	}
-	set := table{bytes: 500}
-	m.Watch(&set)
+	set.grow(500)
 	if got := m.Footprint(); got != 240+1000+500 {
 		t.Fatalf("footprint = %d, want %d", got, 240+1000+500)
 	}

@@ -1,6 +1,6 @@
 // Package memmodel simulates the memory hierarchy the model checker's
-// state store lives in: a RAM budget, a swap area, and the visited-state
-// hash table.
+// state store lives in: a RAM budget and a swap area, shared with the
+// visited-state table.
 //
 // The paper's evaluation is dominated by memory behavior: checking Ext4
 // vs XFS consumed 105 GB of swap because XFS's 16 MB concrete states
@@ -15,9 +15,12 @@
 //   - Fetch charges swap-in time with probability proportional to the
 //     fraction of stored bytes living in swap, scaled down by a hotness
 //     factor (recently stored states are likelier to be resident);
-//   - InsertVisited grows the hash table and charges a full rehash pass
-//     whenever the load factor crosses the threshold — the Figure 3
-//     throughput crash.
+//   - Watch names the visited set that lives in the same RAM: its size,
+//     read when needed, is RAM the concrete states cannot have.
+//
+// The hash-table resize behind Figure 3's day-3 throughput crash is not
+// modeled here: RunFigure3 (the mcfs package's experiments.go) is
+// analytic and carries its own slot constants.
 //
 // Randomness is a deterministic internal LCG, so simulations reproduce.
 package memmodel
@@ -31,8 +34,8 @@ import (
 // PageSize is the swap granularity.
 const PageSize = 4096
 
-// SharedVisitedEntryBytes approximates one entry of a shared swarm
-// visited table: a 16-byte abstract-state key, the expansion depth, and
+// SharedVisitedEntryBytes approximates one entry of an exact visited
+// table: a 16-byte abstract-state key, the expansion depth, and
 // hash-map bucket overhead.
 const SharedVisitedEntryBytes = 48
 
@@ -47,26 +50,16 @@ type Config struct {
 	// hypervisor SSD in the paper).
 	SwapOutCost time.Duration
 	SwapInCost  time.Duration
-	// InitialSlots is the visited-table capacity before the first
-	// resize.
-	InitialSlots int64
-	// RehashPerEntry is the CPU cost per entry during a table resize.
-	RehashPerEntry time.Duration
-	// SlotBytes is the memory footprint per visited-table slot.
-	SlotBytes int64
 }
 
 // DefaultConfig mirrors the paper's 64 GB RAM / 128 GB swap VM with
 // SSD-backed swap.
 func DefaultConfig() Config {
 	return Config{
-		RAMBytes:       64 << 30,
-		SwapBytes:      128 << 30,
-		SwapOutCost:    6 * time.Microsecond,
-		SwapInCost:     8 * time.Microsecond,
-		InitialSlots:   1 << 20,
-		RehashPerEntry: 300 * time.Nanosecond,
-		SlotBytes:      24,
+		RAMBytes:    64 << 30,
+		SwapBytes:   128 << 30,
+		SwapOutCost: 6 * time.Microsecond,
+		SwapInCost:  8 * time.Microsecond,
 	}
 }
 
@@ -77,9 +70,6 @@ type Model struct {
 
 	storedBytes int64 // total concrete-state bytes stored
 	swapBytes   int64 // portion of storedBytes living in swap
-	entries     int64 // visited-table entries
-	slots       int64 // visited-table capacity
-	resizes     int   // number of table resizes so far
 	peakBytes   int64 // high-water mark of the total footprint
 
 	// visited is the set whose table lives in this RAM (Watch). Its size
@@ -127,10 +117,7 @@ func (ErrOutOfMemory) Error() string { return "memmodel: RAM and swap exhausted"
 
 // New builds a model charging costs to clock.
 func New(cfg Config, clock *simclock.Clock) *Model {
-	if cfg.InitialSlots <= 0 {
-		cfg.InitialSlots = 1 << 20
-	}
-	return &Model{cfg: cfg, clock: clock, slots: cfg.InitialSlots, rng: 0x9E3779B97F4A7C15}
+	return &Model{cfg: cfg, clock: clock, rng: 0x9E3779B97F4A7C15}
 }
 
 func (m *Model) charge(d time.Duration) {
@@ -146,9 +133,6 @@ func (m *Model) rand() float64 {
 	m.rng ^= m.rng >> 27
 	return float64(m.rng*0x2545F4914F6CDD1D>>11) / float64(1<<53)
 }
-
-// tableBytes is the visited table's current footprint.
-func (m *Model) tableBytes() int64 { return m.slots * m.cfg.SlotBytes }
 
 // Watch tells the model which visited set shares its RAM: from here on
 // the set's current size counts in the footprint and is RAM concrete
@@ -170,18 +154,18 @@ func (m *Model) visitedBytes() int64 {
 }
 
 // notePeak updates the footprint high-water mark. Called from the
-// owner's mutating paths only (Store, InsertVisited), so the peak —
-// like the rest of the occupancy fields — needs no synchronization.
+// owner's Store only, so the peak — like the rest of the occupancy
+// fields — needs no synchronization.
 func (m *Model) notePeak() {
 	if fp := m.Footprint(); fp > m.peakBytes {
 		m.peakBytes = fp
 	}
 }
 
-// ramAvailable is the RAM left for concrete states after the local
-// visited table and the watched set.
+// ramAvailable is the RAM left for concrete states after the watched
+// set.
 func (m *Model) ramAvailable() int64 {
-	avail := m.cfg.RAMBytes - m.tableBytes() - m.visitedBytes()
+	avail := m.cfg.RAMBytes - m.visitedBytes()
 	if avail < 0 {
 		return 0
 	}
@@ -216,14 +200,14 @@ func (m *Model) Budget() int64 {
 	return m.budget
 }
 
-// Footprint is the current total occupancy: stored concrete states,
-// the local visited table, and the watched set. Owner-goroutine, like
-// the occupancy counters it reads.
+// Footprint is the current total occupancy: stored concrete states
+// and the watched set. Owner-goroutine, like the occupancy counters it
+// reads.
 func (m *Model) Footprint() int64 {
 	if m == nil {
 		return 0
 	}
-	return m.storedBytes + m.tableBytes() + m.visitedBytes()
+	return m.storedBytes + m.visitedBytes()
 }
 
 // Pressure classifies the footprint against the budget watermarks and
@@ -306,45 +290,16 @@ func (m *Model) Fetch(n int64, hotness float64) {
 	m.charge(time.Duration(pages) * m.cfg.SwapInCost)
 }
 
-// InsertVisited records one new visited-table entry, resizing (and
-// charging a rehash pass plus a memory spike) when the load factor
-// crosses 3/4 — Spin's hash-table resize, the Figure 3 throughput crash.
-func (m *Model) InsertVisited() {
-	m.entries++
-	defer m.notePeak()
-	if m.entries*4 > m.slots*3 {
-		m.charge(time.Duration(m.entries) * m.cfg.RehashPerEntry)
-		// During the resize both tables exist: transient pressure pushes
-		// states to swap.
-		oldTable := m.tableBytes()
-		m.slots *= 2
-		m.resizes++
-		transient := m.storedBytes + oldTable + m.tableBytes() - m.cfg.RAMBytes
-		if transient > m.swapBytes {
-			pages := (transient - m.swapBytes + PageSize - 1) / PageSize
-			m.charge(time.Duration(pages) * m.cfg.SwapOutCost)
-			m.swapBytes = transient
-			if m.swapBytes > m.storedBytes {
-				m.swapBytes = m.storedBytes
-			}
-		}
-	}
-}
-
 // Stats reports the current occupancy.
 type Stats struct {
 	StoredBytes int64
 	SwapBytes   int64
-	Entries     int64
-	Slots       int64
-	Resizes     int
 	// SharedVisitedBytes is the current size of the visited set this
-	// model watches (zero when it watches none). It takes RAM from the
-	// concrete states like the local table.
+	// model watches (zero when it watches none): RAM the concrete states
+	// cannot have.
 	SharedVisitedBytes int64
 	// PeakBytes is the high-water mark of the total footprint (stored
-	// states + visited table + watched set), including transient resize
-	// pressure — the number benchmark trajectories track.
+	// states + watched set) — the number benchmark trajectories track.
 	PeakBytes int64
 	// SoftWatermarkHits counts upward crossings of the soft budget
 	// watermark (zero without a budget).
@@ -356,9 +311,6 @@ func (m *Model) Stats() Stats {
 	return Stats{
 		StoredBytes:        m.storedBytes,
 		SwapBytes:          m.swapBytes,
-		Entries:            m.entries,
-		Slots:              m.slots,
-		Resizes:            m.resizes,
 		SharedVisitedBytes: m.visitedBytes(),
 		PeakBytes:          m.peakBytes,
 		SoftWatermarkHits:  m.softHits,

@@ -10,13 +10,10 @@ import (
 
 func smallConfig() Config {
 	return Config{
-		RAMBytes:       1 << 20, // 1 MiB
-		SwapBytes:      4 << 20,
-		SwapOutCost:    10 * time.Microsecond,
-		SwapInCost:     12 * time.Microsecond,
-		InitialSlots:   16,
-		RehashPerEntry: time.Microsecond,
-		SlotBytes:      24,
+		RAMBytes:    1 << 20, // 1 MiB
+		SwapBytes:   4 << 20,
+		SwapOutCost: 10 * time.Microsecond,
+		SwapInCost:  12 * time.Microsecond,
 	}
 }
 
@@ -101,43 +98,6 @@ func TestFetchChargesWhenSwapped(t *testing.T) {
 	}
 }
 
-func TestVisitedTableResize(t *testing.T) {
-	clk := simclock.New()
-	m := New(smallConfig(), clk)
-	slots0 := m.Stats().Slots
-	for i := 0; i < 13; i++ { // 13 > 16*3/4
-		m.InsertVisited()
-	}
-	st := m.Stats()
-	if st.Slots <= slots0 {
-		t.Errorf("table did not resize: %d -> %d", slots0, st.Slots)
-	}
-	if st.Resizes == 0 {
-		t.Error("no resize recorded")
-	}
-	if clk.Now() == 0 {
-		t.Error("resize charged no rehash time")
-	}
-}
-
-func TestResizeCausesMemorySpike(t *testing.T) {
-	cfg := smallConfig()
-	cfg.SlotBytes = 4096 // make the table dominate RAM
-	cfg.InitialSlots = 128
-	clk := simclock.New()
-	m := New(cfg, clk)
-	if err := m.Store(400 * 1024); err != nil {
-		t.Fatal(err)
-	}
-	preSwap := m.Stats().SwapBytes
-	for i := 0; i < 100; i++ {
-		m.InsertVisited()
-	}
-	if m.Stats().SwapBytes <= preSwap {
-		t.Error("table growth caused no swap pressure")
-	}
-}
-
 func TestDeterministicRandom(t *testing.T) {
 	run := func() time.Duration {
 		clk := simclock.New()
@@ -189,8 +149,8 @@ func TestSharedVisitedAccounting(t *testing.T) {
 	m := New(smallConfig(), clk)
 	var set table
 	m.Watch(&set)
-	// Fill RAM to just under the budget left after the local table.
-	if err := m.Store(1<<20 - m.tableBytes() - 1024); err != nil {
+	// Fill RAM to just under the budget.
+	if err := m.Store(1<<20 - 1024); err != nil {
 		t.Fatal(err)
 	}
 	if m.Stats().SwapBytes != 0 {
@@ -230,7 +190,9 @@ func TestSharedVisitedAccounting(t *testing.T) {
 }
 
 func TestPeakBytesHighWaterMark(t *testing.T) {
-	m := New(Config{RAMBytes: 1 << 20, InitialSlots: 4, SlotBytes: 24}, nil)
+	m := New(Config{RAMBytes: 1 << 20}, nil)
+	set := table{bytes: 96}
+	m.Watch(&set)
 	if p := m.Stats().PeakBytes; p != 0 {
 		t.Errorf("fresh model peak = %d, want 0", p)
 	}
@@ -238,7 +200,7 @@ func TestPeakBytesHighWaterMark(t *testing.T) {
 		t.Fatal(err)
 	}
 	peak := m.Stats().PeakBytes
-	if want := int64(1000 + 4*24); peak != want {
+	if want := int64(1000 + 96); peak != want {
 		t.Errorf("peak after store = %d, want %d", peak, want)
 	}
 	// Releasing state must not lower the high-water mark.
@@ -249,9 +211,11 @@ func TestPeakBytesHighWaterMark(t *testing.T) {
 	if p := m.Stats().PeakBytes; p != peak {
 		t.Errorf("peak after release+smaller store = %d, want %d", p, peak)
 	}
-	// Table growth raises the footprint past the old mark.
-	for i := 0; i < 50; i++ {
-		m.InsertVisited()
+	// Table growth raises the footprint past the old mark at the next
+	// store.
+	set.grow(50 * SharedVisitedEntryBytes)
+	if err := m.Store(500); err != nil {
+		t.Fatal(err)
 	}
 	if p := m.Stats().PeakBytes; p <= peak {
 		t.Errorf("peak after table growth = %d, want > %d", p, peak)

@@ -426,11 +426,9 @@ func NewSession(opts Options) (*Session, error) {
 		// backtracking are irreducible working set (one per DFS level),
 		// so letting them spill to swap — paying the modeled swap cost —
 		// is the graceful outcome, not death. A hard swap cap belongs to
-		// an explicit Memory config. The initial visited table is small
-		// so tiny budgets are not consumed by empty slots.
+		// an explicit Memory config.
 		memCfg := memmodel.DefaultConfig()
 		memCfg.RAMBytes = opts.MemBudget
-		memCfg.InitialSlots = 1 << 10
 		s.mem = memmodel.New(memCfg, clock)
 	}
 	if opts.MemBudget > 0 {

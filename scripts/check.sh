@@ -78,9 +78,9 @@
 #  16. one-lock guard: non-test internal/mc/visited  (the visited set is
 #      and internal/memmodel import no sync/atomic    one map behind one
 #      and name at most two sync types between        mutex, and a memory
-#      them, and the ledger API (AttachMem,           model reads its size
-#      AddSharedVisited) stays deleted                instead of being
-#                                                    billed for it)
+#      them, and the ledger and the slot table        model reads its size
+#      (AttachMem, AddSharedVisited, InsertVisited,   instead of being
+#      InitialSlots) stay deleted                     billed for it)
 #
 # Usage: scripts/check.sh   (from the repo root or anywhere inside it)
 set -eu
@@ -260,7 +260,7 @@ if grep -n '"sync/atomic"' $onelock; then
 locks=$(cat $onelock | grep -c 'sync\.' || true)
 [ "$locks" -le 2 ] || { grep -n 'sync\.' $onelock
 	echo "FAIL: $locks sync types in the visited set and the memory model, want at most 2 (the set's mutex, the governor's)"; exit 1; }
-if grep -rn 'AddSharedVisited\|AttachMem' internal cmd ./*.go; then
-	echo "FAIL: the visited-set memory ledger is back (see above)"; exit 1; fi
+if grep -rn 'InsertVisited\|AddSharedVisited\|AttachMem\|InitialSlots' internal cmd ./*.go; then
+	echo "FAIL: the visited-set memory ledger or the model's slot table is back (see above)"; exit 1; fi
 
 echo "OK: all checks passed"
