@@ -24,7 +24,8 @@ import (
 	"crypto/md5"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"hash"
+	"slices"
 	"strings"
 
 	"mcfs/internal/errno"
@@ -111,136 +112,155 @@ func (r Record) Summary() string {
 // syscall interface (open/read/stat/getdents, exactly like Algorithm 1)
 // and returns the abstract records sorted by path.
 func Snapshot(k *kernel.Kernel, mountPoint string, opts Options) ([]Record, errno.Errno) {
-	var records []Record
-	var walk func(relPath string) errno.Errno
-	walk = func(relPath string) errno.Errno {
-		full := vfs.JoinPath(mountPoint, relPath)
-		st, e := k.Lstat(full)
+	// The kernel knows mountPoint's clean form: the mount's point plus
+	// what is left of the path inside it.
+	m, rest, e := k.MountAt(mountPoint)
+	if e != errno.OK {
+		return nil, e
+	}
+	w := walker{k: k, opts: opts, mount: m.Point() + rest, md5: md5.New()}
+	if w.mount == "/" {
+		w.mount = "" // so that mount + "/name" is clean under the root too
+	}
+	if e := w.visit(w.mount); e != errno.OK {
+		return nil, e
+	}
+	// The walk is depth-first, which is not path order: "/a.b" sorts
+	// before "/a/b" but is visited after it.
+	slices.SortFunc(w.records, func(x, y Record) int { return strings.Compare(x.Path, y.Path) })
+	return w.records, errno.OK
+}
+
+// walker is one Snapshot in progress. It lives for that one call: nothing
+// it holds outlasts the records it returns.
+type walker struct {
+	k       *kernel.Kernel
+	opts    Options
+	mount   string    // clean mount point, "" for "/"
+	md5     hash.Hash // reused for every file's content
+	records []Record
+}
+
+// visit records the node and, for a directory, everything under it. node
+// is the mount point followed by the mount-relative path, which is "" for
+// the mount's root and "/name[/name...]" below it: one concatenation per
+// node, clean by construction, and the record's path is a slice of it.
+func (w *walker) visit(node string) errno.Errno {
+	full, rel := orRoot(node), orRoot(node[len(w.mount):])
+	st, e := w.k.Lstat(full)
+	if e != errno.OK {
+		return e
+	}
+	rec := Record{Path: rel, Perm: st.Mode.Perm(), UID: st.UID, GID: st.GID}
+	switch {
+	case st.Mode.IsDir():
+		rec.Kind = "dir"
+		entries, e := w.k.GetDents(full)
 		if e != errno.OK {
 			return e
 		}
-		rec := Record{
-			Path: vfs.JoinPath(relPath),
-			Perm: st.Mode.Perm(),
-			UID:  st.UID,
-			GID:  st.GID,
+		names := make([]string, 0, len(entries))
+		for _, de := range entries {
+			if de.Name == "." || de.Name == ".." || w.opts.excepted(de.Name) {
+				continue
+			}
+			names = append(names, de.Name)
 		}
-		switch {
-		case st.Mode.IsDir():
-			rec.Kind = "dir"
-			records = append(records, rec)
-			entries, e := k.GetDents(full)
-			if e != errno.OK {
+		slices.Sort(names) // §3.4: sort getdents output
+		// One growth for the directory and all its entries.
+		w.records = append(slices.Grow(w.records, 1+len(names)), rec)
+		for _, name := range names {
+			if e := w.visit(node + "/" + name); e != errno.OK {
 				return e
 			}
-			names := make([]string, 0, len(entries))
-			for _, de := range entries {
-				if de.Name == "." || de.Name == ".." || opts.excepted(de.Name) {
-					continue
-				}
-				names = append(names, de.Name)
-			}
-			sort.Strings(names) // §3.4: sort getdents output
-			for _, name := range names {
-				if e := walk(relPath + "/" + name); e != errno.OK {
-					return e
-				}
-			}
-		case st.Mode.IsSymlink():
-			rec.Kind = "symlink"
-			target, e := k.Readlink(full)
-			if e != errno.OK {
-				return e
-			}
-			rec.Target = target
-			rec.Size = st.Size
-			records = append(records, rec)
-		default:
-			rec.Kind = "file"
-			rec.Size = st.Size
-			rec.Nlink = st.Nlink
-			if !opts.IgnoreContent {
-				sum, e := hashFileContent(k, full)
-				if e != errno.OK {
-					return e
-				}
-				rec.ContentMD5 = sum
-			}
-			records = append(records, rec)
 		}
-		return errno.OK
+	case st.Mode.IsSymlink():
+		rec.Kind = "symlink"
+		target, e := w.k.Readlink(full)
+		if e != errno.OK {
+			return e
+		}
+		rec.Target = target
+		rec.Size = st.Size
+		w.records = append(w.records, rec)
+	default:
+		rec.Kind = "file"
+		rec.Size = st.Size
+		rec.Nlink = st.Nlink
+		w.records = append(w.records, rec)
+		if !w.opts.IgnoreContent {
+			// Summed into the stored record: a local handed to the hash
+			// interface would be moved to the heap first.
+			return w.hashFileContent(full, &w.records[len(w.records)-1].ContentMD5)
+		}
 	}
-	if e := walk("/"); e != errno.OK {
-		return nil, e
+	return errno.OK
+}
+
+// orRoot spells the empty path "/".
+func orRoot(p string) string {
+	if p == "" {
+		return "/"
 	}
-	sort.Slice(records, func(i, j int) bool { return records[i].Path < records[j].Path })
-	return records, errno.OK
+	return p
 }
 
 // hashFileContent opens, fully reads, and closes the file, hashing its
-// content (Algorithm 1, lines 7-10).
-func hashFileContent(k *kernel.Kernel, path string) ([md5.Size]byte, errno.Errno) {
-	var zero [md5.Size]byte
-	fd, e := k.Open(path, vfs.ORdOnly, 0)
+// content into sum (Algorithm 1, lines 7-10).
+func (w *walker) hashFileContent(path string, sum *[md5.Size]byte) errno.Errno {
+	fd, e := w.k.Open(path, vfs.ORdOnly, 0)
 	if e != errno.OK {
-		return zero, e
+		return e
 	}
-	defer k.Close(fd)
-	h := md5.New()
+	defer w.k.Close(fd)
+	w.md5.Reset()
 	const chunk = 64 * 1024
 	for {
-		data, e := k.ReadFD(fd, chunk)
+		data, e := w.k.ReadFD(fd, chunk)
 		if e != errno.OK {
-			return zero, e
+			return e
 		}
 		if len(data) == 0 {
 			break
 		}
-		h.Write(data)
+		w.md5.Write(data)
 	}
-	var sum [md5.Size]byte
-	copy(sum[:], h.Sum(nil))
-	return sum, errno.OK
+	w.md5.Sum(sum[:0])
+	return errno.OK
 }
 
 // HashRecords folds a sorted record list into the 128-bit abstract state
 // (Algorithm 1, lines 6-15).
 func HashRecords(records []Record, opts Options) State {
 	h := md5.New()
-	var buf [8]byte
-	put32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(buf[:4], v)
-		h.Write(buf[:4])
-	}
-	put64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	for _, r := range records {
-		h.Write([]byte(r.Path))
-		h.Write([]byte{0})
-		h.Write([]byte(r.Kind))
-		put32(uint32(r.Perm))
+	buf := make([]byte, 0, 128) // one record's serialisation, reused for the next
+	for i := range records {
+		r := &records[i]
+		buf = append(buf[:0], r.Path...)
+		buf = append(buf, 0)
+		buf = append(buf, r.Kind...)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.Perm))
 		if opts.IncludeOwnership {
-			put32(r.UID)
-			put32(r.GID)
+			buf = binary.LittleEndian.AppendUint32(buf, r.UID)
+			buf = binary.LittleEndian.AppendUint32(buf, r.GID)
 		}
 		switch r.Kind {
 		case "file":
-			put64(uint64(r.Size))
-			put32(r.Nlink)
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Size))
+			buf = binary.LittleEndian.AppendUint32(buf, r.Nlink)
 			if !opts.IgnoreContent {
-				h.Write(r.ContentMD5[:])
+				buf = append(buf, r.ContentMD5[:]...)
 			}
 		case "symlink":
-			h.Write([]byte(r.Target))
-			h.Write([]byte{0})
+			buf = append(buf, r.Target...)
+			buf = append(buf, 0)
 		case "dir":
 			// Directory sizes and link counts are ignored (§3.4).
 		}
+		h.Write(buf)
 	}
 	var s State
-	copy(s[:], h.Sum(nil))
+	h.Sum(s[:0])
 	return s
 }
 
@@ -268,7 +288,7 @@ func Diff(a, b []Record, opts Options) []string {
 			out = append(out, fmt.Sprintf("only in second: %s", b[j].Summary()))
 			j++
 		default:
-			if d := recordDiff(a[i], b[j], opts); d != "" {
+			if d := recordDiff(&a[i], &b[j], opts); d != "" {
 				out = append(out, d)
 			}
 			i++
@@ -284,7 +304,7 @@ func Diff(a, b []Record, opts Options) []string {
 	return out
 }
 
-func recordDiff(x, y Record, opts Options) string {
+func recordDiff(x, y *Record, opts Options) string {
 	var diffs []string
 	if x.Kind != y.Kind {
 		diffs = append(diffs, fmt.Sprintf("kind %s vs %s", x.Kind, y.Kind))

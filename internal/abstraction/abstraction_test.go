@@ -13,7 +13,7 @@ import (
 	"mcfs/internal/vfs"
 )
 
-func kernelWithVeriFS2(t *testing.T, point string) *kernel.Kernel {
+func kernelWithVeriFS2(t testing.TB, point string) *kernel.Kernel {
 	t.Helper()
 	clk := simclock.New()
 	k := kernel.New(clk)
@@ -27,7 +27,7 @@ func kernelWithVeriFS2(t *testing.T, point string) *kernel.Kernel {
 	return k
 }
 
-func writeFile(t *testing.T, k *kernel.Kernel, path, content string) {
+func writeFile(t testing.TB, k *kernel.Kernel, path, content string) {
 	t.Helper()
 	fd, e := k.Open(path, vfs.OCreate|vfs.OWrOnly, 0644)
 	if e != errno.OK {

@@ -22,7 +22,7 @@ package kernel
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -134,7 +134,7 @@ type openFile struct {
 // kernel with every file system under test mounted side by side.
 type Kernel struct {
 	clock  *simclock.Clock
-	mounts map[string]*Mount
+	mounts []*Mount // sorted by mount point; a handful at most
 	fds    map[FD]*openFile
 	nextFD FD
 
@@ -155,7 +155,6 @@ type Kernel struct {
 func New(clock *simclock.Clock) *Kernel {
 	return &Kernel{
 		clock:  clock,
-		mounts: make(map[string]*Mount),
 		fds:    make(map[FD]*openFile),
 		nextFD: 3, // 0,1,2 taken, as ever
 	}
@@ -206,7 +205,8 @@ type MountOptions struct {
 // Mount attaches a file system at the given mount point.
 func (k *Kernel) Mount(point string, spec FilesystemSpec, opts MountOptions) error {
 	point = vfs.JoinPath(point)
-	if _, ok := k.mounts[point]; ok {
+	at, ok := k.mountIndex(point)
+	if ok {
 		return fmt.Errorf("kernel: %s already mounted", point)
 	}
 	fs, err := spec.Mounter()
@@ -225,17 +225,34 @@ func (k *Kernel) Mount(point string, spec FilesystemSpec, opts MountOptions) err
 	if b, ok := fs.(InvalidatorBinder); ok {
 		b.BindCacheInvalidator(mountInvalidator{m})
 	}
-	k.mounts[point] = m
+	k.mounts = slices.Insert(k.mounts, at, m)
 	return nil
+}
+
+// mountIndex finds the mount at exactly point (a clean path), or the
+// index at which a mount there would keep the table sorted.
+func (k *Kernel) mountIndex(point string) (int, bool) {
+	return slices.BinarySearchFunc(k.mounts, point, func(m *Mount, point string) int {
+		return strings.Compare(m.point, point)
+	})
+}
+
+// mountedAt returns the mount at exactly point.
+func (k *Kernel) mountedAt(point string) (*Mount, error) {
+	point = vfs.JoinPath(point)
+	i, ok := k.mountIndex(point)
+	if !ok {
+		return nil, fmt.Errorf("kernel: %s not mounted", point)
+	}
+	return k.mounts[i], nil
 }
 
 // Unmount detaches the file system at point, flushing it first. It fails
 // with EBUSY while any file descriptor on the mount is open.
 func (k *Kernel) Unmount(point string) error {
-	point = vfs.JoinPath(point)
-	m, ok := k.mounts[point]
-	if !ok {
-		return fmt.Errorf("kernel: %s not mounted", point)
+	m, err := k.mountedAt(point)
+	if err != nil {
+		return err
 	}
 	for _, of := range k.fds {
 		if of.mount == m {
@@ -247,8 +264,12 @@ func (k *Kernel) Unmount(point string) error {
 			return err
 		}
 	}
-	delete(k.mounts, point)
+	k.dropMount(m)
 	return nil
+}
+
+func (k *Kernel) dropMount(m *Mount) {
+	k.mounts = slices.DeleteFunc(k.mounts, func(x *Mount) bool { return x == m })
 }
 
 // Remount unmounts and immediately remounts a file system, rebuilding all
@@ -265,10 +286,9 @@ func (k *Kernel) Remount(point string) error {
 }
 
 func (k *Kernel) remount(point string) error {
-	point = vfs.JoinPath(point)
-	m, ok := k.mounts[point]
-	if !ok {
-		return fmt.Errorf("kernel: %s not mounted", point)
+	m, err := k.mountedAt(point)
+	if err != nil {
+		return err
 	}
 	spec := m.spec
 	opts := MountOptions{Sync: m.sync}
@@ -288,10 +308,9 @@ func (k *Kernel) remount(point string) error {
 // mount failure leaves the mount point empty — recovery failed.
 func (k *Kernel) CrashRemount(point string, powerCut func() error) error {
 	defer k.begin("crash-remount").End()
-	point = vfs.JoinPath(point)
-	m, ok := k.mounts[point]
-	if !ok {
-		return fmt.Errorf("kernel: %s not mounted", point)
+	m, err := k.mountedAt(point)
+	if err != nil {
+		return err
 	}
 	for fd, of := range k.fds {
 		if of.mount == m {
@@ -300,51 +319,49 @@ func (k *Kernel) CrashRemount(point string, powerCut func() error) error {
 	}
 	spec := m.spec
 	opts := MountOptions{Sync: m.sync}
-	delete(k.mounts, point)
+	k.dropMount(m)
 	if powerCut != nil {
 		if err := powerCut(); err != nil {
-			return fmt.Errorf("kernel: power cut at %s: %w", point, err)
+			return fmt.Errorf("kernel: power cut at %s: %w", m.point, err)
 		}
 	}
-	return k.Mount(point, spec, opts)
+	return k.Mount(m.point, spec, opts)
 }
 
-// MountAt returns the mount whose point prefixes path, along with the
-// path remainder inside the mount.
+// MountAt returns the mount whose point is the longest one prefixing
+// path, along with the path remainder inside the mount.
 func (k *Kernel) MountAt(path string) (*Mount, string, errno.Errno) {
 	path = vfs.JoinPath(path)
-	best := ""
-	for point := range k.mounts {
-		if point == "/" || path == point || strings.HasPrefix(path, point+"/") {
-			if len(point) > len(best) {
-				best = point
-			}
+	var best *Mount
+	for _, m := range k.mounts {
+		// A point prefixes path when path continues with a slash or ends
+		// there; "/" prefixes everything.
+		if !strings.HasPrefix(path, m.point) {
+			continue
+		}
+		if n := len(m.point); n > 1 && n < len(path) && path[n] != '/' {
+			continue
+		}
+		if best == nil || len(m.point) > len(best.point) {
+			best = m
 		}
 	}
-	if best == "" {
+	if best == nil {
 		return nil, "", errno.ENOENT
 	}
-	rest := strings.TrimPrefix(path, best)
-	return k.mounts[best], rest, errno.OK
+	return best, path[len(best.point):], errno.OK
 }
 
 // Mounts lists the current mounts sorted by mount point.
-func (k *Kernel) Mounts() []*Mount {
-	out := make([]*Mount, 0, len(k.mounts))
-	for _, m := range k.mounts {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].point < out[j].point })
-	return out
-}
+func (k *Kernel) Mounts() []*Mount { return slices.Clone(k.mounts) }
 
 // Invalidator returns the cache invalidator for a mount point, used by
 // trackers that restore FS state behind the kernel's back and then
 // (correctly) flush the caches.
 func (k *Kernel) Invalidator(point string) (CacheInvalidator, error) {
-	m, ok := k.mounts[vfs.JoinPath(point)]
-	if !ok {
-		return nil, fmt.Errorf("kernel: %s not mounted", point)
+	m, err := k.mountedAt(point)
+	if err != nil {
+		return nil, err
 	}
 	return mountInvalidator{m}, nil
 }
@@ -435,28 +452,24 @@ func (k *Kernel) resolve(path string, followLast bool) (resolved, errno.Errno) {
 	if e != errno.OK {
 		return resolved{}, e
 	}
-	return k.walk(m, rest, followLast, 0)
+	return k.walk(m, m.fs.Root(), rest, followLast, 0)
 }
 
-// walk resolves rest from the mount root; symlink targets starting with
-// "/" are interpreted relative to the mount root (mounts are checked in
-// isolation, so a mount is its own universe).
-func (k *Kernel) walk(m *Mount, rest string, followLast bool, depth int) (resolved, errno.Errno) {
-	return k.walkFrom(m, m.fs.Root(), rest, followLast, depth)
-}
-
-// walkFrom walks rest starting at directory start instead of the root.
-func (k *Kernel) walkFrom(m *Mount, start vfs.Ino, rest string, followLast bool, depth int) (resolved, errno.Errno) {
+// walk resolves rest inside m starting at directory cur. It consumes rest
+// one component at a time, the way the VFS hands a file system one name
+// per lookup: nothing is split up front, and a symlink's tail is simply
+// what is left unconsumed.
+func (k *Kernel) walk(m *Mount, cur vfs.Ino, rest string, followLast bool, depth int) (resolved, errno.Errno) {
 	if depth > MaxSymlinkDepth {
 		return resolved{}, errno.ELOOP
 	}
-	parts := vfs.SplitPath(rest)
-	cur := start
-	if len(parts) == 0 {
+	comp, rest := vfs.NextComponent(rest)
+	if comp == "" {
 		return resolved{mount: m, ino: cur, parent: cur, name: "", exists: true}, errno.OK
 	}
-	for i, comp := range parts {
-		last := i == len(parts)-1
+	for {
+		next, after := vfs.NextComponent(rest)
+		last := next == ""
 		st, e := m.getattrCached(cur)
 		if e != errno.OK {
 			return resolved{}, e
@@ -487,18 +500,24 @@ func (k *Kernel) walkFrom(m *Mount, start vfs.Ino, rest string, followLast bool,
 			if e2 != errno.OK {
 				return resolved{}, e2
 			}
-			tail := strings.Join(parts[i+1:], "/")
+			// A target starting with "/" is relative to the mount root:
+			// mounts are checked in isolation, so a mount is its own
+			// universe.
+			from := cur
 			if strings.HasPrefix(target, "/") {
-				return k.walk(m, vfs.JoinPath(target, tail), followLast, depth+1)
+				from = m.fs.Root()
 			}
-			return k.walkFrom(m, cur, vfs.JoinPath(target, tail), followLast, depth+1)
+			if !last {
+				target += rest // rest begins with the slash that ended comp
+			}
+			return k.walk(m, from, target, followLast, depth+1)
 		}
 		if last {
 			return resolved{mount: m, ino: ino, parent: cur, name: comp, exists: true}, errno.OK
 		}
 		cur = ino
+		comp, rest = next, after
 	}
-	return resolved{}, errno.EIO
 }
 
 // syncIfNeeded flushes the mount when it was mounted with -o sync. The

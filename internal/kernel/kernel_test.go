@@ -13,7 +13,7 @@ import (
 )
 
 // newKernelWithVeriFS2 mounts a fresh VeriFS2 at /mnt.
-func newKernelWithVeriFS2(t *testing.T) (*Kernel, *verifs2.FS) {
+func newKernelWithVeriFS2(t testing.TB) (*Kernel, *verifs2.FS) {
 	t.Helper()
 	clk := simclock.New()
 	k := New(clk)

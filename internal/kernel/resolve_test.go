@@ -219,3 +219,63 @@ func TestResolveCallTrace(t *testing.T) {
 		}
 	}
 }
+
+// newResolveTree mounts a plain VeriFS2 at /mnt holding /a/b/c and an
+// absolute symlink /abs -> /a.
+func newResolveTree(tb testing.TB) *Kernel {
+	tb.Helper()
+	k, _ := newKernelWithVeriFS2(tb)
+	for _, e := range []errno.Errno{
+		k.Mkdir("/mnt/a", 0755),
+		k.Mkdir("/mnt/a/b", 0755),
+		k.Mkdir("/mnt/a/b/c", 0755),
+		k.Symlink("/a", "/mnt/abs"),
+	} {
+		if e != errno.OK {
+			tb.Fatal(e)
+		}
+	}
+	return k
+}
+
+// TestResolveAllocatesNothing is the budget that keeps path parsing out
+// of name resolution: on warm caches a clean path is walked in place.
+func TestResolveAllocatesNothing(t *testing.T) {
+	k := newResolveTree(t)
+	const path = "/mnt/a/b/c"
+	calls := map[string]func(){
+		"Stat":    func() { k.Stat(path) },
+		"Lstat":   func() { k.Lstat(path) },
+		"Access":  func() { k.Access(path) },
+		"MountAt": func() { k.MountAt(path) },
+	}
+	for name, call := range calls {
+		if n := testing.AllocsPerRun(100, call); n != 0 {
+			t.Errorf("%s(%q) allocates %v times per call on warm caches, want 0", name, path, n)
+		}
+	}
+}
+
+// BenchmarkResolve times one stat(2) of a three-component path: on warm
+// caches, on caches a restore just invalidated, and through a symlink.
+func BenchmarkResolve(b *testing.B) {
+	k := newResolveTree(b)
+	inv, err := k.Invalidator("/mnt")
+	if err != nil {
+		b.Fatal(err)
+	}
+	stat := func(b *testing.B, path string, cold bool) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if cold {
+				inv.InvalAll()
+			}
+			if _, e := k.Stat(path); e != errno.OK {
+				b.Fatal(e)
+			}
+		}
+	}
+	b.Run("warm", func(b *testing.B) { stat(b, "/mnt/a/b/c", false) })
+	b.Run("cold", func(b *testing.B) { stat(b, "/mnt/a/b/c", true) })
+	b.Run("symlink", func(b *testing.B) { stat(b, "/mnt/abs/b/c", false) })
+}

@@ -1,6 +1,7 @@
 package vfs
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -23,15 +24,18 @@ func refJoin(parts ...string) string {
 	return "/" + strings.Join(refSplit(strings.Join(parts, "/")), "/")
 }
 
-// FuzzJoinPath holds JoinPath to its reference and to the two laws its
-// callers lean on: cleaning is idempotent, and joining onto a path is
-// joining onto its clean form.
+// FuzzJoinPath holds NextComponent and JoinPath to their references, and
+// JoinPath to the two laws its callers lean on: cleaning is idempotent,
+// and joining onto a path is joining onto its clean form.
 func FuzzJoinPath(f *testing.F) {
 	seeds := []string{"", "/", "//a//b/", "/./a/./", "a/b", "/a/../b", "/a/.", ".", "..", "/.hidden", "/a.b/c."}
 	for i, s := range seeds {
 		f.Add(s, seeds[(i+1)%len(seeds)])
 	}
 	f.Fuzz(func(t *testing.T, a, b string) {
+		if got, want := components(a), refSplit(a); !slices.Equal(got, want) {
+			t.Fatalf("iterating NextComponent over %q yields %q, reference %q", a, got, want)
+		}
 		clean := JoinPath(a)
 		if want := refJoin(a); clean != want {
 			t.Fatalf("JoinPath(%q) = %q, reference %q", a, clean, want)

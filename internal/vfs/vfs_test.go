@@ -1,6 +1,7 @@
 package vfs
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -65,6 +66,15 @@ func TestValidName(t *testing.T) {
 	}
 }
 
+// components collects what iterating NextComponent over p yields.
+func components(p string) []string {
+	var out []string
+	for comp, rest := NextComponent(p); comp != ""; comp, rest = NextComponent(rest) {
+		out = append(out, comp)
+	}
+	return out
+}
+
 func TestSplitPath(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -79,36 +89,13 @@ func TestSplitPath(t *testing.T) {
 		{"rel/path", []string{"rel", "path"}},
 	}
 	for _, c := range cases {
-		got := SplitPath(c.in)
-		if len(got) != len(c.want) {
-			t.Errorf("SplitPath(%q) = %v, want %v", c.in, got, c.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("SplitPath(%q) = %v, want %v", c.in, got, c.want)
-				break
-			}
+		if got := components(c.in); !slices.Equal(got, c.want) {
+			t.Errorf("components of %q = %v, want %v", c.in, got, c.want)
 		}
 	}
 }
 
 func TestBaseDirJoin(t *testing.T) {
-	if got := BaseName("/a/b/c"); got != "c" {
-		t.Errorf("BaseName = %q", got)
-	}
-	if got := BaseName("/"); got != "" {
-		t.Errorf("BaseName(/) = %q", got)
-	}
-	if got := DirPath("/a/b/c"); got != "/a/b" {
-		t.Errorf("DirPath = %q", got)
-	}
-	if got := DirPath("/a"); got != "/" {
-		t.Errorf("DirPath(/a) = %q", got)
-	}
-	if got := DirPath("/"); got != "/" {
-		t.Errorf("DirPath(/) = %q", got)
-	}
 	if got := JoinPath("a", "b/c", "d"); got != "/a/b/c/d" {
 		t.Errorf("JoinPath = %q", got)
 	}

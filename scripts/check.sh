@@ -8,20 +8,24 @@
 #   4. go test -race internal/mc + internal/obs     (swarm + hub + event
 #         (includes internal/obs/stream)             stream under the
 #         + internal/tracker + internal/blockdev     race detector; the
-#         + internal/memmodel                        trackers and the
-#                                                    media's undo frames
-#                                                    under their locks; a
+#         + internal/memmodel + internal/kernel      trackers and the
+#         + internal/abstraction + internal/checker  media's undo frames
+#         + internal/vfs                             under their locks; a
 #                                                    model reading a set
-#                                                    its peers write)
+#                                                    its peers write; the
+#                                                    path walk every swarm
+#                                                    worker runs)
 #   5. bench smoke: every benchmark runs once       (catches bit-rotted
 #                                                    benchmarks; includes
 #                                                    the nil-obs and
 #                                                    swarm shared-vs-
-#                                                    independent pairs and
+#                                                    independent pairs,
 #                                                    the per-tracker
 #                                                    checkpoint+restore
-#                                                    cycle and the FUSE
-#                                                    round trip)
+#                                                    cycle, the FUSE
+#                                                    round trip, name
+#                                                    resolution and the
+#                                                    abstraction walk)
 #   6. replay-determinism smoke: a seeded-bug run   (flight recorder end
 #      writes a repro bundle, mcfs replay must       to end: journal ->
 #      reproduce it, mcfs shrink must minimize it;   bundle -> replay ->
@@ -81,6 +85,12 @@
 #      them, and the ledger and the slot table        model reads its size
 #      (AttachMem, AddSharedVisited, InsertVisited,   instead of being
 #      InitialSlots) stay deleted                     billed for it)
+#  17. parse guard: no strings.Split in non-test     (a path is consumed a
+#      internal/vfs, internal/kernel and              component at a time
+#      internal/abstraction, no strings.Join in the   under every syscall,
+#      first two, no JoinPath in the abstraction      and the abstraction
+#      walk, SplitPath/BaseName/DirPath stay          walk builds paths
+#      deleted; plus a 10 s FuzzJoinPath smoke        that need no cleaning)
 #
 # Usage: scripts/check.sh   (from the repo root or anywhere inside it)
 set -eu
@@ -96,11 +106,13 @@ go test ./...
 echo "==> go vet ./..."
 go vet ./...
 
-echo "==> go test -race ./internal/mc/... ./internal/memmodel/... ./internal/obs/... (incl. internal/obs/stream) ./internal/tracker/... ./internal/blockdev/..."
-go test -race ./internal/mc/... ./internal/memmodel/... ./internal/obs/... ./internal/tracker/... ./internal/blockdev/...
+echo "==> go test -race ./internal/mc/... ./internal/memmodel/... ./internal/obs/... (incl. internal/obs/stream) ./internal/tracker/... ./internal/blockdev/... ./internal/kernel/... ./internal/abstraction/... ./internal/checker/... ./internal/vfs/..."
+go test -race ./internal/mc/... ./internal/memmodel/... ./internal/obs/... ./internal/tracker/... ./internal/blockdev/... \
+	./internal/kernel/... ./internal/abstraction/... ./internal/checker/... ./internal/vfs/...
 
 echo "==> bench smoke (one iteration per benchmark)"
-go test -bench . -benchtime 1x -run '^$' ./internal/mc/... ./internal/tracker/... ./internal/fuse/...
+go test -bench . -benchtime 1x -run '^$' ./internal/mc/... ./internal/tracker/... ./internal/fuse/... \
+	./internal/kernel/... ./internal/abstraction/...
 
 echo "==> replay-determinism smoke (run -> bundle -> replay -> shrink)"
 # go run remaps the child's exit code, so build the real binary.
@@ -262,5 +274,21 @@ locks=$(cat $onelock | grep -c 'sync\.' || true)
 	echo "FAIL: $locks sync types in the visited set and the memory model, want at most 2 (the set's mutex, the governor's)"; exit 1; }
 if grep -rn 'InsertVisited\|AddSharedVisited\|AttachMem\|InitialSlots' internal cmd ./*.go; then
 	echo "FAIL: the visited-set memory ledger or the model's slot table is back (see above)"; exit 1; fi
+
+echo "==> parse guard (a path is consumed in place, never split and re-joined)"
+parsed=$(ls internal/vfs/*.go internal/kernel/*.go internal/abstraction/*.go | grep -v '_test\.go$')
+# shellcheck disable=SC2086
+if grep -n 'strings\.Split' $parsed; then
+	echo "FAIL: strings.Split on the path-resolution or abstraction path (see above)"; exit 1; fi
+# recordDiff's strings.Join renders a report and stays, so abstraction is
+# not in this one.
+if echo "$parsed" | grep -v '^internal/abstraction/' | xargs grep -n 'strings\.Join'; then
+	echo "FAIL: strings.Join in internal/vfs or internal/kernel (see above)"; exit 1; fi
+if grep -n 'JoinPath' internal/abstraction/abstraction.go; then
+	echo "FAIL: the abstraction walk cleans a path it built itself (see above)"; exit 1; fi
+if grep -rn 'SplitPath\|BaseName\|DirPath' --include='*.go' internal cmd benchmark ./*.go |
+	grep -v '_test\.go:'; then
+	echo "FAIL: a deleted path helper is back outside the tests (see above)"; exit 1; fi
+go test -run '^$' -fuzz '^FuzzJoinPath$' -fuzztime 10s ./internal/vfs
 
 echo "OK: all checks passed"
