@@ -29,6 +29,13 @@ func newVolume(t *testing.T) (*FS, *blockdev.MTD, *simclock.Clock) {
 	return f, mtd, clk
 }
 
+// newMountPath returns the one mount path a test keeps for the life of
+// an MTD, the way a session keeps one mount closure per target: every
+// call mounts mtd again through it.
+func newMountPath(mtd *blockdev.MTD, clk *simclock.Clock) func() (*FS, error) {
+	return func() (*FS, error) { return Mount(mtd, clk) }
+}
+
 func mustCreate(t *testing.T, f *FS, parent vfs.Ino, name string) vfs.Ino {
 	t.Helper()
 	ino, e := f.Create(parent, name, 0644, 0, 0)

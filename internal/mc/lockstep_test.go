@@ -5,14 +5,18 @@
 // explorations, crash probes included; and the crash oracle's recovery
 // session (one armed execution, crash images as the probe frame plus a
 // prefix of the write log) runs beside full images rebuilt at every power
-// cut, and then beside its reference flow (one execution per point).
+// cut, and then beside its reference flow (one execution per point);
+// and every kernel mount of a jffs2 target runs beside a first mount of a
+// fresh flash holding a copy of the bytes.
 // Test-only: production has no such mode.
 package mc_test
 
 import (
 	"bytes"
+	"crypto/md5"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mcfs"
@@ -20,9 +24,11 @@ import (
 	"mcfs/internal/blockdev"
 	"mcfs/internal/errno"
 	"mcfs/internal/fault"
+	"mcfs/internal/fs/jffs2sim"
 	"mcfs/internal/fuse"
 	"mcfs/internal/obs/journal"
 	"mcfs/internal/tracker"
+	"mcfs/internal/vfs"
 	"mcfs/internal/workload"
 )
 
@@ -108,6 +114,140 @@ func lockstep(t *testing.T, s *mcfs.Session) []*lockstepTracker {
 	return out
 }
 
+// mountGuard counts the kernel mounts of one jffs2 target that were held
+// against a first mount of a copy.
+type mountGuard struct {
+	name    string
+	checked int
+}
+
+// observeFS renders everything the vfs interface shows of a mounted file
+// system that a mount rebuilds from the medium: every inode's attributes
+// (atime aside — it is not logged), directory order, content, link
+// targets, and the free-space report the write head's position decides.
+func observeFS(f vfs.FS) (string, error) {
+	var out strings.Builder
+	var walk func(ino vfs.Ino, path string) error
+	walk = func(ino vfs.Ino, path string) error {
+		st, e := f.Getattr(ino)
+		if e != errno.OK {
+			return fmt.Errorf("getattr %s: %w", path, e)
+		}
+		fmt.Fprintf(&out, "%s ino=%d mode=%o nlink=%d uid=%d gid=%d size=%d mtime=%d ctime=%d",
+			path, st.Ino, st.Mode, st.Nlink, st.UID, st.GID, st.Size, st.Mtime, st.Ctime)
+		switch {
+		case st.Mode.IsRegular():
+			data, e := f.Read(ino, 0, int(st.Size))
+			if e != errno.OK {
+				return fmt.Errorf("read %s: %w", path, e)
+			}
+			fmt.Fprintf(&out, " data=%x", md5.Sum(data))
+		case st.Mode.IsSymlink():
+			target, e := f.(vfs.SymlinkFS).Readlink(ino)
+			if e != errno.OK {
+				return fmt.Errorf("readlink %s: %w", path, e)
+			}
+			fmt.Fprintf(&out, " target=%q", target)
+		}
+		out.WriteByte('\n')
+		if !st.Mode.IsDir() {
+			return nil
+		}
+		ents, e := f.ReadDir(ino)
+		if e != errno.OK {
+			return fmt.Errorf("readdir %s: %w", path, e)
+		}
+		for _, de := range ents {
+			if de.Name == "." || de.Name == ".." {
+				continue
+			}
+			if err := walk(de.Ino, path+"/"+de.Name); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := walk(f.Root(), ""); err != nil {
+		return "", err
+	}
+	sfs, e := f.StatFS()
+	if e != errno.OK {
+		return "", fmt.Errorf("statfs: %w", e)
+	}
+	fmt.Fprintf(&out, "statfs %+v\n", sfs)
+	return out.String(), nil
+}
+
+// guardJFFS2Mounts puts a check behind the mount function of every jffs2
+// target of s — the one the kernel calls for per-op remounts, restores
+// and crash recoveries alike: what it mounts must look, through the vfs
+// interface, like a first mount of a fresh flash loaded with a copy of
+// the medium's bytes. Whatever the session's mount path carries from one
+// mount to the next, a mount stays a function of the flash.
+func guardJFFS2Mounts(t *testing.T, s *mcfs.Session) []*mountGuard {
+	t.Helper()
+	cfg := s.Config()
+	var out []*mountGuard
+	for _, tgt := range cfg.Checker.Targets() {
+		m, _, e := cfg.Kernel.MountAt(tgt.MountPoint)
+		if e != errno.OK {
+			t.Fatalf("%s not mounted: %v", tgt.Name, e)
+		}
+		if m.Type() != "jffs2" {
+			continue
+		}
+		g := &mountGuard{name: tgt.Name}
+		spec, opts, dev := m.Spec(), m.Options(), m.Dev()
+		mount := spec.Mounter
+		spec.Mounter = func() (vfs.FS, error) {
+			f, err := mount()
+			if err != nil {
+				return nil, err
+			}
+			raw, err := dev.Snapshot()
+			if err != nil {
+				return nil, fmt.Errorf("mount guard: copying %s's flash: %w", g.name, err)
+			}
+			fresh := blockdev.NewMTD("ref", dev.Size(), dev.BlockSize(), nil)
+			if err := fresh.LoadImage(raw); err != nil {
+				return nil, err
+			}
+			ref, err := jffs2sim.Mount(fresh, nil)
+			if err != nil {
+				return nil, fmt.Errorf("mount guard: the session mounted %s, a copy of its flash does not mount: %w", g.name, err)
+			}
+			got, err := observeFS(f)
+			if err != nil {
+				return nil, fmt.Errorf("mount guard: observing %s: %w", g.name, err)
+			}
+			want, err := observeFS(ref)
+			if err != nil {
+				return nil, fmt.Errorf("mount guard: observing the copy of %s: %w", g.name, err)
+			}
+			if got != want {
+				t.Errorf("%s: mount %d differs from a first mount of a copy of the flash:\n--- session\n%s--- copy\n%s", g.name, g.checked, got, want)
+			}
+			g.checked++
+			return f, nil
+		}
+		if err := cfg.Kernel.Unmount(tgt.MountPoint); err != nil {
+			t.Fatal(err)
+		}
+		if err := cfg.Kernel.Mount(tgt.MountPoint, spec, opts); err != nil {
+			t.Fatal(err)
+		}
+		if cfg.Crash != nil {
+			for i := range cfg.Crash.Planes {
+				if cfg.Crash.Planes[i].Mount == tgt.MountPoint {
+					cfg.Crash.Planes[i].Spec = spec
+				}
+			}
+		}
+		out = append(out, g)
+	}
+	return out
+}
+
 // assertNoCheckpointState is the leak check on the far side of the
 // Tracker interface: after a run, however it ended, no medium holds an
 // open undo frame or a byte of pre-images, no VeriFS holds a snapshot,
@@ -149,29 +289,35 @@ func assertNoCheckpointState(t *testing.T, s *mcfs.Session) {
 
 func TestLockstepFullCopyAgreesWithWriteSetCheckpoints(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		opts mcfs.Options
+		name   string
+		opts   mcfs.Options
+		mounts bool // a jffs2 target: its kernel mounts are guarded too
 	}{
 		// The golden d3 VeriFS exploration and the golden ext crash run.
-		{"verifs-d3", mcfs.Options{
+		{name: "verifs-d3", opts: mcfs.Options{
 			Targets:  []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
 			MaxDepth: 3, MaxOps: 300}},
-		{"ext-crash-d1", mcfs.Options{
+		{name: "ext-crash-d1", opts: mcfs.Options{
 			Targets:  []mcfs.TargetSpec{{Kind: "ext2"}, {Kind: "ext4"}},
 			MaxDepth: 1, CrashExploration: true}},
 		// Nested frames on block devices, 256 KiB and 16 MiB.
-		{"ext-d3", mcfs.Options{
+		{name: "ext-d3", opts: mcfs.Options{
 			Targets:  []mcfs.TargetSpec{{Kind: "ext2"}, {Kind: "ext4"}},
 			MaxDepth: 3, MaxOps: 300}},
-		{"ext4-xfs-d2", mcfs.Options{
+		{name: "ext4-xfs-d2", opts: mcfs.Options{
 			Targets:  []mcfs.TargetSpec{{Kind: "ext4"}, {Kind: "xfs"}},
 			MaxDepth: 2, MaxOps: 60}},
 		// The pinned block-device-plus-flash crash run: power cuts load
 		// images through LoadImage/LoadImageDelta under open frames, on
 		// Disk and MTD both.
-		{"ext4-jffs2-crash-d2", mcfs.Options{
+		{name: "ext4-jffs2-crash-d2", mounts: true, opts: mcfs.Options{
 			Targets:  []mcfs.TargetSpec{{Kind: "ext4"}, {Kind: "jffs2"}},
 			MaxDepth: 2, MaxOps: 1500, CrashExploration: true}},
+		// The flash under nested frames and per-op remounts, three deep:
+		// every restore and every remount is a jffs2 mount.
+		{name: "ext4-jffs2-d3", mounts: true, opts: mcfs.Options{
+			Targets:  []mcfs.TargetSpec{{Kind: "ext4"}, {Kind: "jffs2"}},
+			MaxDepth: 3, MaxOps: 400}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := mcfs.NewSession(tc.opts)
@@ -179,10 +325,20 @@ func TestLockstepFullCopyAgreesWithWriteSetCheckpoints(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Close()
+			mounts := guardJFFS2Mounts(t, s)
+			if tc.mounts != (len(mounts) > 0) {
+				t.Fatalf("%d jffs2 mount guards installed, want some: %v", len(mounts), tc.mounts)
+			}
 			guards := lockstep(t, s)
 			res := s.Run()
 			if res.Err != nil || res.Bug != nil {
 				t.Fatalf("run under lockstep: err=%v bug=%v", res.Err, res.Bug)
+			}
+			for _, g := range mounts {
+				if int64(g.checked) < res.Ops {
+					t.Errorf("%s: %d kernel mounts compared over %d ops, want at least one per op", g.name, g.checked, res.Ops)
+				}
+				t.Logf("%s: %d kernel mounts compared over %d ops", g.name, g.checked, res.Ops)
 			}
 			for _, g := range guards {
 				if g.checked == 0 || len(g.want) != 0 {
