@@ -32,6 +32,13 @@ type MTD struct {
 
 	undo undoLog // open checkpoint frames and the pre-images they need
 
+	// stamps[b] is the value of changes at the last change to erase block
+	// b's bytes, by whatever path: a stamp that has not moved means bytes
+	// that have not changed. changes only grows, so no stamp comes back —
+	// a block rewound to the bytes it once held still reads as changed.
+	stamps  []uint64
+	changes uint64
+
 	// Observability counters (nil unless SetObs was called).
 	ctrReads, ctrWrites, ctrErases *obs.Counter
 }
@@ -60,6 +67,7 @@ func NewMTD(name string, size int64, eraseSize int, clock *simclock.Clock) *MTD 
 		eraseSize:   eraseSize,
 		clock:       clock,
 		eraseCount:  make([]int64, size/int64(eraseSize)),
+		stamps:      make([]uint64, size/int64(eraseSize)),
 		programCost: 8 * time.Microsecond, // NOR-flash-like program speed per KiB
 		eraseCost:   400 * time.Microsecond,
 	}
@@ -107,6 +115,40 @@ func (m *MTD) read(off int64, n int) error {
 	return nil
 }
 
+// LendBlock is ReadAt of erase block idx — the same counter, the same
+// word from the fault plane, the same charge — that lends the block's
+// bytes instead of copying them out, along with the block's change stamp.
+// The bytes are the flash itself: read-only, and good until the flash
+// next changes. The stamp is what a reader may keep: as long as a later
+// LendBlock of idx returns the same one, the block holds the same bytes.
+func (m *MTD) LendBlock(idx int) (data []byte, stamp uint64, err error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if idx < 0 || idx >= len(m.stamps) {
+		return nil, 0, fmt.Errorf("%w: erase block %d of %d dev=%s", ErrOutOfRange, idx, len(m.stamps), m.name)
+	}
+	start := idx * m.eraseSize
+	if err := m.read(int64(start), m.eraseSize); err != nil {
+		return nil, 0, err
+	}
+	return m.data[start : start+m.eraseSize : start+m.eraseSize], m.stamps[idx], nil
+}
+
+// changed stamps every erase block data[off:off+n] overlaps. Each path
+// that can change the flash's bytes calls it, whether or not this
+// particular call changed any.
+func (m *MTD) changed(off int64, n int) {
+	if n <= 0 {
+		return
+	}
+	m.changes++
+	es := int64(m.eraseSize)
+	last := min((off+int64(n)-1)/es, int64(len(m.stamps))-1)
+	for b := off / es; b <= last; b++ {
+		m.stamps[b] = m.changes
+	}
+}
+
 // Program writes p at off. Every byte written must only clear bits (the
 // region must have been erased, or already hold a superset of the bits).
 func (m *MTD) Program(p []byte, off int64) error {
@@ -130,6 +172,7 @@ func (m *MTD) Program(p []byte, off int64) error {
 		n = dec.Persist // torn program: only the prefix reaches the flash
 	}
 	m.undo.save(m.data, off, len(p))
+	m.changed(off, len(p))
 	copy(m.data[off:], p[:n])
 	m.programmed(off, len(p), dec)
 	return nil
@@ -162,6 +205,7 @@ func (m *MTD) Erase(idx int) error {
 		return dec.Err
 	}
 	m.undo.save(m.data, int64(start), m.eraseSize)
+	m.changed(int64(start), m.eraseSize)
 	m.wipe(start, start+m.eraseSize)
 	m.erased(idx, dec)
 	return nil
@@ -223,6 +267,7 @@ func (m *MTD) LoadImage(img []byte) error {
 		return fmt.Errorf("blockdev: load image size %d != device size %d (%s)", len(img), len(m.data), m.name)
 	}
 	m.undo.save(m.data, 0, len(m.data))
+	m.changed(0, len(m.data))
 	copy(m.data, img)
 	return nil
 }
@@ -336,6 +381,9 @@ func (b *MTDBlock) RewindFrame(key uint64) error {
 	if i < 0 {
 		return fmt.Errorf("%w: key=%d dev=%s", ErrNoFrame, key, m.name)
 	}
+	for _, p := range m.undo.pages[m.undo.frames[i].mark:] {
+		m.changed(int64(p)*undoPage, undoPage) // the rewind copies this page back
+	}
 	m.undo.rewind(i, m.data)
 	es := m.eraseSize
 	for idx := range m.eraseCount {
@@ -352,6 +400,7 @@ func (b *MTDBlock) RewindFrame(key uint64) error {
 		torn := dec.Persist >= 0 && dec.Persist < es
 		if torn || dec.FlipBit >= 0 {
 			m.undo.save(m.data, int64(start), es)
+			m.changed(int64(start), es)
 		}
 		if torn {
 			m.wipe(start+dec.Persist, start+es) // erased, never reprogrammed
@@ -392,6 +441,13 @@ func (b *MTDBlock) RevertFrame(key uint64, regions []fault.Region) error {
 	m := b.mtd
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if i := m.undo.find(key); i >= 0 {
+		for _, p := range m.undo.pages[m.undo.frames[i].mark:] {
+			if pageUnder(regions, int64(p)) {
+				m.changed(int64(p)*undoPage, undoPage) // the revert copies this page back
+			}
+		}
+	}
 	return m.undo.revert(key, m.data, regions, m.name)
 }
 
@@ -399,7 +455,13 @@ func (b *MTDBlock) Patch(writes []fault.Write) error {
 	m := b.mtd
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.undo.patch(m.data, writes, m.name)
+	if err := m.undo.patch(m.data, writes, m.name); err != nil {
+		return err // nothing landed
+	}
+	for _, w := range writes {
+		m.changed(w.Off, len(w.Data))
+	}
+	return nil
 }
 
 // Name implements Device.

@@ -15,13 +15,21 @@
 // in-memory state — which is why JFFS2 remounts are expensive, a cost the
 // paper's per-operation remount policy pays continually. Garbage
 // collection compacts live state into erased blocks when the log fills.
+//
+// The virtual clock is charged for that whole scan on every mount. The Go
+// need not redo it: the mounted state is a function of the flash, so what
+// the scan found in an erase block stays true until the block's bytes
+// change. A ScanCache keeps, per block, where the valid nodes lie (never
+// their bytes), keyed by the MTD's change stamp; a mount through it reads
+// every block, as the charge says, and parses only the ones that changed.
 package jffs2sim
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"sort"
+	"slices"
 	"time"
 
 	"mcfs/internal/blockdev"
@@ -101,15 +109,69 @@ func Mkfs(mtd *blockdev.MTD) error {
 	return nil
 }
 
+// ScanCache carries what mount scans learned about one MTD's erase blocks
+// from mount to mount: for each block, the change stamp it was scanned
+// under and where its valid nodes lie. It holds positions, never flash
+// bytes, so it pins nothing but itself; and since a stamp that has not
+// moved means bytes that have not changed (blockdev.MTD), a block's entry
+// is exactly what scanning the block again would find.
+type ScanCache struct {
+	mtd    *blockdev.MTD
+	blocks []blockScan
+	// replay is one mount's nodes in replay order, payloads lent by the
+	// MTD. It is scratch: cleared before the mount returns.
+	replay []logNode
+}
+
+// blockScan is the scan result of one erase block, valid while known and
+// the block's change stamp is still stamp.
+type blockScan struct {
+	known bool
+	stamp uint64
+	// used is how far into the block the write head may not append: the
+	// end of the last valid node, or the whole block if the scan sealed it.
+	used  int
+	nodes []nodeRef
+}
+
+// nodeRef places one valid node's payload inside its erase block.
+type nodeRef struct {
+	version uint32
+	typ     uint16
+	off, n  int32
+}
+
+// logNode is one valid node on its way to replay.
+type logNode struct {
+	version uint32
+	typ     uint16
+	payload []byte
+}
+
+// NewScanCache returns an empty cache: the first mount through it scans
+// every block.
+func NewScanCache() *ScanCache { return &ScanCache{} }
+
 // Mount scans the full flash device, replaying log nodes in version order
 // to rebuild the in-memory file system.
 func Mount(mtd *blockdev.MTD, clock *simclock.Clock) (*FS, error) {
+	return MountCached(mtd, clock, NewScanCache())
+}
+
+// MountCached is Mount for a caller that mounts the same MTD again and
+// again and keeps one cache beside it: blocks whose bytes have not changed
+// since an earlier mount through cache are read — the device books and
+// charges every block's read, and the fault plane can fail it — but not
+// parsed again. The file system it builds, and the virtual time it takes,
+// are Mount's.
+func MountCached(mtd *blockdev.MTD, clock *simclock.Clock, cache *ScanCache) (*FS, error) {
+	es := mtd.EraseSize()
 	f := &FS{
 		mtd:       mtd,
 		clock:     clock,
 		inodes:    make(map[uint32]*inodeInfo),
 		nextIno:   RootIno + 1,
-		blockUsed: make([]int, int(mtd.Size())/mtd.EraseSize()),
+		blockUsed: make([]int, int(mtd.Size())/es),
 	}
 	f.inodes[RootIno] = &inodeInfo{
 		mode:    vfs.ModeDir | 0755,
@@ -117,64 +179,33 @@ func Mount(mtd *blockdev.MTD, clock *simclock.Clock) (*FS, error) {
 		entries: make(map[string]uint32),
 		parent:  RootIno,
 	}
-
-	// Full device scan: collect every valid node.
-	type scanned struct {
-		version uint32
-		typ     uint16
-		payload []byte
+	if cache.mtd != mtd {
+		*cache = ScanCache{mtd: mtd, blocks: make([]blockScan, len(f.blockUsed))}
 	}
-	var nodes []scanned
-	es := mtd.EraseSize()
-	buf := make([]byte, es)
-	for blk := 0; blk < len(f.blockUsed); blk++ {
-		if err := mtd.ReadAt(buf, int64(blk*es)); err != nil {
+
+	// Full device scan: collect every valid node. The payloads are the
+	// flash's own bytes, lent until it next changes: replay copies what it
+	// keeps, and the scratch lets go of the rest however the mount ends.
+	nodes := cache.replay[:0]
+	defer func() {
+		clear(nodes)
+		cache.replay = nodes[:0]
+	}()
+	for blk := range f.blockUsed {
+		b := &cache.blocks[blk]
+		data, stamp, err := mtd.LendBlock(blk)
+		if err != nil {
+			b.known = false
 			return nil, err
 		}
-		pos := 0
-		sealed := false
-		for pos+nodeHeader <= es {
-			le := binary.LittleEndian
-			if le.Uint16(buf[pos:]) != NodeMagic {
-				// All-0xFF means the erased tail of the block. Anything
-				// else is the debris of a write that tore inside the
-				// header: seal the block so the write head never programs
-				// over half-written flash.
-				if !erasedRegion(buf[pos : pos+nodeHeader]) {
-					sealed = true
-				}
-				break
-			}
-			typ := le.Uint16(buf[pos+2:])
-			totLen := int(le.Uint32(buf[pos+4:]))
-			version := le.Uint32(buf[pos+8:])
-			crc := le.Uint32(buf[pos+12:])
-			if totLen < nodeHeader || pos+totLen > es {
-				// Torn header: the length field never finished programming.
-				sealed = true
-				break
-			}
-			want := crc32.ChecksumIEEE(buf[pos : pos+12])
-			want = crc32.Update(want, crc32.IEEETable, buf[pos+nodeHeader:pos+totLen])
-			if crc != want {
-				// Torn or corrupted node: like real JFFS2, the scan drops
-				// the bad node and everything after it in the block — the
-				// log up to this point is the consistent prefix.
-				sealed = true
-				break
-			}
-			payload := make([]byte, totLen-nodeHeader)
-			copy(payload, buf[pos+nodeHeader:pos+totLen])
-			nodes = append(nodes, scanned{version: version, typ: typ, payload: payload})
-			pos += totLen
-			if version > f.version {
-				f.version = version
-			}
+		if !b.known || b.stamp != stamp {
+			b.scan(data)
+			b.known, b.stamp = true, stamp
 		}
-		if sealed {
-			f.blockUsed[blk] = es // no appends here until GC erases it
-		} else {
-			f.blockUsed[blk] = pos
+		f.blockUsed[blk] = b.used
+		for _, n := range b.nodes {
+			nodes = append(nodes, logNode{version: n.version, typ: n.typ, payload: data[n.off : n.off+n.n]})
+			f.version = max(f.version, n.version)
 		}
 	}
 	// Position the write head at the first block with free space.
@@ -186,7 +217,7 @@ func Mount(mtd *blockdev.MTD, clock *simclock.Clock) (*FS, error) {
 		}
 	}
 
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].version < nodes[j].version })
+	slices.SortFunc(nodes, func(a, b logNode) int { return cmp.Compare(a.version, b.version) })
 	for _, n := range nodes {
 		switch n.typ {
 		case nodeInode:
@@ -205,6 +236,53 @@ func Mount(mtd *blockdev.MTD, clock *simclock.Clock) (*FS, error) {
 		clock.Advance(200 * time.Microsecond) // scan/index CPU cost
 	}
 	return f, nil
+}
+
+// scan parses one erase block's bytes in place, replacing what b held:
+// every node up to the first that fails a check is recorded by position.
+func (b *blockScan) scan(buf []byte) {
+	es := len(buf)
+	b.nodes = b.nodes[:0]
+	pos := 0
+	sealed := false
+	for pos+nodeHeader <= es {
+		le := binary.LittleEndian
+		if le.Uint16(buf[pos:]) != NodeMagic {
+			// All-0xFF means the erased tail of the block. Anything
+			// else is the debris of a write that tore inside the
+			// header: seal the block so the write head never programs
+			// over half-written flash.
+			if !erasedRegion(buf[pos : pos+nodeHeader]) {
+				sealed = true
+			}
+			break
+		}
+		typ := le.Uint16(buf[pos+2:])
+		totLen := int(le.Uint32(buf[pos+4:]))
+		version := le.Uint32(buf[pos+8:])
+		crc := le.Uint32(buf[pos+12:])
+		if totLen < nodeHeader || pos+totLen > es {
+			// Torn header: the length field never finished programming.
+			sealed = true
+			break
+		}
+		want := crc32.ChecksumIEEE(buf[pos : pos+12])
+		want = crc32.Update(want, crc32.IEEETable, buf[pos+nodeHeader:pos+totLen])
+		if crc != want {
+			// Torn or corrupted node: like real JFFS2, the scan drops
+			// the bad node and everything after it in the block — the
+			// log up to this point is the consistent prefix.
+			sealed = true
+			break
+		}
+		b.nodes = append(b.nodes, nodeRef{version: version, typ: typ, off: int32(pos + nodeHeader), n: int32(totLen - nodeHeader)})
+		pos += totLen
+	}
+	if sealed {
+		b.used = es // no appends here until GC erases it
+	} else {
+		b.used = pos
+	}
 }
 
 // erasedRegion reports whether every byte is still in the erased (0xFF)
@@ -298,23 +376,21 @@ func (f *FS) applyInodeNode(p []byte) {
 	if mode.IsDir() && nd.entries == nil {
 		nd.entries = make(map[string]uint32)
 	}
-	// Apply the data fragment, then clamp/extend to isize.
+	// Apply the data fragment, then clamp/extend to isize: content grows
+	// once, to whichever of the two reaches further.
+	need := isize
 	if dataLen > 0 {
-		end := off + int64(dataLen)
-		if int64(len(nd.content)) < end {
-			nc := make([]byte, end)
-			copy(nc, nd.content)
-			nd.content = nc
-		}
-		copy(nd.content[off:end], data)
+		need = max(need, off+int64(dataLen))
 	}
-	if int64(len(nd.content)) > isize {
-		nd.content = nd.content[:isize]
-	} else if int64(len(nd.content)) < isize {
-		nc := make([]byte, isize)
+	if int64(len(nd.content)) < need {
+		nc := make([]byte, need)
 		copy(nc, nd.content)
 		nd.content = nc
 	}
+	if dataLen > 0 {
+		copy(nd.content[off:off+int64(dataLen)], data)
+	}
+	nd.content = nd.content[:isize]
 	nd.size = isize
 	if ino >= f.nextIno {
 		f.nextIno = ino + 1
@@ -460,7 +536,7 @@ func (f *FS) gc() errno.Errno {
 	for ino := range f.inodes {
 		inos = append(inos, ino)
 	}
-	sort.Slice(inos, func(i, j int) bool { return inos[i] < inos[j] })
+	slices.Sort(inos)
 	for _, ino := range inos {
 		nd := f.inodes[ino]
 		// Metadata-plus-data nodes in MaxDataPerNode chunks.

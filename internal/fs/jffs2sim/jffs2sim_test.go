@@ -2,10 +2,15 @@ package jffs2sim
 
 import (
 	"bytes"
+	"errors"
+	"reflect"
 	"testing"
+	"time"
 
 	"mcfs/internal/blockdev"
 	"mcfs/internal/errno"
+	"mcfs/internal/fault"
+	"mcfs/internal/obs"
 	"mcfs/internal/simclock"
 	"mcfs/internal/vfs"
 )
@@ -15,16 +20,23 @@ const (
 	testEraseSize = 8 * 1024
 )
 
-func newVolume(t *testing.T) (*FS, *blockdev.MTD, *simclock.Clock) {
-	t.Helper()
+func newVolume(tb testing.TB) (*FS, *blockdev.MTD, *simclock.Clock) {
+	tb.Helper()
+	return newVolumeOf(tb, testSize)
+}
+
+// newVolumeOf formats and mounts a flash of size bytes; three erase blocks
+// is the smallest that can garbage-collect.
+func newVolumeOf(tb testing.TB, size int64) (*FS, *blockdev.MTD, *simclock.Clock) {
+	tb.Helper()
 	clk := simclock.New()
-	mtd := blockdev.NewMTD("mtd0", testSize, testEraseSize, clk)
+	mtd := blockdev.NewMTD("mtd0", size, testEraseSize, clk)
 	if err := Mkfs(mtd); err != nil {
-		t.Fatalf("Mkfs: %v", err)
+		tb.Fatalf("Mkfs: %v", err)
 	}
 	f, err := Mount(mtd, clk)
 	if err != nil {
-		t.Fatalf("Mount: %v", err)
+		tb.Fatalf("Mount: %v", err)
 	}
 	return f, mtd, clk
 }
@@ -33,7 +45,8 @@ func newVolume(t *testing.T) (*FS, *blockdev.MTD, *simclock.Clock) {
 // an MTD, the way a session keeps one mount closure per target: every
 // call mounts mtd again through it.
 func newMountPath(mtd *blockdev.MTD, clk *simclock.Clock) func() (*FS, error) {
-	return func() (*FS, error) { return Mount(mtd, clk) }
+	scans := NewScanCache()
+	return func() (*FS, error) { return MountCached(mtd, clk, scans) }
 }
 
 func mustCreate(t *testing.T, f *FS, parent vfs.Ino, name string) vfs.Ino {
@@ -288,6 +301,158 @@ func TestMountChargesScanTime(t *testing.T) {
 	}
 	if clk.Now() == before {
 		t.Error("mount-time scan charged no virtual time")
+	}
+}
+
+// mountState is every field of a mounted FS that the flash decides.
+type mountState struct {
+	inodes           map[uint32]*inodeInfo
+	nextIno, version uint32
+	curBlock, curOff int
+	blockUsed        []int
+}
+
+func stateOf(f *FS) mountState {
+	return mountState{f.inodes, f.nextIno, f.version, f.curBlock, f.curOff, f.blockUsed}
+}
+
+// TestWarmMountIsChargedAsTheFullScan: the paper's JFFS2 scans the whole
+// flash on every mount, so a mount through a scan cache costs the virtual
+// clock and the device's read counter exactly what a first mount costs —
+// cold, warm, and with one block changed in between. A read the fault
+// plane fails fails the warm mount the way it fails a cold one and leaves
+// nothing wrong behind in the cache. And a mount keeps none of the bytes
+// the MTD lent it: wiping the flash does not reach a file system mounted
+// earlier.
+func TestWarmMountIsChargedAsTheFullScan(t *testing.T) {
+	f, mtd, clk := scanVolume(t)
+	hub := obs.New(obs.Options{Now: clk.Now})
+	mtd.SetObs(hub)
+	reads := hub.Counter("blockdev.mtd0.reads")
+	inj := fault.New()
+	mtd.SetInjector(inj)
+	scans := NewScanCache()
+
+	// cost runs one mount and returns what it was charged.
+	type cost struct {
+		virtual time.Duration
+		reads   int64
+	}
+	mount := func(do func() (*FS, error)) (*FS, cost, error) {
+		t0, r0 := clk.Now(), reads.Value()
+		got, err := do()
+		return got, cost{clk.Now() - t0, reads.Value() - r0}, err
+	}
+	cached := func() (*FS, error) { return MountCached(mtd, clk, scans) }
+	first := func() (*FS, error) { return Mount(mtd, clk) }
+
+	// 200 us of scan CPU and 32 block reads of 8 KiB at 1 us/KiB.
+	full := cost{200*time.Microsecond + 32*8*time.Microsecond, 32}
+	for _, step := range []struct {
+		name   string
+		before func()
+	}{
+		{"cold", func() {}},
+		{"warm", func() {}},
+		{"one block changed", func() {
+			ino, e := f.Lookup(f.Root(), "a")
+			if e != errno.OK {
+				t.Fatal(e)
+			}
+			if _, e := f.Write(ino, 100, []byte("changed")); e != errno.OK {
+				t.Fatal(e)
+			}
+		}},
+		{"warm again", func() {}},
+	} {
+		step.before()
+		got, c, err := mount(cached)
+		if err != nil {
+			t.Fatalf("%s mount: %v", step.name, err)
+		}
+		if c != full {
+			t.Errorf("%s mount was charged %+v, a full scan is %+v", step.name, c, full)
+		}
+		want, c, err := mount(first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c != full {
+			t.Errorf("a first mount was charged %+v, want %+v", c, full)
+		}
+		if !reflect.DeepEqual(stateOf(got), stateOf(want)) {
+			t.Errorf("%s mount differs from a first mount of the same flash", step.name)
+		}
+		f = got
+	}
+
+	// A read error on block 5: same error, same charge, cold and warm —
+	// five blocks served, the sixth counted and failed.
+	boom := errors.New("media read fault")
+	rule := inj.AddRule(fault.Rule{Kind: fault.KindReadError, Off: 5 * testEraseSize, Len: testEraseSize, Err: boom})
+	_, cCold, errCold := mount(first)
+	_, cWarm, errWarm := mount(cached)
+	if errCold != boom || errWarm != errCold {
+		t.Errorf("under a read fault a first mount fails with %v, a warm one with %v", errCold, errWarm)
+	}
+	if want := (cost{5 * 8 * time.Microsecond, 6}); cCold != want || cWarm != want {
+		t.Errorf("failed mounts were charged %+v (first) and %+v (warm), want %+v", cCold, cWarm, want)
+	}
+	inj.RemoveRule(rule)
+	got, c, err := mount(cached)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := first()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c != full || !reflect.DeepEqual(stateOf(got), stateOf(want)) {
+		t.Errorf("the mount after the failed one was charged %+v (want %+v) or differs from a first mount", c, full)
+	}
+
+	// Nothing lent is kept: wipe the flash under a mounted file system.
+	before := fingerprint(t, got)
+	if err := Mkfs(mtd); err != nil {
+		t.Fatal(err)
+	}
+	empty, err := cached()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(empty.inodes) != 1 {
+		t.Errorf("a wiped flash mounts with %d inodes", len(empty.inodes))
+	}
+	if after := fingerprint(t, got); after != before {
+		t.Errorf("wiping the flash changed a file system mounted before the wipe:\n--- before\n%s--- after\n%s", before, after)
+	}
+}
+
+// TestWarmMountAllocBudget pins what a warm mount of scanVolume allocates:
+// the FS, its maps, and per file an inode, its content, its name and the
+// directory's order — nothing per block and nothing per node.
+func TestWarmMountAllocBudget(t *testing.T) {
+	_, mtd, clk := scanVolume(t)
+	scans := NewScanCache()
+	if _, err := MountCached(mtd, clk, scans); err != nil {
+		t.Fatal(err)
+	}
+	warm := testing.AllocsPerRun(100, func() {
+		if _, err := MountCached(mtd, clk, scans); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const budget = 30
+	if warm > budget {
+		t.Errorf("a warm mount allocates %.0f times, budget %d", warm, budget)
+	}
+	cold := testing.AllocsPerRun(100, func() {
+		if _, err := Mount(mtd, clk); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if cold <= warm {
+		t.Errorf("a first mount allocates %.0f times, a warm one %.0f: the cache saves nothing", cold, warm)
 	}
 }
 

@@ -622,10 +622,13 @@ func (s *Session) mountTarget(tgt checker.Target, ts TargetSpec, idx int, crash 
 			return nil, err
 		}
 		bridge := blockdev.NewMTDBlock(mtd)
+		// One scan cache per flash: every mount is charged the full scan,
+		// and parses the erase blocks that changed since the last one.
+		scans := jffs2sim.NewScanCache()
 		spec := kernel.FilesystemSpec{
 			Type:      "jffs2",
 			Dev:       bridge,
-			Mounter:   func() (vfs.FS, error) { return jffs2sim.Mount(mtd, clock) },
+			Mounter:   func() (vfs.FS, error) { return jffs2sim.MountCached(mtd, clock, scans) },
 			Unmounter: func(f vfs.FS) error { return f.(*jffs2sim.FS).Unmount() },
 		}
 		if err := k.Mount(point, spec, kernel.MountOptions{}); err != nil || !crash {

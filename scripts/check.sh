@@ -33,9 +33,11 @@
 #      run, whose bug only the shared step names,    replay are one step;
 #      and a -swarm -share-visited run whose bundle  a swarm bundle names
 #      must carry the bug worker's seed and replay   the worker to rebuild)
-#   7. go test -race ./internal/fault/...           (fault plane and
-#         ./internal/fs/extfs/...                    extfs under the race
-#                                                    detector)
+#   7. go test -race ./internal/fault/...           (fault plane, extfs
+#         ./internal/fs/extfs/...                    and jffs2sim under the
+#         ./internal/fs/jffs2sim/...                 race detector: a mount
+#                                                    reads flash the MTD
+#                                                    lends, outside its lock)
 #   8. crash-exploration smoke: the seeded ext4     (fault injection end
 #      journal-ordering bug is found only under      to end: crash points
 #      -crash, its bundle replays and shrinks, the   -> oracle -> verdict
@@ -91,6 +93,11 @@
 #      first two, no JoinPath in the abstraction      and the abstraction
 #      walk, SplitPath/BaseName/DirPath stay          walk builds paths
 #      deleted; plus a 10 s FuzzJoinPath smoke        that need no cleaning)
+#  18. scan guard: no sort.Slice in non-test         (a jffs2 mount parses
+#      internal/fs/jffs2sim, and no make([]byte       the blocks that changed,
+#      in the mount scan (MountCached and the         in place, from bytes the
+#      per-block scan): nodes are recorded by         MTD lends; nothing is
+#      position in lent bytes                         copied per block or node)
 #
 # Usage: scripts/check.sh   (from the repo root or anywhere inside it)
 set -eu
@@ -160,8 +167,8 @@ grep -q "\"seed\": $bugworker,\{0,1\}\$" "$swarmbundle/config.json" || { cat "$s
 "$work/mcfs" replay "$swarmbundle" >/dev/null || {
 	echo "FAIL: swarm bundle did not reproduce deterministically"; exit 1; }
 
-echo "==> go test -race ./internal/fault/... ./internal/fs/extfs/..."
-go test -race ./internal/fault/... ./internal/fs/extfs/...
+echo "==> go test -race ./internal/fault/... ./internal/fs/extfs/... ./internal/fs/jffs2sim/..."
+go test -race ./internal/fault/... ./internal/fs/extfs/... ./internal/fs/jffs2sim/...
 
 echo "==> crash-exploration smoke (-crash -> heatmap -> bundle -> replay -> shrink)"
 crashbundle="$work/crashbundle"
@@ -290,5 +297,18 @@ if grep -rn 'SplitPath\|BaseName\|DirPath' --include='*.go' internal cmd benchma
 	grep -v '_test\.go:'; then
 	echo "FAIL: a deleted path helper is back outside the tests (see above)"; exit 1; fi
 go test -run '^$' -fuzz '^FuzzJoinPath$' -fuzztime 10s ./internal/vfs
+
+echo "==> scan guard (a jffs2 mount copies no flash and sorts without reflection)"
+for f in internal/fs/jffs2sim/*.go; do
+	case "$f" in *_test.go) continue ;; esac
+	if grep -n 'sort\.Slice' "$f"; then
+		echo "FAIL: sort.Slice in non-test internal/fs/jffs2sim (see above; use slices.Sort/SortFunc)"; exit 1; fi
+	awk -v f="$f" '/^func /{fn=$0}
+		/make\(\[\]byte/ && fn ~ /^func (MountCached|\(b \*blockScan\) scan)\(/ {print f":"FNR": "$0; bad=1}
+		END{exit bad}' "$f" || {
+		echo "FAIL: the jffs2 mount scan allocates a byte buffer (see above); it reads the bytes the MTD lends"; exit 1; }
+done
+grep -q '^func MountCached(' internal/fs/jffs2sim/jffs2sim.go && grep -q '^func (b \*blockScan) scan(' internal/fs/jffs2sim/jffs2sim.go || {
+	echo "FAIL: the scan guard no longer finds the functions it watches (MountCached, blockScan.scan)"; exit 1; }
 
 echo "OK: all checks passed"
