@@ -154,3 +154,43 @@ func TestTornWriteMidFileData(t *testing.T) {
 	}
 	var _ vfs.Ino = ino2
 }
+
+// TestMountWithNoAppendableBlockCollects: when every block ends in debris
+// the scan seals them all, and the write head has nowhere to go. The next
+// append must garbage-collect — which erases the sealed blocks — not
+// program over block 0's used flash and fail with EIO for good.
+func TestMountWithNoAppendableBlockCollects(t *testing.T) {
+	f, mtd, clk := newVolumeOf(t, 3*testEraseSize)
+	ino := mustCreate(t, f, f.Root(), "keep")
+	if _, e := f.Write(ino, 0, []byte("kept")); e != errno.OK {
+		t.Fatal(e)
+	}
+	for blk, used := range f.blockUsed {
+		if err := mtd.Program([]byte{0}, int64(blk*testEraseSize+used)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	f2, err := Mount(mtd, clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for blk, used := range f2.blockUsed {
+		if used != testEraseSize {
+			t.Fatalf("block %d mounted with %d bytes used, want it sealed", blk, used)
+		}
+	}
+	if _, e := f2.Create(f2.Root(), "after", 0644, 0, 0); e != errno.OK {
+		t.Fatalf("create on a flash with every block sealed: %v", e)
+	}
+	f3, err := Mount(mtd, clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, e := f3.Lookup(f3.Root(), "after"); e != errno.OK {
+		t.Errorf("the create after the collection is lost: %v", e)
+	}
+	if got, e := f3.Read(ino, 0, 16); e != errno.OK || string(got) != "kept" {
+		t.Errorf("content after the collection = (%q, %v)", got, e)
+	}
+}

@@ -52,7 +52,9 @@ const (
 	// RootIno is the root directory's inode number.
 	RootIno = 1
 
-	nodeHeader = 16 // magic(2) type(2) totLen(4) version(4) crc(4)
+	nodeHeader  = 16 // magic(2) type(2) totLen(4) version(4) crc(4)
+	inodeFixed  = 50 // an inode node's payload before its target and data
+	direntFixed = 10 // a dirent node's payload before its name
 )
 
 // FS is a mounted jffs2sim volume. All state lives in memory after the
@@ -208,8 +210,9 @@ func MountCached(mtd *blockdev.MTD, clock *simclock.Clock, cache *ScanCache) (*F
 			f.version = max(f.version, n.version)
 		}
 	}
-	// Position the write head at the first block with free space.
-	f.curBlock, f.curOff = 0, 0
+	// Position the write head at the first block with free space; with
+	// none, past the end of block 0, so the first append collects.
+	f.curBlock, f.curOff = 0, es
 	for blk, used := range f.blockUsed {
 		if used < es {
 			f.curBlock, f.curOff = blk, used
@@ -320,7 +323,7 @@ func (f *FS) now() time.Duration {
 // inode node payload: ino(4) mode(4) nlink(4) uid(4) gid(4) isize(8)
 // mtime(8) off(8) dataLen(4) target? -> targetLen(2) target data[]
 func encodeInodeNode(nd *inodeInfo, ino uint32, off int64, data []byte) []byte {
-	p := make([]byte, 4+4+4+4+4+8+8+8+4+2+len(nd.target)+len(data))
+	p := make([]byte, inodeFixed+len(nd.target)+len(data))
 	le := binary.LittleEndian
 	le.PutUint32(p[0:], ino)
 	le.PutUint32(p[4:], uint32(nd.mode))
@@ -399,7 +402,7 @@ func (f *FS) applyInodeNode(p []byte) {
 
 // dirent node payload: parent(4) ino(4) nameLen(2) name; ino 0 deletes.
 func encodeDirentNode(parent, ino uint32, name string) []byte {
-	p := make([]byte, 10+len(name))
+	p := make([]byte, direntFixed+len(name))
 	le := binary.LittleEndian
 	le.PutUint32(p[0:], parent)
 	le.PutUint32(p[4:], ino)
@@ -501,6 +504,54 @@ func (f *FS) appendNode(typ uint16, payload []byte) errno.Errno {
 	return errno.OK
 }
 
+// makeRoom settles, before an operation changes anything, whether the
+// nodes it is about to append — of these total lengths, in this order —
+// fit in the log, garbage-collecting once if they do not: ENOSPC when even
+// the compacted log has no room for them, EFBIG when one is longer than an
+// erase block. Either way memory and flash still agree, because a
+// collection rewrites exactly the state memory holds. After OK the appends
+// cannot run out of space, so they need no undoing on that account.
+func (f *FS) makeRoom(totLens ...int) errno.Errno {
+	for _, n := range totLens {
+		if n > f.mtd.EraseSize() {
+			return errno.EFBIG
+		}
+	}
+	if f.fits(totLens) {
+		return errno.OK
+	}
+	if e := f.gc(); e != errno.OK {
+		return e
+	}
+	if !f.fits(totLens) {
+		return errno.ENOSPC
+	}
+	return errno.OK
+}
+
+// fits reports whether reserve would find room for nodes of these total
+// lengths one after another without a garbage collection.
+func (f *FS) fits(totLens []int) bool {
+	es := f.mtd.EraseSize()
+	off, free := f.curOff, 0
+	for blk, used := range f.blockUsed {
+		if used == 0 && blk != f.curBlock {
+			free++
+		}
+	}
+	for _, n := range totLens {
+		if off+n > es {
+			if free == 0 {
+				return false
+			}
+			free--
+			off = 0
+		}
+		off += n
+	}
+	return true
+}
+
 // reserve positions the write head at a region with room for n bytes.
 func (f *FS) reserve(n int) bool {
 	es := f.mtd.EraseSize()
@@ -563,6 +614,20 @@ func (f *FS) gc() errno.Errno {
 		}
 	}
 	return errno.OK
+}
+
+// inodeNodeLens lists the total lengths of the nodes logInode appends for
+// an inode with this link target and a data fragment of n bytes.
+func inodeNodeLens(target string, n int) []int {
+	meta := nodeHeader + inodeFixed + len(target)
+	if n <= MaxDataPerNode {
+		return []int{meta + n}
+	}
+	lens := make([]int, 0, (n+MaxDataPerNode-1)/MaxDataPerNode)
+	for ; n > 0; n -= MaxDataPerNode {
+		lens = append(lens, meta+min(n, MaxDataPerNode))
+	}
+	return lens
 }
 
 // logInode persists the current metadata (and optionally a data fragment)

@@ -3,7 +3,9 @@ package jffs2sim
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -236,6 +238,89 @@ func TestENOSPCWhenLiveDataFull(t *testing.T) {
 		off += int64(len(chunk))
 	}
 	t.Error("never hit ENOSPC")
+}
+
+// TestFailedWriteLeavesMemoryAndFlashAgreeing: whatever a write or a
+// create returns on a flash that is filling up — garbage collections and
+// ENOSPC included — the mounted file system and a mount of the flash agree
+// afterwards: an operation the log has no room for changes neither.
+func TestFailedWriteLeavesMemoryAndFlashAgreeing(t *testing.T) {
+	small := func(t *testing.T) (*FS, func(after string)) {
+		f, mtd, clk := newVolumeOf(t, 3*testEraseSize)
+		return f, func(after string) {
+			t.Helper()
+			onFlash, err := Mount(mtd, clk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mem, flash := strings.Split(fingerprint(t, f), "\n"), strings.Split(fingerprint(t, onFlash), "\n")
+			for i := 0; i < len(mem) || i < len(flash); i++ {
+				if i >= len(mem) || i >= len(flash) || mem[i] != flash[i] {
+					t.Fatalf("after %s the mounted file system and a mount of the flash disagree from line %d on:\n--- mounted\n%.200s\n--- the flash\n%.200s",
+						after, i, strings.Join(mem[min(i, len(mem)):], "\n"), strings.Join(flash[min(i, len(flash)):], "\n"))
+				}
+			}
+		}
+	}
+
+	// Room for about 20 KiB of live data; /b is overwritten with ever more
+	// until a write no longer fits even after a collection.
+	t.Run("overwrite", func(t *testing.T) {
+		f, agree := small(t)
+		a := mustCreate(t, f, f.Root(), "a")
+		if _, e := f.Write(a, 0, bytes.Repeat([]byte{0xA}, 12<<10)); e != errno.OK {
+			t.Fatal(e)
+		}
+		b := mustCreate(t, f, f.Root(), "b")
+		if _, e := f.Write(b, 0, bytes.Repeat([]byte{0xB}, 7<<10)); e != errno.OK {
+			t.Fatal(e)
+		}
+		failed := false
+		for i, size := range []int{7<<10 + 512, 8 << 10, 8<<10 + 512} {
+			n, e := f.Write(b, 0, bytes.Repeat([]byte{byte(i)}, size))
+			if e != errno.OK && e != errno.ENOSPC || (e == errno.OK) != (n == size) {
+				t.Fatalf("write of %d bytes = (%d, %v)", size, n, e)
+			}
+			failed = failed || e == errno.ENOSPC
+			agree(fmt.Sprintf("the write of %d bytes (%v)", size, e))
+		}
+		if !failed {
+			t.Error("every write fitted: the test never reached ENOSPC")
+		}
+	})
+
+	// Files of shrinking size until not even an empty one fits: writes
+	// fail first, then creates.
+	t.Run("fill", func(t *testing.T) {
+		f, agree := small(t)
+		var writesFailed, createsFailed int
+		for i, size := 0, 2048; createsFailed < 3; i++ {
+			name := fmt.Sprintf("f%d", i)
+			ino, e := f.Create(f.Root(), name, 0644, 0, 0)
+			agree(fmt.Sprintf("create %s (%v)", name, e))
+			if e == errno.ENOSPC {
+				createsFailed++
+				continue
+			}
+			if e != errno.OK {
+				t.Fatalf("create %s: %v", name, e)
+			}
+			_, e = f.Write(ino, 0, bytes.Repeat([]byte{byte(i)}, size))
+			agree(fmt.Sprintf("the write of %d bytes to %s (%v)", size, name, e))
+			if e == errno.ENOSPC {
+				writesFailed++
+				size /= 2
+			} else if e != errno.OK {
+				t.Fatalf("write to %s: %v", name, e)
+			}
+			if i > 500 {
+				t.Fatal("the flash never filled")
+			}
+		}
+		if writesFailed == 0 {
+			t.Error("no write ran out of space before the creates did")
+		}
+	})
 }
 
 func TestRenameAndLinks(t *testing.T) {

@@ -144,6 +144,9 @@ func (f *FS) makeNode(parent vfs.Ino, name string, mode vfs.Mode, uid, gid uint3
 	if _, ok := dir.entries[name]; ok {
 		return 0, nil, errno.EEXIST
 	}
+	if e := f.makeRoom(nodeHeader+inodeFixed, nodeHeader+direntFixed+len(name)); e != errno.OK {
+		return 0, nil, e
+	}
 	now := f.now()
 	nd := &inodeInfo{
 		mode: mode,
@@ -321,7 +324,8 @@ func (f *FS) Read(ino vfs.Ino, off int64, n int) ([]byte, errno.Errno) {
 	return out, errno.OK
 }
 
-// Write implements vfs.FS: update memory, then append log nodes.
+// Write implements vfs.FS: make room for the whole write, update memory,
+// then append log nodes.
 func (f *FS) Write(ino vfs.Ino, off int64, data []byte) (int, errno.Errno) {
 	nd := f.get(ino)
 	if nd == nil {
@@ -335,6 +339,9 @@ func (f *FS) Write(ino vfs.Ino, off int64, data []byte) (int, errno.Errno) {
 	}
 	if off < 0 {
 		return 0, errno.EINVAL
+	}
+	if e := f.makeRoom(inodeNodeLens(nd.target, len(data))...); e != errno.OK {
+		return 0, e
 	}
 	end := off + int64(len(data))
 	oldContent := nd.content
