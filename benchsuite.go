@@ -9,8 +9,8 @@ import (
 	"mcfs/internal/bench"
 	"mcfs/internal/mc/visited"
 	"mcfs/internal/memmodel"
+	"mcfs/internal/obs"
 	"mcfs/internal/obs/journal"
-	"mcfs/internal/obs/perf"
 )
 
 // This file is the committed benchmark suite behind `fsbench -json`:
@@ -55,8 +55,8 @@ func RunBenchReport(budget int64) (bench.Report, error) {
 // benchRun executes one profiled session and folds it into a scenario
 // row.
 func benchRun(opts Options, budget int64) (bench.Scenario, Result, error) {
-	prof := perf.New(nil)
-	opts.Perf = prof
+	hub := obs.New()
+	opts.Obs = hub
 	opts.MaxOps = budget
 	if opts.Memory == nil {
 		memCfg := memmodel.DefaultConfig()
@@ -74,13 +74,13 @@ func benchRun(opts Options, budget int64) (bench.Scenario, Result, error) {
 	if res.Bug != nil {
 		return bench.Scenario{}, res, fmt.Errorf("unexpected bug: %v", res.Bug.Discrepancy)
 	}
-	row := scenarioRow(res.Ops, res.UniqueStates, res.Elapsed, prof.Snapshot())
+	row := scenarioRow(res.Ops, res.UniqueStates, res.Elapsed, hub.Profile())
 	row.PeakMemBytes = s.MemoryStats().PeakBytes
 	return row, res, nil
 }
 
 // scenarioRow derives a scenario's rates and phase attribution.
-func scenarioRow(ops, unique int64, elapsed time.Duration, snap perf.Snapshot) bench.Scenario {
+func scenarioRow(ops, unique int64, elapsed time.Duration, snap obs.Profile) bench.Scenario {
 	row := bench.Scenario{Ops: ops, UniqueStates: unique}
 	if secs := elapsed.Seconds(); secs > 0 {
 		row.OpsPerSec = round1(float64(ops) / secs)
@@ -123,7 +123,7 @@ func benchSwarmShared(budget int64) (bench.Scenario, error) {
 		Workers:      2,
 		ShareVisited: true,
 	}, func(_ int, o *Options) error {
-		o.Perf = perf.New(nil)
+		o.Obs = obs.New()
 		return nil
 	}, func(sessions []*Session) {
 		for _, s := range sessions {

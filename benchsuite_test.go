@@ -7,7 +7,7 @@ import (
 
 	"mcfs"
 	"mcfs/internal/bench"
-	"mcfs/internal/obs/perf"
+	"mcfs/internal/obs"
 )
 
 func TestBenchReportSuite(t *testing.T) {
@@ -47,7 +47,7 @@ func TestBenchReportSuite(t *testing.T) {
 	if crash.CrashPointsPerSec <= 0 {
 		t.Error("crash scenario has no crash-point rate")
 	}
-	if crash.PhaseShares[perf.PhaseFsck] <= 0 {
+	if crash.PhaseShares[obs.PhaseFsck] <= 0 {
 		t.Error("crash scenario attributes no fsck time")
 	}
 	replay, _ := report.Scenario("journal-replay")
@@ -57,7 +57,7 @@ func TestBenchReportSuite(t *testing.T) {
 	// Journal appends cost no *virtual* time, so the phase's share is
 	// zero — but the recording must have been attributed (the phase
 	// only appears when its timer fired).
-	if _, ok := replay.PhaseShares[perf.PhaseJournal]; !ok {
+	if _, ok := replay.PhaseShares[obs.PhaseJournal]; !ok {
 		t.Error("journal scenario recorded no journal phase")
 	}
 	// The states-per-MB pair pins the reduced-fidelity capacity claim:

@@ -36,7 +36,6 @@ import (
 	"mcfs/cmd/internal/runflag"
 	"mcfs/internal/obs"
 	"mcfs/internal/obs/journal"
-	"mcfs/internal/obs/perf"
 	"mcfs/internal/obs/stream"
 )
 
@@ -92,10 +91,17 @@ func run(args []string) int {
 
 	cfg := mcfs.Figure3Config{Days: c.days, Calibration: c.cal}
 	cal := &cfg.Calibration
-	if cal.CrashExploration {
-		cal.Perf = perf.New(nil)
+	if cal.CrashExploration || c.metricsAddr != "" {
+		cal.Obs = obs.New()
 	}
-	prof := cal.Perf
+	hub := cal.Obs
+	// crashProfile is the calibration's phase profile in -crash mode; a
+	// -metrics-addr hub records phases too, but only crash mode reports
+	// them.
+	crashProfile := func() (obs.Profile, bool) {
+		prof := hub.Profile()
+		return prof, cal.CrashExploration && prof.Enabled()
+	}
 	if c.journalPath != "" {
 		jw, err := journal.Create(c.journalPath, journal.Options{})
 		if err != nil {
@@ -110,26 +116,24 @@ func run(args []string) int {
 				p.Day, p.OpsPerSec, p.SwapGB)
 			// In crash mode the calibration ran with the crash checker;
 			// surface its hot path next to the simulated series.
-			if snap := prof.Snapshot(); snap.Enabled() {
+			if prof, ok := crashProfile(); ok {
 				line += fmt.Sprintf("  crash %.1f pts/s  fsck %.1f%%",
-					crashPointsPerSec(snap), snap.Share(perf.PhaseFsck)*100)
+					crashPointsPerSec(prof), prof.Share(obs.PhaseFsck)*100)
 			}
 			fmt.Fprintln(os.Stderr, line)
 		}
 	}
 	if c.metricsAddr != "" {
-		hub := obs.New(obs.Options{})
-		cal.Obs = hub
 		bus := stream.New(stream.Options{})
 		bus.SetObs(hub)
 		cal.Stream = bus
 		srv, err := obs.ServeMetrics(c.metricsAddr, func() any {
 			doc := struct {
 				obs.Snapshot
-				Perf *perf.Snapshot `json:"perf,omitempty"`
+				Perf *obs.Profile `json:"perf,omitempty"`
 			}{Snapshot: hub.Snapshot()}
-			if snap := prof.Snapshot(); snap.Enabled() {
-				doc.Perf = &snap
+			if prof, ok := crashProfile(); ok {
+				doc.Perf = &prof
 			}
 			return doc
 		},
@@ -167,9 +171,9 @@ func run(args []string) int {
 	}
 	fmt.Printf("initial rate %.0f ops/s, minimum %.0f ops/s at day %.1f, final %.0f ops/s, final swap %.1f GB\n",
 		first.OpsPerSec, lowest.OpsPerSec, lowest.Day, last.OpsPerSec, last.SwapGB)
-	if snap := prof.Snapshot(); snap.Enabled() {
+	if prof, ok := crashProfile(); ok {
 		fmt.Println("\ncalibration phase profile:")
-		snap.WriteTable(os.Stdout)
+		prof.WriteTable(os.Stdout)
 	}
 	return 0
 }
@@ -177,7 +181,7 @@ func run(args []string) int {
 // crashPointsPerSec derives the calibration run's overall crash-point
 // rate from the last telemetry sample (cumulative points over virtual
 // elapsed time).
-func crashPointsPerSec(s perf.Snapshot) float64 {
+func crashPointsPerSec(s obs.Profile) float64 {
 	if n := len(s.Samples); n > 0 {
 		if last := s.Samples[n-1]; last.At > 0 {
 			return float64(last.CrashPoints) / last.At.Seconds()

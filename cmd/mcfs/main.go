@@ -101,16 +101,15 @@ import (
 	"mcfs/cmd/internal/runflag"
 	"mcfs/internal/obs"
 	"mcfs/internal/obs/journal"
-	"mcfs/internal/obs/perf"
 	"mcfs/internal/obs/stream"
 )
 
 // metricsDoc is the /metrics JSON document: the merged hub snapshot's
 // flat sections (counters, gauges, histograms) plus a "perf" section
-// with the merged phase profile when phase profiling is on.
+// with the merged phase profile.
 type metricsDoc struct {
 	obs.Snapshot
-	Perf *perf.Snapshot `json:"perf,omitempty"`
+	Perf *obs.Profile `json:"perf,omitempty"`
 }
 
 type stringList []string
@@ -216,12 +215,10 @@ func run(args []string) int {
 	}
 	spec.Targets[len(spec.Targets)-1].Bugs = c.bugs
 
-	// Observability stays fully off (nil hub, zero overhead) unless a
-	// flag needs it. Phase profiling likewise: a nil profiler costs one
-	// branch per phase boundary. The event stream follows the same rule:
-	// a nil bus costs one branch per emit site.
-	obsOn := c.progress > 0 || c.metricsAddr != "" || c.traceDump || c.bundleDir != "" || c.top > 0
-	perfOn := c.phaseProfile || c.metricsAddr != "" || c.traceDump
+	// Observability stays fully off (nil hub, zero overhead: one branch
+	// per phase boundary) unless a flag needs it. The event stream
+	// follows the same rule: a nil bus costs one branch per emit site.
+	obsOn := c.progress > 0 || c.metricsAddr != "" || c.traceDump || c.bundleDir != "" || c.top > 0 || c.phaseProfile
 	if c.eventsPath != "" || c.top > 0 || c.metricsAddr != "" {
 		spec.Stream = stream.New(stream.Options{})
 	}
@@ -249,32 +246,27 @@ func run(args []string) int {
 		spec.Journal = jw
 	}
 
-	// One hub and profiler per engine (nil entries when off): the
-	// single-run case gets one "main" lane, a swarm gets one lane per
-	// worker so the progress report shows every worker's
-	// depth/states/rate separately.
+	// One hub per engine (nil entries when off): the single-run case
+	// gets one "main" lane, a swarm gets one lane per worker so the
+	// progress report shows every worker's depth/states/rate separately.
 	hubs := make([]*obs.Hub, max(spec.Workers, 1))
-	perfs := make([]*perf.Profiler, len(hubs))
 	var lanes []obs.Lane
 	for i := range hubs {
 		if obsOn {
-			hubs[i] = obs.New(obs.Options{})
+			hubs[i] = obs.New() // sessions rebase it onto their virtual clocks
 			name := "main"
 			if swarm {
 				name = fmt.Sprintf("w%d", i+1)
 			}
 			lanes = append(lanes, obs.Lane{Name: name, Hub: hubs[i]})
 		}
-		if perfOn {
-			perfs[i] = perf.New(nil) // sessions rebase onto their virtual clocks
-		}
 	}
 	// Surface ring-overflow drops as obs.stream.dropped on the first hub
 	// (merged snapshots sum it in with everything else).
 	bus.SetObs(hubs[0])
-	// attach gives engine number worker (1-based) its hub and profiler.
+	// attach gives engine number worker (1-based) its hub.
 	attach := func(worker int, o *mcfs.Options) error {
-		o.Obs, o.Perf = hubs[worker-1], perfs[worker-1]
+		o.Obs = hubs[worker-1]
 		return nil
 	}
 	// mergedHubs merges every engine's instruments.
@@ -285,21 +277,21 @@ func run(args []string) int {
 		}
 		return obs.Merge(snaps...)
 	}
-	// mergedPerf folds the per-engine phase profiles into one snapshot
+	// mergedProfile folds the per-engine phase profiles into one
 	// (telemetry samples survive only in the single-engine case).
-	mergedPerf := func() (merged perf.Snapshot) {
-		if len(perfs) == 1 {
-			return perfs[0].Snapshot()
+	mergedProfile := func() (merged obs.Profile) {
+		if len(hubs) == 1 {
+			return hubs[0].Profile()
 		}
-		for _, p := range perfs {
-			merged = merged.Merge(p.Snapshot())
+		for _, h := range hubs {
+			merged = merged.Merge(h.Profile())
 		}
 		return merged
 	}
 
 	if c.metricsAddr != "" {
 		srv, err := obs.ServeMetrics(c.metricsAddr, func() any {
-			p := mergedPerf()
+			p := mergedProfile()
 			return metricsDoc{Snapshot: mergedHubs(), Perf: &p}
 		},
 			obs.Route{Pattern: "/events", Handler: stream.EventsHandler(bus)},
@@ -337,7 +329,7 @@ func run(args []string) int {
 		final    mcfs.Result
 		coverage mcfs.Coverage
 		crash    mcfs.CrashStats
-		phases   perf.Snapshot
+		phases   obs.Profile
 		heatmap  *stream.Heatmap
 	)
 	if swarm {
@@ -390,7 +382,7 @@ func run(args []string) int {
 		reporter.Stop()
 		printResult(final, c.traceDump)
 		fmt.Printf("syscalls executed: %d\n", session.Kernel().SyscallCount())
-		coverage, crash, phases, heatmap = final.Coverage, final.Crash, mergedPerf(), final.CrashHeatmap
+		coverage, crash, phases, heatmap = final.Coverage, final.Crash, mergedProfile(), final.CrashHeatmap
 	}
 
 	if c.coverage {
@@ -583,7 +575,7 @@ func printResult(res mcfs.Result, traceDump bool) {
 // under -phase-profile, and the machine-readable JSON document (the
 // same "perf" section /metrics serves) under -trace-dump. Silent when
 // no phase work was recorded.
-func printPerf(snap perf.Snapshot, table, dump bool) {
+func printPerf(snap obs.Profile, table, dump bool) {
 	if !snap.Enabled() {
 		return
 	}

@@ -30,7 +30,7 @@ import (
 )
 
 func main() {
-	hub := obs.New(obs.Options{})
+	hub := obs.New()
 	session, err := mcfs.NewSession(mcfs.Options{
 		Targets: []mcfs.TargetSpec{
 			{Kind: "verifs1"},

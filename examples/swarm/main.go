@@ -41,7 +41,7 @@ func main() {
 	hubs := make([]*obs.Hub, workers)
 	lanes := make([]obs.Lane, workers)
 	for i := range hubs {
-		hubs[i] = obs.New(obs.Options{})
+		hubs[i] = obs.New()
 		lanes[i] = obs.Lane{Name: fmt.Sprintf("w%d", i+1), Hub: hubs[i]}
 	}
 	reporter := obs.NewReporter(os.Stderr, 0, lanes)

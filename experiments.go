@@ -223,7 +223,7 @@ type Figure3Config struct {
 	// needs a crash plane, which the FUSE-backed VeriFS pair does not
 	// expose) — and every other field applies as in NewSession, or with
 	// Workers > 1 as in SwarmRun: the per-operation cost then averages
-	// over a coordinated swarm, whose first worker carries Obs and Perf.
+	// over a coordinated swarm, whose first worker carries Obs.
 	// Obs additionally tracks the simulated series as gauges
 	// ("figure3.day" in hours, "figure3.ops_per_sec", "figure3.swap_gb").
 	Calibration Options
@@ -258,9 +258,9 @@ func measureBasePerOp(cal Options) (time.Duration, int64, error) {
 	} else {
 		sr, err := runSwarm(cal, func(worker int, o *Options) error {
 			if worker == 1 {
-				// The hub and profiler rebase onto one session's virtual
-				// clock, so only the first worker carries them.
-				o.Obs, o.Perf = cal.Obs, cal.Perf
+				// The hub rebases onto one session's virtual clock, so
+				// only the first worker carries it.
+				o.Obs = cal.Obs
 			}
 			return nil
 		}, func(sessions []*Session) {

@@ -214,7 +214,8 @@ func TestLendBlockIsBookedAsTheRead(t *testing.T) {
 		m := NewMTD("mtd0", size, es, clk)
 		inj := fault.New()
 		m.SetInjector(inj)
-		hub := obs.New(obs.Options{Now: clk.Now})
+		hub := obs.New()
+		hub.SetNow(clk.Now)
 		m.SetObs(hub)
 		return side{clk, m, inj, hub.Counter("blockdev.mtd0.reads")}
 	}

@@ -84,19 +84,6 @@ func (c *Checker) SetObs(h *obs.Hub) {
 	c.histCompare = h.Histogram(obs.MetricCompare)
 }
 
-// beginCompare opens a comparison span; the returned func completes it.
-func (c *Checker) beginCompare(name string) func() {
-	if c.obsHub == nil {
-		return func() {}
-	}
-	sp := c.obsHub.StartSpan(obs.LayerChecker, name)
-	start := c.obsHub.Now()
-	return func() {
-		c.histCompare.Observe(c.obsHub.Now() - start)
-		sp.End()
-	}
-}
-
 // New builds a checker over the given targets. The abstraction options
 // get the standard exception list plus the space-equalizer dummy.
 func New(k *kernel.Kernel, targets []Target) *Checker {
@@ -234,7 +221,7 @@ func (c *Checker) CheckAndHashMajority(op string) (*Discrepancy, abstraction.Sta
 	if len(c.targets) < 3 {
 		return c.CheckAndHash(op)
 	}
-	defer c.beginCompare("compare-majority")()
+	defer c.obsHub.StartTimed(obs.LayerChecker, "compare-majority", c.histCompare).End()
 	hasher := md5.New()
 	hashes := make([]abstraction.State, len(c.targets))
 	records := make([][]abstraction.Record, len(c.targets))
@@ -298,7 +285,7 @@ func (c *Checker) CheckAndHashMajority(op string) (*Discrepancy, abstraction.Sta
 // the discrepancy (if any) is the bug report, and the hash keys the
 // visited-state table.
 func (c *Checker) CheckAndHash(op string) (*Discrepancy, abstraction.State, errno.Errno) {
-	defer c.beginCompare("compare")()
+	defer c.obsHub.StartTimed(obs.LayerChecker, "compare", c.histCompare).End()
 	hasher := md5.New()
 	var baseRecords []abstraction.Record
 	for i, t := range c.targets {

@@ -277,12 +277,8 @@ func (k *Kernel) dropMount(m *Mount) {
 // cache-coherency hammer (§3.2): the only way to guarantee no stale state
 // remains in kernel memory.
 func (k *Kernel) Remount(point string) error {
-	sp := k.obsHub.StartSpan(obs.LayerKernel, "remount")
-	start := k.obsHub.Now()
-	err := k.remount(point)
-	k.histRemount.Observe(k.obsHub.Now() - start)
-	sp.End()
-	return err
+	defer k.obsHub.StartTimed(obs.LayerKernel, "remount", k.histRemount).End()
+	return k.remount(point)
 }
 
 func (k *Kernel) remount(point string) error {

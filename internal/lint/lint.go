@@ -358,7 +358,6 @@ func Analyzers() []*Analyzer {
 			Targets: map[string][]string{
 				"mcfs/internal/obs":         {"Hub", "Counter", "Gauge", "Histogram", "Reporter"},
 				"mcfs/internal/obs/journal": {"Writer", "Recorder"},
-				"mcfs/internal/obs/perf":    {"Profiler"},
 				"mcfs/internal/obs/stream":  {"Bus", "Subscriber"},
 				// The engine calls the governor unconditionally on its
 				// visit hot path; a nil governor must stay inert.

@@ -7,13 +7,13 @@ import (
 	"mcfs"
 	"mcfs/internal/obs"
 	"mcfs/internal/obs/journal"
-	"mcfs/internal/obs/perf"
 )
 
 // benchExplore runs one bounded exploration per iteration. Comparing the
 // NilObs and WithObs variants shows what instrumentation costs: with a
-// nil hub every instrument call is a single nil check, so the two should
-// be within noise of each other.
+// nil hub every instrument call is a single nil check, so NilObs must
+// stay within noise of seed speed, and WithObs shows what the hub's
+// counters, spans, phase timers and telemetry add.
 func benchExplore(b *testing.B, hub func() *obs.Hub) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -42,41 +42,13 @@ func BenchmarkExploreNilObs(b *testing.B) {
 }
 
 func BenchmarkExploreWithObs(b *testing.B) {
-	benchExplore(b, func() *obs.Hub { return obs.New(obs.Options{}) })
-}
-
-// BenchmarkExploreWithPerf measures the phase profiler's hot-path cost.
-// Compare against BenchmarkExploreNilObs: the nil-profiler path (covered
-// by NilObs, whose session carries neither hub nor profiler) must stay
-// within noise of seed speed, and this variant shows what the per-phase
-// timers add.
-func BenchmarkExploreWithPerf(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s, err := mcfs.NewSession(mcfs.Options{
-			Targets:  []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
-			MaxDepth: 2,
-			MaxOps:   300,
-			Perf:     perf.New(nil),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		res := s.Run()
-		s.Close()
-		if res.Err != nil {
-			b.Fatal(res.Err)
-		}
-		if res.Bug != nil {
-			b.Fatalf("unexpected bug: %v", res.Bug)
-		}
-	}
+	benchExplore(b, func() *obs.Hub { return obs.New() })
 }
 
 // BenchmarkExploreNilStream proves the event bus's nil path is free:
 // sessions hold a nil *stream.Bus, so every emit site is one branch.
 // Must stay within noise of BenchmarkExploreNilObs — the stream joins
-// the hub, profiler, and journal under the same nil-safety gate.
+// the hub and journal under the same nil-safety gate.
 func BenchmarkExploreNilStream(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -21,12 +21,11 @@ import (
 	"mcfs"
 	"mcfs/internal/obs"
 	"mcfs/internal/obs/journal"
-	"mcfs/internal/obs/perf"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden from the current engine")
 
-// goldenRun explores opts with all four instrumentation planes attached
+// goldenRun explores opts with all three instrumentation planes attached
 // and returns every artifact the run leaves behind, by file name.
 func goldenRun(t *testing.T, opts mcfs.Options) map[string][]byte {
 	t.Helper()
@@ -35,9 +34,8 @@ func goldenRun(t *testing.T, opts mcfs.Options) map[string][]byte {
 	bus := mcfs.NewStream()
 	sub := bus.Subscribe(1 << 16)
 	defer sub.Close()
-	hub := obs.New(obs.Options{})
-	prof := perf.New(nil)
-	opts.Journal, opts.Stream, opts.Obs, opts.Perf = jw, bus, hub, prof
+	hub := obs.New()
+	opts.Journal, opts.Stream, opts.Obs = jw, bus, hub
 
 	s, err := mcfs.NewSession(opts)
 	if err != nil {
@@ -99,7 +97,7 @@ func goldenRun(t *testing.T, opts mcfs.Options) map[string][]byte {
 	out := map[string][]byte{
 		"journal.jsonl": jbuf.Bytes(),
 		"events.ndjson": events.Bytes(),
-		"perf.json":     indent(prof.Snapshot()),
+		"perf.json":     indent(hub.Profile()),
 		"metrics.json":  indent(hub.Snapshot()),
 		"result.json":   indent(summary),
 	}

@@ -42,7 +42,6 @@ import (
 	"mcfs/internal/memmodel"
 	"mcfs/internal/obs"
 	"mcfs/internal/obs/journal"
-	"mcfs/internal/obs/perf"
 	"mcfs/internal/obs/stream"
 	"mcfs/internal/simclock"
 	"mcfs/internal/tracker"
@@ -84,16 +83,13 @@ type Config struct {
 	// so exploration continues where the interrupted run left off (§7).
 	Resume *ResumeState
 	// Obs, when set, receives engine metrics (ops, visited-table
-	// hits/misses, DFS depth) and per-operation cross-layer spans.
-	// All instrumentation is nil-safe: a nil Obs costs one branch per
-	// operation and nothing else.
+	// hits/misses, DFS depth), per-operation cross-layer spans,
+	// phase-level time attribution (checkpoint, execute, verify,
+	// restore, hash, fsck, remount, journal, oracle) and per-N-ops
+	// state-space telemetry (novelty decay, frontier depth, duplicate
+	// rate, crash points/sec). All instrumentation is nil-safe: a nil
+	// Obs costs one branch per phase boundary and nothing else.
 	Obs *obs.Hub
-	// Perf, when set, receives phase-level time attribution (checkpoint,
-	// execute, verify, restore, hash, fsck, remount, journal) and
-	// per-N-ops state-space telemetry (novelty decay, frontier depth,
-	// duplicate rate, crash points/sec). Nil-safe: a nil profiler costs
-	// one branch per phase boundary.
-	Perf *perf.Profiler
 	// Cancel, when set, is polled between operations: once the token
 	// fires (a swarm peer found a bug or failed, or the caller aborted)
 	// the engine stops promptly and returns a partial Result with

@@ -14,7 +14,7 @@ import (
 // report carries a cross-layer span trace: one engine-level span per
 // trail operation, each with timed kernel and tracker child spans.
 func TestTrailSpansCoverWholeTrail(t *testing.T) {
-	hub := obs.New(obs.Options{})
+	hub := obs.New()
 	s, err := mcfs.NewSession(mcfs.Options{
 		Targets: []mcfs.TargetSpec{
 			{Kind: "verifs1"},
@@ -60,7 +60,10 @@ func TestTrailSpansCoverWholeTrail(t *testing.T) {
 	// Every op span must contain timed kernel work (the syscalls that
 	// executed the operation) and timed tracker work (the checkpoints
 	// that bracketed it) — the cross-layer part of the trace.
-	children := obs.ChildrenOf(res.Bug.TrailSpans)
+	children := make(map[uint64][]obs.Span)
+	for _, sp := range res.Bug.TrailSpans {
+		children[sp.Parent] = append(children[sp.Parent], sp)
+	}
 	for i, opSpan := range opSpans {
 		if opSpan.Duration() <= 0 {
 			t.Errorf("op span %d has non-positive duration %v", i, opSpan.Duration())
@@ -139,7 +142,7 @@ func TestObsResultsMatchUninstrumentedRun(t *testing.T) {
 		return s.Run()
 	}
 	plain := run(nil)
-	observed := run(obs.New(obs.Options{}))
+	observed := run(obs.New())
 	if plain.Ops != observed.Ops || plain.UniqueStates != observed.UniqueStates ||
 		plain.Revisits != observed.Revisits || plain.Elapsed != observed.Elapsed {
 		t.Errorf("observability perturbed the run:\nplain    %+v\nobserved %+v", plain, observed)

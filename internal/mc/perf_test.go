@@ -5,20 +5,19 @@ import (
 	"testing"
 
 	"mcfs"
-	"mcfs/internal/obs/perf"
+	"mcfs/internal/obs"
 )
 
-// TestExplorePhaseProfile runs a bounded exploration with a profiler
-// attached and checks the engine attributed time to the expected phases
-// in virtual time.
+// TestExplorePhaseProfile runs a bounded exploration with a hub attached
+// and checks the engine attributed time to the expected phases in
+// virtual time.
 func TestExplorePhaseProfile(t *testing.T) {
-	p := perf.New(nil)
-	p.SetSampleEvery(16)
+	hub := obs.New()
 	s, err := mcfs.NewSession(mcfs.Options{
 		Targets:  []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
 		MaxDepth: 2,
 		MaxOps:   400,
-		Perf:     p,
+		Obs:      hub,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -31,33 +30,29 @@ func TestExplorePhaseProfile(t *testing.T) {
 	if res.Bug != nil {
 		t.Fatalf("unexpected bug: %v", res.Bug)
 	}
-	if s.Perf() != p {
-		t.Fatal("Session.Perf() did not return the attached profiler")
-	}
-
-	snap := p.Snapshot()
+	snap := hub.Profile()
 	if !snap.Enabled() {
-		t.Fatal("profiler recorded no phases")
+		t.Fatal("hub recorded no phases")
 	}
 	// Every normal exploration exercises these phases; fsck and hash (the
 	// crash oracle's metadata hashes) only appear under crash exploration.
 	for _, phase := range []string{
-		perf.PhaseCheckpoint, perf.PhaseExecute, perf.PhaseVerify,
-		perf.PhaseRestore,
+		obs.PhaseCheckpoint, obs.PhaseExecute, obs.PhaseVerify,
+		obs.PhaseRestore,
 	} {
 		h, ok := snap.Phases[phase]
 		if !ok || h.Count == 0 {
 			t.Errorf("phase %q not recorded", phase)
 		}
 	}
-	for _, phase := range []string{perf.PhaseFsck, perf.PhaseHash} {
+	for _, phase := range []string{obs.PhaseFsck, obs.PhaseHash} {
 		if _, ok := snap.Phases[phase]; ok {
 			t.Errorf("%s phase recorded without crash exploration", phase)
 		}
 	}
 	// The execute phase ran once per executed op, and so did verify: its
 	// one abstraction walk is the only one an op gets.
-	for _, phase := range []string{perf.PhaseExecute, perf.PhaseVerify} {
+	for _, phase := range []string{obs.PhaseExecute, obs.PhaseVerify} {
 		if n := snap.Phases[phase].Count; n != res.Ops {
 			t.Errorf("%s phase count = %d, want %d (one per op)", phase, n, res.Ops)
 		}
@@ -65,8 +60,8 @@ func TestExplorePhaseProfile(t *testing.T) {
 	if total := snap.Total(); total <= 0 {
 		t.Errorf("Total() = %v, want > 0 (virtual clock must advance)", total)
 	}
-	if len(snap.Samples) == 0 {
-		t.Error("no telemetry samples recorded")
+	if len(snap.Samples) < 2 {
+		t.Fatalf("%d telemetry samples recorded over %d ops, want one per %d", len(snap.Samples), res.Ops, obs.DefaultSampleEvery)
 	}
 	last := snap.Samples[len(snap.Samples)-1]
 	if last.Ops > res.Ops || last.Unique > res.UniqueStates || last.Revisits > res.Revisits {
@@ -78,14 +73,13 @@ func TestExplorePhaseProfile(t *testing.T) {
 // TestCrashExplorePhaseProfile checks that crash exploration attributes
 // fsck and oracle-hash time and counts crash points in the telemetry.
 func TestCrashExplorePhaseProfile(t *testing.T) {
-	p := perf.New(nil)
-	p.SetSampleEvery(8)
+	hub := obs.New()
 	s, err := mcfs.NewSession(mcfs.Options{
 		Targets:          []mcfs.TargetSpec{{Kind: "ext2"}, {Kind: "ext4"}},
 		MaxDepth:         1,
 		MaxOps:           600,
 		CrashExploration: true,
-		Perf:             p,
+		Obs:              hub,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -101,14 +95,14 @@ func TestCrashExplorePhaseProfile(t *testing.T) {
 	if res.Crash.PointsExplored == 0 {
 		t.Fatal("crash exploration tested no crash points")
 	}
-	snap := p.Snapshot()
-	if _, ok := snap.Phases[perf.PhaseFsck]; !ok {
+	snap := hub.Profile()
+	if _, ok := snap.Phases[obs.PhaseFsck]; !ok {
 		t.Error("fsck phase not recorded under crash exploration (ext4 plane has fsck)")
 	}
-	if _, ok := snap.Phases[perf.PhaseRemount]; !ok {
+	if _, ok := snap.Phases[obs.PhaseRemount]; !ok {
 		t.Error("remount phase not recorded under crash exploration")
 	}
-	if h := snap.Phases[perf.PhaseHash]; h.Count == 0 {
+	if h := snap.Phases[obs.PhaseHash]; h.Count == 0 {
 		t.Error("hash phase not recorded under crash exploration (the oracle hashes metadata)")
 	}
 	var sawCrashPoints bool
@@ -127,7 +121,7 @@ func TestCrashExplorePhaseProfile(t *testing.T) {
 // profiles and drops per-worker telemetry series.
 func TestSwarmMergesPerf(t *testing.T) {
 	var mu sync.Mutex
-	profilers := make(map[int]*perf.Profiler)
+	hubs := make(map[int]*obs.Hub)
 	sr, err := mcfs.SwarmRun(mcfs.Options{
 		Targets:      []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
 		MaxDepth:     2,
@@ -135,9 +129,9 @@ func TestSwarmMergesPerf(t *testing.T) {
 		Workers:      2,
 		ShareVisited: true,
 	}, func(worker int, o *mcfs.Options) error {
-		o.Perf = perf.New(nil)
+		o.Obs = obs.New()
 		mu.Lock()
-		profilers[worker] = o.Perf
+		hubs[worker] = o.Obs
 		mu.Unlock()
 		return nil
 	})
@@ -151,10 +145,10 @@ func TestSwarmMergesPerf(t *testing.T) {
 		t.Fatal("merged swarm snapshot recorded no phases")
 	}
 	var workers int64
-	for _, p := range profilers {
-		workers += p.Snapshot().Phases[perf.PhaseExecute].Count
+	for _, h := range hubs {
+		workers += h.Profile().Phases[obs.PhaseExecute].Count
 	}
-	if got := sr.Perf.Phases[perf.PhaseExecute].Count; got != workers {
+	if got := sr.Perf.Phases[obs.PhaseExecute].Count; got != workers {
 		t.Errorf("merged execute count = %d, want sum of workers %d", got, workers)
 	}
 	if len(sr.Perf.Samples) != 0 {

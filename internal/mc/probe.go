@@ -1,10 +1,10 @@
 // The engine's one event seam. The explore loop (mc.go, crash.go)
 // reports what it just did through a small fixed set of typed calls on
-// a *probe; the four instrumentation planes — perf phase timers, obs
-// hub counters and trail spans, stream events, journal records — are
-// the probe's internals (DESIGN.md lists which call feeds which plane).
-// A nil probe (no plane attached) costs one branch per call, so the
-// uninstrumented engine stays at seed speed.
+// a *probe; the three instrumentation planes — the obs hub (phase
+// times, telemetry, counters and trail spans), stream events, journal
+// records — are the probe's internals (DESIGN.md lists which call feeds
+// which plane). A nil probe (no plane attached) costs one branch per
+// call, so the uninstrumented engine stays at seed speed.
 //
 // Phase time is attributed by marking: every phase call charges the
 // virtual time since the previous mark to its phase and re-marks, so
@@ -20,16 +20,13 @@ import (
 	"mcfs/internal/abstraction"
 	"mcfs/internal/obs"
 	"mcfs/internal/obs/journal"
-	"mcfs/internal/obs/perf"
 	"mcfs/internal/obs/stream"
 	"mcfs/internal/workload"
 )
 
 type probe struct {
-	perf *perf.Profiler
-	mark time.Duration // the profiler's clock at the last phase boundary
-
 	hub                          *obs.Hub
+	mark                         time.Duration // the hub's clock at the last phase boundary
 	ops, hits, misses, panics    *obs.Counter
 	crashPoints, crashRecoveries *obs.Counter
 	depth                        *obs.Gauge
@@ -37,14 +34,14 @@ type probe struct {
 	// lastStep is the span collection of the most recent operation;
 	// trailTraces mirrors the engine's trail with each trail op's
 	// collection, so a bug report carries its full cross-layer trace
-	// even after the tracer ring has recycled those spans.
+	// (the hub keeps no span outside a collection window).
 	lastStep    []obs.Span
 	trailTraces [][]obs.Span
 
 	bus    *stream.Bus
 	worker int
 	now    func() time.Duration // session virtual clock: keeps the stream bit-deterministic
-	// pointPhases is the profiler's phase totals when the current crash
+	// pointPhases is the hub's phase totals when the current crash
 	// point's judgment began; the verdict event names the phase that
 	// grew most since.
 	pointPhases []time.Duration
@@ -60,7 +57,7 @@ type probe struct {
 // newProbe resolves cfg's instrumentation planes once, so the hot path
 // pays no map lookups. Nil when every plane is off.
 func newProbe(cfg *Config) *probe {
-	if cfg.Obs == nil && cfg.Perf == nil && cfg.Stream == nil && cfg.Journal == nil {
+	if cfg.Obs == nil && cfg.Stream == nil && cfg.Journal == nil {
 		return nil
 	}
 	now := func() time.Duration { return 0 } // a panicked worker may have no kernel left
@@ -68,7 +65,6 @@ func newProbe(cfg *Config) *probe {
 		now = cfg.Kernel.Clock().Now
 	}
 	return &probe{
-		perf:            cfg.Perf,
 		hub:             cfg.Obs,
 		ops:             cfg.Obs.Counter(obs.MetricOps),
 		hits:            cfg.Obs.Counter(obs.MetricVisitedHits),
@@ -104,25 +100,25 @@ func (p *probe) emit(ev stream.Event) {
 // lap charges the virtual time since the previous mark to phase ("" =
 // to none) and re-marks.
 func (p *probe) lap(phase string) {
-	if p == nil || p.perf == nil {
+	if p == nil || p.hub == nil {
 		return
 	}
-	now := p.perf.Now()
+	now := p.hub.Now()
 	if phase != "" {
-		p.perf.Record(phase, now-p.mark)
+		p.hub.Record(phase, now-p.mark)
 	}
 	p.mark = now
 }
 
 func (p *probe) idle()         { p.lap("") }
-func (p *probe) checkpointed() { p.lap(perf.PhaseCheckpoint) }
-func (p *probe) ran()          { p.lap(perf.PhaseExecute) }
-func (p *probe) remounted()    { p.lap(perf.PhaseRemount) }
-func (p *probe) judged()       { p.lap(perf.PhaseVerify) }
-func (p *probe) hashed()       { p.lap(perf.PhaseHash) }
-func (p *probe) restored()     { p.lap(perf.PhaseRestore) }
-func (p *probe) fscked()       { p.lap(perf.PhaseFsck) }
-func (p *probe) digested()     { p.lap(perf.PhaseOracle) }
+func (p *probe) checkpointed() { p.lap(obs.PhaseCheckpoint) }
+func (p *probe) ran()          { p.lap(obs.PhaseExecute) }
+func (p *probe) remounted()    { p.lap(obs.PhaseRemount) }
+func (p *probe) judged()       { p.lap(obs.PhaseVerify) }
+func (p *probe) hashed()       { p.lap(obs.PhaseHash) }
+func (p *probe) restored()     { p.lap(obs.PhaseRestore) }
+func (p *probe) fscked()       { p.lap(obs.PhaseFsck) }
+func (p *probe) digested()     { p.lap(obs.PhaseOracle) }
 
 // runBegin announces the engine on the stream.
 func (p *probe) runBegin(seed int64) {
@@ -189,7 +185,7 @@ func (p *probe) executed(res *Result, depth int, errnos []string) {
 		return
 	}
 	p.ops.Inc()
-	p.perf.Observe(res.Ops, res.UniqueStates, res.Revisits, res.Crash.PointsExplored, depth)
+	p.hub.Observe(res.Ops, res.UniqueStates, res.Revisits, res.Crash.PointsExplored, depth)
 	if res.Ops%stream.HeartbeatEvery == 0 {
 		p.emit(statusEvent(stream.KindWorkerHeartbeat, res, depth, ""))
 	}
@@ -204,7 +200,7 @@ func (p *probe) visited(depth int, op workload.Op, h abstraction.State, novel, e
 	if p.jr != nil {
 		p.idle()
 		p.jr.Op(depth, journal.EncodeOp(op), p.errnos, fmt.Sprintf("%x", h[:]), novel, expand)
-		p.lap(perf.PhaseJournal) // no virtual time, but the sample count is the recording overhead's denominator
+		p.lap(obs.PhaseJournal) // no virtual time, but the sample count is the recording overhead's denominator
 	}
 	if p.bus != nil { // the hex render is not free
 		p.emit(stream.Event{Kind: stream.KindStep, Op: op.String(), Depth: depth,
@@ -229,7 +225,7 @@ func (p *probe) backtracked(depth int) {
 	if p.jr != nil {
 		p.idle()
 		p.jr.Backtrack(depth)
-		p.lap(perf.PhaseJournal)
+		p.lap(obs.PhaseJournal)
 	}
 	p.emit(stream.Event{Kind: stream.KindBacktrack, Depth: depth})
 	if len(p.trailTraces) > depth {
@@ -244,7 +240,7 @@ func (p *probe) crashPoint() {
 	}
 	p.crashPoints.Inc()
 	if p.bus != nil {
-		p.pointPhases = p.perf.PhaseTotals()
+		p.pointPhases = p.hub.PhaseTotals()
 	}
 }
 
@@ -257,7 +253,7 @@ func (p *probe) crashVerdict(depth int, op workload.Op, target string, k, w int,
 	if p.bus != nil {
 		p.emit(stream.Event{Kind: stream.KindCrashVerdict, Op: op.String(), Target: target,
 			Depth: depth, Write: k, Writes: w, Verdict: verdict,
-			Phase: perf.DominantDelta(p.pointPhases, p.perf.PhaseTotals())})
+			Phase: obs.DominantDelta(p.pointPhases, p.hub.PhaseTotals())})
 	}
 	if verdict != stream.VerdictBug {
 		p.crashRecoveries.Inc()
@@ -306,7 +302,7 @@ func (p *probe) bug(depth int, op workload.Op, b *BugReport) {
 		OpsExecuted: b.OpsExecuted,
 		Crash:       b.Crash,
 	})
-	p.lap(perf.PhaseJournal)
+	p.lap(obs.PhaseJournal)
 }
 
 // panicked reports a target panic caught at depth.

@@ -118,7 +118,7 @@ func TestCrashStreamDeterministicAndComplete(t *testing.T) {
 }
 
 func TestSlowSubscriberNeverBlocksEngine(t *testing.T) {
-	hub := obs.New(obs.Options{})
+	hub := obs.New()
 	bus := mcfs.NewStream()
 	bus.SetObs(hub)
 	slow := bus.Subscribe(1) // never drained: every event past the first drops

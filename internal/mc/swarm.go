@@ -31,7 +31,6 @@ import (
 	"mcfs/internal/mc/visited"
 	"mcfs/internal/obs"
 	"mcfs/internal/obs/journal"
-	"mcfs/internal/obs/perf"
 	"mcfs/internal/obs/stream"
 )
 
@@ -159,11 +158,11 @@ type SwarmResult struct {
 	// Metrics merges the per-worker observability hub snapshots
 	// (obs.Merge); zero-valued when no worker Config carried a hub.
 	Metrics obs.Snapshot
-	// Perf merges the per-worker phase profiles (perf.Snapshot.Merge);
+	// Perf merges the per-worker hubs' phase profiles (Profile.Merge);
 	// telemetry samples are dropped on merge — workers sample on
 	// independent virtual clocks. Zero-valued when no worker Config
-	// carried a profiler.
-	Perf perf.Snapshot
+	// carried a hub.
+	Perf obs.Profile
 	// Elapsed is the maximum per-worker virtual time — the parallel
 	// swarm's makespan on independent virtual clocks.
 	Elapsed time.Duration
@@ -212,7 +211,6 @@ func SwarmRun(opts SwarmOptions, factory func(seed int64) (Config, error)) (Swar
 	var (
 		results    = make([]Result, n)
 		hubs       = make([]*obs.Hub, n)
-		profilers  = make([]*perf.Profiler, n)
 		sem        = make(chan struct{}, par)
 		wg         sync.WaitGroup
 		mu         sync.Mutex // guards the fields below
@@ -261,7 +259,6 @@ func SwarmRun(opts SwarmOptions, factory func(seed int64) (Config, error)) (Swar
 				cfg.StreamWorker = w + 1
 			}
 			hubs[w] = cfg.Obs
-			profilers[w] = cfg.Perf
 			res := runWorker(cfg)
 			results[w] = res
 			if res.Bug != nil {
@@ -298,15 +295,11 @@ func SwarmRun(opts SwarmOptions, factory func(seed int64) (Config, error)) (Swar
 	for _, h := range hubs {
 		if h != nil {
 			snaps = append(snaps, h.Snapshot())
+			sr.Perf = sr.Perf.Merge(h.Profile())
 		}
 	}
 	if len(snaps) > 0 {
 		sr.Metrics = obs.Merge(snaps...)
-	}
-	for _, p := range profilers {
-		if p != nil {
-			sr.Perf = sr.Perf.Merge(p.Snapshot())
-		}
 	}
 	return sr, factoryErr
 }

@@ -771,7 +771,7 @@ func TestSwarmWorkerPanicIsolated(t *testing.T) {
 func TestPanicProducesPartialTrail(t *testing.T) {
 	for _, inj := range panicInjectors {
 		t.Run(inj.name, func(t *testing.T) {
-			hub := obs.New(obs.Options{})
+			hub := obs.New()
 			s, err := mcfs.NewSession(mcfs.Options{
 				Targets: []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
 				Pool: &mcfs.Pool{

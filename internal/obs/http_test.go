@@ -8,30 +8,28 @@ import (
 	"time"
 
 	"mcfs/internal/obs"
-	"mcfs/internal/obs/perf"
 )
 
 // metricsDoc mirrors the CLI's /metrics document: the hub snapshot with
-// the phase profiler's section grafted on. Living in the external test
-// package proves the composition works without obs importing perf.
+// the hub's phase profile grafted on as a "perf" section.
 type metricsDoc struct {
 	obs.Snapshot
-	Perf *perf.Snapshot `json:"perf,omitempty"`
+	Perf *obs.Profile `json:"perf,omitempty"`
 }
 
 func perfMux(t *testing.T) *http.ServeMux {
 	t.Helper()
-	hub := obs.New(obs.Options{})
+	hub := obs.New()
 	hub.Counter(obs.MetricOps).Add(42)
 
 	var clock time.Duration
-	prof := perf.New(func() time.Duration { return clock })
+	hub.SetNow(func() time.Duration { return clock })
 	clock += 3 * time.Millisecond
-	prof.Record(perf.PhaseExecute, 3*time.Millisecond)
-	prof.Observe(1, 1, 0, 0, 1)
+	hub.Record(obs.PhaseExecute, 3*time.Millisecond)
+	hub.Observe(1, 1, 0, 0, 1)
 
 	return obs.MetricsMux(func() any {
-		snap := prof.Snapshot()
+		snap := hub.Profile()
 		doc := metricsDoc{Snapshot: hub.Snapshot()}
 		if snap.Enabled() {
 			doc.Perf = &snap
@@ -53,7 +51,7 @@ func TestMetricsEndpointJSON(t *testing.T) {
 
 	var doc struct {
 		Counters map[string]int64 `json:"counters"`
-		Perf     *perf.Snapshot   `json:"perf"`
+		Perf     *obs.Profile     `json:"perf"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
 		t.Fatalf("/metrics did not decode: %v", err)
@@ -64,7 +62,7 @@ func TestMetricsEndpointJSON(t *testing.T) {
 	if doc.Perf == nil {
 		t.Fatal("perf section missing from /metrics document")
 	}
-	exec := doc.Perf.Phases[perf.PhaseExecute]
+	exec := doc.Perf.Phases[obs.PhaseExecute]
 	if exec.Count != 1 || exec.Sum != 3*time.Millisecond {
 		t.Errorf("perf execute phase = count %d sum %v, want 1/3ms", exec.Count, exec.Sum)
 	}
@@ -74,12 +72,12 @@ func TestMetricsEndpointJSON(t *testing.T) {
 }
 
 func TestMetricsEndpointOmitsIdlePerf(t *testing.T) {
-	// A profiler that never recorded work must not produce a perf
+	// A hub that never recorded phase work must not produce a perf
 	// section — the document stays byte-compatible with perf-less runs.
-	var prof *perf.Profiler
+	hub := obs.New()
 	mux := obs.MetricsMux(func() any {
-		snap := prof.Snapshot()
-		doc := metricsDoc{Snapshot: obs.New(obs.Options{}).Snapshot()}
+		snap := hub.Profile()
+		doc := metricsDoc{Snapshot: hub.Snapshot()}
 		if snap.Enabled() {
 			doc.Perf = &snap
 		}

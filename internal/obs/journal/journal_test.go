@@ -129,7 +129,7 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 
 func TestBatchedFlushing(t *testing.T) {
 	var cw countingWriter
-	hub := obs.New(obs.Options{})
+	hub := obs.New()
 	w := NewWriter(&cw, Options{FlushEvery: 10, Obs: hub})
 	r := w.Recorder(0)
 	for i := 0; i < 95; i++ {

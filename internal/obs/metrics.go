@@ -112,11 +112,6 @@ func newHistogram() *Histogram {
 	return h
 }
 
-// NewHistogram returns a standalone histogram not owned by any hub.
-// Components that pre-build a fixed instrument set (the perf phase
-// profiler) use it; hub-owned histograms come from Hub.Histogram.
-func NewHistogram() *Histogram { return newHistogram() }
-
 // Observe records one latency sample. Negative durations clamp to zero
 // (virtual clocks never refund time, but guard anyway).
 func (h *Histogram) Observe(d time.Duration) {
@@ -262,14 +257,8 @@ func (s HistogramSnapshot) String() string {
 	return fmt.Sprintf("n=%d mean=%v min=%v max=%v", s.Count, s.Mean(), s.Min, s.Max)
 }
 
-// Merge folds other into s, combining counts, sums, extremes, and
-// bucket lists (callers merging per-worker phase profiles use it; hub
-// snapshots merge through Merge).
-func (s HistogramSnapshot) Merge(other HistogramSnapshot) HistogramSnapshot {
-	return s.merge(other)
-}
-
-// merge folds other into s.
+// merge folds other into s, combining counts, sums, extremes, and
+// bucket lists (Merge and Profile.Merge fold per-worker snapshots).
 func (s HistogramSnapshot) merge(other HistogramSnapshot) HistogramSnapshot {
 	if other.Count == 0 {
 		return s

@@ -1,8 +1,9 @@
 // Package obs is MCFS's stdlib-only observability layer: an atomic
 // metrics registry (counters, gauges, bounded-bucket latency
-// histograms), a lightweight cross-layer span tracer, a Spin-style
-// periodic progress reporter, and an optional HTTP endpoint serving a
-// JSON metrics snapshot plus net/http/pprof.
+// histograms), the engine's phase profile and state-space telemetry, a
+// lightweight cross-layer span tracer, a Spin-style periodic progress
+// reporter, and an optional HTTP endpoint serving a JSON metrics
+// snapshot plus net/http/pprof.
 //
 // The paper's §7 future work asks for coverage tracking and for
 // long-running swarm verification that can be interrupted and resumed;
@@ -11,12 +12,14 @@
 // perturbing the system under observation: every entry point is
 // nil-safe, so a component holding a nil *Hub (or a nil instrument
 // resolved from one) pays a single branch on the hot path and nothing
-// else. Time is read from a pluggable Now function, which MCFS wires to
-// the session's virtual clock — spans and latency histograms therefore
-// report deterministic virtual durations, not wall time.
+// else. Time is the session's virtual clock, which MCFS wires in with
+// SetNow — spans, latency histograms and phase times therefore report
+// deterministic virtual durations, not wall time. A hub no clock was
+// wired into reads zero.
 //
 // The central type is the Hub: one per exploration engine (swarm
-// workers each get their own hub; Merge aggregates their snapshots).
+// workers each get their own hub; Merge and Profile.Merge aggregate
+// their snapshots).
 package obs
 
 import (
@@ -91,65 +94,48 @@ const (
 	LayerBlockdev = "blockdev"
 )
 
-// Options configures a Hub.
-type Options struct {
-	// Now supplies the hub's time base; MCFS wires the session's
-	// virtual clock here. When nil, wall time since New is used.
-	Now func() time.Duration
-	// TraceCapacity bounds the completed-span ring buffer
-	// (DefaultTraceCapacity when zero or negative).
-	TraceCapacity int
-}
-
-// DefaultTraceCapacity is the span ring size when Options leaves it 0.
-const DefaultTraceCapacity = 16384
-
-// Hub is one observability domain: a metrics registry plus a span
-// tracer sharing one time base. All methods are safe for concurrent use
-// and safe on a nil receiver (returning nil instruments / zero values),
-// so components can hold an optional *Hub without guarding call sites.
+// Hub is one observability domain: a metrics registry, the engine's
+// phase profile and telemetry, and a span tracer sharing one time base.
+// All methods are safe for concurrent use and safe on a nil receiver
+// (returning nil instruments / zero values), so components can hold an
+// optional *Hub without guarding call sites.
 type Hub struct {
 	now atomic.Pointer[func() time.Duration]
+
+	// phases is built complete at New and never mutated, so phase
+	// lookups need no lock; the histograms themselves are atomic. It
+	// stays out of Snapshot: Profile reports it.
+	phases map[string]*Histogram
 
 	mu         sync.Mutex
 	counters   map[string]*Counter   // guarded by mu
 	gauges     map[string]*Gauge     // guarded by mu
 	histograms map[string]*Histogram // guarded by mu
+	every      int64                 // guarded by mu
+	nextAt     int64                 // guarded by mu
+	samples    []Sample              // guarded by mu
 
 	tracer tracer
 }
 
-// New returns an empty hub.
-func New(opts Options) *Hub {
+// New returns an empty hub. It reads zero until SetNow wires a clock.
+func New() *Hub {
 	h := &Hub{
+		phases:     make(map[string]*Histogram, len(Phases())),
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
 		histograms: make(map[string]*Histogram),
+		every:      DefaultSampleEvery,
+		nextAt:     1,
 	}
-	capacity := opts.TraceCapacity
-	if capacity <= 0 {
-		capacity = DefaultTraceCapacity
+	for _, ph := range Phases() {
+		h.phases[ph] = newHistogram()
 	}
-	h.tracer.ring = make([]Span, 0, capacity)
-	h.tracer.capacity = capacity
-	nowFn := opts.Now
-	if nowFn == nil {
-		// Wall time is the documented fallback when no virtual clock is
-		// wired (Options.Now == nil): a hub observing a live run still
-		// needs usable progress rates and span durations. Nothing the
-		// engine hashes or journals flows through this time base — MCFS
-		// always wires the session's simclock before exploring.
-		//lint:ignore walltime documented fallback time base for unwired hubs; feeds human telemetry only, never hashed or journaled state
-		start := time.Now()
-		//lint:ignore walltime pairs with the wall-clock epoch read above
-		nowFn = func() time.Duration { return time.Since(start) }
-	}
-	h.now.Store(&nowFn)
 	return h
 }
 
-// SetNow replaces the hub's time base; MCFS calls it when attaching a
-// hub to a session whose virtual clock did not exist yet at New time.
+// SetNow sets the hub's time base; MCFS wires the session's virtual
+// clock here when it builds the session the hub observes.
 func (h *Hub) SetNow(now func() time.Duration) {
 	if h == nil || now == nil {
 		return
@@ -158,12 +144,15 @@ func (h *Hub) SetNow(now func() time.Duration) {
 }
 
 // Now returns the hub's current time (virtual when wired to a
-// simulation clock). Zero on a nil hub.
+// simulation clock). Zero on a nil hub and before SetNow.
 func (h *Hub) Now() time.Duration {
 	if h == nil {
 		return 0
 	}
-	return (*h.now.Load())()
+	if now := h.now.Load(); now != nil {
+		return (*now)()
+	}
+	return 0
 }
 
 // Counter returns the named counter, creating it on first use. Nil on a
@@ -213,10 +202,10 @@ func (h *Hub) Histogram(name string) *Histogram {
 	return hist
 }
 
-// Snapshot captures every instrument's current value. The result is
-// deterministic for a given set of instrument values (maps serialize
-// sorted), so snapshots can be diffed and asserted on. Zero value on a
-// nil hub.
+// Snapshot captures every instrument's current value; the phase profile
+// is Profile's. The result is deterministic for a given set of
+// instrument values (maps serialize sorted), so snapshots can be diffed
+// and asserted on. Zero value on a nil hub.
 func (h *Hub) Snapshot() Snapshot {
 	snap := Snapshot{
 		Counters:   map[string]int64{},

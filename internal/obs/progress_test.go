@@ -8,8 +8,8 @@ import (
 )
 
 func TestReporterAggregateLine(t *testing.T) {
-	h1, clk1 := newTestHub(0)
-	h2, _ := newTestHub(0)
+	h1, clk1 := newTestHub()
+	h2, _ := newTestHub()
 	h1.Counter(MetricOps).Add(100)
 	h1.Counter(MetricVisitedMisses).Add(10)
 	h1.Gauge(MetricDepth).Set(2)
@@ -43,7 +43,7 @@ func TestReporterAggregateLine(t *testing.T) {
 }
 
 func TestReporterStallDetection(t *testing.T) {
-	h, _ := newTestHub(0)
+	h, _ := newTestHub()
 	var buf bytes.Buffer
 	r := NewReporter(&buf, time.Hour, []Lane{{Name: "w1", Hub: h}})
 	r.SetStallThreshold(100)

@@ -18,7 +18,7 @@ import (
 // mount next to /metrics.
 
 func streamMux(bus *stream.Bus) *http.ServeMux {
-	return obs.MetricsMux(func() any { return obs.New(obs.Options{}).Snapshot() },
+	return obs.MetricsMux(func() any { return obs.New().Snapshot() },
 		obs.Route{Pattern: "/events", Handler: stream.EventsHandler(bus)},
 		obs.Route{Pattern: "/workers", Handler: stream.WorkersHandler(bus)})
 }

@@ -6,7 +6,7 @@
 // verdict events aggregate into.
 //
 // The bus follows the observability layer's nil-safety contract
-// (obs.Hub, perf.Profiler): a component holding a nil *Bus pays one
+// (obs.Hub): a component holding a nil *Bus pays one
 // branch per emit site and nothing else, so the uninstrumented engine
 // stays at seed speed. Subscribers are lossy ring buffers — Publish
 // NEVER blocks on a slow consumer; when a subscriber's ring is full the
@@ -109,8 +109,8 @@ type Event struct {
 	Writes int `json:"writes,omitempty"`
 	// Verdict is the crash point's judgment (Verdict* constants).
 	Verdict string `json:"verdict,omitempty"`
-	// Phase is the perf phase that dominated the verdict's recovery cost
-	// (empty without a profiler).
+	// Phase is the engine phase that dominated the verdict's recovery
+	// cost (empty without a hub).
 	Phase string `json:"phase,omitempty"`
 	// Ops/Unique/Revisits/CrashPoints are cumulative engine counters
 	// (heartbeat, drain).

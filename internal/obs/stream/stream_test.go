@@ -62,7 +62,7 @@ func TestRingOverflowDropsOldest(t *testing.T) {
 }
 
 func TestSetObsSurfacesDropsAsMetric(t *testing.T) {
-	hub := obs.New(obs.Options{})
+	hub := obs.New()
 	b := New(Options{})
 	b.SetObs(hub)
 	sub := b.Subscribe(2)
@@ -139,7 +139,7 @@ func TestNotifyChannelWakes(t *testing.T) {
 func TestNilBusAndSubscriberAreSafe(t *testing.T) {
 	var b *Bus
 	b.Publish(Event{Kind: KindStep})
-	b.SetObs(obs.New(obs.Options{}))
+	b.SetObs(obs.New())
 	if s := b.Subscribe(4); s != nil {
 		t.Error("nil bus Subscribe returned a subscriber")
 	}
@@ -181,7 +181,7 @@ func TestConcurrentPublishSubscribeRace(t *testing.T) {
 	// Exercised under -race by scripts/check.sh: publishers, a draining
 	// consumer, and churning subscribers must not trip the detector.
 	b := New(Options{})
-	b.SetObs(obs.New(obs.Options{}))
+	b.SetObs(obs.New())
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)

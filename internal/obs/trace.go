@@ -32,23 +32,20 @@ func (s Span) Duration() time.Duration { return s.End - s.Start }
 // SpanHandle is a started span; End completes it. The zero SpanHandle
 // (as returned by a nil hub) is a valid no-op.
 type SpanHandle struct {
-	h  *Hub
-	id uint64
+	h    *Hub
+	id   uint64
+	hist *Histogram // observes the span's duration at End (StartTimed)
 }
 
-// tracer records spans into a bounded ring of completed spans. Open
+// tracer keeps the open spans and the current collection window. Open
 // spans form a stack: a span started while another is open becomes its
 // child. The explorer drives one hub from one goroutine at a time
 // (server goroutines run only while the driver blocks on them), so the
-// stack discipline holds; the mutex makes concurrent readers safe.
+// stack discipline holds; the mutex makes concurrent readers safe. A
+// span completed outside a collection window is kept nowhere.
 type tracer struct {
-	nextID  uint64
-	stack   []Span
-	ring    []Span // ring[head] is the oldest completed span
-	head    int
-	dropped int64
-
-	capacity int
+	nextID uint64
+	stack  []Span
 
 	collecting bool
 	collected  []Span
@@ -57,6 +54,13 @@ type tracer struct {
 // StartSpan opens a span in the given layer, parented to the innermost
 // open span. The zero handle is returned on a nil hub.
 func (h *Hub) StartSpan(layer, name string) SpanHandle {
+	return h.StartTimed(layer, name, nil)
+}
+
+// StartTimed is StartSpan for a timed region: End also observes the
+// span's duration into hist. Instrumented layers open their latency
+// spans with it (`defer hub.StartTimed(layer, name, hist).End()`).
+func (h *Hub) StartTimed(layer, name string, hist *Histogram) SpanHandle {
 	if h == nil {
 		return SpanHandle{}
 	}
@@ -70,12 +74,13 @@ func (h *Hub) StartSpan(layer, name string) SpanHandle {
 		sp.Parent = t.stack[n-1].ID
 	}
 	t.stack = append(t.stack, sp)
-	return SpanHandle{h: h, id: sp.ID}
+	return SpanHandle{h: h, id: sp.ID, hist: hist}
 }
 
-// End completes the span, committing it to the ring (and to the active
-// collection window, if any). No-op on the zero handle; ending out of
-// order is tolerated (the span is found by ID, not stack position).
+// End completes the span, observing its duration when it was started
+// timed and appending it to the active collection window, if any. No-op
+// on the zero handle; ending out of order is tolerated (the span is
+// found by ID, not stack position).
 func (s SpanHandle) End() {
 	if s.h == nil {
 		return
@@ -91,54 +96,18 @@ func (s SpanHandle) End() {
 		sp := t.stack[i]
 		sp.End = now
 		t.stack = append(t.stack[:i], t.stack[i+1:]...)
-		t.commit(sp)
+		s.hist.Observe(sp.Duration())
+		if t.collecting {
+			t.collected = append(t.collected, sp)
+		}
 		return
 	}
 }
 
-// commit appends a completed span, evicting the oldest when full.
-func (t *tracer) commit(sp Span) {
-	if len(t.ring) < t.capacity {
-		t.ring = append(t.ring, sp)
-	} else {
-		t.ring[t.head] = sp
-		t.head = (t.head + 1) % len(t.ring)
-		t.dropped++
-	}
-	if t.collecting {
-		t.collected = append(t.collected, sp)
-	}
-}
-
-// Spans returns the completed spans currently in the ring, oldest
-// first. Nil on a nil hub.
-func (h *Hub) Spans() []Span {
-	if h == nil {
-		return nil
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	t := &h.tracer
-	out := make([]Span, 0, len(t.ring))
-	out = append(out, t.ring[t.head:]...)
-	out = append(out, t.ring[:t.head]...)
-	return out
-}
-
-// DroppedSpans reports how many completed spans the ring has evicted.
-func (h *Hub) DroppedSpans() int64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.tracer.dropped
-}
-
 // StartCollecting opens a collection window: every span completed until
-// StopCollecting is also retained in a side buffer immune to ring
-// eviction. The engine collects each step's spans this way, so a bug
-// trail's trace survives however much exploration follows the step.
+// StopCollecting is retained. The engine collects each step's spans this
+// way, so a bug trail's trace survives however much exploration follows
+// the step.
 func (h *Hub) StartCollecting() {
 	if h == nil {
 		return
@@ -161,16 +130,8 @@ func (h *Hub) StopCollecting() []Span {
 	t.collecting = false
 	out := make([]Span, len(t.collected))
 	copy(out, t.collected)
+	t.collected = t.collected[:0]
 	return out
-}
-
-// ChildrenOf indexes spans by parent ID, preserving input order.
-func ChildrenOf(spans []Span) map[uint64][]Span {
-	children := make(map[uint64][]Span)
-	for _, sp := range spans {
-		children[sp.Parent] = append(children[sp.Parent], sp)
-	}
-	return children
 }
 
 // WriteTrace renders spans as an indented tree ordered by start time.

@@ -94,7 +94,7 @@ func (t *ProcessSnapshotTracker) charge(d time.Duration) {
 // Checkpoint implements Tracker. It refuses processes holding device
 // files, exactly like CRIU refused the paper's FUSE servers.
 func (t *ProcessSnapshotTracker) Checkpoint(key uint64) error {
-	defer t.obs.beginCheckpoint().end()
+	defer t.obs.beginCheckpoint().End()
 	if devs := t.proc.OpenDeviceFiles(); len(devs) > 0 {
 		return &ErrDeviceFilesOpen{Process: t.proc.ProcessName(), Devices: devs}
 	}
@@ -113,7 +113,7 @@ func (t *ProcessSnapshotTracker) Checkpoint(key uint64) error {
 
 // Restore implements Tracker.
 func (t *ProcessSnapshotTracker) Restore(key uint64) error {
-	defer t.obs.beginRestore().end()
+	defer t.obs.beginRestore().End()
 	saved, ok := t.images[key]
 	if !ok {
 		return fmt.Errorf("criu: no image under key %d", key)

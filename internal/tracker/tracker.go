@@ -77,50 +77,28 @@ type ObsSetter interface {
 // obsInstruments holds one tracker's observability handles. The zero
 // value (hub nil) is a valid no-op; checkpoint/restore latency is THE
 // metric that decides model-checking throughput, so every tracker
-// carries one of these.
+// carries one of these. Span names are built once, at attach.
 type obsInstruments struct {
-	hub        *obs.Hub
-	name       string
-	checkpoint *obs.Histogram
-	restore    *obs.Histogram
+	hub                         *obs.Hub
+	checkpointSpan, restoreSpan string
+	checkpoint, restore         *obs.Histogram
 }
 
 func (in *obsInstruments) attach(h *obs.Hub, name string) {
 	in.hub = h
-	in.name = name
+	in.checkpointSpan, in.restoreSpan = "checkpoint:"+name, "restore:"+name
 	in.checkpoint = h.Histogram("tracker." + name + ".checkpoint")
 	in.restore = h.Histogram("tracker." + name + ".restore")
 }
 
-// obsTimer is an in-flight checkpoint/restore measurement.
-type obsTimer struct {
-	hub   *obs.Hub
-	hist  *obs.Histogram
-	span  obs.SpanHandle
-	start time.Duration
+// beginCheckpoint and beginRestore open a timed tracker span; its End
+// records the latency histogram too.
+func (in *obsInstruments) beginCheckpoint() obs.SpanHandle {
+	return in.hub.StartTimed(obs.LayerTracker, in.checkpointSpan, in.checkpoint)
 }
 
-func (in *obsInstruments) begin(kind string, hist *obs.Histogram) obsTimer {
-	if in.hub == nil {
-		return obsTimer{}
-	}
-	return obsTimer{
-		hub:   in.hub,
-		hist:  hist,
-		span:  in.hub.StartSpan(obs.LayerTracker, kind+":"+in.name),
-		start: in.hub.Now(),
-	}
-}
-
-func (in *obsInstruments) beginCheckpoint() obsTimer { return in.begin("checkpoint", in.checkpoint) }
-func (in *obsInstruments) beginRestore() obsTimer    { return in.begin("restore", in.restore) }
-
-func (t obsTimer) end() {
-	if t.hub == nil {
-		return
-	}
-	t.hist.Observe(t.hub.Now() - t.start)
-	t.span.End()
+func (in *obsInstruments) beginRestore() obs.SpanHandle {
+	return in.hub.StartTimed(obs.LayerTracker, in.restoreSpan, in.restore)
 }
 
 // --- Remount tracker -------------------------------------------------------
@@ -180,7 +158,7 @@ func (t *RemountTracker) mount() (*kernel.Mount, error) {
 // suffices — data is write-through and sync writes back all dirty
 // metadata), then checkpoint the image.
 func (t *RemountTracker) Checkpoint(key uint64) error {
-	defer t.obs.beginCheckpoint().end()
+	defer t.obs.beginCheckpoint().End()
 	m, err := t.mount()
 	if err != nil {
 		return err
@@ -204,7 +182,7 @@ func (t *RemountTracker) Checkpoint(key uint64) error {
 // rewind the device image, and mount fresh — the only way to guarantee
 // no stale state remains in kernel memory (§3.2).
 func (t *RemountTracker) Restore(key uint64) error {
-	defer t.obs.beginRestore().end()
+	defer t.obs.beginRestore().End()
 	if t.dev == nil || !t.dev.HasFrame(key) {
 		return fmt.Errorf("tracker: no snapshot under key %d", key)
 	}
@@ -294,7 +272,7 @@ func (t *DiskOnlyTracker) Name() string { return "disk-only" }
 
 // Checkpoint implements Tracker: fsync, then checkpoint the device.
 func (t *DiskOnlyTracker) Checkpoint(key uint64) error {
-	defer t.obs.beginCheckpoint().end()
+	defer t.obs.beginCheckpoint().End()
 	m, _, e := t.k.MountAt(t.point)
 	if e != errno.OK {
 		return fmt.Errorf("tracker: %s not mounted", t.point)
@@ -313,7 +291,7 @@ func (t *DiskOnlyTracker) Checkpoint(key uint64) error {
 // live mount. The mounted file system's cached metadata is now stale —
 // the §3.2 corruption in action.
 func (t *DiskOnlyTracker) Restore(key uint64) error {
-	defer t.obs.beginRestore().end()
+	defer t.obs.beginRestore().End()
 	if t.dev == nil || !t.dev.HasFrame(key) {
 		return fmt.Errorf("tracker: no snapshot under key %d", key)
 	}
@@ -371,7 +349,7 @@ func (t *CheckpointTracker) Name() string { return "checkpoint-api" }
 
 // Checkpoint implements Tracker via ioctl_CHECKPOINT.
 func (t *CheckpointTracker) Checkpoint(key uint64) error {
-	defer t.obs.beginCheckpoint().end()
+	defer t.obs.beginCheckpoint().End()
 	if e := t.k.Ioctl(t.point, vfs.IoctlCheckpoint, key); e != errno.OK {
 		return e
 	}
@@ -381,7 +359,7 @@ func (t *CheckpointTracker) Checkpoint(key uint64) error {
 // Restore implements Tracker via ioctl_RESTORE (which also discards the
 // snapshot and fires kernel cache invalidation).
 func (t *CheckpointTracker) Restore(key uint64) error {
-	defer t.obs.beginRestore().end()
+	defer t.obs.beginRestore().End()
 	if e := t.k.Ioctl(t.point, vfs.IoctlRestore, key); e != errno.OK {
 		return e
 	}
@@ -490,14 +468,14 @@ func (t *VMSnapshotTracker) Name() string { return "vm-snapshot" }
 // Checkpoint implements Tracker, charging the hypervisor checkpoint
 // latency (once per event across the VM's targets).
 func (t *VMSnapshotTracker) Checkpoint(key uint64) error {
-	defer t.obs.beginCheckpoint().end()
+	defer t.obs.beginCheckpoint().End()
 	t.group.chargeCheckpoint(key)
 	return t.inner.Checkpoint(key)
 }
 
 // Restore implements Tracker, charging the hypervisor restore latency.
 func (t *VMSnapshotTracker) Restore(key uint64) error {
-	defer t.obs.beginRestore().end()
+	defer t.obs.beginRestore().End()
 	t.group.chargeRestore(key)
 	return t.inner.Restore(key)
 }

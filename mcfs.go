@@ -57,7 +57,6 @@ import (
 	"mcfs/internal/memmodel"
 	"mcfs/internal/obs"
 	"mcfs/internal/obs/journal"
-	"mcfs/internal/obs/perf"
 	"mcfs/internal/obs/stream"
 	"mcfs/internal/simclock"
 	"mcfs/internal/tracker"
@@ -305,7 +304,10 @@ type Options struct {
 	Cancel *Cancel `json:"-"`
 	// Obs attaches an observability hub: the kernel, checker, trackers,
 	// devices, and FUSE transport all record metrics and spans into it,
-	// and the engine exports live progress through it. Nil disables all
+	// the engine attributes virtual time to its named phases (checkpoint,
+	// execute, verify, restore, hash, fsck, remount, journal, oracle) and
+	// samples state-space telemetry every N executed operations into it,
+	// and exports live progress through it. Nil disables all
 	// instrumentation at zero cost. A hub rebases onto one session's
 	// virtual clock, so SwarmRun hands it to no worker: attach one per
 	// worker from the hook.
@@ -316,13 +318,6 @@ type Options struct {
 	// 1..Workers interleaved on the one writer for a swarm). Nil
 	// disables journaling at one branch per operation.
 	Journal *journal.Writer `json:"-"`
-	// Perf attaches a phase profiler: the engine attributes virtual time
-	// to its named phases (checkpoint, execute, verify, restore, hash,
-	// fsck, remount, journal) and samples state-space telemetry every N
-	// executed operations. The session rebases the profiler onto its
-	// virtual clock, so like Obs it is per worker in a swarm. Nil
-	// disables phase profiling at one branch per phase boundary.
-	Perf *perf.Profiler `json:"-"`
 	// Stream attaches a live exploration event bus: the engine publishes
 	// steps, backtracks, crash verdicts, worker heartbeats, and bugs to
 	// it, stamped with the session's virtual clock; a swarm's workers
@@ -363,11 +358,9 @@ func NewSession(opts Options) (*Session, error) {
 	clock := simclock.New()
 	k := kernel.New(clock)
 	s := &Session{clock: clock, kern: k, obsHub: opts.Obs}
-	// Rebase the hub and profiler onto this session's virtual clock so
-	// every span, latency, and phase observation is in deterministic
-	// virtual time.
+	// Rebase the hub onto this session's virtual clock so every span,
+	// latency, and phase observation is in deterministic virtual time.
 	opts.Obs.SetNow(clock.Now)
-	opts.Perf.SetNow(clock.Now)
 	k.SetObs(opts.Obs)
 
 	var targets []checker.Target
@@ -460,7 +453,6 @@ func NewSession(opts Options) (*Session, error) {
 		Resume:            opts.Resume,
 		Obs:               opts.Obs,
 		Journal:           opts.Journal.Recorder(0),
-		Perf:              opts.Perf,
 		Stream:            opts.Stream,
 		StreamWorker:      opts.StreamWorker,
 		Visited:           set,
@@ -806,10 +798,6 @@ func (s *Session) Checker() *checker.Checker { return s.check }
 // observability is off).
 func (s *Session) Obs() *obs.Hub { return s.obsHub }
 
-// Perf returns the phase profiler the session was built with (nil when
-// phase profiling is off).
-func (s *Session) Perf() *perf.Profiler { return s.cfg.Perf }
-
 // Config exposes the underlying engine configuration (benchmarks tune
 // it).
 func (s *Session) Config() *mc.Config { return &s.cfg }
@@ -837,10 +825,10 @@ func DefaultMemoryConfig() memmodel.Config { return memmodel.DefaultConfig() }
 // a shared cancellation token stopping every worker at the first bug or
 // failure, and optionally one shared visited table. Every worker gets
 // fully independent file system instances and its own virtual clock;
-// worker w (1..Workers) runs base with Seed w and without base's Obs and
-// Perf, which perWorker, when non-nil, replaces: it is called with each
+// worker w (1..Workers) runs base with Seed w and without base's Obs,
+// which perWorker, when non-nil, replaces: it is called with each
 // worker's spec, in worker order, before any worker runs, to attach that
-// worker's hub, profiler or memory model.
+// worker's hub or memory model.
 func SwarmRun(base Options, perWorker func(worker int, o *Options) error) (SwarmResult, error) {
 	return runSwarm(base, perWorker, nil)
 }
@@ -859,7 +847,7 @@ func runSwarm(base Options, perWorker func(int, *Options) error, inspect func([]
 		o := base
 		// The coordinator hands each worker its recorder on the journal.
 		o.Seed, o.StreamWorker = int64(w+1), w+1
-		o.Journal, o.Obs, o.Perf = nil, nil, nil
+		o.Journal, o.Obs = nil, nil
 		if perWorker != nil {
 			if err := perWorker(w+1, &o); err != nil {
 				return SwarmResult{BugWorker: -1, ErrWorker: -1}, fmt.Errorf("mcfs: swarm worker %d: %w", w+1, err)

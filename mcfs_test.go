@@ -7,7 +7,6 @@ import (
 
 	"mcfs"
 	"mcfs/internal/obs"
-	"mcfs/internal/obs/perf"
 	"mcfs/internal/obs/stream"
 	"mcfs/internal/vfs"
 )
@@ -264,10 +263,10 @@ func TestFigure3Shape(t *testing.T) {
 }
 
 func TestFigure3CrashCalibration(t *testing.T) {
-	prof := perf.New(nil)
+	hub := obs.New()
 	points, err := mcfs.RunFigure3(mcfs.Figure3Config{
 		Days:        1,
-		Calibration: mcfs.Options{CrashExploration: true, Perf: prof},
+		Calibration: mcfs.Options{CrashExploration: true, Obs: hub},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -275,13 +274,13 @@ func TestFigure3CrashCalibration(t *testing.T) {
 	if len(points) != 24 {
 		t.Fatalf("got %d points", len(points))
 	}
-	snap := prof.Snapshot()
+	snap := hub.Profile()
 	if !snap.Enabled() {
 		t.Fatal("crash calibration recorded no phase work")
 	}
 	// The crash-mode calibration runs the ext pair with crash probing,
 	// so the oracle phases must show up in the profile.
-	for _, phase := range []string{perf.PhaseFsck, perf.PhaseRemount, perf.PhaseExecute} {
+	for _, phase := range []string{obs.PhaseFsck, obs.PhaseRemount, obs.PhaseExecute} {
 		if snap.Phases[phase].Count == 0 {
 			t.Errorf("phase %q not recorded", phase)
 		}
@@ -302,7 +301,7 @@ func TestFigure3CrashCalibration(t *testing.T) {
 // other caller, so a downgrade reaches the hub and the stream (the
 // calibration's own copy of that block had forgotten the hooks).
 func TestFigure3SwarmCalibrationReportsDegradation(t *testing.T) {
-	hub := obs.New(obs.Options{})
+	hub := obs.New()
 	bus := mcfs.NewStream()
 	sub := bus.Subscribe(1 << 14)
 	defer sub.Close()

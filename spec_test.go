@@ -18,7 +18,7 @@ import (
 // serialised setting.
 var specAttachments = map[string]bool{
 	"Pool": true, "Memory": true, "Resume": true, "Cancel": true, "Obs": true,
-	"Journal": true, "Perf": true, "Stream": true, "StreamWorker": true,
+	"Journal": true, "Stream": true, "StreamWorker": true,
 }
 
 // fillNonZero sets v, and everything settable under it, to a non-zero
