@@ -1,8 +1,10 @@
 package mcfs_test
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mcfs"
@@ -149,6 +151,81 @@ func TestBundleEndToEnd(t *testing.T) {
 	if out2.MinReproduced == nil || !*out2.MinReproduced {
 		t.Fatal("minimized trail does not reproduce")
 	}
+}
+
+// TestAdversarialOpExtentIsAnError: a bundle is read back from disk, so a
+// hand-edited write_file in bug.json's trail or in journal.jsonl — a
+// terabyte size or offset, a negative size — must fail the replay with an
+// error instead of allocating the extent (a fatal out-of-memory) or
+// panicking in the target that executes it.
+func TestAdversarialOpExtentIsAnError(t *testing.T) {
+	bundleDir, _ := bundleFromBugRun(t)
+	for _, tc := range []struct {
+		name string
+		edit func(*journal.OpRecord)
+	}{
+		{"terabyte size", func(r *journal.OpRecord) { r.Size = 1_000_000_000_000 }},
+		{"terabyte offset", func(r *journal.OpRecord) { r.Off = 1_000_000_000_000 }},
+		{"negative size", func(r *journal.OpRecord) { r.Size = -1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b, err := mcfs.ReadBundle(bundleDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The trail in bug.json, beside an unedited config.json.
+			dir := t.TempDir()
+			bug := b.Bug
+			bug.Trail = append([]journal.OpRecord(nil), bug.Trail...)
+			tc.edit(&bug.Trail[firstWrite(t, bug.Trail)])
+			for name, v := range map[string]any{mcfs.BundleConfigFile: b.Config, mcfs.BundleBugFile: bug} {
+				data, err := json.Marshal(v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := mcfs.ReplayBundle(dir); err == nil || !strings.Contains(err.Error(), "op extent") {
+				t.Errorf("ReplayBundle on the edited trail: %v, want an op-extent error", err)
+			}
+
+			// The journal, replayed as `mcfs replay` does.
+			recs, err := b.JournalRecords()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range recs {
+				if op := recs[i].Op; op != nil && op.Kind == "write_file" {
+					edited := *op
+					tc.edit(&edited)
+					recs[i].Op = &edited
+					break
+				}
+			}
+			s, err := mcfs.NewSession(b.Config)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if _, err := s.ReplayJournal(recs); err == nil || !strings.Contains(err.Error(), "op extent") {
+				t.Errorf("ReplayJournal on the edited journal: %v, want an op-extent error", err)
+			}
+		})
+	}
+}
+
+// firstWrite returns the index of the trail's first write_file.
+func firstWrite(t *testing.T, trail []journal.OpRecord) int {
+	t.Helper()
+	for i, r := range trail {
+		if r.Kind == "write_file" {
+			return i
+		}
+	}
+	t.Fatal("trail has no write_file")
+	return -1
 }
 
 // TestWriteBundleWithoutBug: a bug-free result — a run that died on the

@@ -40,6 +40,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"mcfs/internal/checker"
 	"mcfs/internal/obs"
 	"mcfs/internal/vfs"
 	"mcfs/internal/workload"
@@ -93,11 +94,19 @@ func EncodeOp(op workload.Op) OpRecord {
 	}
 }
 
-// Decode reconstructs the workload operation.
+// Decode reconstructs the workload operation. Journals and bundles are
+// read back from disk, so an extent no engine run records — a negative
+// offset or size, or one reaching past the largest single write the
+// engine issues (checker.MaxEqualizationPad) — is an error here, never
+// an allocation or a panic in the target that executes it.
 func (r OpRecord) Decode() (workload.Op, error) {
 	kind, ok := workload.KindFromString(r.Kind)
 	if !ok {
 		return workload.Op{}, fmt.Errorf("journal: unknown op kind %q", r.Kind)
+	}
+	const limit = checker.MaxEqualizationPad
+	if r.Off < 0 || r.Size < 0 || r.Off > limit || r.Size > limit-r.Off {
+		return workload.Op{}, fmt.Errorf("journal: %s op extent off=%d size=%d outside [0, %d]", r.Kind, r.Off, r.Size, limit)
 	}
 	return workload.Op{
 		Kind:  kind,
