@@ -71,40 +71,43 @@ func (f *FS) Getattr(ino vfs.Ino) (vfs.Stat, errno.Errno) {
 	}, errno.OK
 }
 
-// Setattr implements vfs.FS.
+// Setattr implements vfs.FS: validate every attribute, make room for the
+// metadata node, then change memory and append it.
 func (f *FS) Setattr(ino vfs.Ino, attr vfs.SetAttr) errno.Errno {
 	nd := f.get(ino)
 	if nd == nil {
 		return errno.ENOENT
 	}
+	if attr.Size != nil {
+		switch {
+		case nd.mode.IsDir():
+			return errno.EISDIR
+		case !nd.mode.IsRegular(), *attr.Size < 0:
+			return errno.EINVAL
+		}
+	}
+	logged := attr.Mode != nil || attr.UID != nil || attr.GID != nil || attr.Size != nil || attr.Mtime != nil
+	if logged {
+		if e := f.makeRoom(inodeNodeLens(nd.target, 0)...); e != errno.OK {
+			return e
+		}
+	}
+	old := *nd
 	now := f.now()
-	changed := false
 	if attr.Mode != nil {
 		nd.mode = nd.mode&vfs.ModeMask | attr.Mode.Perm()
 		nd.ctime = now
-		changed = true
 	}
 	if attr.UID != nil {
 		nd.uid = *attr.UID
 		nd.ctime = now
-		changed = true
 	}
 	if attr.GID != nil {
 		nd.gid = *attr.GID
 		nd.ctime = now
-		changed = true
 	}
 	if attr.Size != nil {
-		if nd.mode.IsDir() {
-			return errno.EISDIR
-		}
-		if !nd.mode.IsRegular() {
-			return errno.EINVAL
-		}
 		size := *attr.Size
-		if size < 0 {
-			return errno.EINVAL
-		}
 		if size <= int64(len(nd.content)) {
 			nd.content = nd.content[:size]
 		} else {
@@ -115,17 +118,19 @@ func (f *FS) Setattr(ino vfs.Ino, attr vfs.SetAttr) errno.Errno {
 		nd.size = size
 		nd.mtime = now
 		nd.ctime = now
-		changed = true
 	}
 	if attr.Atime != nil {
 		nd.atime = *attr.Atime
 	}
 	if attr.Mtime != nil {
 		nd.mtime = *attr.Mtime
-		changed = true
 	}
-	if changed {
-		return f.logInode(uint32(ino), nd, 0, nil)
+	if !logged {
+		return errno.OK
+	}
+	if e := f.logInode(uint32(ino), nd, 0, nil); e != errno.OK {
+		*nd = old
+		return e
 	}
 	return errno.OK
 }
