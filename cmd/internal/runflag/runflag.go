@@ -62,7 +62,6 @@ var dependents = []struct{ flag, needs string }{
 	{"parallelism", "swarm"},
 	{"stall-ops", "progress"},
 	{"crash-heatmap", "crash"},
-	{"crash-points", "crash"},
 }
 
 // CheckDependents reports the first dependent flag set on the parsed fs

@@ -38,10 +38,9 @@ func TestDependentFlags(t *testing.T) {
 		{"-parallelism 2", false},
 		{"-stall-ops 100", false},
 		{"-crash-heatmap h.json", false},
-		{"-crash-points 3", false},
 		{"-swarm 2 -share-visited -parallelism 2", true},
 		{"-progress 1s -stall-ops 100", true},
-		{"-crash -crash-heatmap h.json -crash-points 3", true},
+		{"-crash -crash-heatmap h.json", true},
 		{"-share-visited=false -stall-ops 0", true},
 		{"", true},
 	} {

@@ -8,12 +8,14 @@
 //   - fail the write with a chosen error (per-write-index or byte-range
 //     error injection),
 //   - persist only a prefix of it (a torn multi-sector write),
-//   - flip one bit of the payload (silent media corruption), or
-//   - mark a crash point: while the touch log is on, the injector keeps
-//     the bytes of every write as it landed, so the image a power cut
-//     right after write k would leave behind is the media at the log's
-//     base plus the log's prefix up to that write — a crash point is a
-//     position in the log, never a copy of the device.
+//   - flip one bit of the payload (silent media corruption).
+//
+// Every write that persists inside a fault window is also a crash point.
+// While the touch log is on, the injector keeps the bytes of every write
+// as it landed, so the image a power cut right after window write k would
+// leave behind is the media at the log's base plus the log's prefix up to
+// that write — a crash point is a position in the log, never a copy of
+// the device, and nobody has to ask for one.
 //
 // Determinism is the design constraint throughout: rules match on
 // window-relative write indices and byte ranges (never wall-clock or
@@ -158,13 +160,12 @@ type Decision struct {
 	Log []byte
 }
 
-// Stats counts injected faults and marked crash points.
+// Stats counts injected faults.
 type Stats struct {
 	ErrorsInjected     int64
 	ReadErrorsInjected int64
 	TornInjected       int64
 	CorruptInjected    int64
-	CrashCaptures      int64
 }
 
 // Injector is one device's fault plane. All methods are safe for
@@ -178,12 +179,10 @@ type Injector struct {
 	windowActive bool
 	windowWrites int
 
-	// armed is the set of window write indices crash points are armed at;
-	// marks[k] is the length of the touch log right after armed window
-	// write k landed in it — crash image k is the log's base plus that
-	// prefix.
-	armed map[int]bool
-	marks map[int]int // guarded by mu
+	// marks[k] is 1 + the length of the touch log right after window write
+	// k landed in it — crash image k is the log's base plus that prefix —
+	// or 0 where write k failed, or its mark went with a dropped log.
+	marks []int // guarded by mu
 
 	// Touch log: when touching, every persisted write is recorded with the
 	// bytes it left on media, so media == base + replay(log), base being
@@ -201,7 +200,7 @@ type Injector struct {
 	stats Stats
 }
 
-// New returns an empty injector: no rules, no window, nothing armed.
+// New returns an empty injector: no rules, no window, no log.
 func New() *Injector {
 	return &Injector{rules: make(map[int]Rule)}
 }
@@ -231,12 +230,14 @@ func (in *Injector) ClearRules() {
 }
 
 // StartWindow opens a fault window: subsequent writes are numbered from
-// 0 and window-relative rules (and an armed crash point) apply to them.
+// 0, window-relative rules apply to them, and each one that persists is
+// a crash point. The previous window's crash points are dropped.
 func (in *Injector) StartWindow() {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.windowActive = true
 	in.windowWrites = 0
+	in.marks = in.marks[:0]
 }
 
 // EndWindow closes the fault window; only always-on rules match after.
@@ -260,68 +261,25 @@ func (in *Injector) WindowWrites() int {
 // has since missed a media mutation.
 var ErrTouchLogLost = errors.New("fault: crash point has no usable touch log under it (log off, or lost to an unlogged restore)")
 
-// ArmCrash arms a crash point at window write k: once that write has
-// landed, its position in the touch log is marked (CrashImage). Arming
-// replaces any previous arms and drops previous marks.
-func (in *Injector) ArmCrash(k int) { in.ArmCrashes([]int{k}) }
-
-// ArmCrashes arms a crash point at every listed window write index: one
-// window execution marks one log position per index that is reached.
-// Arming replaces any previous arms and drops previous marks.
-func (in *Injector) ArmCrashes(ks []int) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.armed = make(map[int]bool, len(ks))
-	for _, k := range ks {
-		in.armed[k] = true
-	}
-	in.marks = nil
-}
-
-// Disarm cancels every armed crash point and drops all marks.
-func (in *Injector) Disarm() {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.armed = nil
-	in.marks = nil
-}
-
-// DisarmPending cancels armed-but-unfired crash points while KEEPING
-// the marks of those that fired: the cleanup for a window that ended
-// short of some armed index. Without it a leftover arm silently fires in
-// the NEXT window — the crash oracle asserts Armed() == 0 between probes
-// to catch exactly that leak.
-func (in *Injector) DisarmPending() {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.armed = nil
-}
-
-// Armed reports how many crash points are currently armed (not yet
-// fired, not disarmed).
-func (in *Injector) Armed() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return len(in.armed)
-}
-
 // CrashImage looks crash point k up by its window write index. fired is
-// false when no armed write k happened since the last arming. Otherwise
+// false when window write k did not persist: it failed, it has not
+// happened, or the log it was marked in has been dropped. Otherwise
 // writes is the image a power cut right after that write leaves behind,
 // as the touch log's prefix to replay, oldest first, over the log's base
 // (the media at the last StartTouchLog/ResetTouchLog) — or the error is
-// ErrTouchLogLost, when the base is unknown. The marks go with the log:
-// whatever clears one clears the other.
+// ErrTouchLogLost, when the base is unknown. A mark never outlives its
+// log: whatever drops the log drops the marks, and StartWindow starts
+// them afresh.
 func (in *Injector) CrashImage(k int) (writes []Write, fired bool, err error) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	n, fired := in.marks[k]
-	if !fired {
+	if k < 0 || k >= len(in.marks) || in.marks[k] == 0 {
 		return nil, false, nil
 	}
 	if !in.touching || in.touchLost {
 		return nil, true, ErrTouchLogLost
 	}
+	n := in.marks[k] - 1
 	return in.log[:n:n], true, nil
 }
 
@@ -360,7 +318,7 @@ func (in *Injector) ResetTouchLog() {
 // Caller holds in.mu.
 func (in *Injector) dropLog() {
 	in.touchLost = false
-	in.log, in.chunk, in.marks = nil, nil, nil
+	in.log, in.chunk, in.marks = nil, nil, in.marks[:0]
 }
 
 // Touched returns the coalesced regions written since the last
@@ -481,13 +439,13 @@ func (in *Injector) OnWrite(off int64, n int) Decision {
 		// tail is logged as the old bytes it still holds.
 		dec.Log = in.record(off, n)
 	}
-	if idx >= 0 && in.armed[idx] {
-		delete(in.armed, idx)
-		if in.marks == nil {
-			in.marks = make(map[int]int)
+	if idx >= 0 {
+		// Every persisted window write is a crash point. Writes that failed,
+		// and those whose marks went with a log dropped mid-window, get none.
+		for len(in.marks) < idx {
+			in.marks = append(in.marks, 0)
 		}
-		in.marks[idx] = len(in.log)
-		in.stats.CrashCaptures++
+		in.marks = append(in.marks, len(in.log)+1)
 	}
 	return dec
 }

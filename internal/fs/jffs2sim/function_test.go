@@ -298,26 +298,20 @@ func TestMountIsAFunctionOfTheFlash(t *testing.T) {
 				g.compact("after collecting the rewind's two faulted blocks")
 
 				// The crash probe's power cuts: a frame, a touch log, one
-				// armed window, then image after image installed as
+				// window, then image after image installed as
 				// RevertFrame + Patch with recovery-like ops in between,
 				// and the rollback at the end.
 				if err := g.bridge.OpenFrame(5); err != nil {
 					t.Fatal(err)
 				}
 				g.inj.StartTouchLog()
-				armed := make([]int, 64)
-				for k := range armed {
-					armed[k] = k
-				}
 				g.inj.StartWindow()
-				g.inj.ArmCrashes(armed)
 				g.fill(g.newFile(), 2500)
 				g.op()
 				g.inj.EndWindow()
-				points := min(g.inj.WindowWrites(), len(armed))
-				g.inj.DisarmPending()
+				points := g.inj.WindowWrites()
 				if points < 5 {
-					t.Fatalf("the armed window saw %d writes", points)
+					t.Fatalf("the window saw %d writes", points)
 				}
 				install := func(k int) {
 					t.Helper()

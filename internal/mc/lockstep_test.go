@@ -3,7 +3,7 @@
 // beside the thing they replaced — a full copy of the state at every
 // Checkpoint, compared after the matching Restore — over real
 // explorations, crash probes included; and the crash oracle's recovery
-// session (one armed execution, crash images as the probe frame plus a
+// session (one execution, crash images as the probe frame plus a
 // prefix of the write log) runs beside full images rebuilt at every power
 // cut, and then beside its reference flow (one execution per point);
 // and every kernel mount of a jffs2 target runs beside a first mount of a
@@ -251,14 +251,17 @@ func guardJFFS2Mounts(t *testing.T, s *mcfs.Session) []*mountGuard {
 // assertNoCheckpointState is the leak check on the far side of the
 // Tracker interface: after a run, however it ended, no medium holds an
 // open undo frame or a byte of pre-images, no VeriFS holds a snapshot,
-// and no crash plane's fault plane holds an armed point or a write log.
+// and no crash plane's fault plane holds a crash point or a write log.
 func assertNoCheckpointState(t *testing.T, s *mcfs.Session) {
 	t.Helper()
 	cfg := s.Config()
 	if cfg.Crash != nil {
 		for _, p := range cfg.Crash.Planes {
-			if n := p.Injector.Armed(); n != 0 {
-				t.Errorf("%s: %d crash points still armed after the run", p.Name, n)
+			for k := 0; k < p.Injector.WindowWrites(); k++ {
+				if _, fired, _ := p.Injector.CrashImage(k); fired {
+					t.Errorf("%s: crash point %d outlived its probe", p.Name, k)
+					break
+				}
 			}
 			if _, on := p.Injector.Touched(); on {
 				t.Errorf("%s: the touch log is still recording after the run", p.Name)
@@ -483,7 +486,7 @@ func checkInstalls(t *testing.T, s *mcfs.Session) []*installCheck {
 // the full-image form it replaced. For every probed window of a space,
 // crash point by crash point, what the recovery session leaves on the
 // media before the recovery mount — the probe frame inside the diverged
-// regions plus the write log's prefix, out of ONE armed execution — is
+// regions plus the write log's prefix, out of ONE execution — is
 // byte for byte a full copy of the pre-op image with that prefix applied,
 // and every rollback leaves the pre-op image itself. The journal's replay
 // then re-probes every recorded window through the reference flow (an
@@ -503,8 +506,8 @@ func TestLockstepCrashImagesAgainstFullImages(t *testing.T) {
 		{"ext4-jffs2-d1", mcfs.Options{
 			Targets:  []mcfs.TargetSpec{{Kind: "ext4"}, {Kind: "jffs2"}},
 			MaxDepth: 1, CrashExploration: true}},
-		// Windows longer than the armed prefix: the sampled points past
-		// write 64 each take a rollback and an execution of their own.
+		// Windows of about 200 writes: 64 sampled points, all judged out of
+		// the probe's one execution.
 		{"ext2-ext4-long-windows", mcfs.Options{
 			Targets:  []mcfs.TargetSpec{{Kind: "ext2"}, {Kind: "ext4"}},
 			MaxDepth: 2, CrashExploration: true,
@@ -538,6 +541,15 @@ func TestLockstepCrashImagesAgainstFullImages(t *testing.T) {
 			}
 			if cuts == 0 || cuts != res.Crash.PointsExplored {
 				t.Errorf("%d power cuts checked, the run explored %d crash points", cuts, res.Crash.PointsExplored)
+			}
+			// One execution per probe, however long its window: every
+			// executed op is an explored step or a probe.
+			var steps int64
+			for _, n := range res.Coverage.ByOp {
+				steps += n
+			}
+			if res.Ops != steps+res.Crash.Probes {
+				t.Errorf("%d ops executed, %d steps + %d probes", res.Ops, steps, res.Crash.Probes)
 			}
 
 			recs, err := journal.Load(path)

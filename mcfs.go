@@ -250,9 +250,6 @@ type Options struct {
 	// least one ext2/ext4/jffs2 target with per-op remounts and full
 	// state tracking.
 	CrashExploration bool `json:"crash_exploration,omitempty"`
-	// CrashPointsPerOp caps sampled crash points per probed operation
-	// (mc.DefaultCrashPointsPerOp when 0).
-	CrashPointsPerOp int `json:"crash_points_per_op,omitempty"`
 	// Visited selects the visited-table backend: "exact" (default,
 	// full-fidelity), "compact" (64-bit hash compaction), or "bitstate"
 	// (fixed-RAM Bloom filter). Reduced backends trade a bounded
@@ -461,10 +458,7 @@ func NewSession(opts Options) (*Session, error) {
 		if len(planes) == 0 {
 			return nil, fmt.Errorf("mcfs: crash exploration needs at least one crash-testable target: ext2, ext4, or jffs2 with per-op remounts and full state tracking")
 		}
-		s.cfg.Crash = &mc.CrashConfig{
-			Planes:      planes,
-			PointsPerOp: opts.CrashPointsPerOp,
-		}
+		s.cfg.Crash = &mc.CrashConfig{Planes: planes}
 	}
 	return s, nil
 }

@@ -162,6 +162,49 @@ func TestParentBundlesStillLoad(t *testing.T) {
 	}
 }
 
+// TestRetiredCrashPointsKeyStillReplays: bundles written while the crash
+// point cap was a setting carry "crash_points_per_op". The key is unknown
+// now, so it is ignored: the bundle reads as the same run and replays,
+// because replay re-probes the recorded crash write, never a sample.
+func TestRetiredCrashPointsKeyStillReplays(t *testing.T) {
+	src := filepath.Join("testdata", "bundles", "step8")
+	dir := t.TempDir()
+	for _, name := range []string{mcfs.BundleConfigFile, "bug.json", "journal.jsonl"} {
+		data, err := os.ReadFile(filepath.Join(src, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == mcfs.BundleConfigFile {
+			data = bytes.Replace(data, []byte(`"crash_exploration": true`), []byte(`"crash_exploration": true,
+  "crash_points_per_op": 3`), 1)
+			if !bytes.Contains(data, []byte("crash_points_per_op")) {
+				t.Fatalf("could not add the retired key to:\n%s", data)
+			}
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old, err := mcfs.ReadBundle(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := mcfs.ReadBundle(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(b.Config, old.Config) {
+		t.Errorf("config.json with the retired key decoded to\n%+v\nwant\n%+v", b.Config, old.Config)
+	}
+	out, err := b.Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Reproduced {
+		t.Errorf("trail did not reproduce: %v", out.Discrepancy)
+	}
+}
+
 // TestUnknownBackingIsRejected: a backing NewSession does not know used
 // to fall through to the RAM profile and run with RAM numbers.
 func TestUnknownBackingIsRejected(t *testing.T) {
