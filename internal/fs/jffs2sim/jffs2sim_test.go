@@ -322,11 +322,9 @@ func TestFailedWriteLeavesMemoryAndFlashAgreeing(t *testing.T) {
 		}
 	})
 
-	// fillUp appends to /f in ever smaller writes until not even a 1-byte
-	// append fits after a collection, then extends /f a byte at a time
-	// with truncates until one of those no longer fits either: the flash
-	// has no room left for a metadata node.
-	fillUp := func(t *testing.T, f *FS, agree func(string)) vfs.Ino {
+	// appendUntilFull appends to /f in ever smaller writes until not even
+	// a 1-byte append fits after a collection, and returns /f and its size.
+	appendUntilFull := func(t *testing.T, f *FS) (vfs.Ino, int64) {
 		t.Helper()
 		ino := mustCreate(t, f, f.Root(), "f")
 		size := int64(0)
@@ -340,6 +338,14 @@ func TestFailedWriteLeavesMemoryAndFlashAgreeing(t *testing.T) {
 				t.Fatalf("append of %d bytes: %v", n, e)
 			}
 		}
+		return ino, size
+	}
+	// fillUp fills the flash with appends, then extends /f a byte at a
+	// time with truncates until one of those no longer fits either: the
+	// flash has no room left for a metadata node.
+	fillUp := func(t *testing.T, f *FS, agree func(string)) vfs.Ino {
+		t.Helper()
+		ino, size := appendUntilFull(t, f)
 		for i := 0; ; i++ {
 			size++
 			e := f.Setattr(ino, vfs.SetAttr{Size: &size})
@@ -381,6 +387,21 @@ func TestFailedWriteLeavesMemoryAndFlashAgreeing(t *testing.T) {
 		ino := fillUp(t, f, agree)
 		mode := vfs.Mode(0600)
 		unchanged(t, f, agree, "chmod", ino, vfs.SetAttr{Mode: &mode}, errno.ENOSPC)
+	})
+	// A link on a full flash: the inode node with the new link count fits,
+	// the dirent after it does not. The failed link must leave neither
+	// the count nor the name behind, in memory or on flash.
+	t.Run("link", func(t *testing.T) {
+		f, agree := small(t)
+		ino, _ := appendUntilFull(t, f)
+		before := fingerprint(t, f)
+		if e := f.Link(ino, f.Root(), "l000"); e != errno.ENOSPC {
+			t.Fatalf("link on a full flash = %v, want ENOSPC", e)
+		}
+		if after := fingerprint(t, f); after != before {
+			t.Errorf("the failed link changed the file system:\n--- before\n%.300s\n--- after\n%.300s", before, after)
+		}
+		agree("the failed link")
 	})
 	// A chmod riding with a truncate of a directory is refused whole.
 	t.Run("directory", func(t *testing.T) {

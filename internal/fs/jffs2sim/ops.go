@@ -546,6 +546,9 @@ func (f *FS) Link(ino vfs.Ino, newParent vfs.Ino, newName string) errno.Errno {
 	if _, ok := dir.entries[newName]; ok {
 		return errno.EEXIST
 	}
+	if e := f.makeRoom(append(inodeNodeLens(nd.target, 0), nodeHeader+direntFixed+len(newName))...); e != errno.OK {
+		return e
+	}
 	nd.nlink++
 	if e := f.logInode(uint32(ino), nd, 0, nil); e != errno.OK {
 		nd.nlink--
