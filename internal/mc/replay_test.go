@@ -5,6 +5,7 @@
 package mc_test
 
 import (
+	"math/rand"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -273,6 +274,80 @@ func TestMinimizeConvergesOnPaddedTrail(t *testing.T) {
 		t.Fatal("minimized trail does not reproduce the bug")
 	}
 	t.Logf("minimized %d -> %d ops in %d replays", stats.From, stats.To, stats.Replays)
+}
+
+// TestMinimizeIsSoundAndOneMinimalOnRandomTrails is the law behind
+// shrink, over random padding: the seeded bug's trail with pool ops
+// inserted at random positions. For every padded trail that still
+// reproduces, Minimize finishes (Minimal), its result reproduces the same
+// discrepancy kind on a fresh session, and dropping any single op of the
+// result stops it reproducing — checked here op by op, not through ddmin.
+func TestMinimizeIsSoundAndOneMinimalOnRandomTrails(t *testing.T) {
+	opts := holeBugOptions()
+	s, err := mcfs.NewSession(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := s.Run()
+	s.Close()
+	if res.Err != nil || res.Bug == nil {
+		t.Fatalf("seeded run: err=%v bug=%v", res.Err, res.Bug)
+	}
+	want := &mcfs.Discrepancy{Kind: res.Bug.Discrepancy.Kind}
+	reproduces := func(trail []workload.Op) bool {
+		t.Helper()
+		fs, err := mcfs.NewSession(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fs.Close()
+		_, same, err := fs.VerifyTrail(trail, want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return same
+	}
+	factory := func() (mc.Config, func(), error) {
+		fs, err := mcfs.NewSession(opts)
+		if err != nil {
+			return mc.Config{}, nil, err
+		}
+		return *fs.Config(), fs.Close, nil
+	}
+	pool := workload.VeriFS1Pool().Enumerate()
+	used := 0
+	for seed := int64(1); seed <= 10; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		padded := append([]workload.Op(nil), res.Bug.Trail...)
+		for n := 2 + r.Intn(5); n > 0; n-- {
+			at := r.Intn(len(padded) + 1)
+			padded = append(padded[:at], append([]workload.Op{pool[r.Intn(len(pool))]}, padded[at:]...)...)
+		}
+		if !reproduces(padded) {
+			t.Logf("seed %d: the padded trail no longer reproduces; skipped", seed)
+			continue
+		}
+		used++
+		shrunk, stats, err := mc.Minimize(factory, padded, want, mc.MinimizeOptions{})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !stats.Minimal {
+			t.Errorf("seed %d: Minimize stopped short of a 1-minimal trail (%+v)", seed, stats)
+		}
+		if !reproduces(shrunk) {
+			t.Errorf("seed %d: the minimized trail %v does not reproduce %s", seed, shrunk, want.Kind)
+		}
+		for i := range shrunk {
+			if less := append(append([]workload.Op(nil), shrunk[:i]...), shrunk[i+1:]...); reproduces(less) {
+				t.Errorf("seed %d: the minimized trail %v still reproduces without op %d (%v)", seed, shrunk, i, shrunk[i])
+			}
+		}
+		t.Logf("seed %d: %d -> %d ops in %d replays", seed, stats.From, stats.To, stats.Replays)
+	}
+	if used < 5 {
+		t.Errorf("only %d of 10 padded trails reproduced; the law needs at least 5", used)
+	}
 }
 
 func TestMinimizeRejectsNonReproducingTrail(t *testing.T) {
