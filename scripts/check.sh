@@ -4,7 +4,8 @@
 # Encodes ROADMAP.md's tier-1 verify plus the observability gate:
 #   1. go build ./...                               (everything compiles)
 #   2. go test ./...                                (tier-1 test suite)
-#   3. go vet ./...                                 (static checks)
+#   3. go vet ./... and gofmt -l .                  (static checks; gofmt
+#                                                    must list no file)
 #   4. go test -race internal/mc + internal/obs     (swarm + hub + event
 #         (includes internal/obs/stream)             stream under the
 #         + internal/tracker + internal/blockdev     race detector; the
@@ -95,9 +96,12 @@
 #      first two, no JoinPath in the abstraction      and the abstraction
 #      walk, SplitPath/BaseName/DirPath stay          walk builds paths
 #      deleted; plus a 10 s FuzzJoinPath smoke,       that need no cleaning;
-#      and a 10 s FuzzJournalRead smoke               a journal decodes to
-#                                                    in-bounds ops or an
-#                                                    error)
+#      a 10 s FuzzJournalRead smoke and a 10 s        a journal decodes to
+#      FuzzMountAndFsck smoke                         in-bounds ops or an
+#                                                    error; a mount and an
+#                                                    fsck of any extfs
+#                                                    bytes return an error
+#                                                    or problems)
 #  18. scan guard: no sort.Slice in non-test         (a jffs2 mount parses
 #      internal/fs/jffs2sim, and no make([]byte       the blocks that changed,
 #      in the mount scan (MountCached and the         in place, from bytes the
@@ -110,6 +114,12 @@
 #      (TraceCapacity, DroppedSpans), reads no wall   on the hub, which reads
 #      clock and carries no lint:ignore               the session's virtual
 #                                                    clock)
+#  20. one-log guard: the crash-point arming API     (every persisted window
+#      (ArmCrash, DisarmPending, Armed,               write is a crash point:
+#      CrashCaptures, maxArmedPoints) and the         nothing arms, caps,
+#      crash-point cap settings (PointsPerOp,         disarms or leak-checks
+#      CrashPointsPerOp, -crash-points) stay          a position in the
+#      deleted                                        write log)
 #
 # Usage: scripts/check.sh   (from the repo root or anywhere inside it)
 set -eu
@@ -122,8 +132,11 @@ go build ./...
 echo "==> go test ./..."
 go test ./...
 
-echo "==> go vet ./..."
+echo "==> go vet ./... and gofmt -l ."
 go vet ./...
+unformatted=$(gofmt -l .)
+[ -z "$unformatted" ] || { echo "$unformatted"
+	echo "FAIL: gofmt -l lists the files above"; exit 1; }
 
 echo "==> go test -race ./internal/mc/... ./internal/memmodel/... ./internal/obs/... (incl. internal/obs/stream) ./internal/tracker/... ./internal/blockdev/... ./internal/kernel/... ./internal/abstraction/... ./internal/checker/... ./internal/vfs/..."
 go test -race ./internal/mc/... ./internal/memmodel/... ./internal/obs/... ./internal/tracker/... ./internal/blockdev/... \
@@ -313,6 +326,9 @@ go test -run '^$' -fuzz '^FuzzJoinPath$' -fuzztime 10s ./internal/vfs
 # in-bounds ops on any bytes (a short minimize budget keeps the large
 # golden seeds from stalling the smoke).
 go test -run '^$' -fuzz '^FuzzJournalRead$' -fuzztime 10s -fuzzminimizetime 1s ./internal/obs/journal
+# An extfs volume is read back from a crash image: MountWith (journal
+# replay included) and Fsck must return an error or problems on any bytes.
+go test -run '^$' -fuzz '^FuzzMountAndFsck$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fs/extfs
 
 echo "==> scan guard (a jffs2 mount copies no flash and sorts without reflection)"
 for f in internal/fs/jffs2sim/*.go; do
@@ -336,5 +352,10 @@ obsfiles=$(find internal/obs -name '*.go' ! -name '*_test.go')
 # shellcheck disable=SC2086
 if grep -n 'TraceCapacity\|DroppedSpans\|time\.Now\|lint:ignore' $obsfiles; then
 	echo "FAIL: non-test internal/obs keeps a span ring, reads the wall clock or suppresses a lint (see above)"; exit 1; fi
+
+echo "==> one-log guard (every persisted window write is a crash point; nothing arms one)"
+if grep -rnE --include='*.go' 'ArmCrash|DisarmPending|\.Armed\(\)|CrashCaptures|maxArmedPoints|\bPointsPerOp\b|CrashPointsPerOp|crash-points' \
+	internal cmd examples ./*.go; then
+	echo "FAIL: the crash-point arming API or a crash-point cap setting is back (see above)"; exit 1; fi
 
 echo "OK: all checks passed"
