@@ -114,10 +114,11 @@ type Config struct {
 	Journal *journal.Recorder
 	// Crash, when set, enables crash-consistency exploration: before
 	// each operation is stepped normally, its write window is probed on
-	// every crash plane — the op runs under armed crash points, power
-	// loss is simulated with the media as it stood right after each (the
-	// pre-op state plus a prefix of the write log), and the recovered
-	// state is checked against the prefix-consistency oracle (crash.go).
+	// every crash plane — the op runs once in a fault window, where every
+	// write that persists is a crash point, power loss is simulated with
+	// the media as it stood right after each (the pre-op state plus a
+	// prefix of the write log), and the recovered state is checked
+	// against the prefix-consistency oracle (crash.go).
 	Crash *CrashConfig
 	// Stream, when set, receives live exploration events (steps,
 	// backtracks, crash verdicts, worker lifecycle, bugs) stamped with

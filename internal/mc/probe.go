@@ -177,7 +177,7 @@ func (p *probe) end() {
 }
 
 // executed counts one executed operation (a step, or a crash probe's
-// armed window). Heartbeats ride the op counter, not a wall timer: they
+// window). Heartbeats ride the op counter, not a wall timer: they
 // stay deterministic in virtual time, and a hung target reads as stale
 // because a stuck probe stops the counter.
 func (p *probe) executed(res *Result, depth int, errnos []string) {
