@@ -6,33 +6,73 @@ import (
 	"math"
 	"time"
 
-	"mcfs/internal/bench"
 	"mcfs/internal/mc/visited"
 	"mcfs/internal/memmodel"
 	"mcfs/internal/obs"
 	"mcfs/internal/obs/journal"
 )
 
-// This file is the committed benchmark suite behind `fsbench -json`:
-// the scenario set whose report is checked in as BENCH_mc.json and
-// diffed by `fsbench -compare` on every PR. Rates are per virtual
-// second from the calibrated cost model, so a regression is a code
-// change, not machine noise.
+// This file is the benchmark suite whose report is checked in as
+// BENCH_mc.json, a golden artifact like the engine's and the CLIs':
+// TestBenchReportReproducesCommittedTrajectory compares a fresh report
+// with it and `-update` rewrites it. Rates are per virtual second from
+// the calibrated cost model, so a changed row is a code change, not
+// machine noise.
 
-// BenchBudget is the default per-scenario operation budget.
+// BenchBudget is the per-scenario operation budget.
 const BenchBudget = 400
 
-// RunBenchReport executes every benchmark scenario at the given
-// per-scenario operation budget (BenchBudget when <= 0) and returns
-// the trajectory point `fsbench -json` emits.
-func RunBenchReport(budget int64) (bench.Report, error) {
-	if budget <= 0 {
-		budget = BenchBudget
-	}
-	report := bench.Report{Schema: bench.SchemaVersion, Budget: budget}
+// BenchReport is the benchmark suite's report, the layout of
+// BENCH_mc.json.
+type BenchReport struct {
+	// Schema is the report layout version (1).
+	Schema int `json:"schema"`
+	// Budget is the per-scenario operation budget the report ran at.
+	Budget int64 `json:"budget"`
+	// Scenarios holds one row per benchmark scenario, in suite order.
+	Scenarios []BenchScenario `json:"scenarios"`
+}
+
+// BenchScenario is one benchmark row: a named exploration configuration
+// and its measured rates, phase attribution, and memory high-water mark.
+type BenchScenario struct {
+	// Name identifies the scenario ("explore-ext2-ext4", ...).
+	Name string `json:"name"`
+	// Ops and UniqueStates describe the run that produced the rates.
+	Ops          int64 `json:"ops"`
+	UniqueStates int64 `json:"unique_states"`
+	// OpsPerSec and StatesPerSec are per virtual second.
+	OpsPerSec    float64 `json:"ops_per_sec"`
+	StatesPerSec float64 `json:"states_per_sec"`
+	// CrashPointsPerSec is the crash-oracle probe rate (crash scenarios
+	// only).
+	CrashPointsPerSec float64 `json:"crash_points_per_sec,omitempty"`
+	// ReplayOpsPerSec is the flight-recorder replay rate (journal
+	// scenario only).
+	ReplayOpsPerSec float64 `json:"replay_ops_per_sec,omitempty"`
+	// PeakMemBytes is the memory model's footprint high-water mark.
+	PeakMemBytes int64 `json:"peak_mem_bytes,omitempty"`
+	// StatesPerMB is unique states recorded per MB of visited-table
+	// budget (states-per-mb scenarios only) — the memory-efficiency
+	// claim behind the reduced-fidelity backends.
+	StatesPerMB float64 `json:"states_per_mb,omitempty"`
+	// Fidelity is the visited table's final matching precision
+	// ("compact", "bitstate"; omitted at exact fidelity).
+	Fidelity string `json:"fidelity,omitempty"`
+	// OmissionProb is the estimated state-omission probability at the
+	// final fidelity (zero at exact).
+	OmissionProb float64 `json:"omission_prob,omitempty"`
+	// PhaseShares is each engine phase's fraction of attributed time.
+	PhaseShares map[string]float64 `json:"phase_shares,omitempty"`
+}
+
+// RunBenchReport executes every benchmark scenario at BenchBudget
+// operations and returns the report BENCH_mc.json holds.
+func RunBenchReport() (BenchReport, error) {
+	report := BenchReport{Schema: 1, Budget: BenchBudget}
 	for _, sc := range []struct {
 		name string
-		run  func(int64) (bench.Scenario, error)
+		run  func() (BenchScenario, error)
 	}{
 		{"explore-ext2-ext4", benchExplore(Options{Targets: []TargetSpec{{Kind: "ext2"}, {Kind: "ext4"}}, MaxDepth: 4})},
 		{"explore-ext4-jffs2", benchExplore(Options{Targets: []TargetSpec{{Kind: "ext4"}, {Kind: "jffs2"}}, MaxDepth: 4})},
@@ -42,7 +82,7 @@ func RunBenchReport(budget int64) (bench.Report, error) {
 		{"states-per-mb-exact", benchStatesPerMBExact},
 		{"states-per-mb-bitstate", benchStatesPerMBBitstate},
 	} {
-		row, err := sc.run(budget)
+		row, err := sc.run()
 		if err != nil {
 			return report, fmt.Errorf("mcfs: bench scenario %s: %w", sc.name, err)
 		}
@@ -52,9 +92,9 @@ func RunBenchReport(budget int64) (bench.Report, error) {
 	return report, nil
 }
 
-// benchRun executes one profiled session and folds it into a scenario
-// row.
-func benchRun(opts Options, budget int64) (bench.Scenario, Result, error) {
+// benchRun executes one profiled session of budget operations and folds
+// it into a scenario row.
+func benchRun(opts Options, budget int64) (BenchScenario, Result, error) {
 	hub := obs.New()
 	opts.Obs = hub
 	opts.MaxOps = budget
@@ -64,15 +104,15 @@ func benchRun(opts Options, budget int64) (bench.Scenario, Result, error) {
 	}
 	s, err := NewSession(opts)
 	if err != nil {
-		return bench.Scenario{}, Result{}, err
+		return BenchScenario{}, Result{}, err
 	}
 	defer s.Close()
 	res := s.Run()
 	if res.Err != nil {
-		return bench.Scenario{}, res, res.Err
+		return BenchScenario{}, res, res.Err
 	}
 	if res.Bug != nil {
-		return bench.Scenario{}, res, fmt.Errorf("unexpected bug: %v", res.Bug.Discrepancy)
+		return BenchScenario{}, res, fmt.Errorf("unexpected bug: %v", res.Bug.Discrepancy)
 	}
 	row := scenarioRow(res.Ops, res.UniqueStates, res.Elapsed, hub.Profile())
 	row.PeakMemBytes = s.MemoryStats().PeakBytes
@@ -80,8 +120,8 @@ func benchRun(opts Options, budget int64) (bench.Scenario, Result, error) {
 }
 
 // scenarioRow derives a scenario's rates and phase attribution.
-func scenarioRow(ops, unique int64, elapsed time.Duration, snap obs.Profile) bench.Scenario {
-	row := bench.Scenario{Ops: ops, UniqueStates: unique}
+func scenarioRow(ops, unique int64, elapsed time.Duration, snap obs.Profile) BenchScenario {
+	row := BenchScenario{Ops: ops, UniqueStates: unique}
 	if secs := elapsed.Seconds(); secs > 0 {
 		row.OpsPerSec = round1(float64(ops) / secs)
 		row.StatesPerSec = round1(float64(unique) / secs)
@@ -101,9 +141,9 @@ func scenarioRow(ops, unique int64, elapsed time.Duration, snap obs.Profile) ben
 }
 
 // benchExplore is the scenario that is nothing but a run spec.
-func benchExplore(opts Options) func(int64) (bench.Scenario, error) {
-	return func(budget int64) (bench.Scenario, error) {
-		row, _, err := benchRun(opts, budget)
+func benchExplore(opts Options) func() (BenchScenario, error) {
+	return func() (BenchScenario, error) {
+		row, _, err := benchRun(opts, BenchBudget)
 		return row, err
 	}
 }
@@ -112,13 +152,13 @@ func benchExplore(opts Options) func(int64) (bench.Scenario, error) {
 // aggregate rate uses the slowest worker's virtual elapsed — the
 // swarm's wall-clock in virtual terms — and the phase shares come from
 // the merged per-worker profile.
-func benchSwarmShared(budget int64) (bench.Scenario, error) {
+func benchSwarmShared() (BenchScenario, error) {
 	memCfg := memmodel.DefaultConfig()
 	var peak int64
 	sr, err := runSwarm(Options{
 		Targets:      []TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
 		MaxDepth:     3,
-		MaxOps:       budget,
+		MaxOps:       BenchBudget,
 		Memory:       &memCfg,
 		Workers:      2,
 		ShareVisited: true,
@@ -131,13 +171,13 @@ func benchSwarmShared(budget int64) (bench.Scenario, error) {
 		}
 	})
 	if err != nil {
-		return bench.Scenario{}, err
+		return BenchScenario{}, err
 	}
 	if sr.Err != nil {
-		return bench.Scenario{}, sr.Err
+		return BenchScenario{}, sr.Err
 	}
 	if sr.Bug != nil {
-		return bench.Scenario{}, fmt.Errorf("unexpected bug: %v", sr.Bug.Discrepancy)
+		return BenchScenario{}, fmt.Errorf("unexpected bug: %v", sr.Bug.Discrepancy)
 	}
 	row := scenarioRow(sr.Ops, sr.GlobalUniqueStates, sr.Elapsed, sr.Perf)
 	row.PeakMemBytes = peak
@@ -148,7 +188,7 @@ func benchSwarmShared(budget int64) (bench.Scenario, error) {
 // exploration recorded to an in-memory journal (the journal phase share
 // is the recording overhead), then the journal replayed against a
 // fresh session for the replay rate.
-func benchJournalReplay(budget int64) (bench.Scenario, error) {
+func benchJournalReplay() (BenchScenario, error) {
 	opts := Options{
 		Targets:  []TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
 		MaxDepth: 3,
@@ -157,7 +197,7 @@ func benchJournalReplay(budget int64) (bench.Scenario, error) {
 	jw := journal.NewWriter(&buf, journal.Options{})
 	recOpts := opts
 	recOpts.Journal = jw
-	row, _, err := benchRun(recOpts, budget)
+	row, _, err := benchRun(recOpts, BenchBudget)
 	if err != nil {
 		return row, err
 	}
@@ -191,13 +231,12 @@ func benchJournalReplay(budget int64) (bench.Scenario, error) {
 // the same visited-table byte budget, once with the exact backend
 // (capacity = budget / entry size, then the search is cut off) and
 // once with the bitstate backend (the whole budget is one Bloom array).
-// Both run at a FIXED internal operation budget, independent of the
-// suite budget, so the smoke run and the committed run measure the
-// same exploration and the comparison gate sees zero drift.
+// Both run at an operation budget of their own, ten times BenchBudget,
+// so the bitstate run goes on long after the exact table is full.
 const (
 	// benchStatesPerMBTableBytes is the visited-table byte budget.
 	benchStatesPerMBTableBytes = 1 << 10
-	// benchStatesPerMBOps is the fixed internal operation budget.
+	// benchStatesPerMBOps is the pair's operation budget.
 	benchStatesPerMBOps = 4000
 )
 
@@ -207,7 +246,7 @@ func statesPerMB(unique int64) float64 {
 	return round1(float64(unique) * float64(1<<20) / float64(benchStatesPerMBTableBytes))
 }
 
-func benchStatesPerMBExact(int64) (bench.Scenario, error) {
+func benchStatesPerMBExact() (BenchScenario, error) {
 	row, res, err := benchRun(Options{
 		Targets:   []TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
 		MaxDepth:  6,
@@ -220,7 +259,7 @@ func benchStatesPerMBExact(int64) (bench.Scenario, error) {
 	return row, nil
 }
 
-func benchStatesPerMBBitstate(int64) (bench.Scenario, error) {
+func benchStatesPerMBBitstate() (BenchScenario, error) {
 	row, res, err := benchRun(Options{
 		Targets:       []TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
 		MaxDepth:      6,

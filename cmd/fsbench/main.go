@@ -1,22 +1,15 @@
 // Command fsbench regenerates the paper's Figure 2 (model-checking speed
 // for each file system pairing and backing store), the §6 remount
-// ablation, and the §5 VM-snapshot rate — and maintains the repo's
-// committed benchmark trajectory.
+// ablation, and the §5 VM-snapshot rate.
 //
 // Usage:
 //
-//	fsbench [-budget N]                     pretty-print the paper tables
-//	fsbench -json [-o BENCH_mc.json]        emit the machine-readable report
-//	fsbench -compare old.json [-with new.json] [-tolerance F]
-//	                                        diff a fresh run (or new.json)
-//	                                        against a committed report;
-//	                                        exits 2 on regression
+//	fsbench [-budget N]
 //
 // Rates are operations per *virtual* second from the calibrated cost
 // model; compare shapes and ratios against the paper, not wall time.
-// The -json report (schema bench.SchemaVersion) is committed as
-// BENCH_mc.json so speed claims are tracked across PRs, and -compare is
-// the regression gate scripts/check.sh runs.
+// The repo's committed benchmark report, BENCH_mc.json, is a golden file
+// of the root package's tests, not an output of this command.
 package main
 
 import (
@@ -25,28 +18,11 @@ import (
 	"os"
 
 	"mcfs"
-	"mcfs/internal/bench"
 )
 
 func main() {
 	budget := flag.Int64("budget", 0, "operations to execute per configuration (0 = the mode's default)")
-	jsonOut := flag.Bool("json", false, "run the benchmark suite and emit the machine-readable report")
-	outPath := flag.String("o", "", "with -json: write the report to this file instead of stdout")
-	comparePath := flag.String("compare", "", "diff against this committed report; exits 2 on regression")
-	withPath := flag.String("with", "", "with -compare: diff this report file instead of running the suite")
-	tolerance := flag.Float64("tolerance", 0, "with -compare: fractional regression tolerance (default bench.DefaultTolerance)")
 	flag.Parse()
-
-	if *comparePath != "" {
-		os.Exit(runCompare(*comparePath, *withPath, *budget, *tolerance))
-	}
-	if *jsonOut {
-		if err := runJSON(*budget, *outPath); err != nil {
-			fmt.Fprintf(os.Stderr, "fsbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	fmt.Println("=== Figure 2: model-checking speed ===")
 	rows, err := mcfs.RunFigure2(*budget)
@@ -95,60 +71,4 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("=== VM snapshot tracking (§5) ===\nVeriFS1 vs VeriFS2 under VM snapshotting: %.1f ops/s (paper: 20-30 ops/s)\n", rate)
-}
-
-// runJSON executes the benchmark suite and writes the report.
-func runJSON(budget int64, outPath string) error {
-	report, err := mcfs.RunBenchReport(budget)
-	if err != nil {
-		return err
-	}
-	if outPath == "" {
-		return report.Encode(os.Stdout)
-	}
-	f, err := os.Create(outPath)
-	if err != nil {
-		return err
-	}
-	if err := report.Encode(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// runCompare diffs a report against the committed one and returns the
-// process exit code: 0 clean, 1 operational error, 2 regression.
-func runCompare(oldPath, withPath string, budget int64, tol float64) int {
-	old, err := bench.Load(oldPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fsbench: %v\n", err)
-		return 1
-	}
-	var cur bench.Report
-	if withPath != "" {
-		if cur, err = bench.Load(withPath); err != nil {
-			fmt.Fprintf(os.Stderr, "fsbench: %v\n", err)
-			return 1
-		}
-	} else {
-		if cur, err = mcfs.RunBenchReport(budget); err != nil {
-			fmt.Fprintf(os.Stderr, "fsbench: %v\n", err)
-			return 1
-		}
-	}
-	deltas, err := bench.Compare(old, cur, tol)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fsbench: %v\n", err)
-		return 1
-	}
-	for _, d := range deltas {
-		fmt.Println(d)
-	}
-	if regs := bench.Regressions(deltas); len(regs) > 0 {
-		fmt.Fprintf(os.Stderr, "fsbench: %d regression(s) against %s\n", len(regs), oldPath)
-		return 2
-	}
-	fmt.Printf("fsbench: no regressions against %s\n", oldPath)
-	return 0
 }

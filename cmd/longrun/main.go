@@ -124,7 +124,7 @@ func run(args []string) int {
 		}
 	}
 	if c.metricsAddr != "" {
-		bus := stream.New(stream.Options{})
+		bus := stream.New()
 		bus.SetObs(hub)
 		cal.Stream = bus
 		srv, err := obs.ServeMetrics(c.metricsAddr, func() any {

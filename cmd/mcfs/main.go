@@ -220,7 +220,7 @@ func run(args []string) int {
 	// follows the same rule: a nil bus costs one branch per emit site.
 	obsOn := c.progress > 0 || c.metricsAddr != "" || c.traceDump || c.bundleDir != "" || c.top > 0 || c.phaseProfile
 	if c.eventsPath != "" || c.top > 0 || c.metricsAddr != "" {
-		spec.Stream = stream.New(stream.Options{})
+		spec.Stream = stream.New()
 	}
 	bus := spec.Stream
 

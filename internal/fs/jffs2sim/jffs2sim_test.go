@@ -322,13 +322,14 @@ func TestFailedWriteLeavesMemoryAndFlashAgreeing(t *testing.T) {
 		}
 	})
 
-	// appendUntilFull appends to /f in ever smaller writes until not even
-	// a 1-byte append fits after a collection, and returns /f and its size.
-	appendUntilFull := func(t *testing.T, f *FS) (vfs.Ino, int64) {
+	// appendUntilFull appends to /f in ever smaller writes, halving the
+	// size on every ENOSPC, until not even an append of smallest bytes fits
+	// after a collection, and returns /f and its size.
+	appendUntilFull := func(t *testing.T, f *FS, smallest int) (vfs.Ino, int64) {
 		t.Helper()
 		ino := mustCreate(t, f, f.Root(), "f")
 		size := int64(0)
-		for n := MaxDataPerNode; n > 0; {
+		for n := MaxDataPerNode; n >= smallest; {
 			switch _, e := f.Write(ino, size, bytes.Repeat([]byte{0xF}, n)); e {
 			case errno.OK:
 				size += int64(n)
@@ -345,7 +346,7 @@ func TestFailedWriteLeavesMemoryAndFlashAgreeing(t *testing.T) {
 	// flash has no room left for a metadata node.
 	fillUp := func(t *testing.T, f *FS, agree func(string)) vfs.Ino {
 		t.Helper()
-		ino, size := appendUntilFull(t, f)
+		ino, size := appendUntilFull(t, f, 1)
 		for i := 0; ; i++ {
 			size++
 			e := f.Setattr(ino, vfs.SetAttr{Size: &size})
@@ -393,7 +394,7 @@ func TestFailedWriteLeavesMemoryAndFlashAgreeing(t *testing.T) {
 	// the count nor the name behind, in memory or on flash.
 	t.Run("link", func(t *testing.T) {
 		f, agree := small(t)
-		ino, _ := appendUntilFull(t, f)
+		ino, _ := appendUntilFull(t, f, 1)
 		before := fingerprint(t, f)
 		if e := f.Link(ino, f.Root(), "l000"); e != errno.ENOSPC {
 			t.Fatalf("link on a full flash = %v, want ENOSPC", e)
@@ -402,6 +403,22 @@ func TestFailedWriteLeavesMemoryAndFlashAgreeing(t *testing.T) {
 			t.Errorf("the failed link changed the file system:\n--- before\n%.300s\n--- after\n%.300s", before, after)
 		}
 		agree("the failed link")
+	})
+	// A symlink on a flash with room for small nodes only: the inode and
+	// dirent nodes every create appends fit, the node carrying a 200-byte
+	// target after them does not. The failed symlink must leave neither
+	// the name nor the inode behind, in memory or on flash.
+	t.Run("symlink", func(t *testing.T) {
+		f, agree := small(t)
+		appendUntilFull(t, f, 64)
+		before := fingerprint(t, f)
+		if _, e := f.Symlink(strings.Repeat("t", 200), f.Root(), "l", 0, 0); e != errno.ENOSPC {
+			t.Fatalf("symlink on a full flash = %v, want ENOSPC", e)
+		}
+		if after := fingerprint(t, f); after != before {
+			t.Errorf("the failed symlink changed the file system:\n--- before\n%.300s\n--- after\n%.300s", before, after)
+		}
+		agree("the failed symlink")
 	})
 	// A chmod riding with a truncate of a directory is refused whole.
 	t.Run("directory", func(t *testing.T) {

@@ -135,22 +135,29 @@ func (f *FS) Setattr(ino vfs.Ino, attr vfs.SetAttr) errno.Errno {
 	return errno.OK
 }
 
-func (f *FS) makeNode(parent vfs.Ino, name string, mode vfs.Mode, uid, gid uint32) (vfs.Ino, *inodeInfo, errno.Errno) {
+// makeNode creates name in parent: it makes room for every node the
+// create appends — the inode, the dirent, and for a symlink a second
+// inode node carrying the target — before it changes anything.
+func (f *FS) makeNode(parent vfs.Ino, name string, mode vfs.Mode, target string, uid, gid uint32) (vfs.Ino, errno.Errno) {
 	dir, e := f.dir(parent)
 	if e != errno.OK {
-		return 0, nil, e
+		return 0, e
 	}
 	if e := vfs.ValidName(name); e != errno.OK {
-		return 0, nil, e
+		return 0, e
 	}
 	if name == "." || name == ".." {
-		return 0, nil, errno.EEXIST
+		return 0, errno.EEXIST
 	}
 	if _, ok := dir.entries[name]; ok {
-		return 0, nil, errno.EEXIST
+		return 0, errno.EEXIST
 	}
-	if e := f.makeRoom(nodeHeader+inodeFixed, nodeHeader+direntFixed+len(name)); e != errno.OK {
-		return 0, nil, e
+	lens := []int{nodeHeader + inodeFixed, nodeHeader + direntFixed + len(name)}
+	if mode.IsSymlink() {
+		lens = append(lens, inodeNodeLens(target, 0)...)
+	}
+	if e := f.makeRoom(lens...); e != errno.OK {
+		return 0, e
 	}
 	now := f.now()
 	nd := &inodeInfo{
@@ -174,13 +181,20 @@ func (f *FS) makeNode(parent vfs.Ino, name string, mode vfs.Mode, uid, gid uint3
 	dir.mtime, dir.ctime = now, now
 	if e := f.logInode(ino, nd, 0, nil); e != errno.OK {
 		f.undoMake(dir, name, ino, mode.IsDir())
-		return 0, nil, e
+		return 0, e
 	}
 	if e := f.logDirent(uint32(parent), ino, name); e != errno.OK {
 		f.undoMake(dir, name, ino, mode.IsDir())
-		return 0, nil, e
+		return 0, e
 	}
-	return vfs.Ino(ino), nd, errno.OK
+	if mode.IsSymlink() {
+		nd.target = target
+		if e := f.logInode(ino, nd, 0, nil); e != errno.OK {
+			f.undoMake(dir, name, ino, false)
+			return 0, e
+		}
+	}
+	return vfs.Ino(ino), errno.OK
 }
 
 func (f *FS) undoMake(dir *inodeInfo, name string, ino uint32, isDir bool) {
@@ -199,14 +213,12 @@ func (f *FS) undoMake(dir *inodeInfo, name string, ino uint32, isDir bool) {
 
 // Create implements vfs.FS.
 func (f *FS) Create(parent vfs.Ino, name string, mode vfs.Mode, uid, gid uint32) (vfs.Ino, errno.Errno) {
-	ino, _, e := f.makeNode(parent, name, vfs.ModeReg|mode.Perm(), uid, gid)
-	return ino, e
+	return f.makeNode(parent, name, vfs.ModeReg|mode.Perm(), "", uid, gid)
 }
 
 // Mkdir implements vfs.FS.
 func (f *FS) Mkdir(parent vfs.Ino, name string, mode vfs.Mode, uid, gid uint32) (vfs.Ino, errno.Errno) {
-	ino, _, e := f.makeNode(parent, name, vfs.ModeDir|mode.Perm(), uid, gid)
-	return ino, e
+	return f.makeNode(parent, name, vfs.ModeDir|mode.Perm(), "", uid, gid)
 }
 
 // Unlink implements vfs.FS.
@@ -571,15 +583,7 @@ func (f *FS) Symlink(target string, parent vfs.Ino, name string, uid, gid uint32
 	if len(target) > MaxDataPerNode {
 		return 0, errno.ENAMETOOLONG
 	}
-	ino, nd, e := f.makeNode(parent, name, vfs.ModeLink|0777, uid, gid)
-	if e != errno.OK {
-		return 0, e
-	}
-	nd.target = target
-	if e := f.logInode(uint32(ino), nd, 0, nil); e != errno.OK {
-		return 0, e
-	}
-	return ino, errno.OK
+	return f.makeNode(parent, name, vfs.ModeLink|0777, target, uid, gid)
 }
 
 // Readlink implements vfs.SymlinkFS.

@@ -63,6 +63,13 @@ func fingerprint(t *testing.T, f *FS) string {
 			}
 			fmt.Fprintf(&out, " size=%d data=%x", st.Size, data)
 		}
+		if st.Mode.IsSymlink() {
+			target, e := f.Readlink(ino)
+			if e != errno.OK {
+				t.Fatalf("Readlink(%s): %v", path, e)
+			}
+			fmt.Fprintf(&out, " target=%q", target)
+		}
 		out.WriteByte('\n')
 		if st.Mode.IsDir() {
 			ents, e := f.ReadDir(ino)

@@ -17,10 +17,6 @@ import (
 
 // MinimizeOptions bounds a minimization.
 type MinimizeOptions struct {
-	// MaxReplays caps candidate replays (DefaultMaxReplays when <= 0).
-	// Minimization returns the best trail found so far when the cap is
-	// hit, never an error.
-	MaxReplays int
 	// Crash, when set, marks the trail as a crash-bug repro: the final
 	// operation is the one whose write window crashes, so it is pinned —
 	// ddmin shrinks only the prefix, and every candidate is verified
@@ -30,7 +26,8 @@ type MinimizeOptions struct {
 
 // DefaultMaxReplays bounds minimization work: ddmin on a trail of n ops
 // needs O(n^2) replays worst-case, and each replay rebuilds fresh file
-// systems.
+// systems. Minimization returns the best trail found so far when the cap
+// is hit, never an error.
 const DefaultMaxReplays = 500
 
 // MinimizeStats reports what a minimization did.
@@ -42,7 +39,7 @@ type MinimizeStats struct {
 	Replays int
 	// Minimal reports that the result is 1-minimal: removing any single
 	// remaining operation stops the bug from reproducing. False only
-	// when MaxReplays cut the search short.
+	// when DefaultMaxReplays cut the search short.
 	Minimal bool
 }
 
@@ -57,10 +54,6 @@ type MinimizeStats struct {
 func Minimize(factory func() (Config, func(), error), trail []workload.Op,
 	want *checker.Discrepancy, opts MinimizeOptions) ([]workload.Op, MinimizeStats, error) {
 
-	maxReplays := opts.MaxReplays
-	if maxReplays <= 0 {
-		maxReplays = DefaultMaxReplays
-	}
 	stats := MinimizeStats{From: len(trail), To: len(trail)}
 
 	// Crash-bug trails pin the final (crashing) op: ddmin works on the
@@ -73,7 +66,7 @@ func Minimize(factory func() (Config, func(), error), trail []workload.Op,
 	}
 
 	test := func(candidate []workload.Op) (bool, error) {
-		if stats.Replays >= maxReplays {
+		if stats.Replays >= DefaultMaxReplays {
 			return false, errReplayBudget
 		}
 		stats.Replays++
@@ -165,5 +158,6 @@ func Minimize(factory func() (Config, func(), error), trail []workload.Op,
 	return cur, stats, nil
 }
 
-// errReplayBudget is the internal signal that MaxReplays was exhausted.
+// errReplayBudget is the internal signal that DefaultMaxReplays was
+// exhausted.
 var errReplayBudget = fmt.Errorf("mc: minimize replay budget exhausted")

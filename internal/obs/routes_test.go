@@ -24,7 +24,7 @@ func streamMux(bus *stream.Bus) *http.ServeMux {
 }
 
 func TestEventsRouteStreamsAndStopsOnDisconnect(t *testing.T) {
-	bus := stream.New(stream.Options{})
+	bus := stream.New()
 	srv := httptest.NewServer(streamMux(bus))
 	defer srv.Close()
 
@@ -86,9 +86,12 @@ func TestEventsRouteStreamsAndStopsOnDisconnect(t *testing.T) {
 }
 
 func TestWorkersRouteReportsStaleWorkerUnhealthy(t *testing.T) {
-	bus := stream.New(stream.Options{StaleAfter: time.Second})
-	bus.Publish(stream.Event{Kind: stream.KindWorkerHeartbeat, Worker: 1, At: 10 * time.Second, Ops: 640})
-	bus.Publish(stream.Event{Kind: stream.KindWorkerHeartbeat, Worker: 2, At: 3 * time.Second, Ops: 64})
+	// Worker 2's last heartbeat is a second more than the staleness bound
+	// behind worker 1's.
+	frontier := 10 * time.Second
+	bus := stream.New()
+	bus.Publish(stream.Event{Kind: stream.KindWorkerHeartbeat, Worker: 1, At: frontier, Ops: 640})
+	bus.Publish(stream.Event{Kind: stream.KindWorkerHeartbeat, Worker: 2, At: frontier - stream.DefaultStaleAfter - time.Second, Ops: 64})
 
 	rec := httptest.NewRecorder()
 	streamMux(bus).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/workers", nil))
@@ -99,14 +102,14 @@ func TestWorkersRouteReportsStaleWorkerUnhealthy(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
 		t.Fatalf("/workers did not decode: %v", err)
 	}
-	if h.Frontier != 10*time.Second || len(h.Workers) != 2 {
-		t.Fatalf("health = %+v, want frontier 10s and 2 workers", h)
+	if h.Frontier != frontier || h.StaleAfter != stream.DefaultStaleAfter || len(h.Workers) != 2 {
+		t.Fatalf("health = %+v, want frontier %v, bound %v and 2 workers", h, frontier, stream.DefaultStaleAfter)
 	}
 	if h.Workers[0].Health != "healthy" {
 		t.Errorf("worker 1 health = %q, want healthy", h.Workers[0].Health)
 	}
 	if h.Workers[1].Health != "unhealthy" {
-		t.Errorf("worker 2 health = %q, want unhealthy (7s behind the frontier)", h.Workers[1].Health)
+		t.Errorf("worker 2 health = %q, want unhealthy (stale heartbeat)", h.Workers[1].Health)
 	}
 }
 

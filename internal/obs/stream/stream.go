@@ -133,13 +133,6 @@ const DefaultRingCapacity = 1024
 // virtual time reports unhealthy.
 const DefaultStaleAfter = 2 * time.Second
 
-// Options configures a Bus.
-type Options struct {
-	// StaleAfter overrides the worker staleness bound
-	// (DefaultStaleAfter when zero or negative).
-	StaleAfter time.Duration
-}
-
 // Bus is the exploration event bus: engines Publish, consumers
 // Subscribe. All methods are safe for concurrent use and safe on a nil
 // receiver (no-ops / zero values), matching the obs.Hub contract — the
@@ -148,23 +141,15 @@ type Bus struct {
 	seq     atomic.Uint64
 	dropped atomic.Int64
 
-	mu         sync.Mutex
-	subs       []*Subscriber        // guarded by mu
-	workers    map[int]*workerState // guarded by mu
-	staleAfter time.Duration        // guarded by mu
-	dropCtr    *obs.Counter         // guarded by mu; obs.stream.dropped, when a hub is attached
+	mu      sync.Mutex
+	subs    []*Subscriber        // guarded by mu
+	workers map[int]*workerState // guarded by mu
+	dropCtr *obs.Counter         // guarded by mu; obs.stream.dropped, when a hub is attached
 }
 
 // New returns an empty bus.
-func New(opts Options) *Bus {
-	stale := opts.StaleAfter
-	if stale <= 0 {
-		stale = DefaultStaleAfter
-	}
-	return &Bus{
-		workers:    make(map[int]*workerState),
-		staleAfter: stale,
-	}
+func New() *Bus {
+	return &Bus{workers: make(map[int]*workerState)}
 }
 
 // SetObs surfaces the bus's drop count on hub as the
@@ -445,8 +430,8 @@ type Health struct {
 
 // Workers snapshots the worker health table. A running worker is
 // unhealthy when its last heartbeat lags the frontier (the most recent
-// heartbeat any worker published, in virtual time) by more than the
-// bus's StaleAfter; finished workers report their terminal status.
+// heartbeat any worker published, in virtual time) by more than
+// DefaultStaleAfter; finished workers report their terminal status.
 // Zero value on a nil bus.
 func (b *Bus) Workers() Health {
 	if b == nil {
@@ -454,7 +439,7 @@ func (b *Bus) Workers() Health {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	h := Health{StaleAfter: b.staleAfter}
+	h := Health{StaleAfter: DefaultStaleAfter}
 	for id, ws := range b.workers {
 		h.Workers = append(h.Workers, WorkerStatus{
 			Worker:      id,
@@ -477,7 +462,7 @@ func (b *Bus) Workers() Health {
 		switch {
 		case w.Status != WorkerRunning:
 			w.Health = w.Status
-		case h.Frontier-w.LastBeat > b.staleAfter:
+		case h.Frontier-w.LastBeat > DefaultStaleAfter:
 			w.Health = "unhealthy"
 		default:
 			w.Health = "healthy"

@@ -13,7 +13,7 @@ import (
 )
 
 func TestPublishAssignsSequenceAndDelivers(t *testing.T) {
-	b := New(Options{})
+	b := New()
 	sub := b.Subscribe(8)
 	defer sub.Close()
 
@@ -36,7 +36,7 @@ func TestPublishAssignsSequenceAndDelivers(t *testing.T) {
 }
 
 func TestRingOverflowDropsOldest(t *testing.T) {
-	b := New(Options{})
+	b := New()
 	sub := b.Subscribe(4)
 	defer sub.Close()
 
@@ -63,7 +63,7 @@ func TestRingOverflowDropsOldest(t *testing.T) {
 
 func TestSetObsSurfacesDropsAsMetric(t *testing.T) {
 	hub := obs.New()
-	b := New(Options{})
+	b := New()
 	b.SetObs(hub)
 	sub := b.Subscribe(2)
 	defer sub.Close()
@@ -80,7 +80,7 @@ func TestSetObsSurfacesDropsAsMetric(t *testing.T) {
 func TestPublishNeverBlocksWithoutConsumer(t *testing.T) {
 	// A subscriber that is never drained must not stall Publish: the
 	// ring overwrites and the notify channel coalesces.
-	b := New(Options{})
+	b := New()
 	sub := b.Subscribe(1)
 	defer sub.Close()
 
@@ -102,7 +102,7 @@ func TestPublishNeverBlocksWithoutConsumer(t *testing.T) {
 }
 
 func TestSubscriberCloseDetaches(t *testing.T) {
-	b := New(Options{})
+	b := New()
 	sub := b.Subscribe(4)
 	if got := b.Subscribers(); got != 1 {
 		t.Fatalf("Subscribers = %d, want 1", got)
@@ -121,7 +121,7 @@ func TestSubscriberCloseDetaches(t *testing.T) {
 }
 
 func TestNotifyChannelWakes(t *testing.T) {
-	b := New(Options{})
+	b := New()
 	sub := b.Subscribe(4)
 	defer sub.Close()
 
@@ -180,7 +180,7 @@ func TestNilBusAndSubscriberAreSafe(t *testing.T) {
 func TestConcurrentPublishSubscribeRace(t *testing.T) {
 	// Exercised under -race by scripts/check.sh: publishers, a draining
 	// consumer, and churning subscribers must not trip the detector.
-	b := New(Options{})
+	b := New()
 	b.SetObs(obs.New())
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -211,16 +211,18 @@ func TestConcurrentPublishSubscribeRace(t *testing.T) {
 }
 
 func TestWorkerHealthLifecycle(t *testing.T) {
-	b := New(Options{StaleAfter: time.Second})
+	// The frontier ends a second past the staleness bound.
+	frontier := DefaultStaleAfter + time.Second
+	b := New()
 	b.Publish(Event{Kind: KindWorkerStart, Worker: 1, At: 0, Detail: "seed=1"})
 	b.Publish(Event{Kind: KindWorkerStart, Worker: 2, At: 0, Detail: "seed=2"})
 	// Steps must not advance liveness — only heartbeats do.
-	b.Publish(Event{Kind: KindStep, Worker: 2, At: 5 * time.Second})
-	b.Publish(Event{Kind: KindWorkerHeartbeat, Worker: 1, At: 3 * time.Second, Ops: 64, Unique: 10, Revisits: 2, Depth: 4})
+	b.Publish(Event{Kind: KindStep, Worker: 2, At: frontier + 2*time.Second})
+	b.Publish(Event{Kind: KindWorkerHeartbeat, Worker: 1, At: frontier, Ops: 64, Unique: 10, Revisits: 2, Depth: 4})
 
 	h := b.Workers()
-	if h.Frontier != 3*time.Second {
-		t.Errorf("Frontier = %v, want 3s", h.Frontier)
+	if h.Frontier != frontier {
+		t.Errorf("Frontier = %v, want %v", h.Frontier, frontier)
 	}
 	if len(h.Workers) != 2 {
 		t.Fatalf("Workers = %d rows, want 2", len(h.Workers))
@@ -232,14 +234,15 @@ func TestWorkerHealthLifecycle(t *testing.T) {
 	if w1.Health != "healthy" || w1.Ops != 64 || w1.Unique != 10 || w1.Depth != 4 {
 		t.Errorf("worker 1 = %+v, want healthy with heartbeat tallies", w1)
 	}
-	// Worker 2's last lifecycle event is its start at 0; the frontier is
-	// 3s and StaleAfter 1s, so it reads unhealthy despite recent steps.
+	// Worker 2's last lifecycle event is its start at 0, a second more
+	// than DefaultStaleAfter behind the frontier, so it reads unhealthy
+	// despite recent steps.
 	if w2.Health != "unhealthy" {
 		t.Errorf("worker 2 health = %q, want unhealthy (stale heartbeat)", w2.Health)
 	}
 
-	b.Publish(Event{Kind: KindWorkerDrain, Worker: 2, At: 4 * time.Second, Ops: 128, Detail: "done"})
-	b.Publish(Event{Kind: KindWorkerPanic, Worker: 1, At: 4 * time.Second, Detail: "boom"})
+	b.Publish(Event{Kind: KindWorkerDrain, Worker: 2, At: frontier + time.Second, Ops: 128, Detail: "done"})
+	b.Publish(Event{Kind: KindWorkerPanic, Worker: 1, At: frontier + time.Second, Detail: "boom"})
 	h = b.Workers()
 	w1, w2 = h.Workers[0], h.Workers[1]
 	if w1.Status != WorkerPanicked || w1.Health != WorkerPanicked || w1.Detail != "boom" {

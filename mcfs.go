@@ -136,7 +136,7 @@ func NewCancel() *Cancel { return mc.NewCancel() }
 // Options.Stream. Subscribers are lossy ring
 // buffers: a slow consumer drops its own events, never blocking the
 // engine.
-func NewStream() *Stream { return stream.New(stream.Options{}) }
+func NewStream() *Stream { return stream.New() }
 
 // Operation kinds, re-exported for building custom pools.
 const (

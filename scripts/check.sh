@@ -58,10 +58,12 @@
 #                                                    order/balance, guarded
 #                                                    fields, atomic/plain
 #                                                    mixing)
-#  10. bench regression gate: fsbench -json at a     (speed claims are
-#      smoke budget, diffed against the committed     tracked, not
-#      BENCH_mc.json at a loose tolerance             asserted; a rate
-#                                                    drop fails the gate)
+#  10. one-golden guard: internal/bench, the        (BENCH_mc.json is a
+#      tolerance (DefaultTolerance, bench.Compare,    golden like every
+#      a "tolerance" flag) and any import of          other pinned artifact:
+#      mcfs/internal/bench stay deleted               step 2 compares it
+#                                                    byte for byte and
+#                                                    -update rewrites it)
 #  11. bounded-memory smoke: a run under a tiny      (the memory governor
 #      -mem-budget must complete (exit 0) at          degrades fidelity
 #      reduced visited fidelity instead of dying      instead of dying
@@ -96,12 +98,14 @@
 #      first two, no JoinPath in the abstraction      and the abstraction
 #      walk, SplitPath/BaseName/DirPath stay          walk builds paths
 #      deleted; plus a 10 s FuzzJoinPath smoke,       that need no cleaning;
-#      a 10 s FuzzJournalRead smoke and a 10 s        a journal decodes to
-#      FuzzMountAndFsck smoke                         in-bounds ops or an
-#                                                    error; a mount and an
+#      a 10 s FuzzJournalRead smoke, a 10 s           a journal decodes to
+#      FuzzMountAndFsck smoke and a 10 s              in-bounds ops or an
+#      FuzzMount smoke                                error; a mount and an
 #                                                    fsck of any extfs
 #                                                    bytes return an error
-#                                                    or problems)
+#                                                    or problems; a jffs2
+#                                                    mount of any flash
+#                                                    returns errors)
 #  18. scan guard: no sort.Slice in non-test         (a jffs2 mount parses
 #      internal/fs/jffs2sim, and no make([]byte       the blocks that changed,
 #      in the mount scan (MountCached and the         in place, from bytes the
@@ -242,14 +246,11 @@ for a in checkpointleak maporder walltime errnodrop nilobs \
 		echo "FAIL: mcfslint -json envelope does not name analyzer '$a'"; exit 1; }
 done
 
-echo "==> bench regression gate (fsbench -json vs committed BENCH_mc.json)"
-# Smoke budget (150 ops/scenario) against the committed 400-op point:
-# virtual-clock rates are nearly budget-independent, so a loose 50%
-# tolerance catches real slowdowns without flaking on budget skew.
-go build -o "$work/fsbench" ./cmd/fsbench
-"$work/fsbench" -json -budget 150 -o "$work/bench_smoke.json"
-"$work/fsbench" -compare BENCH_mc.json -with "$work/bench_smoke.json" -tolerance 0.5 || {
-	echo "FAIL: benchmark regression against committed BENCH_mc.json"; exit 1; }
+echo "==> one-golden guard (BENCH_mc.json is a golden; no tolerance gate beside it)"
+[ ! -e internal/bench ] || { echo "FAIL: internal/bench is back"; exit 1; }
+if grep -rnE --include='*.go' 'DefaultTolerance|bench\.Compare|"tolerance"|"mcfs/internal/bench"' \
+	internal cmd examples ./*.go; then
+	echo "FAIL: the benchmark tolerance gate is back (see above)"; exit 1; fi
 
 echo "==> bounded-memory smoke (tiny -mem-budget degrades instead of dying)"
 # A 1 MiB budget cannot hold the ext pair's 256 KiB device images at
@@ -329,6 +330,9 @@ go test -run '^$' -fuzz '^FuzzJournalRead$' -fuzztime 10s -fuzzminimizetime 1s .
 # An extfs volume is read back from a crash image: MountWith (journal
 # replay included) and Fsck must return an error or problems on any bytes.
 go test -run '^$' -fuzz '^FuzzMountAndFsck$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fs/extfs
+# A jffs2 flash is read back from a crash image too: Mount, and a ReadDir,
+# Getattr and Create on what it mounted, must return errors on any bytes.
+go test -run '^$' -fuzz '^FuzzMount$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fs/jffs2sim
 
 echo "==> scan guard (a jffs2 mount copies no flash and sorts without reflection)"
 for f in internal/fs/jffs2sim/*.go; do
