@@ -2,6 +2,7 @@ package blockdev
 
 import (
 	"fmt"
+	"math"
 
 	"mcfs/internal/fault"
 )
@@ -22,19 +23,24 @@ var ErrNoFrame = fmt.Errorf("blockdev: no undo frame under that key")
 // pre-images saved since its mark back, newest first, and truncates the
 // arena there. So a checkpoint costs nothing until something is written,
 // and a restore costs the write set, not the image. Frames nest: a rewind
-// closes its frame and every younger one. A frame closed without a
-// rewind leaves its pre-images to the next older frame, which still needs
-// them. The last frame to close drops the arena. A frame can also be
-// reverted in part (revert): the pages under some regions go back to its
-// bytes and are forgotten, the frame stays open.
+// closes its frame and every younger one, and puts back the stamps those
+// frames overwrote, so the frame left newest skips the pages it saved
+// before they opened. A frame closed without a rewind leaves its
+// pre-images to the next older frame, which still needs them; closing the
+// newest frame also stamps its pages with the next older frame's epoch,
+// since that frame now holds a pre-image of each. The last frame to close
+// drops the arena. A frame can also be reverted in part (revert): the
+// pages under some regions go back to its bytes and are forgotten, the
+// frame stays open.
 //
 // The owning device's lock guards the log.
 type undoLog struct {
 	frames []undoFrame // open frames, oldest first
 	pages  []int32     // page number of each saved pre-image, in save order
+	prev   []uint32    // page's stamp before each save, parallel to pages
 	arena  []byte      // the pre-images, undoPage bytes each, parallel to pages
-	// saved[p] is the epoch of the frame that last saved page p: the
-	// newest frame skips pages stamped with its own epoch.
+	// saved[p] is the epoch of the frame that holds a pre-image of page
+	// p: the newest frame skips pages stamped with its own epoch.
 	saved []uint32
 	epoch uint32
 }
@@ -50,12 +56,19 @@ func (u *undoLog) open(key uint64, size int) {
 	if u.saved == nil {
 		u.saved = make([]uint32, (size+undoPage-1)/undoPage)
 	}
-	if u.epoch++; u.epoch == 0 {
-		// Wrapped: forget every stamp rather than let an old one pass for
-		// this frame's. Open frames merely save some pages twice.
+	if u.epoch == math.MaxUint32 {
+		// Wrapping: forget every stamp, the ones a rewind would put back
+		// too, and number the open frames afresh, so that no old epoch
+		// passes for a new frame's. Open frames merely save some pages
+		// twice.
 		clear(u.saved)
-		u.epoch = 1
+		clear(u.prev)
+		for i := range u.frames {
+			u.frames[i].epoch = uint32(i + 1)
+		}
+		u.epoch = uint32(len(u.frames))
 	}
+	u.epoch++
 	u.frames = append(u.frames, undoFrame{key: key, mark: len(u.pages), epoch: u.epoch})
 }
 
@@ -82,6 +95,7 @@ func (u *undoLog) save(data []byte, off int64, n int) {
 		if u.saved[p] == epoch {
 			continue
 		}
+		u.prev = append(u.prev, u.saved[p])
 		u.saved[p] = epoch
 		u.pages = append(u.pages, int32(p))
 		lo := p * undoPage
@@ -93,14 +107,17 @@ func (u *undoLog) save(data []byte, off int64, n int) {
 	}
 }
 
-// rewind puts data back to its bytes at the time frame i (an index from
-// find) opened, and closes that frame and every younger one.
+// rewind puts data and the stamps back to where they were when frame i
+// (an index from find) opened, and closes that frame and every younger
+// one.
 func (u *undoLog) rewind(i int, data []byte) {
 	mark := u.frames[i].mark
 	for r := len(u.pages) - 1; r >= mark; r-- {
-		copy(data[int64(u.pages[r])*undoPage:], u.arena[r*undoPage:(r+1)*undoPage])
+		p := u.pages[r]
+		copy(data[int64(p)*undoPage:], u.arena[r*undoPage:(r+1)*undoPage])
+		u.saved[p] = u.prev[r]
 	}
-	u.pages, u.arena = u.pages[:mark], u.arena[:mark*undoPage]
+	u.pages, u.prev, u.arena = u.pages[:mark], u.prev[:mark], u.arena[:mark*undoPage]
 	u.truncate(i)
 }
 
@@ -151,11 +168,11 @@ func (u *undoLog) revert(key uint64, data []byte, regions []fault.Region, name s
 			u.saved[p] = 0 // no frame's epoch: the next write saves the page again
 			continue
 		}
-		u.pages[keep] = u.pages[r]
+		u.pages[keep], u.prev[keep] = u.pages[r], u.prev[r]
 		copy(u.arena[keep*undoPage:(keep+1)*undoPage], u.arena[r*undoPage:])
 		keep++
 	}
-	u.pages, u.arena = u.pages[:keep], u.arena[:keep*undoPage]
+	u.pages, u.prev, u.arena = u.pages[:keep], u.prev[:keep], u.arena[:keep*undoPage]
 	u.frames = u.frames[:i+1]
 	return nil
 }
@@ -177,11 +194,23 @@ func (u *undoLog) patch(data []byte, writes []fault.Write, name string) error {
 }
 
 // close drops key's frame without rewinding (a no-op for an unknown key).
+// When it is the newest frame, the next older one takes over its stamps:
+// for every page the closing frame saved, the older frame now holds a
+// pre-image, its own or — for a page it never saved, which has not
+// changed since it opened — the closing frame's.
 func (u *undoLog) close(key uint64) {
-	if i := u.find(key); i >= 0 {
-		u.frames = append(u.frames[:i], u.frames[i+1:]...)
-		u.truncate(len(u.frames))
+	i := u.find(key)
+	if i < 0 {
+		return
 	}
+	if i > 0 && i == len(u.frames)-1 {
+		epoch := u.frames[i-1].epoch
+		for _, p := range u.pages[u.frames[i].mark:] {
+			u.saved[p] = epoch
+		}
+	}
+	u.frames = append(u.frames[:i], u.frames[i+1:]...)
+	u.truncate(len(u.frames))
 }
 
 // truncate keeps the n oldest frames; with none left the log lets go of

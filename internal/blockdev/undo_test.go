@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -54,149 +55,345 @@ func framedMTD(size int64, eraseSize int, clk *simclock.Clock) framedMedium {
 	}}
 }
 
+// undoWalk drives one framed medium through a seeded walk of every
+// byte-changing path (the write path, Restore, LoadImage, Patch)
+// interleaved with frame opens, rewinds, partial reverts and closes in any
+// order, against a reference that keeps a full copy of the image per open
+// frame. After every step the medium holds the reference's bytes.
+type undoWalk struct {
+	t       *testing.T
+	fm      framedMedium
+	r       *rand.Rand
+	open    []refFrame // the reference: a full image per open frame
+	nextKey uint64
+	// pinned is how many of the oldest frames step leaves open.
+	pinned int
+}
+
+type refFrame struct {
+	key uint64
+	img []byte
+}
+
+func (w *undoWalk) snapshot() []byte {
+	img, err := w.fm.dev.Snapshot()
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	return img
+}
+
+// randImg is the medium's image with a few scattered runs changed.
+func (w *undoWalk) randImg() []byte {
+	img := w.snapshot()
+	size := len(img)
+	for n := w.r.Intn(6); n > 0; n-- {
+		off := w.r.Intn(size)
+		w.r.Read(img[off:min(size, off+1+w.r.Intn(2*undoPage))])
+	}
+	return img
+}
+
+// openFrame opens a frame and records the image it must rewind to.
+func (w *undoWalk) openFrame() error {
+	w.open = append(w.open, refFrame{w.nextKey, w.snapshot()})
+	w.nextKey++
+	return w.fm.dev.OpenFrame(w.nextKey - 1)
+}
+
+// step runs one seeded operation and checks the medium against the
+// reference.
+func (w *undoWalk) step(step int) {
+	dev, r := w.fm.dev, w.r
+	size := int(dev.Size())
+	want := w.snapshot()
+	var what string
+	var err error
+	switch op := r.Intn(13); {
+	case op < 4:
+		what = "write"
+		err = w.fm.scribble(r)
+		want = nil // whatever the write path did is the new truth
+	case op == 4:
+		what = "Restore"
+		want = w.randImg()
+		err = dev.Restore(want)
+	case op == 5:
+		what = "LoadImage"
+		want = w.randImg()
+		err = dev.LoadImage(want)
+	case op == 6:
+		what = "Patch"
+		var writes []fault.Write
+		for n := r.Intn(4); n > 0; n-- {
+			off := r.Intn(size)
+			wr := fault.Write{Off: int64(off), Data: make([]byte, 1+r.Intn(min(size-off, 2*undoPage)))}
+			r.Read(wr.Data)
+			writes = append(writes, wr)
+			copy(want[off:], wr.Data)
+		}
+		err = dev.Patch(writes)
+	case op == 7 && len(w.open) > w.pinned:
+		// Every page a region overlaps goes back to the frame's image,
+		// whole; the frame stays, younger ones close.
+		i := w.pinned + r.Intn(len(w.open)-w.pinned)
+		what = fmt.Sprintf("RevertFrame(%d of %d)", i, len(w.open))
+		var regions []fault.Region
+		for n := r.Intn(4); n > 0; n-- {
+			off := r.Intn(size)
+			reg := fault.Region{Off: int64(off), Len: int64(1 + r.Intn(min(size-off, 2*undoPage)))}
+			regions = append(regions, reg)
+			first, last := pageRange(reg.Off, int(reg.Len))
+			lo, hi := first*undoPage, min(last*undoPage, int64(size))
+			copy(want[lo:hi], w.open[i].img[lo:hi])
+		}
+		err = dev.RevertFrame(w.open[i].key, regions)
+		if !dev.HasFrame(w.open[i].key) {
+			w.t.Fatalf("step %d: the reverted frame closed", step)
+		}
+		w.open = w.open[:i+1]
+	case op < 10:
+		what = "OpenFrame"
+		err = w.openFrame()
+	case op == 10 && len(w.open) > w.pinned:
+		i := w.pinned + r.Intn(len(w.open)-w.pinned)
+		what = fmt.Sprintf("RewindFrame(%d of %d)", i, len(w.open))
+		want = w.open[i].img
+		err = dev.RewindFrame(w.open[i].key)
+		for _, closed := range w.open[i:] {
+			if dev.HasFrame(closed.key) {
+				w.t.Fatalf("step %d: frame %d still open after a rewind to an older one", step, closed.key)
+			}
+		}
+		w.open = w.open[:i]
+	case op == 11 && len(w.open) > w.pinned:
+		i := w.pinned + r.Intn(len(w.open)-w.pinned)
+		what = fmt.Sprintf("CloseFrame(%d of %d)", i, len(w.open))
+		dev.CloseFrame(w.open[i].key)
+		w.open = append(w.open[:i], w.open[i+1:]...)
+	default:
+		what = "RewindFrame(unknown)"
+		if err := dev.RewindFrame(w.nextKey + 1000); !errors.Is(err, ErrNoFrame) {
+			w.t.Fatalf("step %d: rewind to an unknown key: %v, want ErrNoFrame", step, err)
+		}
+	}
+	if err != nil {
+		w.t.Fatalf("step %d %s: %v", step, what, err)
+	}
+	if want != nil && !bytes.Equal(w.snapshot(), want) {
+		w.t.Fatalf("step %d: after %s the medium differs from the reference", step, what)
+	}
+}
+
+// finish rewinds every frame still open to its own image, youngest first;
+// then nothing may be left allocated.
+func (w *undoWalk) finish() {
+	for i := len(w.open) - 1; i >= 0; i-- {
+		if err := w.fm.dev.RewindFrame(w.open[i].key); err != nil {
+			w.t.Fatal(err)
+		}
+		if !bytes.Equal(w.snapshot(), w.open[i].img) {
+			w.t.Fatalf("unwinding: frame %d of %d rewound to the wrong image", i, len(w.open))
+		}
+	}
+	w.open = nil
+	if frames, arena := w.fm.dev.UndoStats(); frames != 0 || arena != 0 {
+		w.t.Errorf("after the last frame closed: %d frames, %d arena bytes; want 0, 0", frames, arena)
+	}
+}
+
+// framedMedia are the media every walk runs on. An odd size: the disk's
+// last page is partial.
+var framedMedia = []struct {
+	name string
+	mk   func() framedMedium
+}{
+	{"disk", func() framedMedium { return framedDisk(10*undoPage+100, simclock.New()) }},
+	{"mtd", func() framedMedium { return framedMTD(64*1024, 8*1024, simclock.New()) }},
+}
+
 // TestUndoFramesMatchFullImages is the model-based check of undo.go: a
-// seeded walk of every byte-changing path (the write path, Restore,
-// LoadImage, Patch) interleaved with frame opens, rewinds, partial
-// reverts and closes in any order, against a reference that keeps a full copy of the
-// image per open frame. After every step the medium holds the
-// reference's bytes; at the end nothing is left allocated.
+// 600-step undoWalk per medium and seed. At the end nothing is left
+// allocated.
 func TestUndoFramesMatchFullImages(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mk   func() framedMedium
-	}{
-		// An odd size: the last page is partial.
-		{"disk", func() framedMedium { return framedDisk(10*undoPage+100, simclock.New()) }},
-		{"mtd", func() framedMedium { return framedMTD(64*1024, 8*1024, simclock.New()) }},
-	} {
+	for _, tc := range framedMedia {
 		for seed := int64(1); seed <= 4; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", tc.name, seed), func(t *testing.T) {
-				r := rand.New(rand.NewSource(seed))
-				fm := tc.mk()
-				dev := fm.dev
-				size := int(dev.Size())
-
-				type refFrame struct {
-					key uint64
-					img []byte
-				}
-				var open []refFrame // the reference: a full image per open frame
-				var nextKey uint64
-				randImg := func() []byte {
-					img, err := dev.Snapshot()
-					if err != nil {
-						t.Fatal(err)
-					}
-					for n := r.Intn(6); n > 0; n-- { // a few scattered changed runs
-						off := r.Intn(size)
-						r.Read(img[off:min(size, off+1+r.Intn(2*undoPage))])
-					}
-					return img
-				}
-
+				w := &undoWalk{t: t, fm: tc.mk(), r: rand.New(rand.NewSource(seed))}
 				for step := 0; step < 600; step++ {
-					want, err := dev.Snapshot()
-					if err != nil {
+					w.step(step)
+				}
+				w.finish()
+			})
+		}
+	}
+}
+
+// byteSource is a rand.Source that deals out fuzz bytes, four to a
+// number, and zeros once they run out.
+type byteSource struct{ b []byte }
+
+func (s *byteSource) Int63() int64 {
+	var v uint64
+	for i := 0; i < 4; i++ {
+		v <<= 8
+		if len(s.b) > 0 {
+			v |= uint64(s.b[0])
+			s.b = s.b[1:]
+		}
+	}
+	// An odd multiplier spreads the 32 bits over the top ones, which
+	// Intn reads.
+	return int64(v * 0x9E3779B97F4A7C15 >> 1)
+}
+
+func (s *byteSource) Seed(int64) {}
+
+// FuzzUndoFrames decodes fuzz bytes into TestUndoFramesMatchFullImages's
+// op sequence and runs it on both media against one full image per open
+// frame.
+func FuzzUndoFrames(f *testing.F) {
+	for seed := int64(1); seed <= 3; seed++ {
+		b := make([]byte, 400)
+		rand.New(rand.NewSource(seed)).Read(b)
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		steps := min(len(data)/4, 300)
+		for _, tc := range framedMedia {
+			w := &undoWalk{t: t, fm: tc.mk(), r: rand.New(&byteSource{data})}
+			for step := 0; step < steps; step++ {
+				w.step(step)
+			}
+			w.finish()
+		}
+	})
+}
+
+// undoOf is the undo log behind a framed medium.
+func undoOf(fm framedMedium) *undoLog {
+	switch d := fm.dev.(type) {
+	case *Disk:
+		return &d.undo
+	case *MTDBlock:
+		return &d.mtd.undo
+	}
+	panic(fmt.Sprintf("no undo log in %T", fm.dev))
+}
+
+// TestFrameSavesEachPageOnce: a frame holds one pre-image per page it
+// saved, whatever its children did in between. A child's rewind gives the
+// parent back its stamps, and a child's close leaves the parent a
+// pre-image of every page the child saved; in neither case does the
+// parent save the page again. A child's partial revert keeps each kept
+// page's stamp beside it, so its rewind gives back the right ones. And
+// across an epoch wrap, the bytes still match a full image per frame.
+func TestFrameSavesEachPageOnce(t *testing.T) {
+	const p, q = 2, 5 // the pages written
+	for _, tc := range framedMedia {
+		// poke changes a byte of page pg through the medium's write path;
+		// each call clears one more bit, which flash can do in place.
+		poke := func(fm framedMedium, pg, i int) {
+			t.Helper()
+			b, off := []byte{0xFF >> (i + 1)}, int64(pg*undoPage+7)
+			var err error
+			switch d := fm.dev.(type) {
+			case *Disk:
+				err = d.WriteAt(b, off)
+			case *MTDBlock:
+				err = d.mtd.Program(b, off)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		saves := func(fm framedMedium) (n int) {
+			for _, q := range undoOf(fm).pages {
+				if q == p {
+					n++
+				}
+			}
+			return n
+		}
+		for _, end := range []string{"rewound", "closed"} {
+			t.Run(tc.name+"/child-"+end, func(t *testing.T) {
+				fm := tc.mk()
+				orig, _ := fm.dev.Snapshot()
+				if err := fm.dev.OpenFrame(1); err != nil {
+					t.Fatal(err)
+				}
+				poke(fm, p, 0)
+				if err := fm.dev.OpenFrame(2); err != nil {
+					t.Fatal(err)
+				}
+				poke(fm, p, 1)
+				want := 1 // the child's pre-image went with its rewind
+				if end == "rewound" {
+					if err := fm.dev.RewindFrame(2); err != nil {
 						t.Fatal(err)
 					}
-					var what string
-					switch op := r.Intn(13); {
-					case op < 4:
-						what = "write"
-						err = fm.scribble(r)
-						want = nil // whatever the write path did is the new truth
-					case op == 4:
-						what = "Restore"
-						want = randImg()
-						err = dev.Restore(want)
-					case op == 5:
-						what = "LoadImage"
-						want = randImg()
-						err = dev.LoadImage(want)
-					case op == 6:
-						what = "Patch"
-						var writes []fault.Write
-						for n := r.Intn(4); n > 0; n-- {
-							off := r.Intn(size)
-							w := fault.Write{Off: int64(off), Data: make([]byte, 1+r.Intn(min(size-off, 2*undoPage)))}
-							r.Read(w.Data)
-							writes = append(writes, w)
-							copy(want[off:], w.Data)
-						}
-						err = dev.Patch(writes)
-					case op == 7 && len(open) > 0:
-						// Every page a region overlaps goes back to the frame's
-						// image, whole; the frame stays, younger ones close.
-						i := r.Intn(len(open))
-						what = fmt.Sprintf("RevertFrame(%d of %d)", i, len(open))
-						var regions []fault.Region
-						for n := r.Intn(4); n > 0; n-- {
-							off := r.Intn(size)
-							reg := fault.Region{Off: int64(off), Len: int64(1 + r.Intn(min(size-off, 2*undoPage)))}
-							regions = append(regions, reg)
-							first, last := pageRange(reg.Off, int(reg.Len))
-							lo, hi := first*undoPage, min(last*undoPage, int64(size))
-							copy(want[lo:hi], open[i].img[lo:hi])
-						}
-						err = dev.RevertFrame(open[i].key, regions)
-						if !dev.HasFrame(open[i].key) {
-							t.Fatalf("step %d: the reverted frame closed", step)
-						}
-						open = open[:i+1]
-					case op < 10:
-						what = "OpenFrame"
-						open = append(open, refFrame{nextKey, want})
-						err = dev.OpenFrame(nextKey)
-						nextKey++
-					case op == 10 && len(open) > 0:
-						i := r.Intn(len(open))
-						what = fmt.Sprintf("RewindFrame(%d of %d)", i, len(open))
-						want = open[i].img
-						err = dev.RewindFrame(open[i].key)
-						for _, closed := range open[i:] {
-							if dev.HasFrame(closed.key) {
-								t.Fatalf("step %d: frame %d still open after a rewind to an older one", step, closed.key)
-							}
-						}
-						open = open[:i]
-					case op == 11 && len(open) > 0:
-						i := r.Intn(len(open))
-						what = fmt.Sprintf("CloseFrame(%d of %d)", i, len(open))
-						dev.CloseFrame(open[i].key)
-						open = append(open[:i], open[i+1:]...)
-					default:
-						what = "RewindFrame(unknown)"
-						if err := dev.RewindFrame(nextKey + 1000); !errors.Is(err, ErrNoFrame) {
-							t.Fatalf("step %d: rewind to an unknown key: %v, want ErrNoFrame", step, err)
-						}
-					}
-					if err != nil {
-						t.Fatalf("step %d %s: %v", step, what, err)
-					}
-					if want != nil {
-						got, err := dev.Snapshot()
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !bytes.Equal(got, want) {
-							t.Fatalf("step %d: after %s the medium differs from the reference", step, what)
-						}
-					}
+				} else {
+					fm.dev.CloseFrame(2)
+					want = 2 // the child's pre-image now belongs to the parent
 				}
-				// Unwind: every frame still open rewinds to its own image.
-				for i := len(open) - 1; i >= 0; i-- {
-					if err := dev.RewindFrame(open[i].key); err != nil {
-						t.Fatal(err)
-					}
-					if got, _ := dev.Snapshot(); !bytes.Equal(got, open[i].img) {
-						t.Fatalf("unwinding: frame %d of %d rewound to the wrong image", i, len(open))
-					}
+				poke(fm, p, 2)
+				if n := saves(fm); n != want {
+					t.Errorf("the parent holds %d pre-images of page %d, want %d", n, p, want)
 				}
-				if frames, arena := dev.UndoStats(); frames != 0 || arena != 0 {
-					t.Errorf("after the last frame closed: %d frames, %d arena bytes; want 0, 0", frames, arena)
+				if err := fm.dev.RewindFrame(1); err != nil {
+					t.Fatal(err)
+				}
+				if got, _ := fm.dev.Snapshot(); !bytes.Equal(got, orig) {
+					t.Error("the parent rewound to the wrong image")
 				}
 			})
 		}
+		t.Run(tc.name+"/child-reverted", func(t *testing.T) {
+			// The child saves p, which the parent holds, then q, which it
+			// does not; the revert drops p's pre-image and q's moves up.
+			fm := tc.mk()
+			orig, _ := fm.dev.Snapshot()
+			if err := fm.dev.OpenFrame(1); err != nil {
+				t.Fatal(err)
+			}
+			poke(fm, p, 0)
+			if err := fm.dev.OpenFrame(2); err != nil {
+				t.Fatal(err)
+			}
+			poke(fm, p, 1)
+			poke(fm, q, 0)
+			if err := fm.dev.RevertFrame(2, []fault.Region{{Off: p * undoPage, Len: 1}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := fm.dev.RewindFrame(2); err != nil {
+				t.Fatal(err)
+			}
+			poke(fm, q, 1) // the parent never saved q: it must now
+			if err := fm.dev.RewindFrame(1); err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := fm.dev.Snapshot(); !bytes.Equal(got, orig) {
+				t.Error("the parent rewound to the wrong image")
+			}
+		})
+		t.Run(tc.name+"/epoch-wrap", func(t *testing.T) {
+			for seed := int64(1); seed <= 4; seed++ {
+				fm := tc.mk()
+				w := &undoWalk{t: t, fm: fm, r: rand.New(rand.NewSource(seed)), pinned: 1}
+				if err := w.openFrame(); err != nil {
+					t.Fatal(err)
+				}
+				const start = math.MaxUint32 - 5
+				undoOf(fm).epoch = start
+				for step := 0; step < 300; step++ {
+					w.step(step)
+				}
+				if e := undoOf(fm).epoch; e >= start {
+					t.Fatalf("seed %d: epoch %d, the walk never wrapped", seed, e)
+				}
+				w.finish()
+			}
+		})
 	}
 }
 

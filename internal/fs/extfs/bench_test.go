@@ -101,3 +101,67 @@ func BenchmarkFsck(b *testing.B) {
 		}
 	}
 }
+
+// remountCycle is one unchanged remount through a MountCache: an Unmount
+// of the live mount and a MountWith of the same device, which takes over
+// the buffers the unmount handed on.
+func remountCycle(dev blockdev.Device, clk *simclock.Clock, cache *MountCache, f **FS) error {
+	if err := (*f).Unmount(); err != nil {
+		return err
+	}
+	g, err := MountWith(dev, clk, MountOpts{Cache: cache})
+	*f = g
+	return err
+}
+
+func BenchmarkRemount(b *testing.B) {
+	for _, kind := range []string{"ext2", "ext4"} {
+		b.Run(kind, func(b *testing.B) {
+			_, dev, clk := benchVolume(b, kind == "ext4")
+			cache := NewMountCache()
+			f, err := MountWith(dev, clk, MountOpts{Cache: cache})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := remountCycle(dev, clk, cache, &f); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestRemountAllocationBudget: an unchanged remount through a MountCache
+// allocates the FS, its superblock, its two maps and Sync's write list —
+// plus, on ext4, the journal and its transaction's two lists — and no
+// block buffer.
+func TestRemountAllocationBudget(t *testing.T) {
+	for _, tc := range []struct {
+		kind   string
+		budget float64
+	}{{"ext2", 5}, {"ext4", 8}} {
+		t.Run(tc.kind, func(t *testing.T) {
+			clk := simclock.New()
+			dev := blockdev.NewRAM("ram0", 256*1024, clk)
+			if err := Mkfs(dev, MkfsOptions{Journal: tc.kind == "ext4"}); err != nil {
+				t.Fatal(err)
+			}
+			cache := NewMountCache()
+			f, err := MountWith(dev, clk, MountOpts{Cache: cache})
+			if err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(50, func() {
+				if err := remountCycle(dev, clk, cache, &f); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > tc.budget {
+				t.Errorf("an unchanged %s remount allocates %v times, budget %v", tc.kind, allocs, tc.budget)
+			}
+		})
+	}
+}

@@ -379,8 +379,8 @@ func TestJournalReplayAfterCrash(t *testing.T) {
 		blk := f.layout.inodeTable + (ino-1)/InodesPerBlock
 		buf, ok := blockBufs[blk]
 		if !ok {
-			var err error
-			if buf, err = f.readBlock(blk); err != nil {
+			buf = make([]byte, BlockSize)
+			if err := f.readBlockInto(buf, blk); err != nil {
 				t.Fatal(err)
 			}
 			blockBufs[blk] = buf
@@ -397,7 +397,7 @@ func TestJournalReplayAfterCrash(t *testing.T) {
 	im := make([]byte, BlockSize)
 	copy(im, f.inodeBitmap)
 	writes = append(writes, bw{f.layout.inodeBitmap, im})
-	writes = append(writes, bw{0, f.sb.encode()})
+	writes = append(writes, bw{0, f.sb.encode(make([]byte, BlockSize))})
 	// Staged metadata blocks (directory blocks etc.) are part of the
 	// transaction too — Sync journals them alongside the inode table.
 	for blk, img := range f.dirtyMeta {

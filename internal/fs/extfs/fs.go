@@ -1,8 +1,9 @@
 package extfs
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"mcfs/internal/blockdev"
@@ -26,8 +27,13 @@ type FS struct {
 	sb     *superblock
 	layout layout
 
-	blockBitmap []byte
-	inodeBitmap []byte
+	// bufs is the mount's block-sized memory; cache, when set, takes it
+	// back at a successful Unmount for the next mount of the device.
+	bufs  *mountBufs
+	cache *MountCache
+
+	blockBitmap []byte // bufs.blockBitmap
+	inodeBitmap []byte // bufs.inodeBitmap
 	dirtyBBM    bool
 	dirtyIBM    bool
 	dirtySB     bool
@@ -75,17 +81,51 @@ type MountOpts struct {
 	// validation cost and records the volume geometry; later mounts of an
 	// unchanged geometry pay only the per-mount residue (superblock
 	// re-read and journal scan are still performed and separately
-	// charged). A geometry change (re-mkfs) invalidates the cache.
+	// charged). A geometry change (re-mkfs) invalidates the cache. The
+	// cache also passes a mount's block buffers on to the next mount of
+	// the device once the first has unmounted.
 	Cache *MountCache
 }
 
-// MountCache carries validated volume geometry between mounts of one
-// device. See MountOpts.Cache.
+// MountCache carries validated volume geometry, and the block buffers of
+// the last mount to unmount, between mounts of one device. See
+// MountOpts.Cache.
 type MountCache struct {
 	valid       bool
 	blocksTotal uint32
 	inodesTotal uint32
 	journalLen  uint32
+	bufs        *mountBufs
+}
+
+// mountBufs is the block-sized memory a mount works in, one allocation
+// for all of it. A mount reads every block of it before it uses it, or
+// clears it, so what an earlier mount left there never shows: the mount
+// stays a function of the device's bytes.
+type mountBufs struct {
+	sb          [BlockSize]byte // the superblock, as read and as encoded
+	blockBitmap [BlockSize]byte
+	inodeBitmap [BlockSize]byte
+	scratch     [BlockSize]byte // readBlock's, and journal replay's
+	desc        [BlockSize]byte // the journal's descriptor block
+	commit      [BlockSize]byte // the journal's commit block
+}
+
+// takeBufs hands out the buffers the cache holds, or new ones.
+func (c *MountCache) takeBufs() *mountBufs {
+	if c == nil || c.bufs == nil {
+		return new(mountBufs)
+	}
+	b := c.bufs
+	c.bufs = nil
+	return b
+}
+
+// keepBufs holds b for the next mount (a no-op without a cache).
+func (c *MountCache) keepBufs(b *mountBufs) {
+	if c != nil {
+		c.bufs = b
+	}
 }
 
 // NewMountCache returns an empty cache; the first mount through it
@@ -116,35 +156,46 @@ func Mount(dev blockdev.Device, clock *simclock.Clock) (*FS, error) {
 
 // MountWith is Mount with explicit options.
 func MountWith(dev blockdev.Device, clock *simclock.Clock, opts MountOpts) (*FS, error) {
-	sbBuf := make([]byte, BlockSize)
-	if err := dev.ReadAt(sbBuf, 0); err != nil {
+	bufs := opts.Cache.takeBufs()
+	f, err := mount(dev, clock, opts, bufs)
+	if err != nil {
+		opts.Cache.keepBufs(bufs) // nothing holds them
 		return nil, err
 	}
-	sb, err := decodeSuperblock(sbBuf)
+	return f, nil
+}
+
+func mount(dev blockdev.Device, clock *simclock.Clock, opts MountOpts, bufs *mountBufs) (*FS, error) {
+	if err := dev.ReadAt(bufs.sb[:], 0); err != nil {
+		return nil, err
+	}
+	sb, err := decodeSuperblock(bufs.sb[:])
 	if err != nil {
 		return nil, err
 	}
 	l := computeLayout(sb.blocksTotal, sb.inodesTotal, sb.journalLen)
 	f := &FS{
-		dev:        dev,
-		clock:      clock,
-		sb:         sb,
-		layout:     l,
-		dirtyMeta:  make(map[uint32][]byte),
-		inodeCache: make(map[uint32]*cachedInode),
+		dev:         dev,
+		clock:       clock,
+		sb:          sb,
+		layout:      l,
+		bufs:        bufs,
+		cache:       opts.Cache,
+		blockBitmap: bufs.blockBitmap[:],
+		inodeBitmap: bufs.inodeBitmap[:],
+		dirtyMeta:   make(map[uint32][]byte),
+		inodeCache:  make(map[uint32]*cachedInode),
 	}
 	if sb.hasJournal() {
-		f.journal = newJournal(dev, l.journal, l.journalLen)
+		f.journal = newJournal(dev, l.journal, l.journalLen, bufs)
 		f.journal.commitFirst = opts.JournalCommitFirst
 		if err := f.journal.replay(); err != nil {
 			return nil, fmt.Errorf("extfs: journal replay: %w", err)
 		}
 	}
-	f.blockBitmap = make([]byte, BlockSize)
 	if err := dev.ReadAt(f.blockBitmap, int64(l.blockBitmap)*BlockSize); err != nil {
 		return nil, err
 	}
-	f.inodeBitmap = make([]byte, BlockSize)
 	if err := dev.ReadAt(f.inodeBitmap, int64(l.inodeBitmap)*BlockSize); err != nil {
 		return nil, err
 	}
@@ -176,7 +227,9 @@ func (f *FS) FSType() string {
 }
 
 // Unmount flushes all dirty state and marks the superblock clean. The FS
-// must not be used afterwards.
+// must not be used afterwards: its block buffers pass to the next mount
+// through the MountCache it was mounted with, if any. A failed Unmount
+// keeps them.
 func (f *FS) Unmount() error {
 	if f.unmounted {
 		return fmt.Errorf("extfs: double unmount")
@@ -185,13 +238,17 @@ func (f *FS) Unmount() error {
 		return e
 	}
 	f.sb.flags &^= sbFlagDirty
-	if err := f.dev.WriteAt(f.sb.encode(), 0); err != nil {
+	if err := f.dev.WriteAt(f.sb.encode(f.bufs.sb[:]), 0); err != nil {
 		return err
 	}
 	if f.clock != nil {
 		f.clock.Advance(50 * time.Microsecond) // teardown CPU work
 	}
 	f.unmounted = true
+	if f.cache != nil {
+		f.cache.keepBufs(f.bufs)
+		f.bufs, f.blockBitmap, f.inodeBitmap = nil, nil, nil // no longer this FS's
+	}
 	return nil
 }
 
@@ -204,14 +261,22 @@ func (f *FS) now() time.Duration {
 
 // --- block I/O helpers -------------------------------------------------
 
+// readBlock returns blk's contents in the mount's read scratch, which the
+// next readBlock overwrites: a caller parses or copies the block before it
+// reads again.
 func (f *FS) readBlock(blk uint32) ([]byte, error) {
-	buf := make([]byte, BlockSize)
+	buf := f.bufs.scratch[:]
+	return buf, f.readBlockInto(buf, blk)
+}
+
+// readBlockInto reads blk into buf: the staged image if there is one,
+// else the device's bytes.
+func (f *FS) readBlockInto(buf []byte, blk uint32) error {
 	if img, ok := f.dirtyMeta[blk]; ok {
 		copy(buf, img)
-		return buf, nil
+		return nil
 	}
-	err := f.dev.ReadAt(buf, int64(blk)*BlockSize)
-	return buf, err
+	return f.dev.ReadAt(buf, int64(blk)*BlockSize)
 }
 
 func (f *FS) writeBlock(blk uint32, data []byte) error {
@@ -240,7 +305,7 @@ func (f *FS) allocBlock() (uint32, errno.Errno) {
 			f.sb.freeBlocks--
 			f.dirtyBBM = true
 			f.dirtySB = true
-			if err := f.writeBlock(blk, make([]byte, BlockSize)); err != nil {
+			if err := f.writeBlock(blk, zeroBlock[:]); err != nil {
 				return 0, errno.EIO
 			}
 			return blk, errno.OK
@@ -336,8 +401,8 @@ func (f *FS) Sync() errno.Errno {
 		}
 	}
 	for blk, inos := range dirtyBlocks {
-		buf, err := f.readBlock(blk)
-		if err != nil {
+		buf := make([]byte, BlockSize) // held until the writes below
+		if err := f.readBlockInto(buf, blk); err != nil {
 			return errno.EIO
 		}
 		for _, ino := range inos {
@@ -347,18 +412,16 @@ func (f *FS) Sync() errno.Errno {
 		}
 		writes = append(writes, blockWrite{blk, buf})
 	}
+	// The bitmaps go out from the live arrays, which nothing changes
+	// before the writes below.
 	if f.dirtyBBM {
-		bm := make([]byte, BlockSize)
-		copy(bm, f.blockBitmap)
-		writes = append(writes, blockWrite{f.layout.blockBitmap, bm})
+		writes = append(writes, blockWrite{f.layout.blockBitmap, f.blockBitmap})
 	}
 	if f.dirtyIBM {
-		bm := make([]byte, BlockSize)
-		copy(bm, f.inodeBitmap)
-		writes = append(writes, blockWrite{f.layout.inodeBitmap, bm})
+		writes = append(writes, blockWrite{f.layout.inodeBitmap, f.inodeBitmap})
 	}
 	if f.dirtySB {
-		writes = append(writes, blockWrite{0, f.sb.encode()})
+		writes = append(writes, blockWrite{0, f.sb.encode(f.bufs.sb[:])})
 	}
 	for blk, img := range f.dirtyMeta {
 		writes = append(writes, blockWrite{blk, img})
@@ -369,7 +432,7 @@ func (f *FS) Sync() errno.Errno {
 	// Sort by block number: maps iterate in random order, and the crash
 	// checker samples crash points by write index — the device must see
 	// the same write sequence on every run of the same operation.
-	sort.Slice(writes, func(i, j int) bool { return writes[i].blk < writes[j].blk })
+	slices.SortFunc(writes, func(a, b blockWrite) int { return cmp.Compare(a.blk, b.blk) })
 
 	if f.journal != nil {
 		tx := f.journal.begin()
@@ -393,7 +456,7 @@ func (f *FS) Sync() errno.Errno {
 	for _, ci := range f.inodeCache {
 		ci.dirty = false
 	}
-	f.dirtyMeta = make(map[uint32][]byte)
+	clear(f.dirtyMeta)
 	f.dirtyBBM = false
 	f.dirtyIBM = false
 	f.dirtySB = false

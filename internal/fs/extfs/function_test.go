@@ -49,9 +49,11 @@ type diskRig struct {
 	mount int    // mounts so far
 }
 
-// newDiskRig formats a volume and mounts it through a MountCache of its
-// own.
-func newDiskRig(t *testing.T, journal bool) *diskRig {
+// newDiskRig formats a volume and mounts it through a MountCache. Unless
+// reuse is set, the cache forgets before every mount the buffers the last
+// unmount handed it: it still charges a warm mount, and every mount
+// allocates its own.
+func newDiskRig(t *testing.T, journal, reuse bool) *diskRig {
 	t.Helper()
 	clk := simclock.New()
 	g := &diskRig{t: t, clk: clk, dev: &recDisk{Disk: blockdev.NewRAM("ram0", 256*1024, clk)},
@@ -65,6 +67,9 @@ func newDiskRig(t *testing.T, journal bool) *diskRig {
 		Type: "ext",
 		Dev:  g.dev,
 		Mounter: func() (vfs.FS, error) {
+			if !reuse {
+				cache.bufs = nil
+			}
 			// A journal replay rewrites the disk: the mount is a function
 			// of the bytes it started from.
 			disk, err := g.dev.Snapshot()
@@ -142,7 +147,8 @@ func (g *diskRig) check(when string) (got, want string) {
 	return dump(g.fs), dump(ref)
 }
 
-// twinRigs drives two rigs in lockstep: the one under test and a twin.
+// twinRigs drives two rigs in lockstep: one whose mounts reuse buffers
+// through a long-lived MountCache, a twin whose mounts never do.
 type twinRigs struct {
 	t      *testing.T
 	r      *rand.Rand
@@ -245,8 +251,9 @@ func (w *twinRigs) openFrame(key uint64) {
 // power-cut remount per crash point, and a raw image load; after every
 // step the mount built through the one long-lived cache dumps equal to a
 // cache-less mount of a fresh device holding a copy of the bytes. A twin
-// volume driven the same way receives the same WriteAt sequence, offset
-// and bytes.
+// volume driven the same way, whose mounts never reuse a buffer, receives
+// the same WriteAt sequence, offset and bytes: a buffer written after it
+// was handed on to the next mount would show there.
 func TestMountIsAFunctionOfTheDisk(t *testing.T) {
 	pool := workload.DefaultPool().Enumerate()
 	for _, kind := range []string{"ext2", "ext4"} {
@@ -254,7 +261,7 @@ func TestMountIsAFunctionOfTheDisk(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/seed%d", kind, seed), func(t *testing.T) {
 				journal := kind == "ext4"
 				w := &twinRigs{t: t, r: rand.New(rand.NewSource(seed)), pool: pool,
-					cached: newDiskRig(t, journal), twin: newDiskRig(t, journal)}
+					cached: newDiskRig(t, journal, true), twin: newDiskRig(t, journal, false)}
 				w.check("after mkfs")
 				w.ops("history", 30)
 				var image []byte
@@ -347,7 +354,7 @@ func TestMountIsAFunctionOfTheDisk(t *testing.T) {
 				w.check("after loading the history's image")
 				w.ops("past the image load", 6)
 				if w.cached.mount != w.twin.mount {
-					t.Errorf("%d mounts, the twin %d", w.cached.mount, w.twin.mount)
+					t.Errorf("%d mounts reusing buffers, %d without", w.cached.mount, w.twin.mount)
 				}
 				t.Logf("%d window writes, %d checks over %d mounts", points, w.checks, w.cached.mount)
 			})

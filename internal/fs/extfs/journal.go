@@ -26,6 +26,7 @@ type journal struct {
 	start uint32 // first journal block
 	size  uint32 // journal length in blocks
 	seq   uint32
+	bufs  *mountBufs // desc and commit blocks; scratch during replay
 
 	// commitFirst is the seeded ordering bug (see MountOpts): when set,
 	// commit() writes the descriptor and commit record before the logged
@@ -33,9 +34,12 @@ type journal struct {
 	commitFirst bool
 }
 
-func newJournal(dev blockdev.Device, start, size uint32) *journal {
-	return &journal{dev: dev, start: start, size: size}
+func newJournal(dev blockdev.Device, start, size uint32, bufs *mountBufs) *journal {
+	return &journal{dev: dev, start: start, size: size, bufs: bufs}
 }
+
+// zeroBlock is the all-zero block image every zeroing write sends.
+var zeroBlock [BlockSize]byte
 
 // transaction accumulates logged blocks until commit.
 type transaction struct {
@@ -47,11 +51,11 @@ type transaction struct {
 func (j *journal) begin() *transaction { return &transaction{j: j} }
 
 // log records that blk will be rewritten with data (a full block image).
+// It keeps data itself: the caller changes nothing in it before commit
+// returns.
 func (tx *transaction) log(blk uint32, data []byte) {
-	img := make([]byte, BlockSize)
-	copy(img, data)
 	tx.blocks = append(tx.blocks, blk)
-	tx.data = append(tx.data, img)
+	tx.data = append(tx.data, data)
 }
 
 // maxLoggedBlocks is the transaction capacity: one descriptor block, one
@@ -68,14 +72,16 @@ func (tx *transaction) commit() error {
 	j.seq++
 	le := binary.LittleEndian
 
-	desc := make([]byte, BlockSize)
+	desc := j.bufs.desc[:]
+	clear(desc)
 	le.PutUint32(desc[0:], jMagicDesc)
 	le.PutUint32(desc[4:], j.seq)
 	le.PutUint32(desc[8:], uint32(len(tx.blocks)))
 	for i, blk := range tx.blocks {
 		le.PutUint32(desc[12+4*i:], blk)
 	}
-	commit := make([]byte, BlockSize)
+	commit := j.bufs.commit[:]
+	clear(commit)
 	le.PutUint32(commit[0:], jMagicCommit)
 	le.PutUint32(commit[4:], j.seq)
 
@@ -113,15 +119,14 @@ func (tx *transaction) commit() error {
 // checkpointDone invalidates the journal after the in-place writes have
 // landed.
 func (j *journal) checkpointDone() error {
-	zero := make([]byte, BlockSize)
-	return j.dev.WriteAt(zero, int64(j.start)*BlockSize)
+	return j.dev.WriteAt(zeroBlock[:], int64(j.start)*BlockSize)
 }
 
 // replay applies a committed-but-not-checkpointed transaction found in
 // the journal region, then invalidates it. Called during Mount.
 func (j *journal) replay() error {
 	le := binary.LittleEndian
-	desc := make([]byte, BlockSize)
+	desc := j.bufs.desc[:]
 	if err := j.dev.ReadAt(desc, int64(j.start)*BlockSize); err != nil {
 		return err
 	}
@@ -133,7 +138,7 @@ func (j *journal) replay() error {
 	if int(n) > j.maxLoggedBlocks() {
 		return fmt.Errorf("extfs: corrupt journal descriptor: %d blocks", n)
 	}
-	commit := make([]byte, BlockSize)
+	commit := j.bufs.commit[:]
 	if err := j.dev.ReadAt(commit, int64(j.start+1+n)*BlockSize); err != nil {
 		return err
 	}
@@ -142,9 +147,9 @@ func (j *journal) replay() error {
 		// commit, so the old on-disk state is the consistent one).
 		return j.checkpointDone()
 	}
+	img := j.bufs.scratch[:] // the file system reads nothing before replay ends
 	for i := uint32(0); i < n; i++ {
 		target := le.Uint32(desc[12+4*i:])
-		img := make([]byte, BlockSize)
 		if err := j.dev.ReadAt(img, int64(j.start+1+i)*BlockSize); err != nil {
 			return err
 		}

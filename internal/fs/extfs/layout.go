@@ -89,8 +89,10 @@ type superblock struct {
 
 func (sb *superblock) hasJournal() bool { return sb.journalLen > 0 }
 
-func (sb *superblock) encode() []byte {
-	b := make([]byte, BlockSize)
+// encode writes the superblock into block image b, zeroing the rest of it,
+// and returns b.
+func (sb *superblock) encode(b []byte) []byte {
+	clear(b)
 	le := binary.LittleEndian
 	le.PutUint32(b[sbMagicOff:], Magic)
 	le.PutUint32(b[sbBlocksOff:], sb.blocksTotal)

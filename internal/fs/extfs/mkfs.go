@@ -144,7 +144,7 @@ func Mkfs(dev blockdev.Device, opts MkfsOptions) error {
 	if opts.Journal {
 		sb.flags |= sbFlagJournal
 	}
-	return dev.WriteAt(sb.encode(), 0)
+	return dev.WriteAt(sb.encode(make([]byte, BlockSize)), 0)
 }
 
 // writeRawInode writes one inode record directly to the inode table; used

@@ -30,7 +30,10 @@
 #                                                    resolution and the
 #                                                    abstraction walk,
 #                                                    cold and through a
-#                                                    warm content memo)
+#                                                    warm content memo,
+#                                                    and an extfs
+#                                                    remount through a
+#                                                    MountCache)
 #   6. replay-determinism smoke: a seeded-bug run   (flight recorder end
 #      writes a repro bundle, mcfs replay must       to end: journal ->
 #      reproduce it, mcfs shrink must minimize it;   bundle -> replay ->
@@ -102,14 +105,18 @@
 #      deleted; plus a 10 s FuzzJoinPath smoke,       that need no cleaning;
 #      a 10 s FuzzJournalRead smoke, a 10 s           a journal decodes to
 #      FuzzMountAndFsck smoke, 10 s FuzzMount         in-bounds ops or an
-#      smokes for jffs2sim and xfssim and a 10 s      error; a mount and an
-#      FuzzReadBundle smoke                           fsck of any extfs
-#                                                    bytes return an error
+#      smokes for jffs2sim and xfssim, a 10 s         error; a mount and an
+#      FuzzReadBundle smoke and a 10 s                fsck of any extfs
+#      FuzzUndoFrames smoke                           bytes return an error
 #                                                    or problems; a jffs2
 #                                                    or xfs mount of any
 #                                                    bytes returns errors;
 #                                                    any bundle reads to
-#                                                    an error or a bundle)
+#                                                    an error or a bundle;
+#                                                    any op sequence over
+#                                                    undo frames leaves
+#                                                    each medium holding
+#                                                    its frames' images)
 #  18. scan guard: no sort.Slice in non-test         (a jffs2 mount parses
 #      internal/fs/jffs2sim, and no make([]byte       the blocks that changed,
 #      in the mount scan (MountCached and the         in place, from bytes the
@@ -153,6 +160,7 @@ go test -race ./internal/mc/... ./internal/memmodel/... ./internal/obs/... ./int
 echo "==> bench smoke (one iteration per benchmark)"
 go test -bench . -benchtime 1x -run '^$' ./internal/mc/... ./internal/tracker/... ./internal/fuse/... \
 	./internal/kernel/... ./internal/abstraction/...
+go test -bench '^BenchmarkRemount$' -benchtime 1x -run '^$' ./internal/fs/extfs
 
 echo "==> replay-determinism smoke (run -> bundle -> replay -> shrink)"
 # go run remaps the child's exit code, so build the real binary.
@@ -343,6 +351,10 @@ go test -run '^$' -fuzz '^FuzzMount$' -fuzztime 10s -fuzzminimizetime 1s ./inter
 # A bundle's config.json and bug.json decode to a bundle or an error, and
 # every target spec in it to a verdict of checkTarget.
 go test -run '^$' -fuzz '^FuzzReadBundle$' -fuzztime 10s -fuzzminimizetime 1s .
+# Any op sequence over a disk and a flash — writes, Restore, LoadImage,
+# Patch, frame open, rewind, close and revert — leaves each holding the
+# bytes of a full image kept per open frame.
+go test -run '^$' -fuzz '^FuzzUndoFrames$' -fuzztime 10s -fuzzminimizetime 1s ./internal/blockdev
 
 echo "==> scan guard (a jffs2 mount copies no flash and sorts without reflection)"
 for f in internal/fs/jffs2sim/*.go; do
