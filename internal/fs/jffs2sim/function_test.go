@@ -95,7 +95,7 @@ func (g *flashRig) op() {
 		maxOff, maxLen = 2048, 1500
 	}
 	root := f.Root()
-	switch r.Intn(12) {
+	switch k := r.Intn(16); k {
 	case 0, 1:
 		f.Create(root, name, 0644, uint32(r.Intn(3)), 0)
 	case 2, 3, 4, 5:
@@ -126,6 +126,48 @@ func (g *flashRig) op() {
 		}
 	case 11:
 		f.Symlink("../"+other, root, name, 0, 0)
+	default:
+		g.zeroOp(k-12, name, maxOff, maxLen)
+	}
+}
+
+// zeroOp runs one of four seeded operations that leave zeros in a regular
+// file, the bytes a mount may keep implicit: an all-zero write past the
+// end, one straddling the end, one inside the file, or a truncate that
+// extends the file followed by a non-zero write inside the extension.
+func (g *flashRig) zeroOp(kind int, name string, maxOff, maxLen int) {
+	f, r := g.fs, g.r
+	ino, e := f.Lookup(f.Root(), name)
+	if e != errno.OK {
+		return
+	}
+	st, e := f.Getattr(ino)
+	if e != errno.OK || !st.Mode.IsRegular() {
+		return
+	}
+	size := st.Size
+	switch kind {
+	case 0: // past the end
+		f.Write(ino, size+int64(r.Intn(maxOff)), make([]byte, 1+r.Intn(maxLen)))
+	case 1: // straddling the end
+		off := max(0, size-1-int64(r.Intn(maxLen)))
+		f.Write(ino, off, make([]byte, size-off+1+int64(r.Intn(maxLen))))
+	case 2: // inside the file
+		if size == 0 {
+			return
+		}
+		off := r.Int63n(size)
+		f.Write(ino, off, make([]byte, 1+r.Int63n(min(size-off, int64(maxLen)))))
+	case 3: // truncate-extend, then a non-zero write into the extension
+		ext := size + 1 + int64(r.Intn(maxOff))
+		if f.Setattr(ino, vfs.SetAttr{Size: &ext}) != errno.OK {
+			return
+		}
+		off := size + r.Int63n(ext-size)
+		data := make([]byte, 1+r.Int63n(min(ext-off, int64(maxLen))))
+		r.Read(data)
+		data[0] |= 1
+		f.Write(ino, off, data)
 	}
 }
 
@@ -186,7 +228,8 @@ func (g *flashRig) faulted(rule fault.Rule, do func()) fault.Stats {
 // anything between mounts rests on (BilbyFs's specification states it for
 // its own log): the mounted state is a function of the medium's bytes.
 // Seeded sequences drive one MTD through every way its bytes change —
-// appended nodes and garbage collection, a torn and a bit-flipped
+// appended nodes (all-zero fragments past, across and inside a file's end
+// among them) and garbage collection, a torn and a bit-flipped
 // program, a header torn short, checkpoint frames opened three deep and
 // rewound, a rewind the fault plane tears, the crash probe's
 // RevertFrame + Patch over a touch log, a raw image load — and after
