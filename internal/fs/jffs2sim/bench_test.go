@@ -50,11 +50,27 @@ func scanVolume(tb testing.TB) (*FS, *blockdev.MTD, *simclock.Clock) {
 	return f, mtd, clk
 }
 
+// equalizedVolume is scanVolume plus the §3.4 equalizer's dummy: a file of
+// 48 KiB of zeros, written in one write as EqualizeFreeSpace writes it.
+func equalizedVolume(tb testing.TB) (*FS, *blockdev.MTD, *simclock.Clock) {
+	tb.Helper()
+	f, mtd, clk := scanVolume(tb)
+	ino, e := f.Create(f.Root(), "dummy", 0600, 0, 0)
+	if e == errno.OK {
+		_, e = f.Write(ino, 0, make([]byte, 48<<10))
+	}
+	if e != errno.OK {
+		tb.Fatal(e)
+	}
+	return f, mtd, clk
+}
+
 // BenchmarkMountScan times a mount of scanVolume three ways: cold (an
 // empty cache: every block parsed and CRC-checked), warm (nothing changed
 // since the last mount through the cache) and one-block-changed (one
 // small node appended between mounts, its program included in the time —
-// the per-op remount of an exploration).
+// the per-op remount of an exploration); and a warm mount of
+// equalizedVolume.
 func BenchmarkMountScan(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		_, mtd, clk := scanVolume(b)
@@ -66,17 +82,21 @@ func BenchmarkMountScan(b *testing.B) {
 			}
 		}
 	})
-	b.Run("warm", func(b *testing.B) {
-		_, mtd, clk := scanVolume(b)
-		scans := NewScanCache()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := MountCached(mtd, clk, scans); err != nil {
-				b.Fatal(err)
+	warm := func(volume func(testing.TB) (*FS, *blockdev.MTD, *simclock.Clock)) func(*testing.B) {
+		return func(b *testing.B) {
+			_, mtd, clk := volume(b)
+			scans := NewScanCache()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := MountCached(mtd, clk, scans); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
-	})
+	}
+	b.Run("warm", warm(scanVolume))
+	b.Run("equalized", warm(equalizedVolume))
 	b.Run("one-block-changed", func(b *testing.B) {
 		f, mtd, clk := scanVolume(b)
 		scans := NewScanCache()

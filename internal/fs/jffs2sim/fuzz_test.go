@@ -7,6 +7,7 @@ import (
 	"mcfs/internal/blockdev"
 	"mcfs/internal/errno"
 	"mcfs/internal/simclock"
+	"mcfs/internal/vfs"
 )
 
 // fuzzFlash is the size of the flash every fuzz input is laid over: the
@@ -18,7 +19,8 @@ const fuzzFlash = 3 * testEraseSize
 // every root entry and one Create return errors, never a panic or a hang.
 // The input overlays the head of an erased flash, 0xFF past its end.
 // Seeded with a fresh flash and with one holding a file, a directory, a
-// symlink, a hard link and a rename, up to their last programmed byte.
+// symlink, a hard link and a rename, up to their last programmed byte, and
+// with two crafted inode nodes whose size or offset is negative.
 func FuzzMount(f *testing.F) {
 	fresh, mtd, _ := newVolumeOf(f, fuzzFlash)
 	f.Add(flashHead(f, mtd))
@@ -42,6 +44,10 @@ func FuzzMount(f *testing.F) {
 		f.Fatalf("building the seed volume: %v", e)
 	}
 	f.Add(flashHead(f, mtd))
+	// Inode nodes no log jffs2sim writes holds, CRC and all: a negative
+	// size, and data at a negative offset.
+	f.Add(craftedHead(f, -1, 0))
+	f.Add(craftedHead(f, 16, -8))
 
 	f.Fuzz(func(t *testing.T, head []byte) {
 		clk := simclock.New()
@@ -61,6 +67,24 @@ func FuzzMount(f *testing.F) {
 		}
 		fs.Create(fs.Root(), "fuzz", 0644, 0, 0)
 	})
+}
+
+// craftedHead returns the head of a flash holding one file, named by a
+// dirent after a valid inode node that states size isize and carries data
+// at off.
+func craftedHead(tb testing.TB, isize, off int64) []byte {
+	tb.Helper()
+	f, mtd, _ := newVolumeOf(tb, fuzzFlash)
+	ino := f.nextIno
+	nd := &inodeInfo{mode: vfs.ModeReg | 0644, nlink: 1, size: isize}
+	e := f.appendNode(nodeInode, encodeInodeNode(nd, ino, off, []byte("crafted")))
+	if e == errno.OK {
+		e = f.logDirent(RootIno, ino, "crafted")
+	}
+	if e != errno.OK {
+		tb.Fatalf("crafting the node: %v", e)
+	}
+	return flashHead(tb, mtd)
 }
 
 // flashHead returns the flash's bytes up to the last programmed one.

@@ -25,10 +25,11 @@
 package jffs2sim
 
 import (
-	"cmp"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"slices"
 	"time"
 
@@ -78,14 +79,19 @@ type FS struct {
 }
 
 type inodeInfo struct {
-	mode    vfs.Mode
-	nlink   uint32
-	uid     uint32
-	gid     uint32
-	size    int64
-	atime   time.Duration
-	mtime   time.Duration
-	ctime   time.Duration
+	mode  vfs.Mode
+	nlink uint32
+	uid   uint32
+	gid   uint32
+	size  int64
+	atime time.Duration
+	mtime time.Duration
+	ctime time.Duration
+	// content holds the file's first len(content) bytes; the rest, up to
+	// size, read as zero. writeAt and truncate keep a tail of zeros
+	// implicit, so a replay allocates no zeros the log does not call for.
+	// Bytes in content's spare capacity may be stale: content grows only
+	// into a fresh array.
 	content []byte
 	target  string
 	entries map[string]uint32
@@ -120,9 +126,11 @@ func Mkfs(mtd *blockdev.MTD) error {
 type ScanCache struct {
 	mtd    *blockdev.MTD
 	blocks []blockScan
-	// replay is one mount's nodes in replay order, payloads lent by the
-	// MTD. It is scratch: cleared before the mount returns.
+	// replay is one mount's nodes in scan order, payloads lent by the MTD,
+	// and keys their replay order: version<<32 | index into replay. Both
+	// are scratch, cleared before the mount returns.
 	replay []logNode
+	keys   []uint64
 }
 
 // blockScan is the scan result of one erase block, valid while known and
@@ -136,17 +144,19 @@ type blockScan struct {
 	nodes []nodeRef
 }
 
-// nodeRef places one valid node's payload inside its erase block.
+// nodeRef places one valid node's payload inside its erase block; zero
+// marks an inode node whose data fragment is all zero bytes.
 type nodeRef struct {
 	version uint32
 	typ     uint16
+	zero    bool
 	off, n  int32
 }
 
 // logNode is one valid node on its way to replay.
 type logNode struct {
-	version uint32
 	typ     uint16
+	zero    bool
 	payload []byte
 }
 
@@ -188,10 +198,10 @@ func MountCached(mtd *blockdev.MTD, clock *simclock.Clock, cache *ScanCache) (*F
 	// Full device scan: collect every valid node. The payloads are the
 	// flash's own bytes, lent until it next changes: replay copies what it
 	// keeps, and the scratch lets go of the rest however the mount ends.
-	nodes := cache.replay[:0]
+	nodes, keys := cache.replay[:0], cache.keys[:0]
 	defer func() {
 		clear(nodes)
-		cache.replay = nodes[:0]
+		cache.replay, cache.keys = nodes[:0], keys[:0]
 	}()
 	for blk := range f.blockUsed {
 		b := &cache.blocks[blk]
@@ -206,7 +216,8 @@ func MountCached(mtd *blockdev.MTD, clock *simclock.Clock, cache *ScanCache) (*F
 		}
 		f.blockUsed[blk] = b.used
 		for _, n := range b.nodes {
-			nodes = append(nodes, logNode{version: n.version, typ: n.typ, payload: data[n.off : n.off+n.n]})
+			keys = append(keys, uint64(n.version)<<32|uint64(len(nodes)))
+			nodes = append(nodes, logNode{typ: n.typ, zero: n.zero, payload: data[n.off : n.off+n.n]})
 			f.version = max(f.version, n.version)
 		}
 	}
@@ -220,11 +231,14 @@ func MountCached(mtd *blockdev.MTD, clock *simclock.Clock, cache *ScanCache) (*F
 		}
 	}
 
-	slices.SortFunc(nodes, func(a, b logNode) int { return cmp.Compare(a.version, b.version) })
-	for _, n := range nodes {
+	// Replay in version order. Two nodes share a version only on crafted
+	// flash, and then replay in scan order.
+	slices.Sort(keys)
+	for _, k := range keys {
+		n := &nodes[uint32(k)]
 		switch n.typ {
 		case nodeInode:
-			f.applyInodeNode(n.payload)
+			f.applyInodeNode(n.payload, n.zero)
 		case nodeDirent:
 			f.applyDirentNode(n.payload)
 		}
@@ -278,7 +292,12 @@ func (b *blockScan) scan(buf []byte) {
 			sealed = true
 			break
 		}
-		b.nodes = append(b.nodes, nodeRef{version: version, typ: typ, off: int32(pos + nodeHeader), n: int32(totLen - nodeHeader)})
+		ref := nodeRef{version: version, typ: typ, off: int32(pos + nodeHeader), n: int32(totLen - nodeHeader)}
+		if typ == nodeInode {
+			_, data, ok := inodeFragment(buf[pos+nodeHeader : pos+totLen])
+			ref.zero = ok && allZero(data)
+		}
+		b.nodes = append(b.nodes, ref)
 		pos += totLen
 	}
 	if sealed {
@@ -295,6 +314,21 @@ func erasedRegion(p []byte) bool {
 		if b != 0xFF {
 			return false
 		}
+	}
+	return true
+}
+
+// zeros is what allZero compares against, a run at a time.
+var zeros [MaxDataPerNode]byte
+
+// allZero reports whether every byte of p is zero.
+func allZero(p []byte) bool {
+	for len(p) > 0 {
+		n := min(len(p), len(zeros))
+		if !bytes.Equal(p[:n], zeros[:n]) {
+			return false
+		}
+		p = p[n:]
 	}
 	return true
 }
@@ -340,8 +374,27 @@ func encodeInodeNode(nd *inodeInfo, ino uint32, off int64, data []byte) []byte {
 	return p
 }
 
-func (f *FS) applyInodeNode(p []byte) {
-	if len(p) < 50 {
+// inodeFragment returns the link target and the data fragment an inode
+// node's payload carries; ok is false when the payload is shorter than
+// the lengths it states.
+func inodeFragment(p []byte) (target, data []byte, ok bool) {
+	if len(p) < inodeFixed {
+		return nil, nil, false
+	}
+	le := binary.LittleEndian
+	dataLen := int(le.Uint32(p[44:]))
+	targetLen := int(le.Uint16(p[48:]))
+	if inodeFixed+targetLen+dataLen > len(p) {
+		return nil, nil, false
+	}
+	return p[inodeFixed : inodeFixed+targetLen], p[inodeFixed+targetLen : inodeFixed+targetLen+dataLen], true
+}
+
+// applyInodeNode replays an inode node; zero says its data fragment is
+// all zero bytes, as the scan found.
+func (f *FS) applyInodeNode(p []byte, zero bool) {
+	target, data, ok := inodeFragment(p)
+	if !ok {
 		return
 	}
 	le := binary.LittleEndian
@@ -353,13 +406,9 @@ func (f *FS) applyInodeNode(p []byte) {
 	isize := int64(le.Uint64(p[20:]))
 	mtime := time.Duration(le.Uint64(p[28:]))
 	off := int64(le.Uint64(p[36:]))
-	dataLen := int(le.Uint32(p[44:]))
-	targetLen := int(le.Uint16(p[48:]))
-	if 50+targetLen+dataLen > len(p) {
-		return
+	if isize < 0 || off < 0 || off > math.MaxInt64-int64(len(data)) {
+		return // no log jffs2sim writes holds such a node
 	}
-	target := string(p[50 : 50+targetLen])
-	data := p[50+targetLen : 50+targetLen+dataLen]
 
 	nd := f.inodes[ino]
 	if nd == nil {
@@ -375,29 +424,45 @@ func (f *FS) applyInodeNode(p []byte) {
 	nd.gid = gid
 	nd.mtime = mtime
 	nd.ctime = mtime
-	nd.target = target
+	nd.target = string(target)
 	if mode.IsDir() && nd.entries == nil {
 		nd.entries = make(map[string]uint32)
 	}
-	// Apply the data fragment, then clamp/extend to isize: content grows
-	// once, to whichever of the two reaches further.
-	need := isize
-	if dataLen > 0 {
-		need = max(need, off+int64(dataLen))
-	}
-	if int64(len(nd.content)) < need {
-		nc := make([]byte, need)
-		copy(nc, nd.content)
-		nd.content = nc
-	}
-	if dataLen > 0 {
-		copy(nd.content[off:off+int64(dataLen)], data)
-	}
-	nd.content = nd.content[:isize]
-	nd.size = isize
+	nd.writeAt(off, data, zero)
+	nd.truncate(isize)
 	if ino >= f.nextIno {
 		f.nextIno = ino + 1
 	}
+}
+
+// writeAt puts data at off, growing the file to cover it; zero says data
+// is all zero bytes. Zeros at or past the end of content are already
+// there, implicitly, so they change only the size.
+func (nd *inodeInfo) writeAt(off int64, data []byte, zero bool) {
+	end := off + int64(len(data))
+	nd.size = max(nd.size, end)
+	n := int64(len(nd.content))
+	switch {
+	case zero && off >= n:
+	case zero:
+		clear(nd.content[off:min(end, n)])
+	default:
+		if end > n {
+			nc := make([]byte, end)
+			copy(nc, nd.content)
+			nd.content = nc
+		}
+		copy(nd.content[off:], data)
+	}
+}
+
+// truncate sets the file's size. A shrink drops content past it; an
+// extension is an implicit tail of zeros and allocates nothing.
+func (nd *inodeInfo) truncate(size int64) {
+	if size < int64(len(nd.content)) {
+		nd.content = nd.content[:size]
+	}
+	nd.size = size
 }
 
 // dirent node payload: parent(4) ino(4) nameLen(2) name; ino 0 deletes.
@@ -588,20 +653,21 @@ func (f *FS) gc() errno.Errno {
 		inos = append(inos, ino)
 	}
 	slices.Sort(inos)
+	var chunk [MaxDataPerNode]byte
 	for _, ino := range inos {
 		nd := f.inodes[ino]
-		// Metadata-plus-data nodes in MaxDataPerNode chunks.
-		if len(nd.content) == 0 {
+		// Metadata-plus-data nodes in MaxDataPerNode chunks up to the size,
+		// the implicit tail written out as the zeros it reads as.
+		if nd.size == 0 {
 			if e := f.appendNode(nodeInode, encodeInodeNode(nd, ino, 0, nil)); e != errno.OK {
 				return e
 			}
 		}
-		for off := 0; off < len(nd.content); off += MaxDataPerNode {
-			end := off + MaxDataPerNode
-			if end > len(nd.content) {
-				end = len(nd.content)
-			}
-			if e := f.appendNode(nodeInode, encodeInodeNode(nd, ino, int64(off), nd.content[off:end])); e != errno.OK {
+		for off := int64(0); off < nd.size; off += MaxDataPerNode {
+			n := min(nd.size-off, MaxDataPerNode)
+			data := chunk[:n]
+			clear(data[copy(data, nd.content[min(off, int64(len(nd.content))):]):])
+			if e := f.appendNode(nodeInode, encodeInodeNode(nd, ino, off, data)); e != errno.OK {
 				return e
 			}
 		}

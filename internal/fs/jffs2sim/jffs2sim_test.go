@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -420,6 +421,36 @@ func TestFailedWriteLeavesMemoryAndFlashAgreeing(t *testing.T) {
 		}
 		agree("the failed symlink")
 	})
+	// An unlink of a hard-linked name on a filling flash: the whiteout
+	// fits, the inode node with the new link count after it does not. The
+	// collection must come before the whiteout, or it makes the name
+	// durable again.
+	t.Run("unlink", func(t *testing.T) {
+		f, agree := small(t)
+		ino := mustCreate(t, f, f.Root(), "f")
+		if e := f.Link(ino, f.Root(), "l000"); e != errno.OK {
+			t.Fatal(e)
+		}
+		if _, e := f.Write(ino, 0, bytes.Repeat([]byte{0xF}, 4<<10)); e != errno.OK {
+			t.Fatal(e)
+		}
+		// Chmods append 66-byte nodes until the log's last block holds
+		// the 30-byte whiteout and no 66-byte inode node after it.
+		whiteout, inode := nodeHeader+direntFixed+len("l000"), nodeHeader+inodeFixed
+		for i := 0; !f.fits([]int{whiteout}) || f.fits([]int{whiteout, inode}); i++ {
+			mode := vfs.Mode(0600 | i&0077)
+			if e := f.Setattr(ino, vfs.SetAttr{Mode: &mode}); e != errno.OK || i > 1000 {
+				t.Fatalf("chmod %d: %v", i, e)
+			}
+		}
+		if e := f.Unlink(f.Root(), "l000"); e != errno.OK {
+			t.Fatalf("unlink: %v", e)
+		}
+		if _, e := f.Lookup(f.Root(), "l000"); e != errno.ENOENT {
+			t.Errorf("the unlinked name looks up with %v", e)
+		}
+		agree("the unlink that collects")
+	})
 	// A chmod riding with a truncate of a directory is refused whole.
 	t.Run("directory", func(t *testing.T) {
 		f, agree := small(t)
@@ -621,8 +652,10 @@ func TestWarmMountIsChargedAsTheFullScan(t *testing.T) {
 }
 
 // TestWarmMountAllocBudget pins what a warm mount of scanVolume allocates:
-// the FS, its maps, and per file an inode, its content, its name and the
-// directory's order — nothing per block and nothing per node.
+// the FS, its maps, and per file an inode, its name and the directory's
+// order — nothing per block and nothing per node. And the zeros a file
+// ends in cost a mount nothing: one more file of 48 KiB of them, as the
+// §3.4 equalizer writes it, adds at most 4 KiB to a warm mount.
 func TestWarmMountAllocBudget(t *testing.T) {
 	_, mtd, clk := scanVolume(t)
 	scans := NewScanCache()
@@ -646,6 +679,88 @@ func TestWarmMountAllocBudget(t *testing.T) {
 	if cold <= warm {
 		t.Errorf("a first mount allocates %.0f times, a warm one %.0f: the cache saves nothing", cold, warm)
 	}
+
+	plain := warmMountBytes(t, mtd, clk)
+	_, mtd, clk = equalizedVolume(t)
+	if equalized := warmMountBytes(t, mtd, clk); equalized > plain+4<<10 {
+		t.Errorf("a warm mount allocates %.0f bytes with a 48 KiB file of zeros, %.0f without", equalized, plain)
+	}
+}
+
+// warmMountBytes returns the bytes one warm mount of mtd allocates.
+func warmMountBytes(t *testing.T, mtd *blockdev.MTD, clk *simclock.Clock) float64 {
+	t.Helper()
+	scans := NewScanCache()
+	mount := func() {
+		if _, err := MountCached(mtd, clk, scans); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mount()
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		mount()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / runs
+}
+
+// TestZeroWritesReadAsZero: zeros written inside a file, across its end
+// and past it, and the tail of a truncate-extend, read as zeros — live,
+// after a collection and after a remount — and every other byte as
+// written. A mount keeps such zeros implicit, so only a reference beside
+// the file system can tell a zero write that was dropped.
+func TestZeroWritesReadAsZero(t *testing.T) {
+	f, mtd, clk := newVolume(t)
+	ino := mustCreate(t, f, f.Root(), "z")
+	var model []byte
+	write := func(off int, data []byte) {
+		t.Helper()
+		if _, e := f.Write(ino, int64(off), data); e != errno.OK {
+			t.Fatal(e)
+		}
+		if end := off + len(data); end > len(model) {
+			model = append(model, make([]byte, end-len(model))...)
+		}
+		copy(model[off:], data)
+	}
+	truncate := func(size int) {
+		t.Helper()
+		sz := int64(size)
+		if e := f.Setattr(ino, vfs.SetAttr{Size: &sz}); e != errno.OK {
+			t.Fatal(e)
+		}
+		model = append(model[:min(size, len(model))], make([]byte, max(0, size-len(model)))...)
+	}
+	check := func(when string) {
+		t.Helper()
+		got, e := f.Read(ino, 0, 1<<20)
+		if e != errno.OK || !bytes.Equal(got, model) {
+			t.Fatalf("%s: read %d bytes (%v) that differ from the %d written", when, len(got), e, len(model))
+		}
+	}
+	write(0, bytes.Repeat([]byte{0xA5}, 1000))
+	write(100, make([]byte, 200))  // inside
+	write(900, make([]byte, 300))  // across the end
+	write(1500, make([]byte, 100)) // past the end
+	truncate(2000)
+	write(1700, bytes.Repeat([]byte{0x5A}, 50)) // into the extension
+	write(1720, make([]byte, 10))
+	truncate(1710)
+	truncate(1800)
+	write(1740, []byte{1}) // content grows over the bytes the shrink dropped
+	check("live")
+	if e := f.gc(); e != errno.OK {
+		t.Fatal(e)
+	}
+	check("after a collection")
+	var err error
+	if f, err = Mount(mtd, clk); err != nil {
+		t.Fatal(err)
+	}
+	check("after a remount")
 }
 
 func TestHoleWriteZeroFills(t *testing.T) {

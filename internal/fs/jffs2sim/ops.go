@@ -107,15 +107,7 @@ func (f *FS) Setattr(ino vfs.Ino, attr vfs.SetAttr) errno.Errno {
 		nd.ctime = now
 	}
 	if attr.Size != nil {
-		size := *attr.Size
-		if size <= int64(len(nd.content)) {
-			nd.content = nd.content[:size]
-		} else {
-			nc := make([]byte, size)
-			copy(nc, nd.content)
-			nd.content = nc
-		}
-		nd.size = size
+		nd.truncate(*attr.Size)
 		nd.mtime = now
 		nd.ctime = now
 	}
@@ -241,7 +233,13 @@ func (f *FS) Unlink(parent vfs.Ino, name string) errno.Errno {
 	if nd.mode.IsDir() {
 		return errno.EISDIR
 	}
-	// Log the deletion dirent (whiteout), then the link-count update.
+	// Log the deletion dirent (whiteout), then the link-count update. A
+	// collection between the two would make the name durable again, so
+	// room for both is made first.
+	whiteout := nodeHeader + direntFixed + len(name)
+	if e := f.makeRoom(append([]int{whiteout}, inodeNodeLens(nd.target, 0)...)...); e != errno.OK {
+		return e
+	}
 	if e := f.logDirent(uint32(parent), 0, name); e != errno.OK {
 		return e
 	}
@@ -337,7 +335,9 @@ func (f *FS) Read(ino vfs.Ino, off int64, n int) ([]byte, errno.Errno) {
 		end = nd.size
 	}
 	out := make([]byte, end-off)
-	copy(out, nd.content[off:end])
+	if off < int64(len(nd.content)) {
+		copy(out, nd.content[off:]) // past content, out stays zero
+	}
 	return out, errno.OK
 }
 
@@ -360,18 +360,9 @@ func (f *FS) Write(ino vfs.Ino, off int64, data []byte) (int, errno.Errno) {
 	if e := f.makeRoom(inodeNodeLens(nd.target, len(data))...); e != errno.OK {
 		return 0, e
 	}
-	end := off + int64(len(data))
 	oldContent := nd.content
 	oldSize := nd.size
-	if end > int64(len(nd.content)) {
-		nc := make([]byte, end)
-		copy(nc, nd.content)
-		nd.content = nc
-	}
-	copy(nd.content[off:end], data)
-	if end > nd.size {
-		nd.size = end
-	}
+	nd.writeAt(off, data, allZero(data))
 	now := f.now()
 	nd.mtime, nd.ctime = now, now
 	if e := f.logInode(uint32(ino), nd, off, data); e != errno.OK {

@@ -31,9 +31,11 @@
 #                                                    abstraction walk,
 #                                                    cold and through a
 #                                                    warm content memo,
-#                                                    and an extfs
-#                                                    remount through a
-#                                                    MountCache)
+#                                                    an extfs remount
+#                                                    through a
+#                                                    MountCache, and a
+#                                                    jffs2sim mount
+#                                                    through a ScanCache)
 #   6. replay-determinism smoke: a seeded-bug run   (flight recorder end
 #      writes a repro bundle, mcfs replay must       to end: journal ->
 #      reproduce it, mcfs shrink must minimize it;   bundle -> replay ->
@@ -161,6 +163,7 @@ echo "==> bench smoke (one iteration per benchmark)"
 go test -bench . -benchtime 1x -run '^$' ./internal/mc/... ./internal/tracker/... ./internal/fuse/... \
 	./internal/kernel/... ./internal/abstraction/...
 go test -bench '^BenchmarkRemount$' -benchtime 1x -run '^$' ./internal/fs/extfs
+go test -bench '^BenchmarkMountScan$' -benchtime 1x -run '^$' ./internal/fs/jffs2sim
 
 echo "==> replay-determinism smoke (run -> bundle -> replay -> shrink)"
 # go run remaps the child's exit code, so build the real binary.
