@@ -30,8 +30,8 @@ var ErrNoFrame = fmt.Errorf("blockdev: no undo frame under that key")
 // newest frame also stamps its pages with the next older frame's epoch,
 // since that frame now holds a pre-image of each. The last frame to close
 // drops the arena. A frame can also be reverted in part (revert): the
-// pages under some regions go back to its bytes and are forgotten, the
-// frame stays open.
+// pages under some regions go back to its bytes, the frame stays open and
+// keeps their pre-images.
 //
 // The owning device's lock guards the log.
 type undoLog struct {
@@ -143,11 +143,14 @@ func checkRegions(regions []fault.Region, size int, name string) error {
 
 // revert is RevertFrame on either medium, short of the cache: a rewind
 // confined to the pages regions overlap, with key's frame left open.
-// Those pages go back to their bytes at the time the frame opened and
-// their pre-images are forgotten, as if the frame had never seen them
-// written; the other saved pages stay as they are, on the medium and in
-// the log. Frames younger than key's are closed. Nothing moves unless key
-// holds a frame and every region lies inside the medium.
+// Those pages go back to their bytes at the time the frame opened; the
+// other saved pages stay as they are, on the medium and in the log.
+// Every pre-image stays in the log with its stamp: a reverted page holds
+// its pre-image again, so the frame's entry for it is as good as before
+// and the next write to the page saves nothing. Frames younger than key's
+// are closed, their entries left behind as close leaves them; a rewind
+// copies newest first, so the oldest entry of a page wins. Nothing moves
+// unless key holds a frame and every region lies inside the medium.
 func (u *undoLog) revert(key uint64, data []byte, regions []fault.Region, name string) error {
 	i := u.find(key)
 	if i < 0 {
@@ -156,23 +159,11 @@ func (u *undoLog) revert(key uint64, data []byte, regions []fault.Region, name s
 	if err := checkRegions(regions, len(data), name); err != nil {
 		return err
 	}
-	mark := u.frames[i].mark
-	for r := len(u.pages) - 1; r >= mark; r-- {
+	for r := len(u.pages) - 1; r >= u.frames[i].mark; r-- {
 		if p := int64(u.pages[r]); pageUnder(regions, p) {
 			copy(data[p*undoPage:], u.arena[r*undoPage:(r+1)*undoPage])
 		}
 	}
-	keep := mark
-	for r := mark; r < len(u.pages); r++ {
-		if p := u.pages[r]; pageUnder(regions, int64(p)) {
-			u.saved[p] = 0 // no frame's epoch: the next write saves the page again
-			continue
-		}
-		u.pages[keep], u.prev[keep] = u.pages[r], u.prev[r]
-		copy(u.arena[keep*undoPage:(keep+1)*undoPage], u.arena[r*undoPage:])
-		keep++
-	}
-	u.pages, u.prev, u.arena = u.pages[:keep], u.prev[:keep], u.arena[:keep*undoPage]
 	u.frames = u.frames[:i+1]
 	return nil
 }

@@ -285,8 +285,9 @@ func undoOf(fm framedMedium) *undoLog {
 // saved, whatever its children did in between. A child's rewind gives the
 // parent back its stamps, and a child's close leaves the parent a
 // pre-image of every page the child saved; in neither case does the
-// parent save the page again. A child's partial revert keeps each kept
-// page's stamp beside it, so its rewind gives back the right ones. And
+// parent save the page again. A partial revert keeps every pre-image and
+// stamp, so the next write to a reverted page saves nothing and the
+// rewind still gives back the right bytes and stamps. And
 // across an epoch wrap, the bytes still match a full image per frame.
 func TestFrameSavesEachPageOnce(t *testing.T) {
 	const p, q = 2, 5 // the pages written
@@ -350,7 +351,8 @@ func TestFrameSavesEachPageOnce(t *testing.T) {
 		}
 		t.Run(tc.name+"/child-reverted", func(t *testing.T) {
 			// The child saves p, which the parent holds, then q, which it
-			// does not; the revert drops p's pre-image and q's moves up.
+			// does not; the revert takes p back and keeps its pre-image,
+			// and the child's rewind gives the parent back q's old stamp.
 			fm := tc.mk()
 			orig, _ := fm.dev.Snapshot()
 			if err := fm.dev.OpenFrame(1); err != nil {
@@ -374,6 +376,48 @@ func TestFrameSavesEachPageOnce(t *testing.T) {
 			}
 			if got, _ := fm.dev.Snapshot(); !bytes.Equal(got, orig) {
 				t.Error("the parent rewound to the wrong image")
+			}
+		})
+		t.Run(tc.name+"/revert-then-write", func(t *testing.T) {
+			// A reverted page holds its pre-image again, so the frame's
+			// entry still serves it: writing it again saves nothing.
+			fm := tc.mk()
+			orig, _ := fm.dev.Snapshot()
+			if err := fm.dev.OpenFrame(1); err != nil {
+				t.Fatal(err)
+			}
+			poke(fm, p, 0)
+			if err := fm.dev.OpenFrame(2); err != nil {
+				t.Fatal(err)
+			}
+			poke(fm, p, 1)
+			poke(fm, q, 0)
+			if err := fm.dev.RevertFrame(2, []fault.Region{{Off: p * undoPage, Len: 1}}); err != nil {
+				t.Fatal(err)
+			}
+			u := undoOf(fm)
+			before := len(u.pages)
+			poke(fm, p, 2)
+			if n := len(u.pages) - before; n != 0 {
+				t.Errorf("the write after the revert saved %d pages, want 0", n)
+			}
+			inFrame := 0
+			for _, pg := range u.pages[u.frames[len(u.frames)-1].mark:] {
+				if pg == p {
+					inFrame++
+				}
+			}
+			if inFrame != 1 {
+				t.Errorf("the frame holds %d pre-images of page %d, want 1", inFrame, p)
+			}
+			if n := saves(fm); n != 2 {
+				t.Errorf("the parent holds %d pre-images of page %d, want 2", n, p)
+			}
+			if err := fm.dev.RewindFrame(1); err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := fm.dev.Snapshot(); !bytes.Equal(got, orig) {
+				t.Error("the rewind gave back the wrong image")
 			}
 		})
 		t.Run(tc.name+"/epoch-wrap", func(t *testing.T) {

@@ -29,8 +29,9 @@
 package fault
 
 import (
+	"cmp"
 	"errors"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -86,7 +87,7 @@ func CoalesceRegions(regions []Region) []Region {
 
 // coalesce is CoalesceRegions in place, over regions of positive length.
 func coalesce(rs []Region) []Region {
-	sort.Slice(rs, func(i, j int) bool { return rs[i].Off < rs[j].Off })
+	slices.SortFunc(rs, func(a, b Region) int { return cmp.Compare(a.Off, b.Off) })
 	out := rs[:0]
 	for _, r := range rs {
 		if n := len(out); n > 0 && r.Off <= out[n-1].Off+out[n-1].Len {
@@ -371,7 +372,7 @@ func (in *Injector) ruleOrder() []int {
 	for id := range in.rules {
 		ids = append(ids, id)
 	}
-	sort.Ints(ids)
+	slices.Sort(ids)
 	return ids
 }
 

@@ -1,6 +1,7 @@
 package extfs
 
 import (
+	"strings"
 	"testing"
 
 	"mcfs/internal/blockdev"
@@ -137,16 +138,18 @@ func BenchmarkRemount(b *testing.B) {
 // TestRemountAllocationBudget: an unchanged remount through a MountCache
 // allocates the FS, its superblock, its two maps and Sync's write list —
 // plus, on ext4, the journal and its transaction's two lists — and no
-// block buffer.
+// block buffer. So does a power cut, short of Sync's lists: Drop hands
+// the buffers to the cache as Unmount does, and writes nothing.
 func TestRemountAllocationBudget(t *testing.T) {
 	for _, tc := range []struct {
-		kind   string
-		budget float64
-	}{{"ext2", 5}, {"ext4", 8}} {
-		t.Run(tc.kind, func(t *testing.T) {
+		name     string
+		powerCut bool
+		budget   float64
+	}{{"ext2", false, 5}, {"ext4", false, 8}, {"ext2-power-cut", true, 4}, {"ext4-power-cut", true, 5}} {
+		t.Run(tc.name, func(t *testing.T) {
 			clk := simclock.New()
 			dev := blockdev.NewRAM("ram0", 256*1024, clk)
-			if err := Mkfs(dev, MkfsOptions{Journal: tc.kind == "ext4"}); err != nil {
+			if err := Mkfs(dev, MkfsOptions{Journal: strings.HasPrefix(tc.name, "ext4")}); err != nil {
 				t.Fatal(err)
 			}
 			cache := NewMountCache()
@@ -155,12 +158,22 @@ func TestRemountAllocationBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 			allocs := testing.AllocsPerRun(50, func() {
-				if err := remountCycle(dev, clk, cache, &f); err != nil {
+				if !tc.powerCut {
+					err = remountCycle(dev, clk, cache, &f)
+				} else {
+					_, writes := dev.Counters()
+					f.Drop()
+					if _, after := dev.Counters(); after != writes {
+						t.Fatalf("Drop wrote %d times", after-writes)
+					}
+					f, err = MountWith(dev, clk, MountOpts{Cache: cache})
+				}
+				if err != nil {
 					t.Fatal(err)
 				}
 			})
 			if allocs > tc.budget {
-				t.Errorf("an unchanged %s remount allocates %v times, budget %v", tc.kind, allocs, tc.budget)
+				t.Errorf("an unchanged %s cycle allocates %v times, budget %v", tc.name, allocs, tc.budget)
 			}
 		})
 	}

@@ -28,7 +28,8 @@ type FS struct {
 	layout layout
 
 	// bufs is the mount's block-sized memory; cache, when set, takes it
-	// back at a successful Unmount for the next mount of the device.
+	// back at a successful Unmount or a Drop for the next mount of the
+	// device.
 	bufs  *mountBufs
 	cache *MountCache
 
@@ -83,13 +84,14 @@ type MountOpts struct {
 	// re-read and journal scan are still performed and separately
 	// charged). A geometry change (re-mkfs) invalidates the cache. The
 	// cache also passes a mount's block buffers on to the next mount of
-	// the device once the first has unmounted.
+	// the device once the first has unmounted, or has been dropped by a
+	// power cut (Drop).
 	Cache *MountCache
 }
 
 // MountCache carries validated volume geometry, and the block buffers of
-// the last mount to unmount, between mounts of one device. See
-// MountOpts.Cache.
+// the last mount to unmount or be dropped, between mounts of one device.
+// See MountOpts.Cache.
 type MountCache struct {
 	valid       bool
 	blocksTotal uint32
@@ -244,12 +246,23 @@ func (f *FS) Unmount() error {
 	if f.clock != nil {
 		f.clock.Advance(50 * time.Microsecond) // teardown CPU work
 	}
+	f.Drop() // flushed: from here on an unmount is a power cut
+	return nil
+}
+
+// Drop implements kernel.Dropper: a power cut discards the FS without a
+// flush, and its block buffers pass to the next mount through the
+// MountCache it was mounted with, if any, as at a successful Unmount. It
+// writes nothing, and the FS must not be used afterwards.
+func (f *FS) Drop() {
+	if f.unmounted {
+		return
+	}
 	f.unmounted = true
 	if f.cache != nil {
 		f.cache.keepBufs(f.bufs)
 		f.bufs, f.blockBitmap, f.inodeBitmap = nil, nil, nil // no longer this FS's
 	}
-	return nil
 }
 
 func (f *FS) now() time.Duration {

@@ -16,6 +16,9 @@ import (
 	"mcfs/internal/workload"
 )
 
+// A power cut through the kernel hands a mount's buffers back.
+var _ kernel.Dropper = (*FS)(nil)
+
 // recDisk is a RAM disk that logs every WriteAt it is asked for: offset
 // and bytes, copied as they stood at the call.
 type recDisk struct {
@@ -51,7 +54,7 @@ type diskRig struct {
 
 // newDiskRig formats a volume and mounts it through a MountCache. Unless
 // reuse is set, the cache forgets before every mount the buffers the last
-// unmount handed it: it still charges a warm mount, and every mount
+// unmount or power cut handed it: it still charges a warm mount, and every mount
 // allocates its own.
 func newDiskRig(t *testing.T, journal, reuse bool) *diskRig {
 	t.Helper()

@@ -451,6 +451,41 @@ func TestFailedWriteLeavesMemoryAndFlashAgreeing(t *testing.T) {
 		}
 		agree("the unlink that collects")
 	})
+	// A rename on a filling flash, to a free name and over a file: every
+	// node but the new dirent fits. The collection must come before the
+	// first node, or it makes the old name durable beside the new one.
+	t.Run("rename", func(t *testing.T) {
+		for _, over := range []bool{false, true} {
+			f, agree := small(t)
+			ino := mustCreate(t, f, f.Root(), "f")
+			if _, e := f.Write(ino, 0, bytes.Repeat([]byte{0xF}, 4<<10)); e != errno.OK {
+				t.Fatal(e)
+			}
+			// A 40-byte name makes the new dirent a 66-byte node, as wide
+			// as the chmods' inode nodes, so one of them leaves the log's
+			// last block holding all the other nodes and not the dirent.
+			newName := strings.Repeat("n", 40)
+			nodes := []int{nodeHeader + direntFixed + len("f")}
+			if over {
+				mustCreate(t, f, f.Root(), newName)
+				nodes = append([]int{nodeHeader + inodeFixed}, nodes...)
+			}
+			all := append(nodes, nodeHeader+direntFixed+len(newName))
+			for i := 0; !f.fits(nodes) || f.fits(all); i++ {
+				mode := vfs.Mode(0600 | i&0077)
+				if e := f.Setattr(ino, vfs.SetAttr{Mode: &mode}); e != errno.OK || i > 1000 {
+					t.Fatalf("chmod %d: %v", i, e)
+				}
+			}
+			if e := f.Rename(f.Root(), "f", f.Root(), newName); e != errno.OK {
+				t.Fatalf("rename (over a file: %v): %v", over, e)
+			}
+			if got, e := f.Lookup(f.Root(), newName); e != errno.OK || got != ino {
+				t.Errorf("the new name looks up as (%v, %v), want (%v, OK)", got, e, ino)
+			}
+			agree(fmt.Sprintf("the rename that collects (over a file: %v)", over))
+		}
+	})
 	// A chmod riding with a truncate of a directory is refused whole.
 	t.Run("directory", func(t *testing.T) {
 		f, agree := small(t)

@@ -462,12 +462,13 @@ func (f *FS) Rename(oldParent vfs.Ino, oldName string, newParent vfs.Ino, newNam
 			p = pd.parent
 		}
 	}
-	if dstIno, exists := ndir.entries[newName]; exists {
+	dstIno, displaced := ndir.entries[newName]
+	var dst *inodeInfo
+	if displaced {
 		if dstIno == srcIno {
 			return errno.OK
 		}
-		dst := f.inodes[dstIno]
-		if dst == nil {
+		if dst = f.inodes[dstIno]; dst == nil {
 			return errno.EIO
 		}
 		switch {
@@ -478,6 +479,18 @@ func (f *FS) Rename(oldParent vfs.Ino, oldName string, newParent vfs.Ino, newNam
 		case dst.mode.IsDir() && len(dst.entries) > 0:
 			return errno.ENOTEMPTY
 		}
+	}
+	// Log the displaced file's link count, the whiteout and the new
+	// dirent. A collection between two of them would serialise a
+	// half-applied rename, so room for all of them is made first.
+	lens := []int{nodeHeader + direntFixed + len(oldName), nodeHeader + direntFixed + len(newName)}
+	if displaced && !dst.mode.IsDir() {
+		lens = append(inodeNodeLens(dst.target, 0), lens...)
+	}
+	if e := f.makeRoom(lens...); e != errno.OK {
+		return e
+	}
+	if displaced {
 		// Log: overwrite target entry and drop the displaced inode.
 		if dst.mode.IsDir() {
 			delete(f.inodes, dstIno)

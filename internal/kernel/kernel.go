@@ -63,6 +63,13 @@ type CacheInvalidator interface {
 	InvalAll()
 }
 
+// Dropper is implemented by file systems that can hand memory back when a
+// power cut discards them. Drop writes nothing: the instance is gone, and
+// what it held in memory is lost, as it would be.
+type Dropper interface {
+	Drop()
+}
+
 // InvalidatorBinder is implemented by file systems (the FUSE client
 // adapter) that need a channel back into the kernel caches.
 type InvalidatorBinder interface {
@@ -301,7 +308,8 @@ func (k *Kernel) remount(point string) error {
 // with the mount gone (it installs the surviving media image on the
 // backing device), and the file system is mounted fresh from that image,
 // which is where its recovery (journal replay, log scan) executes. A
-// mount failure leaves the mount point empty — recovery failed.
+// discarded instance that is a Dropper is dropped first. A mount failure
+// leaves the mount point empty — recovery failed.
 func (k *Kernel) CrashRemount(point string, powerCut func() error) error {
 	defer k.begin("crash-remount").End()
 	m, err := k.mountedAt(point)
@@ -316,6 +324,9 @@ func (k *Kernel) CrashRemount(point string, powerCut func() error) error {
 	spec := m.spec
 	opts := MountOptions{Sync: m.sync}
 	k.dropMount(m)
+	if d, ok := m.fs.(Dropper); ok {
+		d.Drop()
+	}
 	if powerCut != nil {
 		if err := powerCut(); err != nil {
 			return fmt.Errorf("kernel: power cut at %s: %w", m.point, err)

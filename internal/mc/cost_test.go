@@ -43,3 +43,32 @@ func TestCrashProbeCostTracksWriteSet(t *testing.T) {
 		t.Errorf("a probe's run allocates %d bytes on 1 MiB devices against %d on 256 KiB: the cost follows the image, not the write set", large, small)
 	}
 }
+
+// TestCrashProbeAllocationBudget: an exhaustive depth-1 ext2-vs-ext4
+// crash run — BenchmarkCrashProbe's iteration, session included —
+// allocates at most 10 MB. A probe saves each page once across its power
+// cuts, a power cut hands the mount's buffers back, and coalescing the
+// touched regions sorts them without a reflective swapper; before those
+// the run took 12.3 MB.
+func TestCrashProbeAllocationBudget(t *testing.T) {
+	const budget = 10 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := mcfs.NewSession(mcfs.Options{
+		Targets:          []mcfs.TargetSpec{{Kind: "ext2"}, {Kind: "ext4"}},
+		MaxDepth:         1,
+		CrashExploration: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := s.Run()
+	s.Close()
+	runtime.ReadMemStats(&after)
+	if res.Err != nil || res.Bug != nil || res.Crash.PointsExplored == 0 {
+		t.Fatalf("crash run: err=%v bug=%v crash=%+v", res.Err, res.Bug, res.Crash)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > budget {
+		t.Errorf("an exhaustive depth-1 ext2/ext4 crash run allocates %d bytes, budget %d", n, budget)
+	}
+}

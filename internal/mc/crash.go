@@ -25,10 +25,12 @@
 package mc
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"hash"
+	"slices"
 
 	"mcfs/internal/abstraction"
 	"mcfs/internal/blockdev"
@@ -110,20 +112,26 @@ func (p *CrashPlane) install(extra []fault.Region, writes []fault.Write) error {
 // crashDigester is the scratch the masked media digest is computed in,
 // kept on the engine so a crash point allocates none of it.
 type crashDigester struct {
-	h   hash.Hash
-	buf []byte
+	h    hash.Hash
+	buf  []byte
+	mask []fault.Region // the plane's Mask, sorted by offset
 }
 
-// digest hashes the media bytes of the given regions, zeroing the bytes
-// under Mask so state-equivalent images digest identically. Region
-// offsets and lengths are folded into the hash: a digest identifies both
-// where the media diverged and what it holds there. ok == false means a
-// read failed and the caller must fall back to the full oracle.
+// digest hashes the media bytes of the given regions that lie outside
+// Mask, so state-equivalent images digest identically. Region offsets
+// and lengths are folded into the hash: a digest identifies both where
+// the media diverged and what it holds there. The mask is fixed, so the
+// regions also fix which bytes are hashed, and equal digests mean images
+// equal outside Mask. Every region is read whole, masked bytes too: the
+// reads are charged as a full read of them. ok == false means a read
+// failed and the caller must fall back to the full oracle.
 func (c *crashDigester) digest(p *CrashPlane, regions []fault.Region) (d [32]byte, ok bool) {
 	if c.h == nil {
 		c.h = sha256.New()
 	}
 	c.h.Reset()
+	c.mask = append(c.mask[:0], p.Mask...)
+	slices.SortFunc(c.mask, func(a, b fault.Region) int { return cmp.Compare(a.Off, b.Off) })
 	var hdr [16]byte
 	for _, r := range regions {
 		binary.LittleEndian.PutUint64(hdr[0:8], uint64(r.Off))
@@ -136,13 +144,19 @@ func (c *crashDigester) digest(p *CrashPlane, regions []fault.Region) (d [32]byt
 		if err := p.Media.ReadAt(b, r.Off); err != nil {
 			return d, false
 		}
-		for _, m := range p.Mask {
-			lo, hi := max(m.Off, r.Off), min(m.Off+m.Len, r.Off+r.Len)
-			for i := lo; i < hi; i++ {
-				b[i-r.Off] = 0
+		pos, end := r.Off, r.Off+r.Len // pos: the first byte not yet hashed or masked
+		for _, m := range c.mask {
+			if m.Off >= end {
+				break
 			}
+			if m.Off > pos {
+				c.h.Write(b[pos-r.Off : m.Off-r.Off])
+			}
+			pos = max(pos, m.Off+m.Len)
 		}
-		c.h.Write(b)
+		if pos < end {
+			c.h.Write(b[pos-r.Off:])
+		}
 	}
 	c.h.Sum(d[:0])
 	return d, true

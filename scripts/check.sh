@@ -33,9 +33,13 @@
 #                                                    warm content memo,
 #                                                    an extfs remount
 #                                                    through a
-#                                                    MountCache, and a
+#                                                    MountCache, a
 #                                                    jffs2sim mount
-#                                                    through a ScanCache)
+#                                                    through a ScanCache,
+#                                                    and the crash
+#                                                    oracle's recovery
+#                                                    session,
+#                                                    BenchmarkCrashProbe)
 #   6. replay-determinism smoke: a seeded-bug run   (flight recorder end
 #      writes a repro bundle, mcfs replay must       to end: journal ->
 #      reproduce it, mcfs shrink must minimize it;   bundle -> replay ->
