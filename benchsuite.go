@@ -132,11 +132,7 @@ func scenarioRow(ops, unique int64, elapsed time.Duration, snap obs.Profile) Ben
 			row.PhaseShares[phase] = round4(share)
 		}
 	}
-	if n := len(snap.Samples); n > 0 {
-		if last := snap.Samples[n-1]; last.At > 0 && last.CrashPoints > 0 {
-			row.CrashPointsPerSec = round1(float64(last.CrashPoints) / last.At.Seconds())
-		}
-	}
+	row.CrashPointsPerSec = round1(snap.CrashPointsPerSec())
 	return row
 }
 

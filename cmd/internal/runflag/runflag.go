@@ -59,7 +59,6 @@ func (s *Size) Set(v string) error {
 var dependents = []struct{ flag, needs string }{
 	{"share-visited", "swarm"},
 	{"share-visited", "calibration-workers"},
-	{"parallelism", "swarm"},
 	{"stall-ops", "progress"},
 	{"crash-heatmap", "crash"},
 }

@@ -118,7 +118,7 @@ func run(args []string) int {
 			// surface its hot path next to the simulated series.
 			if prof, ok := crashProfile(); ok {
 				line += fmt.Sprintf("  crash %.1f pts/s  fsck %.1f%%",
-					crashPointsPerSec(prof), prof.Share(obs.PhaseFsck)*100)
+					prof.CrashPointsPerSec(), prof.Share(obs.PhaseFsck)*100)
 			}
 			fmt.Fprintln(os.Stderr, line)
 		}
@@ -174,18 +174,6 @@ func run(args []string) int {
 	if prof, ok := crashProfile(); ok {
 		fmt.Println("\ncalibration phase profile:")
 		prof.WriteTable(os.Stdout)
-	}
-	return 0
-}
-
-// crashPointsPerSec derives the calibration run's overall crash-point
-// rate from the last telemetry sample (cumulative points over virtual
-// elapsed time).
-func crashPointsPerSec(s obs.Profile) float64 {
-	if n := len(s.Samples); n > 0 {
-		if last := s.Samples[n-1]; last.At > 0 {
-			return float64(last.CrashPoints) / last.At.Seconds()
-		}
 	}
 	return 0
 }

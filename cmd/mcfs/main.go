@@ -7,7 +7,7 @@
 //	mcfs -fs ext2 -fs ext4 [-depth 3] [-max-ops 100000] [-seed 0]
 //	     [-bug name] [-backing ram|ssd|hdd] [-no-remount]
 //	     [-crash]
-//	     [-swarm N] [-share-visited] [-parallelism P]
+//	     [-swarm N] [-share-visited]
 //	     [-visited exact|compact|bitstate] [-mem-budget 64M]
 //	     [-bitstate-bytes 8M]
 //	     [-progress 1s] [-stall-ops N] [-metrics-addr :8080]
@@ -76,15 +76,15 @@
 //	mcfs -fs verifs1 -fs verifs2            # checkpoint/restore tracking
 //	mcfs -fs verifs1 -fs verifs2 -bug write-hole-no-zero -trace-dump
 //	mcfs -fs verifs1 -fs verifs2 -swarm 4 -progress 1s -metrics-addr :0
-//	mcfs -fs verifs1 -fs verifs2 -swarm 8 -share-visited -parallelism 4
+//	mcfs -fs verifs1 -fs verifs2 -swarm 8 -share-visited
 //	mcfs -fs verifs1 -fs verifs2 -bug write-hole-no-zero -bundle ./bug1
 //	mcfs replay ./bug1 && mcfs shrink ./bug1
 //	mcfs -fs ext2 -fs ext4 -bug journal-commit-first -crash -depth 1
 //
 // Swarm mode is coordinated: the first worker to find a bug (or fail)
 // cancels the rest, -share-visited makes workers prune states their
-// peers already expanded, and -parallelism bounds how many of the N
-// workers run at once.
+// peers already expanded, and at most GOMAXPROCS of the N workers run
+// at once.
 package main
 
 import (
@@ -103,6 +103,7 @@ import (
 	"mcfs/internal/obs"
 	"mcfs/internal/obs/journal"
 	"mcfs/internal/obs/stream"
+	"mcfs/internal/workload"
 )
 
 // metricsDoc is the /metrics JSON document: the merged hub snapshot's
@@ -169,7 +170,6 @@ func bindFlags(fs *flag.FlagSet) *cli {
 	fs.Int64Var(&c.spec.Seed, "seed", 0, "search-order seed (0 = deterministic enumeration)")
 	fs.BoolVar(&c.spec.MajorityVote, "majority", false, "with 3+ targets, identify the deviating minority (majority voting)")
 	fs.IntVar(&c.spec.Workers, "swarm", 0, "run N diversified workers in parallel (0 = single engine)")
-	fs.IntVar(&c.spec.Parallelism, "parallelism", 0, "max swarm workers running at once (0 = min(N, GOMAXPROCS))")
 	fs.DurationVar(&c.progress, "progress", 0, "print a status line per engine at this wall-clock interval (0 = off)")
 	fs.Int64Var(&c.stallOps, "stall-ops", 0, "warn when this many ops pass without a novel state (needs -progress)")
 	fs.StringVar(&c.metricsAddr, "metrics-addr", "", "serve JSON metrics at this address (/metrics, /debug/pprof/); \":0\" picks a port")
@@ -359,7 +359,7 @@ func run(args []string) int {
 		if sr.Bug != nil {
 			fmt.Printf("\nDISCREPANCY (worker %d) after %d operations:\n%v\n",
 				sr.BugWorker+1, sr.Bug.OpsExecuted, sr.Bug.Discrepancy)
-			fmt.Printf("trail:\n%s", trailOf(sr.Bug))
+			fmt.Printf("trail:\n%s", workload.TrailString(sr.Bug.Trail))
 		}
 		// The bug (else failed) worker's spec — its seed included — is what
 		// a replay must rebuild; SwarmRun assigned it seed worker+1.
@@ -564,7 +564,7 @@ func printResult(res mcfs.Result, traceDump bool) {
 		return
 	}
 	fmt.Printf("\nDISCREPANCY after %d operations:\n%v\n", res.Bug.OpsExecuted, res.Bug.Discrepancy)
-	fmt.Printf("trail:\n%s", trailOf(res.Bug))
+	fmt.Printf("trail:\n%s", workload.TrailString(res.Bug.Trail))
 	if traceDump && len(res.Bug.TrailSpans) > 0 {
 		fmt.Printf("\ncross-layer trace of the trail:\n")
 		obs.WriteTrace(os.Stdout, res.Bug.TrailSpans)
@@ -775,12 +775,4 @@ func startTopView(bus *stream.Bus, hubs []*obs.Hub, isSwarm bool, every time.Dur
 			<-done
 		})
 	}
-}
-
-func trailOf(b *mcfs.BugReport) string {
-	out := ""
-	for i, op := range b.Trail {
-		out += fmt.Sprintf("%3d. %s\n", i+1, op)
-	}
-	return out
 }

@@ -35,10 +35,9 @@ func TestDependentFlags(t *testing.T) {
 		ok   bool
 	}{
 		{"-share-visited", false},
-		{"-parallelism 2", false},
 		{"-stall-ops 100", false},
 		{"-crash-heatmap h.json", false},
-		{"-swarm 2 -share-visited -parallelism 2", true},
+		{"-swarm 2 -share-visited", true},
 		{"-progress 1s -stall-ops 100", true},
 		{"-crash -crash-heatmap h.json", true},
 		{"-share-visited=false -stall-ops 0", true},

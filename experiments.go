@@ -199,25 +199,14 @@ type Figure3Point struct {
 type Figure3Config struct {
 	// Days is the simulated duration (the paper ran 14 days).
 	Days float64
-	// BasePerOp is the cost of one explored operation when every state
-	// fits in RAM. When zero it is measured by running a short real
-	// exploration of the VeriFS1 configuration.
-	BasePerOp time.Duration
-	// StateBytes is the size of one concrete state (measured when zero).
-	StateBytes int64
-	// Memory is the machine model; nil means the paper's VM (64 GB RAM,
-	// 128 GB swap).
-	Memory *memmodel.Config
-	// SaturationStates is the number of unique states at which the
-	// bounded state space is effectively exhausted and almost every
-	// operation revisits a known state. Revisits of recently-touched
-	// states hit RAM, producing the paper's day-13-14 rebound.
-	SaturationStates int64
 	// Progress, when non-nil, receives every simulated point as it is
 	// computed, letting callers stream the multi-day series live.
 	Progress func(Figure3Point)
 	// Calibration is the run spec of the short real exploration that
-	// measures BasePerOp; the multi-day simulation itself is analytic.
+	// measures the cost of one explored operation when every state fits
+	// in RAM, and the size of one concrete state; the multi-day
+	// simulation itself is analytic, on the paper's VM
+	// (memmodel.DefaultConfig: 64 GB RAM, 128 GB swap).
 	// Targets, MaxDepth and MaxOps are the calibration's own — the VeriFS
 	// pair, or with CrashExploration the ext2-vs-ext4 pair (crash probing
 	// needs a crash plane, which the FUSE-backed VeriFS pair does not
@@ -309,25 +298,11 @@ func RunFigure3(cfg Figure3Config) ([]Figure3Point, error) {
 	if cfg.Days == 0 {
 		cfg.Days = 14
 	}
-	if cfg.BasePerOp == 0 || cfg.StateBytes == 0 {
-		perOp, stateBytes, err := measureBasePerOp(cfg.Calibration)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.BasePerOp == 0 {
-			cfg.BasePerOp = perOp
-		}
-		if cfg.StateBytes == 0 {
-			cfg.StateBytes = stateBytes
-		}
+	basePerOp, stateBytes, err := measureBasePerOp(cfg.Calibration)
+	if err != nil {
+		return nil, err
 	}
 	memCfg := memmodel.DefaultConfig()
-	if cfg.Memory != nil {
-		memCfg = *cfg.Memory
-	}
-	if cfg.SaturationStates == 0 {
-		cfg.SaturationStates = defaultSaturationStates
-	}
 
 	// Memory composition: Spin's visited table holds one slot plus a
 	// COLLAPSE-compressed state record per visited state; full concrete
@@ -361,14 +336,14 @@ func RunFigure3(cfg Figure3Config) ([]Figure3Point, error) {
 		ram        = float64(memCfg.RAMBytes)
 		// Pages the DFS stack's concrete states occupy: restoring them
 		// pays swap-in once the table has pushed them out of RAM.
-		statePages = float64((cfg.StateBytes + memmodel.PageSize - 1) / memmodel.PageSize)
+		statePages = float64((stateBytes + memmodel.PageSize - 1) / memmodel.PageSize)
 	)
 	memoryFootprint := func() float64 { return slots*slotBytes + unique*compressedState }
 	for h := 0; h < totalHours; h++ {
 		// Fraction of operations reaching a brand-new state: ~1/2 while
 		// the space is fresh, falling to 0 as the bounded space
 		// saturates.
-		newFrac := 0.5 * (1 - unique/float64(cfg.SaturationStates))
+		newFrac := 0.5 * (1 - unique/float64(saturationStates))
 		if newFrac < 0 {
 			newFrac = 0
 		}
@@ -392,7 +367,7 @@ func RunFigure3(cfg Figure3Config) ([]Figure3Point, error) {
 		// Expected per-op cost (seconds): base + swap-ins for the table
 		// probe and the concrete-state restore.
 		pSwap := swapFrac * (1 - hotness)
-		perOp := cfg.BasePerOp.Seconds() +
+		perOp := basePerOp.Seconds() +
 			pSwap*(1+statePages)*swapInCost +
 			newFrac*insertCost.Seconds()
 
@@ -433,8 +408,8 @@ func RunFigure3(cfg Figure3Config) ([]Figure3Point, error) {
 
 		ops := hourBudget / perOp
 		newStates := ops * newFrac
-		if unique+newStates > float64(cfg.SaturationStates) {
-			newStates = float64(cfg.SaturationStates) - unique
+		if unique+newStates > float64(saturationStates) {
+			newStates = float64(saturationStates) - unique
 		}
 		unique += newStates
 		// Steady-state swap: the footprint beyond RAM. Transient spikes
@@ -468,11 +443,13 @@ func RunFigure3(cfg Figure3Config) ([]Figure3Point, error) {
 	return points, nil
 }
 
-// defaultSaturationStates is the bounded-state-space size used by the
-// Figure 3 simulation: large enough that exploration still finds fresh
-// states on day 12, small enough that the late-run revisit rate rises and
-// the RAM hit rate rebounds (the paper's day 13-14 uptick).
-const defaultSaturationStates = 800_000_000
+// saturationStates is the number of unique states at which the Figure 3
+// simulation's bounded state space is effectively exhausted and almost
+// every operation revisits a known state: large enough that exploration
+// still finds fresh states on day 12, small enough that the late-run
+// revisit rate rises and revisits of recently-touched states hit RAM (the
+// paper's day 13-14 uptick).
+const saturationStates = 800_000_000
 
 // SoakResult is the outcome of the E9 soak projection (§5: "over 159
 // million syscalls without any errors").

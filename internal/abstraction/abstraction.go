@@ -44,9 +44,6 @@ type Options struct {
 	// wherever they appear (§3.4). Defaults to DefaultExceptions when
 	// nil-by-construction via New.
 	ExceptionList []string
-	// IncludeOwnership adds UID/GID to the hashed metadata (on by
-	// default in New; some workloads never chown and can skip it).
-	IncludeOwnership bool
 	// IgnoreContent drops file contents from the abstraction: sizes and
 	// link counts still hash, but data bytes are neither read nor
 	// compared. The crash-consistency oracle uses this — data writes are
@@ -61,7 +58,7 @@ var DefaultExceptions = []string{"lost+found"}
 
 // New returns the default options used throughout MCFS.
 func New() Options {
-	return Options{ExceptionList: DefaultExceptions, IncludeOwnership: true}
+	return Options{ExceptionList: DefaultExceptions}
 }
 
 func (o Options) excepted(name string) bool {
@@ -288,10 +285,8 @@ func HashRecords(records []Record, opts Options) State {
 		buf = append(buf, 0)
 		buf = append(buf, r.Kind...)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.Perm))
-		if opts.IncludeOwnership {
-			buf = binary.LittleEndian.AppendUint32(buf, r.UID)
-			buf = binary.LittleEndian.AppendUint32(buf, r.GID)
-		}
+		buf = binary.LittleEndian.AppendUint32(buf, r.UID)
+		buf = binary.LittleEndian.AppendUint32(buf, r.GID)
 		switch r.Kind {
 		case "file":
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Size))
@@ -365,7 +360,7 @@ func recordDiff(x, y *Record, opts Options) string {
 	if x.Perm != y.Perm {
 		diffs = append(diffs, fmt.Sprintf("perm %o vs %o", x.Perm, y.Perm))
 	}
-	if opts.IncludeOwnership && (x.UID != y.UID || x.GID != y.GID) {
+	if x.UID != y.UID || x.GID != y.GID {
 		diffs = append(diffs, fmt.Sprintf("owner %d:%d vs %d:%d", x.UID, x.GID, y.UID, y.GID))
 	}
 	if x.Kind == "file" && y.Kind == "file" {

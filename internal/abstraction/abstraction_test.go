@@ -136,7 +136,7 @@ func TestEquivalentStatesOnDifferentFSesMatch(t *testing.T) {
 	}
 
 	xfsDev := blockdev.NewRAM("ram1", xfssim.MinVolumeSize, clk)
-	if err := xfssim.Mkfs(xfsDev, xfssim.MkfsOptions{}); err != nil {
+	if err := xfssim.Mkfs(xfsDev); err != nil {
 		t.Fatal(err)
 	}
 	if err := k.Mount("/xfs", kernel.FilesystemSpec{
@@ -203,7 +203,7 @@ func TestExceptionListHidesLostFound(t *testing.T) {
 		}
 	}
 	// Without the exception list it shows up.
-	records, _ = Snapshot(k, "/mnt", Options{IncludeOwnership: true})
+	records, _ = Snapshot(k, "/mnt", Options{})
 	found := false
 	for _, r := range records {
 		if r.Path == "/lost+found" {

@@ -147,7 +147,6 @@ type Disk struct {
 	mu      sync.Mutex
 	name    string
 	data    []byte
-	blkSize int
 	profile Profile
 	clock   *simclock.Clock
 
@@ -181,21 +180,17 @@ func (d *Disk) SetObs(h *obs.Hub) {
 // NewRAM returns a RAM disk of the given size. Sizes need not match
 // across devices (the brd2 modification from the paper).
 func NewRAM(name string, size int64, clock *simclock.Clock) *Disk {
-	return NewDisk(name, size, 4096, RAMProfile, clock)
+	return NewDisk(name, size, RAMProfile, clock)
 }
 
-// NewDisk returns a disk with an explicit block size and latency profile.
-func NewDisk(name string, size int64, blkSize int, p Profile, clock *simclock.Clock) *Disk {
+// NewDisk returns a disk with 4 KiB blocks and an explicit latency profile.
+func NewDisk(name string, size int64, p Profile, clock *simclock.Clock) *Disk {
 	if size <= 0 {
 		panic(fmt.Sprintf("blockdev: non-positive size %d for %s", size, name))
-	}
-	if blkSize <= 0 {
-		blkSize = 4096
 	}
 	return &Disk{
 		name:    name,
 		data:    make([]byte, size),
-		blkSize: blkSize,
 		profile: p,
 		clock:   clock,
 		cached:  make([]bool, (size+cachePage-1)/cachePage),
@@ -343,7 +338,7 @@ func (d *Disk) WriteAt(p []byte, off int64) error {
 func (d *Disk) Size() int64 { return int64(len(d.data)) }
 
 // BlockSize implements Device.
-func (d *Disk) BlockSize() int { return d.blkSize }
+func (d *Disk) BlockSize() int { return 4096 }
 
 // Sync implements Device: a write barrier costing the profile's flush
 // latency.

@@ -325,7 +325,7 @@ func TestProfileCost(t *testing.T) {
 
 func TestDiskChargesClock(t *testing.T) {
 	clk := simclock.New()
-	d := NewDisk("hdd0", 8<<20, 4096, HDDProfile, clk)
+	d := NewDisk("hdd0", 8<<20, HDDProfile, clk)
 	buf := make([]byte, 4096)
 	// A far-away cold read pays the full positioning cost.
 	if err := d.ReadAt(buf, 4<<20); err != nil {
@@ -347,7 +347,7 @@ func TestDiskChargesClock(t *testing.T) {
 
 func TestPageCacheMakesRereadsCheap(t *testing.T) {
 	clk := simclock.New()
-	d := NewDisk("hdd0", 8<<20, 4096, HDDProfile, clk)
+	d := NewDisk("hdd0", 8<<20, HDDProfile, clk)
 	buf := make([]byte, 4096)
 	if err := d.ReadAt(buf, 4<<20); err != nil { // cold
 		t.Fatal(err)
@@ -373,7 +373,7 @@ func TestPageCacheMakesRereadsCheap(t *testing.T) {
 
 func TestSequentialWritesGetSeekDiscount(t *testing.T) {
 	clk := simclock.New()
-	d := NewDisk("hdd0", 8<<20, 4096, HDDProfile, clk)
+	d := NewDisk("hdd0", 8<<20, HDDProfile, clk)
 	buf := make([]byte, 4096)
 	if err := d.WriteAt(buf, 4<<20); err != nil { // random
 		t.Fatal(err)
@@ -391,7 +391,7 @@ func TestSequentialWritesGetSeekDiscount(t *testing.T) {
 
 func TestSyncChargesFlush(t *testing.T) {
 	clk := simclock.New()
-	d := NewDisk("ssd0", 1<<20, 4096, SSDProfile, clk)
+	d := NewDisk("ssd0", 1<<20, SSDProfile, clk)
 	before := clk.Now()
 	if err := d.Sync(); err != nil {
 		t.Fatal(err)

@@ -174,7 +174,7 @@ type Stats struct {
 // injector never calls back into the device, so lock order is acyclic.
 type Injector struct {
 	mu       sync.Mutex
-	rules    map[int]Rule
+	rules    []installed // in insertion (id) order
 	nextRule int
 
 	windowActive bool
@@ -201,9 +201,15 @@ type Injector struct {
 	stats Stats
 }
 
+// installed is a rule under the id AddRule returned for it.
+type installed struct {
+	id int
+	Rule
+}
+
 // New returns an empty injector: no rules, no window, no log.
 func New() *Injector {
-	return &Injector{rules: make(map[int]Rule)}
+	return &Injector{}
 }
 
 // AddRule installs a rule and returns its id for RemoveRule.
@@ -212,7 +218,7 @@ func (in *Injector) AddRule(r Rule) int {
 	defer in.mu.Unlock()
 	id := in.nextRule
 	in.nextRule++
-	in.rules[id] = r
+	in.rules = append(in.rules, installed{id, r})
 	return id
 }
 
@@ -220,14 +226,14 @@ func (in *Injector) AddRule(r Rule) int {
 func (in *Injector) RemoveRule(id int) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	delete(in.rules, id)
+	in.rules = slices.DeleteFunc(in.rules, func(x installed) bool { return x.id == id })
 }
 
 // ClearRules uninstalls every rule.
 func (in *Injector) ClearRules() {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	in.rules = make(map[int]Rule)
+	in.rules = nil
 }
 
 // StartWindow opens a fault window: subsequent writes are numbered from
@@ -364,18 +370,6 @@ func (in *Injector) Stats() Stats {
 	return in.stats
 }
 
-// ruleOrder returns the installed rule ids in insertion (id) order, so
-// rule evaluation — and therefore every injected fault — is independent
-// of Go's map iteration order. Caller holds in.mu.
-func (in *Injector) ruleOrder() []int {
-	ids := make([]int, 0, len(in.rules))
-	for id := range in.rules {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	return ids
-}
-
 // OnWrite is the device's per-write hook: n payload bytes at device
 // offset off are about to reach media. Nil-safe — a nil injector always
 // answers "no fault". The write is counted against the open window
@@ -392,8 +386,8 @@ func (in *Injector) OnWrite(off int64, n int) Decision {
 		idx = in.windowWrites
 		in.windowWrites++
 	}
-	for _, id := range in.ruleOrder() {
-		r := in.rules[id]
+	for i := 0; i < len(in.rules); i++ {
+		r := in.rules[i]
 		if r.Kind == KindReadError || !r.matches(off, n, idx) {
 			continue
 		}
@@ -406,7 +400,7 @@ func (in *Injector) OnWrite(off int64, n int) Decision {
 			dec.FlipBit = -1
 			in.stats.ErrorsInjected++
 			if r.Once {
-				delete(in.rules, id)
+				in.rules = slices.Delete(in.rules, i, i+1)
 			}
 			return dec
 		case KindTorn:
@@ -431,7 +425,8 @@ func (in *Injector) OnWrite(off int64, n int) Decision {
 			in.stats.CorruptInjected++
 		}
 		if r.Once {
-			delete(in.rules, id)
+			in.rules = slices.Delete(in.rules, i, i+1)
+			i--
 		}
 	}
 	if in.touching && !in.touchLost && n > 0 {
@@ -461,8 +456,7 @@ func (in *Injector) OnRead(off int64, n int) error {
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	for _, id := range in.ruleOrder() {
-		r := in.rules[id]
+	for i, r := range in.rules {
 		if r.Kind != KindReadError {
 			continue
 		}
@@ -472,7 +466,7 @@ func (in *Injector) OnRead(off int64, n int) error {
 		err := r.Err
 		in.stats.ReadErrorsInjected++
 		if r.Once {
-			delete(in.rules, id)
+			in.rules = slices.Delete(in.rules, i, i+1)
 		}
 		return err
 	}
@@ -496,13 +490,12 @@ func (in *Injector) OnControl() error {
 		in.touchLost = true
 		in.log, in.chunk = nil, nil
 	}
-	for _, id := range in.ruleOrder() {
-		r := in.rules[id]
+	for i, r := range in.rules {
 		if r.Kind == KindError && r.AlwaysOn && r.AtWrite < 0 && r.Len == 0 {
 			err := r.Err
 			in.stats.ErrorsInjected++
 			if r.Once {
-				delete(in.rules, id)
+				in.rules = slices.Delete(in.rules, i, i+1)
 			}
 			return err
 		}

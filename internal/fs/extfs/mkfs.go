@@ -8,36 +8,27 @@ import (
 
 // MkfsOptions configures volume creation.
 type MkfsOptions struct {
-	// InodeCount is the inode-table capacity; 0 means DefaultInodeCount.
-	InodeCount uint32
-	// Journal enables the journal region ("ext4" mode).
+	// Journal enables a DefaultJournalBlocks journal region ("ext4" mode).
 	Journal bool
-	// JournalBlocks sizes the journal; 0 means DefaultJournalBlocks.
-	JournalBlocks uint32
 	// NoLostFound suppresses the lost+found directory (for tests that
 	// need namespace-identical volumes).
 	NoLostFound bool
 }
 
-// Mkfs formats the device with an empty extfs volume: superblock, bitmaps,
-// inode table, optional journal, a root directory, and — like real
-// e2fsprogs — a lost+found directory inside the root (§3.4's special-folder
-// false positive comes from exactly this).
+// Mkfs formats the device with an empty extfs volume: superblock,
+// bitmaps, a DefaultInodeCount inode table, optional journal, a root
+// directory, and — like real e2fsprogs — a lost+found directory inside
+// the root (§3.4's special-folder false positive comes from exactly
+// this).
 func Mkfs(dev blockdev.Device, opts MkfsOptions) error {
 	blocksTotal := uint32(dev.Size() / BlockSize)
 	if blocksTotal < 16 {
 		return fmt.Errorf("extfs: device too small: %d blocks", blocksTotal)
 	}
-	inodeCount := opts.InodeCount
-	if inodeCount == 0 {
-		inodeCount = DefaultInodeCount
-	}
+	inodeCount := uint32(DefaultInodeCount)
 	journalBlocks := uint32(0)
 	if opts.Journal {
-		journalBlocks = opts.JournalBlocks
-		if journalBlocks == 0 {
-			journalBlocks = DefaultJournalBlocks
-		}
+		journalBlocks = DefaultJournalBlocks
 	}
 	l := computeLayout(blocksTotal, inodeCount, journalBlocks)
 	if l.firstData+4 > blocksTotal {

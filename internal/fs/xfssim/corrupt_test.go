@@ -18,7 +18,7 @@ const rootInodeOff = inodeTable*BlockSize + (RootIno-1)*InodeSize
 func freshDevice(tb testing.TB) *blockdev.Disk {
 	tb.Helper()
 	dev := blockdev.NewRAM("fresh", MinVolumeSize, nil)
-	if err := Mkfs(dev, MkfsOptions{}); err != nil {
+	if err := Mkfs(dev); err != nil {
 		tb.Fatal(err)
 	}
 	return dev

@@ -87,7 +87,7 @@ func TestQuickRemountPreservesState(t *testing.T) {
 	prop := func(ops []quickOp) bool {
 		clk := simclock.New()
 		dev := blockdev.NewRAM("ram0", MinVolumeSize, clk)
-		if err := Mkfs(dev, MkfsOptions{}); err != nil {
+		if err := Mkfs(dev); err != nil {
 			return false
 		}
 		f, err := Mount(dev, clk)
@@ -118,7 +118,7 @@ func TestQuickFreeSpaceBalanced(t *testing.T) {
 	prop := func(ops []quickOp) bool {
 		clk := simclock.New()
 		dev := blockdev.NewRAM("ram0", MinVolumeSize, clk)
-		if err := Mkfs(dev, MkfsOptions{}); err != nil {
+		if err := Mkfs(dev); err != nil {
 			return false
 		}
 		f, err := Mount(dev, clk)

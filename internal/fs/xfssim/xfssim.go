@@ -199,23 +199,15 @@ func bitmapGet(bm []byte, i uint32) bool { return bm[i/8]&(1<<(i%8)) != 0 }
 func bitmapSet(bm []byte, i uint32)      { bm[i/8] |= 1 << (i % 8) }
 func bitmapClear(bm []byte, i uint32)    { bm[i/8] &^= 1 << (i % 8) }
 
-// MkfsOptions configures volume creation.
-type MkfsOptions struct {
-	// InodeCount is the inode capacity; 0 means DefaultInodeCount.
-	InodeCount uint32
-}
-
-// Mkfs formats the device. Devices smaller than MinVolumeSize are
-// rejected, matching XFS's larger minimum file-system size (§6).
-func Mkfs(dev blockdev.Device, opts MkfsOptions) error {
+// Mkfs formats the device with DefaultInodeCount inodes. Devices smaller
+// than MinVolumeSize are rejected, matching XFS's larger minimum
+// file-system size (§6).
+func Mkfs(dev blockdev.Device) error {
 	if dev.Size() < MinVolumeSize {
 		return fmt.Errorf("xfssim: device %d bytes below minimum %d", dev.Size(), MinVolumeSize)
 	}
 	blocksTotal := uint32(dev.Size() / BlockSize)
-	inodeCount := opts.InodeCount
-	if inodeCount == 0 {
-		inodeCount = DefaultInodeCount
-	}
+	inodeCount := uint32(DefaultInodeCount)
 	l, err := computeLayout(blocksTotal, inodeCount)
 	if err != nil {
 		return err

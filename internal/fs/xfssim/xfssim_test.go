@@ -14,7 +14,7 @@ func newVolume(t *testing.T) (*FS, blockdev.Device, *simclock.Clock) {
 	t.Helper()
 	clk := simclock.New()
 	dev := blockdev.NewRAM("ram0", MinVolumeSize, clk)
-	if err := Mkfs(dev, MkfsOptions{}); err != nil {
+	if err := Mkfs(dev); err != nil {
 		t.Fatalf("Mkfs: %v", err)
 	}
 	f, err := Mount(dev, clk)
@@ -45,7 +45,7 @@ func mustMkdir(t *testing.T, f *FS, parent vfs.Ino, name string) vfs.Ino {
 func TestMinimumVolumeSize(t *testing.T) {
 	clk := simclock.New()
 	small := blockdev.NewRAM("ram0", 256*1024, clk)
-	if err := Mkfs(small, MkfsOptions{}); err == nil {
+	if err := Mkfs(small); err == nil {
 		t.Error("Mkfs on 256KB device succeeded; XFS needs 16MB minimum")
 	}
 }

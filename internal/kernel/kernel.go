@@ -86,7 +86,6 @@ type Mount struct {
 	point string
 	spec  FilesystemSpec
 	fs    vfs.FS
-	sync  bool // mount -o sync: flush after every operation
 
 	dcache   map[dkey]vfs.Ino // positive dentries
 	negcache map[dkey]bool    // negative dentries
@@ -116,7 +115,7 @@ func (m *Mount) CacheStats() (hits, misses int64) { return m.dcacheHits, m.dcach
 func (m *Mount) Spec() FilesystemSpec { return m.spec }
 
 // Options returns the mount options.
-func (m *Mount) Options() MountOptions { return MountOptions{Sync: m.sync} }
+func (m *Mount) Options() MountOptions { return MountOptions{} }
 
 // mountInvalidator implements CacheInvalidator for one mount.
 type mountInvalidator struct{ m *Mount }
@@ -201,16 +200,14 @@ func (k *Kernel) begin(name string) obs.SpanHandle {
 // million syscalls", §5).
 func (k *Kernel) SyscallCount() int64 { return k.syscalls }
 
-// MountOptions configures a mount.
-type MountOptions struct {
-	// Sync flushes the file system after every mutating operation
-	// (mount -o sync). The paper tried this to fight cache incoherency;
-	// it guarantees flushes but not cache reloads (§3.2).
-	Sync bool
-}
+// MountOptions are a mount's options, of which there are none. The
+// paper's mount -o sync, which flushes after every mutating operation,
+// is left out: it guarantees flushes but not cache reloads (§3.2),
+// which is why the checker remounts instead.
+type MountOptions struct{}
 
 // Mount attaches a file system at the given mount point.
-func (k *Kernel) Mount(point string, spec FilesystemSpec, opts MountOptions) error {
+func (k *Kernel) Mount(point string, spec FilesystemSpec, _ MountOptions) error {
 	point = vfs.JoinPath(point)
 	at, ok := k.mountIndex(point)
 	if ok {
@@ -224,7 +221,6 @@ func (k *Kernel) Mount(point string, spec FilesystemSpec, opts MountOptions) err
 		point:    point,
 		spec:     spec,
 		fs:       fs,
-		sync:     opts.Sync,
 		dcache:   make(map[dkey]vfs.Ino),
 		negcache: make(map[dkey]bool),
 		acache:   make(map[vfs.Ino]vfs.Stat),
@@ -294,11 +290,10 @@ func (k *Kernel) remount(point string) error {
 		return err
 	}
 	spec := m.spec
-	opts := MountOptions{Sync: m.sync}
 	if err := k.Unmount(point); err != nil {
 		return err
 	}
-	return k.Mount(point, spec, opts)
+	return k.Mount(point, spec, MountOptions{})
 }
 
 // CrashRemount simulates power loss at point: every open file descriptor
@@ -322,7 +317,6 @@ func (k *Kernel) CrashRemount(point string, powerCut func() error) error {
 		}
 	}
 	spec := m.spec
-	opts := MountOptions{Sync: m.sync}
 	k.dropMount(m)
 	if d, ok := m.fs.(Dropper); ok {
 		d.Drop()
@@ -332,7 +326,7 @@ func (k *Kernel) CrashRemount(point string, powerCut func() error) error {
 			return fmt.Errorf("kernel: power cut at %s: %w", m.point, err)
 		}
 	}
-	return k.Mount(m.point, spec, opts)
+	return k.Mount(m.point, spec, MountOptions{})
 }
 
 // MountAt returns the mount whose point is the longest one prefixing
@@ -525,16 +519,4 @@ func (k *Kernel) walk(m *Mount, cur vfs.Ino, rest string, followLast bool, depth
 		cur = ino
 		comp, rest = next, after
 	}
-}
-
-// syncIfNeeded flushes the mount when it was mounted with -o sync. The
-// flush's errno is the caller's to return: under -o sync an operation
-// has not succeeded until it is on the medium, so a failed writeback
-// (device fault, injected or real) must surface as the operation's
-// result rather than vanish.
-func (m *Mount) syncIfNeeded() errno.Errno {
-	if m.sync {
-		return m.fs.Sync()
-	}
-	return errno.OK
 }

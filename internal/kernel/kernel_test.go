@@ -487,38 +487,6 @@ func TestXattrSyscalls(t *testing.T) {
 	}
 }
 
-func TestSyncMountOptionFlushesEveryOp(t *testing.T) {
-	clk := simclock.New()
-	k := New(clk)
-	dev := blockdev.NewRAM("ram0", 256*1024, clk)
-	if err := extfs.Mkfs(dev, extfs.MkfsOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	spec := FilesystemSpec{
-		Type:      "ext2",
-		Dev:       dev,
-		Mounter:   func() (vfs.FS, error) { return extfs.Mount(dev, clk) },
-		Unmounter: func(f vfs.FS) error { return f.(*extfs.FS).Unmount() },
-	}
-	if err := k.Mount("/mnt", spec, MountOptions{Sync: true}); err != nil {
-		t.Fatal(err)
-	}
-	fd, e := k.Open("/mnt/f", vfs.OCreate|vfs.OWrOnly, 0644)
-	if e != errno.OK {
-		t.Fatal(e)
-	}
-	k.Close(fd)
-	// With -o sync the new inode must already be on disk without an
-	// explicit fsync: mount a second view and look for it.
-	f2, err := extfs.Mount(dev, clk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, e := f2.Lookup(f2.Root(), "f"); e != errno.OK {
-		t.Errorf("file not on disk despite -o sync: %v", e)
-	}
-}
-
 func TestChmodChownTruncate(t *testing.T) {
 	k, _ := newKernelWithVeriFS2(t)
 	fd, _ := k.Open("/mnt/f", vfs.OCreate|vfs.OWrOnly, 0644)

@@ -38,9 +38,6 @@ func (k *Kernel) Open(path string, flags vfs.OpenFlag, mode vfs.Mode) (FD, errno
 				return -1, e2
 			}
 			m.attrDirty(ino)
-			if e2 := m.syncIfNeeded(); e2 != errno.OK {
-				return -1, e2
-			}
 		}
 	case flags&vfs.OCreate != 0:
 		if r.name == "" {
@@ -52,9 +49,6 @@ func (k *Kernel) Open(path string, flags vfs.OpenFlag, mode vfs.Mode) (FD, errno
 		}
 		m.cacheAdd(r.parent, r.name, newIno)
 		m.attrDirty(r.parent)
-		if e2 := m.syncIfNeeded(); e2 != errno.OK {
-			return -1, e2
-		}
 		ino = newIno
 	default:
 		return -1, errno.ENOENT
@@ -129,9 +123,6 @@ func (k *Kernel) WriteFD(fd FD, data []byte) (int, errno.Errno) {
 	}
 	of.pos += int64(n)
 	of.mount.attrDirty(of.ino)
-	if e := of.mount.syncIfNeeded(); e != errno.OK {
-		return 0, e
-	}
 	return n, errno.OK
 }
 
@@ -168,9 +159,6 @@ func (k *Kernel) PWriteFD(fd FD, off int64, data []byte) (int, errno.Errno) {
 		return 0, e
 	}
 	of.mount.attrDirty(of.ino)
-	if e := of.mount.syncIfNeeded(); e != errno.OK {
-		return 0, e
-	}
 	return n, errno.OK
 }
 
@@ -233,7 +221,7 @@ func (k *Kernel) Mkdir(path string, mode vfs.Mode) errno.Errno {
 	}
 	m.cacheAdd(r.parent, r.name, ino)
 	m.attrDirty(r.parent)
-	return m.syncIfNeeded()
+	return errno.OK
 }
 
 // Rmdir removes an empty directory.
@@ -256,7 +244,7 @@ func (k *Kernel) Rmdir(path string) errno.Errno {
 	m.cacheRemove(r.parent, r.name)
 	m.attrDirty(r.parent)
 	m.attrDirty(r.ino)
-	return m.syncIfNeeded()
+	return errno.OK
 }
 
 // Unlink removes a file or symlink.
@@ -279,7 +267,7 @@ func (k *Kernel) Unlink(path string) errno.Errno {
 	m.cacheRemove(r.parent, r.name)
 	m.attrDirty(r.parent)
 	m.attrDirty(r.ino)
-	return m.syncIfNeeded()
+	return errno.OK
 }
 
 // Rename moves oldPath to newPath (within one mount).
@@ -324,7 +312,7 @@ func (k *Kernel) Rename(oldPath, newPath string) errno.Errno {
 	if rn.exists {
 		m.attrDirty(rn.ino)
 	}
-	return m.syncIfNeeded()
+	return errno.OK
 }
 
 // Link creates a hard link newPath referring to oldPath's inode.
@@ -358,7 +346,7 @@ func (k *Kernel) Link(oldPath, newPath string) errno.Errno {
 	m.cacheAdd(rn.parent, rn.name, ro.ino)
 	m.attrDirty(ro.ino)
 	m.attrDirty(rn.parent)
-	return m.syncIfNeeded()
+	return errno.OK
 }
 
 // Symlink creates a symbolic link at path pointing to target.
@@ -382,7 +370,7 @@ func (k *Kernel) Symlink(target, path string) errno.Errno {
 	}
 	m.cacheAdd(r.parent, r.name, ino)
 	m.attrDirty(r.parent)
-	return m.syncIfNeeded()
+	return errno.OK
 }
 
 // Readlink returns the target of the symlink at path.
@@ -458,7 +446,7 @@ func (k *Kernel) Chmod(path string, mode vfs.Mode) errno.Errno {
 		return e
 	}
 	m.attrDirty(r.ino)
-	return m.syncIfNeeded()
+	return errno.OK
 }
 
 // Chown updates ownership.
@@ -476,7 +464,7 @@ func (k *Kernel) Chown(path string, uid, gid uint32) errno.Errno {
 		return e
 	}
 	m.attrDirty(r.ino)
-	return m.syncIfNeeded()
+	return errno.OK
 }
 
 // Truncate sets the file size.
@@ -494,7 +482,7 @@ func (k *Kernel) Truncate(path string, size int64) errno.Errno {
 		return e
 	}
 	m.attrDirty(r.ino)
-	return m.syncIfNeeded()
+	return errno.OK
 }
 
 // GetDents lists a directory (unsorted, exactly as the FS returns it).
@@ -587,7 +575,7 @@ func (k *Kernel) SetXattr(path, name string, value []byte) errno.Errno {
 		return e
 	}
 	r.mount.attrDirty(r.ino)
-	return r.mount.syncIfNeeded()
+	return errno.OK
 }
 
 // GetXattr reads an extended attribute.
@@ -642,5 +630,5 @@ func (k *Kernel) RemoveXattr(path, name string) errno.Errno {
 		return e
 	}
 	r.mount.attrDirty(r.ino)
-	return r.mount.syncIfNeeded()
+	return errno.OK
 }

@@ -11,7 +11,7 @@
 //     Workers that share it prune subtrees their peers already
 //     expanded instead of re-exploring the overlap — the coordination
 //     discipline pFSCK applies to parallel fsck.
-//   - A bounded worker pool: Parallelism caps how many of the n seeded
+//   - A bounded worker pool: at most min(n, GOMAXPROCS) of the n seeded
 //     workers run concurrently, so a swarm can be wider than the core
 //     count without oversubscribing the machine.
 //
@@ -77,11 +77,9 @@ func (c *Cancel) Reason() string {
 // SwarmOptions configures a coordinated swarm run.
 type SwarmOptions struct {
 	// Workers is the number of diversified workers (seeds 1..Workers).
+	// At most min(Workers, GOMAXPROCS) run concurrently; the rest queue
+	// for a slot.
 	Workers int
-	// Parallelism caps how many workers run concurrently. 0 means
-	// min(Workers, GOMAXPROCS); Workers may exceed it — excess workers
-	// queue for a slot.
-	Parallelism int
 	// ShareVisited gives all workers one visited set so they prune
 	// states their peers already expanded.
 	ShareVisited bool
@@ -173,7 +171,7 @@ type SwarmResult struct {
 }
 
 // SwarmRun runs a coordinated swarm: Workers diversified engines built
-// by factory (seeds 1..Workers), at most Parallelism running at once,
+// by factory (seeds 1..Workers), at most GOMAXPROCS running at once,
 // all sharing one cancellation token — the first bug, engine failure, or
 // caller abort stops every worker promptly. The factory must build a
 // fully independent Config (own kernel, file systems, checker, trackers)
@@ -189,13 +187,7 @@ func SwarmRun(opts SwarmOptions, factory func(seed int64) (Config, error)) (Swar
 		return SwarmResult{BugWorker: -1, ErrWorker: -1},
 			fmt.Errorf("mc: swarm needs at least one worker, got %d", n)
 	}
-	par := opts.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > n {
-		par = n
-	}
+	par := min(n, runtime.GOMAXPROCS(0))
 	cancel := opts.Cancel
 	if cancel == nil {
 		cancel = NewCancel()

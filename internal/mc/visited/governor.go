@@ -24,15 +24,18 @@ type GovernorConfig struct {
 	// BitstateBytes sizes the Bloom array a compact→bitstate migration
 	// builds (DefaultBitstateBytes when <= 0).
 	BitstateBytes int64
-	// EvictFloor protects depth layers <= floor from eviction
-	// (default 1: never evict near-root knowledge).
-	EvictFloor int
-	// MaxEvictRounds caps depth-layer evictions before the governor
-	// stops trying eviction (default 8); hard pressure then migrates.
-	MaxEvictRounds int
 	// Hooks are the observability callbacks.
 	Hooks Hooks
 }
+
+const (
+	// evictFloor protects depth layers <= evictFloor from eviction: never
+	// evict near-root knowledge.
+	evictFloor = 1
+	// maxEvictRounds caps depth-layer evictions before the governor stops
+	// trying eviction; hard pressure then migrates.
+	maxEvictRounds = 8
+)
 
 // Governor watches a memory model's footprint against its budget and
 // degrades the visited set instead of letting the run die: under soft
@@ -63,12 +66,6 @@ type Governor struct {
 func NewGovernor(s *Set, cfg GovernorConfig) *Governor {
 	if cfg.BitstateBytes <= 0 {
 		cfg.BitstateBytes = DefaultBitstateBytes
-	}
-	if cfg.EvictFloor <= 0 {
-		cfg.EvictFloor = 1
-	}
-	if cfg.MaxEvictRounds <= 0 {
-		cfg.MaxEvictRounds = 8
 	}
 	g := &Governor{set: s, cfg: cfg}
 	s.mu.Lock()
@@ -116,11 +113,11 @@ func (g *Governor) Maybe(m *memmodel.Model) {
 		// Soft: cheap relief only. Evict the exact table's deepest
 		// layer while rounds remain; reduced backends have nothing
 		// evictable.
-		if g.evictRounds >= g.cfg.MaxEvictRounds {
+		if g.evictRounds >= maxEvictRounds {
 			return
 		}
 		g.evictRounds++
-		if n, depth := g.set.evictDeepest(g.cfg.EvictFloor); n > 0 {
+		if n, depth := g.set.evictDeepest(evictFloor); n > 0 {
 			g.evictions += int64(n)
 			if g.cfg.Hooks.OnEvict != nil {
 				g.cfg.Hooks.OnEvict(n, depth)

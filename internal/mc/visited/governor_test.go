@@ -139,28 +139,32 @@ func TestGovernorSoftOnReducedBackend(t *testing.T) {
 	}
 }
 
-// TestGovernorMaxEvictRounds checks the eviction budget: after the
-// configured rounds, soft pressure stops evicting (hard pressure still
-// migrates).
+// TestGovernorMaxEvictRounds checks the eviction budget: after
+// maxEvictRounds rounds, soft pressure stops evicting (hard pressure
+// still migrates).
 func TestGovernorMaxEvictRounds(t *testing.T) {
 	set := NewSet(NewExact())
 	mem := watched(set)
-	gov := NewGovernor(set, GovernorConfig{BitstateBytes: 1 << 10, MaxEvictRounds: 1})
-	for i := 0; i < 100; i++ {
-		set.Visit(st(i), i%5)
+	gov := NewGovernor(set, GovernorConfig{BitstateBytes: 1 << 10})
+	// Depths 0..11: ten layers above the floor, more than the rounds.
+	for i := 0; i < 120; i++ {
+		set.Visit(st(i), i%12)
 	}
-	mem.SetBudget(int64(100*ExactEntryBytes)*100/90+1, 0, 0)
-	gov.Maybe(mem)
-	first := gov.Evictions()
-	if first == 0 {
-		t.Fatal("first soft Maybe should evict")
+	for round := 0; round < maxEvictRounds; round++ {
+		before := gov.Evictions()
+		mem.SetBudget(mem.Footprint()*100/90+1, 0, 0)
+		gov.Maybe(mem)
+		if gov.Evictions() == before {
+			t.Fatalf("soft Maybe %d should evict", round+1)
+		}
 	}
 	// Re-arm soft pressure at the reduced footprint and try again: the
 	// round budget is spent.
+	spent := gov.Evictions()
 	mem.SetBudget(mem.Footprint()*100/90+1, 0, 0)
 	gov.Maybe(mem)
-	if got := gov.Evictions(); got != first {
-		t.Fatalf("Evictions after round budget spent = %d, want %d", got, first)
+	if got := gov.Evictions(); got != spent {
+		t.Fatalf("Evictions after round budget spent = %d, want %d", got, spent)
 	}
 }
 
@@ -169,7 +173,7 @@ func TestGovernorMaxEvictRounds(t *testing.T) {
 func TestGovernorEvictFloor(t *testing.T) {
 	set := NewSet(NewExact())
 	mem := watched(set)
-	gov := NewGovernor(set, GovernorConfig{BitstateBytes: 1 << 10, EvictFloor: 2})
+	gov := NewGovernor(set, GovernorConfig{BitstateBytes: 1 << 10})
 	for i := 0; i < 100; i++ {
 		set.Visit(st(i), i%5)
 	}
@@ -179,9 +183,9 @@ func TestGovernorEvictFloor(t *testing.T) {
 		mem.SetBudget(mem.Footprint()*100/90+1, 0, 0)
 		gov.Maybe(mem)
 	}
-	// Depths 0, 1, 2 are protected: 60 of the 100 entries survive.
-	if got := set.Len(); got != 60 {
-		t.Fatalf("Len after floor-bounded eviction = %d, want 60", got)
+	// Depths 0 and 1 are protected: 40 of the 100 entries survive.
+	if got := set.Len(); got != 40 {
+		t.Fatalf("Len after floor-bounded eviction = %d, want 40", got)
 	}
 }
 

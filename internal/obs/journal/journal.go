@@ -23,10 +23,10 @@
 // type tag `t`, a worker id `w`, and a per-worker sequence number, so a
 // shared journal interleaving several swarm workers' records can be
 // de-multiplexed after the fact. Writes are buffered and batched (one
-// flush per FlushEvery records, not one per record) so the engine's hot
-// path stays within noise of the unjournaled speed; bug records flush
-// and sync immediately, because the crash right after a bug is the one
-// that matters. The reader tolerates a truncated final line — the
+// flush per DefaultFlushEvery records, not one per record) so the
+// engine's hot path stays within noise of the unjournaled speed; bug
+// records flush and sync immediately, because the crash right after a
+// bug is the one that matters. The reader tolerates a truncated final line — the
 // expected artifact of a crash mid-append.
 package journal
 
@@ -41,7 +41,6 @@ import (
 	"sync/atomic"
 
 	"mcfs/internal/checker"
-	"mcfs/internal/obs"
 	"mcfs/internal/vfs"
 	"mcfs/internal/workload"
 )
@@ -235,15 +234,9 @@ type Record struct {
 // DefaultFlushEvery is the record batch size between flushes.
 const DefaultFlushEvery = 256
 
-// Options configures a Writer.
-type Options struct {
-	// FlushEvery batches this many records per flush
-	// (DefaultFlushEvery when zero or negative).
-	FlushEvery int
-	// Obs, when set, counts journal records, bytes, and flushes under
-	// the obs.MetricJournal* names.
-	Obs *obs.Hub
-}
+// Options is the Writer's configuration, of which there is none: every
+// writer batches DefaultFlushEvery records per flush.
+type Options struct{}
 
 // Writer appends records to one journal, safe for concurrent use by
 // several swarm workers' Recorders. Writes are buffered; Flush (and any
@@ -251,31 +244,16 @@ type Options struct {
 // later appends are dropped and Err reports it — journaling failure
 // must never abort an exploration.
 type Writer struct {
-	mu         sync.Mutex
-	bw         *bufio.Writer
-	file       *os.File // non-nil when file-backed (enables fsync)
-	pending    int
-	flushEvery int
-	err        error
-
-	records *obs.Counter
-	bytes   *obs.Counter
-	flushes *obs.Counter
+	mu      sync.Mutex
+	bw      *bufio.Writer
+	file    *os.File // non-nil when file-backed (enables fsync)
+	pending int
+	err     error
 }
 
 // NewWriter wraps w in a journal writer.
-func NewWriter(w io.Writer, opts Options) *Writer {
-	fe := opts.FlushEvery
-	if fe <= 0 {
-		fe = DefaultFlushEvery
-	}
-	jw := &Writer{
-		bw:         bufio.NewWriterSize(w, 64<<10),
-		flushEvery: fe,
-		records:    opts.Obs.Counter(obs.MetricJournalRecords),
-		bytes:      opts.Obs.Counter(obs.MetricJournalBytes),
-		flushes:    opts.Obs.Counter(obs.MetricJournalFlushes),
-	}
+func NewWriter(w io.Writer, _ Options) *Writer {
+	jw := &Writer{bw: bufio.NewWriterSize(w, 64<<10)}
 	if f, ok := w.(*os.File); ok {
 		jw.file = f
 	}
@@ -316,10 +294,8 @@ func (w *Writer) append(rec Record) {
 		w.err = fmt.Errorf("journal: write: %w", err)
 		return
 	}
-	w.records.Inc()
-	w.bytes.Add(int64(len(line)))
 	w.pending++
-	if w.pending >= w.flushEvery {
+	if w.pending >= DefaultFlushEvery {
 		w.flushLocked(false)
 	}
 }
@@ -345,7 +321,6 @@ func (w *Writer) flushLocked(sync bool) {
 			w.err = fmt.Errorf("journal: flush: %w", err)
 			return
 		}
-		w.flushes.Inc()
 		w.pending = 0
 	}
 	if sync && w.file != nil {

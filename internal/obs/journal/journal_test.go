@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"mcfs/internal/obs"
 	"mcfs/internal/vfs"
 	"mcfs/internal/workload"
 )
@@ -129,45 +128,36 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 
 func TestBatchedFlushing(t *testing.T) {
 	var cw countingWriter
-	hub := obs.New()
-	w := NewWriter(&cw, Options{FlushEvery: 10, Obs: hub})
+	w := NewWriter(&cw, Options{})
 	r := w.Recorder(0)
-	for i := 0; i < 95; i++ {
+	const n = 2*DefaultFlushEvery + 5
+	for i := 0; i < n; i++ {
 		r.Op(1, OpRecord{Kind: "read", Path: "/f0"}, nil, "aa", false, false)
 	}
-	// 95 records at FlushEvery=10: 9 batched flushes so far, the last 5
-	// records still buffered (records are far smaller than the 64 KiB
-	// buffer, so bufio itself never spills).
-	if cw.writes != 9 {
-		t.Errorf("got %d underlying writes for 95 records, want 9 batched flushes", cw.writes)
+	// Two full batches flushed so far, the last 5 records still buffered
+	// (a batch of these records is far smaller than the 64 KiB buffer,
+	// so bufio itself never spills).
+	if cw.writes != 2 {
+		t.Errorf("got %d underlying writes for %d records, want 2 batched flushes", cw.writes, n)
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if cw.writes != 10 {
-		t.Errorf("got %d writes after final flush, want 10", cw.writes)
-	}
-	if n := hub.Counter(obs.MetricJournalRecords).Value(); n != 95 {
-		t.Errorf("journal.records = %d, want 95", n)
-	}
-	if n := hub.Counter(obs.MetricJournalFlushes).Value(); n != 10 {
-		t.Errorf("journal.flushes = %d, want 10", n)
-	}
-	if hub.Counter(obs.MetricJournalBytes).Value() != int64(cw.Len()) {
-		t.Errorf("journal.bytes = %d, want %d", hub.Counter(obs.MetricJournalBytes).Value(), cw.Len())
+	if cw.writes != 3 {
+		t.Errorf("got %d writes after final flush, want 3", cw.writes)
 	}
 	recs, err := Read(&cw.Buffer)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 95 {
-		t.Errorf("read back %d records, want 95", len(recs))
+	if len(recs) != n {
+		t.Errorf("read back %d records, want %d", len(recs), n)
 	}
 }
 
 func TestConcurrentRecorders(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.jsonl")
-	w, err := Create(path, Options{FlushEvery: 7})
+	w, err := Create(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,15 +231,19 @@ func TestNilRecorderIsSafe(t *testing.T) {
 
 func TestWriterLatchesFirstError(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.jsonl")
-	w, err := Create(path, Options{FlushEvery: 1})
+	w, err := Create(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Appending after close must not panic; the error latches.
-	w.Recorder(0).Op(0, OpRecord{Kind: "read"}, nil, "", false, false)
+	// Appending after close must not panic; the first batch's flush
+	// fails and the error latches.
+	r := w.Recorder(0)
+	for i := 0; i < DefaultFlushEvery; i++ {
+		r.Op(0, OpRecord{Kind: "read"}, nil, "", false, false)
+	}
 	if w.Err() == nil {
 		t.Fatal("write-after-close did not latch an error")
 	}

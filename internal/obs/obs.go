@@ -47,12 +47,6 @@ const (
 	MetricCompare = "checker.compare"
 	// MetricFuseRequests counts FUSE requests sent by the client.
 	MetricFuseRequests = "fuse.requests"
-	// MetricJournalRecords counts flight-recorder records appended.
-	MetricJournalRecords = "journal.records"
-	// MetricJournalBytes counts flight-recorder bytes appended.
-	MetricJournalBytes = "journal.bytes"
-	// MetricJournalFlushes counts flight-recorder batch flushes.
-	MetricJournalFlushes = "journal.flushes"
 	// MetricStallWarnings counts progress-reporter stall warnings (no
 	// globally-novel state within the configured operation window).
 	MetricStallWarnings = "mc.stall.warnings"

@@ -239,6 +239,18 @@ func (p Profile) Shares() map[string]float64 {
 	return out
 }
 
+// CrashPointsPerSec is the run's overall crash-point rate: the last
+// telemetry sample's cumulative crash points over its virtual timestamp
+// (zero without a sample, and outside crash exploration).
+func (p Profile) CrashPointsPerSec() float64 {
+	if n := len(p.Samples); n > 0 {
+		if last := p.Samples[n-1]; last.At > 0 {
+			return float64(last.CrashPoints) / last.At.Seconds()
+		}
+	}
+	return 0
+}
+
 // Merge combines two profiles (swarm workers) phase-wise. The telemetry
 // series is dropped: workers sample on independent virtual clocks and
 // operation counters, so concatenation would interleave incomparable

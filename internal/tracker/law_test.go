@@ -91,7 +91,7 @@ func lawTargets() map[string]func(t testing.TB) *lawTarget {
 		"remount/ext2":           ext(false, "ext2"),
 		"remount/ext4":           ext(true, "ext4"),
 		"remount/xfs": dev(
-			func(d *blockdev.Disk) error { return xfssim.Mkfs(d, xfssim.MkfsOptions{}) },
+			func(d *blockdev.Disk) error { return xfssim.Mkfs(d) },
 			"xfs", xfssim.MinVolumeSize,
 			func(d *blockdev.Disk, clk *simclock.Clock) (vfs.FS, error) { return xfssim.Mount(d, clk) },
 			func(f vfs.FS) error { return f.(*xfssim.FS).Unmount() }),

@@ -274,12 +274,9 @@ type Options struct {
 	// to cross a watermark degrades the table for everyone.
 	MemBudget int64 `json:"mem_budget,omitempty"`
 	// Workers is the width of a SwarmRun: that many diversified workers
-	// (seeds 1..Workers). A single session ignores it.
+	// (seeds 1..Workers), at most GOMAXPROCS of them running at once —
+	// excess workers queue. A single session ignores it.
 	Workers int `json:"workers,omitempty"`
-	// Parallelism caps concurrently running swarm workers (0 =
-	// min(Workers, GOMAXPROCS)); Workers may exceed it — excess workers
-	// queue.
-	Parallelism int `json:"parallelism,omitempty"`
 	// ShareVisited gives every swarm worker one shared visited-state
 	// table, pruning states a peer already expanded instead of
 	// re-exploring the overlap.
@@ -322,9 +319,6 @@ type Options struct {
 	// liveness view at the end. Nil disables streaming at one branch per
 	// emit site.
 	Stream *Stream `json:"-"`
-	// StreamWorker identifies this session on the stream (0 for a single
-	// session; SwarmRun assigns 1..Workers itself).
-	StreamWorker int `json:"-"`
 
 	// shared is the swarm coordinator's visited set, handed to a swarm
 	// worker's session: the session arms its memory budget and explores
@@ -429,7 +423,7 @@ func NewSession(opts Options) (*Session, error) {
 		var err error
 		hubs := []*obs.Hub{opts.Obs}
 		set, err = newGovernedSet(opts.Visited, opts.BitstateBytes, opts.MemBudget,
-			governorHooks(func() []*obs.Hub { return hubs }, opts.Stream, opts.StreamWorker))
+			governorHooks(func() []*obs.Hub { return hubs }, opts.Stream))
 		if err != nil {
 			return nil, err
 		}
@@ -451,7 +445,6 @@ func NewSession(opts Options) (*Session, error) {
 		Obs:               opts.Obs,
 		Journal:           opts.Journal.Recorder(0),
 		Stream:            opts.Stream,
-		StreamWorker:      opts.StreamWorker,
 		Visited:           set,
 	}
 	if opts.CrashExploration {
@@ -473,7 +466,7 @@ var backingProfiles = map[Backing]blockdev.Profile{
 }
 
 func (s *Session) deviceFor(idx int, ts TargetSpec, size int64) *blockdev.Disk {
-	d := blockdev.NewDisk(fmt.Sprintf("ram%d", idx), size, 4096, backingProfiles[ts.Backing], s.clock)
+	d := blockdev.NewDisk(fmt.Sprintf("ram%d", idx), size, backingProfiles[ts.Backing], s.clock)
 	d.SetObs(s.obsHub)
 	return d
 }
@@ -597,7 +590,7 @@ func (s *Session) mountTarget(tgt checker.Target, ts TargetSpec, idx int, crash 
 		return plane, nil
 	case "xfs":
 		dev := s.deviceFor(idx, ts, size)
-		if err := xfssim.Mkfs(dev, xfssim.MkfsOptions{}); err != nil {
+		if err := xfssim.Mkfs(dev); err != nil {
 			return nil, err
 		}
 		return nil, k.Mount(point, kernel.FilesystemSpec{
@@ -724,10 +717,11 @@ func newGovernedSet(kind string, bitstateBytes, budget int64, hooks visited.Hook
 // observability plane: fidelity/omission gauges on every hub, the
 // eviction and downgrade counters on the first non-nil hub only (Merge
 // sums counters across hubs, so billing them everywhere would
-// double-count), and a fidelity-degraded event on the stream bus. hubs
+// double-count), and a fidelity-degraded event on the stream bus, from
+// worker 0: the set is a session's own or the whole swarm's. hubs
 // is asked at event time — a swarm's worker hubs exist only once their
 // sessions have been built.
-func governorHooks(hubs func() []*obs.Hub, bus *Stream, worker int) visited.Hooks {
+func governorHooks(hubs func() []*obs.Hub, bus *Stream) visited.Hooks {
 	first := func(hs []*obs.Hub) *obs.Hub {
 		for _, h := range hs {
 			if h != nil {
@@ -749,7 +743,6 @@ func governorHooks(hubs func() []*obs.Hub, bus *Stream, worker int) visited.Hook
 			first(hs).Counter(obs.MetricFidelityDowngrades).Inc()
 			bus.Publish(stream.Event{
 				Kind:   stream.KindFidelityDegraded,
-				Worker: worker,
 				Detail: fmt.Sprintf("%s->%s p≈%.3g", from, to, omission),
 			})
 		},
@@ -826,8 +819,9 @@ func DefaultMemoryConfig() memmodel.Config { return memmodel.DefaultConfig() }
 // a shared cancellation token stopping every worker at the first bug or
 // failure, and optionally one shared visited table. Every worker gets
 // fully independent file system instances and its own virtual clock;
-// worker w (1..Workers) runs base with Seed w and without base's Obs,
-// which perWorker, when non-nil, replaces: it is called with each
+// worker w (1..Workers) runs base with Seed w, a recorder on base's
+// Journal and id w on base's Stream, and without base's Obs, which
+// perWorker, when non-nil, replaces: it is called with each
 // worker's spec, in worker order, before any worker runs, to attach that
 // worker's hub or memory model.
 func SwarmRun(base Options, perWorker func(worker int, o *Options) error) (SwarmResult, error) {
@@ -846,9 +840,10 @@ func runSwarm(base Options, perWorker func(int, *Options) error, inspect func([]
 	hubs := make([]*obs.Hub, len(specs))
 	for w := range specs {
 		o := base
-		// The coordinator hands each worker its recorder on the journal.
-		o.Seed, o.StreamWorker = int64(w+1), w+1
-		o.Journal, o.Obs = nil, nil
+		// The coordinator hands each worker its recorder on the journal
+		// and its worker id on the stream.
+		o.Seed = int64(w + 1)
+		o.Journal, o.Obs, o.Stream = nil, nil, nil
 		if perWorker != nil {
 			if err := perWorker(w+1, &o); err != nil {
 				return SwarmResult{BugWorker: -1, ErrWorker: -1}, fmt.Errorf("mcfs: swarm worker %d: %w", w+1, err)
@@ -859,7 +854,7 @@ func runSwarm(base Options, perWorker func(int, *Options) error, inspect func([]
 	// One swarm-wide set when a reduced backend or a budget asks for it;
 	// its degradation hooks fan out over the worker hubs.
 	shared, err := newGovernedSet(base.Visited, base.BitstateBytes, base.MemBudget,
-		governorHooks(func() []*obs.Hub { return hubs }, base.Stream, 0))
+		governorHooks(func() []*obs.Hub { return hubs }, base.Stream))
 	if err != nil {
 		return SwarmResult{BugWorker: -1, ErrWorker: -1}, err
 	}
@@ -867,7 +862,6 @@ func runSwarm(base Options, perWorker func(int, *Options) error, inspect func([]
 	var sessions []*Session
 	sr, err := mc.SwarmRun(mc.SwarmOptions{
 		Workers:      base.Workers,
-		Parallelism:  base.Parallelism,
 		ShareVisited: base.ShareVisited,
 		Shared:       shared,
 		Resume:       base.Resume,

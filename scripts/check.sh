@@ -141,6 +141,16 @@
 #      crash-point cap settings (PointsPerOp,         disarms or leak-checks
 #      CrashPointsPerOp, -crash-points) stay          a position in the
 #      deleted                                        write log)
+#  21. examples smoke: every examples/* program      (the library surface
+#      runs to exit 0 under a 60 s timeout            the examples show
+#                                                    keeps working, not
+#                                                    just compiling)
+#  22. one-configuration guard: the settings no     (every setting has a
+#      caller varied (mount -o sync, the swarm's      caller: a value
+#      -parallelism, the governor's eviction knobs,   nothing varies is a
+#      the journal's batch size and metrics, the      constant)
+#      Figure 3 overrides, mkfs geometry, the
+#      ownership switch) stay deleted
 #
 # Usage: scripts/check.sh   (from the repo root or anywhere inside it)
 set -eu
@@ -390,5 +400,20 @@ echo "==> one-log guard (every persisted window write is a crash point; nothing 
 if grep -rnE --include='*.go' 'ArmCrash|DisarmPending|\.Armed\(\)|CrashCaptures|maxArmedPoints|\bPointsPerOp\b|CrashPointsPerOp|crash-points' \
 	internal cmd examples ./*.go; then
 	echo "FAIL: the crash-point arming API or a crash-point cap setting is back (see above)"; exit 1; fi
+
+echo "==> examples smoke (every examples/* program runs to exit 0)"
+for dir in examples/*/; do
+	name=$(basename "$dir")
+	go build -o "$work/example-$name" "./$dir"
+	rc=0
+	timeout 60 "$work/example-$name" >"$work/example-$name.out" 2>&1 || rc=$?
+	[ "$rc" -eq 0 ] || { cat "$work/example-$name.out"
+		echo "FAIL: examples/$name exited $rc, want 0"; exit 1; }
+done
+
+echo "==> one-configuration guard (a value nothing varies is a constant, not a setting)"
+if grep -rnE --include='*.go' 'syncIfNeeded|IncludeOwnership|\bEvictFloor\b|\bMaxEvictRounds\b|MetricJournal|\bSaturationStates\b|\bBasePerOp\b|\bParallelism\b|"parallelism"|\bInodeCount\b|\bJournalBlocks\b|\bFlushEvery\b' \
+	internal cmd examples ./*.go | grep -v '_test\.go:'; then
+	echo "FAIL: a deleted setting is back (see above)"; exit 1; fi
 
 echo "OK: all checks passed"

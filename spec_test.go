@@ -18,7 +18,7 @@ import (
 // serialised setting.
 var specAttachments = map[string]bool{
 	"Pool": true, "Memory": true, "Resume": true, "Cancel": true, "Obs": true,
-	"Journal": true, "Stream": true, "StreamWorker": true,
+	"Journal": true, "Stream": true,
 }
 
 // fillNonZero sets v, and everything settable under it, to a non-zero
@@ -163,9 +163,11 @@ func TestParentBundlesStillLoad(t *testing.T) {
 }
 
 // TestRetiredCrashPointsKeyStillReplays: bundles written while the crash
-// point cap was a setting carry "crash_points_per_op". The key is unknown
-// now, so it is ignored: the bundle reads as the same run and replays,
-// because replay re-probes the recorded crash write, never a sample.
+// point cap was a setting carry "crash_points_per_op", and bundles written
+// while the swarm's concurrency cap was a setting carry "parallelism".
+// Both keys are unknown now, so they are ignored: the bundle reads as the
+// same run and replays, because replay re-probes the recorded crash
+// write, never a sample, and runs one engine, never a swarm.
 func TestRetiredCrashPointsKeyStillReplays(t *testing.T) {
 	src := filepath.Join("testdata", "bundles", "step8")
 	dir := t.TempDir()
@@ -176,9 +178,10 @@ func TestRetiredCrashPointsKeyStillReplays(t *testing.T) {
 		}
 		if name == mcfs.BundleConfigFile {
 			data = bytes.Replace(data, []byte(`"crash_exploration": true`), []byte(`"crash_exploration": true,
-  "crash_points_per_op": 3`), 1)
-			if !bytes.Contains(data, []byte("crash_points_per_op")) {
-				t.Fatalf("could not add the retired key to:\n%s", data)
+  "crash_points_per_op": 3,
+  "parallelism": 4`), 1)
+			if !bytes.Contains(data, []byte("crash_points_per_op")) || !bytes.Contains(data, []byte("parallelism")) {
+				t.Fatalf("could not add the retired keys to:\n%s", data)
 			}
 		}
 		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
@@ -194,7 +197,7 @@ func TestRetiredCrashPointsKeyStillReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(b.Config, old.Config) {
-		t.Errorf("config.json with the retired key decoded to\n%+v\nwant\n%+v", b.Config, old.Config)
+		t.Errorf("config.json with the retired keys decoded to\n%+v\nwant\n%+v", b.Config, old.Config)
 	}
 	out, err := b.Replay()
 	if err != nil {
