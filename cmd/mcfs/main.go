@@ -12,7 +12,7 @@
 //	     [-bitstate-bytes 8M]
 //	     [-progress 1s] [-stall-ops N] [-metrics-addr :8080]
 //	     [-trace-dump] [-coverage] [-journal file] [-bundle dir]
-//	     [-events file] [-top 1s] [-crash-heatmap file]
+//	     [-events file] [-crash-heatmap file]
 //	mcfs replay <bundle-dir>
 //	mcfs shrink <bundle-dir>
 //
@@ -34,9 +34,11 @@
 // write) crash point and flow through -bundle / replay / shrink like any
 // other discrepancy.
 //
-// Observability: -progress prints a Spin-style status line per engine at
-// the given wall-clock interval (one lane per swarm worker, plus a merged
-// swarm line); -stall-ops warns when that many operations pass without a
+// Observability: -progress prints a frame of Spin-style status lines at
+// the given wall-clock interval and once more when the run ends, from the
+// live stream's worker table (a line per engine or swarm worker with its
+// status, health, crash points and check p50/p99, plus a merged swarm
+// line); -stall-ops warns when that many operations pass without a
 // globally-novel state; -metrics-addr serves the aggregated metrics as
 // JSON at /metrics (plus net/http/pprof under /debug/pprof/); -trace-dump
 // prints the cross-layer span trace of a reported bug trail; -coverage
@@ -44,12 +46,10 @@
 //
 // Live stream: -events records every exploration event (steps, crash
 // verdicts, worker heartbeats, bugs) as NDJSON in deterministic virtual
-// time; -top refreshes a per-worker status block (health, counters,
-// check latency quantiles) on stderr; -metrics-addr additionally serves
-// the stream at /events (NDJSON) and worker health at /workers; with
-// -crash, -crash-heatmap writes the aggregated crash-verdict heatmap
-// (rows = ops, cols = write index, cells = b0/b1/fsck-repaired/bug) and
-// prints its text grid.
+// time; -metrics-addr additionally serves the stream at /events (NDJSON)
+// and worker health at /workers; with -crash, -crash-heatmap writes the
+// aggregated crash-verdict heatmap (rows = ops, cols = write index,
+// cells = b0/b1/fsck-repaired/bug) and prints its text grid.
 //
 // Bounded memory: -visited selects the visited-table backend — exact
 // (default), compact (64-bit hash compaction, Spin -DHC), or bitstate
@@ -91,6 +91,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -143,16 +144,16 @@ type cli struct {
 	backing       string
 	noRemount     bool
 
-	progress, top time.Duration
-	stallOps      int64
-	metricsAddr   string
-	journalPath   string
-	bundleDir     string
-	eventsPath    string
-	heatmapPath   string
-	traceDump     bool
-	phaseProfile  bool
-	coverage      bool
+	progress     time.Duration
+	stallOps     int64
+	metricsAddr  string
+	journalPath  string
+	bundleDir    string
+	eventsPath   string
+	heatmapPath  string
+	traceDump    bool
+	phaseProfile bool
+	coverage     bool
 }
 
 // bindFlags defines every mcfs flag on fs; run-spec flags write straight
@@ -179,7 +180,6 @@ func bindFlags(fs *flag.FlagSet) *cli {
 	fs.StringVar(&c.journalPath, "journal", "", "record the flight-recorder journal to this JSONL file")
 	fs.StringVar(&c.bundleDir, "bundle", "", "write a bug-repro bundle to this directory when a discrepancy is found")
 	fs.StringVar(&c.eventsPath, "events", "", "record the live exploration event stream to this NDJSON file")
-	fs.DurationVar(&c.top, "top", 0, "refresh a live per-worker status view at this wall-clock interval (0 = off)")
 	fs.StringVar(&c.heatmapPath, "crash-heatmap", "", "write the aggregated crash-verdict heatmap (rows = ops, cols = write index) to this JSON file; needs -crash")
 	return c
 }
@@ -218,8 +218,8 @@ func run(args []string) int {
 	// Observability stays fully off (nil hub, zero overhead: one branch
 	// per phase boundary) unless a flag needs it. The event stream
 	// follows the same rule: a nil bus costs one branch per emit site.
-	obsOn := c.progress > 0 || c.metricsAddr != "" || c.traceDump || c.bundleDir != "" || c.top > 0 || c.phaseProfile
-	if c.eventsPath != "" || c.top > 0 || c.metricsAddr != "" {
+	obsOn := c.progress > 0 || c.metricsAddr != "" || c.traceDump || c.bundleDir != "" || c.phaseProfile
+	if c.eventsPath != "" || c.progress > 0 || c.metricsAddr != "" {
 		spec.Stream = stream.New()
 	}
 	bus := spec.Stream
@@ -246,19 +246,11 @@ func run(args []string) int {
 		spec.Journal = jw
 	}
 
-	// One hub per engine (nil entries when off): the single-run case
-	// gets one "main" lane, a swarm gets one lane per worker so the
-	// progress report shows every worker's depth/states/rate separately.
+	// One hub per engine (nil entries when off).
 	hubs := make([]*obs.Hub, max(spec.Workers, 1))
-	var lanes []obs.Lane
 	for i := range hubs {
 		if obsOn {
 			hubs[i] = obs.New() // sessions rebase it onto their virtual clocks
-			name := "main"
-			if swarm {
-				name = fmt.Sprintf("w%d", i+1)
-			}
-			lanes = append(lanes, obs.Lane{Name: name, Hub: hubs[i]})
 		}
 	}
 	// Surface ring-overflow drops as obs.stream.dropped on the first hub
@@ -310,17 +302,11 @@ func run(args []string) int {
 		}
 		defer stopSink()
 	}
-	if c.top > 0 {
-		defer startTopView(bus, hubs, swarm, c.top)()
+	stopProgress := func() {}
+	if c.progress > 0 {
+		stopProgress = startProgress(os.Stderr, bus, hubs, c.progress, c.stallOps)
+		defer stopProgress()
 	}
-
-	reporter := obs.NewReporter(os.Stderr, c.progress, lanes)
-	if swarm {
-		reporter.SetAggregate("swarm")
-	}
-	reporter.SetStallThreshold(c.stallOps)
-	reporter.Start()
-	defer reporter.Stop()
 
 	// A run leaves one result that decides the exit code and feeds the
 	// bundle — the session's, or in a swarm the bug (else failed)
@@ -334,7 +320,7 @@ func run(args []string) int {
 	)
 	if swarm {
 		sr, err := mcfs.SwarmRun(spec, attach)
-		reporter.Stop()
+		stopProgress()
 		if err != nil {
 			return fail(1, err)
 		}
@@ -379,7 +365,7 @@ func run(args []string) int {
 		}
 		defer session.Close()
 		final = session.Run()
-		reporter.Stop()
+		stopProgress()
 		printResult(final, c.traceDump)
 		fmt.Printf("syscalls executed: %d\n", session.Kernel().SyscallCount())
 		coverage, crash, phases, heatmap = final.Coverage, final.Crash, mergedProfile(), final.CrashHeatmap
@@ -672,107 +658,57 @@ func printCoverage(cov mcfs.Coverage, crash mcfs.CrashStats) {
 
 // startEventSink streams every bus event to path as NDJSON from a
 // dedicated goroutine behind a large lossy ring (the engine never
-// blocks on the file). The returned stop function drains the remainder,
-// closes the file, and reports any ring-overflow drops.
+// blocks on the file). The returned stop function writes the remainder,
+// closes the file, and reports any write error and ring-overflow drops.
 func startEventSink(bus *stream.Bus, path string) (func(), error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
 	}
 	sub := bus.Subscribe(1 << 16)
-	enc := json.NewEncoder(f)
 	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			for _, ev := range sub.Drain() {
-				_ = enc.Encode(ev)
-			}
-			select {
-			case <-stop:
-				for _, ev := range sub.Drain() {
-					_ = enc.Encode(ev)
-				}
-				return
-			case <-sub.C():
-			}
+	done := make(chan error, 1)
+	go func() { done <- stream.WriteNDJSON(f, sub, stop) }()
+	return sync.OnceFunc(func() {
+		close(stop)
+		err := <-done
+		sub.Close()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "mcfs: event sink: %v\n", err)
 		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			close(stop)
-			<-done
-			sub.Close()
-			if n := sub.Dropped(); n > 0 {
-				fmt.Fprintf(os.Stderr, "mcfs: event sink dropped %d events (ring full)\n", n)
-			}
-			if err := f.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "mcfs: event sink: %v\n", err)
-			}
-		})
-	}, nil
+		if n := sub.Dropped(); n > 0 {
+			fmt.Fprintf(os.Stderr, "mcfs: event sink dropped %d events (ring full)\n", n)
+		}
+		if err := f.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "mcfs: event sink: %v\n", err)
+		}
+	}), nil
 }
 
-// startTopView refreshes a live per-worker status block on stderr every
-// interval: lifecycle, health, cumulative counters, frontier depth, and
-// the per-worker check-latency p50/p99 (zero until a worker records its
-// first comparison). The returned stop function renders one final frame
-// and stops the refresher.
-func startTopView(bus *stream.Bus, hubs []*obs.Hub, isSwarm bool, every time.Duration) func() {
-	render := func() int {
-		h := bus.Workers()
-		lines := 0
-		for _, w := range h.Workers {
-			name := "main"
-			if isSwarm || w.Worker > 0 {
-				name = fmt.Sprintf("w%d", w.Worker)
-			}
-			var cmp obs.HistogramSnapshot
-			hi := w.Worker - 1
-			if !isSwarm && w.Worker == 0 {
-				hi = 0
-			}
-			if hi >= 0 && hi < len(hubs) {
-				cmp = hubs[hi].Histogram(obs.MetricCompare).Snapshot()
-			}
-			fmt.Fprintf(os.Stderr,
-				"\x1b[2K%-5s %-8s %-10s ops %-9d unique %-8d revisits %-8d depth %-3d crash %-7d check p50 %-10v p99 %v\n",
-				name, w.Status, w.Health, w.Ops, w.Unique, w.Revisits, w.Depth,
-				w.CrashPoints, cmp.Quantile(0.5), cmp.Quantile(0.99))
-			lines++
-		}
-		return lines
-	}
+// startProgress writes a progress frame of the bus's worker table to w
+// every interval. The returned stop function stops the ticker and
+// writes the final frame, whose tallies are the run's.
+func startProgress(w io.Writer, bus *stream.Bus, hubs []*obs.Hub, every time.Duration, stallOps int64) func() {
+	stall := &stream.Stall{Ops: stallOps}
+	frame := func() { _ = stream.WriteProgress(w, bus.Workers(), hubs, stall) } // a frame is a diagnostic: nowhere to report its loss
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		ticker := time.NewTicker(every)
 		defer ticker.Stop()
-		prev := 0
 		for {
 			select {
 			case <-stop:
-				if prev > 0 {
-					fmt.Fprintf(os.Stderr, "\x1b[%dA", prev)
-				}
-				render()
 				return
 			case <-ticker.C:
-				if prev > 0 {
-					fmt.Fprintf(os.Stderr, "\x1b[%dA", prev)
-				}
-				prev = render()
+				frame()
 			}
 		}
 	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			close(stop)
-			<-done
-		})
-	}
+	return sync.OnceFunc(func() {
+		close(stop)
+		<-done
+		frame()
+	})
 }

@@ -1,13 +1,16 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"mcfs/cmd/internal/runflag"
+	"mcfs/internal/obs/stream"
 )
 
 // TestFlagSurface pins every flag's name and default to the list taken
@@ -56,5 +59,36 @@ func TestDependentFlags(t *testing.T) {
 				t.Errorf("mcfs %s: exit %d, want 2", tc.args, code)
 			}
 		}
+	}
+}
+
+// TestLiveSurfaces runs a swarm with -progress and -events: stderr holds
+// the final frame's worker and swarm lines, and an event sink that
+// cannot write says so instead of dropping the stream without a word.
+func TestLiveSurfaces(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full")
+	}
+	out := string(runCaptured(t, "mcfs",
+		"-fs verifs1 -fs verifs2 -swarm 2 -share-visited -depth 2 -max-ops 300 -progress 1ms -stall-ops 64 -events /dev/full", run))
+	for _, want := range []string{"exit 0\n", "progress w1: ", "progress w2: ", "progress swarm: workers=2 ",
+		"mcfs: event sink: write /dev/full: no space left on device"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestProgressStopIsIdempotent: the run's explicit stop and its deferred
+// one print the final frame once.
+func TestProgressStopIsIdempotent(t *testing.T) {
+	bus := stream.New()
+	bus.Publish(stream.Event{Kind: stream.KindWorkerDrain, Ops: 7, Detail: "done"})
+	var buf bytes.Buffer
+	stop := startProgress(&buf, bus, nil, time.Hour, 0)
+	stop()
+	stop()
+	if got := strings.Count(buf.String(), "progress main: "); got != 1 || !strings.Contains(buf.String(), "ops=7 ") {
+		t.Errorf("after two stops:\n%s", buf.String())
 	}
 }

@@ -4,15 +4,16 @@
 //
 // The example seeds ext4's journal-commit-first bug, attaches a stream
 // bus with one subscriber, and runs a shallow crash exploration. While
-// cmd/mcfs turns the same feed into an NDJSON sink (-events), a live
-// status block (-top), and HTTP endpoints (/events, /workers), here we
-// drain the subscriber directly and show:
+// cmd/mcfs turns the same feed into an NDJSON sink (-events), live
+// progress frames (-progress), and HTTP endpoints (/events, /workers),
+// here we drain the subscriber directly and show:
 //
 //  1. the first few raw events, exactly as the NDJSON sink would record
 //     them — every timestamp is virtual, so two runs print identical
 //     streams,
 //  2. a tally of event kinds and crash verdicts,
-//  3. the per-worker health table (/workers serves this as JSON),
+//  3. the per-worker health table (/workers serves this as JSON) as
+//     the final -progress frame renders it,
 //  4. the crash-verdict heatmap: rows are operations, columns are
 //     crash-window write indexes, and a B cell marks a write whose
 //     survivors fsck could not save.
@@ -87,13 +88,12 @@ func main() {
 		verdicts[stream.VerdictB0], verdicts[stream.VerdictB1],
 		verdicts[stream.VerdictFsckRepaired], verdicts[stream.VerdictBug])
 
-	// 3. Worker health, the /workers document. A single session is worker
-	// 0; swarm workers are 1..N and go unhealthy when their heartbeats
-	// fall behind the frontier.
+	// 3. Worker health, the /workers document, as a progress frame. A
+	// single session is worker 0 ("main"); swarm workers are 1..N and go
+	// unhealthy when their heartbeats fall behind the frontier.
 	fmt.Println("\nworker health:")
-	for _, w := range bus.Workers().Workers {
-		fmt.Printf("  worker %d: %s (%s), %d ops, %d crash points\n",
-			w.Worker, w.Status, w.Health, w.Ops, w.CrashPoints)
+	if err := stream.WriteProgress(os.Stdout, bus.Workers(), nil, nil); err != nil {
+		log.Fatal(err)
 	}
 
 	// 4. The crash-verdict heatmap (cmd/mcfs writes the JSON form with

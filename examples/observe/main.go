@@ -3,15 +3,14 @@
 // trail.
 //
 // The example seeds VeriFS2's write-hole bug, runs a short exploration
-// with a hub attached, and then shows the three views the obs package
-// offers:
+// with a hub attached, and then shows the two views the obs package
+// offers (the live -progress status lines render the event stream's
+// worker table; examples/livestream shows them):
 //
-//  1. a Spin-style status line (the -progress flag of cmd/mcfs prints
-//     these periodically),
-//  2. the metrics snapshot as JSON — counters for every layer (engine
+//  1. the metrics snapshot as JSON — counters for every layer (engine
 //     ops, kernel syscalls, FUSE requests) and latency histograms for
 //     checkpoint/restore and state comparison, all in virtual time,
-//  3. the bug trail's span trace: for every operation of the trail, the
+//  2. the bug trail's span trace: for every operation of the trail, the
 //     tree of tracker checkpoints, kernel syscalls, and FUSE requests it
 //     executed, with virtual timings.
 //
@@ -50,20 +49,15 @@ func main() {
 		log.Fatal(res.Err)
 	}
 
-	// 1. The Spin-style status line, from the hub's standard engine
-	// instruments (ops, unique states, revisits, DFS depth, virtual
-	// ops/s).
-	fmt.Println(obs.StatusLine("main", hub))
-
-	// 2. The full metrics snapshot. Every latency is deterministic
+	// 1. The full metrics snapshot. Every latency is deterministic
 	// virtual time from the session's clock, so two runs of this example
 	// print identical numbers.
-	fmt.Println("\nmetrics snapshot:")
+	fmt.Println("metrics snapshot:")
 	if err := hub.Snapshot().WriteJSON(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 
-	// 3. The cross-layer trace of the bug trail: one root span per trail
+	// 2. The cross-layer trace of the bug trail: one root span per trail
 	// operation, with the tracker checkpoints and kernel syscalls (and
 	// their FUSE requests) it executed as children.
 	if res.Bug == nil {

@@ -15,10 +15,11 @@
 //   - A merged result: summed operations, globally-distinct state
 //     counts, merged coverage, and the first bug with its trail.
 //
-// The run is watched by a swarm-aware progress reporter: one lane per
-// worker plus a merged "swarm" line summing every worker's counters,
-// with stall detection armed to warn if the whole swarm stops finding
-// globally-novel states.
+// The run is watched through the live event stream: its worker table
+// renders as the same progress frame cmd/mcfs -progress prints — a line
+// per worker plus a merged "swarm" line summing every worker's
+// counters — with stall detection armed to warn if the whole swarm
+// stops finding globally-novel states.
 //
 // Run with:
 //
@@ -32,21 +33,19 @@ import (
 
 	"mcfs"
 	"mcfs/internal/obs"
+	"mcfs/internal/obs/stream"
 )
 
 func main() {
 	const workers = 6
 
-	// One instrument hub per worker: each becomes a progress lane.
+	// The workers publish their heartbeats on one bus; each also gets an
+	// instrument hub, whose check latencies its progress line carries.
+	bus := mcfs.NewStream()
 	hubs := make([]*obs.Hub, workers)
-	lanes := make([]obs.Lane, workers)
 	for i := range hubs {
 		hubs[i] = obs.New()
-		lanes[i] = obs.Lane{Name: fmt.Sprintf("w%d", i+1), Hub: hubs[i]}
 	}
-	reporter := obs.NewReporter(os.Stderr, 0, lanes)
-	reporter.SetAggregate("swarm")
-	reporter.SetStallThreshold(10000)
 
 	sr, err := mcfs.SwarmRun(mcfs.Options{
 		Targets: []mcfs.TargetSpec{
@@ -57,6 +56,7 @@ func main() {
 		MaxOps:       1500, // deliberately small per-worker budget
 		Workers:      workers,
 		ShareVisited: true,
+		Stream:       bus,
 	}, func(worker int, o *mcfs.Options) error {
 		o.Obs = hubs[worker-1]
 		return nil
@@ -65,10 +65,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// The run is short, so emit the progress snapshot once at the end:
-	// six per-worker lines plus the merged swarm line (a live run would
-	// call reporter.Start() with a wall-clock interval instead).
-	reporter.Emit()
+	// The run is short, so render one progress frame at the end: six
+	// per-worker lines plus the merged swarm line (cmd/mcfs -progress
+	// renders one per wall-clock interval while the run goes).
+	_ = stream.WriteProgress(os.Stderr, bus.Workers(), hubs, &stream.Stall{Ops: 10000})
 	if sr.Err != nil {
 		log.Fatalf("worker %d: %v", sr.ErrWorker+1, sr.Err)
 	}

@@ -267,20 +267,6 @@ func namedOf(t types.Type) *types.Named {
 	}
 }
 
-// pkgOfPos maps a position back to the package whose files contain it,
-// so module-wide analyzers can report each finding from exactly one
-// per-package pass.
-func (m *Module) pkgOfPos(pos token.Pos) *Package {
-	for _, pkg := range m.Pkgs {
-		for _, f := range pkg.Files {
-			if f.FileStart <= pos && pos < f.FileEnd {
-				return pkg
-			}
-		}
-	}
-	return nil
-}
-
 // typeIDFor renders the stable type-level identity of a lock
 // expression: "pkg.Type.field" for struct fields, "pkg.Func.name" for
 // locals, "pkg.name" for package-level vars. Instances of one type

@@ -7,6 +7,9 @@ package mc_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
+	"strings"
 	"testing"
 
 	"mcfs"
@@ -226,5 +229,113 @@ func TestSwarmStreamMergesHealthAndHeatmap(t *testing.T) {
 	}
 	if len(sawWorker) != workers {
 		t.Errorf("events seen from %d workers, want all %d", len(sawWorker), workers)
+	}
+}
+
+// progressRows parses a progress frame's per-worker lines into
+// name -> {ops, unique, revisits}.
+func progressRows(t *testing.T, frame string) map[string][3]int64 {
+	t.Helper()
+	rows := map[string][3]int64{}
+	for _, line := range strings.Split(frame, "\n") {
+		name, rest, ok := strings.Cut(strings.TrimPrefix(line, "progress "), ": depth=")
+		if !ok || name == "swarm" {
+			continue
+		}
+		var depth int
+		var r [3]int64
+		if _, err := fmt.Sscanf(rest, "%d states=%d revisits=%d ops=%d", &depth, &r[1], &r[2], &r[0]); err != nil {
+			t.Fatalf("unparsable progress line %q: %v", line, err)
+		}
+		rows[name] = r
+	}
+	return rows
+}
+
+// TestProgressRendersWhileSwarmRuns renders frames from the bus's
+// worker table and the workers' hubs while a 3-worker shared swarm
+// writes both (run with -race), then checks the law of the final
+// frame: each worker's ops, unique states and revisits are its
+// Result's, because the drain events carry the final tallies.
+func TestProgressRendersWhileSwarmRuns(t *testing.T) {
+	const workers = 3
+	bus := mcfs.NewStream()
+	hubs := make([]*obs.Hub, workers)
+	for i := range hubs {
+		hubs[i] = obs.New()
+	}
+	done := make(chan struct{})
+	var sr mcfs.SwarmResult
+	var err error
+	go func() {
+		defer close(done)
+		sr, err = mcfs.SwarmRun(mcfs.Options{
+			Targets:      []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
+			MaxDepth:     3,
+			MaxOps:       2000,
+			Workers:      workers,
+			ShareVisited: true,
+			Stream:       bus,
+		}, func(worker int, o *mcfs.Options) error {
+			o.Obs = hubs[worker-1]
+			return nil
+		})
+	}()
+	stall := &stream.Stall{Ops: 64}
+	frames := 0
+	for running := true; running; frames++ {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		if err := stream.WriteProgress(io.Discard, bus.Workers(), hubs, stall); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err != nil || sr.Err != nil {
+		t.Fatalf("swarm: %v / %v", err, sr.Err)
+	}
+	var final bytes.Buffer
+	if err := stream.WriteProgress(&final, bus.Workers(), hubs, nil); err != nil {
+		t.Fatal(err)
+	}
+	rows := progressRows(t, final.String())
+	if len(rows) != workers || !strings.Contains(final.String(), "progress swarm: workers=3 ") {
+		t.Fatalf("final frame after %d live frames:\n%s", frames, final.String())
+	}
+	for i, res := range sr.Workers {
+		want := [3]int64{res.Ops, res.UniqueStates, res.Revisits}
+		if got := rows[fmt.Sprintf("w%d", i+1)]; got != want {
+			t.Errorf("worker %d final row (ops, unique, revisits) = %v, want its Result's %v", i+1, got, want)
+		}
+	}
+}
+
+func TestProgressFinalFrameIsTheResult(t *testing.T) {
+	bus := mcfs.NewStream()
+	hub := obs.New()
+	s, err := mcfs.NewSession(mcfs.Options{
+		Targets:  []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
+		MaxDepth: 3,
+		MaxOps:   500,
+		Stream:   bus,
+		Obs:      hub,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	res := s.Run()
+	var final bytes.Buffer
+	if err := stream.WriteProgress(&final, bus.Workers(), []*obs.Hub{hub}, nil); err != nil {
+		t.Fatal(err)
+	}
+	want := [3]int64{res.Ops, res.UniqueStates, res.Revisits}
+	if got := progressRows(t, final.String())["main"]; got != want {
+		t.Errorf("final row (ops, unique, revisits) = %v, want the Result's %v\n%s", got, want, final.String())
+	}
+	if !strings.Contains(final.String(), "status=done health=done") || !strings.Contains(final.String(), "check p50=") {
+		t.Errorf("final frame lacks the drained status or check quantiles:\n%s", final.String())
 	}
 }

@@ -345,6 +345,3 @@ func (s *Server) Readdir(dirFH FH) ([]Entry, errno.Errno) {
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, errno.OK
 }
-
-// NodeCount reports the number of live nodes (tests).
-func (s *Server) NodeCount() int { return len(s.nodes) }

@@ -1,9 +1,10 @@
 // Package obs is MCFS's stdlib-only observability layer: an atomic
 // metrics registry (counters, gauges, bounded-bucket latency
 // histograms), the engine's phase profile and state-space telemetry, a
-// lightweight cross-layer span tracer, a Spin-style periodic progress
-// reporter, and an optional HTTP endpoint serving a JSON metrics
-// snapshot plus net/http/pprof.
+// lightweight cross-layer span tracer, and an optional HTTP endpoint
+// serving a JSON metrics snapshot plus net/http/pprof. The live
+// progress frames render the event stream's worker table
+// (stream.WriteProgress).
 //
 // The paper's §7 future work asks for coverage tracking and for
 // long-running swarm verification that can be interrupted and resumed;
@@ -47,8 +48,9 @@ const (
 	MetricCompare = "checker.compare"
 	// MetricFuseRequests counts FUSE requests sent by the client.
 	MetricFuseRequests = "fuse.requests"
-	// MetricStallWarnings counts progress-reporter stall warnings (no
-	// globally-novel state within the configured operation window).
+	// MetricStallWarnings counts the stall warnings of the progress
+	// frames (stream.WriteProgress: no globally-novel state within
+	// -stall-ops operations), on the run's first hub.
 	MetricStallWarnings = "mc.stall.warnings"
 	// MetricPanics counts target panics the engine isolated.
 	MetricPanics = "mc.panics"

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"reflect"
 	"strings"
@@ -219,12 +218,6 @@ func TestNilHubNoOps(t *testing.T) {
 	if len(snap.Counters) != 0 || len(snap.Gauges) != 0 || len(snap.Histograms) != 0 {
 		t.Errorf("nil hub snapshot not empty: %+v", snap)
 	}
-	// Reporter with nil lanes and a nil reporter are both inert.
-	var r *Reporter
-	r.Start()
-	r.Emit()
-	r.Stop()
-	NewReporter(io.Discard, 0, []Lane{{Name: "n", Hub: nil}}).Emit()
 }
 
 func TestSpanNestingAndTiming(t *testing.T) {
@@ -397,44 +390,6 @@ func TestMergeSnapshots(t *testing.T) {
 	if m.Histograms["only-b"].Count != 1 {
 		t.Errorf("one-sided histogram lost: %+v", m.Histograms["only-b"])
 	}
-}
-
-func TestStatusLine(t *testing.T) {
-	h, clk := newTestHub()
-	h.Counter(MetricOps).Add(500)
-	h.Counter(MetricVisitedMisses).Add(40)
-	h.Counter(MetricVisitedHits).Add(60)
-	h.Gauge(MetricDepth).Set(3)
-	clk.Advance(2 * time.Second)
-	line := StatusLine("w1", h)
-	want := "progress w1: depth=3 states=40 revisits=60 ops=500 250.0 ops/s (virtual 2s)"
-	if line != want {
-		t.Errorf("status line:\n got %q\nwant %q", line, want)
-	}
-
-	// With compare-latency samples the line carries their p50/p99.
-	h.Histogram(MetricCompare).Observe(10 * time.Microsecond)
-	h.Histogram(MetricCompare).Observe(90 * time.Microsecond)
-	line = StatusLine("w1", h)
-	if !strings.Contains(line, "check p50=") || !strings.Contains(line, "p99=") {
-		t.Errorf("status line missing check quantiles: %q", line)
-	}
-}
-
-func TestReporterEmit(t *testing.T) {
-	h, _ := newTestHub()
-	h.Counter(MetricOps).Add(7)
-	var buf bytes.Buffer
-	r := NewReporter(&buf, time.Hour, []Lane{{Name: "main", Hub: h}})
-	r.Emit()
-	if !strings.Contains(buf.String(), "progress main:") || !strings.Contains(buf.String(), "ops=7") {
-		t.Errorf("emit output: %q", buf.String())
-	}
-	// Start/Stop cycles must not deadlock or double-start.
-	r.Start()
-	r.Start()
-	r.Stop()
-	r.Stop()
 }
 
 func TestServeMetrics(t *testing.T) {

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 )
 
@@ -21,25 +22,35 @@ func EventsHandler(b *Bus) http.Handler {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		w.Header().Set("Cache-Control", "no-store")
 		w.WriteHeader(http.StatusOK)
-		flusher, _ := w.(http.Flusher)
-		enc := json.NewEncoder(w)
-		ctx := r.Context()
-		for {
-			for _, ev := range sub.Drain() {
-				if err := enc.Encode(ev); err != nil {
-					return
-				}
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-			select {
-			case <-ctx.Done():
-				return
-			case <-sub.C():
+		_ = WriteNDJSON(w, sub, r.Context().Done()) // an error means the client left: no one to tell
+	})
+}
+
+// WriteNDJSON writes the events sub receives to w, one JSON event per
+// line, flushing w after each batch when it is an http.Flusher, until
+// stop closes; it then writes what is still buffered and returns. It
+// stops at, and returns, the first write error.
+func WriteNDJSON(w io.Writer, sub *Subscriber, stop <-chan struct{}) error {
+	enc := json.NewEncoder(w)
+	flusher, _ := w.(http.Flusher)
+	for stopped := false; ; {
+		for _, ev := range sub.Drain() {
+			if err := enc.Encode(ev); err != nil {
+				return err
 			}
 		}
-	})
+		if flusher != nil {
+			flusher.Flush()
+		}
+		if stopped {
+			return nil
+		}
+		select {
+		case <-stop:
+			stopped = true
+		case <-sub.C():
+		}
+	}
 }
 
 // WorkersHandler serves the bus's worker health table as JSON. A nil

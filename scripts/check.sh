@@ -151,6 +151,11 @@
 #      the journal's batch size and metrics, the      constant)
 #      Figure 3 overrides, mkfs geometry, the
 #      ownership switch) stay deleted
+#  23. live-surface smoke: a 2-worker shared swarm   (the live views run,
+#      with -progress 1ms -stall-ops 64 -events       not just compile:
+#      exits 0, stderr holds progress w1:, w2: and    -progress renders the
+#      swarm: lines, and every line of the NDJSON     worker table, and the
+#      parses, with one worker-drain per worker       sink loses no worker)
 #
 # Usage: scripts/check.sh   (from the repo root or anywhere inside it)
 set -eu
@@ -415,5 +420,59 @@ echo "==> one-configuration guard (a value nothing varies is a constant, not a s
 if grep -rnE --include='*.go' 'syncIfNeeded|IncludeOwnership|\bEvictFloor\b|\bMaxEvictRounds\b|MetricJournal|\bSaturationStates\b|\bBasePerOp\b|\bParallelism\b|"parallelism"|\bInodeCount\b|\bJournalBlocks\b|\bFlushEvery\b' \
 	internal cmd examples ./*.go | grep -v '_test\.go:'; then
 	echo "FAIL: a deleted setting is back (see above)"; exit 1; fi
+
+echo "==> live-surface smoke (-progress frames and the -events NDJSON of a swarm)"
+rc=0
+"$work/mcfs" -fs verifs1 -fs verifs2 -swarm 2 -share-visited -depth 3 -max-ops 2000 \
+	-progress 1ms -stall-ops 64 -events "$work/ev.ndjson" >/dev/null 2>"$work/live.err" || rc=$?
+[ "$rc" -eq 0 ] || { cat "$work/live.err"
+	echo "FAIL: live-surface run exited $rc, want 0"; exit 1; }
+for line in 'progress w1: ' 'progress w2: ' 'progress swarm: '; do
+	grep -q "^$line" "$work/live.err" || { cat "$work/live.err"
+		echo "FAIL: -progress printed no '$line' line"; exit 1; }
+done
+cat >"$work/ndjson.go" <<'GO'
+// Command ndjson parses an event file line by line and prints the worker
+// of each worker-drain event.
+package main
+
+import (
+	"bufio"
+	"encoding/json"
+	"fmt"
+	"os"
+)
+
+func main() {
+	f, err := os.Open(os.Args[1])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	sc := bufio.NewScanner(f)
+	for n := 1; sc.Scan(); n++ {
+		var ev struct {
+			Kind   string `json:"kind"`
+			Worker int    `json:"worker"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			fmt.Fprintf(os.Stderr, "line %d: %v\n", n, err)
+			os.Exit(1)
+		}
+		if ev.Kind == "worker-drain" {
+			fmt.Println(ev.Worker)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+GO
+go run "$work/ndjson.go" "$work/ev.ndjson" >"$work/drains.txt" || {
+	echo "FAIL: the -events file does not parse line by line as NDJSON"; exit 1; }
+drains=$(sort "$work/drains.txt" | tr '\n' ' ')
+[ "$drains" = '1 2 ' ] || {
+	echo "FAIL: -events holds worker-drain events for workers '$drains', want one each for 1 and 2"; exit 1; }
 
 echo "OK: all checks passed"
