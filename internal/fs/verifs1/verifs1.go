@@ -6,10 +6,12 @@
 // holding the file data, a limited operation set — no access(), rename(),
 // symbolic or hard links, and no extended attributes — and no limit on the
 // amount of data stored. Its purpose is to demonstrate the checkpoint/
-// restore API: CheckpointState copies the full file system state into a
+// restore API: CheckpointState saves the full file system state into a
 // snapshot pool under a 64-bit key; RestoreState brings it back and
 // discards the snapshot — so it moves the snapshot's inodes and buffers
-// into the live file system rather than copying them a second time.
+// into the live file system rather than copying them a second time. A
+// snapshot copies the inode array and shares every data buffer and entry
+// list with the live file system until an op writes it in place.
 //
 // Buffers are handed out filled with a garbage pattern, simulating
 // malloc(3) returning recycled memory; every correct code path must
@@ -19,6 +21,9 @@
 package verifs1
 
 import (
+	"bytes"
+	"math"
+	"slices"
 	"time"
 
 	"mcfs/internal/errno"
@@ -60,6 +65,10 @@ type inode struct {
 	nlink uint32
 	uid   uint32
 	gid   uint32
+	// epoch is the FS epoch in which data and entries became private to
+	// the live array; in any other epoch a snapshot may share them. It
+	// sits in the padding before size, so the array does not grow.
+	epoch uint32
 	size  int64
 	data  []byte // contiguous buffer; len(data) is capacity, size is EOF
 	atime time.Duration
@@ -82,6 +91,10 @@ type FS struct {
 	// checkpoints and state sizing stop there instead of walking the
 	// whole fixed array.
 	hwm int
+	// epoch counts checkpoints and restores; an inode whose epoch differs
+	// shares its buffers with a snapshot (see inode.epoch). It never
+	// reads 0, the mark nextEpoch gives every inode when it wraps.
+	epoch uint32
 
 	truncateNoZero bool
 
@@ -108,6 +121,7 @@ func New(clock *simclock.Clock, opts ...Option) *FS {
 	f := &FS{
 		clock:     clock,
 		maxInodes: DefaultMaxInodes,
+		epoch:     1,
 		snapshots: make(map[uint64]*snapshot),
 	}
 	for _, o := range opts {
@@ -156,10 +170,42 @@ func (f *FS) get(ino vfs.Ino) *inode {
 	return &f.inodes[i]
 }
 
+// own makes nd's data buffer and entry list private to the live array
+// before an op writes into them: the first write after a checkpoint or
+// restore copies them, later ones in the same epoch find them private.
+// A file has only data and a directory only entries, so one mark covers
+// both.
+func (f *FS) own(nd *inode) {
+	if nd.epoch == f.epoch {
+		return
+	}
+	nd.data = bytes.Clone(nd.data)
+	nd.entries = slices.Clone(nd.entries)
+	nd.epoch = f.epoch
+}
+
+// nextEpoch starts a new epoch, after which every buffer the live array
+// holds counts as shared. When the counter wraps it first marks every
+// inode, live or in the pool, with 0, which no epoch reads.
+func (f *FS) nextEpoch() {
+	if f.epoch == math.MaxUint32 {
+		for i := range f.inodes[:f.hwm] {
+			f.inodes[i].epoch = 0
+		}
+		for _, snap := range f.snapshots {
+			for i := range snap.inodes {
+				snap.inodes[i].epoch = 0
+			}
+		}
+		f.epoch = 0
+	}
+	f.epoch++
+}
+
 func (f *FS) allocInode() (vfs.Ino, *inode) {
 	for i := 1; i < len(f.inodes); i++ {
 		if !f.inodes[i].used {
-			f.inodes[i] = inode{used: true}
+			f.inodes[i] = inode{used: true, epoch: f.epoch}
 			f.hwm = max(f.hwm, i+1)
 			return vfs.Ino(i), &f.inodes[i]
 		}
@@ -267,9 +313,10 @@ func (f *FS) truncate(nd *inode, size int64) errno.Errno {
 			// garbage, copy the old content over.
 			nb := alloc(size)
 			copy(nb, nd.data[:nd.size])
-			nd.data = nb
+			nd.data, nd.epoch = nb, f.epoch
 		}
 		if !f.truncateNoZero {
+			f.own(nd)
 			// Correct behavior: the newly exposed region reads as zeros.
 			for i := nd.size; i < size; i++ {
 				nd.data[i] = 0
@@ -327,6 +374,7 @@ func (f *FS) makeNode(parent vfs.Ino, name string, mode vfs.Mode, uid, gid uint3
 	} else {
 		nd.nlink = 1
 	}
+	f.own(dir)
 	dir.entries = append(dir.entries, dirent{name: name, ino: ino})
 	dir.mtime = now
 	dir.ctime = now
@@ -362,6 +410,7 @@ func (f *FS) Unlink(parent vfs.Ino, name string) errno.Errno {
 		} else {
 			child.ctime = f.now()
 		}
+		f.own(dir)
 		dir.entries = append(dir.entries[:i], dir.entries[i+1:]...)
 		dir.mtime = f.now()
 		dir.ctime = dir.mtime
@@ -403,6 +452,7 @@ func (f *FS) Rmdir(parent vfs.Ino, name string) errno.Errno {
 			return errno.ENOTEMPTY
 		}
 		*child = inode{}
+		f.own(dir)
 		dir.entries = append(dir.entries[:i], dir.entries[i+1:]...)
 		dir.nlink--
 		dir.mtime = f.now()
@@ -459,8 +509,9 @@ func (f *FS) Write(ino vfs.Ino, off int64, data []byte) (int, errno.Errno) {
 		}
 		nb := alloc(newCap)
 		copy(nb, nd.data[:nd.size])
-		nd.data = nb
+		nd.data, nd.epoch = nb, f.epoch
 	}
+	f.own(nd)
 	if off > nd.size {
 		// Writing past EOF creates a hole, which must read as zeros.
 		// VeriFS1 gets this right; VeriFS2's first bug gets it wrong.
@@ -529,11 +580,14 @@ func (f *FS) StatFS() (vfs.StatFS, errno.Errno) {
 func (f *FS) Sync() errno.Errno { return errno.OK }
 
 // CheckpointState implements vfs.Checkpointer: it locks the file system
-// (trivially, since the kernel serializes operations), deep-copies the
-// inode array — as far as it has ever been used — into the snapshot pool
-// under key, and returns.
+// (trivially, since the kernel serializes operations), copies the inode
+// array — as far as it has ever been used, one allocation — into the
+// snapshot pool under key, and starts a new epoch. The snapshot shares
+// every data buffer and entry list with the live array; an op copies one
+// before its first in-place write (own).
 func (f *FS) CheckpointState(key uint64) errno.Errno {
-	f.snapshots[key] = &snapshot{inodes: cloneInodes(f.inodes[:f.hwm])}
+	f.snapshots[key] = &snapshot{inodes: slices.Clone(f.inodes[:f.hwm])}
+	f.nextEpoch()
 	return errno.OK
 }
 
@@ -542,7 +596,8 @@ func (f *FS) CheckpointState(key uint64) errno.Errno {
 // notifies the kernel to invalidate its caches (via the registered
 // onRestore hook). The snapshot is consumed, so its inodes — data buffers
 // and directory lists with them — are moved into the live array, not
-// cloned; slots used since the checkpoint go back to zero.
+// cloned; slots used since the checkpoint go back to zero. Other
+// snapshots may share those buffers, so a new epoch starts.
 func (f *FS) RestoreState(key uint64) errno.Errno {
 	snap, ok := f.snapshots[key]
 	if !ok {
@@ -554,6 +609,7 @@ func (f *FS) RestoreState(key uint64) errno.Errno {
 	}
 	f.hwm = n
 	delete(f.snapshots, key)
+	f.nextEpoch()
 	if f.onRestore != nil {
 		f.onRestore()
 	}
@@ -586,22 +642,4 @@ func (f *FS) StateBytes() int64 {
 		}
 	}
 	return total
-}
-
-func cloneInodes(src []inode) []inode {
-	dst := make([]inode, len(src))
-	copy(dst, src)
-	for i := range dst {
-		if dst[i].data != nil {
-			nb := make([]byte, len(dst[i].data))
-			copy(nb, dst[i].data)
-			dst[i].data = nb
-		}
-		if dst[i].entries != nil {
-			ne := make([]dirent, len(dst[i].entries))
-			copy(ne, dst[i].entries)
-			dst[i].entries = ne
-		}
-	}
-	return dst
 }

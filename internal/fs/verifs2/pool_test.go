@@ -45,9 +45,9 @@ func fingerprint(f *FS) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "nextIno=%d usedBlocks=%d\n", f.nextIno, f.usedBlocks)
 	for _, ino := range sortedKeys(f.inodes) {
-		nd := f.inodes[ino]
+		nd := f.inodes[ino].nd
 		fmt.Fprintf(&b, "%d mode=%o nlink=%d uid=%d gid=%d size=%d times=%d/%d/%d target=%q parent=%d order=%q",
-			ino, nd.mode, nd.nlink, nd.uid, nd.gid, nd.size, nd.atime, nd.mtime, nd.ctime, nd.target, nd.parent, nd.order)
+			ino, nd.mode, nd.nlink, nd.uid, nd.gid, nd.size, f.inodes[ino].atime, nd.mtime, nd.ctime, nd.target, nd.parent, nd.order)
 		for _, name := range sortedKeys(nd.entries) {
 			fmt.Fprintf(&b, " %s=%d", name, nd.entries[name])
 		}
@@ -75,8 +75,9 @@ func sortedKeys[K ~string | ~uint64, V any](m map[K]V) []K {
 // every inode, block, xattr and directory map of f, and an empty pool.
 func deepCopy(f *FS) *FS {
 	c := *f
-	c.inodes = make(map[vfs.Ino]*inode, len(f.inodes))
-	for ino, nd := range f.inodes {
+	c.inodes = make(map[vfs.Ino]slot, len(f.inodes))
+	for ino, s := range f.inodes {
+		nd := s.nd
 		n := *nd
 		n.blocks = make([][]byte, len(nd.blocks))
 		for i, blk := range nd.blocks {
@@ -90,7 +91,7 @@ func deepCopy(f *FS) *FS {
 		}
 		n.entries = maps.Clone(nd.entries)
 		n.order = slices.Clone(nd.order)
-		c.inodes[ino] = &n
+		c.inodes[ino] = slot{&n, s.atime}
 	}
 	c.snapshots = make(map[uint64]*snapshot)
 	return &c

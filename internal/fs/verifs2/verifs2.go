@@ -6,7 +6,11 @@
 // per-file buffers with block-list storage and enforces a configurable
 // capacity limit (so ENOSPC paths are exercised). Like VeriFS1 it
 // implements the checkpoint/restore API the paper proposes, which is what
-// lets MCFS track its complete state without unmount/remount cycles.
+// lets MCFS track its complete state without unmount/remount cycles. A
+// checkpoint copies the inode map and shares every inode with the live
+// file system; an op copies an inode on its first write after a
+// checkpoint or restore, and its blocks, xattrs or directory map only
+// when it writes them.
 //
 // The paper reports two bugs found in VeriFS2 while model-checking it
 // against VeriFS1 (§6); both are reproducible here via options:
@@ -22,6 +26,9 @@
 package verifs2
 
 import (
+	"bytes"
+	"maps"
+	"slices"
 	"sort"
 	"time"
 
@@ -70,43 +77,63 @@ type inode struct {
 	uid   uint32
 	gid   uint32
 	size  int64
-	atime time.Duration
 	mtime time.Duration
 	ctime time.Duration
 
-	blocks [][]byte          // block-list file storage
-	target string            // symlink target
-	xattrs map[string][]byte // extended attributes
-
+	blocks  [][]byte           // block-list file storage
+	target  string             // symlink target
+	xattrs  map[string][]byte  // extended attributes; values are never written in place
 	entries map[string]vfs.Ino // directory contents
 	order   []string           // htree-like deterministic on-disk order
 	parent  vfs.Ino
+
+	// epoch is the FS epoch in which the inode became private to the
+	// live file system; in any other epoch a snapshot may share it. own
+	// says which of its parts are private too, while epoch is current.
+	epoch uint64
+	own   parts
 }
 
-func (nd *inode) clone() *inode {
-	c := *nd
-	c.blocks = make([][]byte, len(nd.blocks))
-	for i, b := range nd.blocks {
-		nb := make([]byte, len(b))
-		copy(nb, b)
-		c.blocks[i] = nb
-	}
-	if nd.xattrs != nil {
-		c.xattrs = make(map[string][]byte, len(nd.xattrs))
-		for k, v := range nd.xattrs {
-			nv := make([]byte, len(v))
-			copy(nv, v)
-			c.xattrs[k] = nv
+// parts names the parts of an inode that a private copy still shares
+// with the inode it was copied from, until an op writes them.
+type parts uint8
+
+const (
+	ownBlocks parts = 1 << iota
+	ownXattrs
+	ownEntries // entries and order
+	ownAll     = ownBlocks | ownXattrs | ownEntries
+)
+
+// slot is one entry of the inode map. The atime is kept by value beside
+// the shared inode, not in it: Read and ReadDir move it on every inode
+// the checker's abstraction walk visits after every op, and a write that
+// lands in the slot copies no inode.
+type slot struct {
+	nd    *inode
+	atime time.Duration
+}
+
+// private copies the parts p of nd that a snapshot may still share. nd
+// must come from FS.mut. A block list is copied block by block; an xattr
+// map shares its values, which are never written in place.
+func (nd *inode) private(p parts) {
+	p &^= nd.own
+	if p&ownBlocks != 0 {
+		blocks := make([][]byte, len(nd.blocks))
+		for i, b := range nd.blocks {
+			blocks[i] = bytes.Clone(b)
 		}
+		nd.blocks = blocks
 	}
-	if nd.entries != nil {
-		c.entries = make(map[string]vfs.Ino, len(nd.entries))
-		for k, v := range nd.entries {
-			c.entries[k] = v
-		}
-		c.order = append([]string(nil), nd.order...)
+	if p&ownXattrs != 0 {
+		nd.xattrs = maps.Clone(nd.xattrs)
 	}
-	return &c
+	if p&ownEntries != 0 {
+		nd.entries = maps.Clone(nd.entries)
+		nd.order = slices.Clone(nd.order)
+	}
+	nd.own |= p
 }
 
 // FS is a VeriFS2 instance. Create instances with New.
@@ -116,9 +143,13 @@ type FS struct {
 	maxBlocks int
 	maxInodes int
 
-	inodes     map[vfs.Ino]*inode
+	inodes     map[vfs.Ino]slot
 	nextIno    vfs.Ino
 	usedBlocks int
+	// epoch counts checkpoints and restores; an inode whose epoch differs
+	// may be shared with a snapshot (see inode.epoch). At one per op it
+	// does not wrap.
+	epoch uint64
 
 	holeBug bool
 	sizeBug bool
@@ -128,7 +159,7 @@ type FS struct {
 }
 
 type snapshot struct {
-	inodes     map[vfs.Ino]*inode
+	inodes     map[vfs.Ino]slot
 	nextIno    vfs.Ino
 	usedBlocks int
 }
@@ -149,7 +180,7 @@ func New(clock *simclock.Clock, opts ...Option) *FS {
 		blockSize: DefaultBlockSize,
 		maxBlocks: DefaultMaxBlocks,
 		maxInodes: DefaultMaxInodes,
-		inodes:    make(map[vfs.Ino]*inode),
+		inodes:    make(map[vfs.Ino]slot),
 		nextIno:   2,
 		snapshots: make(map[uint64]*snapshot),
 	}
@@ -157,13 +188,14 @@ func New(clock *simclock.Clock, opts ...Option) *FS {
 		o(f)
 	}
 	now := f.now()
-	f.inodes[1] = &inode{
+	f.inodes[1] = slot{&inode{
 		mode:  vfs.ModeDir | 0755,
 		nlink: 2,
-		atime: now, mtime: now, ctime: now,
+		mtime: now, ctime: now,
 		entries: make(map[string]vfs.Ino),
 		parent:  1,
-	}
+		own:     ownAll,
+	}, now}
 	return f
 }
 
@@ -180,7 +212,30 @@ func (f *FS) now() time.Duration {
 	return f.clock.Now()
 }
 
-func (f *FS) get(ino vfs.Ino) *inode { return f.inodes[ino] }
+// get returns ino's inode for reading, nil if there is none.
+func (f *FS) get(ino vfs.Ino) *inode { return f.inodes[ino].nd }
+
+// mut returns ino's inode ready for writing; ino must exist. The first
+// write after a checkpoint or restore copies the inode shallowly — its
+// parts stay shared until private copies them — and later writes in the
+// same epoch find it private. Every write to an inode goes through here.
+func (f *FS) mut(ino vfs.Ino) *inode {
+	s := f.inodes[ino]
+	if s.nd.epoch != f.epoch {
+		c := *s.nd
+		c.epoch, c.own = f.epoch, 0
+		s.nd = &c
+		f.inodes[ino] = s
+	}
+	return s.nd
+}
+
+// setAtime sets ino's atime, which lives in its slot; ino must exist.
+func (f *FS) setAtime(ino vfs.Ino, t time.Duration) {
+	s := f.inodes[ino]
+	s.atime = t
+	f.inodes[ino] = s
+}
 
 func allocBlock(n int) []byte {
 	b := make([]byte, n)
@@ -219,10 +274,11 @@ func (f *FS) Lookup(parent vfs.Ino, name string) (vfs.Ino, errno.Errno) {
 
 // Getattr implements vfs.FS.
 func (f *FS) Getattr(ino vfs.Ino) (vfs.Stat, errno.Errno) {
-	nd := f.get(ino)
-	if nd == nil {
+	s, ok := f.inodes[ino]
+	if !ok {
 		return vfs.Stat{}, errno.ENOENT
 	}
+	nd := s.nd
 	size := nd.size
 	if nd.mode.IsSymlink() {
 		size = int64(len(nd.target))
@@ -241,7 +297,7 @@ func (f *FS) Getattr(ino vfs.Ino) (vfs.Stat, errno.Errno) {
 		GID:    nd.gid,
 		Size:   size,
 		Blocks: int64(len(nd.blocks)) * int64(f.blockSize) / 512,
-		Atime:  nd.atime,
+		Atime:  s.atime,
 		Mtime:  nd.mtime,
 		Ctime:  nd.ctime,
 	}, errno.OK
@@ -249,10 +305,10 @@ func (f *FS) Getattr(ino vfs.Ino) (vfs.Stat, errno.Errno) {
 
 // Setattr implements vfs.FS.
 func (f *FS) Setattr(ino vfs.Ino, attr vfs.SetAttr) errno.Errno {
-	nd := f.get(ino)
-	if nd == nil {
+	if f.get(ino) == nil {
 		return errno.ENOENT
 	}
+	nd := f.mut(ino)
 	now := f.now()
 	if attr.Mode != nil {
 		nd.mode = nd.mode&vfs.ModeMask | attr.Mode.Perm()
@@ -277,7 +333,7 @@ func (f *FS) Setattr(ino vfs.Ino, attr vfs.SetAttr) errno.Errno {
 		nd.ctime = now
 	}
 	if attr.Atime != nil {
-		nd.atime = *attr.Atime
+		f.setAtime(ino, *attr.Atime)
 	}
 	if attr.Mtime != nil {
 		nd.mtime = *attr.Mtime
@@ -286,7 +342,8 @@ func (f *FS) Setattr(ino vfs.Ino, attr vfs.SetAttr) errno.Errno {
 }
 
 // ensureBlocks grows the block list to cover size bytes, charging new
-// blocks against the capacity limit. New blocks arrive as garbage.
+// blocks against the capacity limit. New blocks arrive as garbage. The
+// list must be private (ownBlocks).
 func (f *FS) ensureBlocks(nd *inode, size int64) errno.Errno {
 	need := int((size + int64(f.blockSize) - 1) / int64(f.blockSize))
 	for len(nd.blocks) < need {
@@ -308,7 +365,7 @@ func (f *FS) releaseBlocksBeyond(nd *inode, size int64) {
 }
 
 // zeroRange zeroes [from, to) in the file's blocks (bounds already
-// allocated).
+// allocated, list private).
 func (f *FS) zeroRange(nd *inode, from, to int64) {
 	bs := int64(f.blockSize)
 	for off := from; off < to; {
@@ -335,6 +392,7 @@ func (f *FS) truncate(nd *inode, size int64) errno.Errno {
 		nd.size = size
 		f.releaseBlocksBeyond(nd, size)
 	default:
+		nd.private(ownBlocks)
 		if e := f.ensureBlocks(nd, size); e != errno.OK {
 			return e
 		}
@@ -382,8 +440,10 @@ func (f *FS) makeNode(parent vfs.Ino, name string, mode vfs.Mode, uid, gid uint3
 	nd := &inode{
 		mode: mode,
 		uid:  uid, gid: gid,
-		atime: now, mtime: now, ctime: now,
+		mtime: now, ctime: now,
+		epoch: f.epoch, own: ownAll,
 	}
+	dir = f.mut(parent)
 	if mode.IsDir() {
 		nd.nlink = 2
 		nd.entries = make(map[string]vfs.Ino)
@@ -394,19 +454,22 @@ func (f *FS) makeNode(parent vfs.Ino, name string, mode vfs.Mode, uid, gid uint3
 	}
 	ino := f.nextIno
 	f.nextIno++
-	f.inodes[ino] = nd
+	f.inodes[ino] = slot{nd, now}
 	f.addEntry(dir, name, ino)
 	dir.mtime = now
 	dir.ctime = now
 	return ino, nd, errno.OK
 }
 
+// addEntry and removeEntry edit a directory that mut returned.
 func (f *FS) addEntry(dir *inode, name string, ino vfs.Ino) {
+	dir.private(ownEntries)
 	dir.entries[name] = ino
 	dir.order = append(dir.order, name)
 }
 
 func (f *FS) removeEntry(dir *inode, name string) {
+	dir.private(ownEntries)
 	delete(dir.entries, name)
 	for i, n := range dir.order {
 		if n == name {
@@ -416,14 +479,16 @@ func (f *FS) removeEntry(dir *inode, name string) {
 	}
 }
 
-func (f *FS) dropLink(ino vfs.Ino, nd *inode) {
-	nd.nlink--
-	if nd.nlink == 0 {
+// dropLink drops one link to ino, and the inode with its last one.
+func (f *FS) dropLink(ino vfs.Ino) {
+	if nd := f.get(ino); nd.nlink == 1 {
 		f.usedBlocks -= len(nd.blocks)
 		delete(f.inodes, ino)
-	} else {
-		nd.ctime = f.now()
+		return
 	}
+	nd := f.mut(ino)
+	nd.nlink--
+	nd.ctime = f.now()
 }
 
 // Unlink implements vfs.FS.
@@ -449,8 +514,9 @@ func (f *FS) Unlink(parent vfs.Ino, name string) errno.Errno {
 	if child.mode.IsDir() {
 		return errno.EISDIR
 	}
+	dir = f.mut(parent)
 	f.removeEntry(dir, name)
-	f.dropLink(ino, child)
+	f.dropLink(ino)
 	now := f.now()
 	dir.mtime = now
 	dir.ctime = now
@@ -489,6 +555,7 @@ func (f *FS) Rmdir(parent vfs.Ino, name string) errno.Errno {
 	if len(child.entries) > 0 {
 		return errno.ENOTEMPTY
 	}
+	dir = f.mut(parent)
 	f.removeEntry(dir, name)
 	delete(f.inodes, ino)
 	dir.nlink--
@@ -513,7 +580,7 @@ func (f *FS) Read(ino vfs.Ino, off int64, n int) ([]byte, errno.Errno) {
 	if off < 0 || n < 0 {
 		return nil, errno.EINVAL
 	}
-	nd.atime = f.now()
+	f.setAtime(ino, f.now())
 	if off >= nd.size {
 		return nil, errno.OK
 	}
@@ -555,6 +622,8 @@ func (f *FS) Write(ino vfs.Ino, off int64, data []byte) (int, errno.Errno) {
 	if off < 0 {
 		return 0, errno.EINVAL
 	}
+	nd = f.mut(ino)
+	nd.private(ownBlocks)
 	end := off + int64(len(data))
 	grewBeyondCapacity := end > int64(len(nd.blocks))*int64(f.blockSize)
 	if e := f.ensureBlocks(nd, end); e != errno.OK {
@@ -611,7 +680,7 @@ func (f *FS) ReadDir(ino vfs.Ino) ([]vfs.DirEntry, errno.Errno) {
 	if !dir.mode.IsDir() {
 		return nil, errno.ENOTDIR
 	}
-	dir.atime = f.now()
+	f.setAtime(ino, f.now())
 	out := make([]vfs.DirEntry, 0, len(dir.order)+2)
 	out = append(out,
 		vfs.DirEntry{Name: ".", Ino: ino, Mode: vfs.ModeDir},
@@ -699,14 +768,19 @@ func (f *FS) Rename(oldParent vfs.Ino, oldName string, newParent vfs.Ino, newNam
 			return errno.ENOTEMPTY
 		}
 		// Replace the destination.
+		ndir = f.mut(newParent)
 		f.removeEntry(ndir, newName)
 		if dst.mode.IsDir() {
 			delete(f.inodes, dstIno)
 			ndir.nlink--
 		} else {
-			f.dropLink(dstIno, dst)
+			f.dropLink(dstIno)
 		}
 	}
+	// odir and ndir may be one inode; mut hands both the same private copy.
+	odir = f.mut(oldParent)
+	ndir = f.mut(newParent)
+	src = f.mut(srcIno)
 	f.removeEntry(odir, oldName)
 	f.addEntry(ndir, newName, srcIno)
 	if src.mode.IsDir() && oldParent != newParent {
@@ -746,6 +820,7 @@ func (f *FS) Link(ino vfs.Ino, newParent vfs.Ino, newName string) errno.Errno {
 	if _, ok := dir.entries[newName]; ok {
 		return errno.EEXIST
 	}
+	dir, nd = f.mut(newParent), f.mut(ino)
 	f.addEntry(dir, newName, ino)
 	nd.nlink++
 	now := f.now()
@@ -785,6 +860,8 @@ func (f *FS) SetXattr(ino vfs.Ino, name string, value []byte) errno.Errno {
 	if name == "" || len(name) > vfs.NameMax {
 		return errno.ERANGE
 	}
+	nd = f.mut(ino)
+	nd.private(ownXattrs)
 	if nd.xattrs == nil {
 		nd.xattrs = make(map[string][]byte)
 	}
@@ -833,28 +910,30 @@ func (f *FS) RemoveXattr(ino vfs.Ino, name string) errno.Errno {
 	if _, ok := nd.xattrs[name]; !ok {
 		return errno.ENODATA
 	}
+	nd = f.mut(ino)
+	nd.private(ownXattrs)
 	delete(nd.xattrs, name)
 	nd.ctime = f.now()
 	return errno.OK
 }
 
-// CheckpointState implements vfs.Checkpointer.
+// CheckpointState implements vfs.Checkpointer: the snapshot is a copy of
+// the inode map, which shares every inode with the live file system, and
+// a new epoch starts, so that an op copies an inode before its first
+// write (mut).
 func (f *FS) CheckpointState(key uint64) errno.Errno {
-	snap := &snapshot{
-		inodes:     make(map[vfs.Ino]*inode, len(f.inodes)),
+	f.snapshots[key] = &snapshot{
+		inodes:     maps.Clone(f.inodes),
 		nextIno:    f.nextIno,
 		usedBlocks: f.usedBlocks,
 	}
-	for ino, nd := range f.inodes {
-		snap.inodes[ino] = nd.clone()
-	}
-	f.snapshots[key] = snap
+	f.epoch++
 	return errno.OK
 }
 
 // RestoreState implements vfs.Checkpointer. The snapshot is consumed, so
-// the live file system adopts its inodes — block lists, xattrs and
-// directory maps with them — instead of cloning them a second time.
+// the live file system adopts its inode map instead of copying it. Other
+// snapshots may share those inodes, so a new epoch starts.
 func (f *FS) RestoreState(key uint64) errno.Errno {
 	snap, ok := f.snapshots[key]
 	if !ok {
@@ -864,6 +943,7 @@ func (f *FS) RestoreState(key uint64) errno.Errno {
 	f.nextIno = snap.nextIno
 	f.usedBlocks = snap.usedBlocks
 	delete(f.snapshots, key)
+	f.epoch++
 	if f.onRestore != nil {
 		f.onRestore()
 	}
@@ -886,7 +966,8 @@ func (f *FS) SnapshotCount() int { return len(f.snapshots) }
 // StateBytes estimates the live state size in bytes for the memory model.
 func (f *FS) StateBytes() int64 {
 	total := int64(0)
-	for _, nd := range f.inodes {
+	for _, s := range f.inodes {
+		nd := s.nd
 		total += 128
 		total += int64(len(nd.blocks)) * int64(f.blockSize)
 		total += int64(len(nd.target))

@@ -37,11 +37,13 @@ func threeFiles(t testing.TB, lt *lawTarget) {
 // TestCheckpointCostTracksWriteSet is the regression guard on what a
 // checkpoint allocates: after one small write, Checkpoint + Restore must
 // cost about the write set — not the 16 MiB image of an xfs volume, and
-// not VeriFS1's whole fixed inode array twice.
+// not a copy of every VeriFS inode and block: a VeriFS snapshot copies
+// the inode array or map and shares the rest.
 func TestCheckpointCostTracksWriteSet(t *testing.T) {
 	for name, limit := range map[string]uint64{
 		"remount/xfs":            64 << 10,
-		"checkpoint-api/verifs1": 16 << 10,
+		"checkpoint-api/verifs1": 2 << 10,
+		"checkpoint-api/verifs2": 2 << 10,
 	} {
 		t.Run(name, func(t *testing.T) {
 			lt := lawTargets()[name](t)
