@@ -44,10 +44,14 @@ import (
 // device-backed trackers rely on it: restoring a key closes every
 // checkpoint taken after it, whose keys then restore nothing. Discard
 // works on any open key, in any order. What a checkpoint and a restore
-// CHARGE the virtual clock is the paper's whole-image copy each way; what
-// they COPY is the pages written while the checkpoint was open (the
-// devices' undo frames, blockdev/undo.go) or, for VeriFS, one clone of
-// the live inodes that the restore adopts instead of cloning again.
+// CHARGE the virtual clock is the paper's whole-image copy each way for a
+// device, and one ioctl for VeriFS, whose StateBytes still sizes the
+// whole state. What they COPY is the pages written while the checkpoint
+// was open (the devices' undo frames, blockdev/undo.go) or, for VeriFS,
+// the inode array or map: the snapshot shares every inode with the live
+// file system until an op's first write copies it, and a restore adopts
+// the snapshot. VeriFS2 keeps atime beside the shared inode, so the reads
+// of a state check copy nothing.
 type Tracker interface {
 	// Name identifies the strategy in logs.
 	Name() string

@@ -112,17 +112,23 @@
 #      a 10 s FuzzJournalRead smoke, a 10 s           a journal decodes to
 #      FuzzMountAndFsck smoke, 10 s FuzzMount         in-bounds ops or an
 #      smokes for jffs2sim and xfssim, a 10 s         error; a mount and an
-#      FuzzReadBundle smoke and a 10 s                fsck of any extfs
-#      FuzzUndoFrames smoke                           bytes return an error
-#                                                    or problems; a jffs2
-#                                                    or xfs mount of any
+#      FuzzReadBundle smoke, a 10 s                   fsck of any extfs
+#      FuzzUndoFrames smoke and 10 s                  bytes return an error
+#      FuzzCheckpointPool smokes for verifs1          or problems; a jffs2
+#      and verifs2                                    or xfs mount of any
 #                                                    bytes returns errors;
 #                                                    any bundle reads to
 #                                                    an error or a bundle;
 #                                                    any op sequence over
 #                                                    undo frames leaves
 #                                                    each medium holding
-#                                                    its frames' images)
+#                                                    its frames' images;
+#                                                    any op, checkpoint,
+#                                                    restore and discard
+#                                                    sequence leaves a
+#                                                    VeriFS and each of
+#                                                    its snapshots equal
+#                                                    to a deep-copy twin)
 #  18. scan guard: no sort.Slice in non-test         (a jffs2 mount parses
 #      internal/fs/jffs2sim, and no make([]byte       the blocks that changed,
 #      in the mount scan (MountCached and the         in place, from bytes the
@@ -377,6 +383,11 @@ go test -run '^$' -fuzz '^FuzzReadBundle$' -fuzztime 10s -fuzzminimizetime 1s .
 # Patch, frame open, rewind, close and revert — leaves each holding the
 # bytes of a full image kept per open frame.
 go test -run '^$' -fuzz '^FuzzUndoFrames$' -fuzztime 10s -fuzzminimizetime 1s ./internal/blockdev
+# Any op sequence with checkpoint, restore and discard calls on any keys,
+# in any order, leaves a VeriFS — whose snapshots share what no op wrote
+# since — equal to a twin that checkpoints by deep copy.
+go test -run '^$' -fuzz '^FuzzCheckpointPool$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fs/verifs1
+go test -run '^$' -fuzz '^FuzzCheckpointPool$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fs/verifs2
 
 echo "==> scan guard (a jffs2 mount copies no flash and sorts without reflection)"
 for f in internal/fs/jffs2sim/*.go; do
