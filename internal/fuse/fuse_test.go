@@ -14,12 +14,22 @@ import (
 // mountVeriFS2 mounts VeriFS2 over the FUSE transport at /mnt.
 func mountVeriFS2(t *testing.T, opts ServerOptions) (*kernel.Kernel, *Server) {
 	t.Helper()
+	return mountOverFUSE(t, "verifs2", opts)
+}
+
+// mountOverFUSE mounts a fresh VeriFS of kind ("verifs1" or "verifs2")
+// over the FUSE transport at /mnt.
+func mountOverFUSE(t *testing.T, kind string, opts ServerOptions) (*kernel.Kernel, *Server) {
+	t.Helper()
 	clk := simclock.New()
 	k := kernel.New(clk)
-	backing := verifs2.New(clk)
+	var backing vfs.FS = verifs2.New(clk)
+	if kind == "verifs1" {
+		backing = verifs1.New(clk)
+	}
 	srv := NewServer(backing, opts)
 	spec := kernel.FilesystemSpec{
-		Type:    "verifs2",
+		Type:    kind,
 		Mounter: func() (vfs.FS, error) { return NewClient(srv, clk), nil },
 	}
 	if err := k.Mount("/mnt", spec, kernel.MountOptions{}); err != nil {
@@ -148,6 +158,58 @@ func TestRestoreInvalidatesKernelCaches(t *testing.T) {
 	// With invalidation wired up, mkdir must succeed again.
 	if e := k.Mkdir("/mnt/testdir", 0755); e != errno.OK {
 		t.Errorf("mkdir after restore = %v (stale caches?)", e)
+	}
+}
+
+// TestRestoreEmptiesDentryCacheOnlyOnSuccess: over FUSE, on both VeriFS
+// kinds, a restore that returns OK leaves the mount's dentry cache
+// empty, so the next lookup misses and the rolled-back name can be made
+// again; a restore of a key nobody checkpointed (ENOENT) changes no
+// state and leaves the cache warm.
+func TestRestoreEmptiesDentryCacheOnlyOnSuccess(t *testing.T) {
+	for _, kind := range []string{"verifs1", "verifs2"} {
+		t.Run(kind, func(t *testing.T) {
+			k, _ := mountOverFUSE(t, kind, ServerOptions{})
+			m, _, e := k.MountAt("/mnt")
+			if e != errno.OK {
+				t.Fatal(e)
+			}
+			// statMisses stats path and returns how many dentry-cache
+			// misses that cost.
+			statMisses := func(path string, want errno.Errno) int64 {
+				t.Helper()
+				_, before := m.CacheStats()
+				if _, e := k.Stat(path); e != want {
+					t.Fatalf("stat %s = %v, want %v", path, e, want)
+				}
+				_, after := m.CacheStats()
+				return after - before
+			}
+			if e := k.Ioctl("/mnt", vfs.IoctlCheckpoint, 1); e != errno.OK {
+				t.Fatalf("checkpoint: %v", e)
+			}
+			if e := k.Mkdir("/mnt/d", 0755); e != errno.OK {
+				t.Fatal(e)
+			}
+			if n := statMisses("/mnt/d", errno.OK); n != 0 {
+				t.Fatalf("warm stat missed %d times", n)
+			}
+			if e := k.Ioctl("/mnt", vfs.IoctlRestore, 2); e != errno.ENOENT {
+				t.Fatalf("restore of an unknown key = %v, want ENOENT", e)
+			}
+			if n := statMisses("/mnt/d", errno.OK); n != 0 {
+				t.Errorf("stat after a failed restore missed %d times: the cache was dropped", n)
+			}
+			if e := k.Ioctl("/mnt", vfs.IoctlRestore, 1); e != errno.OK {
+				t.Fatalf("restore: %v", e)
+			}
+			if n := statMisses("/mnt/d", errno.ENOENT); n == 0 {
+				t.Error("stat after a restore hit the cache: it was not dropped")
+			}
+			if e := k.Mkdir("/mnt/d", 0755); e != errno.OK {
+				t.Errorf("mkdir of the rolled-back name = %v", e)
+			}
+		})
 	}
 }
 
