@@ -168,8 +168,7 @@ func (b *Bundle) Replay() (*ReplayOutcome, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		defer s.Close()
-		return s.VerifyCrashTrail(trail, b.Bug.Crash, b.want())
+		return s.VerifyTrail(trail, b.Bug.Crash, b.want())
 	}
 	out := &ReplayOutcome{}
 	var err error
@@ -191,19 +190,12 @@ func (b *Bundle) Replay() (*ReplayOutcome, error) {
 // stats. Each candidate replays against fresh targets built from the
 // bundle's config.
 func (b *Bundle) Shrink() ([]Op, MinimizeStats, error) {
-	var sessions []*Session
-	defer func() {
-		for _, s := range sessions {
-			s.Close()
-		}
-	}()
-	factory := func() (mc.Config, func(), error) {
+	factory := func() (mc.Config, error) {
 		s, err := b.session()
 		if err != nil {
-			return mc.Config{}, nil, err
+			return mc.Config{}, err
 		}
-		sessions = append(sessions, s)
-		return s.cfg, s.Close, nil
+		return s.cfg, nil
 	}
 	min, stats, err := mc.Minimize(factory, b.Trail, b.want(), mc.MinimizeOptions{Crash: b.Bug.Crash})
 	if err != nil {

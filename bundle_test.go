@@ -276,7 +276,7 @@ func TestMajorityVoteBugReplaysAndShrinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, same, err := s.VerifyTrail(res.Bug.Trail, res.Bug.Discrepancy)
+	got, same, err := s.VerifyTrail(res.Bug.Trail, nil, res.Bug.Discrepancy)
 	s.Close()
 	if err != nil {
 		t.Fatal(err)

@@ -5,10 +5,10 @@
 //	maporder        map iteration order never feeds hashes/journal/serialization
 //	walltime        no time.Now/time.Since/math/rand outside internal/simclock
 //	errnodrop       kernel/vfs/fs error and Errno results are never discarded
-//	nilobs          obs/journal methods keep their documented nil-receiver safety
+//	nilobs          configured obs/journal/stream types keep their nil-receiver safety
 //	lockorder       the global lock-acquisition order graph stays acyclic
 //	guardedby       `// guarded by <field>` fields accessed only under that lock
-//	atomicplain     sync/atomic fields are never also accessed plainly
+//	atomicplain     no sync/atomic function calls: shared fields are typed atomics
 //	lockbalance     every path leaves the lockset exactly as it entered
 //
 // Usage:

@@ -68,9 +68,9 @@ func TestCrashExplorationFindsJournalCommitFirst(t *testing.T) {
 
 	// The trail must reproduce in a fresh session.
 	s2 := crashSession(t, []string{mcfs.BugJournalCommitFirst}, true)
-	got, same, err := s2.VerifyCrashTrail(res.Bug.Trail, res.Bug.Crash, &mcfs.Discrepancy{Kind: res.Bug.Discrepancy.Kind})
+	got, same, err := s2.VerifyTrail(res.Bug.Trail, res.Bug.Crash, &mcfs.Discrepancy{Kind: res.Bug.Discrepancy.Kind})
 	if err != nil {
-		t.Fatalf("VerifyCrashTrail: %v", err)
+		t.Fatalf("VerifyTrail: %v", err)
 	}
 	if !same {
 		t.Fatalf("crash trail did not reproduce (got %v)", got)

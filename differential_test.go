@@ -57,7 +57,7 @@ func randomOp(r *rand.Rand, includeNamespace bool) mcfs.Op {
 }
 
 // runDifferential drives a random sequence through a session, verifying
-// after every operation via trail replay (Replay checks results and
+// after every operation via trail replay (VerifyTrail checks results and
 // abstract states at each step).
 func runDifferential(t *testing.T, targets []mcfs.TargetSpec, includeNamespace bool, seed int64, steps int) {
 	t.Helper()
@@ -71,7 +71,7 @@ func runDifferential(t *testing.T, targets []mcfs.TargetSpec, includeNamespace b
 	for i := range trail {
 		trail[i] = randomOp(r, includeNamespace)
 	}
-	d, err := s.Replay(trail)
+	d, _, err := s.VerifyTrail(trail, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,7 @@ func hunt(name string, targets []mcfs.TargetSpec) {
 		log.Fatal(err)
 	}
 	defer fresh.Close()
-	d, err := fresh.Replay(result.Bug.Trail)
+	d, _, err := fresh.VerifyTrail(result.Bug.Trail, nil, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

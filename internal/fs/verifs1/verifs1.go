@@ -99,12 +99,6 @@ type FS struct {
 	truncateNoZero bool
 
 	snapshots map[uint64]*snapshot
-
-	// onRestore, if set, runs after every successful RestoreState. The
-	// FUSE glue registers kernel cache invalidation here; leaving it
-	// unset reproduces the paper's second VeriFS1 bug (stale kernel
-	// dentries after rollback).
-	onRestore func()
 }
 
 type snapshot struct {
@@ -113,7 +107,6 @@ type snapshot struct {
 
 var _ vfs.FS = (*FS)(nil)
 var _ vfs.Checkpointer = (*FS)(nil)
-var _ vfs.Discarder = (*FS)(nil)
 var _ vfs.Typer = (*FS)(nil)
 
 // New returns an empty VeriFS1 with its root directory allocated.
@@ -142,9 +135,6 @@ func New(clock *simclock.Clock, opts ...Option) *FS {
 
 // FSType implements vfs.Typer.
 func (f *FS) FSType() string { return "verifs1" }
-
-// SetOnRestore registers a hook run after every successful RestoreState.
-func (f *FS) SetOnRestore(fn func()) { f.onRestore = fn }
 
 func (f *FS) now() time.Duration {
 	if f.clock == nil {
@@ -592,9 +582,9 @@ func (f *FS) CheckpointState(key uint64) errno.Errno {
 }
 
 // RestoreState implements vfs.Checkpointer: it replaces the live inode
-// array with the snapshot stored under key, discards the snapshot, and
-// notifies the kernel to invalidate its caches (via the registered
-// onRestore hook). The snapshot is consumed, so its inodes — data buffers
+// array with the snapshot stored under key and discards the snapshot
+// (the FUSE server, not the file system, tells the kernel to drop its
+// caches). The snapshot is consumed, so its inodes — data buffers
 // and directory lists with them — are moved into the live array, not
 // cloned; slots used since the checkpoint go back to zero. Other
 // snapshots may share those buffers, so a new epoch starts.
@@ -610,13 +600,10 @@ func (f *FS) RestoreState(key uint64) errno.Errno {
 	f.hwm = n
 	delete(f.snapshots, key)
 	f.nextEpoch()
-	if f.onRestore != nil {
-		f.onRestore()
-	}
 	return errno.OK
 }
 
-// DiscardState implements vfs.Discarder: it drops the snapshot stored
+// DiscardState implements vfs.Checkpointer: it drops the snapshot stored
 // under key without touching the live state.
 func (f *FS) DiscardState(key uint64) errno.Errno {
 	if _, ok := f.snapshots[key]; !ok {

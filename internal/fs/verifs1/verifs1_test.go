@@ -370,21 +370,6 @@ func TestRestoreMissingKey(t *testing.T) {
 	}
 }
 
-func TestRestoreRunsHook(t *testing.T) {
-	f := newFS(t)
-	called := false
-	f.SetOnRestore(func() { called = true })
-	if e := f.CheckpointState(1); e != errno.OK {
-		t.Fatal(e)
-	}
-	if e := f.RestoreState(1); e != errno.OK {
-		t.Fatal(e)
-	}
-	if !called {
-		t.Error("onRestore hook not called")
-	}
-}
-
 func TestCheckpointIsDeepCopy(t *testing.T) {
 	f := newFS(t)
 	ino := mustCreate(t, f, f.Root(), "file")

@@ -155,7 +155,6 @@ type FS struct {
 	sizeBug bool
 
 	snapshots map[uint64]*snapshot
-	onRestore func()
 }
 
 type snapshot struct {
@@ -170,7 +169,6 @@ var _ vfs.LinkFS = (*FS)(nil)
 var _ vfs.SymlinkFS = (*FS)(nil)
 var _ vfs.XattrFS = (*FS)(nil)
 var _ vfs.Checkpointer = (*FS)(nil)
-var _ vfs.Discarder = (*FS)(nil)
 var _ vfs.Typer = (*FS)(nil)
 
 // New returns an empty VeriFS2 with its root directory allocated.
@@ -201,9 +199,6 @@ func New(clock *simclock.Clock, opts ...Option) *FS {
 
 // FSType implements vfs.Typer.
 func (f *FS) FSType() string { return "verifs2" }
-
-// SetOnRestore registers a hook run after every successful RestoreState.
-func (f *FS) SetOnRestore(fn func()) { f.onRestore = fn }
 
 func (f *FS) now() time.Duration {
 	if f.clock == nil {
@@ -944,13 +939,10 @@ func (f *FS) RestoreState(key uint64) errno.Errno {
 	f.usedBlocks = snap.usedBlocks
 	delete(f.snapshots, key)
 	f.epoch++
-	if f.onRestore != nil {
-		f.onRestore()
-	}
 	return errno.OK
 }
 
-// DiscardState implements vfs.Discarder: it drops the snapshot stored
+// DiscardState implements vfs.Checkpointer: it drops the snapshot stored
 // under key without touching the live state.
 func (f *FS) DiscardState(key uint64) errno.Errno {
 	if _, ok := f.snapshots[key]; !ok {

@@ -51,33 +51,21 @@ type ServerOptions struct {
 	SkipInvalidateOnRestore bool
 }
 
-// restoreHooker is the subset of VeriFS that lets the server observe
-// restores so it can fire cache invalidations.
-type restoreHooker interface {
-	SetOnRestore(func())
-}
-
 // Server is the user-space file system process: the backing file system
 // and what a process snapshotter sees of it. It runs nothing — a Client
 // calls the backing file system directly.
 type Server struct {
 	backing vfs.FS
 
-	// invalPending is the one notification a server ever sends: drop every
-	// cached dentry and attribute of the mount. The restore hook sets it;
-	// the Client applies it when the call in flight returns.
-	invalPending bool
+	// notify: the fixed VeriFS tells the kernel to drop every cached
+	// dentry and attribute of the mount after each successful restore —
+	// the one notification a server ever sends.
+	notify bool
 }
 
 // NewServer wraps backing as a FUSE server process.
 func NewServer(backing vfs.FS, opts ServerOptions) *Server {
-	s := &Server{backing: backing}
-	if rh, ok := backing.(restoreHooker); ok && !opts.SkipInvalidateOnRestore {
-		// The fixed VeriFS: after every restore, tell the kernel to drop
-		// every cached dentry and attribute for this mount.
-		rh.SetOnRestore(func() { s.invalPending = true })
-	}
-	return s
+	return &Server{backing: backing, notify: !opts.SkipInvalidateOnRestore}
 }
 
 // OpenDeviceFiles lists the special device files the server process holds
@@ -113,7 +101,6 @@ var _ vfs.LinkFS = (*Client)(nil)
 var _ vfs.SymlinkFS = (*Client)(nil)
 var _ vfs.XattrFS = (*Client)(nil)
 var _ vfs.Checkpointer = (*Client)(nil)
-var _ vfs.Discarder = (*Client)(nil)
 var _ vfs.Typer = (*Client)(nil)
 var _ kernel.InvalidatorBinder = (*Client)(nil)
 
@@ -142,8 +129,8 @@ func (c *Client) FSType() string { return vfs.TypeName(c.server.backing) }
 
 // send opens one round trip: a span named after the operation's FUSE
 // opcode (FUSE_LOOKUP, FUSE_GETATTR, ... in the real protocol), the
-// request count and the virtual message cost. Every method defers reply
-// around it.
+// request count and the virtual message cost. Every method defers the
+// span's End around it.
 func (c *Client) send(opcode string) obs.SpanHandle {
 	sp := c.obsHub.StartSpan(obs.LayerFS, opcode)
 	c.ctrRequests.Inc()
@@ -153,98 +140,85 @@ func (c *Client) send(opcode string) obs.SpanHandle {
 	return sp
 }
 
-// reply closes the round trip: a notification the server raised during
-// the call (the notify messages share the request's channel in real
-// FUSE) reaches the kernel caches before the syscall returns.
-func (c *Client) reply(sp obs.SpanHandle) {
-	if c.server.invalPending {
-		c.server.invalPending = false
-		if c.inval != nil {
-			c.inval.InvalAll()
-		}
-	}
-	sp.End()
-}
-
 // Root implements vfs.FS.
 func (c *Client) Root() vfs.Ino { return c.root }
 
 // Lookup implements vfs.FS.
 func (c *Client) Lookup(parent vfs.Ino, name string) (vfs.Ino, errno.Errno) {
-	defer c.reply(c.send("LOOKUP"))
+	defer c.send("LOOKUP").End()
 	return c.server.backing.Lookup(parent, name)
 }
 
 // Getattr implements vfs.FS.
 func (c *Client) Getattr(ino vfs.Ino) (vfs.Stat, errno.Errno) {
-	defer c.reply(c.send("GETATTR"))
+	defer c.send("GETATTR").End()
 	return c.server.backing.Getattr(ino)
 }
 
 // Setattr implements vfs.FS.
 func (c *Client) Setattr(ino vfs.Ino, attr vfs.SetAttr) errno.Errno {
-	defer c.reply(c.send("SETATTR"))
+	defer c.send("SETATTR").End()
 	return c.server.backing.Setattr(ino, attr)
 }
 
 // Create implements vfs.FS.
 func (c *Client) Create(parent vfs.Ino, name string, mode vfs.Mode, uid, gid uint32) (vfs.Ino, errno.Errno) {
-	defer c.reply(c.send("CREATE"))
+	defer c.send("CREATE").End()
 	return c.server.backing.Create(parent, name, mode, uid, gid)
 }
 
 // Mkdir implements vfs.FS.
 func (c *Client) Mkdir(parent vfs.Ino, name string, mode vfs.Mode, uid, gid uint32) (vfs.Ino, errno.Errno) {
-	defer c.reply(c.send("MKDIR"))
+	defer c.send("MKDIR").End()
 	return c.server.backing.Mkdir(parent, name, mode, uid, gid)
 }
 
 // Unlink implements vfs.FS.
 func (c *Client) Unlink(parent vfs.Ino, name string) errno.Errno {
-	defer c.reply(c.send("UNLINK"))
+	defer c.send("UNLINK").End()
 	return c.server.backing.Unlink(parent, name)
 }
 
 // Rmdir implements vfs.FS.
 func (c *Client) Rmdir(parent vfs.Ino, name string) errno.Errno {
-	defer c.reply(c.send("RMDIR"))
+	defer c.send("RMDIR").End()
 	return c.server.backing.Rmdir(parent, name)
 }
 
 // Read implements vfs.FS.
 func (c *Client) Read(ino vfs.Ino, off int64, n int) ([]byte, errno.Errno) {
-	defer c.reply(c.send("READ"))
+	defer c.send("READ").End()
 	return c.server.backing.Read(ino, off, n)
 }
 
 // Write implements vfs.FS.
 func (c *Client) Write(ino vfs.Ino, off int64, data []byte) (int, errno.Errno) {
-	defer c.reply(c.send("WRITE"))
+	defer c.send("WRITE").End()
 	return c.server.backing.Write(ino, off, data)
 }
 
 // ReadDir implements vfs.FS.
 func (c *Client) ReadDir(ino vfs.Ino) ([]vfs.DirEntry, errno.Errno) {
-	defer c.reply(c.send("READDIR"))
+	defer c.send("READDIR").End()
 	return c.server.backing.ReadDir(ino)
 }
 
 // StatFS implements vfs.FS.
 func (c *Client) StatFS() (vfs.StatFS, errno.Errno) {
-	defer c.reply(c.send("STATFS"))
+	defer c.send("STATFS").End()
 	return c.server.backing.StatFS()
 }
 
 // Sync implements vfs.FS.
 func (c *Client) Sync() errno.Errno {
-	defer c.reply(c.send("FSYNC"))
+	defer c.send("FSYNC").End()
 	return c.server.backing.Sync()
 }
 
 // Rename implements vfs.RenameFS (the server replies ENOSYS when the
 // backing file system cannot rename, as real FUSE servers do).
 func (c *Client) Rename(oldParent vfs.Ino, oldName string, newParent vfs.Ino, newName string) errno.Errno {
-	defer c.reply(c.send("RENAME"))
+	defer c.send("RENAME").End()
 	if fs, ok := c.server.backing.(vfs.RenameFS); ok {
 		return fs.Rename(oldParent, oldName, newParent, newName)
 	}
@@ -253,7 +227,7 @@ func (c *Client) Rename(oldParent vfs.Ino, oldName string, newParent vfs.Ino, ne
 
 // Link implements vfs.LinkFS.
 func (c *Client) Link(ino vfs.Ino, newParent vfs.Ino, newName string) errno.Errno {
-	defer c.reply(c.send("LINK"))
+	defer c.send("LINK").End()
 	if fs, ok := c.server.backing.(vfs.LinkFS); ok {
 		return fs.Link(ino, newParent, newName)
 	}
@@ -262,7 +236,7 @@ func (c *Client) Link(ino vfs.Ino, newParent vfs.Ino, newName string) errno.Errn
 
 // Symlink implements vfs.SymlinkFS.
 func (c *Client) Symlink(target string, parent vfs.Ino, name string, uid, gid uint32) (vfs.Ino, errno.Errno) {
-	defer c.reply(c.send("SYMLINK"))
+	defer c.send("SYMLINK").End()
 	if fs, ok := c.server.backing.(vfs.SymlinkFS); ok {
 		return fs.Symlink(target, parent, name, uid, gid)
 	}
@@ -272,7 +246,7 @@ func (c *Client) Symlink(target string, parent vfs.Ino, name string, uid, gid ui
 // Readlink implements vfs.SymlinkFS (EINVAL without symlinks: nothing
 // the backing file system holds is one).
 func (c *Client) Readlink(ino vfs.Ino) (string, errno.Errno) {
-	defer c.reply(c.send("READLINK"))
+	defer c.send("READLINK").End()
 	if fs, ok := c.server.backing.(vfs.SymlinkFS); ok {
 		return fs.Readlink(ino)
 	}
@@ -281,7 +255,7 @@ func (c *Client) Readlink(ino vfs.Ino) (string, errno.Errno) {
 
 // SetXattr implements vfs.XattrFS.
 func (c *Client) SetXattr(ino vfs.Ino, name string, value []byte) errno.Errno {
-	defer c.reply(c.send("SETXATTR"))
+	defer c.send("SETXATTR").End()
 	if fs, ok := c.server.backing.(vfs.XattrFS); ok {
 		return fs.SetXattr(ino, name, value)
 	}
@@ -290,7 +264,7 @@ func (c *Client) SetXattr(ino vfs.Ino, name string, value []byte) errno.Errno {
 
 // GetXattr implements vfs.XattrFS.
 func (c *Client) GetXattr(ino vfs.Ino, name string) ([]byte, errno.Errno) {
-	defer c.reply(c.send("GETXATTR"))
+	defer c.send("GETXATTR").End()
 	if fs, ok := c.server.backing.(vfs.XattrFS); ok {
 		return fs.GetXattr(ino, name)
 	}
@@ -299,7 +273,7 @@ func (c *Client) GetXattr(ino vfs.Ino, name string) ([]byte, errno.Errno) {
 
 // ListXattr implements vfs.XattrFS.
 func (c *Client) ListXattr(ino vfs.Ino) ([]string, errno.Errno) {
-	defer c.reply(c.send("LISTXATTR"))
+	defer c.send("LISTXATTR").End()
 	if fs, ok := c.server.backing.(vfs.XattrFS); ok {
 		return fs.ListXattr(ino)
 	}
@@ -308,7 +282,7 @@ func (c *Client) ListXattr(ino vfs.Ino) ([]string, errno.Errno) {
 
 // RemoveXattr implements vfs.XattrFS.
 func (c *Client) RemoveXattr(ino vfs.Ino, name string) errno.Errno {
-	defer c.reply(c.send("REMOVEXATTR"))
+	defer c.send("REMOVEXATTR").End()
 	if fs, ok := c.server.backing.(vfs.XattrFS); ok {
 		return fs.RemoveXattr(ino, name)
 	}
@@ -317,28 +291,36 @@ func (c *Client) RemoveXattr(ino vfs.Ino, name string) errno.Errno {
 
 // CheckpointState implements vfs.Checkpointer: ioctl_CHECKPOINT.
 func (c *Client) CheckpointState(key uint64) errno.Errno {
-	defer c.reply(c.send("CHECKPOINT"))
+	defer c.send("CHECKPOINT").End()
 	if fs, ok := c.server.backing.(vfs.Checkpointer); ok {
 		return fs.CheckpointState(key)
 	}
 	return errno.ENOTSUP
 }
 
-// RestoreState implements vfs.Checkpointer: ioctl_RESTORE. The server's
-// restore hook raises the cache invalidation, applied before this returns.
+// RestoreState implements vfs.Checkpointer: ioctl_RESTORE. A server
+// that notifies drops the kernel's caches for the mount after a
+// successful restore, before the reply returns (the notify messages
+// share the request's channel in real FUSE).
 func (c *Client) RestoreState(key uint64) errno.Errno {
-	defer c.reply(c.send("RESTORE"))
-	if fs, ok := c.server.backing.(vfs.Checkpointer); ok {
-		return fs.RestoreState(key)
+	defer c.send("RESTORE").End()
+	fs, ok := c.server.backing.(vfs.Checkpointer)
+	if !ok {
+		return errno.ENOTSUP
 	}
-	return errno.ENOTSUP
+	e := fs.RestoreState(key)
+	if e == errno.OK && c.server.notify && c.inval != nil {
+		c.inval.InvalAll()
+	}
+	return e
 }
 
-// DiscardState implements vfs.Discarder: ioctl_DISCARD. No invalidation
-// is needed — discarding a snapshot does not change the live state.
+// DiscardState implements vfs.Checkpointer: ioctl_DISCARD. No
+// invalidation is needed — discarding a snapshot does not change the
+// live state.
 func (c *Client) DiscardState(key uint64) errno.Errno {
-	defer c.reply(c.send("DISCARD"))
-	if fs, ok := c.server.backing.(vfs.Discarder); ok {
+	defer c.send("DISCARD").End()
+	if fs, ok := c.server.backing.(vfs.Checkpointer); ok {
 		return fs.DiscardState(key)
 	}
 	return errno.ENOTSUP

@@ -382,9 +382,9 @@ func TestStaleDcacheCausesSpuriousEEXIST(t *testing.T) {
 	if e := k.Mkdir("/mnt/testdir", 0755); e != errno.OK {
 		t.Fatal(e)
 	}
-	// Restore the pre-mkdir state directly on the FS (not via ioctl), so
-	// no invalidation hook is registered: VeriFS2 created with New() has
-	// no onRestore set => simulates the buggy behavior.
+	// Restore the pre-mkdir state directly on the FS (not via ioctl):
+	// VeriFS2 mounted without a FUSE server notifies nobody, which
+	// simulates the buggy behavior.
 	if e := f.RestoreState(1); e != errno.OK {
 		t.Fatal(e)
 	}
@@ -422,8 +422,9 @@ func TestIoctlCheckpointRestoreRoundtrip(t *testing.T) {
 	if e := k.Ioctl("/mnt", vfs.IoctlRestore, 7); e != errno.OK {
 		t.Fatalf("restore ioctl: %v", e)
 	}
-	// VeriFS2's onRestore is unset here, so invalidate manually (the
-	// FUSE adapter does this automatically; see internal/fuse).
+	// VeriFS2 is mounted without a FUSE server here, so invalidate
+	// manually (the FUSE client does this on a successful restore; see
+	// internal/fuse).
 	inv, _ := k.Invalidator("/mnt")
 	inv.InvalAll()
 	st, e := k.Stat("/mnt/f")

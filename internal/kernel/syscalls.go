@@ -518,9 +518,9 @@ func (k *Kernel) SyncFS(path string) errno.Errno {
 	return m.fs.Sync()
 }
 
-// Ioctl dispatches an ioctl on path. IoctlCheckpoint/IoctlRestore route
-// to the Checkpointer API when the file system provides it (§5);
-// IoctlDiscard routes to the optional Discarder API.
+// Ioctl dispatches an ioctl on path: the three checkpoint commands
+// route to the file system's Checkpointer (§5); anything else, or a file
+// system without one, is ENOTSUP.
 func (k *Kernel) Ioctl(path string, cmd uint32, arg uint64) errno.Errno {
 	defer k.begin("ioctl").End()
 	r, e := k.resolve(path, true)
@@ -530,29 +530,17 @@ func (k *Kernel) Ioctl(path string, cmd uint32, arg uint64) errno.Errno {
 	if !r.exists {
 		return errno.ENOENT
 	}
-	m := r.mount
+	cp, ok := r.mount.fs.(vfs.Checkpointer)
+	if !ok {
+		return errno.ENOTSUP
+	}
 	switch cmd {
 	case vfs.IoctlCheckpoint:
-		cp, ok := m.fs.(vfs.Checkpointer)
-		if !ok {
-			return errno.ENOTSUP
-		}
 		return cp.CheckpointState(arg)
 	case vfs.IoctlRestore:
-		cp, ok := m.fs.(vfs.Checkpointer)
-		if !ok {
-			return errno.ENOTSUP
-		}
 		return cp.RestoreState(arg)
 	case vfs.IoctlDiscard:
-		dc, ok := m.fs.(vfs.Discarder)
-		if !ok {
-			return errno.ENOTSUP
-		}
-		return dc.DiscardState(arg)
-	}
-	if io, ok := m.fs.(vfs.Ioctler); ok {
-		return io.Ioctl(r.ino, cmd, arg)
+		return cp.DiscardState(arg)
 	}
 	return errno.ENOTSUP
 }

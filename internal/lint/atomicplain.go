@@ -2,240 +2,40 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"sort"
-	"strconv"
 )
 
-// atomicplain proves the sync/atomic exclusivity invariant: a field
-// whose address is ever passed to sync/atomic (atomic.AddInt64(&c.n,
-// ...), atomic.LoadUint64(&t.bits[w])) must never be accessed plainly
-// anywhere else in the module — mixed atomic/plain access is a data
-// race the race detector only catches if a test happens to interleave
-// it; this analyzer catches it on every build.
-//
-// Two shapes are distinguished. A *field-atomic* field (&c.n) admits
-// no plain access at all. An *element-atomic* slice field
-// (&t.bits[w]) races per element: plain indexing or ranging is
-// flagged, while len()/cap() and whole-slice assignment (the
-// make-then-publish constructor idiom) are allowed — slice headers are
-// written before the table is shared and never mutated after.
-//
-// Fields of the wrapper types (atomic.Int64 &c.) enforce themselves in
-// the type system and are not indexed here.
+// atomicplain holds the module's typed-atomics rule: no code uses a
+// sync/atomic *function* (atomic.AddInt64(&c.n, 1), atomic.LoadUint64,
+// ...). A field shared between goroutines is an atomic.Int64,
+// atomic.Uint64, atomic.Pointer[T] and so on, and the methods of those
+// types stay allowed. They are the only way to reach the value, so the
+// type checker rules out a plain access racing with an atomic one, and
+// `go vet`'s copylocks check rejects a plain copy (y := c.n). Neither
+// sees a zero-literal assignment (c.n = atomic.Int64{}); see DESIGN.md,
+// "Static analysis".
 
 // NewAtomicPlain returns the atomicplain analyzer.
 func NewAtomicPlain() *Analyzer {
 	return &Analyzer{
-		Name:        "atomicplain",
-		Doc:         "a field accessed via sync/atomic must not also be accessed plainly",
-		NeedsModule: true,
-		Run:         runAtomicPlain,
+		Name: "atomicplain",
+		Doc:  "sync/atomic functions are forbidden: a shared field is a typed atomic, reached only through its methods",
+		Run:  runAtomicPlain,
 	}
-}
-
-// atomicField is one struct field the module accesses atomically.
-type atomicField struct {
-	v        *types.Var
-	elemOnly bool      // every atomic use is &field[index]
-	witness  token.Pos // earliest atomic call site
-}
-
-// atomicIndex is the module-wide field index plus the selector
-// positions that constitute the atomic accesses themselves.
-type atomicIndex struct {
-	fields  map[*types.Var]*atomicField
-	atomPos map[token.Pos]bool // positions of the &-arg selectors
 }
 
 func runAtomicPlain(pass *Pass) {
-	m := pass.Module
-	if m == nil {
-		return
-	}
-	idx := m.atomicFields()
 	for _, file := range pass.Files {
-		checkPlainAccesses(pass, idx, file)
-	}
-}
-
-// atomicFields builds (and caches) the module-wide index of fields
-// whose address reaches sync/atomic.
-func (m *Module) atomicFields() *atomicIndex {
-	if m.atomResult != nil {
-		return m.atomResult
-	}
-	idx := &atomicIndex{
-		fields:  map[*types.Var]*atomicField{},
-		atomPos: map[token.Pos]bool{},
-	}
-	for _, pkg := range m.Pkgs {
-		for _, file := range pkg.Files {
-			ast.Inspect(file, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok || len(call.Args) == 0 {
-					return true
-				}
-				if !isAtomicCall(pkg, call) {
-					return true
-				}
-				un, ok := ast.Unparen(call.Args[0]).(*ast.UnaryExpr)
-				if !ok || un.Op != token.AND {
-					return true
-				}
-				target := ast.Unparen(un.X)
-				var sel *ast.SelectorExpr
-				elem := false
-				switch t := target.(type) {
-				case *ast.SelectorExpr:
-					sel = t
-				case *ast.IndexExpr:
-					if s, ok := ast.Unparen(t.X).(*ast.SelectorExpr); ok {
-						sel = s
-						elem = true
-					}
-				}
-				if sel == nil {
-					return true
-				}
-				fv, ok := pkg.Info.Uses[sel.Sel].(*types.Var)
-				if !ok || !fv.IsField() {
-					return true
-				}
-				af := idx.fields[fv]
-				if af == nil {
-					af = &atomicField{v: fv, elemOnly: true, witness: call.Pos()}
-					idx.fields[fv] = af
-				}
-				if !elem {
-					af.elemOnly = false
-				}
-				if call.Pos() < af.witness {
-					af.witness = call.Pos()
-				}
-				idx.atomPos[sel.Sel.Pos()] = true
+		ast.Inspect(file, func(n ast.Node) bool {
+			id, ok := n.(*ast.Ident)
+			if !ok {
 				return true
-			})
-		}
-	}
-	m.atomResult = idx
-	return idx
-}
-
-// isAtomicCall reports whether the call targets package sync/atomic.
-func isAtomicCall(pkg *Package, call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return false
-	}
-	return fn.Pkg().Path() == "sync/atomic"
-}
-
-// checkPlainAccesses walks one file with an explicit parent stack and
-// flags plain uses of indexed fields.
-func checkPlainAccesses(pass *Pass, idx *atomicIndex, file *ast.File) {
-	type finding struct {
-		pos token.Pos
-		msg string
-	}
-	var findings []finding
-	var stack []ast.Node
-	ast.Inspect(file, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return false
-		}
-		stack = append(stack, n)
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
+			}
+			fn, ok := pass.Info.Uses[id].(*types.Func)
+			if ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" && fn.Type().(*types.Signature).Recv() == nil {
+				pass.Reportf(id.Pos(), "sync/atomic.%s: use a typed atomic (atomic.Int64, ...), so no plain access can race with it", fn.Name())
+			}
 			return true
-		}
-		fv, ok := pass.Info.Uses[sel.Sel].(*types.Var)
-		if !ok {
-			return true
-		}
-		af := idx.fields[fv]
-		if af == nil {
-			return true
-		}
-		if idx.atomPos[sel.Sel.Pos()] {
-			return true // this IS the atomic access
-		}
-		parent := parentOf(stack, sel)
-		if af.elemOnly && elemPlainAllowed(sel, parent) {
-			return true
-		}
-		w := pass.Fset.Position(af.witness)
-		kind := "accessed"
-		if af.elemOnly {
-			kind = "indexed"
-		}
-		findings = append(findings, finding{
-			pos: sel.Sel.Pos(),
-			msg: "field " + fv.Name() + " is " + kind + " atomically at " +
-				shortPos(w) + "; this plain access races with it",
 		})
-		return true
-	})
-	sort.Slice(findings, func(i, j int) bool { return findings[i].pos < findings[j].pos })
-	for _, f := range findings {
-		pass.Reportf(f.pos, "%s", f.msg)
 	}
-}
-
-// parentOf returns the innermost stack node strictly above sel,
-// unwrapping parens.
-func parentOf(stack []ast.Node, sel *ast.SelectorExpr) ast.Node {
-	for i := len(stack) - 1; i >= 0; i-- {
-		if stack[i] != sel {
-			continue
-		}
-		for j := i - 1; j >= 0; j-- {
-			if _, isParen := stack[j].(*ast.ParenExpr); isParen {
-				continue
-			}
-			return stack[j]
-		}
-		return nil
-	}
-	return nil
-}
-
-// elemPlainAllowed reports whether a plain mention of an element-atomic
-// slice field is one of the safe header-only shapes: len()/cap() and
-// whole-slice assignment (constructor make-then-publish).
-func elemPlainAllowed(sel *ast.SelectorExpr, parent ast.Node) bool {
-	switch p := parent.(type) {
-	case *ast.CallExpr:
-		if id, ok := ast.Unparen(p.Fun).(*ast.Ident); ok && (id.Name == "len" || id.Name == "cap") {
-			for _, a := range p.Args {
-				if ast.Unparen(a) == sel {
-					return true
-				}
-			}
-		}
-	case *ast.AssignStmt:
-		for _, lhs := range p.Lhs {
-			if ast.Unparen(lhs) == sel {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func shortPos(p token.Position) string {
-	name := p.Filename
-	for i := len(name) - 1; i >= 0; i-- {
-		if name[i] == '/' {
-			name = name[i+1:]
-			break
-		}
-	}
-	return name + ":" + strconv.Itoa(p.Line)
 }

@@ -42,7 +42,8 @@ func TestErrnoDropGolden(t *testing.T) {
 
 func TestNilObsGolden(t *testing.T) {
 	runGolden(t, "nilobs", NewNilObs(NilObsConfig{
-		Targets: map[string][]string{"obsstub": {"Hub"}},
+		// Reporter is configured but not declared: config drift.
+		Targets: map[string][]string{"obsstub": {"Hub", "Reporter"}},
 	}))
 }
 

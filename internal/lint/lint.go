@@ -21,22 +21,24 @@
 //     the simulation clock — wall time breaks replay determinism.
 //   - errnodrop: error and Errno results of kernel/vfs/fs operations must
 //     not be discarded.
-//   - nilobs: obs hub/reporter/journal methods must keep their documented
-//     nil-receiver safety.
+//   - nilobs: the methods of the configured obs, journal, stream and
+//     governor types must keep their documented nil-receiver safety.
 //   - lockorder: the global lock-acquisition order graph must be acyclic
 //     (a cycle is a potential deadlock), built flow-sensitively over the
 //     module call graph.
 //   - guardedby: fields annotated `// guarded by <field>` may only be
 //     accessed while that instance's lock is in the lockset (write lock
 //     for writes).
-//   - atomicplain: a field accessed via sync/atomic anywhere must never
-//     be accessed plainly elsewhere.
+//   - atomicplain: no sync/atomic function is called; a shared field is
+//     a typed atomic (atomic.Int64, ...), reached only through its
+//     methods, so no plain access can race with an atomic one.
 //   - lockbalance: every path through a function leaves the lockset as
 //     it entered — no early-return missing-Unlock.
 //
-// The last four share the flow-sensitive layer in cfg.go, module.go and
-// lockset.go: per-function basic-block CFGs, a type-resolved static call
-// graph with interface widening, and a lockset dataflow fixpoint.
+// lockorder, guardedby and lockbalance share the flow-sensitive layer in
+// cfg.go, module.go and lockset.go: per-function basic-block CFGs, a
+// type-resolved static call graph with interface widening, and a lockset
+// dataflow fixpoint.
 //
 // Diagnostics can be suppressed with a justified comment on the flagged
 // line or the line directly above it:
@@ -356,7 +358,7 @@ func Analyzers() []*Analyzer {
 		}),
 		NewNilObs(NilObsConfig{
 			Targets: map[string][]string{
-				"mcfs/internal/obs":         {"Hub", "Counter", "Gauge", "Histogram", "Reporter"},
+				"mcfs/internal/obs":         {"Hub", "Counter", "Gauge", "Histogram"},
 				"mcfs/internal/obs/journal": {"Writer", "Recorder"},
 				"mcfs/internal/obs/stream":  {"Bus", "Subscriber"},
 				// The engine calls the governor unconditionally on its

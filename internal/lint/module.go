@@ -11,9 +11,9 @@ import (
 // Module is the whole-tree view behind the flow-sensitive analyzers:
 // every function declaration with its CFG, a type-resolved static call
 // graph (interface method calls widened to the implementers the loader
-// found), the `// guarded by <field>` annotations, and the sync/atomic
-// field index. It is built once per Run when any requested analyzer
-// sets NeedsModule, and shared by every pass.
+// found) and the `// guarded by <field>` annotations. It is built once
+// per Run when any requested analyzer sets NeedsModule, and shared by
+// every pass.
 //
 // Known imprecision, by design: calls through func values (callbacks,
 // stored hooks) are not resolved, goroutine bodies are excluded from
@@ -35,7 +35,6 @@ type Module struct {
 	namedTypes []*types.Named
 
 	lockResult *modAnalysis // lazily built by LockAnalysis
-	atomResult *atomicIndex // lazily built by atomicFields
 	orderGraph *orderGraph  // lazily built by lockOrderGraph
 }
 

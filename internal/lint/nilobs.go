@@ -25,11 +25,13 @@ type NilObsConfig struct {
 // receiver, or to guard first: `if r == nil { return ... }` (possibly
 // `recv == nil || ...`), or the inverted `if r != nil { ... }` form with
 // all dereferences inside. Calling the receiver's own methods is always
-// allowed — those are verified independently.
+// allowed — those are verified independently. A configured type its
+// package does not declare is itself a finding, so the configuration
+// cannot drift silently from the code it guards.
 func NewNilObs(cfg NilObsConfig) *Analyzer {
 	a := &Analyzer{
 		Name: "nilobs",
-		Doc: "exported methods on obs hub/reporter/journal types must guard the " +
+		Doc: "exported methods on the configured nil-safe types must guard the " +
 			"receiver against nil before dereferencing it",
 	}
 	a.Run = func(pass *Pass) { runNilObs(pass, cfg) }
@@ -43,6 +45,9 @@ func runNilObs(pass *Pass, cfg NilObsConfig) {
 	}
 	targets := map[string]bool{}
 	for _, n := range typeNames {
+		if _, ok := pass.Pkg.Scope().Lookup(n).(*types.TypeName); !ok {
+			pass.Reportf(pass.Files[0].Name.Pos(), "configured nil-safe type %s is not declared in package %s", n, pass.Pkg.Path())
+		}
 		targets[n] = true
 	}
 	for _, file := range pass.Files {

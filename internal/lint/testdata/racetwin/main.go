@@ -1,11 +1,11 @@
-// The runtime twin of the atomicplain fixture: the same mixed
-// atomic/plain access pattern the analyzer flags statically, arranged
-// so the Go race detector provably catches it at runtime — evidence
-// the invariant is a real race, not a style preference. The
-// racetwin_test in internal/lint runs this under `go run -race` and
-// asserts a DATA RACE report, and runs atomicplain over this tree and
-// asserts the static finding, so the two verdicts can never drift
-// apart silently.
+// The runtime twin of the atomicplain fixture: a sync/atomic function
+// call beside a plain read of the same field, the pattern the analyzer
+// rules out by flagging the call, arranged so the Go race detector
+// provably catches it at runtime — evidence the rule guards a real
+// race, not a style preference. The racetwin_test in internal/lint runs
+// this under `go run -race` and asserts a DATA RACE report, and runs
+// atomicplain over this tree and asserts the static findings, so the
+// two verdicts can never drift apart silently.
 package main
 
 import (
@@ -22,7 +22,7 @@ func main() {
 	done := make(chan struct{})
 	go func() {
 		for i := 0; i < 100000; i++ {
-			atomic.AddInt64(&c.hits, 1)
+			atomic.AddInt64(&c.hits, 1) // want "sync/atomic.AddInt64: use a typed atomic"
 		}
 		close(done)
 	}()
@@ -32,10 +32,10 @@ func main() {
 	for {
 		select {
 		case <-done:
-			fmt.Println("last observed:", last, "final:", atomic.LoadInt64(&c.hits))
+			fmt.Println("last observed:", last, "final:", atomic.LoadInt64(&c.hits)) // want "sync/atomic.LoadInt64: use a typed atomic"
 			return
 		default:
-			last = c.hits // want "field hits is accessed atomically at main.go:25; this plain access races with it"
+			last = c.hits
 		}
 	}
 }

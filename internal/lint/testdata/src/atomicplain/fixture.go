@@ -1,56 +1,50 @@
-// Package atomicplain seeds the mixed atomic/plain access hazard: once
-// any code touches a field through sync/atomic, every plain access of
-// that field anywhere in the module is a data race. The element-atomic
-// slice shape (a bitstate table's words) permits header-only uses —
-// len/cap and whole-slice assignment in a constructor — but not plain
-// indexing.
+// Package atomicplain seeds the typed-atomics rule: every use of a
+// sync/atomic function is a finding, because the field it reaches can
+// still be read or written plainly elsewhere and race with it. The
+// methods of the typed atomics are the only allowed access.
 package atomicplain
 
 import "sync/atomic"
 
 type Counter struct {
-	hits  int64    // field-atomic: &c.hits reaches atomic.AddInt64
-	words []uint64 // element-atomic: &c.words[i] reaches atomic.LoadUint64
-	cold  int64    // never touched atomically; plain access is fine
-}
-
-func NewCounter(n int) *Counter {
-	c := &Counter{}
-	c.words = make([]uint64, n) // whole-slice assignment: allowed
-	return c
+	hits  int64    // reached through atomic.AddInt64: the call is flagged
+	words []uint64 // reached element-wise through atomic functions
+	typed atomic.Int64
+	next  atomic.Pointer[Counter]
+	cold  int64 // never touched atomically; plain access is fine
 }
 
 func (c *Counter) Hit() {
-	atomic.AddInt64(&c.hits, 1)
+	atomic.AddInt64(&c.hits, 1) // want "sync/atomic.AddInt64: use a typed atomic"
 }
 
 func (c *Counter) Test(i int) bool {
-	w := i / 64
-	if w >= len(c.words) { // len of the slice header: allowed
-		return false
-	}
-	return atomic.LoadUint64(&c.words[w])&(1<<(i%64)) != 0
+	return atomic.LoadUint64(&c.words[i/64])&(1<<(i%64)) != 0 // want "sync/atomic.LoadUint64: use a typed atomic"
 }
 
 func (c *Counter) Set(i int) {
-	atomic.OrUint64(&c.words[i/64], 1<<(i%64))
+	atomic.OrUint64(&c.words[i/64], 1<<(i%64)) // want "sync/atomic.OrUint64: use a typed atomic"
 }
 
-// Snapshot reads the counter without atomic: the classic
-// Histogram.Sum hazard.
+// add takes the function as a value: a use, even without a call.
+var add = atomic.AddInt64 // want "sync/atomic.AddInt64: use a typed atomic"
+
+// Snapshot reads the counter plainly: the classic Histogram.Sum hazard,
+// ruled out by rejecting Hit's call rather than this read.
 func (c *Counter) Snapshot() int64 {
-	return c.hits // want "field hits is accessed atomically at fixture.go:24; this plain access races with it"
+	return c.hits
 }
 
-// Reset writes it plainly, which is just as racy.
-func (c *Counter) Reset() {
-	c.hits = 0 // want "field hits is accessed atomically at fixture.go:24; this plain access races with it"
+// Typed is the convention: methods only, so nothing can read the value
+// plainly.
+func (c *Counter) Typed() int64 {
+	c.typed.Add(1)
+	c.next.Store(c)
+	return c.typed.Load()
 }
 
-// PeekWord indexes the element-atomic slice plainly.
-func (c *Counter) PeekWord(w int) uint64 {
-	return c.words[w] // want "field words is indexed atomically at fixture.go:32; this plain access races with it"
-}
+// load is a method expression: a method, so allowed.
+var load = (*atomic.Int64).Load
 
 func (c *Counter) Cold() int64 {
 	c.cold++

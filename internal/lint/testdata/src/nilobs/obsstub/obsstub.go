@@ -1,6 +1,6 @@
 // Fixture for the nilobs analyzer: exported pointer-receiver methods on
 // the configured Hub type must guard the receiver before dereferencing.
-package obsstub
+package obsstub // want "configured nil-safe type Reporter is not declared in package obsstub"
 
 import "sync"
 

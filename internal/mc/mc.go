@@ -14,8 +14,8 @@
 // ioctl checkpoint/restore for VeriFS, §5).
 //
 // On any discrepancy the engine stops and reports the precise operation
-// trail, matching the paper's reproducible bug reports; Replay re-runs a
-// trail from a fresh state to confirm it. SwarmRun (swarm.go) runs
+// trail, matching the paper's reproducible bug reports; VerifyTrail
+// re-runs a trail from a fresh state to confirm it. SwarmRun (swarm.go) runs
 // several diversified engines as a coordinated parallel swarm: a shared
 // cancellation token stops every worker at the first bug, and an
 // optional shared visited set prunes states peers already expanded.
@@ -145,7 +145,7 @@ type BugReport struct {
 	TrailSpans []obs.Span
 	// Crash, when set, marks a crash-consistency bug: the trail's final
 	// operation must be crash-tested at the spec'd target and write
-	// index (Replay with the spec) instead of executed normally.
+	// index (VerifyTrail with the spec) instead of executed normally.
 	Crash *journal.CrashSpec
 }
 
@@ -890,60 +890,49 @@ func (e *engine) report(d *checker.Discrepancy, op workload.Op, crash *journal.C
 	e.cfg.Cancel.Cancel("bug found")
 }
 
-// Replay executes a recorded trail from the targets' current (fresh)
-// state, checking after every operation, and returns the first
-// discrepancy (nil if the trail no longer reproduces). It steps through
-// the engine's own step — free-space equalization, the per-operation
-// tracker hooks (remounts for kernel file systems) and the configured
-// checks (majority voting included) run exactly as they did during
-// exploration — but takes no checkpoints: a linear trail has nothing to
-// backtrack to. A non-nil crash marks a crash-bug trail, whose FINAL
-// operation is not executed but crash-tested on the spec'd target at
-// the spec'd write index (reprobe); a prefix discrepancy still counts.
-func Replay(cfg Config, trail []workload.Op, crash *journal.CrashSpec) (*checker.Discrepancy, error) {
+// VerifyTrail executes a recorded trail from cfg's fresh targets,
+// checking after every operation, and reports the first discrepancy
+// (nil if the trail no longer reproduces) and whether it is the wanted
+// one: any discrepancy when want is nil, otherwise one of the same kind.
+// It steps through the engine's own step — free-space equalization, the
+// per-operation tracker hooks (remounts for kernel file systems) and the
+// configured checks (majority voting included) run exactly as they did
+// during exploration, so reproduction is judged against the first
+// discrepancy the replay hits, as the original run did — but takes no
+// checkpoints: a linear trail has nothing to backtrack to. A non-nil
+// crash marks a crash-bug trail, whose FINAL operation is not executed
+// but crash-tested on the spec'd target at the spec'd write index
+// (reprobe); a prefix discrepancy still counts.
+func VerifyTrail(cfg Config, trail []workload.Op, crash *journal.CrashSpec, want *checker.Discrepancy) (*checker.Discrepancy, bool, error) {
 	e := newEngine(cfg)
 	if err := e.equalize(); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	var final []workload.Op
 	if crash != nil {
 		if len(trail) == 0 {
-			return nil, fmt.Errorf("mc: crash replay: empty trail")
+			return nil, false, fmt.Errorf("mc: crash replay: empty trail")
 		}
 		trail, final = trail[:len(trail)-1], trail[len(trail)-1:]
 	}
+	var got *checker.Discrepancy
 	for _, op := range trail {
 		if _, err := e.step(op); err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		if e.res.Bug != nil {
-			return e.res.Bug.Discrepancy, nil
+			got, final = e.res.Bug.Discrepancy, nil
+			break
 		}
 	}
-	if final == nil {
-		return nil, nil
+	if final != nil {
+		p, err := crashPlaneFor(&e.cfg, crash.Target)
+		if err != nil {
+			return nil, false, err
+		}
+		if got, _, err = e.reprobe(p, final[0], []int{crash.Write}); err != nil {
+			return nil, false, fmt.Errorf("mc: crash replay: %w", err)
+		}
 	}
-	p, err := crashPlaneFor(&e.cfg, crash.Target)
-	if err != nil {
-		return nil, err
-	}
-	d, _, err := e.reprobe(p, final[0], []int{crash.Write})
-	if err != nil {
-		return nil, fmt.Errorf("mc: crash replay: %w", err)
-	}
-	return d, nil
-}
-
-// VerifyTrail replays trail (Replay) against cfg's fresh targets and
-// reports whether it reproduces the wanted discrepancy: any discrepancy
-// when want is nil, otherwise one of the same kind. The engine's check
-// granularity guarantees reproduction is judged against the first
-// discrepancy the replay hits, exactly as the original run did.
-func VerifyTrail(cfg Config, trail []workload.Op, crash *journal.CrashSpec, want *checker.Discrepancy) (*checker.Discrepancy, bool, error) {
-	got, err := Replay(cfg, trail, crash)
-	if err != nil {
-		return nil, false, err
-	}
-	same := got != nil && (want == nil || got.Kind == want.Kind)
-	return got, same, nil
+	return got, got != nil && (want == nil || got.Kind == want.Kind), nil
 }

@@ -118,7 +118,7 @@ func TestFindsHoleBug(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	d, err := s2.Replay(res.Bug.Trail)
+	d, _, err := s2.VerifyTrail(res.Bug.Trail, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

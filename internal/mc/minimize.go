@@ -46,12 +46,10 @@ type MinimizeStats struct {
 // Minimize shrinks trail to a locally-minimal subsequence that still
 // reproduces the wanted discrepancy (same kind; any discrepancy when
 // want is nil), using the ddmin delta-debugging algorithm. Each
-// candidate is replayed against a fresh Config built by factory — the
-// returned cleanup func (may be nil) is called after the replay, so
-// factories can recycle sessions. Minimize errors if the full trail
-// does not reproduce to begin with (a repro that never reproduced
-// cannot be shrunk, only questioned).
-func Minimize(factory func() (Config, func(), error), trail []workload.Op,
+// candidate is replayed against a fresh Config built by factory.
+// Minimize errors if the full trail does not reproduce to begin with (a
+// repro that never reproduced cannot be shrunk, only questioned).
+func Minimize(factory func() (Config, error), trail []workload.Op,
 	want *checker.Discrepancy, opts MinimizeOptions) ([]workload.Op, MinimizeStats, error) {
 
 	stats := MinimizeStats{From: len(trail), To: len(trail)}
@@ -70,12 +68,9 @@ func Minimize(factory func() (Config, func(), error), trail []workload.Op,
 			return false, errReplayBudget
 		}
 		stats.Replays++
-		cfg, cleanup, err := factory()
+		cfg, err := factory()
 		if err != nil {
 			return false, fmt.Errorf("mc: minimize factory: %w", err)
-		}
-		if cleanup != nil {
-			defer cleanup()
 		}
 		full := candidate
 		if len(final) > 0 {

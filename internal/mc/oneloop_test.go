@@ -307,7 +307,7 @@ func TestReplayTakesNoCheckpoints(t *testing.T) {
 	for i, tr := range cfg.Trackers {
 		cfg.Trackers[i] = &countingTracker{Tracker: tr, n: &checkpoints}
 	}
-	d, err := mc.Replay(cfg, res.Bug.Trail, nil)
+	d, _, err := mc.VerifyTrail(cfg, res.Bug.Trail, nil, nil)
 	if err != nil || d == nil {
 		t.Fatalf("replay = %v, %v; want the bug", d, err)
 	}

@@ -233,12 +233,12 @@ func TestMinimizeConvergesOnPaddedTrail(t *testing.T) {
 	}
 	padded := append(append([]workload.Op{}, padding...), res.Bug.Trail...)
 
-	factory := func() (mc.Config, func(), error) {
+	factory := func() (mc.Config, error) {
 		fs, err := mcfs.NewSession(holeBugOptions())
 		if err != nil {
-			return mc.Config{}, nil, err
+			return mc.Config{}, err
 		}
-		return *fs.Config(), fs.Close, nil
+		return *fs.Config(), nil
 	}
 	want := &mcfs.Discrepancy{Kind: res.Bug.Discrepancy.Kind}
 	min, stats, err := mc.Minimize(factory, padded, want, mc.MinimizeOptions{})
@@ -266,7 +266,7 @@ func TestMinimizeConvergesOnPaddedTrail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fs.Close()
-	_, same, err := fs.VerifyTrail(min, want)
+	_, same, err := fs.VerifyTrail(min, nil, want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,18 +301,18 @@ func TestMinimizeIsSoundAndOneMinimalOnRandomTrails(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer fs.Close()
-		_, same, err := fs.VerifyTrail(trail, want)
+		_, same, err := fs.VerifyTrail(trail, nil, want)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return same
 	}
-	factory := func() (mc.Config, func(), error) {
+	factory := func() (mc.Config, error) {
 		fs, err := mcfs.NewSession(opts)
 		if err != nil {
-			return mc.Config{}, nil, err
+			return mc.Config{}, err
 		}
-		return *fs.Config(), fs.Close, nil
+		return *fs.Config(), nil
 	}
 	pool := workload.VeriFS1Pool().Enumerate()
 	used := 0
@@ -351,15 +351,15 @@ func TestMinimizeIsSoundAndOneMinimalOnRandomTrails(t *testing.T) {
 }
 
 func TestMinimizeRejectsNonReproducingTrail(t *testing.T) {
-	factory := func() (mc.Config, func(), error) {
+	factory := func() (mc.Config, error) {
 		fs, err := mcfs.NewSession(mcfs.Options{
 			Targets:  []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
 			MaxDepth: 3,
 		})
 		if err != nil {
-			return mc.Config{}, nil, err
+			return mc.Config{}, err
 		}
-		return *fs.Config(), fs.Close, nil
+		return *fs.Config(), nil
 	}
 	trail := []workload.Op{{Kind: workload.OpCreateFile, Path: "/f0"}}
 	if _, _, err := mc.Minimize(factory, trail, nil, mc.MinimizeOptions{}); err == nil {

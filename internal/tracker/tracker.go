@@ -332,7 +332,7 @@ func (t *DiskOnlyTracker) StateBytes() int64 {
 // CheckpointTracker uses the paper's proposed APIs: the file system
 // itself checkpoints and restores its complete state via
 // ioctl_CHECKPOINT / ioctl_RESTORE. No unmounts, no device I/O, and the
-// file system handles cache invalidation on restore (§5).
+// FUSE server has the kernel drop its caches after a restore (§5).
 type CheckpointTracker struct {
 	k     *kernel.Kernel
 	point string
@@ -361,7 +361,8 @@ func (t *CheckpointTracker) Checkpoint(key uint64) error {
 }
 
 // Restore implements Tracker via ioctl_RESTORE (which also discards the
-// snapshot and fires kernel cache invalidation).
+// snapshot; over FUSE, the server's notification drops the kernel
+// caches).
 func (t *CheckpointTracker) Restore(key uint64) error {
 	defer t.obs.beginRestore().End()
 	if e := t.k.Ioctl(t.point, vfs.IoctlRestore, key); e != errno.OK {
@@ -371,11 +372,10 @@ func (t *CheckpointTracker) Restore(key uint64) error {
 }
 
 // Discard implements Tracker via ioctl_DISCARD: the file system drops
-// the snapshot-pool entry without restoring it. Best-effort — a file
-// system predating the discard API (ENOTSUP) simply retains the image
-// until teardown, which is the old behavior.
+// the snapshot-pool entry without restoring it. The errno is ignored:
+// ENOENT means only that this target never took the key.
 func (t *CheckpointTracker) Discard(key uint64) {
-	_ = t.k.Ioctl(t.point, vfs.IoctlDiscard, key) // best-effort by contract (see doc)
+	_ = t.k.Ioctl(t.point, vfs.IoctlDiscard, key) // ENOENT: this target never took the key
 }
 
 // PreOp implements Tracker: no remounts needed (§5).

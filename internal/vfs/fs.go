@@ -82,9 +82,9 @@ type XattrFS interface {
 
 // Checkpointer is the paper's proposed state checkpoint/restore API
 // (§5): a file system that implements it can save its complete state —
-// in-memory and persistent — under a 64-bit key and later restore it.
-// VeriFS exposes these through ioctl_CHECKPOINT / ioctl_RESTORE; the
-// kernel routes those ioctls here.
+// in-memory and persistent — under a 64-bit key and later restore or
+// discard it. VeriFS exposes these through ioctl_CHECKPOINT,
+// ioctl_RESTORE and ioctl_DISCARD; the kernel routes those ioctls here.
 type Checkpointer interface {
 	// CheckpointState atomically copies the file system's full state into
 	// its snapshot pool under key. An existing snapshot under the same
@@ -95,16 +95,11 @@ type Checkpointer interface {
 	// the snapshot stored under key and discards that snapshot. It
 	// returns ENOENT if no snapshot exists under key.
 	RestoreState(key uint64) errno.Errno
-}
 
-// Discarder is the optional companion to Checkpointer: dropping a
-// snapshot that will never be restored. The explorer needs it when a
-// checkpoint succeeds on some targets but fails on another — the
-// successful images must be released or they stay in the snapshot pool
-// for the rest of the run.
-type Discarder interface {
 	// DiscardState drops the snapshot stored under key without
-	// restoring it. It returns ENOENT if no snapshot exists under key.
+	// restoring it: the explorer releases a checkpoint that succeeded
+	// on some targets but failed on another. It returns ENOENT if no
+	// snapshot exists under key.
 	DiscardState(key uint64) errno.Errno
 }
 
@@ -114,14 +109,6 @@ const (
 	IoctlRestore    uint32 = 0xC0F5_0002
 	IoctlDiscard    uint32 = 0xC0F5_0003
 )
-
-// Ioctler is implemented by file systems that accept ioctls directly.
-// File systems implementing Checkpointer get IoctlCheckpoint and
-// IoctlRestore routed automatically by the kernel, so most never
-// implement this.
-type Ioctler interface {
-	Ioctl(ino Ino, cmd uint32, arg uint64) errno.Errno
-}
 
 // TypeName returns a short name for an FS implementation used in logs
 // and reports; file systems implement it via the Typer interface,

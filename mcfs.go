@@ -749,26 +749,15 @@ func governorHooks(hubs func() []*obs.Hub, bus *Stream) visited.Hooks {
 	}
 }
 
-// Replay re-executes a trail from the session's current state, returning
-// the first discrepancy (nil when the trail no longer reproduces).
-func (s *Session) Replay(trail []Op) (*Discrepancy, error) {
-	return mc.Replay(s.cfg, trail, nil)
-}
-
-// VerifyTrail replays trail and reports whether it reproduces the
-// wanted discrepancy (any discrepancy when want is nil, otherwise one
-// of the same kind).
-func (s *Session) VerifyTrail(trail []Op, want *Discrepancy) (*Discrepancy, bool, error) {
-	return mc.VerifyTrail(s.cfg, trail, nil, want)
-}
-
-// VerifyCrashTrail is VerifyTrail for a trail that may be a crash-bug
-// repro: with a non-nil spec the prefix executes normally, then the
-// final operation is crash-tested on the spec'd target at the spec'd
-// write index. The session must then have been built with
-// CrashExploration (the crash planes carry the fault injectors).
-func (s *Session) VerifyCrashTrail(trail []Op, spec *CrashSpec, want *Discrepancy) (*Discrepancy, bool, error) {
-	return mc.VerifyTrail(s.cfg, trail, spec, want)
+// VerifyTrail replays trail against the session's fresh targets and
+// reports the first discrepancy and whether it reproduces the wanted one
+// (any discrepancy when want is nil, otherwise one of the same kind).
+// With a non-nil crash spec the prefix executes normally, then the final
+// operation is crash-tested on the spec'd target at the spec'd write
+// index; the session must then have been built with CrashExploration
+// (the crash planes carry the fault injectors). See mc.VerifyTrail.
+func (s *Session) VerifyTrail(trail []Op, crash *CrashSpec, want *Discrepancy) (*Discrepancy, bool, error) {
+	return mc.VerifyTrail(s.cfg, trail, crash, want)
 }
 
 // ReplayJournal re-executes a flight-recorder journal against this
