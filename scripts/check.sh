@@ -65,10 +65,10 @@
 #      full nine-analyzer suite, so a registry        leaks, map-order
 #      regression can't silently drop the             nondeterminism, wall
 #      flow-sensitive analyzers (lockorder,           time, dropped errnos,
-#      guardedby, atomicplain, lockbalance)           nil-obs safety, lock
-#                                                    order/balance, guarded
-#                                                    fields, atomic/plain
-#                                                    mixing)
+#      guardedby, lockbalance) or the atomicplain     nil-obs safety, lock
+#      type rule                                      order/balance, guarded
+#                                                    fields, sync/atomic
+#                                                    function calls)
 #  10. one-golden guard: internal/bench, the        (BENCH_mc.json is a
 #      tolerance (DefaultTolerance, bench.Compare,    golden like every
 #      a "tolerance" flag) and any import of          other pinned artifact:
@@ -154,9 +154,13 @@
 #  22. one-configuration guard: the settings no     (every setting has a
 #      caller varied (mount -o sync, the swarm's      caller: a value
 #      -parallelism, the governor's eviction knobs,   nothing varies is a
-#      the journal's batch size and metrics, the      constant)
-#      Figure 3 overrides, mkfs geometry, the
-#      ownership switch) stay deleted
+#      the journal's batch size and metrics, the      constant; the types
+#      Figure 3 overrides, mkfs geometry, the         hold an invariant, no
+#      ownership switch) stay deleted, and so do      hook or index checks
+#      the restore hook and the second checkpoint     it)
+#      interfaces (SetOnRestore, restoreHooker,
+#      invalPending, vfs.Discarder, vfs.Ioctler)
+#      and atomicplain's field index (atomicIndex)
 #  23. live-surface smoke: a 2-worker shared swarm   (the live views run,
 #      with -progress 1ms -stall-ops 64 -events       not just compile:
 #      exits 0, stderr holds progress w1:, w2: and    -progress renders the
@@ -431,6 +435,11 @@ echo "==> one-configuration guard (a value nothing varies is a constant, not a s
 if grep -rnE --include='*.go' 'syncIfNeeded|IncludeOwnership|\bEvictFloor\b|\bMaxEvictRounds\b|MetricJournal|\bSaturationStates\b|\bBasePerOp\b|\bParallelism\b|"parallelism"|\bInodeCount\b|\bJournalBlocks\b|\bFlushEvery\b' \
 	internal cmd examples ./*.go | grep -v '_test\.go:'; then
 	echo "FAIL: a deleted setting is back (see above)"; exit 1; fi
+# One checkpoint interface, no restore hook, and atomicplain as a type
+# rule: the machinery the type checker replaced stays deleted.
+if grep -rnE --include='*.go' '\bSetOnRestore\b|\brestoreHooker\b|\binvalPending\b|\bDiscarder\b|\bIoctler\b|\batomicIndex\b' \
+	internal cmd examples ./*.go; then
+	echo "FAIL: the restore hook, a second checkpoint interface or the atomic field index is back (see above)"; exit 1; fi
 
 echo "==> live-surface smoke (-progress frames and the -events NDJSON of a swarm)"
 rc=0
