@@ -11,12 +11,6 @@ import (
 	"mcfs/internal/vfs"
 )
 
-// mountVeriFS2 mounts VeriFS2 over the FUSE transport at /mnt.
-func mountVeriFS2(t *testing.T, opts ServerOptions) (*kernel.Kernel, *Server) {
-	t.Helper()
-	return mountOverFUSE(t, "verifs2", opts)
-}
-
 // mountOverFUSE mounts a fresh VeriFS of kind ("verifs1" or "verifs2")
 // over the FUSE transport at /mnt.
 func mountOverFUSE(t *testing.T, kind string, opts ServerOptions) (*kernel.Kernel, *Server) {
@@ -39,7 +33,7 @@ func mountOverFUSE(t *testing.T, kind string, opts ServerOptions) (*kernel.Kerne
 }
 
 func TestBasicOpsOverFUSE(t *testing.T) {
-	k, _ := mountVeriFS2(t, ServerOptions{})
+	k, _ := mountOverFUSE(t, "verifs2", ServerOptions{})
 	if e := k.Mkdir("/mnt/dir", 0755); e != errno.OK {
 		t.Fatalf("Mkdir: %v", e)
 	}
@@ -145,7 +139,7 @@ func TestMissingOptionalInterfaceErrnos(t *testing.T) {
 func TestRestoreInvalidatesKernelCaches(t *testing.T) {
 	// The FIXED VeriFS behavior (§6): restore fires the FUSE notify
 	// APIs, so the kernel never serves stale dentries.
-	k, _ := mountVeriFS2(t, ServerOptions{})
+	k, _ := mountOverFUSE(t, "verifs2", ServerOptions{})
 	if e := k.Ioctl("/mnt", vfs.IoctlCheckpoint, 1); e != errno.OK {
 		t.Fatalf("checkpoint: %v", e)
 	}
@@ -217,7 +211,7 @@ func TestSkipInvalidateReproducesPaperBug(t *testing.T) {
 	// The BUGGY VeriFS behavior the paper found after ~12K operations:
 	// restore without cache invalidation leaves a stale positive dentry,
 	// and mkdir reports EEXIST for a directory that does not exist.
-	k, srv := mountVeriFS2(t, ServerOptions{SkipInvalidateOnRestore: true})
+	k, srv := mountOverFUSE(t, "verifs2", ServerOptions{SkipInvalidateOnRestore: true})
 	if e := k.Ioctl("/mnt", vfs.IoctlCheckpoint, 1); e != errno.OK {
 		t.Fatal(e)
 	}
@@ -239,7 +233,7 @@ func TestSkipInvalidateReproducesPaperBug(t *testing.T) {
 }
 
 func TestCheckpointRestoreRoundTripOverIoctl(t *testing.T) {
-	k, _ := mountVeriFS2(t, ServerOptions{})
+	k, _ := mountOverFUSE(t, "verifs2", ServerOptions{})
 	fd, _ := k.Open("/mnt/f", vfs.OCreate|vfs.OWrOnly, 0644)
 	k.WriteFD(fd, []byte("v1"))
 	k.Close(fd)
