@@ -15,6 +15,7 @@ import (
 	"mcfs/internal/mc"
 	"mcfs/internal/mc/visited"
 	"mcfs/internal/memmodel"
+	"mcfs/internal/obs"
 	"mcfs/internal/obs/journal"
 	"mcfs/internal/obs/stream"
 )
@@ -154,7 +155,7 @@ func TestMemBudgetDegradesInsteadOfOOM(t *testing.T) {
 // TestSwarmBudgetAcceptance is the PR's acceptance scenario: a seeded
 // swarm that OOM-aborts without a budget completes with one, reporting
 // the shared table's degraded fidelity and omission estimate, and the
-// fidelity-degraded event reaches the swarm's stream.
+// downgrade reaches both the swarm's stream and the first worker's hub.
 func TestSwarmBudgetAcceptance(t *testing.T) {
 	spec := mcfs.Options{
 		Targets:  []mcfs.TargetSpec{{Kind: "ext2"}, {Kind: "ext4"}},
@@ -180,7 +181,12 @@ func TestSwarmBudgetAcceptance(t *testing.T) {
 	sub := bus.Subscribe(1 << 14)
 	defer sub.Close()
 	spec.MemBudget, spec.Stream = 1<<20, bus
-	sr, err = mcfs.SwarmRun(spec, nil)
+	hubs := make([]*obs.Hub, spec.Workers)
+	sr, err = mcfs.SwarmRun(spec, func(worker int, o *mcfs.Options) error {
+		hubs[worker-1] = obs.New()
+		o.Obs = hubs[worker-1]
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,6 +218,9 @@ func TestSwarmBudgetAcceptance(t *testing.T) {
 	}
 	if degraded == 0 {
 		t.Error("no fidelity-degraded event on the swarm stream")
+	}
+	if n := hubs[0].Snapshot().Counters[obs.MetricFidelityDowngrades]; n == 0 {
+		t.Error("worker 1's hub counted no fidelity downgrade")
 	}
 }
 
