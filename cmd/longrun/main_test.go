@@ -26,14 +26,11 @@ func TestFlagSurface(t *testing.T) {
 }
 
 // TestUsageErrors: flag values that used to panic the summary (no
-// simulated hour, a zero stride divisor) or be silently ignored are
-// usage errors.
+// simulated hour, a zero stride divisor) are usage errors.
 func TestUsageErrors(t *testing.T) {
 	for _, args := range []string{
 		"-days 0.01",
 		"-samples-per-day 0",
-		"-share-visited",
-		"-share-visited -calibration-workers 1",
 	} {
 		if code := run(strings.Fields(args)); code != 2 {
 			t.Errorf("longrun %s: exit %d, want 2", args, code)

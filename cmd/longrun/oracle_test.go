@@ -22,10 +22,7 @@ var updateOracle = flag.Bool("update", false, "rewrite testdata/oracle from the 
 // only for a change that is meant to alter what the CLI prints.
 func TestCLIOracle(t *testing.T) {
 	for _, tc := range []struct{ name, args string }{
-		{"crash", "-crash -days 1"},
-		{"crash-progress", "-crash -days 1 -progress"},
 		{"progress", "-days 1 -progress"},
-		{"crash-two-workers", "-crash -days 1 -calibration-workers 2"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got := runCaptured(t, "longrun", tc.args, run)

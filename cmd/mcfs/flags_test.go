@@ -1,4 +1,4 @@
-package runflag
+package main
 
 import "testing"
 

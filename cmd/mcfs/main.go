@@ -100,7 +100,6 @@ import (
 	"time"
 
 	"mcfs"
-	"mcfs/cmd/internal/runflag"
 	"mcfs/internal/obs"
 	"mcfs/internal/obs/journal"
 	"mcfs/internal/obs/stream"
@@ -164,7 +163,11 @@ func bindFlags(fs *flag.FlagSet) *cli {
 	fs.Var(&c.bugs, "bug", "seed a named bug into the last -fs target (repeatable)")
 	fs.StringVar(&c.backing, "backing", "ram", "device backing for kernel FSes: ram, ssd, hdd")
 	fs.BoolVar(&c.noRemount, "no-remount", false, "disable per-operation remounts for kernel FSes")
-	runflag.Bind(fs, &c.spec)
+	fs.BoolVar(&c.spec.CrashExploration, "crash", false, "crash-test each operation's write window (ext2/ext4/jffs2 targets)")
+	fs.BoolVar(&c.spec.ShareVisited, "share-visited", false, "swarm workers share one visited-state table (prune peer-explored states)")
+	fs.StringVar(&c.spec.Visited, "visited", "", "visited-table backend: exact (default), compact, or bitstate")
+	fs.Var((*Size)(&c.spec.MemBudget), "mem-budget", "memory budget with K/M/G suffix (e.g. 64M); arms the degradation governor")
+	fs.Var((*Size)(&c.spec.BitstateBytes), "bitstate-bytes", "bitstate Bloom array size with K/M/G suffix (default: budget/4 or 8M)")
 	fs.IntVar(&c.spec.MaxDepth, "depth", 3, "maximum operation-sequence depth")
 	fs.Int64Var(&c.spec.MaxOps, "max-ops", 100000, "operation budget (0 = unlimited)")
 	fs.Int64Var(&c.spec.MaxStates, "max-states", 0, "unique-state budget (0 = unlimited)")
@@ -201,7 +204,7 @@ func run(args []string) int {
 		fs.Usage()
 		return 2
 	}
-	if err := runflag.CheckDependents(fs); err != nil {
+	if err := checkDependents(fs); err != nil {
 		return fail(2, err)
 	}
 	spec, swarm := c.spec, c.spec.Workers > 0

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"mcfs/cmd/internal/runflag"
 	"mcfs/internal/obs/stream"
 )
 
@@ -51,8 +50,8 @@ func TestDependentFlags(t *testing.T) {
 		if err := fs.Parse(strings.Fields(tc.args)); err != nil {
 			t.Fatal(err)
 		}
-		if err := runflag.CheckDependents(fs); (err == nil) != tc.ok {
-			t.Errorf("%q: CheckDependents = %v, want ok=%v", tc.args, err, tc.ok)
+		if err := checkDependents(fs); (err == nil) != tc.ok {
+			t.Errorf("%q: checkDependents = %v, want ok=%v", tc.args, err, tc.ok)
 		}
 		if !tc.ok {
 			if code := run(strings.Fields("-fs verifs1 -fs verifs2 " + tc.args)); code != 2 {

@@ -202,76 +202,31 @@ type Figure3Config struct {
 	// Progress, when non-nil, receives every simulated point as it is
 	// computed, letting callers stream the multi-day series live.
 	Progress func(Figure3Point)
-	// Calibration is the run spec of the short real exploration that
-	// measures the cost of one explored operation when every state fits
-	// in RAM, and the size of one concrete state; the multi-day
-	// simulation itself is analytic, on the paper's VM
-	// (memmodel.DefaultConfig: 64 GB RAM, 128 GB swap).
-	// Targets, MaxDepth and MaxOps are the calibration's own — the VeriFS
-	// pair, or with CrashExploration the ext2-vs-ext4 pair (crash probing
-	// needs a crash plane, which the FUSE-backed VeriFS pair does not
-	// expose) — and every other field applies as in NewSession, or with
-	// Workers > 1 as in SwarmRun: the per-operation cost then averages
-	// over a coordinated swarm, whose first worker carries Obs.
-	// Obs additionally tracks the simulated series as gauges
-	// ("figure3.day" in hours, "figure3.ops_per_sec", "figure3.swap_gb").
-	Calibration Options
 }
 
-// measureBasePerOp runs a short real exploration to extract the base
-// per-operation cost and concrete-state size for Figure 3. With
-// cal.Workers > 1 the measurement is a coordinated swarm and the per-op
-// cost averages over every worker's (virtual) exploration time.
-func measureBasePerOp(cal Options) (time.Duration, int64, error) {
-	cal.Targets = []TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}}
-	if cal.CrashExploration {
-		cal.Targets = []TargetSpec{{Kind: "ext2"}, {Kind: "ext4"}}
+// measureBasePerOp runs Figure 3's calibration: a short real VeriFS1 vs
+// VeriFS2 exploration that measures the cost of one explored operation
+// when every state fits in RAM, and the size of one concrete state. The
+// multi-day simulation itself is analytic, on the paper's VM
+// (memmodel.DefaultConfig: 64 GB RAM, 128 GB swap).
+func measureBasePerOp() (time.Duration, int64, error) {
+	s, err := NewSession(Options{
+		Targets:  []TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
+		MaxDepth: 4,
+		MaxOps:   400,
+	})
+	if err != nil {
+		return 0, 0, err
 	}
-	cal.MaxDepth, cal.MaxOps = 4, 400
-	var (
-		ops        int64
-		elapsed    time.Duration
-		stateBytes int64
-	)
-	if cal.Workers <= 1 {
-		s, err := NewSession(cal)
-		if err != nil {
-			return 0, 0, err
-		}
-		defer s.Close()
-		res := s.Run()
-		if res.Err != nil {
-			return 0, 0, res.Err
-		}
-		ops, elapsed, stateBytes = res.Ops, res.Elapsed, sessionStateBytes(s)
-	} else {
-		sr, err := runSwarm(cal, func(worker int, o *Options) error {
-			if worker == 1 {
-				// The hub rebases onto one session's virtual clock, so
-				// only the first worker carries it.
-				o.Obs = cal.Obs
-			}
-			return nil
-		}, func(sessions []*Session) {
-			if len(sessions) > 0 {
-				stateBytes = sessionStateBytes(sessions[0])
-			}
-		})
-		if err != nil {
-			return 0, 0, err
-		}
-		if sr.Err != nil {
-			return 0, 0, sr.Err
-		}
-		ops = sr.Ops
-		for _, r := range sr.Workers {
-			elapsed += r.Elapsed
-		}
+	defer s.Close()
+	res := s.Run()
+	if res.Err != nil {
+		return 0, 0, res.Err
 	}
-	if ops == 0 {
+	if res.Ops == 0 {
 		return 0, 0, fmt.Errorf("mcfs: figure 3 measurement executed no ops")
 	}
-	return elapsed / time.Duration(ops), stateBytes, nil
+	return res.Elapsed / time.Duration(res.Ops), sessionStateBytes(s), nil
 }
 
 // sessionStateBytes sums the per-target concrete-state sizes, falling
@@ -298,7 +253,7 @@ func RunFigure3(cfg Figure3Config) ([]Figure3Point, error) {
 	if cfg.Days == 0 {
 		cfg.Days = 14
 	}
-	basePerOp, stateBytes, err := measureBasePerOp(cfg.Calibration)
+	basePerOp, stateBytes, err := measureBasePerOp()
 	if err != nil {
 		return nil, err
 	}
@@ -433,9 +388,6 @@ func RunFigure3(cfg Figure3Config) ([]Figure3Point, error) {
 			SwapGB:    swap / (1 << 30),
 		}
 		points = append(points, pt)
-		cfg.Calibration.Obs.Gauge("figure3.day").Set(int64(h + 1))
-		cfg.Calibration.Obs.Gauge("figure3.ops_per_sec").Set(int64(pt.OpsPerSec))
-		cfg.Calibration.Obs.Gauge("figure3.swap_gb").Set(int64(pt.SwapGB))
 		if cfg.Progress != nil {
 			cfg.Progress(pt)
 		}

@@ -17,7 +17,8 @@
 //
 // SwarmRun merges the per-worker Results into one SwarmResult: summed
 // counters, merged Coverage, merged ResumeState, first-bug-wins
-// BugReport, and per-worker observability hubs merged via obs.Merge.
+// BugReport, and the per-worker hubs' phase profiles merged via
+// Profile.Merge.
 package mc
 
 import (
@@ -153,9 +154,6 @@ type SwarmResult struct {
 	// WorkerHealth is the stream bus's final worker-liveness view; zero
 	// value unless SwarmOptions.Stream was set.
 	WorkerHealth stream.Health
-	// Metrics merges the per-worker observability hub snapshots
-	// (obs.Merge); zero-valued when no worker Config carried a hub.
-	Metrics obs.Snapshot
 	// Perf merges the per-worker hubs' phase profiles (Profile.Merge);
 	// telemetry samples are dropped on merge — workers sample on
 	// independent virtual clocks. Zero-valued when no worker Config
@@ -283,15 +281,10 @@ func SwarmRun(opts SwarmOptions, factory func(seed int64) (Config, error)) (Swar
 		sr.Bug = results[bugWorker].Bug
 	}
 	sr.Err, sr.ErrWorker = runErr, errWorker
-	var snaps []obs.Snapshot
 	for _, h := range hubs {
 		if h != nil {
-			snaps = append(snaps, h.Snapshot())
 			sr.Perf = sr.Perf.Merge(h.Profile())
 		}
-	}
-	if len(snaps) > 0 {
-		sr.Metrics = obs.Merge(snaps...)
 	}
 	return sr, factoryErr
 }

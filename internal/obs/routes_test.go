@@ -14,8 +14,8 @@ import (
 )
 
 // These tests cover the Route variadic of MetricsMux: the live /events
-// NDJSON feed and the /workers health document the CLI and longrun
-// mount next to /metrics.
+// NDJSON feed and the /workers health document the mcfs CLI mounts
+// next to /metrics.
 
 func streamMux(bus *stream.Bus) *http.ServeMux {
 	return obs.MetricsMux(func() any { return obs.New().Snapshot() },

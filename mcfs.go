@@ -153,10 +153,6 @@ const (
 	OpRead       = workload.OpRead
 )
 
-// NewCoverage returns an empty Coverage ready to Merge per-worker
-// coverage into (aggregating swarm results).
-func NewCoverage() Coverage { return mc.NewCoverage() }
-
 // Backing selects the storage behind a device-backed file system.
 type Backing string
 
@@ -199,8 +195,9 @@ type TargetSpec struct {
 	Backing Backing
 	// DeviceSize overrides the default device size (256 KiB for ext,
 	// 16 MiB for xfs, 256 KiB MTD for jffs2). Negative sizes, sizes above
-	// 1 GiB, and jffs2 sizes that are not a multiple of the 8 KiB erase
-	// block are rejected by NewSession.
+	// 1 GiB, jffs2 sizes that are not a multiple of the 8 KiB erase
+	// block, and any nonzero size on a VeriFS kind (which has no device)
+	// are rejected by NewSession.
 	DeviceSize int64
 	// Bugs seeds the named defects (VeriFS kinds, plus
 	// BugJournalCommitFirst on ext4). NewSession rejects a bug the kind
@@ -214,11 +211,12 @@ type TargetSpec struct {
 	VMSnapshot bool
 	// DiskOnlyTracking uses the broken §3.2 persistent-state-only
 	// tracker. For demonstrating corruption; never for real checking.
+	// NewSession rejects it on a VeriFS kind, which has no disk.
 	DiskOnlyTracking bool
 }
 
 // Options is the run spec: the one description of an exploration that a
-// session, a swarm, a bundle's config.json and both CLIs' flags share.
+// session, a swarm, a bundle's config.json and the mcfs CLI's flags share.
 // The tagged fields are the serialisable settings — written verbatim as a
 // bundle's config.json, so a bundle describes the run that produced it —
 // and the `json:"-"` fields are attachments: live objects (hubs,
@@ -493,7 +491,7 @@ var targetKinds = map[string]struct {
 // checkTarget rejects a spec no target can be built from. Specs arrive
 // from flags and from a bundle's config.json, so a bad one is an error,
 // never a panic in a device constructor — and never a run that silently
-// ignores the bug it was asked to seed.
+// ignores the bug or device setting it was asked for.
 func checkTarget(ts TargetSpec) error {
 	kind, ok := targetKinds[ts.Kind]
 	if !ok {
@@ -506,6 +504,12 @@ func checkTarget(ts TargetSpec) error {
 		if !slices.Contains(kind.bugs, b) {
 			return fmt.Errorf("mcfs: %s does not support bug %q", ts.Kind, b)
 		}
+	}
+	if kind.unit == 0 && ts.DeviceSize != 0 {
+		return fmt.Errorf("mcfs: %s has no device: device size %d would be ignored", ts.Kind, ts.DeviceSize)
+	}
+	if kind.unit == 0 && ts.DiskOnlyTracking {
+		return fmt.Errorf("mcfs: %s has no device: disk-only tracking would be ignored", ts.Kind)
 	}
 	if ts.DeviceSize < 0 || kind.unit > 0 && ts.DeviceSize%kind.unit != 0 {
 		return fmt.Errorf("mcfs: %s device size %d: want a positive multiple of %d bytes", ts.Kind, ts.DeviceSize, kind.unit)
@@ -773,13 +777,6 @@ func (s *Session) Kernel() *kernel.Kernel { return s.kern }
 
 // Clock returns the session's virtual clock.
 func (s *Session) Clock() *simclock.Clock { return s.clock }
-
-// Checker exposes the integrity checker.
-func (s *Session) Checker() *checker.Checker { return s.check }
-
-// Obs returns the observability hub the session was built with (nil when
-// observability is off).
-func (s *Session) Obs() *obs.Hub { return s.obsHub }
 
 // Config exposes the underlying engine configuration (benchmarks tune
 // it).

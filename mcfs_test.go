@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"mcfs"
-	"mcfs/internal/obs"
-	"mcfs/internal/obs/stream"
 	"mcfs/internal/vfs"
 )
 
@@ -259,75 +257,6 @@ func TestFigure3Shape(t *testing.T) {
 	}
 	if first.OpsPerSec < 500 {
 		t.Errorf("initial plateau %.0f ops/s unreasonably low", first.OpsPerSec)
-	}
-}
-
-func TestFigure3CrashCalibration(t *testing.T) {
-	hub := obs.New()
-	points, err := mcfs.RunFigure3(mcfs.Figure3Config{
-		Days:        1,
-		Calibration: mcfs.Options{CrashExploration: true, Obs: hub},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 24 {
-		t.Fatalf("got %d points", len(points))
-	}
-	snap := hub.Profile()
-	if !snap.Enabled() {
-		t.Fatal("crash calibration recorded no phase work")
-	}
-	// The crash-mode calibration runs the ext pair with crash probing,
-	// so the oracle phases must show up in the profile.
-	for _, phase := range []string{obs.PhaseFsck, obs.PhaseRemount, obs.PhaseExecute} {
-		if snap.Phases[phase].Count == 0 {
-			t.Errorf("phase %q not recorded", phase)
-		}
-	}
-	var sawCrashPoints bool
-	for _, s := range snap.Samples {
-		if s.CrashPoints > 0 {
-			sawCrashPoints = true
-		}
-	}
-	if !sawCrashPoints {
-		t.Error("no telemetry sample recorded crash points")
-	}
-}
-
-// TestFigure3SwarmCalibrationReportsDegradation: a budgeted calibration
-// swarm builds its governed set through the same constructor as every
-// other caller, so a downgrade reaches the hub and the stream (the
-// calibration's own copy of that block had forgotten the hooks).
-func TestFigure3SwarmCalibrationReportsDegradation(t *testing.T) {
-	hub := obs.New()
-	bus := mcfs.NewStream()
-	sub := bus.Subscribe(1 << 14)
-	defer sub.Close()
-	if _, err := mcfs.RunFigure3(mcfs.Figure3Config{
-		Days: 1,
-		Calibration: mcfs.Options{
-			CrashExploration: true, // the ext pair: 256 KiB images starve a 1 MiB budget
-			Workers:          2,
-			MemBudget:        1 << 20,
-			Obs:              hub,
-			Stream:           bus,
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if n := hub.Snapshot().Counters[obs.MetricFidelityDowngrades]; n == 0 {
-		t.Error("hub counted no fidelity downgrade")
-	}
-	degraded := 0
-	for _, ev := range sub.Drain() {
-		if ev.Kind == stream.KindFidelityDegraded {
-			degraded++
-		}
-	}
-	if degraded == 0 {
-		t.Error("no fidelity-degraded event on the calibration stream")
 	}
 }
 

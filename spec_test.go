@@ -253,7 +253,8 @@ func TestBugSupportPerKind(t *testing.T) {
 
 // TestDeviceSizeIsValidated: DeviceSize arrives from a bundle's
 // config.json, so any value must produce a session or an error — never a
-// panic in a device constructor.
+// panic in a device constructor, and never a device setting that a kind
+// without a device silently ignores.
 func TestDeviceSizeIsValidated(t *testing.T) {
 	sizes := []int64{-4096, -1, 1, 1000, 4096, 8192, 20000, 64 * 1024, 100000, 256 * 1024, 16 << 20, 1 << 40, 1 << 50}
 	for _, kind := range []string{"ext2", "ext4", "xfs", "jffs2", "verifs1", "verifs2"} {
@@ -271,6 +272,16 @@ func TestDeviceSizeIsValidated(t *testing.T) {
 			if kind == "jffs2" && size%8192 != 0 && (err == nil || !strings.Contains(err.Error(), "device size")) {
 				t.Errorf("jffs2 with device size %d: err = %v, want a device-size error", size, err)
 			}
+			// A VeriFS kind has no device: any size would be ignored.
+			if strings.HasPrefix(kind, "verifs") && (err == nil || !strings.Contains(err.Error(), "device size")) {
+				t.Errorf("%s with device size %d: err = %v, want a device-size error", kind, size, err)
+			}
+		}
+	}
+	for _, kind := range []string{"verifs1", "verifs2"} {
+		_, err := mcfs.NewSession(mcfs.Options{Targets: []mcfs.TargetSpec{{Kind: kind, DiskOnlyTracking: true}}})
+		if err == nil || !strings.Contains(err.Error(), "disk-only") {
+			t.Errorf("%s with disk-only tracking: err = %v, want a disk-only error", kind, err)
 		}
 	}
 }
