@@ -159,8 +159,11 @@
 #      ownership switch) stay deleted, and so do      hook or index checks
 #      the restore hook and the second checkpoint     it)
 #      interfaces (SetOnRestore, restoreHooker,
-#      invalPending, vfs.Discarder, vfs.Ioctler)
-#      and atomicplain's field index (atomicIndex)
+#      invalPending, vfs.Discarder, vfs.Ioctler),
+#      atomicplain's field index (atomicIndex),
+#      Figure 3's calibration spec (Calibration,
+#      -calibration-workers) and the second CLI's
+#      flag package (cmd/internal/runflag)
 #  23. live-surface smoke: a 2-worker shared swarm   (the live views run,
 #      with -progress 1ms -stall-ops 64 -events       not just compile:
 #      exits 0, stderr holds progress w1:, w2: and    -progress renders the
@@ -440,6 +443,10 @@ if grep -rnE --include='*.go' 'syncIfNeeded|IncludeOwnership|\bEvictFloor\b|\bMa
 if grep -rnE --include='*.go' '\bSetOnRestore\b|\brestoreHooker\b|\binvalPending\b|\bDiscarder\b|\bIoctler\b|\batomicIndex\b' \
 	internal cmd examples ./*.go; then
 	echo "FAIL: the restore hook, a second checkpoint interface or the atomic field index is back (see above)"; exit 1; fi
+# Figure 3 has one calibration, and the run-spec flags have one CLI.
+if grep -rnE --include='*.go' '\bCalibration\b|calibration-workers|cmd/internal/runflag' \
+	internal cmd examples ./*.go | grep -v '_test\.go:'; then
+	echo "FAIL: Figure 3's calibration spec or the shared flag package is back (see above)"; exit 1; fi
 
 echo "==> live-surface smoke (-progress frames and the -events NDJSON of a swarm)"
 rc=0
