@@ -112,7 +112,8 @@ func (r Record) Summary() string {
 // run; a nil Memo remembers nothing. A Memo is not safe for concurrent use.
 type Memo struct {
 	sums  map[string][md5.Size]byte
-	bytes int // content held as keys
+	bytes int    // content held as keys
+	buf   []byte // the read buffer its walks reuse
 }
 
 // memoBytes bounds the content a Memo holds: past it, the memo starts
@@ -159,7 +160,14 @@ func (m *Memo) Snapshot(k *kernel.Kernel, mountPoint string, opts Options) ([]Re
 	if w.mount == "/" {
 		w.mount = "" // so that mount + "/name" is clean under the root too
 	}
-	if e := w.visit(w.mount); e != errno.OK {
+	if m != nil {
+		w.buf = m.buf
+	}
+	e = w.visit(w.mount)
+	if m != nil {
+		m.buf = w.buf // kept at the size the walk grew it to
+	}
+	if e != errno.OK {
 		return nil, e
 	}
 	// The walk is depth-first, which is not path order: "/a.b" sorts
@@ -169,13 +177,14 @@ func (m *Memo) Snapshot(k *kernel.Kernel, mountPoint string, opts Options) ([]Re
 }
 
 // walker is one Snapshot in progress. It lives for that one call: nothing
-// it holds outlasts the records it returns, and the memo is the caller's.
+// it holds outlasts the records it returns, and the memo, whose read
+// buffer it borrows, is the caller's.
 type walker struct {
 	k       *kernel.Kernel
 	opts    Options
 	mount   string // clean mount point, "" for "/"
 	memo    *Memo
-	buf     []byte // a file longer than one read, gathered
+	buf     []byte // the file being hashed; the memo's buffer when there is one
 	records []Record
 }
 
@@ -244,8 +253,8 @@ func orRoot(p string) string {
 }
 
 // hashFileContent opens, fully reads, and closes the file, hashing its
-// content into sum (Algorithm 1, lines 7-10). A file that fits one read is
-// hashed where the read put it; a longer one is gathered into w.buf.
+// content into sum (Algorithm 1, lines 7-10). The reads append to w.buf
+// from length zero: one buffer serves every file of the walk.
 func (w *walker) hashFileContent(path string, sum *[md5.Size]byte) errno.Errno {
 	fd, e := w.k.Open(path, vfs.ORdOnly, 0)
 	if e != errno.OK {
@@ -253,25 +262,19 @@ func (w *walker) hashFileContent(path string, sum *[md5.Size]byte) errno.Errno {
 	}
 	defer w.k.Close(fd)
 	const chunk = 64 * 1024
-	var content []byte
-	for reads := 0; ; reads++ {
-		data, e := w.k.ReadFD(fd, chunk)
-		if e != errno.OK {
+	content := w.buf[:0]
+	for {
+		n := len(content)
+		if content, e = w.k.ReadFD(fd, chunk, content); e != errno.OK {
 			return e
 		}
-		switch {
-		case len(data) == 0:
-			*sum = w.memo.sum(content)
-			return errno.OK
-		case reads == 0:
-			content = data
-			continue
-		case reads == 1:
-			w.buf = append(w.buf[:0], content...)
+		if len(content) == n {
+			break
 		}
-		w.buf = append(w.buf, data...)
-		content = w.buf
 	}
+	w.buf = content
+	*sum = w.memo.sum(content)
+	return errno.OK
 }
 
 // HashRecords folds a sorted record list into the 128-bit abstract state

@@ -63,7 +63,7 @@ func TestHashIgnoresAtime(t *testing.T) {
 	h1, _ := Hash(k, "/mnt", New())
 	// Reading bumps atime; the abstract state must not care.
 	fd, _ := k.Open("/mnt/a", vfs.ORdOnly, 0)
-	k.ReadFD(fd, 100)
+	k.ReadFD(fd, 100, nil)
 	k.Close(fd)
 	h2, _ := Hash(k, "/mnt", New())
 	if h1 != h2 {

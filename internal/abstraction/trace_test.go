@@ -39,9 +39,9 @@ func (f traceFS) ReadDir(ino vfs.Ino) ([]vfs.DirEntry, errno.Errno) {
 	return f.FS.ReadDir(ino)
 }
 
-func (f traceFS) Read(ino vfs.Ino, off int64, n int) ([]byte, errno.Errno) {
+func (f traceFS) Read(ino vfs.Ino, off int64, n int, dst []byte) ([]byte, errno.Errno) {
 	*f.log = append(*f.log, fmt.Sprintf("read(%d,%d,%d)", ino, off, n))
-	return f.FS.Read(ino, off, n)
+	return f.FS.Read(ino, off, n, dst)
 }
 
 func tracedKernel(t *testing.T, point string) (*kernel.Kernel, *[]string) {

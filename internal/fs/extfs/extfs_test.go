@@ -84,7 +84,7 @@ func TestWriteReadRoundtrip(t *testing.T) {
 	if e != errno.OK || n != len(data) {
 		t.Fatalf("Write = (%d, %v)", n, e)
 	}
-	got, e := f.Read(ino, 0, len(data)+100)
+	got, e := f.Read(ino, 0, len(data)+100, nil)
 	if e != errno.OK || !bytes.Equal(got, data) {
 		t.Errorf("Read mismatch (len %d vs %d, e=%v)", len(got), len(data), e)
 	}
@@ -96,7 +96,7 @@ func TestSparseFileReadsZeros(t *testing.T) {
 	if _, e := f.Write(ino, 5000, []byte("tail")); e != errno.OK {
 		t.Fatal(e)
 	}
-	got, e := f.Read(ino, 0, 5004)
+	got, e := f.Read(ino, 0, 5004, nil)
 	if e != errno.OK {
 		t.Fatal(e)
 	}
@@ -124,7 +124,7 @@ func TestTruncateThenGrowReadsZeros(t *testing.T) {
 	if e := f.Setattr(ino, vfs.SetAttr{Size: &size}); e != errno.OK {
 		t.Fatal(e)
 	}
-	got, _ := f.Read(ino, 0, 2000)
+	got, _ := f.Read(ino, 0, 2000, nil)
 	for i := 100; i < 2000; i++ {
 		if got[i] != 0 {
 			t.Fatalf("byte %d after shrink+grow = %#x, want 0", i, got[i])
@@ -180,7 +180,7 @@ func TestPersistenceAcrossRemount(t *testing.T) {
 	if e != errno.OK || ino2 != ino {
 		t.Fatalf("file after remount = (%v, %v)", ino2, e)
 	}
-	got, e := f2.Read(ino2, 0, 100)
+	got, e := f2.Read(ino2, 0, 100, nil)
 	if e != errno.OK || string(got) != "persistent" {
 		t.Errorf("data after remount = (%q, %v)", got, e)
 	}

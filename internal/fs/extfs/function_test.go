@@ -125,7 +125,7 @@ func dump(f *FS) string {
 			target, e := f.Readlink(ino)
 			fmt.Fprintf(&b, "  target %q %v\n", target, e)
 		case st.Mode.IsRegular():
-			data, e := f.Read(ino, 0, int(st.Size))
+			data, e := f.Read(ino, 0, int(st.Size), nil)
 			fmt.Fprintf(&b, "  content %x %v\n", data, e)
 		}
 	}

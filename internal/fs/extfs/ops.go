@@ -1,6 +1,8 @@
 package extfs
 
 import (
+	"slices"
+
 	"mcfs/internal/errno"
 	"mcfs/internal/vfs"
 )
@@ -304,31 +306,32 @@ func (f *FS) Rmdir(parent vfs.Ino, name string) errno.Errno {
 }
 
 // Read implements vfs.FS.
-func (f *FS) Read(ino vfs.Ino, off int64, n int) ([]byte, errno.Errno) {
+func (f *FS) Read(ino vfs.Ino, off int64, n int, dst []byte) ([]byte, errno.Errno) {
 	ci := f.getInode(uint32(ino))
 	if ci == nil {
-		return nil, errno.ENOENT
+		return dst, errno.ENOENT
 	}
 	if ci.vfsMode().IsDir() {
-		return nil, errno.EISDIR
+		return dst, errno.EISDIR
 	}
 	if !ci.vfsMode().IsRegular() {
-		return nil, errno.EINVAL
+		return dst, errno.EINVAL
 	}
 	if off < 0 || n < 0 {
-		return nil, errno.EINVAL
+		return dst, errno.EINVAL
 	}
 	ci.atime = int64(f.now())
 	f.markDirty(ci)
 	size := int64(ci.size)
 	if off >= size {
-		return nil, errno.OK
+		return dst, errno.OK
 	}
 	end := off + int64(n)
 	if end > size {
 		end = size
 	}
-	out := make([]byte, end-off)
+	dst = slices.Grow(dst, int(end-off)) // one growth for the whole read
+	start := len(dst)
 	for pos := off; pos < end; {
 		idx := int(pos / BlockSize)
 		in := pos % BlockSize
@@ -338,19 +341,20 @@ func (f *FS) Read(ino vfs.Ino, off int64, n int) ([]byte, errno.Errno) {
 		}
 		blk, e := f.blockForIndex(ci, idx, false)
 		if e != errno.OK {
-			return nil, e
+			return dst[:start], e
 		}
-		if blk != 0 {
+		if blk == 0 {
+			dst = append(dst, make([]byte, cnt)...) // a hole
+		} else {
 			buf, err := f.readBlock(blk)
 			if err != nil {
-				return nil, errno.EIO
+				return dst[:start], errno.EIO
 			}
-			copy(out[pos-off:], buf[in:in+cnt])
+			dst = append(dst, buf[in:in+cnt]...)
 		}
-		// Holes read as zeros via the fresh out buffer.
 		pos += cnt
 	}
-	return out, errno.OK
+	return dst, errno.OK
 }
 
 // Write implements vfs.FS.

@@ -55,7 +55,7 @@ func fingerprint(t *testing.T, f *FS) string {
 		}
 		fmt.Fprintf(&out, "%s mode=%o nlink=%d", path, st.Mode, st.Nlink)
 		if st.Mode.IsRegular() {
-			data, e := f.Read(ino, 0, int(st.Size))
+			data, e := f.Read(ino, 0, int(st.Size), nil)
 			if e != errno.OK {
 				t.Fatalf("Read(%s): %v", path, e)
 			}

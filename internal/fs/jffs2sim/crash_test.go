@@ -145,7 +145,7 @@ func TestTornWriteMidFileData(t *testing.T) {
 	if e != errno.OK {
 		t.Fatalf("file lost: %v", e)
 	}
-	got, e := f2.Read(ino2, 0, 64)
+	got, e := f2.Read(ino2, 0, 64, nil)
 	if e != errno.OK {
 		t.Fatalf("read after recovery: %v", e)
 	}
@@ -190,7 +190,7 @@ func TestMountWithNoAppendableBlockCollects(t *testing.T) {
 	if _, e := f3.Lookup(f3.Root(), "after"); e != errno.OK {
 		t.Errorf("the create after the collection is lost: %v", e)
 	}
-	if got, e := f3.Read(ino, 0, 16); e != errno.OK || string(got) != "kept" {
+	if got, e := f3.Read(ino, 0, 16, nil); e != errno.OK || string(got) != "kept" {
 		t.Errorf("content after the collection = (%q, %v)", got, e)
 	}
 }

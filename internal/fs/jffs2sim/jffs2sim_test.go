@@ -116,7 +116,7 @@ func TestWriteReadAndRemountScan(t *testing.T) {
 	if e != errno.OK || ino2 != ino {
 		t.Fatalf("file = (%v, %v)", ino2, e)
 	}
-	got, e := f2.Read(ino2, 0, len(want)+10)
+	got, e := f2.Read(ino2, 0, len(want)+10, nil)
 	if e != errno.OK || !bytes.Equal(got, want) {
 		t.Errorf("content after remount differs (len %d vs %d)", len(got), len(want))
 	}
@@ -161,7 +161,7 @@ func TestTruncateSurvivesRemount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, e := f2.Read(ino, 0, 100)
+	got, e := f2.Read(ino, 0, 100, nil)
 	if e != errno.OK || string(got) != "0123" {
 		t.Errorf("after truncate+remount = (%q, %v)", got, e)
 	}
@@ -177,7 +177,7 @@ func TestGrowTruncateZeros(t *testing.T) {
 	if e := f.Setattr(ino, vfs.SetAttr{Size: &size}); e != errno.OK {
 		t.Fatal(e)
 	}
-	got, _ := f.Read(ino, 0, 10)
+	got, _ := f.Read(ino, 0, 10, nil)
 	want := append([]byte("ab"), make([]byte, 8)...)
 	if !bytes.Equal(got, want) {
 		t.Errorf("grow-truncate content = %v", got)
@@ -197,7 +197,7 @@ func TestGarbageCollection(t *testing.T) {
 			t.Fatalf("write %d: %v", i, e)
 		}
 	}
-	got, e := f.Read(ino, 0, 1024)
+	got, e := f.Read(ino, 0, 1024, nil)
 	if e != errno.OK || got[0] != byte(299%256) {
 		t.Fatalf("after churn: (%v, %v)", got[0], e)
 	}
@@ -217,7 +217,7 @@ func TestGarbageCollection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, e = f2.Read(ino, 0, 1024)
+	got, e = f2.Read(ino, 0, 1024, nil)
 	if e != errno.OK || !bytes.Equal(got, payload) {
 		t.Error("content lost across GC + remount")
 	}
@@ -771,7 +771,7 @@ func TestZeroWritesReadAsZero(t *testing.T) {
 	}
 	check := func(when string) {
 		t.Helper()
-		got, e := f.Read(ino, 0, 1<<20)
+		got, e := f.Read(ino, 0, 1<<20, nil)
 		if e != errno.OK || !bytes.Equal(got, model) {
 			t.Fatalf("%s: read %d bytes (%v) that differ from the %d written", when, len(got), e, len(model))
 		}
@@ -807,7 +807,7 @@ func TestHoleWriteZeroFills(t *testing.T) {
 	if _, e := f.Write(ino, 600, []byte("y")); e != errno.OK {
 		t.Fatal(e)
 	}
-	got, _ := f.Read(ino, 0, 601)
+	got, _ := f.Read(ino, 0, 601, nil)
 	for i := 1; i < 600; i++ {
 		if got[i] != 0 {
 			t.Fatalf("hole byte %d = %#x", i, got[i])

@@ -1,6 +1,8 @@
 package jffs2sim
 
 import (
+	"slices"
+
 	"mcfs/internal/errno"
 	"mcfs/internal/vfs"
 )
@@ -312,33 +314,35 @@ func (f *FS) Rmdir(parent vfs.Ino, name string) errno.Errno {
 }
 
 // Read implements vfs.FS.
-func (f *FS) Read(ino vfs.Ino, off int64, n int) ([]byte, errno.Errno) {
+func (f *FS) Read(ino vfs.Ino, off int64, n int, dst []byte) ([]byte, errno.Errno) {
 	nd := f.get(ino)
 	if nd == nil {
-		return nil, errno.ENOENT
+		return dst, errno.ENOENT
 	}
 	if nd.mode.IsDir() {
-		return nil, errno.EISDIR
+		return dst, errno.EISDIR
 	}
 	if !nd.mode.IsRegular() {
-		return nil, errno.EINVAL
+		return dst, errno.EINVAL
 	}
 	if off < 0 || n < 0 {
-		return nil, errno.EINVAL
+		return dst, errno.EINVAL
 	}
 	nd.atime = f.now()
 	if off >= nd.size {
-		return nil, errno.OK
+		return dst, errno.OK
 	}
 	end := off + int64(n)
 	if end > nd.size {
 		end = nd.size
 	}
-	out := make([]byte, end-off)
-	if off < int64(len(nd.content)) {
-		copy(out, nd.content[off:]) // past content, out stays zero
+	dst = slices.Grow(dst, int(end-off)) // one growth for the whole read
+	held := min(end, int64(len(nd.content)))
+	if off < held {
+		dst = append(dst, nd.content[off:held]...)
 	}
-	return out, errno.OK
+	// Past the content, up to size, is the file's implicit tail of zeros.
+	return append(dst, make([]byte, end-max(off, held))...), errno.OK
 }
 
 // Write implements vfs.FS: make room for the whole write, update memory,

@@ -57,7 +57,7 @@ func fingerprint(t *testing.T, f *FS) string {
 		}
 		fmt.Fprintf(&out, "%s mode=%o nlink=%d", path, st.Mode, st.Nlink)
 		if st.Mode.IsRegular() {
-			data, e := f.Read(ino, 0, int(st.Size))
+			data, e := f.Read(ino, 0, int(st.Size), nil)
 			if e != errno.OK {
 				t.Fatalf("Read(%s): %v", path, e)
 			}
@@ -152,7 +152,7 @@ func TestQuickGCPreservesState(t *testing.T) {
 		if len(fills) == 0 {
 			return true
 		}
-		got, e := f.Read(ino, 0, len(last))
+		got, e := f.Read(ino, 0, len(last), nil)
 		if e != errno.OK {
 			return false
 		}
@@ -167,7 +167,7 @@ func TestQuickGCPreservesState(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got2, e := f2.Read(ino, 0, len(last))
+		got2, e := f2.Read(ino, 0, len(last), nil)
 		return e == errno.OK && bytes.Equal(got2[:len(last)], last)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {

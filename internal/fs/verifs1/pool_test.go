@@ -140,7 +140,7 @@ func (o fsOp) apply(f *FS) (string, errno.Errno) {
 	case 'r':
 		return "", f.Rmdir(o.ino, o.name)
 	case 'R':
-		data, e := f.Read(o.ino, o.off, int(o.size))
+		data, e := f.Read(o.ino, o.off, int(o.size), nil)
 		return fmt.Sprintf("%x", data), e
 	case 'd':
 		ents, e := f.ReadDir(o.ino)

@@ -453,28 +453,26 @@ func (f *FS) Rmdir(parent vfs.Ino, name string) errno.Errno {
 }
 
 // Read implements vfs.FS.
-func (f *FS) Read(ino vfs.Ino, off int64, n int) ([]byte, errno.Errno) {
+func (f *FS) Read(ino vfs.Ino, off int64, n int, dst []byte) ([]byte, errno.Errno) {
 	nd := f.get(ino)
 	if nd == nil {
-		return nil, errno.ENOENT
+		return dst, errno.ENOENT
 	}
 	if nd.mode.IsDir() {
-		return nil, errno.EISDIR
+		return dst, errno.EISDIR
 	}
 	if off < 0 || n < 0 {
-		return nil, errno.EINVAL
+		return dst, errno.EINVAL
 	}
 	nd.atime = f.now()
 	if off >= nd.size {
-		return nil, errno.OK
+		return dst, errno.OK
 	}
 	end := off + int64(n)
 	if end > nd.size {
 		end = nd.size
 	}
-	out := make([]byte, end-off)
-	copy(out, nd.data[off:end])
-	return out, errno.OK
+	return append(dst, nd.data[off:end]...), errno.OK
 }
 
 // Write implements vfs.FS.

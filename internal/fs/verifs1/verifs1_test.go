@@ -91,17 +91,17 @@ func TestWriteRead(t *testing.T) {
 	if e != errno.OK || n != len(data) {
 		t.Fatalf("Write = (%d, %v)", n, e)
 	}
-	got, e := f.Read(ino, 0, 100)
+	got, e := f.Read(ino, 0, 100, nil)
 	if e != errno.OK || !bytes.Equal(got, data) {
 		t.Errorf("Read = (%q, %v)", got, e)
 	}
 	// Partial read.
-	got, e = f.Read(ino, 4, 5)
+	got, e = f.Read(ino, 4, 5, nil)
 	if e != errno.OK || string(got) != "quick" {
 		t.Errorf("partial Read = (%q, %v)", got, e)
 	}
 	// Read at EOF.
-	got, e = f.Read(ino, int64(len(data)), 10)
+	got, e = f.Read(ino, int64(len(data)), 10, nil)
 	if e != errno.OK || len(got) != 0 {
 		t.Errorf("read at EOF = (%q, %v)", got, e)
 	}
@@ -120,7 +120,7 @@ func TestWritePastEOFZeroFillsHole(t *testing.T) {
 	if _, e := f.Write(ino, 10, []byte("cd")); e != errno.OK {
 		t.Fatal(e)
 	}
-	got, e := f.Read(ino, 0, 12)
+	got, e := f.Read(ino, 0, 12, nil)
 	if e != errno.OK {
 		t.Fatal(e)
 	}
@@ -139,7 +139,7 @@ func TestOverwriteMiddle(t *testing.T) {
 	if _, e := f.Write(ino, 2, []byte("XY")); e != errno.OK {
 		t.Fatal(e)
 	}
-	got, _ := f.Read(ino, 0, 8)
+	got, _ := f.Read(ino, 0, 8, nil)
 	if string(got) != "aaXYaaaa" {
 		t.Errorf("overwrite = %q", got)
 	}
@@ -155,7 +155,7 @@ func TestTruncateShrinkAndGrow(t *testing.T) {
 	if e := f.Setattr(ino, vfs.SetAttr{Size: &size}); e != errno.OK {
 		t.Fatalf("shrink: %v", e)
 	}
-	got, _ := f.Read(ino, 0, 100)
+	got, _ := f.Read(ino, 0, 100, nil)
 	if string(got) != "0123" {
 		t.Errorf("after shrink = %q", got)
 	}
@@ -164,7 +164,7 @@ func TestTruncateShrinkAndGrow(t *testing.T) {
 	if e := f.Setattr(ino, vfs.SetAttr{Size: &size}); e != errno.OK {
 		t.Fatalf("grow: %v", e)
 	}
-	got, _ = f.Read(ino, 0, 100)
+	got, _ = f.Read(ino, 0, 100, nil)
 	want := []byte{'0', '1', '2', '3', 0, 0, 0, 0}
 	if !bytes.Equal(got, want) {
 		t.Errorf("after grow = %v, want %v", got, want)
@@ -181,7 +181,7 @@ func TestTruncateBugLeavesGarbage(t *testing.T) {
 	if e := f.Setattr(ino, vfs.SetAttr{Size: &size}); e != errno.OK {
 		t.Fatal(e)
 	}
-	got, _ := f.Read(ino, 0, 8)
+	got, _ := f.Read(ino, 0, 8, nil)
 	zeros := true
 	for _, b := range got[2:] {
 		if b != 0 {
@@ -354,7 +354,7 @@ func TestCheckpointRestore(t *testing.T) {
 	if f.SnapshotCount() != 0 {
 		t.Errorf("snapshot not discarded after restore: %d", f.SnapshotCount())
 	}
-	got, e := f.Read(ino, 0, 10)
+	got, e := f.Read(ino, 0, 10, nil)
 	if e != errno.OK || string(got) != "before" {
 		t.Errorf("after restore Read = (%q, %v)", got, e)
 	}
@@ -386,7 +386,7 @@ func TestCheckpointIsDeepCopy(t *testing.T) {
 	if e := f.RestoreState(1); e != errno.OK {
 		t.Fatal(e)
 	}
-	got, _ := f.Read(ino, 0, 8)
+	got, _ := f.Read(ino, 0, 8, nil)
 	if string(got) != "original" {
 		t.Errorf("snapshot shared memory with live state: %q", got)
 	}

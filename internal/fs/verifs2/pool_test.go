@@ -184,7 +184,7 @@ func (o fsOp) apply(f *FS) (string, errno.Errno) {
 	case 'X':
 		return "", f.RemoveXattr(o.ino, "user."+o.name)
 	case 'R':
-		data, e := f.Read(o.ino, o.off, int(o.size))
+		data, e := f.Read(o.ino, o.off, int(o.size), nil)
 		return fmt.Sprintf("%x", data), e
 	case 'd':
 		ents, e := f.ReadDir(o.ino)

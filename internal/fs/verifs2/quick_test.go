@@ -60,7 +60,7 @@ func treeFingerprint(t *testing.T, f *FS) string {
 		}
 		fmt.Fprintf(&out, "%s mode=%o nlink=%d", path, st.Mode, st.Nlink)
 		if st.Mode.IsRegular() {
-			data, e := f.Read(ino, 0, int(st.Size))
+			data, e := f.Read(ino, 0, int(st.Size), nil)
 			if e != errno.OK {
 				t.Fatalf("Read(%s): %v", path, e)
 			}
@@ -174,7 +174,7 @@ func TestQuickNoGarbageExposure(t *testing.T) {
 				maxEnd = off + int64(n)
 			}
 		}
-		got, e := f.Read(ino, 0, int(maxEnd))
+		got, e := f.Read(ino, 0, int(maxEnd), nil)
 		if e != errno.OK {
 			return false
 		}

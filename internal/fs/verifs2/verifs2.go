@@ -561,29 +561,29 @@ func (f *FS) Rmdir(parent vfs.Ino, name string) errno.Errno {
 }
 
 // Read implements vfs.FS.
-func (f *FS) Read(ino vfs.Ino, off int64, n int) ([]byte, errno.Errno) {
+func (f *FS) Read(ino vfs.Ino, off int64, n int, dst []byte) ([]byte, errno.Errno) {
 	nd := f.get(ino)
 	if nd == nil {
-		return nil, errno.ENOENT
+		return dst, errno.ENOENT
 	}
 	if nd.mode.IsDir() {
-		return nil, errno.EISDIR
+		return dst, errno.EISDIR
 	}
 	if !nd.mode.IsRegular() {
-		return nil, errno.EINVAL
+		return dst, errno.EINVAL
 	}
 	if off < 0 || n < 0 {
-		return nil, errno.EINVAL
+		return dst, errno.EINVAL
 	}
 	f.setAtime(ino, f.now())
 	if off >= nd.size {
-		return nil, errno.OK
+		return dst, errno.OK
 	}
 	end := off + int64(n)
 	if end > nd.size {
 		end = nd.size
 	}
-	out := make([]byte, end-off)
+	dst = slices.Grow(dst, int(end-off)) // one growth for the whole read
 	bs := int64(f.blockSize)
 	for pos := off; pos < end; {
 		blk := pos / bs
@@ -593,13 +593,15 @@ func (f *FS) Read(ino vfs.Ino, off int64, n int) ([]byte, errno.Errno) {
 			cnt = end - pos
 		}
 		if blk < int64(len(nd.blocks)) {
-			copy(out[pos-off:], nd.blocks[blk][in:in+cnt])
+			dst = append(dst, nd.blocks[blk][in:in+cnt]...)
+		} else {
+			// Blocks past the list (shouldn't happen, size <= allocated)
+			// read as zeros.
+			dst = append(dst, make([]byte, cnt)...)
 		}
-		// Blocks past the list (shouldn't happen, size <= allocated) read
-		// as zeros by way of the fresh out buffer.
 		pos += cnt
 	}
-	return out, errno.OK
+	return dst, errno.OK
 }
 
 // Write implements vfs.FS.

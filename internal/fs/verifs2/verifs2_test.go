@@ -46,7 +46,7 @@ func readAll(t *testing.T, f *FS, ino vfs.Ino) []byte {
 	if e != errno.OK {
 		t.Fatalf("Getattr: %v", e)
 	}
-	data, e := f.Read(ino, 0, int(st.Size))
+	data, e := f.Read(ino, 0, int(st.Size), nil)
 	if e != errno.OK {
 		t.Fatalf("Read: %v", e)
 	}
@@ -73,7 +73,7 @@ func TestWriteSpanningBlocks(t *testing.T) {
 	}
 	// Overwrite straddling a block boundary.
 	mustWrite(t, f, ino, 4090, []byte("BOUNDARY"))
-	got, e := f.Read(ino, 4090, 8)
+	got, e := f.Read(ino, 4090, 8, nil)
 	if e != errno.OK || string(got) != "BOUNDARY" {
 		t.Errorf("straddling read = (%q, %v)", got, e)
 	}

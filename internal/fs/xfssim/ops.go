@@ -2,6 +2,7 @@ package xfssim
 
 import (
 	"encoding/binary"
+	"slices"
 	"time"
 
 	"mcfs/internal/errno"
@@ -405,31 +406,32 @@ func (f *FS) Rmdir(parent vfs.Ino, name string) errno.Errno {
 }
 
 // Read implements vfs.FS.
-func (f *FS) Read(ino vfs.Ino, off int64, n int) ([]byte, errno.Errno) {
+func (f *FS) Read(ino vfs.Ino, off int64, n int, dst []byte) ([]byte, errno.Errno) {
 	ci := f.getInode(uint32(ino))
 	if ci == nil {
-		return nil, errno.ENOENT
+		return dst, errno.ENOENT
 	}
 	if vfs.Mode(ci.mode).IsDir() {
-		return nil, errno.EISDIR
+		return dst, errno.EISDIR
 	}
 	if !vfs.Mode(ci.mode).IsRegular() {
-		return nil, errno.EINVAL
+		return dst, errno.EINVAL
 	}
 	if off < 0 || n < 0 {
-		return nil, errno.EINVAL
+		return dst, errno.EINVAL
 	}
 	ci.atime = int64(f.now())
 	ci.dirty = true
 	size := int64(ci.size)
 	if off >= size {
-		return nil, errno.OK
+		return dst, errno.OK
 	}
 	end := off + int64(n)
 	if end > size {
 		end = size
 	}
-	out := make([]byte, end-off)
+	dst = slices.Grow(dst, int(end-off)) // one growth for the whole read
+	start := len(dst)
 	for pos := off; pos < end; {
 		idx := pos / BlockSize
 		in := pos % BlockSize
@@ -437,16 +439,18 @@ func (f *FS) Read(ino vfs.Ino, off int64, n int) ([]byte, errno.Errno) {
 		if pos+cnt > end {
 			cnt = end - pos
 		}
-		if blk := ci.nthBlock(idx); blk != 0 {
-			buf := make([]byte, BlockSize)
+		if blk := ci.nthBlock(idx); blk == 0 {
+			dst = append(dst, make([]byte, cnt)...) // a hole
+		} else {
+			buf := f.scratch[:]
 			if err := f.dev.ReadAt(buf, int64(blk)*BlockSize); err != nil {
-				return nil, errno.EIO
+				return dst[:start], errno.EIO
 			}
-			copy(out[pos-off:], buf[in:in+cnt])
+			dst = append(dst, buf[in:in+cnt]...)
 		}
 		pos += cnt
 	}
-	return out, errno.OK
+	return dst, errno.OK
 }
 
 // Write implements vfs.FS.

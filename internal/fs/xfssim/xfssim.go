@@ -279,6 +279,8 @@ type FS struct {
 
 	inodeCache map[uint32]*cachedInode
 	unmounted  bool
+
+	scratch [BlockSize]byte // Read's block buffer
 }
 
 type cachedInode struct {

@@ -65,7 +65,7 @@ func TestWriteReadMultiBlock(t *testing.T) {
 	if e != errno.OK || n != len(data) {
 		t.Fatalf("Write = (%d, %v)", n, e)
 	}
-	got, e := f.Read(ino, 0, len(data))
+	got, e := f.Read(ino, 0, len(data), nil)
 	if e != errno.OK || !bytes.Equal(got, data) {
 		t.Error("multi-block read mismatch")
 	}
@@ -121,7 +121,7 @@ func TestPersistenceAcrossRemount(t *testing.T) {
 	if e != errno.OK || ino2 != ino {
 		t.Fatalf("lookup after remount = (%v, %v)", ino2, e)
 	}
-	got, e := f2.Read(ino2, 0, 7)
+	got, e := f2.Read(ino2, 0, 7, nil)
 	if e != errno.OK || string(got) != "persist" {
 		t.Errorf("data after remount = (%q, %v)", got, e)
 	}
@@ -134,7 +134,7 @@ func TestSparseReadZeros(t *testing.T) {
 	if e := f.Setattr(ino, vfs.SetAttr{Size: &size}); e != errno.OK {
 		t.Fatal(e)
 	}
-	got, e := f.Read(ino, 0, 10000)
+	got, e := f.Read(ino, 0, 10000, nil)
 	if e != errno.OK || len(got) != 10000 {
 		t.Fatalf("read = (%d bytes, %v)", len(got), e)
 	}
@@ -300,7 +300,7 @@ func TestFragmentationUsesMultipleExtents(t *testing.T) {
 		t.Errorf("interleaved writes used %d extents, expected fragmentation", extents)
 	}
 	// Data still intact.
-	got, e := f.Read(a, 0, 4*BlockSize)
+	got, e := f.Read(a, 0, 4*BlockSize, nil)
 	if e != errno.OK || len(got) != 4*BlockSize {
 		t.Fatalf("read = (%d, %v)", len(got), e)
 	}

@@ -186,9 +186,9 @@ func (c *Client) Rmdir(parent vfs.Ino, name string) errno.Errno {
 }
 
 // Read implements vfs.FS.
-func (c *Client) Read(ino vfs.Ino, off int64, n int) ([]byte, errno.Errno) {
+func (c *Client) Read(ino vfs.Ino, off int64, n int, dst []byte) ([]byte, errno.Errno) {
 	defer c.send("READ").End()
-	return c.server.backing.Read(ino, off, n)
+	return c.server.backing.Read(ino, off, n, dst)
 }
 
 // Write implements vfs.FS.

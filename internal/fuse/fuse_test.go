@@ -45,7 +45,7 @@ func TestBasicOpsOverFUSE(t *testing.T) {
 		t.Fatal(e)
 	}
 	k.Seek(fd, 0, 0)
-	data, e := k.ReadFD(fd, 100)
+	data, e := k.ReadFD(fd, 100, nil)
 	if e != errno.OK || string(data) != "over fuse" {
 		t.Errorf("read = (%q, %v)", data, e)
 	}

@@ -87,12 +87,25 @@ type Mount struct {
 	spec  FilesystemSpec
 	fs    vfs.FS
 
-	dcache   map[dkey]vfs.Ino // positive dentries
-	negcache map[dkey]bool    // negative dentries
-	acache   map[vfs.Ino]vfs.Stat
+	caches
 
 	// cache statistics, for tests and the performance model
 	dcacheHits, dcacheMisses int64
+}
+
+// caches are a mount's dentry and attribute caches. An invalidation
+// empties them in place, and an unmount hands them, emptied, to the
+// kernel's next Mount: the maps keep the buckets they grew.
+type caches struct {
+	dcache   map[dkey]vfs.Ino // positive dentries
+	negcache map[dkey]bool    // negative dentries
+	acache   map[vfs.Ino]vfs.Stat
+}
+
+func (c caches) empty() {
+	clear(c.dcache)
+	clear(c.negcache)
+	clear(c.acache)
 }
 
 // FS exposes the mounted file system instance (tests and trackers use it).
@@ -120,15 +133,15 @@ func (m *Mount) Options() MountOptions { return MountOptions{} }
 // mountInvalidator implements CacheInvalidator for one mount.
 type mountInvalidator struct{ m *Mount }
 
-func (mi mountInvalidator) InvalAll() {
-	mi.m.dcache = make(map[dkey]vfs.Ino)
-	mi.m.negcache = make(map[dkey]bool)
-	mi.m.acache = make(map[vfs.Ino]vfs.Stat)
-}
+// InvalAll empties the mount's caches. Once the mount is dropped its maps
+// are nil, so an invalidator it handed out reaches nothing.
+func (mi mountInvalidator) InvalAll() { mi.m.caches.empty() }
 
 // FD is a file descriptor.
 type FD int
 
+// openFile is held by value in the descriptor table: an open allocates
+// nothing, and a syscall that moves the offset stores the entry back.
 type openFile struct {
 	mount *Mount
 	ino   vfs.Ino
@@ -141,7 +154,8 @@ type openFile struct {
 type Kernel struct {
 	clock  *simclock.Clock
 	mounts []*Mount // sorted by mount point; a handful at most
-	fds    map[FD]*openFile
+	spare  caches   // emptied by the last unmount, for the next Mount
+	fds    map[FD]openFile
 	nextFD FD
 
 	syscalls int64
@@ -161,7 +175,7 @@ type Kernel struct {
 func New(clock *simclock.Clock) *Kernel {
 	return &Kernel{
 		clock:  clock,
-		fds:    make(map[FD]*openFile),
+		fds:    make(map[FD]openFile),
 		nextFD: 3, // 0,1,2 taken, as ever
 	}
 }
@@ -217,13 +231,14 @@ func (k *Kernel) Mount(point string, spec FilesystemSpec, _ MountOptions) error 
 	if err != nil {
 		return fmt.Errorf("kernel: mounting %s at %s: %w", spec.Type, point, err)
 	}
-	m := &Mount{
-		point:    point,
-		spec:     spec,
-		fs:       fs,
-		dcache:   make(map[dkey]vfs.Ino),
-		negcache: make(map[dkey]bool),
-		acache:   make(map[vfs.Ino]vfs.Stat),
+	m := &Mount{point: point, spec: spec, fs: fs, caches: k.spare}
+	k.spare = caches{}
+	if m.dcache == nil {
+		m.caches = caches{
+			dcache:   make(map[dkey]vfs.Ino),
+			negcache: make(map[dkey]bool),
+			acache:   make(map[vfs.Ino]vfs.Stat),
+		}
 	}
 	if b, ok := fs.(InvalidatorBinder); ok {
 		b.BindCacheInvalidator(mountInvalidator{m})
@@ -271,8 +286,13 @@ func (k *Kernel) Unmount(point string) error {
 	return nil
 }
 
+// dropMount removes m from the table and keeps its caches, emptied, for
+// the next Mount. m is left holding none, so a handle to it that outlives
+// the unmount cannot reach the caches of the mount that reuses them.
 func (k *Kernel) dropMount(m *Mount) {
 	k.mounts = slices.DeleteFunc(k.mounts, func(x *Mount) bool { return x == m })
+	m.caches.empty()
+	k.spare, m.caches = m.caches, caches{}
 }
 
 // Remount unmounts and immediately remounts a file system, rebuilding all

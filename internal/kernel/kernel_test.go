@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"reflect"
 	"testing"
 
 	"mcfs/internal/blockdev"
@@ -65,7 +66,7 @@ func TestOpenCreateWriteReadClose(t *testing.T) {
 	if _, e := k.Seek(fd, 0, 0); e != errno.OK {
 		t.Fatal(e)
 	}
-	data, e := k.ReadFD(fd, 100)
+	data, e := k.ReadFD(fd, 100, nil)
 	if e != errno.OK || string(data) != "hello" {
 		t.Errorf("ReadFD = (%q, %v)", data, e)
 	}
@@ -75,7 +76,7 @@ func TestOpenCreateWriteReadClose(t *testing.T) {
 	if e := k.Close(fd); e != errno.EBADF {
 		t.Errorf("double close = %v, want EBADF", e)
 	}
-	if _, e := k.ReadFD(fd, 1); e != errno.EBADF {
+	if _, e := k.ReadFD(fd, 1, nil); e != errno.EBADF {
 		t.Errorf("read after close = %v, want EBADF", e)
 	}
 }
@@ -135,7 +136,7 @@ func TestOAppend(t *testing.T) {
 	k.WriteFD(fd, []byte("+second"))
 	k.Close(fd)
 	fd, _ = k.Open("/mnt/log", vfs.ORdOnly, 0)
-	data, _ := k.ReadFD(fd, 100)
+	data, _ := k.ReadFD(fd, 100, nil)
 	k.Close(fd)
 	if string(data) != "first+second" {
 		t.Errorf("append result = %q", data)
@@ -318,7 +319,7 @@ func TestRemountRebuildsFromDisk(t *testing.T) {
 	if e != errno.OK {
 		t.Fatalf("open after remount: %v", e)
 	}
-	data, _ := k.ReadFD(fd, 100)
+	data, _ := k.ReadFD(fd, 100, nil)
 	k.Close(fd)
 	if string(data) != "durable" {
 		t.Errorf("data after remount = %q", data)
@@ -545,7 +546,7 @@ func TestSeekWhence(t *testing.T) {
 	if pos, e := k.Seek(fd, -4, 2); e != errno.OK || pos != 6 {
 		t.Errorf("SEEK_END = (%d, %v)", pos, e)
 	}
-	data, e := k.ReadFD(fd, 4)
+	data, e := k.ReadFD(fd, 4, nil)
 	if e != errno.OK || string(data) != "6789" {
 		t.Errorf("read after seek = (%q, %v)", data, e)
 	}
@@ -565,7 +566,7 @@ func TestPReadPWriteDoNotMoveOffset(t *testing.T) {
 	if _, e := k.PWriteFD(fd, 10, []byte("far")); e != errno.OK {
 		t.Fatal(e)
 	}
-	data, e := k.PReadFD(fd, 10, 3)
+	data, e := k.PReadFD(fd, 10, 3, nil)
 	if e != errno.OK || string(data) != "far" {
 		t.Errorf("PRead = (%q, %v)", data, e)
 	}
@@ -574,7 +575,7 @@ func TestPReadPWriteDoNotMoveOffset(t *testing.T) {
 	if _, e := k.WriteFD(fd, []byte("X")); e != errno.OK {
 		t.Fatal(e)
 	}
-	got, e := k.PReadFD(fd, 0, 5)
+	got, e := k.PReadFD(fd, 0, 5, nil)
 	if e != errno.OK || string(got) != "baseX" {
 		t.Errorf("offset moved by pread/pwrite: (%q, %v)", got, e)
 	}
@@ -599,3 +600,85 @@ func TestFsyncFD(t *testing.T) {
 }
 
 const kernel_badFD = FD(9999)
+
+// TestCacheReuseStartsEmpty pins the kernel caches' reuse: after an
+// invalidation or any kind of remount the mount holds the same maps,
+// emptied, so the next lookup of every name cached before misses; and an
+// invalidator or handle of a dropped mount reaches none of them.
+func TestCacheReuseStartsEmpty(t *testing.T) {
+	names := []string{"/mnt/a", "/mnt/b", "/mnt/d", "/mnt/ghost"}
+	for _, ev := range []struct {
+		name string
+		do   func(*Kernel) error
+	}{
+		{"InvalAll", func(k *Kernel) error {
+			inv, err := k.Invalidator("/mnt")
+			if err == nil {
+				inv.InvalAll()
+			}
+			return err
+		}},
+		{"Remount", func(k *Kernel) error { return k.Remount("/mnt") }},
+		{"Unmount+Mount", func(k *Kernel) error {
+			m, _, _ := k.MountAt("/mnt")
+			if err := k.Unmount("/mnt"); err != nil {
+				return err
+			}
+			return k.Mount("/mnt", m.Spec(), MountOptions{})
+		}},
+		{"CrashRemount", func(k *Kernel) error { return k.CrashRemount("/mnt", nil) }},
+	} {
+		t.Run(ev.name, func(t *testing.T) {
+			k, _ := newKernelWithExt(t, true)
+			for _, p := range names[:2] {
+				fd, e := k.Open(p, vfs.OCreate|vfs.OWrOnly, 0644)
+				if e != errno.OK {
+					t.Fatal(e)
+				}
+				k.Close(fd)
+			}
+			if e := k.Mkdir("/mnt/d", 0755); e != errno.OK {
+				t.Fatal(e)
+			}
+			if e := k.SyncFS("/mnt"); e != errno.OK {
+				t.Fatal(e)
+			}
+			stat := func(m *Mount) (misses int64) {
+				for _, p := range names {
+					_, before := m.CacheStats()
+					k.Stat(p)
+					_, after := m.CacheStats()
+					misses += after - before
+				}
+				return misses
+			}
+			old, _, _ := k.MountAt("/mnt")
+			stat(old)
+			if n := stat(old); n != 0 {
+				t.Fatalf("warm lookups missed %d times", n)
+			}
+			stale, _ := k.Invalidator("/mnt")
+			dmap := reflect.ValueOf(old.dcache).Pointer()
+			if err := ev.do(k); err != nil {
+				t.Fatal(err)
+			}
+			m, _, _ := k.MountAt("/mnt")
+			if reflect.ValueOf(m.dcache).Pointer() != dmap {
+				t.Error("the mount's dentry cache is a new map, not the emptied one")
+			}
+			if n := stat(m); n != int64(len(names)) {
+				t.Errorf("after %s, %d of %d cached names missed", ev.name, n, len(names))
+			}
+			if m == old {
+				return
+			}
+			if old.dcache != nil || old.negcache != nil || old.acache != nil {
+				t.Error("the dropped mount still holds caches")
+			}
+			stale.InvalAll()
+			if n := stat(m); n != 0 {
+				t.Errorf("a stale invalidator emptied the new mount's caches: %d misses", n)
+			}
+		})
+	}
+}

@@ -55,7 +55,7 @@ func (k *Kernel) Open(path string, flags vfs.OpenFlag, mode vfs.Mode) (FD, errno
 	}
 	fd := k.nextFD
 	k.nextFD++
-	of := &openFile{mount: m, ino: ino, flags: flags}
+	of := openFile{mount: m, ino: ino, flags: flags}
 	if flags&vfs.OAppend != 0 {
 		st, e2 := m.fs.Getattr(ino)
 		if e2 != errno.OK {
@@ -80,23 +80,25 @@ func (k *Kernel) Close(fd FD) errno.Errno {
 	return errno.OK
 }
 
-// ReadFD reads up to n bytes at the descriptor's offset, advancing it.
-func (k *Kernel) ReadFD(fd FD, n int) ([]byte, errno.Errno) {
+// ReadFD appends up to n bytes at the descriptor's offset to dst, as
+// vfs.FS.Read does, and advances the offset by the bytes appended.
+func (k *Kernel) ReadFD(fd FD, n int, dst []byte) ([]byte, errno.Errno) {
 	defer k.begin("read").End()
 	of, ok := k.fds[fd]
 	if !ok {
-		return nil, errno.EBADF
+		return dst, errno.EBADF
 	}
 	if !of.flags.Readable() {
-		return nil, errno.EBADF
+		return dst, errno.EBADF
 	}
-	data, e := of.mount.fs.Read(of.ino, of.pos, n)
+	out, e := of.mount.fs.Read(of.ino, of.pos, n, dst)
 	if e != errno.OK {
-		return nil, e
+		return dst, e
 	}
-	of.pos += int64(len(data))
+	of.pos += int64(len(out) - len(dst))
+	k.fds[fd] = of
 	of.mount.attrDirty(of.ino) // atime moved
-	return data, errno.OK
+	return out, errno.OK
 }
 
 // WriteFD writes data at the descriptor's offset, advancing it. With
@@ -116,32 +118,34 @@ func (k *Kernel) WriteFD(fd FD, data []byte) (int, errno.Errno) {
 			return 0, e
 		}
 		of.pos = st.Size
+		k.fds[fd] = of
 	}
 	n, e := of.mount.fs.Write(of.ino, of.pos, data)
 	if e != errno.OK {
 		return 0, e
 	}
 	of.pos += int64(n)
+	k.fds[fd] = of
 	of.mount.attrDirty(of.ino)
 	return n, errno.OK
 }
 
-// PReadFD reads n bytes at an explicit offset (pread).
-func (k *Kernel) PReadFD(fd FD, off int64, n int) ([]byte, errno.Errno) {
+// PReadFD appends up to n bytes at an explicit offset to dst (pread).
+func (k *Kernel) PReadFD(fd FD, off int64, n int, dst []byte) ([]byte, errno.Errno) {
 	defer k.begin("pread").End()
 	of, ok := k.fds[fd]
 	if !ok {
-		return nil, errno.EBADF
+		return dst, errno.EBADF
 	}
 	if !of.flags.Readable() {
-		return nil, errno.EBADF
+		return dst, errno.EBADF
 	}
-	data, e := of.mount.fs.Read(of.ino, off, n)
+	out, e := of.mount.fs.Read(of.ino, off, n, dst)
 	if e != errno.OK {
-		return nil, e
+		return dst, e
 	}
 	of.mount.attrDirty(of.ino)
-	return data, errno.OK
+	return out, errno.OK
 }
 
 // PWriteFD writes data at an explicit offset (pwrite).
@@ -188,6 +192,7 @@ func (k *Kernel) Seek(fd FD, off int64, whence int) (int64, errno.Errno) {
 		return 0, errno.EINVAL
 	}
 	of.pos = np
+	k.fds[fd] = of
 	return np, errno.OK
 }
 

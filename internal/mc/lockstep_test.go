@@ -137,7 +137,7 @@ func observeFS(f vfs.FS) (string, error) {
 			path, st.Ino, st.Mode, st.Nlink, st.UID, st.GID, st.Size, st.Mtime, st.Ctime)
 		switch {
 		case st.Mode.IsRegular():
-			data, e := f.Read(ino, 0, int(st.Size))
+			data, e := f.Read(ino, 0, int(st.Size), nil)
 			if e != errno.OK {
 				return fmt.Errorf("read %s: %w", path, e)
 			}

@@ -232,7 +232,7 @@ func dumpFS(t *testing.T, f vfs.FS) string {
 			target, _ := f.(vfs.SymlinkFS).Readlink(ino)
 			fmt.Fprintf(&b, " -> %s\n", target)
 		default:
-			data, e := f.Read(ino, 0, int(st.Size))
+			data, e := f.Read(ino, 0, int(st.Size), nil)
 			if e != errno.OK {
 				t.Fatalf("Read(%s): %v", path, e)
 			}

@@ -67,7 +67,7 @@ func readFile(t *testing.T, k *kernel.Kernel, path string) (string, errno.Errno)
 		return "", e
 	}
 	defer k.Close(fd)
-	data, e := k.ReadFD(fd, 1<<20)
+	data, e := k.ReadFD(fd, 1<<20, nil)
 	return string(data), e
 }
 

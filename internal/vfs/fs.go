@@ -34,9 +34,14 @@ type FS interface {
 	// Rmdir removes the named empty directory from parent.
 	Rmdir(parent Ino, name string) errno.Errno
 
-	// Read returns up to n bytes of ino's data starting at off. Reads at
-	// or past EOF return an empty slice and errno.OK.
-	Read(ino Ino, off int64, n int) ([]byte, errno.Errno)
+	// Read appends up to n bytes of ino's data starting at off to dst and
+	// returns the extended slice, in the manner of strconv.AppendInt: a
+	// caller that passes the same buffer back each time reads without
+	// allocating. A hole reads as zeros, written explicitly, since dst's
+	// spare capacity may hold anything. A read at or past EOF appends
+	// nothing and returns errno.OK. On error the returned slice has dst's
+	// length, though bytes in its spare capacity may have changed.
+	Read(ino Ino, off int64, n int, dst []byte) ([]byte, errno.Errno)
 
 	// Write stores data into ino at off, extending the file if needed,
 	// and returns the number of bytes written.

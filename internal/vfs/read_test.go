@@ -80,9 +80,11 @@ var holeFiles = map[string][]holeStep{
 }
 
 // TestReadReturnsHolesAsZeros is the read contract's oracle on every file
-// system: Read and the kernel's sequential ReadFD return a file's bytes
-// with every hole as zeros, in one read or in chunks.
+// system: Read and the kernel's sequential ReadFD append a file's bytes
+// to the caller's buffer, in one read or in chunks, with every hole
+// written as zeros over the 0xFF the buffer's spare capacity holds.
 func TestReadReturnsHolesAsZeros(t *testing.T) {
+	const prefix = "pre"
 	for fsName, spec := range readTargets() {
 		t.Run(fsName, func(t *testing.T) {
 			clk := simclock.New()
@@ -91,52 +93,63 @@ func TestReadReturnsHolesAsZeros(t *testing.T) {
 				t.Fatal(err)
 			}
 			m, _, _ := k.MountAt("/mnt")
+			dst := spare(prefix, 16)
+			if got, e := m.FS().Read(m.FS().Root(), 0, 16, dst); e != errno.EISDIR || len(got) != len(dst) {
+				t.Errorf("Read of the root = %d bytes, %v; want %d, EISDIR", len(got), e, len(dst))
+			}
 			for name, steps := range holeFiles {
 				path := "/mnt/" + name
-				want := writeHoles(t, k, path, steps)
+				want := append([]byte(prefix), writeHoles(t, k, path, steps)...)
+				size := len(want) - len(prefix)
 				st, e := k.Stat(path)
-				if e != errno.OK || st.Size != int64(len(want)) {
-					t.Fatalf("%s: stat = size %d, %v; want %d", name, st.Size, e, len(want))
+				if e != errno.OK || st.Size != int64(size) {
+					t.Fatalf("%s: stat = size %d, %v; want %d", name, st.Size, e, size)
 				}
-				for _, chunk := range []int{len(want) + 10, 1000, 777} {
-					var got []byte
+				for _, chunk := range []int{size + 10, 1000, 777} {
+					got := spare(prefix, size+chunk)
 					for off := int64(0); ; {
-						data, e := m.FS().Read(st.Ino, off, chunk)
-						if e != errno.OK {
+						n := len(got)
+						if got, e = m.FS().Read(st.Ino, off, chunk, got); e != errno.OK {
 							t.Fatalf("%s: Read(%d, %d) = %v", name, off, chunk, e)
 						}
-						if len(data) == 0 {
+						if len(got) == n {
 							break
 						}
-						got = append(got, data...)
-						off += int64(len(data))
+						off += int64(len(got) - n)
 					}
 					if !bytes.Equal(got, want) {
-						t.Errorf("%s: Read in %d-byte chunks differs from the file's bytes at %d", name, chunk, firstDiff(got, want))
+						t.Errorf("%s: Read in %d-byte chunks differs from the prefix and the file's bytes at %d", name, chunk, firstDiff(got, want))
 					}
 				}
 				fd, e := k.Open(path, vfs.ORdOnly, 0)
 				if e != errno.OK {
 					t.Fatal(e)
 				}
-				var got []byte
+				got := spare(prefix, size+1000)
 				for {
-					data, e := k.ReadFD(fd, 1000)
-					if e != errno.OK {
+					n := len(got)
+					if got, e = k.ReadFD(fd, 1000, got); e != errno.OK {
 						t.Fatalf("%s: ReadFD = %v", name, e)
 					}
-					if len(data) == 0 {
+					if len(got) == n {
 						break
 					}
-					got = append(got, data...)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s: sequential ReadFD differs from the prefix and the file's bytes at %d", name, firstDiff(got, want))
+				}
+				if got, e = k.PReadFD(fd, 0, size+10, spare(prefix, size+10)); e != errno.OK || !bytes.Equal(got, want) {
+					t.Errorf("%s: PReadFD = %v, differs from the prefix and the file's bytes at %d", name, e, firstDiff(got, want))
 				}
 				k.Close(fd)
-				if !bytes.Equal(got, want) {
-					t.Errorf("%s: sequential ReadFD differs from the file's bytes at %d", name, firstDiff(got, want))
-				}
 			}
 		})
 	}
+}
+
+// spare returns prefix in a buffer with room for n more bytes, all 0xFF.
+func spare(prefix string, n int) []byte {
+	return append(bytes.Repeat([]byte{0xFF}, len(prefix)+n)[:0], prefix...)
 }
 
 // writeHoles applies steps to a new file at path and returns the bytes

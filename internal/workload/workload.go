@@ -245,7 +245,7 @@ func Execute(k *kernel.Kernel, mountPoint string, op Op) checker.OpResult {
 		if e != errno.OK {
 			return checker.OpResult{Ret: -1, Err: e}
 		}
-		data, e := k.ReadFD(fd, 1<<20)
+		data, e := k.ReadFD(fd, 1<<20, nil) // nil: the result owns its Data
 		if e != errno.OK {
 			_ = k.Close(fd) // the read's errno is the result; close is cleanup
 			return checker.OpResult{Ret: -1, Err: e}
