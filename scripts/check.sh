@@ -163,7 +163,11 @@
 #      atomicplain's field index (atomicIndex),
 #      Figure 3's calibration spec (Calibration,
 #      -calibration-workers) and the second CLI's
-#      flag package (cmd/internal/runflag)
+#      flag package (cmd/internal/runflag); and a
+#      mount's caches stay reused: make(map[dkey]
+#      only in Kernel.Mount (its no-spare path),
+#      no make( in InvalAll or the caches.empty it
+#      calls
 #  23. live-surface smoke: a 2-worker shared swarm   (the live views run,
 #      with -progress 1ms -stall-ops 64 -events       not just compile:
 #      exits 0, stderr holds progress w1:, w2: and    -progress renders the
@@ -447,6 +451,19 @@ if grep -rnE --include='*.go' '\bSetOnRestore\b|\brestoreHooker\b|\binvalPending
 if grep -rnE --include='*.go' '\bCalibration\b|calibration-workers|cmd/internal/runflag' \
 	internal cmd examples ./*.go | grep -v '_test\.go:'; then
 	echo "FAIL: Figure 3's calibration spec or the shared flag package is back (see above)"; exit 1; fi
+# A mount's caches are emptied in place and handed to the next Mount: only
+# Mount's no-spare path makes them, and an invalidation makes nothing.
+for f in internal/kernel/*.go; do
+	case "$f" in *_test.go) continue ;; esac
+	awk -v f="$f" '/^func /{fn=$0}
+		/make\(map\[dkey\]/ && fn !~ /^func \(k \*Kernel\) Mount\(/ {print f":"FNR": "$0; bad=1}
+		/make\(/ && fn ~ /^func (\(mi mountInvalidator\) InvalAll|\(c caches\) empty)\(/ {print f":"FNR": "$0; bad=1}
+		END{exit bad}' "$f" || {
+		echo "FAIL: a kernel cache map is made outside Mount's no-spare path, or an invalidation allocates (see above)"; exit 1; }
+done
+grep -q '^func (k \*Kernel) Mount(' internal/kernel/kernel.go && grep -q '^func (mi mountInvalidator) InvalAll(' internal/kernel/kernel.go &&
+	grep -q '^func (c caches) empty(' internal/kernel/kernel.go || {
+	echo "FAIL: the cache-reuse guard no longer finds the functions it watches (Kernel.Mount, InvalAll, caches.empty)"; exit 1; }
 
 echo "==> live-surface smoke (-progress frames and the -events NDJSON of a swarm)"
 rc=0
