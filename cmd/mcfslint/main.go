@@ -10,6 +10,12 @@
 //	guardedby       `// guarded by <field>` fields accessed only under that lock
 //	atomicplain     no sync/atomic function calls: shared fields are typed atomics
 //	lockbalance     every path leaves the lockset exactly as it entered
+//	structure       the module's structure: what stays deleted, and where a
+//	                goroutine, a channel, an image copy, a cache map, a
+//	                lock or a state walk may appear (one typed row each)
+//
+// walltime, atomicplain and structure are rule tables of one engine
+// (internal/lint/rules.go); structure's findings cannot be suppressed.
 //
 // Usage:
 //

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -31,7 +32,7 @@ func TestMapOrderGolden(t *testing.T) {
 func TestWalltimeGolden(t *testing.T) {
 	// The fixture's simclock subpackage plays the allowlisted virtual
 	// clock (import paths in a rootless fixture tree are dir-relative).
-	runGolden(t, "walltime", NewWalltime(WalltimeConfig{AllowPkgs: []string{"simclock"}}))
+	runGolden(t, "walltime", newRules("walltime", "", walltimeRules("simclock")))
 }
 
 func TestErrnoDropGolden(t *testing.T) {
@@ -67,5 +68,23 @@ func TestUnusedIgnoreGolden(t *testing.T) {
 	// The unusedignore check is framework-level: it runs inside Run for
 	// whatever analyzer set is active. The fixture uses walltime as the
 	// suppressed analyzer.
-	runGolden(t, "unusedignore", NewWalltime(WalltimeConfig{}))
+	runGolden(t, "unusedignore", NewWalltime())
+}
+
+func TestStructureGolden(t *testing.T) {
+	// The fixture lays stub packages out at the rows' real import paths
+	// (mcfs/internal/mc, ...), with one mutant per row.
+	runGolden(t, "structure", NewStructure())
+
+	// Every row has a mutant in the fixture: each one alone reports.
+	pkgs, err := LoadTree(filepath.Join("testdata", "src", "structure"), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := range structureRules {
+		diags := Run(pkgs, []*Analyzer{newRules("structure", "", structureRules[r:r+1])})
+		if !slices.ContainsFunc(diags, func(d Diagnostic) bool { return d.Analyzer == "structure" }) {
+			t.Errorf("structure row %d (%q) has no mutant in the fixture", r, structureRules[r].why)
+		}
+	}
 }

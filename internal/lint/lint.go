@@ -34,11 +34,20 @@
 //     methods, so no plain access can race with an atomic one.
 //   - lockbalance: every path through a function leaves the lockset as
 //     it entered — no early-return missing-Unlock.
+//   - structure: the module's structural invariants, one typed row
+//     each — what stays deleted, and where a go statement, a channel, a
+//     whole-image copy, a kernel cache map, a lock or a state walk may
+//     appear. Its findings cannot be suppressed.
 //
 // lockorder, guardedby and lockbalance share the flow-sensitive layer in
 // cfg.go, module.go and lockset.go: per-function basic-block CFGs, a
 // type-resolved static call graph with interface widening, and a lockset
 // dataflow fixpoint.
+//
+// walltime, atomicplain and structure are rule tables (structure.go) of
+// one engine (rules.go). A row reads: within these scopes — a package, a
+// subtree ("mcfs/internal/fs/..."), a file or a function
+// ("mcfs/internal/kernel.Kernel.Mount") — at most max nodes match.
 //
 // Diagnostics can be suppressed with a justified comment on the flagged
 // line or the line directly above it:
@@ -85,6 +94,8 @@ type Analyzer struct {
 	// graph, lockset analysis) on the pass. Run builds it once and
 	// shares it across analyzers.
 	NeedsModule bool
+	// Unsuppressible findings ignore lint:ignore directives.
+	Unsuppressible bool
 	// Run inspects one package and reports findings through the pass.
 	Run func(*Pass)
 }
@@ -185,11 +196,13 @@ func buildIgnoreIndex(fset *token.FileSet, files []*ast.File, idx *ignoreIndex) 
 }
 
 // suppressed reports whether a matching directive covers d, marking
-// every matching directive used.
-func (idx *ignoreIndex) suppressed(d Diagnostic) bool {
+// every matching directive used. With explicit, only a directive naming
+// d's analyzer matches: unusedignore's own findings ask for that, as a
+// wildcard "all" must not hide its own staleness.
+func (idx *ignoreIndex) suppressed(d Diagnostic, explicit bool) bool {
 	hit := false
 	for _, dir := range idx.byLine[ignoreKey{file: d.File, line: d.Line}] {
-		if dir.name == d.Analyzer || dir.name == "all" {
+		if dir.name == d.Analyzer || dir.name == "all" && !explicit {
 			dir.used = true
 			hit = true
 		}
@@ -225,20 +238,6 @@ func (idx *ignoreIndex) unusedFindings(running map[string]bool) []Diagnostic {
 	return out
 }
 
-// suppressedExplicit is the suppression check for unusedignore's own
-// findings: only a directive explicitly naming "unusedignore" counts —
-// a wildcard "all" must not hide its own staleness.
-func (idx *ignoreIndex) suppressedExplicit(d Diagnostic) bool {
-	hit := false
-	for _, dir := range idx.byLine[ignoreKey{file: d.File, line: d.Line}] {
-		if dir.name == d.Analyzer {
-			dir.used = true
-			hit = true
-		}
-	}
-	return hit
-}
-
 // Run applies every analyzer to every package and returns the surviving
 // diagnostics sorted by position. Suppressed findings are dropped; a
 // justified suppression that suppressed nothing becomes an unusedignore
@@ -250,9 +249,10 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 		buildIgnoreIndex(pkg.Fset, pkg.Files, ignores)
 	}
 	var module *Module
-	running := map[string]bool{}
+	running, strict := map[string]bool{}, map[string]bool{}
 	for _, a := range analyzers {
 		running[a.Name] = true
+		strict[a.Name] = a.Unsuppressible
 		if a.NeedsModule && module == nil {
 			module = NewModule(pkgs)
 		}
@@ -277,7 +277,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	kept := diags[:0]
 	seen := map[Diagnostic]bool{}
 	for _, d := range diags {
-		if ignores.suppressed(d) || seen[d] {
+		if !strict[d.Analyzer] && ignores.suppressed(d, false) || seen[d] {
 			continue
 		}
 		seen[d] = true
@@ -286,7 +286,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	// Stale suppressions are findings too — suppressible only by a
 	// directive explicitly naming unusedignore, never by a wildcard.
 	for _, d := range ignores.unusedFindings(running) {
-		if ignores.suppressedExplicit(d) || seen[d] {
+		if ignores.suppressed(d, true) || seen[d] {
 			continue
 		}
 		seen[d] = true
@@ -350,9 +350,7 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		NewCheckpointLeak(),
 		NewMapOrder(),
-		NewWalltime(WalltimeConfig{
-			AllowPkgs: []string{"mcfs/internal/simclock"},
-		}),
+		NewWalltime(),
 		NewErrnoDrop(ErrnoDropConfig{
 			ErrorCallPkgPrefixes: []string{"mcfs/internal/", "mcfs"},
 		}),
@@ -372,5 +370,7 @@ func Analyzers() []*Analyzer {
 		NewGuardedBy(),
 		NewAtomicPlain(),
 		NewLockBalance(),
+		// The module's structural invariants, one typed row each.
+		NewStructure(),
 	}
 }

@@ -22,6 +22,9 @@ type Package struct {
 	Dir   string
 	Fset  *token.FileSet
 	Files []*ast.File
+	// Tests are the directory's _test.go files, parsed but not
+	// type-checked: the rule tables read their syntax.
+	Tests []*ast.File
 	Types *types.Package
 	Info  *types.Info
 }
@@ -123,7 +126,8 @@ func topoOrder(imports map[string][]string) ([]string, error) {
 	return order, nil
 }
 
-// LoadTree parses and type-checks every non-test package under root.
+// LoadTree parses and type-checks every non-test package under root,
+// and parses its _test.go files.
 // Import paths are formed as modPath + "/" + relative directory (or just
 // the relative directory when modPath is empty, as the golden-test
 // harness uses for testdata trees).
@@ -138,6 +142,7 @@ func LoadTree(root, modPath string) ([]*Package, error) {
 		path    string
 		dir     string
 		files   []*ast.File
+		tests   []*ast.File
 		imports map[string]bool
 	}
 	raw := map[string]*rawPkg{}
@@ -153,7 +158,7 @@ func LoadTree(root, modPath string) ([]*Package, error) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
 		file, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
@@ -185,6 +190,10 @@ func LoadTree(root, modPath string) ([]*Package, error) {
 		if p == nil {
 			p = &rawPkg{path: importPath, dir: dir, imports: map[string]bool{}}
 			raw[importPath] = p
+		}
+		if strings.HasSuffix(path, "_test.go") {
+			p.tests = append(p.tests, file)
+			return nil
 		}
 		p.files = append(p.files, file)
 		for _, imp := range file.Imports {
@@ -246,6 +255,7 @@ func LoadTree(root, modPath string) ([]*Package, error) {
 			Dir:   rp.dir,
 			Fset:  fset,
 			Files: rp.files,
+			Tests: rp.tests,
 			Types: tpkg,
 			Info:  info,
 		})

@@ -1,0 +1,19 @@
+// Package fault stands in for the fault plane: every persisted window
+// write is a crash point. It brings back the arming API.
+package fault
+
+// Plane logs window writes.
+type Plane struct{ armed bool }
+
+// ArmCrash is the deleted arming call.
+func (p *Plane) ArmCrash() { p.armed = true } // want "ArmCrash: every persisted window write"
+
+// Armed is the deleted arming query.
+func (p *Plane) Armed() bool { return p.armed } // want "Armed: every persisted window write"
+
+// DisarmPending is the deleted disarming call. A structure finding
+// cannot be waived line by line, so the directive above it suppresses
+// nothing and is itself reported.
+//
+//lint:ignore structure the disarming call is back on purpose // want "unused lint:ignore directive: no structure finding on this line"
+func (p *Plane) DisarmPending() { p.armed = false } // want "DisarmPending: every persisted window write"

@@ -703,15 +703,39 @@ var panicInjectors = []struct {
 	}},
 }
 
+// cancelWaiter holds a swarm peer at its first PreOp until the swarm's
+// token fires, so the peer can end only by cancellation, whatever order
+// the scheduler runs the workers in.
+type cancelWaiter struct {
+	tracker.Tracker
+	cancel *mc.Cancel
+}
+
+func (w *cancelWaiter) PreOp() error {
+	deadline := time.Now().Add(10 * time.Second)
+	for !w.cancel.Canceled() {
+		if time.Now().After(deadline) {
+			return errors.New("cancelWaiter: the swarm was not canceled within 10s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return w.Tracker.PreOp()
+}
+
 // TestSwarmWorkerPanicIsolated: a panicking target must not kill the
 // swarm process. The panicking worker ends with a failed Result carrying
 // a *mc.PanicError (panic value + partial trail), its peers are canceled
-// promptly, and no goroutine leaks.
+// promptly, and no goroutine leaks. SwarmRun admits min(Workers,
+// GOMAXPROCS) workers at once, so the test sets GOMAXPROCS to 2: at one
+// CPU the peer would queue behind the panicking worker and never run
+// beside it.
 func TestSwarmWorkerPanicIsolated(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	for _, inj := range panicInjectors {
 		t.Run(inj.name, func(t *testing.T) {
 			before := runtime.NumGoroutine()
-			sr, err := mc.SwarmRun(mc.SwarmOptions{Workers: 2}, func(seed int64) (mc.Config, error) {
+			cancel := mc.NewCancel()
+			sr, err := mc.SwarmRun(mc.SwarmOptions{Workers: 2, Cancel: cancel}, func(seed int64) (mc.Config, error) {
 				s, err := mcfs.NewSession(mcfs.Options{
 					Targets:  []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
 					MaxDepth: 3,
@@ -724,6 +748,9 @@ func TestSwarmWorkerPanicIsolated(t *testing.T) {
 				cfg := *s.Config()
 				if seed == 1 {
 					inj.inject(t, &cfg, 5)
+				} else {
+					cfg.Trackers = append([]tracker.Tracker(nil), cfg.Trackers...)
+					cfg.Trackers[0] = &cancelWaiter{Tracker: cfg.Trackers[0], cancel: cancel}
 				}
 				return cfg, nil
 			})
