@@ -12,10 +12,13 @@
 #         + internal/memmodel + internal/kernel      trackers and the
 #         + internal/abstraction + internal/checker  media's undo frames
 #         + internal/vfs                             under their locks; a
-#                                                    model reading a set
+#      plus: the swarm tests at -cpu 1,4             model reading a set
 #                                                    its peers write; the
 #                                                    path walk every swarm
-#                                                    worker runs)
+#                                                    worker runs; a swarm
+#                                                    test that assumes
+#                                                    concurrency fails at
+#                                                    one CPU)
 #   5. bench smoke: every benchmark runs once       (catches bit-rotted
 #                                                    benchmarks; includes
 #                                                    the nil-vs-with hub,
@@ -62,117 +65,59 @@
 #      stays clean at its pinned crash-point count
 #   9. mcfslint ./...                                (domain static
 #      plus: -list and -json must name the            analysis: checkpoint
-#      full nine-analyzer suite, so a registry        leaks, map-order
+#      full ten-analyzer suite, so a registry         leaks, map-order
 #      regression can't silently drop the             nondeterminism, wall
 #      flow-sensitive analyzers (lockorder,           time, dropped errnos,
-#      guardedby, lockbalance) or the atomicplain     nil-obs safety, lock
-#      type rule                                      order/balance, guarded
+#      guardedby, lockbalance), the atomicplain       nil-obs safety, lock
+#      type rule or the structure table               order/balance, guarded
 #                                                    fields, sync/atomic
-#                                                    function calls)
-#  10. one-golden guard: internal/bench, the        (BENCH_mc.json is a
-#      tolerance (DefaultTolerance, bench.Compare,    golden like every
-#      a "tolerance" flag) and any import of          other pinned artifact:
-#      mcfs/internal/bench stay deleted               step 2 compares it
-#                                                    byte for byte and
-#                                                    -update rewrites it)
-#  11. bounded-memory smoke: a run under a tiny      (the memory governor
+#                                                    function calls, and the
+#                                                    module's structure: one
+#                                                    typed row per invariant
+#                                                    this script used to grep
+#                                                    for, in internal/lint/
+#                                                    structure.go)
+#  10. bounded-memory smoke: a run under a tiny      (the memory governor
 #      -mem-budget must complete (exit 0) at          degrades fidelity
 #      reduced visited fidelity instead of dying      instead of dying
 #      out of memory                                  mid-run)
-#  12. event-seam guard: no instrumentation guard    (the explore loop talks
-#      or phase timer in internal/mc outside          to one probe; planes
-#      probe.go and tests                             cannot leak back in)
-#  13. op-path guard: no go statement and no         (an explored op is one
-#      channel in the non-test files of the           call stack under the
-#      packages an explored op crosses                engine's recover; a
-#                                                    transport goroutine
-#                                                    cannot come back
-#                                                    unseen)
-#  14. one-walk guard: Checker.StateHash is called   (the step that judges
-#      once in internal/mc, for the initial state;    a state is the only
-#      every later hash comes from the step's own     code that hashes it)
-#      state check
-#  15. image-copy guard: in non-test                 (a crash point is a
-#      internal/blockdev only Snapshot allocates      position in the write
-#      a whole image, and the whole-image capture     log; no write, program
-#      API (SetCrashImage/TakeCrashImage) stays       or erase path copies
-#      deleted                                        the device)
-#  16. one-lock guard: non-test internal/mc/visited  (the visited set is
-#      and internal/memmodel import no sync/atomic    one map behind one
-#      and name at most two sync types between        mutex, and a memory
-#      them, and the ledger and the slot table        model reads its size
-#      (AttachMem, AddSharedVisited, InsertVisited,   instead of being
-#      InitialSlots) stay deleted                     billed for it)
-#  17. parse guard: no strings.Split in non-test     (a path is consumed a
-#      internal/vfs, internal/kernel and              component at a time
-#      internal/abstraction, no strings.Join in the   under every syscall,
-#      first two, no JoinPath in the abstraction      and the abstraction
-#      walk, SplitPath/BaseName/DirPath stay          walk builds paths
-#      deleted; plus a 10 s FuzzJoinPath smoke,       that need no cleaning;
-#      a 10 s FuzzJournalRead smoke, a 10 s           a journal decodes to
-#      FuzzMountAndFsck smoke, 10 s FuzzMount         in-bounds ops or an
-#      smokes for jffs2sim and xfssim, a 10 s         error; a mount and an
-#      FuzzReadBundle smoke, a 10 s                   fsck of any extfs
-#      FuzzUndoFrames smoke and 10 s                  bytes return an error
-#      FuzzCheckpointPool smokes for verifs1          or problems; a jffs2
-#      and verifs2                                    or xfs mount of any
-#                                                    bytes returns errors;
-#                                                    any bundle reads to
-#                                                    an error or a bundle;
-#                                                    any op sequence over
-#                                                    undo frames leaves
-#                                                    each medium holding
-#                                                    its frames' images;
-#                                                    any op, checkpoint,
-#                                                    restore and discard
-#                                                    sequence leaves a
-#                                                    VeriFS and each of
-#                                                    its snapshots equal
-#                                                    to a deep-copy twin)
-#  18. scan guard: no sort.Slice in non-test         (a jffs2 mount parses
-#      internal/fs/jffs2sim, and no make([]byte       the blocks that changed,
-#      in the mount scan (MountCached and the         in place, from bytes the
-#      per-block scan): nodes are recorded by         MTD lends; nothing is
-#      position in lent bytes                         copied per block or node)
-#  19. one-hub guard: internal/obs/perf, the         (an engine has one
-#      profiler type, obs.Options, Session.Perf and   observability object:
-#      SetSampleEvery stay deleted; non-test          phases, telemetry,
-#      internal/obs keeps no span ring                metrics and spans live
-#      (TraceCapacity, DroppedSpans), reads no wall   on the hub, which reads
-#      clock and carries no lint:ignore               the session's virtual
-#                                                    clock)
-#  20. one-log guard: the crash-point arming API     (every persisted window
-#      (ArmCrash, DisarmPending, Armed,               write is a crash point:
-#      CrashCaptures, maxArmedPoints) and the         nothing arms, caps,
-#      crash-point cap settings (PointsPerOp,         disarms or leak-checks
-#      CrashPointsPerOp, -crash-points) stay          a position in the
-#      deleted                                        write log)
-#  21. examples smoke: every examples/* program      (the library surface
+#  11. fuzz smokes: a 10 s FuzzJoinPath smoke,      (path parsing matches
+#      a 10 s FuzzJournalRead smoke, a 10 s           its split-and-join
+#      FuzzMountAndFsck smoke, 10 s FuzzMount         reference; a journal
+#      smokes for jffs2sim and xfssim, a 10 s         decodes to in-bounds
+#      FuzzReadBundle smoke, a 10 s                   ops or an error; a
+#      FuzzUndoFrames smoke and 10 s                  mount and an fsck of
+#      FuzzCheckpointPool smokes for verifs1          any extfs bytes return
+#      and verifs2                                    an error or problems;
+#                                                    a jffs2 or xfs mount of
+#                                                    any bytes returns
+#                                                    errors; any bundle
+#                                                    reads to an error or a
+#                                                    bundle; any op sequence
+#                                                    over undo frames leaves
+#                                                    each medium holding its
+#                                                    frames' images; any op,
+#                                                    checkpoint, restore and
+#                                                    discard sequence leaves
+#                                                    a VeriFS and each of
+#                                                    its snapshots equal to
+#                                                    a deep-copy twin)
+#  12. examples smoke: every examples/* program      (the library surface
 #      runs to exit 0 under a 60 s timeout            the examples show
 #                                                    keeps working, not
 #                                                    just compiling)
-#  22. one-configuration guard: the settings no     (every setting has a
-#      caller varied (mount -o sync, the swarm's      caller: a value
-#      -parallelism, the governor's eviction knobs,   nothing varies is a
-#      the journal's batch size and metrics, the      constant; the types
-#      Figure 3 overrides, mkfs geometry, the         hold an invariant, no
-#      ownership switch) stay deleted, and so do      hook or index checks
-#      the restore hook and the second checkpoint     it)
-#      interfaces (SetOnRestore, restoreHooker,
-#      invalPending, vfs.Discarder, vfs.Ioctler),
-#      atomicplain's field index (atomicIndex),
-#      Figure 3's calibration spec (Calibration,
-#      -calibration-workers) and the second CLI's
-#      flag package (cmd/internal/runflag); and a
-#      mount's caches stay reused: make(map[dkey]
-#      only in Kernel.Mount (its no-spare path),
-#      no make( in InvalAll or the caches.empty it
-#      calls
-#  23. live-surface smoke: a 2-worker shared swarm   (the live views run,
+#  13. live-surface smoke: a 2-worker shared swarm   (the live views run,
 #      with -progress 1ms -stall-ops 64 -events       not just compile:
 #      exits 0, stderr holds progress w1:, w2: and    -progress renders the
 #      swarm: lines, and every line of the NDJSON     worker table, and the
 #      parses, with one worker-drain per worker       sink loses no worker)
+#
+# The structural guards (one-golden, event-seam, op-path, one-walk,
+# image-copy, one-lock, parse, scan, one-hub, one-log, one-configuration:
+# what stays deleted, and where a goroutine, a channel, a whole-image
+# copy, a cache map, a lock or a state walk may appear) are not steps
+# here: they are rows of mcfslint's structure analyzer, which step 2
+# runs through internal/lint's TestModuleIsClean and step 9 runs again.
 #
 # Usage: scripts/check.sh   (from the repo root or anywhere inside it)
 set -eu
@@ -194,6 +139,8 @@ unformatted=$(gofmt -l .)
 echo "==> go test -race ./internal/mc/... ./internal/memmodel/... ./internal/obs/... (incl. internal/obs/stream) ./internal/tracker/... ./internal/blockdev/... ./internal/kernel/... ./internal/abstraction/... ./internal/checker/... ./internal/vfs/..."
 go test -race ./internal/mc/... ./internal/memmodel/... ./internal/obs/... ./internal/tracker/... ./internal/blockdev/... \
 	./internal/kernel/... ./internal/abstraction/... ./internal/checker/... ./internal/vfs/...
+echo "==> go test -cpu 1,4 -run 'Swarm|Panic' ./internal/mc"
+go test -cpu 1,4 -run 'Swarm|Panic' ./internal/mc
 
 echo "==> bench smoke (one iteration per benchmark)"
 go test -bench . -benchtime 1x -run '^$' ./internal/mc/... ./internal/tracker/... ./internal/fuse/... \
@@ -284,24 +231,16 @@ go build -o "$work/mcfslint" ./cmd/mcfslint
 # The registered suite must stay complete: -list and the -json envelope
 # both name every analyzer, so dropping one from Analyzers() fails here
 # even while the module itself is finding-free.
-for a in checkpointleak maporder walltime errnodrop nilobs \
-		lockorder guardedby atomicplain lockbalance; do
-	"$work/mcfslint" -list | grep -q "^$a " || {
-		echo "FAIL: mcfslint -list does not register analyzer '$a'"; exit 1; }
-done
+analyzers='checkpointleak maporder walltime errnodrop nilobs lockorder guardedby atomicplain lockbalance structure'
+"$work/mcfslint" -list >"$work/lint.list"
 "$work/mcfslint" -json ./... >"$work/lint.json" || {
 	echo "FAIL: mcfslint reported findings:"; cat "$work/lint.json"; exit 1; }
-for a in checkpointleak maporder walltime errnodrop nilobs \
-		lockorder guardedby atomicplain lockbalance; do
+for a in $analyzers; do
+	grep -q "^$a " "$work/lint.list" || {
+		echo "FAIL: mcfslint -list does not register analyzer '$a'"; exit 1; }
 	grep -q "\"$a\"" "$work/lint.json" || {
 		echo "FAIL: mcfslint -json envelope does not name analyzer '$a'"; exit 1; }
 done
-
-echo "==> one-golden guard (BENCH_mc.json is a golden; no tolerance gate beside it)"
-[ ! -e internal/bench ] || { echo "FAIL: internal/bench is back"; exit 1; }
-if grep -rnE --include='*.go' 'DefaultTolerance|bench\.Compare|"tolerance"|"mcfs/internal/bench"' \
-	internal cmd examples ./*.go; then
-	echo "FAIL: the benchmark tolerance gate is back (see above)"; exit 1; fi
 
 echo "==> bounded-memory smoke (tiny -mem-budget degrades instead of dying)"
 # A 1 MiB budget cannot hold the ext pair's 256 KiB device images at
@@ -319,60 +258,9 @@ grep -q 'visited fidelity: *\(compact\|bitstate\)' "$budgetout" || { cat "$budge
 if grep -qi 'out of memory' "$budgetout"; then cat "$budgetout"
 	echo "FAIL: budgeted run still hit the OOM path"; exit 1; fi
 
-echo "==> event-seam guard (instrumentation lives in internal/mc/probe.go only)"
-if grep -n 'eobs != nil\|\.es != nil\|Journal\.Enabled()\|Perf\.Start(' internal/mc/*.go |
-	grep -v '^internal/mc/probe\.go:\|_test\.go:'; then
-	echo "FAIL: instrumentation guard or phase timer outside the probe (see above)"; exit 1; fi
-
-echo "==> op-path guard (no goroutine or channel between the engine and the media)"
-if grep -rnE --include='*.go' '^[[:space:]]*go[[:space:]]|make\(chan' \
-	internal/workload internal/kernel internal/fuse internal/fs internal/blockdev \
-	internal/fault internal/tracker internal/checker internal/abstraction |
-	grep -v '_test\.go:'; then
-	echo "FAIL: go statement or channel in a package an explored op crosses (see above)"; exit 1; fi
-
-echo "==> one-walk guard (only explore() hashes a state outside the step's check)"
-walks=$(grep -n 'StateHash(' internal/mc/*.go | grep -v '_test\.go:' | sed 's/:[0-9]*:[[:space:]]*/: /')
-[ "$walks" = 'internal/mc/mc.go: h, er := e.cfg.Checker.StateHash()' ] || { echo "$walks"
-	echo "FAIL: internal/mc must call StateHash exactly once, for the initial state in explore()"; exit 1; }
-
-echo "==> image-copy guard (write path never copies the image)"
-for f in internal/blockdev/*.go; do
-	case "$f" in *_test.go) continue ;; esac
-	awk -v f="$f" '/^func /{fn=$0}
-		/make\(\[\]byte, len\((d|m)\.data\)\)/ && fn !~ /\) Snapshot\(\)/ {print f":"FNR": "$0; bad=1}
-		END{exit bad}' "$f" || {
-		echo "FAIL: a whole-image allocation outside Snapshot in internal/blockdev (see above)"; exit 1; }
-done
-if grep -rn 'SetCrashImage\|TakeCrashImage' internal cmd ./*.go; then
-	echo "FAIL: the whole-image crash capture API is back (see above)"; exit 1; fi
-
-echo "==> one-lock guard (the visited set has one lock)"
-onelock=$(ls internal/mc/visited/*.go internal/memmodel/*.go | grep -v '_test\.go$')
-# shellcheck disable=SC2086
-if grep -n '"sync/atomic"' $onelock; then
-	echo "FAIL: sync/atomic in the visited set or the memory model (see above)"; exit 1; fi
-# shellcheck disable=SC2086
-locks=$(cat $onelock | grep -c 'sync\.' || true)
-[ "$locks" -le 2 ] || { grep -n 'sync\.' $onelock
-	echo "FAIL: $locks sync types in the visited set and the memory model, want at most 2 (the set's mutex, the governor's)"; exit 1; }
-if grep -rn 'InsertVisited\|AddSharedVisited\|AttachMem\|InitialSlots' internal cmd ./*.go; then
-	echo "FAIL: the visited-set memory ledger or the model's slot table is back (see above)"; exit 1; fi
-
-echo "==> parse guard (a path is consumed in place, never split and re-joined)"
-parsed=$(ls internal/vfs/*.go internal/kernel/*.go internal/abstraction/*.go | grep -v '_test\.go$')
-# shellcheck disable=SC2086
-if grep -n 'strings\.Split' $parsed; then
-	echo "FAIL: strings.Split on the path-resolution or abstraction path (see above)"; exit 1; fi
-# recordDiff's strings.Join renders a report and stays, so abstraction is
-# not in this one.
-if echo "$parsed" | grep -v '^internal/abstraction/' | xargs grep -n 'strings\.Join'; then
-	echo "FAIL: strings.Join in internal/vfs or internal/kernel (see above)"; exit 1; fi
-if grep -n 'JoinPath' internal/abstraction/abstraction.go; then
-	echo "FAIL: the abstraction walk cleans a path it built itself (see above)"; exit 1; fi
-if grep -rn 'SplitPath\|BaseName\|DirPath' --include='*.go' internal cmd benchmark ./*.go |
-	grep -v '_test\.go:'; then
-	echo "FAIL: a deleted path helper is back outside the tests (see above)"; exit 1; fi
+echo "==> fuzz smokes (ten seconds each)"
+# NextComponent and JoinPath match their split-and-join references, and
+# cleaning a path is idempotent.
 go test -run '^$' -fuzz '^FuzzJoinPath$' -fuzztime 10s ./internal/vfs
 # A journal is read back from disk: Read + Decode must return an error or
 # in-bounds ops on any bytes (a short minimize budget keeps the large
@@ -400,34 +288,6 @@ go test -run '^$' -fuzz '^FuzzUndoFrames$' -fuzztime 10s -fuzzminimizetime 1s ./
 go test -run '^$' -fuzz '^FuzzCheckpointPool$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fs/verifs1
 go test -run '^$' -fuzz '^FuzzCheckpointPool$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fs/verifs2
 
-echo "==> scan guard (a jffs2 mount copies no flash and sorts without reflection)"
-for f in internal/fs/jffs2sim/*.go; do
-	case "$f" in *_test.go) continue ;; esac
-	if grep -n 'sort\.Slice' "$f"; then
-		echo "FAIL: sort.Slice in non-test internal/fs/jffs2sim (see above; use slices.Sort/SortFunc)"; exit 1; fi
-	awk -v f="$f" '/^func /{fn=$0}
-		/make\(\[\]byte/ && fn ~ /^func (MountCached|\(b \*blockScan\) scan)\(/ {print f":"FNR": "$0; bad=1}
-		END{exit bad}' "$f" || {
-		echo "FAIL: the jffs2 mount scan allocates a byte buffer (see above); it reads the bytes the MTD lends"; exit 1; }
-done
-grep -q '^func MountCached(' internal/fs/jffs2sim/jffs2sim.go && grep -q '^func (b \*blockScan) scan(' internal/fs/jffs2sim/jffs2sim.go || {
-	echo "FAIL: the scan guard no longer finds the functions it watches (MountCached, blockScan.scan)"; exit 1; }
-
-echo "==> one-hub guard (phases, telemetry, metrics and spans live on one obs.Hub)"
-[ ! -e internal/obs/perf ] || { echo "FAIL: internal/obs/perf is back"; exit 1; }
-if grep -rn --include='*.go' 'mcfs/internal/obs/perf\|perf\.Profiler\|obs\.Options\|\.Perf()\|SetSampleEvery' \
-	internal cmd examples ./*.go; then
-	echo "FAIL: a second phase profiler or the hub's options are back (see above)"; exit 1; fi
-obsfiles=$(find internal/obs -name '*.go' ! -name '*_test.go')
-# shellcheck disable=SC2086
-if grep -n 'TraceCapacity\|DroppedSpans\|time\.Now\|lint:ignore' $obsfiles; then
-	echo "FAIL: non-test internal/obs keeps a span ring, reads the wall clock or suppresses a lint (see above)"; exit 1; fi
-
-echo "==> one-log guard (every persisted window write is a crash point; nothing arms one)"
-if grep -rnE --include='*.go' 'ArmCrash|DisarmPending|\.Armed\(\)|CrashCaptures|maxArmedPoints|\bPointsPerOp\b|CrashPointsPerOp|crash-points' \
-	internal cmd examples ./*.go; then
-	echo "FAIL: the crash-point arming API or a crash-point cap setting is back (see above)"; exit 1; fi
-
 echo "==> examples smoke (every examples/* program runs to exit 0)"
 for dir in examples/*/; do
 	name=$(basename "$dir")
@@ -437,33 +297,6 @@ for dir in examples/*/; do
 	[ "$rc" -eq 0 ] || { cat "$work/example-$name.out"
 		echo "FAIL: examples/$name exited $rc, want 0"; exit 1; }
 done
-
-echo "==> one-configuration guard (a value nothing varies is a constant, not a setting)"
-if grep -rnE --include='*.go' 'syncIfNeeded|IncludeOwnership|\bEvictFloor\b|\bMaxEvictRounds\b|MetricJournal|\bSaturationStates\b|\bBasePerOp\b|\bParallelism\b|"parallelism"|\bInodeCount\b|\bJournalBlocks\b|\bFlushEvery\b' \
-	internal cmd examples ./*.go | grep -v '_test\.go:'; then
-	echo "FAIL: a deleted setting is back (see above)"; exit 1; fi
-# One checkpoint interface, no restore hook, and atomicplain as a type
-# rule: the machinery the type checker replaced stays deleted.
-if grep -rnE --include='*.go' '\bSetOnRestore\b|\brestoreHooker\b|\binvalPending\b|\bDiscarder\b|\bIoctler\b|\batomicIndex\b' \
-	internal cmd examples ./*.go; then
-	echo "FAIL: the restore hook, a second checkpoint interface or the atomic field index is back (see above)"; exit 1; fi
-# Figure 3 has one calibration, and the run-spec flags have one CLI.
-if grep -rnE --include='*.go' '\bCalibration\b|calibration-workers|cmd/internal/runflag' \
-	internal cmd examples ./*.go | grep -v '_test\.go:'; then
-	echo "FAIL: Figure 3's calibration spec or the shared flag package is back (see above)"; exit 1; fi
-# A mount's caches are emptied in place and handed to the next Mount: only
-# Mount's no-spare path makes them, and an invalidation makes nothing.
-for f in internal/kernel/*.go; do
-	case "$f" in *_test.go) continue ;; esac
-	awk -v f="$f" '/^func /{fn=$0}
-		/make\(map\[dkey\]/ && fn !~ /^func \(k \*Kernel\) Mount\(/ {print f":"FNR": "$0; bad=1}
-		/make\(/ && fn ~ /^func (\(mi mountInvalidator\) InvalAll|\(c caches\) empty)\(/ {print f":"FNR": "$0; bad=1}
-		END{exit bad}' "$f" || {
-		echo "FAIL: a kernel cache map is made outside Mount's no-spare path, or an invalidation allocates (see above)"; exit 1; }
-done
-grep -q '^func (k \*Kernel) Mount(' internal/kernel/kernel.go && grep -q '^func (mi mountInvalidator) InvalAll(' internal/kernel/kernel.go &&
-	grep -q '^func (c caches) empty(' internal/kernel/kernel.go || {
-	echo "FAIL: the cache-reuse guard no longer finds the functions it watches (Kernel.Mount, InvalAll, caches.empty)"; exit 1; }
 
 echo "==> live-surface smoke (-progress frames and the -events NDJSON of a swarm)"
 rc=0
