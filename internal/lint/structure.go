@@ -102,7 +102,8 @@ var structureRules = []rule{
 		why: "%s in internal/obs: the hub keeps no span ring, reads the virtual clock and suppresses no lint"},
 	// One log: every persisted window write is a crash point; nothing arms, caps or disarms one.
 	{tests: true, not: table, match: oneOf(decl("ArmCrash", "ArmCrashes", "DisarmPending", "CrashCaptures", "maxArmedPoints", "PointsPerOp",
-		"CrashPointsPerOp", "DefaultCrashPointsPerOp", "SetCrashImage", "TakeCrashImage", "TakeCrashImages"), funcDecl("Armed"), str("crash-points")), why: "%s: every persisted window write is a crash point"},
+		"CrashPointsPerOp", "DefaultCrashPointsPerOp", "SetCrashImage", "TakeCrashImage", "TakeCrashImages"), funcDecl("Armed"), str("crash-points")),
+		why: "%s: every persisted window write is a crash point"},
 	// One configuration: a value nothing varies is a constant; the types hold an invariant, no hook checks it.
 	{not: table, match: oneOf(decl("syncIfNeeded", "IncludeOwnership", "EvictFloor", "MaxEvictRounds", "MetricJournal", "MetricJournalBytes",
 		"MetricJournalFlushes", "MetricJournalRecords", "SaturationStates", "BasePerOp", "Parallelism", "InodeCount", "JournalBlocks", "FlushEvery",
