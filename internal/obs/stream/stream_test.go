@@ -120,6 +120,40 @@ func TestSubscriberCloseDetaches(t *testing.T) {
 	}
 }
 
+// TestSubscriberClosedAndEmptyBranches covers the branches where a
+// subscriber's lock region changes nothing: a push after Close, a Drain
+// of an empty ring and a second Close.
+func TestSubscriberClosedAndEmptyBranches(t *testing.T) {
+	b := New()
+	sub := b.Subscribe(1)
+	other := b.Subscribe(4)
+	defer other.Close()
+
+	if got := sub.Drain(); got != nil {
+		t.Errorf("Drain of an empty ring = %+v, want nil", got)
+	}
+	b.Publish(Event{Kind: KindStep, Depth: 1})
+	sub.Close()
+	sub.Close()
+	// The ring is full, so a push that ignored Close would drop.
+	if sub.push(Event{Kind: KindBug}) {
+		t.Error("push after Close reported a drop")
+	}
+	if got := sub.Drain(); len(got) != 1 || got[0].Depth != 1 {
+		t.Errorf("Drain after Close = %+v, want the one event buffered before it", got)
+	}
+	if sub.Dropped() != 0 {
+		t.Errorf("Dropped after Close = %d, want 0", sub.Dropped())
+	}
+	if got := b.Subscribers(); got != 1 {
+		t.Errorf("Subscribers after two Closes = %d, want the other 1", got)
+	}
+	b.Publish(Event{Kind: KindStep, Depth: 2})
+	if got := other.Drain(); len(got) != 2 || got[1].Depth != 2 {
+		t.Errorf("other subscriber drained %+v, want both events", got)
+	}
+}
+
 func TestNotifyChannelWakes(t *testing.T) {
 	b := New()
 	sub := b.Subscribe(4)
@@ -298,6 +332,22 @@ func TestHeatmapRecordSnapshotMerge(t *testing.T) {
 	b2, _ := json.Marshal(h.Snapshot())
 	if !bytes.Equal(a, b2) {
 		t.Error("two snapshots of the same heatmap differ")
+	}
+
+	// A self-merge doubles every count and keeps Writes.
+	h.Merge(h)
+	self := h.Snapshot()
+	if self.Writes != 7 {
+		t.Errorf("Writes after self-merge = %d, want 7", self.Writes)
+	}
+	for i := range wantCells {
+		wantCells[i].B0 *= 2
+		wantCells[i].B1 *= 2
+		wantCells[i].FsckRepaired *= 2
+		wantCells[i].Bug *= 2
+	}
+	if !reflect.DeepEqual(self.Cells, wantCells) {
+		t.Errorf("cells after self-merge = %+v\nwant %+v", self.Cells, wantCells)
 	}
 }
 
