@@ -49,11 +49,11 @@ func TestNilObsGolden(t *testing.T) {
 }
 
 func TestLockOrderGolden(t *testing.T) {
-	runGolden(t, "lockorder", NewLockOrder())
+	runGolden(t, "lockorder", NewLocks())
 }
 
 func TestGuardedByGolden(t *testing.T) {
-	runGolden(t, "guardedby", NewGuardedBy())
+	runGolden(t, "guardedby", NewLocks())
 }
 
 func TestAtomicPlainGolden(t *testing.T) {
@@ -61,7 +61,11 @@ func TestAtomicPlainGolden(t *testing.T) {
 }
 
 func TestLockBalanceGolden(t *testing.T) {
-	runGolden(t, "lockbalance", NewLockBalance())
+	runGolden(t, "lockbalance", NewLocks())
+}
+
+func TestLocksGolden(t *testing.T) {
+	runGolden(t, "locks", NewLocks())
 }
 
 func TestUnusedIgnoreGolden(t *testing.T) {

@@ -23,26 +23,24 @@
 //     not be discarded.
 //   - nilobs: the methods of the configured obs, journal, stream and
 //     governor types must keep their documented nil-receiver safety.
-//   - lockorder: the global lock-acquisition order graph must be acyclic
-//     (a cycle is a potential deadlock), built flow-sensitively over the
-//     module call graph.
-//   - guardedby: fields annotated `// guarded by <field>` may only be
-//     accessed while that instance's lock is in the lockset (write lock
-//     for writes).
+//   - locks: a lock is held over a lexical region — from x.Lock() to a
+//     deferred unlock as the next statement, or to an x.Unlock() later
+//     in the same block with no return, goto, break or continue leaving
+//     in between. On the regions enclosing a node, fields annotated
+//     `// guarded by <field>` are accessed only under that instance's
+//     lock (write lock for writes), and the lock-order graph over lock
+//     types stays acyclic.
 //   - atomicplain: no sync/atomic function is called; a shared field is
 //     a typed atomic (atomic.Int64, ...), reached only through its
 //     methods, so no plain access can race with an atomic one.
-//   - lockbalance: every path through a function leaves the lockset as
-//     it entered — no early-return missing-Unlock.
 //   - structure: the module's structural invariants, one typed row
 //     each — what stays deleted, and where a go statement, a channel, a
 //     whole-image copy, a kernel cache map, a lock or a state walk may
 //     appear. Its findings cannot be suppressed.
 //
-// lockorder, guardedby and lockbalance share the flow-sensitive layer in
-// cfg.go, module.go and lockset.go: per-function basic-block CFGs, a
-// type-resolved static call graph with interface widening, and a lockset
-// dataflow fixpoint.
+// locks reads the whole module through module.go: every function
+// declaration, a type-resolved static call graph with interface
+// widening, and the guard annotations.
 //
 // walltime, atomicplain and structure are rule tables (structure.go) of
 // one engine (rules.go). A row reads: within these scopes — a package, a
@@ -90,8 +88,8 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-paragraph description of what the analyzer proves.
 	Doc string
-	// NeedsModule requests the whole-tree Module view (CFGs, call
-	// graph, lockset analysis) on the pass. Run builds it once and
+	// NeedsModule requests the whole-tree Module view (functions, call
+	// graph, guard annotations) on the pass. Run builds it once and
 	// shares it across analyzers.
 	NeedsModule bool
 	// Unsuppressible findings ignore lint:ignore directives.
@@ -106,8 +104,8 @@ type Pass struct {
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
-	// Module is the whole-tree view (call graph, CFGs, lockset
-	// analysis); nil unless the analyzer sets NeedsModule.
+	// Module is the whole-tree view (functions, call graph, guard
+	// annotations); nil unless the analyzer sets NeedsModule.
 	Module *Module
 
 	pkg      *Package
@@ -364,12 +362,10 @@ func Analyzers() []*Analyzer {
 				"mcfs/internal/mc/visited": {"Governor"},
 			},
 		}),
-		// The flow-sensitive concurrency suite (CFG + call graph +
-		// lockset dataflow over the whole module).
-		NewLockOrder(),
-		NewGuardedBy(),
+		// Locks are lexical regions: balance, guarded fields and the
+		// lock order over the whole module.
+		NewLocks(),
 		NewAtomicPlain(),
-		NewLockBalance(),
 		// The module's structural invariants, one typed row each.
 		NewStructure(),
 	}

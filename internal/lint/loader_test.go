@@ -6,7 +6,7 @@ import (
 
 // TestTopoOrderDeterministic pins the loader's type-check order to a
 // pure function of the (sorted) import structure. The call-graph layer
-// made order load-bearing: object positions, entry-lockset inference
+// made order load-bearing: object positions, the helpers' entry locks
 // and diagnostic output all flow from it, so it must never depend on
 // map iteration. (The maporder analyzer is dogfooded on loader.go
 // itself via TestModuleIsClean; this test checks the output, not just

@@ -8,19 +8,12 @@ import (
 	"sort"
 )
 
-// Module is the whole-tree view behind the flow-sensitive analyzers:
-// every function declaration with its CFG, a type-resolved static call
+// Module is the whole-tree view behind the analyzers that look past
+// one package: every function declaration, a type-resolved static call
 // graph (interface method calls widened to the implementers the loader
 // found) and the `// guarded by <field>` annotations. It is built once
 // per Run when any requested analyzer sets NeedsModule, and shared by
 // every pass.
-//
-// Known imprecision, by design: calls through func values (callbacks,
-// stored hooks) are not resolved, goroutine bodies are excluded from
-// their spawning function's summaries (they do not run while the caller
-// holds its locks), and a function whose CFG could not be modeled
-// (goto) is skipped by the dataflow analyzers rather than analyzed
-// wrongly.
 type Module struct {
 	Pkgs []*Package
 	Fset *token.FileSet
@@ -33,9 +26,6 @@ type Module struct {
 	// namedTypes lists the tree's named types (position order) for
 	// interface widening.
 	namedTypes []*types.Named
-
-	lockResult *modAnalysis // lazily built by LockAnalysis
-	orderGraph *orderGraph  // lazily built by lockOrderGraph
 }
 
 // modFunc is one function or method declaration in the tree.
@@ -43,7 +33,6 @@ type modFunc struct {
 	obj  *types.Func
 	decl *ast.FuncDecl
 	pkg  *Package
-	cfg  *funcCFG
 }
 
 // guardSpec is one `// guarded by <name>` field annotation.
@@ -79,7 +68,7 @@ func NewModule(pkgs []*Package) *Module {
 					if obj == nil {
 						continue
 					}
-					mf := &modFunc{obj: obj, decl: d, pkg: pkg, cfg: buildCFG(d.Body)}
+					mf := &modFunc{obj: obj, decl: d, pkg: pkg}
 					m.funcs[obj] = mf
 					m.order = append(m.order, mf)
 				case *ast.GenDecl:
@@ -320,22 +309,6 @@ func enclosingFuncName(pkg *Package, pos token.Pos) string {
 				return fd.Name.Name
 			}
 		}
-	}
-	return ""
-}
-
-// renderPath renders an ident/selector chain ("s.h.mu"); "" when the
-// expression is not a plain chain (map index, call result, ...).
-func renderPath(e ast.Expr) string {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return e.Name
-	case *ast.SelectorExpr:
-		base := renderPath(e.X)
-		if base == "" {
-			return ""
-		}
-		return base + "." + e.Sel.Name
 	}
 	return ""
 }

@@ -83,10 +83,10 @@ func TestRuleScopesExist(t *testing.T) {
 }
 
 // TestAnalyzerSuite pins the registered suite; scripts/check.sh checks
-// mcfslint's -list and -json output against the same ten names.
+// mcfslint's -list and -json output against the same eight names.
 func TestAnalyzerSuite(t *testing.T) {
 	want := []string{"checkpointleak", "maporder", "walltime", "errnodrop", "nilobs",
-		"lockorder", "guardedby", "atomicplain", "lockbalance", "structure"}
+		"locks", "atomicplain", "structure"}
 	var got []string
 	for _, a := range Analyzers() {
 		got = append(got, a.Name)

@@ -1,7 +1,7 @@
 // Package guardedby seeds every way the `// guarded by <field>`
 // convention can be violated: access with no lock, write under the
-// read lock, the wrong instance's lock, an early-return path that
-// drops the lock before a late access, and an annotation naming a
+// read lock, the wrong instance's lock, an early return that breaks
+// the region around an access, and an annotation naming a
 // non-mutex guard. Clean shapes — defer-unlock, RLock reads,
 // constructor initialization of a fresh value, helpers whose callers
 // all hold the lock — must stay silent.
@@ -45,12 +45,14 @@ func (c *Counter) WriteUnderLock() {
 }
 
 // EarlyDrop unlocks on the fast path, then touches the field anyway.
+// The early Unlock and return break the region, so they are the
+// findings.
 func (c *Counter) EarlyDrop(fast bool) {
 	c.mu.Lock()
 	if fast {
-		c.mu.Unlock()
-		c.count = 0 // want "write to Counter.count \(guarded by mu\) without holding c.mu"
-		return
+		c.mu.Unlock() // want "unlocking c.mu, which is not held by a region of this block"
+		c.count = 0
+		return // want "return leaves the c.mu region \(locked at line 51\)"
 	}
 	c.count++
 	c.mu.Unlock()
@@ -75,7 +77,7 @@ func (c *Counter) MergeOK(other *Counter) {
 }
 
 // bump relies on its callers: every call site holds c.mu, so the
-// inferred entry lockset covers the access.
+// access is covered on the mapped receiver.
 func (c *Counter) bump() {
 	c.count++
 }

@@ -1,8 +1,8 @@
 // Package lockbalance seeds the missing-Unlock bug classes: an early
-// return that skips the release, a closure that acquires and never
-// releases, and an unlock with no matching lock. Balanced shapes —
-// defer-based release, panic paths, loop-body lock/unlock, deferred
-// closure release — must stay clean.
+// return or goto that skips the release, a closure that acquires and
+// never releases, and an unlock with no matching lock in its block.
+// Region shapes — defer-based release, panic paths, loop-body
+// lock/unlock, deferred closure release — must stay clean.
 package lockbalance
 
 import "sync"
@@ -17,7 +17,7 @@ type S struct {
 func (s *S) EarlyReturn(b bool) {
 	s.mu.Lock()
 	if b {
-		return // want "returns still holding s.mu"
+		return // want "return leaves the s.mu region \(locked at line 18\)"
 	}
 	s.n++
 	s.mu.Unlock()
@@ -62,19 +62,19 @@ func (s *S) DeferClosureOK() {
 	s.n++
 }
 
-// LeakyClosure is checked standalone: it acquires and returns holding.
+// LeakyClosure acquires and returns holding.
 func (s *S) LeakyClosure() func() {
 	return func() {
-		s.mu.Lock()
+		s.mu.Lock() // want "s.mu.Lock\(\) opens no region"
 		s.n++
-	} // want "returns still holding s.mu"
+	}
 }
 
-// ReleaseOnlyClosure unlocks a captured lock: closures are not blamed
-// for negative balance (the matching Lock is the caller's).
+// ReleaseOnlyClosure unlocks a captured lock whose Lock is the
+// caller's: no region of its block holds it.
 func (s *S) ReleaseOnlyClosure() func() {
 	return func() {
-		s.mu.Unlock()
+		s.mu.Unlock() // want "unlocking s.mu, which is not held"
 	}
 }
 
@@ -83,23 +83,35 @@ func (s *S) DoubleUnlock() {
 	s.mu.Unlock() // want "unlocking s.mu, which is not held"
 }
 
-// handoff releases a lock every caller holds at entry (inferred from
-// the call sites below): asymmetric lock handling is a finding.
+// handoff releases a lock every caller holds at entry: asymmetric lock
+// handling is a finding.
 func (s *S) handoff() {
 	s.n++
-	s.mu.Unlock()
-	return // want "returns after releasing s.mu, which callers hold across this call"
+	s.mu.Unlock() // want "unlocking s.mu, which is not held"
+	return
 }
 
-// The callers are flagged too: the engine does not model the callee's
-// release, so from the caller's side the lock looks leaked — the pair
-// of findings points at both halves of the asymmetric pattern.
+// The callers are flagged too: a Lock released in another function
+// opens no region, so the pair of findings points at both halves of the
+// asymmetric pattern.
 func (s *S) UseHandoff() {
-	s.mu.Lock()
+	s.mu.Lock() // want "s.mu.Lock\(\) opens no region"
 	s.handoff()
-} // want "returns still holding s.mu"
+}
 
 func (s *S) UseHandoffAgain() {
-	s.mu.Lock()
+	s.mu.Lock() // want "s.mu.Lock\(\) opens no region"
 	s.handoff()
-} // want "returns still holding s.mu"
+}
+
+// GotoOut jumps past its Unlock: the lock stays held after the label.
+func (s *S) GotoOut(b bool) {
+	s.mu.Lock()
+	if b {
+		goto out // want "goto leaves the s.mu region \(locked at line 109\)"
+	}
+	s.n++
+	s.mu.Unlock()
+out:
+	s.n--
+}

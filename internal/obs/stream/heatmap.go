@@ -63,14 +63,19 @@ func (h *Heatmap) Record(op string, write, writes int, verdict string) {
 	h.mu.Unlock()
 }
 
-// Merge folds other's cells into h (used by swarm merge). No-op when
-// either side is nil.
+// Merge folds other's cells into h (used by swarm merge). Writes and
+// the cells come from one snapshot of other. No-op when either side is
+// nil.
 func (h *Heatmap) Merge(other *Heatmap) {
 	if h == nil || other == nil {
 		return
 	}
-	for _, cell := range other.Snapshot().Cells {
-		h.mu.Lock()
+	snap := other.Snapshot()
+	h.mu.Lock()
+	if snap.Writes > h.writes {
+		h.writes = snap.Writes
+	}
+	for _, cell := range snap.Cells {
 		c := h.cells[heatKey{cell.Op, cell.Write}]
 		if c == nil {
 			c = &heatCounts{}
@@ -80,14 +85,6 @@ func (h *Heatmap) Merge(other *Heatmap) {
 		c.b1 += cell.B1
 		c.fsck += cell.FsckRepaired
 		c.bug += cell.Bug
-		h.mu.Unlock()
-	}
-	other.mu.Lock()
-	w := other.writes
-	other.mu.Unlock()
-	h.mu.Lock()
-	if w > h.writes {
-		h.writes = w
 	}
 	h.mu.Unlock()
 }

@@ -256,20 +256,22 @@ type Subscriber struct {
 // Reports whether an event was dropped to make room.
 func (s *Subscriber) push(ev Event) (droppedOne bool) {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return false
-	}
-	if s.count == len(s.buf) {
+	closed := s.closed
+	switch {
+	case closed:
+	case s.count == len(s.buf):
 		s.buf[s.head] = ev
 		s.head = (s.head + 1) % len(s.buf)
 		s.dropped.Add(1)
 		droppedOne = true
-	} else {
+	default:
 		s.buf[(s.head+s.count)%len(s.buf)] = ev
 		s.count++
 	}
 	s.mu.Unlock()
+	if closed {
+		return false
+	}
 	select {
 	case s.notify <- struct{}{}:
 	default:
@@ -283,16 +285,15 @@ func (s *Subscriber) Drain() []Event {
 	if s == nil {
 		return nil
 	}
+	var out []Event
 	s.mu.Lock()
-	if s.count == 0 {
-		s.mu.Unlock()
-		return nil
+	if s.count > 0 {
+		out = make([]Event, s.count)
+		for i := range out {
+			out[i] = s.buf[(s.head+i)%len(s.buf)]
+		}
+		s.head, s.count = 0, 0
 	}
-	out := make([]Event, s.count)
-	for i := 0; i < s.count; i++ {
-		out[i] = s.buf[(s.head+i)%len(s.buf)]
-	}
-	s.head, s.count = 0, 0
 	s.mu.Unlock()
 	return out
 }
@@ -323,14 +324,13 @@ func (s *Subscriber) Close() {
 		return
 	}
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
+	first := !s.closed
 	s.closed = true
 	bus := s.bus
 	s.mu.Unlock()
-	bus.unsubscribe(s)
+	if first {
+		bus.unsubscribe(s)
+	}
 }
 
 // Worker statuses (WorkerStatus.Status). Health adds "healthy" /
