@@ -6,10 +6,9 @@
 //	walltime        no time.Now/time.Since/math/rand outside internal/simclock
 //	errnodrop       kernel/vfs/fs error and Errno results are never discarded
 //	nilobs          configured obs/journal/stream types keep their nil-receiver safety
-//	lockorder       the global lock-acquisition order graph stays acyclic
-//	guardedby       `// guarded by <field>` fields accessed only under that lock
+//	locks           a lock is held over a lexical region: balanced, guarding
+//	                its `// guarded by <field>` fields, in one acyclic order
 //	atomicplain     no sync/atomic function calls: shared fields are typed atomics
-//	lockbalance     every path leaves the lockset exactly as it entered
 //	structure       the module's structure: what stays deleted, and where a
 //	                goroutine, a channel, an image copy, a cache map, a
 //	                lock or a state walk may appear (one typed row each)

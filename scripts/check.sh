@@ -65,12 +65,12 @@
 #      stays clean at its pinned crash-point count
 #   9. mcfslint ./...                                (domain static
 #      plus: -list and -json must name the            analysis: checkpoint
-#      full ten-analyzer suite, so a registry         leaks, map-order
-#      regression can't silently drop the             nondeterminism, wall
-#      flow-sensitive analyzers (lockorder,           time, dropped errnos,
-#      guardedby, lockbalance), the atomicplain       nil-obs safety, lock
-#      type rule or the structure table               order/balance, guarded
-#                                                    fields, sync/atomic
+#      full eight-analyzer suite, so a registry       leaks, map-order
+#      regression can't silently drop the locks       nondeterminism, wall
+#      analyzer, the atomicplain type rule or         time, dropped errnos,
+#      the structure table                            nil-obs safety, lock
+#                                                    regions, order and
+#                                                    guarded fields, sync/atomic
 #                                                    function calls, and the
 #                                                    module's structure: one
 #                                                    typed row per invariant
@@ -231,7 +231,7 @@ go build -o "$work/mcfslint" ./cmd/mcfslint
 # The registered suite must stay complete: -list and the -json envelope
 # both name every analyzer, so dropping one from Analyzers() fails here
 # even while the module itself is finding-free.
-analyzers='checkpointleak maporder walltime errnodrop nilobs lockorder guardedby atomicplain lockbalance structure'
+analyzers='checkpointleak maporder walltime errnodrop nilobs locks atomicplain structure'
 "$work/mcfslint" -list >"$work/lint.list"
 "$work/mcfslint" -json ./... >"$work/lint.json" || {
 	echo "FAIL: mcfslint reported findings:"; cat "$work/lint.json"; exit 1; }
