@@ -220,8 +220,8 @@ type Media interface {
 	// the time key's frame opened; the frame stays open and frames opened
 	// after it are closed. Those pages come back cold. Callers own the
 	// correctness of regions: they must cover every byte where the media
-	// differs from the frame (the injector's touch log). ErrNoFrame if key
-	// holds none.
+	// differs from the frame (the injector's touched set). ErrNoFrame if
+	// key holds none.
 	RevertFrame(key uint64, regions []fault.Region) error
 	// Patch lands the writes' bytes, in order. Caches are left alone: the
 	// pages a crash image differs in are the ones RevertFrame just cooled.

@@ -180,7 +180,7 @@ func (m *MTD) Program(p []byte, off int64) error {
 
 // programmed finishes a program of n bytes at off whose payload is in
 // place: corruption the fault plane ordered, the counter, the charge,
-// and the touch log's copy of what landed.
+// and the touch log's copy of what landed, while its window is open.
 func (m *MTD) programmed(off int64, n int, dec fault.Decision) {
 	if dec.FlipBit >= 0 && dec.FlipBit < int64(n)*8 {
 		m.data[off+dec.FlipBit/8] ^= 1 << uint(dec.FlipBit%8)
@@ -219,7 +219,8 @@ func (m *MTD) wipe(lo, hi int) {
 }
 
 // erased finishes the erase of block idx: wear counter, obs counter,
-// charge, and the touch log's copy of the block.
+// charge, and the touch log's copy of the block, while its window is
+// open.
 func (m *MTD) erased(idx int, dec fault.Decision) {
 	m.eraseCount[idx]++
 	m.ctrErases.Inc()
@@ -435,7 +436,7 @@ func (b *MTDBlock) UndoStats() (frames, arenaBytes int) {
 func (b *MTDBlock) LoadImage(img []byte) error { return b.mtd.LoadImage(img) }
 
 // RevertFrame and Patch implement Media. Programs and erases both reach
-// the injector's touch log, so the log bounds every byte where the flash
+// the injector's touched set, so it bounds every byte where the flash
 // can differ from a frame; flash has no cache to cool.
 func (b *MTDBlock) RevertFrame(key uint64, regions []fault.Region) error {
 	m := b.mtd

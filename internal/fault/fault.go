@@ -12,10 +12,13 @@
 //
 // Every write that persists inside a fault window is also a crash point.
 // While the touch log is on, the injector keeps the bytes of every write
-// as it landed, so the image a power cut right after window write k would
-// leave behind is the media at the log's base plus the log's prefix up to
-// that write — a crash point is a position in the log, never a copy of
-// the device, and nobody has to ask for one.
+// as it landed until the window closes, so the image a power cut right
+// after window write k would leave behind is the media at the log's base
+// plus the log's prefix up to that write — a crash point is a position in
+// the log, never a copy of the device, and nobody has to ask for one. No
+// prefix reaches past the window, so once it has closed the log keeps no
+// more bytes: later writes only extend the touched set, the sorted,
+// coalesced regions every write since the base has covered.
 //
 // Determinism is the design constraint throughout: rules match on
 // window-relative write indices and byte ranges (never wall-clock or
@@ -76,20 +79,17 @@ func CoalesceRegions(regions []Region) []Region {
 	if len(regions) == 0 {
 		return nil
 	}
-	rs := make([]Region, 0, len(regions))
-	for _, r := range regions {
-		if r.Len > 0 {
-			rs = append(rs, r)
-		}
-	}
-	return coalesce(rs)
+	return coalesce(slices.Clone(regions))
 }
 
-// coalesce is CoalesceRegions in place, over regions of positive length.
+// coalesce is CoalesceRegions in place.
 func coalesce(rs []Region) []Region {
 	slices.SortFunc(rs, func(a, b Region) int { return cmp.Compare(a.Off, b.Off) })
 	out := rs[:0]
 	for _, r := range rs {
+		if r.Len <= 0 {
+			continue
+		}
 		if n := len(out); n > 0 && r.Off <= out[n-1].Off+out[n-1].Len {
 			if end := r.Off + r.Len; end > out[n-1].Off+out[n-1].Len {
 				out[n-1].Len = end - out[n-1].Off
@@ -157,7 +157,8 @@ type Decision struct {
 	// Log, when non-nil, is where the device copies the bytes the media
 	// holds at the write's range once the write has landed — tear and bit
 	// flip applied — before it releases its own lock: the touch log's
-	// record of this write.
+	// record of this write. It is nil with the log off or lost, and once
+	// the log's window has closed: no crash image reads those bytes.
 	Log []byte
 }
 
@@ -186,17 +187,24 @@ type Injector struct {
 	marks []int // guarded by mu
 
 	// Touch log: when touching, every persisted write is recorded with the
-	// bytes it left on media, so media == base + replay(log), base being
-	// the image at the last StartTouchLog/ResetTouchLog. Callers reload or
-	// compare only the regions the log names, and rebuild crash images
-	// from its prefixes. touchLost marks a media mutation the log could
-	// not see (a full device Restore through OnControl) — the log is then
-	// unusable until ResetTouchLog. The entries' Data are carved from
-	// chunk, so a window costs a few allocations, not one per write.
+	// bytes it left on media until the log's window closes, so media ==
+	// base + replay(log) up to the close, base being the image at the last
+	// StartTouchLog/ResetTouchLog; touched covers every persisted write
+	// since the base, before the close and after it. Callers reload or
+	// compare only the regions touched names, and rebuild crash images
+	// from the log's prefixes. touchLost marks a media mutation the log
+	// could not see (a full device Restore through OnControl) — the log is
+	// then unusable until ResetTouchLog. closed marks a log whose window
+	// has ended, and blind a window opened on such a log: its crash points
+	// have no bytes to replay. The entries' Data are carved from chunk, so
+	// a window costs a few allocations, not one per write.
 	touching  bool
 	touchLost bool
-	log       []Write // guarded by mu
-	chunk     []byte  // guarded by mu
+	closed    bool
+	blind     bool
+	log       []Write  // guarded by mu
+	chunk     []byte   // guarded by mu
+	touched   []Region // guarded by mu; sorted, coalesced
 
 	stats Stats
 }
@@ -238,19 +246,26 @@ func (in *Injector) ClearRules() {
 
 // StartWindow opens a fault window: subsequent writes are numbered from
 // 0, window-relative rules apply to them, and each one that persists is
-// a crash point. The previous window's crash points are dropped.
+// a crash point. The previous window's crash points are dropped. On a
+// log whose window has already closed, the points answer ErrTouchLogLost
+// until the next ResetTouchLog or StartTouchLog: the log kept none of
+// the bytes written since the close.
 func (in *Injector) StartWindow() {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.windowActive = true
 	in.windowWrites = 0
 	in.marks = in.marks[:0]
+	in.blind = in.closed
 }
 
 // EndWindow closes the fault window; only always-on rules match after.
+// It closes the touch log's window too: the log keeps no bytes of later
+// writes, which only extend the touched set.
 func (in *Injector) EndWindow() {
 	in.mu.Lock()
 	defer in.mu.Unlock()
+	in.closed = in.closed || in.windowActive && in.touching
 	in.windowActive = false
 }
 
@@ -265,8 +280,9 @@ func (in *Injector) WindowWrites() int {
 
 // ErrTouchLogLost is CrashImage's answer for a crash point whose base
 // nobody can vouch for: it was marked with the touch log off, or the log
-// has since missed a media mutation.
-var ErrTouchLogLost = errors.New("fault: crash point has no usable touch log under it (log off, or lost to an unlogged restore)")
+// has since missed a media mutation, or it was marked in a window opened
+// after the log's window had closed.
+var ErrTouchLogLost = errors.New("fault: crash point has no usable touch log under it (log off, lost to an unlogged restore, or closed)")
 
 // CrashImage looks crash point k up by its window write index. fired is
 // false when window write k did not persist: it failed, it has not
@@ -274,16 +290,16 @@ var ErrTouchLogLost = errors.New("fault: crash point has no usable touch log und
 // writes is the image a power cut right after that write leaves behind,
 // as the touch log's prefix to replay, oldest first, over the log's base
 // (the media at the last StartTouchLog/ResetTouchLog) — or the error is
-// ErrTouchLogLost, when the base is unknown. A mark never outlives its
-// log: whatever drops the log drops the marks, and StartWindow starts
-// them afresh.
+// ErrTouchLogLost, when the base is unknown or the log kept no bytes
+// for the point. A mark never outlives its log: whatever drops the log
+// drops the marks, and StartWindow starts them afresh.
 func (in *Injector) CrashImage(k int) (writes []Write, fired bool, err error) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if k < 0 || k >= len(in.marks) || in.marks[k] == 0 {
 		return nil, false, nil
 	}
-	if !in.touching || in.touchLost {
+	if !in.touching || in.touchLost || in.blind {
 		return nil, true, ErrTouchLogLost
 	}
 	n := in.marks[k] - 1
@@ -307,6 +323,7 @@ func (in *Injector) StopTouchLog() {
 	defer in.mu.Unlock()
 	in.touching = false
 	in.dropLog()
+	in.touched = nil
 }
 
 // ResetTouchLog clears the log (and any lost-update mark) while leaving
@@ -320,29 +337,65 @@ func (in *Injector) ResetTouchLog() {
 	}
 }
 
-// dropLog forgets the log, the crash marks into it and its lost mark.
-// The bytes are let go, not reused: CrashImage results stay valid.
-// Caller holds in.mu.
+// dropLog forgets the log, the crash marks into it, its touched set
+// and its lost and closed marks. The bytes are let go, not reused:
+// CrashImage results stay valid. Caller holds in.mu.
 func (in *Injector) dropLog() {
-	in.touchLost = false
+	in.touchLost, in.closed, in.blind = false, false, false
 	in.log, in.chunk, in.marks = nil, nil, in.marks[:0]
+	in.touched = in.touched[:0]
 }
 
 // Touched returns the coalesced regions written since the last
-// StartTouchLog/ResetTouchLog. ok is false when the log missed a media
-// mutation (a full Restore ran through OnControl while recording) —
-// callers must then fall back to full-image operations.
+// StartTouchLog/ResetTouchLog, in offset order. ok is false with the log
+// off, or when it missed a media mutation (a full Restore ran through
+// OnControl while recording): nothing then bounds where the media
+// differs from the base, and a crash image over it is ErrTouchLogLost.
 func (in *Injector) Touched() ([]Region, bool) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if !in.touching || in.touchLost {
 		return nil, false
 	}
-	rs := make([]Region, len(in.log))
-	for i, w := range in.log {
-		rs[i] = Region{Off: w.Off, Len: int64(len(w.Data))}
+	return append(make([]Region, 0, len(in.touched)), in.touched...), true
+}
+
+// AppendTouched is Touched into a buffer the caller owns: it appends the
+// touched regions to dst and returns the union of dst's regions and
+// them, sorted and coalesced in place. ok is false as for Touched, and
+// dst comes back unchanged.
+func (in *Injector) AppendTouched(dst []Region) ([]Region, bool) {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if !in.touching || in.touchLost {
+		return dst, false
 	}
-	return coalesce(rs), true
+	if len(dst) == 0 {
+		return append(dst, in.touched...), true
+	}
+	return coalesce(append(dst, in.touched...)), true
+}
+
+// touch merges [off, off+n) into the touched set, which stays sorted
+// with no two regions overlapping or adjacent. n > 0. Caller holds in.mu.
+func (in *Injector) touch(off int64, n int) {
+	end := off + int64(n)
+	rs := in.touched
+	// i is the first region ending at or after off, the first the write
+	// can merge with; the regions from i up to j start at or before end,
+	// and it merges with all of them.
+	i, _ := slices.BinarySearchFunc(rs, off, func(r Region, off int64) int { return cmp.Compare(r.Off+r.Len, off) })
+	j := i
+	for j < len(rs) && rs[j].Off <= end {
+		j++
+	}
+	if i == j {
+		in.touched = slices.Insert(rs, i, Region{Off: off, Len: int64(n)})
+		return
+	}
+	lo, hi := min(off, rs[i].Off), max(end, rs[j-1].Off+rs[j-1].Len)
+	rs[i] = Region{Off: lo, Len: hi - lo}
+	in.touched = slices.Delete(rs, i+1, j)
 }
 
 // logChunk is the smallest chunk the touch log carves its entries from.
@@ -430,10 +483,14 @@ func (in *Injector) OnWrite(off int64, n int) Decision {
 		}
 	}
 	if in.touching && !in.touchLost && n > 0 {
-		// The write persists (no error fired above): the device records the
-		// bytes its full range holds afterwards. A torn write's unwritten
-		// tail is logged as the old bytes it still holds.
-		dec.Log = in.record(off, n)
+		// The write persists (no error fired above): its full range is
+		// touched, and until the window closes the device records the bytes
+		// the range holds afterwards. A torn write's unwritten tail is
+		// logged as the old bytes it still holds.
+		in.touch(off, n)
+		if !in.closed {
+			dec.Log = in.record(off, n)
+		}
 	}
 	if idx >= 0 {
 		// Every persisted window write is a crash point. Writes that failed,

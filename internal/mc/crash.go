@@ -92,18 +92,27 @@ type CrashPlane struct {
 	Fsck func() []string
 }
 
-// install makes the media hold the probe's pre-op state plus writes, a
-// prefix of the touch log (none: the pre-op state itself). The media
-// diverges from the probe frame only inside the touch log plus extra —
-// regions the caller knows diverged outside the log's view (a crash image
-// installed since the log's last reset) — so only those go back to the
-// frame before the writes land on it.
-func (p *CrashPlane) install(extra []fault.Region, writes []fault.Write) error {
-	regions, ok := p.Injector.Touched()
+// crashRegions is the scratch a probe's region lists are built in, kept
+// on the engine so a crash point allocates none of them: window is the
+// window's write set, read once per probe; union is a touched set merged
+// with other regions, rebuilt for every install and every digest.
+type crashRegions struct {
+	window, union []fault.Region
+}
+
+// install makes the plane's media hold the probe's pre-op state plus
+// writes, a prefix of the touch log (none: the pre-op state itself). The
+// media diverges from the probe frame only inside the touch log plus
+// extra — regions the caller knows diverged outside the log's view (a
+// crash image installed since the log's last reset) — so only those go
+// back to the frame before the writes land on it.
+func (e *engine) install(p *CrashPlane, extra []fault.Region, writes []fault.Write) error {
+	regions, ok := p.Injector.AppendTouched(append(e.crashRegions.union[:0], extra...))
+	e.crashRegions.union = regions
 	if !ok {
 		return fault.ErrTouchLogLost
 	}
-	if err := p.Media.RevertFrame(probeFrame, fault.CoalesceRegions(append(regions, extra...))); err != nil {
+	if err := p.Media.RevertFrame(probeFrame, regions); err != nil {
 		return err
 	}
 	return p.Media.Patch(writes)
@@ -112,9 +121,30 @@ func (p *CrashPlane) install(extra []fault.Region, writes []fault.Write) error {
 // crashDigester is the scratch the masked media digest is computed in,
 // kept on the engine so a crash point allocates none of it.
 type crashDigester struct {
-	h    hash.Hash
-	buf  []byte
-	mask []fault.Region // the plane's Mask, sorted by offset
+	h     hash.Hash
+	buf   []byte
+	hdr   [16]byte
+	sum   []byte
+	masks []sortedMask
+}
+
+// sortedMask is a plane's Mask sorted by offset, sorted once per plane.
+type sortedMask struct {
+	p    *CrashPlane
+	mask []fault.Region
+}
+
+// maskOf returns p's Mask sorted by offset.
+func (c *crashDigester) maskOf(p *CrashPlane) []fault.Region {
+	for _, m := range c.masks {
+		if m.p == p {
+			return m.mask
+		}
+	}
+	mask := slices.Clone(p.Mask)
+	slices.SortFunc(mask, func(a, b fault.Region) int { return cmp.Compare(a.Off, b.Off) })
+	c.masks = append(c.masks, sortedMask{p, mask})
+	return mask
 }
 
 // digest hashes the media bytes of the given regions that lie outside
@@ -130,13 +160,11 @@ func (c *crashDigester) digest(p *CrashPlane, regions []fault.Region) (d [32]byt
 		c.h = sha256.New()
 	}
 	c.h.Reset()
-	c.mask = append(c.mask[:0], p.Mask...)
-	slices.SortFunc(c.mask, func(a, b fault.Region) int { return cmp.Compare(a.Off, b.Off) })
-	var hdr [16]byte
+	mask := c.maskOf(p)
 	for _, r := range regions {
-		binary.LittleEndian.PutUint64(hdr[0:8], uint64(r.Off))
-		binary.LittleEndian.PutUint64(hdr[8:16], uint64(r.Len))
-		c.h.Write(hdr[:])
+		binary.LittleEndian.PutUint64(c.hdr[0:8], uint64(r.Off))
+		binary.LittleEndian.PutUint64(c.hdr[8:16], uint64(r.Len))
+		c.h.Write(c.hdr[:])
 		if int64(cap(c.buf)) < r.Len {
 			c.buf = make([]byte, r.Len)
 		}
@@ -145,7 +173,7 @@ func (c *crashDigester) digest(p *CrashPlane, regions []fault.Region) (d [32]byt
 			return d, false
 		}
 		pos, end := r.Off, r.Off+r.Len // pos: the first byte not yet hashed or masked
-		for _, m := range c.mask {
+		for _, m := range mask {
 			if m.Off >= end {
 				break
 			}
@@ -158,7 +186,8 @@ func (c *crashDigester) digest(p *CrashPlane, regions []fault.Region) (d [32]byt
 			c.h.Write(b[pos-r.Off:])
 		}
 	}
-	c.h.Sum(d[:0])
+	c.sum = c.h.Sum(c.sum[:0])
+	copy(d[:], c.sum)
 	return d, true
 }
 
@@ -311,17 +340,19 @@ func (s *search) crash(e *engine, depth int, op workload.Op) error {
 // checkpointed exactly once (an undo frame: charged as the full read it
 // stands for, paid as the pages the probe goes on to write), one
 // execution of the window both measures its write count and marks the
-// injector's write log at every write as it happens, and the same
-// log scopes every subsequent power cycle and the final rollback to the
-// bytes that actually diverged. The crash points are judged back to back
-// — each power cycle takes the diverged pages back to the frame and lands
-// the next point's log prefix on them, directly over the previous
-// recovered state, with no rollback in between (the touch log plus the
-// window's write set bound the divergence) — and the probe rolls back
-// once, at the end. Compared to the per-point reference flow (reprobe:
-// re-execute the window once per point, reload the full image twice per
-// point) a probe of K points costs 1 execution instead of 1+K, K warm
-// recovery mounts, one delta rollback, and no copy of the image at all.
+// injector's write log at every write as it happens, and the log's
+// touched set scopes every subsequent power cycle and the final rollback
+// to the bytes that actually diverged. The log keeps bytes only until
+// the window closes: recovery writes extend the touched set alone. The
+// crash points are judged back to back — each power cycle takes the
+// diverged pages back to the frame and lands the next point's log prefix
+// on them, directly over the previous recovered state, with no rollback
+// in between (the touched set plus the window's write set bound the
+// divergence) — and the probe rolls back once, at the end. Compared to
+// the per-point reference flow (reprobe: re-execute the window once per
+// point, reload the full image twice per point) a probe of K points
+// costs 1 execution instead of 1+K, K warm recovery mounts, one delta
+// rollback, and no copy of the image at all.
 //
 // Post-recovery verdicts are memoized per probe by a masked digest of
 // the media regions that diverged from the pre-op image: crash points
@@ -335,9 +366,9 @@ func (e *engine) probePlane(depth int, op workload.Op, p *CrashPlane) error {
 		return err
 	}
 	defer p.Media.CloseFrame(probeFrame)
-	// From here until the probe ends, the touch log holds the media's
-	// divergence from the frame; rollback resets it whenever media is
-	// rolled back.
+	// From here until the probe ends, the touch log's touched set holds
+	// the media's divergence from the frame; rollback resets it whenever
+	// media is rolled back.
 	p.Injector.StartTouchLog()
 	defer p.Injector.StopTouchLog()
 	b0, er := e.metaHash(p)
@@ -362,7 +393,8 @@ func (e *engine) probePlane(depth int, op workload.Op, p *CrashPlane) error {
 	// crash image diverges from the frame only inside it, so it is the
 	// `extra` of every install once the log has been reset. A log that
 	// lost a write bounds nothing, and vouches for no image either.
-	capRegions, ok := p.Injector.Touched()
+	capRegions, ok := p.Injector.AppendTouched(e.crashRegions.window[:0])
+	e.crashRegions.window = capRegions
 	if !ok {
 		return fmt.Errorf("write window of %s: %w", op, fault.ErrTouchLogLost)
 	}
@@ -470,11 +502,13 @@ func (v crashVerdict) discrepancy(at crashSite, b0, b1 abstraction.State) *check
 	case v.stateErr != errno.OK:
 		return at.bug(fmt.Sprintf("hashing recovered state: %v", v.stateErr))
 	case v.state != b0 && v.state != b1:
+		// Copies, not slices: a slice of v, b0 or b1 handed to Sprintf
+		// would move them to the heap on every call, this branch or not.
 		return at.bug(
 			"recovered state matches neither the pre-op nor the post-op state",
-			fmt.Sprintf("recovered %x", v.state[:8]),
-			fmt.Sprintf("pre-op    %x", b0[:8]),
-			fmt.Sprintf("post-op   %x", b1[:8]))
+			fmt.Sprintf("recovered %x", [8]byte(v.state[:8])),
+			fmt.Sprintf("pre-op    %x", [8]byte(b0[:8])),
+			fmt.Sprintf("post-op   %x", [8]byte(b1[:8])))
 	}
 	return nil
 }
@@ -512,7 +546,7 @@ func (e *engine) judgeCrashPoint(p *CrashPlane, op workload.Op, k, w int, img []
 	memo map[[32]byte]crashVerdict) (*checker.Discrepancy, string) {
 
 	at := crashSite{p, op, k, w}
-	if err := e.powerCycle(p, func() error { return p.install(capRegions, img) }); err != nil {
+	if err := e.powerCycle(p, func() error { return e.install(p, capRegions, img) }); err != nil {
 		return at.bug(fmt.Sprintf("recovery failed: %v", err)), stream.VerdictBug
 	}
 	// Fast path: masked digest of everything that diverged from the frame
@@ -522,10 +556,7 @@ func (e *engine) judgeCrashPoint(p *CrashPlane, op workload.Op, k, w int, img []
 	var dig [32]byte
 	haveDig := false
 	if p.Strict || p.Fsck != nil {
-		if recovered, ok := p.Injector.Touched(); ok {
-			regions := fault.CoalesceRegions(append(append([]fault.Region(nil), capRegions...), recovered...))
-			dig, haveDig = e.crashDigest.digest(p, regions)
-		}
+		dig, haveDig = e.divergenceDigest(p, capRegions)
 		e.probe.digested()
 	}
 	v, hit := memo[dig]
@@ -537,6 +568,18 @@ func (e *engine) judgeCrashPoint(p *CrashPlane, op workload.Op, k, w int, img []
 	}
 	d := v.discrepancy(at, b0, b1)
 	return d, v.label(d, b0)
+}
+
+// divergenceDigest is the masked digest of the media's divergence from
+// the probe frame: capRegions, the window's write set, merged with the
+// touched set, which covers the crash image's writes and recovery's own.
+// ok == false when the log is lost or a read failed.
+func (e *engine) divergenceDigest(p *CrashPlane, capRegions []fault.Region) (d [32]byte, ok bool) {
+	regions, ok := p.Injector.AppendTouched(append(e.crashRegions.union[:0], capRegions...))
+	if e.crashRegions.union = regions; !ok {
+		return d, false
+	}
+	return e.crashDigest.digest(p, regions)
 }
 
 // countCrashExec charges one probed execution against the op budget —
@@ -551,7 +594,7 @@ func (e *engine) countCrashExec() {
 // of the recovery session.
 func (e *engine) restorePlane(p *CrashPlane, extra []fault.Region) error {
 	e.probe.idle()
-	err := e.rollback(p, func() error { return p.install(extra, nil) })
+	err := e.rollback(p, func() error { return e.install(p, extra, nil) })
 	e.probe.restored()
 	return err
 }

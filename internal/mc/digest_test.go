@@ -2,9 +2,12 @@ package mc
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
+	"mcfs/internal/abstraction"
 	"mcfs/internal/blockdev"
+	"mcfs/internal/checker"
 	"mcfs/internal/fault"
 	"mcfs/internal/simclock"
 )
@@ -98,4 +101,88 @@ func under(mask []fault.Region, at int64) bool {
 		}
 	}
 	return false
+}
+
+// allocPlane is a crash plane on a 64 KiB RAM disk, its probe frame open
+// and its touch log on, after a window of three writes and a recovery
+// write past it: what a crash point works on.
+func allocPlane(t *testing.T) (p *CrashPlane, capRegions []fault.Region, img []fault.Write) {
+	t.Helper()
+	d := blockdev.NewRAM("ram0", 64<<10, simclock.New())
+	inj := fault.New()
+	d.SetInjector(inj)
+	if err := d.OpenFrame(probeFrame); err != nil {
+		t.Fatal(err)
+	}
+	inj.StartTouchLog()
+	inj.StartWindow()
+	for _, off := range []int64{4096, 0, 9000} {
+		if err := d.WriteAt(make([]byte, 1500), off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inj.EndWindow()
+	capRegions, _ = inj.Touched()
+	img, _, err := inj.CrashImage(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.WriteAt(make([]byte, 100), 30000); err != nil {
+		t.Fatal(err)
+	}
+	p = &CrashPlane{Injector: inj, Media: d, Mask: []fault.Region{{Off: 9500, Len: 8}, {Off: 100, Len: 4}}}
+	return p, capRegions, img
+}
+
+// TestCrashPointScratchAllocatesNothing: once the engine's scratch is
+// warm, installing a crash image (the touched set merged with the
+// window's into the region scratch) and digesting the recovered media's
+// divergence allocate nothing.
+func TestCrashPointScratchAllocatesNothing(t *testing.T) {
+	p, capRegions, img := allocPlane(t)
+	e := &engine{}
+	install := func() {
+		if err := e.install(p, capRegions, img); err != nil {
+			t.Fatal(err)
+		}
+	}
+	digest := func() {
+		if _, ok := e.divergenceDigest(p, capRegions); !ok {
+			t.Fatal("the digest of a logged plane failed")
+		}
+	}
+	install()
+	digest()
+	if n := testing.AllocsPerRun(100, install); n != 0 {
+		t.Errorf("install allocates %.0f times per crash point, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, digest); n != 0 {
+		t.Errorf("divergenceDigest allocates %.0f times per crash point, want 0", n)
+	}
+	want := fault.CoalesceRegions(append(slices.Clone(capRegions), fault.Region{Off: 30000, Len: 100}))
+	if !slices.Equal(e.crashRegions.union, want) {
+		t.Errorf("the digest's regions = %v, want %v", e.crashRegions.union, want)
+	}
+}
+
+// TestCrashVerdictAllocatesNothingWhenConsistent: judging a consistent
+// recovery allocates nothing; the failure branch still prints each state
+// as its first eight bytes in hex.
+func TestCrashVerdictAllocatesNothingWhenConsistent(t *testing.T) {
+	var b0, b1, other abstraction.State
+	for i := range b0 {
+		b0[i], b1[i], other[i] = byte(i), byte(i+1), byte(0xA0+i)
+	}
+	at := crashSite{p: &CrashPlane{Name: "ext4#1"}, k: 2, w: 5}
+	var d *checker.Discrepancy
+	for _, v := range []crashVerdict{{}, {state: b0, hasState: true}, {state: b1, hasState: true}} {
+		if n := testing.AllocsPerRun(100, func() { d = v.discrepancy(at, b0, b1) }); n != 0 || d != nil {
+			t.Errorf("verdict %+v: %.0f allocations, discrepancy %v; want 0, nil", v, n, d)
+		}
+	}
+	d = crashVerdict{state: other, hasState: true}.discrepancy(at, b0, b1)
+	want := []string{"recovered a0a1a2a3a4a5a6a7", "pre-op    0001020304050607", "post-op   0102030405060708"}
+	if d == nil || !slices.Equal(d.Details[len(d.Details)-3:], want) {
+		t.Errorf("discrepancy = %+v, want details ending %q", d, want)
+	}
 }

@@ -446,8 +446,10 @@ type engine struct {
 	// dedup on it.
 	curHash abstraction.State
 
-	// crashDigest is the crash oracle's digest scratch (crash.go).
-	crashDigest crashDigester
+	// crashDigest and crashRegions are the crash oracle's digest and
+	// region scratch (crash.go).
+	crashDigest  crashDigester
+	crashRegions crashRegions
 }
 
 func newEngine(cfg Config) *engine {
