@@ -86,10 +86,10 @@
 #      FuzzMountAndFsck smoke, 10 s FuzzMount         reference; a journal
 #      smokes for jffs2sim and xfssim, a 10 s         decodes to in-bounds
 #      FuzzReadBundle smoke, a 10 s                   ops or an error; a
-#      FuzzUndoFrames smoke and 10 s                  mount and an fsck of
+#      FuzzUndoFrames smoke, 10 s                     mount and an fsck of
 #      FuzzCheckpointPool smokes for verifs1          any extfs bytes return
-#      and verifs2                                    an error or problems;
-#                                                    a jffs2 or xfs mount of
+#      and verifs2 and a 10 s FuzzTouchedSet          an error or problems;
+#      smoke                                          a jffs2 or xfs mount of
 #                                                    any bytes returns
 #                                                    errors; any bundle
 #                                                    reads to an error or a
@@ -101,7 +101,12 @@
 #                                                    discard sequence leaves
 #                                                    a VeriFS and each of
 #                                                    its snapshots equal to
-#                                                    a deep-copy twin)
+#                                                    a deep-copy twin; any
+#                                                    write, window and log
+#                                                    sequence leaves the
+#                                                    touched set the merge
+#                                                    of every persisted
+#                                                    write's range)
 #  12. examples smoke: every examples/* program      (the library surface
 #      runs to exit 0 under a 60 s timeout            the examples show
 #                                                    keeps working, not
@@ -287,6 +292,10 @@ go test -run '^$' -fuzz '^FuzzUndoFrames$' -fuzztime 10s -fuzzminimizetime 1s ./
 # since — equal to a twin that checkpoints by deep copy.
 go test -run '^$' -fuzz '^FuzzCheckpointPool$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fs/verifs1
 go test -run '^$' -fuzz '^FuzzCheckpointPool$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fs/verifs2
+# Any sequence of writes (overlapping, adjacent, empty, failed, torn,
+# erase-sized), windows, lost logs and resets leaves the touched set the
+# sort-and-merge of every persisted write's range since the log's base.
+go test -run '^$' -fuzz '^FuzzTouchedSet$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fault
 
 echo "==> examples smoke (every examples/* program runs to exit 0)"
 for dir in examples/*/; do
