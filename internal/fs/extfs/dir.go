@@ -12,35 +12,56 @@ import (
 // and is never reduced by deletions) — real ext2/ext4 behaves the same
 // way, which is why the checker must ignore directory sizes (§3.4).
 
-type rawDirent struct {
-	ino  uint32
-	name string
+// dirScan walks the packed entries of one directory block in place: a
+// cursor over the block's bytes that allocates nothing. It stops at a zero
+// inode number, or at an entry whose name would run past the block (a
+// corrupt tail; fsck flags what it leaves unreachable).
+type dirScan struct {
+	buf  []byte
+	off  int    // the current entry's offset
+	end  int    // the offset just past the current entry: the bytes used so far
+	ino  uint32 // the current entry's inode
+	name []byte // the current entry's name, aliasing buf
 }
 
-// parseDirBlock extracts the entries packed in one directory block.
-func parseDirBlock(buf []byte) []rawDirent {
-	var out []rawDirent
+func scanDirBlock(buf []byte) dirScan { return dirScan{buf: buf} }
+
+// next moves to the following entry, reporting false at the end of the
+// used region; end then stays the number of bytes the entries occupy.
+func (s *dirScan) next() bool {
 	le := binary.LittleEndian
-	pos := 0
-	for pos+direntHeader <= BlockSize {
-		ino := le.Uint32(buf[pos:])
-		if ino == 0 {
-			break
-		}
-		nameLen := int(le.Uint16(buf[pos+4:]))
-		if pos+direntHeader+nameLen > BlockSize {
-			break // corrupt tail; fsck will flag it
-		}
-		out = append(out, rawDirent{ino: ino, name: string(buf[pos+direntHeader : pos+direntHeader+nameLen])})
-		pos += direntHeader + nameLen
+	pos := s.end
+	if pos+direntHeader > len(s.buf) {
+		return false
 	}
-	return out
+	ino := le.Uint32(s.buf[pos:])
+	if ino == 0 {
+		return false
+	}
+	nameLen := int(le.Uint16(s.buf[pos+4:]))
+	if pos+direntHeader+nameLen > len(s.buf) {
+		return false
+	}
+	s.off, s.end, s.ino = pos, pos+direntHeader+nameLen, ino
+	s.name = s.buf[pos+direntHeader : s.end]
+	return true
 }
 
-// dirBlocks returns the allocated block list of a directory.
+// find moves to the next entry called name, reporting whether there is one.
+func (s *dirScan) find(name string) bool {
+	for s.next() {
+		if string(s.name) == name {
+			return true
+		}
+	}
+	return false
+}
+
+// dirBlocks returns the allocated block list of a directory, in the
+// mount's list buffer: valid until the next dirBlocks.
 func (f *FS) dirBlocks(ci *cachedInode) ([]uint32, errno.Errno) {
 	n := int(ci.size) / BlockSize
-	blocks := make([]uint32, 0, n)
+	blocks := f.bufs.dirBlocks[:0]
 	for i := 0; i < n; i++ {
 		blk, e := f.blockForIndex(ci, i, false)
 		if e != errno.OK {
@@ -50,24 +71,8 @@ func (f *FS) dirBlocks(ci *cachedInode) ([]uint32, errno.Errno) {
 			blocks = append(blocks, blk)
 		}
 	}
+	f.bufs.dirBlocks = blocks
 	return blocks, errno.OK
-}
-
-// readDirEntries lists all entries of a directory inode.
-func (f *FS) readDirEntries(ci *cachedInode) ([]rawDirent, errno.Errno) {
-	blocks, e := f.dirBlocks(ci)
-	if e != errno.OK {
-		return nil, e
-	}
-	var out []rawDirent
-	for _, blk := range blocks {
-		buf, err := f.readBlock(blk)
-		if err != nil {
-			return nil, errno.EIO
-		}
-		out = append(out, parseDirBlock(buf)...)
-	}
-	return out, errno.OK
 }
 
 // findEntry locates name in the directory, returning its inode and the
@@ -82,10 +87,8 @@ func (f *FS) findEntry(ci *cachedInode, name string) (ino uint32, blk uint32, fo
 		if err != nil {
 			return 0, 0, false, errno.EIO
 		}
-		for _, de := range parseDirBlock(buf) {
-			if de.name == name {
-				return de.ino, b, true, errno.OK
-			}
+		if s := scanDirBlock(buf); s.find(name) {
+			return s.ino, b, true, errno.OK
 		}
 	}
 	return 0, 0, false, errno.OK
@@ -93,16 +96,15 @@ func (f *FS) findEntry(ci *cachedInode, name string) (ino uint32, blk uint32, fo
 
 // blockUsed returns the number of bytes occupied by packed entries.
 func blockUsed(buf []byte) int {
-	used := 0
-	for _, de := range parseDirBlock(buf) {
-		used += direntLen(de.name)
+	s := scanDirBlock(buf)
+	for s.next() {
 	}
-	return used
+	return s.end
 }
 
 // addDirEntry appends (name -> ino) to the directory, growing it by a
 // block if no existing block has room.
-func (f *FS) addDirEntry(dirIno uint32, ci *cachedInode, ino uint32, name string) errno.Errno {
+func (f *FS) addDirEntry(ci *cachedInode, ino uint32, name string) errno.Errno {
 	need := direntLen(name)
 	blocks, e := f.dirBlocks(ci)
 	if e != errno.OK {
@@ -126,18 +128,21 @@ func (f *FS) addDirEntry(dirIno uint32, ci *cachedInode, ino uint32, name string
 	if e != errno.OK {
 		return e
 	}
-	buf := make([]byte, BlockSize)
+	buf := f.blankBlock()
 	encodeDirent(buf, ino, name)
 	f.writeMetaBlock(blk, buf)
 	ci.size += BlockSize // ext directory sizes grow in whole blocks
 	f.markDirty(ci)
-	_ = dirIno
 	return errno.OK
 }
 
-// removeDirEntry deletes name from the directory, compacting its block.
-// The directory's size is not reduced.
-func (f *FS) removeDirEntry(ci *cachedInode, name string) errno.Errno {
+// editDirEntry finds the first entry called name and edits its block in
+// place: it removes the entry, shifting the entries after it left, or,
+// when remove is false, points it at newIno. Everything after the last
+// kept entry is zeroed, so the staged block holds exactly the re-encode
+// of the kept entries into a blank block. The directory's size is never
+// reduced.
+func (f *FS) editDirEntry(ci *cachedInode, name string, remove bool, newIno uint32) errno.Errno {
 	blocks, e := f.dirBlocks(ci)
 	if e != errno.OK {
 		return e
@@ -147,69 +152,55 @@ func (f *FS) removeDirEntry(ci *cachedInode, name string) errno.Errno {
 		if err != nil {
 			return errno.EIO
 		}
-		entries := parseDirBlock(buf)
-		for i, de := range entries {
-			if de.name != name {
-				continue
-			}
-			entries = append(entries[:i], entries[i+1:]...)
-			nb := make([]byte, BlockSize)
-			pos := 0
-			for _, keep := range entries {
-				pos += encodeDirent(nb[pos:], keep.ino, keep.name)
-			}
-			f.writeMetaBlock(b, nb)
-			return errno.OK
-		}
-	}
-	return errno.ENOENT
-}
-
-// replaceDirEntry rewrites the inode an existing entry points at.
-func (f *FS) replaceDirEntry(ci *cachedInode, name string, newIno uint32) errno.Errno {
-	blocks, e := f.dirBlocks(ci)
-	if e != errno.OK {
-		return e
-	}
-	for _, b := range blocks {
-		buf, err := f.readBlock(b)
-		if err != nil {
-			return errno.EIO
-		}
-		entries := parseDirBlock(buf)
-		changed := false
-		for i := range entries {
-			if entries[i].name == name {
-				entries[i].ino = newIno
-				changed = true
-				break
-			}
-		}
-		if !changed {
+		s := scanDirBlock(buf)
+		if !s.find(name) {
 			continue
 		}
-		nb := make([]byte, BlockSize)
-		pos := 0
-		for _, keep := range entries {
-			pos += encodeDirent(nb[pos:], keep.ino, keep.name)
+		off, end := s.off, s.end
+		for s.next() {
 		}
-		f.writeMetaBlock(b, nb)
+		used := s.end
+		if remove {
+			copy(buf[off:], buf[end:used])
+			used -= end - off
+		} else {
+			binary.LittleEndian.PutUint32(buf[off:], newIno)
+		}
+		clear(buf[used:])
+		f.writeMetaBlock(b, buf)
 		return errno.OK
 	}
 	return errno.ENOENT
 }
 
+// removeDirEntry deletes name from the directory, compacting its block.
+func (f *FS) removeDirEntry(ci *cachedInode, name string) errno.Errno {
+	return f.editDirEntry(ci, name, true, 0)
+}
+
+// replaceDirEntry rewrites the inode an existing entry points at.
+func (f *FS) replaceDirEntry(ci *cachedInode, name string, newIno uint32) errno.Errno {
+	return f.editDirEntry(ci, name, false, newIno)
+}
+
 // dirEntryCount returns the number of entries in the directory excluding
-// the on-disk "." and ".." entries.
+// the on-disk "." and ".." entries. It reads every block, as a listing
+// does.
 func (f *FS) dirEntryCount(ci *cachedInode) (int, errno.Errno) {
-	entries, e := f.readDirEntries(ci)
+	blocks, e := f.dirBlocks(ci)
 	if e != errno.OK {
 		return 0, e
 	}
 	n := 0
-	for _, de := range entries {
-		if de.name != "." && de.name != ".." {
-			n++
+	for _, b := range blocks {
+		buf, err := f.readBlock(b)
+		if err != nil {
+			return 0, errno.EIO
+		}
+		for s := scanDirBlock(buf); s.next(); {
+			if string(s.name) != "." && string(s.name) != ".." {
+				n++
+			}
 		}
 	}
 	return n, errno.OK

@@ -2,6 +2,8 @@ package extfs
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 
 	"mcfs/internal/blockdev"
@@ -234,6 +236,36 @@ func TestFileTooBig(t *testing.T) {
 	}
 }
 
+// TestReadDirOnAColdMount: after a remount, with no child inode cached,
+// a listing names every entry with its inode and type, in on-disk order.
+// Reading a child's inode must not disturb the directory block the scan
+// is reading.
+func TestReadDirOnAColdMount(t *testing.T) {
+	f, dev, clk := newVolume(t, MkfsOptions{})
+	lf, _ := f.Lookup(f.Root(), "lost+found")
+	want := []vfs.DirEntry{{Name: ".", Ino: RootIno, Mode: vfs.ModeDir}, {Name: "..", Ino: RootIno, Mode: vfs.ModeDir},
+		{Name: "lost+found", Ino: lf, Mode: vfs.ModeDir}}
+	for i := 0; i < 12; i++ { // children in two inode-table blocks
+		de := vfs.DirEntry{Name: fmt.Sprintf("child-%d", i), Mode: vfs.ModeReg}
+		if i%3 == 0 {
+			de.Ino, de.Mode = mustMkdir(t, f, f.Root(), de.Name), vfs.ModeDir
+		} else {
+			de.Ino = mustCreate(t, f, f.Root(), de.Name)
+		}
+		want = append(want, de)
+	}
+	if err := f.Unmount(); err != nil {
+		t.Fatal(err)
+	}
+	g, err := Mount(dev, clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, e := g.ReadDir(g.Root()); e != errno.OK || !slices.Equal(got, want) {
+		t.Errorf("a cold listing reads (%v)\n%v\nwant\n%v", e, got, want)
+	}
+}
+
 func TestRenameAndLinkAndReaddir(t *testing.T) {
 	f, _, _ := newVolume(t, MkfsOptions{})
 	a := mustCreate(t, f, f.Root(), "a")
@@ -362,11 +394,7 @@ func TestJournalReplayAfterCrash(t *testing.T) {
 
 	// Simulate a crash after journal commit but before checkpoint: run
 	// only the journal half of Sync by hand.
-	type bw struct {
-		blk  uint32
-		data []byte
-	}
-	var writes []bw
+	var writes []blockWrite
 	// Group dirty inodes by table block exactly like Sync does: logging
 	// one journal copy per dirty inode would journal conflicting
 	// versions of a shared block, and replay order (map iteration here)
@@ -389,25 +417,21 @@ func TestJournalReplayAfterCrash(t *testing.T) {
 		ci.encode(buf[off : off+InodeSize])
 	}
 	for blk, buf := range blockBufs {
-		writes = append(writes, bw{blk, buf})
+		writes = append(writes, blockWrite{blk, buf})
 	}
 	bm := make([]byte, BlockSize)
 	copy(bm, f.blockBitmap)
-	writes = append(writes, bw{f.layout.blockBitmap, bm})
+	writes = append(writes, blockWrite{f.layout.blockBitmap, bm})
 	im := make([]byte, BlockSize)
 	copy(im, f.inodeBitmap)
-	writes = append(writes, bw{f.layout.inodeBitmap, im})
-	writes = append(writes, bw{0, f.sb.encode(make([]byte, BlockSize))})
+	writes = append(writes, blockWrite{f.layout.inodeBitmap, im})
+	writes = append(writes, blockWrite{0, f.sb.encode(make([]byte, BlockSize))})
 	// Staged metadata blocks (directory blocks etc.) are part of the
 	// transaction too — Sync journals them alongside the inode table.
 	for blk, img := range f.dirtyMeta {
-		writes = append(writes, bw{blk, img})
+		writes = append(writes, blockWrite{blk, img})
 	}
-	tx := f.journal.begin()
-	for _, w := range writes {
-		tx.log(w.blk, w.data)
-	}
-	if err := tx.commit(); err != nil {
+	if err := f.journal.commit(writes); err != nil {
 		t.Fatal(err)
 	}
 	// CRASH here: the in-place writes never happen; f is abandoned.
@@ -439,11 +463,9 @@ func TestUncommittedJournalDiscarded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Write a descriptor with no commit record (crash mid-commit).
-	tx := f.journal.begin()
+	// Write a descriptor with no commit record (crash mid-commit): one
+	// logged image, for block 0 — it would clobber the superblock!
 	garbage := bytes.Repeat([]byte{0xEE}, BlockSize)
-	tx.blocks = append(tx.blocks, 0) // would clobber the superblock!
-	tx.data = append(tx.data, garbage)
 	// Hand-write descriptor + data but no commit block.
 	if err := dev.WriteAt(garbage, int64(f.journal.start+1)*BlockSize); err != nil {
 		t.Fatal(err)

@@ -24,12 +24,11 @@ import (
 type FS struct {
 	dev    blockdev.Device
 	clock  *simclock.Clock
-	sb     *superblock
+	sb     superblock
 	layout layout
 
-	// bufs is the mount's block-sized memory; cache, when set, takes it
-	// back at a successful Unmount or a Drop for the next mount of the
-	// device.
+	// bufs is the mount's working memory; cache, when set, takes it back
+	// at a successful Unmount or a Drop for the next mount of the device.
 	bufs  *mountBufs
 	cache *MountCache
 
@@ -46,11 +45,11 @@ type FS struct {
 	// non-atomic across a crash even with a journal. File data blocks are
 	// NOT cached here: data is written through (and is legitimately
 	// non-atomic, as on real ext4 in data=ordered mode).
-	dirtyMeta map[uint32][]byte
+	dirtyMeta map[uint32][]byte // bufs.dirtyMeta
 
-	inodeCache map[uint32]*cachedInode
+	inodeCache map[uint32]*cachedInode // bufs.inodeCache
 
-	journal *journal // nil in ext2 mode
+	journal journal // unused in ext2 mode (!sb.hasJournal())
 
 	unmounted bool
 }
@@ -89,7 +88,7 @@ type MountOpts struct {
 	Cache *MountCache
 }
 
-// MountCache carries validated volume geometry, and the block buffers of
+// MountCache carries validated volume geometry, and the working memory of
 // the last mount to unmount or be dropped, between mounts of one device.
 // See MountOpts.Cache.
 type MountCache struct {
@@ -100,10 +99,12 @@ type MountCache struct {
 	bufs        *mountBufs
 }
 
-// mountBufs is the block-sized memory a mount works in, one allocation
-// for all of it. A mount reads every block of it before it uses it, or
-// clears it, so what an earlier mount left there never shows: the mount
-// stays a function of the device's bytes.
+// mountBufs is the memory a mount works in: its blocks, in one
+// allocation, and the maps and staging lists it empties rather than
+// reallocates. A mount reads every block of it before it uses it, or
+// clears it, takes the maps emptied and truncates a list before each use,
+// so what an earlier mount left there never shows: the mount stays a
+// function of the device's bytes.
 type mountBufs struct {
 	sb          [BlockSize]byte // the superblock, as read and as encoded
 	blockBitmap [BlockSize]byte
@@ -111,15 +112,26 @@ type mountBufs struct {
 	scratch     [BlockSize]byte // readBlock's, and journal replay's
 	desc        [BlockSize]byte // the journal's descriptor block
 	commit      [BlockSize]byte // the journal's commit block
+
+	dirtyMeta  map[uint32][]byte
+	inodeCache map[uint32]*cachedInode
+	dirBlocks  []uint32       // dirBlocks' list
+	dirtyInos  []uint32       // Sync's dirty inodes, in table order
+	tables     [][]byte       // Sync's inode-table block images
+	writes     []blockWrite   // Sync's write list
+	entries    []vfs.DirEntry // ReadDir's listing, before it is copied out
 }
 
-// takeBufs hands out the buffers the cache holds, or new ones.
+// takeBufs hands out the memory the cache holds, its maps emptied, or new
+// memory.
 func (c *MountCache) takeBufs() *mountBufs {
 	if c == nil || c.bufs == nil {
-		return new(mountBufs)
+		return &mountBufs{dirtyMeta: make(map[uint32][]byte), inodeCache: make(map[uint32]*cachedInode)}
 	}
 	b := c.bufs
 	c.bufs = nil
+	clear(b.dirtyMeta)
+	clear(b.inodeCache)
 	return b
 }
 
@@ -185,12 +197,12 @@ func mount(dev blockdev.Device, clock *simclock.Clock, opts MountOpts, bufs *mou
 		cache:       opts.Cache,
 		blockBitmap: bufs.blockBitmap[:],
 		inodeBitmap: bufs.inodeBitmap[:],
-		dirtyMeta:   make(map[uint32][]byte),
-		inodeCache:  make(map[uint32]*cachedInode),
+		dirtyMeta:   bufs.dirtyMeta,
+		inodeCache:  bufs.inodeCache,
 	}
 	if sb.hasJournal() {
-		f.journal = newJournal(dev, l.journal, l.journalLen, bufs)
-		f.journal.commitFirst = opts.JournalCommitFirst
+		f.journal = journal{dev: dev, start: l.journal, size: l.journalLen, bufs: bufs,
+			commitFirst: opts.JournalCommitFirst}
 		if err := f.journal.replay(); err != nil {
 			return nil, fmt.Errorf("extfs: journal replay: %w", err)
 		}
@@ -201,8 +213,8 @@ func mount(dev blockdev.Device, clock *simclock.Clock, opts MountOpts, bufs *mou
 	if err := dev.ReadAt(f.inodeBitmap, int64(l.inodeBitmap)*BlockSize); err != nil {
 		return nil, err
 	}
-	sb.mountCount++
-	sb.flags |= sbFlagDirty
+	f.sb.mountCount++
+	f.sb.flags |= sbFlagDirty
 	f.dirtySB = true
 	// Mount work is also CPU: superblock validation, bitmap indexing,
 	// journal scan — charged beyond the I/O the reads already cost. When
@@ -211,7 +223,7 @@ func mount(dev blockdev.Device, clock *simclock.Clock, opts MountOpts, bufs *mou
 	// still re-decoded and the journal still scanned above, so a corrupt
 	// volume fails identically on warm and cold mounts).
 	if clock != nil {
-		if opts.Cache.warm(sb) {
+		if opts.Cache.warm(&f.sb) {
 			clock.Advance(25 * time.Microsecond)
 		} else {
 			clock.Advance(160 * time.Microsecond)
@@ -229,9 +241,9 @@ func (f *FS) FSType() string {
 }
 
 // Unmount flushes all dirty state and marks the superblock clean. The FS
-// must not be used afterwards: its block buffers pass to the next mount
-// through the MountCache it was mounted with, if any. A failed Unmount
-// keeps them.
+// must not be used afterwards: its working memory passes to the next
+// mount through the MountCache it was mounted with, if any. A failed
+// Unmount keeps it.
 func (f *FS) Unmount() error {
 	if f.unmounted {
 		return fmt.Errorf("extfs: double unmount")
@@ -251,7 +263,7 @@ func (f *FS) Unmount() error {
 }
 
 // Drop implements kernel.Dropper: a power cut discards the FS without a
-// flush, and its block buffers pass to the next mount through the
+// flush, and its working memory passes to the next mount through the
 // MountCache it was mounted with, if any, as at a successful Unmount. It
 // writes nothing, and the FS must not be used afterwards.
 func (f *FS) Drop() {
@@ -261,7 +273,9 @@ func (f *FS) Drop() {
 	f.unmounted = true
 	if f.cache != nil {
 		f.cache.keepBufs(f.bufs)
-		f.bufs, f.blockBitmap, f.inodeBitmap = nil, nil, nil // no longer this FS's
+		// No longer this FS's.
+		f.bufs, f.blockBitmap, f.inodeBitmap = nil, nil, nil
+		f.dirtyMeta, f.inodeCache = nil, nil
 	}
 }
 
@@ -275,8 +289,9 @@ func (f *FS) now() time.Duration {
 // --- block I/O helpers -------------------------------------------------
 
 // readBlock returns blk's contents in the mount's read scratch, which the
-// next readBlock overwrites: a caller parses or copies the block before it
-// reads again.
+// next readBlock (or blankBlock) overwrites: a caller scans, edits or
+// copies the block before it reads again, and keeps no name or entry
+// aliasing it past that.
 func (f *FS) readBlock(blk uint32) ([]byte, error) {
 	buf := f.bufs.scratch[:]
 	return buf, f.readBlockInto(buf, blk)
@@ -292,17 +307,28 @@ func (f *FS) readBlockInto(buf []byte, blk uint32) error {
 	return f.dev.ReadAt(buf, int64(blk)*BlockSize)
 }
 
+// blankBlock returns the read scratch zeroed, to build a block image in.
+func (f *FS) blankBlock() []byte {
+	buf := f.bufs.scratch[:]
+	clear(buf)
+	return buf
+}
+
 func (f *FS) writeBlock(blk uint32, data []byte) error {
 	return f.dev.WriteAt(data, int64(blk)*BlockSize)
 }
 
 // writeMetaBlock stages a metadata block image in memory; it reaches the
 // device only inside the next Sync (journaled first in ext4 mode). It
-// cannot fail: there is no device I/O until Sync.
+// cannot fail: there is no device I/O until Sync. A block staged again
+// reuses its image.
 func (f *FS) writeMetaBlock(blk uint32, data []byte) {
-	img := make([]byte, BlockSize)
+	img, ok := f.dirtyMeta[blk]
+	if !ok {
+		img = make([]byte, BlockSize)
+		f.dirtyMeta[blk] = img
+	}
 	copy(img, data)
-	f.dirtyMeta[blk] = img
 }
 
 // --- allocation ---------------------------------------------------------
@@ -379,8 +405,7 @@ func (f *FS) getInode(ino uint32) *cachedInode {
 	if ci, ok := f.inodeCache[ino]; ok {
 		return ci
 	}
-	blk := f.layout.inodeTable + (ino-1)/InodesPerBlock
-	buf, err := f.readBlock(blk)
+	buf, err := f.readBlock(f.inodeBlock(ino))
 	if err != nil {
 		return nil
 	}
@@ -392,38 +417,51 @@ func (f *FS) getInode(ino uint32) *cachedInode {
 
 func (f *FS) markDirty(ci *cachedInode) { ci.dirty = true }
 
+// inodeBlock is the inode-table block holding ino's record.
+func (f *FS) inodeBlock(ino uint32) uint32 { return f.layout.inodeTable + (ino-1)/InodesPerBlock }
+
 // --- flush / journal -----------------------------------------------------
+
+// blockWrite is one block image Sync sends to the device.
+type blockWrite struct {
+	blk  uint32
+	data []byte
+}
 
 // Sync implements vfs.FS: it writes all dirty metadata back to the
 // device. In ext4 mode the dirty metadata blocks are first logged to the
 // journal and committed, then checkpointed in place — so a crash between
-// those steps is recoverable at the next mount.
+// those steps is recoverable at the next mount. It stages in the mount's
+// memory: the write list, and an image per inode-table block holding a
+// dirty inode.
 func (f *FS) Sync() errno.Errno {
-	type blockWrite struct {
-		blk  uint32
-		data []byte
-	}
-	var writes []blockWrite
-
-	// Dirty inodes, grouped by inode-table block.
-	dirtyBlocks := make(map[uint32][]uint32) // table block -> inos
+	b := f.bufs
+	// Dirty inodes in table order, so each table block's are adjacent.
+	inos := b.dirtyInos[:0]
 	for ino, ci := range f.inodeCache {
 		if ci.dirty {
-			blk := f.layout.inodeTable + (ino-1)/InodesPerBlock
-			dirtyBlocks[blk] = append(dirtyBlocks[blk], ino)
+			inos = append(inos, ino)
 		}
 	}
-	for blk, inos := range dirtyBlocks {
-		buf := make([]byte, BlockSize) // held until the writes below
-		if err := f.readBlockInto(buf, blk); err != nil {
-			return errno.EIO
+	slices.Sort(inos)
+	b.dirtyInos = inos
+	writes := b.writes[:0]
+	var img []byte
+	for i, ino := range inos {
+		blk := f.inodeBlock(ino)
+		if i == 0 || blk != f.inodeBlock(inos[i-1]) {
+			// The table images are the first writes.
+			if len(writes) == len(b.tables) {
+				b.tables = append(b.tables, make([]byte, BlockSize))
+			}
+			img = b.tables[len(writes)]
+			if err := f.readBlockInto(img, blk); err != nil {
+				return errno.EIO
+			}
+			writes = append(writes, blockWrite{blk, img})
 		}
-		for _, ino := range inos {
-			ci := f.inodeCache[ino]
-			off := ((ino - 1) % InodesPerBlock) * InodeSize
-			ci.encode(buf[off : off+InodeSize])
-		}
-		writes = append(writes, blockWrite{blk, buf})
+		off := ((ino - 1) % InodesPerBlock) * InodeSize
+		f.inodeCache[ino].encode(img[off : off+InodeSize])
 	}
 	// The bitmaps go out from the live arrays, which nothing changes
 	// before the writes below.
@@ -434,11 +472,13 @@ func (f *FS) Sync() errno.Errno {
 		writes = append(writes, blockWrite{f.layout.inodeBitmap, f.inodeBitmap})
 	}
 	if f.dirtySB {
-		writes = append(writes, blockWrite{0, f.sb.encode(f.bufs.sb[:])})
+		writes = append(writes, blockWrite{0, f.sb.encode(b.sb[:])})
 	}
 	for blk, img := range f.dirtyMeta {
 		writes = append(writes, blockWrite{blk, img})
 	}
+	b.writes = writes
+	defer clear(writes) // hold no image past the Sync
 	if len(writes) == 0 {
 		return errno.OK
 	}
@@ -447,12 +487,8 @@ func (f *FS) Sync() errno.Errno {
 	// the same write sequence on every run of the same operation.
 	slices.SortFunc(writes, func(a, b blockWrite) int { return cmp.Compare(a.blk, b.blk) })
 
-	if f.journal != nil {
-		tx := f.journal.begin()
-		for _, w := range writes {
-			tx.log(w.blk, w.data)
-		}
-		if err := tx.commit(); err != nil {
+	if f.sb.hasJournal() {
+		if err := f.journal.commit(writes); err != nil {
 			return errno.EIO
 		}
 	}
@@ -461,7 +497,7 @@ func (f *FS) Sync() errno.Errno {
 			return errno.EIO
 		}
 	}
-	if f.journal != nil {
+	if f.sb.hasJournal() {
 		if err := f.journal.checkpointDone(); err != nil {
 			return errno.EIO
 		}

@@ -169,7 +169,7 @@ func Fsck(dev blockdev.Device) ([]Problem, error) {
 type fsckRun struct {
 	dev    blockdev.Device
 	blocks map[uint32][]byte // every block read so far: the single-read view of the device
-	sb     *superblock
+	sb     superblock
 	l      layout
 
 	blockBitmap []byte
@@ -276,8 +276,8 @@ func (f *fsckRun) checkDir(dir uint32, bl inodeBlocks) error {
 	}
 	var haveDot, haveDotDot bool
 	for _, blk := range bl.data {
-		for _, de := range parseDirBlock(f.blocks[blk]) {
-			switch de.name {
+		for de := scanDirBlock(f.blocks[blk]); de.next(); {
+			switch string(de.name) {
 			case ".":
 				haveDot = true
 				continue
@@ -285,7 +285,7 @@ func (f *fsckRun) checkDir(dir uint32, bl inodeBlocks) error {
 				haveDotDot = true
 				continue
 			}
-			if de.ino == 0 || de.ino > f.sb.inodesTotal {
+			if de.ino > f.sb.inodesTotal {
 				f.report("dangling-entry", "dir %d entry %q points to invalid inode %d", dir, de.name, de.ino)
 				continue
 			}

@@ -251,7 +251,8 @@ func (w *twinRigs) openFrame(key uint64) {
 // bytes. Seeded walks over DefaultPool operations, a remount after each,
 // drive one volume through checkpoint frames opened three deep and
 // rewound, the crash probe's RevertFrame + Patch over a touch log with a
-// power-cut remount per crash point, and a raw image load; after every
+// power-cut remount per crash point, power cuts over unsynced ops, and a
+// raw image load; after every
 // step the mount built through the one long-lived cache dumps equal to a
 // cache-less mount of a fresh device holding a copy of the bytes. A twin
 // volume driven the same way, whose mounts never reuse a buffer, receives
@@ -348,6 +349,19 @@ func TestMountIsAFunctionOfTheDisk(t *testing.T) {
 					return nil
 				})
 				w.ops("past the probe", 4)
+
+				// Power cuts over staged metadata: what the dropped mount
+				// never synced dies with it, and nothing of it reaches the
+				// next mount through the cache.
+				for i := 0; i < 3; i++ {
+					op := w.pool[w.r.Intn(len(w.pool))]
+					w.both(func(g *diskRig) error {
+						workload.Execute(g.k, "/mnt", workload.Op{Kind: workload.OpCreateFile, Path: "/unsynced", Mode: 0644})
+						workload.Execute(g.k, "/mnt", op)
+						return g.k.CrashRemount("/mnt", func() error { return nil })
+					})
+					w.check(fmt.Sprintf("after a power cut under unsynced ops, then %v", op))
+				}
 
 				// A raw image load under a power cut: the disk as it stood
 				// after the history.

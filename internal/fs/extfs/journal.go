@@ -34,40 +34,20 @@ type journal struct {
 	commitFirst bool
 }
 
-func newJournal(dev blockdev.Device, start, size uint32, bufs *mountBufs) *journal {
-	return &journal{dev: dev, start: start, size: size, bufs: bufs}
-}
-
 // zeroBlock is the all-zero block image every zeroing write sends.
 var zeroBlock [BlockSize]byte
-
-// transaction accumulates logged blocks until commit.
-type transaction struct {
-	j      *journal
-	blocks []uint32
-	data   [][]byte
-}
-
-func (j *journal) begin() *transaction { return &transaction{j: j} }
-
-// log records that blk will be rewritten with data (a full block image).
-// It keeps data itself: the caller changes nothing in it before commit
-// returns.
-func (tx *transaction) log(blk uint32, data []byte) {
-	tx.blocks = append(tx.blocks, blk)
-	tx.data = append(tx.data, data)
-}
 
 // maxLoggedBlocks is the transaction capacity: one descriptor block, one
 // commit block, the rest data.
 func (j *journal) maxLoggedBlocks() int { return int(j.size) - 2 }
 
-// commit writes descriptor, data images, and the commit record. After
-// commit returns nil the transaction is durable.
-func (tx *transaction) commit() error {
-	j := tx.j
-	if len(tx.blocks) > j.maxLoggedBlocks() {
-		return fmt.Errorf("extfs: transaction too large: %d blocks > %d", len(tx.blocks), j.maxLoggedBlocks())
+// commit logs one transaction, the full block images of writes: the
+// descriptor, the images, and the commit record. After commit returns nil
+// the transaction is durable. The images are written from writes' own
+// buffers; nothing is copied.
+func (j *journal) commit(writes []blockWrite) error {
+	if len(writes) > j.maxLoggedBlocks() {
+		return fmt.Errorf("extfs: transaction too large: %d blocks > %d", len(writes), j.maxLoggedBlocks())
 	}
 	j.seq++
 	le := binary.LittleEndian
@@ -76,9 +56,9 @@ func (tx *transaction) commit() error {
 	clear(desc)
 	le.PutUint32(desc[0:], jMagicDesc)
 	le.PutUint32(desc[4:], j.seq)
-	le.PutUint32(desc[8:], uint32(len(tx.blocks)))
-	for i, blk := range tx.blocks {
-		le.PutUint32(desc[12+4*i:], blk)
+	le.PutUint32(desc[8:], uint32(len(writes)))
+	for i, w := range writes {
+		le.PutUint32(desc[12+4*i:], w.blk)
 	}
 	commit := j.bufs.commit[:]
 	clear(commit)
@@ -92,11 +72,11 @@ func (tx *transaction) commit() error {
 		if err := j.dev.WriteAt(desc, int64(j.start)*BlockSize); err != nil {
 			return err
 		}
-		if err := j.dev.WriteAt(commit, int64(j.start+1+uint32(len(tx.blocks)))*BlockSize); err != nil {
+		if err := j.dev.WriteAt(commit, int64(j.start+1+uint32(len(writes)))*BlockSize); err != nil {
 			return err
 		}
-		for i, img := range tx.data {
-			if err := j.dev.WriteAt(img, int64(j.start+1+uint32(i))*BlockSize); err != nil {
+		for i, w := range writes {
+			if err := j.dev.WriteAt(w.data, int64(j.start+1+uint32(i))*BlockSize); err != nil {
 				return err
 			}
 		}
@@ -105,15 +85,15 @@ func (tx *transaction) commit() error {
 
 	// Data images first, then descriptor, then commit: the descriptor
 	// going down before data would let replay apply torn data.
-	for i, img := range tx.data {
-		if err := j.dev.WriteAt(img, int64(j.start+1+uint32(i))*BlockSize); err != nil {
+	for i, w := range writes {
+		if err := j.dev.WriteAt(w.data, int64(j.start+1+uint32(i))*BlockSize); err != nil {
 			return err
 		}
 	}
 	if err := j.dev.WriteAt(desc, int64(j.start)*BlockSize); err != nil {
 		return err
 	}
-	return j.dev.WriteAt(commit, int64(j.start+1+uint32(len(tx.blocks)))*BlockSize)
+	return j.dev.WriteAt(commit, int64(j.start+1+uint32(len(writes)))*BlockSize)
 }
 
 // checkpointDone invalidates the journal after the in-place writes have

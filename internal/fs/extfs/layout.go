@@ -106,12 +106,12 @@ func (sb *superblock) encode(b []byte) []byte {
 	return b
 }
 
-func decodeSuperblock(b []byte) (*superblock, error) {
+func decodeSuperblock(b []byte) (superblock, error) {
 	le := binary.LittleEndian
 	if le.Uint32(b[sbMagicOff:]) != Magic {
-		return nil, fmt.Errorf("extfs: bad magic %#x", le.Uint32(b[sbMagicOff:]))
+		return superblock{}, fmt.Errorf("extfs: bad magic %#x", le.Uint32(b[sbMagicOff:]))
 	}
-	return &superblock{
+	return superblock{
 		blocksTotal:  le.Uint32(b[sbBlocksOff:]),
 		inodesTotal:  le.Uint32(b[sbInodesOff:]),
 		journalStart: le.Uint32(b[sbJStartOff:]),

@@ -174,14 +174,14 @@ func (f *FS) makeNode(parent vfs.Ino, name string, mode vfs.Mode, uid, gid uint3
 		}
 		ci.direct[0] = blk
 		ci.size = BlockSize
-		buf := make([]byte, BlockSize)
+		buf := f.blankBlock()
 		pos := encodeDirent(buf, ino, ".")
 		encodeDirent(buf[pos:], uint32(parent), "..")
 		f.writeMetaBlock(blk, buf)
 	} else {
 		ci.nlink = 1
 	}
-	if e := f.addDirEntry(uint32(parent), dir, ino, name); e != errno.OK {
+	if e := f.addDirEntry(dir, ino, name); e != errno.OK {
 		if mode.IsDir() {
 			f.freeBlock(ci.direct[0])
 		}
@@ -415,7 +415,8 @@ func (f *FS) Write(ino vfs.Ino, off int64, data []byte) (int, errno.Errno) {
 
 // ReadDir implements vfs.FS. Entries come back in on-disk block order,
 // which for extfs is insertion order after compaction — a different order
-// from other file systems (§3.4).
+// from other file systems (§3.4). It allocates the slice it returns and
+// the names in it, short of one-byte names and "..".
 func (f *FS) ReadDir(ino vfs.Ino) ([]vfs.DirEntry, errno.Errno) {
 	ci, e := f.dirInode(ino)
 	if e != errno.OK {
@@ -423,17 +424,34 @@ func (f *FS) ReadDir(ino vfs.Ino) ([]vfs.DirEntry, errno.Errno) {
 	}
 	ci.atime = int64(f.now())
 	f.markDirty(ci)
-	raw, e := f.readDirEntries(ci)
+	blocks, e := f.dirBlocks(ci)
 	if e != errno.OK {
 		return nil, e
 	}
-	out := make([]vfs.DirEntry, 0, len(raw))
-	for _, de := range raw {
-		mode := vfs.Mode(0)
-		if child := f.getInode(de.ino); child != nil {
-			mode = child.vfsMode() & vfs.ModeMask
+	ents := f.bufs.entries[:0]
+	for _, b := range blocks {
+		buf, err := f.readBlock(b)
+		if err != nil {
+			return nil, errno.EIO
 		}
-		out = append(out, vfs.DirEntry{Name: de.name, Ino: vfs.Ino(de.ino), Mode: mode})
+		for s := scanDirBlock(buf); s.next(); {
+			name := ".."
+			if string(s.name) != name {
+				name = string(s.name)
+			}
+			ents = append(ents, vfs.DirEntry{Name: name, Ino: vfs.Ino(s.ino)})
+		}
+	}
+	out := make([]vfs.DirEntry, len(ents))
+	copy(out, ents)
+	clear(ents)
+	f.bufs.entries = ents[:0]
+	// Modes in a second pass: getInode reads the inode table through the
+	// scratch the scan above reads the directory in.
+	for i := range out {
+		if child := f.getInode(uint32(out[i].Ino)); child != nil {
+			out[i].Mode = child.vfsMode() & vfs.ModeMask
+		}
 	}
 	return out, errno.OK
 }
@@ -544,7 +562,7 @@ func (f *FS) Rename(oldParent vfs.Ino, oldName string, newParent vfs.Ino, newNam
 			return e3
 		}
 	} else {
-		if e3 := f.addDirEntry(uint32(newParent), ndir, srcIno, newName); e3 != errno.OK {
+		if e3 := f.addDirEntry(ndir, srcIno, newName); e3 != errno.OK {
 			return e3
 		}
 		if e3 := f.removeDirEntry(odir, oldName); e3 != errno.OK {
@@ -593,7 +611,7 @@ func (f *FS) Link(ino vfs.Ino, newParent vfs.Ino, newName string) errno.Errno {
 	} else if found {
 		return errno.EEXIST
 	}
-	if e := f.addDirEntry(uint32(newParent), dir, uint32(ino), newName); e != errno.OK {
+	if e := f.addDirEntry(dir, uint32(ino), newName); e != errno.OK {
 		return e
 	}
 	ci.nlink++
@@ -620,7 +638,7 @@ func (f *FS) Symlink(target string, parent vfs.Ino, name string, uid, gid uint32
 		_ = f.Unlink(parent, name)
 		return 0, e
 	}
-	buf := make([]byte, BlockSize)
+	buf := f.blankBlock()
 	copy(buf, target)
 	f.writeMetaBlock(blk, buf)
 	ci.direct[0] = blk

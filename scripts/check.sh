@@ -36,7 +36,9 @@
 #                                                    warm content memo,
 #                                                    an extfs remount
 #                                                    through a
-#                                                    MountCache, a
+#                                                    MountCache, an
+#                                                    extfs lookup and
+#                                                    listing, a
 #                                                    jffs2sim mount
 #                                                    through a ScanCache,
 #                                                    and the crash
@@ -83,15 +85,19 @@
 #      out of memory                                  mid-run)
 #  11. fuzz smokes: a 10 s FuzzJoinPath smoke,      (path parsing matches
 #      a 10 s FuzzJournalRead smoke, a 10 s           its split-and-join
-#      FuzzMountAndFsck smoke, 10 s FuzzMount         reference; a journal
-#      smokes for jffs2sim and xfssim, a 10 s         decodes to in-bounds
-#      FuzzReadBundle smoke, a 10 s                   ops or an error; a
-#      FuzzUndoFrames smoke, 10 s                     mount and an fsck of
-#      FuzzCheckpointPool smokes for verifs1          any extfs bytes return
-#      and verifs2 and a 10 s FuzzTouchedSet          an error or problems;
-#      smoke                                          a jffs2 or xfs mount of
-#                                                    any bytes returns
-#                                                    errors; any bundle
+#      FuzzMountAndFsck smoke, a 10 s                 reference; a journal
+#      FuzzDirBlock smoke, 10 s FuzzMount             decodes to in-bounds
+#      smokes for jffs2sim and xfssim, a 10 s         ops or an error; a
+#      FuzzReadBundle smoke, a 10 s                   mount and an fsck of
+#      FuzzUndoFrames smoke, 10 s                     any extfs bytes return
+#      FuzzCheckpointPool smokes for verifs1          an error or problems;
+#      and verifs2 and a 10 s FuzzTouchedSet          an extfs directory
+#      smoke                                          block is scanned and
+#                                                    edited in place as its
+#                                                    parse and re-encode
+#                                                    would; a jffs2 or xfs
+#                                                    mount of any bytes
+#                                                    returns errors; any bundle
 #                                                    reads to an error or a
 #                                                    bundle; any op sequence
 #                                                    over undo frames leaves
@@ -150,7 +156,7 @@ go test -cpu 1,4 -run 'Swarm|Panic' ./internal/mc
 echo "==> bench smoke (one iteration per benchmark)"
 go test -bench . -benchtime 1x -run '^$' ./internal/mc/... ./internal/tracker/... ./internal/fuse/... \
 	./internal/kernel/... ./internal/abstraction/...
-go test -bench '^BenchmarkRemount$' -benchtime 1x -run '^$' ./internal/fs/extfs
+go test -bench '^(BenchmarkRemount|BenchmarkLookup|BenchmarkReadDir)$' -benchtime 1x -run '^$' ./internal/fs/extfs
 go test -bench '^BenchmarkMountScan$' -benchtime 1x -run '^$' ./internal/fs/jffs2sim
 
 echo "==> replay-determinism smoke (run -> bundle -> replay -> shrink)"
@@ -274,6 +280,9 @@ go test -run '^$' -fuzz '^FuzzJournalRead$' -fuzztime 10s -fuzzminimizetime 1s .
 # An extfs volume is read back from a crash image: MountWith (journal
 # replay included) and Fsck must return an error or problems on any bytes.
 go test -run '^$' -fuzz '^FuzzMountAndFsck$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fs/extfs
+# Any 1 KiB directory block scans, is searched and is edited in place to
+# exactly what its parse and a re-encode into a blank block give.
+go test -run '^$' -fuzz '^FuzzDirBlock$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fs/extfs
 # A jffs2 flash is read back from a crash image too: Mount, and a ReadDir,
 # Getattr and Create on what it mounted, must return errors on any bytes.
 go test -run '^$' -fuzz '^FuzzMount$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fs/jffs2sim
