@@ -6,7 +6,10 @@ import (
 	"strings"
 	"testing"
 
+	"mcfs/internal/blockdev"
+	"mcfs/internal/errno"
 	"mcfs/internal/fault"
+	"mcfs/internal/fs/extfs"
 	"mcfs/internal/fs/verifs1"
 	"mcfs/internal/kernel"
 	"mcfs/internal/simclock"
@@ -79,5 +82,68 @@ func TestCrashWindowReportsPostOpError(t *testing.T) {
 	_, err := e.crashWindow(p, op)
 	if err == nil || !strings.Contains(err.Error(), "post-op") {
 		t.Fatalf("crashWindow error = %v, want post-op failure", err)
+	}
+}
+
+// TestRollbackAfterFailedRecovery pins the rollback from the state a
+// failed recovery leaves: a power cut that installs an unmountable
+// superblock leaves the mount point empty, and the plane's rollback
+// mounts it again on the pre-op bytes.
+func TestRollbackAfterFailedRecovery(t *testing.T) {
+	clock := simclock.New()
+	k := kernel.New(clock)
+	dev := blockdev.NewRAM("ram0", 256*1024, clock)
+	if err := extfs.Mkfs(dev, extfs.MkfsOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	spec := kernel.FilesystemSpec{
+		Type:      "ext2",
+		Dev:       dev,
+		Mounter:   func() (vfs.FS, error) { return extfs.Mount(dev, clock) },
+		Unmounter: func(f vfs.FS) error { return f.(*extfs.FS).Unmount() },
+	}
+	if err := k.Mount("/mnt0", spec, kernel.MountOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if e := k.Mkdir("/mnt0/d", 0755); e != errno.OK {
+		t.Fatal(e)
+	}
+	if e := k.SyncFS("/mnt0"); e != errno.OK {
+		t.Fatal(e)
+	}
+	pre, err := dev.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := fault.New()
+	dev.SetInjector(inj)
+	inj.StartTouchLog()
+	defer inj.StopTouchLog()
+	e := &engine{cfg: Config{Kernel: k}}
+	p := &CrashPlane{Name: "ext2#0", Mount: "/mnt0", Spec: spec, Injector: inj, Media: dev}
+
+	noMagic := []fault.Write{{Off: 0, Data: make([]byte, 4)}}
+	if err := e.powerCycle(p, func() error { return dev.Patch(noMagic) }); err == nil {
+		t.Fatal("recovery mounted a volume whose superblock has no magic")
+	}
+	if _, _, er := k.MountAt("/mnt0/d"); er != errno.ENOENT || len(k.Mounts()) != 0 {
+		t.Fatalf("after a failed recovery MountAt = %v and %d mounts, want ENOENT and none", er, len(k.Mounts()))
+	}
+	if _, er := k.Stat("/mnt0/d"); er != errno.ENOENT {
+		t.Fatalf("Stat through the empty mount point = %v, want ENOENT", er)
+	}
+
+	if err := e.rollback(p, func() error { return dev.LoadImage(pre) }); err != nil {
+		t.Fatalf("rollback from the empty mount point: %v", err)
+	}
+	m, rest, er := k.MountAt("/mnt0/d")
+	if er != errno.OK || m.Point() != "/mnt0" || rest != "/d" {
+		t.Fatalf("after the rollback MountAt = %v %q %v, want /mnt0 /d OK", m, rest, er)
+	}
+	if st, er := k.Stat("/mnt0/d"); er != errno.OK || !st.Mode.IsDir() {
+		t.Fatalf("the pre-op directory after the rollback: %v %v", st.Mode, er)
+	}
+	if regions, ok := inj.Touched(); !ok || len(regions) != 0 {
+		t.Errorf("the touch log after the rollback holds %v (ok %v), want the loaded image as its base", regions, ok)
 	}
 }
