@@ -163,8 +163,9 @@ type Disk struct {
 	// requests are mirrored to per-device counters, and the big
 	// tracker-driven transfers (Snapshot/Restore) get LayerBlockdev
 	// spans. Per-page cache hits are deliberately not traced.
-	obsHub              *obs.Hub
-	ctrReads, ctrWrites *obs.Counter
+	obsHub                    *obs.Hub
+	ctrReads, ctrWrites       *obs.Counter
+	snapshotSpan, restoreSpan string // built once, at attach
 }
 
 // SetObs attaches an observability hub, registering the device's read
@@ -175,6 +176,7 @@ func (d *Disk) SetObs(h *obs.Hub) {
 	d.obsHub = h
 	d.ctrReads = h.Counter("blockdev." + d.name + ".reads")
 	d.ctrWrites = h.Counter("blockdev." + d.name + ".writes")
+	d.snapshotSpan, d.restoreSpan = "snapshot:"+d.name, "restore:"+d.name
 }
 
 // NewRAM returns a RAM disk of the given size. Sizes need not match
@@ -354,7 +356,7 @@ func (d *Disk) Sync() error {
 func (d *Disk) Snapshot() ([]byte, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	defer d.obsHub.StartSpan(obs.LayerBlockdev, "snapshot:"+d.name).End()
+	defer d.obsHub.StartSpan(obs.LayerBlockdev, d.snapshotSpan).End()
 	img := make([]byte, len(d.data))
 	copy(img, d.data)
 	d.imageRead()
@@ -391,7 +393,7 @@ func (d *Disk) Restore(img []byte) error {
 	if err := d.inj.OnControl(); err != nil {
 		return err
 	}
-	defer d.obsHub.StartSpan(obs.LayerBlockdev, "restore:"+d.name).End()
+	defer d.obsHub.StartSpan(obs.LayerBlockdev, d.restoreSpan).End()
 	d.undo.save(d.data, 0, len(d.data))
 	copy(d.data, img)
 	d.imageWritten()
@@ -415,7 +417,7 @@ func (d *Disk) imageWritten() {
 func (d *Disk) OpenFrame(key uint64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	defer d.obsHub.StartSpan(obs.LayerBlockdev, "snapshot:"+d.name).End()
+	defer d.obsHub.StartSpan(obs.LayerBlockdev, d.snapshotSpan).End()
 	d.undo.open(key, len(d.data))
 	d.imageRead()
 	return nil
@@ -433,7 +435,7 @@ func (d *Disk) RewindFrame(key uint64) error {
 	if err := d.inj.OnControl(); err != nil {
 		return err
 	}
-	defer d.obsHub.StartSpan(obs.LayerBlockdev, "restore:"+d.name).End()
+	defer d.obsHub.StartSpan(obs.LayerBlockdev, d.restoreSpan).End()
 	d.undo.rewind(i, d.data)
 	d.imageWritten()
 	return nil

@@ -81,21 +81,26 @@ type dkey struct {
 	name   string
 }
 
-// Mount is one mounted file system.
+// Mount is one mount point's record, kept for the life of the kernel.
+// An unmount detaches it — empties its caches, drops its file system
+// instance and keeps its spec — and the next mount at the point attaches
+// it again, so a remount allocates nothing of the kernel's. MountAt,
+// Mounts and the syscalls see attached records only.
 type Mount struct {
 	point string
 	spec  FilesystemSpec
-	fs    vfs.FS
+	fs    vfs.FS // nil while detached
 
 	caches
 
-	// cache statistics, for tests and the performance model
+	// cache statistics since the last attach, for tests and the
+	// performance model
 	dcacheHits, dcacheMisses int64
 }
 
-// caches are a mount's dentry and attribute caches. An invalidation
-// empties them in place, and an unmount hands them, emptied, to the
-// kernel's next Mount: the maps keep the buckets they grew.
+// caches are a mount point's dentry and attribute caches. An
+// invalidation and a detach empty them in place: the maps keep the
+// buckets they grew for the life of the record.
 type caches struct {
 	dcache   map[dkey]vfs.Ino // positive dentries
 	negcache map[dkey]bool    // negative dentries
@@ -120,11 +125,10 @@ func (m *Mount) Type() string { return m.spec.Type }
 // Dev returns the backing device (nil for in-memory file systems).
 func (m *Mount) Dev() blockdev.Device { return m.spec.Dev }
 
-// CacheStats reports dentry-cache hits and misses since mount.
+// CacheStats reports dentry-cache hits and misses since the mount.
 func (m *Mount) CacheStats() (hits, misses int64) { return m.dcacheHits, m.dcacheMisses }
 
-// Spec returns the filesystem spec the mount was created with, so
-// trackers can remount it.
+// Spec returns the filesystem spec the record mounts from.
 func (m *Mount) Spec() FilesystemSpec { return m.spec }
 
 // Options returns the mount options.
@@ -133,8 +137,9 @@ func (m *Mount) Options() MountOptions { return MountOptions{} }
 // mountInvalidator implements CacheInvalidator for one mount.
 type mountInvalidator struct{ m *Mount }
 
-// InvalAll empties the mount's caches. Once the mount is dropped its maps
-// are nil, so an invalidator it handed out reaches nothing.
+// InvalAll empties the mount's caches. An invalidator is good for the
+// life of its record: a file system instance that outlives its mount can
+// only cost the record's next mount misses.
 func (mi mountInvalidator) InvalAll() { mi.m.caches.empty() }
 
 // FD is a file descriptor.
@@ -153,8 +158,7 @@ type openFile struct {
 // kernel with every file system under test mounted side by side.
 type Kernel struct {
 	clock  *simclock.Clock
-	mounts []*Mount // sorted by mount point; a handful at most
-	spare  caches   // emptied by the last unmount, for the next Mount
+	mounts []*Mount // every point's record, detached ones too; sorted by point
 	fds    map[FD]openFile
 	nextFD FD
 
@@ -220,35 +224,47 @@ func (k *Kernel) SyscallCount() int64 { return k.syscalls }
 // which is why the checker remounts instead.
 type MountOptions struct{}
 
-// Mount attaches a file system at the given mount point.
+// Mount attaches a file system at the given mount point. The first mount
+// at a point makes the point's record; a failed mount leaves it detached.
 func (k *Kernel) Mount(point string, spec FilesystemSpec, _ MountOptions) error {
 	point = vfs.JoinPath(point)
 	at, ok := k.mountIndex(point)
-	if ok {
-		return fmt.Errorf("kernel: %s already mounted", point)
-	}
-	fs, err := spec.Mounter()
-	if err != nil {
-		return fmt.Errorf("kernel: mounting %s at %s: %w", spec.Type, point, err)
-	}
-	m := &Mount{point: point, spec: spec, fs: fs, caches: k.spare}
-	k.spare = caches{}
-	if m.dcache == nil {
-		m.caches = caches{
+	if !ok {
+		k.mounts = slices.Insert(k.mounts, at, &Mount{point: point, caches: caches{
 			dcache:   make(map[dkey]vfs.Ino),
 			negcache: make(map[dkey]bool),
 			acache:   make(map[vfs.Ino]vfs.Stat),
-		}
+		}})
 	}
+	m := k.mounts[at]
+	if m.fs != nil {
+		return fmt.Errorf("kernel: %s already mounted", point)
+	}
+	m.spec = spec
+	return m.attach()
+}
+
+// attach mounts a detached record from its spec.
+func (m *Mount) attach() error {
+	fs, err := m.spec.Mounter()
+	if err != nil {
+		return fmt.Errorf("kernel: mounting %s at %s: %w", m.spec.Type, m.point, err)
+	}
+	m.fs, m.dcacheHits, m.dcacheMisses = fs, 0, 0
 	if b, ok := fs.(InvalidatorBinder); ok {
 		b.BindCacheInvalidator(mountInvalidator{m})
 	}
-	k.mounts = slices.Insert(k.mounts, at, m)
 	return nil
 }
 
-// mountIndex finds the mount at exactly point (a clean path), or the
-// index at which a mount there would keep the table sorted.
+// detach empties the record's caches and drops its file system instance.
+func (m *Mount) detach() {
+	m.caches.empty()
+	m.fs = nil
+}
+
+// mountIndex finds the record at exactly point (a clean path), or the
+// index at which a record there would keep the table sorted.
 func (k *Kernel) mountIndex(point string) (int, bool) {
 	return slices.BinarySearchFunc(k.mounts, point, func(m *Mount, point string) int {
 		return strings.Compare(m.point, point)
@@ -259,7 +275,7 @@ func (k *Kernel) mountIndex(point string) (int, bool) {
 func (k *Kernel) mountedAt(point string) (*Mount, error) {
 	point = vfs.JoinPath(point)
 	i, ok := k.mountIndex(point)
-	if !ok {
+	if !ok || k.mounts[i].fs == nil {
 		return nil, fmt.Errorf("kernel: %s not mounted", point)
 	}
 	return k.mounts[i], nil
@@ -282,17 +298,47 @@ func (k *Kernel) Unmount(point string) error {
 			return err
 		}
 	}
-	k.dropMount(m)
+	m.detach()
 	return nil
 }
 
-// dropMount removes m from the table and keeps its caches, emptied, for
-// the next Mount. m is left holding none, so a handle to it that outlives
-// the unmount cannot reach the caches of the mount that reuses them.
-func (k *Kernel) dropMount(m *Mount) {
-	k.mounts = slices.DeleteFunc(k.mounts, func(x *Mount) bool { return x == m })
-	m.caches.empty()
-	k.spare, m.caches = m.caches, caches{}
+// cycle is every remount. It detaches the file system at point — through
+// its Unmounter when flush is set; otherwise as a power cut, which drops
+// the mount's open descriptors, flushes nothing and hands a Dropper's
+// memory back — runs between (when set) while the point is empty, and
+// attaches the point's record again from its spec. A record that a
+// failed mount left detached is only attached.
+func (k *Kernel) cycle(point string, flush bool, between func() error) error {
+	point = vfs.JoinPath(point)
+	i, ok := k.mountIndex(point)
+	if !ok {
+		return fmt.Errorf("kernel: %s not mounted", point)
+	}
+	m := k.mounts[i]
+	switch {
+	case m.fs == nil:
+	case flush:
+		if err := k.Unmount(point); err != nil {
+			return err
+		}
+	default:
+		fs := m.fs
+		for fd, of := range k.fds {
+			if of.mount == m {
+				delete(k.fds, fd)
+			}
+		}
+		m.detach()
+		if d, ok := fs.(Dropper); ok {
+			d.Drop()
+		}
+	}
+	if between != nil {
+		if err := between(); err != nil {
+			return err
+		}
+	}
+	return m.attach()
 }
 
 // Remount unmounts and immediately remounts a file system, rebuilding all
@@ -301,19 +347,15 @@ func (k *Kernel) dropMount(m *Mount) {
 // remains in kernel memory.
 func (k *Kernel) Remount(point string) error {
 	defer k.obsHub.StartTimed(obs.LayerKernel, "remount", k.histRemount).End()
-	return k.remount(point)
+	return k.cycle(point, true, nil)
 }
 
-func (k *Kernel) remount(point string) error {
-	m, err := k.mountedAt(point)
-	if err != nil {
-		return err
-	}
-	spec := m.spec
-	if err := k.Unmount(point); err != nil {
-		return err
-	}
-	return k.Mount(point, spec, MountOptions{})
+// RemountWith remounts the file system at point as Remount does, minus
+// the span, and runs between while the point is empty: a tracker rewinds
+// the device there, a crash oracle loads an image. A point that a failed
+// mount left empty is only mounted.
+func (k *Kernel) RemountWith(point string, between func() error) error {
+	return k.cycle(point, true, between)
 }
 
 // CrashRemount simulates power loss at point: every open file descriptor
@@ -324,29 +366,19 @@ func (k *Kernel) remount(point string) error {
 // backing device), and the file system is mounted fresh from that image,
 // which is where its recovery (journal replay, log scan) executes. A
 // discarded instance that is a Dropper is dropped first. A mount failure
-// leaves the mount point empty — recovery failed.
+// leaves the point's record detached — recovery failed — and the next
+// remount of the point only mounts it.
 func (k *Kernel) CrashRemount(point string, powerCut func() error) error {
 	defer k.begin("crash-remount").End()
-	m, err := k.mountedAt(point)
-	if err != nil {
-		return err
-	}
-	for fd, of := range k.fds {
-		if of.mount == m {
-			delete(k.fds, fd)
+	return k.cycle(point, false, func() error {
+		if powerCut == nil {
+			return nil
 		}
-	}
-	spec := m.spec
-	k.dropMount(m)
-	if d, ok := m.fs.(Dropper); ok {
-		d.Drop()
-	}
-	if powerCut != nil {
 		if err := powerCut(); err != nil {
-			return fmt.Errorf("kernel: power cut at %s: %w", m.point, err)
+			return fmt.Errorf("kernel: power cut at %s: %w", vfs.JoinPath(point), err)
 		}
-	}
-	return k.Mount(m.point, spec, MountOptions{})
+		return nil
+	})
 }
 
 // MountAt returns the mount whose point is the longest one prefixing
@@ -357,7 +389,7 @@ func (k *Kernel) MountAt(path string) (*Mount, string, errno.Errno) {
 	for _, m := range k.mounts {
 		// A point prefixes path when path continues with a slash or ends
 		// there; "/" prefixes everything.
-		if !strings.HasPrefix(path, m.point) {
+		if m.fs == nil || !strings.HasPrefix(path, m.point) {
 			continue
 		}
 		if n := len(m.point); n > 1 && n < len(path) && path[n] != '/' {
@@ -374,7 +406,9 @@ func (k *Kernel) MountAt(path string) (*Mount, string, errno.Errno) {
 }
 
 // Mounts lists the current mounts sorted by mount point.
-func (k *Kernel) Mounts() []*Mount { return slices.Clone(k.mounts) }
+func (k *Kernel) Mounts() []*Mount {
+	return slices.DeleteFunc(slices.Clone(k.mounts), func(m *Mount) bool { return m.fs == nil })
+}
 
 // Invalidator returns the cache invalidator for a mount point, used by
 // trackers that restore FS state behind the kernel's back and then

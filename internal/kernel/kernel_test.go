@@ -602,31 +602,39 @@ func TestFsyncFD(t *testing.T) {
 const kernel_badFD = FD(9999)
 
 // TestCacheReuseStartsEmpty pins the kernel caches' reuse: after an
-// invalidation or any kind of remount the mount holds the same maps,
-// emptied, so the next lookup of every name cached before misses; and an
-// invalidator or handle of a dropped mount reaches none of them.
+// invalidation or any kind of remount the mount point has the same
+// record, holding the same maps, emptied, so the next lookup of every
+// name cached before misses; a remount's CacheStats count from the
+// reattach, and a detached record is seen by no lookup.
 func TestCacheReuseStartsEmpty(t *testing.T) {
 	names := []string{"/mnt/a", "/mnt/b", "/mnt/d", "/mnt/ghost"}
 	for _, ev := range []struct {
-		name string
-		do   func(*Kernel) error
+		name     string
+		reattach bool
+		do       func(*Kernel) error
 	}{
-		{"InvalAll", func(k *Kernel) error {
+		{"InvalAll", false, func(k *Kernel) error {
 			inv, err := k.Invalidator("/mnt")
 			if err == nil {
 				inv.InvalAll()
 			}
 			return err
 		}},
-		{"Remount", func(k *Kernel) error { return k.Remount("/mnt") }},
-		{"Unmount+Mount", func(k *Kernel) error {
+		{"Remount", true, func(k *Kernel) error { return k.Remount("/mnt") }},
+		{"Unmount+Mount", true, func(k *Kernel) error {
 			m, _, _ := k.MountAt("/mnt")
 			if err := k.Unmount("/mnt"); err != nil {
 				return err
 			}
+			if _, _, e := k.MountAt("/mnt/a"); e != errno.ENOENT || len(k.Mounts()) != 0 {
+				t.Errorf("a detached record is seen: MountAt = %v, %d mounts", e, len(k.Mounts()))
+			}
+			if len(m.dcache)+len(m.negcache)+len(m.acache) != 0 || m.FS() != nil {
+				t.Error("a detached record holds cache entries or a file system")
+			}
 			return k.Mount("/mnt", m.Spec(), MountOptions{})
 		}},
-		{"CrashRemount", func(k *Kernel) error { return k.CrashRemount("/mnt", nil) }},
+		{"CrashRemount", true, func(k *Kernel) error { return k.CrashRemount("/mnt", nil) }},
 	} {
 		t.Run(ev.name, func(t *testing.T) {
 			k, _ := newKernelWithExt(t, true)
@@ -657,27 +665,26 @@ func TestCacheReuseStartsEmpty(t *testing.T) {
 			if n := stat(old); n != 0 {
 				t.Fatalf("warm lookups missed %d times", n)
 			}
-			stale, _ := k.Invalidator("/mnt")
+			hits, misses := old.CacheStats()
 			dmap := reflect.ValueOf(old.dcache).Pointer()
 			if err := ev.do(k); err != nil {
 				t.Fatal(err)
 			}
 			m, _, _ := k.MountAt("/mnt")
+			if m != old {
+				t.Fatalf("after %s the mount point has a new record", ev.name)
+			}
 			if reflect.ValueOf(m.dcache).Pointer() != dmap {
 				t.Error("the mount's dentry cache is a new map, not the emptied one")
 			}
+			if ev.reattach {
+				hits, misses = 0, 0
+			}
+			if h, mi := m.CacheStats(); h != hits || mi != misses {
+				t.Errorf("after %s CacheStats = %d hits, %d misses; want %d, %d", ev.name, h, mi, hits, misses)
+			}
 			if n := stat(m); n != int64(len(names)) {
 				t.Errorf("after %s, %d of %d cached names missed", ev.name, n, len(names))
-			}
-			if m == old {
-				return
-			}
-			if old.dcache != nil || old.negcache != nil || old.acache != nil {
-				t.Error("the dropped mount still holds caches")
-			}
-			stale.InvalAll()
-			if n := stat(m); n != 0 {
-				t.Errorf("a stale invalidator emptied the new mount's caches: %d misses", n)
 			}
 		})
 	}

@@ -110,8 +110,11 @@ var structureRules = []rule{
 		"Calibration"), str(`"parallelism"`, "calibration-workers"), exists("mcfs/cmd/internal/runflag"), imports("mcfs/cmd/internal/runflag")),
 		why: "%s: a deleted setting or the second CLI's flag package is back; a value nothing varies is a constant"},
 	{tests: true, match: decl("SetOnRestore", "restoreHooker", "invalPending", "Discarder", "Ioctler", "atomicIndex"), why: "%s: one checkpoint interface, no restore hook"},
+	// One mount record: a mount point keeps its record, and the record its spec and caches, for the kernel's life.
 	{in: []string{"mcfs/internal/kernel"}, not: []string{"mcfs/internal/kernel.Kernel.Mount"}, match: makes(isCacheMap),
-		why: "%s: a mount's caches are emptied and reused; only Mount's no-spare path makes them"},
+		why: "%s: a mount point's record keeps its caches for the kernel's life; only the first Mount at a point makes them"},
+	{in: []string{"mcfs/internal/kernel", "mcfs/internal/tracker", "mcfs/internal/mc"}, not: []string{"mcfs/internal/kernel.Mount.Spec"},
+		match: decl("spare", "mountSpecOf", "Spec"), why: "%s: a mount point keeps one record, and it holds the spec every remount mounts"},
 	{in: []string{"mcfs/internal/kernel.mountInvalidator.InvalAll", "mcfs/internal/kernel.caches.empty"}, match: makes(anyType),
 		why: "%s: an invalidation empties the caches in place"},
 }

@@ -1,6 +1,6 @@
-// Package kernel stands in for the kernel: its caches are emptied in
-// place and reused. It brings back a goroutine, channels, a path join
-// and cache maps made outside Mount.
+// Package kernel stands in for the kernel: a mount point's record keeps
+// its caches, emptied in place. It brings back a goroutine, channels, a
+// path join, cache maps made outside Mount and a spare cache set.
 package kernel
 
 import "strings"
@@ -28,15 +28,23 @@ func (mi mountInvalidator) InvalAll() {
 	_ = make([]uint64, 0, 8) // want "make\(\[\]uint64, 0, 8\): an invalidation empties the"
 }
 
-// Kernel holds one mount's caches.
-type Kernel struct{ spare caches }
+// Mount is a mount point's record.
+type Mount struct{ caches }
 
-// Mount makes the caches on its no-spare path: allowed.
-func (k *Kernel) Mount(point string) caches {
-	if k.spare.dentries == nil {
-		return caches{dentries: make(map[dkey]uint64)}
-	}
-	return k.spare
+// Spec is the record's own accessor: allowed.
+func (m *Mount) Spec() string { return "" }
+
+// Kernel holds every mount point's record, and spare caches: a mutant.
+type Kernel struct {
+	mounts []*Mount
+	spare  caches // want "spare: a mount point keeps one record"
+}
+
+// Mount makes the caches of a point's first record: allowed.
+func (k *Kernel) Mount(point string) *Mount {
+	m := &Mount{caches{dentries: make(map[dkey]uint64)}}
+	k.mounts = append(k.mounts, m)
+	return m
 }
 
 func (k *Kernel) remount() caches {
@@ -44,7 +52,7 @@ func (k *Kernel) remount() caches {
 	events := make(evch)       // want "make\(evch\) in a package an explored op crosses: an op is one"
 	done := make(chan bool, 1) // want "make\(chan bool, 1\) in a package an explored op crosses: an op is one"
 	_, _ = events, done
-	return caches{dentries: make(dmap)} // want "make\(dmap\): a mount's caches are"
+	return caches{dentries: make(dmap)} // want "make\(dmap\): a mount point's record keeps"
 }
 
 func join(dir, name string) string {

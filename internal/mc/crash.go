@@ -37,7 +37,6 @@ import (
 	"mcfs/internal/checker"
 	"mcfs/internal/errno"
 	"mcfs/internal/fault"
-	"mcfs/internal/kernel"
 	"mcfs/internal/obs/journal"
 	"mcfs/internal/obs/stream"
 	"mcfs/internal/workload"
@@ -58,20 +57,17 @@ const probeFrame = ^uint64(0)
 const crashPointsPerOp = 64
 
 // CrashPlane is one target's crash-testing surface, as data: where the
-// target is mounted and how to mount it again, the media under it, and
-// the fault plane on that media. What the oracle does to a plane —
-// bracket a window with remounts, roll the media back, cut the power,
-// hash the metadata, digest the media — is written once, below, over
-// these fields.
+// target is mounted (the kernel keeps how to mount it again), the media
+// under it, and the fault plane on that media. What the oracle does to a
+// plane — bracket a window with remounts, roll the media back, cut the
+// power, hash the metadata, digest the media — is written once, below,
+// over these fields.
 type CrashPlane struct {
 	// Target is the target's index in the checker's target list; Name
 	// its human name (e.g. "ext4#1"); Mount its mount point.
 	Target int
 	Name   string
 	Mount  string
-	// Spec mounts the target again after a failed recovery left Mount
-	// empty.
-	Spec kernel.FilesystemSpec
 	// Injector is the fault plane installed on Media.
 	Injector *fault.Injector
 	// Media is the target's backing medium: the block device, or the MTD
@@ -201,22 +197,18 @@ func (e *engine) metaHash(p *CrashPlane) (abstraction.State, errno.Errno) {
 }
 
 // rollback brings the plane back to the image load installs, mounted
-// fresh — also from the unmounted state a failed recovery leaves behind.
+// fresh — also from the detached mount a failed recovery leaves behind.
 // The unmount flushes through the injector, so load runs (and consults
 // the touch log) only after it; once the media holds that image again the
 // log is reset, and describes divergence from it from then on.
 func (e *engine) rollback(p *CrashPlane, load func() error) error {
-	k := e.cfg.Kernel
-	if m, _, er := k.MountAt(p.Mount); er == errno.OK && m.Point() == p.Mount {
-		if err := k.Unmount(p.Mount); err != nil {
+	return e.cfg.Kernel.RemountWith(p.Mount, func() error {
+		if err := load(); err != nil {
 			return err
 		}
-	}
-	if err := load(); err != nil {
-		return err
-	}
-	p.Injector.ResetTouchLog()
-	return k.Mount(p.Mount, p.Spec, kernel.MountOptions{})
+		p.Injector.ResetTouchLog()
+		return nil
+	})
 }
 
 // powerCycle simulates power loss with the image load installs as the

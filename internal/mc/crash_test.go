@@ -73,7 +73,7 @@ func windowFixture(t *testing.T, postErr error) (*engine, *CrashPlane) {
 	if err := k.Mount("/mnt0", spec, kernel.MountOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	return &engine{cfg: Config{Kernel: k}}, &CrashPlane{Name: "test#0", Mount: "/mnt0", Spec: spec, Injector: fault.New()}
+	return &engine{cfg: Config{Kernel: k}}, &CrashPlane{Name: "test#0", Mount: "/mnt0", Injector: fault.New()}
 }
 
 func TestCrashWindowReportsPostOpError(t *testing.T) {
@@ -120,7 +120,7 @@ func TestRollbackAfterFailedRecovery(t *testing.T) {
 	inj.StartTouchLog()
 	defer inj.StopTouchLog()
 	e := &engine{cfg: Config{Kernel: k}}
-	p := &CrashPlane{Name: "ext2#0", Mount: "/mnt0", Spec: spec, Injector: inj, Media: dev}
+	p := &CrashPlane{Name: "ext2#0", Mount: "/mnt0", Injector: inj, Media: dev}
 
 	noMagic := []fault.Write{{Off: 0, Data: make([]byte, 4)}}
 	if err := e.powerCycle(p, func() error { return dev.Patch(noMagic) }); err == nil {

@@ -236,13 +236,6 @@ func guardJFFS2Mounts(t *testing.T, s *mcfs.Session) []*mountGuard {
 		if err := cfg.Kernel.Mount(tgt.MountPoint, spec, opts); err != nil {
 			t.Fatal(err)
 		}
-		if cfg.Crash != nil {
-			for i := range cfg.Crash.Planes {
-				if cfg.Crash.Planes[i].Mount == tgt.MountPoint {
-					cfg.Crash.Planes[i].Spec = spec
-				}
-			}
-		}
 		out = append(out, g)
 	}
 	return out

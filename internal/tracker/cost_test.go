@@ -1,10 +1,16 @@
 package tracker
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
+	"mcfs/internal/blockdev"
 	"mcfs/internal/errno"
+	"mcfs/internal/fs/extfs"
+	"mcfs/internal/kernel"
+	"mcfs/internal/simclock"
+	"mcfs/internal/vfs"
 	"mcfs/internal/workload"
 )
 
@@ -73,6 +79,88 @@ func TestCheckpointCostTracksWriteSet(t *testing.T) {
 				t.Logf("Checkpoint+Restore after a one-byte write allocated %d bytes (limit %d)", got, limit)
 			}
 		})
+	}
+}
+
+// TestRemountCycleAllocatesTheMount is the allocation law of the kernel's
+// one remount cycle: on an unchanged ext2 volume whose MountCache is
+// warm, a Remount, a remount tracker's Checkpoint + Restore nested in an
+// open checkpoint and a CrashRemount with no power cut each allocate
+// exactly what the file system's own unmount + mount allocates — the
+// kernel keeps the mount point's record — and the counts do not grow
+// with the root directory.
+func TestRemountCycleAllocatesTheMount(t *testing.T) {
+	counts := map[string][]float64{}
+	for _, entries := range []int{6, 48} {
+		clk := simclock.New()
+		d := blockdev.NewRAM("ram0", 256*1024, clk)
+		if err := extfs.Mkfs(d, extfs.MkfsOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		opts := extfs.MountOpts{Cache: extfs.NewMountCache()}
+		f, err := extfs.MountWith(d, clk, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < entries; i++ {
+			if _, e := f.Create(f.Root(), fmt.Sprintf("f%02d", i), 0o644, 0, 0); e != errno.OK {
+				t.Fatal(e)
+			}
+		}
+		counts["extfs unmount + mount"] = append(counts["extfs unmount + mount"], testing.AllocsPerRun(20, func() {
+			if err = f.Unmount(); err == nil {
+				f, err = extfs.MountWith(d, clk, opts)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}))
+		if err := f.Unmount(); err != nil {
+			t.Fatal(err)
+		}
+		k := kernel.New(clk)
+		if err := k.Mount(lawMount, kernel.FilesystemSpec{
+			Type:      "ext2",
+			Dev:       d,
+			Mounter:   func() (vfs.FS, error) { return extfs.MountWith(d, clk, opts) },
+			Unmounter: func(f vfs.FS) error { return f.(*extfs.FS).Unmount() },
+		}, kernel.MountOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		// An outer checkpoint stays open, as the explorer nests them: the
+		// last frame to close drops the device's undo arena, which the next
+		// checkpoint would make again.
+		tr := NewRemount(k, lawMount, true)
+		if err := tr.Checkpoint(0); err != nil {
+			t.Fatal(err)
+		}
+		key := uint64(0)
+		for name, cycle := range map[string]func() error{
+			"Kernel.Remount": func() error { return k.Remount(lawMount) },
+			"RemountTracker Checkpoint + Restore": func() error {
+				key++
+				if err := tr.Checkpoint(key); err != nil {
+					return err
+				}
+				return tr.Restore(key)
+			},
+			"Kernel.CrashRemount": func() error { return k.CrashRemount(lawMount, nil) },
+		} {
+			counts[name] = append(counts[name], testing.AllocsPerRun(20, func() {
+				if err := cycle(); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+	}
+	own := counts["extfs unmount + mount"]
+	if own[0] != 1 || own[1] != 1 {
+		t.Errorf("an unchanged extfs remount allocates %v times at 6 and 48 entries, want the FS alone (1)", own)
+	}
+	for name, got := range counts {
+		if got[0] != own[0] || got[1] != own[1] {
+			t.Errorf("%s allocates %v times at 6 and 48 root entries; the file system's own remount %v", name, got, own)
+		}
 	}
 }
 

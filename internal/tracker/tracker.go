@@ -105,23 +105,24 @@ func (in *obsInstruments) beginRestore() obs.SpanHandle {
 	return in.hub.StartTimed(obs.LayerTracker, in.restoreSpan, in.restore)
 }
 
-// --- Remount tracker -------------------------------------------------------
+// --- Device frames ---------------------------------------------------------
 
-// RemountTracker tracks a device-backed file system by checkpointing the
-// device image, restoring state via unmount / device-rewind / remount.
-type RemountTracker struct {
-	k           *kernel.Kernel
-	point       string
-	perOpRemnts bool
+// deviceFrames is the half the two device-backed trackers share: a
+// checkpoint syncs the mount and opens an undo frame on its device, a
+// discard closes one, and a concrete state is the device image. How a
+// frame is restored is each tracker's own.
+type deviceFrames struct {
+	k     *kernel.Kernel
+	point string
 	// dev is the mount's device, which holds the checkpoints; kept from
 	// the first Checkpoint on because Restore and Discard must reach it
 	// while the file system is unmounted.
 	dev blockdev.Device
-	obs obsInstruments
+	// stateCPU charges a checkpoint the model checker's own cost of
+	// handling the state vector.
+	stateCPU bool
+	obs      obsInstruments
 }
-
-// SetObs implements ObsSetter.
-func (t *RemountTracker) SetObs(h *obs.Hub) { t.obs.attach(h, t.Name()) }
 
 // stateCPUPerKiB is the model checker's own cost of handling a concrete
 // state vector (copying the mmap'd image into the state vector, COLLAPSE
@@ -132,25 +133,7 @@ const (
 	stateCPUCap    = 1 << 20
 )
 
-func (t *RemountTracker) chargeStateCPU() {
-	n := t.StateBytes()
-	if n > stateCPUCap {
-		n = stateCPUCap
-	}
-	t.k.Clock().Advance(time.Duration(n/1024) * stateCPUPerKiB)
-}
-
-// NewRemount builds a remount tracker for the mount at point.
-// perOpRemounts enables the paper's default unmount/remount around every
-// operation.
-func NewRemount(k *kernel.Kernel, point string, perOpRemounts bool) *RemountTracker {
-	return &RemountTracker{k: k, point: point, perOpRemnts: perOpRemounts}
-}
-
-// Name implements Tracker.
-func (t *RemountTracker) Name() string { return "remount" }
-
-func (t *RemountTracker) mount() (*kernel.Mount, error) {
+func (t *deviceFrames) mount() (*kernel.Mount, error) {
 	m, _, e := t.k.MountAt(t.point)
 	if e != errno.OK {
 		return nil, fmt.Errorf("tracker: %s not mounted", t.point)
@@ -161,7 +144,7 @@ func (t *RemountTracker) mount() (*kernel.Mount, error) {
 // Checkpoint implements Tracker: flush everything to the device (sync
 // suffices — data is write-through and sync writes back all dirty
 // metadata), then checkpoint the image.
-func (t *RemountTracker) Checkpoint(key uint64) error {
+func (t *deviceFrames) Checkpoint(key uint64) error {
 	defer t.obs.beginCheckpoint().End()
 	m, err := t.mount()
 	if err != nil {
@@ -169,7 +152,7 @@ func (t *RemountTracker) Checkpoint(key uint64) error {
 	}
 	dev := m.Dev()
 	if dev == nil {
-		return fmt.Errorf("tracker: remount tracking needs a device-backed mount")
+		return fmt.Errorf("tracker: device tracking needs a device-backed mount")
 	}
 	if e := t.k.SyncFS(t.point); e != errno.OK {
 		return e
@@ -177,43 +160,75 @@ func (t *RemountTracker) Checkpoint(key uint64) error {
 	if err := dev.OpenFrame(key); err != nil {
 		return err
 	}
-	t.chargeStateCPU()
+	if t.stateCPU {
+		t.k.Clock().Advance(time.Duration(min(dev.Size(), stateCPUCap)/1024) * stateCPUPerKiB)
+	}
 	t.dev = dev
 	return nil
 }
 
-// Restore implements Tracker: unmount (dropping all in-memory state),
-// rewind the device image, and mount fresh — the only way to guarantee
-// no stale state remains in kernel memory (§3.2).
-func (t *RemountTracker) Restore(key uint64) error {
-	defer t.obs.beginRestore().End()
+// frame checks that key names an open checkpoint.
+func (t *deviceFrames) frame(key uint64) error {
 	if t.dev == nil || !t.dev.HasFrame(key) {
 		return fmt.Errorf("tracker: no snapshot under key %d", key)
 	}
-	m, err := t.mount()
-	if err != nil {
-		return err
-	}
-	spec, opts := mountSpecOf(m)
-	if err := t.k.Unmount(t.point); err != nil {
-		return err
-	}
-	if err := t.dev.RewindFrame(key); err != nil {
-		return err
-	}
-	// The model checker's own cost of handling the restored state vector
-	// (chargeStateCPU) has never been charged on this side: the call that
-	// stood here ran after the unmount, when StateBytes finds no mount and
-	// answers 0. Charging it would move every remount-tracked rate, so it
-	// stays uncharged until the cost model is reconciled (EXPERIMENTS.md).
-	return t.k.Mount(t.point, spec, opts)
+	return nil
 }
 
 // Discard implements Tracker.
-func (t *RemountTracker) Discard(key uint64) {
+func (t *deviceFrames) Discard(key uint64) {
 	if t.dev != nil {
 		t.dev.CloseFrame(key)
 	}
+}
+
+// StateBytes implements Tracker: a concrete state is the device image.
+func (t *deviceFrames) StateBytes() int64 {
+	m, err := t.mount()
+	if err != nil || m.Dev() == nil {
+		return 0
+	}
+	return m.Dev().Size()
+}
+
+// --- Remount tracker -------------------------------------------------------
+
+// RemountTracker tracks a device-backed file system by checkpointing the
+// device image, restoring state via unmount / device-rewind / remount.
+type RemountTracker struct {
+	deviceFrames
+	perOpRemnts bool
+}
+
+// SetObs implements ObsSetter.
+func (t *RemountTracker) SetObs(h *obs.Hub) { t.obs.attach(h, t.Name()) }
+
+// NewRemount builds a remount tracker for the mount at point.
+// perOpRemounts enables the paper's default unmount/remount around every
+// operation.
+func NewRemount(k *kernel.Kernel, point string, perOpRemounts bool) *RemountTracker {
+	return &RemountTracker{deviceFrames: deviceFrames{k: k, point: point, stateCPU: true}, perOpRemnts: perOpRemounts}
+}
+
+// Name implements Tracker.
+func (t *RemountTracker) Name() string { return "remount" }
+
+// Restore implements Tracker: unmount (dropping all in-memory state),
+// rewind the device image, and mount fresh — the only way to guarantee
+// no stale state remains in kernel memory (§3.2).
+//
+// The model checker's own cost of handling the restored state vector
+// (the checkpoint's stateCPU) has never been charged on this side: the
+// call that once stood after the rewind ran while the point was empty,
+// when StateBytes answers 0. Charging it would move every remount-tracked
+// rate, so it stays uncharged until the cost model is reconciled
+// (EXPERIMENTS.md).
+func (t *RemountTracker) Restore(key uint64) error {
+	defer t.obs.beginRestore().End()
+	if err := t.frame(key); err != nil {
+		return err
+	}
+	return t.k.RemountWith(t.point, func() error { return t.dev.RewindFrame(key) })
 }
 
 // PreOp implements Tracker: remount before the operation when enabled.
@@ -232,22 +247,6 @@ func (t *RemountTracker) PostOp() error {
 	return t.k.Remount(t.point)
 }
 
-// StateBytes implements Tracker: a concrete state is the device image.
-func (t *RemountTracker) StateBytes() int64 {
-	m, err := t.mount()
-	if err != nil || m.Dev() == nil {
-		return 0
-	}
-	return m.Dev().Size()
-}
-
-// mountSpecOf rebuilds the FilesystemSpec of a live mount so the tracker
-// can remount it. The kernel keeps the spec; expose it through a tiny
-// accessor pattern to avoid tracker reaching into kernel internals.
-func mountSpecOf(m *kernel.Mount) (kernel.FilesystemSpec, kernel.MountOptions) {
-	return m.Spec(), m.Options()
-}
-
 // --- DiskOnly tracker --------------------------------------------------------
 
 // DiskOnlyTracker tracks only the persistent state: it snapshots and
@@ -256,60 +255,31 @@ func mountSpecOf(m *kernel.Mount) (kernel.FilesystemSpec, kernel.MountOptions) {
 // the kernel and file system caches from the disk and corrupts the
 // volume. It exists to demonstrate that failure (experiment E8); do not
 // use it for real checking.
-type DiskOnlyTracker struct {
-	k     *kernel.Kernel
-	point string
-	dev   blockdev.Device // holds the checkpoints; set by the first Checkpoint
-	obs   obsInstruments
-}
+type DiskOnlyTracker struct{ deviceFrames }
 
 // SetObs implements ObsSetter.
 func (t *DiskOnlyTracker) SetObs(h *obs.Hub) { t.obs.attach(h, t.Name()) }
 
 // NewDiskOnly builds the broken disk-only tracker.
 func NewDiskOnly(k *kernel.Kernel, point string) *DiskOnlyTracker {
-	return &DiskOnlyTracker{k: k, point: point}
+	return &DiskOnlyTracker{deviceFrames{k: k, point: point}}
 }
 
 // Name implements Tracker.
 func (t *DiskOnlyTracker) Name() string { return "disk-only" }
-
-// Checkpoint implements Tracker: fsync, then checkpoint the device.
-func (t *DiskOnlyTracker) Checkpoint(key uint64) error {
-	defer t.obs.beginCheckpoint().End()
-	m, _, e := t.k.MountAt(t.point)
-	if e != errno.OK {
-		return fmt.Errorf("tracker: %s not mounted", t.point)
-	}
-	if e := t.k.SyncFS(t.point); e != errno.OK {
-		return e
-	}
-	if err := m.Dev().OpenFrame(key); err != nil {
-		return err
-	}
-	t.dev = m.Dev()
-	return nil
-}
 
 // Restore implements Tracker: rewind the device image underneath the
 // live mount. The mounted file system's cached metadata is now stale —
 // the §3.2 corruption in action.
 func (t *DiskOnlyTracker) Restore(key uint64) error {
 	defer t.obs.beginRestore().End()
-	if t.dev == nil || !t.dev.HasFrame(key) {
-		return fmt.Errorf("tracker: no snapshot under key %d", key)
+	if err := t.frame(key); err != nil {
+		return err
 	}
-	if _, _, e := t.k.MountAt(t.point); e != errno.OK {
-		return fmt.Errorf("tracker: %s not mounted", t.point)
+	if _, err := t.mount(); err != nil {
+		return err
 	}
 	return t.dev.RewindFrame(key)
-}
-
-// Discard implements Tracker.
-func (t *DiskOnlyTracker) Discard(key uint64) {
-	if t.dev != nil {
-		t.dev.CloseFrame(key)
-	}
 }
 
 // PreOp implements Tracker.
@@ -317,15 +287,6 @@ func (t *DiskOnlyTracker) PreOp() error { return nil }
 
 // PostOp implements Tracker.
 func (t *DiskOnlyTracker) PostOp() error { return nil }
-
-// StateBytes implements Tracker.
-func (t *DiskOnlyTracker) StateBytes() int64 {
-	m, _, e := t.k.MountAt(t.point)
-	if e != errno.OK || m.Dev() == nil {
-		return 0
-	}
-	return m.Dev().Size()
-}
 
 // --- Checkpoint tracker -----------------------------------------------------
 

@@ -561,13 +561,13 @@ func (s *Session) mountTarget(tgt checker.Target, ts TargetSpec, idx int, crash 
 		if err := extfs.Mkfs(dev, extfs.MkfsOptions{Journal: ts.Kind == "ext4"}); err != nil {
 			return nil, err
 		}
-		spec := kernel.FilesystemSpec{
+		err := k.Mount(point, kernel.FilesystemSpec{
 			Type:      ts.Kind,
 			Dev:       dev,
 			Mounter:   func() (vfs.FS, error) { return extfs.MountWith(dev, clock, mopts) },
 			Unmounter: func(f vfs.FS) error { return f.(*extfs.FS).Unmount() },
-		}
-		if err := k.Mount(point, spec, kernel.MountOptions{}); err != nil || !crash {
+		}, kernel.MountOptions{})
+		if err != nil || !crash {
 			return nil, err
 		}
 		inj := fault.New()
@@ -576,7 +576,7 @@ func (s *Session) mountTarget(tgt checker.Target, ts TargetSpec, idx int, crash 
 		if err != nil {
 			return nil, fmt.Errorf("mcfs: computing %s compare mask: %w", ts.Kind, err)
 		}
-		plane := &mc.CrashPlane{Target: idx, Name: tgt.Name, Mount: point, Spec: spec,
+		plane := &mc.CrashPlane{Target: idx, Name: tgt.Name, Mount: point,
 			Injector: inj, Media: dev, Mask: mask, Strict: ts.Kind == "ext4"}
 		if plane.Strict {
 			plane.Fsck = func() []string {
@@ -615,18 +615,18 @@ func (s *Session) mountTarget(tgt checker.Target, ts TargetSpec, idx int, crash 
 		// One scan cache per flash: every mount is charged the full scan,
 		// and parses the erase blocks that changed since the last one.
 		scans := jffs2sim.NewScanCache()
-		spec := kernel.FilesystemSpec{
+		err := k.Mount(point, kernel.FilesystemSpec{
 			Type:      "jffs2",
 			Dev:       bridge,
 			Mounter:   func() (vfs.FS, error) { return jffs2sim.MountCached(mtd, clock, scans) },
 			Unmounter: func(f vfs.FS) error { return f.(*jffs2sim.FS).Unmount() },
-		}
-		if err := k.Mount(point, spec, kernel.MountOptions{}); err != nil || !crash {
+		}, kernel.MountOptions{})
+		if err != nil || !crash {
 			return nil, err
 		}
 		inj := fault.New()
 		mtd.SetInjector(inj)
-		return &mc.CrashPlane{Target: idx, Name: tgt.Name, Mount: point, Spec: spec, Injector: inj, Media: bridge}, nil
+		return &mc.CrashPlane{Target: idx, Name: tgt.Name, Mount: point, Injector: inj, Media: bridge}, nil
 	default: // verifs1, verifs2: checkTarget admits no other kind
 		var backing vfs.FS
 		if ts.Kind == "verifs1" {
