@@ -102,7 +102,8 @@ func (m crashMedium) window(t *testing.T, r *rand.Rand, n int) [][]byte {
 // stands for the raw media bytes right after window write k — torn and
 // bit-flipped payloads as they landed, flash erases, the writes that
 // preceded the window (a probe's pre-window remount) and the ones that
-// followed a mid-probe rollback (its fresh mount) included.
+// followed a mid-probe rollback (its fresh mount) included — and in the
+// next probe's log, which reuses the last one's bytes.
 func TestCrashImageIsTheMediaRightAfterTheWrite(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -120,40 +121,46 @@ func TestCrashImageIsTheMediaRightAfterTheWrite(t *testing.T) {
 						}
 					}
 				}
-				check := func(when string, base []byte, n int) {
-					t.Helper()
-					after := m.window(t, r, n)
-					for k, img := range m.crashImages(t, base, n) {
-						if !bytes.Equal(img, after[k]) {
-							t.Errorf("%s: crash image %d of %d is not the media right after write %d", when, k, n, k)
+				// Two probes on one injector and medium: the second logs into
+				// the bytes the first one's log and frame left behind.
+				for probe := 1; probe <= 2; probe++ {
+					check := func(when string, base []byte, n int) {
+						t.Helper()
+						after := m.window(t, r, n)
+						for k, img := range m.crashImages(t, base, n) {
+							if !bytes.Equal(img, after[k]) {
+								t.Errorf("probe %d, %s: crash image %d of %d is not the media right after write %d", probe, when, k, n, k)
+							}
 						}
 					}
-				}
 
-				scribble(6) // history the probe never saw
-				pre := m.raw()
-				if err := m.dev.OpenFrame(1); err != nil {
-					t.Fatal(err)
-				}
-				m.inj.StartTouchLog()
-				scribble(2) // the pre-window remount's flushes
-				check("first window", pre, 5+r.Intn(12))
+					scribble(6) // history the probe never saw
+					pre := m.raw()
+					if err := m.dev.OpenFrame(1); err != nil {
+						t.Fatal(err)
+					}
+					m.inj.StartTouchLog()
+					scribble(2) // the pre-window remount's flushes
+					check("first window", pre, 5+r.Intn(12))
 
-				// Roll back to the pre-probe image the way the oracle does, over
-				// the touch log, and probe again from there.
-				regions, ok := m.inj.Touched()
-				if !ok {
-					t.Fatal("touch log lost")
+					// Roll back to the pre-probe image the way the oracle does, over
+					// the touch log, and probe again from there.
+					regions, ok := m.inj.Touched()
+					if !ok {
+						t.Fatal("touch log lost")
+					}
+					if err := m.dev.RevertFrame(1, regions); err != nil {
+						t.Fatal(err)
+					}
+					m.inj.ResetTouchLog()
+					if !bytes.Equal(m.raw(), pre) {
+						t.Fatal("the rollback did not bring the pre-probe image back")
+					}
+					scribble(3) // the post-rollback mount's writes
+					check("window after a rollback", pre, 5+r.Intn(12))
+					m.inj.StopTouchLog()
+					m.dev.CloseFrame(1)
 				}
-				if err := m.dev.RevertFrame(1, regions); err != nil {
-					t.Fatal(err)
-				}
-				m.inj.ResetTouchLog()
-				if !bytes.Equal(m.raw(), pre) {
-					t.Fatal("the rollback did not bring the pre-probe image back")
-				}
-				scribble(3) // the post-rollback mount's writes
-				check("window after a rollback", pre, 5+r.Intn(12))
 			})
 		}
 	}

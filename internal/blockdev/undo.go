@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"mcfs/internal/fault"
+	"mcfs/internal/spare"
 )
 
 // undoPage is the granularity pre-images are saved at.
@@ -29,7 +30,10 @@ var ErrNoFrame = fmt.Errorf("blockdev: no undo frame under that key")
 // pre-images to the next older frame, which still needs them; closing the
 // newest frame also stamps its pages with the next older frame's epoch,
 // since that frame now holds a pre-image of each. The last frame to close
-// drops the arena. A frame can also be reverted in part (revert): the
+// lets the arena and the stamp index go as a spare, which the next
+// frame takes back unless a collection has reclaimed it; epochs keep
+// counting across that, so no stamp left in a reused index passes for a
+// new frame's. A frame can also be reverted in part (revert): the
 // pages under some regions go back to its bytes, the frame stays open and
 // keeps their pre-images.
 //
@@ -43,6 +47,17 @@ type undoLog struct {
 	// p: the newest frame skips pages stamped with its own epoch.
 	saved []uint32
 	epoch uint32
+	// spare holds the arrays above, emptied, while no frame is open.
+	spare spare.Slot[undoArrays]
+}
+
+// undoArrays is what an undo log with no frame open lets go of.
+type undoArrays struct {
+	frames []undoFrame
+	pages  []int32
+	prev   []uint32
+	arena  []byte
+	saved  []uint32
 }
 
 type undoFrame struct {
@@ -54,7 +69,11 @@ type undoFrame struct {
 // open starts a frame under key for a medium of size bytes.
 func (u *undoLog) open(key uint64, size int) {
 	if u.saved == nil {
-		u.saved = make([]uint32, (size+undoPage-1)/undoPage)
+		a, ok := u.spare.Take()
+		if !ok {
+			a.saved = make([]uint32, (size+undoPage-1)/undoPage)
+		}
+		u.frames, u.pages, u.prev, u.arena, u.saved = a.frames, a.pages, a.prev, a.arena, a.saved
 	}
 	if u.epoch == math.MaxUint32 {
 		// Wrapping: forget every stamp, the ones a rewind would put back
@@ -205,10 +224,12 @@ func (u *undoLog) close(key uint64) {
 }
 
 // truncate keeps the n oldest frames; with none left the log lets go of
-// everything it allocated.
+// everything it allocated, into its spare. The stamps stay in saved:
+// every one is older than the next frame's epoch.
 func (u *undoLog) truncate(n int) {
 	if u.frames = u.frames[:n]; n == 0 {
-		*u = undoLog{}
+		u.spare.Put(undoArrays{u.frames, u.pages[:0], u.prev[:0], u.arena[:0], u.saved})
+		*u = undoLog{epoch: u.epoch, spare: u.spare}
 	}
 }
 

@@ -36,6 +36,8 @@ import (
 	"errors"
 	"slices"
 	"sync"
+
+	"mcfs/internal/spare"
 )
 
 // Kind enumerates the fault rule kinds.
@@ -197,16 +199,26 @@ type Injector struct {
 	// then unusable until ResetTouchLog. closed marks a log whose window
 	// has ended, and blind a window opened on such a log: its crash points
 	// have no bytes to replay. The entries' Data are carved from chunk, so
-	// a window costs a few allocations, not one per write.
+	// a window costs a few allocations, not one per write. A dropped log
+	// leaves its entry array and its last chunk in spareLog, which the
+	// next log starts from unless a collection has taken them back.
 	touching  bool
 	touchLost bool
 	closed    bool
 	blind     bool
-	log       []Write  // guarded by mu
-	chunk     []byte   // guarded by mu
-	touched   []Region // guarded by mu; sorted, coalesced
+	log       []Write                // guarded by mu
+	chunk     []byte                 // guarded by mu
+	spareLog  spare.Slot[touchBytes] // guarded by mu
+	touched   []Region               // guarded by mu; sorted, coalesced
 
 	stats Stats
+}
+
+// touchBytes is what a dropped touch log leaves for the next: its entry
+// array, emptied, and its last chunk.
+type touchBytes struct {
+	log   []Write
+	chunk []byte
 }
 
 // installed is a rule under the id AddRule returned for it.
@@ -292,7 +304,8 @@ var ErrTouchLogLost = errors.New("fault: crash point has no usable touch log und
 // (the media at the last StartTouchLog/ResetTouchLog) — or the error is
 // ErrTouchLogLost, when the base is unknown or the log kept no bytes
 // for the point. A mark never outlives its log: whatever drops the log
-// drops the marks, and StartWindow starts them afresh.
+// drops the marks, and StartWindow starts them afresh. writes is valid
+// until the log is next dropped: the next log writes over its bytes.
 func (in *Injector) CrashImage(k int) (writes []Write, fired bool, err error) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -323,7 +336,6 @@ func (in *Injector) StopTouchLog() {
 	defer in.mu.Unlock()
 	in.touching = false
 	in.dropLog()
-	in.touched = nil
 }
 
 // ResetTouchLog clears the log (and any lost-update mark) while leaving
@@ -338,12 +350,24 @@ func (in *Injector) ResetTouchLog() {
 }
 
 // dropLog forgets the log, the crash marks into it, its touched set
-// and its lost and closed marks. The bytes are let go, not reused:
-// CrashImage results stay valid. Caller holds in.mu.
+// and its lost and closed marks. Caller holds in.mu.
 func (in *Injector) dropLog() {
 	in.touchLost, in.closed, in.blind = false, false, false
-	in.log, in.chunk, in.marks = nil, nil, in.marks[:0]
+	in.spareBytes()
+	in.marks = in.marks[:0]
 	in.touched = in.touched[:0]
+}
+
+// spareBytes lets the log's entries and chunks go, leaving the entry
+// array and the last chunk to the next log: the CrashImage results into
+// them are void from here on. The entries are cleared first, or their
+// Data would keep the older chunks alive. Caller holds in.mu.
+func (in *Injector) spareBytes() {
+	if cap(in.chunk) > 0 {
+		clear(in.log)
+		in.spareLog.Put(touchBytes{in.log[:0], in.chunk[:0]})
+	}
+	in.log, in.chunk = nil, nil
 }
 
 // Touched returns the coalesced regions written since the last
@@ -402,10 +426,17 @@ func (in *Injector) touch(off int64, n int) {
 const logChunk = 4 << 10
 
 // record appends a write of n bytes at off to the touch log and returns
-// the entry's Data for the device to fill. Each new chunk doubles the
-// last, so a window's log is a handful of allocations whatever its
-// length. Caller holds in.mu.
+// the entry's Data for the device to fill. A log's first write takes
+// back the last log's bytes if no collection has reclaimed them; each new
+// chunk doubles the last, so a window's log is a handful of allocations
+// whatever its length, and none when the last log's chunk holds it.
+// Caller holds in.mu.
 func (in *Injector) record(off int64, n int) []byte {
+	if in.chunk == nil {
+		if b, ok := in.spareLog.Take(); ok {
+			in.log, in.chunk = b.log, b.chunk
+		}
+	}
 	if len(in.chunk)+n > cap(in.chunk) {
 		in.chunk = make([]byte, 0, max(n, logChunk, 2*cap(in.chunk)))
 	}
@@ -545,7 +576,7 @@ func (in *Injector) OnControl() error {
 		// log is lost — nothing it says bounds the media any more, so let
 		// its bytes go — and the marks stay, to answer ErrTouchLogLost.
 		in.touchLost = true
-		in.log, in.chunk = nil, nil
+		in.spareBytes()
 	}
 	for i, r := range in.rules {
 		if r.Kind == KindError && r.AlwaysOn && r.AtWrite < 0 && r.Len == 0 {

@@ -4,8 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"sync"
 
 	"mcfs/internal/blockdev"
+	"mcfs/internal/spare"
 	"mcfs/internal/vfs"
 )
 
@@ -50,14 +52,21 @@ func (p Problem) String() string { return p.Code + ": " + p.Detail }
 // rules see exactly that sequence. The check runs in one goroutine: on
 // the 256 KiB volumes MCFS formats, a worker pool over the in-memory
 // passes measured slower than this loop at every width.
+//
+// The blocks are carved from one slab, and a check leaves its slab, maps
+// and queues to the next as a spare (fsckSpare) that a garbage
+// collection may take back: back-to-back checks, as a crash probe runs
+// them, allocate little beyond the problems they report, which are
+// never shared.
 func Fsck(dev blockdev.Device) ([]Problem, error) {
-	f := &fsckRun{
-		dev:    dev,
-		blocks: make(map[uint32][]byte),
-		refs:   make(map[uint32]uint32),
-		seen:   map[uint32]bool{RootIno: true},
-		dirs:   []uint32{RootIno},
-	}
+	f := takeFsckRun(dev)
+	defer f.release()
+	return f.check()
+}
+
+// check is Fsck on the run's device.
+func (f *fsckRun) check() ([]Problem, error) {
+	dev := f.dev
 	sbBuf, err := f.load(0)
 	if err != nil {
 		return nil, err
@@ -103,7 +112,7 @@ func Fsck(dev blockdev.Device) ([]Problem, error) {
 	// Pass 1: the directory tree, breadth-first. dirs grows as checkDir
 	// discovers subdirectories; files collects the non-directories in
 	// discovery order, each once however many entries name it.
-	blockRefs := make(map[uint32]int) // block -> owning-inode reference count
+	blockRefs := f.blockRefs
 	for i := 0; i < len(f.dirs); i++ {
 		bl, err := f.blocksOf(f.dirs[i], "dir inode")
 		if err != nil {
@@ -169,29 +178,87 @@ func Fsck(dev blockdev.Device) ([]Problem, error) {
 type fsckRun struct {
 	dev    blockdev.Device
 	blocks map[uint32][]byte // every block read so far: the single-read view of the device
+	slab   []byte            // what load carves the next block from
 	sb     superblock
 	l      layout
 
 	blockBitmap []byte
 	inodeBitmap []byte
 
-	problems []Problem
-	refs     map[uint32]uint32 // inode -> referencing entry count
-	seen     map[uint32]bool   // directories and files already queued
-	dirs     []uint32          // the breadth-first directory queue
-	files    []uint32          // discovery-ordered file inodes
+	problems  []Problem
+	refs      map[uint32]uint32 // inode -> referencing entry count
+	seen      map[uint32]bool   // directories and files already queued
+	blockRefs map[uint32]int    // block -> owning-inode reference count
+	dirs      []uint32          // the breadth-first directory queue
+	files     []uint32          // discovery-ordered file inodes
+	bl        inodeBlocks       // blocksOf's last result, whose arrays it reuses
+}
+
+// fsckSpare is the last check's run, emptied, for the next to take. The
+// mutex is there because swarm workers check their volumes concurrently.
+var fsckSpare struct {
+	sync.Mutex
+	slot spare.Slot[*fsckRun] // guarded by the mutex
+}
+
+// fsckSlab is the smallest slab load carves blocks from: the superblock,
+// the bitmaps and the inode table of the volumes MCFS formats fit in it.
+const fsckSlab = 16 * BlockSize
+
+// takeFsckRun returns an empty run on dev: the spare, emptied, when a
+// collection has not reclaimed it, else a fresh one.
+func takeFsckRun(dev blockdev.Device) *fsckRun {
+	fsckSpare.Lock()
+	f, ok := fsckSpare.slot.Take()
+	fsckSpare.Unlock()
+	if !ok {
+		f = &fsckRun{
+			blocks:    make(map[uint32][]byte),
+			refs:      make(map[uint32]uint32),
+			seen:      make(map[uint32]bool),
+			blockRefs: make(map[uint32]int),
+		}
+	}
+	f.dev = dev
+	f.seen[RootIno] = true
+	f.dirs = append(f.dirs, RootIno)
+	return f
+}
+
+// release empties the run and leaves it as the spare. Its problems are
+// the caller's, and its blocks go back to the slab: the run keeps the
+// slab's last, largest piece.
+func (f *fsckRun) release() {
+	clear(f.blocks)
+	clear(f.refs)
+	clear(f.seen)
+	clear(f.blockRefs)
+	*f = fsckRun{
+		blocks: f.blocks, slab: f.slab[:0], refs: f.refs, seen: f.seen, blockRefs: f.blockRefs,
+		dirs: f.dirs[:0], files: f.files[:0], bl: inodeBlocks{f.bl.refs[:0], f.bl.data[:0]},
+	}
+	fsckSpare.Lock()
+	fsckSpare.slot.Put(f)
+	fsckSpare.Unlock()
 }
 
 func (f *fsckRun) report(code, format string, args ...any) {
 	f.problems = append(f.problems, Problem{Code: code, Detail: fmt.Sprintf(format, args...)})
 }
 
-// load returns blk's contents, reading it from the device on first use.
+// load returns blk's contents, reading it from the device on first use
+// into the slab. A full slab is replaced by one twice its size; the
+// blocks carved from the old one keep it alive until the run ends.
 func (f *fsckRun) load(blk uint32) ([]byte, error) {
 	if buf, ok := f.blocks[blk]; ok {
 		return buf, nil
 	}
-	buf := make([]byte, BlockSize)
+	if len(f.slab)+BlockSize > cap(f.slab) {
+		f.slab = make([]byte, 0, max(fsckSlab, 2*cap(f.slab)))
+	}
+	lo := len(f.slab)
+	f.slab = f.slab[:lo+BlockSize]
+	buf := f.slab[lo : lo+BlockSize : lo+BlockSize]
 	if err := f.dev.ReadAt(buf, int64(blk)*BlockSize); err != nil {
 		return nil, err
 	}
@@ -226,9 +293,10 @@ type inodeBlocks struct {
 // the indirect block propagates instead of truncating the list: a
 // faulted read must surface as an fsck failure, not a clean partial
 // check. what names the inode's role in problem details ("dir inode" /
-// "inode").
+// "inode"). The result is valid until the next call.
 func (f *fsckRun) blocksOf(ino uint32, what string) (inodeBlocks, error) {
-	var bl inodeBlocks
+	bl := inodeBlocks{f.bl.refs[:0], f.bl.data[:0]}
+	defer func() { f.bl = bl }()
 	nd := f.inode(ino)
 	add := func(blk uint32, data bool) bool {
 		if blk >= f.sb.blocksTotal {

@@ -2,7 +2,10 @@ package extfs
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"mcfs/internal/blockdev"
@@ -392,4 +395,118 @@ func TestFsckMatchesRecordedOracle(t *testing.T) {
 			}
 		})
 	}
+}
+
+// cleanVolume is an unmounted, consistent image whose root holds the
+// given number of empty files and one directory with a written file.
+func cleanVolume(t *testing.T, files int) blockdev.Device {
+	t.Helper()
+	f, dev, _ := newVolume(t, MkfsOptions{Journal: true})
+	for i := 0; i < files; i++ {
+		mustCreate(t, f, f.Root(), fmt.Sprintf("f%02d", i))
+	}
+	ino := mustCreate(t, f, mustMkdir(t, f, f.Root(), "sub"), "file")
+	if _, e := f.Write(ino, 0, make([]byte, 3*BlockSize)); e != errno.OK {
+		t.Fatal(e)
+	}
+	if err := f.Unmount(); err != nil {
+		t.Fatal(err)
+	}
+	return dev
+}
+
+// TestFsckSpareLaws: a check leaves its slab, maps and queues to the
+// next, so a warm check of a clean volume allocates nothing with 6 root
+// entries and with 48; and they are a spare a collection takes back:
+// after one, the heap is its size before the check, and no spare is left.
+func TestFsckSpareLaws(t *testing.T) {
+	for _, files := range []int{6, 48} {
+		dev := cleanVolume(t, files)
+		check := func() {
+			if probs, err := Fsck(dev); err != nil || len(probs) != 0 {
+				t.Fatalf("fsck of a clean volume: %v, %v", probs, err)
+			}
+		}
+		check()
+		if n := testing.AllocsPerRun(20, check); n != 0 {
+			t.Errorf("a warm fsck of a clean volume with %d root entries allocates %.0f times, want 0", files, n)
+		}
+	}
+	dev := cleanVolume(t, 48)
+	before := liveHeap()
+	if _, err := Fsck(dev); err != nil {
+		t.Fatal(err)
+	}
+	if after := liveHeap(); after > before+4<<10 {
+		t.Errorf("the heap grew from %d to %d bytes across a collection after one fsck", before, after)
+	}
+	fsckSpare.Lock()
+	_, ok := fsckSpare.slot.Take()
+	fsckSpare.Unlock()
+	if ok {
+		t.Error("the fsck spare outlived a collection")
+	}
+}
+
+// TestFsckReusedRunShowsNothingStale: checks run back to back, a
+// problem-rich image between clean ones, each report exactly what a cold
+// check of its image reports, and a report handed out stays as it was
+// while later checks run.
+func TestFsckReusedRunShowsNothingStale(t *testing.T) {
+	messy, clean := messyVolume(t), cleanVolume(t, 6)
+	first, err := Fsck(messy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Clone(first)
+	if len(want) == 0 {
+		t.Fatal("the messy volume checks clean")
+	}
+	for round := 0; round < 3; round++ {
+		if probs, err := Fsck(clean); err != nil || len(probs) != 0 {
+			t.Fatalf("round %d: clean volume after a messy one: %v, %v", round, probs, err)
+		}
+		if probs, err := Fsck(messy); err != nil || !slices.Equal(probs, want) {
+			t.Fatalf("round %d: messy volume = %v, %v; want %v", round, probs, err, want)
+		}
+	}
+	if !slices.Equal(first, want) {
+		t.Errorf("a later check rewrote a report already handed out: %v, want %v", first, want)
+	}
+}
+
+// TestFsckConcurrentChecks: swarm workers check their own volumes at the
+// same time, each through the one package spare; every check reports its
+// own image's problems. Run under -race.
+func TestFsckConcurrentChecks(t *testing.T) {
+	devs := []blockdev.Device{messyVolume(t), cleanVolume(t, 6)}
+	want := make([][]Problem, len(devs))
+	for i, dev := range devs {
+		var err error
+		if want[i], err = Fsck(dev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for i, dev := range devs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < 50; n++ {
+				if probs, err := Fsck(dev); err != nil || !slices.Equal(probs, want[i]) {
+					t.Errorf("device %d, check %d: %v, %v; want %v", i, n, probs, err, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// liveHeap is the heap's size right after a full collection.
+func liveHeap() int {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int(ms.HeapAlloc)
 }

@@ -166,6 +166,18 @@ func uses(names ...string) matcher {
 	}}
 }
 
+// usesType matches a use of a type named by its package path and name
+// ("sync.Pool"): in a declaration, a conversion or a composite literal.
+func usesType(names ...string) matcher {
+	return matcher{match: func(_ *Package, info *types.Info, n ast.Node, report func(token.Pos, string)) {
+		if id, ok := n.(*ast.Ident); ok && info != nil {
+			if tn, ok := info.Uses[id].(*types.TypeName); ok && tn.Pkg() != nil && slices.Contains(names, tn.Pkg().Path()+"."+tn.Name()) {
+				report(id.Pos(), tn.Pkg().Path()+"."+tn.Name())
+			}
+		}
+	}}
+}
+
 // str matches a string literal whose source text contains one of subs.
 func str(subs ...string) matcher {
 	return matcher{match: func(_ *Package, _ *types.Info, n ast.Node, report func(token.Pos, string)) {

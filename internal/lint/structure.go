@@ -117,6 +117,8 @@ var structureRules = []rule{
 		match: decl("spare", "mountSpecOf", "Spec"), why: "%s: a mount point keeps one record, and it holds the spec every remount mounts"},
 	{in: []string{"mcfs/internal/kernel.mountInvalidator.InvalAll", "mcfs/internal/kernel.caches.empty"}, match: makes(anyType),
 		why: "%s: an invalidation empties the caches in place"},
+	// Spares: memory an owner lets go of and takes back is held weakly, so a collection reclaims it.
+	{match: usesType("sync.Pool"), why: "%s: a pool's victim cache keeps its items through a collection; keep a spare in an internal/spare Slot, which the next one takes back"},
 }
 
 const stateHash = "(*mcfs/internal/checker.Checker).StateHash"

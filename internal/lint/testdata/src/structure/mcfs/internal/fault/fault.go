@@ -1,6 +1,13 @@
 // Package fault stands in for the fault plane: every persisted window
-// write is a crash point. It brings back the arming API.
+// write is a crash point, and a dropped log's bytes are a spare the next
+// collection takes back. It brings back the arming API, and pools the
+// log's chunks.
 package fault
+
+import "sync"
+
+// chunks keeps the touch log's chunks through a collection: a mutant.
+var chunks = sync.Pool{New: func() any { return new([4096]byte) }} // want "sync\.Pool: a pool's victim cache keeps"
 
 // Plane logs window writes.
 type Plane struct{ armed bool }

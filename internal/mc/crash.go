@@ -254,14 +254,14 @@ func (c *CrashStats) Merge(other CrashStats) {
 	c.CorruptInjected += other.CorruptInjected
 }
 
-// crashPoints samples the write indices of a window of w writes: all of
-// them when w <= crashPointsPerOp, otherwise an even spread of
-// crashPointsPerOp including 0 and w-1.
-func crashPoints(w int) []int {
+// crashPoints samples the write indices of a window of w writes, into
+// pts' memory: all of them when w <= crashPointsPerOp, otherwise an even
+// spread of crashPointsPerOp including 0 and w-1.
+func crashPoints(pts []int, w int) []int {
 	m := min(w, crashPointsPerOp)
-	pts := make([]int, m)
-	for i := range pts {
-		pts[i] = i * (w - 1) / max(m-1, 1)
+	pts = pts[:0]
+	for i := range m {
+		pts = append(pts, i*(w-1)/max(m-1, 1))
 	}
 	return pts
 }
@@ -391,7 +391,8 @@ func (e *engine) probePlane(depth int, op workload.Op, p *CrashPlane) error {
 		return fmt.Errorf("write window of %s: %w", op, fault.ErrTouchLogLost)
 	}
 
-	points := crashPoints(w)
+	points := crashPoints(e.crashPts, w)
+	e.crashPts = points
 	rec := journal.CrashRecord{
 		Target:     p.Target,
 		TargetName: p.Name,
@@ -401,7 +402,8 @@ func (e *engine) probePlane(depth int, op workload.Op, p *CrashPlane) error {
 	}
 
 	opName := op.String()
-	memo := make(map[[32]byte]crashVerdict)
+	memo := e.crashMemo
+	clear(memo)
 	for _, k := range points {
 		if !e.budgetLeft() {
 			break

@@ -28,7 +28,7 @@ func TestCrashPointsTable(t *testing.T) {
 		{w: 10, want: []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}},
 	}
 	for _, tc := range tests {
-		if got := crashPoints(tc.w); !slices.Equal(got, tc.want) {
+		if got := crashPoints(nil, tc.w); !slices.Equal(got, tc.want) {
 			t.Errorf("crashPoints(%d) = %v, want %v", tc.w, got, tc.want)
 		}
 	}
@@ -36,7 +36,7 @@ func TestCrashPointsTable(t *testing.T) {
 	// spread of crashPointsPerOp that includes the first and last write
 	// of a longer one.
 	for _, w := range []int{crashPointsPerOp, crashPointsPerOp + 1, 100, 205} {
-		got := crashPoints(w)
+		got := crashPoints(nil, w)
 		if len(got) != min(w, crashPointsPerOp) || got[0] != 0 || got[len(got)-1] != w-1 {
 			t.Errorf("crashPoints(%d) = %v: want %d points from 0 to %d", w, got, min(w, crashPointsPerOp), w-1)
 		}
@@ -47,7 +47,7 @@ func TestCrashPointsTable(t *testing.T) {
 			}
 		}
 	}
-	if got := crashPoints(100); got[1] != 1 || got[32] != 50 {
+	if got := crashPoints(nil, 100); got[1] != 1 || got[32] != 50 {
 		t.Errorf("crashPoints(100) = %v, want the spread i*99/63", got)
 	}
 }

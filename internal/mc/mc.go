@@ -447,9 +447,12 @@ type engine struct {
 	curHash abstraction.State
 
 	// crashDigest and crashRegions are the crash oracle's digest and
-	// region scratch (crash.go).
+	// region scratch (crash.go); crashPts and crashMemo are a probe's
+	// crash points and verdict memo, rebuilt in place by every probe.
 	crashDigest  crashDigester
 	crashRegions crashRegions
+	crashPts     []int
+	crashMemo    map[[32]byte]crashVerdict
 }
 
 func newEngine(cfg Config) *engine {
@@ -460,6 +463,7 @@ func newEngine(cfg Config) *engine {
 	e.probe = newProbe(&e.cfg)
 	if cfg.Crash != nil {
 		e.res.CrashHeatmap = stream.NewHeatmap()
+		e.crashMemo = make(map[[32]byte]crashVerdict)
 	}
 	return e
 }

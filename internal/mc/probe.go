@@ -14,6 +14,7 @@
 package mc
 
 import (
+	"encoding/hex"
 	"fmt"
 	"time"
 
@@ -150,7 +151,7 @@ func (p *probe) root(cfg *Config, h abstraction.State, novel bool) {
 		Targets:   names,
 		Equalize:  cfg.EqualizeFreeSpace,
 		Majority:  cfg.MajorityVote,
-		InitState: fmt.Sprintf("%x", h[:]),
+		InitState: hex.EncodeToString(h[:]),
 	})
 }
 
@@ -199,12 +200,12 @@ func (p *probe) visited(depth int, op workload.Op, h abstraction.State, novel, e
 	}
 	if p.jr != nil {
 		p.idle()
-		p.jr.Op(depth, journal.EncodeOp(op), p.errnos, fmt.Sprintf("%x", h[:]), novel, expand)
+		p.jr.Op(depth, journal.EncodeOp(op), p.errnos, hex.EncodeToString(h[:]), novel, expand)
 		p.lap(obs.PhaseJournal) // no virtual time, but the sample count is the recording overhead's denominator
 	}
 	if p.bus != nil { // the hex render is not free
 		p.emit(stream.Event{Kind: stream.KindStep, Op: op.String(), Depth: depth,
-			State: fmt.Sprintf("%x", h[:]), Novel: novel})
+			State: hex.EncodeToString(h[:]), Novel: novel})
 	}
 	switch {
 	case !expand:

@@ -15,6 +15,7 @@
 package mc
 
 import (
+	"encoding/hex"
 	"errors"
 	"fmt"
 
@@ -165,7 +166,7 @@ func (s *script) crash(e *engine, depth int, op workload.Op) error {
 // depth 0, of the initial state — against its record and answers with
 // the recorded visited-state decision.
 func (s *script) visit(depth int, results []checker.OpResult, h abstraction.State) (novel, expand bool, err error) {
-	got := fmt.Sprintf("%x", h[:])
+	got := hex.EncodeToString(h[:])
 	if depth == 0 {
 		// The meta record pins the initial state: diverging here means
 		// the replay session was assembled with different targets or

@@ -38,7 +38,9 @@
 #                                                    through a
 #                                                    MountCache, an
 #                                                    extfs lookup and
-#                                                    listing, a
+#                                                    listing, an extfs
+#                                                    fsck through its
+#                                                    spare, a
 #                                                    jffs2sim mount
 #                                                    through a ScanCache,
 #                                                    and the crash
@@ -56,7 +58,9 @@
 #         ./internal/fs/extfs/...                    and jffs2sim under the
 #         ./internal/fs/jffs2sim/...                 race detector: a mount
 #                                                    reads flash the MTD
-#                                                    lends, outside its lock)
+#                                                    lends, outside its
+#                                                    lock; concurrent
+#                                                    fscks share one spare)
 #   8. crash-exploration smoke: the seeded ext4     (fault injection end
 #      journal-ordering bug is found only under      to end: crash points
 #      -crash, its bundle replays and shrinks, the   -> oracle -> verdict
@@ -156,7 +160,7 @@ go test -cpu 1,4 -run 'Swarm|Panic' ./internal/mc
 echo "==> bench smoke (one iteration per benchmark)"
 go test -bench . -benchtime 1x -run '^$' ./internal/mc/... ./internal/tracker/... ./internal/fuse/... \
 	./internal/kernel/... ./internal/abstraction/...
-go test -bench '^(BenchmarkRemount|BenchmarkLookup|BenchmarkReadDir)$' -benchtime 1x -run '^$' ./internal/fs/extfs
+go test -bench '^(BenchmarkRemount|BenchmarkLookup|BenchmarkReadDir|BenchmarkFsck)$' -benchtime 1x -run '^$' ./internal/fs/extfs
 go test -bench '^BenchmarkMountScan$' -benchtime 1x -run '^$' ./internal/fs/jffs2sim
 
 echo "==> replay-determinism smoke (run -> bundle -> replay -> shrink)"
