@@ -139,10 +139,11 @@ func BenchmarkRemount(b *testing.B) {
 
 // TestRemountAllocationBudget: an unchanged remount through a MountCache
 // allocates the FS and nothing else. The superblock and the journal are
-// held in it by value; its block buffers, its two maps and Sync's
-// staging come from the cache, where the unmount left them. So does a
-// power cut: Drop hands the same memory to the cache as Unmount does, and
-// writes nothing.
+// held in it by value; its block buffers, its two maps, its inode cache's
+// entries and Sync's staging come from the cache, where the unmount left
+// them. So does a power cut: Drop hands the same memory to the cache as
+// Unmount does, and writes nothing. And a cycle whose mount reads 4
+// inodes allocates as often as one whose mount reads 32.
 func TestRemountAllocationBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -180,6 +181,42 @@ func TestRemountAllocationBudget(t *testing.T) {
 			}
 		})
 	}
+	t.Run("inodes", func(t *testing.T) {
+		clk := simclock.New()
+		dev := blockdev.NewRAM("ram0", 256*1024, clk)
+		if err := Mkfs(dev, MkfsOptions{Journal: true}); err != nil {
+			t.Fatal(err)
+		}
+		cache := NewMountCache()
+		f, err := MountWith(dev, clk, MountOpts{Cache: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var inos []vfs.Ino
+		for i := 0; i < 32; i++ {
+			ino, e := f.Create(f.Root(), fmt.Sprintf("f%02d", i), 0644, 0, 0)
+			if e != errno.OK {
+				t.Fatal(e)
+			}
+			inos = append(inos, ino)
+		}
+		var allocs []float64
+		for _, n := range []int{4, 32} {
+			allocs = append(allocs, testing.AllocsPerRun(50, func() {
+				if err := remountCycle(dev, clk, cache, &f); err != nil {
+					t.Fatal(err)
+				}
+				for _, ino := range inos[:n] {
+					if _, e := f.Getattr(ino); e != errno.OK {
+						t.Fatal(e)
+					}
+				}
+			}))
+		}
+		if allocs[0] != allocs[1] || allocs[1] > 1 {
+			t.Errorf("a cycle reading 4 inodes allocates %v times, one reading 32 %v times; want both at most 1", allocs[0], allocs[1])
+		}
+	})
 }
 
 // linkedDir makes directory "d" under the root holding n hard links to

@@ -115,11 +115,17 @@ type mountBufs struct {
 
 	dirtyMeta  map[uint32][]byte
 	inodeCache map[uint32]*cachedInode
-	dirBlocks  []uint32       // dirBlocks' list
-	dirtyInos  []uint32       // Sync's dirty inodes, in table order
-	tables     [][]byte       // Sync's inode-table block images
-	writes     []blockWrite   // Sync's write list
-	entries    []vfs.DirEntry // ReadDir's listing, before it is copied out
+	// cached are the inode cache's entries: newInode hands out
+	// cached[used] and counts it, growing the list only past what earlier
+	// mounts used, and takes first what freeInode stacked in freed.
+	cached    []*cachedInode
+	used      int
+	freed     []*cachedInode
+	dirBlocks []uint32       // dirBlocks' list
+	dirtyInos []uint32       // Sync's dirty inodes, in table order
+	tables    [][]byte       // Sync's inode-table block images
+	writes    []blockWrite   // Sync's write list
+	entries   []vfs.DirEntry // ReadDir's listing, before it is copied out
 }
 
 // takeBufs hands out the memory the cache holds, its maps emptied, or new
@@ -132,7 +138,24 @@ func (c *MountCache) takeBufs() *mountBufs {
 	c.bufs = nil
 	clear(b.dirtyMeta)
 	clear(b.inodeCache)
+	b.used, b.freed = 0, b.freed[:0]
 	return b
+}
+
+// newInode returns a zeroed inode cache entry from the mount's list.
+func (b *mountBufs) newInode() *cachedInode {
+	var ci *cachedInode
+	if k := len(b.freed); k > 0 {
+		ci, b.freed = b.freed[k-1], b.freed[:k-1]
+	} else {
+		if b.used == len(b.cached) {
+			b.cached = append(b.cached, new(cachedInode))
+		}
+		ci = b.cached[b.used]
+		b.used++
+	}
+	*ci = cachedInode{}
+	return ci
 }
 
 // keepBufs holds b for the next mount (a no-op without a cache).
@@ -375,7 +398,8 @@ func (f *FS) allocInode() (uint32, *cachedInode, errno.Errno) {
 			f.sb.freeInodes--
 			f.dirtyIBM = true
 			f.dirtySB = true
-			ci := &cachedInode{dirty: true}
+			ci := f.bufs.newInode()
+			ci.dirty = true
 			f.inodeCache[ino] = ci
 			return ino, ci, errno.OK
 		}
@@ -388,7 +412,10 @@ func (f *FS) freeInode(ino uint32) {
 	f.sb.freeInodes++
 	f.dirtyIBM = true
 	f.dirtySB = true
-	delete(f.inodeCache, ino)
+	if ci, ok := f.inodeCache[ino]; ok {
+		delete(f.inodeCache, ino)
+		f.bufs.freed = append(f.bufs.freed, ci)
+	}
 }
 
 // --- inode cache ---------------------------------------------------------
@@ -410,7 +437,8 @@ func (f *FS) getInode(ino uint32) *cachedInode {
 		return nil
 	}
 	off := ((ino - 1) % InodesPerBlock) * InodeSize
-	ci := &cachedInode{onDiskInode: decodeInode(buf[off : off+InodeSize])}
+	ci := f.bufs.newInode()
+	ci.onDiskInode = decodeInode(buf[off : off+InodeSize])
 	f.inodeCache[ino] = ci
 	return ci
 }

@@ -1,6 +1,7 @@
 package jffs2sim
 
 import (
+	"bytes"
 	"testing"
 
 	"mcfs/internal/blockdev"
@@ -36,14 +37,21 @@ func BenchmarkWriteChurnWithGC(b *testing.B) {
 // scan: eight 2 KiB files, 58 nodes in two of the 32 erase blocks.
 func scanVolume(tb testing.TB) (*FS, *blockdev.MTD, *simclock.Clock) {
 	tb.Helper()
+	return filesVolume(tb, 8)
+}
+
+// filesVolume is a volume holding n files of 2 KiB, named by the runes
+// from 'a' on, each its name over and over.
+func filesVolume(tb testing.TB, n int) (*FS, *blockdev.MTD, *simclock.Clock) {
+	tb.Helper()
 	f, mtd, clk := newVolume(tb)
-	for i := 0; i < 8; i++ {
+	for i := 0; i < n; i++ {
 		name := string(rune('a' + i))
 		ino, e := f.Create(f.Root(), name, 0644, 0, 0)
 		if e != errno.OK {
 			tb.Fatal(e)
 		}
-		if _, e := f.Write(ino, 0, make([]byte, 2048)); e != errno.OK {
+		if _, e := f.Write(ino, 0, bytes.Repeat([]byte(name), 2048)); e != errno.OK {
 			tb.Fatal(e)
 		}
 	}
@@ -116,4 +124,35 @@ func BenchmarkMountScan(b *testing.B) {
 			}
 		}
 	})
+}
+
+// remountCycle is one unchanged remount through scans: an Unmount of *f,
+// which hands its inode table to the cache, and a MountCached of the same
+// flash, which replays into it.
+func remountCycle(tb testing.TB, f **FS, mtd *blockdev.MTD, clk *simclock.Clock, scans *ScanCache) {
+	if err := (*f).Unmount(); err != nil {
+		tb.Fatal(err)
+	}
+	g, err := MountCached(mtd, clk, scans)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	*f = g
+}
+
+// BenchmarkRemount times an unmount→mount cycle of scanVolume through one
+// ScanCache, the per-op remount of an exploration with nothing changed in
+// between.
+func BenchmarkRemount(b *testing.B) {
+	_, mtd, clk := scanVolume(b)
+	scans := NewScanCache()
+	f, err := MountCached(mtd, clk, scans)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		remountCycle(b, &f, mtd, clk, scans)
+	}
 }

@@ -19,9 +19,13 @@
 // The virtual clock is charged for that whole scan on every mount. The Go
 // need not redo it: the mounted state is a function of the flash, so what
 // the scan found in an erase block stays true until the block's bytes
-// change. A ScanCache keeps, per block, where the valid nodes lie (never
-// their bytes), keyed by the MTD's change stamp; a mount through it reads
-// every block, as the charge says, and parses only the ones that changed.
+// change. A ScanCache keeps, per block, where the valid nodes lie and the
+// names the dirent nodes carry (never the flash's bytes themselves), keyed
+// by the MTD's change stamp; a mount through it reads every block, as the
+// charge says, and parses only the ones that changed. The cache also holds
+// the last mount's inode table, as a spare, once that mount has unmounted
+// or been dropped: the next replay rebuilds into the same structs, maps
+// and arrays instead of allocating them again.
 package jffs2sim
 
 import (
@@ -36,6 +40,7 @@ import (
 	"mcfs/internal/blockdev"
 	"mcfs/internal/errno"
 	"mcfs/internal/simclock"
+	"mcfs/internal/spare"
 	"mcfs/internal/vfs"
 )
 
@@ -63,10 +68,14 @@ const (
 type FS struct {
 	mtd   *blockdev.MTD
 	clock *simclock.Clock
+	// cache is the ScanCache the FS was mounted through; Unmount and Drop
+	// hand it the inode table.
+	cache *ScanCache
 
 	inodes  map[uint32]*inodeInfo
 	nextIno uint32
 	version uint32 // global node version counter
+	gen     uint64 // this mount's replay generation (inodeInfo.gen)
 
 	// log write head
 	curBlock int
@@ -90,13 +99,20 @@ type inodeInfo struct {
 	// content holds the file's first len(content) bytes; the rest, up to
 	// size, read as zero. writeAt and truncate keep a tail of zeros
 	// implicit, so a replay allocates no zeros the log does not call for.
-	// Bytes in content's spare capacity may be stale: content grows only
-	// into a fresh array.
+	// Bytes in content's spare capacity may be stale, from a shrink or an
+	// earlier mount: writeAt zeroes what it grows over short of its data.
 	content []byte
 	target  string
 	entries map[string]uint32
 	order   []string
 	parent  uint32
+
+	// gen is the mount generation whose replay last reached the struct;
+	// a struct of an older one is the last mount's, not yet replayed.
+	gen uint64
+	// oldEntries is the entry map of a directory an earlier mount had
+	// here, kept for the replay that makes it a directory again.
+	oldEntries map[string]uint32
 }
 
 var _ vfs.FS = (*FS)(nil)
@@ -119,10 +135,15 @@ func Mkfs(mtd *blockdev.MTD) error {
 
 // ScanCache carries what mount scans learned about one MTD's erase blocks
 // from mount to mount: for each block, the change stamp it was scanned
-// under and where its valid nodes lie. It holds positions, never flash
-// bytes, so it pins nothing but itself; and since a stamp that has not
-// moved means bytes that have not changed (blockdev.MTD), a block's entry
-// is exactly what scanning the block again would find.
+// under, where its valid nodes lie and the names its dirent nodes carry.
+// It holds positions and names, never the flash's bytes, so it pins no
+// block the MTD lends; and since a stamp that has not moved means bytes
+// that have not changed (blockdev.MTD), a block's entry is exactly what
+// scanning the block again would find.
+//
+// It also keeps, in a spare.Slot, the inode table of the last mount
+// through it to unmount or be dropped, which the next mount replays into.
+// A collection reclaims the table; the next mount then allocates one.
 type ScanCache struct {
 	mtd    *blockdev.MTD
 	blocks []blockScan
@@ -131,6 +152,16 @@ type ScanCache struct {
 	// are scratch, cleared before the mount returns.
 	replay []logNode
 	keys   []uint64
+	table  spare.Slot[table]
+}
+
+// table is the memory a mount replays into: its inode map, whose structs
+// keep their content, entries and order arrays, the per-block fill, and
+// the generation of the mount that last replayed them.
+type table struct {
+	inodes    map[uint32]*inodeInfo
+	blockUsed []int
+	gen       uint64
 }
 
 // blockScan is the scan result of one erase block, valid while known and
@@ -145,12 +176,14 @@ type blockScan struct {
 }
 
 // nodeRef places one valid node's payload inside its erase block; zero
-// marks an inode node whose data fragment is all zero bytes.
+// marks an inode node whose data fragment is all zero bytes, and name is
+// a well-formed dirent node's name, decoded once per scan of the block.
 type nodeRef struct {
 	version uint32
 	typ     uint16
 	zero    bool
 	off, n  int32
+	name    string
 }
 
 // logNode is one valid node on its way to replay.
@@ -158,6 +191,7 @@ type logNode struct {
 	typ     uint16
 	zero    bool
 	payload []byte
+	name    string
 }
 
 // NewScanCache returns an empty cache: the first mount through it scans
@@ -174,26 +208,30 @@ func Mount(mtd *blockdev.MTD, clock *simclock.Clock) (*FS, error) {
 // again and keeps one cache beside it: blocks whose bytes have not changed
 // since an earlier mount through cache are read — the device books and
 // charges every block's read, and the fault plane can fail it — but not
-// parsed again. The file system it builds, and the virtual time it takes,
-// are Mount's.
+// parsed again, and the replay rebuilds into the inode table the last
+// mount through cache left behind at its Unmount or Drop. The file system
+// it builds, and the virtual time it takes, are Mount's.
 func MountCached(mtd *blockdev.MTD, clock *simclock.Clock, cache *ScanCache) (*FS, error) {
 	es := mtd.EraseSize()
+	if cache.mtd != mtd {
+		*cache = ScanCache{mtd: mtd, blocks: make([]blockScan, int(mtd.Size())/es)}
+	}
+	t, ok := cache.table.Take()
+	if !ok {
+		t = table{inodes: make(map[uint32]*inodeInfo), blockUsed: make([]int, len(cache.blocks))}
+	}
 	f := &FS{
 		mtd:       mtd,
 		clock:     clock,
-		inodes:    make(map[uint32]*inodeInfo),
+		cache:     cache,
+		inodes:    t.inodes,
 		nextIno:   RootIno + 1,
-		blockUsed: make([]int, int(mtd.Size())/es),
+		gen:       t.gen + 1,
+		blockUsed: t.blockUsed,
 	}
-	f.inodes[RootIno] = &inodeInfo{
-		mode:    vfs.ModeDir | 0755,
-		nlink:   2,
-		entries: make(map[string]uint32),
-		parent:  RootIno,
-	}
-	if cache.mtd != mtd {
-		*cache = ScanCache{mtd: mtd, blocks: make([]blockScan, len(f.blockUsed))}
-	}
+	root := f.replayed(RootIno)
+	root.mode, root.nlink, root.parent = vfs.ModeDir|0755, 2, RootIno
+	root.makeEntries()
 
 	// Full device scan: collect every valid node. The payloads are the
 	// flash's own bytes, lent until it next changes: replay copies what it
@@ -208,6 +246,7 @@ func MountCached(mtd *blockdev.MTD, clock *simclock.Clock, cache *ScanCache) (*F
 		data, stamp, err := mtd.LendBlock(blk)
 		if err != nil {
 			b.known = false
+			f.Drop() // the table goes back for the next mount
 			return nil, err
 		}
 		if !b.known || b.stamp != stamp {
@@ -217,7 +256,7 @@ func MountCached(mtd *blockdev.MTD, clock *simclock.Clock, cache *ScanCache) (*F
 		f.blockUsed[blk] = b.used
 		for _, n := range b.nodes {
 			keys = append(keys, uint64(n.version)<<32|uint64(len(nodes)))
-			nodes = append(nodes, logNode{typ: n.typ, zero: n.zero, payload: data[n.off : n.off+n.n]})
+			nodes = append(nodes, logNode{typ: n.typ, zero: n.zero, payload: data[n.off : n.off+n.n], name: n.name})
 			f.version = max(f.version, n.version)
 		}
 	}
@@ -240,12 +279,13 @@ func MountCached(mtd *blockdev.MTD, clock *simclock.Clock, cache *ScanCache) (*F
 		case nodeInode:
 			f.applyInodeNode(n.payload, n.zero)
 		case nodeDirent:
-			f.applyDirentNode(n.payload)
+			f.applyDirentNode(n.payload, n.name)
 		}
 	}
-	// Drop inodes with no links (fully deleted).
+	// Drop inodes with no links (fully deleted), and those of the last
+	// mount this replay never reached.
 	for ino, nd := range f.inodes {
-		if ino != RootIno && nd.nlink == 0 {
+		if ino != RootIno && (nd.nlink == 0 || nd.gen != f.gen) {
 			delete(f.inodes, ino)
 		}
 	}
@@ -253,6 +293,46 @@ func MountCached(mtd *blockdev.MTD, clock *simclock.Clock, cache *ScanCache) (*F
 		clock.Advance(200 * time.Microsecond) // scan/index CPU cost
 	}
 	return f, nil
+}
+
+// replayed returns ino's inode as this mount's replay has it: the struct
+// under ino in the table, emptied the first time the replay reaches it
+// (its arrays and entry map kept for reuse), or a new one.
+func (f *FS) replayed(ino uint32) *inodeInfo {
+	nd := f.inodes[ino]
+	if nd == nil {
+		nd = &inodeInfo{gen: f.gen}
+		f.inodes[ino] = nd
+	} else if nd.gen != f.gen {
+		old := nd.entries
+		if old == nil {
+			old = nd.oldEntries
+		}
+		*nd = inodeInfo{gen: f.gen, content: nd.content[:0], order: nd.order[:0], oldEntries: old}
+	}
+	return nd
+}
+
+// live returns ino's inode if this mount's replay has reached it.
+func (f *FS) live(ino uint32) *inodeInfo {
+	if nd := f.inodes[ino]; nd != nil && nd.gen == f.gen {
+		return nd
+	}
+	return nil
+}
+
+// makeEntries gives a directory inode an empty entry map unless it has
+// one: the map an earlier mount had here, emptied, or a new one.
+func (nd *inodeInfo) makeEntries() {
+	if nd.entries != nil {
+		return
+	}
+	m := nd.oldEntries
+	if m == nil {
+		m = make(map[string]uint32)
+	}
+	clear(m)
+	nd.entries, nd.oldEntries = m, nil
 }
 
 // scan parses one erase block's bytes in place, replacing what b held:
@@ -293,9 +373,14 @@ func (b *blockScan) scan(buf []byte) {
 			break
 		}
 		ref := nodeRef{version: version, typ: typ, off: int32(pos + nodeHeader), n: int32(totLen - nodeHeader)}
-		if typ == nodeInode {
-			_, data, ok := inodeFragment(buf[pos+nodeHeader : pos+totLen])
+		switch p := buf[pos+nodeHeader : pos+totLen]; typ {
+		case nodeInode:
+			_, data, ok := inodeFragment(p)
 			ref.zero = ok && allZero(data)
+		case nodeDirent:
+			if name, ok := direntName(p); ok {
+				ref.name = string(name)
+			}
 		}
 		b.nodes = append(b.nodes, ref)
 		pos += totLen
@@ -336,13 +421,27 @@ func allZero(p []byte) bool {
 // FSType implements vfs.Typer.
 func (f *FS) FSType() string { return "jffs2" }
 
-// Unmount releases the in-memory state. The log is already durable.
+// Unmount releases the in-memory state. The log is already durable, so
+// it writes nothing; the inode table passes to the next mount through the
+// ScanCache the FS was mounted with. The FS must not be used afterwards.
 func (f *FS) Unmount() error {
 	if f.unmounted {
 		return fmt.Errorf("jffs2sim: double unmount")
 	}
-	f.unmounted = true
+	f.Drop()
 	return nil
+}
+
+// Drop implements kernel.Dropper: a power cut discards the FS, and its
+// inode table passes to the next mount as at an Unmount. It writes
+// nothing, and the FS must not be used afterwards.
+func (f *FS) Drop() {
+	if f.unmounted {
+		return
+	}
+	f.unmounted = true
+	f.cache.table.Put(table{inodes: f.inodes, blockUsed: f.blockUsed, gen: f.gen})
+	f.inodes, f.blockUsed = nil, nil // no longer this FS's
 }
 
 func (f *FS) now() time.Duration {
@@ -410,14 +509,7 @@ func (f *FS) applyInodeNode(p []byte, zero bool) {
 		return // no log jffs2sim writes holds such a node
 	}
 
-	nd := f.inodes[ino]
-	if nd == nil {
-		nd = &inodeInfo{}
-		if mode.IsDir() {
-			nd.entries = make(map[string]uint32)
-		}
-		f.inodes[ino] = nd
-	}
+	nd := f.replayed(ino)
 	nd.mode = mode
 	nd.nlink = nlink
 	nd.uid = uid
@@ -425,8 +517,8 @@ func (f *FS) applyInodeNode(p []byte, zero bool) {
 	nd.mtime = mtime
 	nd.ctime = mtime
 	nd.target = string(target)
-	if mode.IsDir() && nd.entries == nil {
-		nd.entries = make(map[string]uint32)
+	if mode.IsDir() {
+		nd.makeEntries()
 	}
 	nd.writeAt(off, data, zero)
 	nd.truncate(isize)
@@ -437,7 +529,9 @@ func (f *FS) applyInodeNode(p []byte, zero bool) {
 
 // writeAt puts data at off, growing the file to cover it; zero says data
 // is all zero bytes. Zeros at or past the end of content are already
-// there, implicitly, so they change only the size.
+// there, implicitly, so they change only the size. Content grows in place
+// while its capacity lasts, and the gap before off, stale or not, reads
+// as the zeros it was.
 func (nd *inodeInfo) writeAt(off int64, data []byte, zero bool) {
 	end := off + int64(len(data))
 	nd.size = max(nd.size, end)
@@ -448,9 +542,10 @@ func (nd *inodeInfo) writeAt(off int64, data []byte, zero bool) {
 		clear(nd.content[off:min(end, n)])
 	default:
 		if end > n {
-			nc := make([]byte, end)
-			copy(nc, nd.content)
-			nd.content = nc
+			nd.content = slices.Grow(nd.content, int(end-n))[:end]
+			if off > n {
+				clear(nd.content[n:off])
+			}
 		}
 		copy(nd.content[off:], data)
 	}
@@ -476,19 +571,28 @@ func encodeDirentNode(parent, ino uint32, name string) []byte {
 	return p
 }
 
-func (f *FS) applyDirentNode(p []byte) {
-	if len(p) < 10 {
+// direntName returns the name a dirent node's payload carries; ok is
+// false when the payload is shorter than the length it states.
+func direntName(p []byte) (name []byte, ok bool) {
+	if len(p) < direntFixed {
+		return nil, false
+	}
+	nameLen := int(binary.LittleEndian.Uint16(p[8:]))
+	if direntFixed+nameLen > len(p) {
+		return nil, false
+	}
+	return p[direntFixed : direntFixed+nameLen], true
+}
+
+// applyDirentNode replays a dirent node whose name the scan decoded.
+func (f *FS) applyDirentNode(p []byte, name string) {
+	if _, ok := direntName(p); !ok {
 		return
 	}
 	le := binary.LittleEndian
 	parent := le.Uint32(p[0:])
 	ino := le.Uint32(p[4:])
-	nameLen := int(le.Uint16(p[8:]))
-	if 10+nameLen > len(p) {
-		return
-	}
-	name := string(p[10 : 10+nameLen])
-	dir := f.inodes[parent]
+	dir := f.live(parent)
 	if dir == nil || dir.entries == nil {
 		return
 	}
@@ -500,7 +604,7 @@ func (f *FS) applyDirentNode(p []byte) {
 		if !ok {
 			return
 		}
-		if child := f.inodes[old]; child != nil && child.mode.IsDir() {
+		if child := f.live(old); child != nil && child.mode.IsDir() {
 			dir.nlink--
 		}
 		delete(dir.entries, name)
@@ -521,7 +625,7 @@ func (f *FS) applyDirentNode(p []byte) {
 	dropEntry()
 	dir.order = append(dir.order, name)
 	dir.entries[name] = ino
-	if child := f.inodes[ino]; child != nil && child.mode.IsDir() {
+	if child := f.live(ino); child != nil && child.mode.IsDir() {
 		child.parent = parent
 		dir.nlink++
 	}

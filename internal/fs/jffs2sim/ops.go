@@ -345,8 +345,12 @@ func (f *FS) Read(ino vfs.Ino, off int64, n int, dst []byte) ([]byte, errno.Errn
 	return append(dst, make([]byte, end-max(off, held))...), errno.OK
 }
 
-// Write implements vfs.FS: make room for the whole write, update memory,
-// then append log nodes.
+// Write implements vfs.FS: make room for the whole write, append its log
+// nodes, then update the content. The nodes carry the new size and times,
+// which go back if an append fails, and the content changes only once
+// every node is on flash: a write whose first node fails leaves memory as
+// the flash has it. (One that fails on a later node of several leaves the
+// earlier ones on flash and memory as it was.)
 func (f *FS) Write(ino vfs.Ino, off int64, data []byte) (int, errno.Errno) {
 	nd := f.get(ino)
 	if nd == nil {
@@ -364,16 +368,15 @@ func (f *FS) Write(ino vfs.Ino, off int64, data []byte) (int, errno.Errno) {
 	if e := f.makeRoom(inodeNodeLens(nd.target, len(data))...); e != errno.OK {
 		return 0, e
 	}
-	oldContent := nd.content
-	oldSize := nd.size
-	nd.writeAt(off, data, allZero(data))
+	oldSize, oldMtime, oldCtime := nd.size, nd.mtime, nd.ctime
 	now := f.now()
+	nd.size = max(nd.size, off+int64(len(data)))
 	nd.mtime, nd.ctime = now, now
 	if e := f.logInode(uint32(ino), nd, off, data); e != errno.OK {
-		nd.content = oldContent
-		nd.size = oldSize
+		nd.size, nd.mtime, nd.ctime = oldSize, oldMtime, oldCtime
 		return 0, e
 	}
+	nd.writeAt(off, data, allZero(data))
 	return len(data), errno.OK
 }
 

@@ -1,6 +1,7 @@
 // Package jffs2sim stands in for the jffs2 mount scan, which parses the
-// bytes the MTD lends in place. It brings back a copy and a reflective
-// sort.
+// bytes the MTD lends in place, and its replay, which grows a file's
+// content in place. It brings back a copy, a reflective sort and a fresh
+// content array.
 package jffs2sim
 
 import "sort"
@@ -9,7 +10,7 @@ type blockScan struct{ nodes []int }
 
 // scan copies the block it parses: a mutant.
 func (b *blockScan) scan(buf []byte) {
-	own := make([]byte, len(buf)) // want "make\(\[\]byte, len\(buf\)\) in the jffs2 mount scan: a node is a"
+	own := make([]byte, len(buf)) // want "make\(\[\]byte, len\(buf\)\) in the jffs2 mount scan or replay: a node is a"
 	copy(own, buf)
 	sort.SliceStable(b.nodes, func(i, j int) bool { return b.nodes[i] < b.nodes[j] }) // want "sort\.SliceStable: use slices\.SortFunc"
 }
@@ -21,6 +22,18 @@ func MountCached(blocks [][]byte) []int {
 		b.scan(blk)
 	}
 	return b.nodes
+}
+
+type inodeInfo struct{ content []byte }
+
+// writeAt grows content into a fresh array on every extension: a mutant.
+func (nd *inodeInfo) writeAt(off int, data []byte) {
+	if end := off + len(data); end > len(nd.content) {
+		nc := make([]byte, end) // want "make\(\[\]byte, end\) in the jffs2 mount scan or replay: a node is a"
+		copy(nc, nd.content)
+		nd.content = nc
+	}
+	copy(nd.content[off:], data)
 }
 
 func encode(n int) []byte { return make([]byte, n) } // outside the scan: allowed

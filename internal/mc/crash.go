@@ -401,7 +401,10 @@ func (e *engine) probePlane(depth int, op workload.Op, p *CrashPlane) error {
 		OK:         true,
 	}
 
-	opName := op.String()
+	var opName string // a heatmap's row label, rendered only for one
+	if e.res.CrashHeatmap != nil {
+		opName = op.String()
+	}
 	memo := e.crashMemo
 	clear(memo)
 	for _, k := range points {

@@ -868,18 +868,20 @@ func (e *engine) step(op workload.Op) (abstraction.State, error) {
 	if e.cfg.MajorityVote {
 		checkResults, checkStates = e.cfg.Checker.CheckResultsMajority, e.cfg.Checker.CheckAndHashMajority
 	}
-	opText := op.String()
-	d := checkResults(opText, results)
+	// The checks label a discrepancy with the op's text, which is rendered
+	// here only once one is found: almost no step needs it.
+	d := checkResults("", results)
 	var h abstraction.State
 	if d == nil {
 		var er errno.Errno
-		if d, h, er = checkStates(opText); er != errno.OK {
+		if d, h, er = checkStates(""); er != errno.OK {
 			e.probe.judged()
 			return h, fmt.Errorf("mc: state check: %w", er)
 		}
 	}
 	e.probe.judged()
 	if d != nil {
+		d.Op = op.String()
 		e.report(d, op, nil)
 	}
 	return h, nil

@@ -15,8 +15,10 @@ import (
 // safe for concurrent use and safe on a nil receiver.
 type Heatmap struct {
 	mu     sync.Mutex
-	writes int                     // guarded by mu; max writes observed in any window, for column extent
-	cells  map[heatKey]*heatCounts // guarded by mu
+	writes int // guarded by mu; max writes observed in any window, for column extent
+	// cells holds the counts by value: a new cell is a map slot, not an
+	// allocation of its own.
+	cells map[heatKey]heatCounts // guarded by mu
 }
 
 type heatKey struct {
@@ -30,7 +32,7 @@ type heatCounts struct {
 
 // NewHeatmap returns an empty heatmap.
 func NewHeatmap() *Heatmap {
-	return &Heatmap{cells: make(map[heatKey]*heatCounts)}
+	return &Heatmap{cells: make(map[heatKey]heatCounts)}
 }
 
 // Record adds one verdict for the crash point at (op, write). The
@@ -45,11 +47,8 @@ func (h *Heatmap) Record(op string, write, writes int, verdict string) {
 	if writes > h.writes {
 		h.writes = writes
 	}
-	c := h.cells[heatKey{op, write}]
-	if c == nil {
-		c = &heatCounts{}
-		h.cells[heatKey{op, write}] = c
-	}
+	k := heatKey{op, write}
+	c := h.cells[k]
 	switch verdict {
 	case VerdictB0:
 		c.b0++
@@ -60,6 +59,7 @@ func (h *Heatmap) Record(op string, write, writes int, verdict string) {
 	default:
 		c.bug++
 	}
+	h.cells[k] = c
 	h.mu.Unlock()
 }
 
@@ -76,15 +76,13 @@ func (h *Heatmap) Merge(other *Heatmap) {
 		h.writes = snap.Writes
 	}
 	for _, cell := range snap.Cells {
-		c := h.cells[heatKey{cell.Op, cell.Write}]
-		if c == nil {
-			c = &heatCounts{}
-			h.cells[heatKey{cell.Op, cell.Write}] = c
-		}
+		k := heatKey{cell.Op, cell.Write}
+		c := h.cells[k]
 		c.b0 += cell.B0
 		c.b1 += cell.B1
 		c.fsck += cell.FsckRepaired
 		c.bug += cell.Bug
+		h.cells[k] = c
 	}
 	h.mu.Unlock()
 }

@@ -42,7 +42,10 @@
 #                                                    fsck through its
 #                                                    spare, a
 #                                                    jffs2sim mount
-#                                                    through a ScanCache,
+#                                                    through a ScanCache
+#                                                    and an unmount->
+#                                                    mount cycle into
+#                                                    its spare table,
 #                                                    and the crash
 #                                                    oracle's recovery
 #                                                    session,
@@ -161,7 +164,7 @@ echo "==> bench smoke (one iteration per benchmark)"
 go test -bench . -benchtime 1x -run '^$' ./internal/mc/... ./internal/tracker/... ./internal/fuse/... \
 	./internal/kernel/... ./internal/abstraction/...
 go test -bench '^(BenchmarkRemount|BenchmarkLookup|BenchmarkReadDir|BenchmarkFsck)$' -benchtime 1x -run '^$' ./internal/fs/extfs
-go test -bench '^BenchmarkMountScan$' -benchtime 1x -run '^$' ./internal/fs/jffs2sim
+go test -bench '^(BenchmarkMountScan|BenchmarkRemount)$' -benchtime 1x -run '^$' ./internal/fs/jffs2sim
 
 echo "==> replay-determinism smoke (run -> bundle -> replay -> shrink)"
 # go run remaps the child's exit code, so build the real binary.
