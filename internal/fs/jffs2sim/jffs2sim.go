@@ -541,13 +541,17 @@ func (nd *inodeInfo) writeAt(off int64, data []byte, zero bool) {
 	case zero:
 		clear(nd.content[off:min(end, n)])
 	default:
-		if end > n {
-			nd.content = slices.Grow(nd.content, int(end-n))[:end]
-			if off > n {
-				clear(nd.content[n:off])
-			}
+		if off > n {
+			nd.content = slices.Grow(nd.content, int(end-n))[:off]
+			clear(nd.content[n:])
 		}
-		copy(nd.content[off:], data)
+		if end > int64(len(nd.content)) {
+			// Appended, so a growth makes the new array and no temporary
+			// (slices.Grow makes one too under the race detector).
+			nd.content = append(nd.content[:off], data...)
+		} else {
+			copy(nd.content[off:], data)
+		}
 	}
 }
 
