@@ -104,16 +104,28 @@ func (r Record) Summary() string {
 	}
 }
 
-// Memo maps file contents to their MD5s, keyed by the content itself: a
-// hit means the bytes are equal, so a walk through a memo records exactly
-// what a walk without one records, and trusts the target for nothing.
-// Every syscall still happens, in the same order, and MD5 carries no
-// virtual charge, so a memo moves wall time only. An engine keeps one per
-// run; a nil Memo remembers nothing. A Memo is not safe for concurrent use.
+// Memo is the memory an owner's walks share. It maps file contents to
+// their MD5s, keyed by the content itself: a hit means the bytes are
+// equal, so a walk through a memo records exactly what a walk without one
+// records, and trusts the target for nothing. Every syscall still
+// happens, in the same order, and MD5 carries no virtual charge, so a
+// memo moves wall time only. It also holds the walk's working memory —
+// its read buffer, listing buffer, names stack and the table its paths
+// are interned in — so a walk over names it has seen allocates nothing.
+// An engine keeps one per run; a nil Memo remembers nothing, and each of
+// its walks works in fresh memory. A Memo is not safe for concurrent use.
 type Memo struct {
 	sums  map[string][md5.Size]byte
 	bytes int    // content held as keys
 	buf   []byte // the read buffer its walks reuse
+
+	ents  []vfs.DirEntry // the listing being read, reused by every directory
+	names []string       // a stack of directories' sorted children
+	path  []byte         // the child path being built
+	// paths interns the walk's paths, each key its own value, so a path is
+	// one string however often it is walked. nil: no interning.
+	paths     map[string]string
+	pathBytes int // path bytes held as keys
 }
 
 // memoBytes bounds the content a Memo holds: past it, the memo starts
@@ -121,12 +133,18 @@ type Memo struct {
 // contents, 54 KB; a custom pool may hold far more.
 const memoBytes = 64 << 20
 
+// memoPathBytes bounds the paths a Memo interns: past it, the table
+// starts over, as the contents do past memoBytes.
+const memoPathBytes = 1 << 20
+
 // NewMemo returns an empty memo.
-func NewMemo() *Memo { return &Memo{sums: make(map[string][md5.Size]byte)} }
+func NewMemo() *Memo {
+	return &Memo{sums: make(map[string][md5.Size]byte), paths: make(map[string]string)}
+}
 
 // sum returns data's MD5, computing it only for content m has not seen.
 func (m *Memo) sum(data []byte) [md5.Size]byte {
-	if m == nil {
+	if m.sums == nil {
 		return md5.Sum(data)
 	}
 	if s, ok := m.sums[string(data)]; ok {
@@ -141,59 +159,80 @@ func (m *Memo) sum(data []byte) [md5.Size]byte {
 	return s
 }
 
-// Snapshot walks the file system under mountPoint through the kernel's
-// syscall interface (open/read/stat/getdents, exactly like Algorithm 1)
-// and returns the abstract records sorted by path.
-func Snapshot(k *kernel.Kernel, mountPoint string, opts Options) ([]Record, errno.Errno) {
-	return (*Memo)(nil).Snapshot(k, mountPoint, opts)
+// intern returns p as a string, from the path table when it holds it.
+func (m *Memo) intern(p []byte) string {
+	if m.paths == nil {
+		return string(p)
+	}
+	if s, ok := m.paths[string(p)]; ok {
+		return s
+	}
+	if m.pathBytes += len(p); m.pathBytes > memoPathBytes {
+		clear(m.paths)
+		m.pathBytes = len(p)
+	}
+	s := string(p)
+	m.paths[s] = s
+	return s
 }
 
-// Snapshot is the package's Snapshot, with file contents hashed through m.
-func (m *Memo) Snapshot(k *kernel.Kernel, mountPoint string, opts Options) ([]Record, errno.Errno) {
+// Snapshot walks the file system under mountPoint through the kernel's
+// syscall interface (open/read/stat/getdents, exactly like Algorithm 1)
+// and returns the abstract records sorted by path, in fresh memory.
+func Snapshot(k *kernel.Kernel, mountPoint string, opts Options) ([]Record, errno.Errno) {
+	return (*Memo)(nil).Snapshot(nil, k, mountPoint, opts)
+}
+
+// Snapshot is the package's Snapshot, in m's memory: it appends the
+// records, sorted by path, to dst and returns the extended slice, which
+// on error has dst's length. File contents are hashed through m. A
+// caller that passes the same buffer back, truncated, walks a tree whose
+// names m has seen without allocating.
+func (m *Memo) Snapshot(dst []Record, k *kernel.Kernel, mountPoint string, opts Options) ([]Record, errno.Errno) {
+	if m == nil {
+		m = new(Memo)
+	}
 	// The kernel knows mountPoint's clean form: the mount's point plus
 	// what is left of the path inside it.
 	mnt, rest, e := k.MountAt(mountPoint)
 	if e != errno.OK {
-		return nil, e
+		return dst, e
 	}
-	w := walker{k: k, opts: opts, mount: mnt.Point() + rest, memo: m}
-	if w.mount == "/" {
-		w.mount = "" // so that mount + "/name" is clean under the root too
+	m.path = append(append(m.path[:0], mnt.Point()...), rest...)
+	if string(m.path) == "/" {
+		m.path = m.path[:0] // so that mount + "/name" is clean under the root too
 	}
-	if m != nil {
-		w.buf = m.buf
-	}
-	e = w.visit(w.mount)
-	if m != nil {
-		m.buf = w.buf // kept at the size the walk grew it to
-	}
+	w := walker{k: k, opts: opts, mount: len(m.path), memo: m, records: dst}
+	e = w.visit(m.intern(m.path))
 	if e != errno.OK {
-		return nil, e
+		return dst, e
 	}
 	// The walk is depth-first, which is not path order: "/a.b" sorts
 	// before "/a/b" but is visited after it.
-	slices.SortFunc(w.records, func(x, y Record) int { return strings.Compare(x.Path, y.Path) })
+	slices.SortFunc(w.records[len(dst):], func(x, y Record) int { return strings.Compare(x.Path, y.Path) })
 	return w.records, errno.OK
 }
 
-// walker is one Snapshot in progress. It lives for that one call: nothing
-// it holds outlasts the records it returns, and the memo, whose read
-// buffer it borrows, is the caller's.
+// walker is one Snapshot in progress. What it holds lives in its memo or
+// in the records it returns.
 type walker struct {
 	k       *kernel.Kernel
 	opts    Options
-	mount   string // clean mount point, "" for "/"
+	mount   int // length of the clean mount point, 0 for "/"
 	memo    *Memo
-	buf     []byte // the file being hashed; the memo's buffer when there is one
 	records []Record
 }
 
 // visit records the node and, for a directory, everything under it. node
 // is the mount point followed by the mount-relative path, which is "" for
-// the mount's root and "/name[/name...]" below it: one concatenation per
-// node, clean by construction, and the record's path is a slice of it.
+// the mount's root and "/name[/name...]" below it: one interned string
+// per node, clean by construction, and the record's path is a slice of
+// it. A directory reads its listing out of the memo's listing buffer and
+// pushes its sorted children on the names stack before it visits any of
+// them, and pops them after.
 func (w *walker) visit(node string) errno.Errno {
-	full, rel := orRoot(node), orRoot(node[len(w.mount):])
+	m := w.memo
+	full, rel := orRoot(node), orRoot(node[w.mount:])
 	st, e := w.k.Lstat(full)
 	if e != errno.OK {
 		return e
@@ -202,25 +241,29 @@ func (w *walker) visit(node string) errno.Errno {
 	switch {
 	case st.Mode.IsDir():
 		rec.Kind = "dir"
-		entries, e := w.k.GetDents(full)
+		m.ents, e = w.k.GetDents(full, m.ents[:0])
 		if e != errno.OK {
 			return e
 		}
-		names := make([]string, 0, len(entries))
-		for _, de := range entries {
+		start := len(m.names)
+		for _, de := range m.ents {
 			if de.Name == "." || de.Name == ".." || w.opts.excepted(de.Name) {
 				continue
 			}
-			names = append(names, de.Name)
+			m.names = append(m.names, de.Name)
 		}
-		slices.Sort(names) // §3.4: sort getdents output
+		end := len(m.names)
+		slices.Sort(m.names[start:end]) // §3.4: sort getdents output
 		// One growth for the directory and all its entries.
-		w.records = append(slices.Grow(w.records, 1+len(names)), rec)
-		for _, name := range names {
-			if e := w.visit(node + "/" + name); e != errno.OK {
-				return e
+		w.records = append(slices.Grow(w.records, 1+end-start), rec)
+		for i := start; i < end; i++ {
+			m.path = append(append(append(m.path[:0], node...), '/'), m.names[i]...)
+			if e = w.visit(m.intern(m.path)); e != errno.OK {
+				break
 			}
 		}
+		m.names = m.names[:start]
+		return e
 	case st.Mode.IsSymlink():
 		rec.Kind = "symlink"
 		target, e := w.k.Readlink(full)
@@ -253,8 +296,8 @@ func orRoot(p string) string {
 }
 
 // hashFileContent opens, fully reads, and closes the file, hashing its
-// content into sum (Algorithm 1, lines 7-10). The reads append to w.buf
-// from length zero: one buffer serves every file of the walk.
+// content into sum (Algorithm 1, lines 7-10). The reads append to the
+// memo's read buffer from length zero: one buffer serves every file.
 func (w *walker) hashFileContent(path string, sum *[md5.Size]byte) errno.Errno {
 	fd, e := w.k.Open(path, vfs.ORdOnly, 0)
 	if e != errno.OK {
@@ -262,7 +305,7 @@ func (w *walker) hashFileContent(path string, sum *[md5.Size]byte) errno.Errno {
 	}
 	defer w.k.Close(fd)
 	const chunk = 64 * 1024
-	content := w.buf[:0]
+	content := w.memo.buf[:0]
 	for {
 		n := len(content)
 		if content, e = w.k.ReadFD(fd, chunk, content); e != errno.OK {
@@ -272,7 +315,7 @@ func (w *walker) hashFileContent(path string, sum *[md5.Size]byte) errno.Errno {
 			break
 		}
 	}
-	w.buf = content
+	w.memo.buf = content // kept at the size the walk grew it to
 	*sum = w.memo.sum(content)
 	return errno.OK
 }
@@ -317,7 +360,7 @@ func Hash(k *kernel.Kernel, mountPoint string, opts Options) (State, errno.Errno
 
 // Hash is the package's Hash, with file contents hashed through m.
 func (m *Memo) Hash(k *kernel.Kernel, mountPoint string, opts Options) (State, errno.Errno) {
-	records, e := m.Snapshot(k, mountPoint, opts)
+	records, e := m.Snapshot(nil, k, mountPoint, opts)
 	if e != errno.OK {
 		return State{}, e
 	}

@@ -38,55 +38,25 @@ func BenchmarkHash(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotWarm is BenchmarkHash through a content memo that has
-// seen every file: the walk and its reads, without the content MD5s —
-// what the engine pays after an op that wrote no new content.
+// BenchmarkSnapshotWarm is BenchmarkHash through a memo that has seen
+// every file, into a reused record buffer: the walk and its reads,
+// without the content MD5s — what the engine pays after an op that
+// wrote no new content.
 func BenchmarkSnapshotWarm(b *testing.B) {
 	k := hashBenchTree(b)
 	opts := New()
-	walk := sharedMemo()
-	if _, e := walk(k, "/mnt", opts); e != errno.OK {
+	m := NewMemo()
+	recs, e := m.Snapshot(nil, k, "/mnt", opts)
+	if e != errno.OK {
 		b.Fatal(e)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		recs, e := walk(k, "/mnt", opts)
-		if e != errno.OK {
+		if recs, e = m.Snapshot(recs[:0], k, "/mnt", opts); e != errno.OK {
 			b.Fatal(e)
 		}
 		HashRecords(recs, opts)
-	}
-}
-
-// TestAllocationBudgets keeps the walk's garbage where it is: what is
-// left per Hash is the file systems' own (readdir slices, open files),
-// one path per node, and a handful per walk; file contents are read into
-// one buffer, the memo's when there is one. Comparing equal
-// states, which is what the checker does after nearly every operation,
-// allocates nothing.
-func TestAllocationBudgets(t *testing.T) {
-	k := hashBenchTree(t)
-	opts := New()
-	// 31 today (46 while each open allocated its descriptor, 60 while each
-	// read allocated its bytes, 358 before the walk stopped re-parsing its
-	// own paths); one more allocation per node would be 50. The race
-	// detector adds its own: 36 under -race.
-	if n := testing.AllocsPerRun(20, func() { Hash(k, "/mnt", opts) }); n > 50 {
-		t.Errorf("Hash of the 19-record tree allocates %v times, budget 50", n)
-	}
-	// Through a memo that holds every content, the same budget (30
-	// today): a hit copies nothing, and the memo's read buffer is warm.
-	walk := sharedMemo()
-	walk(k, "/mnt", opts)
-	if n := testing.AllocsPerRun(20, func() {
-		recs, _ := walk(k, "/mnt", opts)
-		HashRecords(recs, opts)
-	}); n > 50 {
-		t.Errorf("a warm walk and hash of the 19-record tree allocates %v times, budget 50", n)
-	}
-	a, b := diffBenchRecords(), diffBenchRecords()
-	if n := testing.AllocsPerRun(20, func() { Diff(a, b, opts) }); n != 0 {
-		t.Errorf("Diff of two equal 100-record lists allocates %v times, want 0", n)
 	}
 }
 

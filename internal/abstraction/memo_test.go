@@ -2,6 +2,7 @@ package abstraction
 
 import (
 	"crypto/md5"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,9 +14,18 @@ import (
 // walkFunc is one way of taking a Snapshot.
 type walkFunc func(k *kernel.Kernel, mountPoint string, opts Options) ([]Record, errno.Errno)
 
-// sharedMemo returns a walk whose every call shares one content memo: the
-// first call over a tree fills it, later ones hit.
-func sharedMemo() walkFunc { return NewMemo().Snapshot }
+// sharedMemo returns a walk whose every call shares one memo and one
+// record buffer: the first call over a tree fills them, later ones hit.
+// Each call's records are a copy, so a later walk cannot change them.
+func sharedMemo() walkFunc {
+	m := NewMemo()
+	var buf []Record
+	return func(k *kernel.Kernel, mountPoint string, opts Options) ([]Record, errno.Errno) {
+		var e errno.Errno
+		buf, e = m.Snapshot(buf[:0], k, mountPoint, opts)
+		return slices.Clone(buf), e
+	}
+}
 
 // TestContentMemoIsExact: a walk through a warm memo records exactly what a
 // cold walk records, field for field, and every file's digest is the MD5

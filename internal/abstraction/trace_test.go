@@ -34,9 +34,9 @@ func (f traceFS) Readlink(ino vfs.Ino) (string, errno.Errno) {
 	return f.FS.Readlink(ino)
 }
 
-func (f traceFS) ReadDir(ino vfs.Ino) ([]vfs.DirEntry, errno.Errno) {
+func (f traceFS) ReadDir(ino vfs.Ino, dst []vfs.DirEntry) ([]vfs.DirEntry, errno.Errno) {
 	*f.log = append(*f.log, fmt.Sprintf("readdir(%d)", ino))
-	return f.FS.ReadDir(ino)
+	return f.FS.ReadDir(ino, dst)
 }
 
 func (f traceFS) Read(ino vfs.Ino, off int64, n int, dst []byte) ([]byte, errno.Errno) {

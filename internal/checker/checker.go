@@ -71,6 +71,10 @@ type Checker struct {
 	targets []Target
 	opts    abstraction.Options
 	memo    *abstraction.Memo // nil: every walk hashes every content
+	// recs holds each target's records between checks, so a check walks
+	// into the memory the last one grew: one buffer per target, made with
+	// the memo (a checker without one walks into fresh memory).
+	recs [][]abstraction.Record
 
 	obsHub      *obs.Hub
 	histCompare *obs.Histogram
@@ -94,12 +98,25 @@ func New(k *kernel.Kernel, targets []Target) *Checker {
 }
 
 // WithMemo returns a copy of c whose abstraction walks hash file contents
-// through m. The copy shares c's kernel, targets and hub; c is unchanged,
-// so m lives exactly as long as the copy's holder keeps it.
+// through m and work in m's memory, and whose checks keep their records
+// in buffers of their own. The copy shares c's kernel, targets and hub;
+// c is unchanged, so m and the buffers live exactly as long as the copy's
+// holder keeps it. Like m, the copy is not safe for concurrent use.
 func (c *Checker) WithMemo(m *abstraction.Memo) *Checker {
 	cp := *c
 	cp.memo = m
+	cp.recs = make([][]abstraction.Record, len(c.targets))
 	return &cp
+}
+
+// snapshot walks target i into its record buffer, when c has one.
+func (c *Checker) snapshot(i int) ([]abstraction.Record, errno.Errno) {
+	if c.recs == nil {
+		return c.memo.Snapshot(nil, c.k, c.targets[i].MountPoint, c.opts)
+	}
+	recs, e := c.memo.Snapshot(c.recs[i][:0], c.k, c.targets[i].MountPoint, c.opts)
+	c.recs[i] = recs
+	return recs, e
 }
 
 // Targets returns the targets under comparison.
@@ -235,8 +252,8 @@ func (c *Checker) CheckAndHashMajority(op string) (*Discrepancy, abstraction.Sta
 	hasher := md5.New()
 	hashes := make([]abstraction.State, len(c.targets))
 	records := make([][]abstraction.Record, len(c.targets))
-	for i, t := range c.targets {
-		recs, e := c.memo.Snapshot(c.k, t.MountPoint, c.opts)
+	for i := range c.targets {
+		recs, e := c.snapshot(i)
 		if e != errno.OK {
 			return nil, abstraction.State{}, e
 		}
@@ -245,7 +262,7 @@ func (c *Checker) CheckAndHashMajority(op string) (*Discrepancy, abstraction.Sta
 		hasher.Write(hashes[i][:])
 	}
 	var combined abstraction.State
-	copy(combined[:], hasher.Sum(nil))
+	hasher.Sum(combined[:0])
 
 	groups := make(map[abstraction.State][]int)
 	for i, h := range hashes {
@@ -299,7 +316,7 @@ func (c *Checker) CheckAndHash(op string) (*Discrepancy, abstraction.State, errn
 	hasher := md5.New()
 	var baseRecords []abstraction.Record
 	for i, t := range c.targets {
-		records, e := c.memo.Snapshot(c.k, t.MountPoint, c.opts)
+		records, e := c.snapshot(i)
 		if e != errno.OK {
 			return nil, abstraction.State{}, e
 		}
@@ -317,7 +334,7 @@ func (c *Checker) CheckAndHash(op string) (*Discrepancy, abstraction.State, errn
 		}
 	}
 	var combined abstraction.State
-	copy(combined[:], hasher.Sum(nil))
+	hasher.Sum(combined[:0])
 	return nil, combined, errno.OK
 }
 

@@ -138,8 +138,18 @@ func TestWithMemoJudgesAsWithout(t *testing.T) {
 	if d := same("diverged"); d == nil || d.Kind != "abstract-state" {
 		t.Errorf("divergence after the memo saw the old content: %v", d)
 	}
-	if c.memo != nil {
-		t.Error("WithMemo gave the original checker a memo")
+	// The copy's record buffers hold the longer trees: a shrunk tree must
+	// not see their tails.
+	for _, p := range []string{"/a/f", "/b/f"} {
+		if e := k.Unlink(p); e != errno.OK {
+			t.Fatal(e)
+		}
+	}
+	if d := same("shrunk"); d != nil {
+		t.Errorf("equal shrunk states flagged: %v", d)
+	}
+	if c.memo != nil || c.recs != nil {
+		t.Error("WithMemo gave the original checker a memo or record buffers")
 	}
 }
 

@@ -261,7 +261,7 @@ func TestReadDirOnAColdMount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, e := g.ReadDir(g.Root()); e != errno.OK || !slices.Equal(got, want) {
+	if got, e := g.ReadDir(g.Root(), nil); e != errno.OK || !slices.Equal(got, want) {
 		t.Errorf("a cold listing reads (%v)\n%v\nwant\n%v", e, got, want)
 	}
 }
@@ -287,7 +287,7 @@ func TestRenameAndLinkAndReaddir(t *testing.T) {
 	if e != errno.OK || got != a {
 		t.Errorf("moved = (%v, %v)", got, e)
 	}
-	ents, e := f.ReadDir(f.Root())
+	ents, e := f.ReadDir(f.Root(), nil)
 	if e != errno.OK {
 		t.Fatal(e)
 	}

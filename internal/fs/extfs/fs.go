@@ -104,7 +104,8 @@ type MountCache struct {
 // reallocates. A mount reads every block of it before it uses it, or
 // clears it, takes the maps emptied and truncates a list before each use,
 // so what an earlier mount left there never shows: the mount stays a
-// function of the device's bytes.
+// function of the device's bytes. The name table is kept, not emptied:
+// it maps bytes to the same bytes, so what it holds cannot show either.
 type mountBufs struct {
 	sb          [BlockSize]byte // the superblock, as read and as encoded
 	blockBitmap [BlockSize]byte
@@ -121,18 +122,38 @@ type mountBufs struct {
 	cached    []*cachedInode
 	used      int
 	freed     []*cachedInode
-	dirBlocks []uint32       // dirBlocks' list
-	dirtyInos []uint32       // Sync's dirty inodes, in table order
-	tables    [][]byte       // Sync's inode-table block images
-	writes    []blockWrite   // Sync's write list
-	entries   []vfs.DirEntry // ReadDir's listing, before it is copied out
+	dirBlocks []uint32     // dirBlocks' list
+	dirtyInos []uint32     // Sync's dirty inodes, in table order
+	tables    [][]byte     // Sync's inode-table block images
+	writes    []blockWrite // Sync's write list
+	// names is ReadDir's name table: each key is its own value, so a name
+	// is one string however often it is listed, and what the table holds
+	// is a function of the names' bytes alone.
+	names map[string]string
+}
+
+// maxNames bounds the name table: past it, the table starts over.
+const maxNames = 4096
+
+// name returns b as a string, from the name table when it holds it.
+func (b *mountBufs) name(raw []byte) string {
+	if s, ok := b.names[string(raw)]; ok {
+		return s
+	}
+	if len(b.names) == maxNames {
+		clear(b.names)
+	}
+	s := string(raw)
+	b.names[s] = s
+	return s
 }
 
 // takeBufs hands out the memory the cache holds, its maps emptied, or new
 // memory.
 func (c *MountCache) takeBufs() *mountBufs {
 	if c == nil || c.bufs == nil {
-		return &mountBufs{dirtyMeta: make(map[uint32][]byte), inodeCache: make(map[uint32]*cachedInode)}
+		return &mountBufs{dirtyMeta: make(map[uint32][]byte), inodeCache: make(map[uint32]*cachedInode),
+			names: make(map[string]string)}
 	}
 	b := c.bufs
 	c.bufs = nil

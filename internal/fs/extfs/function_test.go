@@ -113,7 +113,7 @@ func dump(f *FS) string {
 		fmt.Fprintf(&b, "inode %d %+v %v\n", ino, st, e)
 		switch {
 		case st.Mode.IsDir():
-			ents, e := f.ReadDir(ino)
+			ents, e := f.ReadDir(ino, nil)
 			fmt.Fprintf(&b, "  entries %v\n", e)
 			for _, de := range ents {
 				fmt.Fprintf(&b, "  %q -> %d %v\n", de.Name, de.Ino, de.Mode)

@@ -415,40 +415,33 @@ func (f *FS) Write(ino vfs.Ino, off int64, data []byte) (int, errno.Errno) {
 
 // ReadDir implements vfs.FS. Entries come back in on-disk block order,
 // which for extfs is insertion order after compaction — a different order
-// from other file systems (§3.4). It allocates the slice it returns and
-// the names in it, short of one-byte names and "..".
-func (f *FS) ReadDir(ino vfs.Ino) ([]vfs.DirEntry, errno.Errno) {
+// from other file systems (§3.4). The names come from the mount's name
+// table (mountBufs.name), so a listing of names seen before allocates
+// nothing.
+func (f *FS) ReadDir(ino vfs.Ino, dst []vfs.DirEntry) ([]vfs.DirEntry, errno.Errno) {
 	ci, e := f.dirInode(ino)
 	if e != errno.OK {
-		return nil, e
+		return dst, e
 	}
 	ci.atime = int64(f.now())
 	f.markDirty(ci)
 	blocks, e := f.dirBlocks(ci)
 	if e != errno.OK {
-		return nil, e
+		return dst, e
 	}
-	ents := f.bufs.entries[:0]
+	out := dst
 	for _, b := range blocks {
 		buf, err := f.readBlock(b)
 		if err != nil {
-			return nil, errno.EIO
+			return dst, errno.EIO
 		}
 		for s := scanDirBlock(buf); s.next(); {
-			name := ".."
-			if string(s.name) != name {
-				name = string(s.name)
-			}
-			ents = append(ents, vfs.DirEntry{Name: name, Ino: vfs.Ino(s.ino)})
+			out = append(out, vfs.DirEntry{Name: f.bufs.name(s.name), Ino: vfs.Ino(s.ino)})
 		}
 	}
-	out := make([]vfs.DirEntry, len(ents))
-	copy(out, ents)
-	clear(ents)
-	f.bufs.entries = ents[:0]
 	// Modes in a second pass: getInode reads the inode table through the
 	// scratch the scan above reads the directory in.
-	for i := range out {
+	for i := len(dst); i < len(out); i++ {
 		if child := f.getInode(uint32(out[i].Ino)); child != nil {
 			out[i].Mode = child.vfsMode() & vfs.ModeMask
 		}

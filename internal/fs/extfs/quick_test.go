@@ -63,7 +63,7 @@ func fingerprint(t *testing.T, f *FS) string {
 		}
 		out.WriteByte('\n')
 		if st.Mode.IsDir() {
-			ents, e := f.ReadDir(ino)
+			ents, e := f.ReadDir(ino, nil)
 			if e != errno.OK {
 				t.Fatalf("ReadDir(%s): %v", path, e)
 			}

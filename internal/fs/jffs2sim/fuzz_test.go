@@ -61,7 +61,7 @@ func FuzzMount(f *testing.F) {
 		if err != nil {
 			return
 		}
-		ents, _ := fs.ReadDir(fs.Root())
+		ents, _ := fs.ReadDir(fs.Root(), nil)
 		for _, de := range ents {
 			fs.Getattr(de.Ino)
 		}

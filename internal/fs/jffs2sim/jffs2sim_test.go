@@ -82,7 +82,7 @@ func TestEmptyMount(t *testing.T) {
 	if e != errno.OK || !st.Mode.IsDir() {
 		t.Fatalf("root = (%+v, %v)", st, e)
 	}
-	ents, e := f.ReadDir(f.Root())
+	ents, e := f.ReadDir(f.Root(), nil)
 	if e != errno.OK || len(ents) != 2 {
 		t.Errorf("fresh root entries = (%v, %v)", ents, e)
 	}

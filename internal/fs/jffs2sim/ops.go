@@ -381,14 +381,13 @@ func (f *FS) Write(ino vfs.Ino, off int64, data []byte) (int, errno.Errno) {
 }
 
 // ReadDir implements vfs.FS; entries come back in log-arrival order.
-func (f *FS) ReadDir(ino vfs.Ino) ([]vfs.DirEntry, errno.Errno) {
+func (f *FS) ReadDir(ino vfs.Ino, dst []vfs.DirEntry) ([]vfs.DirEntry, errno.Errno) {
 	dir, e := f.dir(ino)
 	if e != errno.OK {
-		return nil, e
+		return dst, e
 	}
 	dir.atime = f.now()
-	out := make([]vfs.DirEntry, 0, len(dir.order)+2)
-	out = append(out,
+	out := append(dst,
 		vfs.DirEntry{Name: ".", Ino: ino, Mode: vfs.ModeDir},
 		vfs.DirEntry{Name: "..", Ino: vfs.Ino(dir.parent), Mode: vfs.ModeDir},
 	)

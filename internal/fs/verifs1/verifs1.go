@@ -519,17 +519,16 @@ func (f *FS) Write(ino vfs.Ino, off int64, data []byte) (int, errno.Errno) {
 
 // ReadDir implements vfs.FS. Entries come back in insertion order —
 // implementation-defined, per §3.4 the checker must sort before comparing.
-func (f *FS) ReadDir(ino vfs.Ino) ([]vfs.DirEntry, errno.Errno) {
+func (f *FS) ReadDir(ino vfs.Ino, dst []vfs.DirEntry) ([]vfs.DirEntry, errno.Errno) {
 	dir := f.get(ino)
 	if dir == nil {
-		return nil, errno.ENOENT
+		return dst, errno.ENOENT
 	}
 	if !dir.mode.IsDir() {
-		return nil, errno.ENOTDIR
+		return dst, errno.ENOTDIR
 	}
 	dir.atime = f.now()
-	out := make([]vfs.DirEntry, 0, len(dir.entries)+2)
-	out = append(out,
+	out := append(dst,
 		vfs.DirEntry{Name: ".", Ino: ino, Mode: vfs.ModeDir},
 		vfs.DirEntry{Name: "..", Ino: dir.parent, Mode: vfs.ModeDir},
 	)

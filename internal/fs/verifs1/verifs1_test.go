@@ -275,7 +275,7 @@ func TestReadDir(t *testing.T) {
 	mustCreate(t, f, f.Root(), "b")
 	mustCreate(t, f, f.Root(), "a")
 	mustMkdir(t, f, f.Root(), "d")
-	ents, e := f.ReadDir(f.Root())
+	ents, e := f.ReadDir(f.Root(), nil)
 	if e != errno.OK {
 		t.Fatal(e)
 	}

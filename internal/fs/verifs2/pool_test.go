@@ -187,7 +187,7 @@ func (o fsOp) apply(f *FS) (string, errno.Errno) {
 		data, e := f.Read(o.ino, o.off, int(o.size), nil)
 		return fmt.Sprintf("%x", data), e
 	case 'd':
-		ents, e := f.ReadDir(o.ino)
+		ents, e := f.ReadDir(o.ino, nil)
 		return fmt.Sprint(ents), e
 	default:
 		mode, uid, atime := vfs.Mode(o.fill)&0o777, uint32(o.size), time.Duration(o.off)

@@ -68,7 +68,7 @@ func treeFingerprint(t *testing.T, f *FS) string {
 		}
 		out.WriteByte('\n')
 		if st.Mode.IsDir() {
-			ents, e := f.ReadDir(ino)
+			ents, e := f.ReadDir(ino, nil)
 			if e != errno.OK {
 				t.Fatalf("ReadDir(%s): %v", path, e)
 			}
@@ -118,7 +118,7 @@ func TestQuickBlockAccountingBalanced(t *testing.T) {
 			applyQuickOp(f, op)
 		}
 		// Tear everything down.
-		ents, e := f.ReadDir(f.Root())
+		ents, e := f.ReadDir(f.Root(), nil)
 		if e != errno.OK {
 			return false
 		}

@@ -669,17 +669,16 @@ func (f *FS) Write(ino vfs.Ino, off int64, data []byte) (int, errno.Errno) {
 // ReadDir implements vfs.FS. VeriFS2 returns entries in its internal
 // htree-like order (insertion order here), which differs from other file
 // systems — the checker must sort (§3.4).
-func (f *FS) ReadDir(ino vfs.Ino) ([]vfs.DirEntry, errno.Errno) {
+func (f *FS) ReadDir(ino vfs.Ino, dst []vfs.DirEntry) ([]vfs.DirEntry, errno.Errno) {
 	dir := f.get(ino)
 	if dir == nil {
-		return nil, errno.ENOENT
+		return dst, errno.ENOENT
 	}
 	if !dir.mode.IsDir() {
-		return nil, errno.ENOTDIR
+		return dst, errno.ENOTDIR
 	}
 	f.setAtime(ino, f.now())
-	out := make([]vfs.DirEntry, 0, len(dir.order)+2)
-	out = append(out,
+	out := append(dst,
 		vfs.DirEntry{Name: ".", Ino: ino, Mode: vfs.ModeDir},
 		vfs.DirEntry{Name: "..", Ino: dir.parent, Mode: vfs.ModeDir},
 	)

@@ -37,7 +37,7 @@ func mountAndUse(dev blockdev.Device) (mountErr error, readDir, create errno.Err
 	if mountErr != nil {
 		return mountErr, 0, 0, nil
 	}
-	ents, readDir := f.ReadDir(f.Root())
+	ents, readDir := f.ReadDir(f.Root(), nil)
 	for _, de := range ents {
 		if st, e := f.Getattr(de.Ino); e == errno.OK && st.Mode.IsSymlink() {
 			f.Readlink(de.Ino)

@@ -509,18 +509,18 @@ func (f *FS) Write(ino vfs.Ino, off int64, data []byte) (int, errno.Errno) {
 }
 
 // ReadDir implements vfs.FS; entries come back in on-disk stream order.
-func (f *FS) ReadDir(ino vfs.Ino) ([]vfs.DirEntry, errno.Errno) {
+func (f *FS) ReadDir(ino vfs.Ino, dst []vfs.DirEntry) ([]vfs.DirEntry, errno.Errno) {
 	ci, e := f.dirInode(ino)
 	if e != errno.OK {
-		return nil, e
+		return dst, e
 	}
 	ci.atime = int64(f.now())
 	ci.dirty = true
 	entries, e := f.dirEntries(ci)
 	if e != errno.OK {
-		return nil, e
+		return dst, e
 	}
-	out := make([]vfs.DirEntry, 0, len(entries))
+	out := dst
 	for _, de := range entries {
 		mode := vfs.Mode(0)
 		if child := f.getInode(de.ino); child != nil {

@@ -65,7 +65,7 @@ func fingerprint(t *testing.T, f *FS) string {
 		}
 		out.WriteByte('\n')
 		if st.Mode.IsDir() {
-			ents, e := f.ReadDir(ino)
+			ents, e := f.ReadDir(ino, nil)
 			if e != errno.OK {
 				t.Fatalf("ReadDir(%s): %v", path, e)
 			}
@@ -132,7 +132,7 @@ func TestQuickFreeSpaceBalanced(t *testing.T) {
 		for _, op := range ops {
 			applyQuickOp(f, op)
 		}
-		ents, e := f.ReadDir(f.Root())
+		ents, e := f.ReadDir(f.Root(), nil)
 		if e != errno.OK {
 			return false
 		}

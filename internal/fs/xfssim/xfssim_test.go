@@ -257,7 +257,7 @@ func TestRmdirSemantics(t *testing.T) {
 
 func TestReadDirHasDotEntries(t *testing.T) {
 	f, _, _ := newVolume(t)
-	ents, e := f.ReadDir(f.Root())
+	ents, e := f.ReadDir(f.Root(), nil)
 	if e != errno.OK {
 		t.Fatal(e)
 	}

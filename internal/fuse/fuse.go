@@ -198,9 +198,9 @@ func (c *Client) Write(ino vfs.Ino, off int64, data []byte) (int, errno.Errno) {
 }
 
 // ReadDir implements vfs.FS.
-func (c *Client) ReadDir(ino vfs.Ino) ([]vfs.DirEntry, errno.Errno) {
+func (c *Client) ReadDir(ino vfs.Ino, dst []vfs.DirEntry) ([]vfs.DirEntry, errno.Errno) {
 	defer c.send("READDIR").End()
-	return c.server.backing.ReadDir(ino)
+	return c.server.backing.ReadDir(ino, dst)
 }
 
 // StatFS implements vfs.FS.

@@ -447,7 +447,7 @@ func TestStatfsAndGetDents(t *testing.T) {
 	if e != errno.OK || st.TotalBlocks == 0 {
 		t.Errorf("Statfs = (%+v, %v)", st, e)
 	}
-	ents, e := k.GetDents("/mnt")
+	ents, e := k.GetDents("/mnt", nil)
 	if e != errno.OK {
 		t.Fatal(e)
 	}

@@ -490,17 +490,18 @@ func (k *Kernel) Truncate(path string, size int64) errno.Errno {
 	return errno.OK
 }
 
-// GetDents lists a directory (unsorted, exactly as the FS returns it).
-func (k *Kernel) GetDents(path string) ([]vfs.DirEntry, errno.Errno) {
+// GetDents appends a directory's entries to dst (unsorted, exactly as
+// the FS returns them; see vfs.FS.ReadDir).
+func (k *Kernel) GetDents(path string, dst []vfs.DirEntry) ([]vfs.DirEntry, errno.Errno) {
 	defer k.begin("getdents").End()
 	r, e := k.resolve(path, true)
 	if e != errno.OK {
-		return nil, e
+		return dst, e
 	}
 	if !r.exists {
-		return nil, errno.ENOENT
+		return dst, errno.ENOENT
 	}
-	return r.mount.fs.ReadDir(r.ino)
+	return r.mount.fs.ReadDir(r.ino, dst)
 }
 
 // Statfs reports file system usage.

@@ -61,6 +61,9 @@ var (
 	oneLock = []string{"mcfs/internal/mc/visited", "mcfs/internal/memmodel"}
 	// table is this file, whose strings name what the rows forbid.
 	table = []string{"mcfs/internal/lint/structure.go"}
+	// readDirs is every vfs.FS.ReadDir the module implements.
+	readDirs = []string{"mcfs/internal/fs/extfs.FS.ReadDir", "mcfs/internal/fs/jffs2sim.FS.ReadDir", "mcfs/internal/fs/verifs1.FS.ReadDir",
+		"mcfs/internal/fs/verifs2.FS.ReadDir", "mcfs/internal/fs/xfssim.FS.ReadDir", "mcfs/internal/fuse.Client.ReadDir"}
 )
 
 // structureRules holds one or a few rows per invariant; each row's why
@@ -77,6 +80,12 @@ var structureRules = []rule{
 	// One walk: the step that judges a state hashes it; explore hashes the initial state, once.
 	{in: []string{"mcfs/internal/mc"}, not: []string{"mcfs/internal/mc.engine.explore"}, match: uses(stateHash), why: "%s: only explore hashes a state outside the step's own check"},
 	{in: []string{"mcfs/internal/mc.engine.explore"}, max: 1, match: uses(stateHash), why: "%s: explore hashes the initial state once"},
+	// Reused walk memory: a state check walks in its owner's memo and record buffer; only the crash oracle's reference flow walks fresh.
+	{in: []string{"mcfs/internal/checker", "mcfs/internal/mc"}, not: []string{"mcfs/internal/mc.engine.reprobe"},
+		match: uses("mcfs/internal/abstraction.Hash", "mcfs/internal/abstraction.Snapshot"),
+		why:   "%s: a state check walks in its owner's memory ((*abstraction.Memo).Snapshot into a kept buffer); only reprobe walks fresh"},
+	// A listing appends to the caller's buffer: no ReadDir makes the slice it returns.
+	{in: readDirs, match: makes(isDirEntries), why: "%s in a ReadDir: a listing appends to the caller's dst"},
 	// No image copy: a crash point is a position in the write log.
 	{in: []string{"mcfs/internal/blockdev"}, not: []string{"mcfs/internal/blockdev.Disk.Snapshot", "mcfs/internal/blockdev.MTDBlock.Snapshot"},
 		match: makes(wholeImage), why: "%s: only Snapshot copies a whole image; a crash point is a position in the write log"},
@@ -131,6 +140,12 @@ func isChan(t types.Type, _ []ast.Expr, _ *types.Info) bool { _, ok := t.(*types
 
 func isBytes(t types.Type, _ []ast.Expr, _ *types.Info) bool {
 	return types.Identical(t, types.NewSlice(types.Typ[types.Byte]))
+}
+
+// isDirEntries matches a []vfs.DirEntry.
+func isDirEntries(t types.Type, _ []ast.Expr, _ *types.Info) bool {
+	s, ok := t.(*types.Slice)
+	return ok && types.TypeString(s.Elem(), nil) == "mcfs/internal/vfs.DirEntry"
 }
 
 // isCacheMap matches a map keyed by the kernel's dentry key.

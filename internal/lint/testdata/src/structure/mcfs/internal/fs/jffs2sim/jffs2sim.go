@@ -1,10 +1,14 @@
 // Package jffs2sim stands in for the jffs2 mount scan, which parses the
 // bytes the MTD lends in place, and its replay, which grows a file's
 // content in place. It brings back a copy, a reflective sort and a fresh
-// content array.
+// content array, and a listing in a slice of its own.
 package jffs2sim
 
-import "sort"
+import (
+	"sort"
+
+	"mcfs/internal/vfs"
+)
 
 type blockScan struct{ nodes []int }
 
@@ -37,3 +41,18 @@ func (nd *inodeInfo) writeAt(off int, data []byte) {
 }
 
 func encode(n int) []byte { return make([]byte, n) } // outside the scan: allowed
+
+// FS is a mounted file system.
+type FS struct{ names []string }
+
+// ReadDir makes the slice it lists into: a mutant.
+func (f *FS) ReadDir(dst []vfs.DirEntry) []vfs.DirEntry {
+	out := make([]vfs.DirEntry, 0, len(f.names)) // want "make\(\[\]vfs\.DirEntry, 0, len\(f\.names\)\) in a ReadDir: a listing appends"
+	for _, n := range f.names {
+		out = append(out, vfs.DirEntry{Name: n})
+	}
+	return append(dst, out...)
+}
+
+// names makes a listing outside a ReadDir: allowed.
+func names(n int) []vfs.DirEntry { return make([]vfs.DirEntry, n) }

@@ -3,6 +3,7 @@
 package mc
 
 import (
+	"mcfs/internal/abstraction"
 	"mcfs/internal/checker"
 	"mcfs/internal/obs"
 	"mcfs/internal/obs/journal"
@@ -38,4 +39,15 @@ func (e *engine) step() {
 	// A method value walks the state as surely as a call.
 	walk := e.cfg.Checker.StateHash // want "\(\*mcfs/internal/checker\.Checker\)\.StateHash: only explore hashes a"
 	_, _ = walk()
+}
+
+// reprobe is the crash oracle's reference flow: it walks fresh.
+func (e *engine) reprobe() uint64 {
+	hash := func() uint64 { return abstraction.Hash() }
+	return hash() + uint64(len(abstraction.Snapshot()))
+}
+
+// metaHash walks fresh outside reprobe: a mutant.
+func (e *engine) metaHash() []string {
+	return abstraction.Snapshot() // want "mcfs/internal/abstraction\.Snapshot: a state check walks in its owner's memory"
 }

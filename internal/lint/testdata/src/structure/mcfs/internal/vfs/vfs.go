@@ -12,3 +12,6 @@ func BaseName(p string) string { // want "BaseName: a path is consumed"
 	parts := str.Split(p, "/") // want "strings\.Split: a path is consumed"
 	return parts[len(parts)-1]
 }
+
+// DirEntry is one listed name.
+type DirEntry struct{ Name string }

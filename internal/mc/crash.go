@@ -187,13 +187,25 @@ func (c *crashDigester) digest(p *CrashPlane, regions []fault.Region) (d [32]byt
 	return d, true
 }
 
-// metaHash abstracts the plane's current state for the oracle, ignoring
-// file content: data writes are legitimately non-atomic under metadata
+// metaOpts are the oracle's abstraction options: file content is
+// ignored, since data writes are legitimately non-atomic under metadata
 // journaling.
-func (e *engine) metaHash(p *CrashPlane) (abstraction.State, errno.Errno) {
+func (e *engine) metaOpts() abstraction.Options {
 	opts := e.cfg.Checker.AbstractionOptions()
 	opts.IgnoreContent = true
-	return abstraction.Hash(e.cfg.Kernel, p.Mount, opts)
+	return opts
+}
+
+// metaHash abstracts the plane's current state for the oracle, walking
+// in the engine's crash walk memory (crashWalk, crashRecs).
+func (e *engine) metaHash(p *CrashPlane) (abstraction.State, errno.Errno) {
+	opts := e.metaOpts()
+	recs, er := e.crashWalk.Snapshot(e.crashRecs[:0], e.cfg.Kernel, p.Mount, opts)
+	e.crashRecs = recs
+	if er != errno.OK {
+		return abstraction.State{}, er
+	}
+	return abstraction.HashRecords(recs, opts), errno.OK
 }
 
 // rollback brings the plane back to the image load installs, mounted
@@ -459,14 +471,14 @@ type crashVerdict struct {
 }
 
 // inspect runs the plane's post-recovery checks on the mounted,
-// recovered target.
-func (e *engine) inspect(p *CrashPlane) (v crashVerdict) {
+// recovered target, abstracting its state with hash.
+func (e *engine) inspect(p *CrashPlane, hash func(*CrashPlane) (abstraction.State, errno.Errno)) (v crashVerdict) {
 	if p.Fsck != nil {
 		v.fsckProbs = p.Fsck()
 		e.probe.fscked()
 	}
 	if p.Strict {
-		v.state, v.stateErr = e.metaHash(p)
+		v.state, v.stateErr = hash(p)
 		e.probe.hashed()
 		v.hasState = true
 	}
@@ -558,7 +570,7 @@ func (e *engine) judgeCrashPoint(p *CrashPlane, op workload.Op, k, w int, img []
 	}
 	v, hit := memo[dig]
 	if !haveDig || !hit {
-		v = e.inspect(p)
+		v = e.inspect(p, e.metaHash)
 		if haveDig {
 			memo[dig] = v
 		}
@@ -603,9 +615,13 @@ func (e *engine) restorePlane(p *CrashPlane, extra []fault.Region) error {
 // the targets' CURRENT state, then for every point still inside it
 // re-execute the window, power-cycle on the full pre-op image plus the
 // point's log prefix and judge, rolling back to the full image after
-// each run.
+// each run. Each of its walks is a fresh package-level one, not the
+// engine's reused walk memory.
 // Returns the first discrepancy and its write index.
 func (e *engine) reprobe(p *CrashPlane, op workload.Op, points []int) (*checker.Discrepancy, int, error) {
+	metaHash := func(p *CrashPlane) (abstraction.State, errno.Errno) {
+		return abstraction.Hash(e.cfg.Kernel, p.Mount, e.metaOpts())
+	}
 	pre, err := p.Media.Snapshot()
 	if err != nil {
 		return nil, 0, err
@@ -614,7 +630,7 @@ func (e *engine) reprobe(p *CrashPlane, op workload.Op, points []int) (*checker.
 	// The log's base is pre: here, and again after every rollback.
 	p.Injector.StartTouchLog()
 	defer p.Injector.StopTouchLog()
-	b0, er := e.metaHash(p)
+	b0, er := metaHash(p)
 	if er != errno.OK {
 		return nil, 0, fmt.Errorf("hashing pre-op state: %w", er)
 	}
@@ -622,7 +638,7 @@ func (e *engine) reprobe(p *CrashPlane, op workload.Op, points []int) (*checker.
 	if err != nil {
 		return nil, 0, err
 	}
-	b1, er := e.metaHash(p)
+	b1, er := metaHash(p)
 	if er != errno.OK {
 		return nil, 0, fmt.Errorf("hashing post-op state: %w", er)
 	}
@@ -652,7 +668,7 @@ func (e *engine) reprobe(p *CrashPlane, op workload.Op, points []int) (*checker.
 			if err != nil {
 				d = at.bug(fmt.Sprintf("recovery failed: %v", err))
 			} else {
-				d = e.inspect(p).discrepancy(at, b0, b1)
+				d = e.inspect(p, metaHash).discrepancy(at, b0, b1)
 			}
 		}
 		if err := e.rollback(p, loadPre); err != nil {

@@ -153,7 +153,7 @@ func observeFS(f vfs.FS) (string, error) {
 		if !st.Mode.IsDir() {
 			return nil
 		}
-		ents, e := f.ReadDir(ino)
+		ents, e := f.ReadDir(ino, nil)
 		if e != errno.OK {
 			return fmt.Errorf("readdir %s: %w", path, e)
 		}

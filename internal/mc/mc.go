@@ -453,6 +453,10 @@ type engine struct {
 	crashRegions crashRegions
 	crashPts     []int
 	crashMemo    map[[32]byte]crashVerdict
+	// crashWalk and crashRecs are the session flow's metadata walk
+	// memory (metaHash), reused by every walk of every probe.
+	crashWalk *abstraction.Memo
+	crashRecs []abstraction.Record
 }
 
 func newEngine(cfg Config) *engine {
@@ -464,6 +468,7 @@ func newEngine(cfg Config) *engine {
 	if cfg.Crash != nil {
 		e.res.CrashHeatmap = stream.NewHeatmap()
 		e.crashMemo = make(map[[32]byte]crashVerdict)
+		e.crashWalk = abstraction.NewMemo()
 	}
 	return e
 }

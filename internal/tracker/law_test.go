@@ -218,7 +218,7 @@ func dumpFS(t *testing.T, f vfs.FS) string {
 		}
 		switch {
 		case st.Mode.IsDir():
-			ents, e := f.ReadDir(ino)
+			ents, e := f.ReadDir(ino, nil)
 			if e != errno.OK {
 				t.Fatalf("ReadDir(%s): %v", path, e)
 			}

@@ -47,9 +47,15 @@ type FS interface {
 	// and returns the number of bytes written.
 	Write(ino Ino, off int64, data []byte) (int, errno.Errno)
 
-	// ReadDir lists the entries of directory ino, including "." and "..".
-	// Order is implementation-defined (the checker sorts, per §3.4).
-	ReadDir(ino Ino) ([]DirEntry, errno.Errno)
+	// ReadDir appends the entries of directory ino, including "." and
+	// "..", to dst and returns the extended slice, in the manner of Read:
+	// a caller that passes the same buffer back each time lists without
+	// allocating for the slice. Order is implementation-defined (the
+	// checker sorts, per §3.4). The names may be shared with the file
+	// system and are never written after they are returned. On error the
+	// returned slice has dst's length, though entries in its spare
+	// capacity may have changed.
+	ReadDir(ino Ino, dst []DirEntry) ([]DirEntry, errno.Errno)
 
 	// StatFS reports capacity and usage.
 	StatFS() (StatFS, errno.Errno)
