@@ -425,7 +425,7 @@ type engine struct {
 	trail   []workload.Op
 	nextKey uint64
 	// results is the per-target outcome of the most recent step, errnos
-	// their errno names (one buffer, rewritten by every step).
+	// their errno names (one buffer each, rewritten by every step).
 	results []checker.OpResult
 	errnos  []string
 
@@ -837,9 +837,9 @@ func (e *engine) step(op workload.Op) (abstraction.State, error) {
 		}
 	}
 	e.probe.remounted()
-	results := make([]checker.OpResult, len(targets))
-	for i, tgt := range targets {
-		results[i] = workload.Execute(e.cfg.Kernel, tgt.MountPoint, op)
+	results := e.results[:0]
+	for _, tgt := range targets {
+		results = append(results, workload.Execute(e.cfg.Kernel, tgt.MountPoint, op))
 	}
 	e.probe.ran()
 	for _, t := range e.cfg.Trackers {
