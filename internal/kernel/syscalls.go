@@ -13,7 +13,10 @@ import (
 // Open opens (optionally creating) a file and returns a descriptor.
 func (k *Kernel) Open(path string, flags vfs.OpenFlag, mode vfs.Mode) (FD, errno.Errno) {
 	defer k.begin("open").End()
-	r, e := k.resolve(path, true)
+	// O_CREAT|O_EXCL fails on an existing last component, a symlink
+	// included whatever it points to, so it never follows one.
+	excl := flags&OExclCreate == OExclCreate
+	r, e := k.resolve(path, !excl)
 	if e != errno.OK {
 		return -1, e
 	}
@@ -21,7 +24,7 @@ func (k *Kernel) Open(path string, flags vfs.OpenFlag, mode vfs.Mode) (FD, errno
 	var ino vfs.Ino
 	switch {
 	case r.exists:
-		if flags&OExclCreate == OExclCreate {
+		if excl {
 			return -1, errno.EEXIST
 		}
 		st, e2 := m.getattrCached(r.ino)
@@ -206,10 +209,11 @@ func (k *Kernel) FsyncFD(fd FD) errno.Errno {
 	return of.mount.fs.Sync()
 }
 
-// Mkdir creates a directory.
+// Mkdir creates a directory. A final symlink is not followed: its name
+// exists.
 func (k *Kernel) Mkdir(path string, mode vfs.Mode) errno.Errno {
 	defer k.begin("mkdir").End()
-	r, e := k.resolve(path, true)
+	r, e := k.resolve(path, false)
 	if e != errno.OK {
 		return e
 	}
@@ -320,14 +324,15 @@ func (k *Kernel) Rename(oldPath, newPath string) errno.Errno {
 	return errno.OK
 }
 
-// Link creates a hard link newPath referring to oldPath's inode.
+// Link creates a hard link newPath referring to oldPath's inode. Neither
+// path's final symlink is followed.
 func (k *Kernel) Link(oldPath, newPath string) errno.Errno {
 	defer k.begin("link").End()
 	ro, e := k.resolve(oldPath, false)
 	if e != errno.OK {
 		return e
 	}
-	rn, e := k.resolve(newPath, true)
+	rn, e := k.resolve(newPath, false)
 	if e != errno.OK {
 		return e
 	}
@@ -354,10 +359,11 @@ func (k *Kernel) Link(oldPath, newPath string) errno.Errno {
 	return errno.OK
 }
 
-// Symlink creates a symbolic link at path pointing to target.
+// Symlink creates a symbolic link at path pointing to target. A final
+// symlink at path is not followed: its name exists.
 func (k *Kernel) Symlink(target, path string) errno.Errno {
 	defer k.begin("symlink").End()
-	r, e := k.resolve(path, true)
+	r, e := k.resolve(path, false)
 	if e != errno.OK {
 		return e
 	}
