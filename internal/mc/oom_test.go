@@ -238,9 +238,9 @@ func TestDegradationSchedule(t *testing.T) {
 		report   string
 		schedule []string
 	}{
-		{1 << 20, "ops 624, states 97, elapsed 1.2931681s, bitstate, p 2.67e-12",
+		{1 << 20, "ops 624, states 96, elapsed 1.2931237s, bitstate, p 2.59e-12",
 			[]string{"exact->compact", "compact->bitstate"}},
-		{16 << 20, "ops 2000, states 209, elapsed 3.1824557s, compact, p 9.08e-16",
+		{16 << 20, "ops 1976, states 197, elapsed 3.1432247s, compact, p 7.93e-16",
 			[]string{"evict 22 at depth 3", "evict 3 at depth 2", "evict 1 at depth 3", "exact->compact"}},
 	} {
 		session := func() *mcfs.Session {
