@@ -135,7 +135,7 @@ type mountBufs struct {
 // maxNames bounds the name table: past it, the table starts over.
 const maxNames = 4096
 
-// name returns b as a string, from the name table when it holds it.
+// name returns raw as a string, from the name table when it holds it.
 func (b *mountBufs) name(raw []byte) string {
 	if s, ok := b.names[string(raw)]; ok {
 		return s

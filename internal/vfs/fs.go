@@ -51,10 +51,8 @@ type FS interface {
 	// "..", to dst and returns the extended slice, in the manner of Read:
 	// a caller that passes the same buffer back each time lists without
 	// allocating for the slice. Order is implementation-defined (the
-	// checker sorts, per §3.4). The names may be shared with the file
-	// system and are never written after they are returned. On error the
-	// returned slice has dst's length, though entries in its spare
-	// capacity may have changed.
+	// checker sorts, per §3.4). On error the returned slice has dst's
+	// length, though entries in its spare capacity may have changed.
 	ReadDir(ino Ino, dst []DirEntry) ([]DirEntry, errno.Errno)
 
 	// StatFS reports capacity and usage.
