@@ -2,7 +2,9 @@ package jffs2sim
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mcfs/internal/blockdev"
@@ -153,10 +155,31 @@ func (g *flashRig) zeroOp(kind int, name string, maxOff, maxLen int) {
 	}
 }
 
-// ops runs n operations, remounting and checking after each.
+// poke changes the mounted file system's memory in ways no operation
+// does, writing nothing to flash: the first byte of the first file with
+// content flipped in place, a name put in the root directory's entry map,
+// the root's mtime moved. A remount must show none of it, since a mount is
+// a function of the flash; one that kept memory an earlier mount's ops
+// could reach, or kept a copy taken after they ran, would.
+func (g *flashRig) poke() {
+	f := g.fs
+	for _, ino := range slices.Sorted(maps.Keys(f.inodes)) {
+		if nd := f.inodes[ino]; len(nd.content) > 0 {
+			nd.content[0] ^= 0x5A
+			break
+		}
+	}
+	root := f.inodes[RootIno]
+	root.entries["~"] = RootIno
+	root.mtime++
+}
+
+// ops runs n operations, each on a poked file system, remounting and
+// checking after each.
 func (g *flashRig) ops(when string, n int) {
 	g.t.Helper()
 	for i := 0; i < n; i++ {
+		g.poke()
 		g.op()
 		g.check(fmt.Sprintf("%s, op %d", when, i))
 	}
@@ -217,7 +240,8 @@ func (g *flashRig) faulted(rule fault.Rule, do func()) fault.Stats {
 // RevertFrame + Patch over a touch log, a raw image load — and after
 // every step the state mounted through the one long-lived path — after
 // an unmount that handed it the last mount's inode table — means what a
-// mount of a fresh device holding a copy of the bytes builds (mountDiff).
+// mount of a fresh device holding a copy of the bytes builds (mountDiff),
+// though every op ran on memory poked without logging.
 func TestMountIsAFunctionOfTheFlash(t *testing.T) {
 	for _, geo := range []struct {
 		name  string
