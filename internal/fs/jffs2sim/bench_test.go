@@ -128,10 +128,23 @@ func BenchmarkMountScan(b *testing.B) {
 
 // remountCycle is one unchanged remount through scans: an Unmount of *f,
 // which hands its inode table to the cache, and a MountCached of the same
-// flash, which replays into it.
-func remountCycle(tb testing.TB, f **FS, mtd *blockdev.MTD, clk *simclock.Clock, scans *ScanCache) {
+// flash, which copies the cache's memo of the last replay into that table.
+// With replay set, the memo's stamp of block 0 is moved in between, as a
+// change to the block's bytes moves it, so the mount replays into the
+// table and refreshes the memo instead.
+func remountCycle(tb testing.TB, f **FS, mtd *blockdev.MTD, clk *simclock.Clock, scans *ScanCache, replay bool) {
 	if err := (*f).Unmount(); err != nil {
 		tb.Fatal(err)
+	}
+	if replay {
+		t, ok := scans.table.Take()
+		if !ok {
+			tb.Fatal("an unmount left no table in the cache")
+		}
+		if len(t.memo.stamps) > 0 {
+			t.memo.stamps[0]--
+		}
+		scans.table.Put(t)
 	}
 	g, err := MountCached(mtd, clk, scans)
 	if err != nil {
@@ -142,7 +155,7 @@ func remountCycle(tb testing.TB, f **FS, mtd *blockdev.MTD, clk *simclock.Clock,
 
 // BenchmarkRemount times an unmount→mount cycle of scanVolume through one
 // ScanCache, the per-op remount of an exploration with nothing changed in
-// between.
+// between: the mount copies the memo and replays nothing.
 func BenchmarkRemount(b *testing.B) {
 	_, mtd, clk := scanVolume(b)
 	scans := NewScanCache()
@@ -153,6 +166,24 @@ func BenchmarkRemount(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		remountCycle(b, &f, mtd, clk, scans)
+		remountCycle(b, &f, mtd, clk, scans, false)
+	}
+}
+
+// BenchmarkRemountMissThenHit times two unmount→mount cycles of
+// scanVolume per iteration: one whose memo is stale, so the mount replays
+// and keeps a fresh copy, and one that copies that memo back.
+func BenchmarkRemountMissThenHit(b *testing.B) {
+	_, mtd, clk := scanVolume(b)
+	scans := NewScanCache()
+	f, err := MountCached(mtd, clk, scans)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		remountCycle(b, &f, mtd, clk, scans, true)
+		remountCycle(b, &f, mtd, clk, scans, false)
 	}
 }

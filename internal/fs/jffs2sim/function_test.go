@@ -25,7 +25,8 @@ type flashRig struct {
 	bridge *blockdev.MTDBlock
 	inj    *fault.Injector
 	mount  func() (*FS, error)
-	fs     *FS // the file system the last check mounted
+	scans  *ScanCache // the long-lived path's cache
+	fs     *FS        // the file system the last check mounted
 	checks int
 	small  bool
 }
@@ -257,9 +258,11 @@ func TestMountIsAFunctionOfTheFlash(t *testing.T) {
 				mtd := blockdev.NewMTD("mtd0", geo.size, geo.erase, clk)
 				inj := fault.New()
 				mtd.SetInjector(inj)
+				scans := NewScanCache()
 				g := &flashRig{t: t, r: rand.New(rand.NewSource(seed)), mtd: mtd,
-					bridge: blockdev.NewMTDBlock(mtd), inj: inj,
-					mount: newMountPath(mtd, clk), small: geo.size < 64*1024}
+					bridge: blockdev.NewMTDBlock(mtd), inj: inj, scans: scans,
+					mount: func() (*FS, error) { return MountCached(mtd, clk, scans) },
+					small: geo.size < 64*1024}
 				blocks := int(geo.size) / geo.erase
 				if err := Mkfs(mtd); err != nil {
 					t.Fatal(err)
@@ -400,7 +403,11 @@ func TestMountIsAFunctionOfTheFlash(t *testing.T) {
 				}
 				g.check("after loading the history's image")
 				g.ops("past the image load", 6)
-				t.Logf("%d mounts compared", g.checks)
+				// The first mount builds a fresh table, so takes no memo.
+				if hits := scans.hits; hits == 0 || hits >= g.checks-1 {
+					t.Errorf("the memo served %d of %d mounts: the walk takes no hit or no replay", hits, g.checks)
+				}
+				t.Logf("%d mounts compared, %d served by the memo", g.checks, scans.hits)
 			})
 		}
 	}

@@ -25,7 +25,12 @@
 // charge says, and parses only the ones that changed. The cache also holds
 // the last mount's inode table, as a spare, once that mount has unmounted
 // or been dropped: the next replay rebuilds into the same structs, maps
-// and arrays instead of allocating them again.
+// and arrays instead of allocating them again. And it holds a memo of the
+// last replay's result under the stamps of every block it read: a mount
+// that finds no stamp moved copies the memo into the table and replays
+// nothing. The memo is copied as the replay ends, before any op runs, and
+// shares no array or map with the table an FS mutates, so a change an op
+// makes in memory without logging it never survives a remount.
 package jffs2sim
 
 import (
@@ -33,6 +38,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"math"
 	"slices"
 	"time"
@@ -142,8 +148,11 @@ func Mkfs(mtd *blockdev.MTD) error {
 // scanning the block again would find.
 //
 // It also keeps, in a spare.Slot, the inode table of the last mount
-// through it to unmount or be dropped, which the next mount replays into.
-// A collection reclaims the table; the next mount then allocates one.
+// through it to unmount or be dropped, which the next mount replays into,
+// and a memo of the last replay, which a mount of unchanged flash copies
+// into the table instead of replaying. The memo waits in the slot while an
+// FS holds the table too. A collection reclaims both; the next mount then
+// allocates a table, and the next replay into a reused table a memo.
 type ScanCache struct {
 	mtd    *blockdev.MTD
 	blocks []blockScan
@@ -152,16 +161,37 @@ type ScanCache struct {
 	// are scratch, cleared before the mount returns.
 	replay []logNode
 	keys   []uint64
-	table  spare.Slot[table]
+	// lent is one mount's blocks as the MTD lent them, scratch as well.
+	lent  [][]byte
+	table spare.Slot[table]
+	// gen numbers the mounts through the cache (inodeInfo.gen), so no two
+	// replays or copies into any table or memo share one.
+	gen uint64
+	// hits counts the mounts the memo served.
+	hits int
 }
 
-// table is the memory a mount replays into: its inode map, whose structs
-// keep their content, entries and order arrays, the per-block fill, and
-// the generation of the mount that last replayed them.
+// table is the memory a mount replays into — its inode map, whose structs
+// keep their content, entries and order arrays, and the per-block fill;
+// both nil while an FS holds them — and the memo.
 type table struct {
 	inodes    map[uint32]*inodeInfo
 	blockUsed []int
-	gen       uint64
+	memo      memo
+}
+
+// memo is a copy of the last replay's result, taken as the replay ended
+// and before any op ran, under the stamps of the blocks it read: with no
+// stamp moved since, the flash means exactly this. It shares no struct,
+// array or map with the table an FS mutates, so nothing an op changes in
+// memory without logging it can reach a later mount through it.
+type memo struct {
+	stamps []uint64 // one per erase block; nil when nothing is kept
+	// inodes holds the replay's inodes, of generation gen, and the structs
+	// of inodes an older replay had, kept for reuse until a collection.
+	inodes           map[uint32]*inodeInfo
+	gen              uint64
+	nextIno, version uint32
 }
 
 // blockScan is the scan result of one erase block, valid while known and
@@ -209,44 +239,48 @@ func Mount(mtd *blockdev.MTD, clock *simclock.Clock) (*FS, error) {
 // since an earlier mount through cache are read — the device books and
 // charges every block's read, and the fault plane can fail it — but not
 // parsed again, and the replay rebuilds into the inode table the last
-// mount through cache left behind at its Unmount or Drop. The file system
-// it builds, and the virtual time it takes, are Mount's.
+// mount through cache left behind at its Unmount or Drop. When no block
+// has changed since the replay the cache's memo keeps, there is no replay:
+// the memo is copied into the table. The file system it builds, and the
+// virtual time it takes, are Mount's.
 func MountCached(mtd *blockdev.MTD, clock *simclock.Clock, cache *ScanCache) (*FS, error) {
 	es := mtd.EraseSize()
 	if cache.mtd != mtd {
 		*cache = ScanCache{mtd: mtd, blocks: make([]blockScan, int(mtd.Size())/es)}
 	}
-	t, ok := cache.table.Take()
-	if !ok {
-		t = table{inodes: make(map[uint32]*inodeInfo), blockUsed: make([]int, len(cache.blocks))}
+	t, _ := cache.table.Take()
+	reused := t.inodes != nil
+	if !reused {
+		t.inodes, t.blockUsed = make(map[uint32]*inodeInfo), make([]int, len(cache.blocks))
 	}
+	cache.gen++
 	f := &FS{
 		mtd:       mtd,
 		clock:     clock,
 		cache:     cache,
 		inodes:    t.inodes,
 		nextIno:   RootIno + 1,
-		gen:       t.gen + 1,
+		gen:       cache.gen,
 		blockUsed: t.blockUsed,
 	}
-	root := f.replayed(RootIno)
-	root.mode, root.nlink, root.parent = vfs.ModeDir|0755, 2, RootIno
-	root.makeEntries()
+	m := &t.memo
 
-	// Full device scan: collect every valid node. The payloads are the
-	// flash's own bytes, lent until it next changes: replay copies what it
+	// Full device scan: every block is read, and parsed again if its
+	// stamp moved since the cache last parsed it. The bytes are the
+	// flash's own, lent until it next changes: replay copies what it
 	// keeps, and the scratch lets go of the rest however the mount ends.
-	nodes, keys := cache.replay[:0], cache.keys[:0]
+	lent := cache.lent[:0]
 	defer func() {
-		clear(nodes)
-		cache.replay, cache.keys = nodes[:0], keys[:0]
+		clear(lent)
+		cache.lent = lent[:0]
 	}()
+	hit := len(m.stamps) == len(cache.blocks)
 	for blk := range f.blockUsed {
 		b := &cache.blocks[blk]
 		data, stamp, err := mtd.LendBlock(blk)
 		if err != nil {
 			b.known = false
-			f.Drop() // the table goes back for the next mount
+			cache.table.Put(t) // for the next mount
 			return nil, err
 		}
 		if !b.known || b.stamp != stamp {
@@ -254,11 +288,8 @@ func MountCached(mtd *blockdev.MTD, clock *simclock.Clock, cache *ScanCache) (*F
 			b.known, b.stamp = true, stamp
 		}
 		f.blockUsed[blk] = b.used
-		for _, n := range b.nodes {
-			keys = append(keys, uint64(n.version)<<32|uint64(len(nodes)))
-			nodes = append(nodes, logNode{typ: n.typ, zero: n.zero, payload: data[n.off : n.off+n.n], name: n.name})
-			f.version = max(f.version, n.version)
-		}
+		hit = hit && m.stamps[blk] == stamp
+		lent = append(lent, data)
 	}
 	// Position the write head at the first block with free space; with
 	// none, past the end of block 0, so the first append collects.
@@ -270,8 +301,49 @@ func MountCached(mtd *blockdev.MTD, clock *simclock.Clock, cache *ScanCache) (*F
 		}
 	}
 
-	// Replay in version order. Two nodes share a version only on crafted
-	// flash, and then replay in scan order.
+	// Flash whose every block reads as the memo's did mounts as the memo
+	// says, since a stamp that has not moved means bytes that have not.
+	// Anything else replays; a table that came back from an unmount then
+	// keeps a copy of the result for the next mount (a first mount's FS
+	// may never unmount, and the copy would be waste).
+	if hit {
+		cache.hits++
+		m.restore(f)
+	} else {
+		f.replay(lent)
+		if reused {
+			m.keep(f)
+		}
+	}
+	// The memo waits in the slot, weakly held, while f holds the table.
+	cache.table.Put(table{memo: *m})
+	if clock != nil {
+		clock.Advance(200 * time.Microsecond) // scan/index CPU cost
+	}
+	return f, nil
+}
+
+// replay rebuilds the inode table from every valid node of the lent
+// blocks, in version order. Two nodes share a version only on crafted
+// flash, and then replay in scan order.
+func (f *FS) replay(lent [][]byte) {
+	root := f.replayed(RootIno)
+	root.mode, root.nlink, root.parent = vfs.ModeDir|0755, 2, RootIno
+	root.makeEntries()
+
+	cache := f.cache
+	nodes, keys := cache.replay[:0], cache.keys[:0]
+	defer func() {
+		clear(nodes)
+		cache.replay, cache.keys = nodes[:0], keys[:0]
+	}()
+	for blk, data := range lent {
+		for _, n := range cache.blocks[blk].nodes {
+			keys = append(keys, uint64(n.version)<<32|uint64(len(nodes)))
+			nodes = append(nodes, logNode{typ: n.typ, zero: n.zero, payload: data[n.off : n.off+n.n], name: n.name})
+			f.version = max(f.version, n.version)
+		}
+	}
 	slices.Sort(keys)
 	for _, k := range keys {
 		n := &nodes[uint32(k)]
@@ -289,10 +361,71 @@ func MountCached(mtd *blockdev.MTD, clock *simclock.Clock, cache *ScanCache) (*F
 			delete(f.inodes, ino)
 		}
 	}
-	if clock != nil {
-		clock.Advance(200 * time.Microsecond) // scan/index CPU cost
+}
+
+// keep makes the memo a copy of what f's replay just built, under the
+// stamps of the blocks it read. An inode the replay did not build keeps
+// its struct in the memo, marked as of an older replay, for a later one
+// that builds it again — an exploration creates and rewinds the same
+// inodes over and over. Such structs last until a collection takes the
+// memo, so they are never more than the garbage collector lets be.
+func (m *memo) keep(f *FS) {
+	if m.inodes == nil {
+		m.inodes = make(map[uint32]*inodeInfo, len(f.inodes))
 	}
-	return f, nil
+	for ino, src := range f.inodes {
+		dst := m.inodes[ino]
+		if dst == nil {
+			dst = new(inodeInfo)
+			m.inodes[ino] = dst
+		}
+		dst.copyFrom(src)
+		dst.gen = f.gen
+	}
+	m.gen, m.nextIno, m.version = f.gen, f.nextIno, f.version
+	m.stamps = m.stamps[:0]
+	for _, b := range f.cache.blocks {
+		m.stamps = append(m.stamps, b.stamp)
+	}
+}
+
+// restore makes f's inode table a copy of the memo's, in the structs,
+// arrays and maps the table already has: an inode the table lacks gets a
+// new struct, and one the memo lacks goes.
+func (m *memo) restore(f *FS) {
+	for ino, src := range m.inodes {
+		if src.gen != m.gen {
+			continue
+		}
+		dst := f.inodes[ino]
+		if dst == nil {
+			dst = new(inodeInfo)
+			f.inodes[ino] = dst
+		}
+		dst.copyFrom(src)
+		dst.gen = f.gen
+	}
+	maps.DeleteFunc(f.inodes, func(_ uint32, nd *inodeInfo) bool { return nd.gen != f.gen })
+	f.nextIno, f.version = m.nextIno, m.version
+}
+
+// copyFrom makes nd a copy of src that shares nothing with it: content,
+// order and entries go into nd's own arrays and map. The copy takes src's
+// generation, which the caller then sets.
+func (nd *inodeInfo) copyFrom(src *inodeInfo) {
+	content, order := nd.content[:0], nd.order[:0]
+	old := nd.entries
+	if old == nil {
+		old = nd.oldEntries
+	}
+	*nd = *src
+	nd.content = append(content, src.content...)
+	nd.order = append(order, src.order...)
+	nd.entries, nd.oldEntries = nil, old
+	if src.entries != nil {
+		nd.makeEntries()
+		maps.Copy(nd.entries, src.entries)
+	}
 }
 
 // replayed returns ino's inode as this mount's replay has it: the struct
@@ -440,7 +573,8 @@ func (f *FS) Drop() {
 		return
 	}
 	f.unmounted = true
-	f.cache.table.Put(table{inodes: f.inodes, blockUsed: f.blockUsed, gen: f.gen})
+	t, _ := f.cache.table.Take() // the memo, unless a collection took it
+	f.cache.table.Put(table{inodes: f.inodes, blockUsed: f.blockUsed, memo: t.memo})
 	f.inodes, f.blockUsed = nil, nil // no longer this FS's
 }
 

@@ -659,9 +659,10 @@ func inodeString(nd *inodeInfo) string {
 // TestWarmMountIsChargedAsTheFullScan: the paper's JFFS2 scans the whole
 // flash on every mount, so a mount through a scan cache costs the virtual
 // clock and the device's read counter exactly what a first mount costs —
-// cold, warm, and with one block changed in between. A read the fault
-// plane fails fails the warm mount the way it fails a cold one and leaves
-// nothing wrong behind in the cache. And a mount keeps none of the bytes
+// cold, warm and replayed, with one block changed in between, and warm and
+// copied from the memo of the last replay. A read the fault plane fails
+// fails the warm mount the way it fails a cold one and leaves nothing
+// wrong behind in the cache. And a mount keeps none of the bytes
 // the MTD lent it: wiping the flash does not reach a file system mounted
 // earlier.
 func TestWarmMountIsChargedAsTheFullScan(t *testing.T) {
@@ -694,7 +695,7 @@ func TestWarmMountIsChargedAsTheFullScan(t *testing.T) {
 		before func()
 	}{
 		{"cold", func() {}},
-		{"warm", func() {}},
+		{"warm, replayed", func() {}},
 		{"one block changed", func() {
 			ino, e := f.Lookup(f.Root(), "a")
 			if e != errno.OK {
@@ -704,9 +705,12 @@ func TestWarmMountIsChargedAsTheFullScan(t *testing.T) {
 				t.Fatal(e)
 			}
 		}},
-		{"warm again", func() {}},
+		{"warm, from the memo", func() {}},
 	} {
 		step.before()
+		if err := f.Unmount(); err != nil { // hands the table to its cache
+			t.Fatal(err)
+		}
 		got, c, err := mount(cached)
 		if err != nil {
 			t.Fatalf("%s mount: %v", step.name, err)
@@ -726,11 +730,17 @@ func TestWarmMountIsChargedAsTheFullScan(t *testing.T) {
 		}
 		f = got
 	}
+	if scans.hits != 1 {
+		t.Errorf("the memo served %d mounts, want the last one", scans.hits)
+	}
 
 	// A read error on block 5: same error, same charge, cold and warm —
 	// five blocks served, the sixth counted and failed.
 	boom := errors.New("media read fault")
 	rule := inj.AddRule(fault.Rule{Kind: fault.KindReadError, Off: 5 * testEraseSize, Len: testEraseSize, Err: boom})
+	if err := f.Unmount(); err != nil {
+		t.Fatal(err)
+	}
 	_, cCold, errCold := mount(first)
 	_, cWarm, errWarm := mount(cached)
 	if errCold != boom || errWarm != errCold {
@@ -754,6 +764,9 @@ func TestWarmMountIsChargedAsTheFullScan(t *testing.T) {
 	if d := mountDiff(got, want); d != "" {
 		t.Errorf("the mount after the failed one differs from a first mount:\n%s", d)
 	}
+	if scans.hits != 2 {
+		t.Errorf("the memo did not serve the mount after the failed one: %d hits", scans.hits)
+	}
 
 	// Nothing lent is kept: wipe the flash under a mounted file system.
 	before := fingerprint(t, got)
@@ -773,16 +786,18 @@ func TestWarmMountIsChargedAsTheFullScan(t *testing.T) {
 }
 
 // TestWarmMountAllocBudget pins what a warm mount of scanVolume
-// allocates. After an Unmount, which hands the inode table to the cache,
-// the mount replays into that table: the FS and nothing else. With no
-// table in the slot — the first mount, or one after a collection took it
-// back — a warm mount allocates the FS, the table's map and block fill,
-// and per file an inode, the directory's order and the four arrays its
-// 2 KiB of content grows through, node by node: nothing per block and no
-// name. And the zeros a file ends in cost a mount nothing:
-// one more file of 48 KiB of them, as the §3.4 equalizer writes it, adds
-// at most 4 KiB to a mount that builds a fresh table, and no content at
-// all to the file's inode after a remount into a reused one.
+// allocates. After an Unmount, which hands the inode table and the memo of
+// the last replay to the cache, the mount copies the memo into that table,
+// or, with a block changed since, replays into it and refreshes the memo
+// in place: the FS and nothing else, either way. With no table in the slot
+// — the first mount, or one after a collection took it back — a warm mount
+// allocates the FS, the table's map and block fill, and per file an inode,
+// the directory's order and the four arrays its 2 KiB of content grows
+// through, node by node: nothing per block and no name, and no memo. And
+// the zeros a file ends in cost a mount nothing: one more file of 48 KiB
+// of them, as the §3.4 equalizer writes it, adds at most 4 KiB to a mount
+// that builds a fresh table, and no content at all to the file's inode
+// after a remount into a reused one, replayed or copied.
 func TestWarmMountAllocBudget(t *testing.T) {
 	_, mtd, clk := scanVolume(t)
 	scans := NewScanCache()
@@ -790,10 +805,17 @@ func TestWarmMountAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remount := testing.AllocsPerRun(100, func() { remountCycle(t, &f, mtd, clk, scans) })
 	const remountBudget = 2
-	if remount > remountBudget {
-		t.Errorf("a warm remount allocates %.0f times, budget %d", remount, remountBudget)
+	for _, replay := range []bool{false, true} {
+		runtime.GC() // no collection runs into the cycles and takes the memo
+		hits := scans.hits
+		remount := testing.AllocsPerRun(100, func() { remountCycle(t, &f, mtd, clk, scans, replay) })
+		if remount > remountBudget {
+			t.Errorf("a warm remount (replay %v) allocates %.0f times, budget %d", replay, remount, remountBudget)
+		}
+		if served := scans.hits - hits; replay != (served == 0) {
+			t.Errorf("the memo served %d of 101 remounts with replay %v", served, replay)
+		}
 	}
 	warm := testing.AllocsPerRun(100, func() { freshTableMount(t, mtd, clk, scans) })
 	const warmBudget = 56
@@ -818,14 +840,14 @@ func TestWarmMountAllocBudget(t *testing.T) {
 	if f, err = MountCached(mtd, clk, scans); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
-		remountCycle(t, &f, mtd, clk, scans)
+	for i, replay := range []bool{true, false, true, false} {
+		remountCycle(t, &f, mtd, clk, scans, replay)
 		ino, e := f.Lookup(f.Root(), "dummy")
 		if e != errno.OK {
 			t.Fatal(e)
 		}
 		if nd := f.inodes[uint32(ino)]; nd.size != 48<<10 || len(nd.content) != 0 {
-			t.Errorf("remount %d: the file of 48 KiB of zeros has size %d and holds %d bytes of content, want 49152 and 0", i+1, nd.size, len(nd.content))
+			t.Errorf("remount %d (replay %v): the file of 48 KiB of zeros has size %d and holds %d bytes of content, want 49152 and 0", i+1, replay, nd.size, len(nd.content))
 		}
 	}
 }
@@ -859,36 +881,41 @@ func warmMountBytes(t *testing.T, mtd *blockdev.MTD, clk *simclock.Clock) float6
 var _ kernel.Dropper = (*FS)(nil)
 
 // TestRemountReusesTheInodeTable: an unmount→mount cycle allocates the FS
-// alone, on a flash of 8 files and on one of 64 — the replay rebuilds
-// every inode into the struct, arrays and maps the last mount left — and
-// so does a power cut's Drop→mount. And the table is a spare a collection
-// takes back: after one, the cache's slot is empty and the heap its size
-// before the mount that built it.
+// alone, on a flash of 8 files and on one of 64, whether the mount copies
+// the memo of the last replay or replays and refreshes the memo — both
+// write into the structs, arrays and maps the last mount left — and so
+// does a power cut's Drop→mount. And the table and the memo are spares a
+// collection takes back: the memo even while an FS holds the table, and
+// after an unmount both, leaving the cache's slot empty and the heap its
+// size before the mounts that built them.
 func TestRemountReusesTheInodeTable(t *testing.T) {
-	var allocs [2]float64
-	for i, files := range []int{8, 64} {
-		_, mtd, clk := filesVolume(t, files)
-		scans := NewScanCache()
-		f, err := MountCached(mtd, clk, scans)
-		if err != nil {
-			t.Fatal(err)
-		}
-		allocs[i] = testing.AllocsPerRun(50, func() { remountCycle(t, &f, mtd, clk, scans) })
-		if allocs[i] > 1 {
-			t.Errorf("a remount of %d files allocates %.0f times, want 1 (the FS)", files, allocs[i])
-		}
-		cut := testing.AllocsPerRun(50, func() {
-			f.Drop()
-			if f, err = MountCached(mtd, clk, scans); err != nil {
+	for _, replay := range []bool{false, true} {
+		var allocs [2]float64
+		for i, files := range []int{8, 64} {
+			_, mtd, clk := filesVolume(t, files)
+			scans := NewScanCache()
+			f, err := MountCached(mtd, clk, scans)
+			if err != nil {
 				t.Fatal(err)
 			}
-		})
-		if cut != allocs[i] {
-			t.Errorf("a power cut and mount of %d files allocates %.0f times, a remount %.0f", files, cut, allocs[i])
+			runtime.GC() // no collection runs into the cycles and takes the memo
+			allocs[i] = testing.AllocsPerRun(50, func() { remountCycle(t, &f, mtd, clk, scans, replay) })
+			if allocs[i] > 1 {
+				t.Errorf("a remount (replay %v) of %d files allocates %.0f times, want 1 (the FS)", replay, files, allocs[i])
+			}
+			cut := testing.AllocsPerRun(50, func() {
+				f.Drop()
+				if f, err = MountCached(mtd, clk, scans); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if cut != 1 {
+				t.Errorf("a power cut and mount of %d files allocates %.0f times, want 1", files, cut)
+			}
 		}
-	}
-	if allocs[0] != allocs[1] {
-		t.Errorf("a remount allocates %.0f times with 8 files and %.0f with 64: it allocates per inode", allocs[0], allocs[1])
+		if allocs[0] != allocs[1] {
+			t.Errorf("a remount (replay %v) allocates %.0f times with 8 files and %.0f with 64: it allocates per inode", replay, allocs[0], allocs[1])
+		}
 	}
 
 	_, mtd, clk := filesVolume(t, 64)
@@ -904,9 +931,24 @@ func TestRemountReusesTheInodeTable(t *testing.T) {
 	if f, err = MountCached(mtd, clk, scans); err != nil {
 		t.Fatal(err)
 	}
+	remountCycle(t, &f, mtd, clk, scans, false) // keeps the memo
+	remountCycle(t, &f, mtd, clk, scans, false) // served by it
+	if scans.hits != 1 {
+		t.Fatalf("the memo served %d of two remounts, want the second", scans.hits)
+	}
 	if mounted := liveHeap(); mounted < before+64<<10 {
 		t.Fatalf("the heap holds %d bytes with 128 KiB of files mounted, %d without: the test measures nothing", mounted, before)
 	}
+	if err := f.Unmount(); err != nil {
+		t.Fatal(err)
+	}
+	if f, err = MountCached(mtd, clk, scans); err != nil {
+		t.Fatal(err)
+	}
+	if scans.hits != 1 {
+		t.Error("the memo outlived a collection while its table was mounted")
+	}
+	remountCycle(t, &f, mtd, clk, scans, false) // keeps it again
 	if err := f.Unmount(); err != nil {
 		t.Fatal(err)
 	}
@@ -914,7 +956,7 @@ func TestRemountReusesTheInodeTable(t *testing.T) {
 		t.Errorf("the heap grew from %d to %d bytes across a collection after an unmount", before, after)
 	}
 	if _, ok := scans.table.Take(); ok {
-		t.Error("the inode table outlived a collection")
+		t.Error("the inode table and its memo outlived a collection")
 	}
 	runtime.KeepAlive(mtd) // the flash is part of every heap measured
 }

@@ -99,10 +99,13 @@ var structureRules = []rule{
 	{in: []string{"mcfs/internal/vfs", "mcfs/internal/kernel"}, match: uses("strings.Join"), why: "%s: a path is consumed in place, never re-joined"},
 	{in: []string{"mcfs/internal/abstraction/abstraction.go"}, match: uses("mcfs/internal/vfs.JoinPath"), why: "%s: the abstraction walk builds clean paths"},
 	{match: decl("SplitPath", "BaseName", "DirPath"), why: "%s: a path is consumed a component at a time"},
-	// The jffs2 scan parses, in place, the bytes the MTD lends, and sorts without reflection; the replay grows content in place.
+	// The jffs2 scan parses, in place, the bytes the MTD lends, and sorts without reflection; the replay grows content in place, and the memo
+	// of the last replay is copied into arrays the copy's destination already has.
 	{in: []string{"mcfs/internal/fs/jffs2sim"}, match: uses("sort.Slice", "sort.SliceStable", "sort.SliceIsSorted"), why: "%s: use slices.SortFunc"},
-	{in: []string{"mcfs/internal/fs/jffs2sim.MountCached", "mcfs/internal/fs/jffs2sim.blockScan.scan", "mcfs/internal/fs/jffs2sim.inodeInfo.writeAt"},
-		match: makes(isBytes), why: "%s in the jffs2 mount scan or replay: a node is a position in the bytes the MTD lends, and content grows in place into the array the last mount left"},
+	{in: []string{"mcfs/internal/fs/jffs2sim.MountCached", "mcfs/internal/fs/jffs2sim.FS.replay", "mcfs/internal/fs/jffs2sim.blockScan.scan",
+		"mcfs/internal/fs/jffs2sim.inodeInfo.writeAt", "mcfs/internal/fs/jffs2sim.memo.keep", "mcfs/internal/fs/jffs2sim.memo.restore",
+		"mcfs/internal/fs/jffs2sim.inodeInfo.copyFrom"},
+		match: makes(isBytes), why: "%s in the jffs2 mount scan, replay or memo copy: a node is a position in the bytes the MTD lends, and content grows in place into the array the last mount left"},
 	// One hub: phases, telemetry, metrics and spans live on one obs.Hub, which reads the virtual clock.
 	{tests: true, match: oneOf(exists("mcfs/internal/obs/perf"), imports("mcfs/internal/obs/perf"), funcDecl("Perf"), decl("SetSampleEvery")),
 		why: "%s: an engine has one observability object, its obs.Hub"},
