@@ -13,17 +13,18 @@ package simclock
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // Clock is a monotonically advancing virtual clock. It is safe for
-// concurrent use; swarm workers in the explorer share one clock.
+// concurrent use; swarm workers in the explorer share one clock. Every
+// device read, program and syscall charge goes through Advance, so the
+// clock is one atomic word rather than a lock.
 //
 // The zero value is a valid clock at time zero.
 type Clock struct {
-	mu  sync.Mutex
-	now time.Duration // guarded by mu
+	now atomic.Int64 // nanoseconds, a time.Duration
 }
 
 // New returns a clock starting at virtual time zero.
@@ -33,32 +34,17 @@ func New() *Clock { return &Clock{} }
 // Negative durations are ignored: simulated costs are never refunds.
 func (c *Clock) Advance(d time.Duration) time.Duration {
 	if d <= 0 {
-		c.mu.Lock()
-		now := c.now
-		c.mu.Unlock()
-		return now
+		return c.Now()
 	}
-	c.mu.Lock()
-	c.now += d
-	now := c.now
-	c.mu.Unlock()
-	return now
+	return time.Duration(c.now.Add(int64(d)))
 }
 
 // Now returns the current virtual time.
-func (c *Clock) Now() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
+func (c *Clock) Now() time.Duration { return time.Duration(c.now.Load()) }
 
 // Reset rewinds the clock to zero. Only tests and benchmark harnesses
 // call this, between independent runs.
-func (c *Clock) Reset() {
-	c.mu.Lock()
-	c.now = 0
-	c.mu.Unlock()
-}
+func (c *Clock) Reset() { c.now.Store(0) }
 
 // Stopwatch measures a span of virtual time on a clock.
 type Stopwatch struct {

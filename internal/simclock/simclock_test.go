@@ -38,17 +38,21 @@ func TestReset(t *testing.T) {
 	}
 }
 
+// TestConcurrentAdvance: advances from many goroutines sum, and each
+// returns a time of its own — the clock after that advance and before any
+// other — so the returns of N advances of 1µs are 1µs..Nµs, each once.
 func TestConcurrentAdvance(t *testing.T) {
 	c := New()
 	const workers = 8
 	const perWorker = 1000
 	var wg sync.WaitGroup
+	returned := make([][]time.Duration, workers)
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := 0; j < perWorker; j++ {
-				c.Advance(time.Microsecond)
+				returned[i] = append(returned[i], c.Advance(time.Microsecond))
 			}
 		}()
 	}
@@ -56,6 +60,19 @@ func TestConcurrentAdvance(t *testing.T) {
 	want := time.Duration(workers*perWorker) * time.Microsecond
 	if got := c.Now(); got != want {
 		t.Errorf("concurrent advance total = %v, want %v", got, want)
+	}
+	seen := make([]bool, workers*perWorker+1)
+	for _, rs := range returned {
+		for k, r := range rs {
+			n := int(r / time.Microsecond)
+			if r%time.Microsecond != 0 || n < 1 || n >= len(seen) || seen[n] {
+				t.Fatalf("an advance returned %v, not a time of its own", r)
+			}
+			if k > 0 && r <= rs[k-1] {
+				t.Fatalf("a goroutine's advances returned %v after %v", r, rs[k-1])
+			}
+			seen[n] = true
+		}
 	}
 }
 
