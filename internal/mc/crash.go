@@ -294,7 +294,7 @@ func (e *engine) crashWindow(p *CrashPlane, op workload.Op) (int, error) {
 		return 0, fmt.Errorf("pre-op: %w", err)
 	}
 	p.Injector.StartWindow()
-	workload.Execute(e.cfg.Kernel, p.Mount, op)
+	workload.ExecuteAt(e.cfg.Kernel, op, e.memoOf(op).paths(p.Mount, op))
 	e.probe.ran()
 	err = e.cfg.Kernel.Remount(p.Mount)
 	e.probe.remounted()
@@ -413,9 +413,9 @@ func (e *engine) probePlane(depth int, op workload.Op, p *CrashPlane) error {
 		OK:         true,
 	}
 
-	var opName string // a heatmap's row label, rendered only for one
+	var opName string // a heatmap's row label, rendered once per run
 	if e.res.CrashHeatmap != nil {
-		opName = op.String()
+		opName = e.memoOf(op).rowLabel(op)
 	}
 	memo := e.crashMemo
 	clear(memo)

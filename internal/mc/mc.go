@@ -428,6 +428,9 @@ type engine struct {
 	// their errno names (one buffer each, rewritten by every step).
 	results []checker.OpResult
 	errnos  []string
+	// ops holds what the engine derives from each distinct op it runs,
+	// once per run; ops come from the pool or a trail, which bound it.
+	ops map[workload.Op]*opMemo
 
 	// res is the Result under construction: the loop counts straight
 	// into it (CrashHeatmap is non-nil exactly when Config.Crash is set
@@ -471,6 +474,51 @@ func newEngine(cfg Config) *engine {
 		e.crashWalk = abstraction.NewMemo()
 	}
 	return e
+}
+
+// opMemo is what the engine derives from one op: its operands under each
+// mount point it ran at, and its crash heatmap row label.
+type opMemo struct {
+	at    []opAt
+	label string
+}
+
+type opAt struct {
+	mount string
+	paths workload.Paths
+}
+
+// memoOf returns op's memo, made on op's first run.
+func (e *engine) memoOf(op workload.Op) *opMemo {
+	m := e.ops[op]
+	if m == nil {
+		if e.ops == nil {
+			e.ops = make(map[workload.Op]*opMemo)
+		}
+		m = &opMemo{}
+		e.ops[op] = m
+	}
+	return m
+}
+
+// paths returns op's operands under mount, built on their first use.
+func (m *opMemo) paths(mount string, op workload.Op) workload.Paths {
+	for _, a := range m.at {
+		if a.mount == mount {
+			return a.paths
+		}
+	}
+	p := workload.At(mount, op)
+	m.at = append(m.at, opAt{mount, p})
+	return p
+}
+
+// rowLabel returns op's heatmap row label, rendered on its first use.
+func (m *opMemo) rowLabel(op workload.Op) string {
+	if m.label == "" {
+		m.label = op.String()
+	}
+	return m.label
 }
 
 // Run explores the configured state space and returns the result.
@@ -837,9 +885,9 @@ func (e *engine) step(op workload.Op) (abstraction.State, error) {
 		}
 	}
 	e.probe.remounted()
-	results := e.results[:0]
+	results, m := e.results[:0], e.memoOf(op)
 	for _, tgt := range targets {
-		results = append(results, workload.Execute(e.cfg.Kernel, tgt.MountPoint, op))
+		results = append(results, workload.ExecuteAt(e.cfg.Kernel, op, m.paths(tgt.MountPoint, op)))
 	}
 	e.probe.ran()
 	for _, t := range e.cfg.Trackers {

@@ -33,3 +33,39 @@ func TestNilProbeAllocatesNothing(t *testing.T) {
 		t.Errorf("root on the nil probe allocates %.0f times, want 0", n)
 	}
 }
+
+// TestWarmOpBuildsNoPath: the engine derives an op's operands under a
+// mount point, and its heatmap row label, on the op's first run; running
+// any pool op again at any mount point it ran at builds no path and
+// renders nothing. What it keeps is what workload.At and Op.String build.
+func TestWarmOpBuildsNoPath(t *testing.T) {
+	e := &engine{}
+	ops := workload.DefaultPool().Enumerate()
+	mounts := []string{"/mnt/t0", "/mnt/t1", "/mnt/crash"}
+	for _, op := range ops {
+		m := e.memoOf(op)
+		for _, mount := range mounts {
+			if got, want := m.paths(mount, op), workload.At(mount, op); got != want {
+				t.Fatalf("%v at %s: paths %+v, want %+v", op, mount, got, want)
+			}
+		}
+		if got := m.rowLabel(op); got != op.String() {
+			t.Fatalf("%v: row label %q", op, got)
+		}
+	}
+	rerun := func() {
+		for _, op := range ops {
+			m := e.memoOf(op)
+			for _, mount := range mounts {
+				m.paths(mount, op)
+			}
+			m.rowLabel(op)
+		}
+	}
+	if n := testing.AllocsPerRun(20, rerun); n != 0 {
+		t.Errorf("re-running %d warm ops at %d mount points allocates %.0f times, want 0", len(ops), len(mounts), n)
+	}
+	if len(e.ops) != len(ops) {
+		t.Errorf("the engine keeps %d op memos for a pool of %d ops", len(e.ops), len(ops))
+	}
+}

@@ -207,7 +207,27 @@ func (p Pool) Enumerate() []Op {
 // returning the observable outcome for the checker. Meta-operations
 // return the errno of the first failing constituent syscall.
 func Execute(k *kernel.Kernel, mountPoint string, op Op) checker.OpResult {
-	path := mountPoint + op.Path
+	return ExecuteAt(k, op, At(mountPoint, op))
+}
+
+// Paths is an op's operands as paths under one mount point. Path is always
+// prefixed; Path2 only where it names a file (rename and link), since a
+// symlink's target is stored as written.
+type Paths struct{ Path, Path2 string }
+
+// At returns op's operands under mountPoint.
+func At(mountPoint string, op Op) Paths {
+	p := Paths{Path: mountPoint + op.Path}
+	if op.Kind == OpRename || op.Kind == OpLink {
+		p.Path2 = mountPoint + op.Path2
+	}
+	return p
+}
+
+// ExecuteAt is Execute for a caller that keeps op's operands under the
+// mount point (At), building no path of its own.
+func ExecuteAt(k *kernel.Kernel, op Op, at Paths) checker.OpResult {
+	path := at.Path
 	switch op.Kind {
 	case OpCreateFile:
 		// create_file: open(O_CREAT|O_EXCL) then close (§4).
@@ -275,12 +295,12 @@ func Execute(k *kernel.Kernel, mountPoint string, op Op) checker.OpResult {
 		}
 		return checker.OpResult{}
 	case OpRename:
-		if e := k.Rename(path, mountPoint+op.Path2); e != errno.OK {
+		if e := k.Rename(path, at.Path2); e != errno.OK {
 			return checker.OpResult{Ret: -1, Err: e}
 		}
 		return checker.OpResult{}
 	case OpLink:
-		if e := k.Link(path, mountPoint+op.Path2); e != errno.OK {
+		if e := k.Link(path, at.Path2); e != errno.OK {
 			return checker.OpResult{Ret: -1, Err: e}
 		}
 		return checker.OpResult{}
