@@ -379,8 +379,7 @@ func (m *memo) keep(f *FS) {
 			dst = new(inodeInfo)
 			m.inodes[ino] = dst
 		}
-		dst.copyFrom(src)
-		dst.gen = f.gen
+		dst.copyFrom(src, f.gen)
 	}
 	m.gen, m.nextIno, m.version = f.gen, f.nextIno, f.version
 	m.stamps = m.stamps[:0]
@@ -402,23 +401,22 @@ func (m *memo) restore(f *FS) {
 			dst = new(inodeInfo)
 			f.inodes[ino] = dst
 		}
-		dst.copyFrom(src)
-		dst.gen = f.gen
+		dst.copyFrom(src, f.gen)
 	}
 	maps.DeleteFunc(f.inodes, func(_ uint32, nd *inodeInfo) bool { return nd.gen != f.gen })
 	f.nextIno, f.version = m.nextIno, m.version
 }
 
-// copyFrom makes nd a copy of src that shares nothing with it: content,
-// order and entries go into nd's own arrays and map. The copy takes src's
-// generation, which the caller then sets.
-func (nd *inodeInfo) copyFrom(src *inodeInfo) {
+// copyFrom makes nd a copy of src, of generation gen, that shares nothing
+// with it: content, order and entries go into nd's own arrays and map.
+func (nd *inodeInfo) copyFrom(src *inodeInfo, gen uint64) {
 	content, order := nd.content[:0], nd.order[:0]
 	old := nd.entries
 	if old == nil {
 		old = nd.oldEntries
 	}
 	*nd = *src
+	nd.gen = gen
 	nd.content = append(content, src.content...)
 	nd.order = append(order, src.order...)
 	nd.entries, nd.oldEntries = nil, old
