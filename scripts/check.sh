@@ -46,6 +46,9 @@
 #                                                    and an unmount->
 #                                                    mount cycle into
 #                                                    its spare table,
+#                                                    copied from the
+#                                                    memo, or replayed
+#                                                    and then copied,
 #                                                    and the crash
 #                                                    oracle's recovery
 #                                                    session,
@@ -164,7 +167,7 @@ echo "==> bench smoke (one iteration per benchmark)"
 go test -bench . -benchtime 1x -run '^$' ./internal/mc/... ./internal/tracker/... ./internal/fuse/... \
 	./internal/kernel/... ./internal/abstraction/...
 go test -bench '^(BenchmarkRemount|BenchmarkLookup|BenchmarkReadDir|BenchmarkFsck)$' -benchtime 1x -run '^$' ./internal/fs/extfs
-go test -bench '^(BenchmarkMountScan|BenchmarkRemount)$' -benchtime 1x -run '^$' ./internal/fs/jffs2sim
+go test -bench '^(BenchmarkMountScan|BenchmarkRemount|BenchmarkRemountMissThenHit)$' -benchtime 1x -run '^$' ./internal/fs/jffs2sim
 
 echo "==> replay-determinism smoke (run -> bundle -> replay -> shrink)"
 # go run remaps the child's exit code, so build the real binary.
