@@ -217,42 +217,47 @@ func TestStateMatchingIsAdequate(t *testing.T) {
 // from the same state.
 func TestAdequacyCatchesAnNlinkBlindHash(t *testing.T) {
 	for _, blind := range []bool{false, true} {
-		s, err := mcfs.NewSession(mcfs.Options{Targets: []mcfs.TargetSpec{{Kind: "ext2"}, {Kind: "ext4"}}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := s.Config()
-		var hash func() (abstraction.State, errno.Errno)
-		if blind {
-			hash = func() (abstraction.State, errno.Errno) { return nlinkBlindHash(cfg) }
-		}
-		w := newAdequacyWalk(t, s, hash)
-		if _, err := w.step(workload.Op{Kind: workload.OpCreateFile, Path: "/f0", Mode: 0644}); err != nil {
-			t.Fatal(err)
-		}
-		violations := w.run(t, 2)
-		if !blind {
-			if len(violations) != 0 {
-				t.Errorf("the checker's hash: %d violations, the first %v", len(violations), violations[0])
+		t.Run(fmt.Sprintf("blind=%v", blind), func(t *testing.T) {
+			s, err := mcfs.NewSession(mcfs.Options{Targets: []mcfs.TargetSpec{{Kind: "ext2"}, {Kind: "ext4"}}})
+			if err != nil {
+				t.Fatal(err)
 			}
-			continue
-		}
-		link := workload.Op{Kind: workload.OpLink, Path: "/f0", Path2: "/f1"}
-		create := workload.Op{Kind: workload.OpCreateFile, Path: "/f1", Mode: 0644}
-		caught := false
-		for _, v := range violations {
-			trails := [][]workload.Op{v.first.trail, v.second.trail}
-			if v.op.Kind == workload.OpWriteFile && v.op.Path == "/f0" &&
-				slices.ContainsFunc(trails, func(tr []workload.Op) bool { return slices.Equal(tr, []workload.Op{link}) }) &&
-				slices.ContainsFunc(trails, func(tr []workload.Op) bool { return slices.Equal(tr, []workload.Op{create}) }) {
-				caught = true
+			defer s.Close()
+			cfg := s.Config()
+			var hash func() (abstraction.State, errno.Errno)
+			if blind {
+				hash = func() (abstraction.State, errno.Errno) { return nlinkBlindHash(cfg) }
 			}
-		}
-		if !caught {
-			t.Errorf("an Nlink-blind hash: %d violations, none a write to /f0 after a link against one after a create: %v", len(violations), violations)
-		}
-		t.Logf("an Nlink-blind hash: %d violations, the first %v", len(violations), violations[0])
-		s.Close()
+			w := newAdequacyWalk(t, s, hash)
+			if _, err := w.step(workload.Op{Kind: workload.OpCreateFile, Path: "/f0", Mode: 0644}); err != nil {
+				t.Fatal(err)
+			}
+			violations := w.run(t, 2)
+			if !blind {
+				if len(violations) != 0 {
+					t.Errorf("the checker's hash: %d violations, the first %v", len(violations), violations[0])
+				}
+				return
+			}
+			if len(violations) == 0 {
+				t.Fatal("an Nlink-blind hash: no violations")
+			}
+			link := workload.Op{Kind: workload.OpLink, Path: "/f0", Path2: "/f1"}
+			create := workload.Op{Kind: workload.OpCreateFile, Path: "/f1", Mode: 0644}
+			caught := false
+			for _, v := range violations {
+				trails := [][]workload.Op{v.first.trail, v.second.trail}
+				if v.op.Kind == workload.OpWriteFile && v.op.Path == "/f0" &&
+					slices.ContainsFunc(trails, func(tr []workload.Op) bool { return slices.Equal(tr, []workload.Op{link}) }) &&
+					slices.ContainsFunc(trails, func(tr []workload.Op) bool { return slices.Equal(tr, []workload.Op{create}) }) {
+					caught = true
+				}
+			}
+			if !caught {
+				t.Errorf("an Nlink-blind hash: %d violations, none a write to /f0 after a link against one after a create: %v", len(violations), violations)
+			}
+			t.Logf("an Nlink-blind hash: %d violations, the first %v", len(violations), violations[0])
+		})
 	}
 }
 

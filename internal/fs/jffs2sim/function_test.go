@@ -28,6 +28,8 @@ type flashRig struct {
 	scans  *ScanCache // the long-lived path's cache
 	fs     *FS        // the file system the last check mounted
 	checks int
+	// beside counts the mounts beside a mounted FS the memo served.
+	beside int
 	small  bool
 }
 
@@ -36,7 +38,10 @@ type flashRig struct {
 // FS it builds against a Mount of a fresh MTD loaded with a raw copy of
 // the flash's bytes (mountDiff). Whatever the long-lived path remembers
 // from earlier mounts, the result is the function of the medium a first
-// mount computes.
+// mount computes. Every third check also mounts twice more through that
+// path while the FS it just mounted holds the table, the memo then going
+// into a fresh one, and pokes each such mount: both must mean what the
+// copy's mount does, so the copy shares nothing with the memo either.
 func (g *flashRig) check(when string) {
 	g.t.Helper()
 	if g.fs != nil {
@@ -62,6 +67,20 @@ func (g *flashRig) check(when string) {
 	}
 	if d := mountDiff(got, want); d != "" {
 		g.t.Fatalf("%s: the mount differs from one of a copy of the flash:\n%s", when, d)
+	}
+	if g.checks%3 == 1 {
+		hits := g.scans.hits
+		for i := 0; i < 2; i++ {
+			beside, err := g.mount()
+			if err != nil {
+				g.t.Fatalf("%s: mount %d beside the mounted one: %v", when, i, err)
+			}
+			if d := mountDiff(beside, want); d != "" {
+				g.t.Fatalf("%s: mount %d beside the mounted one differs from one of a copy of the flash:\n%s", when, i, d)
+			}
+			poke(beside)
+		}
+		g.beside += g.scans.hits - hits
 	}
 	g.fs = got
 	g.checks++
@@ -156,14 +175,13 @@ func (g *flashRig) zeroOp(kind int, name string, maxOff, maxLen int) {
 	}
 }
 
-// poke changes the mounted file system's memory in ways no operation
+// poke changes a mounted file system's memory in ways no operation
 // does, writing nothing to flash: the first byte of the first file with
 // content flipped in place, a name put in the root directory's entry map,
 // the root's mtime moved. A remount must show none of it, since a mount is
 // a function of the flash; one that kept memory an earlier mount's ops
 // could reach, or kept a copy taken after they ran, would.
-func (g *flashRig) poke() {
-	f := g.fs
+func poke(f *FS) {
 	for _, ino := range slices.Sorted(maps.Keys(f.inodes)) {
 		if nd := f.inodes[ino]; len(nd.content) > 0 {
 			nd.content[0] ^= 0x5A
@@ -180,7 +198,7 @@ func (g *flashRig) poke() {
 func (g *flashRig) ops(when string, n int) {
 	g.t.Helper()
 	for i := 0; i < n; i++ {
-		g.poke()
+		poke(g.fs)
 		g.op()
 		g.check(fmt.Sprintf("%s, op %d", when, i))
 	}
@@ -404,10 +422,13 @@ func TestMountIsAFunctionOfTheFlash(t *testing.T) {
 				g.check("after loading the history's image")
 				g.ops("past the image load", 6)
 				// The first mount builds a fresh table, so takes no memo.
-				if hits := scans.hits; hits == 0 || hits >= g.checks-1 {
+				if hits := scans.hits - g.beside; hits == 0 || hits >= g.checks-1 {
 					t.Errorf("the memo served %d of %d mounts: the walk takes no hit or no replay", hits, g.checks)
 				}
-				t.Logf("%d mounts compared, %d served by the memo", g.checks, scans.hits)
+				if g.beside == 0 {
+					t.Error("the memo served no mount beside a mounted one")
+				}
+				t.Logf("%d mounts compared, %d served by the memo, and %d beside a mounted one", g.checks, scans.hits-g.beside, g.beside)
 			})
 		}
 	}

@@ -660,7 +660,9 @@ func inodeString(nd *inodeInfo) string {
 // flash on every mount, so a mount through a scan cache costs the virtual
 // clock and the device's read counter exactly what a first mount costs —
 // cold, warm and replayed, with one block changed in between, and warm and
-// copied from the memo of the last replay. A read the fault plane fails
+// copied from the memo of the last replay, into the table the last mount
+// left or, while that mount still holds it, into a new one. A read the
+// fault plane fails
 // fails the warm mount the way it fails a cold one and leaves nothing
 // wrong behind in the cache. And a mount keeps none of the bytes
 // the MTD lent it: wiping the flash does not reach a file system mounted
@@ -694,9 +696,11 @@ func TestWarmMountIsChargedAsTheFullScan(t *testing.T) {
 	for _, step := range []struct {
 		name   string
 		before func()
+		// mounted keeps the last mount's FS mounted, holding its table.
+		mounted bool
 	}{
-		{"cold", func() {}},
-		{"warm, replayed", func() {}},
+		{"cold", func() {}, false},
+		{"warm, replayed", func() {}, false},
 		{"one block changed", func() {
 			ino, e := f.Lookup(f.Root(), "a")
 			if e != errno.OK {
@@ -705,12 +709,15 @@ func TestWarmMountIsChargedAsTheFullScan(t *testing.T) {
 			if _, e := f.Write(ino, 100, []byte("changed")); e != errno.OK {
 				t.Fatal(e)
 			}
-		}},
-		{"warm, from the memo", func() {}},
+		}, false},
+		{"warm, from the memo", func() {}, false},
+		{"warm, from the memo while mounted", func() {}, true},
 	} {
 		step.before()
-		if err := f.Unmount(); err != nil { // hands the table to its cache
-			t.Fatal(err)
+		if !step.mounted {
+			if err := f.Unmount(); err != nil { // hands the table to its cache
+				t.Fatal(err)
+			}
 		}
 		got, c, err := mount(cached)
 		if err != nil {
@@ -729,10 +736,13 @@ func TestWarmMountIsChargedAsTheFullScan(t *testing.T) {
 		if d := mountDiff(got, want); d != "" {
 			t.Errorf("%s mount differs from a first mount of the same flash:\n%s", step.name, d)
 		}
+		if step.mounted && got.inodes[RootIno] == f.inodes[RootIno] {
+			t.Errorf("%s mount shares its root inode with the mount still holding the table", step.name)
+		}
 		f = got
 	}
-	if scans.hits != 1 {
-		t.Errorf("the memo served %d mounts, want the last one", scans.hits)
+	if scans.hits != 2 {
+		t.Errorf("the memo served %d mounts, want the last two", scans.hits)
 	}
 
 	// A read error on block 5: same error, same charge, cold and warm —
@@ -765,7 +775,7 @@ func TestWarmMountIsChargedAsTheFullScan(t *testing.T) {
 	if d := mountDiff(got, want); d != "" {
 		t.Errorf("the mount after the failed one differs from a first mount:\n%s", d)
 	}
-	if scans.hits != 2 {
+	if scans.hits != 3 {
 		t.Errorf("the memo did not serve the mount after the failed one: %d hits", scans.hits)
 	}
 
@@ -790,11 +800,13 @@ func TestWarmMountIsChargedAsTheFullScan(t *testing.T) {
 // allocates. After an Unmount, which hands the inode table and the memo of
 // the last replay to the cache, the mount copies the memo into that table,
 // or, with a block changed since, replays into it and refreshes the memo
-// in place: the FS and nothing else, either way. With no table in the slot
-// — the first mount, or one after a collection took it back — a warm mount
-// allocates the FS, the table's map and block fill, and per file an inode,
-// the directory's order and the four arrays its 2 KiB of content grows
-// through, node by node: nothing per block and no name, and no memo. And
+// in place: the FS and nothing else, either way. While the last mount
+// still holds the table, a mount copies the memo into a fresh one: the FS,
+// the table's map and block fill, and per file an inode and one array for
+// its content. With neither table nor memo in the slot — the first mount,
+// or one after a collection took both back — a warm mount allocates the
+// same, except that the content grows through four arrays, node by node:
+// nothing per block and no name, and no memo. And
 // the zeros a file ends in cost a mount nothing: one more file of 48 KiB
 // of them, as the §3.4 equalizer writes it, adds at most 4 KiB to a mount
 // that builds a fresh table, and no content at all to the file's inode
@@ -818,10 +830,31 @@ func TestWarmMountAllocBudget(t *testing.T) {
 			t.Errorf("the memo served %d of 101 remounts with replay %v", served, replay)
 		}
 	}
+	// The memo the last cycle kept waits in the slot while f holds the
+	// table: a mount now copies it into a fresh one.
+	hits := scans.hits
+	copied := testing.AllocsPerRun(100, func() { freshTableMount(t, mtd, clk, scans) })
+	if served := scans.hits - hits; served != 101 {
+		t.Errorf("the memo served %d of 101 mounts into a fresh table", served)
+	}
+	const copiedBudget = 29
+	if copied > copiedBudget {
+		t.Errorf("a warm mount copying the memo into a fresh table allocates %.0f times, budget %d", copied, copiedBudget)
+	}
+	// With the slot emptied, as a collection empties it, there is no memo
+	// either, and a mount replays into a fresh table.
+	scans.table.Take()
+	hits = scans.hits
 	warm := testing.AllocsPerRun(100, func() { freshTableMount(t, mtd, clk, scans) })
+	if scans.hits != hits {
+		t.Errorf("a memo served %d mounts after the slot was emptied", scans.hits-hits)
+	}
 	const warmBudget = 56
 	if warm > warmBudget {
 		t.Errorf("a warm mount building a fresh table allocates %.0f times, budget %d", warm, warmBudget)
+	}
+	if copied >= warm {
+		t.Errorf("a mount copying the memo into a fresh table allocates %.0f times, one replaying %.0f: the copy saves nothing", copied, warm)
 	}
 	cold := testing.AllocsPerRun(100, func() {
 		if _, err := Mount(mtd, clk); err != nil {
