@@ -25,11 +25,11 @@
 package mc
 
 import (
+	"bytes"
 	"cmp"
-	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"hash"
+	"hash/crc32"
 	"slices"
 
 	"mcfs/internal/abstraction"
@@ -60,7 +60,7 @@ const crashPointsPerOp = 64
 // target is mounted (the kernel keeps how to mount it again), the media
 // under it, and the fault plane on that media. What the oracle does to a
 // plane — bracket a window with remounts, roll the media back, cut the
-// power, hash the metadata, digest the media — is written once, below,
+// power, hash the metadata, key the media — is written once, below,
 // over these fields.
 type CrashPlane struct {
 	// Target is the target's index in the checker's target list; Name
@@ -91,7 +91,7 @@ type CrashPlane struct {
 // crashRegions is the scratch a probe's region lists are built in, kept
 // on the engine so a crash point allocates none of them: window is the
 // window's write set, read once per probe; union is a touched set merged
-// with other regions, rebuilt for every install and every digest.
+// with other regions, rebuilt for every install and every memo key.
 type crashRegions struct {
 	window, union []fault.Region
 }
@@ -114,15 +114,41 @@ func (e *engine) install(p *CrashPlane, extra []fault.Region, writes []fault.Wri
 	return p.Media.Patch(writes)
 }
 
-// crashDigester is the scratch the masked media digest is computed in,
-// kept on the engine so a crash point allocates none of it.
-type crashDigester struct {
-	h     hash.Hash
-	buf   []byte
-	hdr   [16]byte
-	sum   []byte
+// crashMemo is a probe's verdict memo, kept on the engine so a crash
+// point allocates none of it. A point is keyed by its stream: for each
+// region the media diverged in, the region's offset and length, then its
+// bytes outside the plane's Mask. The arena holds the streams of the
+// probe's judged points back to back, and nothing else: regions are read
+// straight into it. An entry is one stream's CRC-32C, its span in the
+// arena and the verdict inspect gave it. A lookup hits only an entry whose
+// crc matches and whose span equals the new stream byte for byte, so two
+// points share a verdict exactly when they recovered to media equal
+// outside Mask.
+type crashMemo struct {
+	arena   []byte
+	entries []memoEntry
+	// sum is the crc of the stream at the arena's tail, past the last
+	// entry's span, between a lookup that missed and keep.
+	sum   uint32
 	masks []sortedMask
 }
+
+// memoEntry is one judged stream: its crc, arena[from:to], and the
+// verdict.
+type memoEntry struct {
+	sum      uint32
+	from, to int
+	v        crashVerdict
+}
+
+// castagnoli is CRC-32C's table, which hash/crc32 computes in hardware
+// where the CPU has an instruction for it.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// crashSum keys a stream. A variable only so that tests can replace it
+// (export_test.go): a constant makes every key collide, a counter makes
+// none match.
+var crashSum = func(stream []byte) uint32 { return crc32.Checksum(stream, castagnoli) }
 
 // sortedMask is a plane's Mask sorted by offset, sorted once per plane.
 type sortedMask struct {
@@ -131,60 +157,88 @@ type sortedMask struct {
 }
 
 // maskOf returns p's Mask sorted by offset.
-func (c *crashDigester) maskOf(p *CrashPlane) []fault.Region {
-	for _, m := range c.masks {
-		if m.p == p {
-			return m.mask
+func (m *crashMemo) maskOf(p *CrashPlane) []fault.Region {
+	for _, s := range m.masks {
+		if s.p == p {
+			return s.mask
 		}
 	}
 	mask := slices.Clone(p.Mask)
 	slices.SortFunc(mask, func(a, b fault.Region) int { return cmp.Compare(a.Off, b.Off) })
-	c.masks = append(c.masks, sortedMask{p, mask})
+	m.masks = append(m.masks, sortedMask{p, mask})
 	return mask
 }
 
-// digest hashes the media bytes of the given regions that lie outside
-// Mask, so state-equivalent images digest identically. Region offsets
-// and lengths are folded into the hash: a digest identifies both where
-// the media diverged and what it holds there. The mask is fixed, so the
-// regions also fix which bytes are hashed, and equal digests mean images
-// equal outside Mask. Every region is read whole, masked bytes too: the
-// reads are charged as a full read of them. ok == false means a read
-// failed and the caller must fall back to the full oracle.
-func (c *crashDigester) digest(p *CrashPlane, regions []fault.Region) (d [32]byte, ok bool) {
-	if c.h == nil {
-		c.h = sha256.New()
+// reset empties the memo for a new probe, keeping its memory.
+func (m *crashMemo) reset() {
+	clear(m.entries) // the verdicts' fsck reports
+	m.entries, m.arena = m.entries[:0], m.arena[:0]
+}
+
+// kept is where the stream past the memo's entries starts.
+func (m *crashMemo) kept() int {
+	if n := len(m.entries); n > 0 {
+		return m.entries[n-1].to
 	}
-	c.h.Reset()
-	mask := c.maskOf(p)
+	return 0
+}
+
+// stream appends to the arena the stream of the media under the given
+// regions. The mask is fixed, so the regions also fix which bytes follow
+// each header, and equal streams mean media equal outside Mask. Every
+// region is read whole, masked bytes too: the reads are charged as a full
+// read of them. ok == false means a read failed, the arena is as it was,
+// and the caller must fall back to the full oracle.
+func (m *crashMemo) stream(p *CrashPlane, regions []fault.Region) (ok bool) {
+	from := len(m.arena)
+	mask := m.maskOf(p)
 	for _, r := range regions {
-		binary.LittleEndian.PutUint64(c.hdr[0:8], uint64(r.Off))
-		binary.LittleEndian.PutUint64(c.hdr[8:16], uint64(r.Len))
-		c.h.Write(c.hdr[:])
-		if int64(cap(c.buf)) < r.Len {
-			c.buf = make([]byte, r.Len)
+		a := binary.LittleEndian.AppendUint64(m.arena, uint64(r.Off))
+		a = binary.LittleEndian.AppendUint64(a, uint64(r.Len))
+		at := len(a)
+		a = slices.Grow(a, int(r.Len))[:at+int(r.Len)]
+		m.arena = a
+		if err := p.Media.ReadAt(a[at:], r.Off); err != nil {
+			m.arena = a[:from]
+			return false
 		}
-		b := c.buf[:r.Len]
-		if err := p.Media.ReadAt(b, r.Off); err != nil {
-			return d, false
-		}
-		pos, end := r.Off, r.Off+r.Len // pos: the first byte not yet hashed or masked
-		for _, m := range mask {
-			if m.Off >= end {
+		// Move each unmasked run down over the masked bytes before it.
+		n, pos, end := at, r.Off, r.Off+r.Len // n: the stream's end; pos: the first byte not yet kept or masked
+		for _, k := range mask {
+			if k.Off >= end {
 				break
 			}
-			if m.Off > pos {
-				c.h.Write(b[pos-r.Off : m.Off-r.Off])
+			if k.Off > pos {
+				n += copy(a[n:], a[at+int(pos-r.Off):at+int(k.Off-r.Off)])
 			}
-			pos = max(pos, m.Off+m.Len)
+			pos = max(pos, k.Off+k.Len)
 		}
 		if pos < end {
-			c.h.Write(b[pos-r.Off:])
+			n += copy(a[n:], a[at+int(pos-r.Off):])
+		}
+		m.arena = a[:n]
+	}
+	return true
+}
+
+// lookup finds the verdict of the stream at the arena's tail. A hit drops
+// the stream; a miss leaves it for keep.
+func (m *crashMemo) lookup() (v crashVerdict, hit bool) {
+	from := m.kept()
+	s := m.arena[from:]
+	m.sum = crashSum(s)
+	for i := range m.entries {
+		if en := &m.entries[i]; en.sum == m.sum && bytes.Equal(m.arena[en.from:en.to], s) {
+			m.arena = m.arena[:from]
+			return en.v, true
 		}
 	}
-	c.sum = c.h.Sum(c.sum[:0])
-	copy(d[:], c.sum)
-	return d, true
+	return v, false
+}
+
+// keep records v as the verdict of the stream a lookup just missed.
+func (m *crashMemo) keep(v crashVerdict) {
+	m.entries = append(m.entries, memoEntry{sum: m.sum, from: m.kept(), to: len(m.arena), v: v})
 }
 
 // metaOpts are the oracle's abstraction options: file content is
@@ -358,10 +412,10 @@ func (s *search) crash(e *engine, depth int, op workload.Op) error {
 // costs 1 execution instead of 1+K, K warm recovery mounts, one delta
 // rollback, and no copy of the image at all.
 //
-// Post-recovery verdicts are memoized per probe by a masked digest of
-// the media regions that diverged from the pre-op image: crash points
-// that recover to state-equivalent media (common when consecutive
-// writes land in masked journal space) are judged once.
+// Post-recovery verdicts are memoized per probe under the masked bytes
+// of the media regions that diverged from the pre-op image (crashMemo):
+// crash points that recover to state-equivalent media (common when
+// consecutive writes land in masked journal space) are judged once.
 func (e *engine) probePlane(depth int, op workload.Op, p *CrashPlane) error {
 	e.probe.idle()
 	err := p.Media.OpenFrame(probeFrame)
@@ -417,8 +471,7 @@ func (e *engine) probePlane(depth int, op workload.Op, p *CrashPlane) error {
 	if e.res.CrashHeatmap != nil {
 		opName = e.memoOf(op).rowLabel(op)
 	}
-	memo := e.crashMemo
-	clear(memo)
+	e.crashMemo.reset()
 	for _, k := range points {
 		if !e.budgetLeft() {
 			break
@@ -434,7 +487,7 @@ func (e *engine) probePlane(depth int, op workload.Op, p *CrashPlane) error {
 		}
 		e.res.Crash.PointsExplored++
 		e.probe.crashPoint()
-		d, verdict := e.judgeCrashPoint(p, op, k, w, img, capRegions, b0, b1, memo)
+		d, verdict := e.judgeCrashPoint(p, op, k, w, img, capRegions, b0, b1)
 		e.res.CrashHeatmap.Record(opName, k, w, verdict)
 		e.probe.crashVerdict(depth, op, p.Name, k, w, verdict)
 		if d != nil {
@@ -459,7 +512,7 @@ func (e *engine) probePlane(depth int, op workload.Op, p *CrashPlane) error {
 
 // crashVerdict is the state-dependent half of one crash point's
 // judgment: the fsck report and (for strict planes) the recovered
-// abstract state. The probe memoizes it under the masked digest of the
+// abstract state. The probe memoizes it under the masked stream of the
 // recovered media's divergence from the pre-op image — valid for any
 // crash point of the same probe that recovers to state-equivalent
 // media.
@@ -543,52 +596,52 @@ func (v crashVerdict) label(d *checker.Discrepancy, b0 abstraction.State) string
 // frame plus img, the write log's prefix up to the point — and judges
 // the recovered state, returning the verdict label (Verdict* constants)
 // alongside any discrepancy. Before running the expensive checks it
-// digests the recovered media's divergence from the pre-op image —
-// capRegions plus whatever recovery itself wrote — and reuses the
-// memoized verdict of any earlier point in this probe that recovered to
-// masked-identical media. Callable from ANY media state whose divergence
+// reads the recovered media's divergence from the pre-op image —
+// capRegions plus whatever recovery itself wrote — into the memo, and
+// reuses the verdict of any earlier point in this probe that recovered
+// to media identical outside the mask. Callable from ANY media state whose divergence
 // from the frame is bounded by capRegions plus the touch log (the post-op
 // state, or a previous point's recovered state); returns with media ==
 // image-after-recovery. The caller rolls back once after the last point.
 func (e *engine) judgeCrashPoint(p *CrashPlane, op workload.Op, k, w int, img []fault.Write,
-	capRegions []fault.Region, b0, b1 abstraction.State,
-	memo map[[32]byte]crashVerdict) (*checker.Discrepancy, string) {
+	capRegions []fault.Region, b0, b1 abstraction.State) (*checker.Discrepancy, string) {
 
 	at := crashSite{p, op, k, w}
 	if err := e.powerCycle(p, func() error { return e.install(p, capRegions, img) }); err != nil {
 		return at.bug(fmt.Sprintf("recovery failed: %v", err)), stream.VerdictBug
 	}
-	// Fast path: masked digest of everything that diverged from the frame
-	// — the crash image's writes plus recovery's own (journal replay).
-	// Planes with no post-recovery checks at all have nothing to
-	// memoize, so skip the digest reads.
-	var dig [32]byte
-	haveDig := false
+	// Fast path: the masked stream of everything that diverged from the
+	// frame — the crash image's writes plus recovery's own (journal
+	// replay). Planes with no post-recovery checks at all have nothing
+	// to memoize, so skip the reads.
+	var v crashVerdict
+	keyed, hit := false, false
 	if p.Strict || p.Fsck != nil {
-		dig, haveDig = e.divergenceDigest(p, capRegions)
+		if keyed = e.divergenceStream(p, capRegions); keyed {
+			v, hit = e.crashMemo.lookup()
+		}
 		e.probe.digested()
 	}
-	v, hit := memo[dig]
-	if !haveDig || !hit {
+	if !hit {
 		v = e.inspect(p, e.metaHash)
-		if haveDig {
-			memo[dig] = v
+		if keyed {
+			e.crashMemo.keep(v)
 		}
 	}
 	d := v.discrepancy(at, b0, b1)
 	return d, v.label(d, b0)
 }
 
-// divergenceDigest is the masked digest of the media's divergence from
-// the probe frame: capRegions, the window's write set, merged with the
-// touched set, which covers the crash image's writes and recovery's own.
-// ok == false when the log is lost or a read failed.
-func (e *engine) divergenceDigest(p *CrashPlane, capRegions []fault.Region) (d [32]byte, ok bool) {
+// divergenceStream appends to the memo's arena the masked stream of the
+// media's divergence from the probe frame: capRegions, the window's write
+// set, merged with the touched set, which covers the crash image's writes
+// and recovery's own. ok == false when the log is lost or a read failed.
+func (e *engine) divergenceStream(p *CrashPlane, capRegions []fault.Region) (ok bool) {
 	regions, ok := p.Injector.AppendTouched(append(e.crashRegions.union[:0], capRegions...))
 	if e.crashRegions.union = regions; !ok {
-		return d, false
+		return false
 	}
-	return e.crashDigest.digest(p, regions)
+	return e.crashMemo.stream(p, regions)
 }
 
 // countCrashExec charges one probed execution against the op budget —

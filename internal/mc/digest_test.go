@@ -1,6 +1,8 @@
 package mc
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"slices"
 	"testing"
@@ -12,13 +14,14 @@ import (
 	"mcfs/internal/simclock"
 )
 
-// TestCrashDigestIsTheMaskedImage: the crash memo's key is the media
-// under the regions with the masked bytes taken out. Two media that
-// differ only under Mask digest equal; one changed unmasked byte, or the
-// same bytes under another region list, digests differently. And the
-// digest reads what a plain read of every region reads: the same requests
-// on the same clock.
-func TestCrashDigestIsTheMaskedImage(t *testing.T) {
+// TestCrashStreamIsTheMaskedImage: the crash memo's key is the media
+// under the regions with the masked bytes taken out, and equal streams
+// mean equal media outside the mask. Two media that differ only under
+// Mask stream equal; one changed unmasked byte, or the same bytes under
+// another region list, streams differently. The stream is each region's
+// offset and length, then its unmasked bytes. And it reads what a plain
+// read of every region reads: the same requests on the same clock.
+func TestCrashStreamIsTheMaskedImage(t *testing.T) {
 	const size = 64 << 10
 	// The mask is deliberately out of order and overlapping, and the
 	// regions start, end and lie inside masked bytes.
@@ -35,26 +38,39 @@ func TestCrashDigestIsTheMaskedImage(t *testing.T) {
 		d.DropCaches()
 		return &CrashPlane{Media: d, Mask: mask}, d, clk
 	}
-	var c crashDigester
-	digest := func(img []byte, regions []fault.Region) [32]byte {
+	var m crashMemo
+	stream := func(img []byte, regions []fault.Region) []byte {
 		t.Helper()
 		p, _, _ := plane(img)
-		d, ok := c.digest(p, regions)
-		if !ok {
-			t.Fatal("a digest of in-range regions failed")
+		m.reset()
+		if !m.stream(p, regions) {
+			t.Fatal("a stream of in-range regions failed")
 		}
-		return d
+		return slices.Clone(m.arena)
 	}
-	base := digest(img, regions)
+	base := stream(img, regions)
+	var want []byte
+	for _, r := range regions {
+		want = binary.LittleEndian.AppendUint64(want, uint64(r.Off))
+		want = binary.LittleEndian.AppendUint64(want, uint64(r.Len))
+		for at := r.Off; at < r.Off+r.Len; at++ {
+			if !under(mask, at) {
+				want = append(want, img[at])
+			}
+		}
+	}
+	if !bytes.Equal(base, want) {
+		t.Errorf("the stream is %d bytes, not the %d of the regions' headers and unmasked bytes", len(base), len(want))
+	}
 
 	masked := append([]byte(nil), img...)
-	for _, m := range mask {
-		for i := m.Off; i < m.Off+m.Len; i++ {
+	for _, r := range mask {
+		for i := r.Off; i < r.Off+r.Len; i++ {
 			masked[i] ^= 0xFF
 		}
 	}
-	if digest(masked, regions) != base {
-		t.Error("media that differ only under the mask digest differently")
+	if !bytes.Equal(stream(masked, regions), base) {
+		t.Error("media that differ only under the mask stream differently")
 	}
 	for _, r := range regions {
 		for _, at := range []int64{r.Off, r.Off + r.Len/2, r.Off + r.Len - 1} {
@@ -63,22 +79,23 @@ func TestCrashDigestIsTheMaskedImage(t *testing.T) {
 			}
 			changed := append([]byte(nil), masked...)
 			changed[at] ^= 1
-			if digest(changed, regions) == base {
-				t.Errorf("changing unmasked byte %d leaves the digest as it was", at)
+			if bytes.Equal(stream(changed, regions), base) {
+				t.Errorf("changing unmasked byte %d leaves the stream as it was", at)
 			}
 		}
 	}
 	moved := append([]fault.Region(nil), regions...)
 	moved[1].Off++
 	moved[1].Len--
-	if digest(img, moved) == base {
-		t.Error("the same media under another region list digest equal")
+	if bytes.Equal(stream(img, moved), base) {
+		t.Error("the same media under another region list stream equal")
 	}
 
 	p, d, clk := plane(img)
 	_, rd, rclk := plane(img)
-	if _, ok := c.digest(p, regions); !ok {
-		t.Fatal("a digest of in-range regions failed")
+	m.reset()
+	if !m.stream(p, regions) {
+		t.Fatal("a stream of in-range regions failed")
 	}
 	for _, r := range regions {
 		if err := rd.ReadAt(make([]byte, r.Len), r.Off); err != nil {
@@ -88,8 +105,57 @@ func TestCrashDigestIsTheMaskedImage(t *testing.T) {
 	reads, writes := d.Counters()
 	wantReads, wantWrites := rd.Counters()
 	if reads != wantReads || writes != wantWrites || clk.Now() != rclk.Now() {
-		t.Errorf("a digest costs %d reads, %d writes, %v; plain reads of its regions %d, %d, %v",
+		t.Errorf("a stream costs %d reads, %d writes, %v; plain reads of its regions %d, %d, %v",
 			reads, writes, clk.Now(), wantReads, wantWrites, rclk.Now())
+	}
+	if m.stream(p, []fault.Region{{Off: size - 10, Len: 20}}) || !bytes.Equal(m.arena, base) {
+		t.Error("a stream whose read fails does not leave the arena as it was")
+	}
+}
+
+// TestCrashMemoHitsExactlyEqualStreams: a lookup hits only an entry whose
+// stream equals the new one byte for byte, even when every crc collides,
+// and a stream that hits is not kept.
+func TestCrashMemoHitsExactlyEqualStreams(t *testing.T) {
+	for _, collide := range []bool{false, true} {
+		if collide {
+			old := crashSum
+			crashSum = func([]byte) uint32 { return 7 }
+			defer func() { crashSum = old }()
+		}
+		var m crashMemo
+		judge := func(stream string, v crashVerdict) (crashVerdict, bool) {
+			m.arena = append(m.arena, stream...)
+			got, hit := m.lookup()
+			if !hit {
+				m.keep(v)
+			}
+			return got, hit
+		}
+		a := crashVerdict{fsckProbs: []string{"a"}}
+		b := crashVerdict{fsckProbs: []string{"b"}}
+		if _, hit := judge("stream a", a); hit {
+			t.Errorf("collide=%v: the first stream hits", collide)
+		}
+		if _, hit := judge("stream b", b); hit {
+			t.Errorf("collide=%v: a different stream of the same length hits", collide)
+		}
+		if _, hit := judge("stream", b); hit {
+			t.Errorf("collide=%v: a prefix of a kept stream hits", collide)
+		}
+		for _, tc := range []struct {
+			stream string
+			want   string
+		}{{"stream a", "a"}, {"stream b", "b"}} {
+			n := len(m.arena)
+			got, hit := judge(tc.stream, crashVerdict{})
+			if !hit || got.fsckProbs[0] != tc.want {
+				t.Errorf("collide=%v: %q = %v, %v; want the kept verdict %q", collide, tc.stream, got.fsckProbs, hit, tc.want)
+			}
+			if len(m.arena) != n {
+				t.Errorf("collide=%v: a hit keeps its stream", collide)
+			}
+		}
 	}
 }
 
@@ -136,8 +202,9 @@ func allocPlane(t *testing.T) (p *CrashPlane, capRegions []fault.Region, img []f
 
 // TestCrashPointScratchAllocatesNothing: once the engine's scratch is
 // warm, installing a crash image (the touched set merged with the
-// window's into the region scratch) and digesting the recovered media's
-// divergence allocate nothing.
+// window's into the region scratch) and judging a crash point through the
+// verdict memo — the recovered media's divergence read into the arena,
+// then a lookup that misses and keeps, or hits — allocate nothing.
 func TestCrashPointScratchAllocatesNothing(t *testing.T) {
 	p, capRegions, img := allocPlane(t)
 	e := &engine{}
@@ -146,22 +213,34 @@ func TestCrashPointScratchAllocatesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	digest := func() {
-		if _, ok := e.divergenceDigest(p, capRegions); !ok {
-			t.Fatal("the digest of a logged plane failed")
+	point := func(wantHit bool) {
+		if !e.divergenceStream(p, capRegions) {
+			t.Fatal("the stream of a logged plane failed")
+		}
+		v, hit := e.crashMemo.lookup()
+		if hit != wantHit {
+			t.Fatalf("lookup hit = %v, want %v", hit, wantHit)
+		}
+		if !hit {
+			e.crashMemo.keep(v)
 		}
 	}
+	probe := func() {
+		e.crashMemo.reset()
+		point(false)
+		point(true)
+	}
 	install()
-	digest()
+	probe()
 	if n := testing.AllocsPerRun(100, install); n != 0 {
 		t.Errorf("install allocates %.0f times per crash point, want 0", n)
 	}
-	if n := testing.AllocsPerRun(100, digest); n != 0 {
-		t.Errorf("divergenceDigest allocates %.0f times per crash point, want 0", n)
+	if n := testing.AllocsPerRun(100, probe); n != 0 {
+		t.Errorf("a missed and a memoized crash point allocate %.0f times, want 0", n)
 	}
 	want := fault.CoalesceRegions(append(slices.Clone(capRegions), fault.Region{Off: 30000, Len: 100}))
 	if !slices.Equal(e.crashRegions.union, want) {
-		t.Errorf("the digest's regions = %v, want %v", e.crashRegions.union, want)
+		t.Errorf("the memo key's regions = %v, want %v", e.crashRegions.union, want)
 	}
 }
 

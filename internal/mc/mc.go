@@ -449,13 +449,12 @@ type engine struct {
 	// dedup on it.
 	curHash abstraction.State
 
-	// crashDigest and crashRegions are the crash oracle's digest and
-	// region scratch (crash.go); crashPts and crashMemo are a probe's
-	// crash points and verdict memo, rebuilt in place by every probe.
-	crashDigest  crashDigester
+	// crashRegions is the crash oracle's region scratch (crash.go);
+	// crashPts and crashMemo are a probe's crash points and verdict memo,
+	// rebuilt in place by every probe.
 	crashRegions crashRegions
 	crashPts     []int
-	crashMemo    map[[32]byte]crashVerdict
+	crashMemo    crashMemo
 	// crashWalk and crashRecs are the session flow's metadata walk
 	// memory (metaHash), reused by every walk of every probe.
 	crashWalk *abstraction.Memo
@@ -470,7 +469,6 @@ func newEngine(cfg Config) *engine {
 	e.probe = newProbe(&e.cfg)
 	if cfg.Crash != nil {
 		e.res.CrashHeatmap = stream.NewHeatmap()
-		e.crashMemo = make(map[[32]byte]crashVerdict)
 		e.crashWalk = abstraction.NewMemo()
 	}
 	return e
