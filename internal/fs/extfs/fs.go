@@ -84,7 +84,7 @@ type MountOpts struct {
 	// charged). A geometry change (re-mkfs) invalidates the cache. The
 	// cache also passes a mount's block buffers on to the next mount of
 	// the device once the first has unmounted, or has been dropped by a
-	// power cut (Drop).
+	// power cut (Drop), and the FS struct with them.
 	Cache *MountCache
 }
 
@@ -106,7 +106,9 @@ type MountCache struct {
 // so what an earlier mount left there never shows: the mount stays a
 // function of the device's bytes. The name table is kept, not emptied:
 // it maps bytes to the same bytes, so what it holds cannot show either.
+// The FS itself lives here too: a mount sets every field of it.
 type mountBufs struct {
+	fs FS
 	sb          [BlockSize]byte // the superblock, as read and as encoded
 	blockBitmap [BlockSize]byte
 	inodeBitmap [BlockSize]byte
@@ -232,7 +234,8 @@ func mount(dev blockdev.Device, clock *simclock.Clock, opts MountOpts, bufs *mou
 		return nil, err
 	}
 	l := computeLayout(sb.blocksTotal, sb.inodesTotal, sb.journalLen)
-	f := &FS{
+	f := &bufs.fs
+	*f = FS{
 		dev:         dev,
 		clock:       clock,
 		sb:          sb,
@@ -284,10 +287,12 @@ func (f *FS) FSType() string {
 	return "ext2"
 }
 
-// Unmount flushes all dirty state and marks the superblock clean. The FS
-// must not be used afterwards: its working memory passes to the next
-// mount through the MountCache it was mounted with, if any. A failed
-// Unmount keeps it.
+// Unmount flushes all dirty state and marks the superblock clean. It ends
+// the handle: the FS must not be used afterwards, since its working
+// memory, the FS struct included, passes to the next mount through the
+// MountCache it was mounted with, if any, and that mount may hand out the
+// same *FS. Without a cache a second Unmount fails. A failed Unmount keeps
+// the handle.
 func (f *FS) Unmount() error {
 	if f.unmounted {
 		return fmt.Errorf("extfs: double unmount")
@@ -309,7 +314,7 @@ func (f *FS) Unmount() error {
 // Drop implements kernel.Dropper: a power cut discards the FS without a
 // flush, and its working memory passes to the next mount through the
 // MountCache it was mounted with, if any, as at a successful Unmount. It
-// writes nothing, and the FS must not be used afterwards.
+// writes nothing, and it ends the handle as Unmount does.
 func (f *FS) Drop() {
 	if f.unmounted {
 		return

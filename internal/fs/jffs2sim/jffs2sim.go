@@ -147,12 +147,13 @@ func Mkfs(mtd *blockdev.MTD) error {
 // that have not changed (blockdev.MTD), a block's entry is exactly what
 // scanning the block again would find.
 //
-// It also keeps, in a spare.Slot, the inode table of the last mount
-// through it to unmount or be dropped, which the next mount replays into,
-// and a memo of the last replay, which a mount of unchanged flash copies
-// into the table instead of replaying. The memo waits in the slot while an
-// FS holds the table too. A collection reclaims both; the next mount then
-// allocates a table, and the next replay into a reused table a memo.
+// It also keeps, in a spare.Slot, the inode table and the FS struct of
+// the last mount through it to unmount or be dropped, which the next mount
+// replays into and hands out, and a memo of the last replay, which a mount
+// of unchanged flash copies into the table instead of replaying. The memo
+// waits in the slot while an FS holds the table too. A collection reclaims
+// both; the next mount then allocates an FS and a table, and the next
+// replay into a reused table a memo.
 type ScanCache struct {
 	mtd    *blockdev.MTD
 	blocks []blockScan
@@ -172,11 +173,12 @@ type ScanCache struct {
 }
 
 // table is the memory a mount replays into — its inode map, whose structs
-// keep their content, entries and order arrays, and the per-block fill;
-// both nil while an FS holds them — and the memo.
+// keep their content, entries and order arrays, the per-block fill and the
+// FS struct itself; all nil while an FS holds them — and the memo.
 type table struct {
 	inodes    map[uint32]*inodeInfo
 	blockUsed []int
+	fs        *FS
 	memo      memo
 }
 
@@ -254,7 +256,11 @@ func MountCached(mtd *blockdev.MTD, clock *simclock.Clock, cache *ScanCache) (*F
 		t.inodes, t.blockUsed = make(map[uint32]*inodeInfo), make([]int, len(cache.blocks))
 	}
 	cache.gen++
-	f := &FS{
+	f := t.fs
+	if f == nil {
+		f = new(FS)
+	}
+	*f = FS{
 		mtd:       mtd,
 		clock:     clock,
 		cache:     cache,
@@ -280,6 +286,7 @@ func MountCached(mtd *blockdev.MTD, clock *simclock.Clock, cache *ScanCache) (*F
 		data, stamp, err := mtd.LendBlock(blk)
 		if err != nil {
 			b.known = false
+			t.fs = f
 			cache.table.Put(t) // for the next mount
 			return nil, err
 		}
@@ -553,8 +560,10 @@ func allZero(p []byte) bool {
 func (f *FS) FSType() string { return "jffs2" }
 
 // Unmount releases the in-memory state. The log is already durable, so
-// it writes nothing; the inode table passes to the next mount through the
-// ScanCache the FS was mounted with. The FS must not be used afterwards.
+// it writes nothing. It ends the handle: the FS must not be used
+// afterwards, since its inode table and the FS struct itself pass to the
+// next mount through the ScanCache it was mounted with, and that mount
+// may hand out the same *FS.
 func (f *FS) Unmount() error {
 	if f.unmounted {
 		return fmt.Errorf("jffs2sim: double unmount")
@@ -564,15 +573,15 @@ func (f *FS) Unmount() error {
 }
 
 // Drop implements kernel.Dropper: a power cut discards the FS, and its
-// inode table passes to the next mount as at an Unmount. It writes
-// nothing, and the FS must not be used afterwards.
+// inode table and struct pass to the next mount as at an Unmount. It
+// writes nothing, and it ends the handle as Unmount does.
 func (f *FS) Drop() {
 	if f.unmounted {
 		return
 	}
 	f.unmounted = true
 	t, _ := f.cache.table.Take() // the memo, unless a collection took it
-	f.cache.table.Put(table{inodes: f.inodes, blockUsed: f.blockUsed, memo: t.memo})
+	f.cache.table.Put(table{inodes: f.inodes, blockUsed: f.blockUsed, fs: f, memo: t.memo})
 	f.inodes, f.blockUsed = nil, nil // no longer this FS's
 }
 

@@ -7,6 +7,7 @@ import (
 	"maps"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
@@ -914,11 +915,47 @@ func warmMountBytes(t *testing.T, mtd *blockdev.MTD, clk *simclock.Clock) float6
 
 var _ kernel.Dropper = (*FS)(nil)
 
-// TestRemountReusesTheInodeTable: an unmount→mount cycle allocates the FS
-// alone, on a flash of 8 files and on one of 64, whether the mount copies
-// the memo of the last replay or replays and refreshes the memo — both
-// write into the structs, arrays and maps the last mount left — and so
-// does a power cut's Drop→mount. And the table and the memo are spares a
+// TestMountBesideALiveFSGetsItsOwn: the cache takes an FS back only at its
+// Unmount or Drop, so a mount beside a live FS gets its own, and the next
+// mount after the Unmount the unmounted one's.
+func TestMountBesideALiveFSGetsItsOwn(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // the slot holds the FS weakly
+	_, mtd, clk := newVolume(t)
+	scans := NewScanCache()
+	a, err := MountCached(mtd, clk, scans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := MountCached(mtd, clk, scans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a == b {
+		t.Fatal("a mount beside a live FS got that FS")
+	}
+	if _, e := a.Getattr(a.Root()); e != errno.OK {
+		t.Fatalf("the first FS after a second mount: %v", e)
+	}
+	if err := a.Unmount(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := MountCached(mtd, clk, scans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c != a {
+		t.Error("the mount after an Unmount did not reuse the unmounted FS")
+	}
+	if _, e := b.Getattr(b.Root()); e != errno.OK {
+		t.Errorf("the second FS after a third mount: %v", e)
+	}
+}
+
+// TestRemountReusesTheInodeTable: an unmount→mount cycle allocates
+// nothing, on a flash of 8 files and on one of 64, whether the mount
+// copies the memo of the last replay or replays and refreshes the memo —
+// both write into the FS struct, and the structs, arrays and maps, the
+// last mount left — and neither does a power cut's Drop→mount. And the table and the memo are spares a
 // collection takes back: the memo even while an FS holds the table, and
 // after an unmount both, leaving the cache's slot empty and the heap its
 // size before the mounts that built them.
@@ -934,8 +971,8 @@ func TestRemountReusesTheInodeTable(t *testing.T) {
 			}
 			runtime.GC() // no collection runs into the cycles and takes the memo
 			allocs[i] = testing.AllocsPerRun(50, func() { remountCycle(t, &f, mtd, clk, scans, replay) })
-			if allocs[i] > 1 {
-				t.Errorf("a remount (replay %v) of %d files allocates %.0f times, want 1 (the FS)", replay, files, allocs[i])
+			if allocs[i] != 0 {
+				t.Errorf("a remount (replay %v) of %d files allocates %.0f times, want 0", replay, files, allocs[i])
 			}
 			cut := testing.AllocsPerRun(50, func() {
 				f.Drop()
@@ -943,8 +980,8 @@ func TestRemountReusesTheInodeTable(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			if cut != 1 {
-				t.Errorf("a power cut and mount of %d files allocates %.0f times, want 1", files, cut)
+			if cut != 0 {
+				t.Errorf("a power cut and mount of %d files allocates %.0f times, want 0", files, cut)
 			}
 		}
 		if allocs[0] != allocs[1] {
