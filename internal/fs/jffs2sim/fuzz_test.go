@@ -77,7 +77,7 @@ func craftedHead(tb testing.TB, isize, off int64) []byte {
 	f, mtd, _ := newVolumeOf(tb, fuzzFlash)
 	ino := f.nextIno
 	nd := &inodeInfo{mode: vfs.ModeReg | 0644, nlink: 1, size: isize}
-	e := f.appendNode(nodeInode, encodeInodeNode(nd, ino, off, []byte("crafted")))
+	e := f.appendNode(nodeInode, appendInodeNode(nil, nd, ino, off, []byte("crafted")))
 	if e == errno.OK {
 		e = f.logDirent(RootIno, ino, "crafted")
 	}

@@ -89,6 +89,10 @@ type FS struct {
 	// per-eraseblock used bytes (live + dead); dead tracked for GC stats
 	blockUsed []int
 
+	// node is the scratch the next log node is encoded in; Program
+	// copies it to flash.
+	node []byte
+
 	inGC      bool
 	unmounted bool
 }
@@ -268,6 +272,7 @@ func MountCached(mtd *blockdev.MTD, clock *simclock.Clock, cache *ScanCache) (*F
 		nextIno:   RootIno + 1,
 		gen:       cache.gen,
 		blockUsed: t.blockUsed,
+		node:      f.node[:0],
 	}
 	m := &t.memo
 
@@ -596,8 +601,13 @@ func (f *FS) now() time.Duration {
 
 // inode node payload: ino(4) mode(4) nlink(4) uid(4) gid(4) isize(8)
 // mtime(8) off(8) dataLen(4) target? -> targetLen(2) target data[]
-func encodeInodeNode(nd *inodeInfo, ino uint32, off int64, data []byte) []byte {
-	p := make([]byte, inodeFixed+len(nd.target)+len(data))
+//
+// appendInodeNode appends an inode node to dst: room for the header,
+// which appendNode fills in, then the payload.
+func appendInodeNode(dst []byte, nd *inodeInfo, ino uint32, off int64, data []byte) []byte {
+	n := len(dst) + nodeHeader
+	dst = append(dst, make([]byte, nodeHeader+inodeFixed+len(nd.target)+len(data))...)
+	p := dst[n:]
 	le := binary.LittleEndian
 	le.PutUint32(p[0:], ino)
 	le.PutUint32(p[4:], uint32(nd.mode))
@@ -611,7 +621,7 @@ func encodeInodeNode(nd *inodeInfo, ino uint32, off int64, data []byte) []byte {
 	le.PutUint16(p[48:], uint16(len(nd.target)))
 	copy(p[50:], nd.target)
 	copy(p[50+len(nd.target):], data)
-	return p
+	return dst
 }
 
 // inodeFragment returns the link target and the data fragment an inode
@@ -706,14 +716,16 @@ func (nd *inodeInfo) truncate(size int64) {
 }
 
 // dirent node payload: parent(4) ino(4) nameLen(2) name; ino 0 deletes.
-func encodeDirentNode(parent, ino uint32, name string) []byte {
-	p := make([]byte, direntFixed+len(name))
+//
+// appendDirentNode appends a dirent node to dst as appendInodeNode does.
+func appendDirentNode(dst []byte, parent, ino uint32, name string) []byte {
+	n := len(dst) + nodeHeader
+	dst = append(dst, make([]byte, nodeHeader+direntFixed)...)
 	le := binary.LittleEndian
-	le.PutUint32(p[0:], parent)
-	le.PutUint32(p[4:], ino)
-	le.PutUint16(p[8:], uint16(len(name)))
-	copy(p[10:], name)
-	return p
+	le.PutUint32(dst[n:], parent)
+	le.PutUint32(dst[n+4:], ino)
+	le.PutUint16(dst[n+8:], uint16(len(name)))
+	return append(dst, name...)
 }
 
 // direntName returns the name a dirent node's payload carries; ok is
@@ -781,9 +793,12 @@ func (f *FS) applyDirentNode(p []byte, name string) {
 
 // --- log appending & GC ---------------------------------------------------
 
-// appendNode writes one node to the log, garbage-collecting if needed.
-func (f *FS) appendNode(typ uint16, payload []byte) errno.Errno {
-	totLen := nodeHeader + len(payload)
+// appendNode writes one node to the log, garbage-collecting if needed:
+// node is the header's room and the payload (appendInodeNode,
+// appendDirentNode), and the header is filled in place. A collection
+// encodes into a buffer of its own, so node stays as it was.
+func (f *FS) appendNode(typ uint16, node []byte) errno.Errno {
+	totLen := len(node)
 	es := f.mtd.EraseSize()
 	if totLen > es {
 		return errno.EFBIG
@@ -800,13 +815,11 @@ func (f *FS) appendNode(typ uint16, payload []byte) errno.Errno {
 		}
 	}
 	f.version++
-	node := make([]byte, totLen)
 	le := binary.LittleEndian
 	le.PutUint16(node[0:], NodeMagic)
 	le.PutUint16(node[2:], typ)
 	le.PutUint32(node[4:], uint32(totLen))
 	le.PutUint32(node[8:], f.version)
-	copy(node[nodeHeader:], payload)
 	crc := crc32.ChecksumIEEE(node[0:12])
 	crc = crc32.Update(crc, crc32.IEEETable, node[nodeHeader:])
 	le.PutUint32(node[12:], crc)
@@ -903,12 +916,14 @@ func (f *FS) gc() errno.Errno {
 	}
 	slices.Sort(inos)
 	var chunk [MaxDataPerNode]byte
+	var node []byte // not f.node: the collection may run inside an append of it
 	for _, ino := range inos {
 		nd := f.inodes[ino]
 		// Metadata-plus-data nodes in MaxDataPerNode chunks up to the size,
 		// the implicit tail written out as the zeros it reads as.
 		if nd.size == 0 {
-			if e := f.appendNode(nodeInode, encodeInodeNode(nd, ino, 0, nil)); e != errno.OK {
+			node = appendInodeNode(node[:0], nd, ino, 0, nil)
+			if e := f.appendNode(nodeInode, node); e != errno.OK {
 				return e
 			}
 		}
@@ -916,13 +931,15 @@ func (f *FS) gc() errno.Errno {
 			n := min(nd.size-off, MaxDataPerNode)
 			data := chunk[:n]
 			clear(data[copy(data, nd.content[min(off, int64(len(nd.content))):]):])
-			if e := f.appendNode(nodeInode, encodeInodeNode(nd, ino, off, data)); e != errno.OK {
+			node = appendInodeNode(node[:0], nd, ino, off, data)
+			if e := f.appendNode(nodeInode, node); e != errno.OK {
 				return e
 			}
 		}
 		if nd.entries != nil {
 			for _, name := range nd.order {
-				if e := f.appendNode(nodeDirent, encodeDirentNode(ino, nd.entries[name], name)); e != errno.OK {
+				node = appendDirentNode(node[:0], ino, nd.entries[name], name)
+				if e := f.appendNode(nodeDirent, node); e != errno.OK {
 					return e
 				}
 			}
@@ -949,14 +966,16 @@ func inodeNodeLens(target string, n int) []int {
 // of an inode.
 func (f *FS) logInode(ino uint32, nd *inodeInfo, off int64, data []byte) errno.Errno {
 	if len(data) <= MaxDataPerNode {
-		return f.appendNode(nodeInode, encodeInodeNode(nd, ino, off, data))
+		f.node = appendInodeNode(f.node[:0], nd, ino, off, data)
+		return f.appendNode(nodeInode, f.node)
 	}
 	for pos := 0; pos < len(data); pos += MaxDataPerNode {
 		end := pos + MaxDataPerNode
 		if end > len(data) {
 			end = len(data)
 		}
-		if e := f.appendNode(nodeInode, encodeInodeNode(nd, ino, off+int64(pos), data[pos:end])); e != errno.OK {
+		f.node = appendInodeNode(f.node[:0], nd, ino, off+int64(pos), data[pos:end])
+		if e := f.appendNode(nodeInode, f.node); e != errno.OK {
 			return e
 		}
 	}
@@ -964,5 +983,6 @@ func (f *FS) logInode(ino uint32, nd *inodeInfo, off int64, data []byte) errno.E
 }
 
 func (f *FS) logDirent(parent, ino uint32, name string) errno.Errno {
-	return f.appendNode(nodeDirent, encodeDirentNode(parent, ino, name))
+	f.node = appendDirentNode(f.node[:0], parent, ino, name)
+	return f.appendNode(nodeDirent, f.node)
 }
