@@ -108,7 +108,7 @@ type MountCache struct {
 // it maps bytes to the same bytes, so what it holds cannot show either.
 // The FS itself lives here too: a mount sets every field of it.
 type mountBufs struct {
-	fs FS
+	fs          FS
 	sb          [BlockSize]byte // the superblock, as read and as encoded
 	blockBitmap [BlockSize]byte
 	inodeBitmap [BlockSize]byte
