@@ -348,7 +348,8 @@ func (e *engine) crashWindow(p *CrashPlane, op workload.Op) (int, error) {
 		return 0, fmt.Errorf("pre-op: %w", err)
 	}
 	p.Injector.StartWindow()
-	workload.ExecuteAt(e.cfg.Kernel, op, e.memoOf(op).paths(p.Mount, op))
+	m := e.memoOf(op)
+	workload.ExecuteAt(e.cfg.Kernel, op, m.paths(p.Mount, op), m.data)
 	e.probe.ran()
 	err = e.cfg.Kernel.Remount(p.Mount)
 	e.probe.remounted()

@@ -430,7 +430,9 @@ type engine struct {
 	errnos  []string
 	// ops holds what the engine derives from each distinct op it runs,
 	// once per run; ops come from the pool or a trail, which bound it.
-	ops map[workload.Op]*opMemo
+	// fills are the write buffers the memos share, one per (size, byte).
+	ops   map[workload.Op]*opMemo
+	fills [][]byte
 
 	// res is the Result under construction: the loop counts straight
 	// into it (CrashHeatmap is non-nil exactly when Config.Crash is set
@@ -475,9 +477,10 @@ func newEngine(cfg Config) *engine {
 }
 
 // opMemo is what the engine derives from one op: its operands under each
-// mount point it ran at, and its crash heatmap row label.
+// mount point it ran at, a write's bytes, and its crash heatmap row label.
 type opMemo struct {
 	at    []opAt
+	data  []byte
 	label string
 }
 
@@ -493,10 +496,27 @@ func (e *engine) memoOf(op workload.Op) *opMemo {
 		if e.ops == nil {
 			e.ops = make(map[workload.Op]*opMemo)
 		}
-		m = &opMemo{}
+		m = &opMemo{data: e.fill(op)}
 		e.ops[op] = m
 	}
 	return m
+}
+
+// fill returns a write op's bytes (workload.Fill), built on the first
+// write of their size and byte and shared by every write of the same:
+// no target keeps or changes them (vfs.FS.Write). Nil for other ops.
+func (e *engine) fill(op workload.Op) []byte {
+	if op.Kind != workload.OpWriteFile {
+		return nil
+	}
+	for _, b := range e.fills {
+		if int64(len(b)) == op.Size && (op.Size == 0 || b[0] == op.Byte) {
+			return b
+		}
+	}
+	b := workload.Fill(op)
+	e.fills = append(e.fills, b)
+	return b
 }
 
 // paths returns op's operands under mount, built on their first use.
@@ -885,7 +905,7 @@ func (e *engine) step(op workload.Op) (abstraction.State, error) {
 	e.probe.remounted()
 	results, m := e.results[:0], e.memoOf(op)
 	for _, tgt := range targets {
-		results = append(results, workload.ExecuteAt(e.cfg.Kernel, op, m.paths(tgt.MountPoint, op)))
+		results = append(results, workload.ExecuteAt(e.cfg.Kernel, op, m.paths(tgt.MountPoint, op), m.data))
 	}
 	e.probe.ran()
 	for _, t := range e.cfg.Trackers {

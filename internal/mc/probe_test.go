@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"bytes"
 	"testing"
 
 	"mcfs/internal/abstraction"
@@ -35,9 +36,11 @@ func TestNilProbeAllocatesNothing(t *testing.T) {
 }
 
 // TestWarmOpBuildsNoPath: the engine derives an op's operands under a
-// mount point, and its heatmap row label, on the op's first run; running
-// any pool op again at any mount point it ran at builds no path and
-// renders nothing. What it keeps is what workload.At and Op.String build.
+// mount point, a write's bytes and its heatmap row label on the op's
+// first run; running any pool op again at any mount point it ran at
+// builds no path or buffer and renders nothing. What it keeps is what
+// workload.At, workload.Fill and Op.String build, and the writes of one
+// size and byte share one buffer.
 func TestWarmOpBuildsNoPath(t *testing.T) {
 	e := &engine{}
 	ops := workload.DefaultPool().Enumerate()
@@ -52,6 +55,26 @@ func TestWarmOpBuildsNoPath(t *testing.T) {
 		if got := m.rowLabel(op); got != op.String() {
 			t.Fatalf("%v: row label %q", op, got)
 		}
+		if !bytes.Equal(m.data, workload.Fill(op)) || (m.data == nil) != (op.Kind != workload.OpWriteFile) {
+			t.Fatalf("%v: data %d bytes, want workload.Fill's", op, len(m.data))
+		}
+	}
+	type fill struct {
+		size int64
+		b    byte
+	}
+	shared := map[fill]*byte{}
+	for _, op := range ops {
+		if d := e.memoOf(op).data; len(d) > 0 {
+			k := fill{op.Size, op.Byte}
+			if p, ok := shared[k]; ok && p != &d[0] {
+				t.Errorf("two writes of %d bytes of %#x do not share a buffer", op.Size, op.Byte)
+			}
+			shared[k] = &d[0]
+		}
+	}
+	if len(e.fills) != len(shared) {
+		t.Errorf("the engine keeps %d write buffers for %d (size, byte) pairs", len(e.fills), len(shared))
 	}
 	rerun := func() {
 		for _, op := range ops {

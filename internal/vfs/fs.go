@@ -44,7 +44,9 @@ type FS interface {
 	Read(ino Ino, off int64, n int, dst []byte) ([]byte, errno.Errno)
 
 	// Write stores data into ino at off, extending the file if needed,
-	// and returns the number of bytes written.
+	// and returns the number of bytes written. It neither keeps nor
+	// changes data: once Write returns, the caller may reuse the buffer,
+	// and share one among writes and file systems.
 	Write(ino Ino, off int64, data []byte) (int, errno.Errno)
 
 	// ReadDir appends the entries of directory ino, including "." and

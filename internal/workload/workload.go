@@ -207,7 +207,20 @@ func (p Pool) Enumerate() []Op {
 // returning the observable outcome for the checker. Meta-operations
 // return the errno of the first failing constituent syscall.
 func Execute(k *kernel.Kernel, mountPoint string, op Op) checker.OpResult {
-	return ExecuteAt(k, op, At(mountPoint, op))
+	return ExecuteAt(k, op, At(mountPoint, op), Fill(op))
+}
+
+// Fill returns the bytes a write op writes: Size copies of Byte. Nil for
+// any other op.
+func Fill(op Op) []byte {
+	if op.Kind != OpWriteFile {
+		return nil
+	}
+	data := make([]byte, op.Size)
+	for i := range data {
+		data[i] = op.Byte
+	}
+	return data
 }
 
 // Paths is an op's operands as paths under one mount point. Path is always
@@ -225,8 +238,10 @@ func At(mountPoint string, op Op) Paths {
 }
 
 // ExecuteAt is Execute for a caller that keeps op's operands under the
-// mount point (At), building no path of its own.
-func ExecuteAt(k *kernel.Kernel, op Op, at Paths) checker.OpResult {
+// mount point (At) and a write's bytes (Fill), building no path or buffer
+// of its own. A write neither keeps nor changes data (vfs.FS.Write), so
+// the caller may share one buffer among targets and ops.
+func ExecuteAt(k *kernel.Kernel, op Op, at Paths, data []byte) checker.OpResult {
 	path := at.Path
 	switch op.Kind {
 	case OpCreateFile:
@@ -244,10 +259,6 @@ func ExecuteAt(k *kernel.Kernel, op Op, at Paths) checker.OpResult {
 		fd, e := k.Open(path, vfs.OWrOnly, 0)
 		if e != errno.OK {
 			return checker.OpResult{Ret: -1, Err: e}
-		}
-		data := make([]byte, op.Size)
-		for i := range data {
-			data[i] = op.Byte
 		}
 		n, e := k.PWriteFD(fd, op.Off, data)
 		if e != errno.OK {
