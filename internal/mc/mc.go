@@ -832,8 +832,9 @@ func (e *engine) dfs(depth int) error {
 		}
 		e.probe.end()
 		if err == nil {
-			if e.res.Bug != nil {
-				e.probe.bug(depth, op, e.res.Bug)
+			if b := e.res.Bug; b != nil {
+				// A swarm's first bug is the first to be journaled.
+				e.cfg.Cancel.reportBug(b, func() { e.probe.bug(depth, op, b) })
 			} else {
 				err = e.settle(depth, op, h)
 			}

@@ -43,6 +43,9 @@ type Cancel struct {
 	fired  atomic.Bool
 	mu     sync.Mutex
 	reason string // guarded by mu
+	// bug is the first bug an engine reported through the token
+	// (reportBug).
+	bug *BugReport // guarded by mu
 }
 
 // NewCancel returns a fresh, uncanceled token.
@@ -60,6 +63,31 @@ func (c *Cancel) Cancel(reason string) {
 		c.fired.Store(true)
 	}
 	c.mu.Unlock()
+}
+
+// reportBug records b as found, through record — the engine's report of
+// it on its planes, the journal's bug record among them — under the
+// token's lock. The first bug so reported is the token's (firstBug): a
+// swarm's bug is the one whose record reached the shared journal first.
+// Safe on a nil receiver, which only records.
+func (c *Cancel) reportBug(b *BugReport, record func()) {
+	if c == nil {
+		record()
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.bug == nil {
+		c.bug = b
+	}
+	record()
+}
+
+// firstBug returns the first bug reported through the token, nil if none.
+func (c *Cancel) firstBug() *BugReport {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.bug
 }
 
 // Canceled reports whether the token has fired. Safe on a nil receiver.
@@ -128,8 +156,9 @@ type SwarmResult struct {
 	// duplicate work a shared set eliminates.
 	GlobalUniqueStates int64
 	DuplicateStates    int64
-	// Bug is the first discrepancy any worker reported (first-bug-wins);
-	// BugWorker is its 0-based worker index, -1 when Bug is nil.
+	// Bug is the first discrepancy any worker reported (first-bug-wins),
+	// the one the shared journal's first bug record names; BugWorker is
+	// its 0-based worker index, -1 when Bug is nil.
 	Bug       *BugReport
 	BugWorker int
 	// Coverage merges every worker's operation/outcome counts.
@@ -205,7 +234,6 @@ func SwarmRun(opts SwarmOptions, factory func(seed int64) (Config, error)) (Swar
 		wg         sync.WaitGroup
 		mu         sync.Mutex // guards the fields below
 		factoryErr error
-		bugWorker  = -1
 		runErr     error
 		errWorker  = -1
 	)
@@ -251,14 +279,6 @@ func SwarmRun(opts SwarmOptions, factory func(seed int64) (Config, error)) (Swar
 			hubs[w] = cfg.Obs
 			res := runWorker(cfg)
 			results[w] = res
-			if res.Bug != nil {
-				mu.Lock()
-				if bugWorker == -1 {
-					bugWorker = w
-				}
-				mu.Unlock()
-				cancel.Cancel(fmt.Sprintf("worker %d found a bug", w+1))
-			}
 			if res.Err != nil {
 				mu.Lock()
 				if runErr == nil {
@@ -276,9 +296,13 @@ func SwarmRun(opts SwarmOptions, factory func(seed int64) (Config, error)) (Swar
 
 	sr := mergeSwarm(opts, results, shared)
 	sr.WorkerHealth = opts.Stream.Workers()
-	sr.BugWorker = bugWorker
-	if bugWorker >= 0 {
-		sr.Bug = results[bugWorker].Bug
+	// The engines decided which bug came first, as they reported them.
+	if b := cancel.firstBug(); b != nil {
+		for w := range results {
+			if results[w].Bug == b {
+				sr.Bug, sr.BugWorker = b, w
+			}
+		}
 	}
 	sr.Err, sr.ErrWorker = runErr, errWorker
 	for _, h := range hubs {

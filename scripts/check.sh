@@ -13,12 +13,16 @@
 #         + internal/abstraction + internal/checker  media's undo frames
 #         + internal/vfs                             under their locks; a
 #      plus: the swarm tests at -cpu 1,4             model reading a set
-#                                                    its peers write; the
+#      and the swarm journal 400 times at -cpu 4     its peers write; the
 #                                                    path walk every swarm
 #                                                    worker runs; a swarm
 #                                                    test that assumes
 #                                                    concurrency fails at
-#                                                    one CPU)
+#                                                    one CPU; the bug
+#                                                    worker and the
+#                                                    journal's first bug
+#                                                    must agree however
+#                                                    two bugs race)
 #   5. bench smoke: every benchmark runs once       (catches bit-rotted
 #                                                    benchmarks; includes
 #                                                    the nil-vs-with hub,
@@ -162,6 +166,8 @@ go test -race ./internal/mc/... ./internal/memmodel/... ./internal/obs/... ./int
 	./internal/kernel/... ./internal/abstraction/... ./internal/checker/... ./internal/vfs/...
 echo "==> go test -cpu 1,4 -run 'Swarm|Panic' ./internal/mc"
 go test -cpu 1,4 -run 'Swarm|Panic' ./internal/mc
+echo "==> go test -cpu 4 -count 400 -run 'TestSwarmJournaling\$' ./internal/mc"
+go test -cpu 4 -count 400 -run 'TestSwarmJournaling$' ./internal/mc
 
 echo "==> bench smoke (one iteration per benchmark)"
 go test -bench . -benchtime 1x -run '^$' ./internal/mc/... ./internal/tracker/... ./internal/fuse/... \
