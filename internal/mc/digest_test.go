@@ -119,9 +119,7 @@ func TestCrashStreamIsTheMaskedImage(t *testing.T) {
 func TestCrashMemoHitsExactlyEqualStreams(t *testing.T) {
 	for _, collide := range []bool{false, true} {
 		if collide {
-			old := crashSum
-			crashSum = func([]byte) uint32 { return 7 }
-			defer func() { crashSum = old }()
+			CollideCrashKeys(t)
 		}
 		var m crashMemo
 		judge := func(stream string, v crashVerdict) (crashVerdict, bool) {
