@@ -52,7 +52,7 @@ func kernelWith(tb testing.TB, kind, point string) *kernel.Kernel {
 			tb.Fatal(err)
 		}
 		scans := jffs2sim.NewScanCache()
-		spec = kernel.FilesystemSpec{Type: kind, Dev: blockdev.NewMTDBlock(mtd),
+		spec = kernel.FilesystemSpec{Type: kind, Dev: mtd,
 			Mounter:   func() (vfs.FS, error) { return jffs2sim.MountCached(mtd, clk, scans) },
 			Unmounter: func(f vfs.FS) error { return f.(*jffs2sim.FS).Unmount() }}
 	default:

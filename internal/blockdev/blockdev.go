@@ -9,8 +9,7 @@
 //
 // This package reproduces each of those: a RAM disk, latency-model disks
 // parameterized by seek time, transfer bandwidth and cache-flush cost
-// (HDD/SSD profiles), an MTD flash device with erase-block semantics, and
-// an mtdblock bridge exposing the MTD device through the block interface.
+// (HDD/SSD profiles), and an MTD flash device with erase-block semantics.
 // All devices charge their I/O costs to a shared virtual clock
 // (internal/simclock).
 //
@@ -26,12 +25,14 @@
 //   - explicit cache-flush cost, charged by Sync — write barriers are
 //     what make per-operation remounting so expensive on real disks.
 //
-// Snapshot and Restore stand in for Spin mmapping the backing store into
-// its address space: Snapshot reads the full image (through the cache),
-// Restore writes it through to the medium. OpenFrame and RewindFrame are
-// the same two events as the virtual clock, the counters and the fault
-// plane see them — the paper's whole-image copy is what is charged — but
-// what is copied is only the pages written in between (undo.go).
+// Each consumer holds one interface: a block file system writes through
+// Device, and state capture and power-loss simulation go through Media,
+// which Disk and MTD both implement. Media's OpenFrame and RewindFrame
+// stand in for Spin mmapping the backing store into its address space —
+// through mtdblock, for the flash — and are charged as that whole-image
+// copy: OpenFrame as a read of the full image (through the cache),
+// RewindFrame as a write of it to the medium. What is copied is only the
+// pages written in between (undo.go).
 package blockdev
 
 import (
@@ -44,40 +45,60 @@ import (
 	"mcfs/internal/simclock"
 )
 
-// Device is the block interface the simulated kernel mounts file systems
-// on. Offsets and lengths are in bytes; implementations enforce bounds.
-type Device interface {
-	// ReadAt fills p from the device starting at off.
+// Reader is what every medium offers a consumer that only looks at it,
+// such as a file system checker.
+type Reader interface {
+	// ReadAt fills p from the medium starting at off.
 	ReadAt(p []byte, off int64) error
+	// Size returns the medium's capacity in bytes.
+	Size() int64
+}
+
+// Device is the block interface a block file system (extfs, xfssim)
+// reads and writes. Offsets and lengths are in bytes; implementations
+// enforce bounds.
+type Device interface {
+	Reader
 	// WriteAt stores p to the device starting at off.
 	WriteAt(p []byte, off int64) error
-	// Size returns the device capacity in bytes.
-	Size() int64
-	// BlockSize returns the device's natural I/O unit in bytes.
-	BlockSize() int
 	// Sync flushes the device write cache, charging the flush cost.
 	Sync() error
-	// Snapshot returns a copy of the full device image.
-	Snapshot() ([]byte, error)
-	// Restore overwrites the device contents with a previously taken
-	// snapshot, charging the cost of writing the whole device.
-	Restore(img []byte) error
-	// OpenFrame checkpoints the device contents under key, charging what
-	// Snapshot charges. Nothing is copied until something is written: the
-	// device saves the pre-image of each page the first time it changes
+}
+
+// Media is what state capture needs of a medium, and all of it: the
+// kernel's mounts, the device trackers and the crash oracle hold a
+// medium as one. A frame checkpoints the image and a rewind brings it
+// back, both charged as the paper's whole-image copy; RevertFrame and
+// Patch make the media literally hold other bytes — no I/O charged, no
+// fault plane consulted — which is how power-loss simulation installs a
+// crash image: the frame's image plus a prefix of the fault plane's
+// write log. Disk and MTD implement it.
+type Media interface {
+	Reader
+	// OpenFrame checkpoints the contents under key, charging a read of
+	// the whole image. Nothing is copied until something is written: the
+	// medium saves the pre-image of each page the first time it changes
 	// while the frame is the newest one open.
 	OpenFrame(key uint64) error
 	// RewindFrame brings back the contents checkpointed under key,
-	// charging what Restore of that image charges, and closes key's frame
-	// and every frame opened after it. ErrNoFrame if key holds none.
+	// charging a write of the whole image, and closes key's frame and
+	// every frame opened after it. ErrNoFrame if key holds none.
 	RewindFrame(key uint64) error
 	// CloseFrame forgets the checkpoint under key, leaving the contents
 	// alone; unknown keys are ignored.
 	CloseFrame(key uint64)
 	// HasFrame reports whether key holds an open frame.
 	HasFrame(key uint64) bool
-	// Name identifies the device in logs, e.g. "ram0" or "sda".
-	Name() string
+	// RevertFrame takes every page a region overlaps back to its bytes at
+	// the time key's frame opened; the frame stays open and frames opened
+	// after it are closed. Those pages come back cold. Callers own the
+	// correctness of regions: they must cover every byte where the media
+	// differs from the frame (the injector's touched set, or the whole
+	// media). ErrNoFrame if key holds none.
+	RevertFrame(key uint64, regions []fault.Region) error
+	// Patch lands the writes' bytes, in order. Caches are left alone: the
+	// pages a crash image differs in are the ones RevertFrame just cooled.
+	Patch(writes []fault.Write) error
 }
 
 // cachePage is the page-cache granularity.
@@ -202,36 +223,6 @@ func NewDisk(name string, size int64, p Profile, clock *simclock.Clock) *Disk {
 // ErrOutOfRange is returned for accesses beyond the device capacity.
 var ErrOutOfRange = fmt.Errorf("blockdev: access out of range")
 
-// Media is what state capture needs of a crash-testable medium, and all
-// of it: checkpoint the image and read raw bytes, both charged as the
-// device charges them, and three ways to make the media literally hold
-// other bytes — no I/O charged, no fault plane consulted — which is how
-// power-loss simulation installs a crash image: the pre-op state (a full
-// image, or the open frame) plus a prefix of the fault plane's write log.
-// Disk and MTDBlock implement it.
-type Media interface {
-	// Snapshot returns a copy of the full image.
-	Snapshot() ([]byte, error)
-	// OpenFrame and CloseFrame are Device's.
-	OpenFrame(key uint64) error
-	CloseFrame(key uint64)
-	// LoadImage makes img the media's contents; caches come back cold,
-	// exactly as after a real power cut.
-	LoadImage(img []byte) error
-	// RevertFrame takes every page a region overlaps back to its bytes at
-	// the time key's frame opened; the frame stays open and frames opened
-	// after it are closed. Those pages come back cold. Callers own the
-	// correctness of regions: they must cover every byte where the media
-	// differs from the frame (the injector's touched set). ErrNoFrame if
-	// key holds none.
-	RevertFrame(key uint64, regions []fault.Region) error
-	// Patch lands the writes' bytes, in order. Caches are left alone: the
-	// pages a crash image differs in are the ones RevertFrame just cooled.
-	Patch(writes []fault.Write) error
-	// ReadAt fills p from the media starting at off.
-	ReadAt(p []byte, off int64) error
-}
-
 func (d *Disk) checkRange(n int, off int64) error {
 	if off < 0 || n < 0 || off+int64(n) > int64(len(d.data)) {
 		return fmt.Errorf("%w: off=%d len=%d size=%d dev=%s", ErrOutOfRange, off, n, len(d.data), d.name)
@@ -264,7 +255,7 @@ func pageRange(off int64, n int) (int64, int64) {
 	return off / cachePage, (off + int64(n) + cachePage - 1) / cachePage
 }
 
-// ReadAt implements Device. Cached pages cost RAM time; cold pages pay
+// ReadAt implements Reader. Cached pages cost RAM time; cold pages pay
 // seek plus medium transfer and become cached.
 func (d *Disk) ReadAt(p []byte, off int64) error {
 	d.mu.Lock()
@@ -336,10 +327,10 @@ func (d *Disk) WriteAt(p []byte, off int64) error {
 	return nil
 }
 
-// Size implements Device.
+// Size implements Reader.
 func (d *Disk) Size() int64 { return int64(len(d.data)) }
 
-// BlockSize implements Device.
+// BlockSize returns the disk's block size, 4 KiB.
 func (d *Disk) BlockSize() int { return 4096 }
 
 // Sync implements Device: a write barrier costing the profile's flush
@@ -351,8 +342,10 @@ func (d *Disk) Sync() error {
 	return nil
 }
 
-// Snapshot implements Device. The image is read through the page cache
-// (the paper mmaps the device, so resident pages cost RAM time).
+// Snapshot returns a copy of the full image, read through the page cache
+// (the paper mmaps the device, so resident pages cost RAM time): OpenFrame
+// with the copy. The engine checkpoints with frames; Snapshot, Restore and
+// LoadImageDelta stay for the benchmark's blockdev rows, which time them.
 func (d *Disk) Snapshot() ([]byte, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -382,8 +375,8 @@ func (d *Disk) imageRead() {
 	d.charge(time.Duration(len(d.data)/1024) * d.profile.CachedPerKiB)
 }
 
-// Restore implements Device: the image is written through to the medium
-// sequentially.
+// Restore overwrites the disk with img, written through to the medium
+// sequentially: RewindFrame, with the image supplied.
 func (d *Disk) Restore(img []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -413,7 +406,7 @@ func (d *Disk) imageWritten() {
 	d.lastEnd = int64(len(d.data))
 }
 
-// OpenFrame implements Device: Snapshot without the copy.
+// OpenFrame implements Media: Snapshot without the copy.
 func (d *Disk) OpenFrame(key uint64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -423,7 +416,7 @@ func (d *Disk) OpenFrame(key uint64) error {
 	return nil
 }
 
-// RewindFrame implements Device: Restore of the image OpenFrame(key)
+// RewindFrame implements Media: Restore of the image OpenFrame(key)
 // would have copied, moving only the pages written since.
 func (d *Disk) RewindFrame(key uint64) error {
 	d.mu.Lock()
@@ -441,14 +434,14 @@ func (d *Disk) RewindFrame(key uint64) error {
 	return nil
 }
 
-// CloseFrame implements Device.
+// CloseFrame implements Media.
 func (d *Disk) CloseFrame(key uint64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.undo.close(key)
 }
 
-// HasFrame implements Device.
+// HasFrame implements Media.
 func (d *Disk) HasFrame(key uint64) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -463,9 +456,6 @@ func (d *Disk) UndoStats() (frames, arenaBytes int) {
 	defer d.mu.Unlock()
 	return d.undo.stats()
 }
-
-// Name implements Device.
-func (d *Disk) Name() string { return d.name }
 
 // SetInjector attaches a fault-injection plane to the device (nil
 // detaches).
@@ -482,9 +472,10 @@ func (d *Disk) Injector() *fault.Injector {
 	return d.inj
 }
 
-// LoadImage implements Media: img becomes the device's contents with no
-// I/O charge and no fault-plane consultation, and the page cache comes
-// back cold — the state a power cut leaves behind.
+// LoadImage makes img the device's contents with no I/O charge and no
+// fault-plane consultation, and the page cache comes back cold — the
+// state a power cut leaves behind. It is the full-image reference the
+// tests hold RevertFrame to.
 func (d *Disk) LoadImage(img []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -500,7 +491,8 @@ func (d *Disk) LoadImage(img []byte) error {
 	return nil
 }
 
-// RevertFrame implements Media.
+// RevertFrame implements Media. Over the whole disk it is LoadImage of
+// the frame's image: the same bytes, every page cold, the head forgotten.
 func (d *Disk) RevertFrame(key uint64, regions []fault.Region) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -536,7 +528,7 @@ func (d *Disk) Patch(writes []fault.Write) error {
 // LoadImageDelta is LoadImage over the listed regions only: the media
 // outside them is untouched, the pages under them come back cold. The
 // engine installs crash images with RevertFrame and Patch; this is the
-// image-copy form of the same power cut.
+// image-copy form of the same power cut, which the benchmark times.
 func (d *Disk) LoadImageDelta(img []byte, regions []fault.Region) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -253,7 +253,6 @@ func TestMTDRevertFrameMatchesFullLoad(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for round := 0; round < 20; round++ {
 		m := NewMTD("mtd0", size, erase, simclock.New())
-		bridge := NewMTDBlock(m)
 		seed := make([]byte, size)
 		rng.Read(seed)
 		if err := m.LoadImage(seed); err != nil {
@@ -261,7 +260,7 @@ func TestMTDRevertFrameMatchesFullLoad(t *testing.T) {
 		}
 		inj := fault.New()
 		m.SetInjector(inj)
-		if err := bridge.OpenFrame(1); err != nil {
+		if err := m.OpenFrame(1); err != nil {
 			t.Fatal(err)
 		}
 		inj.StartTouchLog()
@@ -290,18 +289,18 @@ func TestMTDRevertFrameMatchesFullLoad(t *testing.T) {
 		if !ok {
 			t.Fatal("touch log lost")
 		}
-		if err := bridge.RevertFrame(1, regions); err != nil {
+		if err := m.RevertFrame(1, regions); err != nil {
 			t.Fatal(err)
 		}
-		got, err := bridge.Snapshot()
-		if err != nil {
+		got := make([]byte, size)
+		if err := m.ReadAt(got, 0); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, seed) {
 			t.Fatalf("round %d: reverting the touched regions diverged from the full image", round)
 		}
-		bridge.CloseFrame(1)
-		if frames, arena := bridge.UndoStats(); frames != 0 || arena != 0 {
+		m.CloseFrame(1)
+		if frames, arena := m.UndoStats(); frames != 0 || arena != 0 {
 			t.Fatalf("round %d: %d frames, %d arena bytes after the revert and close; want 0, 0", round, frames, arena)
 		}
 	}
@@ -470,73 +469,6 @@ func TestMTDBounds(t *testing.T) {
 	}
 }
 
-func TestMTDBlockBridge(t *testing.T) {
-	m := NewMTD("mtd0", 64*1024, 4096, simclock.New())
-	b := NewMTDBlock(m)
-	if b.Name() != "mtd0block" {
-		t.Errorf("Name = %q", b.Name())
-	}
-	// Block-layer writes work even over programmed flash (the bridge
-	// does read-modify-erase-program).
-	if err := b.WriteAt([]byte("first"), 100); err != nil {
-		t.Fatalf("WriteAt: %v", err)
-	}
-	if err := b.WriteAt([]byte("second"), 100); err != nil {
-		t.Fatalf("overwrite via bridge: %v", err)
-	}
-	got := make([]byte, 6)
-	if err := b.ReadAt(got, 100); err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "second" {
-		t.Errorf("read %q, want %q", got, "second")
-	}
-}
-
-func TestMTDBlockWriteSpansBlocks(t *testing.T) {
-	m := NewMTD("mtd0", 16*1024, 4096, simclock.New())
-	b := NewMTDBlock(m)
-	data := bytes.Repeat([]byte{0x5A}, 6000) // spans two erase blocks
-	if err := b.WriteAt(data, 2000); err != nil {
-		t.Fatalf("spanning write: %v", err)
-	}
-	got := make([]byte, 6000)
-	if err := b.ReadAt(got, 2000); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Error("spanning write read back mismatch")
-	}
-}
-
-func TestMTDBlockSnapshotRestore(t *testing.T) {
-	m := NewMTD("mtd0", 16*1024, 4096, simclock.New())
-	b := NewMTDBlock(m)
-	if err := b.WriteAt([]byte("AAAA"), 0); err != nil {
-		t.Fatal(err)
-	}
-	img, err := b.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.WriteAt([]byte("BBBB"), 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Restore(img); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, 4)
-	if err := b.ReadAt(got, 0); err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "AAAA" {
-		t.Errorf("after restore read %q, want AAAA", got)
-	}
-	if err := b.Restore(make([]byte, 1)); err == nil {
-		t.Error("Restore with wrong-size image succeeded")
-	}
-}
-
 // Property: a disk behaves like a flat byte array — any sequence of
 // in-range writes followed by a read returns exactly what a shadow buffer
 // holds.
@@ -566,41 +498,6 @@ func TestQuickDiskMatchesShadow(t *testing.T) {
 		return bytes.Equal(got, shadow)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: MTDBlock behaves like a flat byte array too, despite the
-// erase/program dance underneath.
-func TestQuickMTDBlockMatchesShadow(t *testing.T) {
-	const size = 32 * 1024
-	f := func(ops []struct {
-		Off  uint16
-		Data []byte
-	}) bool {
-		b := NewMTDBlock(NewMTD("mtd0", size, 4096, simclock.New()))
-		shadow := make([]byte, size)
-		for i := range shadow {
-			shadow[i] = 0xFF // flash starts erased
-		}
-		for _, op := range ops {
-			off := int64(op.Off)
-			data := op.Data
-			if off+int64(len(data)) > size {
-				continue
-			}
-			if err := b.WriteAt(data, off); err != nil {
-				return false
-			}
-			copy(shadow[off:], data)
-		}
-		got := make([]byte, size)
-		if err := b.ReadAt(got, 0); err != nil {
-			return false
-		}
-		return bytes.Equal(got, shadow)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
 }

@@ -2,27 +2,25 @@ package blockdev
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mcfs/internal/fault"
 	"mcfs/internal/simclock"
 )
 
-// crashMedium is what the crash-image tests need of a Disk and of an MTD
-// behind its bridge: the fault plane on it, an uncharged look at the raw
-// bytes, and one way to issue a single write event (exactly one OnWrite:
-// WriteAt on a disk, Program or Erase on flash).
+// crashMedium is what the crash-image tests need of a Disk and of an
+// MTD: the fault plane on it and an uncharged look at the raw bytes. Its
+// scribble issues a single write event (exactly one OnWrite: WriteAt on a
+// disk, Program or Erase on flash).
 type crashMedium struct {
-	dev interface {
-		Device
-		Media
-	}
+	framedMedium
 	clk     *simclock.Clock
 	inj     *fault.Injector
 	raw     func() []byte
-	write   func(r *rand.Rand) error
 	account func() string // every counter and cache bit the medium keeps
 }
 
@@ -32,7 +30,7 @@ func crashDisk() crashMedium {
 	d := fm.dev.(*Disk)
 	inj := fault.New()
 	d.SetInjector(inj)
-	return crashMedium{d, clk, inj, func() []byte { return append([]byte(nil), d.data...) }, fm.scribble, func() string {
+	return crashMedium{fm, clk, inj, func() []byte { return append([]byte(nil), d.data...) }, func() string {
 		rd, wr := d.Counters()
 		return fmt.Sprintf("reads=%d writes=%d lastEnd=%d cached=%v", rd, wr, d.lastEnd, d.cached)
 	}}
@@ -41,11 +39,11 @@ func crashDisk() crashMedium {
 func crashMTD() crashMedium {
 	clk := simclock.New()
 	fm := framedMTD(64*1024, 8*1024, clk)
-	b := fm.dev.(*MTDBlock)
+	m := fm.dev.(*MTD)
 	inj := fault.New()
-	b.mtd.SetInjector(inj)
-	return crashMedium{b, clk, inj, func() []byte { return append([]byte(nil), b.mtd.data...) }, fm.scribble, func() string {
-		return fmt.Sprintf("erases=%v", b.mtd.EraseCounts())
+	m.SetInjector(inj)
+	return crashMedium{fm, clk, inj, func() []byte { return append([]byte(nil), m.data...) }, func() string {
+		return fmt.Sprintf("erases=%v", m.EraseCounts())
 	}}
 }
 
@@ -81,7 +79,7 @@ func (m crashMedium) window(t *testing.T, r *rand.Rand, n int) [][]byte {
 	m.inj.StartWindow()
 	after := make([][]byte, n)
 	for k := range after {
-		if err := m.write(r); err != nil {
+		if err := m.scribble(r); err != nil {
 			t.Fatalf("window write %d: %v", k, err)
 		}
 		after[k] = m.raw()
@@ -116,7 +114,7 @@ func TestCrashImageIsTheMediaRightAfterTheWrite(t *testing.T) {
 				scribble := func(n int) {
 					t.Helper()
 					for ; n > 0; n-- {
-						if err := m.write(r); err != nil {
+						if err := m.scribble(r); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -189,7 +187,7 @@ func TestInstallIsChargedAsTheImageLoad(t *testing.T) {
 				for _, m := range []crashMedium{img, frm} {
 					r := rand.New(rand.NewSource(seed))
 					for i := 0; i < n; i++ {
-						if err := m.write(r); err != nil {
+						if err := m.scribble(r); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -213,7 +211,7 @@ func TestInstallIsChargedAsTheImageLoad(t *testing.T) {
 					d.DropCaches()
 				}
 			}
-			pre, err := img.dev.Snapshot()
+			pre, err := img.snapshot()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -276,9 +274,110 @@ func TestInstallIsChargedAsTheImageLoad(t *testing.T) {
 				t.Error("reverting the touched regions did not bring the pre-probe image back")
 			}
 			frm.dev.CloseFrame(1)
-			if frames, arena := frm.dev.(interface{ UndoStats() (int, int) }).UndoStats(); frames != 0 || arena != 0 {
+			if frames, arena := frm.dev.UndoStats(); frames != 0 || arena != 0 {
 				t.Errorf("after the probe: %d frames, %d arena bytes; want 0, 0", frames, arena)
 			}
 		})
+	}
+}
+
+// TestWholeRevertIsTheImageLoad is the law the crash oracle's reference
+// flow rests on: RevertFrame(k, [0, Size())) leaves what LoadImage of
+// frame k's image leaves — the bytes, the page cache and the head
+// position, the virtual clock, the read, write and erase counters and
+// the fault plane's stats, whose always-failing rules neither call
+// consults — with writes before, under and after a younger frame, on two
+// identical media side by side. The one difference is the flash's block
+// stamps: the load stamps every block, the revert only the blocks it
+// copies pages back into.
+func TestWholeRevertIsTheImageLoad(t *testing.T) {
+	kept := 0 // flash blocks whose stamps the revert kept, over every seed
+	for _, tc := range []struct {
+		name string
+		mk   func() crashMedium
+	}{{"disk", crashDisk}, {"mtd", crashMTD}} {
+		for seed := int64(1); seed <= 4; seed++ {
+			t.Run(fmt.Sprintf("%s/seed%d", tc.name, seed), func(t *testing.T) {
+				load, rev := tc.mk(), tc.mk()
+				var img []byte // frame 1's image
+				for _, m := range []crashMedium{load, rev} {
+					r := rand.New(rand.NewSource(seed))
+					scribble := func(n int) {
+						t.Helper()
+						for ; n > 0; n-- {
+							if err := m.scribble(r); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					scribble(4)
+					if d, ok := m.dev.(*Disk); ok {
+						d.DropCaches()
+						scribble(1) // some pages hot, some cold
+					}
+					if err := m.dev.OpenFrame(1); err != nil {
+						t.Fatal(err)
+					}
+					img = m.raw()
+					scribble(1 + r.Intn(2))
+					if err := m.dev.OpenFrame(2); err != nil {
+						t.Fatal(err)
+					}
+					scribble(1 + r.Intn(2))
+					m.inj.AddRule(fault.Rule{Kind: fault.KindError, AlwaysOn: true, Err: errors.New("write fault")})
+					m.inj.AddRule(fault.Rule{Kind: fault.KindReadError, Err: errors.New("read fault")})
+				}
+				stats := load.inj.Stats()
+				var loadStamps, revStamps []uint64
+				var moved map[int]bool // the blocks holding a page frame 1 saved
+				if m, ok := rev.dev.(*MTD); ok {
+					loadStamps = slices.Clone(load.dev.(*MTD).stamps)
+					revStamps = slices.Clone(m.stamps)
+					moved = map[int]bool{}
+					for _, p := range m.undo.pages[m.undo.frames[m.undo.find(1)].mark:] {
+						moved[int(p)*undoPage/m.eraseSize] = true
+					}
+				}
+
+				if err := load.dev.LoadImage(img); err != nil {
+					t.Fatal(err)
+				}
+				if err := rev.dev.RevertFrame(1, []fault.Region{{Len: rev.dev.Size()}}); err != nil {
+					t.Fatal(err)
+				}
+
+				if !bytes.Equal(load.raw(), img) || !bytes.Equal(rev.raw(), img) {
+					t.Error("the load or the revert left bytes that are not frame 1's image")
+				}
+				if a, b := load.clk.Now(), rev.clk.Now(); a != b {
+					t.Errorf("the load leaves the clock at %v, the revert at %v", a, b)
+				}
+				if a, b := load.account(), rev.account(); a != b {
+					t.Errorf("counters and cache differ:\n load   %s\n revert %s", a, b)
+				}
+				if a, b := load.inj.Stats(), rev.inj.Stats(); a != stats || b != stats {
+					t.Errorf("fault plane stats moved: %+v before, %+v after the load, %+v after the revert", stats, a, b)
+				}
+				if moved == nil {
+					return
+				}
+				for blk, s := range load.dev.(*MTD).stamps {
+					if s == loadStamps[blk] {
+						t.Errorf("the load left block %d's stamp", blk)
+					}
+				}
+				for blk, s := range rev.dev.(*MTD).stamps {
+					if s != revStamps[blk] != moved[blk] {
+						t.Errorf("block %d: stamp %d -> %d, yet frame 1 saved a page of it: %v", blk, revStamps[blk], s, moved[blk])
+					}
+					if !moved[blk] {
+						kept++
+					}
+				}
+			})
+		}
+	}
+	if kept == 0 {
+		t.Error("every revert restamped every block: the law's one difference went unexercised")
 	}
 }

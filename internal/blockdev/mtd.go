@@ -17,6 +17,10 @@ import (
 // be programmed from the erased state (0xFF) toward 0, so rewriting a
 // region requires erasing its whole block first. JFFS2 is log-structured
 // precisely to live within these rules.
+//
+// An MTD is a Media itself. The paper loads the mtdblock bridge only so
+// that Spin can copy the flash through a block device; that copy is what
+// OpenFrame and RewindFrame charge.
 type MTD struct {
 	mu         sync.Mutex
 	name       string
@@ -81,16 +85,13 @@ func NewMTD(name string, size int64, eraseSize int, clock *simclock.Clock) *MTD 
 // bit from 0 to 1, which flash cannot do without an erase.
 var ErrNotErased = fmt.Errorf("blockdev: programming non-erased flash")
 
-// Size returns the device capacity in bytes.
+// Size implements Reader.
 func (m *MTD) Size() int64 { return int64(len(m.data)) }
 
 // EraseSize returns the erase block size in bytes.
 func (m *MTD) EraseSize() int { return m.eraseSize }
 
-// Name identifies the device in logs.
-func (m *MTD) Name() string { return m.name }
-
-// ReadAt fills p from flash starting at off.
+// ReadAt implements Reader.
 func (m *MTD) ReadAt(p []byte, off int64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -260,7 +261,8 @@ func (m *MTD) Injector() *fault.Injector {
 
 // LoadImage makes img the flash contents with no I/O charge, no
 // erase-count change, and no fault-plane consultation — the state a
-// power cut leaves behind.
+// power cut leaves behind — and stamps every block. It is the full-image
+// reference the tests hold RevertFrame to.
 func (m *MTD) LoadImage(img []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -273,92 +275,9 @@ func (m *MTD) LoadImage(img []byte) error {
 	return nil
 }
 
-// MTDBlock bridges an MTD device to the Device interface, the stand-in
-// for the mtdblock kernel module. The paper loads mtdblock so that Spin
-// can mmap the flash contents through a block device; MCFS likewise takes
-// snapshots of JFFS2's persistent state through this bridge.
-//
-// Like the real mtdblock, writes are implemented read-modify-erase-program
-// on whole erase blocks, which is slow and wears the flash; JFFS2 itself
-// never writes through the bridge (it programs the MTD directly), the
-// bridge exists for state capture.
-type MTDBlock struct {
-	mtd *MTD
-}
-
-// NewMTDBlock wraps an MTD device in the block interface.
-func NewMTDBlock(mtd *MTD) *MTDBlock { return &MTDBlock{mtd: mtd} }
-
-// ReadAt implements Device.
-func (b *MTDBlock) ReadAt(p []byte, off int64) error { return b.mtd.ReadAt(p, off) }
-
-// WriteAt implements Device via read-modify-erase-program of every erase
-// block the range touches.
-func (b *MTDBlock) WriteAt(p []byte, off int64) error {
-	if off < 0 || off+int64(len(p)) > b.mtd.Size() {
-		return fmt.Errorf("%w: off=%d len=%d size=%d dev=%s", ErrOutOfRange, off, len(p), b.mtd.Size(), b.mtd.Name())
-	}
-	es := int64(b.mtd.EraseSize())
-	for len(p) > 0 {
-		blk := off / es
-		blkStart := blk * es
-		// Read the whole erase block, merge, erase, reprogram.
-		buf := make([]byte, es)
-		if err := b.mtd.ReadAt(buf, blkStart); err != nil {
-			return err
-		}
-		n := copy(buf[off-blkStart:], p)
-		if err := b.mtd.Erase(int(blk)); err != nil {
-			return err
-		}
-		if err := b.mtd.Program(buf, blkStart); err != nil {
-			return err
-		}
-		p = p[n:]
-		off += int64(n)
-	}
-	return nil
-}
-
-// Size implements Device.
-func (b *MTDBlock) Size() int64 { return b.mtd.Size() }
-
-// BlockSize implements Device.
-func (b *MTDBlock) BlockSize() int { return b.mtd.EraseSize() }
-
-// Sync implements Device; flash has no volatile cache, so this is a no-op.
-func (b *MTDBlock) Sync() error { return nil }
-
-// Snapshot implements Device.
-func (b *MTDBlock) Snapshot() ([]byte, error) {
-	img := make([]byte, b.mtd.Size())
-	if err := b.mtd.ReadAt(img, 0); err != nil {
-		return nil, err
-	}
-	return img, nil
-}
-
-// Restore implements Device.
-func (b *MTDBlock) Restore(img []byte) error {
-	if int64(len(img)) != b.mtd.Size() {
-		return fmt.Errorf("blockdev: restore image size %d != device size %d (%s)", len(img), b.mtd.Size(), b.mtd.Name())
-	}
-	es := b.mtd.EraseSize()
-	for blk := 0; int64(blk*es) < b.mtd.Size(); blk++ {
-		if err := b.mtd.Erase(blk); err != nil {
-			return err
-		}
-		if err := b.mtd.Program(img[blk*es:(blk+1)*es], int64(blk*es)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// OpenFrame implements Device: Snapshot — one read of the whole flash —
-// without the copy.
-func (b *MTDBlock) OpenFrame(key uint64) error {
-	m := b.mtd
+// OpenFrame implements Media: one read of the whole flash — the copy
+// Spin takes through mtdblock — without the copy.
+func (m *MTD) OpenFrame(key uint64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if err := m.read(0, len(m.data)); err != nil {
@@ -368,14 +287,13 @@ func (b *MTDBlock) OpenFrame(key uint64) error {
 	return nil
 }
 
-// RewindFrame implements Device. Restore erases and reprograms every
-// block; so does this, as far as the fault plane, the wear and obs
-// counters and the clock can tell — only the bytes stay put, because the
-// rewind has already put every block's image in place. A program the
-// fault plane tears or corrupts does move bytes, the same way it would
-// under Restore.
-func (b *MTDBlock) RewindFrame(key uint64) error {
-	m := b.mtd
+// RewindFrame implements Media. Writing an image back through mtdblock
+// erases and reprograms every block; so does this, as far as the fault
+// plane, the wear and obs counters and the clock can tell — only the
+// bytes stay put, because the rewind has already put every block's image
+// in place. A program the fault plane tears or corrupts does move bytes,
+// the same way it would under that write.
+func (m *MTD) RewindFrame(key uint64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	i := m.undo.find(key)
@@ -411,35 +329,34 @@ func (b *MTDBlock) RewindFrame(key uint64) error {
 	return nil
 }
 
-// CloseFrame and HasFrame implement Device.
-func (b *MTDBlock) CloseFrame(key uint64) {
-	b.mtd.mu.Lock()
-	defer b.mtd.mu.Unlock()
-	b.mtd.undo.close(key)
+// CloseFrame implements Media.
+func (m *MTD) CloseFrame(key uint64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.undo.close(key)
 }
 
-func (b *MTDBlock) HasFrame(key uint64) bool {
-	b.mtd.mu.Lock()
-	defer b.mtd.mu.Unlock()
-	return b.mtd.undo.find(key) >= 0
+// HasFrame implements Media.
+func (m *MTD) HasFrame(key uint64) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.undo.find(key) >= 0
 }
 
 // UndoStats reports the flash's open checkpoint frames and the bytes of
 // pre-images held for them (see Disk.UndoStats).
-func (b *MTDBlock) UndoStats() (frames, arenaBytes int) {
-	b.mtd.mu.Lock()
-	defer b.mtd.mu.Unlock()
-	return b.mtd.undo.stats()
+func (m *MTD) UndoStats() (frames, arenaBytes int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.undo.stats()
 }
 
-// LoadImage implements Media by delegating to the MTD device.
-func (b *MTDBlock) LoadImage(img []byte) error { return b.mtd.LoadImage(img) }
-
-// RevertFrame and Patch implement Media. Programs and erases both reach
-// the injector's touched set, so it bounds every byte where the flash
-// can differ from a frame; flash has no cache to cool.
-func (b *MTDBlock) RevertFrame(key uint64, regions []fault.Region) error {
-	m := b.mtd
+// RevertFrame implements Media. Programs and erases both reach the
+// injector's touched set, so it bounds every byte where the flash can
+// differ from a frame; flash has no cache to cool. Over the whole flash
+// it is LoadImage of the frame's image, except that only the blocks it
+// copied pages back into get a new stamp.
+func (m *MTD) RevertFrame(key uint64, regions []fault.Region) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if i := m.undo.find(key); i >= 0 {
@@ -452,8 +369,8 @@ func (b *MTDBlock) RevertFrame(key uint64, regions []fault.Region) error {
 	return m.undo.revert(key, m.data, regions, m.name)
 }
 
-func (b *MTDBlock) Patch(writes []fault.Write) error {
-	m := b.mtd
+// Patch implements Media.
+func (m *MTD) Patch(writes []fault.Write) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if err := m.undo.patch(m.data, writes, m.name); err != nil {
@@ -464,6 +381,3 @@ func (b *MTDBlock) Patch(writes []fault.Write) error {
 	}
 	return nil
 }
-
-// Name implements Device.
-func (b *MTDBlock) Name() string { return b.mtd.Name() + "block" }

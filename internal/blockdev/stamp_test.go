@@ -16,7 +16,7 @@ import (
 // not moved holds the bytes it held. A shadow copy of the flash and of
 // the stamps stands beside the MTD through a seeded walk of every path
 // that changes its bytes — Program whole, torn and bit-flipped, Erase,
-// the bridge's WriteAt and Restore, LoadImage, frames opened, rewound
+// LoadImage, frames opened, rewound
 // (cleanly and under a tearing, bit-flipping fault plane), reverted in
 // part, patched and closed — and after each step every block with an
 // unmoved stamp is byte-equal to the shadow, no stamp has gone back, and
@@ -30,7 +30,6 @@ func TestBlockStampCoversEveryByteChange(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			m := NewMTD("mtd0", size, es, simclock.New())
-			b := NewMTDBlock(m)
 			inj := fault.New()
 			m.SetInjector(inj)
 
@@ -94,7 +93,7 @@ func TestBlockStampCoversEveryByteChange(t *testing.T) {
 			for step := 0; step < 800; step++ {
 				var what string
 				moved, wantMoved := 0, -1 // -1: as many as it takes
-				switch op := r.Intn(16); {
+				switch op := r.Intn(14); {
 				case op < 3:
 					what = "Program"
 					n := 1 + r.Intn(2*es)
@@ -111,42 +110,31 @@ func TestBlockStampCoversEveryByteChange(t *testing.T) {
 					must(what, m.Erase(r.Intn(size/es)))
 					wantMoved = 1
 				case op == 5:
-					what = "MTDBlock.WriteAt"
-					p := make([]byte, 1+r.Intn(2*es))
-					r.Read(p)
-					must(what, b.WriteAt(p, r.Int63n(size-int64(len(p))+1)))
-				case op == 6:
-					what = "Restore"
-					img := make([]byte, size)
-					r.Read(img)
-					must(what, b.Restore(img))
-					wantMoved = size / es
-				case op == 7:
 					what = "LoadImage"
 					img := append([]byte(nil), m.data...)
 					for n := r.Intn(4); n > 0; n-- {
 						off := r.Intn(size)
 						r.Read(img[off:min(size, off+1+r.Intn(es))])
 					}
-					must(what, b.LoadImage(img))
+					must(what, m.LoadImage(img))
 					wantMoved = size / es
-				case op == 8 || op == 9:
+				case op == 6 || op == 7:
 					what = "OpenFrame"
 					nextKey++
-					must(what, b.OpenFrame(nextKey))
+					must(what, m.OpenFrame(nextKey))
 					open = append(open, nextKey)
 					wantMoved = 0
-				case op == 10 && len(open) > 0:
+				case op == 8 && len(open) > 0:
 					what = "RewindFrame"
 					i := r.Intn(len(open))
-					must(what, b.RewindFrame(open[i]))
+					must(what, m.RewindFrame(open[i]))
 					open = open[:i]
-				case op == 11 && len(open) > 0:
+				case op == 9 && len(open) > 0:
 					what = "torn and bit-flipped RewindFrame"
 					i := r.Intn(len(open))
-					faulted(2*size/es, func() { must(what, b.RewindFrame(open[i])) })
+					faulted(2*size/es, func() { must(what, m.RewindFrame(open[i])) })
 					open = open[:i]
-				case op == 12 && len(open) > 0:
+				case op == 10 && len(open) > 0:
 					what = "RevertFrame"
 					i := r.Intn(len(open))
 					var regions []fault.Region
@@ -154,9 +142,9 @@ func TestBlockStampCoversEveryByteChange(t *testing.T) {
 						off := r.Int63n(size)
 						regions = append(regions, fault.Region{Off: off, Len: 1 + r.Int63n(min(size-off, 3*es))})
 					}
-					must(what, b.RevertFrame(open[i], regions))
+					must(what, m.RevertFrame(open[i], regions))
 					open = open[:i+1]
-				case op == 13:
+				case op == 11:
 					what = "Patch"
 					var writes []fault.Write
 					for n := r.Intn(4); n > 0; n-- {
@@ -164,11 +152,11 @@ func TestBlockStampCoversEveryByteChange(t *testing.T) {
 						r.Read(data)
 						writes = append(writes, fault.Write{Off: r.Int63n(size - int64(len(data)) + 1), Data: data})
 					}
-					must(what, b.Patch(writes))
-				case op == 14 && len(open) > 0:
+					must(what, m.Patch(writes))
+				case op == 12 && len(open) > 0:
 					what = "CloseFrame"
 					i := r.Intn(len(open))
-					b.CloseFrame(open[i])
+					m.CloseFrame(open[i])
 					open = append(open[:i], open[i+1:]...)
 					wantMoved = 0
 				default:
@@ -187,7 +175,7 @@ func TestBlockStampCoversEveryByteChange(t *testing.T) {
 				}
 				steps[what]++
 			}
-			for _, what := range []string{"Program", "torn and bit-flipped Program", "Erase", "MTDBlock.WriteAt", "Restore", "LoadImage",
+			for _, what := range []string{"Program", "torn and bit-flipped Program", "Erase", "LoadImage",
 				"OpenFrame", "RewindFrame", "torn and bit-flipped RewindFrame", "RevertFrame", "Patch", "CloseFrame", "ReadAt and LendBlock"} {
 				if steps[what] == 0 {
 					t.Errorf("the walk never took a %s step", what)

@@ -12,18 +12,24 @@ import (
 	"mcfs/internal/simclock"
 )
 
-// framedMedium is what the undo-frame tests need of Disk and of the MTD
-// behind its bridge: the Device frame calls, the raw image loads, and one
-// way to change some bytes through the normal write path.
+// framedMedium is what the undo-frame tests need of Disk and of MTD: the
+// Media calls, the raw image load, and the whole-image copies the frames
+// are held to.
 type framedMedium struct {
 	dev interface {
-		Device
 		Media
+		LoadImage(img []byte) error
 		UndoStats() (frames, arenaBytes int)
 	}
 	// scribble changes bytes somewhere through the device's own write
 	// path (WriteAt; Erase or Program on flash).
 	scribble func(r *rand.Rand) error
+	// snapshot copies the whole image out, and restore writes one back
+	// through the write path: Disk.Snapshot and Disk.Restore, and on
+	// flash what a copy through mtdblock costs — one read of all of it,
+	// and an erase and a program of every block.
+	snapshot func() ([]byte, error)
+	restore  func(img []byte) error
 }
 
 func framedDisk(size int64, clk *simclock.Clock) framedMedium {
@@ -32,12 +38,12 @@ func framedDisk(size int64, clk *simclock.Clock) framedMedium {
 		p := make([]byte, 1+r.Intn(3*undoPage))
 		r.Read(p)
 		return d.WriteAt(p, r.Int63n(size-int64(len(p))+1))
-	}}
+	}, snapshot: d.Snapshot, restore: d.Restore}
 }
 
 func framedMTD(size int64, eraseSize int, clk *simclock.Clock) framedMedium {
 	m := NewMTD("mtd0", size, eraseSize, clk)
-	return framedMedium{dev: NewMTDBlock(m), scribble: func(r *rand.Rand) error {
+	return framedMedium{dev: m, scribble: func(r *rand.Rand) error {
 		if r.Intn(3) == 0 {
 			return m.Erase(r.Intn(int(size) / eraseSize))
 		}
@@ -52,11 +58,25 @@ func framedMTD(size int64, eraseSize int, clk *simclock.Clock) framedMedium {
 			p[i] &= byte(r.Intn(256))
 		}
 		return m.Program(p, off)
+	}, snapshot: func() ([]byte, error) {
+		img := make([]byte, size)
+		return img, m.ReadAt(img, 0)
+	}, restore: func(img []byte) error {
+		for start := 0; start < int(size); start += eraseSize {
+			if err := m.Erase(start / eraseSize); err != nil {
+				return err
+			}
+			if err := m.Program(img[start:start+eraseSize], int64(start)); err != nil {
+				return err
+			}
+		}
+		return nil
 	}}
 }
 
 // undoWalk drives one framed medium through a seeded walk of every
-// byte-changing path (the write path, Restore, LoadImage, Patch)
+// byte-changing path (the write path, a whole-image restore, LoadImage,
+// Patch)
 // interleaved with frame opens, rewinds, partial reverts and closes in any
 // order, against a reference that keeps a full copy of the image per open
 // frame. After every step the medium holds the reference's bytes.
@@ -76,7 +96,7 @@ type refFrame struct {
 }
 
 func (w *undoWalk) snapshot() []byte {
-	img, err := w.fm.dev.Snapshot()
+	img, err := w.fm.snapshot()
 	if err != nil {
 		w.t.Fatal(err)
 	}
@@ -117,7 +137,7 @@ func (w *undoWalk) step(step int) {
 	case op == 4:
 		what = "Restore"
 		want = w.randImg()
-		err = dev.Restore(want)
+		err = w.fm.restore(want)
 	case op == 5:
 		what = "LoadImage"
 		want = w.randImg()
@@ -275,8 +295,8 @@ func undoOf(fm framedMedium) *undoLog {
 	switch d := fm.dev.(type) {
 	case *Disk:
 		return &d.undo
-	case *MTDBlock:
-		return &d.mtd.undo
+	case *MTD:
+		return &d.undo
 	}
 	panic(fmt.Sprintf("no undo log in %T", fm.dev))
 }
@@ -301,8 +321,8 @@ func TestFrameSavesEachPageOnce(t *testing.T) {
 			switch d := fm.dev.(type) {
 			case *Disk:
 				err = d.WriteAt(b, off)
-			case *MTDBlock:
-				err = d.mtd.Program(b, off)
+			case *MTD:
+				err = d.Program(b, off)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -319,7 +339,7 @@ func TestFrameSavesEachPageOnce(t *testing.T) {
 		for _, end := range []string{"rewound", "closed"} {
 			t.Run(tc.name+"/child-"+end, func(t *testing.T) {
 				fm := tc.mk()
-				orig, _ := fm.dev.Snapshot()
+				orig, _ := fm.snapshot()
 				if err := fm.dev.OpenFrame(1); err != nil {
 					t.Fatal(err)
 				}
@@ -344,7 +364,7 @@ func TestFrameSavesEachPageOnce(t *testing.T) {
 				if err := fm.dev.RewindFrame(1); err != nil {
 					t.Fatal(err)
 				}
-				if got, _ := fm.dev.Snapshot(); !bytes.Equal(got, orig) {
+				if got, _ := fm.snapshot(); !bytes.Equal(got, orig) {
 					t.Error("the parent rewound to the wrong image")
 				}
 			})
@@ -354,7 +374,7 @@ func TestFrameSavesEachPageOnce(t *testing.T) {
 			// does not; the revert takes p back and keeps its pre-image,
 			// and the child's rewind gives the parent back q's old stamp.
 			fm := tc.mk()
-			orig, _ := fm.dev.Snapshot()
+			orig, _ := fm.snapshot()
 			if err := fm.dev.OpenFrame(1); err != nil {
 				t.Fatal(err)
 			}
@@ -374,7 +394,7 @@ func TestFrameSavesEachPageOnce(t *testing.T) {
 			if err := fm.dev.RewindFrame(1); err != nil {
 				t.Fatal(err)
 			}
-			if got, _ := fm.dev.Snapshot(); !bytes.Equal(got, orig) {
+			if got, _ := fm.snapshot(); !bytes.Equal(got, orig) {
 				t.Error("the parent rewound to the wrong image")
 			}
 		})
@@ -382,7 +402,7 @@ func TestFrameSavesEachPageOnce(t *testing.T) {
 			// A reverted page holds its pre-image again, so the frame's
 			// entry still serves it: writing it again saves nothing.
 			fm := tc.mk()
-			orig, _ := fm.dev.Snapshot()
+			orig, _ := fm.snapshot()
 			if err := fm.dev.OpenFrame(1); err != nil {
 				t.Fatal(err)
 			}
@@ -416,7 +436,7 @@ func TestFrameSavesEachPageOnce(t *testing.T) {
 			if err := fm.dev.RewindFrame(1); err != nil {
 				t.Fatal(err)
 			}
-			if got, _ := fm.dev.Snapshot(); !bytes.Equal(got, orig) {
+			if got, _ := fm.snapshot(); !bytes.Equal(got, orig) {
 				t.Error("the rewind gave back the wrong image")
 			}
 		})
@@ -442,10 +462,12 @@ func TestFrameSavesEachPageOnce(t *testing.T) {
 }
 
 // TestFrameIsChargedAsTheImageCopy: to the virtual clock, the request
-// counters, the wear counters and the fault plane, OpenFrame is Snapshot
-// and RewindFrame is Restore of that snapshot — cold cache, torn and
-// corrupted restore writes included. Two identical media run the two
-// forms side by side.
+// counters, the wear counters and the fault plane, OpenFrame is the
+// whole-image copy out and RewindFrame the copy of that image back in —
+// Disk.Snapshot and Disk.Restore; on flash, one read of all of it, then
+// an erase and a program of every block — cold cache, torn and corrupted
+// restore writes included. Two identical media run the two forms side by
+// side.
 func TestFrameIsChargedAsTheImageCopy(t *testing.T) {
 	type medium struct {
 		framedMedium
@@ -467,7 +489,7 @@ func TestFrameIsChargedAsTheImageCopy(t *testing.T) {
 	mtd := func() medium {
 		clk := simclock.New()
 		fm := framedMTD(64*1024, 8*1024, clk)
-		m := fm.dev.(*MTDBlock).mtd
+		m := fm.dev.(*MTD)
 		inj := fault.New()
 		m.SetInjector(inj)
 		return medium{fm, clk, inj, func() string { return fmt.Sprintf("erases=%v", m.EraseCounts()) }}
@@ -511,7 +533,7 @@ func TestFrameIsChargedAsTheImageCopy(t *testing.T) {
 			}
 			same("before the checkpoint")
 
-			snap, err := img.dev.Snapshot()
+			snap, err := img.snapshot()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -532,7 +554,7 @@ func TestFrameIsChargedAsTheImageCopy(t *testing.T) {
 				}
 				m.inj.StartTouchLog()
 			}
-			errImg, errFrm := img.dev.Restore(snap), frm.dev.RewindFrame(1)
+			errImg, errFrm := img.restore(snap), frm.dev.RewindFrame(1)
 			if (errImg == nil) != (errFrm == nil) {
 				t.Fatalf("restore: image form %v, frame form %v", errImg, errFrm)
 			}
@@ -540,8 +562,8 @@ func TestFrameIsChargedAsTheImageCopy(t *testing.T) {
 			if errImg == nil {
 				// A failed restore stops part-way; which blocks it reached
 				// first is the one thing the two forms do not share.
-				a, _ := img.dev.Snapshot()
-				b, _ := frm.dev.Snapshot()
+				a, _ := img.snapshot()
+				b, _ := frm.snapshot()
 				if !bytes.Equal(a, b) {
 					t.Error("the two forms restored different bytes")
 				}
@@ -561,7 +583,7 @@ func TestFrameIsChargedAsTheImageCopy(t *testing.T) {
 // frame had no reason to save before.
 func TestTornRewindIsUndoneByAnOlderFrame(t *testing.T) {
 	fm := framedMTD(64*1024, 8*1024, simclock.New())
-	m := fm.dev.(*MTDBlock).mtd
+	m := fm.dev.(*MTD)
 	inj := fault.New()
 	m.SetInjector(inj)
 	r := rand.New(rand.NewSource(3))
@@ -570,7 +592,7 @@ func TestTornRewindIsUndoneByAnOlderFrame(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want, _ := fm.dev.Snapshot()
+	want, _ := fm.snapshot()
 	if err := fm.dev.OpenFrame(1); err != nil {
 		t.Fatal(err)
 	}
@@ -578,7 +600,7 @@ func TestTornRewindIsUndoneByAnOlderFrame(t *testing.T) {
 	if err := m.Program([]byte{0}, 0); err != nil {
 		t.Fatal(err)
 	}
-	inner, _ := fm.dev.Snapshot()
+	inner, _ := fm.snapshot()
 	if err := fm.dev.OpenFrame(2); err != nil {
 		t.Fatal(err)
 	}
@@ -587,13 +609,13 @@ func TestTornRewindIsUndoneByAnOlderFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj.RemoveRule(id)
-	if torn, _ := fm.dev.Snapshot(); bytes.Equal(torn, inner) {
+	if torn, _ := fm.snapshot(); bytes.Equal(torn, inner) {
 		t.Fatal("the torn rewind left no trace; the test exercises nothing")
 	}
 	if err := fm.dev.RewindFrame(1); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := fm.dev.Snapshot(); !bytes.Equal(got, want) {
+	if got, _ := fm.snapshot(); !bytes.Equal(got, want) {
 		t.Error("the older frame did not take back what the torn rewind wrote")
 	}
 }

@@ -202,7 +202,7 @@ func TestEqualizeFreeSpace(t *testing.T) {
 	if err := extfs.Mkfs(devB, extfs.MkfsOptions{Journal: true}); err != nil {
 		t.Fatal(err)
 	}
-	mount := func(point string, dev blockdev.Device, name string) {
+	mount := func(point string, dev *blockdev.Disk, name string) {
 		if err := k.Mount(point, kernel.FilesystemSpec{
 			Type:      name,
 			Dev:       dev,

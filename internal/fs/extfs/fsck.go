@@ -58,7 +58,7 @@ func (p Problem) String() string { return p.Code + ": " + p.Detail }
 // collection may take back: back-to-back checks, as a crash probe runs
 // them, allocate little beyond the problems they report, which are
 // never shared.
-func Fsck(dev blockdev.Device) ([]Problem, error) {
+func Fsck(dev blockdev.Reader) ([]Problem, error) {
 	f := takeFsckRun(dev)
 	defer f.release()
 	return f.check()
@@ -176,7 +176,7 @@ func (f *fsckRun) check() ([]Problem, error) {
 
 // fsckRun is one Fsck invocation's state.
 type fsckRun struct {
-	dev    blockdev.Device
+	dev    blockdev.Reader
 	blocks map[uint32][]byte // every block read so far: the single-read view of the device
 	slab   []byte            // what load carves the next block from
 	sb     superblock
@@ -207,7 +207,7 @@ const fsckSlab = 16 * BlockSize
 
 // takeFsckRun returns an empty run on dev: the spare, emptied, when a
 // collection has not reclaimed it, else a fresh one.
-func takeFsckRun(dev blockdev.Device) *fsckRun {
+func takeFsckRun(dev blockdev.Reader) *fsckRun {
 	fsckSpare.Lock()
 	f, ok := fsckSpare.slot.Take()
 	fsckSpare.Unlock()

@@ -19,7 +19,7 @@ import (
 // abstraction hash reads the masked bytes, so masked-equal images get
 // identical verdicts. The mask is computed from the volume's own
 // superblock, so it is valid for any image of the same geometry.
-func StateCompareMask(dev blockdev.Device) ([]fault.Region, error) {
+func StateCompareMask(dev blockdev.Reader) ([]fault.Region, error) {
 	sbBuf := make([]byte, BlockSize)
 	if err := dev.ReadAt(sbBuf, 0); err != nil {
 		return nil, err

@@ -14,15 +14,14 @@ import (
 	"mcfs/internal/vfs"
 )
 
-// flashRig is one MTD under a fault plane, reached through its bridge,
-// with one long-lived mount path on it (newMountPath): every mount of a
-// run goes through that path, the way every mount of a session goes
-// through the session's mount closure.
+// flashRig is one MTD under a fault plane, with one long-lived mount
+// path on it (newMountPath): every mount of a run goes through that path,
+// the way every mount of a session goes through the session's mount
+// closure.
 type flashRig struct {
 	t      *testing.T
 	r      *rand.Rand
 	mtd    *blockdev.MTD
-	bridge *blockdev.MTDBlock
 	inj    *fault.Injector
 	mount  func() (*FS, error)
 	scans  *ScanCache // the long-lived path's cache
@@ -31,6 +30,12 @@ type flashRig struct {
 	// beside counts the mounts beside a mounted FS the memo served.
 	beside int
 	small  bool
+}
+
+// image copies the flash out with one read of all of it.
+func (g *flashRig) image() ([]byte, error) {
+	img := make([]byte, g.mtd.Size())
+	return img, g.mtd.ReadAt(img, 0)
 }
 
 // check unmounts the last FS it mounted, which hands its inode table to
@@ -53,7 +58,7 @@ func (g *flashRig) check(when string) {
 	if err != nil {
 		g.t.Fatalf("%s: mount: %v", when, err)
 	}
-	raw, err := g.bridge.Snapshot()
+	raw, err := g.image()
 	if err != nil {
 		g.t.Fatalf("%s: copying the flash: %v", when, err)
 	}
@@ -278,7 +283,7 @@ func TestMountIsAFunctionOfTheFlash(t *testing.T) {
 				mtd.SetInjector(inj)
 				scans := NewScanCache()
 				g := &flashRig{t: t, r: rand.New(rand.NewSource(seed)), mtd: mtd,
-					bridge: blockdev.NewMTDBlock(mtd), inj: inj, scans: scans,
+					inj: inj, scans: scans,
 					mount: func() (*FS, error) { return MountCached(mtd, clk, scans) },
 					small: geo.size < 64*1024}
 				blocks := int(geo.size) / geo.erase
@@ -301,7 +306,7 @@ func TestMountIsAFunctionOfTheFlash(t *testing.T) {
 					}
 					t.Logf("%d garbage collections in the history", erases/int64(blocks)-1)
 				}
-				image, err := g.bridge.Snapshot()
+				image, err := g.image()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -334,13 +339,13 @@ func TestMountIsAFunctionOfTheFlash(t *testing.T) {
 				// Checkpoint frames three deep, rewound youngest first with
 				// more ops between the rewinds.
 				for key := uint64(1); key <= 3; key++ {
-					if err := g.bridge.OpenFrame(key); err != nil {
+					if err := g.mtd.OpenFrame(key); err != nil {
 						t.Fatal(err)
 					}
 					g.ops(fmt.Sprintf("under frame %d", key), 5)
 				}
 				for key := uint64(3); key >= 1; key-- {
-					if err := g.bridge.RewindFrame(key); err != nil {
+					if err := g.mtd.RewindFrame(key); err != nil {
 						t.Fatal(err)
 					}
 					g.check(fmt.Sprintf("after rewinding frame %d", key))
@@ -350,14 +355,14 @@ func TestMountIsAFunctionOfTheFlash(t *testing.T) {
 				// A rewind the fault plane tears and corrupts: RewindFrame
 				// books an erase and a program per block, so window write
 				// 2b+1 is block b's program.
-				if err := g.bridge.OpenFrame(4); err != nil {
+				if err := g.mtd.OpenFrame(4); err != nil {
 					t.Fatal(err)
 				}
 				g.ops("under frame 4", 5)
 				torn, flipped := g.fs.curBlock, (g.fs.curBlock+1)%blocks
 				g.inj.AddRule(fault.Rule{Kind: fault.KindCorrupt, AtWrite: 2*flipped + 1, BitOffset: int64(8 * (4 + g.r.Intn(100)))})
 				if st := g.faulted(fault.Rule{Kind: fault.KindTorn, AtWrite: 2*torn + 1, PersistBytes: 40 + g.r.Intn(400)}, func() {
-					if err := g.bridge.RewindFrame(4); err != nil {
+					if err := g.mtd.RewindFrame(4); err != nil {
 						t.Fatal(err)
 					}
 				}); st.TornInjected != 1 || st.CorruptInjected != 1 {
@@ -371,7 +376,7 @@ func TestMountIsAFunctionOfTheFlash(t *testing.T) {
 				// window, then image after image installed as
 				// RevertFrame + Patch with recovery-like ops in between,
 				// and the rollback at the end.
-				if err := g.bridge.OpenFrame(5); err != nil {
+				if err := g.mtd.OpenFrame(5); err != nil {
 					t.Fatal(err)
 				}
 				g.inj.StartTouchLog()
@@ -396,10 +401,10 @@ func TestMountIsAFunctionOfTheFlash(t *testing.T) {
 							t.Fatalf("crash point %d: fired %v, err %v", k, fired, err)
 						}
 					}
-					if err := g.bridge.RevertFrame(5, regions); err != nil {
+					if err := g.mtd.RevertFrame(5, regions); err != nil {
 						t.Fatal(err)
 					}
-					if err := g.bridge.Patch(writes); err != nil {
+					if err := g.mtd.Patch(writes); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -412,7 +417,7 @@ func TestMountIsAFunctionOfTheFlash(t *testing.T) {
 				g.inj.ResetTouchLog()
 				g.check("after the probe's rollback")
 				g.inj.StopTouchLog()
-				g.bridge.CloseFrame(5)
+				g.mtd.CloseFrame(5)
 				g.ops("past the probe", 4)
 
 				// A raw image load: the flash as it stood after the history.

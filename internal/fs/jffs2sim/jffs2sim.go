@@ -4,9 +4,9 @@
 // The paper includes JFFS2 to show MCFS handling file systems that mount
 // on special devices: JFFS2 needs an MTD device (provided via mtdram),
 // and MCFS reaches the flash contents for state tracking through the
-// mtdblock bridge (§4, Figure 1). This reproduction keeps that shape:
-// jffs2sim programs internal/blockdev.MTD directly, and the remount
-// tracker snapshots the flash through blockdev.MTDBlock.
+// mtdblock bridge (§4, Figure 1). Here jffs2sim programs
+// internal/blockdev.MTD directly, and the remount tracker checkpoints the
+// same MTD with undo frames, charged as the copy through mtdblock.
 //
 // Like real JFFS2, everything on flash is a log node: inode nodes carry
 // file data or truncations, dirent nodes carry directory updates (with a

@@ -44,8 +44,8 @@ const MaxSymlinkDepth = 8
 type FilesystemSpec struct {
 	// Type is the fs type name used in logs ("ext2", "verifs1", ...).
 	Type string
-	// Dev is the backing device; nil for in-memory file systems.
-	Dev blockdev.Device
+	// Dev is the backing medium; nil for in-memory file systems.
+	Dev blockdev.Media
 	// Mounter creates or loads the FS instance. For device-backed file
 	// systems it is called again on every remount, reconstructing all
 	// in-memory state from the device.
@@ -122,8 +122,8 @@ func (m *Mount) Point() string { return m.point }
 // Type returns the file system type name.
 func (m *Mount) Type() string { return m.spec.Type }
 
-// Dev returns the backing device (nil for in-memory file systems).
-func (m *Mount) Dev() blockdev.Device { return m.spec.Dev }
+// Dev returns the backing medium (nil for in-memory file systems).
+func (m *Mount) Dev() blockdev.Media { return m.spec.Dev }
 
 // CacheStats reports dentry-cache hits and misses since the mount.
 func (m *Mount) CacheStats() (hits, misses int64) { return m.dcacheHits, m.dcacheMisses }

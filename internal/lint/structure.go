@@ -86,9 +86,13 @@ var structureRules = []rule{
 		why:   "%s: a state check walks in its owner's memory ((*abstraction.Memo).Snapshot into a kept buffer); only reprobe walks fresh"},
 	// A listing appends to the caller's buffer: no ReadDir makes the slice it returns.
 	{in: readDirs, match: makes(isDirEntries), why: "%s in a ReadDir: a listing appends to the caller's dst"},
-	// No image copy: a crash point is a position in the write log.
-	{in: []string{"mcfs/internal/blockdev"}, not: []string{"mcfs/internal/blockdev.Disk.Snapshot", "mcfs/internal/blockdev.MTDBlock.Snapshot"},
+	// No image copy: a crash point is a position in the write log, and a checkpoint an undo frame.
+	{in: []string{"mcfs/internal/blockdev"}, not: []string{"mcfs/internal/blockdev.Disk.Snapshot"},
 		match: makes(wholeImage), why: "%s: only Snapshot copies a whole image; a crash point is a position in the write log"},
+	{in: []string{"mcfs", "mcfs/internal/mc/...", "mcfs/internal/tracker", "mcfs/internal/kernel"},
+		match: uses("(*mcfs/internal/blockdev.Disk).Snapshot", "(*mcfs/internal/blockdev.Disk).Restore", "(*mcfs/internal/blockdev.Disk).LoadImage",
+			"(*mcfs/internal/blockdev.Disk).LoadImageDelta", "(*mcfs/internal/blockdev.MTD).LoadImage"),
+		why: "%s: the engine checkpoints with a frame and installs with RevertFrame and Patch; only tests and benchmark/ copy a whole image"},
 	// One lock: the visited set is one map behind one mutex, and a memory model reads its size.
 	{in: oneLock, match: imports("sync/atomic"), why: "%s: the visited set is one map behind one mutex"},
 	{in: oneLock, max: 2, match: syncVar, why: "%s: the visited set and the memory model hold two sync values, the set's mutex and the governor's"},

@@ -1,5 +1,6 @@
 // Package blockdev stands in for the media: only Snapshot copies a whole
-// image. It brings back a copy on the sync path.
+// image, and only tests and the benchmark call the image copies. It
+// brings back a copy on the sync path.
 package blockdev
 
 // Disk is a block device.
@@ -20,3 +21,21 @@ func (d *Disk) Sync() []byte {
 	copy(img, d.data)
 	return img
 }
+
+// Restore writes an image back: the engine must not call it.
+func (d *Disk) Restore(img []byte) { copy(d.data, img) }
+
+// LoadImage installs an image uncharged: the engine must not call it.
+func (d *Disk) LoadImage(img []byte) { copy(d.data, img) }
+
+// LoadImageDelta installs part of an image: the engine must not call it.
+func (d *Disk) LoadImageDelta(img []byte, off, n int) { copy(d.data[off:off+n], img[off:]) }
+
+// OpenFrame checkpoints without a copy: what the engine calls.
+func (d *Disk) OpenFrame(key uint64) {}
+
+// MTD is a flash device.
+type MTD struct{ data []byte }
+
+// LoadImage installs an image uncharged: the engine must not call it.
+func (m *MTD) LoadImage(img []byte) { copy(m.data, img) }

@@ -1,6 +1,8 @@
 // Package mcfs brings back settings nothing varies and a second phase
-// profiler on the session.
+// profiler on the session, and installs a crash image by copying one.
 package mcfs
+
+import "mcfs/internal/blockdev"
 
 // Options carries a setting nothing varies.
 type Options struct {
@@ -15,3 +17,8 @@ type Session struct{ opts Options }
 
 // Perf is the deleted second profiler accessor.
 func (s *Session) Perf() int { return s.opts.Parallelism } // want "Perf: an engine has one"
+
+// install lands a crash image by copying part of a whole image: a mutant.
+func (s *Session) install(d *blockdev.Disk, img []byte) {
+	d.LoadImageDelta(img, 0, len(img)) // want "\(\*mcfs/internal/blockdev\.Disk\)\.LoadImageDelta: the engine checkpoints with a frame"
+}

@@ -70,8 +70,7 @@ type CrashPlane struct {
 	Mount  string
 	// Injector is the fault plane installed on Media.
 	Injector *fault.Injector
-	// Media is the target's backing medium: the block device, or the MTD
-	// behind its mtdblock bridge.
+	// Media is the target's backing medium: the block device, or the MTD.
 	Media blockdev.Media
 	// Mask lists the media byte ranges that may differ between equivalent
 	// states (superblock dirty flags, mount counters, replayed journal
@@ -409,9 +408,9 @@ func (s *search) crash(e *engine, depth int, op workload.Op) error {
 // in between (the touched set plus the window's write set bound the
 // divergence) — and the probe rolls back once, at the end. Compared to
 // the per-point reference flow (reprobe: re-execute the window once per
-// point, reload the full image twice per point) a probe of K points
-// costs 1 execution instead of 1+K, K warm recovery mounts, one delta
-// rollback, and no copy of the image at all.
+// point, revert the whole media twice per point) a probe of K points
+// costs 1 execution instead of 1+K, K warm recovery mounts and one delta
+// rollback.
 //
 // Post-recovery verdicts are memoized per probe under the masked bytes
 // of the media regions that diverged from the pre-op image (crashMemo):
@@ -663,25 +662,28 @@ func (e *engine) restorePlane(p *CrashPlane, extra []fault.Region) error {
 }
 
 // reprobe is the crash oracle's reference flow, kept independent of
-// probePlane's recovery session (no frame, no delta loads, no verdict
-// memo, no mark reused across executions) so replay and ddmin
-// cross-check what the session found: measure op's write window on p at
-// the targets' CURRENT state, then for every point still inside it
-// re-execute the window, power-cycle on the full pre-op image plus the
-// point's log prefix and judge, rolling back to the full image after
-// each run. Each of its walks is a fresh package-level one, not the
-// engine's reused walk memory.
+// probePlane's recovery session (no touched-set deltas, no verdict memo,
+// no mark reused across executions) so replay and ddmin cross-check what
+// the session found: measure op's write window on p at the targets'
+// CURRENT state, then for every point still inside it re-execute the
+// window, power-cycle on the whole pre-op image plus the point's log
+// prefix and judge, rolling back to the whole image after each run. The
+// pre-op image is the probe frame, and the whole media goes back to it
+// every time: the same two Media calls install both flows' images. Each
+// of its walks is a fresh package-level one, not the engine's reused walk
+// memory.
 // Returns the first discrepancy and its write index.
 func (e *engine) reprobe(p *CrashPlane, op workload.Op, points []int) (*checker.Discrepancy, int, error) {
 	metaHash := func(p *CrashPlane) (abstraction.State, errno.Errno) {
 		return abstraction.Hash(e.cfg.Kernel, p.Mount, e.metaOpts())
 	}
-	pre, err := p.Media.Snapshot()
-	if err != nil {
+	if err := p.Media.OpenFrame(probeFrame); err != nil {
 		return nil, 0, err
 	}
-	loadPre := func() error { return p.Media.LoadImage(pre) }
-	// The log's base is pre: here, and again after every rollback.
+	defer p.Media.CloseFrame(probeFrame)
+	whole := []fault.Region{{Len: p.Media.Size()}}
+	loadPre := func() error { return p.Media.RevertFrame(probeFrame, whole) }
+	// The log's base is the frame: here, and again after every rollback.
 	p.Injector.StartTouchLog()
 	defer p.Injector.StopTouchLog()
 	b0, er := metaHash(p)

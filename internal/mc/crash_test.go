@@ -7,9 +7,11 @@ import (
 	"testing"
 
 	"mcfs/internal/blockdev"
+	"mcfs/internal/checker"
 	"mcfs/internal/errno"
 	"mcfs/internal/fault"
 	"mcfs/internal/fs/extfs"
+	"mcfs/internal/fs/jffs2sim"
 	"mcfs/internal/fs/verifs1"
 	"mcfs/internal/kernel"
 	"mcfs/internal/simclock"
@@ -145,5 +147,107 @@ func TestRollbackAfterFailedRecovery(t *testing.T) {
 	}
 	if regions, ok := inj.Touched(); !ok || len(regions) != 0 {
 		t.Errorf("the touch log after the rollback holds %v (ok %v), want the loaded image as its base", regions, ok)
+	}
+}
+
+// touchedAtRevert is a crash plane's media that, at every RevertFrame,
+// keeps the touch log's regions — every byte written since the log's
+// last start or reset, which bound the pages the revert copies back —
+// and every Patch's: together, everything the windows, the recoveries,
+// the reverts and the installs may have changed.
+type touchedAtRevert struct {
+	blockdev.Media
+	inj     *fault.Injector
+	written []fault.Region
+}
+
+func (w *touchedAtRevert) RevertFrame(key uint64, regions []fault.Region) error {
+	touched, _ := w.inj.Touched()
+	w.written = append(w.written, touched...)
+	return w.Media.RevertFrame(key, regions)
+}
+
+func (w *touchedAtRevert) Patch(writes []fault.Write) error {
+	for _, wr := range writes {
+		w.written = append(w.written, fault.Region{Off: wr.Off, Len: int64(len(wr.Data))})
+	}
+	return w.Media.Patch(writes)
+}
+
+// TestReprobeKeepsUnwrittenFlashBlocksStamped: the crash oracle's
+// reference flow puts the pre-op image back by reverting its probe frame
+// over the whole flash, which copies back only the pages written since,
+// so every erase block that no window, recovery or revert wrote keeps
+// its change stamp — and a jffs2 mount through the session's ScanCache,
+// which parses a block again only when its stamp moves, re-parses just
+// the blocks the probe wrote. A full image load would restamp them all.
+func TestReprobeKeepsUnwrittenFlashBlocksStamped(t *testing.T) {
+	const size, es = 256 << 10, 8 << 10
+	clock := simclock.New()
+	k := kernel.New(clock)
+	mtd := blockdev.NewMTD("mtd0", size, es, clock)
+	if err := jffs2sim.Mkfs(mtd); err != nil {
+		t.Fatal(err)
+	}
+	scans := jffs2sim.NewScanCache()
+	spec := kernel.FilesystemSpec{
+		Type:      "jffs2",
+		Dev:       mtd,
+		Mounter:   func() (vfs.FS, error) { return jffs2sim.MountCached(mtd, clock, scans) },
+		Unmounter: func(f vfs.FS) error { return f.(*jffs2sim.FS).Unmount() },
+	}
+	if err := k.Mount("/mnt0", spec, kernel.MountOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []workload.Op{
+		{Kind: workload.OpMkdir, Path: "/d", Mode: 0o755},
+		{Kind: workload.OpCreateFile, Path: "/d/f", Mode: 0o644},
+		{Kind: workload.OpWriteFile, Path: "/d/f", Size: 3 * es, Byte: 'a'},
+	} {
+		if res := workload.Execute(k, "/mnt0", op); res.Err != errno.OK {
+			t.Fatalf("%s: %v", op, res.Err)
+		}
+	}
+	inj := fault.New()
+	mtd.SetInjector(inj)
+	media := &touchedAtRevert{Media: mtd, inj: inj}
+	p := &CrashPlane{Name: "jffs2#0", Mount: "/mnt0", Injector: inj, Media: media}
+	e := &engine{cfg: Config{Kernel: k, Checker: checker.New(k, []checker.Target{{Name: "jffs2", MountPoint: "/mnt0"}})}}
+	stamps := func() []uint64 {
+		out := make([]uint64, size/es)
+		for blk := range out {
+			_, stamp, err := mtd.LendBlock(blk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[blk] = stamp
+		}
+		return out
+	}
+
+	before := stamps()
+	op := workload.Op{Kind: workload.OpWriteFile, Path: "/d/f", Off: es, Size: es, Byte: 'b'}
+	d, _, err := e.reprobe(p, op, []int{0, 1, 2, 3})
+	if err != nil || d != nil {
+		t.Fatalf("reprobe: %v, %v", d, err)
+	}
+	if len(media.written) == 0 {
+		t.Fatal("the probe wrote nothing: the test exercises nothing")
+	}
+	unwritten := 0
+	for blk, stamp := range stamps() {
+		lo := int64(blk * es)
+		if slices.ContainsFunc(media.written, func(r fault.Region) bool { return r.Len > 0 && r.Off < lo+es && lo < r.Off+r.Len }) {
+			continue
+		}
+		if unwritten++; stamp != before[blk] {
+			t.Errorf("block %d: nothing wrote it, yet its stamp moved from %d to %d", blk, before[blk], stamp)
+		}
+	}
+	if unwritten == 0 {
+		t.Error("the probe wrote every block: the test exercises nothing")
+	}
+	if frames, arena := mtd.UndoStats(); frames != 0 || arena != 0 {
+		t.Errorf("after the reprobe: %d frames, %d arena bytes; want 0, 0", frames, arena)
 	}
 }

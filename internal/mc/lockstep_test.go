@@ -78,6 +78,13 @@ func (l *lockstepTracker) Restore(key uint64) error {
 	return nil
 }
 
+// imageOf reads the whole medium: the full copy the write-set
+// checkpoints and the crash installs are held to.
+func imageOf(m blockdev.Media) ([]byte, error) {
+	img := make([]byte, m.Size())
+	return img, m.ReadAt(img, 0)
+}
+
 func (l *lockstepTracker) Discard(key uint64) {
 	l.Tracker.Discard(key)
 	delete(l.want, key)
@@ -97,7 +104,7 @@ func lockstep(t *testing.T, s *mcfs.Session) []*lockstepTracker {
 		}
 		l := &lockstepTracker{Tracker: cfg.Trackers[i], t: t, name: tgt.Name, want: map[uint64][]byte{}}
 		if dev := m.Dev(); dev != nil {
-			l.observe = dev.Snapshot
+			l.observe = func() ([]byte, error) { return imageOf(dev) }
 		} else {
 			point := tgt.MountPoint
 			l.observe = func() ([]byte, error) {
@@ -197,18 +204,18 @@ func guardJFFS2Mounts(t *testing.T, s *mcfs.Session) []*mountGuard {
 			continue
 		}
 		g := &mountGuard{name: tgt.Name}
-		spec, opts, dev := m.Spec(), m.Options(), m.Dev()
+		spec, opts, mtd := m.Spec(), m.Options(), m.Dev().(*blockdev.MTD)
 		mount := spec.Mounter
 		spec.Mounter = func() (vfs.FS, error) {
 			f, err := mount()
 			if err != nil {
 				return nil, err
 			}
-			raw, err := dev.Snapshot()
+			raw, err := imageOf(mtd)
 			if err != nil {
 				return nil, fmt.Errorf("mount guard: copying %s's flash: %w", g.name, err)
 			}
-			fresh := blockdev.NewMTD("ref", dev.Size(), dev.BlockSize(), nil)
+			fresh := blockdev.NewMTD("ref", mtd.Size(), mtd.EraseSize(), nil)
 			if err := fresh.LoadImage(raw); err != nil {
 				return nil, err
 			}
@@ -303,9 +310,9 @@ func TestLockstepFullCopyAgreesWithWriteSetCheckpoints(t *testing.T) {
 		{name: "ext4-xfs-d2", opts: mcfs.Options{
 			Targets:  []mcfs.TargetSpec{{Kind: "ext4"}, {Kind: "xfs"}},
 			MaxDepth: 2, MaxOps: 60}},
-		// The pinned block-device-plus-flash crash run: power cuts load
-		// images through LoadImage/LoadImageDelta under open frames, on
-		// Disk and MTD both.
+		// The pinned block-device-plus-flash crash run: power cuts install
+		// images through RevertFrame and Patch under open frames, on Disk
+		// and MTD both.
 		{name: "ext4-jffs2-crash-d2", mounts: true, opts: mcfs.Options{
 			Targets:  []mcfs.TargetSpec{{Kind: "ext4"}, {Kind: "jffs2"}},
 			MaxDepth: 2, MaxOps: 1500, CrashExploration: true}},
@@ -405,14 +412,15 @@ func TestRunLeavesNoCheckpointState(t *testing.T) {
 // installCheck wraps a crash plane's media and, at every image either
 // crash flow installs, rebuilds that image the expensive way — a full
 // copy of the pre-op image with the write-log prefix applied — and reads
-// the media back against it. Both flows finish an install with Patch: the
-// session over its probe frame (a rollback patches nothing), the
-// reference over a full LoadImage.
+// the media back against it. Both flows open the probe frame on the
+// pre-op image and finish an install with Patch over it: the session
+// after reverting the touched set (a rollback patches nothing), the
+// reference after reverting the whole media.
 type installCheck struct {
 	blockdev.Media
 	t         *testing.T
 	name      string
-	pre       []byte // the media at the last OpenFrame or LoadImage
+	pre       []byte // the media at the last OpenFrame
 	want, got []byte
 	cuts      int // installs that patched something: power cuts
 }
@@ -427,11 +435,6 @@ func (c *installCheck) OpenFrame(key uint64) error {
 	err := c.Media.OpenFrame(key)
 	c.read(c.pre)
 	return err
-}
-
-func (c *installCheck) LoadImage(img []byte) error {
-	copy(c.pre, img)
-	return c.Media.LoadImage(img)
 }
 
 func (c *installCheck) Patch(writes []fault.Write) error {
@@ -463,12 +466,9 @@ func checkInstalls(t *testing.T, s *mcfs.Session) []*installCheck {
 	var out []*installCheck
 	planes := s.Config().Crash.Planes
 	for i := range planes {
-		img, err := planes[i].Media.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
+		size := planes[i].Media.Size()
 		c := &installCheck{Media: planes[i].Media, t: t, name: planes[i].Name,
-			pre: img, want: make([]byte, len(img)), got: make([]byte, len(img))}
+			pre: make([]byte, size), want: make([]byte, size), got: make([]byte, size)}
 		planes[i].Media = c
 		out = append(out, c)
 	}

@@ -102,16 +102,15 @@ func lawTargets() map[string]func(t testing.TB) *lawTarget {
 			if err := jffs2sim.Mkfs(mtd); err != nil {
 				t.Fatal(err)
 			}
-			bridge := blockdev.NewMTDBlock(mtd)
 			if err := k.Mount(lawMount, kernel.FilesystemSpec{
 				Type:      "jffs2",
-				Dev:       bridge,
+				Dev:       mtd,
 				Mounter:   func() (vfs.FS, error) { return jffs2sim.Mount(mtd, clk) },
 				Unmounter: func(f vfs.FS) error { return f.(*jffs2sim.FS).Unmount() },
 			}, kernel.MountOptions{}); err != nil {
 				t.Fatal(err)
 			}
-			return &lawTarget{k: k, tr: NewRemount(k, lawMount, true), media: bridge}
+			return &lawTarget{k: k, tr: NewRemount(k, lawMount, true), media: mtd}
 		},
 	}
 }
@@ -133,11 +132,10 @@ func (lt *lawTarget) concrete(t *testing.T, s *lawState) {
 		s.dump = dumpFS(t, lt.backing)
 		return
 	}
-	img, err := lt.media.Snapshot()
-	if err != nil {
-		t.Fatalf("Snapshot: %v", err)
+	s.image = make([]byte, lt.media.Size())
+	if err := lt.media.ReadAt(s.image, 0); err != nil {
+		t.Fatalf("reading the medium: %v", err)
 	}
-	s.image = img
 }
 
 func (lt *lawTarget) hash(t *testing.T) abstraction.State {

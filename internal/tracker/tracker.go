@@ -117,7 +117,7 @@ type deviceFrames struct {
 	// dev is the mount's device, which holds the checkpoints; kept from
 	// the first Checkpoint on because Restore and Discard must reach it
 	// while the file system is unmounted.
-	dev blockdev.Device
+	dev blockdev.Media
 	// stateCPU charges a checkpoint the model checker's own cost of
 	// handling the state vector.
 	stateCPU bool

@@ -53,7 +53,7 @@ func readTargets() map[string]func(clk *simclock.Clock) kernel.FilesystemSpec {
 		},
 		"jffs2": func(clk *simclock.Clock) kernel.FilesystemSpec {
 			mtd := blockdev.NewMTD("mtd0", 256*1024, 8*1024, clk)
-			return kernel.FilesystemSpec{Type: "jffs2", Dev: blockdev.NewMTDBlock(mtd), Mounter: func() (vfs.FS, error) {
+			return kernel.FilesystemSpec{Type: "jffs2", Dev: mtd, Mounter: func() (vfs.FS, error) {
 				if err := jffs2sim.Mkfs(mtd); err != nil {
 					return nil, err
 				}

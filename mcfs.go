@@ -604,20 +604,20 @@ func (s *Session) mountTarget(tgt checker.Target, ts TargetSpec, idx int, crash 
 			Unmounter: func(f vfs.FS) error { return f.(*xfssim.FS).Unmount() },
 		}, kernel.MountOptions{})
 	case "jffs2":
-		// JFFS2 mounts on an MTD device (mtdram); MCFS reaches the flash
-		// through the mtdblock bridge for state tracking (§4).
+		// JFFS2 mounts on an MTD device (mtdram), which is also the medium
+		// state tracking checkpoints: the copy the paper takes through the
+		// mtdblock bridge (§4) is what its frames are charged.
 		mtd := blockdev.NewMTD(fmt.Sprintf("mtd%d", idx), size, mtdEraseSize, clock)
 		mtd.SetObs(s.obsHub)
 		if err := jffs2sim.Mkfs(mtd); err != nil {
 			return nil, err
 		}
-		bridge := blockdev.NewMTDBlock(mtd)
 		// One scan cache per flash: every mount is charged the full scan,
 		// and parses the erase blocks that changed since the last one.
 		scans := jffs2sim.NewScanCache()
 		err := k.Mount(point, kernel.FilesystemSpec{
 			Type:      "jffs2",
-			Dev:       bridge,
+			Dev:       mtd,
 			Mounter:   func() (vfs.FS, error) { return jffs2sim.MountCached(mtd, clock, scans) },
 			Unmounter: func(f vfs.FS) error { return f.(*jffs2sim.FS).Unmount() },
 		}, kernel.MountOptions{})
@@ -626,7 +626,7 @@ func (s *Session) mountTarget(tgt checker.Target, ts TargetSpec, idx int, crash 
 		}
 		inj := fault.New()
 		mtd.SetInjector(inj)
-		return &mc.CrashPlane{Target: idx, Name: tgt.Name, Mount: point, Injector: inj, Media: bridge}, nil
+		return &mc.CrashPlane{Target: idx, Name: tgt.Name, Mount: point, Injector: inj, Media: mtd}, nil
 	default: // verifs1, verifs2: checkTarget admits no other kind
 		var backing vfs.FS
 		if ts.Kind == "verifs1" {
