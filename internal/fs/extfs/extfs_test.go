@@ -119,11 +119,11 @@ func TestTruncateThenGrowReadsZeros(t *testing.T) {
 		t.Fatal(e)
 	}
 	size := int64(100)
-	if e := f.Setattr(ino, vfs.SetAttr{Size: &size}); e != errno.OK {
+	if e := f.Setattr(ino, vfs.SetAttr{Valid: vfs.AttrSize, Size: size}); e != errno.OK {
 		t.Fatal(e)
 	}
 	size = 2000
-	if e := f.Setattr(ino, vfs.SetAttr{Size: &size}); e != errno.OK {
+	if e := f.Setattr(ino, vfs.SetAttr{Valid: vfs.AttrSize, Size: size}); e != errno.OK {
 		t.Fatal(e)
 	}
 	got, _ := f.Read(ino, 0, 2000, nil)
@@ -231,7 +231,7 @@ func TestFileTooBig(t *testing.T) {
 		t.Errorf("write past max file size = %v, want EFBIG", e)
 	}
 	size := limit + 1
-	if e := f.Setattr(ino, vfs.SetAttr{Size: &size}); e != errno.EFBIG {
+	if e := f.Setattr(ino, vfs.SetAttr{Valid: vfs.AttrSize, Size: size}); e != errno.EFBIG {
 		t.Errorf("truncate past max file size = %v, want EFBIG", e)
 	}
 }

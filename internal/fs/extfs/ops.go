@@ -56,41 +56,41 @@ func (f *FS) Setattr(ino vfs.Ino, attr vfs.SetAttr) errno.Errno {
 		return errno.ENOENT
 	}
 	now := f.now()
-	if attr.Mode != nil {
+	if attr.Has(vfs.AttrMode) {
 		ci.mode = ci.mode&uint32(vfs.ModeMask) | uint32(attr.Mode.Perm())
 		ci.ctime = int64(now)
 		f.markDirty(ci)
 	}
-	if attr.UID != nil {
-		ci.uid = *attr.UID
+	if attr.Has(vfs.AttrUID) {
+		ci.uid = attr.UID
 		ci.ctime = int64(now)
 		f.markDirty(ci)
 	}
-	if attr.GID != nil {
-		ci.gid = *attr.GID
+	if attr.Has(vfs.AttrGID) {
+		ci.gid = attr.GID
 		ci.ctime = int64(now)
 		f.markDirty(ci)
 	}
-	if attr.Size != nil {
+	if attr.Has(vfs.AttrSize) {
 		if ci.vfsMode().IsDir() {
 			return errno.EISDIR
 		}
 		if !ci.vfsMode().IsRegular() {
 			return errno.EINVAL
 		}
-		if e := f.truncateFile(ci, *attr.Size); e != errno.OK {
+		if e := f.truncateFile(ci, attr.Size); e != errno.OK {
 			return e
 		}
 		ci.mtime = int64(now)
 		ci.ctime = int64(now)
 		f.markDirty(ci)
 	}
-	if attr.Atime != nil {
-		ci.atime = int64(*attr.Atime)
+	if attr.Has(vfs.AttrAtime) {
+		ci.atime = int64(attr.Atime)
 		f.markDirty(ci)
 	}
-	if attr.Mtime != nil {
-		ci.mtime = int64(*attr.Mtime)
+	if attr.Has(vfs.AttrMtime) {
+		ci.mtime = int64(attr.Mtime)
 		f.markDirty(ci)
 	}
 	return errno.OK

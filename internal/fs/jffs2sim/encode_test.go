@@ -41,7 +41,7 @@ func TestLogBytesArePinned(t *testing.T) {
 	}
 	step("unlink", f.Unlink(d, "s"))
 	size := int64(77)
-	step("truncate", f.Setattr(b, vfs.SetAttr{Size: &size}))
+	step("truncate", f.Setattr(b, vfs.SetAttr{Valid: vfs.AttrSize, Size: size}))
 	erases := int64(0)
 	for _, n := range mtd.EraseCounts() {
 		erases += n

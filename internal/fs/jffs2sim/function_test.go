@@ -116,7 +116,7 @@ func (g *flashRig) op() {
 	case 6:
 		if ino, e := f.Lookup(root, name); e == errno.OK {
 			size := int64(r.Intn(maxOff))
-			f.Setattr(ino, vfs.SetAttr{Size: &size})
+			f.Setattr(ino, vfs.SetAttr{Valid: vfs.AttrSize, Size: size})
 		}
 	case 7:
 		f.Unlink(root, name)
@@ -169,7 +169,7 @@ func (g *flashRig) zeroOp(kind int, name string, maxOff, maxLen int) {
 		f.Write(ino, off, make([]byte, 1+r.Int63n(min(size-off, int64(maxLen)))))
 	case 3: // truncate-extend, then a non-zero write into the extension
 		ext := size + 1 + int64(r.Intn(maxOff))
-		if f.Setattr(ino, vfs.SetAttr{Size: &ext}) != errno.OK {
+		if f.Setattr(ino, vfs.SetAttr{Valid: vfs.AttrSize, Size: ext}) != errno.OK {
 			return
 		}
 		off := size + r.Int63n(ext-size)

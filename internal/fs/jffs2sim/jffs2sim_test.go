@@ -155,7 +155,7 @@ func TestTruncateSurvivesRemount(t *testing.T) {
 		t.Fatal(e)
 	}
 	size := int64(4)
-	if e := f.Setattr(ino, vfs.SetAttr{Size: &size}); e != errno.OK {
+	if e := f.Setattr(ino, vfs.SetAttr{Valid: vfs.AttrSize, Size: size}); e != errno.OK {
 		t.Fatal(e)
 	}
 	if err := f.Unmount(); err != nil {
@@ -178,7 +178,7 @@ func TestGrowTruncateZeros(t *testing.T) {
 		t.Fatal(e)
 	}
 	size := int64(10)
-	if e := f.Setattr(ino, vfs.SetAttr{Size: &size}); e != errno.OK {
+	if e := f.Setattr(ino, vfs.SetAttr{Valid: vfs.AttrSize, Size: size}); e != errno.OK {
 		t.Fatal(e)
 	}
 	got, _ := f.Read(ino, 0, 10, nil)
@@ -354,7 +354,7 @@ func TestFailedWriteLeavesMemoryAndFlashAgreeing(t *testing.T) {
 		ino, size := appendUntilFull(t, f, 1)
 		for i := 0; ; i++ {
 			size++
-			e := f.Setattr(ino, vfs.SetAttr{Size: &size})
+			e := f.Setattr(ino, vfs.SetAttr{Valid: vfs.AttrSize, Size: size})
 			agree(fmt.Sprintf("truncate to %d (%v)", size, e))
 			if e == errno.ENOSPC {
 				return ino
@@ -386,13 +386,13 @@ func TestFailedWriteLeavesMemoryAndFlashAgreeing(t *testing.T) {
 		ino := fillUp(t, f, agree)
 		st, _ := f.Getattr(ino)
 		size := st.Size + 1024
-		unchanged(t, f, agree, "truncate-extend", ino, vfs.SetAttr{Size: &size}, errno.ENOSPC)
+		unchanged(t, f, agree, "truncate-extend", ino, vfs.SetAttr{Valid: vfs.AttrSize, Size: size}, errno.ENOSPC)
 	})
 	t.Run("chmod", func(t *testing.T) {
 		f, agree := small(t)
 		ino := fillUp(t, f, agree)
 		mode := vfs.Mode(0600)
-		unchanged(t, f, agree, "chmod", ino, vfs.SetAttr{Mode: &mode}, errno.ENOSPC)
+		unchanged(t, f, agree, "chmod", ino, vfs.SetAttr{Valid: vfs.AttrMode, Mode: mode}, errno.ENOSPC)
 	})
 	// A link on a full flash: the inode node with the new link count fits,
 	// the dirent after it does not. The failed link must leave neither
@@ -443,7 +443,7 @@ func TestFailedWriteLeavesMemoryAndFlashAgreeing(t *testing.T) {
 		whiteout, inode := nodeHeader+direntFixed+len("l000"), nodeHeader+inodeFixed
 		for i := 0; !f.fits([]int{whiteout}) || f.fits([]int{whiteout, inode}); i++ {
 			mode := vfs.Mode(0600 | i&0077)
-			if e := f.Setattr(ino, vfs.SetAttr{Mode: &mode}); e != errno.OK || i > 1000 {
+			if e := f.Setattr(ino, vfs.SetAttr{Valid: vfs.AttrMode, Mode: mode}); e != errno.OK || i > 1000 {
 				t.Fatalf("chmod %d: %v", i, e)
 			}
 		}
@@ -477,7 +477,7 @@ func TestFailedWriteLeavesMemoryAndFlashAgreeing(t *testing.T) {
 			all := append(nodes, nodeHeader+direntFixed+len(newName))
 			for i := 0; !f.fits(nodes) || f.fits(all); i++ {
 				mode := vfs.Mode(0600 | i&0077)
-				if e := f.Setattr(ino, vfs.SetAttr{Mode: &mode}); e != errno.OK || i > 1000 {
+				if e := f.Setattr(ino, vfs.SetAttr{Valid: vfs.AttrMode, Mode: mode}); e != errno.OK || i > 1000 {
 					t.Fatalf("chmod %d: %v", i, e)
 				}
 			}
@@ -506,7 +506,7 @@ func TestFailedWriteLeavesMemoryAndFlashAgreeing(t *testing.T) {
 				if _, e := f.Write(ino, 0, bytes.Repeat([]byte{0x0A}, 100)); e != errno.OK {
 					t.Fatal(e)
 				}
-				if e := f.Setattr(ino, vfs.SetAttr{Size: &tc.size}); e != errno.OK {
+				if e := f.Setattr(ino, vfs.SetAttr{Valid: vfs.AttrSize, Size: tc.size}); e != errno.OK {
 					t.Fatal(e)
 				}
 				before, _ := f.Getattr(ino)
@@ -538,7 +538,7 @@ func TestFailedWriteLeavesMemoryAndFlashAgreeing(t *testing.T) {
 		f, agree := small(t)
 		d := mustMkdir(t, f, f.Root(), "d")
 		mode, size := vfs.Mode(0700), int64(0)
-		unchanged(t, f, agree, "chmod+truncate of a directory", d, vfs.SetAttr{Mode: &mode, Size: &size}, errno.EISDIR)
+		unchanged(t, f, agree, "chmod+truncate of a directory", d, vfs.SetAttr{Valid: vfs.AttrMode | vfs.AttrSize, Mode: mode, Size: size}, errno.EISDIR)
 	})
 }
 
@@ -1062,7 +1062,7 @@ func TestZeroWritesReadAsZero(t *testing.T) {
 	truncate := func(size int) {
 		t.Helper()
 		sz := int64(size)
-		if e := f.Setattr(ino, vfs.SetAttr{Size: &sz}); e != errno.OK {
+		if e := f.Setattr(ino, vfs.SetAttr{Valid: vfs.AttrSize, Size: sz}); e != errno.OK {
 			t.Fatal(e)
 		}
 		model = append(model[:min(size, len(model))], make([]byte, max(0, size-len(model)))...)

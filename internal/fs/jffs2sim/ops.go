@@ -80,15 +80,15 @@ func (f *FS) Setattr(ino vfs.Ino, attr vfs.SetAttr) errno.Errno {
 	if nd == nil {
 		return errno.ENOENT
 	}
-	if attr.Size != nil {
+	if attr.Has(vfs.AttrSize) {
 		switch {
 		case nd.mode.IsDir():
 			return errno.EISDIR
-		case !nd.mode.IsRegular(), *attr.Size < 0:
+		case !nd.mode.IsRegular(), attr.Size < 0:
 			return errno.EINVAL
 		}
 	}
-	logged := attr.Mode != nil || attr.UID != nil || attr.GID != nil || attr.Size != nil || attr.Mtime != nil
+	logged := attr.Valid&(vfs.AttrMode|vfs.AttrUID|vfs.AttrGID|vfs.AttrSize|vfs.AttrMtime) != 0
 	if logged {
 		if e := f.makeRoom(inodeNodeLens(nd.target, 0)...); e != errno.OK {
 			return e
@@ -96,28 +96,28 @@ func (f *FS) Setattr(ino vfs.Ino, attr vfs.SetAttr) errno.Errno {
 	}
 	old := *nd
 	now := f.now()
-	if attr.Mode != nil {
+	if attr.Has(vfs.AttrMode) {
 		nd.mode = nd.mode&vfs.ModeMask | attr.Mode.Perm()
 		nd.ctime = now
 	}
-	if attr.UID != nil {
-		nd.uid = *attr.UID
+	if attr.Has(vfs.AttrUID) {
+		nd.uid = attr.UID
 		nd.ctime = now
 	}
-	if attr.GID != nil {
-		nd.gid = *attr.GID
+	if attr.Has(vfs.AttrGID) {
+		nd.gid = attr.GID
 		nd.ctime = now
 	}
-	if attr.Size != nil {
-		nd.truncate(*attr.Size)
+	if attr.Has(vfs.AttrSize) {
+		nd.truncate(attr.Size)
 		nd.mtime = now
 		nd.ctime = now
 	}
-	if attr.Atime != nil {
-		nd.atime = *attr.Atime
+	if attr.Has(vfs.AttrAtime) {
+		nd.atime = attr.Atime
 	}
-	if attr.Mtime != nil {
-		nd.mtime = *attr.Mtime
+	if attr.Has(vfs.AttrMtime) {
+		nd.mtime = attr.Mtime
 	}
 	if !logged {
 		return errno.OK

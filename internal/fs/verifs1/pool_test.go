@@ -13,6 +13,7 @@ import (
 
 	"mcfs/internal/errno"
 	"mcfs/internal/simclock"
+	"mcfs/internal/spare"
 	"mcfs/internal/vfs"
 )
 
@@ -56,11 +57,18 @@ func fingerprint(t testing.TB, f *FS) string {
 			i, nd.used, nd.mode, nd.nlink, nd.uid, nd.gid, nd.size, nd.atime, nd.mtime, nd.ctime,
 			nd.parent, nd.entries, len(nd.data), sha256.Sum256(nd.data))
 	}
+	// A released table pins nothing: the next checkpoint fills it from
+	// the start, and a slot it left behind would hold its buffers.
+	for i, snap := range f.free {
+		if len(snap.inodes) != 0 || slices.ContainsFunc(snap.inodes[:cap(snap.inodes)], func(nd inode) bool { return nd.data != nil || nd.entries != nil || nd.used }) {
+			t.Fatalf("released table %d holds %d slots, or a slot past its end is not zero", i, len(snap.inodes))
+		}
+	}
 	return b.String()
 }
 
 // deepCopy is the reference checkpoint: a new FS holding its own copy of
-// every slot, buffer and entry list of f, and an empty pool.
+// every slot, buffer and entry list of f, an empty pool and no spares.
 func deepCopy(f *FS) *FS {
 	c := *f
 	c.inodes = slices.Clone(f.inodes)
@@ -69,6 +77,8 @@ func deepCopy(f *FS) *FS {
 		c.inodes[i].entries = slices.Clone(c.inodes[i].entries)
 	}
 	c.snapshots = make(map[uint64]*snapshot)
+	c.free = nil
+	c.spare = spare.Slot[*store]{}
 	return &c
 }
 
@@ -134,7 +144,7 @@ func (o fsOp) apply(f *FS) (string, errno.Errno) {
 		return fmt.Sprint(n), e
 	case 't':
 		size := o.off
-		return "", f.Setattr(o.ino, vfs.SetAttr{Size: &size})
+		return "", f.Setattr(o.ino, vfs.SetAttr{Valid: vfs.AttrSize, Size: size})
 	case 'u':
 		return "", f.Unlink(o.ino, o.name)
 	case 'r':
@@ -147,7 +157,7 @@ func (o fsOp) apply(f *FS) (string, errno.Errno) {
 		return fmt.Sprint(ents), e
 	default:
 		mode, uid, atime := vfs.Mode(o.fill)&0o777, uint32(o.size), time.Duration(o.off)
-		return "", f.Setattr(o.ino, vfs.SetAttr{Mode: &mode, UID: &uid, Atime: &atime})
+		return "", f.Setattr(o.ino, vfs.SetAttr{Valid: vfs.AttrMode | vfs.AttrUID | vfs.AttrAtime, Mode: mode, UID: uid, Atime: atime})
 	}
 }
 
@@ -307,6 +317,52 @@ func TestEpochWrapKeepsSnapshotsApart(t *testing.T) {
 			w.restore(key)
 			w.walk(rng, 8)
 		}
+	}
+}
+
+// TestRecycledCopiesStayPrivate runs 240 checkpoint → walk → restore or
+// discard cycles on one file system against the deep-copy twin, with up
+// to three snapshots open and ended in any order. Each restore hands the
+// copies its epoch made to the spare store, and the next cycles' ops
+// reuse them while older snapshots still share what they were copied
+// from, so a recycled part that a snapshot can still reach, a released
+// table that still names it, or recycled memory handed out without its
+// garbage shows up as a difference from the twin.
+func TestRecycledCopiesStayPrivate(t *testing.T) {
+	for _, cfg := range poolConfigs {
+		t.Run(cfg.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(1))
+			w := newTwin(t, cfg.opts)
+			w.walk(rng, 24)
+			var open []uint64
+			restores, spares := 0, 0
+			for key := uint64(0); key < 240; key++ {
+				w.checkpoint(key)
+				open = append(open, key)
+				w.walk(rng, 6)
+				for len(open) == 3 || (len(open) > 0 && rng.Intn(2) == 0) {
+					i := rng.Intn(len(open))
+					if rng.Intn(4) == 0 {
+						w.discard(open[i])
+					} else {
+						w.restore(open[i])
+						restores++
+						if st := w.fs.spares(); st != nil && len(st.bufs)+len(st.lists) > 0 {
+							spares++
+						}
+					}
+					open = slices.Delete(open, i, i+1)
+					w.walk(rng, 3)
+				}
+			}
+			// A collection may take the store back, but not after most
+			// restores: the walk must reach recycled memory.
+			if spares < restores/2 {
+				t.Errorf("the spare store held a buffer or an entry list after %d of %d restores, want at least half", spares, restores)
+			} else {
+				t.Logf("the spare store held a buffer or an entry list after %d of %d restores", spares, restores)
+			}
+		})
 	}
 }
 

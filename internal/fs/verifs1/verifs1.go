@@ -10,8 +10,10 @@
 // snapshot pool under a 64-bit key; RestoreState brings it back and
 // discards the snapshot — so it moves the snapshot's inodes and buffers
 // into the live file system rather than copying them a second time. A
-// snapshot copies the inode array and shares every data buffer and entry
-// list with the live file system until an op writes it in place.
+// snapshot copies the inode array into a reused table and shares every
+// data buffer and entry list with the live file system until an op
+// writes it in place. A restore hands the buffers and lists no snapshot
+// can reach to the next ops, which reuse them.
 //
 // Buffers are handed out filled with a garbage pattern, simulating
 // malloc(3) returning recycled memory; every correct code path must
@@ -21,13 +23,12 @@
 package verifs1
 
 import (
-	"bytes"
 	"math"
-	"slices"
 	"time"
 
 	"mcfs/internal/errno"
 	"mcfs/internal/simclock"
+	"mcfs/internal/spare"
 	"mcfs/internal/vfs"
 )
 
@@ -99,6 +100,12 @@ type FS struct {
 	truncateNoZero bool
 
 	snapshots map[uint64]*snapshot
+	// free holds the snapshots restores and discards released, their
+	// tables cleared, for the next checkpoints to fill.
+	free []*snapshot
+	// spare holds the buffers and entry lists restores found no snapshot
+	// can reach, for the next ops' copies; a collection may take it back.
+	spare spare.Slot[*store]
 }
 
 type snapshot struct {
@@ -143,9 +150,10 @@ func (f *FS) now() time.Duration {
 	return f.clock.Now()
 }
 
-// alloc returns a buffer of length n filled with the garbage pattern.
-func alloc(n int64) []byte {
-	b := make([]byte, n)
+// alloc returns a buffer of length n filled with the garbage pattern, a
+// recycled one as much as a new one.
+func (f *FS) alloc(n int64) []byte {
+	b := f.spares().buf(int(n))
 	for i := range b {
 		b[i] = garbageByte
 	}
@@ -169,8 +177,15 @@ func (f *FS) own(nd *inode) {
 	if nd.epoch == f.epoch {
 		return
 	}
-	nd.data = bytes.Clone(nd.data)
-	nd.entries = slices.Clone(nd.entries)
+	st := f.spares()
+	if nd.data != nil {
+		b := st.buf(len(nd.data))
+		copy(b, nd.data)
+		nd.data = b
+	}
+	if nd.entries != nil {
+		nd.entries = append(st.list(), nd.entries...)
+	}
 	nd.epoch = f.epoch
 }
 
@@ -259,33 +274,33 @@ func (f *FS) Setattr(ino vfs.Ino, attr vfs.SetAttr) errno.Errno {
 		return errno.ENOENT
 	}
 	now := f.now()
-	if attr.Mode != nil {
+	if attr.Has(vfs.AttrMode) {
 		nd.mode = nd.mode&vfs.ModeMask | attr.Mode.Perm()
 		nd.ctime = now
 	}
-	if attr.UID != nil {
-		nd.uid = *attr.UID
+	if attr.Has(vfs.AttrUID) {
+		nd.uid = attr.UID
 		nd.ctime = now
 	}
-	if attr.GID != nil {
-		nd.gid = *attr.GID
+	if attr.Has(vfs.AttrGID) {
+		nd.gid = attr.GID
 		nd.ctime = now
 	}
-	if attr.Size != nil {
+	if attr.Has(vfs.AttrSize) {
 		if nd.mode.IsDir() {
 			return errno.EISDIR
 		}
-		if e := f.truncate(nd, *attr.Size); e != errno.OK {
+		if e := f.truncate(nd, attr.Size); e != errno.OK {
 			return e
 		}
 		nd.mtime = now
 		nd.ctime = now
 	}
-	if attr.Atime != nil {
-		nd.atime = *attr.Atime
+	if attr.Has(vfs.AttrAtime) {
+		nd.atime = attr.Atime
 	}
-	if attr.Mtime != nil {
-		nd.mtime = *attr.Mtime
+	if attr.Has(vfs.AttrMtime) {
+		nd.mtime = attr.Mtime
 	}
 	return errno.OK
 }
@@ -301,7 +316,7 @@ func (f *FS) truncate(nd *inode, size int64) errno.Errno {
 		if int64(len(nd.data)) < size {
 			// Grow the contiguous buffer: new allocation arrives full of
 			// garbage, copy the old content over.
-			nb := alloc(size)
+			nb := f.alloc(size)
 			copy(nb, nd.data[:nd.size])
 			nd.data, nd.epoch = nb, f.epoch
 		}
@@ -495,7 +510,7 @@ func (f *FS) Write(ino vfs.Ino, off int64, data []byte) (int, errno.Errno) {
 		if doubled := int64(len(nd.data)) * 2; doubled > newCap {
 			newCap = doubled
 		}
-		nb := alloc(newCap)
+		nb := f.alloc(newCap)
 		copy(nb, nd.data[:nd.size])
 		nd.data, nd.epoch = nb, f.epoch
 	}
@@ -568,12 +583,19 @@ func (f *FS) Sync() errno.Errno { return errno.OK }
 
 // CheckpointState implements vfs.Checkpointer: it locks the file system
 // (trivially, since the kernel serializes operations), copies the inode
-// array — as far as it has ever been used, one allocation — into the
-// snapshot pool under key, and starts a new epoch. The snapshot shares
-// every data buffer and entry list with the live array; an op copies one
-// before its first in-place write (own).
+// array — as far as it has ever been used, into a table an earlier
+// snapshot released — into the snapshot pool under key, and starts a new
+// epoch. The snapshot shares every data buffer and entry list with the
+// live array; an op copies one before its first in-place write (own).
 func (f *FS) CheckpointState(key uint64) errno.Errno {
-	f.snapshots[key] = &snapshot{inodes: slices.Clone(f.inodes[:f.hwm])}
+	var snap *snapshot
+	if n := len(f.free); n > 0 {
+		snap, f.free = f.free[n-1], f.free[:n-1]
+	} else {
+		snap = new(snapshot)
+	}
+	snap.inodes = append(snap.inodes, f.inodes[:f.hwm]...)
+	f.snapshots[key] = snap
 	f.nextEpoch()
 	return errno.OK
 }
@@ -583,31 +605,67 @@ func (f *FS) CheckpointState(key uint64) errno.Errno {
 // (the FUSE server, not the file system, tells the kernel to drop its
 // caches). The snapshot is consumed, so its inodes — data buffers
 // and directory lists with them — are moved into the live array, not
-// cloned; slots used since the checkpoint go back to zero. Other
-// snapshots may share those buffers, so a new epoch starts.
+// cloned; slots used since the checkpoint go back to zero, and the
+// snapshot's table, cleared, to the free list. Before that, the buffers
+// and lists this epoch made go to the spare store: every checkpoint
+// starts a new epoch, so no snapshot can reach them. Other snapshots may
+// share the buffers the live array adopts, so a new epoch starts.
 func (f *FS) RestoreState(key uint64) errno.Errno {
 	snap, ok := f.snapshots[key]
 	if !ok {
 		return errno.ENOENT
 	}
+	f.recycle()
 	n := copy(f.inodes, snap.inodes)
 	if n < f.hwm {
 		clear(f.inodes[n:f.hwm])
 	}
 	f.hwm = n
 	delete(f.snapshots, key)
+	f.release(snap)
 	f.nextEpoch()
 	return errno.OK
 }
 
 // DiscardState implements vfs.Checkpointer: it drops the snapshot stored
-// under key without touching the live state.
+// under key without touching the live state. Its table goes to the free
+// list, but no buffer it names goes to the spare store: the live array
+// and other snapshots may share all of them.
 func (f *FS) DiscardState(key uint64) errno.Errno {
-	if _, ok := f.snapshots[key]; !ok {
+	snap, ok := f.snapshots[key]
+	if !ok {
 		return errno.ENOENT
 	}
 	delete(f.snapshots, key)
+	f.release(snap)
 	return errno.OK
+}
+
+// release clears snap's table and puts snap on the free list.
+func (f *FS) release(snap *snapshot) {
+	clear(snap.inodes)
+	snap.inodes = snap.inodes[:0]
+	f.free = append(f.free, snap)
+}
+
+// recycle gives the spare store the data buffer and entry list of every
+// live slot the current epoch made them private to (own, or a grown
+// buffer).
+func (f *FS) recycle() {
+	st := f.spares()
+	for i := range f.inodes[:f.hwm] {
+		nd := &f.inodes[i]
+		if !nd.used || nd.epoch != f.epoch {
+			continue
+		}
+		if cap(nd.data) > 0 {
+			st.bufs = append(st.bufs, nd.data)
+		}
+		if cap(nd.entries) > 0 {
+			clear(nd.entries[:cap(nd.entries)])
+			st.lists = append(st.lists, nd.entries[:0])
+		}
+	}
 }
 
 // SnapshotCount reports how many snapshots the pool currently holds.
@@ -626,4 +684,47 @@ func (f *FS) StateBytes() int64 {
 		}
 	}
 	return total
+}
+
+// store holds the data buffers and entry lists restores found no
+// snapshot can reach.
+type store struct {
+	bufs  [][]byte
+	lists [][]dirent
+}
+
+// spares returns the spare store, a new one if a collection has taken
+// the last one back.
+func (f *FS) spares() *store {
+	st, ok := f.spare.Take()
+	if !ok {
+		st = new(store)
+	}
+	f.spare.Put(st)
+	return st
+}
+
+// buf returns a buffer of n bytes with unspecified contents: the last
+// spare one that can hold n, or a new one.
+func (st *store) buf(n int) []byte {
+	for i := len(st.bufs) - 1; i >= 0; i-- {
+		if b := st.bufs[i]; cap(b) >= n {
+			last := len(st.bufs) - 1
+			st.bufs[i], st.bufs[last] = st.bufs[last], nil
+			st.bufs = st.bufs[:last]
+			return b[:n]
+		}
+	}
+	return make([]byte, n)
+}
+
+// list returns a spare entry list, emptied, or nil.
+func (st *store) list() []dirent {
+	n := len(st.lists)
+	if n == 0 {
+		return nil
+	}
+	l := st.lists[n-1]
+	st.lists = st.lists[:n-1]
+	return l
 }

@@ -152,7 +152,7 @@ func TestTruncateShrinkAndGrow(t *testing.T) {
 		t.Fatal(e)
 	}
 	size := int64(4)
-	if e := f.Setattr(ino, vfs.SetAttr{Size: &size}); e != errno.OK {
+	if e := f.Setattr(ino, vfs.SetAttr{Valid: vfs.AttrSize, Size: size}); e != errno.OK {
 		t.Fatalf("shrink: %v", e)
 	}
 	got, _ := f.Read(ino, 0, 100, nil)
@@ -161,7 +161,7 @@ func TestTruncateShrinkAndGrow(t *testing.T) {
 	}
 	// Grow back: the exposed region must read as zeros.
 	size = 8
-	if e := f.Setattr(ino, vfs.SetAttr{Size: &size}); e != errno.OK {
+	if e := f.Setattr(ino, vfs.SetAttr{Valid: vfs.AttrSize, Size: size}); e != errno.OK {
 		t.Fatalf("grow: %v", e)
 	}
 	got, _ = f.Read(ino, 0, 100, nil)
@@ -178,7 +178,7 @@ func TestTruncateBugLeavesGarbage(t *testing.T) {
 		t.Fatal(e)
 	}
 	size := int64(8)
-	if e := f.Setattr(ino, vfs.SetAttr{Size: &size}); e != errno.OK {
+	if e := f.Setattr(ino, vfs.SetAttr{Valid: vfs.AttrSize, Size: size}); e != errno.OK {
 		t.Fatal(e)
 	}
 	got, _ := f.Read(ino, 0, 8, nil)
@@ -197,7 +197,7 @@ func TestTruncateNegativeSize(t *testing.T) {
 	f := newFS(t)
 	ino := mustCreate(t, f, f.Root(), "file1")
 	size := int64(-1)
-	if e := f.Setattr(ino, vfs.SetAttr{Size: &size}); e != errno.EINVAL {
+	if e := f.Setattr(ino, vfs.SetAttr{Valid: vfs.AttrSize, Size: size}); e != errno.EINVAL {
 		t.Errorf("negative truncate = %v, want EINVAL", e)
 	}
 }
@@ -206,7 +206,7 @@ func TestTruncateDirIsEISDIR(t *testing.T) {
 	f := newFS(t)
 	d := mustMkdir(t, f, f.Root(), "dir")
 	size := int64(0)
-	if e := f.Setattr(d, vfs.SetAttr{Size: &size}); e != errno.EISDIR {
+	if e := f.Setattr(d, vfs.SetAttr{Valid: vfs.AttrSize, Size: size}); e != errno.EISDIR {
 		t.Errorf("truncate dir = %v, want EISDIR", e)
 	}
 }
@@ -315,7 +315,7 @@ func TestChmodChown(t *testing.T) {
 	ino := mustCreate(t, f, f.Root(), "file")
 	mode := vfs.Mode(0600)
 	uid, gid := uint32(10), uint32(20)
-	if e := f.Setattr(ino, vfs.SetAttr{Mode: &mode, UID: &uid, GID: &gid}); e != errno.OK {
+	if e := f.Setattr(ino, vfs.SetAttr{Valid: vfs.AttrMode | vfs.AttrUID | vfs.AttrGID, Mode: mode, UID: uid, GID: gid}); e != errno.OK {
 		t.Fatal(e)
 	}
 	st, _ := f.Getattr(ino)

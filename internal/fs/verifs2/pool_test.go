@@ -13,6 +13,7 @@ import (
 
 	"mcfs/internal/errno"
 	"mcfs/internal/simclock"
+	"mcfs/internal/spare"
 	"mcfs/internal/vfs"
 )
 
@@ -38,16 +39,26 @@ var poolConfigs = []struct {
 	{"six-blocks", []Option{WithCapacity(6, 10)}},
 }
 
-// fingerprint renders the whole internal state: the inode counter, the
-// block count, and every field of every inode — every byte of every
-// block, those past EOF included.
-func fingerprint(f *FS) string {
+// fingerprint renders the whole internal state: the next inode number,
+// the live and block counts, and every field of every inode — every byte
+// of every block, those past EOF included. A free number's slot must be
+// the zero slot.
+func fingerprint(t testing.TB, f *FS) string {
+	t.Helper()
 	var b strings.Builder
-	fmt.Fprintf(&b, "nextIno=%d usedBlocks=%d\n", f.nextIno, f.usedBlocks)
-	for _, ino := range sortedKeys(f.inodes) {
-		nd := f.inodes[ino].nd
+	fmt.Fprintf(&b, "nextIno=%d live=%d usedBlocks=%d\n", len(f.inodes), f.live, f.usedBlocks)
+	live := 0
+	for ino, s := range f.inodes {
+		nd := s.nd
+		if nd == nil {
+			if s != (slot{}) {
+				t.Fatalf("free inode number %d has the slot %+v, want the zero slot", ino, s)
+			}
+			continue
+		}
+		live++
 		fmt.Fprintf(&b, "%d mode=%o nlink=%d uid=%d gid=%d size=%d times=%d/%d/%d target=%q parent=%d order=%q",
-			ino, nd.mode, nd.nlink, nd.uid, nd.gid, nd.size, f.inodes[ino].atime, nd.mtime, nd.ctime, nd.target, nd.parent, nd.order)
+			ino, nd.mode, nd.nlink, nd.uid, nd.gid, nd.size, s.atime, nd.mtime, nd.ctime, nd.target, nd.parent, nd.order)
 		for _, name := range sortedKeys(nd.entries) {
 			fmt.Fprintf(&b, " %s=%d", name, nd.entries[name])
 		}
@@ -59,10 +70,20 @@ func fingerprint(f *FS) string {
 		}
 		b.WriteByte('\n')
 	}
+	if live != f.live {
+		t.Fatalf("the table holds %d inodes, its live count says %d", live, f.live)
+	}
+	// A released table pins nothing: the next checkpoint fills it from
+	// the start, and a slot it left behind would hold its inode.
+	for i, snap := range f.free {
+		if len(snap.inodes) != 0 || slices.ContainsFunc(snap.inodes[:cap(snap.inodes)], func(s slot) bool { return s != (slot{}) }) {
+			t.Fatalf("released table %d holds %d slots, or a slot past its end is not zero", i, len(snap.inodes))
+		}
+	}
 	return b.String()
 }
 
-func sortedKeys[K ~string | ~uint64, V any](m map[K]V) []K {
+func sortedKeys[K ~string, V any](m map[K]V) []K {
 	keys := make([]K, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -72,12 +93,16 @@ func sortedKeys[K ~string | ~uint64, V any](m map[K]V) []K {
 }
 
 // deepCopy is the reference checkpoint: a new FS holding its own copy of
-// every inode, block, xattr and directory map of f, and an empty pool.
+// every inode, block, xattr and directory map of f, an empty pool and no
+// spares.
 func deepCopy(f *FS) *FS {
 	c := *f
-	c.inodes = make(map[vfs.Ino]slot, len(f.inodes))
+	c.inodes = make([]slot, len(f.inodes))
 	for ino, s := range f.inodes {
 		nd := s.nd
+		if nd == nil {
+			continue
+		}
 		n := *nd
 		n.blocks = make([][]byte, len(nd.blocks))
 		for i, blk := range nd.blocks {
@@ -94,6 +119,8 @@ func deepCopy(f *FS) *FS {
 		c.inodes[ino] = slot{&n, s.atime}
 	}
 	c.snapshots = make(map[uint64]*snapshot)
+	c.free = nil
+	c.spare = spare.Slot[*store]{}
 	return &c
 }
 
@@ -135,8 +162,8 @@ const poolOps = "ccmmwwwwttuurrrnnlllyxXRds"
 func decodeOp(s *opBytes, f *FS) fsOp {
 	o := fsOp{
 		kind: poolOps[s.next()%byte(len(poolOps))],
-		ino:  vfs.Ino(1 + int(s.next())%int(f.nextIno-1)),
-		ino2: vfs.Ino(1 + int(s.next())%int(f.nextIno-1)),
+		ino:  vfs.Ino(1 + int(s.next())%(len(f.inodes)-1)),
+		ino2: vfs.Ino(1 + int(s.next())%(len(f.inodes)-1)),
 	}
 	pick := int(s.next())
 	o.name, o.name2 = poolNames[pick%len(poolNames)], poolNames[pick/len(poolNames)%len(poolNames)]
@@ -167,7 +194,7 @@ func (o fsOp) apply(f *FS) (string, errno.Errno) {
 		return fmt.Sprint(n), e
 	case 't':
 		size := o.off
-		return "", f.Setattr(o.ino, vfs.SetAttr{Size: &size})
+		return "", f.Setattr(o.ino, vfs.SetAttr{Valid: vfs.AttrSize, Size: size})
 	case 'u':
 		return "", f.Unlink(o.ino, o.name)
 	case 'r':
@@ -191,7 +218,7 @@ func (o fsOp) apply(f *FS) (string, errno.Errno) {
 		return fmt.Sprint(ents), e
 	default:
 		mode, uid, atime := vfs.Mode(o.fill)&0o777, uint32(o.size), time.Duration(o.off)
-		return "", f.Setattr(o.ino, vfs.SetAttr{Mode: &mode, UID: &uid, Atime: &atime})
+		return "", f.Setattr(o.ino, vfs.SetAttr{Valid: vfs.AttrMode | vfs.AttrUID | vfs.AttrAtime, Mode: mode, UID: uid, Atime: atime})
 	}
 }
 
@@ -213,7 +240,7 @@ func newTwin(t testing.TB, opts []Option) *twin {
 
 func (w *twin) same(step string) {
 	w.t.Helper()
-	if got, want := fingerprint(w.fs), fingerprint(w.ref); got != want {
+	if got, want := fingerprint(w.t, w.fs), fingerprint(w.t, w.ref); got != want {
 		w.t.Fatalf("after %s the state differs from the deep-copy reference:\ngot\n%s\nwant\n%s", step, got, want)
 	}
 	if got, want := w.fs.SnapshotCount(), len(w.snaps); got != want {
@@ -321,6 +348,52 @@ func TestNestedCheckpointsDoNotAlias(t *testing.T) {
 				if ok[kind] < 50 {
 					t.Errorf("the walks made %d successful %q calls, want at least 50", ok[kind], kind)
 				}
+			}
+		})
+	}
+}
+
+// TestRecycledCopiesStayPrivate runs 240 checkpoint → walk → restore or
+// discard cycles on one file system against the deep-copy twin, with up
+// to three snapshots open and ended in any order. Each restore hands the
+// copies its epoch made to the spare store, and the next cycles' ops
+// reuse them while older snapshots still share what they were copied
+// from, so a recycled part that a snapshot can still reach, a released
+// table that still names it, or recycled memory handed out without its
+// garbage shows up as a difference from the twin.
+func TestRecycledCopiesStayPrivate(t *testing.T) {
+	for _, cfg := range poolConfigs {
+		t.Run(cfg.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(1))
+			w := newTwin(t, cfg.opts)
+			w.walk(rng, 24)
+			var open []uint64
+			restores, spares := 0, 0
+			for key := uint64(0); key < 240; key++ {
+				w.checkpoint(key)
+				open = append(open, key)
+				w.walk(rng, 6)
+				for len(open) == 3 || (len(open) > 0 && rng.Intn(2) == 0) {
+					i := rng.Intn(len(open))
+					if rng.Intn(4) == 0 {
+						w.discard(open[i])
+					} else {
+						w.restore(open[i])
+						restores++
+						if st := w.fs.spares(); st != nil && len(st.inodes) > 0 {
+							spares++
+						}
+					}
+					open = slices.Delete(open, i, i+1)
+					w.walk(rng, 3)
+				}
+			}
+			// A collection may take the store back, but not after most
+			// restores: the walk must reach recycled memory.
+			if spares < restores/2 {
+				t.Errorf("the spare store held an inode after %d of %d restores, want at least half", spares, restores)
+			} else {
+				t.Logf("the spare store held an inode after %d of %d restores", spares, restores)
 			}
 		})
 	}

@@ -7,10 +7,11 @@
 // capacity limit (so ENOSPC paths are exercised). Like VeriFS1 it
 // implements the checkpoint/restore API the paper proposes, which is what
 // lets MCFS track its complete state without unmount/remount cycles. A
-// checkpoint copies the inode map and shares every inode with the live
-// file system; an op copies an inode on its first write after a
-// checkpoint or restore, and its blocks, xattrs or directory map only
-// when it writes them.
+// checkpoint copies the inode table into a reused snapshot table and
+// shares every inode with the live file system; an op copies an inode on
+// its first write after a checkpoint or restore, and its blocks, xattrs
+// or directory map only when it writes them. A restore hands the copies
+// no snapshot can reach to the next ops, which reuse them.
 //
 // The paper reports two bugs found in VeriFS2 while model-checking it
 // against VeriFS1 (§6); both are reproducible here via options:
@@ -26,7 +27,6 @@
 package verifs2
 
 import (
-	"bytes"
 	"maps"
 	"slices"
 	"sort"
@@ -34,6 +34,7 @@ import (
 
 	"mcfs/internal/errno"
 	"mcfs/internal/simclock"
+	"mcfs/internal/spare"
 	"mcfs/internal/vfs"
 )
 
@@ -105,7 +106,7 @@ const (
 	ownAll     = ownBlocks | ownXattrs | ownEntries
 )
 
-// slot is one entry of the inode map. The atime is kept by value beside
+// slot is one entry of the inode table. The atime is kept by value beside
 // the shared inode, not in it: Read and ReadDir move it on every inode
 // the checker's abstraction walk visits after every op, and a write that
 // lands in the slot copies no inode.
@@ -117,21 +118,26 @@ type slot struct {
 // private copies the parts p of nd that a snapshot may still share. nd
 // must come from FS.mut. A block list is copied block by block; an xattr
 // map shares its values, which are never written in place.
-func (nd *inode) private(p parts) {
+func (f *FS) private(nd *inode, p parts) {
 	p &^= nd.own
-	if p&ownBlocks != 0 {
-		blocks := make([][]byte, len(nd.blocks))
-		for i, b := range nd.blocks {
-			blocks[i] = bytes.Clone(b)
+	if p&ownBlocks != 0 && nd.blocks != nil {
+		st := f.spares()
+		list, _ := pop(&st.lists)
+		blocks := append(list, nd.blocks...)
+		for i, b := range blocks {
+			blocks[i] = st.block(len(b))
+			copy(blocks[i], b)
 		}
 		nd.blocks = blocks
 	}
-	if p&ownXattrs != 0 {
-		nd.xattrs = maps.Clone(nd.xattrs)
+	if p&ownXattrs != 0 && nd.xattrs != nil {
+		nd.xattrs = copyMap(&f.spares().xattrs, nd.xattrs)
 	}
-	if p&ownEntries != 0 {
-		nd.entries = maps.Clone(nd.entries)
-		nd.order = slices.Clone(nd.order)
+	if p&ownEntries != 0 && nd.entries != nil {
+		st := f.spares()
+		nd.entries = copyMap(&st.dirs, nd.entries)
+		order, _ := pop(&st.orders)
+		nd.order = append(order, nd.order...)
 	}
 	nd.own |= p
 }
@@ -143,8 +149,11 @@ type FS struct {
 	maxBlocks int
 	maxInodes int
 
-	inodes     map[vfs.Ino]slot
-	nextIno    vfs.Ino
+	// inodes is indexed by inode number, and a number no inode holds
+	// has the zero slot. VeriFS2 never reuses a number, so the table's
+	// length is the next one it hands out.
+	inodes     []slot
+	live       int // inodes the table holds, for StatFS and the limit
 	usedBlocks int
 	// epoch counts checkpoints and restores; an inode whose epoch differs
 	// may be shared with a snapshot (see inode.epoch). At one per op it
@@ -155,11 +164,17 @@ type FS struct {
 	sizeBug bool
 
 	snapshots map[uint64]*snapshot
+	// free holds the snapshots restores and discards released, their
+	// tables cleared, for the next checkpoints to fill.
+	free []*snapshot
+	// spare holds what restores found no snapshot can reach, for the next
+	// ops' copies; a collection may take it back.
+	spare spare.Slot[*store]
 }
 
 type snapshot struct {
-	inodes     map[vfs.Ino]slot
-	nextIno    vfs.Ino
+	inodes     []slot
+	live       int
 	usedBlocks int
 }
 
@@ -178,22 +193,21 @@ func New(clock *simclock.Clock, opts ...Option) *FS {
 		blockSize: DefaultBlockSize,
 		maxBlocks: DefaultMaxBlocks,
 		maxInodes: DefaultMaxInodes,
-		inodes:    make(map[vfs.Ino]slot),
-		nextIno:   2,
 		snapshots: make(map[uint64]*snapshot),
 	}
 	for _, o := range opts {
 		o(f)
 	}
 	now := f.now()
-	f.inodes[1] = slot{&inode{
+	f.inodes = []slot{{}, {&inode{
 		mode:  vfs.ModeDir | 0755,
 		nlink: 2,
 		mtime: now, ctime: now,
 		entries: make(map[string]vfs.Ino),
 		parent:  1,
 		own:     ownAll,
-	}, now}
+	}, now}}
+	f.live = 1
 	return f
 }
 
@@ -208,32 +222,41 @@ func (f *FS) now() time.Duration {
 }
 
 // get returns ino's inode for reading, nil if there is none.
-func (f *FS) get(ino vfs.Ino) *inode { return f.inodes[ino].nd }
+func (f *FS) get(ino vfs.Ino) *inode {
+	if ino >= vfs.Ino(len(f.inodes)) {
+		return nil
+	}
+	return f.inodes[ino].nd
+}
+
+// remove drops ino's inode from the table.
+func (f *FS) remove(ino vfs.Ino) {
+	f.inodes[ino] = slot{}
+	f.live--
+}
 
 // mut returns ino's inode ready for writing; ino must exist. The first
 // write after a checkpoint or restore copies the inode shallowly — its
 // parts stay shared until private copies them — and later writes in the
 // same epoch find it private. Every write to an inode goes through here.
 func (f *FS) mut(ino vfs.Ino) *inode {
-	s := f.inodes[ino]
+	s := &f.inodes[ino]
 	if s.nd.epoch != f.epoch {
-		c := *s.nd
+		c := f.spares().inode()
+		*c = *s.nd
 		c.epoch, c.own = f.epoch, 0
-		s.nd = &c
-		f.inodes[ino] = s
+		s.nd = c
 	}
 	return s.nd
 }
 
 // setAtime sets ino's atime, which lives in its slot; ino must exist.
-func (f *FS) setAtime(ino vfs.Ino, t time.Duration) {
-	s := f.inodes[ino]
-	s.atime = t
-	f.inodes[ino] = s
-}
+func (f *FS) setAtime(ino vfs.Ino, t time.Duration) { f.inodes[ino].atime = t }
 
-func allocBlock(n int) []byte {
-	b := make([]byte, n)
+// allocBlock returns a block filled with the garbage pattern, a recycled
+// one as much as a new one.
+func (f *FS) allocBlock() []byte {
+	b := f.spares().block(f.blockSize)
 	for i := range b {
 		b[i] = garbageByte
 	}
@@ -269,11 +292,10 @@ func (f *FS) Lookup(parent vfs.Ino, name string) (vfs.Ino, errno.Errno) {
 
 // Getattr implements vfs.FS.
 func (f *FS) Getattr(ino vfs.Ino) (vfs.Stat, errno.Errno) {
-	s, ok := f.inodes[ino]
-	if !ok {
+	nd := f.get(ino)
+	if nd == nil {
 		return vfs.Stat{}, errno.ENOENT
 	}
-	nd := s.nd
 	size := nd.size
 	if nd.mode.IsSymlink() {
 		size = int64(len(nd.target))
@@ -292,7 +314,7 @@ func (f *FS) Getattr(ino vfs.Ino) (vfs.Stat, errno.Errno) {
 		GID:    nd.gid,
 		Size:   size,
 		Blocks: int64(len(nd.blocks)) * int64(f.blockSize) / 512,
-		Atime:  s.atime,
+		Atime:  f.inodes[ino].atime,
 		Mtime:  nd.mtime,
 		Ctime:  nd.ctime,
 	}, errno.OK
@@ -305,33 +327,33 @@ func (f *FS) Setattr(ino vfs.Ino, attr vfs.SetAttr) errno.Errno {
 	}
 	nd := f.mut(ino)
 	now := f.now()
-	if attr.Mode != nil {
+	if attr.Has(vfs.AttrMode) {
 		nd.mode = nd.mode&vfs.ModeMask | attr.Mode.Perm()
 		nd.ctime = now
 	}
-	if attr.UID != nil {
-		nd.uid = *attr.UID
+	if attr.Has(vfs.AttrUID) {
+		nd.uid = attr.UID
 		nd.ctime = now
 	}
-	if attr.GID != nil {
-		nd.gid = *attr.GID
+	if attr.Has(vfs.AttrGID) {
+		nd.gid = attr.GID
 		nd.ctime = now
 	}
-	if attr.Size != nil {
+	if attr.Has(vfs.AttrSize) {
 		if nd.mode.IsDir() {
 			return errno.EISDIR
 		}
-		if e := f.truncate(nd, *attr.Size); e != errno.OK {
+		if e := f.truncate(nd, attr.Size); e != errno.OK {
 			return e
 		}
 		nd.mtime = now
 		nd.ctime = now
 	}
-	if attr.Atime != nil {
-		f.setAtime(ino, *attr.Atime)
+	if attr.Has(vfs.AttrAtime) {
+		f.setAtime(ino, attr.Atime)
 	}
-	if attr.Mtime != nil {
-		nd.mtime = *attr.Mtime
+	if attr.Has(vfs.AttrMtime) {
+		nd.mtime = attr.Mtime
 	}
 	return errno.OK
 }
@@ -345,7 +367,10 @@ func (f *FS) ensureBlocks(nd *inode, size int64) errno.Errno {
 		if f.usedBlocks >= f.maxBlocks {
 			return errno.ENOSPC
 		}
-		nd.blocks = append(nd.blocks, allocBlock(f.blockSize))
+		if nd.blocks == nil {
+			nd.blocks, _ = pop(&f.spares().lists)
+		}
+		nd.blocks = append(nd.blocks, f.allocBlock())
 		f.usedBlocks++
 	}
 	return errno.OK
@@ -387,7 +412,7 @@ func (f *FS) truncate(nd *inode, size int64) errno.Errno {
 		nd.size = size
 		f.releaseBlocksBeyond(nd, size)
 	default:
-		nd.private(ownBlocks)
+		f.private(nd, ownBlocks)
 		if e := f.ensureBlocks(nd, size); e != errno.OK {
 			return e
 		}
@@ -428,11 +453,12 @@ func (f *FS) makeNode(parent vfs.Ino, name string, mode vfs.Mode, uid, gid uint3
 	if _, ok := dir.entries[name]; ok {
 		return 0, nil, errno.EEXIST
 	}
-	if len(f.inodes) >= f.maxInodes {
+	if f.live >= f.maxInodes {
 		return 0, nil, errno.ENOSPC
 	}
 	now := f.now()
-	nd := &inode{
+	nd := f.spares().inode()
+	*nd = inode{
 		mode: mode,
 		uid:  uid, gid: gid,
 		mtime: now, ctime: now,
@@ -441,15 +467,15 @@ func (f *FS) makeNode(parent vfs.Ino, name string, mode vfs.Mode, uid, gid uint3
 	dir = f.mut(parent)
 	if mode.IsDir() {
 		nd.nlink = 2
-		nd.entries = make(map[string]vfs.Ino)
+		nd.entries = copyMap(&f.spares().dirs, nil)
 		nd.parent = parent
 		dir.nlink++
 	} else {
 		nd.nlink = 1
 	}
-	ino := f.nextIno
-	f.nextIno++
-	f.inodes[ino] = slot{nd, now}
+	ino := vfs.Ino(len(f.inodes))
+	f.inodes = append(f.inodes, slot{nd, now})
+	f.live++
 	f.addEntry(dir, name, ino)
 	dir.mtime = now
 	dir.ctime = now
@@ -458,13 +484,13 @@ func (f *FS) makeNode(parent vfs.Ino, name string, mode vfs.Mode, uid, gid uint3
 
 // addEntry and removeEntry edit a directory that mut returned.
 func (f *FS) addEntry(dir *inode, name string, ino vfs.Ino) {
-	dir.private(ownEntries)
+	f.private(dir, ownEntries)
 	dir.entries[name] = ino
 	dir.order = append(dir.order, name)
 }
 
 func (f *FS) removeEntry(dir *inode, name string) {
-	dir.private(ownEntries)
+	f.private(dir, ownEntries)
 	delete(dir.entries, name)
 	for i, n := range dir.order {
 		if n == name {
@@ -478,7 +504,7 @@ func (f *FS) removeEntry(dir *inode, name string) {
 func (f *FS) dropLink(ino vfs.Ino) {
 	if nd := f.get(ino); nd.nlink == 1 {
 		f.usedBlocks -= len(nd.blocks)
-		delete(f.inodes, ino)
+		f.remove(ino)
 		return
 	}
 	nd := f.mut(ino)
@@ -552,7 +578,7 @@ func (f *FS) Rmdir(parent vfs.Ino, name string) errno.Errno {
 	}
 	dir = f.mut(parent)
 	f.removeEntry(dir, name)
-	delete(f.inodes, ino)
+	f.remove(ino)
 	dir.nlink--
 	now := f.now()
 	dir.mtime = now
@@ -620,7 +646,7 @@ func (f *FS) Write(ino vfs.Ino, off int64, data []byte) (int, errno.Errno) {
 		return 0, errno.EINVAL
 	}
 	nd = f.mut(ino)
-	nd.private(ownBlocks)
+	f.private(nd, ownBlocks)
 	end := off + int64(len(data))
 	grewBeyondCapacity := end > int64(len(nd.blocks))*int64(f.blockSize)
 	if e := f.ensureBlocks(nd, end); e != errno.OK {
@@ -700,7 +726,7 @@ func (f *FS) StatFS() (vfs.StatFS, errno.Errno) {
 		TotalBlocks: int64(f.maxBlocks),
 		FreeBlocks:  int64(f.maxBlocks - f.usedBlocks),
 		TotalInodes: int64(f.maxInodes),
-		FreeInodes:  int64(f.maxInodes - len(f.inodes)),
+		FreeInodes:  int64(f.maxInodes - f.live),
 	}, errno.OK
 }
 
@@ -767,7 +793,7 @@ func (f *FS) Rename(oldParent vfs.Ino, oldName string, newParent vfs.Ino, newNam
 		ndir = f.mut(newParent)
 		f.removeEntry(ndir, newName)
 		if dst.mode.IsDir() {
-			delete(f.inodes, dstIno)
+			f.remove(dstIno)
 			ndir.nlink--
 		} else {
 			f.dropLink(dstIno)
@@ -857,9 +883,9 @@ func (f *FS) SetXattr(ino vfs.Ino, name string, value []byte) errno.Errno {
 		return errno.ERANGE
 	}
 	nd = f.mut(ino)
-	nd.private(ownXattrs)
+	f.private(nd, ownXattrs)
 	if nd.xattrs == nil {
-		nd.xattrs = make(map[string][]byte)
+		nd.xattrs = copyMap(&f.spares().xattrs, nil)
 	}
 	v := make([]byte, len(value))
 	copy(v, value)
@@ -907,50 +933,103 @@ func (f *FS) RemoveXattr(ino vfs.Ino, name string) errno.Errno {
 		return errno.ENODATA
 	}
 	nd = f.mut(ino)
-	nd.private(ownXattrs)
+	f.private(nd, ownXattrs)
 	delete(nd.xattrs, name)
 	nd.ctime = f.now()
 	return errno.OK
 }
 
 // CheckpointState implements vfs.Checkpointer: the snapshot is a copy of
-// the inode map, which shares every inode with the live file system, and
-// a new epoch starts, so that an op copies an inode before its first
-// write (mut).
+// the inode table, into a table an earlier snapshot released, which
+// shares every inode with the live file system; and a new epoch starts,
+// so that an op copies an inode before its first write (mut).
 func (f *FS) CheckpointState(key uint64) errno.Errno {
-	f.snapshots[key] = &snapshot{
-		inodes:     maps.Clone(f.inodes),
-		nextIno:    f.nextIno,
-		usedBlocks: f.usedBlocks,
+	var snap *snapshot
+	if n := len(f.free); n > 0 {
+		snap, f.free = f.free[n-1], f.free[:n-1]
+	} else {
+		snap = new(snapshot)
 	}
+	snap.inodes = append(snap.inodes, f.inodes...)
+	snap.live, snap.usedBlocks = f.live, f.usedBlocks
+	f.snapshots[key] = snap
 	f.epoch++
 	return errno.OK
 }
 
 // RestoreState implements vfs.Checkpointer. The snapshot is consumed, so
-// the live file system adopts its inode map instead of copying it. Other
-// snapshots may share those inodes, so a new epoch starts.
+// the live file system swaps tables with it instead of copying it back,
+// and the snapshot goes to the free list with the old live table,
+// cleared. Before that, every inode this epoch copied or created goes to
+// the spare store with the parts it owns: every checkpoint starts a new
+// epoch, so no snapshot can reach them. Other snapshots may share the
+// inodes the live file system adopts, so a new epoch starts.
 func (f *FS) RestoreState(key uint64) errno.Errno {
 	snap, ok := f.snapshots[key]
 	if !ok {
 		return errno.ENOENT
 	}
-	f.inodes = snap.inodes
-	f.nextIno = snap.nextIno
-	f.usedBlocks = snap.usedBlocks
+	f.recycle()
+	f.inodes, snap.inodes = snap.inodes, f.inodes
+	f.live, f.usedBlocks = snap.live, snap.usedBlocks
 	delete(f.snapshots, key)
+	f.release(snap)
 	f.epoch++
 	return errno.OK
 }
 
 // DiscardState implements vfs.Checkpointer: it drops the snapshot stored
-// under key without touching the live state.
+// under key without touching the live state. Its table goes to the free
+// list, but nothing the table names goes to the spare store: the live
+// file system and other snapshots may share all of it.
 func (f *FS) DiscardState(key uint64) errno.Errno {
-	if _, ok := f.snapshots[key]; !ok {
+	snap, ok := f.snapshots[key]
+	if !ok {
 		return errno.ENOENT
 	}
 	delete(f.snapshots, key)
+	f.release(snap)
 	return errno.OK
+}
+
+// release clears snap's table and puts snap on the free list.
+func (f *FS) release(snap *snapshot) {
+	clear(snap.inodes)
+	snap.inodes = snap.inodes[:0]
+	f.free = append(f.free, snap)
+}
+
+// recycle gives the spare store every inode of the live table that the
+// current epoch copied or created, with each part its own bits mark
+// private: the blocks and the block list, the directory map and order,
+// and the xattr map but not its values, which copies share.
+func (f *FS) recycle() {
+	st := f.spares()
+	for _, s := range f.inodes {
+		nd := s.nd
+		if nd == nil || nd.epoch != f.epoch {
+			continue
+		}
+		if nd.own&ownBlocks != 0 && cap(nd.blocks) > 0 {
+			st.blocks = append(st.blocks, nd.blocks...)
+			clear(nd.blocks[:cap(nd.blocks)])
+			st.lists = append(st.lists, nd.blocks[:0])
+		}
+		if nd.own&ownXattrs != 0 && nd.xattrs != nil {
+			clear(nd.xattrs)
+			st.xattrs = append(st.xattrs, nd.xattrs)
+		}
+		if nd.own&ownEntries != 0 && nd.entries != nil {
+			clear(nd.entries)
+			st.dirs = append(st.dirs, nd.entries)
+			if cap(nd.order) > 0 {
+				clear(nd.order[:cap(nd.order)])
+				st.orders = append(st.orders, nd.order[:0])
+			}
+		}
+		*nd = inode{}
+		st.inodes = append(st.inodes, nd)
+	}
 }
 
 // SnapshotCount reports how many snapshots the pool currently holds.
@@ -961,6 +1040,9 @@ func (f *FS) StateBytes() int64 {
 	total := int64(0)
 	for _, s := range f.inodes {
 		nd := s.nd
+		if nd == nil {
+			continue
+		}
 		total += 128
 		total += int64(len(nd.blocks)) * int64(f.blockSize)
 		total += int64(len(nd.target))
@@ -972,4 +1054,68 @@ func (f *FS) StateBytes() int64 {
 		}
 	}
 	return total
+}
+
+// store holds what restores found no snapshot can reach: inodes, blocks,
+// block lists, directory maps and orders, and xattr maps, each emptied.
+type store struct {
+	inodes []*inode
+	blocks [][]byte
+	lists  [][][]byte
+	dirs   []map[string]vfs.Ino
+	orders [][]string
+	xattrs []map[string][]byte
+}
+
+// spares returns the spare store, a new one if a collection has taken
+// the last one back.
+func (f *FS) spares() *store {
+	st, ok := f.spare.Take()
+	if !ok {
+		st = new(store)
+	}
+	f.spare.Put(st)
+	return st
+}
+
+// pop removes and returns the last element of s; ok is false if s is
+// empty.
+func pop[T any](s *[]T) (v T, ok bool) {
+	if len(*s) == 0 {
+		return v, false
+	}
+	n := len(*s) - 1
+	v = (*s)[n]
+	*s = (*s)[:n]
+	return v, true
+}
+
+// inode returns a spare inode, or a new one.
+func (st *store) inode() *inode {
+	if nd, ok := pop(&st.inodes); ok {
+		return nd
+	}
+	return new(inode)
+}
+
+// block returns a spare block, or a new one of n bytes; its contents
+// are unspecified.
+func (st *store) block(n int) []byte {
+	if b, ok := pop(&st.blocks); ok {
+		return b
+	}
+	return make([]byte, n)
+}
+
+// copyMap returns a map holding what from holds: the last of spares, or
+// a new one. Values are copied as they are, so xattr values stay shared.
+func copyMap[K comparable, V any](spares *[]map[K]V, from map[K]V) map[K]V {
+	if m, ok := pop(spares); ok {
+		maps.Copy(m, from)
+		return m
+	}
+	if from == nil {
+		return make(map[K]V)
+	}
+	return maps.Clone(from)
 }

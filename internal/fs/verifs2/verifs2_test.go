@@ -146,7 +146,7 @@ func TestENOSPC(t *testing.T) {
 	}
 	// Shrinking releases blocks, allowing new writes.
 	size := int64(0)
-	if e := f.Setattr(ino, vfs.SetAttr{Size: &size}); e != errno.OK {
+	if e := f.Setattr(ino, vfs.SetAttr{Valid: vfs.AttrSize, Size: size}); e != errno.OK {
 		t.Fatal(e)
 	}
 	if _, e := f.Write(ino, 0, []byte("fits")); e != errno.OK {

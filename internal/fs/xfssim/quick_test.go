@@ -33,7 +33,7 @@ func applyQuickOp(f *FS, op quickOp) {
 	case 2:
 		if ino, e := f.Lookup(f.Root(), name); e == errno.OK {
 			size := int64(op.Off % 8192)
-			f.Setattr(ino, vfs.SetAttr{Size: &size})
+			f.Setattr(ino, vfs.SetAttr{Valid: vfs.AttrSize, Size: size})
 		}
 	case 3:
 		f.Unlink(f.Root(), name)

@@ -131,7 +131,7 @@ func TestSparseReadZeros(t *testing.T) {
 	f, _, _ := newVolume(t)
 	ino := mustCreate(t, f, f.Root(), "sparse")
 	size := int64(10000)
-	if e := f.Setattr(ino, vfs.SetAttr{Size: &size}); e != errno.OK {
+	if e := f.Setattr(ino, vfs.SetAttr{Valid: vfs.AttrSize, Size: size}); e != errno.OK {
 		t.Fatal(e)
 	}
 	got, e := f.Read(ino, 0, 10000, nil)

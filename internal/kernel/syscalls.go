@@ -36,8 +36,7 @@ func (k *Kernel) Open(path string, flags vfs.OpenFlag, mode vfs.Mode) (FD, errno
 		}
 		ino = r.ino
 		if flags&vfs.OTrunc != 0 && flags.Writable() && st.Mode.IsRegular() {
-			zero := int64(0)
-			if e2 := m.fs.Setattr(ino, vfs.SetAttr{Size: &zero}); e2 != errno.OK {
+			if e2 := m.fs.Setattr(ino, vfs.SetAttr{Valid: vfs.AttrSize, Size: 0}); e2 != errno.OK {
 				return -1, e2
 			}
 			m.attrDirty(ino)
@@ -452,8 +451,7 @@ func (k *Kernel) Chmod(path string, mode vfs.Mode) errno.Errno {
 		return errno.ENOENT
 	}
 	m := r.mount
-	mp := mode.Perm()
-	if e := m.fs.Setattr(r.ino, vfs.SetAttr{Mode: &mp}); e != errno.OK {
+	if e := m.fs.Setattr(r.ino, vfs.SetAttr{Valid: vfs.AttrMode, Mode: mode.Perm()}); e != errno.OK {
 		return e
 	}
 	m.attrDirty(r.ino)
@@ -471,7 +469,7 @@ func (k *Kernel) Chown(path string, uid, gid uint32) errno.Errno {
 		return errno.ENOENT
 	}
 	m := r.mount
-	if e := m.fs.Setattr(r.ino, vfs.SetAttr{UID: &uid, GID: &gid}); e != errno.OK {
+	if e := m.fs.Setattr(r.ino, vfs.SetAttr{Valid: vfs.AttrUID | vfs.AttrGID, UID: uid, GID: gid}); e != errno.OK {
 		return e
 	}
 	m.attrDirty(r.ino)
@@ -489,7 +487,7 @@ func (k *Kernel) Truncate(path string, size int64) errno.Errno {
 		return errno.ENOENT
 	}
 	m := r.mount
-	if e := m.fs.Setattr(r.ino, vfs.SetAttr{Size: &size}); e != errno.OK {
+	if e := m.fs.Setattr(r.ino, vfs.SetAttr{Valid: vfs.AttrSize, Size: size}); e != errno.OK {
 		return e
 	}
 	m.attrDirty(r.ino)

@@ -110,18 +110,38 @@ func (f OpenFlag) Writable() bool {
 	return m == OWrOnly || m == ORdWr
 }
 
-// SetAttr describes a metadata update for Setattr; nil fields are left
-// unchanged. It corresponds to the setattr/iattr structure in Linux.
+// SetAttr describes a metadata update for Setattr: Valid names the
+// fields to set, and the others are left unchanged. It corresponds to
+// the iattr structure in Linux, whose ia_valid mask Valid is. It holds
+// values, not pointers, so passing one through an interface method
+// allocates nothing.
 type SetAttr struct {
-	Mode *Mode
-	UID  *uint32
-	GID  *uint32
+	Valid AttrMask
+	Mode  Mode
+	UID   uint32
+	GID   uint32
 	// Size, when set, truncates or extends the file, zero-filling any
 	// newly exposed bytes.
-	Size  *int64
-	Atime *time.Duration
-	Mtime *time.Duration
+	Size  int64
+	Atime time.Duration
+	Mtime time.Duration
 }
+
+// AttrMask is a set of SetAttr fields, like Linux's ATTR_* bits.
+type AttrMask uint8
+
+// The SetAttr fields an AttrMask names.
+const (
+	AttrMode AttrMask = 1 << iota
+	AttrUID
+	AttrGID
+	AttrSize
+	AttrAtime
+	AttrMtime
+)
+
+// Has reports whether a sets every field in m.
+func (a SetAttr) Has(m AttrMask) bool { return a.Valid&m == m }
 
 // NameMax is the longest file name the simulated kernel accepts, matching
 // Linux's NAME_MAX.

@@ -64,13 +64,18 @@
 #      run, whose bug only the shared step names,    replay are one step;
 #      and a -swarm -share-visited run whose bundle  a swarm bundle names
 #      must carry the bug worker's seed and replay   the worker to rebuild)
-#   7. go test -race ./internal/fault/...           (fault plane, extfs
-#         ./internal/fs/extfs/...                    and jffs2sim under the
-#         ./internal/fs/jffs2sim/...                 race detector: a mount
-#                                                    reads flash the MTD
-#                                                    lends, outside its
-#                                                    lock; concurrent
-#                                                    fscks share one spare)
+#   7. go test -race ./internal/fault/...           (fault plane, extfs,
+#         ./internal/fs/extfs/...                    jffs2sim, both VeriFS
+#         ./internal/fs/jffs2sim/...                 versions and FUSE under
+#         ./internal/fs/verifs1/...                  the race detector: a
+#         ./internal/fs/verifs2/...                  mount reads flash the
+#         ./internal/fuse/...                        MTD lends, outside its
+#                                                    lock; concurrent fscks
+#                                                    share one spare; a
+#                                                    VeriFS snapshot reuses
+#                                                    released tables and a
+#                                                    restore's copies through
+#                                                    a weak spare)
 #   8. crash-exploration smoke: the seeded ext4     (fault injection end
 #      journal-ordering bug is found only under      to end: crash points
 #      -crash, its bundle replays and shrinks, the   -> oracle -> verdict
@@ -221,8 +226,9 @@ grep -q "\"seed\": $bugworker,\{0,1\}\$" "$swarmbundle/config.json" || { cat "$s
 "$work/mcfs" replay "$swarmbundle" >/dev/null || {
 	echo "FAIL: swarm bundle did not reproduce deterministically"; exit 1; }
 
-echo "==> go test -race ./internal/fault/... ./internal/fs/extfs/... ./internal/fs/jffs2sim/..."
-go test -race ./internal/fault/... ./internal/fs/extfs/... ./internal/fs/jffs2sim/...
+echo "==> go test -race ./internal/fault/... ./internal/fs/extfs/... ./internal/fs/jffs2sim/... ./internal/fs/verifs1/... ./internal/fs/verifs2/... ./internal/fuse/..."
+go test -race ./internal/fault/... ./internal/fs/extfs/... ./internal/fs/jffs2sim/... \
+	./internal/fs/verifs1/... ./internal/fs/verifs2/... ./internal/fuse/...
 
 echo "==> crash-exploration smoke (-crash -> heatmap -> bundle -> replay -> shrink)"
 crashbundle="$work/crashbundle"
