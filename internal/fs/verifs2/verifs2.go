@@ -10,8 +10,9 @@
 // checkpoint copies the inode table into a reused snapshot table and
 // shares every inode with the live file system; an op copies an inode on
 // its first write after a checkpoint or restore, and its blocks, xattrs
-// or directory map only when it writes them. A restore hands the copies
-// no snapshot can reach to the next ops, which reuse them.
+// or directory map only when it writes them. A restore hands the inodes,
+// blocks and directory maps no snapshot can reach to the next ops, which
+// reuse them.
 //
 // The paper reports two bugs found in VeriFS2 while model-checking it
 // against VeriFS1 (§6); both are reproducible here via options:
@@ -130,12 +131,12 @@ func (f *FS) private(nd *inode, p parts) {
 		}
 		nd.blocks = blocks
 	}
-	if p&ownXattrs != 0 && nd.xattrs != nil {
-		nd.xattrs = copyMap(&f.spares().xattrs, nd.xattrs)
+	if p&ownXattrs != 0 {
+		nd.xattrs = maps.Clone(nd.xattrs)
 	}
 	if p&ownEntries != 0 && nd.entries != nil {
 		st := f.spares()
-		nd.entries = copyMap(&st.dirs, nd.entries)
+		nd.entries = st.dir(nd.entries)
 		order, _ := pop(&st.orders)
 		nd.order = append(order, nd.order...)
 	}
@@ -467,7 +468,7 @@ func (f *FS) makeNode(parent vfs.Ino, name string, mode vfs.Mode, uid, gid uint3
 	dir = f.mut(parent)
 	if mode.IsDir() {
 		nd.nlink = 2
-		nd.entries = copyMap(&f.spares().dirs, nil)
+		nd.entries = f.spares().dir(nil)
 		nd.parent = parent
 		dir.nlink++
 	} else {
@@ -885,7 +886,7 @@ func (f *FS) SetXattr(ino vfs.Ino, name string, value []byte) errno.Errno {
 	nd = f.mut(ino)
 	f.private(nd, ownXattrs)
 	if nd.xattrs == nil {
-		nd.xattrs = copyMap(&f.spares().xattrs, nil)
+		nd.xattrs = make(map[string][]byte)
 	}
 	v := make([]byte, len(value))
 	copy(v, value)
@@ -1001,8 +1002,8 @@ func (f *FS) release(snap *snapshot) {
 
 // recycle gives the spare store every inode of the live table that the
 // current epoch copied or created, with each part its own bits mark
-// private: the blocks and the block list, the directory map and order,
-// and the xattr map but not its values, which copies share.
+// private: the blocks and the block list, and the directory map and
+// order. An xattr map is left to the collector.
 func (f *FS) recycle() {
 	st := f.spares()
 	for _, s := range f.inodes {
@@ -1014,10 +1015,6 @@ func (f *FS) recycle() {
 			st.blocks = append(st.blocks, nd.blocks...)
 			clear(nd.blocks[:cap(nd.blocks)])
 			st.lists = append(st.lists, nd.blocks[:0])
-		}
-		if nd.own&ownXattrs != 0 && nd.xattrs != nil {
-			clear(nd.xattrs)
-			st.xattrs = append(st.xattrs, nd.xattrs)
 		}
 		if nd.own&ownEntries != 0 && nd.entries != nil {
 			clear(nd.entries)
@@ -1057,14 +1054,13 @@ func (f *FS) StateBytes() int64 {
 }
 
 // store holds what restores found no snapshot can reach: inodes, blocks,
-// block lists, directory maps and orders, and xattr maps, each emptied.
+// block lists, and directory maps and orders, each emptied.
 type store struct {
 	inodes []*inode
 	blocks [][]byte
 	lists  [][][]byte
 	dirs   []map[string]vfs.Ino
 	orders [][]string
-	xattrs []map[string][]byte
 }
 
 // spares returns the spare store, a new one if a collection has taken
@@ -1107,15 +1103,15 @@ func (st *store) block(n int) []byte {
 	return make([]byte, n)
 }
 
-// copyMap returns a map holding what from holds: the last of spares, or
-// a new one. Values are copied as they are, so xattr values stay shared.
-func copyMap[K comparable, V any](spares *[]map[K]V, from map[K]V) map[K]V {
-	if m, ok := pop(spares); ok {
+// dir returns a directory map holding what from holds: a spare one, or
+// a new one.
+func (st *store) dir(from map[string]vfs.Ino) map[string]vfs.Ino {
+	if m, ok := pop(&st.dirs); ok {
 		maps.Copy(m, from)
 		return m
 	}
 	if from == nil {
-		return make(map[K]V)
+		return make(map[string]vfs.Ino)
 	}
 	return maps.Clone(from)
 }

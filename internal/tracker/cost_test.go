@@ -63,8 +63,9 @@ func moreFiles(t testing.TB, lt *lawTarget, n int) {
 // image of an xfs volume. A VeriFS checkpoint allocates nothing once
 // warm: its snapshot reuses a table a restore released, and the copies
 // an op makes after it come from what the last restore recycled. So a
-// warm Checkpoint + Restore allocates 0, and a checkpoint, a one-byte
-// write and a restore allocate as often with 24 files as with 3.
+// warm Checkpoint + Restore allocates 0, also right after a one-byte
+// write whose copy the checkpoint must share, and a checkpoint, a
+// one-byte write and a restore allocate as often with 24 files as with 3.
 func TestCheckpointCostTracksWriteSet(t *testing.T) {
 	t.Run("remount/xfs", func(t *testing.T) {
 		const limit = 64 << 10
@@ -121,6 +122,20 @@ func TestCheckpointCostTracksWriteSet(t *testing.T) {
 					t.Errorf("with %d files a warm Checkpoint+Restore allocates %v times, want 0", 3+extra, got)
 				}
 				withWrite = append(withWrite, testing.AllocsPerRun(20, func() { cycle(true) }))
+				// The write stays outside the window, so the inode it
+				// copied is the current epoch's when the checkpoint runs.
+				var dirty uint64
+				for i := 0; i < 20; i++ {
+					smallWrite(t, lt, byte(i))
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					cycle(false)
+					runtime.ReadMemStats(&after)
+					dirty += after.Mallocs - before.Mallocs
+				}
+				if dirty != 0 {
+					t.Errorf("with %d files 20 warm Checkpoint+Restores, each after a one-byte write, allocate %d times, want 0", 3+extra, dirty)
+				}
 			}
 			if withWrite[0] != withWrite[1] {
 				t.Errorf("a warm Checkpoint, one-byte write and Restore allocates %v times with 3 files and %v with 24, want the same", withWrite[0], withWrite[1])
