@@ -310,18 +310,18 @@ func (c *Checker) CheckAndHashMajority(op string) (*Discrepancy, abstraction.Sta
 // returns the combined abstract state in one pass (one Algorithm-1
 // traversal per target). The explorer calls this after every operation:
 // the discrepancy (if any) is the bug report, and the hash keys the
-// visited-state table.
+// visited-state table. Diff compares exactly the fields HashRecords
+// hashes, so once every target agrees with the first, each one's hash is
+// the first's: the records are hashed once, and the combined state is
+// the MD5 of that hash once per target, as StateHash computes it.
 func (c *Checker) CheckAndHash(op string) (*Discrepancy, abstraction.State, errno.Errno) {
 	defer c.obsHub.StartTimed(obs.LayerChecker, "compare", c.histCompare).End()
-	hasher := md5.New()
 	var baseRecords []abstraction.Record
 	for i, t := range c.targets {
 		records, e := c.snapshot(i)
 		if e != errno.OK {
 			return nil, abstraction.State{}, e
 		}
-		h := abstraction.HashRecords(records, c.opts)
-		hasher.Write(h[:])
 		if i == 0 {
 			baseRecords = records
 			continue
@@ -332,6 +332,11 @@ func (c *Checker) CheckAndHash(op string) (*Discrepancy, abstraction.State, errn
 			}
 			return &Discrepancy{Kind: "abstract-state", Op: op, Details: details}, abstraction.State{}, errno.OK
 		}
+	}
+	h := abstraction.HashRecords(baseRecords, c.opts)
+	hasher := md5.New()
+	for range c.targets {
+		hasher.Write(h[:])
 	}
 	var combined abstraction.State
 	hasher.Sum(combined[:0])

@@ -1,6 +1,7 @@
 package checker
 
 import (
+	"crypto/md5"
 	"strings"
 	"testing"
 
@@ -104,6 +105,127 @@ func TestCheckStatesEqual(t *testing.T) {
 	if want, e := c.StateHash(); e != errno.OK || h != want {
 		t.Errorf("CheckAndHash hash = %x, StateHash = %x (%v)", h, want, e)
 	}
+}
+
+// oddSizes is VeriFS2 reporting sizes no abstraction hashes: every
+// directory 12345 bytes, and every symlink 7 more than its target.
+type oddSizes struct{ *verifs2.FS }
+
+func (f oddSizes) Getattr(ino vfs.Ino) (vfs.Stat, errno.Errno) {
+	st, e := f.FS.Getattr(ino)
+	switch {
+	case st.Mode.IsDir():
+		st.Size = 12345
+	case st.Mode.IsSymlink():
+		st.Size += 7
+	}
+	return st, e
+}
+
+// TestCheckAndHashIsTheHashOfEachTarget is the law CheckAndHash's one
+// hash rests on: when it finds no discrepancy, the combined state it
+// returns is the MD5 over each target's own HashRecords, in target order
+// — and it finds one whenever two of those hashes differ. The three
+// targets (VeriFS2, a VeriFS2 reporting odd directory and symlink sizes,
+// and ext2) build the same tree, which their directory and symlink sizes
+// tell apart and no hash does; then they diverge in content, in a mode, a
+// link target and a name.
+func TestCheckAndHashIsTheHashOfEachTarget(t *testing.T) {
+	clk := simclock.New()
+	k := kernel.New(clk)
+	d := blockdev.NewRAM("ram0", 256*1024, clk)
+	if err := extfs.Mkfs(d, extfs.MkfsOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	plain, odd := verifs2.New(clk), oddSizes{verifs2.New(clk)}
+	for _, m := range []struct {
+		point string
+		mount func() (vfs.FS, error)
+	}{
+		{"/a", func() (vfs.FS, error) { return plain, nil }},
+		{"/b", func() (vfs.FS, error) { return odd, nil }},
+		{"/c", func() (vfs.FS, error) { return extfs.Mount(d, clk) }},
+	} {
+		if err := k.Mount(m.point, kernel.FilesystemSpec{Type: "t", Dev: nil, Mounter: m.mount}, kernel.MountOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	points := []string{"/a", "/b", "/c"}
+	c := New(k, []Target{{Name: "verifs2", MountPoint: "/a"}, {Name: "odd-verifs2", MountPoint: "/b"}, {Name: "ext2", MountPoint: "/c"}})
+	law := func(what string, agree bool) {
+		t.Helper()
+		hasher := md5.New()
+		var own []abstraction.State
+		for _, p := range points {
+			recs, e := abstraction.Snapshot(k, p, c.AbstractionOptions())
+			if e != errno.OK {
+				t.Fatal(e)
+			}
+			h := abstraction.HashRecords(recs, c.AbstractionOptions())
+			own = append(own, h)
+			hasher.Write(h[:])
+		}
+		var want abstraction.State
+		hasher.Sum(want[:0])
+		differ := own[1] != own[0] || own[2] != own[0]
+		if differ == agree {
+			t.Fatalf("%s: the targets' own hashes %x: the tree does not do what the case says", what, own)
+		}
+		d, got, e := c.CheckAndHash(what)
+		if e != errno.OK {
+			t.Fatal(e)
+		}
+		switch {
+		case differ && d == nil:
+			t.Errorf("%s: own hashes %x differ, and CheckAndHash finds no discrepancy", what, own)
+		case !differ && d != nil:
+			t.Errorf("%s: own hashes agree, and CheckAndHash finds %v", what, d)
+		case d == nil && got != want:
+			t.Errorf("%s: CheckAndHash's state %x, the MD5 of each target's own hash %x", what, got, want)
+		}
+	}
+	for _, p := range points {
+		if e := k.Mkdir(p+"/dir", 0755); e != errno.OK {
+			t.Fatal(e)
+		}
+		apply(t, k, p+"/dir/f", "the same bytes")
+		if e := k.Symlink("dir/f", p+"/l"); e != errno.OK {
+			t.Fatal(e)
+		}
+	}
+	if st, _ := k.Lstat("/b/l"); st.Size != int64(len("dir/f"))+7 {
+		t.Fatalf("the odd target's symlink is %d bytes", st.Size)
+	}
+	law("the same tree", true)
+	apply(t, k, "/c/dir/f", "other bytes!!!")
+	law("content", false)
+	apply(t, k, "/c/dir/f", "the same bytes")
+	law("content back", true)
+	if e := k.Chmod("/b/dir", 0700); e != errno.OK {
+		t.Fatal(e)
+	}
+	law("a mode", false)
+	if e := k.Chmod("/b/dir", 0755); e != errno.OK {
+		t.Fatal(e)
+	}
+	if e := k.Unlink("/a/l"); e != errno.OK {
+		t.Fatal(e)
+	}
+	if e := k.Symlink("dir", "/a/l"); e != errno.OK {
+		t.Fatal(e)
+	}
+	law("a link target", false)
+	if e := k.Unlink("/a/l"); e != errno.OK {
+		t.Fatal(e)
+	}
+	if e := k.Symlink("dir/f", "/a/l"); e != errno.OK {
+		t.Fatal(e)
+	}
+	law("the link target back", true)
+	if e := k.Rename("/c/l", "/c/m"); e != errno.OK {
+		t.Fatal(e)
+	}
+	law("a name", false)
 }
 
 // TestWithMemoJudgesAsWithout: a checker whose walks share a content memo

@@ -9,6 +9,7 @@ import (
 	"mcfs/internal/blockdev"
 	"mcfs/internal/errno"
 	"mcfs/internal/simclock"
+	"mcfs/internal/spare"
 	"mcfs/internal/vfs"
 )
 
@@ -121,29 +122,40 @@ type mountBufs struct {
 	// cached are the inode cache's entries: newInode hands out
 	// cached[used] and counts it, growing the list only past what earlier
 	// mounts used, and takes first what freeInode stacked in freed.
-	cached    []*cachedInode
-	used      int
-	freed     []*cachedInode
+	cached []*cachedInode
+	used   int
+	freed  []*cachedInode
+	// images holds the staged-metadata images no block holds, in a Slot a
+	// collection reclaims: writeMetaBlock takes one before it makes one,
+	// and Sync, freeBlock and takeBufs hand back what they unstage.
+	images    spare.Slot[[][]byte]
 	dirBlocks []uint32     // dirBlocks' list
-	dirtyInos []uint32     // Sync's dirty inodes, in table order
+	dirtyInos []uint32     // Sync's dirty inodes, in table order; takeBufs' staged blocks
 	tables    [][]byte     // Sync's inode-table block images
 	writes    []blockWrite // Sync's write list
-	// names is ReadDir's name table: each key is its own value, so a name
-	// is one string however often it is listed, and what the table holds
-	// is a function of the names' bytes alone.
-	names map[string]string
+	// names is the table of ReadDir's names and Readlink's targets: each
+	// key is its own value, so a name is one string however often it is
+	// listed or read, and what the table holds is a function of the
+	// names' bytes alone.
+	names     map[string]string
+	nameBytes int // bytes held as keys
 }
 
-// maxNames bounds the name table: past it, the table starts over.
-const maxNames = 4096
+// maxNames and maxNameBytes bound the name table: past either, the table
+// starts over. A symlink target can take a whole block.
+const (
+	maxNames     = 4096
+	maxNameBytes = 1 << 20
+)
 
 // name returns raw as a string, from the name table when it holds it.
 func (b *mountBufs) name(raw []byte) string {
 	if s, ok := b.names[string(raw)]; ok {
 		return s
 	}
-	if len(b.names) == maxNames {
+	if b.nameBytes += len(raw); len(b.names) == maxNames || b.nameBytes > maxNameBytes {
 		clear(b.names)
+		b.nameBytes = len(raw)
 	}
 	s := string(raw)
 	b.names[s] = s
@@ -151,7 +163,8 @@ func (b *mountBufs) name(raw []byte) string {
 }
 
 // takeBufs hands out the memory the cache holds, its maps emptied, or new
-// memory.
+// memory. The images a power cut left staged go back on the free list, in
+// block order.
 func (c *MountCache) takeBufs() *mountBufs {
 	if c == nil || c.bufs == nil {
 		return &mountBufs{dirtyMeta: make(map[uint32][]byte), inodeCache: make(map[uint32]*cachedInode),
@@ -159,10 +172,27 @@ func (c *MountCache) takeBufs() *mountBufs {
 	}
 	b := c.bufs
 	c.bufs = nil
-	clear(b.dirtyMeta)
+	staged := b.dirtyInos[:0]
+	for blk := range b.dirtyMeta {
+		staged = append(staged, blk)
+	}
+	slices.Sort(staged)
+	for _, blk := range staged {
+		b.unstage(blk)
+	}
+	b.dirtyInos = staged
 	clear(b.inodeCache)
 	b.used, b.freed = 0, b.freed[:0]
 	return b
+}
+
+// unstage drops blk's staged image, if any, onto the free list.
+func (b *mountBufs) unstage(blk uint32) {
+	if img, ok := b.dirtyMeta[blk]; ok {
+		delete(b.dirtyMeta, blk)
+		free, _ := b.images.Take()
+		b.images.Put(append(free, img))
+	}
 }
 
 // newInode returns a zeroed inode cache entry from the mount's list.
@@ -370,14 +400,23 @@ func (f *FS) writeBlock(blk uint32, data []byte) error {
 // writeMetaBlock stages a metadata block image in memory; it reaches the
 // device only inside the next Sync (journaled first in ext4 mode). It
 // cannot fail: there is no device I/O until Sync. A block staged again
-// reuses its image.
+// reuses its image, and a block staged anew takes one from the free list
+// before it makes one; data is a whole block, so no earlier image's
+// bytes survive the copy.
 func (f *FS) writeMetaBlock(blk uint32, data []byte) {
 	img, ok := f.dirtyMeta[blk]
 	if !ok {
-		img = make([]byte, BlockSize)
+		free, _ := f.bufs.images.Take()
+		if k := len(free); k > 0 {
+			img, free[k-1] = free[k-1], nil
+			free = free[:k-1]
+		} else {
+			img = make([]byte, BlockSize)
+		}
+		f.bufs.images.Put(free)
 		f.dirtyMeta[blk] = img
 	}
-	copy(img, data)
+	copy(img, data[:BlockSize])
 }
 
 // --- allocation ---------------------------------------------------------
@@ -406,7 +445,7 @@ func (f *FS) freeBlock(blk uint32) {
 	if blk == 0 {
 		return
 	}
-	delete(f.dirtyMeta, blk)
+	f.bufs.unstage(blk)
 	bitmapClear(f.blockBitmap, blk)
 	f.sb.freeBlocks++
 	f.dirtyBBM = true
@@ -559,7 +598,10 @@ func (f *FS) Sync() errno.Errno {
 	for _, ci := range f.inodeCache {
 		ci.dirty = false
 	}
-	clear(f.dirtyMeta)
+	// The staged images go back on the free list in write order.
+	for _, w := range writes {
+		b.unstage(w.blk)
+	}
 	f.dirtyBBM = false
 	f.dirtyIBM = false
 	f.dirtySB = false

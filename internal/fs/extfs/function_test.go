@@ -251,8 +251,9 @@ func (w *twinRigs) openFrame(key uint64) {
 // bytes. Seeded walks over DefaultPool operations, a remount after each,
 // drive one volume through checkpoint frames opened three deep and
 // rewound, the crash probe's RevertFrame + Patch over a touch log with a
-// power-cut remount per crash point, power cuts over unsynced ops, and a
-// raw image load; after every
+// power-cut remount per crash point, blocks staged and freed inside one
+// mount that a remount syncs or a power cut drops, power cuts over
+// unsynced ops, and a raw image load; after every
 // step the mount built through the one long-lived cache dumps equal to a
 // cache-less mount of a fresh device holding a copy of the bytes. A twin
 // volume driven the same way, whose mounts never reuse a buffer, receives
@@ -349,6 +350,41 @@ func TestMountIsAFunctionOfTheDisk(t *testing.T) {
 					return nil
 				})
 				w.ops("past the probe", 4)
+
+				// Frees between remounts: inside one mount, blocks are staged
+				// and then freed — a symlink's target block, a large file's
+				// indirect block, a directory's block — so their images go
+				// back for the blocks staged after them, and the mount ends
+				// in a remount that syncs what is staged, or in a power cut
+				// that drops it and hands the images to the next mount.
+				for round := 0; round < 6; round++ {
+					d := fmt.Sprintf("/churn%d", round%2)
+					target := strings.Repeat(string(rune('a'+round)), 1+w.r.Intn(300))
+					churn := []workload.Op{
+						{Kind: workload.OpMkdir, Path: d, Mode: 0755},
+						{Kind: workload.OpSymlink, Path: d + "/s", Path2: target},
+						{Kind: workload.OpCreateFile, Path: d + "/big", Mode: 0644},
+						{Kind: workload.OpWriteFile, Path: d + "/big", Off: int64(w.r.Intn(BlockSize)), Size: 14 * BlockSize, Byte: byte(round + 1)},
+						{Kind: workload.OpUnlink, Path: d + "/s"},
+						{Kind: workload.OpTruncate, Path: d + "/big", Size: int64(w.r.Intn(8 * BlockSize))},
+						{Kind: workload.OpSymlink, Path: fmt.Sprintf("/s%d", round), Path2: strings.Repeat("z", 1+w.r.Intn(900))},
+						{Kind: workload.OpUnlink, Path: d + "/big"},
+						{Kind: workload.OpRmdir, Path: d},
+						{Kind: workload.OpMkdir, Path: d + "x", Mode: 0755},
+						{Kind: workload.OpSymlink, Path: d + "x/t", Path2: target},
+					}
+					powerCut := round%2 == 1
+					w.both(func(g *diskRig) error {
+						for _, op := range churn {
+							workload.Execute(g.k, "/mnt", op)
+						}
+						if powerCut {
+							return g.k.CrashRemount("/mnt", func() error { return nil })
+						}
+						return g.k.Remount("/mnt")
+					})
+					w.check(fmt.Sprintf("after churn round %d (power cut: %v)", round, powerCut))
+				}
 
 				// Power cuts over staged metadata: what the dropped mount
 				// never synced dies with it, and nothing of it reaches the

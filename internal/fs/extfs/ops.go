@@ -653,5 +653,5 @@ func (f *FS) Readlink(ino vfs.Ino) (string, errno.Errno) {
 	if err != nil {
 		return "", errno.EIO
 	}
-	return string(buf[:ci.size]), errno.OK
+	return f.bufs.name(buf[:ci.size]), errno.OK
 }

@@ -187,3 +187,39 @@ func BenchmarkRemountMissThenHit(b *testing.B) {
 		remountCycle(b, &f, mtd, clk, scans, false)
 	}
 }
+
+// BenchmarkCreateUnlink times a create and an unlink of a file, a
+// directory and a symlink on a warm mount of scanVolume through one
+// ScanCache: each create takes the inode struct the unlink before it put
+// on the cache's free list.
+func BenchmarkCreateUnlink(b *testing.B) {
+	_, mtd, clk := scanVolume(b)
+	scans := NewScanCache()
+	f, err := MountCached(mtd, clk, scans)
+	if err != nil {
+		b.Fatal(err)
+	}
+	remountCycle(b, &f, mtd, clk, scans, false)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, e := f.Create(f.Root(), "new", 0644, 0, 0); e != errno.OK {
+			b.Fatal(e)
+		}
+		if e := f.Unlink(f.Root(), "new"); e != errno.OK {
+			b.Fatal(e)
+		}
+		if _, e := f.Mkdir(f.Root(), "dir", 0755, 0, 0); e != errno.OK {
+			b.Fatal(e)
+		}
+		if e := f.Rmdir(f.Root(), "dir"); e != errno.OK {
+			b.Fatal(e)
+		}
+		if _, e := f.Symlink("target", f.Root(), "link", 0, 0); e != errno.OK {
+			b.Fatal(e)
+		}
+		if e := f.Unlink(f.Root(), "link"); e != errno.OK {
+			b.Fatal(e)
+		}
+	}
+}

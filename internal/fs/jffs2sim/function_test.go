@@ -5,6 +5,7 @@ import (
 	"maps"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"mcfs/internal/blockdev"
@@ -180,6 +181,72 @@ func (g *flashRig) zeroOp(kind int, name string, maxOff, maxLen int) {
 	}
 }
 
+// churn runs rounds of creates, writes, symlinks, unlinks, mkdirs and
+// rmdirs inside one mount, so that the inode structs an unlink or an
+// rmdir lets go of come back, through the cache's free list, for the
+// creates after it. After each round the live inode table must mean what
+// a mount of a copy of the flash builds, times aside (live), and the
+// remount what that mount does (check).
+func (g *flashRig) churn(when string, rounds int) {
+	g.t.Helper()
+	for i := 0; i < rounds; i++ {
+		f, r := g.fs, g.r
+		root := f.Root()
+		for j := 0; j < 8; j++ {
+			name := fmt.Sprintf("c%d", r.Intn(3))
+			switch r.Intn(6) {
+			case 0:
+				if ino, e := f.Create(root, name, 0644, uint32(r.Intn(3)), 0); e == errno.OK {
+					data := make([]byte, 1+r.Intn(700))
+					r.Read(data)
+					f.Write(ino, int64(r.Intn(600)), data)
+				}
+			case 1:
+				f.Symlink(strings.Repeat("t", 1+r.Intn(40)), root, name, 0, 0)
+			case 2, 3:
+				f.Unlink(root, name)
+			case 4:
+				if d, e := f.Mkdir(root, name+"d", 0755, 0, 0); e == errno.OK {
+					f.Create(d, "x", 0600, 0, 0)
+					f.Symlink("../"+name, d, "l", 0, 0)
+				}
+			case 5:
+				if d, e := f.Lookup(root, name+"d"); e == errno.OK {
+					f.Unlink(d, "x")
+					f.Unlink(d, "l")
+					f.Rmdir(root, name+"d")
+				}
+			}
+		}
+		g.live(fmt.Sprintf("%s, round %d", when, i))
+		poke(g.fs)
+		g.check(fmt.Sprintf("%s, round %d", when, i))
+	}
+}
+
+// live holds the mounted file system's inode table, as its ops left it,
+// against a Mount of a fresh MTD loaded with a copy of the flash's bytes:
+// what memory holds must be what the flash says, times aside (jffs2sim
+// logs no directory times).
+func (g *flashRig) live(when string) {
+	g.t.Helper()
+	raw, err := g.image()
+	if err != nil {
+		g.t.Fatalf("%s: copying the flash: %v", when, err)
+	}
+	fresh := blockdev.NewMTD("ref", g.mtd.Size(), g.mtd.EraseSize(), nil)
+	if err := fresh.LoadImage(raw); err != nil {
+		g.t.Fatal(err)
+	}
+	want, err := Mount(fresh, nil)
+	if err != nil {
+		g.t.Fatalf("%s: mounting the copy: %v", when, err)
+	}
+	if d := liveDiff(g.fs, want); d != "" {
+		g.t.Fatalf("%s: the live file system differs from a mount of a copy of the flash:\n%s", when, d)
+	}
+}
+
 // poke changes a mounted file system's memory in ways no operation
 // does, writing nothing to flash: the first byte of the first file with
 // content flipped in place, a name put in the root directory's entry map,
@@ -296,6 +363,7 @@ func TestMountIsAFunctionOfTheFlash(t *testing.T) {
 					history = 160
 				}
 				g.ops("history", history)
+				g.churn("churn", 12)
 				if g.small {
 					var erases int64
 					for _, n := range mtd.EraseCounts() {

@@ -90,8 +90,10 @@ type FS struct {
 	blockUsed []int
 
 	// node is the scratch the next log node is encoded in; Program
-	// copies it to flash.
+	// copies it to flash. lens is the scratch an operation lists the
+	// total lengths of its nodes in, for makeRoom.
 	node []byte
+	lens []int
 
 	inGC      bool
 	unmounted bool
@@ -167,8 +169,22 @@ type ScanCache struct {
 	replay []logNode
 	keys   []uint64
 	// lent is one mount's blocks as the MTD lent them, scratch as well.
-	lent  [][]byte
+	lent [][]byte
+	// inos is the scratch the replay and the memo list inode numbers in,
+	// to drop or add structs in number order.
+	inos  []uint32
 	table spare.Slot[table]
+	// free holds inode structs no table holds, with their content and
+	// order arrays and entry maps: those a replay, a memo copy, an unlink
+	// or an rmdir let go of. A mount or a create takes them before it
+	// allocates one, and a collection reclaims the list.
+	free spare.Slot[[]*inodeInfo]
+	// names interns the names the scan decodes and the link targets the
+	// replay reads: each key is its own value, so what the table holds is
+	// a function of the names' bytes alone. It starts over past maxNames
+	// entries or maxNameBytes bytes.
+	names     map[string]string
+	nameBytes int
 	// gen numbers the mounts through the cache (inodeInfo.gen), so no two
 	// replays or copies into any table or memo share one.
 	gen uint64
@@ -234,6 +250,32 @@ type logNode struct {
 // every block.
 func NewScanCache() *ScanCache { return &ScanCache{} }
 
+// maxNames and maxNameBytes bound the cache's name table.
+const (
+	maxNames     = 4096
+	maxNameBytes = 1 << 20
+)
+
+// intern returns raw as a string, from the name table when it holds it.
+func (c *ScanCache) intern(raw []byte) string {
+	if len(raw) == 0 {
+		return ""
+	}
+	if s, ok := c.names[string(raw)]; ok {
+		return s
+	}
+	if c.names == nil {
+		c.names = make(map[string]string)
+	}
+	if c.nameBytes += len(raw); len(c.names) == maxNames || c.nameBytes > maxNameBytes {
+		clear(c.names)
+		c.nameBytes = len(raw)
+	}
+	s := string(raw)
+	c.names[s] = s
+	return s
+}
+
 // Mount scans the full flash device, replaying log nodes in version order
 // to rebuild the in-memory file system.
 func Mount(mtd *blockdev.MTD, clock *simclock.Clock) (*FS, error) {
@@ -273,6 +315,7 @@ func MountCached(mtd *blockdev.MTD, clock *simclock.Clock, cache *ScanCache) (*F
 		gen:       cache.gen,
 		blockUsed: t.blockUsed,
 		node:      f.node[:0],
+		lens:      f.lens[:0],
 	}
 	m := &t.memo
 
@@ -296,7 +339,7 @@ func MountCached(mtd *blockdev.MTD, clock *simclock.Clock, cache *ScanCache) (*F
 			return nil, err
 		}
 		if !b.known || b.stamp != stamp {
-			b.scan(data)
+			b.scan(data, cache)
 			b.known, b.stamp = true, stamp
 		}
 		f.blockUsed[blk] = b.used
@@ -368,11 +411,17 @@ func (f *FS) replay(lent [][]byte) {
 	}
 	// Drop inodes with no links (fully deleted), and those of the last
 	// mount this replay never reached.
+	dead := cache.inos[:0]
 	for ino, nd := range f.inodes {
 		if ino != RootIno && (nd.nlink == 0 || nd.gen != f.gen) {
-			delete(f.inodes, ino)
+			dead = append(dead, ino)
 		}
 	}
+	slices.Sort(dead)
+	for _, ino := range dead {
+		f.dropInode(ino)
+	}
+	cache.inos = dead[:0]
 }
 
 // keep makes the memo a copy of what f's replay just built, under the
@@ -401,21 +450,38 @@ func (m *memo) keep(f *FS) {
 }
 
 // restore makes f's inode table a copy of the memo's, in the structs,
-// arrays and maps the table already has: an inode the table lacks gets a
-// new struct, and one the memo lacks goes.
+// arrays and maps the table already has: an inode the memo lacks goes,
+// and one the table lacks gets a struct from the free list, in inode
+// number order.
 func (m *memo) restore(f *FS) {
+	inos := f.cache.inos[:0]
+	for ino := range f.inodes {
+		if src := m.inodes[ino]; src == nil || src.gen != m.gen {
+			inos = append(inos, ino)
+		}
+	}
+	slices.Sort(inos)
+	for _, ino := range inos {
+		f.dropInode(ino)
+	}
+	inos = inos[:0]
 	for ino, src := range m.inodes {
 		if src.gen != m.gen {
 			continue
 		}
-		dst := f.inodes[ino]
-		if dst == nil {
-			dst = new(inodeInfo)
-			f.inodes[ino] = dst
+		if dst := f.inodes[ino]; dst != nil {
+			dst.copyFrom(src, f.gen)
+		} else {
+			inos = append(inos, ino)
 		}
-		dst.copyFrom(src, f.gen)
 	}
-	maps.DeleteFunc(f.inodes, func(_ uint32, nd *inodeInfo) bool { return nd.gen != f.gen })
+	slices.Sort(inos)
+	for _, ino := range inos {
+		nd := f.newInode()
+		f.inodes[ino] = nd
+		nd.copyFrom(m.inodes[ino], f.gen)
+	}
+	f.cache.inos = inos[:0]
 	f.nextIno, f.version = m.nextIno, m.version
 }
 
@@ -440,20 +506,54 @@ func (nd *inodeInfo) copyFrom(src *inodeInfo, gen uint64) {
 
 // replayed returns ino's inode as this mount's replay has it: the struct
 // under ino in the table, emptied the first time the replay reaches it
-// (its arrays and entry map kept for reuse), or a new one.
+// (its arrays and entry map kept for reuse), or one from the free list.
 func (f *FS) replayed(ino uint32) *inodeInfo {
 	nd := f.inodes[ino]
 	if nd == nil {
-		nd = &inodeInfo{gen: f.gen}
+		nd = f.newInode()
 		f.inodes[ino] = nd
 	} else if nd.gen != f.gen {
-		old := nd.entries
-		if old == nil {
-			old = nd.oldEntries
-		}
-		*nd = inodeInfo{gen: f.gen, content: nd.content[:0], order: nd.order[:0], oldEntries: old}
+		nd.reset(f.gen)
 	}
 	return nd
+}
+
+// reset empties nd as a struct of generation gen, keeping its content and
+// order arrays and, for a later directory, its entry map.
+func (nd *inodeInfo) reset(gen uint64) {
+	old := nd.entries
+	if old == nil {
+		old = nd.oldEntries
+	}
+	*nd = inodeInfo{gen: gen, content: nd.content[:0], order: nd.order[:0], oldEntries: old}
+}
+
+// newInode returns an emptied struct of this mount's generation: the last
+// one the cache's free list got, or a new one.
+func (f *FS) newInode() *inodeInfo {
+	free, _ := f.cache.free.Take()
+	var nd *inodeInfo
+	if k := len(free); k > 0 {
+		nd, free[k-1] = free[k-1], nil
+		free = free[:k-1]
+	} else {
+		nd = new(inodeInfo)
+	}
+	f.cache.free.Put(free)
+	nd.reset(f.gen)
+	return nd
+}
+
+// dropInode removes ino from the table and puts its struct on the cache's
+// free list; nothing else may hold the struct.
+func (f *FS) dropInode(ino uint32) {
+	nd := f.inodes[ino]
+	if nd == nil {
+		return
+	}
+	delete(f.inodes, ino)
+	free, _ := f.cache.free.Take()
+	f.cache.free.Put(append(free, nd))
 }
 
 // live returns ino's inode if this mount's replay has reached it.
@@ -479,8 +579,9 @@ func (nd *inodeInfo) makeEntries() {
 }
 
 // scan parses one erase block's bytes in place, replacing what b held:
-// every node up to the first that fails a check is recorded by position.
-func (b *blockScan) scan(buf []byte) {
+// every node up to the first that fails a check is recorded by position,
+// and a dirent's name interned in the cache's table.
+func (b *blockScan) scan(buf []byte, cache *ScanCache) {
 	es := len(buf)
 	b.nodes = b.nodes[:0]
 	pos := 0
@@ -522,7 +623,7 @@ func (b *blockScan) scan(buf []byte) {
 			ref.zero = ok && allZero(data)
 		case nodeDirent:
 			if name, ok := direntName(p); ok {
-				ref.name = string(name)
+				ref.name = cache.intern(name)
 			}
 		}
 		b.nodes = append(b.nodes, ref)
@@ -606,7 +707,7 @@ func (f *FS) now() time.Duration {
 // which appendNode fills in, then the payload.
 func appendInodeNode(dst []byte, nd *inodeInfo, ino uint32, off int64, data []byte) []byte {
 	n := len(dst) + nodeHeader
-	dst = append(dst, make([]byte, nodeHeader+inodeFixed+len(nd.target)+len(data))...)
+	dst = grow(dst, nodeHeader+inodeFixed+len(nd.target)+len(data))
 	p := dst[n:]
 	le := binary.LittleEndian
 	le.PutUint32(p[0:], ino)
@@ -621,6 +722,15 @@ func appendInodeNode(dst []byte, nd *inodeInfo, ino uint32, off int64, data []by
 	le.PutUint16(p[48:], uint16(len(nd.target)))
 	copy(p[50:], nd.target)
 	copy(p[50+len(nd.target):], data)
+	return dst
+}
+
+// grow extends dst by n zero bytes, in place while its capacity lasts:
+// unlike an append of a made slice, it makes no temporary under the race
+// detector either.
+func grow(dst []byte, n int) []byte {
+	dst = slices.Grow(dst, n)[:len(dst)+n]
+	clear(dst[len(dst)-n:])
 	return dst
 }
 
@@ -667,7 +777,7 @@ func (f *FS) applyInodeNode(p []byte, zero bool) {
 	nd.gid = gid
 	nd.mtime = mtime
 	nd.ctime = mtime
-	nd.target = string(target)
+	nd.target = f.cache.intern(target)
 	if mode.IsDir() {
 		nd.makeEntries()
 	}
@@ -720,7 +830,7 @@ func (nd *inodeInfo) truncate(size int64) {
 // appendDirentNode appends a dirent node to dst as appendInodeNode does.
 func appendDirentNode(dst []byte, parent, ino uint32, name string) []byte {
 	n := len(dst) + nodeHeader
-	dst = append(dst, make([]byte, nodeHeader+direntFixed)...)
+	dst = grow(dst, nodeHeader+direntFixed)
 	le := binary.LittleEndian
 	le.PutUint32(dst[n:], parent)
 	le.PutUint32(dst[n+4:], ino)
@@ -948,38 +1058,42 @@ func (f *FS) gc() errno.Errno {
 	return errno.OK
 }
 
-// inodeNodeLens lists the total lengths of the nodes logInode appends for
-// an inode with this link target and a data fragment of n bytes.
-func inodeNodeLens(target string, n int) []int {
+// appendInodeNodeLens appends to dst the total lengths of the nodes
+// logInode appends for an inode with this link target and a data fragment
+// of n bytes.
+func appendInodeNodeLens(dst []int, target string, n int) []int {
 	meta := nodeHeader + inodeFixed + len(target)
 	if n <= MaxDataPerNode {
-		return []int{meta + n}
+		return append(dst, meta+n)
 	}
-	lens := make([]int, 0, (n+MaxDataPerNode-1)/MaxDataPerNode)
 	for ; n > 0; n -= MaxDataPerNode {
-		lens = append(lens, meta+min(n, MaxDataPerNode))
+		dst = append(dst, meta+min(n, MaxDataPerNode))
 	}
-	return lens
+	return dst
 }
 
-// logInode persists the current metadata (and optionally a data fragment)
-// of an inode.
-func (f *FS) logInode(ino uint32, nd *inodeInfo, off int64, data []byte) errno.Errno {
-	if len(data) <= MaxDataPerNode {
-		f.node = appendInodeNode(f.node[:0], nd, ino, off, data)
-		return f.appendNode(nodeInode, f.node)
-	}
-	for pos := 0; pos < len(data); pos += MaxDataPerNode {
-		end := pos + MaxDataPerNode
-		if end > len(data) {
-			end = len(data)
-		}
+// logInode persists the current metadata of an inode.
+func (f *FS) logInode(ino uint32, nd *inodeInfo) errno.Errno {
+	f.node = appendInodeNode(f.node[:0], nd, ino, 0, nil)
+	return f.appendNode(nodeInode, f.node)
+}
+
+// logData persists the current metadata of an inode with data at off, in
+// nodes of at most MaxDataPerNode bytes: one, with no data, for an empty
+// write. It returns how many bytes of data the nodes that reached the
+// flash carry, and the error of the first that did not.
+func (f *FS) logData(ino uint32, nd *inodeInfo, off int64, data []byte) (int, errno.Errno) {
+	pos := 0
+	for {
+		end := min(pos+MaxDataPerNode, len(data))
 		f.node = appendInodeNode(f.node[:0], nd, ino, off+int64(pos), data[pos:end])
 		if e := f.appendNode(nodeInode, f.node); e != errno.OK {
-			return e
+			return pos, e
+		}
+		if pos = end; pos == len(data) {
+			return pos, errno.OK
 		}
 	}
-	return errno.OK
 }
 
 func (f *FS) logDirent(parent, ino uint32, name string) errno.Errno {

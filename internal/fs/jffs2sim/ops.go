@@ -90,7 +90,8 @@ func (f *FS) Setattr(ino vfs.Ino, attr vfs.SetAttr) errno.Errno {
 	}
 	logged := attr.Valid&(vfs.AttrMode|vfs.AttrUID|vfs.AttrGID|vfs.AttrSize|vfs.AttrMtime) != 0
 	if logged {
-		if e := f.makeRoom(inodeNodeLens(nd.target, 0)...); e != errno.OK {
+		f.lens = appendInodeNodeLens(f.lens[:0], nd.target, 0)
+		if e := f.makeRoom(f.lens...); e != errno.OK {
 			return e
 		}
 	}
@@ -122,7 +123,7 @@ func (f *FS) Setattr(ino vfs.Ino, attr vfs.SetAttr) errno.Errno {
 	if !logged {
 		return errno.OK
 	}
-	if e := f.logInode(uint32(ino), nd, 0, nil); e != errno.OK {
+	if e := f.logInode(uint32(ino), nd); e != errno.OK {
 		*nd = old
 		return e
 	}
@@ -146,22 +147,20 @@ func (f *FS) makeNode(parent vfs.Ino, name string, mode vfs.Mode, target string,
 	if _, ok := dir.entries[name]; ok {
 		return 0, errno.EEXIST
 	}
-	lens := []int{nodeHeader + inodeFixed, nodeHeader + direntFixed + len(name)}
+	f.lens = append(f.lens[:0], nodeHeader+inodeFixed, nodeHeader+direntFixed+len(name))
 	if mode.IsSymlink() {
-		lens = append(lens, inodeNodeLens(target, 0)...)
+		f.lens = appendInodeNodeLens(f.lens, target, 0)
 	}
-	if e := f.makeRoom(lens...); e != errno.OK {
+	if e := f.makeRoom(f.lens...); e != errno.OK {
 		return 0, e
 	}
 	now := f.now()
-	nd := &inodeInfo{
-		mode: mode,
-		uid:  uid, gid: gid,
-		atime: now, mtime: now, ctime: now,
-	}
+	nd := f.newInode()
+	nd.mode, nd.uid, nd.gid = mode, uid, gid
+	nd.atime, nd.mtime, nd.ctime = now, now, now
 	if mode.IsDir() {
 		nd.nlink = 2
-		nd.entries = make(map[string]uint32)
+		nd.makeEntries()
 		nd.parent = uint32(parent)
 		dir.nlink++
 	} else {
@@ -173,7 +172,7 @@ func (f *FS) makeNode(parent vfs.Ino, name string, mode vfs.Mode, target string,
 	dir.entries[name] = ino
 	dir.order = append(dir.order, name)
 	dir.mtime, dir.ctime = now, now
-	if e := f.logInode(ino, nd, 0, nil); e != errno.OK {
+	if e := f.logInode(ino, nd); e != errno.OK {
 		f.undoMake(dir, name, ino, mode.IsDir())
 		return 0, e
 	}
@@ -183,7 +182,7 @@ func (f *FS) makeNode(parent vfs.Ino, name string, mode vfs.Mode, target string,
 	}
 	if mode.IsSymlink() {
 		nd.target = target
-		if e := f.logInode(ino, nd, 0, nil); e != errno.OK {
+		if e := f.logInode(ino, nd); e != errno.OK {
 			f.undoMake(dir, name, ino, false)
 			return 0, e
 		}
@@ -199,7 +198,7 @@ func (f *FS) undoMake(dir *inodeInfo, name string, ino uint32, isDir bool) {
 			break
 		}
 	}
-	delete(f.inodes, ino)
+	f.dropInode(ino)
 	if isDir {
 		dir.nlink--
 	}
@@ -238,15 +237,16 @@ func (f *FS) Unlink(parent vfs.Ino, name string) errno.Errno {
 	// Log the deletion dirent (whiteout), then the link-count update. A
 	// collection between the two would make the name durable again, so
 	// room for both is made first.
-	whiteout := nodeHeader + direntFixed + len(name)
-	if e := f.makeRoom(append([]int{whiteout}, inodeNodeLens(nd.target, 0)...)...); e != errno.OK {
+	f.lens = append(f.lens[:0], nodeHeader+direntFixed+len(name))
+	f.lens = appendInodeNodeLens(f.lens, nd.target, 0)
+	if e := f.makeRoom(f.lens...); e != errno.OK {
 		return e
 	}
 	if e := f.logDirent(uint32(parent), 0, name); e != errno.OK {
 		return e
 	}
 	nd.nlink--
-	if e := f.logInode(ino, nd, 0, nil); e != errno.OK {
+	if e := f.logInode(ino, nd); e != errno.OK {
 		nd.nlink++
 		return e
 	}
@@ -258,7 +258,7 @@ func (f *FS) Unlink(parent vfs.Ino, name string) errno.Errno {
 		}
 	}
 	if nd.nlink == 0 {
-		delete(f.inodes, ino)
+		f.dropInode(ino)
 	} else {
 		nd.ctime = f.now()
 	}
@@ -306,7 +306,7 @@ func (f *FS) Rmdir(parent vfs.Ino, name string) errno.Errno {
 			break
 		}
 	}
-	delete(f.inodes, ino)
+	f.dropInode(ino)
 	dir.nlink--
 	now := f.now()
 	dir.mtime, dir.ctime = now, now
@@ -342,15 +342,16 @@ func (f *FS) Read(ino vfs.Ino, off int64, n int, dst []byte) ([]byte, errno.Errn
 		dst = append(dst, nd.content[off:held]...)
 	}
 	// Past the content, up to size, is the file's implicit tail of zeros.
-	return append(dst, make([]byte, end-max(off, held))...), errno.OK
+	return grow(dst, int(end-max(off, held))), errno.OK
 }
 
 // Write implements vfs.FS: make room for the whole write, append its log
-// nodes, then update the content. The nodes carry the new size and times,
-// which go back if an append fails, and the content changes only once
-// every node is on flash: a write whose first node fails leaves memory as
-// the flash has it. (One that fails on a later node of several leaves the
-// earlier ones on flash and memory as it was.)
+// nodes, then update the content with what they carry. The nodes carry
+// the new size and times, which go back if the first append fails: such a
+// write leaves memory as the flash has it and returns the error. One that
+// fails on a later node of several keeps in memory what the earlier nodes
+// put on flash — their data, the new size and times — and returns the
+// bytes they carry as a short write.
 func (f *FS) Write(ino vfs.Ino, off int64, data []byte) (int, errno.Errno) {
 	nd := f.get(ino)
 	if nd == nil {
@@ -365,19 +366,21 @@ func (f *FS) Write(ino vfs.Ino, off int64, data []byte) (int, errno.Errno) {
 	if off < 0 {
 		return 0, errno.EINVAL
 	}
-	if e := f.makeRoom(inodeNodeLens(nd.target, len(data))...); e != errno.OK {
+	f.lens = appendInodeNodeLens(f.lens[:0], nd.target, len(data))
+	if e := f.makeRoom(f.lens...); e != errno.OK {
 		return 0, e
 	}
 	oldSize, oldMtime, oldCtime := nd.size, nd.mtime, nd.ctime
 	now := f.now()
 	nd.size = max(nd.size, off+int64(len(data)))
 	nd.mtime, nd.ctime = now, now
-	if e := f.logInode(uint32(ino), nd, off, data); e != errno.OK {
+	landed, e := f.logData(uint32(ino), nd, off, data)
+	if landed == 0 && e != errno.OK {
 		nd.size, nd.mtime, nd.ctime = oldSize, oldMtime, oldCtime
 		return 0, e
 	}
-	nd.writeAt(off, data, allZero(data))
-	return len(data), errno.OK
+	nd.writeAt(off, data[:landed], allZero(data[:landed]))
+	return landed, errno.OK
 }
 
 // ReadDir implements vfs.FS; entries come back in log-arrival order.
@@ -489,26 +492,27 @@ func (f *FS) Rename(oldParent vfs.Ino, oldName string, newParent vfs.Ino, newNam
 	// Log the displaced file's link count, the whiteout and the new
 	// dirent. A collection between two of them would serialise a
 	// half-applied rename, so room for all of them is made first.
-	lens := []int{nodeHeader + direntFixed + len(oldName), nodeHeader + direntFixed + len(newName)}
+	f.lens = f.lens[:0]
 	if displaced && !dst.mode.IsDir() {
-		lens = append(inodeNodeLens(dst.target, 0), lens...)
+		f.lens = appendInodeNodeLens(f.lens, dst.target, 0)
 	}
-	if e := f.makeRoom(lens...); e != errno.OK {
+	f.lens = append(f.lens, nodeHeader+direntFixed+len(oldName), nodeHeader+direntFixed+len(newName))
+	if e := f.makeRoom(f.lens...); e != errno.OK {
 		return e
 	}
 	if displaced {
 		// Log: overwrite target entry and drop the displaced inode.
 		if dst.mode.IsDir() {
-			delete(f.inodes, dstIno)
+			f.dropInode(dstIno)
 			ndir.nlink--
 		} else {
 			dst.nlink--
-			if e := f.logInode(dstIno, dst, 0, nil); e != errno.OK {
+			if e := f.logInode(dstIno, dst); e != errno.OK {
 				dst.nlink++
 				return e
 			}
 			if dst.nlink == 0 {
-				delete(f.inodes, dstIno)
+				f.dropInode(dstIno)
 			}
 		}
 		delete(ndir.entries, newName)
@@ -568,11 +572,13 @@ func (f *FS) Link(ino vfs.Ino, newParent vfs.Ino, newName string) errno.Errno {
 	if _, ok := dir.entries[newName]; ok {
 		return errno.EEXIST
 	}
-	if e := f.makeRoom(append(inodeNodeLens(nd.target, 0), nodeHeader+direntFixed+len(newName))...); e != errno.OK {
+	f.lens = appendInodeNodeLens(f.lens[:0], nd.target, 0)
+	f.lens = append(f.lens, nodeHeader+direntFixed+len(newName))
+	if e := f.makeRoom(f.lens...); e != errno.OK {
 		return e
 	}
 	nd.nlink++
-	if e := f.logInode(uint32(ino), nd, 0, nil); e != errno.OK {
+	if e := f.logInode(uint32(ino), nd); e != errno.OK {
 		nd.nlink--
 		return e
 	}

@@ -3,11 +3,14 @@ package tracker
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
+	"mcfs/internal/abstraction"
 	"mcfs/internal/blockdev"
 	"mcfs/internal/errno"
 	"mcfs/internal/fs/extfs"
+	"mcfs/internal/fs/jffs2sim"
 	"mcfs/internal/kernel"
 	"mcfs/internal/simclock"
 	"mcfs/internal/vfs"
@@ -260,6 +263,171 @@ func BenchmarkCheckpointRestore(b *testing.B) {
 				}
 				if err := lt.tr.Restore(uint64(i)); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// sessionTargets mount each device-backed file system the way a session
+// does: ext2 and ext4 through one extfs.MountCache, jffs2 through one
+// jffs2sim.ScanCache, kept beside the device for every remount.
+func sessionTargets() map[string]func(t testing.TB) *lawTarget {
+	ext := func(journal bool, typ string) func(testing.TB) *lawTarget {
+		return func(t testing.TB) *lawTarget {
+			clk := simclock.New()
+			k := kernel.New(clk)
+			d := blockdev.NewRAM("ram0", 256*1024, clk)
+			if err := extfs.Mkfs(d, extfs.MkfsOptions{Journal: journal}); err != nil {
+				t.Fatal(err)
+			}
+			opts := extfs.MountOpts{Cache: extfs.NewMountCache()}
+			if err := k.Mount(lawMount, kernel.FilesystemSpec{
+				Type:      typ,
+				Dev:       d,
+				Mounter:   func() (vfs.FS, error) { return extfs.MountWith(d, clk, opts) },
+				Unmounter: func(f vfs.FS) error { return f.(*extfs.FS).Unmount() },
+			}, kernel.MountOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			return &lawTarget{k: k, tr: NewRemount(k, lawMount, true), media: d}
+		}
+	}
+	return map[string]func(t testing.TB) *lawTarget{
+		"ext2": ext(false, "ext2"),
+		"ext4": ext(true, "ext4"),
+		"jffs2": func(t testing.TB) *lawTarget {
+			clk := simclock.New()
+			k := kernel.New(clk)
+			mtd := blockdev.NewMTD("mtd0", 256*1024, 8*1024, clk)
+			if err := jffs2sim.Mkfs(mtd); err != nil {
+				t.Fatal(err)
+			}
+			scans := jffs2sim.NewScanCache()
+			if err := k.Mount(lawMount, kernel.FilesystemSpec{
+				Type:      "jffs2",
+				Dev:       mtd,
+				Mounter:   func() (vfs.FS, error) { return jffs2sim.MountCached(mtd, clk, scans) },
+				Unmounter: func(f vfs.FS) error { return f.(*jffs2sim.FS).Unmount() },
+			}, kernel.MountOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			return &lawTarget{k: k, tr: NewRemount(k, lawMount, true), media: mtd}
+		},
+	}
+}
+
+// fillUntilGrown creates empty files in dir until one grows it past its
+// first block, or n files when n > 0, and returns how many it created.
+func fillUntilGrown(t testing.TB, lt *lawTarget, dir string, n int) int {
+	t.Helper()
+	for i := 0; n <= 0 || i < n; i++ {
+		op := workload.Op{Kind: workload.OpCreateFile, Path: fmt.Sprintf("%s/entry-%03d-%s", dir, i, strings.Repeat("x", 200)), Mode: 0o644}
+		if res := workload.Execute(lt.k, lawMount, op); res.Err != errno.OK {
+			t.Fatalf("%s: %v", op, res.Err)
+		}
+		if n > 0 {
+			continue
+		}
+		st, e := lt.k.Stat(lawMount + dir)
+		if e != errno.OK {
+			t.Fatal(e)
+		}
+		if st.Size > extfs.BlockSize {
+			return i + 1
+		}
+	}
+	return n
+}
+
+// TestRemountTrackedStepAllocatesNothing is the allocation law of the
+// step the explorer repeats on a remount-tracked file system, mounted as a
+// session mounts it: a checkpoint nested in an open one, a remount
+// before the op, one op that stages
+// metadata, a remount after it, the abstraction walk in its memo's
+// memory, and the Restore that rewinds the device and remounts. Warm, it
+// allocates nothing on ext2, ext4 and jffs2 — the staged images, the
+// inode structs and the interned names and link targets all come from
+// memory the mount or its cache already holds — and that stays so with
+// eight times the untouched files. The ops are a mkdir, a symlink, and a
+// create that grows a full directory by a block (extfs; on jffs2 it is
+// one more create).
+func TestRemountTrackedStepAllocatesNothing(t *testing.T) {
+	const untouched = 3
+	for _, kind := range []string{"ext2", "ext4", "jffs2"} {
+		t.Run(kind, func(t *testing.T) {
+			mk := sessionTargets()[kind]
+			full := 8 // jffs2 has no directory blocks: any create will do
+			if kind != "jffs2" {
+				// How many entries fill the growing directory's first block.
+				probe := mk(t)
+				if e := probe.k.Mkdir(lawMount+"/grow", 0o755); e != errno.OK {
+					t.Fatal(e)
+				}
+				full = fillUntilGrown(t, probe, "/grow", 0) - 1
+			}
+			for _, files := range []int{untouched, 8 * untouched} {
+				lt := mk(t)
+				threeFiles(t, lt)
+				moreFiles(t, lt, files-3)
+				for _, dir := range []string{"/grow", "/w"} {
+					if e := lt.k.Mkdir(lawMount+dir, 0o755); e != errno.OK {
+						t.Fatal(e)
+					}
+				}
+				fillUntilGrown(t, lt, "/grow", full)
+				// The explorer nests checkpoints: an outer one stays open.
+				if err := lt.tr.Checkpoint(0); err != nil {
+					t.Fatal(err)
+				}
+				key := uint64(0)
+				last := fmt.Sprintf("%s/grow/entry-999-%s", lawMount, strings.Repeat("x", 200))
+				memo := abstraction.NewMemo()
+				var records []abstraction.Record
+				for _, op := range []struct {
+					name string
+					do   func(k *kernel.Kernel) errno.Errno
+				}{
+					{"mkdir", func(k *kernel.Kernel) errno.Errno { return k.Mkdir(lawMount+"/w/m", 0o755) }},
+					{"symlink", func(k *kernel.Kernel) errno.Errno { return k.Symlink("../d0/f2", lawMount+"/w/s") }},
+					{"create", func(k *kernel.Kernel) errno.Errno {
+						fd, e := k.Open(last, vfs.OCreate|vfs.OWrOnly, 0o644)
+						if e != errno.OK {
+							return e
+						}
+						return k.Close(fd)
+					}},
+				} {
+					grows := kind != "jffs2" && op.name == "create"
+					step := func() {
+						key++
+						if err := lt.tr.Checkpoint(key); err != nil {
+							t.Fatal(err)
+						}
+						if err := lt.tr.PreOp(); err != nil {
+							t.Fatal(err)
+						}
+						if e := op.do(lt.k); e != errno.OK {
+							t.Fatalf("%s: %v", op.name, e)
+						}
+						if err := lt.tr.PostOp(); err != nil {
+							t.Fatal(err)
+						}
+						if st, _ := lt.k.Stat(lawMount + "/grow"); grows && st.Size != 2*extfs.BlockSize {
+							t.Fatalf("the create left /grow %d bytes, want two blocks", st.Size)
+						}
+						var e errno.Errno
+						if records, e = memo.Snapshot(records[:0], lt.k, lawMount, abstraction.New()); e != errno.OK {
+							t.Fatal(e)
+						}
+						if err := lt.tr.Restore(key); err != nil {
+							t.Fatal(err)
+						}
+					}
+					step() // the first step fills the memo and the caches
+					if got := testing.AllocsPerRun(20, step); got != 0 {
+						t.Errorf("with %d untouched files a warm remount-tracked %s step allocates %v times, want 0", files, op.name, got)
+					}
 				}
 			}
 		})

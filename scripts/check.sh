@@ -177,8 +177,8 @@ go test -cpu 4 -count 400 -run 'TestSwarmJournaling$' ./internal/mc
 echo "==> bench smoke (one iteration per benchmark)"
 go test -bench . -benchtime 1x -run '^$' ./internal/mc/... ./internal/tracker/... ./internal/fuse/... \
 	./internal/kernel/... ./internal/abstraction/...
-go test -bench '^(BenchmarkRemount|BenchmarkLookup|BenchmarkReadDir|BenchmarkFsck)$' -benchtime 1x -run '^$' ./internal/fs/extfs
-go test -bench '^(BenchmarkMountScan|BenchmarkRemount|BenchmarkRemountMissThenHit)$' -benchtime 1x -run '^$' ./internal/fs/jffs2sim
+go test -bench '^(BenchmarkRemount|BenchmarkLookup|BenchmarkReadDir|BenchmarkFsck|BenchmarkStagedSync)$' -benchtime 1x -run '^$' ./internal/fs/extfs
+go test -bench '^(BenchmarkMountScan|BenchmarkRemount|BenchmarkRemountMissThenHit|BenchmarkCreateUnlink)$' -benchtime 1x -run '^$' ./internal/fs/jffs2sim
 
 echo "==> replay-determinism smoke (run -> bundle -> replay -> shrink)"
 # go run remaps the child's exit code, so build the real binary.
