@@ -56,6 +56,11 @@ type ServerOptions struct {
 // calls the backing file system directly.
 type Server struct {
 	backing vfs.FS
+	// cp is backing as a checkpointer, nil if it is none, asserted once:
+	// an interface assertion that misses its call site's cache may
+	// allocate (the runtime refills that cache at random), and a
+	// checkpoint and restore allocate nothing.
+	cp vfs.Checkpointer
 
 	// notify: the fixed VeriFS tells the kernel to drop every cached
 	// dentry and attribute of the mount after each successful restore —
@@ -65,7 +70,8 @@ type Server struct {
 
 // NewServer wraps backing as a FUSE server process.
 func NewServer(backing vfs.FS, opts ServerOptions) *Server {
-	return &Server{backing: backing, notify: !opts.SkipInvalidateOnRestore}
+	cp, _ := backing.(vfs.Checkpointer)
+	return &Server{backing: backing, cp: cp, notify: !opts.SkipInvalidateOnRestore}
 }
 
 // OpenDeviceFiles lists the special device files the server process holds
@@ -292,7 +298,7 @@ func (c *Client) RemoveXattr(ino vfs.Ino, name string) errno.Errno {
 // CheckpointState implements vfs.Checkpointer: ioctl_CHECKPOINT.
 func (c *Client) CheckpointState(key uint64) errno.Errno {
 	defer c.send("CHECKPOINT").End()
-	if fs, ok := c.server.backing.(vfs.Checkpointer); ok {
+	if fs := c.server.cp; fs != nil {
 		return fs.CheckpointState(key)
 	}
 	return errno.ENOTSUP
@@ -304,8 +310,8 @@ func (c *Client) CheckpointState(key uint64) errno.Errno {
 // share the request's channel in real FUSE).
 func (c *Client) RestoreState(key uint64) errno.Errno {
 	defer c.send("RESTORE").End()
-	fs, ok := c.server.backing.(vfs.Checkpointer)
-	if !ok {
+	fs := c.server.cp
+	if fs == nil {
 		return errno.ENOTSUP
 	}
 	e := fs.RestoreState(key)
@@ -320,7 +326,7 @@ func (c *Client) RestoreState(key uint64) errno.Errno {
 // live state.
 func (c *Client) DiscardState(key uint64) errno.Errno {
 	defer c.send("DISCARD").End()
-	if fs, ok := c.server.backing.(vfs.Checkpointer); ok {
+	if fs := c.server.cp; fs != nil {
 		return fs.DiscardState(key)
 	}
 	return errno.ENOTSUP

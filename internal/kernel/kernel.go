@@ -90,6 +90,10 @@ type Mount struct {
 	point string
 	spec  FilesystemSpec
 	fs    vfs.FS // nil while detached
+	// cp is fs as a checkpointer, nil if it is none: asserted once per
+	// attach, since an interface assertion that misses its call site's
+	// cache may allocate (the runtime refills that cache at random).
+	cp vfs.Checkpointer
 
 	caches
 
@@ -251,6 +255,7 @@ func (m *Mount) attach() error {
 		return fmt.Errorf("kernel: mounting %s at %s: %w", m.spec.Type, m.point, err)
 	}
 	m.fs, m.dcacheHits, m.dcacheMisses = fs, 0, 0
+	m.cp, _ = fs.(vfs.Checkpointer)
 	if b, ok := fs.(InvalidatorBinder); ok {
 		b.BindCacheInvalidator(mountInvalidator{m})
 	}
@@ -260,7 +265,7 @@ func (m *Mount) attach() error {
 // detach empties the record's caches and drops its file system instance.
 func (m *Mount) detach() {
 	m.caches.empty()
-	m.fs = nil
+	m.fs, m.cp = nil, nil
 }
 
 // mountIndex finds the record at exactly point (a clean path), or the

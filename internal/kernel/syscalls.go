@@ -540,8 +540,8 @@ func (k *Kernel) Ioctl(path string, cmd uint32, arg uint64) errno.Errno {
 	if !r.exists {
 		return errno.ENOENT
 	}
-	cp, ok := r.mount.fs.(vfs.Checkpointer)
-	if !ok {
+	cp := r.mount.cp
+	if cp == nil {
 		return errno.ENOTSUP
 	}
 	switch cmd {

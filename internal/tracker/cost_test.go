@@ -127,16 +127,7 @@ func TestCheckpointCostTracksWriteSet(t *testing.T) {
 				withWrite = append(withWrite, testing.AllocsPerRun(20, func() { cycle(true) }))
 				// The write stays outside the window, so the inode it
 				// copied is the current epoch's when the checkpoint runs.
-				var dirty uint64
-				for i := 0; i < 20; i++ {
-					smallWrite(t, lt, byte(i))
-					var before, after runtime.MemStats
-					runtime.ReadMemStats(&before)
-					cycle(false)
-					runtime.ReadMemStats(&after)
-					dirty += after.Mallocs - before.Mallocs
-				}
-				if dirty != 0 {
+				if dirty := mallocsOver(20, func(i int) { smallWrite(t, lt, byte(i)) }, func() { cycle(false) }); dirty != 0 {
 					t.Errorf("with %d files 20 warm Checkpoint+Restores, each after a one-byte write, allocate %d times, want 0", 3+extra, dirty)
 				}
 			}
@@ -147,6 +138,24 @@ func TestCheckpointCostTracksWriteSet(t *testing.T) {
 			}
 		})
 	}
+}
+
+// mallocsOver returns the mallocs of runs calls of f, each after an
+// unmeasured between(i). As in testing.AllocsPerRun, one P runs the
+// loop; the counter is the process's, so only a run with no goroutine
+// of its own reads it clean.
+func mallocsOver(runs int, between func(i int), f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var mallocs uint64
+	for i := 0; i < runs; i++ {
+		between(i)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		mallocs += after.Mallocs - before.Mallocs
+	}
+	return mallocs
 }
 
 // TestRemountCycleAllocatesTheMount is the allocation law of the kernel's
