@@ -37,6 +37,7 @@ package blockdev
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -167,18 +168,16 @@ var (
 type Disk struct {
 	mu      sync.Mutex
 	name    string
-	data    []byte
+	s       store // the bytes, in cachePage pages, and the undo frames
 	profile Profile
 	clock   *simclock.Clock
 
-	cached  []bool // page-cache residency per cachePage
-	lastEnd int64  // end offset of the previous medium request
+	cached  residency // the page cache
+	lastEnd int64     // end offset of the previous medium request
 
 	inj *fault.Injector // schedulable fault plane (nil = no faults)
 
 	reads, writes int64 // medium request counters
-
-	undo undoLog // open checkpoint frames and the pre-images they need
 
 	// Observability handles (nil unless SetObs was called): medium
 	// requests are mirrored to per-device counters, and the big
@@ -206,17 +205,63 @@ func NewRAM(name string, size int64, clock *simclock.Clock) *Disk {
 	return NewDisk(name, size, RAMProfile, clock)
 }
 
-// NewDisk returns a disk with 4 KiB blocks and an explicit latency profile.
+// NewDisk returns a disk with 4 KiB blocks and an explicit latency
+// profile. It starts all zeros, holding no page.
 func NewDisk(name string, size int64, p Profile, clock *simclock.Clock) *Disk {
 	if size <= 0 {
 		panic(fmt.Sprintf("blockdev: non-positive size %d for %s", size, name))
 	}
-	return &Disk{
+	d := &Disk{
 		name:    name,
-		data:    make([]byte, size),
+		s:       newStore(size, cachePage, 0),
 		profile: p,
 		clock:   clock,
-		cached:  make([]bool, (size+cachePage-1)/cachePage),
+	}
+	d.cached.mark = make([]uint32, len(d.s.table))
+	d.cached.all(false)
+	return d
+}
+
+// residency is the page cache: which pages are resident, and how many,
+// with every page made resident or cold at once in constant time. Page p
+// is resident when (mark[p] == gen) == warmMarks: a whole-cache change
+// moves gen past every mark and picks what a mark that is not gen means.
+type residency struct {
+	mark      []uint32
+	gen       uint32
+	warmMarks bool
+	n         int // resident pages
+}
+
+func (c *residency) has(p int64) bool { return (c.mark[p] == c.gen) == c.warmMarks }
+
+// set makes page p resident or cold.
+func (c *residency) set(p int64, warm bool) {
+	if c.has(p) == warm {
+		return
+	}
+	if warm == c.warmMarks {
+		c.mark[p] = c.gen
+	} else {
+		c.mark[p] = 0 // gen is never 0
+	}
+	if warm {
+		c.n++
+	} else {
+		c.n--
+	}
+}
+
+// all makes every page resident or every page cold.
+func (c *residency) all(warm bool) {
+	if c.gen++; c.gen == math.MaxUint32 {
+		clear(c.mark)
+		c.gen = 1
+	}
+	c.warmMarks = !warm
+	c.n = 0
+	if warm {
+		c.n = len(c.mark)
 	}
 }
 
@@ -224,8 +269,8 @@ func NewDisk(name string, size int64, p Profile, clock *simclock.Clock) *Disk {
 var ErrOutOfRange = fmt.Errorf("blockdev: access out of range")
 
 func (d *Disk) checkRange(n int, off int64) error {
-	if off < 0 || n < 0 || off+int64(n) > int64(len(d.data)) {
-		return fmt.Errorf("%w: off=%d len=%d size=%d dev=%s", ErrOutOfRange, off, n, len(d.data), d.name)
+	if off < 0 || n < 0 || off+int64(n) > d.s.size {
+		return fmt.Errorf("%w: off=%d len=%d size=%d dev=%s", ErrOutOfRange, off, n, d.s.size, d.name)
 	}
 	return nil
 }
@@ -271,13 +316,13 @@ func (d *Disk) ReadAt(p []byte, off int64) error {
 		d.charge(d.seekCost(off))
 		return err
 	}
-	copy(p, d.data[off:])
+	d.s.read(p, off)
 	first, last := pageRange(off, len(p))
 	coldPages := 0
 	for pg := first; pg < last; pg++ {
-		if !d.cached[pg] {
+		if !d.cached.has(pg) {
 			coldPages++
-			d.cached[pg] = true
+			d.cached.set(pg, true)
 		}
 	}
 	if coldPages > 0 {
@@ -307,14 +352,16 @@ func (d *Disk) WriteAt(p []byte, off int64) error {
 	if dec.Persist >= 0 && dec.Persist < n {
 		n = dec.Persist // torn write: only the prefix reaches the medium
 	}
-	d.undo.save(d.data, off, len(p))
-	copy(d.data[off:], p[:n])
+	d.s.write(p[:n], off)
+	if n < len(p) {
+		d.s.touch(off+int64(n), len(p)-n)
+	}
 	if dec.FlipBit >= 0 && dec.FlipBit < int64(len(p))*8 {
-		d.data[off+dec.FlipBit/8] ^= 1 << uint(dec.FlipBit%8)
+		d.s.flip(off+dec.FlipBit/8, uint(dec.FlipBit%8))
 	}
 	first, last := pageRange(off, len(p))
 	for pg := first; pg < last; pg++ {
-		d.cached[pg] = true
+		d.cached.set(pg, true)
 	}
 	d.writes++
 	d.ctrWrites.Inc()
@@ -323,12 +370,12 @@ func (d *Disk) WriteAt(p []byte, off int64) error {
 	kib := (len(p) + 1023) / 1024
 	d.charge(d.seekCost(off) + time.Duration(kib)*d.profile.PerKiB)
 	d.lastEnd = off + int64(len(p))
-	copy(dec.Log, d.data[off:])
+	d.s.read(dec.Log, off)
 	return nil
 }
 
 // Size implements Reader.
-func (d *Disk) Size() int64 { return int64(len(d.data)) }
+func (d *Disk) Size() int64 { return d.s.size }
 
 // BlockSize returns the disk's block size, 4 KiB.
 func (d *Disk) BlockSize() int { return 4096 }
@@ -350,8 +397,8 @@ func (d *Disk) Snapshot() ([]byte, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	defer d.obsHub.StartSpan(obs.LayerBlockdev, d.snapshotSpan).End()
-	img := make([]byte, len(d.data))
-	copy(img, d.data)
+	img := make([]byte, d.s.size)
+	d.s.read(img, 0)
 	d.imageRead()
 	return img, nil
 }
@@ -360,19 +407,13 @@ func (d *Disk) Snapshot() ([]byte, error) {
 // one medium request for the cold pages, which become resident, plus RAM
 // time for every byte.
 func (d *Disk) imageRead() {
-	coldPages := 0
-	for pg := range d.cached {
-		if !d.cached[pg] {
-			coldPages++
-			d.cached[pg] = true
-		}
-	}
-	if coldPages > 0 {
+	if coldPages := len(d.cached.mark) - d.cached.n; coldPages > 0 {
 		d.reads++
 		d.ctrReads.Inc()
 		d.charge(d.profile.Seek + time.Duration(coldPages*cachePage/1024)*d.profile.PerKiB)
 	}
-	d.charge(time.Duration(len(d.data)/1024) * d.profile.CachedPerKiB)
+	d.cached.all(true)
+	d.charge(time.Duration(d.s.size/1024) * d.profile.CachedPerKiB)
 }
 
 // Restore overwrites the disk with img, written through to the medium
@@ -380,15 +421,14 @@ func (d *Disk) imageRead() {
 func (d *Disk) Restore(img []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if len(img) != len(d.data) {
-		return fmt.Errorf("blockdev: restore image size %d != device size %d (%s)", len(img), len(d.data), d.name)
+	if int64(len(img)) != d.s.size {
+		return fmt.Errorf("blockdev: restore image size %d != device size %d (%s)", len(img), d.s.size, d.name)
 	}
 	if err := d.inj.OnControl(); err != nil {
 		return err
 	}
 	defer d.obsHub.StartSpan(obs.LayerBlockdev, d.restoreSpan).End()
-	d.undo.save(d.data, 0, len(d.data))
-	copy(d.data, img)
+	d.s.write(img, 0)
 	d.imageWritten()
 	return nil
 }
@@ -396,14 +436,12 @@ func (d *Disk) Restore(img []byte) error {
 // imageWritten books one sequential write-through of the whole image,
 // which leaves every page resident.
 func (d *Disk) imageWritten() {
-	for pg := range d.cached {
-		d.cached[pg] = true
-	}
+	d.cached.all(true)
 	d.writes++
 	d.ctrWrites.Inc()
-	kib := (len(d.data) + 1023) / 1024
+	kib := (d.s.size + 1023) / 1024
 	d.charge(d.profile.Seek + time.Duration(kib)*d.profile.PerKiB)
-	d.lastEnd = int64(len(d.data))
+	d.lastEnd = d.s.size
 }
 
 // OpenFrame implements Media: Snapshot without the copy.
@@ -411,7 +449,7 @@ func (d *Disk) OpenFrame(key uint64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	defer d.obsHub.StartSpan(obs.LayerBlockdev, d.snapshotSpan).End()
-	d.undo.open(key, len(d.data))
+	d.s.open(key)
 	d.imageRead()
 	return nil
 }
@@ -421,7 +459,7 @@ func (d *Disk) OpenFrame(key uint64) error {
 func (d *Disk) RewindFrame(key uint64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	i := d.undo.find(key)
+	i := d.s.undo.find(key)
 	if i < 0 {
 		return fmt.Errorf("%w: key=%d dev=%s", ErrNoFrame, key, d.name)
 	}
@@ -429,7 +467,7 @@ func (d *Disk) RewindFrame(key uint64) error {
 		return err
 	}
 	defer d.obsHub.StartSpan(obs.LayerBlockdev, d.restoreSpan).End()
-	d.undo.rewind(i, d.data)
+	d.s.rewind(i)
 	d.imageWritten()
 	return nil
 }
@@ -438,23 +476,24 @@ func (d *Disk) RewindFrame(key uint64) error {
 func (d *Disk) CloseFrame(key uint64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.undo.close(key)
+	d.s.close(key)
 }
 
 // HasFrame implements Media.
 func (d *Disk) HasFrame(key uint64) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.undo.find(key) >= 0
+	return d.s.undo.find(key) >= 0
 }
 
 // UndoStats reports how many checkpoint frames are open and how many
-// bytes of pre-images the device holds for them; both are zero once
-// every frame has been rewound or closed.
+// bytes of pre-images the device holds for them, a page per page saved
+// that was not blank; both are zero once every frame has been rewound or
+// closed.
 func (d *Disk) UndoStats() (frames, arenaBytes int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.undo.stats()
+	return d.s.undo.stats(d.s.page)
 }
 
 // SetInjector attaches a fault-injection plane to the device (nil
@@ -479,14 +518,11 @@ func (d *Disk) Injector() *fault.Injector {
 func (d *Disk) LoadImage(img []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if len(img) != len(d.data) {
-		return fmt.Errorf("blockdev: load image size %d != device size %d (%s)", len(img), len(d.data), d.name)
+	if int64(len(img)) != d.s.size {
+		return fmt.Errorf("blockdev: load image size %d != device size %d (%s)", len(img), d.s.size, d.name)
 	}
-	d.undo.save(d.data, 0, len(d.data))
-	copy(d.data, img)
-	for pg := range d.cached {
-		d.cached[pg] = false
-	}
+	d.s.write(img, 0)
+	d.cached.all(false)
 	d.lastEnd = 0
 	return nil
 }
@@ -496,7 +532,7 @@ func (d *Disk) LoadImage(img []byte) error {
 func (d *Disk) RevertFrame(key uint64, regions []fault.Region) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.undo.revert(key, d.data, regions, d.name); err != nil {
+	if err := d.s.revert(key, regions, d.name); err != nil {
 		return err
 	}
 	d.cool(regions)
@@ -512,7 +548,7 @@ func (d *Disk) cool(regions []fault.Region) {
 		}
 		first, last := pageRange(r.Off, int(r.Len))
 		for pg := first; pg < last; pg++ {
-			d.cached[pg] = false
+			d.cached.set(pg, false)
 		}
 	}
 	d.lastEnd = 0
@@ -522,7 +558,7 @@ func (d *Disk) cool(regions []fault.Region) {
 func (d *Disk) Patch(writes []fault.Write) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.undo.patch(d.data, writes, d.name)
+	return d.s.patch(writes, d.name)
 }
 
 // LoadImageDelta is LoadImage over the listed regions only: the media
@@ -532,16 +568,15 @@ func (d *Disk) Patch(writes []fault.Write) error {
 func (d *Disk) LoadImageDelta(img []byte, regions []fault.Region) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if len(img) != len(d.data) {
-		return fmt.Errorf("blockdev: load image size %d != device size %d (%s)", len(img), len(d.data), d.name)
+	if int64(len(img)) != d.s.size {
+		return fmt.Errorf("blockdev: load image size %d != device size %d (%s)", len(img), d.s.size, d.name)
 	}
-	if err := checkRegions(regions, len(d.data), d.name); err != nil {
+	if err := checkRegions(regions, d.s.size, d.name); err != nil {
 		return err
 	}
 	for _, r := range regions {
 		if r.Len > 0 {
-			d.undo.save(d.data, r.Off, int(r.Len))
-			copy(d.data[r.Off:r.Off+r.Len], img[r.Off:r.Off+r.Len])
+			d.s.write(img[r.Off:r.Off+r.Len], r.Off)
 		}
 	}
 	d.cool(regions)
@@ -559,8 +594,6 @@ func (d *Disk) Counters() (reads, writes int64) {
 // DropCaches empties the page cache (tests use it to force cold reads).
 func (d *Disk) DropCaches() {
 	d.mu.Lock()
-	for i := range d.cached {
-		d.cached[i] = false
-	}
+	d.cached.all(false)
 	d.mu.Unlock()
 }

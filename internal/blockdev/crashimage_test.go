@@ -26,13 +26,13 @@ type crashMedium struct {
 
 func crashDisk() crashMedium {
 	clk := simclock.New()
-	fm := framedDisk(16*undoPage+100, clk)
+	fm := framedDisk(16*cachePage+100, clk)
 	d := fm.dev.(*Disk)
 	inj := fault.New()
 	d.SetInjector(inj)
-	return crashMedium{fm, clk, inj, func() []byte { return append([]byte(nil), d.data...) }, func() string {
+	return crashMedium{fm, clk, inj, d.s.image, func() string {
 		rd, wr := d.Counters()
-		return fmt.Sprintf("reads=%d writes=%d lastEnd=%d cached=%v", rd, wr, d.lastEnd, d.cached)
+		return fmt.Sprintf("reads=%d writes=%d lastEnd=%d cached=%v", rd, wr, d.lastEnd, resident(d))
 	}}
 }
 
@@ -42,7 +42,7 @@ func crashMTD() crashMedium {
 	m := fm.dev.(*MTD)
 	inj := fault.New()
 	m.SetInjector(inj)
-	return crashMedium{fm, clk, inj, func() []byte { return append([]byte(nil), m.data...) }, func() string {
+	return crashMedium{fm, clk, inj, m.s.image, func() string {
 		return fmt.Sprintf("erases=%v", m.EraseCounts())
 	}}
 }
@@ -74,8 +74,8 @@ func (m crashMedium) crashImages(t *testing.T, base []byte, n int) [][]byte {
 // after each.
 func (m crashMedium) window(t *testing.T, r *rand.Rand, n int) [][]byte {
 	t.Helper()
-	m.inj.AddRule(fault.Rule{Kind: fault.KindTorn, AtWrite: r.Intn(n), PersistBytes: r.Intn(undoPage)})
-	m.inj.AddRule(fault.Rule{Kind: fault.KindCorrupt, AtWrite: r.Intn(n), BitOffset: int64(r.Intn(8 * undoPage))})
+	m.inj.AddRule(fault.Rule{Kind: fault.KindTorn, AtWrite: r.Intn(n), PersistBytes: r.Intn(cachePage)})
+	m.inj.AddRule(fault.Rule{Kind: fault.KindCorrupt, AtWrite: r.Intn(n), BitOffset: int64(r.Intn(8 * cachePage))})
 	m.inj.StartWindow()
 	after := make([][]byte, n)
 	for k := range after {
@@ -334,8 +334,8 @@ func TestWholeRevertIsTheImageLoad(t *testing.T) {
 					loadStamps = slices.Clone(load.dev.(*MTD).stamps)
 					revStamps = slices.Clone(m.stamps)
 					moved = map[int]bool{}
-					for _, p := range m.undo.pages[m.undo.frames[m.undo.find(1)].mark:] {
-						moved[int(p)*undoPage/m.eraseSize] = true
+					for _, e := range m.s.undo.entries[m.s.undo.frames[m.s.undo.find(1)].mark:] {
+						moved[int(e.page)] = true
 					}
 				}
 

@@ -21,20 +21,22 @@ import (
 // An MTD is a Media itself. The paper loads the mtdblock bridge only so
 // that Spin can copy the flash through a block device; that copy is what
 // OpenFrame and RewindFrame charge.
+//
+// Its pages are its erase blocks, so a block is one contiguous run of
+// bytes to lend, and an erased block holds no page.
 type MTD struct {
 	mu         sync.Mutex
 	name       string
-	data       []byte
+	s          store // the bytes, a page per erase block, and the undo frames
 	eraseSize  int
 	clock      *simclock.Clock
 	eraseCount []int64 // per-block erase counter (wear tracking)
+	erased     []byte  // an erased block, lent for every erased block
 
 	programCost time.Duration // per KiB programmed
 	eraseCost   time.Duration // per block erase
 
 	inj *fault.Injector // schedulable fault plane (nil = no faults)
-
-	undo undoLog // open checkpoint frames and the pre-images they need
 
 	// stamps[b] is the value of changes at the last change to erase block
 	// b's bytes, by whatever path: a stamp that has not moved means bytes
@@ -65,9 +67,9 @@ func NewMTD(name string, size int64, eraseSize int, clock *simclock.Clock) *MTD 
 	if eraseSize <= 0 || size <= 0 || size%int64(eraseSize) != 0 {
 		panic(fmt.Sprintf("blockdev: bad MTD geometry size=%d erase=%d", size, eraseSize))
 	}
-	m := &MTD{
+	return &MTD{
 		name:        name,
-		data:        make([]byte, size),
+		s:           newStore(size, eraseSize, 0xFF),
 		eraseSize:   eraseSize,
 		clock:       clock,
 		eraseCount:  make([]int64, size/int64(eraseSize)),
@@ -75,10 +77,6 @@ func NewMTD(name string, size int64, eraseSize int, clock *simclock.Clock) *MTD 
 		programCost: 8 * time.Microsecond, // NOR-flash-like program speed per KiB
 		eraseCost:   400 * time.Microsecond,
 	}
-	for i := range m.data {
-		m.data[i] = 0xFF
-	}
-	return m
 }
 
 // ErrNotErased is returned when a program operation would need to flip a
@@ -86,7 +84,7 @@ func NewMTD(name string, size int64, eraseSize int, clock *simclock.Clock) *MTD 
 var ErrNotErased = fmt.Errorf("blockdev: programming non-erased flash")
 
 // Size implements Reader.
-func (m *MTD) Size() int64 { return int64(len(m.data)) }
+func (m *MTD) Size() int64 { return m.s.size }
 
 // EraseSize returns the erase block size in bytes.
 func (m *MTD) EraseSize() int { return m.eraseSize }
@@ -95,13 +93,13 @@ func (m *MTD) EraseSize() int { return m.eraseSize }
 func (m *MTD) ReadAt(p []byte, off int64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if off < 0 || off+int64(len(p)) > int64(len(m.data)) {
-		return fmt.Errorf("%w: off=%d len=%d size=%d dev=%s", ErrOutOfRange, off, len(p), len(m.data), m.name)
+	if off < 0 || off+int64(len(p)) > m.s.size {
+		return fmt.Errorf("%w: off=%d len=%d size=%d dev=%s", ErrOutOfRange, off, len(p), m.s.size, m.name)
 	}
 	if err := m.read(off, len(p)); err != nil {
 		return err
 	}
-	copy(p, m.data[off:])
+	m.s.read(p, off)
 	return nil
 }
 
@@ -128,11 +126,18 @@ func (m *MTD) LendBlock(idx int) (data []byte, stamp uint64, err error) {
 	if idx < 0 || idx >= len(m.stamps) {
 		return nil, 0, fmt.Errorf("%w: erase block %d of %d dev=%s", ErrOutOfRange, idx, len(m.stamps), m.name)
 	}
-	start := idx * m.eraseSize
-	if err := m.read(int64(start), m.eraseSize); err != nil {
+	if err := m.read(int64(idx*m.eraseSize), m.eraseSize); err != nil {
 		return nil, 0, err
 	}
-	return m.data[start : start+m.eraseSize : start+m.eraseSize], m.stamps[idx], nil
+	data = m.s.table[idx]
+	if data == nil {
+		if m.erased == nil {
+			m.erased = make([]byte, m.eraseSize)
+			fill(m.erased, 0xFF)
+		}
+		data = m.erased
+	}
+	return data[:m.eraseSize:m.eraseSize], m.stamps[idx], nil
 }
 
 // changed stamps every erase block data[off:off+n] overlaps. Each path
@@ -155,14 +160,11 @@ func (m *MTD) changed(off int64, n int) {
 func (m *MTD) Program(p []byte, off int64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if off < 0 || off+int64(len(p)) > int64(len(m.data)) {
-		return fmt.Errorf("%w: off=%d len=%d size=%d dev=%s", ErrOutOfRange, off, len(p), len(m.data), m.name)
+	if off < 0 || off+int64(len(p)) > m.s.size {
+		return fmt.Errorf("%w: off=%d len=%d size=%d dev=%s", ErrOutOfRange, off, len(p), m.s.size, m.name)
 	}
-	for i, b := range p {
-		cur := m.data[off+int64(i)]
-		if cur&b != b {
-			return fmt.Errorf("%w: off=%d dev=%s", ErrNotErased, off+int64(i), m.name)
-		}
+	if i := m.programmable(p, off); i >= 0 {
+		return fmt.Errorf("%w: off=%d dev=%s", ErrNotErased, off+int64(i), m.name)
 	}
 	dec := m.inj.OnWrite(off, len(p))
 	if dec.Err != nil {
@@ -172,11 +174,33 @@ func (m *MTD) Program(p []byte, off int64) error {
 	if dec.Persist >= 0 && dec.Persist < n {
 		n = dec.Persist // torn program: only the prefix reaches the flash
 	}
-	m.undo.save(m.data, off, len(p))
 	m.changed(off, len(p))
-	copy(m.data[off:], p[:n])
+	m.s.write(p[:n], off)
+	if n < len(p) {
+		m.s.touch(off+int64(n), len(p)-n)
+	}
 	m.programmed(off, len(p), dec)
 	return nil
+}
+
+// programmable returns the index of the first byte of p that would need
+// a bit of the flash at off set, or -1 when p only clears bits.
+func (m *MTD) programmable(p []byte, off int64) int {
+	es := int64(m.eraseSize)
+	for i := 0; i < len(p); {
+		blk := (off + int64(i)) / es
+		lo := int(off + int64(i) - blk*es)
+		n := min(len(p)-i, int(es)-lo)
+		if pg := m.s.table[blk]; pg != nil {
+			for j, b := range p[i : i+n] {
+				if pg[lo+j]&b != b {
+					return i + j
+				}
+			}
+		}
+		i += n
+	}
+	return -1
 }
 
 // programmed finishes a program of n bytes at off whose payload is in
@@ -184,11 +208,11 @@ func (m *MTD) Program(p []byte, off int64) error {
 // and the touch log's copy of what landed, while its window is open.
 func (m *MTD) programmed(off int64, n int, dec fault.Decision) {
 	if dec.FlipBit >= 0 && dec.FlipBit < int64(n)*8 {
-		m.data[off+dec.FlipBit/8] ^= 1 << uint(dec.FlipBit%8)
+		m.s.flip(off+dec.FlipBit/8, uint(dec.FlipBit%8))
 	}
 	m.ctrWrites.Inc()
 	m.charge(time.Duration((n+1023)/1024) * m.programCost)
-	copy(dec.Log, m.data[off:])
+	m.s.read(dec.Log, off)
 }
 
 // Erase resets erase block idx to all 0xFF.
@@ -205,28 +229,20 @@ func (m *MTD) Erase(idx int) error {
 	if dec.Err != nil {
 		return dec.Err
 	}
-	m.undo.save(m.data, int64(start), m.eraseSize)
 	m.changed(int64(start), m.eraseSize)
-	m.wipe(start, start+m.eraseSize)
-	m.erased(idx, dec)
+	m.s.wipe(int64(start), m.eraseSize)
+	m.erasedBlock(idx, dec)
 	return nil
 }
 
-// wipe sets data[lo:hi] to the erased state.
-func (m *MTD) wipe(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		m.data[i] = 0xFF
-	}
-}
-
-// erased finishes the erase of block idx: wear counter, obs counter,
-// charge, and the touch log's copy of the block, while its window is
-// open.
-func (m *MTD) erased(idx int, dec fault.Decision) {
+// erasedBlock finishes the erase of block idx: wear counter, obs
+// counter, charge, and the touch log's copy of the block, while its
+// window is open.
+func (m *MTD) erasedBlock(idx int, dec fault.Decision) {
 	m.eraseCount[idx]++
 	m.ctrErases.Inc()
 	m.charge(m.eraseCost)
-	copy(dec.Log, m.data[idx*m.eraseSize:])
+	m.s.read(dec.Log, int64(idx*m.eraseSize))
 }
 
 // EraseCounts returns a copy of the per-block erase counters.
@@ -266,12 +282,11 @@ func (m *MTD) Injector() *fault.Injector {
 func (m *MTD) LoadImage(img []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(img) != len(m.data) {
-		return fmt.Errorf("blockdev: load image size %d != device size %d (%s)", len(img), len(m.data), m.name)
+	if int64(len(img)) != m.s.size {
+		return fmt.Errorf("blockdev: load image size %d != device size %d (%s)", len(img), m.s.size, m.name)
 	}
-	m.undo.save(m.data, 0, len(m.data))
-	m.changed(0, len(m.data))
-	copy(m.data, img)
+	m.changed(0, len(img))
+	m.s.write(img, 0)
 	return nil
 }
 
@@ -280,10 +295,10 @@ func (m *MTD) LoadImage(img []byte) error {
 func (m *MTD) OpenFrame(key uint64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := m.read(0, len(m.data)); err != nil {
+	if err := m.read(0, int(m.s.size)); err != nil {
 		return err
 	}
-	m.undo.open(key, len(m.data))
+	m.s.open(key)
 	return nil
 }
 
@@ -296,14 +311,14 @@ func (m *MTD) OpenFrame(key uint64) error {
 func (m *MTD) RewindFrame(key uint64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	i := m.undo.find(key)
+	i := m.s.undo.find(key)
 	if i < 0 {
 		return fmt.Errorf("%w: key=%d dev=%s", ErrNoFrame, key, m.name)
 	}
-	for _, p := range m.undo.pages[m.undo.frames[i].mark:] {
-		m.changed(int64(p)*undoPage, undoPage) // the rewind copies this page back
+	for _, e := range m.s.undo.entries[m.s.undo.frames[i].mark:] {
+		m.changed(int64(e.page)*int64(m.eraseSize), m.eraseSize) // the rewind puts this block back
 	}
-	m.undo.rewind(i, m.data)
+	m.s.rewind(i)
 	es := m.eraseSize
 	for idx := range m.eraseCount {
 		start := idx * es
@@ -311,18 +326,18 @@ func (m *MTD) RewindFrame(key uint64) error {
 		if dec.Err != nil {
 			return dec.Err
 		}
-		m.erased(idx, dec)
+		m.erasedBlock(idx, dec)
 		dec = m.inj.OnWrite(int64(start), es)
 		if dec.Err != nil {
 			return dec.Err
 		}
 		torn := dec.Persist >= 0 && dec.Persist < es
 		if torn || dec.FlipBit >= 0 {
-			m.undo.save(m.data, int64(start), es)
+			m.s.touch(int64(start), es)
 			m.changed(int64(start), es)
 		}
 		if torn {
-			m.wipe(start+dec.Persist, start+es) // erased, never reprogrammed
+			m.s.wipe(int64(start+dec.Persist), es-dec.Persist) // erased, never reprogrammed
 		}
 		m.programmed(int64(start), es, dec)
 	}
@@ -333,14 +348,14 @@ func (m *MTD) RewindFrame(key uint64) error {
 func (m *MTD) CloseFrame(key uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.undo.close(key)
+	m.s.close(key)
 }
 
 // HasFrame implements Media.
 func (m *MTD) HasFrame(key uint64) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.undo.find(key) >= 0
+	return m.s.undo.find(key) >= 0
 }
 
 // UndoStats reports the flash's open checkpoint frames and the bytes of
@@ -348,32 +363,32 @@ func (m *MTD) HasFrame(key uint64) bool {
 func (m *MTD) UndoStats() (frames, arenaBytes int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.undo.stats()
+	return m.s.undo.stats(m.s.page)
 }
 
 // RevertFrame implements Media. Programs and erases both reach the
 // injector's touched set, so it bounds every byte where the flash can
 // differ from a frame; flash has no cache to cool. Over the whole flash
 // it is LoadImage of the frame's image, except that only the blocks it
-// copied pages back into get a new stamp.
+// copied pre-images back into get a new stamp.
 func (m *MTD) RevertFrame(key uint64, regions []fault.Region) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if i := m.undo.find(key); i >= 0 {
-		for _, p := range m.undo.pages[m.undo.frames[i].mark:] {
-			if pageUnder(regions, int64(p)) {
-				m.changed(int64(p)*undoPage, undoPage) // the revert copies this page back
+	if i := m.s.undo.find(key); i >= 0 && checkRegions(regions, m.s.size, m.name) == nil {
+		for _, e := range m.s.undo.entries[m.s.undo.frames[i].mark:] {
+			if under(regions, int64(e.page), m.eraseSize) {
+				m.changed(int64(e.page)*int64(m.eraseSize), m.eraseSize) // the revert copies into this block
 			}
 		}
 	}
-	return m.undo.revert(key, m.data, regions, m.name)
+	return m.s.revert(key, regions, m.name)
 }
 
 // Patch implements Media.
 func (m *MTD) Patch(writes []fault.Write) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := m.undo.patch(m.data, writes, m.name); err != nil {
+	if err := m.s.patch(writes, m.name); err != nil {
 		return err // nothing landed
 	}
 	for _, w := range writes {

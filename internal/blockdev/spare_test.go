@@ -16,7 +16,7 @@ func frameCycle(t testing.TB, d *Disk, pages int, page []byte) {
 		t.Fatal(err)
 	}
 	for p := 0; p < pages; p++ {
-		if err := d.WriteAt(page, int64(p)*undoPage); err != nil {
+		if err := d.WriteAt(page, int64(p)*cachePage); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -25,14 +25,14 @@ func frameCycle(t testing.TB, d *Disk, pages int, page []byte) {
 	}
 }
 
-// TestUndoSpareLaws: the last frame to close leaves its arena and stamp
-// index to the next, so a warm root-frame cycle allocates nothing at 4
-// written pages and at 32; and they are a spare a collection takes back:
-// after one, the heap is its size before a cycle that saved all of a
-// 1 MiB disk, and the medium reports no arena.
+// TestUndoSpareLaws: the last frame to close leaves its log, its stamp
+// index and the free pages to the next, so a warm root-frame cycle
+// allocates nothing at 4 written pages and at 32; and they are a spare a
+// collection takes back: after one, the heap is its size before a cycle
+// that wrote all of a 1 MiB disk, and the medium reports no pre-images.
 func TestUndoSpareLaws(t *testing.T) {
 	clk := simclock.New()
-	page := bytes.Repeat([]byte{1}, undoPage)
+	page := bytes.Repeat([]byte{1}, cachePage)
 	for _, pages := range []int{4, 32} {
 		d := NewRAM("ram0", 1<<20, clk)
 		frameCycle(t, d, pages, page)
@@ -43,11 +43,11 @@ func TestUndoSpareLaws(t *testing.T) {
 
 	d := NewRAM("ram0", 1<<20, clk)
 	before := liveHeap()
-	frameCycle(t, d, (1<<20)/undoPage, page)
+	frameCycle(t, d, (1<<20)/cachePage, page)
 	if after := liveHeap(); after > before+64<<10 {
 		t.Errorf("the heap grew from %d to %d bytes across a collection after a 1 MiB frame", before, after)
 	}
-	if _, ok := d.undo.spare.Take(); ok {
+	if _, ok := d.s.undo.spare.Take(); ok {
 		t.Error("the undo spare outlived a collection")
 	}
 	if frames, arena := d.UndoStats(); frames != 0 || arena != 0 {
@@ -60,7 +60,7 @@ func TestUndoSpareLaws(t *testing.T) {
 // frame stamped them: a stamp carried over never passes for the new
 // frame's, or the save would be skipped and the rewind leave the write.
 func TestReusedStampIndexSavesEveryNewFrame(t *testing.T) {
-	d := NewRAM("ram0", 4*undoPage, simclock.New())
+	d := NewRAM("ram0", 4*cachePage, simclock.New())
 	for round := byte(1); round <= 3; round++ {
 		if err := d.OpenFrame(uint64(round)); err != nil {
 			t.Fatal(err)
@@ -69,9 +69,9 @@ func TestReusedStampIndexSavesEveryNewFrame(t *testing.T) {
 			t.Fatal(err)
 		}
 		d.CloseFrame(uint64(round)) // the write stays, stamped by a closed frame
-		want := append([]byte(nil), d.data...)
-		frameCycle(t, d, 1, bytes.Repeat([]byte{0xEE}, undoPage))
-		if !bytes.Equal(d.data, want) {
+		want := d.s.image()
+		frameCycle(t, d, 1, bytes.Repeat([]byte{0xEE}, cachePage))
+		if !bytes.Equal(d.s.image(), want) {
 			t.Fatalf("round %d: the rewind left the frame's write on the medium: a stale stamp skipped its save", round)
 		}
 	}

@@ -33,7 +33,7 @@ func TestBlockStampCoversEveryByteChange(t *testing.T) {
 			inj := fault.New()
 			m.SetInjector(inj)
 
-			shadow := append([]byte(nil), m.data...)
+			shadow := m.s.image()
 			stamps := append([]uint64(nil), m.stamps...)
 			var newest uint64 // the largest stamp seen so far
 			// settle checks the step that just ran and returns how many
@@ -42,11 +42,12 @@ func TestBlockStampCoversEveryByteChange(t *testing.T) {
 				t.Helper()
 				moved := 0
 				high := newest
+				img := m.s.image()
 				for blk, now := range m.stamps {
 					lo, hi := blk*es, (blk+1)*es
 					switch {
 					case now == stamps[blk]:
-						if !bytes.Equal(m.data[lo:hi], shadow[lo:hi]) {
+						if !bytes.Equal(img[lo:hi], shadow[lo:hi]) {
 							t.Fatalf("%s changed block %d and left its stamp at %d", what, blk, now)
 						}
 					case now <= newest:
@@ -57,14 +58,14 @@ func TestBlockStampCoversEveryByteChange(t *testing.T) {
 					}
 				}
 				newest = high
-				copy(shadow, m.data)
+				shadow = img
 				copy(stamps, m.stamps)
 				return moved
 			}
 			// programmable returns n bytes the flash at off can take: bits
 			// only clear.
 			programmable := func(off int64, n int) []byte {
-				p := append([]byte(nil), m.data[off:off+int64(n)]...)
+				p := m.s.image()[off : off+int64(n)]
 				for i := range p {
 					p[i] &= byte(r.Intn(256))
 				}
@@ -111,7 +112,7 @@ func TestBlockStampCoversEveryByteChange(t *testing.T) {
 					wantMoved = 1
 				case op == 5:
 					what = "LoadImage"
-					img := append([]byte(nil), m.data...)
+					img := m.s.image()
 					for n := r.Intn(4); n > 0; n-- {
 						off := r.Intn(size)
 						r.Read(img[off:min(size, off+1+r.Intn(es))])

@@ -35,7 +35,7 @@ type framedMedium struct {
 func framedDisk(size int64, clk *simclock.Clock) framedMedium {
 	d := NewRAM("ram0", size, clk)
 	return framedMedium{dev: d, scribble: func(r *rand.Rand) error {
-		p := make([]byte, 1+r.Intn(3*undoPage))
+		p := make([]byte, 1+r.Intn(3*cachePage))
 		r.Read(p)
 		return d.WriteAt(p, r.Int63n(size-int64(len(p))+1))
 	}, snapshot: d.Snapshot, restore: d.Restore}
@@ -49,7 +49,7 @@ func framedMTD(size int64, eraseSize int, clk *simclock.Clock) framedMedium {
 		}
 		// Flash only clears bits: program random bytes masked by what the
 		// cells hold now.
-		p := make([]byte, 1+r.Intn(3*undoPage))
+		p := make([]byte, 1+r.Intn(3*cachePage))
 		off := r.Int63n(size - int64(len(p)) + 1)
 		if err := m.ReadAt(p, off); err != nil {
 			return err
@@ -109,7 +109,7 @@ func (w *undoWalk) randImg() []byte {
 	size := len(img)
 	for n := w.r.Intn(6); n > 0; n-- {
 		off := w.r.Intn(size)
-		w.r.Read(img[off:min(size, off+1+w.r.Intn(2*undoPage))])
+		w.r.Read(img[off:min(size, off+1+w.r.Intn(2*cachePage))])
 	}
 	return img
 }
@@ -147,7 +147,7 @@ func (w *undoWalk) step(step int) {
 		var writes []fault.Write
 		for n := r.Intn(4); n > 0; n-- {
 			off := r.Intn(size)
-			wr := fault.Write{Off: int64(off), Data: make([]byte, 1+r.Intn(min(size-off, 2*undoPage)))}
+			wr := fault.Write{Off: int64(off), Data: make([]byte, 1+r.Intn(min(size-off, 2*cachePage)))}
 			r.Read(wr.Data)
 			writes = append(writes, wr)
 			copy(want[off:], wr.Data)
@@ -161,10 +161,10 @@ func (w *undoWalk) step(step int) {
 		var regions []fault.Region
 		for n := r.Intn(4); n > 0; n-- {
 			off := r.Intn(size)
-			reg := fault.Region{Off: int64(off), Len: int64(1 + r.Intn(min(size-off, 2*undoPage)))}
+			reg := fault.Region{Off: int64(off), Len: int64(1 + r.Intn(min(size-off, 2*cachePage)))}
 			regions = append(regions, reg)
 			first, last := pageRange(reg.Off, int(reg.Len))
-			lo, hi := first*undoPage, min(last*undoPage, int64(size))
+			lo, hi := first*cachePage, min(last*cachePage, int64(size))
 			copy(want[lo:hi], w.open[i].img[lo:hi])
 		}
 		err = dev.RevertFrame(w.open[i].key, regions)
@@ -228,7 +228,7 @@ var framedMedia = []struct {
 	name string
 	mk   func() framedMedium
 }{
-	{"disk", func() framedMedium { return framedDisk(10*undoPage+100, simclock.New()) }},
+	{"disk", func() framedMedium { return framedDisk(10*cachePage+100, simclock.New()) }},
 	{"mtd", func() framedMedium { return framedMTD(64*1024, 8*1024, simclock.New()) }},
 }
 
@@ -290,15 +290,34 @@ func FuzzUndoFrames(f *testing.F) {
 	})
 }
 
-// undoOf is the undo log behind a framed medium.
-func undoOf(fm framedMedium) *undoLog {
+// storeOf is the page store behind a framed medium.
+func storeOf(fm framedMedium) *store {
 	switch d := fm.dev.(type) {
 	case *Disk:
-		return &d.undo
+		return &d.s
 	case *MTD:
-		return &d.undo
+		return &d.s
 	}
-	panic(fmt.Sprintf("no undo log in %T", fm.dev))
+	panic(fmt.Sprintf("no page store in %T", fm.dev))
+}
+
+// image returns a copy of the whole medium, uncharged.
+func (s *store) image() []byte {
+	img := make([]byte, s.size)
+	s.read(img, 0)
+	return img
+}
+
+// undoOf is the undo log behind a framed medium.
+func undoOf(fm framedMedium) *undoLog { return &storeOf(fm).undo }
+
+// resident lists the page cache's residency, page by page.
+func resident(d *Disk) []bool {
+	r := make([]bool, len(d.cached.mark))
+	for p := range r {
+		r[p] = d.cached.has(int64(p))
+	}
+	return r
 }
 
 // TestFrameSavesEachPageOnce: a frame holds one pre-image per page it
@@ -316,7 +335,7 @@ func TestFrameSavesEachPageOnce(t *testing.T) {
 		// each call clears one more bit, which flash can do in place.
 		poke := func(fm framedMedium, pg, i int) {
 			t.Helper()
-			b, off := []byte{0xFF >> (i + 1)}, int64(pg*undoPage+7)
+			b, off := []byte{0xFF >> (i + 1)}, int64(pg*cachePage+7)
 			var err error
 			switch d := fm.dev.(type) {
 			case *Disk:
@@ -328,9 +347,12 @@ func TestFrameSavesEachPageOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		// pageOf is the medium's page holding cache page pg: a flash
+		// page is an erase block.
+		pageOf := func(fm framedMedium, pg int) int32 { return int32(pg * cachePage / storeOf(fm).page) }
 		saves := func(fm framedMedium) (n int) {
-			for _, q := range undoOf(fm).pages {
-				if q == p {
+			for _, e := range undoOf(fm).entries {
+				if e.page == pageOf(fm, p) {
 					n++
 				}
 			}
@@ -384,7 +406,7 @@ func TestFrameSavesEachPageOnce(t *testing.T) {
 			}
 			poke(fm, p, 1)
 			poke(fm, q, 0)
-			if err := fm.dev.RevertFrame(2, []fault.Region{{Off: p * undoPage, Len: 1}}); err != nil {
+			if err := fm.dev.RevertFrame(2, []fault.Region{{Off: p * cachePage, Len: 1}}); err != nil {
 				t.Fatal(err)
 			}
 			if err := fm.dev.RewindFrame(2); err != nil {
@@ -412,18 +434,18 @@ func TestFrameSavesEachPageOnce(t *testing.T) {
 			}
 			poke(fm, p, 1)
 			poke(fm, q, 0)
-			if err := fm.dev.RevertFrame(2, []fault.Region{{Off: p * undoPage, Len: 1}}); err != nil {
+			if err := fm.dev.RevertFrame(2, []fault.Region{{Off: p * cachePage, Len: 1}}); err != nil {
 				t.Fatal(err)
 			}
 			u := undoOf(fm)
-			before := len(u.pages)
+			before := len(u.entries)
 			poke(fm, p, 2)
-			if n := len(u.pages) - before; n != 0 {
+			if n := len(u.entries) - before; n != 0 {
 				t.Errorf("the write after the revert saved %d pages, want 0", n)
 			}
 			inFrame := 0
-			for _, pg := range u.pages[u.frames[len(u.frames)-1].mark:] {
-				if pg == p {
+			for _, e := range u.entries[u.frames[len(u.frames)-1].mark:] {
+				if e.page == pageOf(fm, p) {
 					inFrame++
 				}
 			}
@@ -477,7 +499,7 @@ func TestFrameIsChargedAsTheImageCopy(t *testing.T) {
 	}
 	disk := func() medium {
 		clk := simclock.New()
-		fm := framedDisk(16*undoPage, clk)
+		fm := framedDisk(16*cachePage, clk)
 		d := fm.dev.(*Disk)
 		inj := fault.New()
 		d.SetInjector(inj)

@@ -89,6 +89,9 @@ var structureRules = []rule{
 	// No image copy: a crash point is a position in the write log, and a checkpoint an undo frame.
 	{in: []string{"mcfs/internal/blockdev"}, not: []string{"mcfs/internal/blockdev.Disk.Snapshot"},
 		match: makes(wholeImage), why: "%s: only Snapshot copies a whole image; a crash point is a position in the write log"},
+	// Sparse media: a medium starts blank and takes a page when a write makes one non-blank.
+	{in: []string{"mcfs/internal/blockdev.NewDisk", "mcfs/internal/blockdev.NewMTD", "mcfs/internal/blockdev.newStore"},
+		match: makes(isBytes), why: "%s: a new medium is blank and holds no page; it allocates per-page metadata only"},
 	{in: []string{"mcfs", "mcfs/internal/mc/...", "mcfs/internal/tracker", "mcfs/internal/kernel"},
 		match: uses("(*mcfs/internal/blockdev.Disk).Snapshot", "(*mcfs/internal/blockdev.Disk).Restore", "(*mcfs/internal/blockdev.Disk).LoadImage",
 			"(*mcfs/internal/blockdev.Disk).LoadImageDelta", "(*mcfs/internal/blockdev.MTD).LoadImage"),
@@ -161,13 +164,16 @@ func isCacheMap(t types.Type, _ []ast.Expr, _ *types.Info) bool {
 	return ok && types.TypeString(m.Key(), nil) == "mcfs/internal/kernel.dkey"
 }
 
-// wholeImage matches make([]byte, len(x.data)) where x is a device of
-// internal/blockdev: a copy of its whole image.
+// wholeImage matches make([]byte, x.size) or make([]byte, x.Size())
+// where x is a medium of internal/blockdev: a buffer for its whole image.
 func wholeImage(t types.Type, args []ast.Expr, info *types.Info) bool {
-	n, _ := args[len(args)-1].(*ast.CallExpr)
-	if !isBytes(t, nil, nil) || n == nil || len(n.Args) != 1 || types.ExprString(n.Fun) != "len" {
+	n := args[len(args)-1]
+	if call, ok := n.(*ast.CallExpr); ok && len(call.Args) == 0 {
+		n = call.Fun
+	} else if ok {
 		return false
 	}
-	sel, _ := n.Args[0].(*ast.SelectorExpr)
-	return sel != nil && sel.Sel.Name == "data" && inPkg(namedOf(info.TypeOf(sel.X)), "mcfs/internal/blockdev")
+	sel, _ := ast.Unparen(n).(*ast.SelectorExpr)
+	return isBytes(t, nil, nil) && sel != nil && (sel.Sel.Name == "size" || sel.Sel.Name == "Size") &&
+		inPkg(namedOf(info.TypeOf(sel.X)), "mcfs/internal/blockdev")
 }
