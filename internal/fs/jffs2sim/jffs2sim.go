@@ -172,7 +172,10 @@ type ScanCache struct {
 	lent [][]byte
 	// inos is the scratch the replay and the memo list inode numbers in,
 	// to drop or add structs in number order.
-	inos  []uint32
+	inos []uint32
+	// early is the replay's scratch list of the dirents it met before the
+	// inode node of the inode they name (applyDirentNode).
+	early []early
 	table spare.Slot[table]
 	// free holds inode structs no table holds, with their content and
 	// order arrays and entry maps: those a replay, a memo copy, an unlink
@@ -190,6 +193,13 @@ type ScanCache struct {
 	gen uint64
 	// hits counts the mounts the memo served.
 	hits int
+}
+
+// early is a dirent a replay met before the inode node of the inode it
+// names: name in parent names ino.
+type early struct {
+	parent, ino uint32
+	name        string
 }
 
 // table is the memory a mount replays into — its inode map, whose structs
@@ -409,6 +419,18 @@ func (f *FS) replay(lent [][]byte) {
 			f.applyDirentNode(n.payload, n.name)
 		}
 	}
+	// A directory whose dirent came before its inode node takes its
+	// parent now, if the dirent still stands. Its link in the parent is
+	// counted already: the one log that holds such a pair is a
+	// collection's, which writes the parent's inode node, current link
+	// count and all, before the parent's dirents.
+	for _, e := range cache.early {
+		if child, dir := f.live(e.ino), f.live(e.parent); child != nil && child.mode.IsDir() && dir != nil && dir.entries[e.name] == e.ino {
+			child.parent = e.parent
+		}
+	}
+	clear(cache.early)
+	cache.early = cache.early[:0]
 	// Drop inodes with no links (fully deleted), and those of the last
 	// mount this replay never reached.
 	dead := cache.inos[:0]
@@ -892,7 +914,10 @@ func (f *FS) applyDirentNode(p []byte, name string) {
 	dropEntry()
 	dir.order = append(dir.order, name)
 	dir.entries[name] = ino
-	if child := f.live(ino); child != nil && child.mode.IsDir() {
+	switch child := f.live(ino); {
+	case child == nil:
+		f.cache.early = append(f.cache.early, early{parent, ino, name})
+	case child.mode.IsDir():
 		child.parent = parent
 		dir.nlink++
 	}

@@ -227,6 +227,41 @@ func TestGarbageCollection(t *testing.T) {
 	}
 }
 
+// TestCollectedDirectoriesKeepTheirParents: a collection writes each
+// directory's inode node before its dirents, so a replay of the collected
+// log meets the dirent naming a subdirectory before the subdirectory's
+// own inode node. Its parent must come out as when the inode node comes
+// first: after a remount, ".." of /d is the root and ".." of /d/s is /d,
+// and the link counts are the live ones.
+func TestCollectedDirectoriesKeepTheirParents(t *testing.T) {
+	f, mtd, clk := newVolume(t)
+	d := mustMkdir(t, f, f.Root(), "d")
+	s := mustMkdir(t, f, d, "s")
+	if e := f.gc(); e != errno.OK {
+		t.Fatal(e)
+	}
+	if err := f.Unmount(); err != nil {
+		t.Fatal(err)
+	}
+	f2, err := Mount(mtd, clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		dir, want vfs.Ino
+		name      string
+	}{{d, f2.Root(), "/d"}, {s, d, "/d/s"}} {
+		if got, e := f2.Lookup(c.dir, ".."); e != errno.OK || got != c.want {
+			t.Errorf("Lookup(%s, \"..\") = %d, %v after a collection and a remount; want %d", c.name, got, e, c.want)
+		}
+	}
+	for ino, want := range map[vfs.Ino]uint32{f2.Root(): 3, d: 3, s: 2} {
+		if st, e := f2.Getattr(ino); e != errno.OK || st.Nlink != want {
+			t.Errorf("inode %d has %d links (%v), want %d", ino, st.Nlink, e, want)
+		}
+	}
+}
+
 func TestENOSPCWhenLiveDataFull(t *testing.T) {
 	f, _, _ := newVolume(t)
 	ino := mustCreate(t, f, f.Root(), "big")
@@ -686,11 +721,10 @@ func mountDiff(got, want *FS) string {
 // liveDiff describes how a live file system differs from want, a mount
 // of a copy of its flash, in every inode reachable from the root, times
 // aside: its mode, link count, owner, size, bytes up to its size, link
-// target and entries in order. Two things a replay rebuilds differently
-// from the ops that logged them are aside too: a directory's parent,
-// which a replay leaves unset when it meets the directory's dirent before
-// its inode node (as after a collection), and the inode of a removed
-// directory, which no node marks unlinked and a replay keeps unreachable.
+// target, parent and entries in order. One thing a replay rebuilds
+// differently from the ops that logged them is aside too: the inode of a
+// removed directory, which no node marks unlinked and a replay keeps
+// unreachable.
 func liveDiff(live, want *FS) string {
 	var b strings.Builder
 	reach := func(f *FS) []uint32 {
@@ -722,16 +756,16 @@ func liveDiff(live, want *FS) string {
 	return b.String()
 }
 
-// sameLiveInode is sameInode with the times and the parent aside, and a
-// file's content read as its size says, its implicit zeros written out.
+// sameLiveInode is sameInode with the times aside, and a file's content
+// read as its size says, its implicit zeros written out.
 func sameLiveInode(a, b *inodeInfo) bool {
 	bytesOf := func(nd *inodeInfo) []byte {
 		data := nd.content[:min(int64(len(nd.content)), nd.size)]
 		return append(slices.Clip(data), make([]byte, nd.size-int64(len(data)))...)
 	}
 	return a.mode == b.mode && a.nlink == b.nlink && a.uid == b.uid && a.gid == b.gid && a.size == b.size &&
-		bytes.Equal(bytesOf(a), bytesOf(b)) && a.target == b.target && (a.entries == nil) == (b.entries == nil) &&
-		maps.Equal(a.entries, b.entries) && slices.Equal(a.order, b.order)
+		bytes.Equal(bytesOf(a), bytesOf(b)) && a.target == b.target && a.parent == b.parent &&
+		(a.entries == nil) == (b.entries == nil) && maps.Equal(a.entries, b.entries) && slices.Equal(a.order, b.order)
 }
 
 // sameInode reports whether two inodes mean the same: a nil entry map is
