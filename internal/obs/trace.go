@@ -62,8 +62,12 @@ func (h *Hub) StartSpan(layer, name string) SpanHandle {
 // spans with it (`defer hub.StartTimed(layer, name, hist).End()`).
 func (h *Hub) StartTimed(layer, name string, hist *Histogram) SpanHandle {
 	if h == nil {
-		return SpanHandle{}
+		return SpanHandle{} // inlined: a nil hub costs its callers no call
 	}
+	return h.startTimed(layer, name, hist)
+}
+
+func (h *Hub) startTimed(layer, name string, hist *Histogram) SpanHandle {
 	now := h.Now()
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -82,9 +86,12 @@ func (h *Hub) StartTimed(layer, name string, hist *Histogram) SpanHandle {
 // on the zero handle; ending out of order is tolerated (the span is
 // found by ID, not stack position).
 func (s SpanHandle) End() {
-	if s.h == nil {
-		return
+	if s.h != nil { // inlined: the zero handle costs no call
+		s.end()
 	}
+}
+
+func (s SpanHandle) end() {
 	now := s.h.Now()
 	s.h.mu.Lock()
 	defer s.h.mu.Unlock()
