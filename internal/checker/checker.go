@@ -368,6 +368,10 @@ func (c *Checker) StateHash() (abstraction.State, errno.Errno) {
 // bounded workload can never fill an unlimited store anyway.
 const MaxEqualizationPad = 64 << 20
 
+// zeroFill is the filler EqualizeFreeSpace writes, a chunk at a time. It
+// is only ever read.
+var zeroFill [64 << 10]byte
+
 // EqualizeFreeSpace implements the §3.4 workaround for differing data
 // capacities: it queries every target's free space, takes the smallest
 // (S_L), and on each target with free space S_n writes a dummy file of
@@ -395,14 +399,9 @@ func (c *Checker) EqualizeFreeSpace() errno.Errno {
 		if e != errno.OK {
 			return e
 		}
-		const chunk = 64 * 1024
-		zeros := make([]byte, chunk)
 		for pad > 0 {
-			n := pad
-			if n > chunk {
-				n = chunk
-			}
-			wrote, e := c.k.WriteFD(fd, zeros[:n])
+			n := min(pad, int64(len(zeroFill)))
+			wrote, e := c.k.WriteFD(fd, zeroFill[:n])
 			if e == errno.ENOSPC {
 				// Metadata overhead ate the difference; close enough.
 				break
