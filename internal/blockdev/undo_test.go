@@ -24,6 +24,11 @@ type framedMedium struct {
 	// scribble changes bytes somewhere through the device's own write
 	// path (WriteAt; Erase or Program on flash).
 	scribble func(r *rand.Rand) error
+	// blank writes the erased value somewhere through the write path:
+	// zeros on a disk, part of a page or whole pages; on flash an Erase,
+	// and 0xFF programmed into the block it erased.
+	blank  func(r *rand.Rand) error
+	erased byte
 	// snapshot copies the whole image out, and restore writes one back
 	// through the write path: Disk.Snapshot and Disk.Restore, and on
 	// flash what a copy through mtdblock costs — one read of all of it,
@@ -37,6 +42,13 @@ func framedDisk(size int64, clk *simclock.Clock) framedMedium {
 	return framedMedium{dev: d, scribble: func(r *rand.Rand) error {
 		p := make([]byte, 1+r.Intn(3*cachePage))
 		r.Read(p)
+		return d.WriteAt(p, r.Int63n(size-int64(len(p))+1))
+	}, blank: func(r *rand.Rand) error {
+		if r.Intn(2) == 0 {
+			off := r.Int63n(size/cachePage) * cachePage
+			return d.WriteAt(make([]byte, min(int64(1+r.Intn(3))*cachePage, size-off)), off)
+		}
+		p := make([]byte, 1+r.Intn(3*cachePage))
 		return d.WriteAt(p, r.Int63n(size-int64(len(p))+1))
 	}, snapshot: d.Snapshot, restore: d.Restore}
 }
@@ -58,7 +70,14 @@ func framedMTD(size int64, eraseSize int, clk *simclock.Clock) framedMedium {
 			p[i] &= byte(r.Intn(256))
 		}
 		return m.Program(p, off)
-	}, snapshot: func() ([]byte, error) {
+	}, blank: func(r *rand.Rand) error {
+		blk := r.Intn(int(size) / eraseSize)
+		if err := m.Erase(blk); err != nil || r.Intn(2) == 0 {
+			return err
+		}
+		p := bytes.Repeat([]byte{0xFF}, 1+r.Intn(eraseSize))
+		return m.Program(p, int64(blk*eraseSize+r.Intn(eraseSize-len(p)+1)))
+	}, erased: 0xFF, snapshot: func() ([]byte, error) {
 		img := make([]byte, size)
 		return img, m.ReadAt(img, 0)
 	}, restore: func(img []byte) error {
@@ -75,8 +94,8 @@ func framedMTD(size int64, eraseSize int, clk *simclock.Clock) framedMedium {
 }
 
 // undoWalk drives one framed medium through a seeded walk of every
-// byte-changing path (the write path, a whole-image restore, LoadImage,
-// Patch)
+// byte-changing path (the write path, blank writes and erases, a
+// whole-image restore, LoadImage, Patch)
 // interleaved with frame opens, rewinds, partial reverts and closes in any
 // order, against a reference that keeps a full copy of the image per open
 // frame. After every step the medium holds the reference's bytes.
@@ -103,13 +122,19 @@ func (w *undoWalk) snapshot() []byte {
 	return img
 }
 
-// randImg is the medium's image with a few scattered runs changed.
+// randImg is the medium's image with a few scattered runs changed, some
+// to the erased value.
 func (w *undoWalk) randImg() []byte {
 	img := w.snapshot()
 	size := len(img)
 	for n := w.r.Intn(6); n > 0; n-- {
 		off := w.r.Intn(size)
-		w.r.Read(img[off:min(size, off+1+w.r.Intn(2*cachePage))])
+		run := img[off:min(size, off+1+w.r.Intn(2*cachePage))]
+		if w.r.Intn(3) == 0 {
+			fill(run, w.fm.erased)
+		} else {
+			w.r.Read(run)
+		}
 	}
 	return img
 }
@@ -129,11 +154,15 @@ func (w *undoWalk) step(step int) {
 	want := w.snapshot()
 	var what string
 	var err error
-	switch op := r.Intn(13); {
+	switch op := r.Intn(14); {
 	case op < 4:
 		what = "write"
 		err = w.fm.scribble(r)
 		want = nil // whatever the write path did is the new truth
+	case op == 13:
+		what = "blank write"
+		err = w.fm.blank(r)
+		want = nil
 	case op == 4:
 		what = "Restore"
 		want = w.randImg()

@@ -56,7 +56,12 @@
 #                                                    and the crash
 #                                                    oracle's recovery
 #                                                    session,
-#                                                    BenchmarkCrashProbe)
+#                                                    BenchmarkCrashProbe,
+#                                                    and a device frame
+#                                                    cycle at 256 KiB and
+#                                                    64 MiB; and the nil
+#                                                    hub's span calls
+#                                                    must inline)
 #   6. replay-determinism smoke: a seeded-bug run   (flight recorder end
 #      writes a repro bundle, mcfs replay must       to end: journal ->
 #      reproduce it, mcfs shrink must minimize it;   bundle -> replay ->
@@ -176,7 +181,13 @@ go test -cpu 4 -count 400 -run 'TestSwarmJournaling$' ./internal/mc
 
 echo "==> bench smoke (one iteration per benchmark)"
 go test -bench . -benchtime 1x -run '^$' ./internal/mc/... ./internal/tracker/... ./internal/fuse/... \
-	./internal/kernel/... ./internal/abstraction/...
+	./internal/kernel/... ./internal/abstraction/... ./internal/blockdev/...
+# A nil hub costs an instrumented layer no call: the span calls inline.
+inl=$(go build -gcflags=-m ./internal/obs 2>&1)
+for f in '(\*Hub).StartTimed' 'SpanHandle.End'; do
+	echo "$inl" | grep -q "can inline $f\$" || {
+		echo "FAIL: $f no longer inlines: a nil hub costs every span a call"; exit 1; }
+done
 go test -bench '^(BenchmarkRemount|BenchmarkLookup|BenchmarkReadDir|BenchmarkFsck|BenchmarkStagedSync)$' -benchtime 1x -run '^$' ./internal/fs/extfs
 go test -bench '^(BenchmarkMountScan|BenchmarkRemount|BenchmarkRemountMissThenHit|BenchmarkCreateUnlink)$' -benchtime 1x -run '^$' ./internal/fs/jffs2sim
 
