@@ -520,8 +520,9 @@ func checkTarget(ts TargetSpec) error {
 	return nil
 }
 
-// maxDeviceSize bounds TargetSpec.DeviceSize: a device is one allocation,
-// and the largest any target needs is xfs's 16 MiB minimum.
+// maxDeviceSize bounds TargetSpec.DeviceSize: a device holds only the
+// pages written to it, but its page table grows with its size, and the
+// largest any target needs is xfs's 16 MiB minimum.
 const maxDeviceSize = 1 << 30
 
 // crashEligible reports whether ts can host a crash plane: the probe's
