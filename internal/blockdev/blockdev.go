@@ -31,8 +31,14 @@
 // stand in for Spin mmapping the backing store into its address space —
 // through mtdblock, for the flash — and are charged as that whole-image
 // copy: OpenFrame as a read of the full image (through the cache),
-// RewindFrame as a write of it to the medium. What is copied is only the
-// pages written in between (undo.go).
+// RewindFrame as a write of it to the medium. What moves is only the
+// pages written in between, and no byte is copied back (undo.go).
+//
+// Like brd, which allocates a RAM disk's page when something is first
+// written to it, every medium keeps only the pages written to it: a page
+// whose every byte is the erased value (0x00 on a disk, 0xFF on flash)
+// has no memory behind it, so a device costs its per-page metadata and
+// the pages written, whatever its size (pages.go).
 package blockdev
 
 import (

@@ -29,7 +29,7 @@ type store struct {
 	size  int64
 	page  int  // bytes per page
 	blank byte // the erased value
-	// table[p] is page p's bytes, nil while it is blank. The medium's
+	// table[p] is page p's bytes; nil means a blank page. The medium's
 	// last page may be partial: the bytes past size stay blank.
 	table   [][]byte
 	present int      // pages in the table
@@ -250,16 +250,3 @@ func (s *store) flip(off int64, b uint) {
 	s.own(p, true)[off-p*int64(s.page)] ^= 1 << b
 	s.settle(p)
 }
-
-// at returns the byte at off.
-func (s *store) at(off int64) byte {
-	p := off / int64(s.page)
-	if pg := s.table[p]; pg != nil {
-		return pg[off-p*int64(s.page)]
-	}
-	return s.blank
-}
-
-// pages reports the pages the medium holds: in its table and in its
-// frames.
-func (s *store) pages() int { return s.present + s.undo.held }

@@ -205,6 +205,10 @@ func (t *flatTwin) revert(i int, regions []fault.Region) {
 	t.frames = t.frames[:i+1]
 }
 
+// pages reports the pages the medium holds: in its table and in its
+// frames.
+func (s *store) pages() int { return s.present + s.undo.held }
+
 // lawMedium is one medium of the law and its twin.
 type lawMedium struct {
 	disk  *Disk
