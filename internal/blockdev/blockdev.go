@@ -241,10 +241,10 @@ type residency struct {
 
 func (c *residency) has(p int64) bool { return (c.mark[p] == c.gen) == c.warmMarks }
 
-// set makes page p resident or cold.
-func (c *residency) set(p int64, warm bool) {
+// set makes page p resident or cold, and reports whether it was not.
+func (c *residency) set(p int64, warm bool) bool {
 	if c.has(p) == warm {
-		return
+		return false
 	}
 	if warm == c.warmMarks {
 		c.mark[p] = c.gen
@@ -256,6 +256,7 @@ func (c *residency) set(p int64, warm bool) {
 	} else {
 		c.n--
 	}
+	return true
 }
 
 // all makes every page resident or every page cold.
@@ -326,9 +327,8 @@ func (d *Disk) ReadAt(p []byte, off int64) error {
 	first, last := pageRange(off, len(p))
 	coldPages := 0
 	for pg := first; pg < last; pg++ {
-		if !d.cached.has(pg) {
+		if d.cached.set(pg, true) {
 			coldPages++
-			d.cached.set(pg, true)
 		}
 	}
 	if coldPages > 0 {

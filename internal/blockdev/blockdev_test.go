@@ -467,6 +467,17 @@ func TestMTDBounds(t *testing.T) {
 	if err := m.ReadAt(make([]byte, 1), -1); !errors.Is(err, ErrOutOfRange) {
 		t.Errorf("ReadAt(-1) = %v, want ErrOutOfRange", err)
 	}
+	// An erase block is a page of the flash, which takes a power of two.
+	for _, geo := range [][2]int{{16 * 1024, 0}, {16 * 1024, 3000}, {12 * 1024, 8192}, {6 * 1024, 6 * 1024}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewMTD(size %d, erase %d) took a bad geometry", geo[0], geo[1])
+				}
+			}()
+			NewMTD("mtd0", int64(geo[0]), geo[1], nil)
+		}()
+	}
 }
 
 // Property: a disk behaves like a flat byte array — any sequence of

@@ -61,10 +61,10 @@ func (m *MTD) SetObs(h *obs.Hub) {
 }
 
 // NewMTD returns a flash device of the given size with the given erase
-// block size. Size must be a multiple of eraseSize. The device starts
-// fully erased (all 0xFF).
+// block size, a power of two. Size must be a multiple of eraseSize. The
+// device starts fully erased (all 0xFF), holding no page.
 func NewMTD(name string, size int64, eraseSize int, clock *simclock.Clock) *MTD {
-	if eraseSize <= 0 || size <= 0 || size%int64(eraseSize) != 0 {
+	if eraseSize <= 0 || eraseSize&(eraseSize-1) != 0 || size <= 0 || size%int64(eraseSize) != 0 {
 		panic(fmt.Sprintf("blockdev: bad MTD geometry size=%d erase=%d", size, eraseSize))
 	}
 	return &MTD{
@@ -186,11 +186,9 @@ func (m *MTD) Program(p []byte, off int64) error {
 // programmable returns the index of the first byte of p that would need
 // a bit of the flash at off set, or -1 when p only clears bits.
 func (m *MTD) programmable(p []byte, off int64) int {
-	es := int64(m.eraseSize)
-	for i := 0; i < len(p); {
-		blk := (off + int64(i)) / es
-		lo := int(off + int64(i) - blk*es)
-		n := min(len(p)-i, int(es)-lo)
+	i := 0
+	for blk, lo := m.s.locate(off); i < len(p); blk, lo = blk+1, 0 {
+		n := min(len(p)-i, m.eraseSize-lo)
 		if pg := m.s.table[blk]; pg != nil {
 			for j, b := range p[i : i+n] {
 				if pg[lo+j]&b != b {

@@ -2,6 +2,7 @@ package blockdev
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"slices"
 )
 
@@ -27,7 +28,8 @@ import (
 // The owning device's lock guards the store.
 type store struct {
 	size  int64
-	page  int  // bytes per page
+	page  int  // bytes per page, a power of two
+	shift uint // log2(page)
 	blank byte // the erased value
 	// table[p] is page p's bytes; nil means a blank page. The medium's
 	// last page may be partial: the bytes past size stay blank.
@@ -41,7 +43,8 @@ type store struct {
 const minSlab = 4
 
 func newStore(size int64, page int, blank byte) store {
-	return store{size: size, page: page, blank: blank, table: make([][]byte, (size+int64(page)-1)/int64(page))}
+	return store{size: size, page: page, shift: uint(bits.TrailingZeros(uint(page))), blank: blank,
+		table: make([][]byte, (size+int64(page)-1)/int64(page))}
 }
 
 // isBlank reports whether every byte of b is v.
@@ -170,32 +173,33 @@ func (s *store) settle(p int64) {
 	}
 }
 
+// locate returns the page holding byte off and the byte's place in it.
+func (s *store) locate(off int64) (p int64, lo int) {
+	return off >> s.shift, int(off & int64(s.page-1))
+}
+
 // span calls f for every page [off, off+n) overlaps, with the range's
 // first byte within the page and the bytes of the range it holds. The
 // caller has checked the range.
 func (s *store) span(off int64, n int, f func(p int64, lo, n int)) {
-	for n > 0 {
-		p := off / int64(s.page)
-		lo := int(off - p*int64(s.page))
+	for p, lo := s.locate(off); n > 0; p, lo = p+1, 0 {
 		k := min(n, s.page-lo)
 		f(p, lo, k)
-		off, n = off+int64(k), n-k
+		n -= k
 	}
 }
 
 // read copies the bytes at off into dst, as far as the medium reaches.
 func (s *store) read(dst []byte, off int64) {
 	dst = dst[:min(int64(len(dst)), s.size-off)]
-	for len(dst) > 0 {
-		p := off / int64(s.page)
-		lo := int(off - p*int64(s.page))
+	for p, lo := s.locate(off); len(dst) > 0; p, lo = p+1, 0 {
 		k := min(len(dst), s.page-lo)
 		if pg := s.table[p]; pg != nil {
 			copy(dst[:k], pg[lo:])
 		} else {
 			fill(dst[:k], s.blank)
 		}
-		dst, off = dst[k:], off+int64(k)
+		dst = dst[k:]
 	}
 }
 
@@ -204,9 +208,7 @@ func (s *store) read(dst []byte, off int64) {
 // page src blanks whole lets its page go. A page that src blanks in
 // part keeps it: finding out would cost a scan of the page per write.
 func (s *store) write(src []byte, off int64) {
-	for len(src) > 0 {
-		p := off / int64(s.page)
-		lo := int(off - p*int64(s.page))
+	for p, lo := s.locate(off); len(src) > 0; p, lo = p+1, 0 {
 		seg := src[:min(len(src), s.page-lo)]
 		whole := len(seg) == s.page
 		switch pg := s.table[p]; {
@@ -215,7 +217,7 @@ func (s *store) write(src []byte, off int64) {
 		default:
 			copy(s.own(p, !whole)[lo:], seg)
 		}
-		src, off = src[len(seg):], off+int64(len(seg))
+		src = src[len(seg):]
 	}
 }
 
@@ -246,7 +248,7 @@ func (s *store) touch(off int64, n int) {
 
 // flip inverts bit b of the byte at off.
 func (s *store) flip(off int64, b uint) {
-	p := off / int64(s.page)
-	s.own(p, true)[off-p*int64(s.page)] ^= 1 << b
+	p, lo := s.locate(off)
+	s.own(p, true)[lo] ^= 1 << b
 	s.settle(p)
 }
