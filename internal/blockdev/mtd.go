@@ -31,7 +31,7 @@ type MTD struct {
 	eraseSize  int
 	clock      *simclock.Clock
 	eraseCount []int64 // per-block erase counter (wear tracking)
-	erased     []byte  // an erased block, lent for every erased block
+	blankBlock []byte  // an erased block, lent for every erased block
 
 	programCost time.Duration // per KiB programmed
 	eraseCost   time.Duration // per block erase
@@ -131,11 +131,11 @@ func (m *MTD) LendBlock(idx int) (data []byte, stamp uint64, err error) {
 	}
 	data = m.s.table[idx]
 	if data == nil {
-		if m.erased == nil {
-			m.erased = make([]byte, m.eraseSize)
-			fill(m.erased, 0xFF)
+		if m.blankBlock == nil {
+			m.blankBlock = make([]byte, m.eraseSize)
+			fill(m.blankBlock, 0xFF)
 		}
-		data = m.erased
+		data = m.blankBlock
 	}
 	return data[:m.eraseSize:m.eraseSize], m.stamps[idx], nil
 }
@@ -229,14 +229,14 @@ func (m *MTD) Erase(idx int) error {
 	}
 	m.changed(int64(start), m.eraseSize)
 	m.s.wipe(int64(start), m.eraseSize)
-	m.erasedBlock(idx, dec)
+	m.erased(idx, dec)
 	return nil
 }
 
-// erasedBlock finishes the erase of block idx: wear counter, obs
-// counter, charge, and the touch log's copy of the block, while its
-// window is open.
-func (m *MTD) erasedBlock(idx int, dec fault.Decision) {
+// erased finishes the erase of block idx: wear counter, obs counter,
+// charge, and the touch log's copy of the block, while its window is
+// open.
+func (m *MTD) erased(idx int, dec fault.Decision) {
 	m.eraseCount[idx]++
 	m.ctrErases.Inc()
 	m.charge(m.eraseCost)
@@ -324,7 +324,7 @@ func (m *MTD) RewindFrame(key uint64) error {
 		if dec.Err != nil {
 			return dec.Err
 		}
-		m.erasedBlock(idx, dec)
+		m.erased(idx, dec)
 		dec = m.inj.OnWrite(int64(start), es)
 		if dec.Err != nil {
 			return dec.Err

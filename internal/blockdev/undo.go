@@ -214,7 +214,7 @@ func (s *store) revert(key uint64, regions []fault.Region, name string) error {
 				continue
 			case lo == a && hi == b:
 				s.put(p, s.clone(e.pre))
-			case e.pre == nil && s.table[p] == nil:
+			case e.pre == nil && s.table[p] == nil: // blank, and blank it stays
 			default:
 				pg := s.table[p]
 				if pg == nil {
