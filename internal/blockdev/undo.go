@@ -84,7 +84,10 @@ func (s *store) reclaim() bool {
 func (s *store) open(key uint64) {
 	u := &s.undo
 	if u.saved == nil && !s.reclaim() {
+		// A first frame sizes the log for a session's usual nesting and
+		// write set, so that it does not regrow from nothing.
 		u.saved = make([]uint32, len(s.table))
+		u.frames, u.entries = make([]undoFrame, 0, 4), make([]undoEntry, 0, 32)
 	}
 	if u.epoch == math.MaxUint32 {
 		// Wrapping: forget every stamp, the ones a rewind would put back
