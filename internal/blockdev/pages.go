@@ -1,7 +1,7 @@
 package blockdev
 
 import (
-	"encoding/binary"
+	"bytes"
 	"math/bits"
 	"slices"
 )
@@ -47,19 +47,19 @@ func newStore(size int64, page int, blank byte) store {
 		table: make([][]byte, (size+int64(page)-1)/int64(page))}
 }
 
-// isBlank reports whether every byte of b is v.
+// blankRuns holds a run of each erased value, for isBlank to compare
+// against: bytes.Equal is the memory compare, many bytes at a time.
+var blankRuns = [2][cachePage]byte{1: [cachePage]byte(bytes.Repeat([]byte{0xFF}, cachePage))}
+
+// isBlank reports whether every byte of b is v, 0x00 or 0xFF.
 func isBlank(b []byte, v byte) bool {
-	w := uint64(v) * 0x0101010101010101
-	for len(b) >= 8 {
-		if binary.LittleEndian.Uint64(b) != w {
+	run := blankRuns[v&1][:]
+	for len(b) > 0 {
+		n := min(len(b), len(run))
+		if !bytes.Equal(b[:n], run[:n]) {
 			return false
 		}
-		b = b[8:]
-	}
-	for _, c := range b {
-		if c != v {
-			return false
-		}
+		b = b[n:]
 	}
 	return true
 }
