@@ -209,27 +209,30 @@ func (s *store) revert(key uint64, regions []fault.Region, name string) error {
 		e := u.entries[r]
 		p := int64(e.page)
 		a, b := p*ps, min(p*ps+ps, s.size)
+	regions:
 		for _, reg := range regions {
 			lo, hi := cacheAligned(reg)
 			lo, hi = max(lo, a), min(hi, b)
-			switch {
+			switch cur := s.table[p]; {
 			case reg.Len <= 0 || lo >= hi:
-				continue
+			case lo == a && hi == b && cur != nil && e.pre != nil:
+				copy(cur, e.pre)
+				break regions
 			case lo == a && hi == b:
 				s.put(p, s.clone(e.pre))
-			case e.pre == nil && s.table[p] == nil: // blank, and blank it stays
+				break regions
+			case e.pre == nil && cur == nil: // blank, and blank it stays
 			default:
-				pg := s.table[p]
-				if pg == nil {
-					pg = s.alloc()
-					fill(pg, s.blank)
-					s.table[p] = pg
+				if cur == nil {
+					cur = s.alloc()
+					fill(cur, s.blank)
+					s.table[p] = cur
 					s.present++
 				}
 				if e.pre == nil {
-					fill(pg[lo-a:hi-a], s.blank)
+					fill(cur[lo-a:hi-a], s.blank)
 				} else {
-					copy(pg[lo-a:hi-a], e.pre[lo-a:])
+					copy(cur[lo-a:hi-a], e.pre[lo-a:])
 				}
 				s.settle(p)
 			}
