@@ -496,7 +496,7 @@ func (d *Disk) HasFrame(key uint64) bool {
 // bytes of pre-images the device holds for them, a page per page saved
 // that was not blank; both are zero once every frame has been rewound or
 // closed.
-func (d *Disk) UndoStats() (frames, arenaBytes int) {
+func (d *Disk) UndoStats() (frames, heldBytes int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.s.undo.stats(d.s.page)

@@ -358,7 +358,7 @@ func (m *MTD) HasFrame(key uint64) bool {
 
 // UndoStats reports the flash's open checkpoint frames and the bytes of
 // pre-images held for them (see Disk.UndoStats).
-func (m *MTD) UndoStats() (frames, arenaBytes int) {
+func (m *MTD) UndoStats() (frames, heldBytes int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.s.undo.stats(m.s.page)
