@@ -39,19 +39,20 @@ var poolConfigs = []struct {
 	{"eight-inodes", []Option{WithMaxInodes(8)}},
 }
 
-// fingerprint renders the whole internal state: the high-water mark,
-// every field of every slot below it and every byte of its buffer, those
-// past EOF included. A slot at or past the mark must be the zero inode.
+// fingerprint renders the whole internal state: the high-water mark (the
+// array's length), every field of every slot below it and every byte of
+// its buffer, those past EOF included. A slot the array's memory holds at
+// or past the mark must be the zero inode.
 func fingerprint(t testing.TB, f *FS) string {
 	t.Helper()
 	var b strings.Builder
-	fmt.Fprintf(&b, "hwm=%d\n", f.hwm)
-	for i := range f.inodes {
-		nd := &f.inodes[i]
-		if i >= f.hwm {
+	hwm := len(f.inodes)
+	fmt.Fprintf(&b, "hwm=%d\n", hwm)
+	for i, nd := range f.inodes[:cap(f.inodes)] {
+		if i >= hwm {
 			if nd.used || nd.mode != 0 || nd.nlink != 0 || nd.uid != 0 || nd.gid != 0 || nd.size != 0 ||
 				nd.data != nil || nd.atime != 0 || nd.mtime != 0 || nd.ctime != 0 || nd.entries != nil || nd.parent != 0 {
-				t.Fatalf("slot %d at or past the high-water mark %d is not the zero inode", i, f.hwm)
+				t.Fatalf("slot %d at or past the high-water mark %d is not the zero inode", i, hwm)
 			}
 			continue
 		}
@@ -118,7 +119,7 @@ const poolOps = "ccmwwwwttuurrRds"
 // rmdir name among the inode's entries, and a truncate size near the
 // file's end, so that most calls find what they name.
 func decodeOp(s *opBytes, f *FS) fsOp {
-	o := fsOp{kind: poolOps[s.next()%byte(len(poolOps))], ino: vfs.Ino(1 + int(s.next())%(f.hwm-1))}
+	o := fsOp{kind: poolOps[s.next()%byte(len(poolOps))], ino: vfs.Ino(1 + int(s.next())%(len(f.inodes)-1))}
 	pick := int(s.next())
 	o.name = poolNames[pick%len(poolNames)]
 	if ents := f.inodes[o.ino].entries; len(ents) > 0 && (o.kind == 'u' || o.kind == 'r') {

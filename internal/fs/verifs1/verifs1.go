@@ -12,8 +12,10 @@
 // into the live file system rather than copying them a second time. A
 // snapshot copies the inode array into a reused table and shares every
 // data buffer and entry list with the live file system until an op
-// writes it in place. A restore hands the buffers and lists no snapshot
-// can reach to the next ops, which reuse them.
+// writes it in place. A restore hands the buffers and lists no open
+// snapshot can reach to the next ops, which reuse them. The array is
+// fixed in length as the paper has it, but its memory grows as slots are
+// first used.
 //
 // Buffers are handed out filled with a garbage pattern, simulating
 // malloc(3) returning recycled memory; every correct code path must
@@ -86,12 +88,12 @@ type inode struct {
 type FS struct {
 	clock     *simclock.Clock
 	maxInodes int
-	inodes    []inode
-	// hwm is one past the highest inode slot used since the state was
-	// last restored: every slot from hwm on is the zero inode, so
-	// checkpoints and state sizing stop there instead of walking the
-	// whole fixed array.
-	hwm int
+	// inodes holds the fixed array up to one past the highest slot used
+	// since the state was last restored: every slot past it is the zero
+	// inode, so it is kept only once an op first uses it (allocInode),
+	// and checkpoints and state sizing stop there. Growing it moves every
+	// inode: a *inode does not outlive an allocation.
+	inodes []inode
 	// epoch counts checkpoints and restores; an inode whose epoch differs
 	// shares its buffers with a snapshot (see inode.epoch). It never
 	// reads 0, the mark nextEpoch gives every inode when it wraps.
@@ -109,7 +111,10 @@ type FS struct {
 }
 
 type snapshot struct {
-	inodes []inode // the live array up to its high-water mark
+	inodes []inode // the live array, as far as it was used
+	// epoch is the epoch the snapshot was taken in: it shares only
+	// buffers that were private by then, so none an epoch after it made.
+	epoch uint32
 }
 
 var _ vfs.FS = (*FS)(nil)
@@ -127,16 +132,14 @@ func New(clock *simclock.Clock, opts ...Option) *FS {
 	for _, o := range opts {
 		o(f)
 	}
-	f.inodes = make([]inode, f.maxInodes+1) // index 0 unused
 	now := f.now()
-	f.inodes[1] = inode{
+	f.inodes = []inode{{}, { // index 0 unused
 		used:  true,
 		mode:  vfs.ModeDir | 0755,
 		nlink: 2,
 		atime: now, mtime: now, ctime: now,
 		parent: 1,
-	}
-	f.hwm = 2
+	}}
 	return f
 }
 
@@ -191,31 +194,39 @@ func (f *FS) own(nd *inode) {
 
 // nextEpoch starts a new epoch, after which every buffer the live array
 // holds counts as shared. When the counter wraps it first marks every
-// inode, live or in the pool, with 0, which no epoch reads.
+// inode and snapshot, live or in the pool, with 0, which no epoch reads.
 func (f *FS) nextEpoch() {
 	if f.epoch == math.MaxUint32 {
-		for i := range f.inodes[:f.hwm] {
+		for i := range f.inodes {
 			f.inodes[i].epoch = 0
 		}
 		for _, snap := range f.snapshots {
 			for i := range snap.inodes {
 				snap.inodes[i].epoch = 0
 			}
+			snap.epoch = 0
 		}
 		f.epoch = 0
 	}
 	f.epoch++
 }
 
+// allocInode takes the lowest free slot, growing the array into its
+// first unused one if none below is free. Growing moves every inode, so
+// a caller gets its other *inodes again after it.
 func (f *FS) allocInode() (vfs.Ino, *inode) {
-	for i := 1; i < len(f.inodes); i++ {
-		if !f.inodes[i].used {
-			f.inodes[i] = inode{used: true, epoch: f.epoch}
-			f.hwm = max(f.hwm, i+1)
-			return vfs.Ino(i), &f.inodes[i]
-		}
+	i := 1
+	for i < len(f.inodes) && f.inodes[i].used {
+		i++
 	}
-	return 0, nil
+	if i > f.maxInodes {
+		return 0, nil
+	}
+	if i == len(f.inodes) {
+		f.inodes = append(f.inodes, inode{})
+	}
+	f.inodes[i] = inode{used: true, epoch: f.epoch}
+	return vfs.Ino(i), &f.inodes[i]
 }
 
 // Root implements vfs.FS.
@@ -367,6 +378,7 @@ func (f *FS) makeNode(parent vfs.Ino, name string, mode vfs.Mode, uid, gid uint3
 	if nd == nil {
 		return 0, errno.ENOSPC
 	}
+	dir = f.get(parent) // the array may have grown
 	now := f.now()
 	nd.mode = mode
 	nd.uid = uid
@@ -594,7 +606,8 @@ func (f *FS) CheckpointState(key uint64) errno.Errno {
 	} else {
 		snap = new(snapshot)
 	}
-	snap.inodes = append(snap.inodes, f.inodes[:f.hwm]...)
+	snap.inodes = append(snap.inodes, f.inodes...)
+	snap.epoch = f.epoch
 	f.snapshots[key] = snap
 	f.nextEpoch()
 	return errno.OK
@@ -607,21 +620,21 @@ func (f *FS) CheckpointState(key uint64) errno.Errno {
 // and directory lists with them — are moved into the live array, not
 // cloned; slots used since the checkpoint go back to zero, and the
 // snapshot's table, cleared, to the free list. Before that, the buffers
-// and lists this epoch made go to the spare store: every checkpoint
-// starts a new epoch, so no snapshot can reach them. Other snapshots may
-// share the buffers the live array adopts, so a new epoch starts.
+// and lists no snapshot still open can reach go to the spare store (see
+// bound). Other snapshots may share the buffers the live array adopts,
+// so a new epoch starts.
 func (f *FS) RestoreState(key uint64) errno.Errno {
 	snap, ok := f.snapshots[key]
 	if !ok {
 		return errno.ENOENT
 	}
-	f.recycle()
-	n := copy(f.inodes, snap.inodes)
-	if n < f.hwm {
-		clear(f.inodes[n:f.hwm])
-	}
-	f.hwm = n
 	delete(f.snapshots, key)
+	f.recycle(f.bound(snap.epoch))
+	used := len(f.inodes)
+	f.inodes = append(f.inodes[:0], snap.inodes...)
+	if n := len(f.inodes); n < used {
+		clear(f.inodes[n:used])
+	}
 	f.release(snap)
 	f.nextEpoch()
 	return errno.OK
@@ -648,14 +661,27 @@ func (f *FS) release(snap *snapshot) {
 	f.free = append(f.free, snap)
 }
 
+// bound returns the newest epoch that the snapshot taken in epoch e,
+// being restored, or any snapshot still open was taken in. A buffer
+// made private in epoch m exists only from epoch m on, so only a
+// snapshot taken in m or later can share it: past the bound, none that
+// is left can, whatever order the pool's keys are restored and
+// discarded in.
+func (f *FS) bound(e uint32) uint32 {
+	for _, snap := range f.snapshots {
+		e = max(e, snap.epoch)
+	}
+	return e
+}
+
 // recycle gives the spare store the data buffer and entry list of every
-// live slot the current epoch made them private to (own, or a grown
-// buffer).
-func (f *FS) recycle() {
+// live slot that an epoch after bound made them private to (own, or a
+// grown buffer).
+func (f *FS) recycle(bound uint32) {
 	st := f.spares()
-	for i := range f.inodes[:f.hwm] {
+	for i := range f.inodes {
 		nd := &f.inodes[i]
-		if !nd.used || nd.epoch != f.epoch {
+		if !nd.used || nd.epoch <= bound {
 			continue
 		}
 		if cap(nd.data) > 0 {
@@ -671,11 +697,12 @@ func (f *FS) recycle() {
 // SnapshotCount reports how many snapshots the pool currently holds.
 func (f *FS) SnapshotCount() int { return len(f.snapshots) }
 
-// StateBytes estimates the live state size in bytes (inode array plus
-// data buffers); the memory model uses it to size concrete states.
+// StateBytes estimates the live state size in bytes (the fixed inode
+// array, its unused slots included, plus data buffers); the memory model
+// uses it to size concrete states.
 func (f *FS) StateBytes() int64 {
-	total := int64(len(f.inodes)) * 96 // rough per-inode struct footprint
-	for i := range f.inodes[:f.hwm] {
+	total := int64(f.maxInodes+1) * 96 // rough per-inode struct footprint
+	for i := range f.inodes {
 		if f.inodes[i].used {
 			total += int64(len(f.inodes[i].data))
 			for _, de := range f.inodes[i].entries {

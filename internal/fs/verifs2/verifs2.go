@@ -11,8 +11,8 @@
 // shares every inode with the live file system; an op copies an inode on
 // its first write after a checkpoint or restore, and its blocks, xattrs
 // or directory map only when it writes them. A restore hands the inodes,
-// blocks and directory maps no snapshot can reach to the next ops, which
-// reuse them.
+// blocks and directory maps no open snapshot can reach to the next ops,
+// which reuse them.
 //
 // The paper reports two bugs found in VeriFS2 while model-checking it
 // against VeriFS1 (§6); both are reproducible here via options:
@@ -177,6 +177,9 @@ type snapshot struct {
 	inodes     []slot
 	live       int
 	usedBlocks int
+	// epoch is the epoch the snapshot was taken in: it shares only
+	// inodes that were private by then, so none an epoch after it made.
+	epoch uint64
 }
 
 var _ vfs.FS = (*FS)(nil)
@@ -952,7 +955,7 @@ func (f *FS) CheckpointState(key uint64) errno.Errno {
 		snap = new(snapshot)
 	}
 	snap.inodes = append(snap.inodes, f.inodes...)
-	snap.live, snap.usedBlocks = f.live, f.usedBlocks
+	snap.live, snap.usedBlocks, snap.epoch = f.live, f.usedBlocks, f.epoch
 	f.snapshots[key] = snap
 	f.epoch++
 	return errno.OK
@@ -961,19 +964,19 @@ func (f *FS) CheckpointState(key uint64) errno.Errno {
 // RestoreState implements vfs.Checkpointer. The snapshot is consumed, so
 // the live file system swaps tables with it instead of copying it back,
 // and the snapshot goes to the free list with the old live table,
-// cleared. Before that, every inode this epoch copied or created goes to
-// the spare store with the parts it owns: every checkpoint starts a new
-// epoch, so no snapshot can reach them. Other snapshots may share the
-// inodes the live file system adopts, so a new epoch starts.
+// cleared. Before that, every inode no snapshot still open can reach
+// goes to the spare store with the parts it owns (see bound). Other
+// snapshots may share the inodes the live file system adopts, so a new
+// epoch starts.
 func (f *FS) RestoreState(key uint64) errno.Errno {
 	snap, ok := f.snapshots[key]
 	if !ok {
 		return errno.ENOENT
 	}
-	f.recycle()
+	delete(f.snapshots, key)
+	f.recycle(f.bound(snap.epoch))
 	f.inodes, snap.inodes = snap.inodes, f.inodes
 	f.live, f.usedBlocks = snap.live, snap.usedBlocks
-	delete(f.snapshots, key)
 	f.release(snap)
 	f.epoch++
 	return errno.OK
@@ -1000,15 +1003,28 @@ func (f *FS) release(snap *snapshot) {
 	f.free = append(f.free, snap)
 }
 
-// recycle gives the spare store every inode of the live table that the
-// current epoch copied or created, with each part its own bits mark
+// bound returns the newest epoch that the snapshot taken in epoch e,
+// being restored, or any snapshot still open was taken in. An inode
+// copied or created in epoch m, and the parts it made private then,
+// exist only from epoch m on, so only a snapshot taken in m or later can
+// share them: past the bound, none that is left can, whatever order the
+// pool's keys are restored and discarded in.
+func (f *FS) bound(e uint64) uint64 {
+	for _, snap := range f.snapshots {
+		e = max(e, snap.epoch)
+	}
+	return e
+}
+
+// recycle gives the spare store every inode of the live table that an
+// epoch after bound copied or created, with each part its own bits mark
 // private: the blocks and the block list, and the directory map and
 // order. An xattr map is left to the collector.
-func (f *FS) recycle() {
+func (f *FS) recycle(bound uint64) {
 	st := f.spares()
 	for _, s := range f.inodes {
 		nd := s.nd
-		if nd == nil || nd.epoch != f.epoch {
+		if nd == nil || nd.epoch <= bound {
 			continue
 		}
 		if nd.own&ownBlocks != 0 && cap(nd.blocks) > 0 {
