@@ -56,11 +56,16 @@ type ServerOptions struct {
 // calls the backing file system directly.
 type Server struct {
 	backing vfs.FS
-	// cp is backing as a checkpointer, nil if it is none, asserted once:
-	// an interface assertion that misses its call site's cache may
-	// allocate (the runtime refills that cache at random), and a
-	// checkpoint and restore allocate nothing.
-	cp vfs.Checkpointer
+	// cp, rename, link, symlink and xattr are backing as each optional
+	// interface, nil where it is none, asserted once: an interface
+	// assertion that misses its call site's cache may allocate (the
+	// runtime refills that cache at random), and a round trip allocates
+	// nothing of its own.
+	cp      vfs.Checkpointer
+	rename  vfs.RenameFS
+	link    vfs.LinkFS
+	symlink vfs.SymlinkFS
+	xattr   vfs.XattrFS
 
 	// notify: the fixed VeriFS tells the kernel to drop every cached
 	// dentry and attribute of the mount after each successful restore —
@@ -70,8 +75,13 @@ type Server struct {
 
 // NewServer wraps backing as a FUSE server process.
 func NewServer(backing vfs.FS, opts ServerOptions) *Server {
-	cp, _ := backing.(vfs.Checkpointer)
-	return &Server{backing: backing, cp: cp, notify: !opts.SkipInvalidateOnRestore}
+	s := &Server{backing: backing, notify: !opts.SkipInvalidateOnRestore}
+	s.cp, _ = backing.(vfs.Checkpointer)
+	s.rename, _ = backing.(vfs.RenameFS)
+	s.link, _ = backing.(vfs.LinkFS)
+	s.symlink, _ = backing.(vfs.SymlinkFS)
+	s.xattr, _ = backing.(vfs.XattrFS)
+	return s
 }
 
 // OpenDeviceFiles lists the special device files the server process holds
@@ -225,7 +235,7 @@ func (c *Client) Sync() errno.Errno {
 // backing file system cannot rename, as real FUSE servers do).
 func (c *Client) Rename(oldParent vfs.Ino, oldName string, newParent vfs.Ino, newName string) errno.Errno {
 	defer c.send("RENAME").End()
-	if fs, ok := c.server.backing.(vfs.RenameFS); ok {
+	if fs := c.server.rename; fs != nil {
 		return fs.Rename(oldParent, oldName, newParent, newName)
 	}
 	return errno.ENOSYS
@@ -234,7 +244,7 @@ func (c *Client) Rename(oldParent vfs.Ino, oldName string, newParent vfs.Ino, ne
 // Link implements vfs.LinkFS.
 func (c *Client) Link(ino vfs.Ino, newParent vfs.Ino, newName string) errno.Errno {
 	defer c.send("LINK").End()
-	if fs, ok := c.server.backing.(vfs.LinkFS); ok {
+	if fs := c.server.link; fs != nil {
 		return fs.Link(ino, newParent, newName)
 	}
 	return errno.ENOSYS
@@ -243,7 +253,7 @@ func (c *Client) Link(ino vfs.Ino, newParent vfs.Ino, newName string) errno.Errn
 // Symlink implements vfs.SymlinkFS.
 func (c *Client) Symlink(target string, parent vfs.Ino, name string, uid, gid uint32) (vfs.Ino, errno.Errno) {
 	defer c.send("SYMLINK").End()
-	if fs, ok := c.server.backing.(vfs.SymlinkFS); ok {
+	if fs := c.server.symlink; fs != nil {
 		return fs.Symlink(target, parent, name, uid, gid)
 	}
 	return 0, errno.ENOSYS
@@ -253,7 +263,7 @@ func (c *Client) Symlink(target string, parent vfs.Ino, name string, uid, gid ui
 // the backing file system holds is one).
 func (c *Client) Readlink(ino vfs.Ino) (string, errno.Errno) {
 	defer c.send("READLINK").End()
-	if fs, ok := c.server.backing.(vfs.SymlinkFS); ok {
+	if fs := c.server.symlink; fs != nil {
 		return fs.Readlink(ino)
 	}
 	return "", errno.EINVAL
@@ -262,7 +272,7 @@ func (c *Client) Readlink(ino vfs.Ino) (string, errno.Errno) {
 // SetXattr implements vfs.XattrFS.
 func (c *Client) SetXattr(ino vfs.Ino, name string, value []byte) errno.Errno {
 	defer c.send("SETXATTR").End()
-	if fs, ok := c.server.backing.(vfs.XattrFS); ok {
+	if fs := c.server.xattr; fs != nil {
 		return fs.SetXattr(ino, name, value)
 	}
 	return errno.ENOTSUP
@@ -271,7 +281,7 @@ func (c *Client) SetXattr(ino vfs.Ino, name string, value []byte) errno.Errno {
 // GetXattr implements vfs.XattrFS.
 func (c *Client) GetXattr(ino vfs.Ino, name string) ([]byte, errno.Errno) {
 	defer c.send("GETXATTR").End()
-	if fs, ok := c.server.backing.(vfs.XattrFS); ok {
+	if fs := c.server.xattr; fs != nil {
 		return fs.GetXattr(ino, name)
 	}
 	return nil, errno.ENOTSUP
@@ -280,7 +290,7 @@ func (c *Client) GetXattr(ino vfs.Ino, name string) ([]byte, errno.Errno) {
 // ListXattr implements vfs.XattrFS.
 func (c *Client) ListXattr(ino vfs.Ino) ([]string, errno.Errno) {
 	defer c.send("LISTXATTR").End()
-	if fs, ok := c.server.backing.(vfs.XattrFS); ok {
+	if fs := c.server.xattr; fs != nil {
 		return fs.ListXattr(ino)
 	}
 	return nil, errno.ENOTSUP
@@ -289,7 +299,7 @@ func (c *Client) ListXattr(ino vfs.Ino) ([]string, errno.Errno) {
 // RemoveXattr implements vfs.XattrFS.
 func (c *Client) RemoveXattr(ino vfs.Ino, name string) errno.Errno {
 	defer c.send("REMOVEXATTR").End()
-	if fs, ok := c.server.backing.(vfs.XattrFS); ok {
+	if fs := c.server.xattr; fs != nil {
 		return fs.RemoveXattr(ino, name)
 	}
 	return errno.ENOTSUP

@@ -3,6 +3,7 @@ package fuse
 import (
 	"testing"
 
+	"mcfs/internal/allocs"
 	"mcfs/internal/errno"
 	"mcfs/internal/fs/verifs1"
 	"mcfs/internal/fs/verifs2"
@@ -80,6 +81,97 @@ func TestRoundTripAllocatesNothing(t *testing.T) {
 	c := NewClient(NewServer(verifs2.New(clk), ServerOptions{}), clk)
 	if n := testing.AllocsPerRun(100, func() { c.Getattr(c.Root()) }); n != 0 {
 		t.Errorf("Getattr round trip: %v allocs, want 0", n)
+	}
+}
+
+// TestOptionalCallsAllocateNothing: rename, link, symlink, readlink and
+// the four xattr calls, sent through the kernel and the FUSE transport to
+// VeriFS2, allocate nothing in 10,000 round trips each, counted from the
+// process's malloc total: the kernel and the server each assert their
+// file system's optional interfaces once, not per call, and an assertion
+// that misses its call site's cache may allocate. Each call's loop ends
+// where it started: a rename and its reverse, a link and the unlink of
+// the new name, a setxattr and its removal, and a symlink that ENOSPC
+// refuses after both sides sent it on, since VeriFS2 never reuses an
+// inode number and a new one would grow its table.
+func TestOptionalCallsAllocateNothing(t *testing.T) {
+	clk := simclock.New()
+	k := kernel.New(clk)
+	srv := NewServer(verifs2.New(clk, verifs2.WithCapacity(verifs2.DefaultMaxBlocks, 4)), ServerOptions{})
+	spec := kernel.FilesystemSpec{Type: "verifs2", Mounter: func() (vfs.FS, error) { return NewClient(srv, clk), nil }}
+	if err := k.Mount("/mnt", spec, kernel.MountOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/mnt/a", "/mnt/b"} {
+		fd, e := k.Open(path, vfs.OCreate|vfs.OWrOnly, 0o644)
+		if e != errno.OK {
+			t.Fatal(e)
+		}
+		k.Close(fd)
+	}
+	if e := k.Symlink("/a", "/mnt/s"); e != errno.OK {
+		t.Fatal(e) // the fourth inode of four
+	}
+	both := func(first, second errno.Errno) errno.Errno {
+		if first != errno.OK {
+			return first
+		}
+		return second
+	}
+	want := func(got, want errno.Errno) errno.Errno {
+		if got != want {
+			return got
+		}
+		return errno.OK
+	}
+	for _, call := range []struct {
+		name string
+		do   func() errno.Errno
+	}{
+		{"rename", func() errno.Errno { return both(k.Rename("/mnt/a", "/mnt/c"), k.Rename("/mnt/c", "/mnt/a")) }},
+		{"link", func() errno.Errno { return both(k.Link("/mnt/a", "/mnt/l"), k.Unlink("/mnt/l")) }},
+		{"symlink", func() errno.Errno { return want(k.Symlink("/a", "/mnt/t"), errno.ENOSPC) }},
+		{"readlink", func() errno.Errno {
+			target, e := k.Readlink("/mnt/s")
+			if e == errno.OK && target != "/a" {
+				return errno.EIO
+			}
+			return e
+		}},
+		{"setxattr", func() errno.Errno {
+			return both(k.SetXattr("/mnt/a", "user.k", nil), k.RemoveXattr("/mnt/a", "user.k"))
+		}},
+		{"getxattr", func() errno.Errno {
+			_, e := k.GetXattr("/mnt/a", "user.g")
+			return e
+		}},
+		// /b has no attribute, so the list itself takes no memory.
+		{"listxattr", func() errno.Errno {
+			names, e := k.ListXattr("/mnt/b")
+			if e == errno.OK && len(names) != 0 {
+				return errno.EIO
+			}
+			return e
+		}},
+		{"removexattr", func() errno.Errno { return want(k.RemoveXattr("/mnt/b", "user.k"), errno.ENODATA) }},
+	} {
+		if call.name == "getxattr" {
+			if e := k.SetXattr("/mnt/a", "user.g", nil); e != errno.OK {
+				t.Fatal(e)
+			}
+		}
+		var failed errno.Errno
+		n := allocs.Count(10_000, func() {
+			if e := call.do(); e != errno.OK {
+				failed = e
+			}
+		})
+		if failed != errno.OK {
+			t.Fatalf("%s: %v", call.name, failed)
+		}
+		if n != 0 {
+			t.Errorf("10000 %s round trips allocate %d times, want 0", call.name, n)
+		}
 	}
 }
 

@@ -90,16 +90,27 @@ type Mount struct {
 	point string
 	spec  FilesystemSpec
 	fs    vfs.FS // nil while detached
-	// cp is fs as a checkpointer, nil if it is none: asserted once per
-	// attach, since an interface assertion that misses its call site's
-	// cache may allocate (the runtime refills that cache at random).
-	cp vfs.Checkpointer
+	// ifaces is fs as each optional interface, kept while detached. An
+	// interface assertion that misses its call site's cache may allocate
+	// (the runtime refills that cache at random), so each is made once
+	// per instance (attach).
+	ifaces
 
 	caches
 
 	// cache statistics since the last attach, for tests and the
 	// performance model
 	dcacheHits, dcacheMisses int64
+}
+
+// ifaces is a file system as each optional interface the kernel calls,
+// nil where it is none.
+type ifaces struct {
+	cp      vfs.Checkpointer
+	rename  vfs.RenameFS
+	link    vfs.LinkFS
+	symlink vfs.SymlinkFS
+	xattr   vfs.XattrFS
 }
 
 // caches are a mount point's dentry and attribute caches. An
@@ -245,27 +256,39 @@ func (k *Kernel) Mount(point string, spec FilesystemSpec, _ MountOptions) error 
 		return fmt.Errorf("kernel: %s already mounted", point)
 	}
 	m.spec = spec
-	return m.attach()
+	return m.attach(nil)
 }
 
-// attach mounts a detached record from its spec.
-func (m *Mount) attach() error {
+// attach mounts a detached record from its spec. prev is the instance it
+// held last, nil if none: a remount through a mount cache gets that
+// instance back, and then ifaces and the invalidator it was bound are
+// its already. Instances compare with ==, so a file system's dynamic
+// type must be comparable, as a pointer is.
+func (m *Mount) attach(prev vfs.FS) error {
 	fs, err := m.spec.Mounter()
 	if err != nil {
 		return fmt.Errorf("kernel: mounting %s at %s: %w", m.spec.Type, m.point, err)
 	}
 	m.fs, m.dcacheHits, m.dcacheMisses = fs, 0, 0
+	if fs == prev {
+		return nil
+	}
 	m.cp, _ = fs.(vfs.Checkpointer)
+	m.rename, _ = fs.(vfs.RenameFS)
+	m.link, _ = fs.(vfs.LinkFS)
+	m.symlink, _ = fs.(vfs.SymlinkFS)
+	m.xattr, _ = fs.(vfs.XattrFS)
 	if b, ok := fs.(InvalidatorBinder); ok {
 		b.BindCacheInvalidator(mountInvalidator{m})
 	}
 	return nil
 }
 
-// detach empties the record's caches and drops its file system instance.
+// detach empties the record's caches and drops its file system instance;
+// the syscalls see attached records only, so ifaces stays.
 func (m *Mount) detach() {
 	m.caches.empty()
-	m.fs, m.cp = nil, nil
+	m.fs = nil
 }
 
 // mountIndex finds the record at exactly point (a clean path), or the
@@ -320,6 +343,7 @@ func (k *Kernel) cycle(point string, flush bool, between func() error) error {
 		return fmt.Errorf("kernel: %s not mounted", point)
 	}
 	m := k.mounts[i]
+	prev := m.fs
 	switch {
 	case m.fs == nil:
 	case flush:
@@ -343,7 +367,7 @@ func (k *Kernel) cycle(point string, flush bool, between func() error) error {
 			return err
 		}
 	}
-	return m.attach()
+	return m.attach(prev)
 }
 
 // Remount unmounts and immediately remounts a file system, rebuilding all
@@ -552,11 +576,10 @@ func (k *Kernel) walk(m *Mount, cur vfs.Ino, rest string, followLast bool, depth
 			return resolved{}, e
 		}
 		if cst.Mode.IsSymlink() && (!last || followLast) {
-			sl, ok := m.fs.(vfs.SymlinkFS)
-			if !ok {
+			if m.symlink == nil {
 				return resolved{}, errno.EIO
 			}
-			target, e2 := sl.Readlink(ino)
+			target, e2 := m.symlink.Readlink(ino)
 			if e2 != errno.OK {
 				return resolved{}, e2
 			}

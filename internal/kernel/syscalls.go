@@ -299,11 +299,10 @@ func (k *Kernel) Rename(oldPath, newPath string) errno.Errno {
 		return errno.EBUSY
 	}
 	m := ro.mount
-	rfs, ok := m.fs.(vfs.RenameFS)
-	if !ok {
+	if m.rename == nil {
 		return errno.ENOSYS
 	}
-	if e := rfs.Rename(ro.parent, ro.name, rn.parent, rn.name); e != errno.OK {
+	if e := m.rename.Rename(ro.parent, ro.name, rn.parent, rn.name); e != errno.OK {
 		return e
 	}
 	if rn.exists && rn.ino == ro.ino {
@@ -345,11 +344,10 @@ func (k *Kernel) Link(oldPath, newPath string) errno.Errno {
 		return errno.EEXIST
 	}
 	m := ro.mount
-	lfs, ok := m.fs.(vfs.LinkFS)
-	if !ok {
+	if m.link == nil {
 		return errno.ENOSYS
 	}
-	if e := lfs.Link(ro.ino, rn.parent, rn.name); e != errno.OK {
+	if e := m.link.Link(ro.ino, rn.parent, rn.name); e != errno.OK {
 		return e
 	}
 	m.cacheAdd(rn.parent, rn.name, ro.ino)
@@ -370,11 +368,10 @@ func (k *Kernel) Symlink(target, path string) errno.Errno {
 		return errno.EEXIST
 	}
 	m := r.mount
-	sfs, ok := m.fs.(vfs.SymlinkFS)
-	if !ok {
+	if m.symlink == nil {
 		return errno.ENOSYS
 	}
-	ino, e := sfs.Symlink(target, r.parent, r.name, k.UID, k.GID)
+	ino, e := m.symlink.Symlink(target, r.parent, r.name, k.UID, k.GID)
 	if e != errno.OK {
 		return e
 	}
@@ -393,11 +390,10 @@ func (k *Kernel) Readlink(path string) (string, errno.Errno) {
 	if !r.exists {
 		return "", errno.ENOENT
 	}
-	sfs, ok := r.mount.fs.(vfs.SymlinkFS)
-	if !ok {
+	if r.mount.symlink == nil {
 		return "", errno.EINVAL
 	}
-	return sfs.Readlink(r.ino)
+	return r.mount.symlink.Readlink(r.ino)
 }
 
 // Stat returns metadata, following symlinks.
@@ -565,11 +561,10 @@ func (k *Kernel) SetXattr(path, name string, value []byte) errno.Errno {
 	if !r.exists {
 		return errno.ENOENT
 	}
-	xfs, ok := r.mount.fs.(vfs.XattrFS)
-	if !ok {
+	if r.mount.xattr == nil {
 		return errno.ENOTSUP
 	}
-	if e := xfs.SetXattr(r.ino, name, value); e != errno.OK {
+	if e := r.mount.xattr.SetXattr(r.ino, name, value); e != errno.OK {
 		return e
 	}
 	r.mount.attrDirty(r.ino)
@@ -586,11 +581,10 @@ func (k *Kernel) GetXattr(path, name string) ([]byte, errno.Errno) {
 	if !r.exists {
 		return nil, errno.ENOENT
 	}
-	xfs, ok := r.mount.fs.(vfs.XattrFS)
-	if !ok {
+	if r.mount.xattr == nil {
 		return nil, errno.ENOTSUP
 	}
-	return xfs.GetXattr(r.ino, name)
+	return r.mount.xattr.GetXattr(r.ino, name)
 }
 
 // ListXattr lists extended attribute names.
@@ -603,11 +597,10 @@ func (k *Kernel) ListXattr(path string) ([]string, errno.Errno) {
 	if !r.exists {
 		return nil, errno.ENOENT
 	}
-	xfs, ok := r.mount.fs.(vfs.XattrFS)
-	if !ok {
+	if r.mount.xattr == nil {
 		return nil, errno.ENOTSUP
 	}
-	return xfs.ListXattr(r.ino)
+	return r.mount.xattr.ListXattr(r.ino)
 }
 
 // RemoveXattr deletes an extended attribute.
@@ -620,11 +613,10 @@ func (k *Kernel) RemoveXattr(path, name string) errno.Errno {
 	if !r.exists {
 		return errno.ENOENT
 	}
-	xfs, ok := r.mount.fs.(vfs.XattrFS)
-	if !ok {
+	if r.mount.xattr == nil {
 		return errno.ENOTSUP
 	}
-	if e := xfs.RemoveXattr(r.ino, name); e != errno.OK {
+	if e := r.mount.xattr.RemoveXattr(r.ino, name); e != errno.OK {
 		return e
 	}
 	r.mount.attrDirty(r.ino)
