@@ -1,10 +1,12 @@
 package mc_test
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
 	"mcfs"
+	"mcfs/internal/mc"
 	"mcfs/internal/workload"
 )
 
@@ -72,5 +74,35 @@ func TestCrashProbeAllocationBudget(t *testing.T) {
 	}
 	if n := after.TotalAlloc - before.TotalAlloc; n > budget {
 		t.Errorf("an exhaustive depth-1 ext2/ext4 crash run allocates %d bytes, budget %d", n, budget)
+	}
+}
+
+// TestReadStepAllocatesNothing: once warm, a step of read_file allocates
+// nothing on the VeriFS pair over FUSE and on the ext pair with its
+// per-op remounts, at 3 files as at 24. Each target reads into a buffer
+// of its own that the engine keeps; the checker compares the two.
+func TestReadStepAllocatesNothing(t *testing.T) {
+	read := workload.Op{Kind: workload.OpRead, Path: "/f0"}
+	for _, pair := range [][2]string{{"verifs1", "verifs2"}, {"ext2", "ext4"}} {
+		for _, files := range []int{3, 24} {
+			s, err := mcfs.NewSession(mcfs.Options{
+				Targets:  []mcfs.TargetSpec{{Kind: pair[0]}, {Kind: pair[1]}},
+				MaxDepth: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var setup []workload.Op
+			for i := 0; i < files; i++ {
+				path := fmt.Sprintf("/f%d", i)
+				setup = append(setup,
+					workload.Op{Kind: workload.OpCreateFile, Path: path, Mode: 0o644},
+					workload.Op{Kind: workload.OpWriteFile, Path: path, Off: int64(i), Size: 4096, Byte: byte(i + 1)})
+			}
+			if n := mc.StepMallocs(t, *s.Config(), setup, read, 1000); n != 0 {
+				t.Errorf("%s/%s with %d files: 1000 warm read_file steps allocate %d times, want 0", pair[0], pair[1], files, n)
+			}
+			s.Close()
+		}
 	}
 }

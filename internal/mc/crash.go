@@ -347,8 +347,7 @@ func (e *engine) crashWindow(p *CrashPlane, op workload.Op) (int, error) {
 		return 0, fmt.Errorf("pre-op: %w", err)
 	}
 	p.Injector.StartWindow()
-	m := e.memoOf(op)
-	workload.ExecuteAt(e.cfg.Kernel, op, m.paths(p.Mount, op), m.data)
+	e.execute(op, e.memoOf(op), p.Mount, p.Target)
 	e.probe.ran()
 	err = e.cfg.Kernel.Remount(p.Mount)
 	e.probe.remounted()
@@ -359,10 +358,11 @@ func (e *engine) crashWindow(p *CrashPlane, op workload.Op) (int, error) {
 	return p.Injector.WindowWrites(), nil
 }
 
-// crashKey names one probe: a state, an operation and a target.
+// crashKey names one probe: a state, an operation (by the engine's memo
+// of it, one per op for the whole run) and a target.
 type crashKey struct {
 	state  abstraction.State
-	op     workload.Op
+	op     *opMemo
 	target int
 }
 
@@ -371,12 +371,13 @@ type crashKey struct {
 // run. The probe always leaves the target back in its pre-probe state,
 // so the engine's normal step proceeds unchanged.
 func (s *search) crash(e *engine, depth int, op workload.Op) error {
+	m := e.memoOf(op)
 	for i := range e.cfg.Crash.Planes {
 		if !e.budgetLeft() {
 			return nil
 		}
 		p := &e.cfg.Crash.Planes[i]
-		key := crashKey{e.curHash, op, p.Target}
+		key := crashKey{e.curHash, m, p.Target}
 		if s.crashSeen[key] {
 			continue
 		}

@@ -75,7 +75,7 @@ func windowFixture(t *testing.T, postErr error) (*engine, *CrashPlane) {
 	if err := k.Mount("/mnt0", spec, kernel.MountOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	return &engine{cfg: Config{Kernel: k}}, &CrashPlane{Name: "test#0", Mount: "/mnt0", Injector: fault.New()}
+	return &engine{cfg: Config{Kernel: k}, reads: make([][]byte, 1)}, &CrashPlane{Name: "test#0", Mount: "/mnt0", Injector: fault.New()}
 }
 
 func TestCrashWindowReportsPostOpError(t *testing.T) {
@@ -121,7 +121,7 @@ func TestRollbackAfterFailedRecovery(t *testing.T) {
 	dev.SetInjector(inj)
 	inj.StartTouchLog()
 	defer inj.StopTouchLog()
-	e := &engine{cfg: Config{Kernel: k}}
+	e := &engine{cfg: Config{Kernel: k}, reads: make([][]byte, 1)}
 	p := &CrashPlane{Name: "ext2#0", Mount: "/mnt0", Injector: inj, Media: dev}
 
 	noMagic := []fault.Write{{Off: 0, Data: make([]byte, 4)}}
@@ -212,7 +212,7 @@ func TestReprobeKeepsUnwrittenFlashBlocksStamped(t *testing.T) {
 	mtd.SetInjector(inj)
 	media := &touchedAtRevert{Media: mtd, inj: inj}
 	p := &CrashPlane{Name: "jffs2#0", Mount: "/mnt0", Injector: inj, Media: media}
-	e := &engine{cfg: Config{Kernel: k, Checker: checker.New(k, []checker.Target{{Name: "jffs2", MountPoint: "/mnt0"}})}}
+	e := &engine{cfg: Config{Kernel: k, Checker: checker.New(k, []checker.Target{{Name: "jffs2", MountPoint: "/mnt0"}})}, reads: make([][]byte, 1)}
 	stamps := func() []uint64 {
 		out := make([]uint64, size/es)
 		for blk := range out {

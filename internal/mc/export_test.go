@@ -1,6 +1,11 @@
 package mc
 
-import "testing"
+import (
+	"testing"
+
+	"mcfs/internal/allocs"
+	"mcfs/internal/workload"
+)
 
 // CollideCrashKeys gives every crash point's memo key the same crc until
 // the test ends, so only the byte compare tells two streams apart.
@@ -22,4 +27,24 @@ func setCrashSum(t testing.TB, sum func([]byte) uint32) {
 	old := crashSum
 	crashSum = sum
 	t.Cleanup(func() { crashSum = old })
+}
+
+// StepMallocs builds an engine on cfg, runs setup through its step, and
+// returns the heap objects that runs warm steps of op allocate
+// (allocs.Count). A step that fails or finds a discrepancy fails t.
+func StepMallocs(t testing.TB, cfg Config, setup []workload.Op, op workload.Op, runs int) uint64 {
+	t.Helper()
+	e := newEngine(cfg)
+	step := func(op workload.Op) {
+		if _, err := e.step(op); err != nil {
+			t.Fatalf("%s: %v", op, err)
+		}
+		if e.res.Bug != nil {
+			t.Fatalf("%s: %v", op, e.res.Bug.Discrepancy)
+		}
+	}
+	for _, o := range setup {
+		step(o)
+	}
+	return allocs.Count(runs, func() { step(op) })
 }

@@ -425,9 +425,12 @@ type engine struct {
 	trail   []workload.Op
 	nextKey uint64
 	// results is the per-target outcome of the most recent step, errnos
-	// their errno names (one buffer each, rewritten by every step).
+	// their errno names (one buffer each, rewritten by every step). reads
+	// are the targets' read_file buffers, one each: a result's Data is
+	// its target's buffer, which the target's next read overwrites.
 	results []checker.OpResult
 	errnos  []string
+	reads   [][]byte
 	// ops holds what the engine derives from each distinct op it runs,
 	// once per run; ops come from the pool or a trail, which bound it.
 	// fills are the write buffers the memos share, one per (size, byte).
@@ -467,7 +470,14 @@ func newEngine(cfg Config) *engine {
 	// Every content the run's walks hash, MD5'd once: the engine's own
 	// memo, gone with the engine (abstraction.Memo).
 	cfg.Checker = cfg.Checker.WithMemo(abstraction.NewMemo())
-	e := &engine{cfg: cfg, res: Result{Coverage: NewCoverage()}}
+	n := len(cfg.Checker.Targets())
+	e := &engine{
+		cfg:     cfg,
+		res:     Result{Coverage: NewCoverage()},
+		results: make([]checker.OpResult, 0, n),
+		errnos:  make([]string, 0, n),
+		reads:   make([][]byte, n),
+	}
 	e.probe = newProbe(&e.cfg)
 	if cfg.Crash != nil {
 		e.res.CrashHeatmap = stream.NewHeatmap()
@@ -517,6 +527,16 @@ func (e *engine) fill(op workload.Op) []byte {
 	b := workload.Fill(op)
 	e.fills = append(e.fills, b)
 	return b
+}
+
+// execute runs op on the target with index target, mounted at mount,
+// reading into the target's buffer and keeping what a read grew it to.
+func (e *engine) execute(op workload.Op, m *opMemo, mount string, target int) checker.OpResult {
+	r := workload.ExecuteAt(e.cfg.Kernel, op, m.paths(mount, op), m.data, e.reads[target])
+	if r.Data != nil {
+		e.reads[target] = r.Data[:0]
+	}
+	return r
 }
 
 // paths returns op's operands under mount, built on their first use.
@@ -905,8 +925,8 @@ func (e *engine) step(op workload.Op) (abstraction.State, error) {
 	}
 	e.probe.remounted()
 	results, m := e.results[:0], e.memoOf(op)
-	for _, tgt := range targets {
-		results = append(results, workload.ExecuteAt(e.cfg.Kernel, op, m.paths(tgt.MountPoint, op), m.data))
+	for i, tgt := range targets {
+		results = append(results, e.execute(op, m, tgt.MountPoint, i))
 	}
 	e.probe.ran()
 	for _, t := range e.cfg.Trackers {

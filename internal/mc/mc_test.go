@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mcfs"
+	"mcfs/internal/errno"
 	"mcfs/internal/workload"
 )
 
@@ -327,5 +328,41 @@ func TestDifferentSeedsDiversify(t *testing.T) {
 	}
 	if a.Bug != nil && b.Bug != nil && a.Bug.OpsExecuted == b.Bug.OpsExecuted {
 		t.Log("both seeds found the bug after identical op counts (possible but unusual)")
+	}
+}
+
+// TestReadComparesEachTargetsBytes: a read_file that returns as many
+// bytes on every target but not the same ones is a data discrepancy, not
+// one the state check finds after it. Each target reads into a buffer of
+// its own; were one shared, the last target's bytes would overwrite the
+// first's before the comparison and the step would see them agree.
+func TestReadComparesEachTargetsBytes(t *testing.T) {
+	for _, pair := range [][2]string{{"verifs1", "verifs2"}, {"ext2", "ext4"}} {
+		s, err := mcfs.NewSession(mcfs.Options{
+			Targets:  []mcfs.TargetSpec{{Kind: pair[0]}, {Kind: pair[1]}},
+			MaxDepth: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Set the two files apart behind the checker's back.
+		for i, tgt := range s.Config().Checker.Targets() {
+			for _, op := range []workload.Op{
+				{Kind: workload.OpCreateFile, Path: "/f", Mode: 0o644},
+				{Kind: workload.OpWriteFile, Path: "/f", Size: 64, Byte: byte('a' + i)},
+			} {
+				if r := workload.Execute(s.Kernel(), tgt.MountPoint, op); r.Err != errno.OK {
+					t.Fatalf("%s on %s: %v", op, tgt.Name, r.Err)
+				}
+			}
+		}
+		d, _, err := s.VerifyTrail([]workload.Op{{Kind: workload.OpRead, Path: "/f"}}, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d == nil || d.Kind != "data" {
+			t.Errorf("%s/%s: reading files of 64 a's and 64 b's reported %v, want a data discrepancy", pair[0], pair[1], d)
+		}
+		s.Close()
 	}
 }

@@ -207,7 +207,7 @@ func (p Pool) Enumerate() []Op {
 // returning the observable outcome for the checker. Meta-operations
 // return the errno of the first failing constituent syscall.
 func Execute(k *kernel.Kernel, mountPoint string, op Op) checker.OpResult {
-	return ExecuteAt(k, op, At(mountPoint, op), Fill(op))
+	return ExecuteAt(k, op, At(mountPoint, op), Fill(op), nil)
 }
 
 // Fill returns the bytes a write op writes: Size copies of Byte. Nil for
@@ -238,10 +238,13 @@ func At(mountPoint string, op Op) Paths {
 }
 
 // ExecuteAt is Execute for a caller that keeps op's operands under the
-// mount point (At) and a write's bytes (Fill), building no path or buffer
-// of its own. A write neither keeps nor changes data (vfs.FS.Write), so
-// the caller may share one buffer among targets and ops.
-func ExecuteAt(k *kernel.Kernel, op Op, at Paths, data []byte) checker.OpResult {
+// mount point (At), a write's bytes (Fill) and a buffer for what a
+// read_file reads, building no path or buffer of its own. A write neither
+// keeps nor changes data (vfs.FS.Write), so the caller may share one
+// buffer among targets and ops. A read_file reads into dst's memory from
+// its start, so the result's Data is dst's array when it fits; a nil dst
+// gives the result memory of its own.
+func ExecuteAt(k *kernel.Kernel, op Op, at Paths, data, dst []byte) checker.OpResult {
 	path := at.Path
 	switch op.Kind {
 	case OpCreateFile:
@@ -276,7 +279,7 @@ func ExecuteAt(k *kernel.Kernel, op Op, at Paths, data []byte) checker.OpResult 
 		if e != errno.OK {
 			return checker.OpResult{Ret: -1, Err: e}
 		}
-		data, e := k.ReadFD(fd, 1<<20, nil) // nil: the result owns its Data
+		data, e := k.ReadFD(fd, 1<<20, dst[:0])
 		if e != errno.OK {
 			_ = k.Close(fd) // the read's errno is the result; close is cleanup
 			return checker.OpResult{Ret: -1, Err: e}
