@@ -57,9 +57,12 @@
 #                                                    oracle's recovery
 #                                                    session,
 #                                                    BenchmarkCrashProbe,
-#                                                    and a device frame
+#                                                    a device frame
 #                                                    cycle at 256 KiB and
-#                                                    64 MiB; and the nil
+#                                                    64 MiB, and each
+#                                                    VeriFS's nested
+#                                                    checkpoint cycle;
+#                                                    and the nil
 #                                                    hub's span calls
 #                                                    must inline)
 #   6. replay-determinism smoke: a seeded-bug run   (flight recorder end
@@ -181,7 +184,8 @@ go test -cpu 4 -count 400 -run 'TestSwarmJournaling$' ./internal/mc
 
 echo "==> bench smoke (one iteration per benchmark)"
 go test -bench . -benchtime 1x -run '^$' ./internal/mc/... ./internal/tracker/... ./internal/fuse/... \
-	./internal/kernel/... ./internal/abstraction/... ./internal/blockdev/...
+	./internal/kernel/... ./internal/abstraction/... ./internal/blockdev/... \
+	./internal/fs/verifs1/... ./internal/fs/verifs2/...
 # A nil hub costs an instrumented layer no call: the span calls inline.
 inl=$(go build -gcflags=-m ./internal/obs 2>&1)
 for f in '(\*Hub).StartTimed' 'SpanHandle.End'; do
